@@ -149,8 +149,16 @@ pub fn microbench(cfg: &Config, smoke: bool) -> bool {
     // ~50% of the slots hold a payload, half the probes hit — the star
     // query shape after a moderately selective dimension filter.
     let slots = 1usize << 17;
-    let table: Vec<i32> = (0..slots as i32)
-        .map(|k| if k % 2 == 0 { k / 2 } else { -1 })
+    // Payloads are dense dimension codes (at most 999 in SSB), which is
+    // what lets the probe table hold 2-byte slots.
+    let table: Vec<i16> = (0..slots as i32)
+        .map(|k| {
+            if k % 2 == 0 {
+                (k / 2 % 1000) as i16
+            } else {
+                -1
+            }
+        })
         .collect();
     let fk = gen::foreign_keys(n, slots, 7);
     let packed_fk = PackedColumn::pack(&fk, 17).unwrap();
@@ -160,7 +168,7 @@ pub fn microbench(cfg: &Config, smoke: bool) -> bool {
     // closure per row (what `DimLookup::get` used to hand the kernel).
     let lookup = |k: i32| {
         if (0..table.len() as i32).contains(&k) {
-            let v = table[k as usize];
+            let v = i32::from(table[k as usize]);
             if v >= 0 {
                 return Some(v);
             }

@@ -50,17 +50,22 @@ const LANES: usize = 64;
 /// dimension row filtered out). Probing compiles to a subtract, one
 /// bounds-checked gather and a sign test — no closure indirection, no
 /// `Option` branching in the hot loop.
+///
+/// Slots are 2 bytes: a payload is a dense dimension-attribute code (at
+/// most 999 in SSB), and a probe's speed is set by the cache level its
+/// table fits in (Section 4.3), so the slot is as narrow as the payload
+/// allows. Probed codes are widened back to `i32` on the way out.
 #[derive(Debug, Clone, Copy)]
 pub struct PerfectHashProbe<'a> {
     min_key: i32,
-    table: &'a [i32],
+    table: &'a [i16],
 }
 
 impl<'a> PerfectHashProbe<'a> {
     /// Builds a probe spec over a payload array whose slot `i` holds the
     /// payload of key `min_key + i`, or a negative value for a miss.
     #[inline]
-    pub fn new(min_key: i32, table: &'a [i32]) -> Self {
+    pub fn new(min_key: i32, table: &'a [i16]) -> Self {
         PerfectHashProbe { min_key, table }
     }
 
@@ -70,7 +75,7 @@ impl<'a> PerfectHashProbe<'a> {
     #[inline]
     pub fn probe(&self, key: i32) -> i32 {
         let idx = key.wrapping_sub(self.min_key) as u32 as usize;
-        self.table.get(idx).copied().unwrap_or(-1).max(-1)
+        i32::from(self.table.get(idx).copied().unwrap_or(-1).max(-1))
     }
 
     /// Number of slots (the perfect-hash key range).
@@ -405,7 +410,7 @@ fn probe_core<C: ColumnRead + ?Sized, const TRACK: bool>(
     for k in 0..count {
         let row = sel[k];
         let idx = col.value(row as usize).wrapping_sub(min_key) as u32 as usize;
-        let code = table.get(idx).copied().unwrap_or(-1);
+        let code = i32::from(table.get(idx).copied().unwrap_or(-1));
         sel[hits] = row;
         codes[hits] = code;
         if TRACK {
@@ -493,7 +498,7 @@ mod tests {
 
     /// A probe spec plus the closure oracle over the same table, for
     /// scalar-vs-chunked comparisons.
-    fn even_key_spec(table: &mut Vec<i32>, max_key: i32) -> PerfectHashProbe<'_> {
+    fn even_key_spec(table: &mut Vec<i16>, max_key: i16) -> PerfectHashProbe<'_> {
         *table = (0..=max_key)
             .map(|k| if k % 2 == 0 { k / 2 } else { -1 })
             .collect();
@@ -557,28 +562,74 @@ mod tests {
         assert!(kept[..n].windows(2).all(|w| w[0] < w[1]));
     }
 
+    /// The largest SSB payload (brand code 999) and the `i16` extremes
+    /// round-trip or miss as they should through the 2-byte slot.
     #[test]
     fn probe_spec_edges() {
-        let table = [5, -1, 0];
+        let table = [5, -1, 0, 999, i16::MAX];
         let spec = PerfectHashProbe::new(10, &table);
         assert_eq!(spec.probe(10), 5);
         assert_eq!(spec.probe(11), -1, "negative entry is a miss");
         assert_eq!(spec.probe(12), 0);
-        assert_eq!(spec.probe(13), -1, "past the table");
+        assert_eq!(spec.probe(13), 999);
+        assert_eq!(spec.probe(14), i32::from(i16::MAX));
+        assert_eq!(spec.probe(15), -1, "past the table");
         assert_eq!(spec.probe(9), -1, "below min_key");
         assert_eq!(spec.probe(i32::MIN), -1);
         assert_eq!(spec.probe(i32::MAX), -1);
-        assert_eq!(spec.slots(), 3);
+        assert_eq!(spec.slots(), 5);
     }
 
     /// A probe table holding entries below -1 still reports plain misses
     /// (the spec clamps, so `codes` can never carry a sentinel through).
     #[test]
     fn probe_spec_clamps_deep_negatives() {
-        let table = [-7, 3];
+        let table = [-7, 3, i16::MIN];
         let spec = PerfectHashProbe::new(0, &table);
         assert_eq!(spec.probe(0), -1);
         assert_eq!(spec.probe(1), 3);
+        assert_eq!(spec.probe(2), -1);
+    }
+
+    /// The probe kernels agree with [`PerfectHashProbe::probe`] row by
+    /// row at every edge of the 2-byte table — keys below `min_key`, past
+    /// the last slot and at the `i32` extremes, deep-negative entries,
+    /// code 999 — over plain and packed foreign-key columns, tracked and
+    /// untracked, and widen the surviving codes back to `i32` exactly.
+    #[test]
+    fn probe_kernels_at_slot_edges() {
+        use crystal_storage::PackedColumn;
+        let table = [999i16, -1, 0, i16::MIN, 7, -2, i16::MAX];
+        let spec = PerfectHashProbe::new(3, &table);
+        // Packed storage holds non-negative values only.
+        let packable = vec![3, 4, 5, 6, 7, 8, 9, 10, 2, 0, i32::MAX, 3, 9];
+        let mut plain = packable.clone();
+        plain.extend([i32::MIN, -1, i32::MIN + 3, 7]);
+        let packed = PackedColumn::pack(&packable, 31).unwrap();
+
+        fn check<C: ColumnRead + ?Sized>(col: &C, n: usize, spec: &PerfectHashProbe<'_>) {
+            let expected: Vec<(u32, i32)> = (0..n as u32)
+                .map(|r| (r, spec.probe(col.value(r as usize))))
+                .filter(|&(_, code)| code >= 0)
+                .collect();
+            let master: Vec<u32> = (0..n as u32).collect();
+            let (mut sel, mut codes) = (master.clone(), vec![0i32; n]);
+            let hits = sel_probe(col, spec, &mut sel, n, &mut codes);
+            let got: Vec<(u32, i32)> = sel[..hits].iter().copied().zip(codes).collect();
+            assert_eq!(got, expected);
+
+            let (mut sel, mut codes, mut kept) = (master, vec![0i32; n], vec![0u32; n]);
+            let hits = sel_probe_tracked(col, spec, &mut sel, n, &mut codes, &mut kept);
+            let got: Vec<(u32, i32)> = sel[..hits].iter().copied().zip(codes).collect();
+            assert_eq!(got, expected);
+            // Every row is selected, so a kept position is its row id.
+            assert_eq!(&kept[..hits], &sel[..hits]);
+        }
+        check(&plain[..], plain.len(), &spec);
+        check(&packed.view(), packable.len(), &spec);
+        // Rows 0 (code 999), 2, 4, 6 and their repeats hit; nothing else.
+        let hits = (0..plain.len()).filter(|&r| spec.probe(plain[r]) >= 0);
+        assert_eq!(hits.collect::<Vec<_>>(), vec![0, 2, 4, 6, 11, 12, 16]);
     }
 
     #[test]
@@ -611,7 +662,7 @@ mod tests {
             assert_eq!(np, nk, "bits={bits}");
             assert_eq!(&sel_plain[..np], &sel_packed[..nk], "bits={bits}");
             // Refine + probe agree too (keys clamped into a small table).
-            let table: Vec<i32> = (0..1024).map(|k| if k % 3 == 0 { k } else { -1 }).collect();
+            let table: Vec<i16> = (0..1024).map(|k| if k % 3 == 0 { k } else { -1 }).collect();
             let spec = PerfectHashProbe::new(0, &table);
             let mut codes_a = [0i32; 500];
             let mut codes_b = [0i32; 500];
@@ -683,12 +734,12 @@ mod tests {
     fn chunked_probe_matches_scalar_probe() {
         let n = 700;
         let fk: Vec<i32> = (0..n).map(|i| ((i as i64 * 31) % 911) as i32).collect();
-        let table: Vec<i32> = (0..911)
+        let table: Vec<i16> = (0..911)
             .map(|k| if k % 5 < 2 { k * 2 } else { -1 })
             .collect();
         let spec = PerfectHashProbe::new(0, &table);
         let lookup = |k: i32| {
-            let v = table[k as usize];
+            let v = i32::from(table[k as usize]);
             (v >= 0).then_some(v)
         };
         for count in [0usize, 1, 63, 64, 65, 128, 640, 700] {

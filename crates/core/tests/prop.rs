@@ -193,14 +193,14 @@ proptest! {
                 min_key - 100 + ((x >> 33) as i64 % (slots as i64 + 200)) as i32
             })
             .collect();
-        let table: Vec<i32> = (0..slots as i32)
-            .map(|k| if k % hit_mod == 0 { k } else { -1 })
+        let table: Vec<i16> = (0..slots as i16)
+            .map(|k| if i32::from(k) % hit_mod == 0 { k } else { -1 })
             .collect();
         let spec = PerfectHashProbe::new(min_key, &table);
         let lookup = |key: i32| {
             let idx = key.wrapping_sub(min_key);
             if (0..table.len() as i32).contains(&idx) {
-                let v = table[idx as usize];
+                let v = i32::from(table[idx as usize]);
                 if v >= 0 {
                     return Some(v);
                 }

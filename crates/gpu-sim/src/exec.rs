@@ -261,7 +261,7 @@ impl Gpu {
         &mut self,
         data: &[T],
     ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
-        self.mem.alloc_from(data.to_vec())
+        self.mem.alloc_from(data)
     }
 
     /// Allocates a zero-initialized buffer of `len` elements.

@@ -138,24 +138,34 @@ impl Memory {
         }
     }
 
-    /// Allocates a buffer holding `data`.
-    pub fn alloc_from<T: Copy + Default>(
-        &mut self,
-        data: Vec<T>,
-    ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
-        let bytes = data.len() * std::mem::size_of::<T>();
-        if self.used + bytes > self.capacity {
-            return Err(OutOfDeviceMemory {
-                requested: bytes,
-                available: self.capacity - self.used,
-            });
-        }
+    /// Charges `len` elements of `T` against the budget and assigns them an
+    /// address — before any host memory backs them, so a request larger
+    /// than the device is refused without first being materialized on the
+    /// host (a 32 GiB `Vec` for a 32 GiB simulated device).
+    fn reserve<T>(&mut self, len: usize) -> Result<u64, OutOfDeviceMemory> {
+        let available = self.capacity - self.used;
+        let bytes = len
+            .checked_mul(std::mem::size_of::<T>())
+            .filter(|&b| b <= available)
+            .ok_or(OutOfDeviceMemory {
+                requested: len.saturating_mul(std::mem::size_of::<T>()),
+                available,
+            })?;
         let addr = self.next_addr;
-        let aligned = bytes.next_multiple_of(ALLOC_ALIGN as usize);
-        self.next_addr += aligned as u64;
+        self.next_addr += bytes.next_multiple_of(ALLOC_ALIGN as usize) as u64;
         self.used += bytes;
         self.high_water = self.high_water.max(self.used);
-        Ok(DeviceBuffer::new(data, addr))
+        Ok(addr)
+    }
+
+    /// Allocates a buffer holding a copy of `data`; the copy is made only
+    /// once the budget has accepted it.
+    pub fn alloc_from<T: Copy + Default>(
+        &mut self,
+        data: &[T],
+    ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
+        let addr = self.reserve::<T>(data.len())?;
+        Ok(DeviceBuffer::new(data.to_vec(), addr))
     }
 
     /// Allocates a zero-initialized buffer of `len` elements.
@@ -163,7 +173,8 @@ impl Memory {
         &mut self,
         len: usize,
     ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
-        self.alloc_from(vec![T::default(); len])
+        let addr = self.reserve::<T>(len)?;
+        Ok(DeviceBuffer::new(vec![T::default(); len], addr))
     }
 
     /// Releases a buffer's bytes back to the budget (addresses are not
@@ -195,8 +206,8 @@ mod tests {
     #[test]
     fn alloc_assigns_disjoint_aligned_addresses() {
         let mut m = Memory::new(1 << 20);
-        let a = m.alloc_from(vec![0u32; 100]).unwrap();
-        let b = m.alloc_from(vec![0u32; 100]).unwrap();
+        let a = m.alloc_from(&[0u32; 100]).unwrap();
+        let b = m.alloc_from(&[0u32; 100]).unwrap();
         assert_eq!(a.addr() % ALLOC_ALIGN, 0);
         assert_eq!(b.addr() % ALLOC_ALIGN, 0);
         assert!(b.addr() >= a.addr() + a.size_bytes() as u64);
@@ -205,26 +216,42 @@ mod tests {
     #[test]
     fn addr_of_scales_by_element_size() {
         let mut m = Memory::new(1 << 20);
-        let a = m.alloc_from(vec![0u64; 16]).unwrap();
+        let a = m.alloc_from(&[0u64; 16]).unwrap();
         assert_eq!(a.addr_of(2) - a.addr(), 16);
     }
 
     #[test]
     fn capacity_is_enforced() {
         let mut m = Memory::new(1024);
-        assert!(m.alloc_from(vec![0u8; 1025]).is_err());
-        let a = m.alloc_from(vec![0u8; 1000]).unwrap();
-        assert!(m.alloc_from(vec![0u8; 512]).is_err());
+        assert!(m.alloc_from(&[0u8; 1025]).is_err());
+        let a = m.alloc_from(&[0u8; 1000]).unwrap();
+        assert!(m.alloc_from(&[0u8; 512]).is_err());
         m.free(a);
-        assert!(m.alloc_from(vec![0u8; 512]).is_ok());
+        assert!(m.alloc_from(&[0u8; 512]).is_ok());
+    }
+
+    /// A request beyond the budget is refused before the host backs it:
+    /// these lengths could not be allocated on any machine, so reaching
+    /// the `Err` at all shows the order. A refusal charges nothing.
+    #[test]
+    fn oversized_requests_are_refused_before_host_allocation() {
+        let mut m = Memory::new(1024);
+        let err = m.alloc_zeroed::<u64>(usize::MAX / 8).unwrap_err();
+        assert_eq!(err.available, 1024);
+        assert!(err.requested > err.available);
+        // A byte count that overflows `usize` is refused, not wrapped.
+        assert!(m.alloc_zeroed::<u64>(usize::MAX).is_err());
+        assert_eq!((m.used(), m.high_water()), (0, 0));
+        assert!(m.alloc_from(&[0u8; 1024]).is_ok());
+        assert!(m.alloc_from(&[0u8; 1]).is_err());
     }
 
     #[test]
     fn high_water_tracks_peak() {
         let mut m = Memory::new(1024);
-        let a = m.alloc_from(vec![0u8; 600]).unwrap();
+        let a = m.alloc_from(&[0u8; 600]).unwrap();
         m.free(a);
-        let _b = m.alloc_from(vec![0u8; 100]).unwrap();
+        let _b = m.alloc_from(&[0u8; 100]).unwrap();
         assert_eq!(m.high_water(), 600);
         assert_eq!(m.used(), 100);
     }
@@ -232,7 +259,7 @@ mod tests {
     #[test]
     fn truncate_keeps_full_allocation_charged() {
         let mut m = Memory::new(1024);
-        let mut a = m.alloc_from(vec![0u8; 600]).unwrap();
+        let mut a = m.alloc_from(&[0u8; 600]).unwrap();
         a.truncate(10);
         assert_eq!(a.len(), 10);
         assert_eq!(m.used(), 600);
@@ -243,7 +270,7 @@ mod tests {
     #[test]
     fn to_host_roundtrips() {
         let mut m = Memory::new(1 << 20);
-        let a = m.alloc_from(vec![1i32, 2, 3]).unwrap();
+        let a = m.alloc_from(&[1i32, 2, 3]).unwrap();
         assert_eq!(a.to_host(), vec![1, 2, 3]);
     }
 }

@@ -19,6 +19,8 @@ use crystal_storage::dict::Dictionary;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use crate::plan::DimTable;
+
 /// TPC-H's 25 nations, grouped by region (5 per region) as SSB does.
 const NATIONS: [(&str, &str); 25] = [
     ("ALGERIA", "AFRICA"),
@@ -151,6 +153,9 @@ pub struct SsbData {
     /// [`SsbData::fingerprint`]); private so it cannot drift from the
     /// data it summarizes.
     fingerprint: u64,
+    /// `(min, max)` primary key per dimension, indexed by `DimTable as
+    /// usize` (see [`SsbData::key_range`]); private for the same reason.
+    key_ranges: [(i32, i32); 4],
 }
 
 /// One multiply-xor step of the dataset fingerprint.
@@ -229,9 +234,29 @@ impl SsbData {
             customer,
             dicts,
             fingerprint: 0,
+            key_ranges: [(0, 0); 4],
         };
         d.fingerprint = d.compute_fingerprint();
+        for (table, keys) in [
+            (DimTable::Date, &d.date.datekey),
+            (DimTable::Part, &d.part.partkey),
+            (DimTable::Supplier, &d.supplier.suppkey),
+            (DimTable::Customer, &d.customer.custkey),
+        ] {
+            let first = keys.first().copied().unwrap_or(0);
+            d.key_ranges[table as usize] = keys
+                .iter()
+                .fold((first, first), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        }
         d
+    }
+
+    /// Smallest and largest primary key of a dimension (over *all* rows),
+    /// computed once at generation: the span of the dimension's
+    /// perfect-hash slot array, which every build and every table-size
+    /// estimate would otherwise rescan the key column for.
+    pub fn key_range(&self, table: DimTable) -> (i32, i32) {
+        self.key_ranges[table as usize]
     }
 
     /// A 64-bit content fingerprint of the generated database. It

@@ -10,23 +10,139 @@ pub mod omnisci;
 pub mod reference;
 
 use crate::data::SsbData;
-use crate::plan::{DimJoin, DimPred, DimTable, StarQuery};
+use crate::plan::{DimAttr, DimJoin, DimPred, DimTable, StarQuery};
 
-/// The build side of one dimension join: the filtered `(key, dense group
-/// code)` pairs every engine inserts, plus the key range they span.
+// A lookup slot is an `i16`: a dense attribute code, or `-1` for a miss.
+// Every attribute's code domain has to fit.
+const _: () = {
+    let attrs = [
+        DimAttr::Year,
+        DimAttr::YearMonthNum,
+        DimAttr::WeekNumInYear,
+        DimAttr::Mfgr,
+        DimAttr::Category,
+        DimAttr::Brand1,
+        DimAttr::Region,
+        DimAttr::Nation,
+        DimAttr::City,
+    ];
+    let mut i = 0;
+    while i < attrs.len() {
+        assert!(attrs[i].domain() <= i16::MAX as usize);
+        i += 1;
+    }
+};
+
+/// One attribute column of a dimension plus a small table over the
+/// attribute's value range, so that a per-row predicate or dense-code
+/// evaluation becomes one subtract and one L1-resident load. The table has
+/// [`DimAttr::domain`] entries (612 for `YearMonthNum`, whose `yyyymm`
+/// values leave holes between the years).
+struct AttrMap<'a> {
+    col: &'a [i32],
+    /// Smallest value of the attribute (`from_dense(0)`).
+    base: i32,
+    map: Vec<i16>,
+}
+
+impl<'a> AttrMap<'a> {
+    /// Tabulates `f(dense code, value)` over every value of `attr`; holes
+    /// in the value range read `-1`.
+    fn new(attr: DimAttr, col: &'a [i32], f: impl Fn(usize, i32) -> i16) -> Self {
+        let base = attr.from_dense(0);
+        let top = attr.from_dense(attr.domain() - 1);
+        let mut map = vec![-1i16; (top - base + 1) as usize];
+        for dense in 0..attr.domain() {
+            let value = attr.from_dense(dense);
+            map[(value - base) as usize] = f(dense, value);
+        }
+        AttrMap { col, base, map }
+    }
+
+    /// The table entry of every dimension row, in row order.
+    #[inline]
+    fn per_row(&self) -> impl Iterator<Item = i16> + '_ {
+        self.col.iter().map(|&v| self.map[(v - self.base) as usize])
+    }
+}
+
+/// One dimension join resolved, once per build, from its descriptor to the
+/// columns and tables the build loop reads: the key column, the filter
+/// column with an accept table (`0` pass, `-1` reject), and the group
+/// column with a dense-code table. The loop itself then matches on nothing
+/// and branches on nothing — the slot of a row is `accept | code`, which is
+/// the code when the row passes and `-1` when it does not.
 ///
-/// This is the one place the build-phase loop (filter rows → dense group
-/// code) lives; [`DimLookup::build`], the Crystal GPU engine and the
-/// session hash-table memoizer all consume it instead of hand-rolling the
-/// same scan.
+/// This is the one place the build-phase loop lives: [`DimLookup::build`]
+/// writes the slots straight into its table, and [`DimBuild::scan`] (the
+/// device engines' cold path) compacts the same stream into the `(key,
+/// code)` pairs the build kernel inserts.
+struct ResolvedJoin<'a> {
+    keys: &'a [i32],
+    min_key: i32,
+    max_key: i32,
+    filter: Option<AttrMap<'a>>,
+    group: Option<AttrMap<'a>>,
+}
+
+impl<'a> ResolvedJoin<'a> {
+    fn new(d: &'a SsbData, join: &DimJoin) -> Self {
+        let keys = join.keys(d);
+        let (min_key, max_key) = d.key_range(join.table);
+        let column = |attr: DimAttr| {
+            let col = attr.data(d, join.table);
+            assert_eq!(col.len(), keys.len(), "ragged dimension table");
+            col
+        };
+        ResolvedJoin {
+            keys,
+            min_key,
+            max_key,
+            filter: join.filter.as_ref().map(|p| {
+                let accept = |_, value| if p.matches(value) { 0 } else { -1 };
+                AttrMap::new(p.attr(), column(p.attr()), accept)
+            }),
+            group: join
+                .group_attr
+                .map(|a| AttrMap::new(a, column(a), |dense, _| dense as i16)),
+        }
+    }
+
+    /// Calls `emit(key, slot)` for every dimension row in row order, where
+    /// `slot` is the row's dense group code (0 when the join is ungrouped)
+    /// or `-1` when the row fails the join filter.
+    #[inline]
+    fn for_each_slot(&self, emit: impl FnMut(i32, i16)) {
+        #[inline(always)]
+        fn rows(
+            keys: &[i32],
+            accept: impl Iterator<Item = i16>,
+            code: impl Iterator<Item = i16>,
+            mut emit: impl FnMut(i32, i16),
+        ) {
+            for ((&key, accept), code) in keys.iter().zip(accept).zip(code) {
+                emit(key, accept | code);
+            }
+        }
+        let all = std::iter::repeat(0i16);
+        match (&self.filter, &self.group) {
+            (None, None) => rows(self.keys, all.clone(), all, emit),
+            (Some(f), None) => rows(self.keys, f.per_row(), all, emit),
+            (None, Some(g)) => rows(self.keys, all, g.per_row(), emit),
+            (Some(f), Some(g)) => rows(self.keys, f.per_row(), g.per_row(), emit),
+        }
+    }
+}
+
+/// The build side of one dimension join as the device engines consume it:
+/// the filtered `(key, dense group code)` pairs a build kernel inserts,
+/// plus the key range they span.
 #[derive(Debug, Clone)]
 pub struct DimBuild {
     /// Keys of dimension rows passing the join filter.
     pub keys: Vec<i32>,
     /// Dense group code per surviving row (0 when the join is ungrouped).
     pub codes: Vec<i32>,
-    /// Total dimension rows (the denominator of the insert fraction).
-    pub dim_rows: usize,
     /// Smallest primary key of the dimension (over *all* rows).
     pub min_key: i32,
     /// Largest primary key of the dimension (over *all* rows).
@@ -35,29 +151,22 @@ pub struct DimBuild {
 
 impl DimBuild {
     /// Scans one join's dimension, keeping filtered keys and their dense
-    /// group codes.
+    /// group codes: the resolved build loop, appending the surviving rows.
     pub fn scan(d: &SsbData, join: &DimJoin) -> Self {
-        let all_keys = join.keys(d);
-        let min_key = all_keys.iter().copied().min().unwrap_or(0);
-        let max_key = all_keys.iter().copied().max().unwrap_or(0);
+        let r = ResolvedJoin::new(d, join);
         let mut keys = Vec::new();
         let mut codes = Vec::new();
-        for (row, &k) in all_keys.iter().enumerate() {
-            if join.row_matches(d, row) {
-                let code = match join.group_attr {
-                    None => 0,
-                    Some(a) => a.dense(join.row_group_value(d, row)) as i32,
-                };
-                keys.push(k);
-                codes.push(code);
+        r.for_each_slot(|key, slot| {
+            if slot >= 0 {
+                keys.push(key);
+                codes.push(i32::from(slot));
             }
-        }
+        });
         DimBuild {
             keys,
             codes,
-            dim_rows: all_keys.len(),
-            min_key,
-            max_key,
+            min_key: r.min_key,
+            max_key: r.max_key,
         }
     }
 
@@ -70,27 +179,14 @@ impl DimBuild {
     pub fn key_range(&self) -> usize {
         (self.max_key - self.min_key + 1) as usize
     }
-
-    /// Perfect-hash footprint with the paper's 8-bytes-per-slot
-    /// accounting.
-    pub fn ht_bytes(&self) -> usize {
-        8 * self.key_range()
-    }
-
-    /// Fraction of dimension rows inserted (surviving the filter).
-    pub fn insert_frac(&self) -> f64 {
-        self.inserted() as f64 / self.dim_rows.max(1) as f64
-    }
 }
 
 /// Perfect-hash footprint of one join's dimension table (8 bytes per slot
-/// over the key range) without evaluating the filter — the cheap
-/// `estimated_bytes` a memoized lookup needs even on a warm hit, where
-/// running the full [`DimBuild::scan`] would be wasted work.
+/// over the key range) without touching the dimension — the cheap
+/// `estimated_bytes` a memoized lookup needs even on a warm hit, read from
+/// the key range recorded at generation.
 pub fn dim_table_bytes(d: &SsbData, join: &DimJoin) -> usize {
-    let keys = join.keys(d);
-    let min = keys.iter().copied().min().unwrap_or(0);
-    let max = keys.iter().copied().max().unwrap_or(0);
+    let (min, max) = d.key_range(join.table);
     8 * (max - min + 1) as usize
 }
 
@@ -187,27 +283,36 @@ pub fn dim_join_fingerprint(d: &SsbData, join: &DimJoin) -> u64 {
 /// This is the CPU-side analog of the paper's perfect-hashed dimension
 /// tables (Section 5.3); the GPU engine uses
 /// [`crystal_core::hash::DeviceHashTable`] with the `Perfect` scheme so the
-/// footprint matches the paper's `2 x 4 x |dim|` accounting.
+/// footprint matches the paper's `2 x 4 x |dim|` accounting. The host
+/// array itself stores 2-byte slots (every [`DimAttr::domain`] fits, and
+/// the key is implied by the position), so the SF-20 customer table is
+/// 1.2 MB and part 2 MB — inside the L2 the probes gather through — while
+/// [`DimLookup::size_bytes`] keeps reporting the paper's accounting.
 #[derive(Debug, Clone)]
 pub struct DimLookup {
     min_key: i32,
-    table: Vec<i32>,
+    table: Vec<i16>,
     /// Dimension rows passing the join filter.
     pub inserted: usize,
 }
 
 impl DimLookup {
-    /// Builds the lookup for one join of the plan.
+    /// Builds the lookup for one join of the plan in one pass over the
+    /// dimension's columns, writing each row's slot directly (nothing is
+    /// materialized in between).
     pub fn build(d: &SsbData, join: &DimJoin) -> Self {
-        let build = DimBuild::scan(d, join);
-        let mut table = vec![-1i32; build.key_range()];
-        for (&k, &code) in build.keys.iter().zip(&build.codes) {
-            table[(k - build.min_key) as usize] = code;
-        }
+        let r = ResolvedJoin::new(d, join);
+        let min_key = r.min_key;
+        let mut table = vec![-1i16; (r.max_key - min_key + 1) as usize];
+        let mut inserted = 0usize;
+        r.for_each_slot(|key, slot| {
+            table[(key - min_key) as usize] = slot;
+            inserted += usize::from(slot >= 0);
+        });
         DimLookup {
-            min_key: build.min_key,
+            min_key,
             table,
-            inserted: build.inserted(),
+            inserted,
         }
     }
 

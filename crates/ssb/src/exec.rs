@@ -19,6 +19,15 @@
 //!   one branching row loop, no selection vectors.
 //!   [`crate::engines::hyper`] lowers onto this.
 //!
+//! **Build phase.** Every call builds one [`DimLookup`] per join before
+//! the scan starts: a single columnar pass over the dimension (key, filter
+//! and group columns, resolved once from the descriptor) that writes each
+//! row's 2-byte slot straight into the perfect-hash array — no
+//! intermediate `(key, code)` vectors, no per-row match on the plan. The
+//! tables are sized by the key range recorded at generation, so the
+//! SF-20 customer and part tables (1.2 MB, 2 MB) stay L2-resident under
+//! the probes.
+//!
 //! **Compressed execution.** Every plan column is resolved once to a
 //! [`ColumnSlice`] — plain or bit-packed — and each kernel call
 //! dispatches on the variant, so the pipeline runs the fused
@@ -440,42 +449,44 @@ fn assemble(
     n: usize,
     workers: Vec<WorkerAcc>,
 ) -> (QueryResult, QueryTrace) {
-    let domain = q.group_domain();
-    let joins = q.joins.len();
-    let mut agg = vec![0i64; domain];
-    let mut pred_survivors = 0usize;
-    let mut probes = vec![0usize; joins];
-    let mut hits = vec![0usize; joins];
-    let mut result_rows = 0usize;
+    // The first worker's table becomes the result table (no second
+    // zeroed allocation, no pass over it); only the others are added in.
+    // No worker at all (every shard pruned) is the empty input.
+    let mut workers = workers.into_iter();
+    let mut total = workers
+        .next()
+        .unwrap_or_else(|| WorkerAcc::new(q.group_domain(), q.joins.len()));
     for w in workers {
-        for (a, v) in agg.iter_mut().zip(&w.agg) {
+        for (a, v) in total.agg.iter_mut().zip(&w.agg) {
             *a += v;
         }
-        pred_survivors += w.pred_survivors;
-        for j in 0..joins {
-            probes[j] += w.probes[j];
-            hits[j] += w.hits[j];
+        total.pred_survivors += w.pred_survivors;
+        for (a, v) in total.probes.iter_mut().zip(&w.probes) {
+            *a += v;
         }
-        result_rows += w.result_rows;
+        for (a, v) in total.hits.iter_mut().zip(&w.hits) {
+            *a += v;
+        }
+        total.result_rows += w.result_rows;
     }
 
-    let result = groups_to_result(q, &agg);
+    let result = groups_to_result(q, &total.agg);
     let trace = QueryTrace {
         fact_rows: n,
-        pred_survivors,
+        pred_survivors: total.pred_survivors,
         stages: q
             .joins
             .iter()
             .enumerate()
             .map(|(j, join)| StageTrace {
                 table: join.table,
-                probes: probes[j],
-                hits: hits[j],
+                probes: total.probes[j],
+                hits: total.hits[j],
                 ht_bytes: lookups[j].size_bytes(),
                 dim_insert_frac: lookups[j].inserted as f64 / join.keys(d).len().max(1) as f64,
             })
             .collect(),
-        result_rows,
+        result_rows: total.result_rows,
         groups: result.rows(),
     };
     (result, trace)

@@ -117,7 +117,7 @@ pub enum DimAttr {
 
 impl DimAttr {
     /// Number of distinct dense codes (for direct-indexed aggregates).
-    pub fn domain(&self) -> usize {
+    pub const fn domain(&self) -> usize {
         match self {
             DimAttr::Year => 7,
             DimAttr::YearMonthNum => 7 * 12,
