@@ -319,7 +319,7 @@ pub fn compression(cfg: &Config) {
     use crystal_ssb::queries::{query, QueryId};
 
     let d = crystal_ssb::SsbData::generate_scaled(1, cfg.fact_scale, 20_2020);
-    let enc = FactEncodings::packed_min(&d);
+    let (plain, enc) = (FactEncodings::plain(), FactEncodings::packed_min(&d));
     let fact = EncodedFact::encode(&d, &enc);
     let cpu_spec = intel_i7_6900();
     let pcie = crystal_hardware::pcie_gen3();
@@ -363,8 +363,8 @@ pub fn compression(cfg: &Config) {
             ratio(shrink),
             ms(host_plain),
             ms(host_packed),
-            place(copro::choose_placement(&d, &q, &cpu_spec, &pcie).placement).into(),
-            place(copro::choose_placement_encoded(&d, &q, &enc, &cpu_spec, &pcie).placement).into(),
+            place(copro::choose_placement(&d, &q, &plain, &cpu_spec, &pcie).placement).into(),
+            place(copro::choose_placement(&d, &q, &enc, &cpu_spec, &pcie).placement).into(),
         ]);
     }
     report.finish();
@@ -482,15 +482,4 @@ pub fn skew(cfg: &Config) {
     report.finish();
     println!("skew concentrates probes on L2-resident lines: the 256MB table that");
     println!("misses ~100% under uniform keys becomes largely cache-served.");
-}
-
-/// Runs every ablation.
-pub fn run_all(cfg: &Config) {
-    radix_join(cfg);
-    join_order(cfg);
-    multi_gpu(cfg);
-    agg_groups(cfg);
-    compression(cfg);
-    hybrid(cfg);
-    skew(cfg);
 }

@@ -2,83 +2,114 @@
 //! evaluation.
 //!
 //! ```text
-//! reproduce [experiment...]
+//! reproduce [experiment...] [--smoke]
 //!
-//! experiments:
-//!   table2      hardware specifications (Table 2)
-//!   fig3        coprocessor vs MonetDB vs Hyper (Figure 3)
-//!   fig9        selection tile-size sweep (Figure 9)
-//!   tile-model  Crystal vs independent-threads selection (Section 3.3)
-//!   fig10       projection microbenchmark (Figure 10)
-//!   fig12       selection microbenchmark (Figure 12)
-//!   fig13       hash-join microbenchmark (Figure 13)
-//!   fig14       radix partitioning passes (Figure 14)
-//!   sort        full radix sorts (Section 4.4)
-//!   fig16       Star Schema Benchmark, four engines (Figure 16)
-//!   case-study  SSB q2.1 model breakdown (Section 5.3)
-//!   table3      cost comparison (Table 3, Section 5.4)
-//!   ablations   ablation studies (radix join, join order, multi-GPU,
-//!               group-by fan-out); also individually as
-//!               ablation-radix-join / ablation-join-order /
-//!               ablation-multi-gpu / ablation-agg /
-//!               ablation-compression
-//!   query-stream cold vs warm DeviceSession residency over a randomized
-//!               query stream (transfer-included vs data-resident)
-//!   contention  multi-tenant serving through the concurrent frontend:
-//!               queries/sec and p50/p99 latency at 1/4/8 tenants vs a
-//!               serial per-tenant replay, byte-identity asserted
-//!               (exits non-zero if a band is missed; --smoke runs the
-//!               4-tenant CI gate only)
-//!   microbench  wall-clock kernel gate: scalar vs chunked selection and
-//!               probe kernels on plain/packed columns; writes
-//!               BENCH_kernels.json (pass --smoke for the CI parity gate)
-//!   whatif      operator gains on a newer CPU/GPU pairing (Section 5.4)
-//!   fusion      fused megakernel vs per-operator kernels: per-query
-//!               HBM read/write bytes and kernel-launch counts on a warm
-//!               session, byte-identity asserted against the oracle
-//!               (exits non-zero if a band is missed; --smoke shrinks
-//!               the proxy table for CI)
-//!   calibration closed-loop calibrated placement vs the static cost
-//!               model on the true and a deliberately skewed hardware
-//!               profile: calibrated must never lose to static and must
-//!               recover the pinned fraction of the static-vs-oracle
-//!               gap, byte-identity asserted (exits non-zero if a band
-//!               is missed; --smoke shrinks the sample for CI)
-//!   sharded     beyond-memory sharded SSB: zone-map partition pruning
-//!               fractions per query plus an eviction-heavy device
-//!               replay under half the sharded working set, byte-
-//!               identity asserted (exits non-zero if a band is missed;
-//!               --smoke shortens the stream for CI)
-//!   overlap     copy/compute stream pipelining: cold chunked-upload
-//!               speedup vs serial charging and the fraction of
-//!               non-first-shard transfer the double-buffered sharded
-//!               replay hides, byte-identity asserted (exits non-zero
-//!               if a band is missed; --smoke runs the band queries
-//!               only)
-//!   scorecard   every headline number vs its tolerance band (exits
-//!               non-zero on a miss)
-//!   all         everything above (default)
+//!   <name>      one entry of `EXPERIMENTS` below (an unknown name
+//!               prints them all)
+//!   ablations   every ablation-* experiment
+//!   all         every experiment, in paper order (default)
 //!
-//! environment:
+//! environment (unset keeps the default; a value that does not parse is
+//! an error, never the default):
 //!   CRYSTAL_MICRO_LOG2N (22)  CRYSTAL_SF (1)  CRYSTAL_FACT_SCALE (0.02)
 //!   CRYSTAL_THREADS (cores)   CRYSTAL_REPS (3)
 //! ```
+//!
+//! Experiments marked `[gate]` pin bands (results asserted byte-identical
+//! to the oracle as they run) and make the exit code non-zero when one is
+//! missed; `--smoke` shrinks them to their CI size. `EXPERIMENTS` is the
+//! one list: an experiment is runnable, listed and part of `all` by being
+//! in it.
 
 use crystal_bench::util::Config;
-use crystal_bench::{micro, ssb_exp, tables};
+use crystal_bench::{
+    ablation, calibration, contention, fusion, kernels, micro, overlap, scorecard, sharded,
+    ssb_exp, stream, tables,
+};
+
+/// `(cfg, smoke) -> every pinned band held`.
+type Run = fn(&Config, bool) -> bool;
+
+/// Adapts an experiment that pins nothing.
+macro_rules! ungated {
+    ($run:expr) => {
+        |cfg, _| {
+            $run(cfg);
+            true
+        }
+    };
+}
+
+/// Every experiment, in paper order — the order `all` runs them in.
+/// `[gate]` marks the ones that pin bands.
+const EXPERIMENTS: &[(&str, Run)] = &[
+    ("table2", ungated!(|_| tables::table2())), // hardware specifications (Table 2)
+    ("fig9", ungated!(micro::fig9)),            // selection tile-size sweep (Figure 9)
+    ("tile-model", ungated!(micro::tile_model)), // Crystal vs independent threads (Section 3.3)
+    ("fig10", ungated!(micro::fig10)),          // projection microbenchmark (Figure 10)
+    ("fig12", ungated!(micro::fig12)),          // selection microbenchmark (Figure 12)
+    ("fig13", ungated!(micro::fig13)),          // hash-join microbenchmark (Figure 13)
+    ("fig14", ungated!(micro::fig14)),          // radix partitioning passes (Figure 14)
+    ("sort", ungated!(micro::sort_exp)),        // full radix sorts (Section 4.4)
+    ("fig3", ungated!(ssb_exp::fig3)),          // coprocessor vs MonetDB vs Hyper (Figure 3)
+    ("fig16", ungated!(ssb_exp::fig16)),        // SSB, four engines (Figure 16)
+    ("case-study", ungated!(ssb_exp::case_study)), // SSB q2.1 model breakdown (Section 5.3)
+    // Cost comparison (Table 3, Section 5.4). The Figure 16 mean feeds it;
+    // standalone it uses the paper's 25x headline.
+    ("table3", ungated!(|_| tables::table3(25.0))),
+    ("ablation-radix-join", ungated!(ablation::radix_join)),
+    ("ablation-join-order", ungated!(ablation::join_order)),
+    ("ablation-multi-gpu", ungated!(ablation::multi_gpu)),
+    ("ablation-agg", ungated!(ablation::agg_groups)), // group-by fan-out
+    ("ablation-compression", ungated!(ablation::compression)),
+    ("ablation-hybrid", ungated!(ablation::hybrid)),
+    ("ablation-skew", ungated!(ablation::skew)),
+    ("query-stream", ungated!(stream::query_stream)), // cold vs warm DeviceSession residency
+    ("contention", contention::contention), // [gate] multi-tenant serving vs a serial replay
+    ("fusion", fusion::fusion),             // [gate] fused megakernel vs per-operator kernels
+    ("sharded", sharded::sharded),          // [gate] zone-map pruning, eviction-heavy replay
+    ("overlap", overlap::overlap),          // [gate] copy/compute stream pipelining
+    ("calibration", calibration::calibration), // [gate] calibrated vs static placement
+    ("microbench", kernels::microbench),    // [gate] wall-clock kernels; BENCH_kernels.json
+    ("whatif", ungated!(|_| tables::whatif())), // gains on a newer CPU/GPU pairing (Section 5.4)
+    ("scorecard", |cfg, _| scorecard::scorecard(cfg)), // [gate] every headline number vs its band
+];
 
 fn main() {
-    let cfg = Config::from_env();
+    let cfg = Config::from_env().unwrap_or_else(|e| {
+        eprintln!("reproduce: {e}");
+        std::process::exit(2);
+    });
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let wants: Vec<&str> = if args.iter().all(|a| a.starts_with("--")) {
-        vec!["all"]
-    } else {
-        args.iter()
-            .filter(|a| !a.starts_with("--"))
-            .map(|s| s.as_str())
-            .collect()
-    };
+    let mut wants: Vec<&str> = args
+        .iter()
+        .filter(|a| !a.starts_with("--"))
+        .map(String::as_str)
+        .collect();
+    if wants.is_empty() {
+        wants.push("all");
+    }
+    // Resolve every name before running anything: a typo in the last
+    // argument should not cost the experiments before it.
+    let mut runs: Vec<Run> = Vec::new();
+    for want in wants {
+        let before = runs.len();
+        runs.extend(EXPERIMENTS.iter().filter_map(|&(name, run)| {
+            let selected = match want {
+                "all" => true,
+                "ablations" => name.starts_with("ablation-"),
+                _ => name == want,
+            };
+            selected.then_some(run)
+        }));
+        if runs.len() == before {
+            let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+            eprintln!("unknown experiment: {want}");
+            eprintln!("known: {} ablations all", known.join(" "));
+            std::process::exit(2);
+        }
+    }
 
     println!("crystal-rs experiment harness");
     println!(
@@ -87,88 +118,11 @@ fn main() {
     );
     println!("paper-scale columns use Table 2 hardware and paper workload sizes.");
 
-    for want in wants {
-        match want {
-            "table2" => tables::table2(),
-            "fig3" => ssb_exp::fig3(&cfg),
-            "fig9" => micro::fig9(&cfg),
-            "tile-model" => micro::tile_model(&cfg),
-            "fig10" => micro::fig10(&cfg),
-            "fig12" => micro::fig12(&cfg),
-            "fig13" => micro::fig13(&cfg),
-            "fig14" => micro::fig14(&cfg),
-            "sort" => micro::sort_exp(&cfg),
-            "fig16" => ssb_exp::fig16(&cfg),
-            "case-study" => ssb_exp::case_study(&cfg),
-            // The Figure 16 mean feeds Table 3; when run standalone we use
-            // the paper's 25x headline.
-            "table3" => tables::table3(25.0),
-            "ablation-radix-join" => crystal_bench::ablation::radix_join(&cfg),
-            "ablation-join-order" => crystal_bench::ablation::join_order(&cfg),
-            "ablation-multi-gpu" => crystal_bench::ablation::multi_gpu(&cfg),
-            "ablation-agg" => crystal_bench::ablation::agg_groups(&cfg),
-            "ablation-compression" => crystal_bench::ablation::compression(&cfg),
-            "ablation-hybrid" => crystal_bench::ablation::hybrid(&cfg),
-            "ablation-skew" => crystal_bench::ablation::skew(&cfg),
-            "ablations" => crystal_bench::ablation::run_all(&cfg),
-            "query-stream" => crystal_bench::stream::query_stream(&cfg),
-            "contention" => {
-                if !crystal_bench::contention::contention(&cfg, smoke) {
-                    std::process::exit(1);
-                }
-            }
-            "microbench" => {
-                if !crystal_bench::kernels::microbench(&cfg, smoke) {
-                    std::process::exit(1);
-                }
-            }
-            "fusion" => {
-                if !crystal_bench::fusion::fusion(&cfg, smoke) {
-                    std::process::exit(1);
-                }
-            }
-            "sharded" => {
-                if !crystal_bench::sharded::sharded(&cfg, smoke) {
-                    std::process::exit(1);
-                }
-            }
-            "overlap" => {
-                if !crystal_bench::overlap::overlap(&cfg, smoke) {
-                    std::process::exit(1);
-                }
-            }
-            "calibration" => {
-                if !crystal_bench::calibration::calibration(&cfg, smoke) {
-                    std::process::exit(1);
-                }
-            }
-            "whatif" => tables::whatif(),
-            "scorecard" => {
-                if !crystal_bench::scorecard::scorecard(&cfg) {
-                    std::process::exit(1);
-                }
-            }
-            "all" => {
-                tables::table2();
-                micro::run_all(&cfg);
-                ssb_exp::run_all(&cfg);
-                tables::table3(25.0);
-                crystal_bench::ablation::run_all(&cfg);
-                crystal_bench::stream::query_stream(&cfg);
-                crystal_bench::contention::contention(&cfg, smoke);
-                crystal_bench::fusion::fusion(&cfg, smoke);
-                crystal_bench::sharded::sharded(&cfg, smoke);
-                crystal_bench::overlap::overlap(&cfg, smoke);
-                crystal_bench::calibration::calibration(&cfg, smoke);
-                crystal_bench::kernels::microbench(&cfg, smoke);
-                tables::whatif();
-                crystal_bench::scorecard::scorecard(&cfg);
-            }
-            other => {
-                eprintln!("unknown experiment: {other}");
-                eprintln!("known: table2 fig3 fig9 tile-model fig10 fig12 fig13 fig14 sort fig16 case-study table3 ablations query-stream contention fusion sharded overlap calibration microbench whatif scorecard all (plus ablation-radix-join ablation-join-order ablation-multi-gpu ablation-agg ablation-compression ablation-hybrid ablation-skew)");
-                std::process::exit(2);
-            }
-        }
+    let mut held = true;
+    for run in runs {
+        held &= run(&cfg, smoke);
+    }
+    if !held {
+        std::process::exit(1);
     }
 }

@@ -13,10 +13,10 @@
 //!
 //! * **static** — `choose_placement_resident` on the Table-2 spec-sheet
 //!   profile, exactly what the stack does today;
-//! * **calibrated** — `choose_placement_calibrated` consulting a
+//! * **calibrated** — the same `choose_placement_resident` consulting a
 //!   [`CalibrationStore`] that starts cold (bit-identical to static) and
 //!   absorbs each executed query's measured transfer/kernel/host-scan
-//!   seconds via [`copro::record_query_observation`];
+//!   seconds via [`copro::record_observation`];
 //! * **oracle** — the per-query min of both sides' *measured* charges
 //!   (hindsight-optimal; no model at all).
 //!
@@ -55,8 +55,10 @@ use crystal_gpu_sim::Gpu;
 use crystal_hardware::{table2_profile, HardwareProfile};
 use crystal_models::calibration::{BoundsSource, CalKey, CalibrationStore, EncodingClass, OpKind};
 use crystal_models::ssb::compressed_coprocessor_bounds;
+use crystal_runtime::DeviceSession;
 use crystal_ssb::encoding::{EncodedFact, FactEncodings};
-use crystal_ssb::engines::{copro, reference};
+use crystal_ssb::engines::copro::{self, Measured};
+use crystal_ssb::engines::reference;
 use crystal_ssb::exec::{self, PipelineMode};
 use crystal_ssb::plan::StarQuery;
 use crystal_ssb::SsbData;
@@ -111,7 +113,8 @@ pub fn measure_shapes(
         .iter()
         .map(|q| {
             gpu.reset_l2();
-            let run = copro::execute_encoded(&mut gpu, &actual.pcie, d, fact, q)
+            let mut cold = DeviceSession::new(&mut gpu);
+            let run = copro::execute_session(&mut cold, &actual.pcie, d, Some(fact), q)
                 .expect("an unbudgeted session never OOMs");
             assert_eq!(
                 run.gpu_run.result,
@@ -183,21 +186,9 @@ pub fn replay(
         for (q, c) in shapes.iter().zip(costs) {
             let on_device = match routing {
                 Routing::Oracle => c.device_secs < c.host_secs,
-                Routing::Static => {
-                    let choice = copro::choose_placement_resident(
-                        d,
-                        q,
-                        enc,
-                        &model.cpu,
-                        &model.gpu,
-                        &model.pcie,
-                        0,
-                    );
-                    choice.placement == copro::Placement::Coprocessor
-                }
-                Routing::Calibrated => {
-                    let dec = copro::choose_placement_calibrated(
-                        &store,
+                Routing::Static | Routing::Calibrated => {
+                    let dec = copro::choose_placement_resident(
+                        (routing == Routing::Calibrated).then_some(&store),
                         d,
                         q,
                         enc,
@@ -210,23 +201,25 @@ pub fn replay(
                     dec.placement == copro::Placement::Coprocessor
                 }
             };
-            let (charge, shipped, transfer, kernel, host) = if on_device {
+            let (charge, measured) = if on_device {
                 out.device_queries += 1;
-                (
-                    c.device_secs,
-                    c.shipped_bytes,
-                    c.transfer_secs,
-                    Some(c.kernel_secs),
-                    None,
-                )
+                let measured = Measured {
+                    shipped_bytes: c.shipped_bytes,
+                    transfer_secs: c.transfer_secs,
+                    kernel_secs: Some(c.kernel_secs),
+                    host_secs: None,
+                };
+                (c.device_secs, measured)
             } else {
-                (c.host_secs, 0, 0.0, None, Some(c.host_secs))
+                let measured = Measured {
+                    host_secs: Some(c.host_secs),
+                    ..Measured::default()
+                };
+                (c.host_secs, measured)
             };
             out.total_secs += charge;
             if routing == Routing::Calibrated {
-                copro::record_query_observation(
-                    &mut store, model, d, q, enc, shipped, transfer, kernel, host,
-                );
+                copro::record_observation(&mut store, model, d, None, q, enc, &measured);
             }
         }
     }
@@ -386,17 +379,11 @@ pub fn calibration(cfg: &Config, smoke: bool) -> bool {
     });
     let mut wall = CalibrationStore::default();
     for _ in 0..3 {
-        copro::record_query_observation(
-            &mut wall,
-            &model,
-            &d,
-            q,
-            &enc,
-            0,
-            0.0,
-            None,
-            Some(packed_secs),
-        );
+        let measured = Measured {
+            host_secs: Some(packed_secs),
+            ..Measured::default()
+        };
+        copro::record_observation(&mut wall, &model, &d, None, q, &enc, &measured);
     }
     let key = CalKey::new(
         OpKind::HostScan,

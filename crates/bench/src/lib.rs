@@ -1,8 +1,9 @@
 //! # crystal-bench — the experiment harness
 //!
 //! One module per evaluation artifact of the paper. The `reproduce` binary
-//! regenerates every table and figure; `benches/` contains Criterion
-//! micro-benchmarks of the real CPU operators and the simulator throughput.
+//! regenerates every table and figure; its `microbench` experiment is the
+//! wall-clock kernel benchmark (`BENCH_kernels.json`), and the end-to-end
+//! benchmark is the `e2e` package under `src/bin/e2e/`.
 //!
 //! Two kinds of numbers are reported side by side (see EXPERIMENTS.md):
 //!

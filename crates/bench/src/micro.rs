@@ -495,14 +495,3 @@ pub fn sort_exp(cfg: &Config) {
         ratio(cpu_model / t_msb)
     );
 }
-
-/// Runs every microbenchmark experiment.
-pub fn run_all(cfg: &Config) {
-    fig9(cfg);
-    tile_model(cfg);
-    fig10(cfg);
-    fig12(cfg);
-    fig13(cfg);
-    fig14(cfg);
-    sort_exp(cfg);
-}

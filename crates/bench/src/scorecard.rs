@@ -209,8 +209,8 @@ pub fn scorecard(cfg: &Config) -> bool {
         let dd = SsbData::generate_scaled(1, 0.002, 20_260_730);
         let q11 = crystal_ssb::queries::query(&dd, crystal_ssb::QueryId::new(1, 1));
         let enc = FactEncodings::packed_min(&dd);
-        let plain = copro::choose_placement(&dd, &q11, &cpu, &pcie);
-        let packed = copro::choose_placement_encoded(&dd, &q11, &enc, &cpu, &pcie);
+        let plain = copro::choose_placement(&dd, &q11, &FactEncodings::plain(), &cpu, &pcie);
+        let packed = copro::choose_placement(&dd, &q11, &enc, &cpu, &pcie);
         let flipped = plain.placement == copro::Placement::Host
             && packed.placement == copro::Placement::Coprocessor;
         checks.push(Check {
@@ -513,7 +513,7 @@ mod tests {
     /// band must hold.
     #[test]
     fn all_bands_hold() {
-        let mut cfg = Config::from_env();
+        let mut cfg = Config::from_env().unwrap();
         cfg.fact_scale = 0.002;
         cfg.threads = 2;
         assert!(scorecard(&cfg), "a reproduction band was missed");

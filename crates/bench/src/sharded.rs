@@ -86,7 +86,8 @@ pub fn replay_sharded(
             Ok(run) => run.result,
             Err(_) => {
                 host_fallbacks += 1;
-                let mut job = exec::PartitionedHostJob::new(d, pf, q, PipelineMode::Vectorized);
+                let mut job =
+                    exec::HostQueryJob::new_partitioned(d, pf, q, PipelineMode::Vectorized);
                 while !job.step(usize::MAX) {}
                 job.finish().0
             }

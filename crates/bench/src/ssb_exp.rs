@@ -202,10 +202,3 @@ pub fn case_study(cfg: &Config) {
     println!("the paper's point: the GPU model is accurate (latency hiding), the CPU");
     println!("model is not — CPUs stall on irregular accesses (Section 5.3).");
 }
-
-/// Runs the full-workload experiments.
-pub fn run_all(cfg: &Config) {
-    fig3(cfg);
-    fig16(cfg);
-    case_study(cfg);
-}

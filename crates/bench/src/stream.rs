@@ -151,7 +151,7 @@ pub fn replay(
     let run_one = |sess: &mut DeviceSession<'_>, q: &StarQuery, out: &mut StreamOutcome| {
         let choice = copro::choose_placement_session(sess, d, q, &enc, &cpu, &pcie);
         out.device_placements += usize::from(choice.placement == copro::Placement::Coprocessor);
-        let run = copro::execute_session(sess, &pcie, d, q).unwrap();
+        let run = copro::execute_session(sess, &pcie, d, None, q).unwrap();
         assert_eq!(
             run.gpu_run.result,
             reference::execute(d, q),

@@ -20,21 +20,55 @@ pub struct Config {
     pub reps: usize,
 }
 
+/// A `CRYSTAL_*` environment variable that is set to something its knob
+/// cannot parse. Unset is not an error (the default applies); set but
+/// invalid is — `CRYSTAL_THREADS=two` silently running on every core
+/// measures a different experiment than the one asked for.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EnvError {
+    /// The variable's name.
+    pub name: String,
+    /// The offending value.
+    pub value: String,
+}
+
+impl std::fmt::Display for EnvError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}={:?} does not parse", self.name, self.value)
+    }
+}
+
+impl std::error::Error for EnvError {}
+
+/// The value of the knob called `name`: `default` when `raw` (the
+/// variable's text, if set) is `None`, its parse otherwise.
+pub fn parse_var<T: std::str::FromStr>(
+    name: &str,
+    raw: Option<&str>,
+    default: T,
+) -> Result<T, EnvError> {
+    raw.map_or(Ok(default), |v| {
+        v.parse().map_err(|_| EnvError {
+            name: name.into(),
+            value: v.into(),
+        })
+    })
+}
+
+/// [`parse_var`] over the process environment.
+pub fn env_var<T: std::str::FromStr>(name: &str, default: T) -> Result<T, EnvError> {
+    parse_var(name, std::env::var(name).ok().as_deref(), default)
+}
+
 impl Config {
-    pub fn from_env() -> Self {
-        fn var<T: std::str::FromStr>(name: &str, default: T) -> T {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        }
-        Config {
-            micro_log2n: var("CRYSTAL_MICRO_LOG2N", 22),
-            sf: var("CRYSTAL_SF", 1),
-            fact_scale: var("CRYSTAL_FACT_SCALE", 0.02),
-            threads: var("CRYSTAL_THREADS", crystal_cpu::exec::default_threads()),
-            reps: var("CRYSTAL_REPS", 3),
-        }
+    pub fn from_env() -> Result<Self, EnvError> {
+        Ok(Config {
+            micro_log2n: env_var("CRYSTAL_MICRO_LOG2N", 22)?,
+            sf: env_var("CRYSTAL_SF", 1)?,
+            fact_scale: env_var("CRYSTAL_FACT_SCALE", 0.02)?,
+            threads: env_var("CRYSTAL_THREADS", crystal_cpu::exec::default_threads())?,
+            reps: env_var("CRYSTAL_REPS", 3)?,
+        })
     }
 
     /// Host-executed microbenchmark size.
@@ -191,10 +225,31 @@ mod tests {
 
     #[test]
     fn config_defaults_are_sane() {
-        let c = Config::from_env();
+        let c = Config::from_env().unwrap();
         assert!(c.micro_log2n >= 16 && c.micro_log2n <= 30);
         assert!(c.threads >= 1);
         assert!(c.scale_to_paper() >= 1.0);
+    }
+
+    /// Unset keeps the default, a valid value wins, an invalid one is an
+    /// error naming the variable and the value — never the default.
+    #[test]
+    fn knobs_parse_or_fail_loudly() {
+        assert_eq!(parse_var("CRYSTAL_THREADS", None, 8usize), Ok(8));
+        assert_eq!(parse_var("CRYSTAL_THREADS", Some("2"), 8usize), Ok(2));
+        assert_eq!(parse_var("CRYSTAL_FACT_SCALE", Some("0.5"), 0.02), Ok(0.5));
+        for bad in ["two", "", "-1", "2.5"] {
+            let err = parse_var("CRYSTAL_THREADS", Some(bad), 8usize).unwrap_err();
+            assert_eq!(
+                (err.name.as_str(), err.value.as_str()),
+                ("CRYSTAL_THREADS", bad)
+            );
+            let shown = err.to_string();
+            assert!(
+                shown.contains("CRYSTAL_THREADS") && shown.contains(bad),
+                "{shown}"
+            );
+        }
     }
 
     #[test]

@@ -17,14 +17,15 @@
 //!    log-ratio `ln(observed / predicted)` per key, so one outlier
 //!    cannot wreck an estimate and the correction composes
 //!    multiplicatively with the analytic formula.
-//! 3. [`blended_resident_bounds`] / [`blended_fused_bounds`] /
-//!    [`blended_shard_split`] re-evaluate the static formulas with each
-//!    component scaled by the key's blended factor. The blend weight
-//!    grows with sample count (`n / (n + PRIOR_STRENGTH)`), and keys
-//!    below [`WARMUP_SAMPLES`] contribute a factor of exactly `1.0` —
-//!    a cold store reproduces the static bounds *bit for bit*, so
-//!    calibrated routing can only diverge from the prior once it has
-//!    evidence.
+//! 3. [`CalibrationStore::blend`] hands the one bounds formula
+//!    ([`crate::ssb::resident_coprocessor_bounds`]) a
+//!    [`CostFactors`] triple — each component's blended
+//!    observed/predicted factor. The blend weight grows with sample
+//!    count (`n / (n + PRIOR_STRENGTH)`), and keys below
+//!    [`WARMUP_SAMPLES`] contribute a factor of exactly `1.0` — the
+//!    identity the static model evaluates under — so a cold store *is*
+//!    the static bound, and calibrated routing can only diverge from the
+//!    prior once it has evidence.
 //!
 //! The analytic prior is deliberately never discarded: it extrapolates
 //! to cardinality bands and encodings the stream has not touched yet,
@@ -34,11 +35,9 @@
 
 use std::collections::BTreeMap;
 
-use crystal_hardware::{CpuSpec, GpuSpec, PcieSpec, UPLOAD_CHUNK_BYTES};
+use crystal_hardware::{CpuSpec, GpuSpec, PcieSpec};
 
-use crate::ssb::{
-    compressed_scan_secs, cpu_unpack_secs, launch_overhead_secs, star_query_launches, HybridSplit,
-};
+use crate::ssb::{compressed_scan_secs, cpu_unpack_secs, CostFactors};
 
 /// Observations below this count leave a key's factor at exactly `1.0`:
 /// the analytic prior is trusted verbatim until the fitter has seen a
@@ -138,50 +137,31 @@ struct KeyCal {
     mean_log_ratio: f64,
 }
 
-/// Where a blended bound's numbers came from: still the untouched
-/// analytic prior, or a posterior with at least one warm key mixed in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Where a bound's numbers came from: still the untouched analytic
+/// prior, or a posterior with at least one warm key mixed in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BoundsSource {
-    /// Every consulted key was cold — the numbers are the static model's,
-    /// bit for bit.
+    /// Every consulted key was cold (or no store was consulted) — the
+    /// numbers are the static model's, bit for bit.
+    #[default]
     Static,
     /// At least one consulted key passed warm-up; measured history moved
     /// the bound.
     Blended,
 }
 
-/// A pair of placement bounds with their provenance: the blended device
-/// and host seconds, whether measurement contributed, and how many
-/// observations backed the consulted keys.
-#[derive(Debug, Clone, Copy)]
-pub struct BlendedBounds {
-    /// Blended device-side (coprocessor) bound in seconds.
-    pub device_secs: f64,
-    /// Blended host-side bound in seconds.
-    pub host_secs: f64,
+/// What the store knows about one bound evaluation: the factors to
+/// evaluate it under, whether measurement contributed to them, and how
+/// many observations backed the consulted keys. The [`Default`] is the
+/// uncalibrated evaluation — identity factors, `Static`, zero samples.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Blend {
+    /// The transfer / device-kernel / host-scan corrections.
+    pub factors: CostFactors,
     /// Whether any measured history contributed.
     pub source: BoundsSource,
     /// Total observations across the consulted keys.
     pub samples: u64,
-}
-
-/// Inputs of one blended bound evaluation — the same quantities
-/// [`crate::ssb::resident_coprocessor_bounds`] takes, plus the key axes (row count,
-/// encoding class, shardedness) the store is consulted under.
-#[derive(Debug, Clone, Copy)]
-pub struct BlendParams {
-    /// Bytes of the referenced fact columns under the current encodings.
-    pub packed_bytes: usize,
-    /// How many of those bytes are already device-resident.
-    pub resident_bytes: usize,
-    /// Packed values the host side would unpack.
-    pub packed_values: usize,
-    /// Rows the scan covers (whole table, or one shard when `sharded`).
-    pub rows: usize,
-    /// Encoding class of the referenced columns.
-    pub enc: EncodingClass,
-    /// Whether this is a shard-granular evaluation.
-    pub sharded: bool,
 }
 
 /// One executed query's measured component times, paired with the
@@ -314,124 +294,46 @@ impl CalibrationStore {
             );
         }
     }
-}
 
-/// [`crate::ssb::resident_coprocessor_bounds`] with each component scaled by its
-/// key's blended factor:
-///
-/// ```text
-/// device = tf * ramp + max(tf * (uncached / Bp - ramp),  kf * packed / Bg)
-/// host   = hf * max(packed / Bc, unpack)
-/// ```
-///
-/// where `ramp` is the pipelined upload's first chunk, and `tf`/`kf`/`hf`
-/// are the transfer / device-kernel / host-scan factors for this
-/// evaluation's key axes (the ramp is link time, so it blends under the
-/// transfer factor). With a cold store all three are `1.0` and the result
-/// equals the static bounds bit for bit (the term order matches
-/// [`crate::ssb::resident_coprocessor_bounds`] exactly).
-pub fn blended_resident_bounds(
-    store: &CalibrationStore,
-    p: &BlendParams,
-    cpu: &CpuSpec,
-    gpu: &GpuSpec,
-    pcie: &PcieSpec,
-) -> BlendedBounds {
-    let uncached = p.packed_bytes.saturating_sub(p.resident_bytes);
-    // The transfer factor is consulted under the bytes this evaluation
-    // would actually move — the same quantity its observations are
-    // recorded under in [`CalibrationStore::record`].
-    let tk = CalKey::new(OpKind::Transfer, p.enc, uncached, p.sharded);
-    let kk = CalKey::new(OpKind::DeviceKernel, p.enc, p.rows, p.sharded);
-    let hk = CalKey::new(OpKind::HostScan, p.enc, p.rows, p.sharded);
-    let ramp = compressed_scan_secs(uncached.min(UPLOAD_CHUNK_BYTES), pcie.bandwidth);
-    let rest = compressed_scan_secs(uncached, pcie.bandwidth) - ramp;
-    let device = store.factor(tk) * ramp
-        + (store.factor(tk) * rest)
-            .max(store.factor(kk) * compressed_scan_secs(p.packed_bytes, gpu.read_bw));
-    let host = store.factor(hk)
-        * compressed_scan_secs(p.packed_bytes, cpu.read_bw)
-            .max(cpu_unpack_secs(p.packed_values, cpu));
-    let warm = store.is_warm(tk) || store.is_warm(kk) || store.is_warm(hk);
-    BlendedBounds {
-        device_secs: device,
-        host_secs: host,
-        source: if warm {
-            BoundsSource::Blended
-        } else {
-            BoundsSource::Static
-        },
-        samples: store.samples(tk) + store.samples(kk) + store.samples(hk),
-    }
-}
-
-/// The blended counterpart of [`crate::ssb::fused_coprocessor_bounds`]:
-/// [`blended_resident_bounds`] plus the (uncalibrated) launch-overhead
-/// term on the device side. The launch term stays analytic — it is a
-/// fixed per-dispatch constant far below the noise floor of per-query
-/// timing, and folding it into the kernel key would let a few
-/// launch-dominated small queries corrupt the bandwidth estimate.
-#[allow(clippy::too_many_arguments)]
-pub fn blended_fused_bounds(
-    store: &CalibrationStore,
-    p: &BlendParams,
-    joins: usize,
-    fused: bool,
-    fact_scale: f64,
-    cpu: &CpuSpec,
-    gpu: &GpuSpec,
-    pcie: &PcieSpec,
-) -> BlendedBounds {
-    let mut b = blended_resident_bounds(store, p, cpu, gpu, pcie);
-    b.device_secs += fact_scale * launch_overhead_secs(gpu, star_query_launches(joins, fused));
-    b
-}
-
-/// The blended counterpart of [`crate::ssb::hybrid_shard_split`]: each
-/// shard is routed to whichever side [`blended_resident_bounds`] prices
-/// cheaper for that shard's own residency and cardinality band. Returns
-/// the split plus the aggregate provenance (`Blended` if any shard's
-/// keys were warm) and total backing samples.
-pub fn blended_shard_split(
-    store: &CalibrationStore,
-    shards: &[BlendParams],
-    cpu: &CpuSpec,
-    gpu: &GpuSpec,
-    pcie: &PcieSpec,
-) -> (HybridSplit, BoundsSource, u64) {
-    let mut split = HybridSplit {
-        device_shards: Vec::new(),
-        host_shards: Vec::new(),
-        device_secs: 0.0,
-        host_secs: 0.0,
-        device_only_secs: 0.0,
-        host_only_secs: 0.0,
-    };
-    let mut source = BoundsSource::Static;
-    let mut samples = 0;
-    for (i, p) in shards.iter().enumerate() {
-        let b = blended_resident_bounds(store, p, cpu, gpu, pcie);
-        if b.source == BoundsSource::Blended {
-            source = BoundsSource::Blended;
-        }
-        samples += b.samples;
-        split.device_only_secs += b.device_secs;
-        split.host_only_secs += b.host_secs;
-        if b.device_secs < b.host_secs {
-            split.device_shards.push(i);
-            split.device_secs += b.device_secs;
-        } else {
-            split.host_shards.push(i);
-            split.host_secs += b.host_secs;
+    /// The factors for one evaluation of the bound over `rows` rows of
+    /// `enc`-class columns that would ship `uncached_bytes`, whole-table
+    /// or shard-granular. Each factor is looked up under the key its
+    /// observations are recorded under in [`CalibrationStore::record`] —
+    /// the transfer factor under the bytes the evaluation would actually
+    /// move, the kernel and host factors under the scanned rows.
+    pub fn blend(
+        &self,
+        enc: EncodingClass,
+        rows: usize,
+        uncached_bytes: usize,
+        sharded: bool,
+    ) -> Blend {
+        let keys = [
+            CalKey::new(OpKind::Transfer, enc, uncached_bytes, sharded),
+            CalKey::new(OpKind::DeviceKernel, enc, rows, sharded),
+            CalKey::new(OpKind::HostScan, enc, rows, sharded),
+        ];
+        let [transfer, kernel, host] = keys.map(|k| self.factor(k));
+        Blend {
+            factors: CostFactors {
+                transfer,
+                kernel,
+                host,
+            },
+            source: if keys.iter().any(|&k| self.is_warm(k)) {
+                BoundsSource::Blended
+            } else {
+                BoundsSource::Static
+            },
+            samples: keys.iter().map(|&k| self.samples(k)).sum(),
         }
     }
-    (split, source, samples)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ssb::{fused_coprocessor_bounds, hybrid_shard_split, ShardParams};
+    use crate::ssb::{resident_coprocessor_bounds, ScanCost};
     use crystal_hardware::{intel_i7_6900, nvidia_v100, pcie_gen3};
 
     fn key() -> CalKey {
@@ -577,72 +479,20 @@ mod tests {
         );
     }
 
-    /// A cold store reproduces the static bounds bit for bit, for both
-    /// the fused whole-table bounds and the per-shard split.
+    /// A cold store *is* the uncalibrated evaluation: identity factors,
+    /// `Static`, zero samples, for every key axis — so the bounds formula
+    /// has nothing to diverge on.
     #[test]
-    fn cold_store_is_bitwise_static() {
-        let (cpu, gpu, pcie) = (intel_i7_6900(), nvidia_v100(), pcie_gen3());
+    fn cold_store_blends_to_the_identity() {
         let s = CalibrationStore::new();
-        for &(bytes, resident, values, rows) in &[
-            (96_000_000usize, 0usize, 48_000_000usize, 6_000_000usize),
-            (96_000_000, 96_000_000, 48_000_000, 6_000_000),
-            (10_000, 5_000, 2_500, 1_000),
-            (0, 0, 0, 0),
-        ] {
+        for &(rows, uncached) in &[(6_000_000usize, 96_000_000usize), (1_000, 5_000), (0, 0)] {
             for (enc, sharded) in [(EncodingClass::Packed, false), (EncodingClass::Plain, true)] {
-                let p = BlendParams {
-                    packed_bytes: bytes,
-                    resident_bytes: resident,
-                    packed_values: values,
-                    rows,
-                    enc,
-                    sharded,
-                };
-                let b = blended_fused_bounds(&s, &p, 3, true, 0.5, &cpu, &gpu, &pcie);
-                let (sd, sh) = fused_coprocessor_bounds(
-                    bytes, resident, values, 3, true, 0.5, &cpu, &gpu, &pcie,
-                );
-                assert_eq!(b.device_secs.to_bits(), sd.to_bits());
-                assert_eq!(b.host_secs.to_bits(), sh.to_bits());
+                let b = s.blend(enc, rows, uncached, sharded);
+                assert_eq!(b.factors, CostFactors::default());
                 assert_eq!(b.source, BoundsSource::Static);
                 assert_eq!(b.samples, 0);
             }
         }
-
-        let shards: Vec<BlendParams> = (0..8)
-            .map(|i| BlendParams {
-                packed_bytes: 12_000_000 + i * 1_000,
-                resident_bytes: if i % 2 == 0 { 12_000_000 } else { 0 },
-                packed_values: 6_000_000,
-                rows: 750_000,
-                enc: EncodingClass::Packed,
-                sharded: true,
-            })
-            .collect();
-        let statics: Vec<ShardParams> = shards
-            .iter()
-            .map(|p| ShardParams {
-                packed_bytes: p.packed_bytes,
-                resident_bytes: p.resident_bytes,
-                packed_values: p.packed_values,
-            })
-            .collect();
-        let (split, source, samples) = blended_shard_split(&s, &shards, &cpu, &gpu, &pcie);
-        let stat = hybrid_shard_split(&statics, &cpu, &gpu, &pcie);
-        assert_eq!(split.device_shards, stat.device_shards);
-        assert_eq!(split.host_shards, stat.host_shards);
-        assert_eq!(split.device_secs.to_bits(), stat.device_secs.to_bits());
-        assert_eq!(split.host_secs.to_bits(), stat.host_secs.to_bits());
-        assert_eq!(
-            split.device_only_secs.to_bits(),
-            stat.device_only_secs.to_bits()
-        );
-        assert_eq!(
-            split.host_only_secs.to_bits(),
-            stat.host_only_secs.to_bits()
-        );
-        assert_eq!(source, BoundsSource::Static);
-        assert_eq!(samples, 0);
     }
 
     /// A warm store on a deviating profile flips the placement the
@@ -655,17 +505,22 @@ mod tests {
         let rows = 6_000_000usize;
         // A working set priced just under the host bound on the device
         // side: packed enough that the static model routes device.
-        let p = BlendParams {
+        let cost = ScanCost {
             packed_bytes: 120_000_000,
-            resident_bytes: 0,
             packed_values: 60_000_000,
-            rows,
-            enc: EncodingClass::Packed,
-            sharded: false,
+            ..ScanCost::default()
         };
-        let cold = blended_resident_bounds(&s, &p, &cpu, &gpu, &pcie);
+        let bounds = |s: &CalibrationStore| {
+            let b = s.blend(EncodingClass::Packed, rows, cost.packed_bytes, false);
+            let priced = ScanCost {
+                factors: b.factors,
+                ..cost
+            };
+            (resident_coprocessor_bounds(&priced, &cpu, &gpu, &pcie), b)
+        };
+        let ((cold_dev, cold_host), _) = bounds(&s);
         assert!(
-            cold.device_secs < cold.host_secs,
+            cold_dev < cold_host,
             "premise: the static model must route this query to the device"
         );
         // The machine's real PCIe link runs at half spec: every observed
@@ -674,22 +529,22 @@ mod tests {
         let tk = CalKey::new(
             OpKind::Transfer,
             EncodingClass::Packed,
-            p.packed_bytes,
+            cost.packed_bytes,
             false,
         );
         for _ in 0..50 {
-            let predicted = compressed_scan_secs(p.packed_bytes, pcie.bandwidth);
+            let predicted = compressed_scan_secs(cost.packed_bytes, pcie.bandwidth);
             s.observe(tk, predicted, predicted * 2.0);
         }
-        let warm = blended_resident_bounds(&s, &p, &cpu, &gpu, &pcie);
-        assert_eq!(warm.source, BoundsSource::Blended);
-        assert!(warm.samples >= 50);
+        let ((warm_dev, warm_host), b) = bounds(&s);
+        assert_eq!(b.source, BoundsSource::Blended);
+        assert!(b.samples >= 50);
         assert!(
-            warm.device_secs > warm.host_secs,
+            warm_dev > warm_host,
             "calibrated bounds must flip the placement to the host"
         );
         // The host side was never observed, so its bound is untouched.
-        assert_eq!(warm.host_secs.to_bits(), cold.host_secs.to_bits());
+        assert_eq!(warm_host.to_bits(), cold_host.to_bits());
     }
 
     /// `record` routes each component to its own key and skips the

@@ -216,44 +216,97 @@ pub fn compressed_coprocessor_bounds(
     )
 }
 
-/// The residency-aware coprocessor bounds: the Section 3.1 transfer term
-/// drops to the *uncached* fraction of the working set, and the copy
-/// engine pipelines what remains of it under the kernel.
+/// Multiplicative corrections to the three cost components of the
+/// placement bound — PCIe transfer, device kernel, host scan. The
+/// identity (all `1.0`, the [`Default`]) *is* the static spec-sheet
+/// model: `1.0 * x` is exact in IEEE arithmetic, so an uncalibrated
+/// evaluation and a cold [`crate::calibration::CalibrationStore`] produce
+/// the same bits by construction rather than by a parallel formula.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostFactors {
+    /// Scales every link-time term (the first-chunk ramp included).
+    pub transfer: f64,
+    /// Scales the device-memory scan term.
+    pub kernel: f64,
+    /// Scales the host bound.
+    pub host: f64,
+}
+
+impl Default for CostFactors {
+    fn default() -> Self {
+        CostFactors {
+            transfer: 1.0,
+            kernel: 1.0,
+            host: 1.0,
+        }
+    }
+}
+
+/// Cost inputs of one placement evaluation — a whole fact table or one
+/// shard of it: the referenced bytes under the current encodings, how many
+/// are already device-resident, the packed values (host unpack work), and
+/// the two optional terms that default to the identity.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ScanCost {
+    /// Bytes of the referenced columns under the current encodings.
+    pub packed_bytes: usize,
+    /// How many of those bytes are already device-resident.
+    pub resident_bytes: usize,
+    /// Packed values the host side would unpack (plain values count too).
+    pub packed_values: usize,
+    /// Fixed device-side seconds added on top of the bandwidth terms: the
+    /// query's kernel-launch overhead ([`launch_overhead_secs`]), already
+    /// scaled to a sampled proxy table where one is used. A *per-shard*
+    /// evaluation leaves it `0.0` — the launch is paid per query, not per
+    /// shard, and charging it to every shard would bias small shards
+    /// toward the host.
+    pub launch_secs: f64,
+    /// Measured corrections; the identity for the static model.
+    pub factors: CostFactors,
+}
+
+/// The residency-aware coprocessor bounds — the one placement formula.
+/// The Section 3.1 transfer term drops to the *uncached* fraction of the
+/// working set, and the copy engine pipelines what remains of it under
+/// the kernel.
 ///
 /// A query whose referenced fact columns occupy `packed_bytes` ships only
 /// `packed_bytes - resident_bytes` over PCIe (the rest is already
 /// device-resident in a warm buffer cache). The upload is chunked
-/// ([`UPLOAD_CHUNK_BYTES`]), so the
-/// kernel starts once the first chunk lands and races the remaining
-/// transfer — the device bound is the pipelined makespan
+/// ([`UPLOAD_CHUNK_BYTES`]), so the kernel starts once the first chunk
+/// lands and races the remaining transfer — the device bound is the
+/// pipelined makespan
 ///
 /// ```text
-/// ramp + max(uncached / Bp - first_chunk / Bp, packed_bytes / Bg)
+/// device = tf * ramp + max(tf * (uncached / Bp - ramp), kf * packed / Bg) + launch
+/// host   = hf * max(packed / Bc, unpack)
 /// ```
 ///
 /// where `ramp` is the first chunk's transfer time (these bounds carry no
 /// per-transfer latency — they are pure bandwidth terms, as in Section
-/// 3.1). The host bound is unchanged (its data is always "resident" in
-/// DRAM). With zero residency the transfer term dominates and this is the
-/// transfer-bound coprocessor regime of
-/// [`compressed_coprocessor_bounds`] up to one chunk of ramp; with full
-/// residency `ramp = 0` and it degenerates exactly to the data-resident
-/// bound `packed_bytes / Bg`, where the GPU's bandwidth advantage finally
-/// shows. Returns `(gpu_coprocessor_secs, cpu_secs)`.
+/// 3.1) and `tf`/`kf`/`hf` are the [`CostFactors`] (the ramp is link
+/// time, so it scales with the transfer factor). The host's data is
+/// always "resident" in DRAM, so residency never moves its bound. With
+/// zero residency the transfer term dominates and this is the
+/// transfer-bound coprocessor regime of [`compressed_coprocessor_bounds`]
+/// up to one chunk of ramp; with full residency `ramp = 0` and it
+/// degenerates exactly to the data-resident bound `packed_bytes / Bg`,
+/// where the GPU's bandwidth advantage finally shows. Returns
+/// `(gpu_coprocessor_secs, cpu_secs)`.
 pub fn resident_coprocessor_bounds(
-    packed_bytes: usize,
-    resident_bytes: usize,
-    packed_values: usize,
+    c: &ScanCost,
     cpu: &CpuSpec,
     gpu: &GpuSpec,
     pcie: &PcieSpec,
 ) -> (f64, f64) {
-    let uncached = packed_bytes.saturating_sub(resident_bytes);
-    let (_, host) = compressed_coprocessor_bounds(packed_bytes, packed_values, cpu, pcie);
+    let f = &c.factors;
+    let uncached = c.packed_bytes.saturating_sub(c.resident_bytes);
+    let (_, host) = compressed_coprocessor_bounds(c.packed_bytes, c.packed_values, cpu, pcie);
     let ramp = compressed_scan_secs(uncached.min(UPLOAD_CHUNK_BYTES), pcie.bandwidth);
     let rest = compressed_scan_secs(uncached, pcie.bandwidth) - ramp;
-    let device = ramp + rest.max(compressed_scan_secs(packed_bytes, gpu.read_bw));
-    (device, host)
+    let device = f.transfer * ramp
+        + (f.transfer * rest).max(f.kernel * compressed_scan_secs(c.packed_bytes, gpu.read_bw));
+    (device + c.launch_secs, f.host * host)
 }
 
 /// Kernel launches one star query costs on each GPU path. The fused
@@ -270,63 +323,24 @@ pub fn star_query_launches(joins: usize, fused: bool) -> u64 {
 }
 
 /// Fixed launch overhead of `launches` kernel dispatches:
-/// `launches * kernel_launch_us`.
+/// `launches * kernel_launch_us` — the [`ScanCost::launch_secs`] of a
+/// whole-query evaluation. Fusion saves launches and HBM round trips,
+/// never PCIe bytes, so the fused and unfused bounds differ by exactly
+/// `(1 + joins) * kernel_launch_us`.
+///
+/// When the bound is evaluated on a *sampled proxy* fact table (the
+/// `SsbData::generate_scaled` convention) every bandwidth term implicitly
+/// carries a `fact_scale` factor, so callers shrink this fixed term by
+/// the same factor or it would dominate any small proxy and corrupt the
+/// full-scale comparison the bound stands for — the mirror image of
+/// `sim_secs_scaled`, which multiplies fact-linear terms back up.
 pub fn launch_overhead_secs(gpu: &GpuSpec, launches: u64) -> f64 {
     launches as f64 * gpu.kernel_launch_us * 1e-6
 }
 
-/// The fused-kernel coprocessor bound: [`resident_coprocessor_bounds`]
-/// with the launch-overhead term of `star_query_launches(joins, fused)`
-/// folded into the device side. The transfer term is untouched — fusion
-/// saves launches and HBM round trips, never PCIe bytes — so the fused
-/// and unfused bounds differ by exactly `(1 + joins) * kernel_launch_us`,
-/// the drop from `~2 + joins` launches to one.
-///
-/// `fact_scale` keeps the bound faithful when it is evaluated on a
-/// *sampled proxy* fact table (the `SsbData::generate_scaled` convention):
-/// on a proxy every bandwidth term implicitly carries a `fact_scale`
-/// factor, so the fixed launch overhead must shrink by the same factor or
-/// it would dominate any small proxy and corrupt the full-scale
-/// comparison the bound stands for — the mirror image of
-/// `sim_secs_scaled`, which multiplies fact-linear terms back up. Pass
-/// `1.0` for full-size data.
-#[allow(clippy::too_many_arguments)]
-pub fn fused_coprocessor_bounds(
-    packed_bytes: usize,
-    resident_bytes: usize,
-    packed_values: usize,
-    joins: usize,
-    fused: bool,
-    fact_scale: f64,
-    cpu: &CpuSpec,
-    gpu: &GpuSpec,
-    pcie: &PcieSpec,
-) -> (f64, f64) {
-    let (device, host) =
-        resident_coprocessor_bounds(packed_bytes, resident_bytes, packed_values, cpu, gpu, pcie);
-    (
-        device + fact_scale * launch_overhead_secs(gpu, star_query_launches(joins, fused)),
-        host,
-    )
-}
-
-/// Cost inputs of one fact-table shard for the per-shard placement
-/// bound: its referenced bytes under the current encodings, the fraction
-/// of those already device-resident, and its packed values (host unpack
-/// work).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardParams {
-    /// Bytes of the shard's referenced columns under the current encodings.
-    pub packed_bytes: usize,
-    /// How many of those bytes are already device-resident.
-    pub resident_bytes: usize,
-    /// Packed values the host side would unpack (plain values count too).
-    pub packed_values: usize,
-}
-
 /// A per-shard placement split: which shards of one query run on the
 /// device and which on the host, with the modeled seconds of each side.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HybridSplit {
     /// Indices (into the input slice) of device-routed shards.
     pub device_shards: Vec<usize>,
@@ -353,35 +367,21 @@ impl HybridSplit {
 
 /// The per-shard residency-aware placement: each shard is routed to
 /// whichever side [`resident_coprocessor_bounds`] prices cheaper *for
-/// that shard's own residency*. A query over a partially resident
-/// working set thus runs hot (device-cached) shards on the device and
-/// cold shards on the host concurrently — measured residency pressure,
-/// not a whole-table constant, drives the split. With one shard this
-/// degenerates to the whole-table [`resident_coprocessor_bounds`]
-/// decision.
+/// that shard's own residency* (and, when calibrated, its own factors). A
+/// query over a partially resident working set thus runs hot
+/// (device-cached) shards on the device and cold shards on the host
+/// concurrently — measured residency pressure, not a whole-table
+/// constant, drives the split. With one shard this degenerates to the
+/// whole-table decision.
 pub fn hybrid_shard_split(
-    shards: &[ShardParams],
+    shards: &[ScanCost],
     cpu: &CpuSpec,
     gpu: &GpuSpec,
     pcie: &PcieSpec,
 ) -> HybridSplit {
-    let mut split = HybridSplit {
-        device_shards: Vec::new(),
-        host_shards: Vec::new(),
-        device_secs: 0.0,
-        host_secs: 0.0,
-        device_only_secs: 0.0,
-        host_only_secs: 0.0,
-    };
+    let mut split = HybridSplit::default();
     for (i, s) in shards.iter().enumerate() {
-        let (device, host) = resident_coprocessor_bounds(
-            s.packed_bytes,
-            s.resident_bytes,
-            s.packed_values,
-            cpu,
-            gpu,
-            pcie,
-        );
+        let (device, host) = resident_coprocessor_bounds(s, cpu, gpu, pcie);
         split.device_only_secs += device;
         split.host_only_secs += host;
         if device < host {
@@ -430,11 +430,11 @@ mod tests {
         );
     }
 
-    /// The fused-kernel bound: launch count drops from `~2 + joins` to 1,
-    /// the device term shrinks by exactly the saved launches, and the
-    /// host/transfer terms are untouched.
+    /// The launch term: launch count drops from `~2 + joins` to 1 under
+    /// fusion, the device bound moves by exactly the launch seconds it is
+    /// given, and the host/transfer terms are untouched.
     #[test]
-    fn fused_bound_saves_launches_but_not_transfer() {
+    fn launch_term_adds_to_the_device_side_only() {
         let cpu = intel_i7_6900();
         let gpu = nvidia_v100();
         let pcie = pcie_gen3();
@@ -445,11 +445,22 @@ mod tests {
         assert_eq!(star_query_launches(joins, false), 5);
         assert_eq!(star_query_launches(0, false), 2);
 
-        let (base_dev, base_host) = resident_coprocessor_bounds(bytes, bytes, 0, &cpu, &gpu, &pcie);
-        let (fused_dev, fused_host) =
-            fused_coprocessor_bounds(bytes, bytes, 0, joins, true, 1.0, &cpu, &gpu, &pcie);
-        let (unfused_dev, unfused_host) =
-            fused_coprocessor_bounds(bytes, bytes, 0, joins, false, 1.0, &cpu, &gpu, &pcie);
+        let warm = ScanCost {
+            packed_bytes: bytes,
+            resident_bytes: bytes,
+            ..ScanCost::default()
+        };
+        let launched = |fused: bool, fact_scale: f64| {
+            let launches = star_query_launches(joins, fused);
+            let cost = ScanCost {
+                launch_secs: fact_scale * launch_overhead_secs(&gpu, launches),
+                ..warm
+            };
+            resident_coprocessor_bounds(&cost, &cpu, &gpu, &pcie)
+        };
+        let (base_dev, base_host) = resident_coprocessor_bounds(&warm, &cpu, &gpu, &pcie);
+        let (fused_dev, fused_host) = launched(true, 1.0);
+        let (unfused_dev, unfused_host) = launched(false, 1.0);
 
         // Host bound (and therefore the transfer term) is unchanged.
         assert_eq!(fused_host, base_host);
@@ -462,8 +473,7 @@ mod tests {
 
         // On a sampled proxy the fixed term scales with the proxy, keeping
         // the device-vs-host comparison identical to full scale.
-        let (proxy_dev, _) =
-            fused_coprocessor_bounds(bytes, bytes, 0, joins, true, 0.002, &cpu, &gpu, &pcie);
+        let (proxy_dev, _) = launched(true, 0.002);
         assert!((proxy_dev - (base_dev + 0.002 * us)).abs() < 1e-15);
     }
 
@@ -554,22 +564,85 @@ mod tests {
         let gpu = nvidia_v100();
         let pcie = pcie_gen3();
         let bytes = 16 * 120_000_000usize;
+        let bounds = |resident_bytes: usize| {
+            let cost = ScanCost {
+                packed_bytes: bytes,
+                resident_bytes,
+                ..ScanCost::default()
+            };
+            resident_coprocessor_bounds(&cost, &cpu, &gpu, &pcie)
+        };
 
-        let (cold, host) = resident_coprocessor_bounds(bytes, 0, 0, &cpu, &gpu, &pcie);
+        let (cold, host) = bounds(0);
         let (plain, host0) = compressed_coprocessor_bounds(bytes, 0, &cpu, &pcie);
         assert!((cold - plain).abs() < 1e-12 && (host - host0).abs() < 1e-12);
         assert!(cold > host, "cold working set stays host-side");
 
-        let (warm, host) = resident_coprocessor_bounds(bytes, bytes, 0, &cpu, &gpu, &pcie);
+        let (warm, host) = bounds(bytes);
         assert!(warm < host, "device-resident data routes to the GPU");
         assert!((warm - bytes as f64 / gpu.read_bw).abs() < 1e-12);
 
         // Partial residency interpolates monotonically.
-        let (half, _) = resident_coprocessor_bounds(bytes, bytes / 2, 0, &cpu, &gpu, &pcie);
+        let (half, _) = bounds(bytes / 2);
         assert!(warm < half && half < cold);
         // Over-reported residency saturates instead of going negative.
-        let (over, _) = resident_coprocessor_bounds(bytes, 2 * bytes, 0, &cpu, &gpu, &pcie);
+        let (over, _) = bounds(2 * bytes);
         assert!((over - warm).abs() < 1e-12);
+    }
+
+    /// Each factor scales its own component and nothing else; the
+    /// identity leaves every bit of both bounds alone.
+    #[test]
+    fn factors_scale_their_own_component() {
+        let (cpu, gpu, pcie) = (intel_i7_6900(), nvidia_v100(), pcie_gen3());
+        let cold = ScanCost {
+            packed_bytes: 120_000_000,
+            packed_values: 60_000_000,
+            ..ScanCost::default()
+        };
+        let with = |cost: ScanCost, factors: CostFactors| {
+            resident_coprocessor_bounds(&ScanCost { factors, ..cost }, &cpu, &gpu, &pcie)
+        };
+        let one = CostFactors::default();
+        let (dev, host) = with(cold, one);
+
+        // Cold, the device side is all link time: it follows the transfer
+        // factor and ignores the kernel factor.
+        let (slow_link, same_host) = with(
+            cold,
+            CostFactors {
+                transfer: 2.0,
+                ..one
+            },
+        );
+        assert!((slow_link - 2.0 * dev).abs() < 1e-12);
+        assert_eq!(same_host.to_bits(), host.to_bits());
+        let (same_dev, slow_host) = with(
+            cold,
+            CostFactors {
+                kernel: 2.0,
+                host: 3.0,
+                ..one
+            },
+        );
+        assert_eq!(same_dev.to_bits(), dev.to_bits());
+        assert!((slow_host - 3.0 * host).abs() < 1e-12);
+
+        // Warm, it is all device scan: the kernel factor moves it.
+        let warm = ScanCost {
+            resident_bytes: cold.packed_bytes,
+            ..cold
+        };
+        let (warm_dev, _) = with(warm, one);
+        let (slow_kernel, _) = with(
+            warm,
+            CostFactors {
+                kernel: 2.0,
+                transfer: 5.0,
+                ..one
+            },
+        );
+        assert!((slow_kernel - 2.0 * warm_dev).abs() < 1e-15);
     }
 
     /// Per-shard routing sends resident shards to the device and cold
@@ -581,15 +654,13 @@ mod tests {
         let gpu = nvidia_v100();
         let pcie = pcie_gen3();
         let bytes = 4 * 120_000_000usize / 8; // one of 8 shards
-        let hot = ShardParams {
+        let cold = ScanCost {
             packed_bytes: bytes,
-            resident_bytes: bytes,
-            packed_values: 0,
+            ..ScanCost::default()
         };
-        let cold = ShardParams {
-            packed_bytes: bytes,
-            resident_bytes: 0,
-            packed_values: 0,
+        let hot = ScanCost {
+            resident_bytes: bytes,
+            ..cold
         };
         let split = hybrid_shard_split(&[hot, cold, hot, cold], &cpu, &gpu, &pcie);
         assert_eq!(
@@ -607,7 +678,7 @@ mod tests {
         // Degenerate single-shard split agrees with the whole-table bound.
         let solo = hybrid_shard_split(&[cold], &cpu, &gpu, &pcie);
         assert!(solo.device_shards.is_empty() && solo.host_shards == vec![0]);
-        let (_, host) = resident_coprocessor_bounds(bytes, 0, 0, &cpu, &gpu, &pcie);
+        let (_, host) = resident_coprocessor_bounds(&cold, &cpu, &gpu, &pcie);
         assert!((solo.host_secs - host).abs() < 1e-15);
     }
 

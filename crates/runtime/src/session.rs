@@ -623,8 +623,9 @@ impl<'g> DeviceSession<'g> {
     }
 
     /// Fallible twin of [`DeviceSession::hash_table`]: returns a typed
-    /// [`SessionOom`] when even the estimated slot array cannot fit after
-    /// evicting everything unpinned.
+    /// [`SessionOom`] when the build's headroom (slot array plus staging,
+    /// `2 * estimated_bytes`) cannot be freed by evicting everything
+    /// unpinned.
     pub fn try_hash_table<F>(
         &mut self,
         key: u64,
@@ -648,17 +649,12 @@ impl<'g> DeviceSession<'g> {
         // slot array itself plus its staging buffers (keys + payloads,
         // never larger than the slot array for a perfect-hash table).
         // Evict ahead of time so the allocations inside the build closure
-        // cannot OOM while unpinned entries remain.
+        // cannot OOM: the closure allocates infallibly, so a build that
+        // cannot be given its full headroom is refused with the typed
+        // error here rather than started and left to panic halfway.
         while self.gpu.spec().mem_capacity - self.gpu.mem_used() < 2 * estimated_bytes {
             if !self.evict_one() {
-                // Could not reach the conservative 2x headroom. If even
-                // the slot array itself no longer fits, the build would
-                // OOM inside the closure — report that as a typed error
-                // instead.
-                if self.gpu.spec().mem_capacity - self.gpu.mem_used() < estimated_bytes {
-                    return Err(self.oom(estimated_bytes));
-                }
-                break;
+                return Err(self.oom(2 * estimated_bytes));
             }
         }
         let (ht, report) = build(self.gpu);
@@ -1044,6 +1040,11 @@ mod tests {
         // Scratch under the same pressure: typed error too.
         let scratch = s.try_alloc_scratch_zeroed::<i64>(100_000);
         assert!(scratch.is_err());
+        // So is a table whose slot array would fit the ~248 KB left but
+        // whose build staging would not: the build (which allocates
+        // infallibly) is refused, not started.
+        let table = s.try_hash_table(9, 200_000, |_| unreachable!("build must not start"));
+        assert_eq!(table.err().map(|oom| oom.requested), Some(400_000));
         // The session stays fully usable afterwards.
         s.end_query(q);
         drop(_rc);

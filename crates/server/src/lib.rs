@@ -34,8 +34,10 @@
 //! * **Closed loop per tenant** — at most one in-flight query per
 //!   tenant, plus a global [`ServerConfig::max_inflight`] cap.
 //! * **Placement at admission** — each query is routed by the
-//!   residency-aware cost model
-//!   (`copro::choose_placement_session`); additionally, an otherwise
+//!   residency-aware cost model (`copro::choose_placement_resident`
+//!   over the table, `copro::choose_placement_sharded` over a
+//!   [`PartitionedFact`]'s live shards; under a [`Calibration`], on the
+//!   model profile's blended bounds); additionally, an otherwise
 //!   *idle* device is offered cost-model-Host queries
 //!   ([`ServerConfig::offload_idle_device`]): the device's cycles are
 //!   free while the host is the contended resource, and the uploads it
@@ -43,14 +45,19 @@
 //!   tenant at once.
 //! * **Admission control** — device placement pins the query's working
 //!   set through the session's pin ledger
-//!   ([`DeviceQueryJob::admit`]); a typed
-//!   [`SessionOom`](crystal_runtime::SessionOom) simply
-//!   falls the query back to the host instead of panicking or evicting
-//!   another tenant's pinned set.
+//!   ([`DeviceQueryJob::admit`], or [`DeviceShardedJob::admit`] for the
+//!   first live shard); a typed [`SessionOom`] simply falls the query
+//!   back to the host instead of panicking or evicting another tenant's
+//!   pinned set. A sharded device job admits its later shards as it
+//!   advances; if one no longer fits mid-query, the device half is
+//!   abandoned and the query restarts on the host.
 //! * **Deficit round robin** — each grant opportunity adds a morsel
 //!   quantum to the chosen tenant's deficit and grants at most that many
 //!   rows, so long queries cannot starve short ones and the p99/p50
 //!   latency ratio stays bounded under contention.
+//!
+//! There is one scheduler loop, [`serve_with`]; [`serve`] and
+//! [`serve_sharded`] call it for the two table shapes.
 //!
 //! Splitting a query into grants changes neither the per-block tile
 //! schedule nor the order of the commutative integer aggregate updates,
@@ -60,13 +67,13 @@
 
 use crystal_cpu::exec::MORSEL_SIZE;
 use crystal_gpu_sim::{ExecStats, Gpu};
-use crystal_hardware::{CpuSpec, HardwareProfile, PcieSpec};
+use crystal_hardware::{CpuSpec, GpuSpec, HardwareProfile, PcieSpec};
 use crystal_models::calibration::{BoundsSource, CalibrationStore};
-use crystal_runtime::{DeviceSession, SessionStats};
+use crystal_runtime::{DeviceSession, SessionOom, SessionStats};
 use crystal_ssb::encoding::FactEncodings;
-use crystal_ssb::engines::copro::{self, Placement, PlacementDecision};
+use crystal_ssb::engines::copro::{self, Measured, Placement, PlacementDecision};
 use crystal_ssb::engines::gpu::{DeviceQueryJob, DeviceShardedJob};
-use crystal_ssb::exec::{HostQueryJob, PartitionedHostJob, PipelineMode};
+use crystal_ssb::exec::{HostQueryJob, PipelineMode};
 use crystal_ssb::plan::StarQuery;
 use crystal_ssb::{PartitionedFact, QueryResult, SsbData};
 
@@ -168,6 +175,9 @@ pub struct ServeReport {
     /// launch-count bands read this — a fused device query costs one
     /// probe launch per morsel grant plus its cold build kernels.
     pub exec: ExecStats,
+    /// Device jobs abandoned at a mid-query shard-admission OOM and
+    /// restarted on the host (only a sharded serve can have any).
+    pub oom_restarts: usize,
 }
 
 impl ServeReport {
@@ -204,7 +214,7 @@ impl ServeReport {
     }
 
     /// Queries whose admission decision drew on measured history (zero
-    /// for the static `serve` paths and for a cold calibration store).
+    /// for an uncalibrated serve and for a cold calibration store).
     pub fn blended_decisions(&self) -> usize {
         self.completed
             .iter()
@@ -225,9 +235,68 @@ impl ServeReport {
     }
 }
 
+/// An in-flight query's executor. The whole-table and the sharded device
+/// jobs differ in what can happen *between* grants — only the sharded one
+/// admits further shards, so only it can upload after admission or fail
+/// a step — and the loop is written for the superset.
 enum Job<'a> {
     Host(Box<HostQueryJob<'a>>),
     Device(Box<DeviceQueryJob<'a>>),
+    DeviceSharded(Box<DeviceShardedJob<'a>>),
+}
+
+impl Job<'_> {
+    fn backend(&self) -> Backend {
+        match self {
+            Job::Host(_) => Backend::Host,
+            Job::Device(_) | Job::DeviceSharded(_) => Backend::Device,
+        }
+    }
+
+    fn remaining_rows(&self) -> usize {
+        match self {
+            Job::Host(h) => h.remaining_rows(),
+            Job::Device(g) => g.remaining_rows(),
+            Job::DeviceSharded(g) => g.remaining_rows(),
+        }
+    }
+
+    /// Advances by up to `grant` rows; `Ok(true)` once the query is done.
+    /// Only a sharded device job can fail: crossing a shard boundary
+    /// admits the next shard, which may no longer fit.
+    fn step(&mut self, sess: &mut DeviceSession<'_>, grant: usize) -> Result<bool, SessionOom> {
+        match self {
+            Job::Host(h) => Ok(h.step(grant)),
+            Job::Device(g) => Ok(g.step(sess, grant)),
+            Job::DeviceSharded(g) => g.step(sess, grant),
+        }
+    }
+
+    /// `(kernel seconds launched, bytes uploaded)` so far; zeros on the host.
+    fn device_progress(&self) -> (f64, usize) {
+        match self {
+            Job::Host(_) => (0.0, 0),
+            Job::Device(g) => (g.sim_secs_so_far(), g.uploaded_bytes()),
+            Job::DeviceSharded(g) => (g.sim_secs_so_far(), g.uploaded_bytes()),
+        }
+    }
+
+    fn finish(self, sess: &mut DeviceSession<'_>) -> QueryResult {
+        match self {
+            Job::Host(h) => h.finish().0,
+            Job::Device(g) => g.finish(sess).result,
+            Job::DeviceSharded(g) => g.finish(sess).result,
+        }
+    }
+
+    /// Releases whatever the job holds on the device, discarding its work.
+    fn abandon(self, sess: &mut DeviceSession<'_>) {
+        match self {
+            Job::Host(_) => {}
+            Job::Device(g) => g.abandon(sess),
+            Job::DeviceSharded(g) => g.abandon(sess),
+        }
+    }
 }
 
 /// Overlapped device makespan of one query: its uploads stream on the
@@ -247,29 +316,29 @@ struct InFlight<'a> {
     tenant: usize,
     index: usize,
     admitted_at: f64,
-    backend: Backend,
-    /// Host scan-bound seconds per granted row (0 for device jobs).
+    /// Host scan-bound seconds per granted row, on the serve specs.
     per_row_host_secs: f64,
     /// Device kernel seconds launched so far (builds + probe grants).
     charged_dev_secs: f64,
-    /// Serialized PCIe seconds of this job's uploads (what the
-    /// calibration observation records; the clock charges the
-    /// overlapped makespan instead).
+    /// Serialized PCIe seconds of every upload so far — the admission's,
+    /// plus each later shard's (pre)fetch as a sharded job advances.
+    /// Feeds the calibration observation; the clock charges the
+    /// overlapped makespan instead.
     charged_transfer_secs: f64,
-    /// First-chunk ramp of the admission upload — the serialized prefix
-    /// of [`overlapped_makespan`].
+    /// First-chunk ramp of the earliest non-empty upload — the
+    /// serialized prefix of [`overlapped_makespan`].
     ramp_secs: f64,
     /// Overlapped makespan already charged to the device clock; each
     /// grant re-evaluates and charges the delta.
     charged_makespan_secs: f64,
-    /// Bytes the admission actually uploaded.
+    /// Bytes uploaded so far.
     uploaded_bytes: usize,
     decision: PlacementDecision,
     job: Job<'a>,
 }
 
-/// The closed calibration loop a `*_calibrated` serve runs under: the
-/// shared [`CalibrationStore`] every completion records into (and every
+/// The closed calibration loop a serve can run under: the shared
+/// [`CalibrationStore`] every completion records into (and every
 /// admission routes by), plus the spec-sheet [`HardwareProfile`] the
 /// analytic prior believes. The *actual* machine is whatever specs the
 /// serve call itself executes and charges on — when the two profiles
@@ -285,6 +354,94 @@ pub struct Calibration<'c> {
     pub model: HardwareProfile,
 }
 
+/// The shape of the fact table being served — everything the scheduler
+/// loop needs to know about it. Unsharded serving reads plain columns.
+#[derive(Clone, Copy)]
+struct Table<'a> {
+    d: &'a SsbData,
+    pf: Option<&'a PartitionedFact>,
+}
+
+impl<'a> Table<'a> {
+    /// Rows a host run of `q` scans: the table, or its live shards.
+    fn host_rows(&self, q: &StarQuery) -> usize {
+        self.pf
+            .map_or(self.d.lineorder.rows(), |pf| pf.live_rows(q))
+            .max(1)
+    }
+
+    /// The whole-query placement on the given specs: the residency-aware
+    /// bound over the table, or the summed per-shard bounds (both
+    /// pruning-aware) of a sharded one.
+    fn decide(
+        &self,
+        store: Option<&CalibrationStore>,
+        sess: &DeviceSession<'_>,
+        q: &StarQuery,
+        cpu: &CpuSpec,
+        gpu: &GpuSpec,
+        pcie: &PcieSpec,
+    ) -> PlacementDecision {
+        let d = self.d;
+        match self.pf {
+            None => {
+                let enc = FactEncodings::plain();
+                let resident = sess.resident_bytes(&copro::working_set_keys(d, q, &enc));
+                copro::choose_placement_resident(store, d, q, &enc, cpu, gpu, pcie, resident)
+            }
+            Some(pf) => {
+                copro::choose_placement_sharded(store, sess, d, pf, q, cpu, gpu, pcie).decision()
+            }
+        }
+    }
+
+    /// Admission-time routing: the decision to route by — the static
+    /// bound on the serve specs, or under calibration the blended bound
+    /// on the *model* profile — and the host seconds per granted row.
+    /// The host clock is always charged on the serve specs (the actual
+    /// machine), so a skewed model profile can misroute but never
+    /// mischarge.
+    fn place(
+        &self,
+        cal: Option<&Calibration<'_>>,
+        sess: &DeviceSession<'_>,
+        q: &StarQuery,
+        cpu: &CpuSpec,
+        pcie: &PcieSpec,
+    ) -> (PlacementDecision, f64) {
+        let actual = self.decide(None, sess, q, cpu, sess.spec(), pcie);
+        let decision = match cal {
+            None => actual,
+            Some(c) => {
+                let m = &c.model;
+                self.decide(Some(&*c.store), sess, q, &m.cpu, &m.gpu, &m.pcie)
+            }
+        };
+        (decision, actual.host_secs / self.host_rows(q) as f64)
+    }
+
+    /// Admission control: pins the query's (first shard's) working set
+    /// under the session's ledger and runs its builds.
+    fn admit_device(
+        &self,
+        sess: &mut DeviceSession<'_>,
+        q: &'a StarQuery,
+    ) -> Result<Job<'a>, SessionOom> {
+        Ok(match self.pf {
+            None => Job::Device(Box::new(DeviceQueryJob::admit(sess, self.d, None, q)?)),
+            Some(pf) => Job::DeviceSharded(Box::new(DeviceShardedJob::admit(sess, self.d, pf, q)?)),
+        })
+    }
+
+    fn host_job(&self, q: &'a StarQuery) -> Job<'a> {
+        let mode = PipelineMode::Vectorized;
+        Job::Host(Box::new(match self.pf {
+            None => HostQueryJob::new(self.d, q, mode),
+            Some(pf) => HostQueryJob::new_partitioned(self.d, pf, q, mode),
+        }))
+    }
+}
+
 /// Serves `tenants` (one query stream per tenant) through one shared
 /// host executor and one shared [`DeviceSession`], interleaved as
 /// deficit-round-robin morsel grants. Deterministic: same streams, same
@@ -297,35 +454,46 @@ pub fn serve<'a>(
     tenants: &'a [Vec<StarQuery>],
     cfg: &ServerConfig,
 ) -> ServeReport {
-    serve_impl(gpu, cpu, pcie, d, tenants, cfg, None)
+    serve_with(gpu, cpu, pcie, d, None, tenants, cfg, None)
 }
 
-/// [`serve`] with the closed calibration loop: admission routes through
-/// `copro::choose_placement_calibrated_session` on the *model* profile
-/// (blended with whatever the store has learned), and every completion
-/// records its observed transfer/kernel/host seconds back into the
-/// store. Execution and the resource clocks still run on the `gpu` /
-/// `cpu` / `pcie` the serve is called with — the actual machine — so
-/// the loop converges toward measured reality. With a cold store and
-/// `cal.model` equal to the serve specs, routing is bit-identical to
-/// [`serve`].
-pub fn serve_calibrated<'a>(
+/// [`serve`] over a [`PartitionedFact`]: zone-map pruning drops dead
+/// shards before any grant, device jobs advance shard-by-shard under
+/// shard-granular residency keys (each grant covers one *(query, shard)*
+/// pair's rows), and a **mid-query** shard-admission
+/// [`SessionOom`] abandons the device half
+/// and restarts the query on the host — partial device work is
+/// discarded, so every served result stays byte-identical to the
+/// unsharded pipeline's. Deterministic, like [`serve`].
+pub fn serve_sharded<'a>(
     gpu: &mut Gpu,
     cpu: &CpuSpec,
     pcie: &PcieSpec,
     d: &'a SsbData,
+    pf: &'a PartitionedFact,
     tenants: &'a [Vec<StarQuery>],
     cfg: &ServerConfig,
-    cal: &mut Calibration<'_>,
 ) -> ServeReport {
-    serve_impl(gpu, cpu, pcie, d, tenants, cfg, Some(cal))
+    serve_with(gpu, cpu, pcie, d, Some(pf), tenants, cfg, None)
 }
 
-fn serve_impl<'a>(
+/// The scheduler: [`serve`] (`pf = None`) and [`serve_sharded`] are this
+/// function without calibration. With a [`Calibration`], admission routes
+/// on the *model* profile's bounds blended with whatever the store has
+/// learned (per-shard bounds under shard-granular keys when sharded), and
+/// every completion records its observed transfer/kernel/host seconds
+/// back into the store. Execution and the resource clocks still run on
+/// the `gpu` / `cpu` / `pcie` the serve is called with — the actual
+/// machine — so the loop converges toward measured reality. With a cold
+/// store and `cal.model` equal to the serve specs, routing is
+/// bit-identical to the uncalibrated serve.
+#[allow(clippy::too_many_arguments)]
+pub fn serve_with<'a>(
     gpu: &mut Gpu,
     cpu: &CpuSpec,
     pcie: &PcieSpec,
     d: &'a SsbData,
+    pf: Option<&'a PartitionedFact>,
     tenants: &'a [Vec<StarQuery>],
     cfg: &ServerConfig,
     mut cal: Option<&mut Calibration<'_>>,
@@ -335,9 +503,8 @@ fn serve_impl<'a>(
         Some(b) => DeviceSession::with_budget(gpu, b),
         None => DeviceSession::new(gpu),
     };
-    let enc = FactEncodings::plain();
+    let table = Table { d, pf };
     let nt = tenants.len();
-    let n_rows = d.lineorder.rows().max(1);
     let quantum = cfg.quantum_rows() as f64;
 
     let mut next_q = vec![0usize; nt];
@@ -350,6 +517,7 @@ fn serve_impl<'a>(
     // "now" for admission decisions.
     let mut now = 0.0f64;
     let (mut admit_ptr, mut host_ptr, mut dev_ptr) = (0usize, 0usize, 0usize);
+    let mut oom_restarts = 0usize;
 
     loop {
         // Admission: fill free slots round-robin across tenants with
@@ -363,27 +531,9 @@ fn serve_impl<'a>(
                 }
                 let idx = next_q[t];
                 let q = &tenants[t][idx];
-                // Routing: the static residency-aware bound on the serve
-                // specs, or — under calibration — the blended bound on
-                // the *model* profile. The host clock is always charged
-                // on the serve specs (the actual machine), so a skewed
-                // model profile can misroute but never mischarge.
-                let actual = copro::choose_placement_session(&sess, d, q, &enc, cpu, pcie);
-                let decision: PlacementDecision = match cal.as_ref() {
-                    None => actual.into(),
-                    Some(c) => copro::choose_placement_calibrated_session(
-                        c.store,
-                        &sess,
-                        d,
-                        q,
-                        &enc,
-                        &c.model.cpu,
-                        &c.model.gpu,
-                        &c.model.pcie,
-                    ),
-                };
-                let device_busy_now = inflight.iter().any(|j| j.backend == Backend::Device);
-                let host_busy_now = inflight.iter().any(|j| j.backend == Backend::Host);
+                let (decision, per_row_host_secs) =
+                    table.place(cal.as_deref(), &sess, q, cpu, pcie);
+                let busy = |b: Backend| inflight.iter().any(|j| j.job.backend() == b);
                 // Idle-resource steering keeps both executors busy:
                 // an idle device is offered the query even when the
                 // cost model says Host (its cycles are free and its
@@ -391,59 +541,51 @@ fn serve_impl<'a>(
                 // idle host keeps a query even when the warm model
                 // says Coprocessor. With both busy, the residency-
                 // aware cost model decides.
-                let want_device = if cfg.offload_idle_device && !device_busy_now {
+                let want_device = if cfg.offload_idle_device && !busy(Backend::Device) {
                     true
-                } else if cfg.offload_idle_device && !host_busy_now {
+                } else if cfg.offload_idle_device && !busy(Backend::Host) {
                     false
                 } else {
                     decision.placement == Placement::Coprocessor
                 };
-                let mut placed = None;
-                if want_device {
-                    let before = sess.stats().clone();
-                    // Admission control: pin the working set under the
-                    // session's ledger; an OOM falls back to the host.
-                    if let Ok(job) = DeviceQueryJob::admit(&mut sess, d, None, q) {
-                        let uploaded = sess.stats().uploaded_since(&before);
-                        let transfer = pcie.transfer_secs(uploaded);
-                        let ramp = pcie.chunk_ramp_secs(uploaded);
-                        let dma = if uploaded > 0 { transfer } else { 0.0 };
-                        let setup = overlapped_makespan(ramp, dma, job.sim_secs_so_far());
-                        dev_clock = dev_clock.max(now) + setup;
-                        dev_busy += setup;
-                        placed = Some(InFlight {
-                            tenant: t,
-                            index: idx,
-                            admitted_at: now,
-                            backend: Backend::Device,
-                            per_row_host_secs: 0.0,
-                            charged_dev_secs: job.sim_secs_so_far(),
-                            charged_transfer_secs: dma,
-                            ramp_secs: ramp,
-                            charged_makespan_secs: setup,
-                            uploaded_bytes: uploaded,
-                            decision,
-                            job: Job::Device(Box::new(job)),
-                        });
+                let before = sess.stats().clone();
+                // Admission control: the device job pins its working set
+                // under the session's ledger; an OOM falls back to the host.
+                let admitted_job = match want_device.then(|| table.admit_device(&mut sess, q)) {
+                    Some(Ok(device_job)) => device_job,
+                    _ => table.host_job(q),
+                };
+                let mut job = InFlight {
+                    tenant: t,
+                    index: idx,
+                    admitted_at: now,
+                    per_row_host_secs,
+                    charged_dev_secs: 0.0,
+                    charged_transfer_secs: 0.0,
+                    ramp_secs: 0.0,
+                    charged_makespan_secs: 0.0,
+                    uploaded_bytes: 0,
+                    decision,
+                    job: admitted_job,
+                };
+                if job.job.backend() == Backend::Device {
+                    let uploaded = sess.stats().uploaded_since(&before);
+                    job.uploaded_bytes = uploaded;
+                    job.ramp_secs = pcie.chunk_ramp_secs(uploaded);
+                    if uploaded > 0 {
+                        job.charged_transfer_secs = pcie.transfer_secs(uploaded);
                     }
-                }
-                let job = placed.unwrap_or_else(|| {
+                    job.charged_dev_secs = job.job.device_progress().0;
+                    job.charged_makespan_secs = overlapped_makespan(
+                        job.ramp_secs,
+                        job.charged_transfer_secs,
+                        job.charged_dev_secs,
+                    );
+                    dev_clock = dev_clock.max(now) + job.charged_makespan_secs;
+                    dev_busy += job.charged_makespan_secs;
+                } else {
                     host_clock = host_clock.max(now);
-                    InFlight {
-                        tenant: t,
-                        index: idx,
-                        admitted_at: now,
-                        backend: Backend::Host,
-                        per_row_host_secs: actual.host_secs / n_rows as f64,
-                        charged_dev_secs: 0.0,
-                        charged_transfer_secs: 0.0,
-                        ramp_secs: 0.0,
-                        charged_makespan_secs: 0.0,
-                        uploaded_bytes: 0,
-                        decision,
-                        job: Job::Host(Box::new(HostQueryJob::new(d, q, PipelineMode::Vectorized))),
-                    }
-                });
+                }
                 next_q[t] += 1;
                 inflight.push(job);
                 admit_ptr = (t + 1) % nt;
@@ -464,16 +606,9 @@ fn serve_impl<'a>(
 
         // Grant on the resource whose clock lags (that is what runs
         // "next" when both are busy; a resource without jobs idles).
-        let has_host = inflight.iter().any(|j| j.backend == Backend::Host);
-        let has_dev = inflight.iter().any(|j| j.backend == Backend::Device);
-        let res = match (has_host, has_dev) {
-            (true, true) => {
-                if host_clock <= dev_clock {
-                    Backend::Host
-                } else {
-                    Backend::Device
-                }
-            }
+        let has = |b: Backend| inflight.iter().any(|j| j.job.backend() == b);
+        let res = match (has(Backend::Host), has(Backend::Device)) {
+            (true, true) if host_clock <= dev_clock => Backend::Host,
             (true, false) => Backend::Host,
             _ => Backend::Device,
         };
@@ -489,7 +624,7 @@ fn serve_impl<'a>(
                 let t = (*ptr + k) % nt;
                 inflight
                     .iter()
-                    .position(|j| j.tenant == t && j.backend == res)
+                    .position(|j| j.tenant == t && j.job.backend() == res)
                     .map(|pos| (t, pos))
             })
             .next()
@@ -497,47 +632,60 @@ fn serve_impl<'a>(
         *ptr = (t + 1) % nt;
         deficit[t] += quantum;
         let j = &mut inflight[pos];
-        let remaining = match &j.job {
-            Job::Host(h) => h.remaining_rows(),
-            Job::Device(g) => g.remaining_rows(),
-        };
+        let remaining = j.job.remaining_rows();
         let grant = remaining.min(deficit[t] as usize).max(1);
         deficit[t] -= grant as f64;
 
-        let done = match &mut j.job {
-            Job::Host(h) => {
-                let done = h.step(grant);
-                let secs = grant as f64 * j.per_row_host_secs;
+        let done = match j.job.step(&mut sess, grant) {
+            Ok(done) if res == Backend::Host => {
+                let secs = grant.min(remaining) as f64 * j.per_row_host_secs;
                 host_clock += secs;
                 host_busy += secs;
                 done
             }
-            Job::Device(g) => {
-                let done = g.step(&mut sess, grant);
-                let total = g.sim_secs_so_far();
-                j.charged_dev_secs = total;
+            Ok(done) => {
+                let (kernels, uploaded) = j.job.device_progress();
+                j.charged_dev_secs = kernels;
+                // Later shards upload (or prefetch) as a sharded job
+                // advances; fold each new batch into the serialized
+                // transfer total before re-evaluating the makespan.
+                if uploaded > j.uploaded_bytes {
+                    let batch = uploaded - j.uploaded_bytes;
+                    j.charged_transfer_secs += pcie.transfer_secs(batch);
+                    if j.uploaded_bytes == 0 {
+                        j.ramp_secs = pcie.chunk_ramp_secs(batch);
+                    }
+                    j.uploaded_bytes = uploaded;
+                }
                 // Re-evaluate the overlapped makespan with the kernels
                 // launched so far and charge the delta: once the kernel
                 // sum outgrows the in-flight transfer, every further
                 // grant is pure compute time.
-                let dma = if j.uploaded_bytes > 0 {
-                    j.charged_transfer_secs
-                } else {
-                    0.0
-                };
-                let target = overlapped_makespan(j.ramp_secs, dma, total);
+                let target = overlapped_makespan(j.ramp_secs, j.charged_transfer_secs, kernels);
                 let delta = target - j.charged_makespan_secs;
                 j.charged_makespan_secs = target;
                 dev_clock += delta;
                 dev_busy += delta;
                 done
             }
+            // The next shard no longer fits beside the other tenants'
+            // pinned sets: discard the device half and restart the whole
+            // query on the host (the restart is what keeps the result
+            // byte-identical).
+            Err(_) => {
+                let q = &tenants[j.tenant][j.index];
+                std::mem::replace(&mut j.job, table.host_job(q)).abandon(&mut sess);
+                host_clock = host_clock.max(now);
+                oom_restarts += 1;
+                false
+            }
         };
 
         if done {
             let j = inflight.swap_remove(pos);
             deficit[j.tenant] = 0.0;
-            let completed_at = match j.backend {
+            let backend = j.job.backend();
+            let completed_at = match backend {
                 Backend::Host => host_clock,
                 Backend::Device => dev_clock,
             };
@@ -547,34 +695,29 @@ fn serve_impl<'a>(
             // profile's predictions.
             if let Some(c) = cal.as_mut() {
                 let q = &tenants[j.tenant][j.index];
-                let (kernel, host) = match j.backend {
-                    Backend::Device => (Some(j.charged_dev_secs), None),
-                    Backend::Host => (None, Some(j.per_row_host_secs * n_rows as f64)),
+                let mut measured = Measured {
+                    shipped_bytes: j.uploaded_bytes,
+                    transfer_secs: j.charged_transfer_secs,
+                    ..Measured::default()
                 };
-                copro::record_query_observation(
-                    c.store,
-                    &c.model,
-                    d,
-                    q,
-                    &enc,
-                    j.uploaded_bytes,
-                    j.charged_transfer_secs,
-                    kernel,
-                    host,
-                );
+                match backend {
+                    Backend::Device => measured.kernel_secs = Some(j.charged_dev_secs),
+                    Backend::Host => {
+                        let rows = table.host_rows(q) as f64;
+                        measured.host_secs = Some(j.per_row_host_secs * rows);
+                    }
+                }
+                let enc = FactEncodings::plain();
+                copro::record_observation(c.store, &c.model, d, pf, q, &enc, &measured);
             }
-            let result = match j.job {
-                Job::Host(h) => h.finish().0,
-                Job::Device(g) => g.finish(&mut sess).result,
-            };
             completed.push(CompletedQuery {
                 tenant: j.tenant,
                 index: j.index,
-                backend: j.backend,
+                backend,
                 admitted_at: j.admitted_at,
                 completed_at,
                 decision: j.decision,
-                result,
+                result: j.job.finish(&mut sess),
             });
         }
     }
@@ -588,393 +731,7 @@ fn serve_impl<'a>(
         device_busy_secs: dev_busy,
         stats,
         exec,
-    }
-}
-
-enum ShardedJob<'a> {
-    Host(Box<PartitionedHostJob<'a>>),
-    Device(Box<DeviceShardedJob<'a>>),
-}
-
-struct ShardedInFlight<'a> {
-    tenant: usize,
-    index: usize,
-    admitted_at: f64,
-    backend: Backend,
-    /// Host scan-bound seconds per granted (live) row.
-    per_row_host_secs: f64,
-    /// Device kernel seconds launched so far, across every shard.
-    charged_dev_secs: f64,
-    /// Serialized PCIe seconds of every upload so far — first-shard
-    /// admission plus each later shard's (pre)fetch, accumulated as the
-    /// job's `uploaded_bytes()` grows grant by grant. Feeds the
-    /// calibration observation; the clock charges the overlapped
-    /// makespan instead.
-    charged_transfer_secs: f64,
-    /// First-chunk ramp of the earliest non-empty upload.
-    ramp_secs: f64,
-    /// Overlapped makespan already charged to the device clock.
-    charged_makespan_secs: f64,
-    /// Bytes uploaded so far across all shard admissions.
-    uploaded_bytes: usize,
-    decision: PlacementDecision,
-    job: ShardedJob<'a>,
-}
-
-/// The whole-query placement summary of a sharded split: the two
-/// all-on-one-side totals, compared the same way the admission gate
-/// compares them.
-fn sharded_decision(
-    c: &copro::ShardedChoice,
-    source: BoundsSource,
-    samples: u64,
-) -> PlacementDecision {
-    PlacementDecision {
-        placement: if c.device_only_secs < c.host_only_secs {
-            Placement::Coprocessor
-        } else {
-            Placement::Host
-        },
-        device_secs: c.device_only_secs,
-        host_secs: c.host_only_secs,
-        source,
-        samples,
-    }
-}
-
-/// [`serve`] over a [`PartitionedFact`]: zone-map pruning drops dead
-/// shards before any grant, device jobs advance shard-by-shard under
-/// shard-granular residency keys (each grant covers one *(query, shard)*
-/// pair's rows), and a **mid-query** shard-admission
-/// [`SessionOom`](crystal_runtime::SessionOom) abandons the device half
-/// and restarts the query on the host — partial device work is
-/// discarded, so every served result stays byte-identical to the
-/// unsharded pipeline's. Deterministic, like [`serve`].
-pub fn serve_sharded<'a>(
-    gpu: &mut Gpu,
-    cpu: &CpuSpec,
-    pcie: &PcieSpec,
-    d: &'a SsbData,
-    pf: &'a PartitionedFact,
-    tenants: &'a [Vec<StarQuery>],
-    cfg: &ServerConfig,
-) -> ServeReport {
-    serve_sharded_impl(gpu, cpu, pcie, d, pf, tenants, cfg, None)
-}
-
-/// [`serve_sharded`] with the closed calibration loop of
-/// [`serve_calibrated`]: per-shard admission bounds blend the model
-/// profile's prior with shard-granular measured history, and every
-/// completion records an aggregated live-shard observation back into
-/// the store.
-#[allow(clippy::too_many_arguments)]
-pub fn serve_sharded_calibrated<'a>(
-    gpu: &mut Gpu,
-    cpu: &CpuSpec,
-    pcie: &PcieSpec,
-    d: &'a SsbData,
-    pf: &'a PartitionedFact,
-    tenants: &'a [Vec<StarQuery>],
-    cfg: &ServerConfig,
-    cal: &mut Calibration<'_>,
-) -> ServeReport {
-    serve_sharded_impl(gpu, cpu, pcie, d, pf, tenants, cfg, Some(cal))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn serve_sharded_impl<'a>(
-    gpu: &mut Gpu,
-    cpu: &CpuSpec,
-    pcie: &PcieSpec,
-    d: &'a SsbData,
-    pf: &'a PartitionedFact,
-    tenants: &'a [Vec<StarQuery>],
-    cfg: &ServerConfig,
-    mut cal: Option<&mut Calibration<'_>>,
-) -> ServeReport {
-    let exec_before = gpu.exec_stats();
-    let mut sess = match cfg.device_budget {
-        Some(b) => DeviceSession::with_budget(gpu, b),
-        None => DeviceSession::new(gpu),
-    };
-    let nt = tenants.len();
-    let quantum = cfg.quantum_rows() as f64;
-
-    // Host scan-bound seconds per live row of one query: the pruned
-    // whole-host bound pro-rated over the rows a grant actually scans.
-    let host_row_secs = |sess: &DeviceSession<'_>, q: &StarQuery| -> f64 {
-        let c = copro::choose_placement_sharded(sess, d, pf, q, cpu, pcie);
-        c.host_only_secs / pf.live_rows(q).max(1) as f64
-    };
-
-    let mut next_q = vec![0usize; nt];
-    let mut deficit = vec![0.0f64; nt];
-    let mut inflight: Vec<ShardedInFlight<'a>> = Vec::new();
-    let mut completed: Vec<CompletedQuery> = Vec::new();
-    let (mut host_clock, mut dev_clock) = (0.0f64, 0.0f64);
-    let (mut host_busy, mut dev_busy) = (0.0f64, 0.0f64);
-    let mut now = 0.0f64;
-    let (mut admit_ptr, mut host_ptr, mut dev_ptr) = (0usize, 0usize, 0usize);
-
-    loop {
-        // Admission, as in `serve`, with the sharded placement model:
-        // the query goes to the device when the summed per-shard device
-        // bound beats the summed host bound (both pruning-aware).
-        while inflight.len() < cfg.max_inflight.max(1) {
-            let mut admitted = false;
-            for k in 0..nt {
-                let t = (admit_ptr + k) % nt;
-                if next_q[t] >= tenants[t].len() || inflight.iter().any(|j| j.tenant == t) {
-                    continue;
-                }
-                let idx = next_q[t];
-                let q = &tenants[t][idx];
-                // As in `serve_impl`: route on the (possibly blended)
-                // model-profile bounds, charge on the serve specs.
-                let actual = copro::choose_placement_sharded(&sess, d, pf, q, cpu, pcie);
-                let decision = match cal.as_ref() {
-                    None => sharded_decision(&actual, BoundsSource::Static, 0),
-                    Some(c) => {
-                        let cc = copro::choose_placement_calibrated_sharded(
-                            c.store,
-                            &sess,
-                            d,
-                            pf,
-                            q,
-                            &c.model.cpu,
-                            &c.model.gpu,
-                            &c.model.pcie,
-                        );
-                        sharded_decision(&cc.choice, cc.source, cc.samples)
-                    }
-                };
-                let device_busy_now = inflight.iter().any(|j| j.backend == Backend::Device);
-                let host_busy_now = inflight.iter().any(|j| j.backend == Backend::Host);
-                let want_device = if cfg.offload_idle_device && !device_busy_now {
-                    true
-                } else if cfg.offload_idle_device && !host_busy_now {
-                    false
-                } else {
-                    decision.placement == Placement::Coprocessor
-                };
-                let mut placed = None;
-                if want_device {
-                    let before = sess.stats().clone();
-                    if let Ok(job) = DeviceShardedJob::admit(&mut sess, d, pf, q) {
-                        let uploaded = sess.stats().uploaded_since(&before);
-                        let transfer = pcie.transfer_secs(uploaded);
-                        let ramp = pcie.chunk_ramp_secs(uploaded);
-                        let dma = if uploaded > 0 { transfer } else { 0.0 };
-                        let setup = overlapped_makespan(ramp, dma, job.sim_secs_so_far());
-                        dev_clock = dev_clock.max(now) + setup;
-                        dev_busy += setup;
-                        placed = Some(ShardedInFlight {
-                            tenant: t,
-                            index: idx,
-                            admitted_at: now,
-                            backend: Backend::Device,
-                            per_row_host_secs: 0.0,
-                            charged_dev_secs: job.sim_secs_so_far(),
-                            charged_transfer_secs: dma,
-                            ramp_secs: ramp,
-                            charged_makespan_secs: setup,
-                            uploaded_bytes: uploaded,
-                            decision,
-                            job: ShardedJob::Device(Box::new(job)),
-                        });
-                    }
-                }
-                let job = placed.unwrap_or_else(|| {
-                    host_clock = host_clock.max(now);
-                    ShardedInFlight {
-                        tenant: t,
-                        index: idx,
-                        admitted_at: now,
-                        backend: Backend::Host,
-                        per_row_host_secs: actual.host_only_secs / pf.live_rows(q).max(1) as f64,
-                        charged_dev_secs: 0.0,
-                        charged_transfer_secs: 0.0,
-                        ramp_secs: 0.0,
-                        charged_makespan_secs: 0.0,
-                        uploaded_bytes: 0,
-                        decision,
-                        job: ShardedJob::Host(Box::new(PartitionedHostJob::new(
-                            d,
-                            pf,
-                            q,
-                            PipelineMode::Vectorized,
-                        ))),
-                    }
-                });
-                next_q[t] += 1;
-                inflight.push(job);
-                admit_ptr = (t + 1) % nt;
-                admitted = true;
-                break;
-            }
-            if !admitted {
-                break;
-            }
-        }
-
-        if inflight.is_empty() {
-            debug_assert!((0..nt).all(|t| next_q[t] >= tenants[t].len()));
-            break;
-        }
-
-        let has_host = inflight.iter().any(|j| j.backend == Backend::Host);
-        let has_dev = inflight.iter().any(|j| j.backend == Backend::Device);
-        let res = match (has_host, has_dev) {
-            (true, true) => {
-                if host_clock <= dev_clock {
-                    Backend::Host
-                } else {
-                    Backend::Device
-                }
-            }
-            (true, false) => Backend::Host,
-            _ => Backend::Device,
-        };
-
-        let ptr = if res == Backend::Host {
-            &mut host_ptr
-        } else {
-            &mut dev_ptr
-        };
-        let (t, pos) = (0..nt)
-            .filter_map(|k| {
-                let t = (*ptr + k) % nt;
-                inflight
-                    .iter()
-                    .position(|j| j.tenant == t && j.backend == res)
-                    .map(|pos| (t, pos))
-            })
-            .next()
-            .expect("a job exists on the granted resource");
-        *ptr = (t + 1) % nt;
-        deficit[t] += quantum;
-        let j = &mut inflight[pos];
-        let remaining = match &j.job {
-            ShardedJob::Host(h) => h.remaining_rows(),
-            ShardedJob::Device(g) => g.remaining_rows(),
-        };
-        let grant = remaining.min(deficit[t] as usize).max(1);
-        deficit[t] -= grant as f64;
-
-        let mut oom = false;
-        let done = match &mut j.job {
-            ShardedJob::Host(h) => {
-                let done = h.step(grant);
-                let secs = grant.min(remaining) as f64 * j.per_row_host_secs;
-                host_clock += secs;
-                host_busy += secs;
-                done
-            }
-            ShardedJob::Device(g) => match g.step(&mut sess, grant) {
-                Ok(done) => {
-                    let total = g.sim_secs_so_far();
-                    j.charged_dev_secs = total;
-                    // Later shards upload (or prefetch) as the job
-                    // advances; fold each new batch into the serialized
-                    // transfer total before re-evaluating the makespan.
-                    let up = g.uploaded_bytes();
-                    if up > j.uploaded_bytes {
-                        let batch = up - j.uploaded_bytes;
-                        j.charged_transfer_secs += pcie.transfer_secs(batch);
-                        if j.uploaded_bytes == 0 {
-                            j.ramp_secs = pcie.chunk_ramp_secs(batch);
-                        }
-                        j.uploaded_bytes = up;
-                    }
-                    let dma = if j.uploaded_bytes > 0 {
-                        j.charged_transfer_secs
-                    } else {
-                        0.0
-                    };
-                    let target = overlapped_makespan(j.ramp_secs, dma, total);
-                    let delta = target - j.charged_makespan_secs;
-                    j.charged_makespan_secs = target;
-                    dev_clock += delta;
-                    dev_busy += delta;
-                    done
-                }
-                // The next shard no longer fits beside the other
-                // tenants' pinned sets: discard the device half and
-                // restart the whole query on the host (the restart is
-                // what keeps the result byte-identical).
-                Err(_) => {
-                    oom = true;
-                    false
-                }
-            },
-        };
-
-        if oom {
-            let q = &tenants[j.tenant][j.index];
-            let host_job = PartitionedHostJob::new(d, pf, q, PipelineMode::Vectorized);
-            let old = std::mem::replace(&mut j.job, ShardedJob::Host(Box::new(host_job)));
-            if let ShardedJob::Device(g) = old {
-                g.abandon(&mut sess);
-            }
-            j.backend = Backend::Host;
-            j.per_row_host_secs = host_row_secs(&sess, q);
-            host_clock = host_clock.max(now);
-            continue;
-        }
-
-        if done {
-            let j = inflight.swap_remove(pos);
-            deficit[j.tenant] = 0.0;
-            let completed_at = match j.backend {
-                Backend::Host => host_clock,
-                Backend::Device => dev_clock,
-            };
-            now = now.max(completed_at);
-            if let Some(c) = cal.as_mut() {
-                let q = &tenants[j.tenant][j.index];
-                let (kernel, host) = match j.backend {
-                    Backend::Device => (Some(j.charged_dev_secs), None),
-                    Backend::Host => (
-                        None,
-                        Some(j.per_row_host_secs * pf.live_rows(q).max(1) as f64),
-                    ),
-                };
-                copro::record_sharded_observation(
-                    c.store,
-                    &c.model,
-                    pf,
-                    q,
-                    j.uploaded_bytes,
-                    j.charged_transfer_secs,
-                    kernel,
-                    host,
-                );
-            }
-            let result = match j.job {
-                ShardedJob::Host(h) => h.finish().0,
-                ShardedJob::Device(g) => g.finish(&mut sess).result,
-            };
-            completed.push(CompletedQuery {
-                tenant: j.tenant,
-                index: j.index,
-                backend: j.backend,
-                admitted_at: j.admitted_at,
-                completed_at,
-                decision: j.decision,
-                result,
-            });
-        }
-    }
-
-    let exec = sess.gpu().exec_stats().since(&exec_before);
-    let stats = sess.stats().clone();
-    ServeReport {
-        completed,
-        makespan_secs: host_clock.max(dev_clock),
-        host_busy_secs: host_busy,
-        device_busy_secs: dev_busy,
-        stats,
-        exec,
+        oom_restarts,
     }
 }
 
@@ -1049,6 +806,7 @@ pub fn serve_serial(
         device_busy_secs: dev_busy,
         stats,
         exec,
+        oom_restarts: 0,
     }
 }
 
@@ -1288,7 +1046,16 @@ mod tests {
             model: table2_profile(),
         };
         let mut g2 = Gpu::new(nvidia_v100());
-        let cald = serve_calibrated(&mut g2, &cpu, &pcie, &d, &tenants, &cfg, &mut cal);
+        let cald = serve_with(
+            &mut g2,
+            &cpu,
+            &pcie,
+            &d,
+            None,
+            &tenants,
+            &cfg,
+            Some(&mut cal),
+        );
         assert_eq!(plain.makespan_secs.to_bits(), cald.makespan_secs.to_bits());
         assert_eq!(plain.completed.len(), cald.completed.len());
         for (x, y) in plain.completed.iter().zip(&cald.completed) {
@@ -1324,8 +1091,9 @@ mod tests {
                 store: &mut store,
                 model: table2_profile(),
             };
-            last = Some(serve_calibrated(
-                &mut gpu, &cpu, &pcie, &d, &tenants, &cfg, &mut cal,
+            let cal = Some(&mut cal);
+            last = Some(serve_with(
+                &mut gpu, &cpu, &pcie, &d, None, &tenants, &cfg, cal,
             ));
         }
         let report = last.unwrap();
@@ -1362,8 +1130,8 @@ mod tests {
                 store: &mut store,
                 model: table2_profile(),
             };
-            let r =
-                serve_sharded_calibrated(&mut g2, &cpu, &pcie, &d, &pf, &tenants, &cfg, &mut cal);
+            let (pf, cal) = (Some(&pf), Some(&mut cal));
+            let r = serve_with(&mut g2, &cpu, &pcie, &d, pf, &tenants, &cfg, cal);
             if pass == 0 {
                 assert_eq!(plain.makespan_secs.to_bits(), r.makespan_secs.to_bits());
                 for (x, y) in plain.completed.iter().zip(&r.completed) {

@@ -12,25 +12,37 @@
 //! transfer dominates, which is why "for all queries, the query runtime
 //! in GPU coprocessor is bound by the PCIe transfer time".
 //!
-//! The transfer volume is whatever the
-//! [`DeviceSession`] actually uploads: a
-//! cold session ships the full working set (the paper's per-query
-//! coprocessor), a warm one ships only the uncached fraction — zero once
-//! the stream's columns are resident, which is the *data-resident* regime
-//! where the GPU's bandwidth advantage finally materializes. The
-//! [`choose_placement_resident`] routing reflects the same asymmetry on
-//! the model side via
-//! [`crystal_models::ssb::resident_coprocessor_bounds`].
+//! The transfer volume is whatever the [`DeviceSession`] actually
+//! uploads: a cold session ships the full working set (the paper's
+//! per-query coprocessor), a warm one ships only the uncached fraction —
+//! zero once the stream's columns are resident, which is the
+//! *data-resident* regime where the GPU's bandwidth advantage finally
+//! materializes.
+//!
+//! **One placement path.** Every residency-aware decision — whole table
+//! ([`choose_placement_resident`], and [`choose_placement_session`] which
+//! reads the residency live) or per shard ([`choose_placement_sharded`])
+//! — prices its [`ScanCost`] through the one bounds formula,
+//! [`crystal_models::ssb::resident_coprocessor_bounds`], under the
+//! factors an optional [`CalibrationStore`] has learned. No store and a
+//! cold store both evaluate under the identity, so the static and the
+//! calibrated decision cannot drift apart. [`choose_placement`] is the
+//! paper's original transfer-only bound, kept for the Section 3.1 / 6
+//! conclusions it reproduces.
+//!
+//! **One execution path.** [`execute_session`] and [`execute_placed`]
+//! take the session to run through and an optional [`EncodedFact`]; a
+//! transient session is the cold device, `None` is plain storage.
 
 use crystal_gpu_sim::pcie::{coprocessor_time, CoprocessorTime};
 use crystal_gpu_sim::Gpu;
 use crystal_hardware::{CpuSpec, GpuSpec, HardwareProfile, PcieSpec};
 use crystal_models::calibration::{
-    blended_fused_bounds, blended_shard_split, BlendParams, BoundsSource, CalibrationStore,
-    EncodingClass, Observation,
+    Blend, BoundsSource, CalibrationStore, EncodingClass, Observation,
 };
 use crystal_models::ssb::{
-    compressed_coprocessor_bounds, fused_coprocessor_bounds, hybrid_shard_split, ShardParams,
+    compressed_coprocessor_bounds, hybrid_shard_split, launch_overhead_secs,
+    resident_coprocessor_bounds, star_query_launches, ScanCost,
 };
 use crystal_runtime::{ColumnKey, DeviceSession, SessionOom};
 
@@ -38,9 +50,9 @@ use crate::data::SsbData;
 use crate::encoding::{EncodedFact, FactEncodings};
 use crate::engines::gpu::{self, DeviceQueryJob, GpuRun};
 use crate::engines::groups_to_result;
-use crate::exec::{self, PartitionedHostJob, PipelineMode};
-use crate::partition::PartitionedFact;
-use crate::plan::StarQuery;
+use crate::exec::{self, HostQueryJob, PipelineMode};
+use crate::partition::{FactShard, PartitionedFact};
+use crate::plan::{FactCol, StarQuery};
 use crate::QueryResult;
 
 /// Session cache keys of a query's referenced fact columns under `enc` —
@@ -56,6 +68,70 @@ pub fn working_set_keys(d: &SsbData, q: &StarQuery, enc: &FactEncodings) -> Vec<
         .collect()
 }
 
+/// The device cache keys for one shard of `q`'s working set — the
+/// shard-granular analogue of [`working_set_keys`], so the session's
+/// eviction policy arbitrates residency shard by shard.
+fn shard_working_set_keys(
+    d: &SsbData,
+    pf: &PartitionedFact,
+    shard: usize,
+    q: &StarQuery,
+) -> Vec<ColumnKey> {
+    let fact = pf.shard(shard).encoded();
+    q.fact_columns()
+        .iter()
+        .map(|c| gpu::shard_column_key(d, shard, *c, fact))
+        .collect()
+}
+
+/// Rows and (cold, uncalibrated) cost inputs of `q`'s referenced columns
+/// over the whole table under `enc`.
+fn table_cost(d: &SsbData, q: &StarQuery, enc: &FactEncodings) -> (usize, ScanCost) {
+    let rows = d.lineorder.rows();
+    let cols = q.fact_columns();
+    let cost = ScanCost {
+        packed_bytes: enc.columns_bytes(rows, &cols),
+        packed_values: enc.packed_values(rows, &cols),
+        ..ScanCost::default()
+    };
+    (rows, cost)
+}
+
+/// [`table_cost`] of one shard, under the shard's own encodings.
+fn shard_cost(shard: &FactShard, cols: &[FactCol]) -> (usize, ScanCost) {
+    let cost = ScanCost {
+        packed_bytes: shard.columns_bytes(cols),
+        packed_values: shard.packed_values(cols),
+        ..ScanCost::default()
+    };
+    (shard.rows(), cost)
+}
+
+/// The calibration class of a cost's columns: `Packed` as soon as any
+/// referenced column is bit-packed (that is when the host's unpack term
+/// and the compressed transfer bound deviate from the plain constants).
+fn encoding_class(cost: &ScanCost) -> EncodingClass {
+    if cost.packed_values > 0 {
+        EncodingClass::Packed
+    } else {
+        EncodingClass::Plain
+    }
+}
+
+/// What `store` has learned about one evaluation of the bound; the
+/// identity without a store.
+fn blend_for(
+    store: Option<&CalibrationStore>,
+    cost: &ScanCost,
+    rows: usize,
+    sharded: bool,
+) -> Blend {
+    store.map_or_else(Blend::default, |s| {
+        let uncached = cost.packed_bytes.saturating_sub(cost.resident_bytes);
+        s.blend(encoding_class(cost), rows, uncached, sharded)
+    })
+}
+
 /// Outcome of a coprocessor-model execution.
 pub struct CoproRun {
     pub gpu_run: GpuRun,
@@ -65,64 +141,27 @@ pub struct CoproRun {
     pub time: CoprocessorTime,
 }
 
-/// Executes a query in the coprocessor model with a cold device (transient
-/// session): ship the referenced fact columns, overlap with the Crystal
-/// kernel execution. Surfaces the typed [`SessionOom`] when the working
-/// set cannot fit the device.
-pub fn execute(
-    gpu: &mut Gpu,
-    pcie: &PcieSpec,
-    d: &SsbData,
-    q: &StarQuery,
-) -> Result<CoproRun, SessionOom> {
-    let mut sess = DeviceSession::new(gpu);
-    execute_session(&mut sess, pcie, d, q)
-}
-
-/// Coprocessor execution through a (possibly warm) session: the PCIe
-/// transfer covers exactly the bytes the session had to upload — zero for
-/// a fully resident working set.
+/// Executes a query in the coprocessor model through `sess`: ship the
+/// referenced fact columns the session does not already hold, overlap
+/// with the Crystal kernel execution. The PCIe transfer covers exactly
+/// the bytes the session had to upload — the full working set on a fresh
+/// (cold-device) session, zero for a fully resident one. Over an encoded
+/// `fact`, packed columns ship as packed words (the transfer drops by the
+/// compression ratio) and the GPU kernel unpacks tiles in registers.
+/// Surfaces the typed [`SessionOom`] when the working set cannot fit the
+/// device.
 pub fn execute_session(
     sess: &mut DeviceSession<'_>,
     pcie: &PcieSpec,
     d: &SsbData,
+    fact: Option<&EncodedFact>,
     q: &StarQuery,
 ) -> Result<CoproRun, SessionOom> {
     let before = sess.stats().clone();
-    let gpu_run = gpu::execute_session(sess, d, q)?;
-    let shipped_bytes = sess.stats().uploaded_since(&before);
-    let time = coprocessor_time(pcie, shipped_bytes, gpu_run.sim_secs());
-    Ok(CoproRun {
-        gpu_run,
-        shipped_bytes,
-        time,
-    })
-}
-
-/// Coprocessor execution over an encoded fact table: packed columns ship
-/// as packed words (the transfer drops by the compression ratio) and the
-/// GPU kernel unpacks tiles in registers.
-pub fn execute_encoded(
-    gpu: &mut Gpu,
-    pcie: &PcieSpec,
-    d: &SsbData,
-    fact: &EncodedFact,
-    q: &StarQuery,
-) -> Result<CoproRun, SessionOom> {
-    let mut sess = DeviceSession::new(gpu);
-    execute_encoded_session(&mut sess, pcie, d, fact, q)
-}
-
-/// [`execute_encoded`] through a (possibly warm) session.
-pub fn execute_encoded_session(
-    sess: &mut DeviceSession<'_>,
-    pcie: &PcieSpec,
-    d: &SsbData,
-    fact: &EncodedFact,
-    q: &StarQuery,
-) -> Result<CoproRun, SessionOom> {
-    let before = sess.stats().clone();
-    let gpu_run = gpu::execute_encoded_session(sess, d, fact, q)?;
+    let gpu_run = match fact {
+        None => gpu::execute_session(sess, d, q)?,
+        Some(fact) => gpu::execute_encoded_session(sess, d, fact, q)?,
+    };
     let shipped_bytes = sess.stats().uploaded_since(&before);
     let time = coprocessor_time(pcie, shipped_bytes, gpu_run.sim_secs());
     Ok(CoproRun {
@@ -161,6 +200,17 @@ pub enum Placement {
     Host,
 }
 
+impl Placement {
+    /// The cheaper side of two bounds (ties stay on the host).
+    fn cheaper(device_secs: f64, host_secs: f64) -> Self {
+        if device_secs < host_secs {
+            Placement::Coprocessor
+        } else {
+            Placement::Host
+        }
+    }
+}
+
 /// A placement decision with the Section 3.1 cost estimates behind it
 /// (seconds; lower bound for the coprocessor, scan bound for the host).
 #[derive(Debug, Clone, Copy)]
@@ -170,429 +220,10 @@ pub struct PlacementChoice {
     pub host_secs: f64,
 }
 
-/// Routes a query through the `crystal-models` Section 3.1 bounds: the
-/// coprocessor can never finish before its PCIe transfer
-/// (`bytes / B_pcie`), while the host CPU is bounded below by streaming
-/// the same columns from DRAM (`bytes / B_cpu`). Since PCIe bandwidth is
-/// far below DRAM bandwidth, the model routes every star query to the
-/// host — which is exactly the paper's conclusion ("a GPU-based system
-/// fully utilizing the CPU will always be superior to a coprocessor
-/// design"); the decision is computed, not hard-coded, so a future
-/// interconnect spec (e.g. NVLink-class `PcieSpec`) can flip it — as can
-/// compression ([`choose_placement_encoded`]) and device residency
-/// ([`choose_placement_resident`]).
-pub fn choose_placement(
-    d: &SsbData,
-    q: &StarQuery,
-    cpu: &CpuSpec,
-    pcie: &PcieSpec,
-) -> PlacementChoice {
-    choose_placement_encoded(d, q, &FactEncodings::plain(), cpu, pcie)
-}
-
-/// The compression-aware routing: the transfer ships each referenced fact
-/// column at its *encoded* size, so the coprocessor bound drops by the
-/// compression ratio, while the host's scan bound gains a scalar-unpack
-/// compute term for the packed columns
-/// (`crystal_models::ssb::compressed_coprocessor_bounds`). Past the
-/// modeled flip ratio (~1.6 on the Table-2 pairing) GPU placement wins on
-/// packed data over the very PCIe link that loses on plain data.
-pub fn choose_placement_encoded(
-    d: &SsbData,
-    q: &StarQuery,
-    enc: &FactEncodings,
-    cpu: &CpuSpec,
-    pcie: &PcieSpec,
-) -> PlacementChoice {
-    let rows = d.lineorder.rows();
-    let cols = q.fact_columns();
-    let packed_bytes = enc.columns_bytes(rows, &cols);
-    let packed_values = enc.packed_values(rows, &cols);
-    let (coprocessor_secs, host_secs) =
-        compressed_coprocessor_bounds(packed_bytes, packed_values, cpu, pcie);
-    choice_from(coprocessor_secs, host_secs)
-}
-
-/// The residency-aware routing: `resident_bytes` of the query's working
-/// set are already device-cached, so the Section 3.1 transfer term drops
-/// to the uncached fraction (floored by the device's own memory scan).
-/// Once the working set is warm this flips Host → Coprocessor even on
-/// PCIe Gen3 and *plain* data — the paper's data-resident regime, derived
-/// from the same cost model that rejects the cold coprocessor.
-pub fn choose_placement_resident(
-    d: &SsbData,
-    q: &StarQuery,
-    enc: &FactEncodings,
-    cpu: &CpuSpec,
-    gpu: &GpuSpec,
-    pcie: &PcieSpec,
-    resident_bytes: usize,
-) -> PlacementChoice {
-    let rows = d.lineorder.rows();
-    let cols = q.fact_columns();
-    let packed_bytes = enc.columns_bytes(rows, &cols);
-    let packed_values = enc.packed_values(rows, &cols);
-    // The fused-kernel bound: the device side carries exactly one launch
-    // of overhead (the whole star query is one megakernel); the transfer
-    // term is the residency-aware Section 3.1 bound, unchanged by fusion.
-    // On a sampled proxy table the fixed launch term scales with the
-    // proxy fraction, mirroring `sim_secs_scaled` so the routing stays
-    // faithful to the full-scale comparison.
-    let fact_scale = rows as f64 / (6_000_000 * d.sf) as f64;
-    let (coprocessor_secs, host_secs) = fused_coprocessor_bounds(
-        packed_bytes,
-        resident_bytes,
-        packed_values,
-        q.joins.len(),
-        true,
-        fact_scale.min(1.0),
-        cpu,
-        gpu,
-        pcie,
-    );
-    choice_from(coprocessor_secs, host_secs)
-}
-
-/// [`choose_placement_resident`] with the residency read live from a
-/// session's cache.
-pub fn choose_placement_session(
-    sess: &DeviceSession<'_>,
-    d: &SsbData,
-    q: &StarQuery,
-    enc: &FactEncodings,
-    cpu: &CpuSpec,
-    pcie: &PcieSpec,
-) -> PlacementChoice {
-    let resident = sess.resident_bytes(&working_set_keys(d, q, enc));
-    let gpu = sess.spec().clone();
-    choose_placement_resident(d, q, enc, cpu, &gpu, pcie, resident)
-}
-
-fn choice_from(coprocessor_secs: f64, host_secs: f64) -> PlacementChoice {
-    PlacementChoice {
-        placement: if coprocessor_secs < host_secs {
-            Placement::Coprocessor
-        } else {
-            Placement::Host
-        },
-        coprocessor_secs,
-        host_secs,
-    }
-}
-
-/// Outcome of a placement-routed execution.
-pub struct PlacedRun {
-    pub choice: PlacementChoice,
-    pub result: QueryResult,
-    /// Present when the query actually ran in the coprocessor model.
-    pub copro: Option<CoproRun>,
-}
-
-/// Executes a query wherever [`choose_placement`] routes it: the morsel-
-/// driven CPU executor on the host, or the PCIe-shipped GPU path.
-pub fn execute_placed(
-    gpu: &mut Gpu,
-    pcie: &PcieSpec,
-    cpu: &CpuSpec,
-    d: &SsbData,
-    q: &StarQuery,
-    threads: usize,
-) -> PlacedRun {
-    let choice = choose_placement(d, q, cpu, pcie);
-    match choice.placement {
-        Placement::Host => {
-            let (result, _) = exec::execute(d, q, threads, PipelineMode::Vectorized);
-            PlacedRun {
-                choice,
-                result,
-                copro: None,
-            }
-        }
-        Placement::Coprocessor => match execute(gpu, pcie, d, q) {
-            Ok(run) => PlacedRun {
-                choice,
-                result: run.gpu_run.result.clone(),
-                copro: Some(run),
-            },
-            // The device cannot hold the working set: fall back to the
-            // host pipeline instead of aborting the query.
-            Err(_) => {
-                let (result, _) = exec::execute(d, q, threads, PipelineMode::Vectorized);
-                PlacedRun {
-                    choice,
-                    result,
-                    copro: None,
-                }
-            }
-        },
-    }
-}
-
-/// [`execute_placed`] over an encoded fact table: routes through
-/// [`choose_placement_encoded`] and executes wherever the
-/// compression-aware bounds point — the host's fused-unpack executor, or
-/// the packed-transfer GPU path.
-pub fn execute_placed_encoded(
-    gpu: &mut Gpu,
-    pcie: &PcieSpec,
-    cpu: &CpuSpec,
-    d: &SsbData,
-    fact: &EncodedFact,
-    q: &StarQuery,
-    threads: usize,
-) -> PlacedRun {
-    let choice = choose_placement_encoded(d, q, &fact.encodings(), cpu, pcie);
-    match choice.placement {
-        Placement::Host => {
-            let (result, _) = exec::execute_encoded(d, fact, q, threads, PipelineMode::Vectorized);
-            PlacedRun {
-                choice,
-                result,
-                copro: None,
-            }
-        }
-        Placement::Coprocessor => match execute_encoded(gpu, pcie, d, fact, q) {
-            Ok(run) => PlacedRun {
-                choice,
-                result: run.gpu_run.result.clone(),
-                copro: Some(run),
-            },
-            Err(_) => {
-                let (result, _) =
-                    exec::execute_encoded(d, fact, q, threads, PipelineMode::Vectorized);
-                PlacedRun {
-                    choice,
-                    result,
-                    copro: None,
-                }
-            }
-        },
-    }
-}
-
-/// The stream-serving entry point: routes through
-/// [`choose_placement_session`], so residency accrued by earlier queries
-/// in the session steers later ones. A cold session behaves exactly like
-/// [`execute_placed`]; once a query's columns are warm the routing flips
-/// to the coprocessor and the execution ships only the uncached bytes.
-pub fn execute_placed_session(
-    sess: &mut DeviceSession<'_>,
-    pcie: &PcieSpec,
-    cpu: &CpuSpec,
-    d: &SsbData,
-    q: &StarQuery,
-    threads: usize,
-) -> PlacedRun {
-    let choice = choose_placement_session(sess, d, q, &FactEncodings::plain(), cpu, pcie);
-    match choice.placement {
-        Placement::Host => {
-            let (result, _) = exec::execute(d, q, threads, PipelineMode::Vectorized);
-            PlacedRun {
-                choice,
-                result,
-                copro: None,
-            }
-        }
-        Placement::Coprocessor => match execute_session(sess, pcie, d, q) {
-            Ok(run) => PlacedRun {
-                choice,
-                result: run.gpu_run.result.clone(),
-                copro: Some(run),
-            },
-            Err(_) => {
-                let (result, _) = exec::execute(d, q, threads, PipelineMode::Vectorized);
-                PlacedRun {
-                    choice,
-                    result,
-                    copro: None,
-                }
-            }
-        },
-    }
-}
-
-/// The device cache keys for one shard of `q`'s working set — the
-/// shard-granular analogue of [`working_set_keys`], so the session's
-/// eviction policy arbitrates residency shard by shard.
-pub fn shard_working_set_keys(
-    d: &SsbData,
-    pf: &PartitionedFact,
-    shard: usize,
-    q: &StarQuery,
-) -> Vec<ColumnKey> {
-    let fact = pf.shard(shard).encoded();
-    q.fact_columns()
-        .iter()
-        .map(|c| gpu::shard_column_key(d, shard, *c, fact))
-        .collect()
-}
-
-/// Per-shard placement over a partitioned fact table: each live (unpruned)
-/// shard is routed independently through the residency-aware bound, so hot
-/// shards run on the device while cold ones stay on the host — the two
-/// sides proceed concurrently, which is what makes the split worthwhile.
-pub struct ShardedChoice {
-    /// Shards that survive zone-map pruning, ascending.
-    pub live: Vec<usize>,
-    /// Live shards the bound routes to the device.
-    pub device_shards: Vec<usize>,
-    /// Live shards the bound keeps on the host.
-    pub host_shards: Vec<usize>,
-    /// Modeled device-side seconds across `device_shards`.
-    pub device_secs: f64,
-    /// Modeled host-side seconds across `host_shards`.
-    pub host_secs: f64,
-    /// Total device bound had every live shard run on the device — the
-    /// whole-query coprocessor alternative a scheduler compares against.
-    pub device_only_secs: f64,
-    /// Total host bound had every live shard run on the host.
-    pub host_only_secs: f64,
-}
-
-impl ShardedChoice {
-    /// The hybrid completion time: both sides run concurrently, so the
-    /// query finishes when the slower side does.
-    pub fn hybrid_secs(&self) -> f64 {
-        self.device_secs.max(self.host_secs)
-    }
-}
-
-/// Routes each live shard of `pf` to device or host by the same
-/// residency-aware Section 3.1 bound that [`choose_placement_session`]
-/// applies to the whole table — evaluated per shard, with residency read
-/// live from the session's cache under the shard-granular keys.
-pub fn choose_placement_sharded(
-    sess: &DeviceSession<'_>,
-    d: &SsbData,
-    pf: &PartitionedFact,
-    q: &StarQuery,
-    cpu: &CpuSpec,
-    pcie: &PcieSpec,
-) -> ShardedChoice {
-    let live = pf.live_shards(q);
-    let cols = q.fact_columns();
-    let params: Vec<ShardParams> = live
-        .iter()
-        .map(|&s| {
-            let shard = pf.shard(s);
-            ShardParams {
-                packed_bytes: shard.columns_bytes(&cols),
-                resident_bytes: sess.resident_bytes(&shard_working_set_keys(d, pf, s, q)),
-                packed_values: shard.packed_values(&cols),
-            }
-        })
-        .collect();
-    let gpu_spec = sess.spec().clone();
-    let split = hybrid_shard_split(&params, cpu, &gpu_spec, pcie);
-    ShardedChoice {
-        device_shards: split.device_shards.iter().map(|&i| live[i]).collect(),
-        host_shards: split.host_shards.iter().map(|&i| live[i]).collect(),
-        device_secs: split.device_secs,
-        host_secs: split.host_secs,
-        device_only_secs: split.device_only_secs,
-        host_only_secs: split.host_only_secs,
-        live,
-    }
-}
-
-/// Outcome of a hybrid sharded execution.
-pub struct ShardedPlacedRun {
-    pub choice: ShardedChoice,
-    pub result: QueryResult,
-    /// Bytes the device side actually shipped over PCIe.
-    pub shipped_bytes: usize,
-    /// Shards that completed on the device (OOM shards fall back to host).
-    pub device_shards_run: usize,
-    /// Fact rows scanned after pruning, across both sides.
-    pub scanned_rows: usize,
-}
-
-/// Executes `q` over the partitioned fact table with per-shard placement:
-/// device-routed shards run through the session (and fall back to the
-/// host individually on OOM), host-routed shards run through the morsel
-/// executor, and the two partial aggregates merge — aggregation is
-/// commutative addition, so the merged result is byte-identical to the
-/// unsharded pipeline's.
-pub fn execute_placed_sharded(
-    sess: &mut DeviceSession<'_>,
-    pcie: &PcieSpec,
-    cpu: &CpuSpec,
-    d: &SsbData,
-    pf: &PartitionedFact,
-    q: &StarQuery,
-) -> ShardedPlacedRun {
-    let choice = choose_placement_sharded(sess, d, pf, q, cpu, pcie);
-    let before = sess.stats().clone();
-    let mut agg = vec![0i64; q.group_domain()];
-    let mut scanned_rows = 0usize;
-    let mut device_shards_run = 0usize;
-    let mut host_ids = choice.host_shards.clone();
-    for &s in &choice.device_shards {
-        match run_device_shard(sess, d, pf, s, q) {
-            Ok((shard_agg, rows)) => {
-                for (a, b) in agg.iter_mut().zip(shard_agg) {
-                    *a += b;
-                }
-                scanned_rows += rows;
-                device_shards_run += 1;
-            }
-            // This shard's working set does not fit alongside what the
-            // session already holds: run it on the host instead.
-            Err(_) => host_ids.push(s),
-        }
-    }
-    host_ids.sort_unstable();
-    if !host_ids.is_empty() {
-        let mut job =
-            PartitionedHostJob::with_shards(d, pf, q, &host_ids, PipelineMode::Vectorized);
-        while !job.step(usize::MAX) {}
-        scanned_rows += job.rows_scanned();
-        for (a, b) in agg.iter_mut().zip(job.into_agg()) {
-            *a += b;
-        }
-    }
-    ShardedPlacedRun {
-        choice,
-        result: groups_to_result(q, &agg),
-        shipped_bytes: sess.stats().uploaded_since(&before),
-        device_shards_run,
-        scanned_rows,
-    }
-}
-
-/// Runs one shard to completion on the device, returning its partial
-/// aggregate and scanned row count. A [`SessionOom`] at admission leaves
-/// the session clean; once admitted a shard always completes.
-fn run_device_shard(
-    sess: &mut DeviceSession<'_>,
-    d: &SsbData,
-    pf: &PartitionedFact,
-    shard: usize,
-    q: &StarQuery,
-) -> Result<(Vec<i64>, usize), SessionOom> {
-    let rows = pf.shard(shard).rows();
-    let mut job = DeviceQueryJob::admit_shard(sess, d, pf, shard, q)?;
-    while !job.step(sess, usize::MAX) {}
-    let partial = job.into_partial(sess);
-    Ok((partial.agg, rows))
-}
-
-/// The [`crystal_models::calibration::EncodingClass`] of `q`'s referenced
-/// fact columns under `enc`: `Packed` as soon as any referenced column is
-/// bit-packed (that is when the host's unpack term and the compressed
-/// transfer bound deviate from the plain constants).
-pub fn query_encoding_class(d: &SsbData, q: &StarQuery, enc: &FactEncodings) -> EncodingClass {
-    if enc.packed_values(d.lineorder.rows(), &q.fact_columns()) > 0 {
-        EncodingClass::Packed
-    } else {
-        EncodingClass::Plain
-    }
-}
-
 /// A placement decision with its full provenance, so misroutes are
 /// debuggable instead of silent: the side chosen, the (possibly blended)
 /// seconds predicted for each side, whether measured history contributed,
-/// and how many observations backed it. Static decisions carry
+/// and how many observations backed it. Uncalibrated decisions carry
 /// `source = Static, samples = 0`.
 #[derive(Debug, Clone, Copy)]
 pub struct PlacementDecision {
@@ -632,13 +263,53 @@ impl PlacementDecision {
     }
 }
 
-/// [`choose_placement_resident`] through the calibration store: the same
-/// fused residency-aware bounds, with each cost component scaled by its
-/// key's blended observed/predicted factor. A cold store reproduces the
-/// static decision (and both bounds) bit for bit.
+/// Routes a query through the `crystal-models` Section 3.1 / 6 bounds on
+/// a cold device: the coprocessor can never finish before its PCIe
+/// transfer (`bytes / B_pcie`), while the host CPU is bounded below by
+/// streaming the same columns from DRAM (`bytes / B_cpu`). Since PCIe
+/// bandwidth is far below DRAM bandwidth, the model routes every star
+/// query over *plain* data to the host — which is exactly the paper's
+/// conclusion ("a GPU-based system fully utilizing the CPU will always be
+/// superior to a coprocessor design"); the decision is computed, not
+/// hard-coded, so a future interconnect spec (e.g. NVLink-class
+/// `PcieSpec`) can flip it. So can compression: the transfer ships each
+/// referenced column at its *encoded* size under `enc`, so the
+/// coprocessor bound drops by the compression ratio while the host's scan
+/// bound gains a scalar-unpack compute term
+/// (`crystal_models::ssb::compressed_coprocessor_bounds`) — past the
+/// modeled flip ratio (~1.6 on the Table-2 pairing) GPU placement wins on
+/// packed data over the very PCIe link that loses on plain data. Device
+/// residency is the third lever ([`choose_placement_resident`]).
+pub fn choose_placement(
+    d: &SsbData,
+    q: &StarQuery,
+    enc: &FactEncodings,
+    cpu: &CpuSpec,
+    pcie: &PcieSpec,
+) -> PlacementChoice {
+    let (_, cost) = table_cost(d, q, enc);
+    let (coprocessor_secs, host_secs) =
+        compressed_coprocessor_bounds(cost.packed_bytes, cost.packed_values, cpu, pcie);
+    PlacementChoice {
+        placement: Placement::cheaper(coprocessor_secs, host_secs),
+        coprocessor_secs,
+        host_secs,
+    }
+}
+
+/// The residency-aware routing: `resident_bytes` of the query's working
+/// set are already device-cached, so the Section 3.1 transfer term drops
+/// to the uncached fraction (floored by the device's own memory scan).
+/// Once the working set is warm this flips Host → Coprocessor even on
+/// PCIe Gen3 and *plain* data — the paper's data-resident regime, derived
+/// from the same cost model that rejects the cold coprocessor.
+///
+/// With a `store`, each cost component is scaled by its key's blended
+/// observed/predicted factor and the decision reports the history behind
+/// it; `None` and a cold store both evaluate the static bound.
 #[allow(clippy::too_many_arguments)]
-pub fn choose_placement_calibrated(
-    store: &CalibrationStore,
+pub fn choose_placement_resident(
+    store: Option<&CalibrationStore>,
     d: &SsbData,
     q: &StarQuery,
     enc: &FactEncodings,
@@ -647,80 +318,154 @@ pub fn choose_placement_calibrated(
     pcie: &PcieSpec,
     resident_bytes: usize,
 ) -> PlacementDecision {
-    let rows = d.lineorder.rows();
-    let cols = q.fact_columns();
-    let p = BlendParams {
-        packed_bytes: enc.columns_bytes(rows, &cols),
-        resident_bytes,
-        packed_values: enc.packed_values(rows, &cols),
-        rows,
-        enc: query_encoding_class(d, q, enc),
-        sharded: false,
-    };
-    // Mirrors `choose_placement_resident`'s fused bound exactly (same
-    // fact_scale convention), so factor-1.0 keys change nothing.
+    let (rows, mut cost) = table_cost(d, q, enc);
+    cost.resident_bytes = resident_bytes;
+    // The whole star query is one fused megakernel, so the device side
+    // carries exactly one launch of overhead. On a sampled proxy table
+    // the fixed launch term scales with the proxy fraction, mirroring
+    // `sim_secs_scaled` so the routing stays faithful to the full-scale
+    // comparison. The launch term stays analytic under calibration — it
+    // is a fixed per-dispatch constant far below the noise floor of
+    // per-query timing, and folding it into the kernel key would let a
+    // few launch-dominated small queries corrupt the bandwidth estimate.
     let fact_scale = rows as f64 / (6_000_000 * d.sf) as f64;
-    let b = blended_fused_bounds(
-        store,
-        &p,
-        q.joins.len(),
-        true,
-        fact_scale.min(1.0),
-        cpu,
-        gpu,
-        pcie,
-    );
+    cost.launch_secs =
+        fact_scale.min(1.0) * launch_overhead_secs(gpu, star_query_launches(q.joins.len(), true));
+    let blend = blend_for(store, &cost, rows, false);
+    cost.factors = blend.factors;
+    let (device_secs, host_secs) = resident_coprocessor_bounds(&cost, cpu, gpu, pcie);
     PlacementDecision {
-        placement: if b.device_secs < b.host_secs {
-            Placement::Coprocessor
-        } else {
-            Placement::Host
-        },
-        device_secs: b.device_secs,
-        host_secs: b.host_secs,
-        source: b.source,
-        samples: b.samples,
+        placement: Placement::cheaper(device_secs, host_secs),
+        device_secs,
+        host_secs,
+        source: blend.source,
+        samples: blend.samples,
     }
 }
 
-/// [`choose_placement_calibrated`] with the residency read live from a
-/// session's cache. Unlike [`choose_placement_session`], the model's
-/// `gpu` spec is passed explicitly rather than taken from the session:
-/// the whole point of calibration is that the hardware the session
-/// actually simulates may deviate from the spec sheet the prior believes.
-#[allow(clippy::too_many_arguments)]
-pub fn choose_placement_calibrated_session(
-    store: &CalibrationStore,
+/// The static [`choose_placement_resident`] with the residency read live
+/// from a session's cache and the device spec taken from the session.
+/// (A calibrated caller passes its *model* profile's spec explicitly
+/// instead: the whole point of calibration is that the hardware the
+/// session actually simulates may deviate from the spec sheet the prior
+/// believes.)
+pub fn choose_placement_session(
     sess: &DeviceSession<'_>,
     d: &SsbData,
     q: &StarQuery,
     enc: &FactEncodings,
     cpu: &CpuSpec,
-    gpu: &GpuSpec,
     pcie: &PcieSpec,
-) -> PlacementDecision {
+) -> PlacementChoice {
     let resident = sess.resident_bytes(&working_set_keys(d, q, enc));
-    choose_placement_calibrated(store, d, q, enc, cpu, gpu, pcie, resident)
+    choose_placement_resident(None, d, q, enc, cpu, sess.spec(), pcie, resident).choice()
 }
 
-/// A sharded placement with calibration provenance.
-pub struct CalibratedShardedChoice {
-    /// The per-shard split (same shape as [`choose_placement_sharded`]).
-    pub choice: ShardedChoice,
+/// Outcome of a placement-routed execution.
+pub struct PlacedRun {
+    pub choice: PlacementChoice,
+    pub result: QueryResult,
+    /// Present when the query actually ran in the coprocessor model.
+    pub copro: Option<CoproRun>,
+}
+
+/// Executes a query wherever [`choose_placement_session`] routes it: the
+/// morsel-driven CPU executor on the host, or the PCIe-shipped GPU path
+/// through `sess` — over plain storage, or over `fact`'s encodings (the
+/// host's fused-unpack executor vs the packed-transfer GPU path).
+/// Residency accrued by earlier queries in the session steers later
+/// ones: cold, the routing is the paper's transfer-bound comparison;
+/// once a query's columns are warm it flips to the coprocessor and the
+/// execution ships only the uncached bytes. A device that cannot hold
+/// the working set falls back to the host pipeline instead of aborting
+/// the query.
+pub fn execute_placed(
+    sess: &mut DeviceSession<'_>,
+    pcie: &PcieSpec,
+    cpu: &CpuSpec,
+    d: &SsbData,
+    fact: Option<&EncodedFact>,
+    q: &StarQuery,
+    threads: usize,
+) -> PlacedRun {
+    let enc = fact.map_or_else(FactEncodings::plain, EncodedFact::encodings);
+    let choice = choose_placement_session(sess, d, q, &enc, cpu, pcie);
+    let copro = match choice.placement {
+        Placement::Coprocessor => execute_session(sess, pcie, d, fact, q).ok(),
+        Placement::Host => None,
+    };
+    let result = match (&copro, fact) {
+        (Some(run), _) => run.gpu_run.result.clone(),
+        (None, None) => exec::execute(d, q, threads, PipelineMode::Vectorized).0,
+        (None, Some(fact)) => {
+            exec::execute_encoded(d, fact, q, threads, PipelineMode::Vectorized).0
+        }
+    };
+    PlacedRun {
+        choice,
+        result,
+        copro,
+    }
+}
+
+/// Per-shard placement over a partitioned fact table: each live (unpruned)
+/// shard is routed independently through the residency-aware bound, so hot
+/// shards run on the device while cold ones stay on the host — the two
+/// sides proceed concurrently, which is what makes the split worthwhile.
+pub struct ShardedChoice {
+    /// Shards that survive zone-map pruning, ascending.
+    pub live: Vec<usize>,
+    /// Live shards the bound routes to the device.
+    pub device_shards: Vec<usize>,
+    /// Live shards the bound keeps on the host.
+    pub host_shards: Vec<usize>,
+    /// Modeled device-side seconds across `device_shards`.
+    pub device_secs: f64,
+    /// Modeled host-side seconds across `host_shards`.
+    pub host_secs: f64,
+    /// Total device bound had every live shard run on the device — the
+    /// whole-query coprocessor alternative a scheduler compares against.
+    pub device_only_secs: f64,
+    /// Total host bound had every live shard run on the host.
+    pub host_only_secs: f64,
     /// Whether any shard's bounds drew on measured history.
     pub source: BoundsSource,
     /// Total observations backing the consulted shard keys.
     pub samples: u64,
 }
 
-/// [`choose_placement_sharded`] through the calibration store: each live
-/// shard is priced by the blended residency-aware bounds under its own
-/// shard-granular key (cardinality band of the *shard's* rows,
-/// `sharded = true`, so whole-table history never aliases in). A cold
-/// store reproduces the static split bit for bit.
+impl ShardedChoice {
+    /// The hybrid completion time: both sides run concurrently, so the
+    /// query finishes when the slower side does.
+    pub fn hybrid_secs(&self) -> f64 {
+        self.device_secs.max(self.host_secs)
+    }
+
+    /// The whole-query summary of the split: the two all-on-one-side
+    /// totals, compared the way a scheduler that places whole queries
+    /// compares them.
+    pub fn decision(&self) -> PlacementDecision {
+        PlacementDecision {
+            placement: Placement::cheaper(self.device_only_secs, self.host_only_secs),
+            device_secs: self.device_only_secs,
+            host_secs: self.host_only_secs,
+            source: self.source,
+            samples: self.samples,
+        }
+    }
+}
+
+/// Routes each live shard of `pf` to device or host by the same
+/// residency-aware bound [`choose_placement_resident`] applies to the
+/// whole table — evaluated per shard, with residency read live from the
+/// session's cache under the shard-granular keys, and no launch term
+/// (the launch is paid once per query, whichever shards it covers). With
+/// a `store`, each shard is priced under its own shard-granular
+/// calibration key (cardinality band of the *shard's* rows, `sharded =
+/// true`, so whole-table history never aliases in).
 #[allow(clippy::too_many_arguments)]
-pub fn choose_placement_calibrated_sharded(
-    store: &CalibrationStore,
+pub fn choose_placement_sharded(
+    store: Option<&CalibrationStore>,
     sess: &DeviceSession<'_>,
     d: &SsbData,
     pf: &PartitionedFact,
@@ -728,121 +473,179 @@ pub fn choose_placement_calibrated_sharded(
     cpu: &CpuSpec,
     gpu: &GpuSpec,
     pcie: &PcieSpec,
-) -> CalibratedShardedChoice {
+) -> ShardedChoice {
     let live = pf.live_shards(q);
     let cols = q.fact_columns();
-    let params: Vec<BlendParams> = live
+    let (mut source, mut samples) = (BoundsSource::Static, 0);
+    let costs: Vec<ScanCost> = live
         .iter()
         .map(|&s| {
-            let shard = pf.shard(s);
-            BlendParams {
-                packed_bytes: shard.columns_bytes(&cols),
-                resident_bytes: sess.resident_bytes(&shard_working_set_keys(d, pf, s, q)),
-                packed_values: shard.packed_values(&cols),
-                rows: shard.rows(),
-                enc: if shard.packed_values(&cols) > 0 {
-                    EncodingClass::Packed
-                } else {
-                    EncodingClass::Plain
-                },
-                sharded: true,
+            let (rows, mut cost) = shard_cost(pf.shard(s), &cols);
+            cost.resident_bytes = sess.resident_bytes(&shard_working_set_keys(d, pf, s, q));
+            let blend = blend_for(store, &cost, rows, true);
+            if blend.source == BoundsSource::Blended {
+                source = BoundsSource::Blended;
             }
+            samples += blend.samples;
+            cost.factors = blend.factors;
+            cost
         })
         .collect();
-    let (split, source, samples) = blended_shard_split(store, &params, cpu, gpu, pcie);
-    CalibratedShardedChoice {
-        choice: ShardedChoice {
-            device_shards: split.device_shards.iter().map(|&i| live[i]).collect(),
-            host_shards: split.host_shards.iter().map(|&i| live[i]).collect(),
-            device_secs: split.device_secs,
-            host_secs: split.host_secs,
-            device_only_secs: split.device_only_secs,
-            host_only_secs: split.host_only_secs,
-            live,
-        },
+    let split = hybrid_shard_split(&costs, cpu, gpu, pcie);
+    ShardedChoice {
+        device_shards: split.device_shards.iter().map(|&i| live[i]).collect(),
+        host_shards: split.host_shards.iter().map(|&i| live[i]).collect(),
+        device_secs: split.device_secs,
+        host_secs: split.host_secs,
+        device_only_secs: split.device_only_secs,
+        host_only_secs: split.host_only_secs,
         source,
         samples,
+        live,
     }
+}
+
+/// Outcome of a hybrid sharded execution.
+pub struct ShardedPlacedRun {
+    pub choice: ShardedChoice,
+    pub result: QueryResult,
+    /// Bytes the device side actually shipped over PCIe.
+    pub shipped_bytes: usize,
+    /// Shards that completed on the device (OOM shards fall back to host).
+    pub device_shards_run: usize,
+    /// Fact rows scanned after pruning, across both sides.
+    pub scanned_rows: usize,
+}
+
+/// Executes `q` over the partitioned fact table with per-shard placement:
+/// device-routed shards run through the session (and fall back to the
+/// host individually on OOM), host-routed shards run through the morsel
+/// executor, and the two partial aggregates merge — aggregation is
+/// commutative addition, so the merged result is byte-identical to the
+/// unsharded pipeline's.
+pub fn execute_placed_sharded(
+    sess: &mut DeviceSession<'_>,
+    pcie: &PcieSpec,
+    cpu: &CpuSpec,
+    d: &SsbData,
+    pf: &PartitionedFact,
+    q: &StarQuery,
+) -> ShardedPlacedRun {
+    let choice = choose_placement_sharded(None, sess, d, pf, q, cpu, sess.spec(), pcie);
+    let before = sess.stats().clone();
+    let mut agg = vec![0i64; q.group_domain()];
+    let mut scanned_rows = 0usize;
+    let mut device_shards_run = 0usize;
+    let mut host_ids = choice.host_shards.clone();
+    for &s in &choice.device_shards {
+        match run_device_shard(sess, d, pf, s, q) {
+            Ok((shard_agg, rows)) => {
+                for (a, b) in agg.iter_mut().zip(shard_agg) {
+                    *a += b;
+                }
+                scanned_rows += rows;
+                device_shards_run += 1;
+            }
+            // This shard's working set does not fit alongside what the
+            // session already holds: run it on the host instead.
+            Err(_) => host_ids.push(s),
+        }
+    }
+    host_ids.sort_unstable();
+    if !host_ids.is_empty() {
+        let mut job = HostQueryJob::with_shards(d, pf, q, &host_ids, PipelineMode::Vectorized);
+        while !job.step(usize::MAX) {}
+        scanned_rows += job.rows_scanned();
+        for (a, b) in agg.iter_mut().zip(job.into_agg()) {
+            *a += b;
+        }
+    }
+    ShardedPlacedRun {
+        choice,
+        result: groups_to_result(q, &agg),
+        shipped_bytes: sess.stats().uploaded_since(&before),
+        device_shards_run,
+        scanned_rows,
+    }
+}
+
+/// Runs one shard to completion on the device, returning its partial
+/// aggregate and scanned row count. A [`SessionOom`] at admission leaves
+/// the session clean; once admitted a shard always completes.
+fn run_device_shard(
+    sess: &mut DeviceSession<'_>,
+    d: &SsbData,
+    pf: &PartitionedFact,
+    shard: usize,
+    q: &StarQuery,
+) -> Result<(Vec<i64>, usize), SessionOom> {
+    let rows = pf.shard(shard).rows();
+    let mut job = DeviceQueryJob::admit_shard(sess, d, pf, shard, q)?;
+    while !job.step(sess, usize::MAX) {}
+    let partial = job.into_partial(sess);
+    Ok((partial.agg, rows))
+}
+
+/// What one executed query measured, for the calibration loop: the bytes
+/// its session really uploaded (zero for a warm hit, which then carries
+/// no transfer information), the serialized PCIe seconds they took, and
+/// the seconds of the side it actually ran on.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Measured {
+    pub shipped_bytes: usize,
+    pub transfer_secs: f64,
+    /// Device kernel seconds (`None` for a host run).
+    pub kernel_secs: Option<f64>,
+    /// Host seconds (`None` for a device run).
+    pub host_secs: Option<f64>,
 }
 
 /// Records one executed query's measured component seconds into the
 /// store, against what the static model on the `model` (spec-sheet)
-/// profile predicted. `kernel_secs`/`host_secs` follow the side the
-/// query actually ran on; `shipped_bytes` is what the session really
-/// uploaded (zero for a warm hit, which then carries no transfer
-/// information).
-#[allow(clippy::too_many_arguments)]
-pub fn record_query_observation(
+/// profile predicted. A whole-table run (`pf = None`) is keyed under the
+/// table's rows and `enc`. A sharded run is one observation aggregated
+/// over `q`'s live shards under their own encodings (`enc` is not
+/// consulted), keyed under the mean live shard's cardinality band with
+/// `sharded = true` — shards are equal-range slices of the fact table,
+/// so the mean band is the band the split consults at decision time; a
+/// fully pruned query records nothing.
+pub fn record_observation(
     store: &mut CalibrationStore,
     model: &HardwareProfile,
     d: &SsbData,
+    pf: Option<&PartitionedFact>,
     q: &StarQuery,
     enc: &FactEncodings,
-    shipped_bytes: usize,
-    transfer_secs: f64,
-    kernel_secs: Option<f64>,
-    host_secs: Option<f64>,
+    m: &Measured,
 ) {
-    let rows = d.lineorder.rows();
-    let cols = q.fact_columns();
+    let (rows, cost) = match pf {
+        None => table_cost(d, q, enc),
+        Some(pf) => {
+            let live = pf.live_shards(q);
+            if live.is_empty() {
+                return;
+            }
+            let cols = q.fact_columns();
+            let (mut rows, mut total) = (0usize, ScanCost::default());
+            for &s in &live {
+                let (shard_rows, cost) = shard_cost(pf.shard(s), &cols);
+                rows += shard_rows;
+                total.packed_bytes += cost.packed_bytes;
+                total.packed_values += cost.packed_values;
+            }
+            (rows / live.len(), total)
+        }
+    };
     let obs = Observation {
         rows,
-        enc: query_encoding_class(d, q, enc),
-        sharded: false,
-        packed_bytes: enc.columns_bytes(rows, &cols),
-        packed_values: enc.packed_values(rows, &cols),
-        shipped_bytes,
-        transfer_secs,
-        kernel_secs,
-        host_secs,
-    };
-    store.record(&obs, &model.cpu, &model.gpu, &model.pcie);
-}
-
-/// The shard-granular analogue of [`record_query_observation`]: one
-/// observation aggregated over `q`'s live shards, keyed under the mean
-/// live shard's cardinality band with `sharded = true`. Shards are
-/// equal-range slices of the fact table, so the mean band is the band
-/// the split consults at decision time.
-#[allow(clippy::too_many_arguments)]
-pub fn record_sharded_observation(
-    store: &mut CalibrationStore,
-    model: &HardwareProfile,
-    pf: &PartitionedFact,
-    q: &StarQuery,
-    shipped_bytes: usize,
-    transfer_secs: f64,
-    kernel_secs: Option<f64>,
-    host_secs: Option<f64>,
-) {
-    let live = pf.live_shards(q);
-    if live.is_empty() {
-        return;
-    }
-    let cols = q.fact_columns();
-    let mut rows = 0usize;
-    let mut packed_bytes = 0usize;
-    let mut packed_values = 0usize;
-    for &s in &live {
-        let shard = pf.shard(s);
-        rows += shard.rows();
-        packed_bytes += shard.columns_bytes(&cols);
-        packed_values += shard.packed_values(&cols);
-    }
-    let obs = Observation {
-        rows: rows / live.len(),
-        enc: if packed_values > 0 {
-            EncodingClass::Packed
-        } else {
-            EncodingClass::Plain
-        },
-        sharded: true,
-        packed_bytes,
-        packed_values,
-        shipped_bytes,
-        transfer_secs,
-        kernel_secs,
-        host_secs,
+        enc: encoding_class(&cost),
+        sharded: pf.is_some(),
+        packed_bytes: cost.packed_bytes,
+        packed_values: cost.packed_values,
+        shipped_bytes: m.shipped_bytes,
+        transfer_secs: m.transfer_secs,
+        kernel_secs: m.kernel_secs,
+        host_secs: m.host_secs,
     };
     store.record(&obs, &model.cpu, &model.gpu, &model.pcie);
 }
@@ -874,8 +677,9 @@ mod tests {
         let d = SsbData::generate_scaled(1, 0.002, 7);
         let cpu = intel_i7_6900();
         let pcie = pcie_gen3();
+        let plain = FactEncodings::plain();
         for q in all_queries(&d) {
-            let c = choose_placement(&d, &q, &cpu, &pcie);
+            let c = choose_placement(&d, &q, &plain, &cpu, &pcie);
             assert_eq!(c.placement, Placement::Host, "{}", q.name);
             assert!(c.coprocessor_secs > c.host_secs, "{}", q.name);
         }
@@ -894,16 +698,17 @@ mod tests {
         let enc = FactEncodings::packed_min(&d);
         let q = query(&d, QueryId::new(1, 1));
 
-        let plain = choose_placement(&d, &q, &cpu, &pcie);
+        let plain = choose_placement(&d, &q, &FactEncodings::plain(), &cpu, &pcie);
         assert_eq!(plain.placement, Placement::Host);
-        let packed = choose_placement_encoded(&d, &q, &enc, &cpu, &pcie);
+        let packed = choose_placement(&d, &q, &enc, &cpu, &pcie);
         assert_eq!(packed.placement, Placement::Coprocessor);
         // The packed transfer bound is below the plain one by the ratio.
         assert!(packed.coprocessor_secs < plain.coprocessor_secs / 1.5);
 
         let fact = EncodedFact::encode(&d, &enc);
         let mut gpu = Gpu::new(nvidia_v100());
-        let run = execute_placed_encoded(&mut gpu, &pcie, &cpu, &d, &fact, &q, 4);
+        let mut sess = DeviceSession::new(&mut gpu);
+        let run = execute_placed(&mut sess, &pcie, &cpu, &d, Some(&fact), &q, 4);
         assert_eq!(run.choice.placement, Placement::Coprocessor);
         let copro = run.copro.expect("coprocessor run");
         assert_eq!(
@@ -931,7 +736,7 @@ mod tests {
         spec.mem_capacity = 8 * 1024; // not even one fact column fits
         let mut gpu = Gpu::new(spec);
         let mut sess = DeviceSession::new(&mut gpu);
-        let run = execute_placed_session(&mut sess, &link, &cpu, &d, &q, 4);
+        let run = execute_placed(&mut sess, &link, &cpu, &d, None, &q, 4);
         assert_eq!(run.choice.placement, Placement::Coprocessor);
         assert!(run.copro.is_none(), "device admission must have failed");
         assert_eq!(run.result, expected, "host fallback diverged");
@@ -956,19 +761,19 @@ mod tests {
         // Cold: the session holds nothing, so the routing is the paper's
         // Host conclusion and the query runs on the CPU (no residency is
         // accrued by a host run).
-        let cold = execute_placed_session(&mut sess, &pcie, &cpu, &d, &q, 4);
+        let cold = execute_placed(&mut sess, &pcie, &cpu, &d, None, &q, 4);
         assert_eq!(cold.choice.placement, Placement::Host);
         assert_eq!(cold.result, expected);
 
         // Warm the working set (e.g. an operator pinned the stream's hot
         // columns, or a forced device run shipped them once).
-        let warm_run = execute_session(&mut sess, &pcie, &d, &q).unwrap();
+        let warm_run = execute_session(&mut sess, &pcie, &d, None, &q).unwrap();
         assert_eq!(warm_run.gpu_run.result, expected);
         assert!(warm_run.shipped_bytes > 0);
 
         // Warm: the same cost model now routes to the coprocessor, the
         // execution ships nothing, and the result is still the oracle's.
-        let warm = execute_placed_session(&mut sess, &pcie, &cpu, &d, &q, 4);
+        let warm = execute_placed(&mut sess, &pcie, &cpu, &d, None, &q, 4);
         assert_eq!(warm.choice.placement, Placement::Coprocessor);
         assert!(warm.choice.coprocessor_secs < warm.choice.host_secs);
         let copro = warm.copro.expect("coprocessor run");
@@ -989,7 +794,7 @@ mod tests {
         let mut fast = pcie_gen3();
         fast.bandwidth = cpu.read_bw * 4.0;
         let q = query(&d, QueryId::new(1, 1));
-        let c = choose_placement(&d, &q, &cpu, &fast);
+        let c = choose_placement(&d, &q, &FactEncodings::plain(), &cpu, &fast);
         assert_eq!(c.placement, Placement::Coprocessor);
     }
 
@@ -1011,7 +816,7 @@ mod tests {
 
         // Cold: nothing resident, so every live shard routes to the host
         // — the whole-table Gen3 conclusion, reproduced shard-wise.
-        let cold = choose_placement_sharded(&sess, &d, &pf, &q, &cpu, &pcie);
+        let cold = choose_placement_sharded(None, &sess, &d, &pf, &q, &cpu, sess.spec(), &pcie);
         assert_eq!(cold.live.len(), pf.shard_count());
         assert!(cold.device_shards.is_empty());
         assert_eq!(cold.host_shards, cold.live);
@@ -1023,7 +828,7 @@ mod tests {
 
         // Warm: exactly the warmed shards flip to the device, and the
         // hybrid (concurrent max) beats running everything on the host.
-        let warm = choose_placement_sharded(&sess, &d, &pf, &q, &cpu, &pcie);
+        let warm = choose_placement_sharded(None, &sess, &d, &pf, &q, &cpu, sess.spec(), &pcie);
         assert_eq!(warm.device_shards, vec![0, 2]);
         assert_eq!(warm.host_shards, vec![1, 3]);
         assert!(warm.hybrid_secs() < cold.host_secs);
@@ -1049,7 +854,7 @@ mod tests {
 
         let mut gpu = Gpu::new(nvidia_v100());
         let mut sess = DeviceSession::new(&mut gpu);
-        let choice = choose_placement_sharded(&sess, &d, &pf, &q, &cpu, &pcie);
+        let choice = choose_placement_sharded(None, &sess, &d, &pf, &q, &cpu, sess.spec(), &pcie);
         assert!(
             choice.live.len() < pf.shard_count(),
             "a one-year predicate must prune some of 8 shards over 7 years"
@@ -1099,7 +904,7 @@ mod tests {
 
         // The model sees shard 0 fully resident and routes it to the
         // device; execution discovers the working set no longer fits.
-        let choice = choose_placement_sharded(&sess, &d, &pf, &q, &cpu, &pcie);
+        let choice = choose_placement_sharded(None, &sess, &d, &pf, &q, &cpu, sess.spec(), &pcie);
         assert_eq!(choice.device_shards, vec![0]);
 
         let evictions_before = sess.stats().evictions;
@@ -1113,9 +918,9 @@ mod tests {
         assert_eq!(sess.stats().evictions, evictions_before);
     }
 
-    /// A cold calibration store reproduces every static
-    /// `choose_placement_resident` decision — and both bounds — bit for
-    /// bit, across all queries, encodings, and residency levels.
+    /// No store and a cold store are the same evaluation: every decision
+    /// — and both bounds — agree bit for bit, across all queries,
+    /// encodings, and residency levels, whole-table and per shard.
     #[test]
     fn cold_store_reproduces_static_placement_bit_for_bit() {
         let d = SsbData::generate_scaled(1, 0.004, 11);
@@ -1127,63 +932,39 @@ mod tests {
             for q in all_queries(&d) {
                 let ws = enc.columns_bytes(d.lineorder.rows(), &q.fact_columns());
                 for resident in [0, ws / 2, ws] {
-                    let stat = choose_placement_resident(&d, &q, &enc, &cpu, &gpu, &pcie, resident);
-                    let cal = choose_placement_calibrated(
-                        &store, &d, &q, &enc, &cpu, &gpu, &pcie, resident,
-                    );
+                    let place = |store| {
+                        choose_placement_resident(store, &d, &q, &enc, &cpu, &gpu, &pcie, resident)
+                    };
+                    let (stat, cal) = (place(None), place(Some(&store)));
                     assert_eq!(cal.placement, stat.placement, "{}", q.name);
-                    assert_eq!(
-                        cal.device_secs.to_bits(),
-                        stat.coprocessor_secs.to_bits(),
-                        "{}",
-                        q.name
-                    );
-                    assert_eq!(
-                        cal.host_secs.to_bits(),
-                        stat.host_secs.to_bits(),
-                        "{}",
-                        q.name
-                    );
-                    assert_eq!(cal.source, BoundsSource::Static);
-                    assert_eq!(cal.samples, 0);
+                    assert_eq!(cal.device_secs.to_bits(), stat.device_secs.to_bits());
+                    assert_eq!(cal.host_secs.to_bits(), stat.host_secs.to_bits());
+                    assert_eq!((cal.source, cal.samples), (BoundsSource::Static, 0));
                 }
             }
         }
-    }
 
-    /// A cold store reproduces the static *sharded* split bit for bit.
-    #[test]
-    fn cold_store_reproduces_static_sharded_split() {
-        let d = SsbData::generate_scaled(1, 0.004, 11);
-        let cpu = intel_i7_6900();
-        let pcie = pcie_gen3();
         let pf = PartitionedFact::partition(&d, 4, &FactEncodings::plain());
         let q = query(&d, QueryId::new(2, 1));
-        let mut gpu = Gpu::new(nvidia_v100());
-        let mut sess = DeviceSession::new(&mut gpu);
+        let mut device = Gpu::new(nvidia_v100());
+        let mut sess = DeviceSession::new(&mut device);
         for s in [0usize, 2] {
             run_device_shard(&mut sess, &d, &pf, s, &q).unwrap();
         }
-        let store = CalibrationStore::new();
-        let gpu_spec = sess.spec().clone();
-        let stat = choose_placement_sharded(&sess, &d, &pf, &q, &cpu, &pcie);
-        let cal =
-            choose_placement_calibrated_sharded(&store, &sess, &d, &pf, &q, &cpu, &gpu_spec, &pcie);
-        assert_eq!(cal.choice.live, stat.live);
-        assert_eq!(cal.choice.device_shards, stat.device_shards);
-        assert_eq!(cal.choice.host_shards, stat.host_shards);
-        assert_eq!(cal.choice.device_secs.to_bits(), stat.device_secs.to_bits());
-        assert_eq!(cal.choice.host_secs.to_bits(), stat.host_secs.to_bits());
-        assert_eq!(
-            cal.choice.device_only_secs.to_bits(),
-            stat.device_only_secs.to_bits()
-        );
-        assert_eq!(
-            cal.choice.host_only_secs.to_bits(),
-            stat.host_only_secs.to_bits()
-        );
-        assert_eq!(cal.source, BoundsSource::Static);
-        assert_eq!(cal.samples, 0);
+        let split =
+            |store| choose_placement_sharded(store, &sess, &d, &pf, &q, &cpu, sess.spec(), &pcie);
+        let (stat, cal) = (split(None), split(Some(&store)));
+        assert_eq!(cal.device_shards, stat.device_shards);
+        assert_eq!(cal.host_shards, stat.host_shards);
+        for (c, s) in [
+            (cal.device_secs, stat.device_secs),
+            (cal.host_secs, stat.host_secs),
+            (cal.device_only_secs, stat.device_only_secs),
+            (cal.host_only_secs, stat.host_only_secs),
+        ] {
+            assert_eq!(c.to_bits(), s.to_bits());
+        }
+        assert_eq!((cal.source, cal.samples), (BoundsSource::Static, 0));
     }
 
     /// Observed executions on a machine whose PCIe link runs at half
@@ -1198,7 +979,10 @@ mod tests {
 
         // Premise: the static compression-aware model routes this query
         // to the device (the compression flip).
-        let stat = choose_placement_resident(&d, &q, &enc, &model.cpu, &model.gpu, &model.pcie, 0);
+        let place = |store| {
+            choose_placement_resident(store, &d, &q, &enc, &model.cpu, &model.gpu, &model.pcie, 0)
+        };
+        let stat = place(None);
         assert_eq!(stat.placement, Placement::Coprocessor);
 
         // The machine's real link delivers half the modeled bandwidth:
@@ -1207,31 +991,18 @@ mod tests {
         let shipped = enc.columns_bytes(d.lineorder.rows(), &q.fact_columns());
         let predicted = shipped as f64 / model.pcie.bandwidth;
         for _ in 0..20 {
-            record_query_observation(
-                &mut store,
-                &model,
-                &d,
-                &q,
-                &enc,
-                shipped,
-                predicted * 2.0,
-                Some(1e-6),
-                None,
-            );
+            let measured = Measured {
+                shipped_bytes: shipped,
+                transfer_secs: predicted * 2.0,
+                kernel_secs: Some(1e-6),
+                host_secs: None,
+            };
+            record_observation(&mut store, &model, &d, None, &q, &enc, &measured);
         }
-        let cal = choose_placement_calibrated(
-            &store,
-            &d,
-            &q,
-            &enc,
-            &model.cpu,
-            &model.gpu,
-            &model.pcie,
-            0,
-        );
+        let cal = place(Some(&store));
         assert_eq!(cal.source, BoundsSource::Blended);
         assert!(cal.samples >= 20);
-        assert!(cal.device_secs > stat.coprocessor_secs * 1.5);
+        assert!(cal.device_secs > stat.device_secs * 1.5);
         assert_eq!(
             cal.placement,
             Placement::Host,
@@ -1251,11 +1022,12 @@ mod tests {
         fast.bandwidth = cpu.read_bw * 4.0;
         for q in all_queries(&d).into_iter().take(4) {
             let expected = reference::execute(&d, &q);
-            let host = execute_placed(&mut gpu, &pcie, &cpu, &d, &q, 4);
+            let mut cold = DeviceSession::new(&mut gpu);
+            let host = execute_placed(&mut cold, &pcie, &cpu, &d, None, &q, 4);
             assert_eq!(host.choice.placement, Placement::Host);
             assert!(host.copro.is_none());
             assert_eq!(host.result, expected, "{} host placement", q.name);
-            let dev = execute_placed(&mut gpu, &fast, &cpu, &d, &q, 4);
+            let dev = execute_placed(&mut cold, &fast, &cpu, &d, None, &q, 4);
             assert_eq!(dev.choice.placement, Placement::Coprocessor);
             assert!(dev.copro.is_some());
             assert_eq!(dev.result, expected, "{} coprocessor placement", q.name);

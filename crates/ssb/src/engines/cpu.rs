@@ -17,8 +17,8 @@
 //! unpack-and-compare kernels, no decompression). The pre-executor
 //! static-partition schedule survives as [`execute_scoped`] — since the
 //! executor rework it is a thin delegation to the *same* pipeline under
-//! `Schedule::Scoped`, kept so the `ssb_parallel` bench (and the
-//! scorecard) can compare the two schedules on identical code.
+//! `Schedule::Scoped`, kept so the scorecard's morsel-vs-scoped band can
+//! compare the two schedules on identical code.
 
 use crate::data::SsbData;
 use crate::encoding::EncodedFact;

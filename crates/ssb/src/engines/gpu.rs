@@ -665,7 +665,7 @@ pub(crate) struct ShardPartial {
 /// boundary admits the next shard, which can OOM mid-query under
 /// multi-tenant pressure. The typed error is the caller's signal to
 /// [`DeviceShardedJob::abandon`] the device half and restart the query
-/// on the host ([`crate::exec::PartitionedHostJob`]) — partial device
+/// on the host ([`crate::exec::HostQueryJob::new_partitioned`]) — partial device
 /// work is discarded, so the restart stays byte-identical.
 ///
 /// Merging is commutative `i64` addition of per-shard dense group

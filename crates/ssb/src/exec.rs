@@ -48,7 +48,7 @@
 //! time), so morsel boundaries never split a decode chunk mid-stream.
 //!
 //! The same per-vector pipeline also serves the legacy static-partition
-//! schedule ([`execute_scoped`], kept for the morsel-vs-scoped benchmark)
+//! schedule ([`execute_scoped`], kept for the scorecard's morsel-vs-scoped band)
 //! — one pipeline implementation, two schedules, two interpretation
 //! styles, two physical formats.
 //!
@@ -277,14 +277,8 @@ pub fn execute_with_morsel(
     morsel: usize,
     mode: PipelineMode,
 ) -> (QueryResult, QueryTrace) {
-    run(
-        d,
-        q,
-        plain_columns(d, q),
-        threads,
-        mode,
-        Schedule::Morsel(morsel),
-    )
+    let table = [(plain_columns(d, q), d.lineorder.rows())];
+    Plan::new(d, q).run(&table, threads, mode, Schedule::Morsel(morsel))
 }
 
 /// Executes a query directly on an encoded fact table: packed columns run
@@ -296,27 +290,9 @@ pub fn execute_encoded(
     threads: usize,
     mode: PipelineMode,
 ) -> (QueryResult, QueryTrace) {
-    execute_encoded_with_morsel(d, fact, q, threads, MORSEL_SIZE, mode)
-}
-
-/// [`execute_encoded`] with an explicit morsel size.
-pub fn execute_encoded_with_morsel(
-    d: &SsbData,
-    fact: &EncodedFact,
-    q: &StarQuery,
-    threads: usize,
-    morsel: usize,
-    mode: PipelineMode,
-) -> (QueryResult, QueryTrace) {
     fact.check_scale(d);
-    run(
-        d,
-        q,
-        encoded_columns(fact, q),
-        threads,
-        mode,
-        Schedule::Morsel(morsel),
-    )
+    let table = [(encoded_columns(fact, q), d.lineorder.rows())];
+    Plan::new(d, q).run(&table, threads, mode, Schedule::Morsel(MORSEL_SIZE))
 }
 
 /// The pre-morsel scheduling: fact table range-partitioned across scoped
@@ -325,42 +301,22 @@ pub fn execute_encoded_with_morsel(
 /// against; results and traces are identical, only the work distribution
 /// differs.
 pub fn execute_scoped(d: &SsbData, q: &StarQuery, threads: usize) -> (QueryResult, QueryTrace) {
-    run(
-        d,
-        q,
-        plain_columns(d, q),
-        threads,
-        PipelineMode::Vectorized,
-        Schedule::Scoped,
-    )
+    let table = [(plain_columns(d, q), d.lineorder.rows())];
+    Plan::new(d, q).run(&table, threads, PipelineMode::Vectorized, Schedule::Scoped)
 }
 
-/// [`execute_scoped`] over an encoded fact table — the scoped schedule
-/// shares the executor's kernels, so packed execution needs no second
-/// implementation.
-pub fn execute_scoped_encoded(
-    d: &SsbData,
-    fact: &EncodedFact,
-    q: &StarQuery,
-    threads: usize,
-) -> (QueryResult, QueryTrace) {
-    fact.check_scale(d);
-    run(
-        d,
-        q,
-        encoded_columns(fact, q),
-        threads,
-        PipelineMode::Vectorized,
-        Schedule::Scoped,
-    )
-}
-
-/// The plan's columns resolved from plain [`SsbData`] storage.
+/// The plan's predicate, foreign-key and aggregate-input columns,
+/// resolved once against one physical table.
 type Columns<'a> = (
     Vec<ColumnSlice<'a>>,
     Vec<ColumnSlice<'a>>,
     Vec<ColumnSlice<'a>>,
 );
+
+/// One contiguous run of fact rows a scan covers: its resolved columns
+/// and its row count. A whole table is one segment; a partitioned table
+/// is one per live shard.
+type Segment<'a> = (Columns<'a>, usize);
 
 fn plain_columns<'a>(d: &'a SsbData, q: &StarQuery) -> Columns<'a> {
     (
@@ -388,108 +344,146 @@ fn encoded_columns<'a>(fact: &'a EncodedFact, q: &StarQuery) -> Columns<'a> {
     )
 }
 
-fn run(
-    d: &SsbData,
+fn shard_segments<'a>(
+    pf: &'a PartitionedFact,
     q: &StarQuery,
-    cols: Columns<'_>,
-    threads: usize,
-    mode: PipelineMode,
-    schedule: Schedule,
-) -> (QueryResult, QueryTrace) {
-    let (pred_cols, fk_cols, agg_cols) = cols;
-    let lookups: Vec<DimLookup> = q.joins.iter().map(|j| DimLookup::build(d, j)).collect();
-    let n = d.lineorder.rows();
-    let domain = q.group_domain();
-    let joins = q.joins.len();
-    let carried = carried_of(q);
-    let carries: Vec<bool> = q.joins.iter().map(|j| j.group_attr.is_some()).collect();
-    let ctx = QueryCtx {
-        q,
-        lookups: &lookups,
-        carried: &carried,
-        carries: &carries,
-        fk_cols: &fk_cols,
-        pred_cols: &pred_cols,
-        agg_cols: &agg_cols,
-    };
-
-    let worker_body =
-        |acc: &mut WorkerAcc, scratch: &mut Scratch, start: usize, end: usize| match mode {
-            PipelineMode::Vectorized => vectorized_range(&ctx, start, end, acc, scratch),
-            PipelineMode::TupleAtATime => tuple_range(&ctx, start, end, acc, scratch),
-        };
-
-    let workers: Vec<WorkerAcc> = match schedule {
-        Schedule::Morsel(morsel) => morsel_map(n, threads, morsel, |queue: &MorselQueue| {
-            let mut acc = WorkerAcc::new(domain, joins);
-            let mut scratch = Scratch::new(joins, mode);
-            while let Some(m) = queue.claim() {
-                worker_body(&mut acc, &mut scratch, m.start, m.end);
-            }
-            acc
-        }),
-        Schedule::Scoped => scoped_map(n, threads, |range| {
-            let mut acc = WorkerAcc::new(domain, joins);
-            let mut scratch = Scratch::new(joins, mode);
-            worker_body(&mut acc, &mut scratch, range.start, range.end);
-            acc
-        }),
-    };
-
-    assemble(d, q, &lookups, n, workers)
+    shards: &[usize],
+) -> Vec<Segment<'a>> {
+    shards
+        .iter()
+        .map(|&s| {
+            (
+                encoded_columns(pf.shard(s).encoded(), q),
+                pf.shard(s).rows(),
+            )
+        })
+        .collect()
 }
 
-/// Merges per-worker accumulators into the final result and trace — the
-/// one exit path shared by the run-to-completion schedules and the
-/// resumable [`HostQueryJob`].
-fn assemble(
-    d: &SsbData,
-    q: &StarQuery,
-    lookups: &[DimLookup],
-    n: usize,
-    workers: Vec<WorkerAcc>,
-) -> (QueryResult, QueryTrace) {
-    // The first worker's table becomes the result table (no second
-    // zeroed allocation, no pass over it); only the others are added in.
-    // No worker at all (every shard pruned) is the empty input.
-    let mut workers = workers.into_iter();
-    let mut total = workers
-        .next()
-        .unwrap_or_else(|| WorkerAcc::new(q.group_domain(), q.joins.len()));
-    for w in workers {
-        for (a, v) in total.agg.iter_mut().zip(&w.agg) {
-            *a += v;
+/// What every schedule of one query shares, built once before the scan:
+/// the dimension lookups and the layout of the group key.
+struct Plan<'a> {
+    d: &'a SsbData,
+    q: &'a StarQuery,
+    lookups: Vec<DimLookup>,
+    carried: Vec<(usize, usize)>,
+    carries: Vec<bool>,
+}
+
+impl<'a> Plan<'a> {
+    fn new(d: &'a SsbData, q: &'a StarQuery) -> Self {
+        Plan {
+            d,
+            q,
+            lookups: q.joins.iter().map(|j| DimLookup::build(d, j)).collect(),
+            carried: carried_of(q),
+            carries: q.joins.iter().map(|j| j.group_attr.is_some()).collect(),
         }
-        total.pred_survivors += w.pred_survivors;
-        for (a, v) in total.probes.iter_mut().zip(&w.probes) {
-            *a += v;
-        }
-        for (a, v) in total.hits.iter_mut().zip(&w.hits) {
-            *a += v;
-        }
-        total.result_rows += w.result_rows;
     }
 
-    let result = groups_to_result(q, &total.agg);
-    let trace = QueryTrace {
-        fact_rows: n,
-        pred_survivors: total.pred_survivors,
-        stages: q
-            .joins
-            .iter()
-            .enumerate()
-            .map(|(j, join)| StageTrace {
-                table: join.table,
-                probes: total.probes[j],
-                hits: total.hits[j],
-                ht_bytes: lookups[j].size_bytes(),
-                dim_insert_frac: lookups[j].inserted as f64 / join.keys(d).len().max(1) as f64,
-            })
-            .collect(),
-        result_rows: total.result_rows,
-        groups: result.rows(),
-    };
-    (result, trace)
+    fn ctx<'c>(&'c self, cols: &'c Columns<'_>) -> QueryCtx<'c> {
+        let (pred_cols, fk_cols, agg_cols) = cols;
+        QueryCtx {
+            q: self.q,
+            lookups: &self.lookups,
+            carried: &self.carried,
+            carries: &self.carries,
+            fk_cols,
+            pred_cols,
+            agg_cols,
+        }
+    }
+
+    /// One worker's private accumulator and scratch.
+    fn worker(&self, mode: PipelineMode) -> (WorkerAcc, Scratch) {
+        let joins = self.q.joins.len();
+        (
+            WorkerAcc::new(self.q.group_domain(), joins),
+            Scratch::new(joins, mode),
+        )
+    }
+
+    /// Runs every segment to completion under `schedule`, one after the
+    /// other, and merges all workers' tables.
+    fn run(
+        &self,
+        segments: &[Segment<'_>],
+        threads: usize,
+        mode: PipelineMode,
+        schedule: Schedule,
+    ) -> (QueryResult, QueryTrace) {
+        let mut workers: Vec<WorkerAcc> = Vec::new();
+        for (cols, rows) in segments {
+            let ctx = self.ctx(cols);
+            workers.extend(match schedule {
+                Schedule::Morsel(morsel) => {
+                    morsel_map(*rows, threads, morsel, |queue: &MorselQueue| {
+                        let (mut acc, mut scratch) = self.worker(mode);
+                        while let Some(m) = queue.claim() {
+                            scan_range(&ctx, mode, m.start, m.end, &mut acc, &mut scratch);
+                        }
+                        acc
+                    })
+                }
+                Schedule::Scoped => scoped_map(*rows, threads, |range| {
+                    let (mut acc, mut scratch) = self.worker(mode);
+                    scan_range(&ctx, mode, range.start, range.end, &mut acc, &mut scratch);
+                    acc
+                }),
+            });
+        }
+        self.assemble(workers)
+    }
+
+    /// Merges per-worker accumulators into the final result and trace —
+    /// the one exit path shared by the run-to-completion schedules and
+    /// the resumable [`HostQueryJob`]. `fact_rows` is always the *whole*
+    /// table, pruned or not, so traces compare across table shapes.
+    fn assemble(&self, workers: Vec<WorkerAcc>) -> (QueryResult, QueryTrace) {
+        let (d, q) = (self.d, self.q);
+        // The first worker's table becomes the result table (no second
+        // zeroed allocation, no pass over it); only the others are added in.
+        // No worker at all (every shard pruned) is the empty input.
+        let mut workers = workers.into_iter();
+        let mut total = workers
+            .next()
+            .unwrap_or_else(|| WorkerAcc::new(q.group_domain(), q.joins.len()));
+        for w in workers {
+            for (a, v) in total.agg.iter_mut().zip(&w.agg) {
+                *a += v;
+            }
+            total.pred_survivors += w.pred_survivors;
+            for (a, v) in total.probes.iter_mut().zip(&w.probes) {
+                *a += v;
+            }
+            for (a, v) in total.hits.iter_mut().zip(&w.hits) {
+                *a += v;
+            }
+            total.result_rows += w.result_rows;
+        }
+
+        let result = groups_to_result(q, &total.agg);
+        let trace = QueryTrace {
+            fact_rows: d.lineorder.rows(),
+            pred_survivors: total.pred_survivors,
+            stages: q
+                .joins
+                .iter()
+                .enumerate()
+                .map(|(j, join)| StageTrace {
+                    table: join.table,
+                    probes: total.probes[j],
+                    hits: total.hits[j],
+                    ht_bytes: self.lookups[j].size_bytes(),
+                    dim_insert_frac: self.lookups[j].inserted as f64
+                        / join.keys(d).len().max(1) as f64,
+                })
+                .collect(),
+            result_rows: total.result_rows,
+            groups: result.rows(),
+        };
+        (result, trace)
+    }
 }
 
 /// A resumable host-side query execution: the same per-vector pipeline as
@@ -497,34 +491,38 @@ fn assemble(
 /// completion, so a concurrent scheduler can interleave many in-flight
 /// queries on the host with per-tenant fairness.
 ///
+/// A job scans a list of *segments*: [`HostQueryJob::new`] and
+/// [`HostQueryJob::new_encoded`] build the one segment of a whole table,
+/// [`HostQueryJob::new_partitioned`] one per shard zone-map pruning
+/// leaves live (none at all when everything is pruned), and
+/// [`HostQueryJob::with_shards`] one per shard of an explicit set — how
+/// the hybrid placement path runs only its host-routed shards.
 /// Construction resolves the plan once (dimension lookups, column
-/// slices); each [`HostQueryJob::step`] advances the scan cursor by a
-/// bounded number of rows through [`PipelineMode::Vectorized`] or
-/// tuple-at-a-time pipelines and yields. A single accumulator is carried
-/// across steps, so any grant pattern produces the worker state of a
-/// one-thread run — results are byte-identical to [`execute`] for every
+/// slices); each [`HostQueryJob::step`] advances the `(segment, offset)`
+/// cursor by a bounded number of rows, crossing segment boundaries
+/// mid-grant, and yields. A single accumulator is carried across steps
+/// and segments (merge-aggregation by construction), so any grant
+/// pattern produces the worker state of a one-thread run — results are
+/// byte-identical to [`execute`] / [`execute_partitioned`] for every
 /// interleaving, which the concurrent differential suite asserts.
 pub struct HostQueryJob<'a> {
-    d: &'a SsbData,
-    q: &'a StarQuery,
-    lookups: Vec<DimLookup>,
-    carried: Vec<(usize, usize)>,
-    carries: Vec<bool>,
-    pred_cols: Vec<ColumnSlice<'a>>,
-    fk_cols: Vec<ColumnSlice<'a>>,
-    agg_cols: Vec<ColumnSlice<'a>>,
+    plan: Plan<'a>,
+    segments: Vec<Segment<'a>>,
     mode: PipelineMode,
     acc: WorkerAcc,
     scratch: Scratch,
-    /// Next unprocessed fact row.
+    /// Current segment and the next unprocessed row within it.
+    segment: usize,
     cursor: usize,
-    n: usize,
+    scanned: usize,
+    remaining: usize,
 }
 
 impl<'a> HostQueryJob<'a> {
     /// A job over plain [`SsbData`] storage.
     pub fn new(d: &'a SsbData, q: &'a StarQuery, mode: PipelineMode) -> Self {
-        Self::with_columns(d, q, plain_columns(d, q), mode)
+        let table = (plain_columns(d, q), d.lineorder.rows());
+        Self::over(d, q, vec![table], mode)
     }
 
     /// A job reading directly from an encoded fact table.
@@ -535,80 +533,107 @@ impl<'a> HostQueryJob<'a> {
         mode: PipelineMode,
     ) -> Self {
         fact.check_scale(d);
-        Self::with_columns(d, q, encoded_columns(fact, q), mode)
+        let table = (encoded_columns(fact, q), d.lineorder.rows());
+        Self::over(d, q, vec![table], mode)
     }
 
-    fn with_columns(
+    /// A job over the shards pruning leaves live for `q`.
+    pub fn new_partitioned(
         d: &'a SsbData,
+        pf: &'a PartitionedFact,
         q: &'a StarQuery,
-        cols: Columns<'a>,
         mode: PipelineMode,
     ) -> Self {
-        let (pred_cols, fk_cols, agg_cols) = cols;
-        let lookups: Vec<DimLookup> = q.joins.iter().map(|j| DimLookup::build(d, j)).collect();
-        let joins = q.joins.len();
+        Self::with_shards(d, pf, q, &pf.live_shards(q), mode)
+    }
+
+    /// A job over an explicit shard subset (already pruned by the
+    /// caller, e.g. the host half of a hybrid placement).
+    pub fn with_shards(
+        d: &'a SsbData,
+        pf: &'a PartitionedFact,
+        q: &'a StarQuery,
+        shard_ids: &[usize],
+        mode: PipelineMode,
+    ) -> Self {
+        Self::over(d, q, shard_segments(pf, q, shard_ids), mode)
+    }
+
+    fn over(
+        d: &'a SsbData,
+        q: &'a StarQuery,
+        mut segments: Vec<Segment<'a>>,
+        mode: PipelineMode,
+    ) -> Self {
+        // An empty segment would stall a one-row grant on its boundary.
+        segments.retain(|(_, rows)| *rows > 0);
+        let plan = Plan::new(d, q);
+        let (acc, scratch) = plan.worker(mode);
         HostQueryJob {
-            d,
-            q,
-            lookups,
-            carried: carried_of(q),
-            carries: q.joins.iter().map(|j| j.group_attr.is_some()).collect(),
-            pred_cols,
-            fk_cols,
-            agg_cols,
+            remaining: segments.iter().map(|(_, rows)| rows).sum(),
+            plan,
+            segments,
             mode,
-            acc: WorkerAcc::new(q.group_domain(), joins),
-            scratch: Scratch::new(joins, mode),
+            acc,
+            scratch,
+            segment: 0,
             cursor: 0,
-            n: d.lineorder.rows(),
+            scanned: 0,
         }
     }
 
-    /// Fact rows not yet processed.
+    /// Rows not yet processed, across the remaining segments.
     pub fn remaining_rows(&self) -> usize {
-        self.n - self.cursor
+        self.remaining
     }
 
-    /// Fact rows processed so far — paired with the scheduler's charged
-    /// host seconds, this is the scan half of the calibration
-    /// observation a finished host job reports.
-    pub fn rows_processed(&self) -> usize {
-        self.cursor
+    /// Rows scanned so far (the pruning band's numerator once done).
+    pub fn rows_scanned(&self) -> usize {
+        self.scanned
     }
 
-    /// Processes the next `max_rows` fact rows (saturating at the end of
-    /// the table) and yields. Returns `true` once the whole table has
-    /// been scanned.
+    /// Processes up to `max_rows` rows, crossing segment boundaries as
+    /// needed, and yields. Returns `true` once every segment is done.
     pub fn step(&mut self, max_rows: usize) -> bool {
-        let start = self.cursor;
-        let end = start.saturating_add(max_rows).min(self.n);
-        self.cursor = end;
-        if start < end {
-            let ctx = QueryCtx {
-                q: self.q,
-                lookups: &self.lookups,
-                carried: &self.carried,
-                carries: &self.carries,
-                fk_cols: &self.fk_cols,
-                pred_cols: &self.pred_cols,
-                agg_cols: &self.agg_cols,
-            };
-            match self.mode {
-                PipelineMode::Vectorized => {
-                    vectorized_range(&ctx, start, end, &mut self.acc, &mut self.scratch)
-                }
-                PipelineMode::TupleAtATime => {
-                    tuple_range(&ctx, start, end, &mut self.acc, &mut self.scratch)
-                }
+        let mut budget = max_rows.min(self.remaining);
+        while budget > 0 {
+            let (cols, rows) = &self.segments[self.segment];
+            let start = self.cursor;
+            let end = start + budget.min(rows - start);
+            let ctx = self.plan.ctx(cols);
+            scan_range(
+                &ctx,
+                self.mode,
+                start,
+                end,
+                &mut self.acc,
+                &mut self.scratch,
+            );
+            budget -= end - start;
+            self.scanned += end - start;
+            self.remaining -= end - start;
+            self.cursor = end;
+            if end == *rows {
+                self.segment += 1;
+                self.cursor = 0;
             }
         }
-        self.cursor == self.n
+        self.remaining == 0
     }
 
-    /// Assembles the result and trace; callable once the scan is done.
+    /// Assembles the merged result and trace; callable once every segment
+    /// has been scanned.
     pub fn finish(self) -> (QueryResult, QueryTrace) {
-        assert_eq!(self.cursor, self.n, "finished a job with rows remaining");
-        assemble(self.d, self.q, &self.lookups, self.n, vec![self.acc])
+        assert_eq!(self.remaining, 0, "finished a job with rows remaining");
+        self.plan.assemble(vec![self.acc])
+    }
+
+    /// The raw merged group table (dense domain order) — the hybrid
+    /// placement path folds this into the device shards' table before
+    /// building one result.
+    pub fn into_agg(self) -> Vec<i64> {
+        assert_eq!(self.remaining, 0, "finished a job with rows remaining");
+        self.acc.agg
     }
 }
 
@@ -629,209 +654,26 @@ pub fn execute_partitioned(
     threads: usize,
     mode: PipelineMode,
 ) -> (QueryResult, QueryTrace, usize) {
-    let lookups: Vec<DimLookup> = q.joins.iter().map(|j| DimLookup::build(d, j)).collect();
-    let domain = q.group_domain();
-    let joins = q.joins.len();
-    let carried = carried_of(q);
-    let carries: Vec<bool> = q.joins.iter().map(|j| j.group_attr.is_some()).collect();
-
-    let mut workers: Vec<WorkerAcc> = Vec::new();
-    let mut scanned = 0usize;
-    for s in pf.live_shards(q) {
-        let shard = pf.shard(s);
-        let (pred_cols, fk_cols, agg_cols) = encoded_columns(shard.encoded(), q);
-        let ctx = QueryCtx {
-            q,
-            lookups: &lookups,
-            carried: &carried,
-            carries: &carries,
-            fk_cols: &fk_cols,
-            pred_cols: &pred_cols,
-            agg_cols: &agg_cols,
-        };
-        let rows = shard.rows();
-        scanned += rows;
-        workers.extend(morsel_map(
-            rows,
-            threads,
-            MORSEL_SIZE,
-            |queue: &MorselQueue| {
-                let mut acc = WorkerAcc::new(domain, joins);
-                let mut scratch = Scratch::new(joins, mode);
-                while let Some(m) = queue.claim() {
-                    match mode {
-                        PipelineMode::Vectorized => {
-                            vectorized_range(&ctx, m.start, m.end, &mut acc, &mut scratch)
-                        }
-                        PipelineMode::TupleAtATime => {
-                            tuple_range(&ctx, m.start, m.end, &mut acc, &mut scratch)
-                        }
-                    }
-                }
-                acc
-            },
-        ));
-    }
-
-    let (result, trace) = assemble(d, q, &lookups, pf.total_rows(), workers);
+    let segments = shard_segments(pf, q, &pf.live_shards(q));
+    let scanned = segments.iter().map(|(_, rows)| rows).sum();
+    let (result, trace) =
+        Plan::new(d, q).run(&segments, threads, mode, Schedule::Morsel(MORSEL_SIZE));
     (result, trace, scanned)
 }
 
-/// A resumable host-side execution over a sharded fact table — the
-/// sharded sibling of [`HostQueryJob`]. One accumulator spans every
-/// shard (merge-aggregation by construction); the cursor walks
-/// `(shard, offset)` pairs so a scheduler's bounded grants interleave
-/// shard work exactly like unsharded morsels. Zone-map pruning is
-/// applied at construction; [`PartitionedHostJob::with_shards`] instead
-/// takes an explicit shard set, which is how the hybrid placement path
-/// runs only its host-routed shards.
-pub struct PartitionedHostJob<'a> {
-    d: &'a SsbData,
-    q: &'a StarQuery,
-    lookups: Vec<DimLookup>,
-    carried: Vec<(usize, usize)>,
-    carries: Vec<bool>,
-    /// Resolved columns and row count per (live) shard, in scan order.
-    shards: Vec<(Columns<'a>, usize)>,
+/// One contiguous row range through the pipeline `mode` selects.
+#[inline]
+fn scan_range(
+    ctx: &QueryCtx<'_>,
     mode: PipelineMode,
-    acc: WorkerAcc,
-    scratch: Scratch,
-    /// Current shard index (into `shards`) and row offset within it.
-    shard: usize,
-    cursor: usize,
-    total_rows: usize,
-    scanned: usize,
-}
-
-impl<'a> PartitionedHostJob<'a> {
-    /// A job over the shards pruning leaves live for `q`.
-    pub fn new(
-        d: &'a SsbData,
-        pf: &'a PartitionedFact,
-        q: &'a StarQuery,
-        mode: PipelineMode,
-    ) -> Self {
-        Self::with_shards(d, pf, q, &pf.live_shards(q), mode)
-    }
-
-    /// A job over an explicit shard subset (already pruned by the
-    /// caller, e.g. the host half of a hybrid placement).
-    pub fn with_shards(
-        d: &'a SsbData,
-        pf: &'a PartitionedFact,
-        q: &'a StarQuery,
-        shard_ids: &[usize],
-        mode: PipelineMode,
-    ) -> Self {
-        let lookups: Vec<DimLookup> = q.joins.iter().map(|j| DimLookup::build(d, j)).collect();
-        let joins = q.joins.len();
-        let shards = shard_ids
-            .iter()
-            .map(|&s| {
-                let shard = pf.shard(s);
-                (encoded_columns(shard.encoded(), q), shard.rows())
-            })
-            .collect();
-        PartitionedHostJob {
-            d,
-            q,
-            lookups,
-            carried: carried_of(q),
-            carries: q.joins.iter().map(|j| j.group_attr.is_some()).collect(),
-            shards,
-            mode,
-            acc: WorkerAcc::new(q.group_domain(), joins),
-            scratch: Scratch::new(joins, mode),
-            shard: 0,
-            cursor: 0,
-            total_rows: pf.total_rows(),
-            scanned: 0,
-        }
-    }
-
-    /// Rows not yet processed, across the remaining shards.
-    pub fn remaining_rows(&self) -> usize {
-        let current = self
-            .shards
-            .get(self.shard)
-            .map_or(0, |(_, rows)| rows - self.cursor);
-        current
-            + self.shards[(self.shard + 1).min(self.shards.len())..]
-                .iter()
-                .map(|(_, rows)| rows)
-                .sum::<usize>()
-    }
-
-    /// Rows scanned so far (the pruning band's numerator once done).
-    pub fn rows_scanned(&self) -> usize {
-        self.scanned
-    }
-
-    /// Processes up to `max_rows` rows, crossing shard boundaries as
-    /// needed, and yields. Returns `true` once every live shard is done.
-    pub fn step(&mut self, max_rows: usize) -> bool {
-        let mut budget = max_rows;
-        while budget > 0 && self.shard < self.shards.len() {
-            let (cols, rows) = &self.shards[self.shard];
-            let start = self.cursor;
-            let end = start.saturating_add(budget).min(*rows);
-            if start < end {
-                let (pred_cols, fk_cols, agg_cols) = cols;
-                let ctx = QueryCtx {
-                    q: self.q,
-                    lookups: &self.lookups,
-                    carried: &self.carried,
-                    carries: &self.carries,
-                    fk_cols,
-                    pred_cols,
-                    agg_cols,
-                };
-                match self.mode {
-                    PipelineMode::Vectorized => {
-                        vectorized_range(&ctx, start, end, &mut self.acc, &mut self.scratch)
-                    }
-                    PipelineMode::TupleAtATime => {
-                        tuple_range(&ctx, start, end, &mut self.acc, &mut self.scratch)
-                    }
-                }
-                budget -= end - start;
-                self.scanned += end - start;
-            }
-            self.cursor = end;
-            if self.cursor == *rows {
-                self.shard += 1;
-                self.cursor = 0;
-            }
-        }
-        self.shard >= self.shards.len()
-    }
-
-    /// Assembles the merged result and trace; callable once every live
-    /// shard has been scanned. `fact_rows` reports the full (unsharded)
-    /// table size so traces compare against unsharded runs directly.
-    pub fn finish(self) -> (QueryResult, QueryTrace) {
-        assert!(
-            self.shard >= self.shards.len(),
-            "finished a sharded job with shards remaining"
-        );
-        assemble(
-            self.d,
-            self.q,
-            &self.lookups,
-            self.total_rows,
-            vec![self.acc],
-        )
-    }
-
-    /// The raw merged group table (dense domain order) — the hybrid
-    /// placement path folds this into the device shards' table before
-    /// building one result.
-    pub fn into_agg(self) -> Vec<i64> {
-        assert!(
-            self.shard >= self.shards.len(),
-            "finished a sharded job with shards remaining"
-        );
-        self.acc.agg
+    start: usize,
+    end: usize,
+    acc: &mut WorkerAcc,
+    scratch: &mut Scratch,
+) {
+    match mode {
+        PipelineMode::Vectorized => vectorized_range(ctx, start, end, acc, scratch),
+        PipelineMode::TupleAtATime => tuple_range(ctx, start, end, acc, scratch),
     }
 }
 
@@ -1023,7 +865,7 @@ mod tests {
 
     /// Randomly mixed per-column encodings (plain / min-width / wider
     /// widths incl. the 32-bit no-op pack) stay byte-identical across
-    /// seeds and morsel sizes.
+    /// seeds, run to completion and in unaligned grants.
     #[test]
     fn random_encoding_mixes_match_plain() {
         let d = SsbData::generate_scaled(1, 0.002, 31);
@@ -1031,9 +873,12 @@ mod tests {
             let fact = EncodedFact::encode(&d, &random_encodings(&d, seed));
             for q in all_queries(&d).into_iter().take(5) {
                 let expected = reference::execute(&d, &q);
-                let (r, _) =
-                    execute_encoded_with_morsel(&d, &fact, &q, 3, 999, PipelineMode::Vectorized);
+                let (r, _) = execute_encoded(&d, &fact, &q, 3, PipelineMode::Vectorized);
                 assert_eq!(r, expected, "seed {seed} {}", q.name);
+                // Ragged grants put unaligned range starts on packed words.
+                let mut job = HostQueryJob::new_encoded(&d, &fact, &q, PipelineMode::Vectorized);
+                while !job.step(999) {}
+                assert_eq!(job.finish().0, expected, "seed {seed} {} job", q.name);
             }
         }
     }
@@ -1086,32 +931,60 @@ mod tests {
         }
     }
 
-    /// The resumable sharded job is grant-pattern invariant and crosses
-    /// shard boundaries mid-grant without losing rows.
+    /// The resumable job is grant-pattern invariant over every table
+    /// shape — one plain segment, one encoded segment, one segment per
+    /// live shard — and crosses segment boundaries mid-grant without
+    /// losing rows: result *and* trace equal the run-to-completion
+    /// executor's for ragged, one-row and unbounded grants.
     #[test]
-    fn partitioned_job_is_grant_invariant() {
+    fn job_is_grant_invariant_across_segments() {
         use crate::partition::PartitionedFact;
-        let d = data();
+        let d = SsbData::generate_scaled(1, 0.001, 13);
+        let fact = EncodedFact::encode(&d, &FactEncodings::packed_min(&d));
+        // Seven shards of 6k rows: 1009 and 3 * VECTOR_SIZE + 7 both
+        // straddle shard boundaries at non-vector-aligned offsets.
         let pf = PartitionedFact::partition(&d, 7, &FactEncodings::plain());
-        for q in all_queries(&d).into_iter().take(5) {
-            let (expected, base_trace) = execute(&d, &q, 1, PipelineMode::Vectorized);
-            for grant in [usize::MAX, 1009, 3 * VECTOR_SIZE + 7] {
-                let mut job = PartitionedHostJob::new(&d, &pf, &q, PipelineMode::Vectorized);
-                let live_rows = pf.live_rows(&q);
-                assert_eq!(job.remaining_rows(), live_rows, "{}", q.name);
-                while !job.step(grant) {}
-                assert_eq!(job.remaining_rows(), 0);
-                assert_eq!(job.rows_scanned(), live_rows);
-                let (r, t) = job.finish();
-                assert_eq!(r, expected, "{} grant {grant}", q.name);
-                assert_eq!(t.pred_survivors, base_trace.pred_survivors);
-                assert_eq!(t.result_rows, base_trace.result_rows);
+        let mode = PipelineMode::Vectorized;
+        let make = |shape: &str, q| match shape {
+            "plain" => HostQueryJob::new(&d, q, mode),
+            "encoded" => HostQueryJob::new_encoded(&d, &fact, q, mode),
+            _ => HostQueryJob::new_partitioned(&d, &pf, q, mode),
+        };
+        let queries = all_queries(&d);
+        for q in queries.iter().take(5) {
+            let (expected, base_trace) = execute(&d, q, 1, mode);
+            let (_, part_trace, part_scanned) = execute_partitioned(&d, &pf, q, 1, mode);
+            assert_eq!(part_trace, base_trace, "{}", q.name);
+            for shape in ["plain", "encoded", "sharded"] {
+                let live_rows = if shape == "sharded" {
+                    assert_eq!(part_scanned, pf.live_rows(q));
+                    part_scanned
+                } else {
+                    d.lineorder.rows()
+                };
+                for grant in [usize::MAX, 1009, 3 * VECTOR_SIZE + 7, 1] {
+                    let mut job = make(shape, q);
+                    assert_eq!(job.remaining_rows(), live_rows, "{} {shape}", q.name);
+                    let mut steps = 0usize;
+                    while !job.step(grant) {
+                        steps += 1;
+                        assert_eq!(job.rows_scanned() + job.remaining_rows(), live_rows);
+                    }
+                    assert!(grant != 1 || steps + 1 == live_rows, "one row per grant");
+                    assert_eq!(job.remaining_rows(), 0);
+                    assert_eq!(job.rows_scanned(), live_rows);
+                    let (r, t) = job.finish();
+                    assert_eq!(r, expected, "{} {shape} grant {grant}", q.name);
+                    assert_eq!(t, base_trace, "{} {shape} grant {grant}", q.name);
+                }
             }
         }
     }
 
-    /// All shards pruned: the job scans nothing and still produces the
-    /// correct empty-input result for grouped and scalar aggregates.
+    /// All shards pruned: zero segments. The job has nothing remaining,
+    /// its first step reports completion, and it still produces the
+    /// correct empty-input result (grouped and scalar aggregates) with a
+    /// trace whose `fact_rows` is the whole table.
     #[test]
     fn all_pruned_shards_yield_empty_input_semantics() {
         use crate::partition::PartitionedFact;
@@ -1123,31 +996,27 @@ mod tests {
             q.fact_preds
                 .push(FactPred::between(FactCol::OrderDate, 30000101, 30001231));
             assert!(pf.live_shards(&q).is_empty());
-            let (expected, _) = execute(&d, &q, 2, PipelineMode::Vectorized);
+            let (expected, expected_trace) = execute(&d, &q, 2, PipelineMode::Vectorized);
             let (r, t, scanned) = execute_partitioned(&d, &pf, &q, 2, PipelineMode::Vectorized);
             assert_eq!(r, expected, "{qid:?} all-pruned diverged");
             assert_eq!(scanned, 0, "pruned everything yet scanned rows");
-            assert_eq!(t.pred_survivors, 0);
-            assert_eq!(t.result_rows, 0);
-            let mut job = PartitionedHostJob::new(&d, &pf, &q, PipelineMode::Vectorized);
-            assert!(job.step(usize::MAX));
-            assert_eq!(job.finish().0, expected);
+            assert_eq!(t, expected_trace);
+            assert_eq!(t.fact_rows, pf.total_rows());
+            let mut job = HostQueryJob::new_partitioned(&d, &pf, &q, PipelineMode::Vectorized);
+            assert_eq!(job.remaining_rows(), 0);
+            assert!(job.step(1));
+            assert_eq!(job.finish(), (expected, expected_trace));
         }
     }
 
-    /// The scoped schedule runs the same pipeline, plain and packed.
+    /// The scoped schedule runs the same pipeline.
     #[test]
     fn scoped_schedule_matches_morsel_schedule() {
         let d = SsbData::generate_scaled(1, 0.002, 37);
-        let fact = EncodedFact::encode(&d, &FactEncodings::packed_min(&d));
         for q in all_queries(&d).into_iter().take(6) {
-            let expected = reference::execute(&d, &q);
-            let (scoped_r, scoped_t) = execute_scoped(&d, &q, 4);
-            assert_eq!(scoped_r, expected, "{} scoped diverged", q.name);
-            let (packed_r, packed_t) = execute_scoped_encoded(&d, &fact, &q, 4);
-            assert_eq!(packed_r, expected, "{} scoped packed diverged", q.name);
-            assert_eq!(scoped_t.result_rows, packed_t.result_rows);
-            assert_eq!(scoped_t.pred_survivors, packed_t.pred_survivors);
+            let (expected, trace) = execute(&d, &q, 4, PipelineMode::Vectorized);
+            assert_eq!(expected, reference::execute(&d, &q));
+            assert_eq!(execute_scoped(&d, &q, 4), (expected, trace), "{}", q.name);
         }
     }
 }

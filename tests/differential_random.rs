@@ -22,12 +22,15 @@
 //! `random_encodings(&data, seed ^ ENCODING_SALT)`).
 
 use crystal::gpu_sim::Gpu;
-use crystal::hardware::{intel_i7_6900, nvidia_v100, pcie_gen3};
+use crystal::hardware::{intel_i7_6900, nvidia_v100, pcie_gen3, PcieSpec};
+use crystal::runtime::DeviceSession;
 use crystal::ssb::arbitrary::random_star_query;
 use crystal::ssb::encoding::{random_encodings, EncodedFact};
 use crystal::ssb::engines::{copro, cpu, hyper, reference};
 use crystal::ssb::exec::{self, PipelineMode};
+use crystal::ssb::plan::StarQuery;
 use crystal::ssb::SsbData;
+use crystal_bench::util::env_var;
 
 /// Salt separating the encoding stream from the plan stream, so a query's
 /// shape and its physical format vary independently.
@@ -43,11 +46,23 @@ const QUERIES: u64 = 224;
 /// which Section 3.1 sends to the host — runs for *all* queries).
 const GPU_SIM_STRIDE: u64 = 16;
 
+/// The pinned base seed; a `CRYSTAL_DIFF_SEED` that does not parse fails
+/// the suite (naming the variable and the value) instead of silently
+/// sweeping the default workload.
 fn base_seed() -> u64 {
-    std::env::var("CRYSTAL_DIFF_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_260_730)
+    env_var("CRYSTAL_DIFF_SEED", 20_260_730).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Routes `q` through a fresh session — the cold device of Section 3.1.
+fn placed_cold(
+    gpu: &mut Gpu,
+    link: &PcieSpec,
+    d: &SsbData,
+    fact: Option<&EncodedFact>,
+    q: &StarQuery,
+) -> copro::PlacedRun {
+    let cold = &mut DeviceSession::new(gpu);
+    copro::execute_placed(cold, link, &intel_i7_6900(), d, fact, q, 4)
 }
 
 #[test]
@@ -98,7 +113,7 @@ fn random_queries_agree_across_all_engines() {
         let (got_enc_t, _) = exec::execute_encoded(&d, &fact, &q, 2, PipelineMode::TupleAtATime);
         assert_eq!(got_enc_t, expected, "seed {qseed}: encoded tuple diverged");
 
-        let placed = copro::execute_placed(&mut gpu, &pcie, &cpu_spec, &d, &q, 4);
+        let placed = placed_cold(&mut gpu, &pcie, &d, None, &q);
         assert_eq!(
             placed.choice.placement,
             copro::Placement::Host,
@@ -111,7 +126,7 @@ fn random_queries_agree_across_all_engines() {
 
         if i % GPU_SIM_STRIDE == 0 {
             gpu.reset_l2();
-            let dev = copro::execute_placed(&mut gpu, &fast_link, &cpu_spec, &d, &q, 4);
+            let dev = placed_cold(&mut gpu, &fast_link, &d, None, &q);
             assert_eq!(
                 dev.choice.placement,
                 copro::Placement::Coprocessor,
@@ -125,8 +140,7 @@ fn random_queries_agree_across_all_engines() {
             // The packed GPU path: ship packed words over the (forced)
             // coprocessor route, unpack in registers on the device.
             gpu.reset_l2();
-            let dev_enc =
-                copro::execute_placed_encoded(&mut gpu, &fast_link, &cpu_spec, &d, &fact, &q, 4);
+            let dev_enc = placed_cold(&mut gpu, &fast_link, &d, Some(&fact), &q);
             assert_eq!(
                 dev_enc.choice.placement,
                 copro::Placement::Coprocessor,

@@ -7,6 +7,7 @@
 
 use crystal::gpu_sim::Gpu;
 use crystal::hardware::{nvidia_v100, pcie_gen3};
+use crystal::runtime::DeviceSession;
 use crystal::ssb::engines::{copro, cpu, gpu, hyper, monet, omnisci, reference};
 use crystal::ssb::plan::DimAttr;
 use crystal::ssb::plan::{AggExpr, DimJoin, DimPred, DimTable, FactCol, FactPred, StarQuery};
@@ -56,7 +57,8 @@ fn assert_all_engines(d: &SsbData, q: &StarQuery, expected: &QueryResult) {
     );
 
     device.reset_l2();
-    let co = copro::execute(&mut device, &pcie_gen3(), d, q).unwrap();
+    let mut cold = DeviceSession::new(&mut device);
+    let co = copro::execute_session(&mut cold, &pcie_gen3(), d, None, q).unwrap();
     assert_eq!(
         &co.gpu_run.result, expected,
         "{}: coprocessor engine",
