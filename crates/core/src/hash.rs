@@ -14,7 +14,9 @@
 //!   hash table (with perfect hashing) is 2 x 4 x 1M = 8MB", Section 5.3).
 //!
 //! The probe path accounts one cache-simulated gather per slot inspected,
-//! which is what produces the Figure 13 cache-capacity step functions.
+//! which is what produces the Figure 13 cache-capacity step functions. A
+//! perfect table inspects exactly one slot per key: [`DeviceHashTable::build`]
+//! refuses build sides that would need a second one.
 
 use crystal_gpu_sim::exec::{BlockCtx, LaunchConfig};
 use crystal_gpu_sim::mem::DeviceBuffer;
@@ -50,8 +52,8 @@ pub enum HashScheme {
     /// Fibonacci multiplicative hash into a power-of-two table, resolving
     /// collisions with linear probing.
     Mult,
-    /// Perfect hashing: slot = `key - min` (requires dense, unique keys and
-    /// `num_slots >= max - min + 1`).
+    /// Perfect hashing: slot = `key - min`. Requires unique keys, all within
+    /// `min..min + num_slots`; the build checks both.
     Perfect { min: i32 },
 }
 
@@ -102,6 +104,12 @@ impl DeviceHashTable {
     /// least the key range for [`HashScheme::Perfect`]. The build phase
     /// inserts with one CAS per claimed slot (scattered atomics), mirroring
     /// the parallel no-partitioning build of Section 4.3.
+    ///
+    /// # Panics
+    /// Before anything is allocated or launched, if a [`HashScheme::Perfect`]
+    /// build side holds a key outside `min..min + num_slots` or the same
+    /// key twice: either would make an insertion walk into another key's
+    /// home slot, and a perfect probe reads only the home slot.
     pub fn build(
         gpu: &mut Gpu,
         keys: &DeviceBuffer<i32>,
@@ -113,6 +121,21 @@ impl DeviceHashTable {
         if scheme == HashScheme::Mult {
             assert!(num_slots.is_power_of_two(), "Mult scheme needs 2^k slots");
             assert!(num_slots >= keys.len(), "table must fit the build side");
+        }
+        if let HashScheme::Perfect { min } = scheme {
+            let mut taken = vec![false; num_slots];
+            for &key in keys.as_slice() {
+                let slot = (key as i64 - min as i64) as usize;
+                assert!(
+                    slot < num_slots,
+                    "perfect hash table over {min}..{}: key {key} is out of range",
+                    min as i64 + num_slots as i64
+                );
+                assert!(
+                    !std::mem::replace(&mut taken[slot], true),
+                    "perfect hash table: key {key} appears twice in the build side"
+                );
+            }
         }
         let slots = gpu.alloc_zeroed::<u64>(num_slots);
         let mut ht = DeviceHashTable {
@@ -150,9 +173,11 @@ impl DeviceHashTable {
     }
 
     /// Device-side probe: returns the payload for `key`, accounting one
-    /// gather per inspected slot. A key outside a perfect-hash table's
-    /// slot range misses in registers (one compare, no memory traffic),
-    /// exactly like the bounds check of a real direct-indexed probe.
+    /// gather per inspected slot — a chain walk for [`HashScheme::Mult`],
+    /// the home slot alone for [`HashScheme::Perfect`]. A key outside a
+    /// perfect-hash table's slot range misses in registers (one compare, no
+    /// memory traffic), exactly like the bounds check of a real
+    /// direct-indexed probe.
     #[inline]
     pub fn probe(&self, ctx: &mut BlockCtx<'_>, key: i32) -> Option<i32> {
         let mut slot = self.home_slot(key);
@@ -165,11 +190,75 @@ impl DeviceHashTable {
             ctx.compute(2);
             let s = self.slots.as_slice()[slot];
             match slot_key(s) {
-                None => return None,
                 Some(k) if k == key => return Some(slot_val(s)),
-                _ => slot = (slot + 1) % self.num_slots(),
+                Some(_) if self.scheme == HashScheme::Mult => {
+                    slot = (slot + 1) & self.mask as usize
+                }
+                _ => return None,
             }
         }
+    }
+
+    /// Probes `keys[i]` for every lane with `live[i]` set: a match stores
+    /// its payload in `payloads[i]`, a miss clears `live[i]`. Returns the
+    /// number of matches. Accounts exactly what one [`DeviceHashTable::probe`]
+    /// per live lane, in lane order, accounts.
+    ///
+    /// A perfect table reads one slot per key whatever the others hold, so
+    /// its tile is accounted in one pass over the slot addresses and looked
+    /// up in a second, instead of interleaving the two lane by lane.
+    pub fn probe_tile(
+        &self,
+        ctx: &mut BlockCtx<'_>,
+        keys: &[i32],
+        live: &mut [bool],
+        payloads: &mut [i32],
+    ) -> usize {
+        let mut hits = 0;
+        if self.scheme == HashScheme::Mult {
+            for ((&key, live), payload) in keys.iter().zip(live).zip(payloads) {
+                if *live {
+                    match self.probe(ctx, key) {
+                        Some(p) => {
+                            *payload = p;
+                            hits += 1;
+                        }
+                        None => *live = false,
+                    }
+                }
+            }
+            return hits;
+        }
+        let slots = self.slots.as_slice();
+        let home = |key: i32| Some(self.home_slot(key)).filter(|&slot| slot < slots.len());
+        ctx.gather_tile(
+            keys.iter()
+                .zip(live.iter())
+                .filter_map(|(&key, &live)| home(key).filter(|_| live))
+                .map(|slot| self.slots.addr_of(slot)),
+            8,
+        );
+        let (mut read, mut rejected) = (0, 0);
+        for ((&key, live), payload) in keys.iter().zip(live).zip(payloads) {
+            if !*live {
+                continue;
+            }
+            let Some(slot) = home(key) else {
+                rejected += 1;
+                *live = false;
+                continue;
+            };
+            read += 1;
+            let s = slots[slot];
+            if slot_key(s) == Some(key) {
+                *payload = slot_val(s);
+                hits += 1;
+            } else {
+                *live = false;
+            }
+        }
+        ctx.compute(2 * read + rejected);
+        hits
     }
 
     /// Frees the table's device memory.
@@ -294,6 +383,53 @@ mod tests {
         assert_eq!(results, vec![None, None, None, None, None, None, Some(50)]);
         // Only the in-range probe touched memory.
         assert_eq!(r.stats.random_requests, 1);
+    }
+
+    fn build_perfect(keys: &[i32], num_slots: usize, min: i32) -> (Gpu, DeviceHashTable) {
+        let mut g = gpu();
+        let dk = g.alloc_from(keys);
+        let dv = g.alloc_from(&vec![7; keys.len()]);
+        let (ht, _) =
+            DeviceHashTable::build(&mut g, &dk, &dv, num_slots, HashScheme::Perfect { min });
+        (g, ht)
+    }
+
+    /// A repeated key used to linear-probe into its neighbour's home slot
+    /// and answer the neighbour's probes with its own payload.
+    #[test]
+    #[should_panic(expected = "key 11 appears twice")]
+    fn perfect_build_rejects_duplicate_keys() {
+        build_perfect(&[10, 11, 11, 13], 4, 10);
+    }
+
+    /// A key past either end of the slot range used to index out of bounds
+    /// inside the build kernel.
+    #[test]
+    #[should_panic(expected = "key 14 is out of range")]
+    fn perfect_build_rejects_keys_above_the_range() {
+        build_perfect(&[10, 14], 4, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "key 9 is out of range")]
+    fn perfect_build_rejects_keys_below_the_range() {
+        build_perfect(&[10, 9], 4, 10);
+    }
+
+    /// A perfect table with every slot taken has no empty slot to stop a
+    /// chain walk at; a probe must read its home slot and nothing else.
+    #[test]
+    fn full_perfect_table_probes_one_slot_per_key() {
+        let keys: Vec<i32> = (10..74).rev().collect();
+        let (mut g, ht) = build_perfect(&keys, 64, 10);
+        let mut found = 0;
+        let r = g.launch("probe", LaunchConfig::default_for_items(64), |ctx| {
+            for &k in &keys {
+                found += ht.probe(ctx, k).is_some() as usize;
+            }
+        });
+        assert_eq!(found, 64);
+        assert_eq!(r.stats.random_requests, 64);
     }
 
     #[test]

@@ -139,7 +139,7 @@ pub fn block_load_sel_packed(
         let first_word = (offset + i) * bits / 64;
         let last_word = ((offset + i + 1) * bits - 1) / 64;
         for w in first_word..=last_word {
-            let l = src.words.addr_of(w) / line as u64;
+            let l = ctx.line_of(src.words.addr_of(w));
             if l != last_line {
                 lines += 1;
                 last_line = l;

@@ -67,8 +67,7 @@ pub fn block_load_sel<T: Copy + Default>(
     for (i, &m) in bitmap.as_slice().iter().enumerate() {
         if m {
             storage[i] = src.as_slice()[offset + i];
-            let addr = src.addr_of(offset + i);
-            let l = addr / line as u64;
+            let l = ctx.line_of(src.addr_of(offset + i));
             if l != last_line {
                 lines += 1;
                 last_line = l;
@@ -207,20 +206,14 @@ pub fn block_lookup(
 ) -> usize {
     debug_assert_eq!(keys.len(), bitmap.len());
     debug_assert!(keys.len() <= payloads.capacity());
-    let mut hits = 0usize;
-    for i in 0..keys.len() {
-        if !bitmap.as_slice()[i] {
-            continue;
-        }
-        match ht.probe(ctx, keys.as_slice()[i]) {
-            Some(payload) => {
-                payloads.storage_mut()[i] = payload;
-                hits += 1;
-            }
-            None => bitmap.storage_mut()[i] = false,
-        }
-    }
-    payloads.set_len(keys.len());
+    let n = keys.len();
+    let hits = ht.probe_tile(
+        ctx,
+        keys.as_slice(),
+        bitmap.as_mut_slice(),
+        &mut payloads.storage_mut()[..n],
+    );
+    payloads.set_len(n);
     hits
 }
 

@@ -1,10 +1,50 @@
-//! Set-associative LRU cache simulator.
+//! Set-associative true-LRU cache simulator.
 //!
-//! Used for the GPU L2 (the paper cites Mei & Chu's microbenchmark finding
-//! that the V100 L2 is an LRU set-associative cache, Section 5.3) and reused
-//! by the CPU empirical model for L2/L3 behaviour. The simulator tracks tags
-//! only — data flows through the functional half of the simulator — so an
-//! access costs a handful of nanoseconds of host time.
+//! Models the GPU L2 (the paper cites Mei & Chu's microbenchmark finding
+//! that the V100 L2 is an LRU set-associative cache, Section 5.3). Its one
+//! user is [`crate::exec`]: every gather, scatter and scattered atomic a
+//! kernel declares runs through [`Cache::access_range`], which makes this
+//! the hottest code the simulator executes. It tracks tags only — data
+//! flows through the functional half of the simulator.
+//!
+//! # Representation
+//!
+//! All sets live in two flat arrays, `assoc` entries per set:
+//!
+//! * `tags` — the 32-bit tag of the line each way holds (`line_number /
+//!   num_sets`, the address bits above the set index), or `EMPTY`. The 16
+//!   ways of a V100 L2 set are one 64-byte host cache line, and a lookup
+//!   compares all of them with one branch-free reduction the compiler
+//!   vectorises — no early exit, so a hit costs the same wherever it lands.
+//! * `ranks` — one byte per way: the way's recency rank, `0` for the most
+//!   recently used up to `assoc - 1` for the least. The ranks of a set are
+//!   always a permutation of `0..assoc`.
+//!
+//! Line numbers come from a shift (the line size is a power of two) and the
+//! set index from a multiply by a precomputed reciprocal instead of a 64-bit
+//! division.
+//!
+//! # Exactness
+//!
+//! Touching the way of rank `r` raises every rank below `r` by one and sets
+//! the touched way to `0` — precisely "move to the front of the LRU list",
+//! so the ranks stay a permutation and the way of rank `assoc - 1` is the
+//! true LRU victim. A new set holds `EMPTY` tags with ranks `0..assoc`:
+//! empty ways are touched only by misses, each of which moves one to the
+//! front, so they always rank behind every filled way and are consumed
+//! first, as an LRU list that fills before it evicts. There is no clock
+//! and hence nothing that wraps: the state after any number of accesses is
+//! the state of the list. `tests/prop.rs` checks the hit/miss sequence
+//! against the list implementation this replaced, access by access.
+//!
+//! # Cost
+//!
+//! 16-way, 3 072 sets, uniformly random 8-byte accesses, one core of a
+//! 2.1 GHz Xeon: about 11 ns per access while the working set fits (4.8 MB),
+//! 15 ns around capacity (8 MB) and 16–17 ns when nearly every access
+//! misses (64 MB). The list implementation cost 40, 37 and 19 ns there.
+//! `reproduce microbench` reports the current figure as `sim_gather_ns`
+//! next to a plain random read of the same addresses.
 
 use crystal_hardware::CacheLevel;
 
@@ -21,80 +61,191 @@ impl Access {
     }
 }
 
+/// Tag of a way that holds no line. No access produces it (see
+/// [`Cache::locate`]).
+const EMPTY: u32 = u32::MAX;
+
 /// A tag-only set-associative cache with true-LRU replacement.
 ///
 /// Addresses are simulated device addresses (see [`crate::mem`]); a line's
-/// set is chosen by the bits directly above the line offset, as in real
-/// hardware.
+/// set is its line number modulo the number of sets, as in real hardware
+/// (the bits directly above the line offset when the set count is a power
+/// of two).
 #[derive(Debug, Clone)]
 pub struct Cache {
-    line: u64,
+    line_shift: u32,
     assoc: usize,
     num_sets: u64,
-    /// `sets[s]` holds up to `assoc` tags in LRU order: index 0 is the most
-    /// recently used entry.
-    sets: Vec<Vec<u64>>,
+    /// `ceil(2^64 / num_sets)`: `(set_recip * n) >> 64 == n / num_sets`
+    /// for every `n <= recip_limit` (Lemire, "Faster remainder by direct
+    /// computation", 2019).
+    set_recip: u64,
+    /// Largest line number the reciprocal divides exactly: `u32::MAX`, or
+    /// 0 for a single set, whose reciprocal 2^64 does not fit the field.
+    recip_limit: u64,
+    tags: Vec<u32>,
+    ranks: Vec<u8>,
     hits: u64,
     misses: u64,
 }
 
 impl Cache {
     /// Builds a cache from a [`CacheLevel`] description.
+    ///
+    /// # Panics
+    /// Panics if `level.line` is not a power of two or `level.assoc` is not
+    /// in `1..=255` (a way's recency rank is one byte).
     pub fn new(level: &CacheLevel) -> Self {
-        let num_sets = level.num_sets().max(1) as u64;
-        Cache {
-            line: level.line as u64,
+        assert!(
+            level.line.is_power_of_two(),
+            "cache level {:?}: `line` must be a power of two, got {}",
+            level.name,
+            level.line
+        );
+        assert!(
+            (1..=255).contains(&level.assoc),
+            "cache level {:?}: `assoc` must be between 1 and 255, got {}",
+            level.name,
+            level.assoc
+        );
+        let num_sets = level.num_sets() as u64;
+        let mut cache = Cache {
+            line_shift: level.line.trailing_zeros(),
             assoc: level.assoc,
             num_sets,
-            sets: vec![Vec::with_capacity(level.assoc); num_sets as usize],
+            set_recip: (u64::MAX / num_sets).wrapping_add(1),
+            recip_limit: if num_sets == 1 { 0 } else { u32::MAX as u64 },
+            tags: vec![EMPTY; num_sets as usize * level.assoc],
+            ranks: vec![0; num_sets as usize * level.assoc],
             hits: 0,
             misses: 0,
-        }
+        };
+        cache.reset();
+        cache
     }
 
     /// Line size in bytes.
     pub fn line_size(&self) -> u64 {
-        self.line
+        1 << self.line_shift
     }
 
     /// Total capacity in bytes.
     pub fn capacity(&self) -> usize {
-        (self.num_sets * self.line) as usize * self.assoc
+        (self.num_sets << self.line_shift) as usize * self.assoc
+    }
+
+    /// Bytes of address space, from address 0, whose lines have a tag the
+    /// 32-bit tag store can hold; an access beyond it panics.
+    pub fn addressable_bytes(&self) -> u128 {
+        (EMPTY as u128 * self.num_sets as u128) << self.line_shift
+    }
+
+    /// Number of the line holding `addr`.
+    #[inline]
+    pub fn line_of(&self, addr: u64) -> u64 {
+        addr >> self.line_shift
+    }
+
+    /// Number of lines overlapped by `[addr, addr + bytes)`.
+    #[inline]
+    pub fn lines_spanned(&self, addr: u64, bytes: u64) -> u64 {
+        if bytes == 0 {
+            return 0;
+        }
+        self.line_of(addr + bytes - 1) - self.line_of(addr) + 1
+    }
+
+    /// Splits a line number into its set and its tag.
+    #[inline]
+    fn locate(&self, line: u64) -> (usize, u32) {
+        let tag = if line <= self.recip_limit {
+            ((self.set_recip as u128 * line as u128) >> 64) as u64
+        } else {
+            self.locate_far(line)
+        };
+        // On the reciprocal path `tag <= u32::MAX / 2 < EMPTY`.
+        ((line - tag * self.num_sets) as usize, tag as u32)
+    }
+
+    /// [`Cache::locate`]'s tag for a line number the reciprocal does not
+    /// cover: device addresses past 512 GiB (the allocator never reuses
+    /// one, so a long-lived device gets there) and single-set caches.
+    #[cold]
+    fn locate_far(&self, line: u64) -> u64 {
+        let tag = line / self.num_sets;
+        assert!(
+            tag < EMPTY as u64,
+            "address {:#x} is beyond the {} bytes the cache model's 32-bit tags cover",
+            line << self.line_shift,
+            self.addressable_bytes()
+        );
+        tag
+    }
+
+    /// Accesses one line by number; returns whether it missed.
+    #[inline]
+    fn touch(&mut self, line: u64) -> bool {
+        let (set, tag) = self.locate(line);
+        let ways = set * self.assoc..(set + 1) * self.assoc;
+        let tags = &mut self.tags[ways.clone()];
+        let ranks = &mut self.ranks[ways];
+
+        // `way + 1` of the way holding the line, 0 if none does: at most
+        // one way matches, so OR-ing the candidates selects it.
+        let mut found = 0u32;
+        for (way, &t) in tags.iter().enumerate() {
+            found |= if t == tag { way as u32 + 1 } else { 0 };
+        }
+        let miss = found == 0;
+        let (way, rank) = if miss {
+            // The victim is the one way of the last rank.
+            let last = (ranks.len() - 1) as u8;
+            let mut lru = 0u8;
+            for (way, &r) in ranks.iter().enumerate() {
+                lru |= if r == last { way as u8 + 1 } else { 0 };
+            }
+            let way = (lru - 1) as usize;
+            tags[way] = tag;
+            (way, last)
+        } else {
+            let way = (found - 1) as usize;
+            (way, ranks[way])
+        };
+        // Move to front: everything more recent ages by one.
+        for r in ranks.iter_mut() {
+            *r += (*r < rank) as u8;
+        }
+        ranks[way] = 0;
+
+        self.misses += miss as u64;
+        self.hits += !miss as u64;
+        miss
     }
 
     /// Accesses the line containing `addr`, updating LRU state.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> Access {
-        let tag = addr / self.line;
-        let set = &mut self.sets[(tag % self.num_sets) as usize];
-        if let Some(pos) = set.iter().position(|&t| t == tag) {
-            // Move to MRU position.
-            let t = set.remove(pos);
-            set.insert(0, t);
-            self.hits += 1;
-            Access::Hit
-        } else {
-            if set.len() == self.assoc {
-                set.pop();
-            }
-            set.insert(0, tag);
-            self.misses += 1;
+        if self.touch(self.line_of(addr)) {
             Access::Miss
+        } else {
+            Access::Hit
         }
     }
 
     /// Accesses every line overlapped by `[addr, addr + bytes)`; returns the
     /// number of missing lines.
+    #[inline]
     pub fn access_range(&mut self, addr: u64, bytes: u64) -> u64 {
         if bytes == 0 {
             return 0;
         }
-        let first = addr / self.line;
-        let last = (addr + bytes - 1) / self.line;
-        let mut misses = 0;
-        for line in first..=last {
-            if self.access(line * self.line) == Access::Miss {
-                misses += 1;
-            }
+        let mut line = self.line_of(addr);
+        let last = self.line_of(addr + bytes - 1);
+        let mut misses = self.touch(line) as u64;
+        // Nearly every access is an aligned word inside one line.
+        while line != last {
+            line += 1;
+            misses += self.touch(line) as u64;
         }
         misses
     }
@@ -121,11 +272,13 @@ impl Cache {
 
     /// Clears contents and counters.
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
+        self.tags.fill(EMPTY);
+        for set in self.ranks.chunks_exact_mut(self.assoc) {
+            for (way, r) in set.iter_mut().enumerate() {
+                *r = way as u8;
+            }
         }
-        self.hits = 0;
-        self.misses = 0;
+        self.reset_counters();
     }
 
     /// Clears hit/miss counters but keeps cache contents (used between
@@ -141,15 +294,19 @@ impl Cache {
 mod tests {
     use super::*;
 
+    fn level(size: usize, line: usize, assoc: usize) -> CacheLevel {
+        CacheLevel {
+            name: "t",
+            size,
+            bandwidth: 1.0,
+            line,
+            assoc,
+        }
+    }
+
     fn small() -> Cache {
         // 8 sets x 2-way x 64B lines = 1 KiB.
-        Cache::new(&CacheLevel {
-            name: "t",
-            size: 1024,
-            bandwidth: 1.0,
-            line: 64,
-            assoc: 2,
-        })
+        Cache::new(&level(1024, 64, 2))
     }
 
     #[test]
@@ -157,6 +314,9 @@ mod tests {
         let c = small();
         assert_eq!(c.capacity(), 1024);
         assert_eq!(c.line_size(), 64);
+        assert_eq!(c.lines_spanned(60, 100), 3);
+        assert_eq!(c.lines_spanned(64, 64), 1);
+        assert_eq!(c.lines_spanned(64, 0), 0);
     }
 
     #[test]
@@ -192,13 +352,7 @@ mod tests {
     fn working_set_hit_ratio_approximates_capacity_fraction() {
         // Uniform random accesses over a working set 2x the cache converge
         // to ~50% hit rate under LRU.
-        let level = CacheLevel {
-            name: "t",
-            size: 64 * 1024,
-            bandwidth: 1.0,
-            line: 64,
-            assoc: 8,
-        };
+        let level = level(64 * 1024, 64, 8);
         let mut c = Cache::new(&level);
         let ws = 2 * level.size as u64;
         let mut x = 0x9e3779b97f4a7c15u64;
@@ -220,5 +374,64 @@ mod tests {
         c.reset_counters();
         assert_eq!(c.misses(), 0);
         assert_eq!(c.access(0), Access::Hit);
+    }
+
+    /// The reciprocal multiply and the far path both split a line number
+    /// exactly as `/` and `%` do, for set counts that are a power of two,
+    /// three times one (the V100's 3 072), odd, and 1.
+    #[test]
+    fn locate_is_division_by_the_set_count() {
+        for (size, assoc) in [(6 << 20, 16), (1024, 2), (64 * 7 * 3, 3), (64 * 4, 4)] {
+            let c = Cache::new(&level(size, 64, assoc));
+            let sets = c.num_sets;
+            let mut x = 0x2545f4914f6cdd1du64;
+            let mut lines = vec![0, 1, sets - 1, sets, u32::MAX as u64, u32::MAX as u64 + 1];
+            lines.push((EMPTY as u64 - 1) * sets + sets - 1); // the last line covered
+            for _ in 0..10_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                lines.push(x >> 32);
+                lines.push(x % ((EMPTY as u64 - 1) * sets));
+            }
+            // A single set has no reciprocal: everything past line 0 goes
+            // the far way, and fewer lines are covered.
+            for line in lines.into_iter().filter(|l| l / sets < EMPTY as u64) {
+                let (set, tag) = c.locate(line);
+                assert_eq!(set as u64, line % sets, "set of line {line}, {sets} sets");
+                assert_eq!(tag as u64, line / sets, "tag of line {line}, {sets} sets");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the")]
+    fn an_address_past_the_tag_range_panics() {
+        let mut c = small();
+        let past = c.addressable_bytes() as u64;
+        c.access(past - 1); // the last byte covered
+        c.access(past);
+    }
+
+    /// The ranks of every set stay a permutation of `0..assoc`, whatever
+    /// is accessed — the invariant the exactness argument rests on.
+    #[test]
+    fn ranks_stay_a_permutation() {
+        let mut c = Cache::new(&level(64 * 5 * 3, 64, 5));
+        let mut x = 0x9e3779b97f4a7c15u64;
+        for i in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            c.access_range(x % 8192, 1 + x % 130);
+            if i % 4096 == 0 {
+                c.reset();
+            }
+            for set in c.ranks.chunks_exact(5) {
+                let mut sorted = set.to_vec();
+                sorted.sort_unstable();
+                assert_eq!(sorted, [0, 1, 2, 3, 4]);
+            }
+        }
     }
 }

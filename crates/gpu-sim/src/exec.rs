@@ -97,6 +97,12 @@ impl<'a> BlockCtx<'a> {
         self.line as usize
     }
 
+    /// Number of the cache line holding device address `addr`.
+    #[inline]
+    pub fn line_of(&self, addr: u64) -> u64 {
+        self.l2.line_of(addr)
+    }
+
     /// The `[start, start+len)` range of items this block owns when a grid
     /// is launched with [`LaunchConfig::for_items`] over `n` items.
     #[inline]
@@ -133,9 +139,21 @@ impl<'a> BlockCtx<'a> {
     /// cache line" (Section 4.3).
     #[inline]
     pub fn gather(&mut self, addr: u64, bytes: usize) {
-        self.stats.random_requests += 1;
-        let misses = self.l2.access_range(addr, bytes as u64);
-        let lines = span_lines(addr, bytes as u64, self.line);
+        self.gather_tile(std::iter::once(addr), bytes);
+    }
+
+    /// Accounts one gather of `bytes` at each of `addrs`, in order: what a
+    /// [`BlockCtx::gather`] per address accounts, with the kernel's counters
+    /// updated once for the whole tile.
+    #[inline]
+    pub fn gather_tile(&mut self, addrs: impl IntoIterator<Item = u64>, bytes: usize) {
+        let (mut requests, mut lines, mut misses) = (0u64, 0u64, 0u64);
+        for addr in addrs {
+            requests += 1;
+            lines += self.l2.lines_spanned(addr, bytes as u64);
+            misses += self.l2.access_range(addr, bytes as u64);
+        }
+        self.stats.random_requests += requests;
         self.stats.l2_bytes += lines * self.l2_transfer;
         self.stats.gather_miss_bytes += misses * self.line;
     }
@@ -144,8 +162,8 @@ impl<'a> BlockCtx<'a> {
     #[inline]
     pub fn scatter(&mut self, addr: u64, bytes: usize) {
         self.stats.random_requests += 1;
+        let lines = self.l2.lines_spanned(addr, bytes as u64);
         let misses = self.l2.access_range(addr, bytes as u64);
-        let lines = span_lines(addr, bytes as u64, self.line);
         self.stats.l2_bytes += lines * self.l2_transfer;
         self.stats.scatter_miss_bytes += misses * self.line;
     }
@@ -173,10 +191,22 @@ impl<'a> BlockCtx<'a> {
     /// the line in from HBM.
     #[inline]
     pub fn atomic_scattered(&mut self, addr: u64) {
-        self.stats.scattered_atomics += 1;
-        let miss = self.l2.access_range(addr, 1);
-        self.stats.l2_bytes += self.sector;
-        self.stats.gather_miss_bytes += miss * self.line;
+        self.atomic_scattered_tile(std::iter::once(addr));
+    }
+
+    /// Accounts one scattered atomic at each of `addrs`, in order: what a
+    /// [`BlockCtx::atomic_scattered`] per address accounts, with the
+    /// kernel's counters updated once for the whole tile.
+    #[inline]
+    pub fn atomic_scattered_tile(&mut self, addrs: impl IntoIterator<Item = u64>) {
+        let (mut atomics, mut misses) = (0u64, 0u64);
+        for addr in addrs {
+            atomics += 1;
+            misses += self.l2.access_range(addr, 1);
+        }
+        self.stats.scattered_atomics += atomics;
+        self.stats.l2_bytes += atomics * self.sector;
+        self.stats.gather_miss_bytes += misses * self.line;
     }
 
     // ---- control & compute ----
@@ -198,14 +228,6 @@ impl<'a> BlockCtx<'a> {
     pub fn sfu(&mut self, ops: usize) {
         self.stats.sfu_ops += ops as u64;
     }
-}
-
-#[inline]
-fn span_lines(addr: u64, bytes: u64, line: u64) -> u64 {
-    if bytes == 0 {
-        return 0;
-    }
-    (addr + bytes - 1) / line - addr / line + 1
 }
 
 /// The simulated device: spec, global memory, device-wide L2, the log of
@@ -230,6 +252,12 @@ pub struct Gpu {
 impl Gpu {
     pub fn new(spec: GpuSpec) -> Self {
         let l2 = Cache::new(&spec.l2_level());
+        assert!(
+            spec.mem_capacity as u128 <= l2.addressable_bytes(),
+            "`mem_capacity` {} exceeds the {} bytes the L2 model's tags cover",
+            spec.mem_capacity,
+            l2.addressable_bytes()
+        );
         let mem = Memory::new(spec.mem_capacity);
         Gpu {
             spec,

@@ -4,24 +4,169 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use crystal_gpu_sim::cache::Cache;
+use crystal_gpu_sim::cache::{Access, Cache};
 use crystal_gpu_sim::exec::{Gpu, LaunchConfig};
 use crystal_gpu_sim::stats::KernelStats;
 use crystal_gpu_sim::timing::{kernel_time, LaunchShape};
 use crystal_hardware::{nvidia_v100, CacheLevel};
 
-fn small_cache(assoc: usize) -> Cache {
-    Cache::new(&CacheLevel {
+fn level(sets: usize, assoc: usize, line: usize) -> CacheLevel {
+    CacheLevel {
         name: "t",
-        size: 4096,
+        size: sets * assoc * line,
         bandwidth: 1.0,
-        line: 64,
+        line,
         assoc,
-    })
+    }
+}
+
+fn small_cache(assoc: usize) -> Cache {
+    Cache::new(&level(4096 / 64 / assoc, assoc, 64))
+}
+
+/// The oracle: the simulator's L2 model as it was before `Cache` moved to
+/// flat storage — each set a list of line numbers, most recent first.
+struct ListLru {
+    line: u64,
+    assoc: usize,
+    sets: Vec<Vec<u64>>,
+    hits: u64,
+    misses: u64,
+}
+
+impl ListLru {
+    fn new(level: &CacheLevel) -> Self {
+        ListLru {
+            line: level.line as u64,
+            assoc: level.assoc,
+            sets: vec![Vec::new(); level.num_sets()],
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u64) -> Access {
+        let tag = addr / self.line;
+        let index = (tag % self.sets.len() as u64) as usize;
+        let set = &mut self.sets[index];
+        if let Some(pos) = set.iter().position(|&t| t == tag) {
+            let t = set.remove(pos);
+            set.insert(0, t);
+            self.hits += 1;
+            Access::Hit
+        } else {
+            if set.len() == self.assoc {
+                set.pop();
+            }
+            set.insert(0, tag);
+            self.misses += 1;
+            Access::Miss
+        }
+    }
+
+    fn access_range(&mut self, addr: u64, bytes: u64) -> u64 {
+        if bytes == 0 {
+            return 0;
+        }
+        let lines = addr / self.line..=(addr + bytes - 1) / self.line;
+        lines
+            .filter(|l| self.access(l * self.line) == Access::Miss)
+            .count() as u64
+    }
+
+    fn hit_ratio(&self) -> f64 {
+        match self.hits + self.misses {
+            0 => 1.0,
+            total => self.hits as f64 / total as f64,
+        }
+    }
+
+    fn reset_counters(&mut self) {
+        (self.hits, self.misses) = (0, 0);
+    }
+
+    fn reset(&mut self) {
+        self.sets.iter_mut().for_each(Vec::clear);
+        self.reset_counters();
+    }
+}
+
+/// `(sets, assoc, line)`: the V100 L2 (3 072 sets is not a power of two),
+/// a two-way cache of as many sets, direct-mapped, fully associative, and
+/// odd everything.
+const GEOMETRIES: [(usize, usize, usize); 6] = [
+    (3072, 16, 128),
+    (3072, 2, 64),
+    (64, 1, 64),
+    (1, 8, 32),
+    (1, 1, 64),
+    (5, 3, 16),
+];
+
+/// Drives `ops` operations drawn from `seed` through the cache and the
+/// oracle, comparing every return value and, at the end, the counters.
+fn assert_matches_list_lru(geometry: (usize, usize, usize), seed: u64, ops: usize) {
+    let (sets, assoc, line) = geometry;
+    let level = level(sets, assoc, line);
+    let (mut cache, mut oracle) = (Cache::new(&level), ListLru::new(&level));
+    let (sets, assoc, line) = (sets as u64, assoc as u64, line as u64);
+    let mut x = seed | 1;
+    let mut draw = move |below: u64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x >> 11) % below
+    };
+    for op in 0..ops {
+        // Three times as many lines as ways over four sets (so that sets
+        // evict), a hot region of half the cache, a cold one of eight
+        // times the cache.
+        let line_number = match draw(4) {
+            0 | 1 => draw(4).min(sets - 1) + sets * draw(3 * assoc),
+            2 => draw((sets * assoc / 2).max(1)),
+            _ => draw(8 * sets * assoc),
+        };
+        let addr = line_number * line + draw(line);
+        match draw(64) {
+            0 if draw(16) == 0 => {
+                cache.reset();
+                oracle.reset();
+            }
+            1 => {
+                cache.reset_counters();
+                oracle.reset_counters();
+            }
+            2..=21 => {
+                // Up to three lines; some spans are empty.
+                let bytes = draw(2 * line + 2);
+                assert_eq!(
+                    cache.access_range(addr, bytes),
+                    oracle.access_range(addr, bytes),
+                    "{geometry:?} seed {seed}: op {op}, access_range({addr}, {bytes})"
+                );
+            }
+            _ => assert_eq!(
+                cache.access(addr),
+                oracle.access(addr),
+                "{geometry:?} seed {seed}: op {op}, access({addr})"
+            ),
+        }
+    }
+    assert_eq!(cache.hits(), oracle.hits, "{geometry:?} seed {seed}");
+    assert_eq!(cache.misses(), oracle.misses, "{geometry:?} seed {seed}");
+    assert_eq!(cache.hit_ratio(), oracle.hit_ratio());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The flat cache and the list it replaced agree on every access of
+    /// random streams (hot and cold regions, set conflicts, spans of zero
+    /// to three lines, resets in between) over every geometry.
+    #[test]
+    fn cache_matches_the_list_lru(seed in any::<u64>(), geometry in 0usize..GEOMETRIES.len()) {
+        assert_matches_list_lru(GEOMETRIES[geometry], seed, 20_000);
+    }
 
     /// Hits + misses always equals accesses, and a cold cache's first
     /// touch of each line is always a miss.
@@ -115,6 +260,32 @@ proptest! {
         prop_assert!(blocks <= spec.max_blocks_per_sm);
         prop_assert!(blocks * bs <= spec.max_threads_per_sm);
     }
+}
+
+/// A way's recency is one byte. Hammering four sets of the 16-way geometry
+/// with far more accesses than a byte counts shows that nothing in it
+/// counts accesses: there is no clock to wrap.
+#[test]
+fn cache_matches_the_list_lru_over_a_long_run() {
+    assert_matches_list_lru(GEOMETRIES[0], 0x9e3779b97f4a7c15, 1_000_000);
+}
+
+#[test]
+#[should_panic(expected = "`line` must be a power of two, got 96")]
+fn cache_rejects_a_line_that_is_not_a_power_of_two() {
+    Cache::new(&level(8, 2, 96));
+}
+
+#[test]
+#[should_panic(expected = "`assoc` must be between 1 and 255, got 0")]
+fn cache_rejects_zero_associativity() {
+    Cache::new(&CacheLevel {
+        name: "t",
+        size: 1024,
+        bandwidth: 1.0,
+        line: 64,
+        assoc: 0,
+    });
 }
 
 #[test]

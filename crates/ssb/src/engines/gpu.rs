@@ -46,8 +46,8 @@ use crystal_storage::encoding::EncodedColumn;
 use crate::data::SsbData;
 use crate::encoding::EncodedFact;
 use crate::engines::{
-    build_dim_table, dim_join_fingerprint, dim_table_bytes, groups_to_result, DimBuild, DimLookup,
-    QueryTrace, StageTrace,
+    build_dim_table, dim_join_fingerprint, dim_table_bytes, groups_to_result, groups_to_result_at,
+    DimBuild, DimLookup, QueryTrace, StageTrace,
 };
 use crate::partition::PartitionedFact;
 use crate::plan::{FactCol, StarQuery};
@@ -207,8 +207,11 @@ pub struct DeviceQueryJob<'a> {
     tables: Vec<Rc<crystal_core::hash::DeviceHashTable>>,
     agg_table: Option<DeviceBuffer<i64>>,
     agg_host: Vec<i64>,
-    domains: Vec<usize>,
-    carries: Vec<bool>,
+    /// One bit per slot of `agg_host`, set once a row has been added to
+    /// it: what `finish` walks instead of the whole group domain.
+    touched: Vec<u64>,
+    roles: TileRoles,
+    tiles: TileScratch,
     /// Next unprocessed fact row.
     cursor: usize,
     n: usize,
@@ -226,6 +229,86 @@ pub struct DeviceQueryJob<'a> {
     /// first chunk landing and floors its retirement at the transfer
     /// drain, so the stream clocks realize the chunk-pipelined overlap.
     copy_events: Option<CopyEvents>,
+}
+
+/// What every tile of one query's fused kernel does the same way, resolved
+/// once at admission: which pinned column plays which part.
+struct TileRoles {
+    kernel_name: String,
+    /// Per fact predicate: its column (an index into `device_cols`) and,
+    /// when the column is also an aggregate input, the aggregate tile it is
+    /// staged into. Fusion keeps such a column in shared memory, so the
+    /// aggregate stage never touches HBM for it again (the survivor bitmap
+    /// only shrinks, so the staged lanes stay valid).
+    preds: Vec<(usize, Option<usize>)>,
+    /// Per join: its foreign-key column.
+    fks: Vec<usize>,
+    /// Per aggregate input the predicates did not stage: its aggregate
+    /// tile and its column.
+    agg_loads: Vec<(usize, usize)>,
+    /// Per join carrying a group attribute: the join and the attribute's
+    /// domain, in mixed-radix order.
+    group_digits: Vec<(usize, usize)>,
+}
+
+impl TileRoles {
+    fn resolve(q: &StarQuery) -> Self {
+        let cols = q.fact_columns();
+        let col_of = |c: FactCol| {
+            let listed = cols.iter().position(|&x| x == c);
+            listed.expect("fact_columns lists every column the plan reads")
+        };
+        let agg_cols = q.agg.columns();
+        let agg_tile_of = |c: FactCol| agg_cols.iter().position(|&x| x == c);
+        let preds: Vec<_> = q
+            .fact_preds
+            .iter()
+            .map(|p| (col_of(p.col), agg_tile_of(p.col)))
+            .collect();
+        let agg_loads = (0..agg_cols.len())
+            .filter(|&t| preds.iter().all(|&(_, staged)| staged != Some(t)))
+            .map(|t| (t, col_of(agg_cols[t])))
+            .collect();
+        TileRoles {
+            kernel_name: format!("ssb_probe_{}", q.name),
+            preds,
+            fks: q.joins.iter().map(|j| col_of(j.fact_fk)).collect(),
+            agg_loads,
+            group_digits: (q.joins.iter().enumerate())
+                .filter_map(|(j, join)| join.group_attr.map(|a| (j, a.domain())))
+                .collect(),
+        }
+    }
+}
+
+/// The staging tiles of the fused kernel (its shared memory), allocated
+/// once per job and reused by every tile of every step.
+struct TileScratch {
+    col: Tile<i32>,
+    bitmap: Tile<bool>,
+    /// One dense group-code tile per join.
+    codes: Vec<Tile<i32>>,
+    agg_in: [Tile<i32>; 2],
+}
+
+impl TileScratch {
+    fn new(tile: usize, joins: usize) -> Self {
+        TileScratch {
+            col: Tile::new(tile),
+            bitmap: Tile::new(tile),
+            codes: (0..joins).map(|_| Tile::new(tile)).collect(),
+            agg_in: [Tile::new(tile), Tile::new(tile)],
+        }
+    }
+}
+
+/// The indices of the set bits of a bitmap, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let nonzero = |bits: u64| Some(bits).filter(|&b| b != 0);
+        std::iter::successors(nonzero(word), move |&bits| nonzero(bits & (bits - 1)))
+            .map(move |bits| w * 64 + bits.trailing_zeros() as usize)
+    })
 }
 
 impl<'a> DeviceQueryJob<'a> {
@@ -329,10 +412,13 @@ impl<'a> DeviceQueryJob<'a> {
             tables.push(ht);
         }
 
-        let domains: Vec<usize> = q.group_attrs().iter().map(|a| a.domain()).collect();
         let domain = q.group_domain();
         let agg_table: DeviceBuffer<i64> = sess.try_alloc_scratch_zeroed(domain)?;
-        let carries: Vec<bool> = q.joins.iter().map(|j| j.group_attr.is_some()).collect();
+        // The tile geometry depends on the device and the join count, not
+        // on how many rows a step covers.
+        let tile = FusedStarKernel::new("", n, q.joins.len())
+            .plan(sess.spec())
+            .tile();
 
         Ok(DeviceQueryJob {
             d,
@@ -342,8 +428,9 @@ impl<'a> DeviceQueryJob<'a> {
             tables,
             agg_table: Some(agg_table),
             agg_host: vec![0i64; domain],
-            domains,
-            carries,
+            touched: vec![0u64; domain.div_ceil(64)],
+            roles: TileRoles::resolve(q),
+            tiles: TileScratch::new(tile, q.joins.len()),
             cursor: 0,
             n,
             pred_survivors: 0,
@@ -385,32 +472,28 @@ impl<'a> DeviceQueryJob<'a> {
         }
         self.cursor += batch;
 
-        let q = self.q;
-        let cols = q.fact_columns();
-        let col_of = |c: FactCol| -> usize { cols.iter().position(|&x| x == c).unwrap() };
-
         // The whole select→probe×N→aggregate pipeline is ONE fused launch:
         // the kernel descriptor owns the tile geometry and charges the
         // staged shared memory (first-load / aggregate-input i32 tiles, one
         // i32 group-code tile per join, the 1-byte survivor bitmap) so the
         // occupancy model sees the real per-block footprint — and degrades
         // the tile when a device's budget cannot hold it.
-        let fused = FusedStarKernel::new(format!("ssb_probe_{}", q.name), batch, q.joins.len());
-        let cfg = fused.plan(sess.spec());
-        let tile_cap = cfg.tile();
-        let mut tile_col: Tile<i32> = Tile::new(tile_cap);
-        let mut bitmap: Tile<bool> = Tile::new(tile_cap);
-        let mut code_tiles: Vec<Tile<i32>> = q.joins.iter().map(|_| Tile::new(tile_cap)).collect();
-        let mut agg_in1: Tile<i32> = Tile::new(tile_cap);
-        let mut agg_in2: Tile<i32> = Tile::new(tile_cap);
+        let q = self.q;
+        let roles = &self.roles;
+        let fused = FusedStarKernel::new(roles.kernel_name.clone(), batch, roles.fks.len());
+        let TileScratch {
+            col: tile_col,
+            bitmap,
+            codes: code_tiles,
+            agg_in,
+        } = &mut self.tiles;
 
-        let grouped = !self.domains.is_empty();
+        let grouped = !roles.group_digits.is_empty();
         let device_cols = &self.device_cols;
         let tables = &self.tables;
         let agg_table = self.agg_table.as_ref().expect("stepped a finished job");
         let agg_host = &mut self.agg_host;
-        let domains = &self.domains;
-        let carries = &self.carries;
+        let touched = &mut self.touched;
         let pred_survivors = &mut self.pred_survivors;
         let probes = &mut self.probes;
         let hits = &mut self.hits;
@@ -435,49 +518,30 @@ impl<'a> DeviceQueryJob<'a> {
             let start = base + tile_start;
 
             // Fact predicates: first column with BlockLoad + BlockPred,
-            // the rest selectively with AndPred (Figure 7(b)). A predicate
-            // column that doubles as an aggregate input is staged straight
-            // into its aggregate tile: fusion keeps it in shared memory, so
-            // the aggregate stage never touches HBM for it again (the
-            // survivor bitmap only shrinks, so the staged lanes stay valid).
-            let agg_cols = q.agg.columns();
-            let mut agg_staged = [false; 2];
-            if let Some((first, rest)) = q.fact_preds.split_first() {
-                {
-                    let dest = if first.col == agg_cols[0] {
-                        agg_staged[0] = true;
-                        &mut agg_in1
-                    } else if agg_cols.len() > 1 && first.col == agg_cols[1] {
-                        agg_staged[1] = true;
-                        &mut agg_in2
-                    } else {
-                        &mut tile_col
-                    };
-                    device_cols[col_of(first.col)].load_full(ctx, start, len, dest);
-                    let p = *first;
-                    block_pred(ctx, dest, move |v| p.matches(v), &mut bitmap);
-                }
-                for pred in rest {
-                    let dest = if pred.col == agg_cols[0] {
-                        agg_staged[0] = true;
-                        &mut agg_in1
-                    } else if agg_cols.len() > 1 && pred.col == agg_cols[1] {
-                        agg_staged[1] = true;
-                        &mut agg_in2
-                    } else {
-                        &mut tile_col
-                    };
-                    device_cols[col_of(pred.col)].load_sel(ctx, start, &bitmap, dest);
-                    let p = *pred;
-                    block_pred_and(ctx, dest, move |v| p.matches(v), &mut bitmap);
-                }
-            } else {
-                bitmap.set_len(len);
-                for i in 0..len {
-                    bitmap.storage_mut()[i] = true;
+            // the rest selectively with AndPred (Figure 7(b)).
+            for (i, (pred, &(col, staged))) in q.fact_preds.iter().zip(&roles.preds).enumerate() {
+                let dest = match staged {
+                    Some(t) => &mut agg_in[t],
+                    None => &mut *tile_col,
+                };
+                let p = *pred;
+                if i == 0 {
+                    device_cols[col].load_full(ctx, start, len, dest);
+                    block_pred(ctx, dest, move |v| p.matches(v), bitmap);
+                } else {
+                    device_cols[col].load_sel(ctx, start, bitmap, dest);
+                    block_pred_and(ctx, dest, move |v| p.matches(v), bitmap);
                 }
             }
-            *pred_survivors += bitmap.as_slice().iter().filter(|&&b| b).count();
+            // Rows still alive; every later stage only narrows it.
+            let mut alive = if roles.preds.is_empty() {
+                bitmap.set_len(len);
+                bitmap.as_mut_slice().fill(true);
+                len
+            } else {
+                bitmap.as_slice().iter().filter(|&&b| b).count()
+            };
+            *pred_survivors += alive;
 
             // Joins: selectively load the FK column, probe, refine the
             // bitmap, and stash the dense group code per surviving row.
@@ -485,79 +549,58 @@ impl<'a> DeviceQueryJob<'a> {
                 ct.set_len(len);
             }
             for (j, ht) in tables.iter().enumerate() {
-                let alive = bitmap.as_slice().iter().filter(|&&b| b).count();
                 if alive == 0 {
                     break;
                 }
                 probes[j] += alive;
-                device_cols[col_of(q.joins[j].fact_fk)].load_sel(
+                device_cols[roles.fks[j]].load_sel(ctx, start, bitmap, tile_col);
+                ctx.compute(alive);
+                alive = crystal_core::primitives::block_lookup(
                     ctx,
-                    start,
-                    &bitmap,
-                    &mut tile_col,
-                );
-                let stage_hits = crystal_core::primitives::block_lookup(
-                    ctx,
-                    &tile_col,
+                    tile_col,
                     ht.as_ref(),
-                    &mut bitmap,
+                    bitmap,
                     &mut code_tiles[j],
                 );
-                hits[j] += stage_hits;
-                ctx.compute(alive);
+                hits[j] += alive;
             }
 
             // Aggregate inputs, selectively loaded — unless the predicate
             // stage already staged the column into its aggregate tile.
-            if !agg_staged[0] {
-                device_cols[col_of(agg_cols[0])].load_sel(ctx, start, &bitmap, &mut agg_in1);
+            for &(t, col) in &roles.agg_loads {
+                device_cols[col].load_sel(ctx, start, bitmap, &mut agg_in[t]);
             }
-            if agg_cols.len() > 1 && !agg_staged[1] {
-                device_cols[col_of(agg_cols[1])].load_sel(ctx, start, &bitmap, &mut agg_in2);
-            }
+            *result_rows += alive;
+            ctx.compute(2 * alive);
 
-            let mut block_sum = 0i64;
-            let mut block_matches = 0usize;
-            for i in 0..len {
-                if !bitmap.as_slice()[i] {
-                    continue;
-                }
-                block_matches += 1;
-                let v = match q.agg {
-                    crate::plan::AggExpr::SumDiscountedPrice => {
-                        agg_in1.as_slice()[i] as i64 * agg_in2.as_slice()[i] as i64
-                    }
-                    crate::plan::AggExpr::SumRevenue => agg_in1.as_slice()[i] as i64,
-                    crate::plan::AggExpr::SumProfit => {
-                        agg_in1.as_slice()[i] as i64 - agg_in2.as_slice()[i] as i64
-                    }
+            let (in1, in2) = (agg_in[0].as_slice(), agg_in[1].as_slice());
+            let value = |i: usize| match q.agg {
+                crate::plan::AggExpr::SumDiscountedPrice => in1[i] as i64 * in2[i] as i64,
+                crate::plan::AggExpr::SumRevenue => in1[i] as i64,
+                crate::plan::AggExpr::SumProfit => in1[i] as i64 - in2[i] as i64,
+            };
+            let live = bitmap.as_slice();
+            let survivors = (0..len).filter(|&i| live[i]);
+            if grouped {
+                let group = |i: usize| {
+                    roles.group_digits.iter().fold(0, |idx, &(j, domain)| {
+                        idx * domain + code_tiles[j].as_slice()[i] as usize
+                    })
                 };
-                if grouped {
-                    let mut idx = 0usize;
-                    let mut di = 0usize;
-                    for (j, &carried) in carries.iter().enumerate() {
-                        if carried {
-                            idx = idx * domains[di] + code_tiles[j].as_slice()[i] as usize;
-                            di += 1;
-                        }
-                    }
-                    // One scattered atomic per matching tuple into the
-                    // dense group table.
-                    ctx.atomic_scattered(agg_table.addr_of(idx));
-                    agg_host[idx] += v;
-                } else {
-                    block_sum += v;
+                // One scattered atomic per matching tuple into the dense
+                // group table.
+                ctx.atomic_scattered_tile(survivors.clone().map(|i| agg_table.addr_of(group(i))));
+                for i in survivors {
+                    let idx = group(i);
+                    agg_host[idx] += value(i);
+                    touched[idx / 64] |= 1 << (idx % 64);
                 }
-            }
-            *result_rows += block_matches;
-            ctx.compute(2 * block_matches);
-
-            if !grouped {
+            } else {
                 // BlockAggregate + one contended atomic per tile.
                 ctx.shared(ctx.block_dim * 8);
                 ctx.sync();
                 ctx.atomic_same_addr(1);
-                agg_host[0] += block_sum;
+                agg_host[0] += survivors.map(value).sum::<i64>();
             }
         });
         self.reports.push(report.tag_fact_linear());
@@ -568,11 +611,14 @@ impl<'a> DeviceQueryJob<'a> {
     /// working set and trimming the cache back within budget) and
     /// assembles the run. Cached columns and memoized tables stay
     /// resident in the session.
-    pub fn finish(self, sess: &mut DeviceSession<'_>) -> GpuRun {
+    pub fn finish(mut self, sess: &mut DeviceSession<'_>) -> GpuRun {
         assert_eq!(self.cursor, self.n, "finished a job with rows remaining");
         let (q, n) = (self.q, self.n);
+        let touched = std::mem::take(&mut self.touched);
         let p = self.into_partial(sess);
-        let result = groups_to_result(q, &p.agg);
+        // Only the groups a row was added to can be non-zero: q4.3 touches
+        // a few hundred of its 1.75 M.
+        let result = groups_to_result_at(q, &p.agg, set_bits(&touched));
         let trace = QueryTrace {
             fact_rows: n,
             pred_survivors: p.pred_survivors,

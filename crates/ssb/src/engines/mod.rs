@@ -417,22 +417,32 @@ pub fn group_decode(domains: &[usize], mut idx: usize) -> Vec<i32> {
 /// Converts a dense aggregate array into a [`crate::QueryResult`], mapping
 /// dense codes back to attribute values.
 pub fn groups_to_result(q: &StarQuery, agg: &[i64]) -> crate::QueryResult {
+    groups_to_result_at(q, agg, 0..agg.len())
+}
+
+/// [`groups_to_result`] reading only the slots `at` names — for a caller
+/// that knows which slots of a large group domain it wrote. A slot it leaves
+/// out is taken to be zero; a named slot holding zero is dropped like any
+/// empty group.
+pub fn groups_to_result_at(
+    q: &StarQuery,
+    agg: &[i64],
+    at: impl Iterator<Item = usize>,
+) -> crate::QueryResult {
     let attrs = q.group_attrs();
     if attrs.is_empty() {
         return crate::QueryResult::Scalar(agg.first().copied().unwrap_or(0));
     }
     let domains: Vec<usize> = attrs.iter().map(|a| a.domain()).collect();
-    crate::QueryResult::from_groups(agg.iter().enumerate().filter(|(_, &s)| s != 0).map(
-        |(idx, &s)| {
-            let codes = group_decode(&domains, idx);
-            let key: Vec<i32> = codes
-                .iter()
-                .zip(&attrs)
-                .map(|(&c, a)| a.from_dense(c as usize))
-                .collect();
-            (key, s)
-        },
-    ))
+    crate::QueryResult::from_groups(at.filter(|&idx| agg[idx] != 0).map(|idx| {
+        let codes = group_decode(&domains, idx);
+        let key: Vec<i32> = codes
+            .iter()
+            .zip(&attrs)
+            .map(|(&c, a)| a.from_dense(c as usize))
+            .collect();
+        (key, agg[idx])
+    }))
 }
 
 #[cfg(test)]
