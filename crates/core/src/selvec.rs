@@ -14,8 +14,9 @@
 //!
 //! 1. *decode* — the chunk's values are staged into a stack buffer through
 //!    `ColumnRead::read_batch`. Plain slices lend their window zero-copy;
-//!    a [`crystal_storage::PackedView`] decodes word-parallel (one load
-//!    and one shift/mask cascade per packed `u64`, not per value).
+//!    a [`crystal_storage::PackedView`] decodes sixteen values per vector
+//!    load (`crystal_storage::bitpack::unpack_batch`). The scan kernel
+//!    prefetches the next chunk's stored bytes while it works on this one.
 //! 2. *compare + compact* — predicates evaluate branch-free into `u64`
 //!    match bitmaps (64 rows per word, a plain autovectorizable loop with
 //!    no data-dependent store cursor), then surviving rows are emitted by
@@ -35,6 +36,7 @@
 //! without a device).
 
 use crystal_storage::encoding::ColumnRead;
+use crystal_storage::Isa;
 
 /// Rows per decode chunk: one L1-resident stack buffer (4 KiB of `i32`),
 /// matching the executor's vector size so a pipeline vector is exactly one
@@ -102,52 +104,10 @@ fn emit_rows(mut bm: u64, base: u32, sel: &mut [u32], mut count: usize) -> usize
 /// bits compacted into the selection vector. One portable implementation
 /// (byte flags + a multiply bit-gather, both autovectorizable) plus
 /// x86-64 AVX2/AVX-512 specializations picked once per process by
-/// runtime feature detection — the kernels stay safe, scalar-identical,
-/// and compiled for the baseline target.
+/// [`Isa::best`] — the runtime detection shared with the decode engines
+/// of `crystal_storage::bitpack` — so the kernels stay safe,
+/// scalar-identical, and compiled for the baseline target.
 mod lanes {
-    /// Instruction sets the scan engine can run on, best first.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub(super) enum Isa {
-        /// AVX-512F: 16-lane compare masks + `vpcompressd` row-id emit.
-        #[cfg(target_arch = "x86_64")]
-        Avx512,
-        /// AVX2: 8-lane compares + `movemask` bitmaps, scalar emit.
-        #[cfg(target_arch = "x86_64")]
-        Avx2,
-        /// Byte-flag compares + multiply bit-gather (any target).
-        Portable,
-    }
-
-    /// The best instruction set available, detected once per process.
-    /// Debug builds always take the portable engine: unoptimized
-    /// intrinsics compile to outlined per-vector calls that are slower
-    /// than the plain loops they replace (the intrinsic paths stay
-    /// covered by direct unit tests).
-    #[inline]
-    pub(super) fn isa() -> Isa {
-        if cfg!(debug_assertions) {
-            return Isa::Portable;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::sync::OnceLock;
-            static ISA: OnceLock<Isa> = OnceLock::new();
-            *ISA.get_or_init(|| {
-                if std::arch::is_x86_feature_detected!("avx512f") {
-                    Isa::Avx512
-                } else if std::arch::is_x86_feature_detected!("avx2") {
-                    Isa::Avx2
-                } else {
-                    Isa::Portable
-                }
-            })
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            Isa::Portable
-        }
-    }
-
     /// Match bitmap of `lo <= v <= hi` over one full 64-value group:
     /// compare into 0/1 bytes (an autovectorizable loop with no carried
     /// state), then gather each 8-flag byte group into bits with one
@@ -239,8 +199,13 @@ mod lanes {
 /// Fills `sel` with the identity selection `start..end` via one
 /// exact-sized iterator write (no per-element bounds check — this runs at
 /// the top of every pipeline). Returns the count (`end - start`).
+///
+/// Row ids are `u32` here and in every kernel downstream: `end` must not
+/// exceed `u32::MAX` (the executor checks each segment's row count once,
+/// where it enters; these kernels only debug-assert it).
 #[inline]
 pub fn sel_init(start: usize, end: usize, sel: &mut [u32]) -> usize {
+    debug_assert!(end <= u32::MAX as usize, "row ids are u32");
     let count = end - start;
     for (slot, row) in sel[..count].iter_mut().zip(start as u32..end as u32) {
         *slot = row;
@@ -250,13 +215,35 @@ pub fn sel_init(start: usize, end: usize, sel: &mut [u32]) -> usize {
 
 /// Initializes `sel` with the rows of `start..end` whose `col` value lies
 /// in `lo..=hi`, chunked two-phase: decode [`CHUNK`] rows batch-wise
-/// (word-parallel over packed storage, zero-copy over plain), compare
-/// branch-free into `u64` match bitmaps, then compact the set bits into
-/// row ids — `trailing_zeros` iteration portably, `vpcompressd` under
-/// AVX-512. Returns the match count. No decompressed column is ever
-/// materialized beyond the stack chunk.
+/// (SIMD byte-window decode over packed storage, zero-copy over plain),
+/// compare branch-free into `u64` match bitmaps, then compact the set bits
+/// into row ids — `trailing_zeros` iteration portably, `vpcompressd` under
+/// AVX-512. While a chunk is compared the stored bytes of the column's
+/// next [`CHUNK`] rows are prefetched, so the scan's cache misses and page
+/// walks overlap its compute instead of adding to it. Returns the match
+/// count. No decompressed column is ever materialized beyond the stack
+/// chunk.
 #[inline]
 pub fn sel_between_init<C: ColumnRead + ?Sized>(
+    col: &C,
+    lo: i32,
+    hi: i32,
+    start: usize,
+    end: usize,
+    sel: &mut [u32],
+) -> usize {
+    // SAFETY: `Isa::best` only returns an engine the CPU supports.
+    unsafe { between_init_on(Isa::best(), col, lo, hi, start, end, sel) }
+}
+
+/// [`sel_between_init`] on a given compare/compact engine (tests force
+/// each one).
+///
+/// # Safety
+/// The running CPU must support `isa` ([`Isa::supported`]).
+#[inline]
+unsafe fn between_init_on<C: ColumnRead + ?Sized>(
+    isa: Isa,
     col: &C,
     lo: i32,
     hi: i32,
@@ -268,12 +255,18 @@ pub fn sel_between_init<C: ColumnRead + ?Sized>(
     // through a raw pointer and must never be reachable with a selection
     // buffer smaller than the scanned range.
     assert!(end - start <= sel.len());
-    let isa = lanes::isa();
+    debug_assert!(end <= u32::MAX as usize, "row ids are u32 (see `sel_init`)");
     let mut buf = [0i32; CHUNK];
     let mut count = 0usize;
     let mut cs = start;
     while cs < end {
         let ce = (cs + CHUNK).min(end);
+        // The chunk after this one, in or past the range (callers hand
+        // over one chunk at a time): a hint per 16 rows is one per line of
+        // plain storage and at least one per line of packed.
+        for row in (ce..(ce + CHUNK).min(col.row_count())).step_by(16) {
+            col.prefetch_row(row);
+        }
         let window = col.stage(cs, ce, &mut buf);
         let mut base = cs as u32;
         let mut groups = window.chunks_exact(LANES);
@@ -281,23 +274,23 @@ pub fn sel_between_init<C: ColumnRead + ?Sized>(
             let group: &[i32; LANES] = group.try_into().unwrap();
             match isa {
                 #[cfg(target_arch = "x86_64")]
-                lanes::Isa::Avx512 => {
-                    // SAFETY: `isa()` verified AVX-512F; `sel` has room
-                    // for every match (debug-asserted `end - start`
-                    // capacity above, and `count` + survivors <= rows
-                    // scanned).
+                Isa::Avx512Vbmi | Isa::Avx512 => {
+                    // SAFETY: the caller vouches for AVX-512; `sel` has
+                    // room for every match (the `assert!` above gives it
+                    // `end - start` slots, and `count` + this group's
+                    // survivors <= rows scanned so far).
                     count += unsafe {
                         let bm = lanes::range_bitmap_avx512(group, lo, hi);
                         lanes::emit_rows_avx512(bm, base, sel.as_mut_ptr().add(count))
                     };
                 }
                 #[cfg(target_arch = "x86_64")]
-                lanes::Isa::Avx2 => {
-                    // SAFETY: `isa()` verified AVX2.
+                Isa::Avx2 => {
+                    // SAFETY: the caller vouches for AVX2.
                     let bm = unsafe { lanes::range_bitmap_avx2(group, lo, hi) };
                     count = emit_rows(bm, base, sel, count);
                 }
-                lanes::Isa::Portable => {
+                Isa::Portable => {
                     if cfg!(debug_assertions) {
                         // Unoptimized builds: the bitmap staging is all
                         // outlined calls, so compact straight off the
@@ -771,7 +764,7 @@ mod tests {
 
     /// Every available vector engine produces the exact bitmap of the
     /// portable engine, including at the `i32` extremes — run directly
-    /// (not via `isa()`) so debug-profile test runs still cover the
+    /// (not via `Isa::best`) so debug-profile test runs still cover the
     /// intrinsic code paths.
     #[test]
     fn vector_engines_match_portable_bitmaps() {
@@ -798,12 +791,12 @@ mod tests {
             }
             #[cfg(target_arch = "x86_64")]
             {
-                if std::arch::is_x86_feature_detected!("avx2") {
+                if Isa::Avx2.supported() {
                     // SAFETY: feature checked on the line above.
                     let got = unsafe { lanes::range_bitmap_avx2(&group, lo, hi) };
                     assert_eq!(got, expected, "avx2 ({lo}, {hi})");
                 }
-                if std::arch::is_x86_feature_detected!("avx512f") {
+                if Isa::Avx512.supported() {
                     // SAFETY: feature checked on the line above.
                     let got = unsafe { lanes::range_bitmap_avx512(&group, lo, hi) };
                     assert_eq!(got, expected, "avx512 ({lo}, {hi})");
@@ -814,6 +807,40 @@ mod tests {
                     let m = emit_rows(got, 7, &mut expect_rows, 0);
                     assert_eq!(n, m);
                     assert_eq!(&out[..n], &expect_rows[..m]);
+                }
+            }
+        }
+    }
+
+    /// The forced-engine matrix, one layer up from `bitpack`'s: every
+    /// compare/compact engine the CPU has scans a packed view of every
+    /// width — whose last value ends in the last byte of the last word —
+    /// to the same selection as the scalar reference, from starts on both
+    /// sides of the group and chunk boundaries to ends mid-group, at the
+    /// chunk edge and at the end of the stream.
+    #[test]
+    fn every_engine_selects_every_packed_width_like_the_scalar_scan() {
+        use crystal_storage::PackedColumn;
+        const LEN: usize = 2 * CHUNK + LANES; // `LEN * bits` is whole words.
+        for &isa in Isa::ALL.iter().filter(|isa| isa.supported()) {
+            for bits in 1..=32u32 {
+                let domain = 1i64 << bits.min(31);
+                let col: Vec<i32> = (0..LEN as i64)
+                    .map(|i| (i * 2654435761 % domain) as i32)
+                    .collect();
+                let packed = PackedColumn::pack(&col, bits).unwrap();
+                let view = packed.view();
+                let (lo, hi) = ((domain / 4) as i32, (domain / 2) as i32);
+                for start in [0, 1, 15, 16, 63, 64, 1023, 1024, LEN - 17, LEN - 1] {
+                    for end in [start, start + 1, start + 17, start + CHUNK, LEN] {
+                        let end = end.min(LEN);
+                        let (mut got, mut want) = (vec![0u32; LEN], vec![0u32; LEN]);
+                        // SAFETY: `isa` passed the `supported` filter.
+                        let n =
+                            unsafe { between_init_on(isa, &view, lo, hi, start, end, &mut got) };
+                        let m = sel_between_init_scalar(&col[..], lo, hi, start, end, &mut want);
+                        assert_eq!(&got[..n], &want[..m], "{isa:?} bits={bits} {start}..{end}");
+                    }
                 }
             }
         }

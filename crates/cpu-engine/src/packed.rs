@@ -13,7 +13,7 @@
 //! the same fused loop rather than hand-maintained copies.
 //!
 //! The loops are two-phase chunked like `crystal_core::selvec`: each
-//! [`VECTOR_SIZE`] chunk is batch-decoded once (word-parallel for packed
+//! [`VECTOR_SIZE`] chunk is batch-decoded once (SIMD for packed
 //! storage, zero-copy for plain), then compared/reduced over a dense
 //! `i32` window the compiler can autovectorize — the per-value
 //! shift/mask/reload cascade never reaches the compare loop.
@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// 4-byte output (vector-at-a-time). Each chunk is batch-decoded into a
 /// stack window, then compacted with a predicated store — decode and
 /// compare are separate dense loops, so a packed column costs one
-/// word-parallel decode pass instead of a shift/mask per comparison.
+/// batch decode pass instead of a shift/mask per comparison.
 pub fn select_gt_fused<C>(col: &C, v: i32, threads: usize) -> Vec<i32>
 where
     C: ColumnRead + Sync + ?Sized,

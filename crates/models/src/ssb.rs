@@ -177,6 +177,14 @@ pub fn coprocessor_bounds(bytes: usize, cpu: &CpuSpec, pcie: &PcieSpec) -> (f64,
 /// calibrated against the host-measured packed-select throughput of
 /// `reproduce ablation-compression`, where packed scans gain far less
 /// than the bandwidth ratio suggests.
+///
+/// It models the paper's i7-6900 and is deliberately not the host
+/// engine's measured cost: on a 2.1 GHz Xeon the value-at-a-time unpack
+/// measures 4-5 cycles inside a scan, but
+/// `crystal_storage::bitpack::unpack_batch`'s scalar window loop 1.4-1.5,
+/// its AVX2 engine 0.21-0.23 and its AVX-512 engine 0.10-0.37 by width
+/// (DESIGN.md §7, §9). Re-deriving the constant from
+/// those moves placement and every modelled packed bound with it.
 pub const CPU_SCALAR_UNPACK_CYCLES: f64 = 5.0;
 
 /// Seconds the host CPU spends unpacking `values` packed values with all

@@ -37,11 +37,13 @@
 //! in registers inside the kernels. [`execute`] is the all-plain special
 //! case reading straight from [`SsbData`].
 //!
-//! **Chunked kernels.** Each pipeline vector is exactly one decode chunk
-//! of the two-phase selection kernels
-//! ([`crystal_core::selvec`]): batch decode (word-parallel over packed
-//! words, zero-copy over plain slices), branch-free compare into `u64`
-//! match bitmaps, `trailing_zeros` compaction. Probes gather through each
+//! **Chunked kernels, full vectors.** The scan stage hands the two-phase
+//! selection kernels ([`crystal_core::selvec`]) exactly one decode chunk
+//! at a time: batch decode (SIMD over packed words, zero-copy over plain
+//! slices), branch-free compare into `u64` match bitmaps, `trailing_zeros`
+//! compaction. With a fact predicate its survivors accumulate across
+//! chunks, so the stages after it always see a full vector (see
+//! `vectorized_range`). Probes gather through each
 //! lookup's monomorphized [`crystal_core::selvec::PerfectHashProbe`]
 //! spec rather than a per-row closure. [`VECTOR_SIZE`] equals the kernel
 //! [`CHUNK`] and [`MORSEL_SIZE`] is a multiple of it (checked at compile
@@ -129,7 +131,9 @@ impl WorkerAcc {
 /// morsel): the vectorized pipeline's selection vector and carried-code
 /// columns, and the tuple pipeline's per-row code buffer.
 struct Scratch {
-    sel: [u32; VECTOR_SIZE],
+    /// Two vectors long: up to `VECTOR_SIZE - 1` rows pending from earlier
+    /// chunks plus one chunk's survivors (`vectorized_range`).
+    sel: [u32; 2 * VECTOR_SIZE],
     kept: [u32; VECTOR_SIZE],
     codes: Vec<[i32; VECTOR_SIZE]>,
     tuple_codes: Vec<i32>,
@@ -139,7 +143,7 @@ impl Scratch {
     fn new(joins: usize, mode: PipelineMode) -> Self {
         let vectorized = mode == PipelineMode::Vectorized;
         Scratch {
-            sel: [0u32; VECTOR_SIZE],
+            sel: [0u32; 2 * VECTOR_SIZE],
             kept: [0u32; VECTOR_SIZE],
             codes: vec![[0i32; VECTOR_SIZE]; if vectorized { joins } else { 0 }],
             tuple_codes: vec![0i32; if vectorized { 0 } else { joins }],
@@ -185,6 +189,29 @@ impl QueryCtx<'_> {
             idx = idx * dom + code_of_join(j) as usize;
         }
         idx
+    }
+
+    /// Prefetches, for the ascending `rows` predicate `k` just selected,
+    /// what the next stage gathers: the next predicate's column, else the
+    /// first join's foreign key, else the aggregate inputs. Sparse rows
+    /// only: at one row in four or denser the next stage walks adjacent
+    /// lines, where a hint per row (16 a line) measured +20 % on a plan
+    /// whose first predicate keeps every row and none at all was fastest.
+    #[inline]
+    fn prefetch_after_pred(&self, k: usize, rows: &[u32]) {
+        let span = rows.last().map_or(0, |last| last - rows[0]) as usize;
+        if span < 4 * rows.len() {
+            return;
+        }
+        let next = match (self.pred_cols.get(k + 1), self.fk_cols.first()) {
+            (Some(col), _) | (None, Some(col)) => std::slice::from_ref(col),
+            (None, None) => self.agg_cols,
+        };
+        for col in next {
+            for &row in rows {
+                col.prefetch_row(row as usize);
+            }
+        }
     }
 
     /// The aggregate expression's value for fact row `row`, read through
@@ -315,8 +342,21 @@ type Columns<'a> = (
 
 /// One contiguous run of fact rows a scan covers: its resolved columns
 /// and its row count. A whole table is one segment; a partitioned table
-/// is one per live shard.
+/// is one per live shard. Row ids are `u32` from the selection vector on,
+/// so a segment holds at most `u32::MAX` rows ([`check_segment_rows`]).
 type Segment<'a> = (Columns<'a>, usize);
+
+/// Refuses, where a segment enters the executor, one whose row ids — or
+/// the exclusive end of whose last range — would wrap the selection
+/// vector's `u32` (a larger table has to be partitioned).
+fn check_segment_rows(rows: usize) {
+    assert!(
+        rows <= u32::MAX as usize,
+        "a fact segment of {rows} rows does not fit the executor's u32 row ids \
+         (at most {} rows per segment; partition the table)",
+        u32::MAX
+    );
+}
 
 fn plain_columns<'a>(d: &'a SsbData, q: &StarQuery) -> Columns<'a> {
     (
@@ -414,6 +454,7 @@ impl<'a> Plan<'a> {
     ) -> (QueryResult, QueryTrace) {
         let mut workers: Vec<WorkerAcc> = Vec::new();
         for (cols, rows) in segments {
+            check_segment_rows(*rows);
             let ctx = self.ctx(cols);
             workers.extend(match schedule {
                 Schedule::Morsel(morsel) => {
@@ -567,6 +608,9 @@ impl<'a> HostQueryJob<'a> {
     ) -> Self {
         // An empty segment would stall a one-row grant on its boundary.
         segments.retain(|(_, rows)| *rows > 0);
+        segments
+            .iter()
+            .for_each(|(_, rows)| check_segment_rows(*rows));
         let plan = Plan::new(d, q);
         let (acc, scratch) = plan.worker(mode);
         HostQueryJob {
@@ -677,13 +721,80 @@ fn scan_range(
     }
 }
 
-/// Vector-at-a-time pipeline over one contiguous row range: each L1-sized
-/// vector flows through the selection-vector kernels, with per-column
-/// packed/plain dispatch at every stage.
+/// Vector-at-a-time pipeline over one contiguous row range, with
+/// per-column packed/plain dispatch at every stage.
+///
+/// Without a fact predicate every chunk is a full vector and goes straight
+/// to [`join_aggregate`]. With one, the first predicate scans chunk by
+/// chunk and *appends* its survivors to the selection; the later stages
+/// run once a full vector is pending (or the range ends), so a selective
+/// predicate hands them 1 024 rows at a time instead of a dozen, and each
+/// stage prefetches the next one's column for the rows it selected: a
+/// whole vector's misses are in flight before the first is needed.
+/// Nothing stays pending when the range ends, so any split of a table
+/// into ranges yields the same accumulator.
 fn vectorized_range(
     ctx: &QueryCtx<'_>,
     range_start: usize,
     range_end: usize,
+    acc: &mut WorkerAcc,
+    scratch: &mut Scratch,
+) {
+    let Some(first) = ctx.q.fact_preds.first() else {
+        let mut start = range_start;
+        while start < range_end {
+            let end = (start + VECTOR_SIZE).min(range_end);
+            let count = sel_init(start, end, &mut scratch.sel);
+            acc.pred_survivors += count;
+            join_aggregate(ctx, count, acc, scratch);
+            start = end;
+        }
+        return;
+    };
+    let mut pending = 0usize;
+    let mut start = range_start;
+    while start < range_end {
+        let end = (start + VECTOR_SIZE).min(range_end);
+        // `pending < VECTOR_SIZE` here, so the chunk's survivors fit.
+        let tail = &mut scratch.sel[pending..];
+        let found = between_init(ctx.pred_cols[0], first.lo, first.hi, start, end, tail);
+        ctx.prefetch_after_pred(0, &tail[..found]);
+        pending += found;
+        if pending >= VECTOR_SIZE {
+            refine_join_aggregate(ctx, VECTOR_SIZE, acc, scratch);
+            scratch.sel.copy_within(VECTOR_SIZE..pending, 0);
+            pending -= VECTOR_SIZE;
+        }
+        start = end;
+    }
+    refine_join_aggregate(ctx, pending, acc, scratch);
+}
+
+/// The stages after the first fact predicate over the first `count`
+/// selected rows: the remaining predicates, then [`join_aggregate`].
+#[inline]
+fn refine_join_aggregate(
+    ctx: &QueryCtx<'_>,
+    mut count: usize,
+    acc: &mut WorkerAcc,
+    scratch: &mut Scratch,
+) {
+    let preds = ctx.q.fact_preds.iter().zip(ctx.pred_cols).enumerate();
+    for (k, (p, col)) in preds.skip(1) {
+        count = between_refine(*col, p.lo, p.hi, &mut scratch.sel, count);
+        ctx.prefetch_after_pred(k, &scratch.sel[..count]);
+    }
+    acc.pred_survivors += count;
+    join_aggregate(ctx, count, acc, scratch);
+}
+
+/// The back end every vector shares: the ordered semi-joins over the
+/// first `count` selected rows, compacting per stage, then the aggregate
+/// of the survivors into the private dense table.
+#[inline(always)]
+fn join_aggregate(
+    ctx: &QueryCtx<'_>,
+    mut count: usize,
     acc: &mut WorkerAcc,
     scratch: &mut Scratch,
 ) {
@@ -692,55 +803,36 @@ fn vectorized_range(
     let kept = &mut scratch.kept;
     let codes = &mut scratch.codes;
 
-    let mut start = range_start;
-    while start < range_end {
-        let end = (start + VECTOR_SIZE).min(range_end);
-
-        // Stage 1: fact predicates -> selection vector.
-        let mut count = match ctx.q.fact_preds.first() {
-            None => sel_init(start, end, sel),
-            Some(p) => between_init(ctx.pred_cols[0], p.lo, p.hi, start, end, sel),
-        };
-        for (p, col) in ctx.q.fact_preds.iter().zip(ctx.pred_cols).skip(1) {
-            count = between_refine(*col, p.lo, p.hi, sel, count);
-        }
-        acc.pred_survivors += count;
-
-        // Stage 2: ordered semi-joins, compacting per stage. Earlier
-        // joins' carried codes are re-aligned through the kept
-        // positions.
-        for j in 0..joins {
-            acc.probes[j] += count;
-            let lk = &ctx.lookups[j];
-            let (before, current) = codes.split_at_mut(j);
-            // Track kept positions only when an earlier join's carried
-            // codes must be re-aligned; the plain probe skips the
-            // bookkeeping store.
-            if ctx.carries[..j].iter().any(|&c| c) {
-                count = probe_tracked(ctx.fk_cols[j], lk, sel, count, &mut current[0], kept);
-                for (e, col) in before.iter_mut().enumerate() {
-                    if ctx.carries[e] {
-                        sel_compact(col, kept, count);
-                    }
+    // Earlier joins' carried codes are re-aligned through the kept
+    // positions.
+    for j in 0..joins {
+        acc.probes[j] += count;
+        let lk = &ctx.lookups[j];
+        let (before, current) = codes.split_at_mut(j);
+        // Track kept positions only when an earlier join's carried
+        // codes must be re-aligned; the plain probe skips the
+        // bookkeeping store.
+        if ctx.carries[..j].iter().any(|&c| c) {
+            count = probe_tracked(ctx.fk_cols[j], lk, sel, count, &mut current[0], kept);
+            for (e, col) in before.iter_mut().enumerate() {
+                if ctx.carries[e] {
+                    sel_compact(col, kept, count);
                 }
-            } else {
-                count = probe(ctx.fk_cols[j], lk, sel, count, &mut current[0]);
             }
-            acc.hits[j] += count;
-            if count == 0 {
-                break;
-            }
+        } else {
+            count = probe(ctx.fk_cols[j], lk, sel, count, &mut current[0]);
         }
-        acc.result_rows += count;
-
-        // Stage 3: aggregate survivors into the private dense table.
-        for k in 0..count {
-            let row = sel[k] as usize;
-            let idx = ctx.group_idx(|j| codes[j][k]);
-            acc.agg[idx] += ctx.agg_value(row);
+        acc.hits[j] += count;
+        if count == 0 {
+            break;
         }
+    }
+    acc.result_rows += count;
 
-        start = end;
+    for k in 0..count {
+        let row = sel[k] as usize;
+        let idx = ctx.group_idx(|j| codes[j][k]);
+        acc.agg[idx] += ctx.agg_value(row);
     }
 }
 
@@ -979,6 +1071,128 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Plans with `preds` fact predicates and `joins` joins: the joins
+    /// are q4.1's first few (customer, supplier and part filter; customer
+    /// and date group), the predicate lists put a keep-everything
+    /// predicate first (pending reaches the flush threshold every chunk)
+    /// and in the middle, and selective ones (pending crosses it rarely,
+    /// and ranges end with rows pending).
+    fn pipeline_plans(d: &SsbData) -> Vec<StarQuery> {
+        use crate::plan::{FactCol, FactPred};
+        let all = FactPred::between(FactCol::Quantity, 1, 50);
+        let years = FactPred::between(FactCol::OrderDate, 19930101, 19941231);
+        let pred_lists = [
+            vec![],
+            vec![all],
+            vec![years, FactPred::between(FactCol::Discount, 1, 3)],
+            vec![FactPred::between(FactCol::Discount, 4, 6), all, years],
+        ];
+        let base = crate::queries::query(d, crate::QueryId::new(4, 1));
+        let mut plans = Vec::new();
+        for preds in &pred_lists {
+            for joins in 0..=base.joins.len() {
+                let mut q = base.clone();
+                q.fact_preds = preds.clone();
+                q.joins.truncate(joins);
+                plans.push(q);
+            }
+        }
+        plans
+    }
+
+    /// The accumulating front end is unobservable: for 0-3 fact predicates
+    /// x 0-4 joins over plain, packed and mixed encodings, the result
+    /// equals the reference's and *every* trace counter equals the
+    /// row-at-a-time pipeline's, under morsels of one row, morsels that
+    /// end ranges with rows pending, whole vectors and several at once —
+    /// and under resumable grants of one row, a ragged 1 009 and
+    /// everything, across shard boundaries.
+    #[test]
+    fn accumulating_front_end_matches_per_row_semantics() {
+        use crate::partition::PartitionedFact;
+        let d = SsbData::generate_scaled(1, 0.002, 41);
+        let rows = d.lineorder.rows();
+        assert!(rows > 3 * VECTOR_SIZE + 5);
+        let mode = PipelineMode::Vectorized;
+        let encodings = [
+            FactEncodings::plain(),
+            FactEncodings::packed_min(&d),
+            random_encodings(&d, 5),
+        ];
+        let tables: Vec<_> = encodings
+            .iter()
+            .map(|enc| {
+                let fact = EncodedFact::encode(&d, enc);
+                (fact, PartitionedFact::partition(&d, 3, enc))
+            })
+            .collect();
+        for q in pipeline_plans(&d) {
+            let shape = format!("{} preds, {} joins", q.fact_preds.len(), q.joins.len());
+            let expected = (
+                reference::execute(&d, &q),
+                execute(&d, &q, 1, PipelineMode::TupleAtATime).1,
+            );
+            for (e, (fact, pf)) in tables.iter().enumerate() {
+                let plan = Plan::new(&d, &q);
+                let table = [(encoded_columns(fact, &q), rows)];
+                for morsel in [1, 999, VECTOR_SIZE, 3 * VECTOR_SIZE + 5] {
+                    let got = plan.run(&table, 3, mode, Schedule::Morsel(morsel));
+                    assert_eq!(got, expected, "{shape}, encoding {e}, morsel {morsel}");
+                }
+                assert!(pf.shard_count() > 1);
+                for grant in [1, 1009, usize::MAX] {
+                    let mut job = HostQueryJob::new_partitioned(&d, pf, &q, mode);
+                    while !job.step(grant) {}
+                    assert_eq!(
+                        job.finish(),
+                        expected,
+                        "{shape}, encoding {e}, grant {grant}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// No row is pending when a range returns: after every grant, however
+    /// ragged, the accumulator has counted exactly the qualifying rows of
+    /// the prefix scanned so far — including grants that stop one row
+    /// short of a full vector of survivors.
+    #[test]
+    fn nothing_is_pending_between_ranges() {
+        let d = SsbData::generate_scaled(1, 0.002, 41);
+        let mode = PipelineMode::Vectorized;
+        for q in pipeline_plans(&d).iter().filter(|q| q.joins.is_empty()) {
+            let mut qualifying = vec![0usize];
+            for row in 0..d.lineorder.rows() {
+                let hit = q.fact_preds.iter().all(|p| p.matches(p.col.data(&d)[row]));
+                qualifying.push(qualifying[row] + usize::from(hit));
+            }
+            for grant in [VECTOR_SIZE - 1, VECTOR_SIZE + 1, 2 * VECTOR_SIZE + 999] {
+                let mut job = HostQueryJob::new(&d, q, mode);
+                let mut done = false;
+                while !done {
+                    done = job.step(grant);
+                    assert_eq!(job.acc.pred_survivors, qualifying[job.rows_scanned()]);
+                    assert_eq!(job.acc.result_rows, job.acc.pred_survivors);
+                }
+            }
+        }
+    }
+
+    /// Row ids are `u32`: a segment too long for them is refused where it
+    /// enters the executor, with a message naming the limit — checked on
+    /// the row count alone (no 16 GiB column is allocated).
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn oversized_segment_is_refused_with_the_limit_named() {
+        check_segment_rows(0);
+        check_segment_rows(u32::MAX as usize);
+        let refused = std::panic::catch_unwind(|| check_segment_rows(u32::MAX as usize + 1));
+        let message = *refused.unwrap_err().downcast::<String>().unwrap();
+        assert!(message.contains("4294967295 rows per segment"), "{message}");
+        assert!(message.contains("4294967296 rows"), "{message}");
     }
 
     /// All shards pruned: zero segments. The job has nothing remaining,

@@ -9,6 +9,8 @@
 //! bitstream. Non-negative values only (SSB's dictionary codes, keys and
 //! measures all qualify after encoding).
 
+use crate::isa::{prefetch, Isa};
+
 /// Error returned when a value does not fit the requested width.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackError {
@@ -188,103 +190,232 @@ impl<'a> PackedView<'a> {
         unpack_at(self.words, self.bits, i)
     }
 
-    /// Decodes `out.len()` consecutive values starting at `start`,
-    /// word-parallel (see [`unpack_batch`]): each packed word is loaded
-    /// once and peeled in registers, which is what makes the chunked
-    /// kernels' decode phase cheap.
+    /// Decodes `out.len()` consecutive values starting at `start` through
+    /// [`unpack_batch`], which is what makes the chunked kernels' decode
+    /// phase cheap.
     #[inline]
     pub fn get_batch(&self, start: usize, out: &mut [i32]) {
         debug_assert!(start + out.len() <= self.len);
         unpack_batch(self.words, self.bits, start, out);
     }
+
+    /// Hints the line value `i` starts in into cache (`i` may lie past the
+    /// view: the address is computed, never dereferenced).
+    #[inline]
+    pub fn prefetch_value(&self, i: usize) {
+        let word = i.wrapping_mul(self.bits as usize) / 64;
+        prefetch(self.words.as_ptr().wrapping_add(word));
+    }
 }
 
 /// Decodes `out.len()` consecutive values starting at `start` from a
-/// packed word stream — the batch half of the `ColumnRead::read_batch`
-/// fast path the chunked kernels decode through.
+/// packed word stream — the one decode entry point, behind
+/// `ColumnRead::read_batch`, that the chunked kernels stage through.
 ///
-/// The hot loop is *byte-window* decoding: the value at bit `p` always
-/// fits inside the 4-byte window starting at byte `p / 8` when
-/// `bits <= 25` (`p % 8 + 25 <= 32`), and inside the 8-byte window for
-/// any `bits <= 32`, so each value is one unaligned little-endian load,
-/// one shift and one mask — no per-value word-boundary branch, no
-/// loop-carried state, every iteration independent (which is what lets
-/// the CPU overlap them). The last few values, whose window would poke
-/// past the stream, fall back to [`unpack_at`], as does the whole batch
-/// on big-endian targets (the window trick reads the words' in-memory
-/// byte order).
+/// **Byte windows.** The value at bit `p` lies inside the 8 bytes from
+/// byte `p / 8` (`p % 8 + 32 <= 64`), and inside the first 4 of them when
+/// `bits <= 25`: one unaligned little-endian load, one shift, one mask —
+/// no word-boundary branch, no loop-carried state.
+///
+/// **SIMD engines (`bits <= 25`).** Eight values are exactly `bits` bytes,
+/// so every 8- or 16-value group of a batch starts at the same bit phase
+/// as the first and its per-lane (window byte, shift) pattern is constant
+/// per call: a group is one unaligned vector load, one byte permute
+/// placing each lane's 4-byte window, one per-lane shift, one mask, one
+/// store. [`Isa::best`] picks the engine. Groups whose vector load would
+/// end past `words`, and widths 26..=32, take the scalar window loop; the
+/// last values, whose scalar window would, take the word/straddle loop —
+/// as does the whole batch on big-endian targets (windows read the words'
+/// in-memory byte order) and in debug builds: [`Isa::best`] is portable
+/// there, but unoptimized `read_unaligned` is a nest of outlined calls
+/// that makes even the window loop slower than value-at-a-time access
+/// (the scorecard's chunked-vs-scalar band runs under `cargo test`).
 pub fn unpack_batch(words: &[u64], bits: u32, start: usize, out: &mut [i32]) {
-    debug_assert!((1..=32).contains(&bits));
-    if out.is_empty() {
-        return;
+    if cfg!(debug_assertions) {
+        unpack_straddle(words, bits, start, out);
+    } else {
+        // SAFETY: `Isa::best` only returns a level the CPU supports.
+        unsafe { unpack_on(Isa::best(), words, bits, start, out) }
     }
+}
+
+/// [`unpack_batch`] on a given level's engine (tests force each one).
+///
+/// # Safety
+/// The running CPU must support `isa` ([`Isa::supported`]).
+unsafe fn unpack_on(isa: Isa, words: &[u64], bits: u32, start: usize, out: &mut [i32]) {
+    debug_assert!((1..=32).contains(&bits));
     debug_assert!(words.len() * 64 >= (start + out.len()) * bits as usize);
-    let mut n_fast = 0usize;
+    let done = match isa {
+        // SAFETY (both arms): the caller vouches for the CPU features,
+        // each engine's only requirement.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512Vbmi if bits <= 25 => unsafe { unpack_avx512(words, bits, start, out) },
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 | Isa::Avx2 if bits <= 25 => unsafe { unpack_avx2(words, bits, start, out) },
+        _ => 0,
+    };
     #[cfg(target_endian = "little")]
-    if !cfg!(debug_assertions) {
-        let b = bits as usize;
-        let n = out.len();
-        let base = words.as_ptr() as *const u8;
-        let bit_len = words.len() * 64;
-        // Highest bit position whose window stays inside the stream.
-        let window = if bits <= 25 { 32 } else { 64 };
-        let bit_budget = bit_len.saturating_sub(window);
-        n_fast = if start * b > bit_budget {
-            0
-        } else {
-            n.min((bit_budget - start * b) / b + 1)
-        };
-        let mut bit = start * b;
-        if bits <= 25 {
-            let mask = (1u32 << bits) - 1;
-            for slot in out[..n_fast].iter_mut() {
-                // SAFETY: `bit / 8 + 4 <= words.len() * 8` for every fast
-                // value by the `bit_budget` bound, so the 4-byte read is
-                // inside the `words` allocation; unaligned reads are done
-                // with `read_unaligned`.
-                let v = unsafe { (base.add(bit >> 3) as *const u32).read_unaligned() };
-                *slot = ((v >> (bit & 7)) & mask) as i32;
-                bit += b;
-            }
-        } else {
-            let mask = if bits == 32 {
-                u32::MAX as u64
-            } else {
-                (1u64 << bits) - 1
-            };
-            for slot in out[..n_fast].iter_mut() {
-                // SAFETY: `bit / 8 + 8 <= words.len() * 8` for every fast
-                // value by the `bit_budget` bound.
-                let v = unsafe { (base.add(bit >> 3) as *const u64).read_unaligned() };
-                *slot = ((v >> (bit & 7)) & mask) as i32;
-                bit += b;
-            }
+    let done = done + unpack_windows(words, bits, start + done, &mut out[done..]);
+    unpack_straddle(words, bits, start + done, &mut out[done..]);
+}
+
+/// How many of `want` equally spaced loads of `load` units — the first at
+/// `first`, each `stride` after the last — end inside a buffer of `len`
+/// units. Every unchecked decode loop is sized with this.
+#[inline]
+fn loads_in_bounds(len: usize, first: usize, stride: usize, load: usize, want: usize) -> usize {
+    match first.checked_add(load).and_then(|end| len.checked_sub(end)) {
+        Some(slack) => want.min(slack / stride + 1),
+        None => 0,
+    }
+}
+
+/// Mask of the low `bits` bits.
+#[inline]
+fn low_mask(bits: u32) -> u64 {
+    (1u64 << bits) - 1
+}
+
+/// Lane `i`'s window byte and shift in a group whose first value starts
+/// at bit `phase` of the group's first byte.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn lane(phase: usize, bits: usize, i: usize) -> (usize, u32) {
+    let p = phase + i * bits;
+    (p / 8, (p % 8) as u32)
+}
+
+/// The AVX-512 decode engine: sixteen values (`2 * bits` bytes) per
+/// 64-byte load. Returns how many leading values of `out` it decoded — a
+/// multiple of 16, short of `out.len()` by the partial group and by the
+/// groups whose load would end past `words`. Correct for `bits <= 25`.
+///
+/// # Safety
+/// The CPU must support AVX-512 F, BW and VBMI.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+unsafe fn unpack_avx512(words: &[u64], bits: u32, start: usize, out: &mut [i32]) -> usize {
+    use std::arch::x86_64::*;
+    let b = bits as usize;
+    let (byte0, phase) = ((start * b) >> 3, (start * b) & 7);
+    // Lane 15's window starts `(7 + 15 * 25) / 8 = 47` bytes into the load
+    // at most, so all four of its bytes are among the 64 loaded.
+    let (mut window, mut shift) = ([0u8; 64], [0u32; 16]);
+    for i in 0..16 {
+        let (byte, by) = lane(phase, b, i);
+        window[4 * i..4 * i + 4].copy_from_slice(&[0, 1, 2, 3].map(|k| (byte + k) as u8));
+        shift[i] = by;
+    }
+    let nbytes = words.len() * 8;
+    let groups = loads_in_bounds(nbytes, byte0, 2 * b, 64, out.len() / 16);
+    // SAFETY: the constant loads read whole local arrays of their vector's
+    // size. Group `g` loads bytes `byte0 + 2bg ..+ 64` of `words`, which
+    // `loads_in_bounds` placed at or before `nbytes`, and stores lanes
+    // `16g .. 16g + 16` of `out`, inside it as `groups <= out.len() / 16`.
+    unsafe {
+        let window = _mm512_loadu_si512(window.as_ptr().cast());
+        let shift = _mm512_loadu_si512(shift.as_ptr().cast());
+        let mask = _mm512_set1_epi32(low_mask(bits) as i32);
+        let bytes = words.as_ptr().cast::<u8>();
+        for g in 0..groups {
+            debug_assert!(byte0 + g * 2 * b + 64 <= nbytes);
+            let raw = _mm512_loadu_si512(bytes.add(byte0 + g * 2 * b).cast());
+            let lanes = _mm512_srlv_epi32(_mm512_permutexvar_epi8(window, raw), shift);
+            let vals = _mm512_and_si512(lanes, mask);
+            _mm512_storeu_si512(out.as_mut_ptr().add(g * 16).cast(), vals);
         }
     }
-    // Tail of the fast path — and, in debug builds (or on big-endian
-    // targets), the whole batch: a manually-inlined word/straddle loop.
-    // Unoptimized `read_unaligned` expands to a nest of outlined calls,
-    // so the byte-window trick would make debug decoding *slower* than
-    // per-value access; this form keeps the call count per value minimal.
+    groups * 16
+}
+
+/// The AVX2 decode engine: eight values (`bits` bytes) per iteration, four
+/// per 128-bit lane because `pshufb` permutes within a lane — lanes 0..4
+/// from the 16 bytes at the group's first byte, lanes 4..8 from the 16
+/// bytes at the byte lane 4 starts in. Returns the count decoded, a
+/// multiple of 8, as [`unpack_avx512`] does. Correct for `bits <= 25`.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn unpack_avx2(words: &[u64], bits: u32, start: usize, out: &mut [i32]) -> usize {
+    use std::arch::x86_64::*;
     let b = bits as usize;
-    let mask = if bits == 32 {
-        u32::MAX as u64
-    } else {
-        (1u64 << bits) - 1
-    };
-    let mut bit = (start + n_fast) * b;
-    let mut j = n_fast;
-    let n = out.len();
-    while j < n {
+    let (byte0, phase) = ((start * b) >> 3, (start * b) & 7);
+    let hi = lane(phase, b, 4).0;
+    // Four values span at most `(7 + 3 * 25) / 8 + 4 = 14` bytes from the
+    // byte the first starts in, so each half's windows are inside its 16.
+    let (mut window, mut shift) = ([0u8; 32], [0u32; 8]);
+    for i in 0..8 {
+        let (byte, by) = lane(phase, b, i);
+        let byte = byte - if i < 4 { 0 } else { hi };
+        window[4 * i..4 * i + 4].copy_from_slice(&[0, 1, 2, 3].map(|k| (byte + k) as u8));
+        shift[i] = by;
+    }
+    let nbytes = words.len() * 8;
+    let groups = loads_in_bounds(nbytes, byte0 + hi, b, 16, out.len() / 8);
+    // SAFETY: the constant loads read whole local arrays of their vector's
+    // size. Group `g`'s later load covers bytes `byte0 + hi + bg ..+ 16`
+    // of `words`, which `loads_in_bounds` placed at or before `nbytes`,
+    // and its earlier load ends `hi` bytes sooner; the store fills lanes
+    // `8g .. 8g + 8` of `out`, inside it as `groups <= out.len() / 8`.
+    unsafe {
+        let window = _mm256_loadu_si256(window.as_ptr().cast());
+        let shift = _mm256_loadu_si256(shift.as_ptr().cast());
+        let mask = _mm256_set1_epi32(low_mask(bits) as i32);
+        let bytes = words.as_ptr().cast::<u8>();
+        for g in 0..groups {
+            debug_assert!(byte0 + hi + g * b + 16 <= nbytes);
+            let lo_half = _mm_loadu_si128(bytes.add(byte0 + g * b).cast());
+            let hi_half = _mm_loadu_si128(bytes.add(byte0 + g * b + hi).cast());
+            let raw = _mm256_inserti128_si256::<1>(_mm256_castsi128_si256(lo_half), hi_half);
+            let lanes = _mm256_srlv_epi32(_mm256_shuffle_epi8(raw, window), shift);
+            let vals = _mm256_and_si256(lanes, mask);
+            _mm256_storeu_si256(out.as_mut_ptr().add(g * 8).cast(), vals);
+        }
+    }
+    groups * 8
+}
+
+/// The portable decode engine, and the other engines' tail and 26..=32-bit
+/// path: one unaligned 8-byte window load, shift and mask per value.
+/// Returns how many leading values of `out` it decoded — all whose window
+/// ends inside `words`.
+#[cfg(target_endian = "little")]
+fn unpack_windows(words: &[u64], bits: u32, start: usize, out: &mut [i32]) -> usize {
+    let b = bits as usize;
+    let mask = low_mask(bits);
+    let mut bit = start * b;
+    let bytes = words.as_ptr().cast::<u8>();
+    // In bits: a window that ends inside the stream starts inside it.
+    let n = loads_in_bounds(words.len() * 64, bit, b, 64, out.len());
+    for slot in &mut out[..n] {
+        // SAFETY: `loads_in_bounds` counted only values with
+        // `bit + 64 <= words.len() * 64`, so the 8 bytes from `bit / 8`
+        // are inside `words`; `read_unaligned` takes any alignment.
+        let v = unsafe { bytes.add(bit >> 3).cast::<u64>().read_unaligned() };
+        *slot = ((v >> (bit & 7)) & mask) as i32;
+        bit += b;
+    }
+    n
+}
+
+/// The word/straddle loop: bounds-checked, any target, any build — the
+/// whole batch in debug builds, the last few values otherwise.
+fn unpack_straddle(words: &[u64], bits: u32, start: usize, out: &mut [i32]) {
+    let b = bits as usize;
+    let mask = low_mask(bits);
+    let mut bit = start * b;
+    for slot in out {
         let w = bit >> 6;
         let off = (bit & 63) as u32;
         let mut v = words[w] >> off;
         if off + bits > 64 {
             v |= words[w + 1] << (64 - off);
         }
-        out[j] = (v & mask) as i32;
+        *slot = (v & mask) as i32;
         bit += b;
-        j += 1;
     }
 }
 
@@ -362,7 +493,83 @@ mod tests {
         assert_eq!(p.unpack(), Vec::<i32>::new());
     }
 
-    /// The word-parallel batch decoder agrees with per-value `unpack_at`
+    /// `len` pseudo-random values that fit `bits`.
+    fn values_of_width(bits: u32, len: usize) -> Vec<i32> {
+        let domain_mask = low_mask(bits.min(31)) as i32;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ u64::from(bits);
+        (0..len)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (x >> 33) as i32 & domain_mask
+            })
+            .collect()
+    }
+
+    /// The forced-engine matrix: every decode engine the CPU has, called
+    /// directly (not through detection, so debug runs execute the
+    /// intrinsics and their per-load `debug_assert`s), agrees with
+    /// `unpack_at` for every width, from starts at every bit phase and on
+    /// both sides of the 16-, 64- and 1024-value boundaries, for lengths
+    /// around one SIMD group and up to the end of a stream whose last
+    /// value ends in the last byte of the last word — so the final groups'
+    /// vector loads would leave the buffer if the engine did not stop
+    /// short. Slots past the batch must stay untouched.
+    #[test]
+    fn every_engine_matches_unpack_at_for_every_width_and_edge() {
+        const LEN: usize = 2112; // 33 * 64: `LEN * bits` is whole words.
+        const CANARY: i32 = -7;
+        for &isa in Isa::ALL.iter().filter(|isa| isa.supported()) {
+            for bits in 1..=32u32 {
+                let values = values_of_width(bits, LEN);
+                let p = PackedColumn::pack(&values, bits).unwrap();
+                assert_eq!(p.words().len() * 64, LEN * bits as usize);
+                for start in [0, 1, 7, 8, 15, 16, 63, 64, 1023, 1024, LEN - 17, LEN - 1] {
+                    for len in [0, 1, 15, 16, 17, 1024, LEN] {
+                        let len = len.min(LEN - start);
+                        let mut out = vec![CANARY; len + 16];
+                        // SAFETY: `isa` passed the `supported` filter.
+                        unsafe { unpack_on(isa, p.words(), bits, start, &mut out[..len]) };
+                        for (k, &v) in out[..len].iter().enumerate() {
+                            let want = unpack_at(p.words(), bits, start + k);
+                            assert_eq!(v, want, "{isa:?} bits={bits} start={start} len={len} +{k}");
+                        }
+                        assert!(
+                            out[len..].iter().all(|&v| v == CANARY),
+                            "{isa:?} bits={bits} start={start} len={len} wrote past the batch"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The bound every unchecked decode loop is sized with: each counted
+    /// load ends inside the buffer, and the next one would not (or `want`
+    /// is reached).
+    #[test]
+    fn loads_in_bounds_is_tight() {
+        for len in 0..80 {
+            for first in 0..80 {
+                for stride in [1, 2, 7, 50] {
+                    for load in [4, 16, 64] {
+                        for want in [0, 1, 3, 1000] {
+                            let n = loads_in_bounds(len, first, stride, load, want);
+                            let case = format!("{len} {first} {stride} {load} {want}");
+                            assert!(n <= want, "{case}");
+                            if n > 0 {
+                                assert!(first + (n - 1) * stride + load <= len, "{case}");
+                            }
+                            if n < want {
+                                assert!(first + n * stride + load > len, "{case}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The batch decoder agrees with per-value `unpack_at`
     /// for every width, at every start offset, including chunk-straddling
     /// and word-straddling windows.
     #[test]

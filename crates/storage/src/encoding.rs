@@ -24,6 +24,7 @@
 //!   executors resolve plan columns to before entering their hot loops.
 
 use crate::bitpack::{PackedColumn, PackedView};
+use crate::isa;
 
 /// How a logical `i32` column is physically stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,8 +92,8 @@ pub trait ColumnRead {
     /// decode chunk through before their branch-free compare/compact
     /// phase. The default walks [`ColumnRead::value`]; implementations
     /// with a cheaper bulk form override it ([`PackedView`] decodes
-    /// word-parallel: one load and one shift/mask cascade per packed
-    /// `u64` instead of an address computation and reload per value).
+    /// sixteen values per vector load instead of an address computation
+    /// and reload per value).
     #[inline]
     fn read_batch(&self, start: usize, out: &mut [i32]) {
         for (k, slot) in out.iter_mut().enumerate() {
@@ -108,6 +109,14 @@ pub trait ColumnRead {
     fn plain(&self) -> Option<&[i32]> {
         None
     }
+
+    /// Hints the cache line `row`'s stored value starts in into cache: a
+    /// streaming kernel issues it across the chunk after the one it
+    /// computes on, a pipeline for the rows it just selected on the column
+    /// its next stage gathers from, so the misses (and page walks) overlap
+    /// the compute. `row` may lie past the column; the default does nothing.
+    #[inline]
+    fn prefetch_row(&self, _row: usize) {}
 
     /// Stages the window `start..end` for a chunked kernel: plain
     /// storage lends it zero-copy, anything else batch-decodes into
@@ -146,6 +155,11 @@ impl ColumnRead for [i32] {
     fn plain(&self) -> Option<&[i32]> {
         Some(self)
     }
+
+    #[inline]
+    fn prefetch_row(&self, row: usize) {
+        isa::prefetch(self.as_ptr().wrapping_add(row));
+    }
 }
 
 impl ColumnRead for PackedView<'_> {
@@ -162,6 +176,11 @@ impl ColumnRead for PackedView<'_> {
     #[inline]
     fn read_batch(&self, start: usize, out: &mut [i32]) {
         self.get_batch(start, out);
+    }
+
+    #[inline]
+    fn prefetch_row(&self, row: usize) {
+        self.prefetch_value(row);
     }
 }
 
@@ -218,6 +237,14 @@ impl ColumnRead for ColumnSlice<'_> {
         match self {
             ColumnSlice::Plain(s) => Some(s),
             ColumnSlice::Packed(_) => None,
+        }
+    }
+
+    #[inline]
+    fn prefetch_row(&self, row: usize) {
+        match self {
+            ColumnSlice::Plain(s) => s.prefetch_row(row),
+            ColumnSlice::Packed(v) => v.prefetch_row(row),
         }
     }
 }

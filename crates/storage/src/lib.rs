@@ -14,6 +14,9 @@
 //! the [`ColumnRead`] trait every fused kernel in the workspace reads
 //! through — one scan implementation, monomorphized per physical format,
 //! never a full-column decompress.
+//!
+//! [`isa`] holds the one runtime instruction-set detection the host kernels
+//! (the decode engines here, the compare engines of `crystal-core`) share.
 
 pub mod bitpack;
 pub mod column;
@@ -21,10 +24,12 @@ pub mod dict;
 pub mod encoding;
 pub mod gen;
 pub mod io;
+pub mod isa;
 pub mod table;
 
 pub use bitpack::{PackedColumn, PackedView};
 pub use column::Column;
 pub use dict::Dictionary;
 pub use encoding::{ColumnRead, ColumnSlice, EncodedColumn, Encoding};
+pub use isa::Isa;
 pub use table::{Schema, Table};
