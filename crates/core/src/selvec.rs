@@ -4,16 +4,17 @@
 //! primitives: a pipeline keeps one vector-sized array of surviving row
 //! ids (the *selection vector*) and each stage rewrites it in place —
 //! predicates compact it branch-free (the Section 3.2 Polychroniou style),
-//! probes compact it through a lookup while emitting per-row payload codes,
-//! and [`sel_compact`] re-aligns payload columns carried from earlier
-//! stages. `crystal-ssb`'s morsel-driven executor composes them into full
-//! star queries the same way the GPU engine composes the block-wide
-//! primitives.
+//! joins compact it as *semi-joins* against a membership bitmap, and
+//! [`sel_group_digit`] gathers the payload codes once, for the rows that
+//! survived every join. `crystal-ssb`'s morsel-driven executor composes
+//! them into full star queries the same way the GPU engine composes the
+//! block-wide primitives.
 //!
-//! **Chunked two-phase form.** Every kernel runs in [`CHUNK`]-row chunks:
+//! **Chunked two-phase form.** The contiguous-fed kernels run in
+//! [`CHUNK`]-row chunks:
 //!
 //! 1. *decode* — the chunk's values are staged into a stack buffer through
-//!    `ColumnRead::read_batch`. Plain slices lend their window zero-copy;
+//!    `ColumnRead::stage`. Plain slices lend their window zero-copy;
 //!    a [`crystal_storage::PackedView`] decodes sixteen values per vector
 //!    load (`crystal_storage::bitpack::unpack_batch`). The scan kernel
 //!    prefetches the next chunk's stored bytes while it works on this one.
@@ -22,18 +23,13 @@
 //!    no data-dependent store cursor), then surviving rows are emitted by
 //!    iterating set bits with `trailing_zeros`. At low selectivity the
 //!    emit loop touches only the survivors instead of storing once per
-//!    input row.
+//!    input row. The contiguous semi-join stages the same way and tests
+//!    one bit per staged key in a predicated-store pass.
 //!
-//! Probes go through a monomorphized [`PerfectHashProbe`] — a plain
-//! bounds-checked gather into the perfect-hash payload array — instead of
-//! an opaque `Fn(i32) -> Option<i32>` closure, so the probe loop inlines
-//! to load/compare/mask with no branch on the lookup internals.
-//!
-//! The pre-chunking value-at-a-time forms are retained as `*_scalar`
-//! reference implementations: they are the property-test oracles and the
-//! legacy side of the `reproduce microbench` wall-clock gate. None of the
-//! kernels allocates, and all are usable from any engine (and testable
-//! without a device).
+//! `sel_between_init_scalar` is the retained value-at-a-time form of the
+//! scan: the property-test oracle and the legacy side of the `reproduce
+//! microbench` wall-clock gate. None of the kernels allocates, and all are
+//! usable from any engine (and testable without a device).
 
 use crystal_storage::encoding::ColumnRead;
 use crystal_storage::Isa;
@@ -47,43 +43,89 @@ pub const CHUNK: usize = 1024;
 /// Match-bitmap granularity: 64 rows per `u64` word, [`CHUNK`] = 16 words.
 const LANES: usize = 64;
 
-/// A monomorphized perfect-hash probe target: payload array indexed by
-/// `key - min_key`, entry `< 0` meaning *miss* (key absent or its
-/// dimension row filtered out). Probing compiles to a subtract, one
-/// bounds-checked gather and a sign test — no closure indirection, no
-/// `Option` branching in the hot loop.
-///
-/// Slots are 2 bytes: a payload is a dense dimension-attribute code (at
-/// most 999 in SSB), and a probe's speed is set by the cache level its
-/// table fits in (Section 4.3), so the slot is as narrow as the payload
-/// allows. Probed codes are widened back to `i32` on the way out.
+/// A monomorphized perfect-hash probe target over the key range starting
+/// at `min_key`: the payload array, slot `i` holding the dense code of key
+/// `min_key + i` or a negative value (key absent, or its dimension row
+/// filtered out), and its membership bitmap ([`slot_bitmap`]). A probe's
+/// speed is set by the cache level its table fits in (Section 4.3), so a
+/// join tests one bit per key — a subtract, one bounds-checked word load
+/// and a shift, no closure and no `Option` branch; the 2-byte payloads
+/// (at most 999 in SSB) are read only where the bit is set, and widen back
+/// to `i32` on the way out.
 #[derive(Debug, Clone, Copy)]
 pub struct PerfectHashProbe<'a> {
     min_key: i32,
-    table: &'a [i16],
+    bits: &'a [u64],
+    codes: &'a [i16],
 }
 
 impl<'a> PerfectHashProbe<'a> {
-    /// Builds a probe spec over a payload array whose slot `i` holds the
-    /// payload of key `min_key + i`, or a negative value for a miss.
+    /// A probe spec over `codes` and its membership bitmap `bits`, which
+    /// must be [`slot_bitmap`]`(codes)`. (A caller that only semi-joins
+    /// may hand over no codes at all: nothing reads them.)
     #[inline]
-    pub fn new(min_key: i32, table: &'a [i16]) -> Self {
-        PerfectHashProbe { min_key, table }
+    pub fn new(min_key: i32, bits: &'a [u64], codes: &'a [i16]) -> Self {
+        PerfectHashProbe {
+            min_key,
+            bits,
+            codes,
+        }
+    }
+
+    /// Slot index of `key`. Keys below `min_key` wrap to huge indexes, so
+    /// one bounds check (on the bitmap word) covers both ends of the range.
+    #[inline(always)]
+    fn slot(&self, key: i32) -> u32 {
+        key.wrapping_sub(self.min_key) as u32
     }
 
     /// Probes one key: the non-negative payload on a hit, `-1` on a miss.
-    /// Keys below `min_key` wrap to huge unsigned indexes, so the single
-    /// bounds check covers both ends of the range.
     #[inline]
     pub fn probe(&self, key: i32) -> i32 {
-        let idx = key.wrapping_sub(self.min_key) as u32 as usize;
-        i32::from(self.table.get(idx).copied().unwrap_or(-1).max(-1))
+        let slot = self.slot(key);
+        match member(self.bits, slot) {
+            0 => -1,
+            _ => i32::from(self.codes[slot as usize]),
+        }
     }
+}
 
-    /// Number of slots (the perfect-hash key range).
-    pub fn slots(&self) -> usize {
-        self.table.len()
+/// Whether bit `slot` of `bits` is set, as 0 or 1 (the cursor advance of a
+/// predicated store). A slot past the last word is a miss; the bits of the
+/// last word past the key range are never set.
+#[inline(always)]
+fn member(bits: &[u64], slot: u32) -> usize {
+    let word = bits.get((slot >> 6) as usize).copied().unwrap_or(0);
+    (word >> (slot & 63)) as usize & 1
+}
+
+/// Gathers 64 0/1 flag bytes into one bitmap word, flag `i` at bit `i`:
+/// per 8-flag group one multiply whose top byte accumulates flag `i` at
+/// bit `i` (the 0/1 flags cannot carry across bytes).
+#[inline]
+fn flags_to_word(flags: &[u8; LANES]) -> u64 {
+    let mut word = 0u64;
+    for (g, chunk) in flags.chunks_exact(8).enumerate() {
+        let x = u64::from_le_bytes(chunk.try_into().unwrap());
+        word |= (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (g * 8);
     }
+    word
+}
+
+/// The membership bitmap of a perfect-hash payload array: bit `i` set ⇔
+/// `slots[i] >= 0`, a last partial word zero-padded. Derived from the
+/// finished array, 64 slots per word (compare into flag bytes, gather:
+/// both autovectorizable), not bit by bit while it is built — dimension
+/// keys arrive in order, a read-modify-write chain on one word.
+pub fn slot_bitmap(slots: &[i16]) -> Vec<u64> {
+    let word = |group: &[i16]| {
+        let mut flags = [0u8; LANES];
+        for (f, &slot) in flags.iter_mut().zip(group) {
+            *f = (slot >= 0) as u8;
+        }
+        flags_to_word(&flags)
+    };
+    slots.chunks(LANES).map(word).collect()
 }
 
 /// Emits the rows of one match bitmap into `sel[count..]`, one
@@ -110,21 +152,14 @@ fn emit_rows(mut bm: u64, base: u32, sel: &mut [u32], mut count: usize) -> usize
 mod lanes {
     /// Match bitmap of `lo <= v <= hi` over one full 64-value group:
     /// compare into 0/1 bytes (an autovectorizable loop with no carried
-    /// state), then gather each 8-flag byte group into bits with one
-    /// multiply — byte `i` of the product's top byte accumulates flag
-    /// `i` at bit `i`, and the 0/1 flags cannot carry across bytes.
+    /// state), then gather the flags into bits.
     #[inline]
     pub(super) fn range_bitmap_portable(group: &[i32; 64], lo: i32, hi: i32) -> u64 {
         let mut flags = [0u8; 64];
         for (f, &v) in flags.iter_mut().zip(group) {
             *f = ((lo <= v) & (v <= hi)) as u8;
         }
-        let mut bm = 0u64;
-        for (g, chunk) in flags.chunks_exact(8).enumerate() {
-            let x = u64::from_le_bytes(chunk.try_into().unwrap());
-            bm |= (x.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (g * 8);
-        }
-        bm
+        super::flags_to_word(&flags)
     }
 
     /// AVX2 match bitmap: per 8-lane vector, a row is *excluded* when
@@ -213,6 +248,17 @@ pub fn sel_init(start: usize, end: usize, sel: &mut [u32]) -> usize {
     count
 }
 
+/// Prefetches the stored bytes of the [`CHUNK`] rows from `row` on — the
+/// chunk after the one a contiguous-fed kernel is working on, in or past
+/// its range (callers hand over one chunk at a time): a hint per 16 rows
+/// is one per line of plain storage and at least one per line of packed.
+#[inline]
+fn prefetch_chunk_from<C: ColumnRead + ?Sized>(col: &C, row: usize) {
+    for row in (row..(row + CHUNK).min(col.row_count())).step_by(16) {
+        col.prefetch_row(row);
+    }
+}
+
 /// Initializes `sel` with the rows of `start..end` whose `col` value lies
 /// in `lo..=hi`, chunked two-phase: decode [`CHUNK`] rows batch-wise
 /// (SIMD byte-window decode over packed storage, zero-copy over plain),
@@ -261,12 +307,7 @@ unsafe fn between_init_on<C: ColumnRead + ?Sized>(
     let mut cs = start;
     while cs < end {
         let ce = (cs + CHUNK).min(end);
-        // The chunk after this one, in or past the range (callers hand
-        // over one chunk at a time): a hint per 16 rows is one per line of
-        // plain storage and at least one per line of packed.
-        for row in (ce..(ce + CHUNK).min(col.row_count())).step_by(16) {
-            col.prefetch_row(row);
-        }
+        prefetch_chunk_from(col, ce);
         let window = col.stage(cs, ce, &mut buf);
         let mut base = cs as u32;
         let mut groups = window.chunks_exact(LANES);
@@ -377,65 +418,112 @@ pub fn sel_between_refine<C: ColumnRead + ?Sized>(
     kept
 }
 
-/// The one shared probe loop behind [`sel_probe`] and
-/// [`sel_probe_tracked`]: one predicated-store pass — gather the key,
-/// gather the perfect-hash payload (a plain bounds-checked load, no
-/// closure and no `Option` branch), store row/code/position
-/// unconditionally, advance the cursor on `code >= 0`. Probes are
-/// gather-fed like [`sel_between_refine`], so the branch-free single
-/// pass beats any bitmap staging; the `TRACK` const folds the extra
-/// position store out of the untracked instantiation at compile time.
+/// The contiguous-fed semi-join — the first join of a plan with no fact
+/// predicate: initializes `sel` with the rows of `start..end` whose `col`
+/// value is a member of `spec`. Each [`CHUNK`] of foreign keys is staged
+/// like a scan's (zero-copy over plain storage, one SIMD batch decode over
+/// packed, the next chunk prefetched), then one predicated-store pass
+/// tests a bit per key: no identity selection is written and read back,
+/// no value is unpacked on its own. Returns the hit count.
 #[inline]
-fn probe_core<C: ColumnRead + ?Sized, const TRACK: bool>(
+pub fn sel_semijoin_init<C: ColumnRead + ?Sized>(
     col: &C,
     spec: &PerfectHashProbe<'_>,
+    start: usize,
+    end: usize,
     sel: &mut [u32],
-    count: usize,
-    codes: &mut [i32],
-    kept: &mut [u32],
 ) -> usize {
-    debug_assert!(count <= sel.len() && count <= codes.len());
-    debug_assert!(!TRACK || count <= kept.len());
-    // Localize the spec fields so the loop reads registers, not memory
-    // the stores below could conservatively alias.
-    let (min_key, table) = (spec.min_key, spec.table);
+    debug_assert!(end - start <= sel.len());
+    debug_assert!(end <= u32::MAX as usize, "row ids are u32 (see `sel_init`)");
+    // A local copy: the loop reads registers, not memory the stores below
+    // could conservatively alias.
+    let spec = *spec;
+    let mut buf = [0i32; CHUNK];
     let mut hits = 0usize;
-    for k in 0..count {
-        let row = sel[k];
-        let idx = col.value(row as usize).wrapping_sub(min_key) as u32 as usize;
-        let code = i32::from(table.get(idx).copied().unwrap_or(-1));
-        sel[hits] = row;
-        codes[hits] = code;
-        if TRACK {
-            kept[hits] = k as u32;
+    let mut cs = start;
+    while cs < end {
+        let ce = (cs + CHUNK).min(end);
+        prefetch_chunk_from(col, ce);
+        for (row, &key) in (cs as u32..).zip(col.stage(cs, ce, &mut buf)) {
+            sel[hits] = row;
+            hits += member(spec.bits, spec.slot(key));
         }
-        hits += usize::from(code >= 0);
+        cs = ce;
     }
     hits
 }
 
-/// Probes the perfect-hash `spec` with each selected row's `col` value,
-/// compacting `sel` to the hits; `codes[k]` receives the `k`-th surviving
-/// row's payload. Returns the hit count. Use [`sel_probe_tracked`] when
-/// payload columns from earlier stages must be re-aligned afterwards.
-#[inline]
-pub fn sel_probe<C: ColumnRead + ?Sized>(
+/// The one gather-fed semi-join loop behind [`sel_semijoin_refine`] and
+/// [`sel_probe_tracked`]: a single predicated-store pass like
+/// [`sel_between_refine`] — gather the key, test its bit, store the row
+/// unconditionally, advance the cursor on a hit. `note(at, k, slot)` runs
+/// before the advance with the output position, the input position and the
+/// key's slot masked to 0 on a miss; the plain semi-join passes a no-op,
+/// which folds away.
+#[inline(always)]
+fn semijoin_refine_noting<C: ColumnRead + ?Sized>(
     col: &C,
     spec: &PerfectHashProbe<'_>,
     sel: &mut [u32],
     count: usize,
-    codes: &mut [i32],
+    mut note: impl FnMut(usize, usize, usize),
 ) -> usize {
-    probe_core::<C, false>(col, spec, sel, count, codes, &mut [])
+    debug_assert!(count <= sel.len());
+    // A local copy: the loop reads registers, not memory the stores below
+    // could conservatively alias.
+    let spec = *spec;
+    let mut hits = 0usize;
+    for k in 0..count {
+        let row = sel[k];
+        let slot = spec.slot(col.value(row as usize));
+        let hit = member(spec.bits, slot);
+        sel[hits] = row;
+        note(hits, k, slot as usize & hit.wrapping_neg());
+        hits += hit;
+    }
+    hits
 }
 
-/// [`sel_probe`] that additionally records, in `kept[k]`, the `k`-th
-/// surviving row's *position in the input selection* — strictly
-/// increasing, which is what lets [`sel_compact`] re-align payload
-/// columns produced by earlier stages in place. Worth its extra store
-/// only when such columns exist; otherwise use [`sel_probe`]. Both
-/// variants share one loop (`probe_core`); the tracked store is folded
-/// in by a const generic, not a second copy of the kernel.
+/// The gather-fed semi-join — every later join, and the first when fact
+/// predicates ran: compacts `sel[..count]` in place to the rows whose
+/// `col` value is a member of `spec`. Returns the hit count.
+#[inline]
+pub fn sel_semijoin_refine<C: ColumnRead + ?Sized>(
+    col: &C,
+    spec: &PerfectHashProbe<'_>,
+    sel: &mut [u32],
+    count: usize,
+) -> usize {
+    semijoin_refine_noting(col, spec, sel, count, |_, _, _| {})
+}
+
+/// Late payload materialization: appends one mixed-radix digit to the
+/// group index of each selected row, `gidx[k] = gidx[k] * radix +
+/// code(col[sel[k]])` — independent gathers, no store chain between them.
+/// Every row of `sel` must have survived the semi-join against `spec`.
+#[inline]
+pub fn sel_group_digit<C: ColumnRead + ?Sized>(
+    col: &C,
+    spec: &PerfectHashProbe<'_>,
+    sel: &[u32],
+    radix: u32,
+    gidx: &mut [u32],
+) {
+    debug_assert_eq!(sel.len(), gidx.len());
+    for (g, &row) in gidx.iter_mut().zip(sel) {
+        let code = spec.codes[spec.slot(col.value(row as usize)) as usize];
+        debug_assert!(code >= 0, "row {row} is not a member");
+        *g = *g * radix + code as u32;
+    }
+}
+
+/// The eager probe: [`sel_semijoin_refine`] that also hands back, for the
+/// `k`-th surviving row, its payload in `codes[k]` and its *position in
+/// the input selection* in `kept[k]`. Nothing in the workspace calls it —
+/// the executor materializes codes late — but the benchmark harness pins
+/// this signature (`crates/bench/src/bin/e2e/src/sut.rs`) and times it as
+/// `core.sel_probe_mrows_s.*`; it goes when ROADMAP item 1's Step 0
+/// narrows `sut.rs`.
 #[inline]
 pub fn sel_probe_tracked<C: ColumnRead + ?Sized>(
     col: &C,
@@ -445,57 +533,84 @@ pub fn sel_probe_tracked<C: ColumnRead + ?Sized>(
     codes: &mut [i32],
     kept: &mut [u32],
 ) -> usize {
-    probe_core::<C, true>(col, spec, sel, count, codes, kept)
-}
-
-/// Closure-based value-at-a-time reference probe (the pre-spec form):
-/// property-test oracle and the legacy side of the `reproduce microbench`
-/// probe gate. `lookup` returns `Some(payload)` on a hit.
-#[inline]
-pub fn sel_probe_scalar<C: ColumnRead + ?Sized, F: Fn(i32) -> Option<i32>>(
-    col: &C,
-    lookup: F,
-    sel: &mut [u32],
-    count: usize,
-    codes: &mut [i32],
-) -> usize {
-    debug_assert!(count <= sel.len() && count <= codes.len());
-    let mut hits = 0usize;
-    for k in 0..count {
-        let row = sel[k];
-        if let Some(code) = lookup(col.value(row as usize)) {
-            sel[hits] = row;
-            codes[hits] = code;
-            hits += 1;
-        }
-    }
-    hits
-}
-
-/// Re-aligns a payload column after a probe compacted the selection:
-/// `values[k] = values[kept[k]]` for `k < count`. Safe in place because
-/// `kept` is strictly increasing (`kept[k] >= k`), so every read happens
-/// at or ahead of its write.
-#[inline]
-pub fn sel_compact(values: &mut [i32], kept: &[u32], count: usize) {
-    debug_assert!(count <= kept.len() && count <= values.len());
-    for k in 0..count {
-        debug_assert!(kept[k] as usize >= k, "kept positions must be increasing");
-        values[k] = values[kept[k] as usize];
-    }
+    debug_assert!(count <= codes.len() && count <= kept.len());
+    // A miss reads slot 0 (one hot line) instead of its own: the payload
+    // array is left to the hits, with no branch on the bit.
+    semijoin_refine_noting(col, spec, sel, count, |at, k, slot| {
+        codes[at] = i32::from(spec.codes.get(slot).copied().unwrap_or(-1));
+        kept[at] = k as u32;
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// A probe spec plus the closure oracle over the same table, for
-    /// scalar-vs-chunked comparisons.
-    fn even_key_spec(table: &mut Vec<i16>, max_key: i16) -> PerfectHashProbe<'_> {
-        *table = (0..=max_key)
-            .map(|k| if k % 2 == 0 { k / 2 } else { -1 })
-            .collect();
-        PerfectHashProbe::new(0, table)
+    /// A payload array with its membership bitmap, and the membership
+    /// oracle: computed from the payload array alone, in `i64` (no wrap).
+    struct Table {
+        min_key: i32,
+        codes: Vec<i16>,
+        bits: Vec<u64>,
+    }
+
+    impl Table {
+        fn new(min_key: i32, codes: Vec<i16>) -> Self {
+            let bits = slot_bitmap(&codes);
+            Table {
+                min_key,
+                codes,
+                bits,
+            }
+        }
+
+        /// Even keys of `0..=max_key` hit with payload `key / 2`.
+        fn even_keys(max_key: i16) -> Self {
+            let code = |k| if k % 2 == 0 { k / 2 } else { -1 };
+            Table::new(0, (0..=max_key).map(code).collect())
+        }
+
+        fn spec(&self) -> PerfectHashProbe<'_> {
+            PerfectHashProbe::new(self.min_key, &self.bits, &self.codes)
+        }
+
+        fn code(&self, key: i32) -> Option<i32> {
+            let slot = usize::try_from(i64::from(key) - i64::from(self.min_key)).ok()?;
+            let code = i32::from(*self.codes.get(slot)?);
+            (code >= 0).then_some(code)
+        }
+
+        /// The rows of `rows` whose `col` value is a member, in order.
+        fn survivors(&self, col: &[i32], rows: impl Iterator<Item = u32>) -> Vec<u32> {
+            rows.filter(|&r| self.code(col[r as usize]).is_some())
+                .collect()
+        }
+    }
+
+    /// Both semi-join kernels over `col` (whose plain values are
+    /// `values`): the contiguous one over `start..end`, the gather-fed one
+    /// over every row of the range and over every third, against the
+    /// oracle.
+    fn check_semijoins<C: ColumnRead + ?Sized>(
+        col: &C,
+        values: &[i32],
+        t: &Table,
+        (start, end): (usize, usize),
+        what: &str,
+    ) {
+        let spec = t.spec();
+        let range = start as u32..end as u32;
+        let mut sel = vec![0u32; end - start];
+        let n = sel_semijoin_init(col, &spec, start, end, &mut sel);
+        let want = t.survivors(values, range.clone());
+        assert_eq!(&sel[..n], &want[..], "contiguous {what} {start}..{end}");
+        for step in [1, 3] {
+            let mut sel: Vec<u32> = range.clone().step_by(step).collect();
+            let want = t.survivors(values, sel.iter().copied());
+            let count = sel.len();
+            let n = sel_semijoin_refine(col, &spec, &mut sel, count);
+            assert_eq!(&sel[..n], &want[..], "gather-fed {what} {start}..{end}");
+        }
     }
 
     #[test]
@@ -538,100 +653,208 @@ mod tests {
     }
 
     #[test]
-    fn probe_compacts_and_records_positions() {
+    fn tracked_probe_compacts_and_records_positions() {
         let fk: Vec<i32> = vec![4, 2, 9, 2, 7, 0];
-        // Probe table: even keys hit with payload key/2, odd keys miss.
-        let mut table = Vec::new();
-        let spec = even_key_spec(&mut table, 9);
+        let table = Table::even_keys(9);
         let mut sel = [0u32, 1, 2, 3, 4, 5];
         let mut codes = [0i32; 6];
         let mut kept = [0u32; 6];
-        let n = sel_probe_tracked(&fk[..], &spec, &mut sel, 6, &mut codes, &mut kept);
+        let n = sel_probe_tracked(&fk[..], &table.spec(), &mut sel, 6, &mut codes, &mut kept);
         assert_eq!(n, 4);
         assert_eq!(&sel[..n], &[0, 1, 3, 5]);
         assert_eq!(&codes[..n], &[2, 1, 1, 0]);
         assert_eq!(&kept[..n], &[0, 1, 3, 5]);
-        // kept is strictly increasing by construction.
-        assert!(kept[..n].windows(2).all(|w| w[0] < w[1]));
     }
 
     /// The largest SSB payload (brand code 999) and the `i16` extremes
-    /// round-trip or miss as they should through the 2-byte slot.
+    /// round-trip or miss as they should through the bit and the 2-byte
+    /// slot; entries below -1 are plain misses.
     #[test]
     fn probe_spec_edges() {
-        let table = [5, -1, 0, 999, i16::MAX];
-        let spec = PerfectHashProbe::new(10, &table);
+        let t = Table::new(10, vec![5, -1, 0, 999, i16::MAX, -7, i16::MIN]);
+        let spec = t.spec();
         assert_eq!(spec.probe(10), 5);
         assert_eq!(spec.probe(11), -1, "negative entry is a miss");
         assert_eq!(spec.probe(12), 0);
         assert_eq!(spec.probe(13), 999);
         assert_eq!(spec.probe(14), i32::from(i16::MAX));
-        assert_eq!(spec.probe(15), -1, "past the table");
+        assert_eq!(spec.probe(15), -1, "deep negative entry");
+        assert_eq!(spec.probe(16), -1, "deep negative entry");
+        assert_eq!(spec.probe(17), -1, "past the table");
         assert_eq!(spec.probe(9), -1, "below min_key");
         assert_eq!(spec.probe(i32::MIN), -1);
         assert_eq!(spec.probe(i32::MAX), -1);
-        assert_eq!(spec.slots(), 5);
     }
 
-    /// A probe table holding entries below -1 still reports plain misses
-    /// (the spec clamps, so `codes` can never carry a sentinel through).
+    /// Bit `i` of the bitmap is set exactly when slot `i` holds a payload,
+    /// for lengths on every side of the word boundary; a partial last word
+    /// exists and is zero past the last slot.
     #[test]
-    fn probe_spec_clamps_deep_negatives() {
-        let table = [-7, 3, i16::MIN];
-        let spec = PerfectHashProbe::new(0, &table);
-        assert_eq!(spec.probe(0), -1);
-        assert_eq!(spec.probe(1), 3);
-        assert_eq!(spec.probe(2), -1);
+    fn slot_bitmap_mirrors_the_slots() {
+        for len in [0usize, 1, 63, 64, 65, 127, 128, 129, 1000] {
+            for keep in [1usize, 2, 5] {
+                let slot = |i: usize| match i % keep {
+                    0 => [0, 999, i16::MAX][i % 3],
+                    _ => [-1, i16::MIN][i % 2],
+                };
+                let slots: Vec<i16> = (0..len).map(slot).collect();
+                let bits = slot_bitmap(&slots);
+                assert_eq!(bits.len(), len.div_ceil(LANES), "len {len}");
+                for i in 0..bits.len() * LANES {
+                    let set = bits[i / LANES] >> (i % LANES) & 1 == 1;
+                    let want = slots.get(i).is_some_and(|&s| s >= 0);
+                    assert_eq!(set, want, "len {len} keep {keep} bit {i}");
+                }
+            }
+        }
     }
 
-    /// The probe kernels agree with [`PerfectHashProbe::probe`] row by
-    /// row at every edge of the 2-byte table — keys below `min_key`, past
-    /// the last slot and at the `i32` extremes, deep-negative entries,
-    /// code 999 — over plain and packed foreign-key columns, tracked and
-    /// untracked, and widen the surviving codes back to `i32` exactly.
+    /// Key ranges of one key, one word, one word and a bit, and a ragged
+    /// tail word, at `min_key`s that are not multiples of 64: the first
+    /// and last key hit, their outside neighbours miss, and so do the
+    /// keys that fall in the padding of the tail word, a word past it, and
+    /// at the `i32` extremes (which wrap around `min_key`) — through
+    /// `probe`, both semi-joins and the tracked probe.
     #[test]
-    fn probe_kernels_at_slot_edges() {
+    fn semijoins_at_the_edges_of_the_key_range() {
+        for len in [1usize, 63, 64, 65, 100, 128, 129, 1000] {
+            for min_key in [-5i32, 0, 10, 64, i32::MAX - 1000, i32::MIN] {
+                // Every slot hits: a miss can only come from the range.
+                let all = Table::new(min_key, vec![7; len]);
+                // The first and last slots hit, every third between.
+                let hit = |i: usize| i == 0 || i + 1 == len || i.is_multiple_of(3);
+                let some = Table::new(min_key, (0..len).map(|i| hit(i) as i16 - 1).collect());
+                let max_key = i64::from(min_key) + len as i64 - 1;
+                let around = [
+                    i64::from(min_key) - 1,
+                    i64::from(min_key),
+                    i64::from(min_key) + 1,
+                    max_key - 1,
+                    max_key,
+                    max_key + 1,
+                    max_key + 62,
+                    max_key + 63,
+                    max_key + 64,
+                    max_key + 65,
+                    i64::from(i32::MIN),
+                    i64::from(i32::MAX),
+                    0,
+                    -1,
+                ];
+                let keys: Vec<i32> = around
+                    .iter()
+                    .filter_map(|&k| i32::try_from(k).ok())
+                    .chain((0..len as i64).map(|i| (i64::from(min_key) + i) as i32))
+                    .collect();
+                for t in [&all, &some] {
+                    let what = format!("len {len} min_key {min_key}");
+                    check_semijoins(&keys[..], &keys, t, (0, keys.len()), &what);
+                    let spec = t.spec();
+                    for &key in &keys {
+                        assert_eq!(spec.probe(key), t.code(key).unwrap_or(-1), "{what} {key}");
+                    }
+                    assert!(t.code(min_key).is_some() && t.code(max_key as i32).is_some());
+                }
+            }
+        }
+    }
+
+    /// Every packed width: both semi-joins over a packed view whose last
+    /// value ends in the last byte of the last word agree with the oracle
+    /// over the plain values — contiguous windows of 0, 1, `CHUNK - 1`,
+    /// `CHUNK` and more rows, starting on a word boundary, mid-word, and
+    /// so as to end on the column's last value; keys below, inside and
+    /// above the key range.
+    #[test]
+    fn semijoins_match_the_oracle_over_every_packed_width() {
         use crystal_storage::PackedColumn;
-        let table = [999i16, -1, 0, i16::MIN, 7, -2, i16::MAX];
-        let spec = PerfectHashProbe::new(3, &table);
+        const LEN: usize = 2 * CHUNK + LANES; // `LEN * bits` is whole words.
+        for bits in 1..=32u32 {
+            let domain = 1i64 << bits.min(31);
+            let values: Vec<i32> = (0..LEN as i64)
+                .map(|i| (i * 2654435761 % domain) as i32)
+                .collect();
+            let packed = PackedColumn::pack(&values, bits).unwrap();
+            // The middle half of the domain, capped to a few tail-worded
+            // kilobits; two slots in three hit.
+            let min_key = (domain / 4) as i32;
+            let slots = (domain / 2).clamp(1, 5000 + i64::from(bits)) as usize;
+            let code = |i: usize| if i % 3 == 1 { -1 } else { (i % 1000) as i16 };
+            let t = Table::new(min_key, (0..slots).map(code).collect());
+            for len in [0, 1, CHUNK - 1, CHUNK, CHUNK + 5, LEN] {
+                for start in [0, 1, 37, LEN - len.min(LEN)] {
+                    let window = (start, (start + len).min(LEN));
+                    let what = format!("bits {bits}");
+                    check_semijoins(&packed.view(), &values, &t, window, &what);
+                    check_semijoins(&values[..], &values, &t, window, &what);
+                }
+            }
+        }
+    }
+
+    /// The tracked probe hands back what `probe` says row by row — the
+    /// hits' codes widened to `i32` exactly, code 999 and `i16::MAX`
+    /// included — and the hits' input positions, over plain and packed
+    /// keys and counts on every side of a bitmap word.
+    #[test]
+    fn tracked_probe_matches_probe_row_by_row() {
+        use crystal_storage::PackedColumn;
+        let t = Table::new(3, vec![999, -1, 0, i16::MIN, 7, -2, i16::MAX]);
+        let spec = t.spec();
         // Packed storage holds non-negative values only.
-        let packable = vec![3, 4, 5, 6, 7, 8, 9, 10, 2, 0, i32::MAX, 3, 9];
+        let packable: Vec<i32> = (0..700).map(|i| (i * 31) % 13).collect();
         let mut plain = packable.clone();
-        plain.extend([i32::MIN, -1, i32::MIN + 3, 7]);
-        let packed = PackedColumn::pack(&packable, 31).unwrap();
+        plain.extend([i32::MIN, -1, i32::MIN + 3, 7, i32::MAX]);
+        let packed = PackedColumn::pack(&packable, 4).unwrap();
 
         fn check<C: ColumnRead + ?Sized>(col: &C, n: usize, spec: &PerfectHashProbe<'_>) {
-            let expected: Vec<(u32, i32)> = (0..n as u32)
-                .map(|r| (r, spec.probe(col.value(r as usize))))
-                .filter(|&(_, code)| code >= 0)
-                .collect();
-            let master: Vec<u32> = (0..n as u32).collect();
-            let (mut sel, mut codes) = (master.clone(), vec![0i32; n]);
-            let hits = sel_probe(col, spec, &mut sel, n, &mut codes);
-            let got: Vec<(u32, i32)> = sel[..hits].iter().copied().zip(codes).collect();
-            assert_eq!(got, expected);
-
-            let (mut sel, mut codes, mut kept) = (master, vec![0i32; n], vec![0u32; n]);
-            let hits = sel_probe_tracked(col, spec, &mut sel, n, &mut codes, &mut kept);
-            let got: Vec<(u32, i32)> = sel[..hits].iter().copied().zip(codes).collect();
-            assert_eq!(got, expected);
-            // Every row is selected, so a kept position is its row id.
-            assert_eq!(&kept[..hits], &sel[..hits]);
+            // Every other row is selected, so a kept position is half its
+            // row id.
+            let master: Vec<u32> = (0..n as u32).step_by(2).collect();
+            for count in [0usize, 1, 63, 64, 65, master.len()] {
+                let expected: Vec<(u32, i32)> = master[..count]
+                    .iter()
+                    .map(|&r| (r, spec.probe(col.value(r as usize))))
+                    .filter(|&(_, code)| code >= 0)
+                    .collect();
+                let mut sel = master.clone();
+                let (mut codes, mut kept) = (vec![0i32; count], vec![0u32; count]);
+                let hits = sel_probe_tracked(col, spec, &mut sel, count, &mut codes, &mut kept);
+                let got: Vec<(u32, i32)> = sel[..hits].iter().copied().zip(codes).collect();
+                assert_eq!(got, expected, "count {count}");
+                let rows: Vec<u32> = kept[..hits].iter().map(|&k| master[k as usize]).collect();
+                assert_eq!(&rows[..], &sel[..hits], "count {count}");
+            }
         }
         check(&plain[..], plain.len(), &spec);
         check(&packed.view(), packable.len(), &spec);
-        // Rows 0 (code 999), 2, 4, 6 and their repeats hit; nothing else.
-        let hits = (0..plain.len()).filter(|&r| spec.probe(plain[r]) >= 0);
-        assert_eq!(hits.collect::<Vec<_>>(), vec![0, 2, 4, 6, 11, 12, 16]);
     }
 
+    /// Late materialization: each call appends one mixed-radix digit, the
+    /// code `probe` reports for the row's key, over plain and packed keys.
     #[test]
-    fn compact_realigns_earlier_payloads() {
-        // A prior stage produced codes for positions 0..5; a probe kept
-        // positions [1, 2, 4].
-        let mut earlier = [10i32, 11, 12, 13, 14];
-        sel_compact(&mut earlier, &[1, 2, 4], 3);
-        assert_eq!(&earlier[..3], &[11, 12, 14]);
+    fn group_digits_accumulate_mixed_radix() {
+        use crystal_storage::PackedColumn;
+        let a = Table::new(
+            5,
+            (0..40).map(|i| if i % 4 == 0 { -1 } else { i }).collect(),
+        );
+        let b = Table::even_keys(60);
+        let fk_a: Vec<i32> = (0..300).map(|i| 5 + (i * 7) % 40).collect();
+        let fk_b: Vec<i32> = (0..300).map(|i| (i * 11) % 61).collect();
+        let packed_b = PackedColumn::pack(&fk_b, 6).unwrap();
+        let mut sel: Vec<u32> = (0..300).collect();
+        let n = sel_semijoin_init(&fk_a[..], &a.spec(), 0, 300, &mut sel);
+        let n = sel_semijoin_refine(&packed_b.view(), &b.spec(), &mut sel, n);
+        assert!(n > 20);
+        let sel = &sel[..n];
+        let mut gidx = vec![0u32; n];
+        sel_group_digit(&fk_a[..], &a.spec(), sel, 40, &mut gidx);
+        sel_group_digit(&packed_b.view(), &b.spec(), sel, 31, &mut gidx);
+        for (&g, &row) in gidx.iter().zip(sel) {
+            let (ca, cb) = (a.code(fk_a[row as usize]), b.code(fk_b[row as usize]));
+            assert_eq!(g, (ca.unwrap() * 31 + cb.unwrap()) as u32, "row {row}");
+        }
     }
 
     /// The same kernels over a packed view produce identical selections —
@@ -654,15 +877,11 @@ mod tests {
             let nk = sel_between_init(&view, lo, hi, 0, col.len(), &mut sel_packed);
             assert_eq!(np, nk, "bits={bits}");
             assert_eq!(&sel_plain[..np], &sel_packed[..nk], "bits={bits}");
-            // Refine + probe agree too (keys clamped into a small table).
-            let table: Vec<i16> = (0..1024).map(|k| if k % 3 == 0 { k } else { -1 }).collect();
-            let spec = PerfectHashProbe::new(0, &table);
-            let mut codes_a = [0i32; 500];
-            let mut codes_b = [0i32; 500];
-            let ha = sel_probe(&col[..], &spec, &mut sel_plain, np, &mut codes_a);
-            let hb = sel_probe(&view, &spec, &mut sel_packed, nk, &mut codes_b);
-            assert_eq!(ha, hb, "bits={bits}");
-            assert_eq!(&codes_a[..ha], &codes_b[..hb], "bits={bits}");
+            // The semi-join of the survivors agrees too.
+            let table = Table::new(0, (0..1024).map(|k| (k % 3 == 0) as i16 - 1).collect());
+            let ha = sel_semijoin_refine(&col[..], &table.spec(), &mut sel_plain, np);
+            let hb = sel_semijoin_refine(&view, &table.spec(), &mut sel_packed, nk);
+            assert_eq!(&sel_plain[..ha], &sel_packed[..hb], "bits={bits}");
         }
     }
 
@@ -717,48 +936,6 @@ mod tests {
             let ra = sel_between_refine(&refine_col[..], 10, 30, &mut a2, na);
             assert_eq!(ra, expected.len());
             assert_eq!(&a2[..ra], &expected[..]);
-        }
-    }
-
-    /// The spec-based chunked probe agrees with the closure-based scalar
-    /// probe, tracked and untracked, across count values that straddle
-    /// the 64-lane bitmap groups.
-    #[test]
-    fn chunked_probe_matches_scalar_probe() {
-        let n = 700;
-        let fk: Vec<i32> = (0..n).map(|i| ((i as i64 * 31) % 911) as i32).collect();
-        let table: Vec<i16> = (0..911)
-            .map(|k| if k % 5 < 2 { k * 2 } else { -1 })
-            .collect();
-        let spec = PerfectHashProbe::new(0, &table);
-        let lookup = |k: i32| {
-            let v = i32::from(table[k as usize]);
-            (v >= 0).then_some(v)
-        };
-        for count in [0usize, 1, 63, 64, 65, 128, 640, 700] {
-            let master: Vec<u32> = (0..count as u32).collect();
-            let mut sel_a = master.clone();
-            let mut sel_b = master.clone();
-            let mut codes_a = vec![0i32; count];
-            let mut codes_b = vec![0i32; count];
-            let ha = sel_probe(&fk[..], &spec, &mut sel_a, count, &mut codes_a);
-            let hb = sel_probe_scalar(&fk[..], lookup, &mut sel_b, count, &mut codes_b);
-            assert_eq!(ha, hb, "count={count}");
-            assert_eq!(&sel_a[..ha], &sel_b[..hb]);
-            assert_eq!(&codes_a[..ha], &codes_b[..hb]);
-
-            // Tracked variant: same hits, kept holds the input positions.
-            let mut sel_c = master.clone();
-            let mut codes_c = vec![0i32; count];
-            let mut kept = vec![0u32; count];
-            let hc = sel_probe_tracked(&fk[..], &spec, &mut sel_c, count, &mut codes_c, &mut kept);
-            assert_eq!(hc, ha);
-            assert_eq!(&sel_c[..hc], &sel_a[..ha]);
-            assert_eq!(&codes_c[..hc], &codes_a[..ha]);
-            for (k, &kp) in kept[..hc].iter().enumerate() {
-                assert!(kp as usize >= k);
-                assert_eq!(master[kp as usize], sel_c[k]);
-            }
         }
     }
 
@@ -853,12 +1030,10 @@ mod tests {
         let a: Vec<i32> = vec![1, 2, 3, 9, 8, 4, 0, 6];
         let fk: Vec<i32> = vec![0, 2, 5, 2, 4, 7, 6, 8];
         let val: Vec<i32> = vec![100, 200, 300, 400, 500, 600, 700, 800];
-        let mut table = Vec::new();
-        let spec = even_key_spec(&mut table, 8);
+        let table = Table::even_keys(8);
         let mut sel = [0u32; 8];
-        let mut codes = [0i32; 8];
         let mut n = sel_between_init(&a[..], 2, 8, 0, 8, &mut sel);
-        n = sel_probe(&fk[..], &spec, &mut sel, n, &mut codes);
+        n = sel_semijoin_refine(&fk[..], &table.spec(), &mut sel, n);
         let got: i64 = sel[..n].iter().map(|&r| val[r as usize] as i64).sum();
         let expected: i64 = (0..8)
             .filter(|&i| (2..=8).contains(&a[i]) && fk[i] % 2 == 0)

@@ -7,14 +7,35 @@ use crystal_core::kernels;
 use crystal_core::kernels::radix_join::pass_plan;
 use crystal_core::primitives::*;
 use crystal_core::selvec::{
-    sel_between_init, sel_between_init_scalar, sel_between_refine, sel_probe, sel_probe_scalar,
-    sel_probe_tracked, PerfectHashProbe,
+    sel_between_init, sel_between_init_scalar, sel_between_refine, sel_group_digit,
+    sel_probe_tracked, sel_semijoin_init, sel_semijoin_refine, slot_bitmap, PerfectHashProbe,
 };
 use crystal_core::tile::Tile;
 use crystal_gpu_sim::exec::{Gpu, LaunchConfig};
 use crystal_hardware::nvidia_v100;
 use crystal_storage::bitpack::PackedColumn;
 use crystal_storage::encoding::ColumnRead;
+
+/// The closure-based value-at-a-time probe the kernels replaced, kept
+/// here as their oracle: `lookup` returns `Some(payload)` on a hit.
+fn probe_by_closure(
+    fk: &[i32],
+    lookup: impl Fn(i32) -> Option<i32>,
+    sel: &mut [u32],
+    count: usize,
+    codes: &mut [i32],
+) -> usize {
+    let mut hits = 0usize;
+    for k in 0..count {
+        let row = sel[k];
+        if let Some(code) = lookup(fk[row as usize]) {
+            sel[hits] = row;
+            codes[hits] = code;
+            hits += 1;
+        }
+    }
+    hits
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -174,15 +195,17 @@ proptest! {
         prop_assert_eq!(&sel_c[..rc], &expected[..]);
     }
 
-    /// The monomorphized spec probe (tracked and untracked) is
-    /// hit-identical to the legacy closure probe over random key ranges,
-    /// table spans and selection counts straddling the 64-lane groups.
+    /// The bitmap semi-joins (contiguous and gather-fed), the late code
+    /// gather and the tracked probe are hit- and code-identical to the
+    /// legacy closure probe over random key ranges, table spans (tail
+    /// words of every length) and selection counts.
     #[test]
-    fn chunked_probe_equals_closure_reference(
+    fn semijoins_equal_closure_reference(
         n in 0usize..4000,
         slots in 1usize..3000,
         min_key in -500i32..500,
         hit_mod in 2i32..7,
+        start_frac in 0usize..1000,
         seed in any::<u64>(),
     ) {
         let mut x = seed | 1;
@@ -196,7 +219,8 @@ proptest! {
         let table: Vec<i16> = (0..slots as i16)
             .map(|k| if i32::from(k) % hit_mod == 0 { k } else { -1 })
             .collect();
-        let spec = PerfectHashProbe::new(min_key, &table);
+        let bits = slot_bitmap(&table);
+        let spec = PerfectHashProbe::new(min_key, &bits, &table);
         let lookup = |key: i32| {
             let idx = key.wrapping_sub(min_key);
             if (0..table.len() as i32).contains(&idx) {
@@ -207,23 +231,31 @@ proptest! {
             }
             None
         };
-        let master: Vec<u32> = (0..n as u32).collect();
-        let mut sel_a = master.clone();
+        let start = n * start_frac / 1000;
+        let count = n - start;
+        let master: Vec<u32> = (start as u32..n as u32).collect();
         let mut sel_b = master.clone();
-        let mut codes_a = vec![0i32; n];
-        let mut codes_b = vec![0i32; n];
-        let ha = sel_probe(&fk[..], &spec, &mut sel_a, n, &mut codes_a);
-        let hb = sel_probe_scalar(&fk[..], lookup, &mut sel_b, n, &mut codes_b);
-        prop_assert_eq!(ha, hb);
-        prop_assert_eq!(&sel_a[..ha], &sel_b[..hb]);
-        prop_assert_eq!(&codes_a[..ha], &codes_b[..hb]);
+        let mut codes_b = vec![0i32; count];
+        let hb = probe_by_closure(&fk, lookup, &mut sel_b, count, &mut codes_b);
+        let (want, want_codes) = (&sel_b[..hb], &codes_b[..hb]);
+
+        let mut sel_c = vec![0u32; count];
+        let hc = sel_semijoin_init(&fk[..], &spec, start, n, &mut sel_c);
+        prop_assert_eq!(&sel_c[..hc], want);
+        let mut sel_g = master.clone();
+        let hg = sel_semijoin_refine(&fk[..], &spec, &mut sel_g, count);
+        prop_assert_eq!(&sel_g[..hg], want);
+        // One digit over a zeroed index is the code itself.
+        let mut gidx = vec![0u32; hg];
+        sel_group_digit(&fk[..], &spec, &sel_g[..hg], 3000, &mut gidx);
+        prop_assert!(gidx.iter().zip(want_codes).all(|(&g, &c)| g == c as u32));
 
         let mut sel_t = master.clone();
-        let mut codes_t = vec![0i32; n];
-        let mut kept = vec![0u32; n];
-        let ht = sel_probe_tracked(&fk[..], &spec, &mut sel_t, n, &mut codes_t, &mut kept);
-        prop_assert_eq!(ht, ha);
-        prop_assert_eq!(&sel_t[..ht], &sel_a[..ha]);
+        let mut codes_t = vec![0i32; count];
+        let mut kept = vec![0u32; count];
+        let ht = sel_probe_tracked(&fk[..], &spec, &mut sel_t, count, &mut codes_t, &mut kept);
+        prop_assert_eq!(&sel_t[..ht], want);
+        prop_assert_eq!(&codes_t[..ht], want_codes);
         for (k, &kp) in kept[..ht].iter().enumerate() {
             prop_assert!(kp as usize >= k, "kept must be increasing");
             prop_assert_eq!(master[kp as usize], sel_t[k]);

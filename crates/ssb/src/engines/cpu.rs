@@ -4,10 +4,11 @@
 //! implementations (Section 5.2): morsel-driven scheduling with each
 //! worker processing 1024-row vectors. Within a vector the stages run
 //! Polychroniou-style — predicates produce a selection vector with
-//! branch-free compaction, each join probes its perfect-hash lookup for
-//! the *surviving* rows only (compacting again), and the aggregate
-//! updates a thread-local dense group table. Worker tables merge at the
-//! end. Nothing is materialized beyond the current vector, which is the
+//! branch-free compaction, each join semi-joins the *surviving* rows
+//! against its perfect-hash lookup's membership bitmap (compacting
+//! again), and the aggregate gathers the group codes of the rows that
+//! survived every join and updates a thread-local dense group table.
+//! Worker tables merge at the end. Nothing is materialized beyond the current vector, which is the
 //! fused-pipeline advantage over the operator-at-a-time engine
 //! ([`super::monet`]).
 //!

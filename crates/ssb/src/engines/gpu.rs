@@ -47,7 +47,7 @@ use crate::data::SsbData;
 use crate::encoding::EncodedFact;
 use crate::engines::{
     build_dim_table, dim_join_fingerprint, dim_table_bytes, groups_to_result, groups_to_result_at,
-    DimBuild, DimLookup, QueryTrace, StageTrace,
+    set_bits, DimBuild, DimLookup, QueryTrace, StageTrace,
 };
 use crate::partition::PartitionedFact;
 use crate::plan::{FactCol, StarQuery};
@@ -300,15 +300,6 @@ impl TileScratch {
             agg_in: [Tile::new(tile), Tile::new(tile)],
         }
     }
-}
-
-/// The indices of the set bits of a bitmap, ascending.
-fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(w, &word)| {
-        let nonzero = |bits: u64| Some(bits).filter(|&b| b != 0);
-        std::iter::successors(nonzero(word), move |&bits| nonzero(bits & (bits - 1)))
-            .map(move |bits| w * 64 + bits.trailing_zeros() as usize)
-    })
 }
 
 impl<'a> DeviceQueryJob<'a> {

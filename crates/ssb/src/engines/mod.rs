@@ -9,6 +9,8 @@ pub mod monet;
 pub mod omnisci;
 pub mod reference;
 
+use crystal_core::selvec::{slot_bitmap, PerfectHashProbe};
+
 use crate::data::SsbData;
 use crate::plan::{DimAttr, DimJoin, DimPred, DimTable, StarQuery};
 
@@ -275,23 +277,28 @@ pub fn dim_join_fingerprint(d: &SsbData, join: &DimJoin) -> u64 {
     h
 }
 
-/// A perfect-hash dimension lookup: payload array indexed by
-/// `key - min_key`. Entry `-1` means the dimension row was filtered out (or
-/// the key does not exist); other entries hold the dense group code of the
-/// row (0 when the join carries no group attribute).
+/// A perfect-hash dimension lookup over the key range recorded at
+/// generation: a payload array indexed by `key - min_key` — `-1` where the
+/// dimension row was filtered out (or the key does not exist), otherwise
+/// the row's dense group code (0 when the join carries no group
+/// attribute) — and a membership bitmap over the same range, bit `i` set
+/// exactly when slot `i` holds a code.
 ///
 /// This is the CPU-side analog of the paper's perfect-hashed dimension
 /// tables (Section 5.3); the GPU engine uses
 /// [`crystal_core::hash::DeviceHashTable`] with the `Perfect` scheme so the
-/// footprint matches the paper's `2 x 4 x |dim|` accounting. The host
-/// array itself stores 2-byte slots (every [`DimAttr::domain`] fits, and
-/// the key is implied by the position), so the SF-20 customer table is
-/// 1.2 MB and part 2 MB — inside the L2 the probes gather through — while
+/// footprint matches the paper's `2 x 4 x |dim|` accounting. A host join
+/// is a semi-join against the bitmap (75 KB for SF-20 customer, 125 KB for
+/// part: cache-resident under any fact stream); the 2-byte slots (every
+/// [`DimAttr::domain`] fits, and the key is implied by the position; 1.2
+/// and 2 MB) are read only for the rows that survive every join.
 /// [`DimLookup::size_bytes`] keeps reporting the paper's accounting.
 #[derive(Debug, Clone)]
 pub struct DimLookup {
     min_key: i32,
     table: Vec<i16>,
+    /// `slot_bitmap(&table)`.
+    bits: Vec<u64>,
     /// Dimension rows passing the join filter.
     pub inserted: usize,
 }
@@ -299,7 +306,8 @@ pub struct DimLookup {
 impl DimLookup {
     /// Builds the lookup for one join of the plan in one pass over the
     /// dimension's columns, writing each row's slot directly (nothing is
-    /// materialized in between).
+    /// materialized in between), then derives the bitmap from the finished
+    /// slots, 64 per word.
     pub fn build(d: &SsbData, join: &DimJoin) -> Self {
         let r = ResolvedJoin::new(d, join);
         let min_key = r.min_key;
@@ -311,21 +319,22 @@ impl DimLookup {
         });
         DimLookup {
             min_key,
+            bits: slot_bitmap(&table),
             table,
             inserted,
         }
     }
 
-    /// The monomorphized probe spec over this lookup's payload array —
-    /// what the chunked selection-vector probe kernels gather through
-    /// (`crystal_core::selvec::sel_probe`), replacing the old
-    /// per-row closure indirection.
+    /// The monomorphized probe spec over this lookup — what the
+    /// selection-vector semi-join and code-gather kernels of
+    /// [`crystal_core::selvec`] read through.
     #[inline]
-    pub fn spec(&self) -> crystal_core::selvec::PerfectHashProbe<'_> {
-        crystal_core::selvec::PerfectHashProbe::new(self.min_key, &self.table)
+    pub fn spec(&self) -> PerfectHashProbe<'_> {
+        PerfectHashProbe::new(self.min_key, &self.bits, &self.table)
     }
 
-    /// Probes one key: `Some(dense_group_code)` if present and unfiltered.
+    /// Probes one key (the bit, then the slot):
+    /// `Some(dense_group_code)` if present and unfiltered.
     #[inline]
     pub fn get(&self, key: i32) -> Option<i32> {
         let v = self.spec().probe(key);
@@ -414,6 +423,15 @@ pub fn group_decode(domains: &[usize], mut idx: usize) -> Vec<i32> {
     codes
 }
 
+/// The indices of the set bits of a bitmap, ascending.
+pub(crate) fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let nonzero = |bits: u64| Some(bits).filter(|&b| b != 0);
+        std::iter::successors(nonzero(word), move |&bits| nonzero(bits & (bits - 1)))
+            .map(move |bits| w * 64 + bits.trailing_zeros() as usize)
+    })
+}
+
 /// Converts a dense aggregate array into a [`crate::QueryResult`], mapping
 /// dense codes back to attribute values.
 pub fn groups_to_result(q: &StarQuery, agg: &[i64]) -> crate::QueryResult {
@@ -480,6 +498,47 @@ mod tests {
         }
         assert_eq!(lk.get(-5), None);
         assert_eq!(lk.get(i32::MAX), None);
+    }
+
+    /// Bit `i` of a lookup's bitmap is set exactly when slot `i` holds a
+    /// code — for every join of the 13 canned plans and of random ones,
+    /// the date dimension's key range (`yyyymmdd`: mostly holes, and a
+    /// ragged last word) included — and `get` answers from the two alike.
+    #[test]
+    fn bitmap_mirrors_the_slots_of_every_join() {
+        let d = SsbData::generate_scaled(1, 0.0005, 3);
+        let mut queries = crate::queries::all_queries(&d);
+        queries.extend(crate::arbitrary::random_star_queries(&d, 17, 60));
+        let mut dates = 0;
+        for join in queries.iter().flat_map(|q| &q.joins) {
+            let lk = DimLookup::build(&d, join);
+            assert_eq!(lk.bits.len(), lk.table.len().div_ceil(64), "{join:?}");
+            for i in 0..lk.bits.len() * 64 {
+                let slot = lk.table.get(i).copied().unwrap_or(-1);
+                assert_eq!(
+                    lk.bits[i / 64] >> (i % 64) & 1 == 1,
+                    slot >= 0,
+                    "{join:?} slot {i}"
+                );
+                let key = lk.min_key + i as i32;
+                assert_eq!(
+                    lk.get(key),
+                    (slot >= 0).then_some(i32::from(slot)),
+                    "{join:?} {key}"
+                );
+            }
+            let members: u32 = lk.bits.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(members as usize, lk.inserted, "{join:?}");
+            if join.table == DimTable::Date {
+                dates += 1;
+                assert!(
+                    lk.table.len() > 8 * join.keys(&d).len(),
+                    "date keys leave holes"
+                );
+                assert!(!lk.table.len().is_multiple_of(64), "a ragged last word");
+            }
+        }
+        assert!(dates > 13, "random plans join the date dimension too");
     }
 
     #[test]

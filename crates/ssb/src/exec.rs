@@ -23,10 +23,25 @@
 //! the scan starts: a single columnar pass over the dimension (key, filter
 //! and group columns, resolved once from the descriptor) that writes each
 //! row's 2-byte slot straight into the perfect-hash array — no
-//! intermediate `(key, code)` vectors, no per-row match on the plan. The
-//! tables are sized by the key range recorded at generation, so the
-//! SF-20 customer and part tables (1.2 MB, 2 MB) stay L2-resident under
-//! the probes.
+//! intermediate `(key, code)` vectors, no per-row match on the plan — and
+//! then derives a membership bitmap from the slots, one bit per key of the
+//! key range recorded at generation.
+//!
+//! **Joins are bitmap semi-joins; codes are gathered late.** The SF-20
+//! customer and part slot arrays (1.2 MB, 2 MB) fit a 2 MB L2 on paper and
+//! not in a pipeline: sharing it with the streaming fact columns, a first
+//! join that gathered a slot per row ran at 270–300 Mrows/s in situ
+//! against 736 in isolation. So a join stage tests one bit per row (75 KB
+//! and 125 KB bitmaps: resident under any fact stream) and only compacts
+//! the selection. The first join of a plan without fact predicates reads
+//! its foreign keys as a contiguous chunk — batch-decoded when packed —
+//! and writes the survivors directly ([`sel_semijoin_init`]); every other
+//! join refines the selection in place ([`sel_semijoin_refine`]). After the
+//! last join, the rows that survived all of them — a few percent at most —
+//! get their mixed-radix group index built column-at-a-time, one
+//! [`sel_group_digit`] gather per group-carrying join, and one pass adds
+//! their values into the dense aggregate table. Each stage prefetches, for
+//! its survivors, the column the next one gathers.
 //!
 //! **Compressed execution.** Every plan column is resolved once to a
 //! [`ColumnSlice`] — plain or bit-packed — and each kernel call
@@ -43,9 +58,7 @@
 //! slices), branch-free compare into `u64` match bitmaps, `trailing_zeros`
 //! compaction. With a fact predicate its survivors accumulate across
 //! chunks, so the stages after it always see a full vector (see
-//! `vectorized_range`). Probes gather through each
-//! lookup's monomorphized [`crystal_core::selvec::PerfectHashProbe`]
-//! spec rather than a per-row closure. [`VECTOR_SIZE`] equals the kernel
+//! `vectorized_range`). [`VECTOR_SIZE`] equals the kernel
 //! [`CHUNK`] and [`MORSEL_SIZE`] is a multiple of it (checked at compile
 //! time), so morsel boundaries never split a decode chunk mid-stream.
 //!
@@ -61,8 +74,8 @@
 //! hundreds of generated queries.
 
 use crystal_core::selvec::{
-    sel_between_init, sel_between_refine, sel_compact, sel_init, sel_probe, sel_probe_tracked,
-    CHUNK,
+    sel_between_init, sel_between_refine, sel_group_digit, sel_init, sel_semijoin_init,
+    sel_semijoin_refine, CHUNK,
 };
 use crystal_cpu::exec::{morsel_map, scoped_map, MorselQueue, MORSEL_SIZE, VECTOR_SIZE};
 
@@ -81,7 +94,7 @@ use crystal_storage::encoding::{ColumnRead, ColumnSlice};
 
 use crate::data::SsbData;
 use crate::encoding::EncodedFact;
-use crate::engines::{groups_to_result, DimLookup, QueryTrace, StageTrace};
+use crate::engines::{groups_to_result_at, set_bits, DimLookup, QueryTrace, StageTrace};
 use crate::partition::PartitionedFact;
 use crate::plan::{AggExpr, StarQuery};
 use crate::QueryResult;
@@ -104,11 +117,18 @@ enum Schedule {
     Scoped,
 }
 
-/// Per-worker accumulation state: a private dense aggregate table plus the
-/// trace counters. Workers never share mutable state — merging happens
-/// once, after the queue drains.
+/// Slots per block of the aggregate table's touched-block set: q4.3's
+/// 1.75 M-slot table is 3 418 blocks, a 54-word set.
+const AGG_BLOCK: usize = 512;
+
+/// Per-worker accumulation state: a private dense aggregate table, the set
+/// of its [`AGG_BLOCK`]-slot blocks a row was added to (a large group
+/// domain is merged and read out through it, not scanned: q4.3 fills a few
+/// hundred of its 1.75 M slots), plus the trace counters. Workers never
+/// share mutable state — merging happens once, after the queue drains.
 struct WorkerAcc {
     agg: Vec<i64>,
+    touched: Vec<u64>,
     pred_survivors: usize,
     probes: Vec<usize>,
     hits: Vec<usize>,
@@ -119,34 +139,48 @@ impl WorkerAcc {
     fn new(domain: usize, joins: usize) -> Self {
         WorkerAcc {
             agg: vec![0i64; domain],
+            touched: vec![0u64; domain.div_ceil(AGG_BLOCK).div_ceil(64)],
             pred_survivors: 0,
             probes: vec![0usize; joins],
             hits: vec![0usize; joins],
             result_rows: 0,
         }
     }
+
+    /// Adds one row's value to group `idx`.
+    #[inline]
+    fn add(&mut self, idx: usize, value: i64) {
+        self.agg[idx] += value;
+        let block = idx / AGG_BLOCK;
+        self.touched[block / 64] |= 1 << (block % 64);
+    }
+
+    /// The slots of every touched block, ascending.
+    fn touched_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        set_bits(&self.touched)
+            .flat_map(|block| block * AGG_BLOCK..((block + 1) * AGG_BLOCK).min(self.agg.len()))
+    }
 }
 
 /// Per-worker scratch buffers, allocated once per worker (never per
-/// morsel): the vectorized pipeline's selection vector and carried-code
-/// columns, and the tuple pipeline's per-row code buffer.
+/// morsel): the vectorized pipeline's selection vector and group-index
+/// column, and the tuple pipeline's per-row code buffer.
 struct Scratch {
     /// Two vectors long: up to `VECTOR_SIZE - 1` rows pending from earlier
     /// chunks plus one chunk's survivors (`vectorized_range`).
     sel: [u32; 2 * VECTOR_SIZE],
-    kept: [u32; VECTOR_SIZE],
-    codes: Vec<[i32; VECTOR_SIZE]>,
+    /// Mixed-radix group index of each row that survived every join
+    /// (`u32`: [`check_group_domain`]).
+    gidx: [u32; VECTOR_SIZE],
     tuple_codes: Vec<i32>,
 }
 
 impl Scratch {
-    fn new(joins: usize, mode: PipelineMode) -> Self {
-        let vectorized = mode == PipelineMode::Vectorized;
+    fn new(joins: usize) -> Self {
         Scratch {
             sel: [0u32; 2 * VECTOR_SIZE],
-            kept: [0u32; VECTOR_SIZE],
-            codes: vec![[0i32; VECTOR_SIZE]; if vectorized { joins } else { 0 }],
-            tuple_codes: vec![0i32; if vectorized { 0 } else { joins }],
+            gidx: [0u32; VECTOR_SIZE],
+            tuple_codes: vec![0i32; joins],
         }
     }
 }
@@ -160,8 +194,6 @@ struct QueryCtx<'a> {
     /// `(join index, attribute domain)` of each join carrying a group
     /// attribute, in join order — the mixed-radix digits of the group key.
     carried: &'a [(usize, usize)],
-    /// Whether join `j` carries a group attribute.
-    carries: &'a [bool],
     /// Fact FK column per join (resolved once).
     fk_cols: &'a [ColumnSlice<'a>],
     /// Fact predicate columns (resolved once).
@@ -180,32 +212,30 @@ fn carried_of(q: &StarQuery) -> Vec<(usize, usize)> {
 }
 
 impl QueryCtx<'_> {
-    /// Mixed-radix group index of one surviving row from per-join codes
-    /// (indexed `codes[j]` for join `j`).
+    /// Mixed-radix group index of one surviving row from its per-join
+    /// codes.
     #[inline]
-    fn group_idx(&self, code_of_join: impl Fn(usize) -> i32) -> usize {
-        let mut idx = 0usize;
-        for &(j, dom) in self.carried {
-            idx = idx * dom + code_of_join(j) as usize;
-        }
-        idx
+    fn group_idx(&self, codes: &[i32]) -> usize {
+        let digit = |idx, &(j, dom): &(usize, usize)| idx * dom + codes[j] as usize;
+        self.carried.iter().fold(0, digit)
     }
 
-    /// Prefetches, for the ascending `rows` predicate `k` just selected,
-    /// what the next stage gathers: the next predicate's column, else the
-    /// first join's foreign key, else the aggregate inputs. Sparse rows
+    /// Prefetches, for the ascending `rows` that stage `stage` just
+    /// selected — the fact predicates, then the joins, numbered through —
+    /// what the next stage gathers: the next predicate's column or join's
+    /// foreign key, after the last join the aggregate inputs. Sparse rows
     /// only: at one row in four or denser the next stage walks adjacent
     /// lines, where a hint per row (16 a line) measured +20 % on a plan
     /// whose first predicate keeps every row and none at all was fastest.
     #[inline]
-    fn prefetch_after_pred(&self, k: usize, rows: &[u32]) {
+    fn prefetch_after(&self, stage: usize, rows: &[u32]) {
         let span = rows.last().map_or(0, |last| last - rows[0]) as usize;
         if span < 4 * rows.len() {
             return;
         }
-        let next = match (self.pred_cols.get(k + 1), self.fk_cols.first()) {
-            (Some(col), _) | (None, Some(col)) => std::slice::from_ref(col),
-            (None, None) => self.agg_cols,
+        let next = match self.pred_cols.iter().chain(self.fk_cols).nth(stage + 1) {
+            Some(col) => std::slice::from_ref(col),
+            None => self.agg_cols,
         };
         for col in next {
             for &row in rows {
@@ -227,61 +257,15 @@ impl QueryCtx<'_> {
     }
 }
 
-// --- Kernel dispatch: one match per kernel call, not per value, so the
-// --- inner loops stay monomorphic (plain) or fused-unpack (packed).
-
-#[inline]
-fn between_init(
-    col: ColumnSlice<'_>,
-    lo: i32,
-    hi: i32,
-    start: usize,
-    end: usize,
-    sel: &mut [u32],
-) -> usize {
-    match col {
-        ColumnSlice::Plain(s) => sel_between_init(s, lo, hi, start, end, sel),
-        ColumnSlice::Packed(v) => sel_between_init(&v, lo, hi, start, end, sel),
-    }
-}
-
-#[inline]
-fn between_refine(col: ColumnSlice<'_>, lo: i32, hi: i32, sel: &mut [u32], count: usize) -> usize {
-    match col {
-        ColumnSlice::Plain(s) => sel_between_refine(s, lo, hi, sel, count),
-        ColumnSlice::Packed(v) => sel_between_refine(&v, lo, hi, sel, count),
-    }
-}
-
-#[inline]
-fn probe(
-    col: ColumnSlice<'_>,
-    lk: &DimLookup,
-    sel: &mut [u32],
-    count: usize,
-    codes: &mut [i32],
-) -> usize {
-    let spec = lk.spec();
-    match col {
-        ColumnSlice::Plain(s) => sel_probe(s, &spec, sel, count, codes),
-        ColumnSlice::Packed(v) => sel_probe(&v, &spec, sel, count, codes),
-    }
-}
-
-#[inline]
-fn probe_tracked(
-    col: ColumnSlice<'_>,
-    lk: &DimLookup,
-    sel: &mut [u32],
-    count: usize,
-    codes: &mut [i32],
-    kept: &mut [u32],
-) -> usize {
-    let spec = lk.spec();
-    match col {
-        ColumnSlice::Plain(s) => sel_probe_tracked(s, &spec, sel, count, codes, kept),
-        ColumnSlice::Packed(v) => sel_probe_tracked(&v, &spec, sel, count, codes, kept),
-    }
+/// Kernel dispatch: one match per kernel call, not per value, so the inner
+/// loops stay monomorphic (plain) or fused-unpack (packed).
+macro_rules! on_encoding {
+    ($col:expr, |$c:ident| $call:expr) => {
+        match $col {
+            ColumnSlice::Plain($c) => $call,
+            ColumnSlice::Packed(ref $c) => $call,
+        }
+    };
 }
 
 /// Executes a query with the default morsel size; returns its result and
@@ -358,6 +342,18 @@ fn check_segment_rows(rows: usize) {
     );
 }
 
+/// Refuses, where a plan enters the executor, a dense group domain whose
+/// indexes would not fit the `u32` column the vectorized pipeline builds
+/// them in.
+fn check_group_domain(domain: usize) {
+    assert!(
+        domain <= u32::MAX as usize,
+        "a group domain of {domain} does not fit the executor's u32 group index \
+         (at most {} groups)",
+        u32::MAX
+    );
+}
+
 fn plain_columns<'a>(d: &'a SsbData, q: &StarQuery) -> Columns<'a> {
     (
         q.fact_preds
@@ -407,17 +403,16 @@ struct Plan<'a> {
     q: &'a StarQuery,
     lookups: Vec<DimLookup>,
     carried: Vec<(usize, usize)>,
-    carries: Vec<bool>,
 }
 
 impl<'a> Plan<'a> {
     fn new(d: &'a SsbData, q: &'a StarQuery) -> Self {
+        check_group_domain(q.group_domain());
         Plan {
             d,
             q,
             lookups: q.joins.iter().map(|j| DimLookup::build(d, j)).collect(),
             carried: carried_of(q),
-            carries: q.joins.iter().map(|j| j.group_attr.is_some()).collect(),
         }
     }
 
@@ -427,7 +422,6 @@ impl<'a> Plan<'a> {
             q: self.q,
             lookups: &self.lookups,
             carried: &self.carried,
-            carries: &self.carries,
             fk_cols,
             pred_cols,
             agg_cols,
@@ -435,11 +429,11 @@ impl<'a> Plan<'a> {
     }
 
     /// One worker's private accumulator and scratch.
-    fn worker(&self, mode: PipelineMode) -> (WorkerAcc, Scratch) {
+    fn worker(&self) -> (WorkerAcc, Scratch) {
         let joins = self.q.joins.len();
         (
             WorkerAcc::new(self.q.group_domain(), joins),
-            Scratch::new(joins, mode),
+            Scratch::new(joins),
         )
     }
 
@@ -459,7 +453,7 @@ impl<'a> Plan<'a> {
             workers.extend(match schedule {
                 Schedule::Morsel(morsel) => {
                     morsel_map(*rows, threads, morsel, |queue: &MorselQueue| {
-                        let (mut acc, mut scratch) = self.worker(mode);
+                        let (mut acc, mut scratch) = self.worker();
                         while let Some(m) = queue.claim() {
                             scan_range(&ctx, mode, m.start, m.end, &mut acc, &mut scratch);
                         }
@@ -467,7 +461,7 @@ impl<'a> Plan<'a> {
                     })
                 }
                 Schedule::Scoped => scoped_map(*rows, threads, |range| {
-                    let (mut acc, mut scratch) = self.worker(mode);
+                    let (mut acc, mut scratch) = self.worker();
                     scan_range(&ctx, mode, range.start, range.end, &mut acc, &mut scratch);
                     acc
                 }),
@@ -490,8 +484,11 @@ impl<'a> Plan<'a> {
             .next()
             .unwrap_or_else(|| WorkerAcc::new(q.group_domain(), q.joins.len()));
         for w in workers {
-            for (a, v) in total.agg.iter_mut().zip(&w.agg) {
-                *a += v;
+            for slot in w.touched_slots() {
+                total.agg[slot] += w.agg[slot];
+            }
+            for (a, v) in total.touched.iter_mut().zip(&w.touched) {
+                *a |= v;
             }
             total.pred_survivors += w.pred_survivors;
             for (a, v) in total.probes.iter_mut().zip(&w.probes) {
@@ -503,7 +500,7 @@ impl<'a> Plan<'a> {
             total.result_rows += w.result_rows;
         }
 
-        let result = groups_to_result(q, &total.agg);
+        let result = groups_to_result_at(q, &total.agg, total.touched_slots());
         let trace = QueryTrace {
             fact_rows: d.lineorder.rows(),
             pred_survivors: total.pred_survivors,
@@ -612,7 +609,7 @@ impl<'a> HostQueryJob<'a> {
             .iter()
             .for_each(|(_, rows)| check_segment_rows(*rows));
         let plan = Plan::new(d, q);
-        let (acc, scratch) = plan.worker(mode);
+        let (acc, scratch) = plan.worker();
         HostQueryJob {
             remaining: segments.iter().map(|(_, rows)| rows).sum(),
             plan,
@@ -724,13 +721,15 @@ fn scan_range(
 /// Vector-at-a-time pipeline over one contiguous row range, with
 /// per-column packed/plain dispatch at every stage.
 ///
-/// Without a fact predicate every chunk is a full vector and goes straight
-/// to [`join_aggregate`]. With one, the first predicate scans chunk by
-/// chunk and *appends* its survivors to the selection; the later stages
-/// run once a full vector is pending (or the range ends), so a selective
-/// predicate hands them 1 024 rows at a time instead of a dozen, and each
-/// stage prefetches the next one's column for the rows it selected: a
-/// whole vector's misses are in flight before the first is needed.
+/// Without a fact predicate every chunk is a full vector: the first join
+/// semi-joins it straight off the contiguous foreign keys (no identity
+/// selection in between) and [`join_aggregate`] takes the survivors on.
+/// With one, the first predicate scans chunk by chunk and *appends* its
+/// survivors to the selection; the later stages run once a full vector is
+/// pending (or the range ends), so a selective predicate hands them 1 024
+/// rows at a time instead of a dozen. Either way each stage prefetches the
+/// next one's column for the rows it selected: a whole vector's misses are
+/// in flight before the first is needed.
 /// Nothing stays pending when the range ends, so any split of a table
 /// into ranges yields the same accumulator.
 fn vectorized_range(
@@ -744,21 +743,36 @@ fn vectorized_range(
         let mut start = range_start;
         while start < range_end {
             let end = (start + VECTOR_SIZE).min(range_end);
-            let count = sel_init(start, end, &mut scratch.sel);
-            acc.pred_survivors += count;
-            join_aggregate(ctx, count, acc, scratch);
+            acc.pred_survivors += end - start;
+            let sel = &mut scratch.sel;
+            let count = match ctx.fk_cols.first() {
+                None => sel_init(start, end, sel),
+                Some(&fk) => {
+                    let spec = ctx.lookups[0].spec();
+                    let hits = on_encoding!(fk, |c| sel_semijoin_init(c, &spec, start, end, sel));
+                    acc.probes[0] += end - start;
+                    acc.hits[0] += hits;
+                    ctx.prefetch_after(0, &sel[..hits]);
+                    hits
+                }
+            };
+            // Join 0, where the plan has one, ran above.
+            join_aggregate(ctx, 1, count, acc, scratch);
             start = end;
         }
         return;
     };
+    let (lo, hi) = (first.lo, first.hi);
     let mut pending = 0usize;
     let mut start = range_start;
     while start < range_end {
         let end = (start + VECTOR_SIZE).min(range_end);
         // `pending < VECTOR_SIZE` here, so the chunk's survivors fit.
         let tail = &mut scratch.sel[pending..];
-        let found = between_init(ctx.pred_cols[0], first.lo, first.hi, start, end, tail);
-        ctx.prefetch_after_pred(0, &tail[..found]);
+        let found = on_encoding!(ctx.pred_cols[0], |c| sel_between_init(
+            c, lo, hi, start, end, tail
+        ));
+        ctx.prefetch_after(0, &tail[..found]);
         pending += found;
         if pending >= VECTOR_SIZE {
             refine_join_aggregate(ctx, VECTOR_SIZE, acc, scratch);
@@ -779,60 +793,54 @@ fn refine_join_aggregate(
     acc: &mut WorkerAcc,
     scratch: &mut Scratch,
 ) {
+    let sel = &mut scratch.sel;
     let preds = ctx.q.fact_preds.iter().zip(ctx.pred_cols).enumerate();
     for (k, (p, col)) in preds.skip(1) {
-        count = between_refine(*col, p.lo, p.hi, &mut scratch.sel, count);
-        ctx.prefetch_after_pred(k, &scratch.sel[..count]);
+        count = on_encoding!(*col, |c| sel_between_refine(c, p.lo, p.hi, sel, count));
+        ctx.prefetch_after(k, &sel[..count]);
     }
     acc.pred_survivors += count;
-    join_aggregate(ctx, count, acc, scratch);
+    join_aggregate(ctx, 0, count, acc, scratch);
 }
 
-/// The back end every vector shares: the ordered semi-joins over the
-/// first `count` selected rows, compacting per stage, then the aggregate
-/// of the survivors into the private dense table.
+/// The back end every vector shares: the ordered semi-joins from join
+/// `first_join` on over the first `count` selected rows, compacting per
+/// stage; then, for the rows that survived them all, the group index —
+/// one digit gathered per group-carrying join — and the aggregate into the
+/// private dense table.
 #[inline(always)]
 fn join_aggregate(
     ctx: &QueryCtx<'_>,
+    first_join: usize,
     mut count: usize,
     acc: &mut WorkerAcc,
     scratch: &mut Scratch,
 ) {
-    let joins = ctx.q.joins.len();
     let sel = &mut scratch.sel;
-    let kept = &mut scratch.kept;
-    let codes = &mut scratch.codes;
-
-    // Earlier joins' carried codes are re-aligned through the kept
-    // positions.
-    for j in 0..joins {
-        acc.probes[j] += count;
-        let lk = &ctx.lookups[j];
-        let (before, current) = codes.split_at_mut(j);
-        // Track kept positions only when an earlier join's carried
-        // codes must be re-aligned; the plain probe skips the
-        // bookkeeping store.
-        if ctx.carries[..j].iter().any(|&c| c) {
-            count = probe_tracked(ctx.fk_cols[j], lk, sel, count, &mut current[0], kept);
-            for (e, col) in before.iter_mut().enumerate() {
-                if ctx.carries[e] {
-                    sel_compact(col, kept, count);
-                }
-            }
-        } else {
-            count = probe(ctx.fk_cols[j], lk, sel, count, &mut current[0]);
-        }
-        acc.hits[j] += count;
+    for j in first_join..ctx.fk_cols.len() {
         if count == 0 {
             break;
         }
+        acc.probes[j] += count;
+        let spec = ctx.lookups[j].spec();
+        count = on_encoding!(ctx.fk_cols[j], |c| sel_semijoin_refine(
+            c, &spec, sel, count
+        ));
+        acc.hits[j] += count;
+        ctx.prefetch_after(ctx.pred_cols.len() + j, &sel[..count]);
     }
     acc.result_rows += count;
 
-    for k in 0..count {
-        let row = sel[k] as usize;
-        let idx = ctx.group_idx(|j| codes[j][k]);
-        acc.agg[idx] += ctx.agg_value(row);
+    let (sel, gidx) = (&sel[..count], &mut scratch.gidx[..count]);
+    gidx.fill(0);
+    for &(j, dom) in ctx.carried {
+        let spec = ctx.lookups[j].spec();
+        on_encoding!(ctx.fk_cols[j], |c| sel_group_digit(
+            c, &spec, sel, dom as u32, gidx
+        ));
+    }
+    for (&row, &idx) in sel.iter().zip(gidx.iter()) {
+        acc.add(idx as usize, ctx.agg_value(row as usize));
     }
 }
 
@@ -864,8 +872,7 @@ fn tuple_range(
             acc.hits[j] += 1;
         }
         acc.result_rows += 1;
-        let idx = ctx.group_idx(|j| codes[j]);
-        acc.agg[idx] += ctx.agg_value(row);
+        acc.add(ctx.group_idx(codes), ctx.agg_value(row));
     }
 }
 
@@ -1027,7 +1034,10 @@ mod tests {
     /// shape — one plain segment, one encoded segment, one segment per
     /// live shard — and crosses segment boundaries mid-grant without
     /// losing rows: result *and* trace equal the run-to-completion
-    /// executor's for ragged, one-row and unbounded grants.
+    /// executor's — whose every counter equals the row-at-a-time
+    /// pipeline's — for ragged, one-row and unbounded grants, over plans
+    /// that start with a fact predicate and plans that start with a join
+    /// (the contiguous semi-join, here cut into one-row ranges).
     #[test]
     fn job_is_grant_invariant_across_segments() {
         use crate::partition::PartitionedFact;
@@ -1043,8 +1053,11 @@ mod tests {
             _ => HostQueryJob::new_partitioned(&d, &pf, q, mode),
         };
         let queries = all_queries(&d);
-        for q in queries.iter().take(5) {
+        let names = ["q1.1", "q1.3", "q2.1", "q3.1", "q4.1", "q4.3"];
+        for q in queries.iter().filter(|q| names.contains(&q.name)) {
             let (expected, base_trace) = execute(&d, q, 1, mode);
+            let tuple_trace = execute(&d, q, 1, PipelineMode::TupleAtATime).1;
+            assert_eq!(base_trace, tuple_trace, "{}", q.name);
             let (_, part_trace, part_scanned) = execute_partitioned(&d, &pf, q, 1, mode);
             assert_eq!(part_trace, base_trace, "{}", q.name);
             for shape in ["plain", "encoded", "sharded"] {
@@ -1078,7 +1091,10 @@ mod tests {
     /// and date group), the predicate lists put a keep-everything
     /// predicate first (pending reaches the flush threshold every chunk)
     /// and in the middle, and selective ones (pending crosses it rarely,
-    /// and ranges end with rows pending).
+    /// and ranges end with rows pending). Without a predicate the first
+    /// join is the contiguous semi-join; the rotations of q4.1's joins put
+    /// each dimension there in turn (every foreign-key width, the date
+    /// range's holes, a first join with and without a group code).
     fn pipeline_plans(d: &SsbData) -> Vec<StarQuery> {
         use crate::plan::{FactCol, FactPred};
         let all = FactPred::between(FactCol::Quantity, 1, 50);
@@ -1099,11 +1115,18 @@ mod tests {
                 plans.push(q);
             }
         }
+        for first in 1..base.joins.len() {
+            let mut q = base.clone();
+            q.fact_preds.clear();
+            q.joins.rotate_left(first);
+            plans.push(q);
+        }
         plans
     }
 
-    /// The accumulating front end is unobservable: for 0-3 fact predicates
-    /// x 0-4 joins over plain, packed and mixed encodings, the result
+    /// The front end — accumulating after a fact predicate, contiguous
+    /// into the first join without one — is unobservable: for 0-3 fact
+    /// predicates x 0-4 joins over plain, packed and mixed encodings, the result
     /// equals the reference's and *every* trace counter equals the
     /// row-at-a-time pipeline's, under morsels of one row, morsels that
     /// end ranges with rows pending, whole vectors and several at once —
@@ -1193,6 +1216,20 @@ mod tests {
         let message = *refused.unwrap_err().downcast::<String>().unwrap();
         assert!(message.contains("4294967295 rows per segment"), "{message}");
         assert!(message.contains("4294967296 rows"), "{message}");
+    }
+
+    /// Group indexes are built in a `u32` column: a plan whose dense group
+    /// domain would not fit is refused where it enters the executor, with
+    /// a message naming the limit — checked on the domain alone.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn oversized_group_domain_is_refused_with_the_limit_named() {
+        check_group_domain(1);
+        check_group_domain(u32::MAX as usize);
+        let refused = std::panic::catch_unwind(|| check_group_domain(u32::MAX as usize + 1));
+        let message = *refused.unwrap_err().downcast::<String>().unwrap();
+        assert!(message.contains("at most 4294967295 groups"), "{message}");
+        assert!(message.contains("domain of 4294967296"), "{message}");
     }
 
     /// All shards pruned: zero segments. The job has nothing remaining,
