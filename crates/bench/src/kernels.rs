@@ -36,6 +36,15 @@
 //! bandwidth measured in the same run — on a column streamed from memory,
 //! with the same scan over a cache-resident window as the other side.
 //!
+//! The `pack`, `scatter3` and `fingerprint` rows are the write side's
+//! table: block-wise [`PackedColumn::pack`] against the read-modify-write
+//! loop it replaced (kept here as the baseline; `--smoke` gates, relatively
+//! only, that the block form is no slower at any listed width), in Mvals/s,
+//! cycles per value and as a fraction of `unpack_batch` at the same width;
+//! the partition's three-column scatter at 8 and 64 buckets and the table
+//! fingerprint, each against a plain copy / read of as many bytes — their
+//! bandwidth bound, measured in the same run.
+//!
 //! The `sim_gather` rows apply the same method to the simulator itself:
 //! the bound for one simulated gather is the host read it stands for, so
 //! each row times a plain random read of a table (the "scalar" column) and
@@ -53,6 +62,8 @@ use crystal_core::selvec::{
 use crystal_cpu::packed::{select_gt_fused, sum_fused};
 use crystal_gpu_sim::{Gpu, LaunchConfig};
 use crystal_hardware::nvidia_v100;
+use crystal_ssb::partition::Buckets;
+use crystal_ssb::SsbData;
 use crystal_storage::bitpack::unpack_batch;
 use crystal_storage::encoding::ColumnRead;
 use crystal_storage::{gen, Isa, PackedColumn};
@@ -90,6 +101,25 @@ struct Row {
 }
 
 impl Row {
+    /// A row from [`paired`]'s `(scalar secs, chunked secs, ratio)`.
+    fn timed(
+        kernel: &'static str,
+        encoding: impl Into<String>,
+        selectivity: f64,
+        rows: usize,
+        (scalar_secs, chunked_secs, speedup): (f64, f64, f64),
+    ) -> Row {
+        Row {
+            kernel,
+            encoding: encoding.into(),
+            selectivity,
+            scalar_secs,
+            chunked_secs,
+            speedup,
+            rows,
+        }
+    }
+
     /// Million tuples per second through a kernel.
     fn mtps(&self, secs: f64) -> f64 {
         self.rows as f64 / secs / 1e6
@@ -143,6 +173,26 @@ fn semijoin_by_closure<C: ColumnRead + ?Sized>(
     hits
 }
 
+/// The read-modify-write loop `PackedColumn::pack` replaced (a check, two
+/// shifts and up to two `|=` into the zeroed stream per value), kept here
+/// as its wall-clock baseline. `None` where `pack` returns an error.
+fn pack_by_loop(values: &[i32], bits: u32) -> Option<Vec<u64>> {
+    let mask = (1u64 << bits) - 1;
+    let mut words = vec![0u64; (values.len() * bits as usize).div_ceil(64)];
+    for (i, &v) in values.iter().enumerate() {
+        if v < 0 || (v as u64) & !mask != 0 {
+            return None;
+        }
+        let bit = i * bits as usize;
+        let (word, off) = (bit / 64, (bit % 64) as u32);
+        words[word] |= (v as u64) << off;
+        if off + bits > 64 {
+            words[word + 1] |= (v as u64) >> (64 - off);
+        }
+    }
+    Some(words)
+}
+
 /// One join stage over `0..n` as the executor runs it, a vector per call:
 /// `join(start, end, sel)` leaves the survivors of `start..end` in `sel`.
 fn per_vector(n: usize, mut join: impl FnMut(usize, usize, &mut [u32]) -> usize) -> usize {
@@ -176,17 +226,7 @@ fn semijoin_rows<C: ColumnRead + ?Sized>(
         let count = sel_init(start, end, sel);
         semijoin_by_closure(col, member, sel, count)
     };
-    let mut row = |kernel, (scalar_secs, chunked_secs, speedup)| {
-        rows.push(Row {
-            kernel,
-            encoding: encoding.clone(),
-            selectivity: 0.5,
-            scalar_secs,
-            chunked_secs,
-            speedup,
-            rows: n,
-        })
-    };
+    let mut row = |kernel, secs| rows.push(Row::timed(kernel, &encoding, 0.5, n, secs));
     row(
         "sel_semijoin_init",
         paired(reps, |fast| {
@@ -246,15 +286,13 @@ fn cold_row<C: ColumnRead + ?Sized>(
     );
     headline.push((format!("sel_between_cold_read_gbps.{encoding}"), read_gbps));
     headline.push((format!("sel_between_cold_roofline_frac.{encoding}"), frac));
-    Row {
-        kernel: "sel_between_init_cold",
-        encoding: encoding.into(),
-        selectivity: 0.15,
-        scalar_secs: cold,
-        chunked_secs: warm,
-        speedup: cold / warm,
-        rows: n,
-    }
+    Row::timed(
+        "sel_between_init_cold",
+        encoding,
+        0.15,
+        n,
+        (cold, warm, cold / warm),
+    )
 }
 
 /// The clock `/proc/cpuinfo` reports, in Hz — what the cycles per value
@@ -282,7 +320,8 @@ fn geomean(ratios: impl Iterator<Item = f64>) -> Option<f64> {
 /// `smoke` is set and a packed selection scan cost more than
 /// `PACKED_SCAN_MAX_MULTIPLE` plain scans, the semi-joins over a
 /// cache-resident bitmap are out of order (contiguous ≥ gather-fed ≥
-/// closure probe), or a simulated gather cost more than
+/// closure probe), block-wise `pack` is slower at some width than the loop
+/// it replaced, or a simulated gather cost more than
 /// `SIM_GATHER_MAX_MULTIPLE` plain reads.
 pub fn microbench(cfg: &Config, smoke: bool) -> bool {
     // Smoke keeps CI fast; the full run uses the configured micro size
@@ -313,7 +352,7 @@ pub fn microbench(cfg: &Config, smoke: bool) -> bool {
             // `x < v` over a uniform `[0, domain)` column has selectivity
             // `v / domain`; the kernels take inclusive `lo..=hi`.
             let hi = gen::threshold_for_selectivity(domain, s) - 1;
-            let (scalar_secs, chunked_secs, speedup) = match &packed {
+            let secs = match &packed {
                 None => paired(reps, |chunked| {
                     if chunked {
                         black_box(sel_between_init(&data[..], 0, hi, 0, n, &mut sel));
@@ -332,15 +371,7 @@ pub fn microbench(cfg: &Config, smoke: bool) -> bool {
                     })
                 }
             };
-            rows.push(Row {
-                kernel: "sel_between_init",
-                encoding: encoding.clone(),
-                selectivity: s,
-                scalar_secs,
-                chunked_secs,
-                speedup,
-                rows: n,
-            });
+            rows.push(Row::timed("sel_between_init", &encoding, s, n, secs));
         }
     }
 
@@ -378,7 +409,7 @@ pub fn microbench(cfg: &Config, smoke: bool) -> bool {
         let view = packed.view();
         let v = gen::threshold_for_selectivity(1 << 16, 0.5);
         let mut out = Vec::with_capacity(n);
-        let (scalar_secs, chunked_secs, speedup) = paired(reps, |chunked| {
+        let secs = paired(reps, |chunked| {
             if chunked {
                 black_box(select_gt_fused(&view, v, 1).len());
             } else {
@@ -386,42 +417,27 @@ pub fn microbench(cfg: &Config, smoke: bool) -> bool {
                 black_box(out.len());
             }
         });
-        rows.push(Row {
-            kernel: "select_gt_fused",
-            encoding: "packed16".into(),
-            selectivity: 0.5,
-            scalar_secs,
-            chunked_secs,
-            speedup,
-            rows: n,
-        });
-        let (scalar_secs, chunked_secs, speedup) = paired(reps, |chunked| {
+        rows.push(Row::timed("select_gt_fused", "packed16", 0.5, n, secs));
+        let secs = paired(reps, |chunked| {
             if chunked {
                 black_box(sum_fused(&view, 1));
             } else {
                 black_box(sum_scalar(&view));
             }
         });
-        rows.push(Row {
-            kernel: "sum_fused",
-            encoding: "packed16".into(),
-            selectivity: 1.0,
-            scalar_secs,
-            chunked_secs,
-            speedup,
-            rows: n,
-        });
+        rows.push(Row::timed("sum_fused", "packed16", 1.0, n, secs));
     }
 
     // --- Decode: value-at-a-time vs `unpack_batch` on this CPU's engine. ---
     let isa = Isa::best();
     let hz = cpu_hz();
     let mut headline: Vec<(String, f64)> = Vec::new();
-    for bits in [4u32, 6, 12, 17, 25, 32] {
+    let mut pack_floor = f64::INFINITY;
+    for bits in [4u32, 6, 12, 16, 17, 20, 25, 32] {
         let data = gen::uniform_i32_domain(n, 1 << bits.min(30), 11);
         let packed = PackedColumn::pack(&data, bits).unwrap();
         let view = packed.view();
-        let (scalar_secs, chunked_secs, speedup) = paired(reps, |batch| {
+        let unpack = paired(reps, |batch| {
             let mut sum = 0i32;
             if batch {
                 let mut out = [0i32; CHUNK];
@@ -435,21 +451,34 @@ pub fn microbench(cfg: &Config, smoke: bool) -> bool {
             }
             black_box(sum);
         });
-        let cycles = chunked_secs * hz / n as f64;
+        let cycles = unpack.1 * hz / n as f64;
         println!(
             "unpack_batch packed{bits} [{isa:?}]: {:.0} Mvals/s, {cycles:.2} cycles/value",
-            n as f64 / chunked_secs / 1e6
+            n as f64 / unpack.1 / 1e6
         );
         headline.push((format!("unpack_cycles_per_value.packed{bits}"), cycles));
-        rows.push(Row {
-            kernel: "unpack_batch",
-            encoding: format!("packed{bits}"),
-            selectivity: 1.0,
-            scalar_secs,
-            chunked_secs,
-            speedup,
-            rows: n,
-        });
+        let encoding = format!("packed{bits}");
+        rows.push(Row::timed("unpack_batch", &encoding, 1.0, n, unpack));
+        if [4, 16, 20, 25, 32].contains(&bits) {
+            let pack = paired(reps, |blocks| {
+                if blocks {
+                    black_box(PackedColumn::pack(black_box(&data), bits).unwrap());
+                } else {
+                    black_box(pack_by_loop(black_box(&data), bits).unwrap());
+                }
+            });
+            let (cycles, of_unpack) = (pack.1 * hz / n as f64, unpack.1 / pack.1);
+            println!(
+                "pack packed{bits}: {:.0} Mvals/s, {cycles:.2} cycles/value, {of_unpack:.2} of \
+                 unpack_batch, {:.2}x the loop it replaced",
+                n as f64 / pack.1 / 1e6,
+                pack.2
+            );
+            headline.push((format!("pack_cycles_per_value.{encoding}"), cycles));
+            headline.push((format!("pack_over_unpack.{encoding}"), of_unpack));
+            pack_floor = pack_floor.min(pack.2);
+            rows.push(Row::timed("pack", encoding, 1.0, n, pack));
+        }
     }
 
     // --- The scan against its bound, plain and 25-bit packed. ---
@@ -468,6 +497,64 @@ pub fn microbench(cfg: &Config, smoke: bool) -> bool {
     ));
     let (view, bytes) = (packed.view(), packed.size_bytes());
     rows.push(cold_row("packed25", &view, bytes, how, &mut headline));
+
+    // --- The write side against its bounds: scatter and fingerprint. ---
+    // SF-1 dimensions over 1.2 M fact rows; each kernel beside a plain copy
+    // or read of as many bytes out of the buffer the cold scans evict with.
+    {
+        let d = SsbData::generate_scaled(1, 0.2, 7);
+        let (lo, fact_rows) = (&d.lineorder, d.lineorder.rows());
+        let mut dst: [Vec<i32>; 3] = std::array::from_fn(|_| vec![0; fact_rows]);
+        for k in [8usize, 64] {
+            let buckets = Buckets::of(&lo.orderdate, k);
+            let src = [&lo.custkey[..], &lo.partkey, &lo.suppkey];
+            let scatter = paired(reps, |scatter| {
+                let to = dst.each_mut().map(Vec::as_mut_slice);
+                if scatter {
+                    buckets.scatter3(src, to);
+                } else {
+                    (to.into_iter().zip(src)).for_each(|(to, from)| to.copy_from_slice(from));
+                }
+                black_box(&dst);
+            });
+            let mrows = fact_rows as f64 / scatter.1 / 1e6;
+            println!(
+                "scatter3 buckets{k}: {mrows:.0} Mrows/s, {:.2} of a plain copy",
+                scatter.2
+            );
+            headline.push((format!("scatter3_mrows_s.buckets{k}"), mrows));
+            rows.push(Row::timed(
+                "scatter3",
+                format!("buckets{k}"),
+                1.0,
+                fact_rows,
+                scatter,
+            ));
+        }
+        let values = d.size_bytes() / 4;
+        let fingerprint = paired(reps, |fingerprint| {
+            if fingerprint {
+                black_box(d.content_fingerprint());
+            } else {
+                black_box(evict[..values].iter().fold(0i32, |a, &v| a.wrapping_add(v)));
+            }
+        });
+        let gbps = |secs: f64| values as f64 * 4.0 / secs / 1e9;
+        println!(
+            "fingerprint: {:.1} GB/s beside a {:.1} GB/s plain read of as many bytes",
+            gbps(fingerprint.1),
+            gbps(fingerprint.0)
+        );
+        headline.push(("fingerprint_gbps".into(), gbps(fingerprint.1)));
+        headline.push(("fingerprint_read_gbps".into(), gbps(fingerprint.0)));
+        rows.push(Row::timed(
+            "fingerprint",
+            "ssb_sf1",
+            1.0,
+            values,
+            fingerprint,
+        ));
+    }
 
     // --- The simulator's hot path against the read it stands for. ---
     let mut sim_multiple_in_l2 = 0.0;
@@ -505,15 +592,8 @@ pub fn microbench(cfg: &Config, smoke: bool) -> bool {
             host_secs * 1e9 / n as f64,
             1.0 / speedup
         );
-        rows.push(Row {
-            kernel: "sim_gather",
-            encoding: encoding.into(),
-            selectivity: hit_ratio,
-            scalar_secs: host_secs,
-            chunked_secs: sim_secs,
-            speedup,
-            rows: n,
-        });
+        let secs = (host_secs, sim_secs, speedup);
+        rows.push(Row::timed("sim_gather", encoding, hit_ratio, n, secs));
     }
 
     // --- Report: table + CSV + BENCH_kernels.json. ---
@@ -602,6 +682,13 @@ pub fn microbench(cfg: &Config, smoke: bool) -> bool {
         );
         return false;
     }
+    if smoke && pack_floor < 1.0 {
+        eprintln!(
+            "SMOKE GATE MISS: block-wise pack runs at {pack_floor:.2} of the read-modify-write loop \
+             it replaced at some width (must be >= 1 at every one)"
+        );
+        return false;
+    }
     if smoke && sim_multiple_in_l2 > SIM_GATHER_MAX_MULTIPLE {
         eprintln!(
             "SMOKE GATE MISS: a simulated in-L2 gather costs {sim_multiple_in_l2:.1} plain reads \
@@ -631,7 +718,9 @@ fn write_json(
          L2 hit ratio; sel_semijoin_init rows: scalar = gather-fed from an identity selection, \
          chunked = contiguous-fed, encoding = bitmap footprint and key storage; sel_semijoin_refine \
          rows: scalar = closure probe, chunked = gather-fed bitmap semi-join; unpack_batch rows: scalar = value-at-a-time get, chunked = unpack_batch on \
-         config.isa; sel_between_init_cold rows: scalar = column streamed from memory, chunked = \
+         config.isa; pack rows: scalar = the read-modify-write loop, chunked = block-wise \
+         PackedColumn::pack; scatter3 / fingerprint rows: scalar = plain copy / read of as many \
+         bytes, chunked = Buckets::scatter3 / SsbData::content_fingerprint; sel_between_init_cold rows: scalar = column streamed from memory, chunked = \
          as many rows over a cache-resident window\",\n",
     );
     s.push_str(&format!(
@@ -687,6 +776,8 @@ mod tests {
         select_gt_scalar(&view, v, &mut out);
         assert_eq!(out, select_gt_fused(&view, v, 1));
         assert_eq!(sum_scalar(&view), sum_fused(&view, 1));
+        assert_eq!(pack_by_loop(&data, 12).as_deref(), Some(packed.words()));
+        assert_eq!(pack_by_loop(&data, 11), None);
 
         // The three semi-join forms keep the same rows.
         let slots: Vec<i16> = (0..5000).map(|k| (k % 3 == 0) as i16 - 1).collect();

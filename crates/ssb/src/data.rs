@@ -19,7 +19,7 @@ use crystal_storage::dict::Dictionary;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::plan::DimTable;
+use crate::plan::{DimTable, FactCol};
 
 /// TPC-H's 25 nations, grouped by region (5 per region) as SSB does.
 const NATIONS: [(&str, &str); 25] = [
@@ -163,10 +163,26 @@ fn fp_mix(h: u64, v: u64) -> u64 {
     (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29)
 }
 
-/// Folds a whole column (length first, then every value) into `h`.
-fn fp_col(h: u64, col: &[i32]) -> u64 {
-    col.iter()
-        .fold(fp_mix(h, col.len() as u64), |acc, &v| fp_mix(acc, v as u64))
+/// Folds one table into `h`: a chain per column, seeded with the column's
+/// position and length, all `N` advanced in one loop over the rows — the
+/// multiplies of independent chains pipeline, where a single chain over
+/// every value waits out the multiply's latency each step — then folded
+/// into `h` in column order.
+fn fp_table<const N: usize>(h: u64, cols: [&[i32]; N]) -> u64 {
+    let mut chains: [u64; N] = std::array::from_fn(|c| fp_mix(c as u64, cols[c].len() as u64));
+    let rows = cols.iter().map(|col| col.len()).min().unwrap_or(0);
+    let heads = cols.map(|col| &col[..rows]);
+    for row in 0..rows {
+        for (chain, col) in chains.iter_mut().zip(&heads) {
+            *chain = fp_mix(*chain, col[row] as u64);
+        }
+    }
+    // A table's columns are as long as each other unless a caller edited
+    // the public fields; what is past the shortest still counts.
+    for (chain, col) in chains.iter_mut().zip(cols) {
+        *chain = col[rows..].iter().fold(*chain, |h, &v| fp_mix(h, v as u64));
+    }
+    chains.into_iter().fold(h, fp_mix)
 }
 
 /// SSB part-table cardinality: `200,000 x (1 + floor(log2 SF))`.
@@ -236,7 +252,7 @@ impl SsbData {
             fingerprint: 0,
             key_ranges: [(0, 0); 4],
         };
-        d.fingerprint = d.compute_fingerprint();
+        d.fingerprint = d.content_fingerprint();
         for (table, keys) in [
             (DimTable::Date, &d.date.datekey),
             (DimTable::Part, &d.part.partkey),
@@ -268,59 +284,31 @@ impl SsbData {
         self.fingerprint
     }
 
-    /// Multiply-xor fold over every fact column and every dimension key /
-    /// attribute column (lengths included), so any two generations that
-    /// differ anywhere in seed, scale, or content get distinct keys.
-    fn compute_fingerprint(&self) -> u64 {
-        let mut h = fp_mix(0xC0FF_EE00_5EED_5EED, self.sf as u64);
-        let lo = &self.lineorder;
-        for col in [
-            &lo.orderdate,
-            &lo.custkey,
-            &lo.partkey,
-            &lo.suppkey,
-            &lo.quantity,
-            &lo.discount,
-            &lo.extendedprice,
-            &lo.revenue,
-            &lo.supplycost,
-        ] {
-            h = fp_col(h, col);
-        }
-        for col in [
-            &self.date.datekey,
-            &self.date.year,
-            &self.date.yearmonthnum,
-            &self.date.yearmonth,
-            &self.date.weeknuminyear,
-        ] {
-            h = fp_col(h, col);
-        }
-        for col in [
-            &self.part.partkey,
-            &self.part.mfgr,
-            &self.part.category,
-            &self.part.brand1,
-        ] {
-            h = fp_col(h, col);
-        }
-        for col in [
-            &self.supplier.suppkey,
-            &self.supplier.region,
-            &self.supplier.nation,
-            &self.supplier.city,
-        ] {
-            h = fp_col(h, col);
-        }
-        for col in [
-            &self.customer.custkey,
-            &self.customer.region,
-            &self.customer.nation,
-            &self.customer.city,
-        ] {
-            h = fp_col(h, col);
-        }
-        h
+    /// The fingerprint of the tables as they are now (the fields are
+    /// public; [`SsbData::fingerprint`] is the value at generation): a
+    /// multiply-xor fold, table by table with one chain per column, over
+    /// every fact column and every dimension key / attribute column
+    /// (lengths included), so any two generations that differ anywhere in
+    /// seed, scale, or content get distinct keys. Compared for equality
+    /// only — its value is no part of any result.
+    pub fn content_fingerprint(&self) -> u64 {
+        let h = fp_mix(0xC0FF_EE00_5EED_5EED, self.sf as u64);
+        let h = fp_table(h, FactCol::ALL.map(|c| c.data(self)));
+        let (date, part) = (&self.date, &self.part);
+        let h = fp_table(
+            h,
+            [
+                &date.datekey,
+                &date.year,
+                &date.yearmonthnum,
+                &date.yearmonth,
+                &date.weeknuminyear,
+            ],
+        );
+        let h = fp_table(h, [&part.partkey, &part.mfgr, &part.category, &part.brand1]);
+        let (supp, cust) = (&self.supplier, &self.customer);
+        let h = fp_table(h, [&supp.suppkey, &supp.region, &supp.nation, &supp.city]);
+        fp_table(h, [&cust.custkey, &cust.region, &cust.nation, &cust.city])
     }
 
     /// Total dataset bytes (the paper quotes ~13 GB at SF 20).
@@ -405,16 +393,14 @@ fn gen_geo(n: usize, dicts: &mut SsbDicts, seed: u64) -> (Vec<i32>, Vec<i32>, Ve
     let mut region_col = Vec::with_capacity(n);
     let mut nation_col = Vec::with_capacity(n);
     let mut city_col = Vec::with_capacity(n);
+    let region_of =
+        NATIONS.map(|(_, region)| dicts.region.code(region).expect("region registered"));
     for _ in 0..n {
         let nation = rng.gen_range(0..25);
         let city = nation * 10 + rng.gen_range(0..10);
-        let region = dicts
-            .region
-            .code(NATIONS[nation as usize].1)
-            .expect("region registered");
         nation_col.push(nation);
         city_col.push(city);
-        region_col.push(region);
+        region_col.push(region_of[nation as usize]);
     }
     (region_col, nation_col, city_col)
 }

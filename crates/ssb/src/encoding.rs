@@ -128,27 +128,18 @@ impl EncodedFact {
         }
     }
 
-    /// Encodes externally materialized fact columns — one slice per
-    /// [`FactCol`] in `FactCol::ALL` order — under `enc`. This is the
-    /// shard-local constructor: a range partition of the fact table
-    /// ([`crate::partition::PartitionedFact`]) encodes its own rows
-    /// independently, so [`EncodedFact::encode`]'s whole-table row-count
-    /// coupling to [`SsbData`] does not apply. The caller guarantees the
-    /// encodings hold the columns' values (a descriptor derived from the
-    /// full table always does for any subset of its rows).
-    pub fn encode_columns(cols: &[Vec<i32>; 9], enc: &FactEncodings) -> Self {
+    /// A table of already encoded columns, one per [`FactCol`] in
+    /// `FactCol::ALL` order — a shard of
+    /// [`crate::partition::PartitionedFact`], which encodes its own rows
+    /// straight from where the partition scattered them.
+    pub(crate) fn from_columns(cols: Vec<EncodedColumn>) -> Self {
+        assert_eq!(cols.len(), FactCol::ALL.len(), "one per fact column");
         let rows = cols[0].len();
         assert!(
             cols.iter().all(|c| c.len() == rows),
             "fact columns must share one row count"
         );
-        EncodedFact {
-            rows,
-            cols: FactCol::ALL
-                .iter()
-                .map(|c| EncodedColumn::encode(&cols[c.index()], enc.get(*c)))
-                .collect(),
-        }
+        EncodedFact { rows, cols }
     }
 
     /// Fact rows.

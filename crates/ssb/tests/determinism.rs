@@ -9,54 +9,92 @@
 
 use crystal_ssb::SsbData;
 
-/// Flattens a `&[i32]` column into its little-endian byte image, so the
-/// comparison is literally byte-for-byte rather than via `PartialEq`.
-fn bytes(col: &[i32]) -> Vec<u8> {
-    col.iter().flat_map(|v| v.to_le_bytes()).collect()
+/// Every generated column, by name: the 9 fact columns and the 17
+/// dimension columns — the 26 that `SsbData::fingerprint` hashes.
+fn columns(d: &SsbData) -> [(&'static str, &[i32]); 26] {
+    let (lo, date, part, supp, cust) = (&d.lineorder, &d.date, &d.part, &d.supplier, &d.customer);
+    [
+        ("lo_orderdate", &lo.orderdate),
+        ("lo_custkey", &lo.custkey),
+        ("lo_partkey", &lo.partkey),
+        ("lo_suppkey", &lo.suppkey),
+        ("lo_quantity", &lo.quantity),
+        ("lo_discount", &lo.discount),
+        ("lo_extendedprice", &lo.extendedprice),
+        ("lo_revenue", &lo.revenue),
+        ("lo_supplycost", &lo.supplycost),
+        ("d_datekey", &date.datekey),
+        ("d_year", &date.year),
+        ("d_yearmonthnum", &date.yearmonthnum),
+        ("d_yearmonth", &date.yearmonth),
+        ("d_weeknuminyear", &date.weeknuminyear),
+        ("p_partkey", &part.partkey),
+        ("p_mfgr", &part.mfgr),
+        ("p_category", &part.category),
+        ("p_brand1", &part.brand1),
+        ("s_suppkey", &supp.suppkey),
+        ("s_region", &supp.region),
+        ("s_nation", &supp.nation),
+        ("s_city", &supp.city),
+        ("c_custkey", &cust.custkey),
+        ("c_region", &cust.region),
+        ("c_nation", &cust.nation),
+        ("c_city", &cust.city),
+    ]
+}
+
+/// [`columns`], mutably (the fields are public).
+fn columns_mut(d: &mut SsbData) -> [&mut Vec<i32>; 26] {
+    let (lo, date, part) = (&mut d.lineorder, &mut d.date, &mut d.part);
+    let (supp, cust) = (&mut d.supplier, &mut d.customer);
+    [
+        &mut lo.orderdate,
+        &mut lo.custkey,
+        &mut lo.partkey,
+        &mut lo.suppkey,
+        &mut lo.quantity,
+        &mut lo.discount,
+        &mut lo.extendedprice,
+        &mut lo.revenue,
+        &mut lo.supplycost,
+        &mut date.datekey,
+        &mut date.year,
+        &mut date.yearmonthnum,
+        &mut date.yearmonth,
+        &mut date.weeknuminyear,
+        &mut part.partkey,
+        &mut part.mfgr,
+        &mut part.category,
+        &mut part.brand1,
+        &mut supp.suppkey,
+        &mut supp.region,
+        &mut supp.nation,
+        &mut supp.city,
+        &mut cust.custkey,
+        &mut cust.region,
+        &mut cust.nation,
+        &mut cust.city,
+    ]
+}
+
+/// The seven dictionaries' sizes, in `SsbDicts` field order.
+fn dict_lens(d: &SsbData) -> [usize; 7] {
+    let t = &d.dicts;
+    [
+        t.region.len(),
+        t.nation.len(),
+        t.city.len(),
+        t.mfgr.len(),
+        t.category.len(),
+        t.brand.len(),
+        t.yearmonth.len(),
+    ]
 }
 
 fn assert_byte_identical(a: &SsbData, b: &SsbData) {
-    let columns: [(&str, &[i32], &[i32]); 22] = [
-        (
-            "lo_orderdate",
-            &a.lineorder.orderdate,
-            &b.lineorder.orderdate,
-        ),
-        ("lo_custkey", &a.lineorder.custkey, &b.lineorder.custkey),
-        ("lo_partkey", &a.lineorder.partkey, &b.lineorder.partkey),
-        ("lo_suppkey", &a.lineorder.suppkey, &b.lineorder.suppkey),
-        ("lo_quantity", &a.lineorder.quantity, &b.lineorder.quantity),
-        ("lo_discount", &a.lineorder.discount, &b.lineorder.discount),
-        (
-            "lo_extendedprice",
-            &a.lineorder.extendedprice,
-            &b.lineorder.extendedprice,
-        ),
-        ("lo_revenue", &a.lineorder.revenue, &b.lineorder.revenue),
-        (
-            "lo_supplycost",
-            &a.lineorder.supplycost,
-            &b.lineorder.supplycost,
-        ),
-        ("d_datekey", &a.date.datekey, &b.date.datekey),
-        ("d_year", &a.date.year, &b.date.year),
-        ("d_yearmonthnum", &a.date.yearmonthnum, &b.date.yearmonthnum),
-        ("d_yearmonth", &a.date.yearmonth, &b.date.yearmonth),
-        (
-            "d_weeknuminyear",
-            &a.date.weeknuminyear,
-            &b.date.weeknuminyear,
-        ),
-        ("p_partkey", &a.part.partkey, &b.part.partkey),
-        ("p_mfgr", &a.part.mfgr, &b.part.mfgr),
-        ("p_category", &a.part.category, &b.part.category),
-        ("p_brand1", &a.part.brand1, &b.part.brand1),
-        ("s_suppkey", &a.supplier.suppkey, &b.supplier.suppkey),
-        ("s_region", &a.supplier.region, &b.supplier.region),
-        ("c_custkey", &a.customer.custkey, &b.customer.custkey),
-        ("c_city", &a.customer.city, &b.customer.city),
-    ];
-    for (name, ca, cb) in columns {
+    for ((name, ca), (_, cb)) in columns(a).into_iter().zip(columns(b)) {
+        // Literally byte-for-byte (the little-endian image), not `PartialEq`.
+        let bytes = |col: &[i32]| -> Vec<u8> { col.iter().flat_map(|v| v.to_le_bytes()).collect() };
         assert_eq!(
             bytes(ca),
             bytes(cb),
@@ -64,9 +102,75 @@ fn assert_byte_identical(a: &SsbData, b: &SsbData) {
         );
     }
     // Dictionaries must agree too: queries translate literals through them.
-    assert_eq!(a.dicts.city.len(), b.dicts.city.len());
-    assert_eq!(a.dicts.brand.len(), b.dicts.brand.len());
-    assert_eq!(a.dicts.yearmonth.len(), b.dicts.yearmonth.len());
+    assert_eq!(dict_lens(a), dict_lens(b));
+}
+
+/// FNV-1a over every column (length, then values) and the dictionary
+/// sizes — computed here, independently of `SsbData::fingerprint`, so a
+/// change to the generator *or* to the fingerprint cannot hide the other.
+fn content_hash(d: &SsbData) -> u64 {
+    let step = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01B3);
+    let mut h = 0xCBF2_9CE4_8422_2325;
+    for (_, col) in columns(d) {
+        h = step(h, col.len() as u64);
+        h = col.iter().fold(h, |h, &v| step(h, v as u32 as u64));
+    }
+    dict_lens(d).into_iter().fold(h, |h, n| step(h, n as u64))
+}
+
+/// The generator is pinned across commits, not just across calls: these
+/// hashes were captured at commit 26f3856 (before the write path was
+/// rebuilt). A faster generator that changes one value, one length or the
+/// order of random draws fails here.
+#[test]
+fn generated_content_matches_the_pinned_hashes() {
+    for (sf, frac, seed, want) in [
+        (1usize, 0.001f64, 42u64, 0x07EE_46DF_340D_44F1u64),
+        (2, 0.002, u64::MAX, 0xE84F_C215_FDAA_C7EA),
+        (20, 0.0005, 20260927, 0x6808_8459_8CE1_548D),
+    ] {
+        let got = content_hash(&SsbData::generate_scaled(sf, frac, seed));
+        assert_eq!(got, want, "({sf}, {frac}, {seed}): {got:#018X}");
+    }
+}
+
+/// The fingerprint is a function of the content — every value, every
+/// length and which column holds what — and of nothing else.
+#[test]
+fn fingerprint_follows_every_column() {
+    let d = SsbData::generate_scaled(1, 0.001, 42);
+    let fp = d.fingerprint();
+    assert_eq!(fp, d.content_fingerprint());
+    assert_eq!(fp, SsbData::generate_scaled(1, 0.001, 42).fingerprint());
+    assert_ne!(fp, SsbData::generate_scaled(1, 0.001, 43).fingerprint());
+    assert_ne!(fp, SsbData::generate_scaled(1, 0.002, 42).fingerprint());
+
+    let mut seen = std::collections::HashSet::from([fp]);
+    let mut edited = |what: String, edit: &dyn Fn(&mut [&mut Vec<i32>; 26])| {
+        let mut e = d.clone();
+        edit(&mut columns_mut(&mut e));
+        assert_eq!(e.fingerprint(), fp, "the stored value is the generated one");
+        assert!(
+            seen.insert(e.content_fingerprint()),
+            "{what}: not a new fingerprint"
+        );
+    };
+    for (c, (name, col)) in columns(&d).into_iter().enumerate() {
+        for row in [0, col.len() / 2, col.len() - 1] {
+            edited(format!("{name}[{row}] + 1"), &|cols| cols[c][row] += 1);
+        }
+        edited(format!("{name} truncated"), &|cols| {
+            cols[c].truncate(col.len() - 1)
+        });
+    }
+    // The first two columns of each table, contents exchanged.
+    for c in [0, 9, 14, 18, 22] {
+        let name = columns(&d)[c].0;
+        edited(format!("{name} <-> the next column"), &|cols| {
+            let (a, b) = cols.split_at_mut(c + 1);
+            std::mem::swap(a[c], b[0]);
+        });
+    }
 }
 
 #[test]

@@ -8,6 +8,16 @@
 //! Values are packed at a fixed bit width into a little-endian `u64`
 //! bitstream. Non-negative values only (SSB's dictionary codes, keys and
 //! measures all qualify after encoding).
+//!
+//! **Packing is block-wise.** 64 values are exactly `bits` words, so
+//! [`PackedColumn::pack`] walks the input 64 values at a time: one OR over
+//! the block tested against the bits no valid value has (a failing block,
+//! and only that one, is rescanned for the first offender), then
+//! `pack64`, whose every word index and shift is a constant of the
+//! width — no read-modify-write of the stream, no per-value branch. The
+//! values after the last whole block are padded to one. Decoding
+//! ([`unpack_batch`]) works on 8- and 16-value groups for the same
+//! reason: 8 values are exactly `bits` bytes.
 
 use crate::isa::{prefetch, Isa};
 
@@ -34,6 +44,29 @@ impl std::fmt::Display for PackError {
 
 impl std::error::Error for PackError {}
 
+/// Packs one block of 64 checked values into the `B` words they fill
+/// exactly. Written out value by value, so that each value's word, shift
+/// and whether it ends a word are constants of the instantiation: the
+/// accumulator stays in a register, every word is stored once, and the
+/// optimizer is free to vectorize what is left.
+#[allow(unused_assignments)] // the carry out of the block's last word
+fn pack64<const B: usize>(block: &[i32; 64], out: &mut [u64]) {
+    let out: &mut [u64; B] = out.try_into().expect("64 values fill B words");
+    let mut acc = 0u64;
+    macro_rules! put {
+        ($($i:literal)*) => {$(
+            let (v, off) = (block[$i] as u32 as u64, $i * B % 64);
+            acc |= v << off;
+            if off + B >= 64 {
+                out[$i * B / 64] = acc;
+                acc = v >> (64 - off);
+            }
+        )*};
+    }
+    put!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+        33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61 62 63);
+}
+
 /// A fixed-width bit-packed column of non-negative integers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedColumn {
@@ -49,29 +82,47 @@ impl PackedColumn {
         (32 - max.leading_zeros()).max(1)
     }
 
-    /// Packs `values` at `bits` per value (1..=32).
+    /// Packs `values` at `bits` per value (1..=32); the error names the
+    /// first value that does not fit.
     pub fn pack(values: &[i32], bits: u32) -> Result<Self, PackError> {
         assert!((1..=32).contains(&bits));
-        let mask = if bits == 32 {
-            u32::MAX as u64
-        } else {
-            (1u64 << bits) - 1
-        };
-        let total_bits = values.len() * bits as usize;
-        let mut words = vec![0u64; total_bits.div_ceil(64)];
-        for (i, &v) in values.iter().enumerate() {
-            if v < 0 || (v as u64) & !mask != 0 {
+        macro_rules! pack64_at {
+            ($($b:literal)*) => {
+                match bits {
+                    $($b => pack64::<$b>,)*
+                    _ => unreachable!("asserted above"),
+                }
+            };
+        }
+        let pack_block: fn(&[i32; 64], &mut [u64]) = pack64_at!(1 2 3 4 5 6 7 8 9 10 11 12 13 14
+            15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32);
+        // The bits no valid value has: those above the width, and the sign
+        // (which `bits == 32` would otherwise let through).
+        let bad = !(low_mask(bits) as u32) | 1 << 31;
+        let mut words = vec![0u64; (values.len() * bits as usize).div_ceil(64)];
+        // 64 values are exactly `bits` words: run `k` of the values fills
+        // chunk `k` of the words, the last of each possibly short.
+        let runs = values.chunks(64).zip(words.chunks_mut(bits as usize));
+        for (k, (run, out)) in runs.enumerate() {
+            if run.iter().fold(0, |any, &v| any | v as u32) & bad != 0 {
+                let at = run.iter().position(|&v| v as u32 & bad != 0);
+                let at = at.expect("a run that failed the check holds a misfit");
                 return Err(PackError {
-                    index: i,
-                    value: v,
+                    index: k * 64 + at,
+                    value: run[at],
                     bits,
                 });
             }
-            let bit = i * bits as usize;
-            let (word, off) = (bit / 64, (bit % 64) as u32);
-            words[word] |= (v as u64) << off;
-            if off + bits > 64 {
-                words[word + 1] |= (v as u64) >> (64 - off);
+            match run.try_into() {
+                Ok(block) => pack_block(block, out),
+                // The short run: padded to a block with zeros, which fit
+                // any width; the stream has the words its values reach.
+                Err(_) => {
+                    let (mut block, mut full) = ([0; 64], [0; 32]);
+                    block[..run.len()].copy_from_slice(run);
+                    pack_block(&block, &mut full[..bits as usize]);
+                    out.copy_from_slice(&full[..out.len()]);
+                }
             }
         }
         Ok(PackedColumn {
@@ -130,7 +181,9 @@ impl PackedColumn {
 
     /// Unpacks the whole column.
     pub fn unpack(&self) -> Vec<i32> {
-        (0..self.len).map(|i| self.get(i)).collect()
+        let mut out = vec![0; self.len];
+        unpack_batch(&self.words, self.bits, 0, &mut out);
+        out
     }
 
     /// A borrowed view over the packed stream — what the fused kernels
@@ -506,6 +559,92 @@ mod tests {
                 (x >> 33) as i32 & domain_mask
             })
             .collect()
+    }
+
+    /// The read-modify-write loop `pack` was before it went block-wise,
+    /// kept as its oracle: one check, two shifts and up to two `|=` into
+    /// the zeroed stream per value.
+    fn pack_by_loop(values: &[i32], bits: u32) -> Result<PackedColumn, PackError> {
+        let mask = low_mask(bits);
+        let mut words = vec![0u64; (values.len() * bits as usize).div_ceil(64)];
+        for (index, &value) in values.iter().enumerate() {
+            if value < 0 || (value as u64) & !mask != 0 {
+                return Err(PackError { index, value, bits });
+            }
+            let bit = index * bits as usize;
+            let (word, off) = (bit / 64, (bit % 64) as u32);
+            words[word] |= (value as u64) << off;
+            if off + bits > 64 {
+                words[word + 1] |= (value as u64) >> (64 - off);
+            }
+        }
+        let len = values.len();
+        Ok(PackedColumn { bits, len, words })
+    }
+
+    /// Whole blocks only, a lone tail, a tail after blocks, and 229 — a
+    /// 37-value tail, which straddles a word at every width above one.
+    const PACK_LENGTHS: [usize; 9] = [0, 1, 63, 64, 65, 127, 128, 2112, 229];
+
+    #[test]
+    fn pack_matches_the_loop_it_replaced() {
+        for bits in 1..=32u32 {
+            for len in PACK_LENGTHS {
+                let values = values_of_width(bits, len);
+                let packed = PackedColumn::pack(&values, bits);
+                assert_eq!(packed, pack_by_loop(&values, bits), "bits={bits} len={len}");
+                let packed = packed.unwrap();
+                assert_eq!((packed.bits(), packed.len()), (bits, len));
+            }
+        }
+    }
+
+    /// A value that does not fit is reported exactly as the loop reported
+    /// it — the first offender's row, value and the width — wherever it
+    /// sits: first and last value of a block, in the tail, twice in one
+    /// block, too wide or negative (the one misfit `bits == 32` has).
+    #[test]
+    fn pack_reports_the_first_misfit_like_the_loop() {
+        for bits in 1..=32u32 {
+            let too_wide = (bits < 31).then(|| 1i32 << bits);
+            for bad in [Some(-1), Some(i32::MIN), too_wide].into_iter().flatten() {
+                for rows in [
+                    &[64usize][..],
+                    &[127],
+                    &[200],
+                    &[70, 90],
+                    &[90, 70],
+                    &[0, 228],
+                ] {
+                    let mut values = values_of_width(bits, 229);
+                    rows.iter().for_each(|&r| values[r] = bad);
+                    let err = PackedColumn::pack(&values, bits).unwrap_err();
+                    assert_eq!(
+                        Err(&err),
+                        pack_by_loop(&values, bits).as_ref(),
+                        "{bits} {rows:?}"
+                    );
+                    let first = *rows.iter().min().unwrap();
+                    assert_eq!((err.index, err.value, err.bits), (first, bad, bits));
+                }
+            }
+        }
+    }
+
+    /// `unpack` (one `unpack_batch` over the column) equals value-at-a-time
+    /// `get`, including where the stream ends on its last word's last byte
+    /// (2112 values are whole words at every width).
+    #[test]
+    fn unpack_matches_get_at_every_width() {
+        for bits in 1..=32u32 {
+            for len in [0, 1, 63, 64, 65, 2112] {
+                let values = values_of_width(bits, len);
+                let p = PackedColumn::pack(&values, bits).unwrap();
+                let by_get: Vec<i32> = (0..len).map(|i| p.get(i)).collect();
+                assert_eq!(p.unpack(), by_get, "bits={bits} len={len}");
+                assert_eq!(by_get, values);
+            }
+        }
     }
 
     /// The forced-engine matrix: every decode engine the CPU has, called
