@@ -33,7 +33,7 @@ use crystal_gpu_sim::Gpu;
 use crystal_hardware::{nvidia_v100, pcie_gen3, upload_chunks, PcieSpec};
 use crystal_runtime::DeviceSession;
 use crystal_ssb::encoding::FactEncodings;
-use crystal_ssb::engines::gpu::{DeviceQueryJob, DeviceShardedJob};
+use crystal_ssb::engines::gpu::DeviceQueryJob;
 use crystal_ssb::engines::reference;
 use crystal_ssb::plan::StarQuery;
 use crystal_ssb::{all_queries, query, PartitionedFact, QueryId, SsbData};
@@ -85,8 +85,8 @@ pub fn cold_unsharded(d: &SsbData, q: &StarQuery) -> OverlapRun {
     let mut gpu = Gpu::new(nvidia_v100());
     let mut sess = DeviceSession::new(&mut gpu);
     let mut job = DeviceQueryJob::admit(&mut sess, d, None, q).expect("cold admit on a full V100");
-    while !job.step(&mut sess, usize::MAX) {}
-    let result = job.finish(&mut sess).result;
+    while !job.step(&mut sess, usize::MAX).expect("one segment") {}
+    let result = job.finish().result;
     assert_eq!(
         result,
         reference::execute(d, q),
@@ -125,7 +125,8 @@ pub fn cold_sharded(d: &SsbData, pf: &PartitionedFact, q: &StarQuery) -> Sharded
     let pcie = pcie_gen3();
     let mut gpu = Gpu::new(nvidia_v100());
     let mut sess = DeviceSession::new(&mut gpu);
-    let mut job = DeviceShardedJob::admit(&mut sess, d, pf, q).expect("cold admit on a full V100");
+    let mut job =
+        DeviceQueryJob::admit_partitioned(&mut sess, d, pf, q).expect("cold admit on a full V100");
     loop {
         match job.step(&mut sess, usize::MAX) {
             Ok(true) => break,
@@ -134,7 +135,7 @@ pub fn cold_sharded(d: &SsbData, pf: &PartitionedFact, q: &StarQuery) -> Sharded
         }
     }
     let live = pf.live_shards(q);
-    let result = job.finish(&mut sess).result;
+    let result = job.finish().result;
     assert_eq!(
         result,
         reference::execute(d, q),

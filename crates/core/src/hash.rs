@@ -103,7 +103,10 @@ impl DeviceHashTable {
     /// `num_slots` must be a power of two for [`HashScheme::Mult`] and at
     /// least the key range for [`HashScheme::Perfect`]. The build phase
     /// inserts with one CAS per claimed slot (scattered atomics), mirroring
-    /// the parallel no-partitioning build of Section 4.3.
+    /// the parallel no-partitioning build of Section 4.3. A perfect table's
+    /// insertions never walk — the check below has seen to it — so a tile's
+    /// home slots are accounted in one pass, in lane order, and stored in a
+    /// second.
     ///
     /// # Panics
     /// Before anything is allocated or launched, if a [`HashScheme::Perfect`]
@@ -123,7 +126,8 @@ impl DeviceHashTable {
             assert!(num_slots >= keys.len(), "table must fit the build side");
         }
         if let HashScheme::Perfect { min } = scheme {
-            let mut taken = vec![false; num_slots];
+            // One bit per slot.
+            let mut taken = vec![0u64; num_slots.div_ceil(64)];
             for &key in keys.as_slice() {
                 let slot = (key as i64 - min as i64) as usize;
                 assert!(
@@ -131,10 +135,12 @@ impl DeviceHashTable {
                     "perfect hash table over {min}..{}: key {key} is out of range",
                     min as i64 + num_slots as i64
                 );
+                let (word, bit) = (&mut taken[slot / 64], 1 << (slot % 64));
                 assert!(
-                    !std::mem::replace(&mut taken[slot], true),
+                    *word & bit == 0,
                     "perfect hash table: key {key} appears twice in the build side"
                 );
+                *word |= bit;
             }
         }
         let slots = gpu.alloc_zeroed::<u64>(num_slots);
@@ -150,22 +156,39 @@ impl DeviceHashTable {
             let (start, len) = ctx.tile_bounds(n);
             // Tile of build keys/values is loaded coalesced...
             ctx.global_read_coalesced(len * 8);
-            for i in start..start + len {
-                let key = keys.as_slice()[i];
-                // `key + 1` tags occupied slots; negative keys would alias
-                // the empty sentinel. All paper workloads use keys >= 0.
-                assert!(key >= 0, "hash table keys must be non-negative");
-                let val = vals.as_slice()[i];
-                let mut slot = ht.home_slot(key);
-                // ...then each insertion CASes slots until one is claimed.
-                loop {
-                    ctx.atomic_scattered(ht.slots.addr_of(slot));
-                    ctx.compute(2);
-                    if ht.slots.as_slice()[slot] == EMPTY {
+            let keys = &keys.as_slice()[start..start + len];
+            let vals = &vals.as_slice()[start..start + len];
+            // `key + 1` tags occupied slots; negative keys would alias the
+            // empty sentinel. All paper workloads use keys >= 0.
+            assert!(
+                keys.iter().all(|&key| key >= 0),
+                "hash table keys must be non-negative"
+            );
+            match scheme {
+                // ...then each insertion claims its home slot with one CAS,
+                HashScheme::Perfect { .. } => {
+                    let homes = keys.iter().map(|&key| ht.slots.addr_of(ht.home_slot(key)));
+                    ctx.atomic_scattered_tile(homes);
+                    ctx.compute(2 * len);
+                    for (&key, &val) in keys.iter().zip(vals) {
+                        let slot = ht.home_slot(key);
                         ht.slots.as_mut_slice()[slot] = pack(key, val);
-                        break;
                     }
-                    slot = (slot + 1) % ht.num_slots();
+                }
+                // or CASes slots from there on until one is claimed.
+                HashScheme::Mult => {
+                    for (&key, &val) in keys.iter().zip(vals) {
+                        let mut slot = ht.home_slot(key);
+                        loop {
+                            ctx.atomic_scattered(ht.slots.addr_of(slot));
+                            ctx.compute(2);
+                            if ht.slots.as_slice()[slot] == EMPTY {
+                                ht.slots.as_mut_slice()[slot] = pack(key, val);
+                                break;
+                            }
+                            slot = (slot + 1) % ht.num_slots();
+                        }
+                    }
                 }
             }
         });

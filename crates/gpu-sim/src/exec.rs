@@ -307,6 +307,15 @@ impl Gpu {
         self.mem.alloc_zeroed(len)
     }
 
+    /// Fallible reservation of `len` elements of budget and addresses with
+    /// no host memory behind them ([`Memory::alloc_unbacked`]).
+    pub fn try_alloc_unbacked<T: Copy + Default>(
+        &mut self,
+        len: usize,
+    ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
+        self.mem.alloc_unbacked(len)
+    }
+
     /// Frees a buffer.
     pub fn free<T: Copy + Default>(&mut self, buf: DeviceBuffer<T>) {
         self.mem.free(buf);

@@ -47,8 +47,7 @@ pub struct DeviceBuffer<T> {
 }
 
 impl<T: Copy + Default> DeviceBuffer<T> {
-    pub(crate) fn new(data: Vec<T>, addr: u64) -> Self {
-        let alloc_bytes = data.len() * std::mem::size_of::<T>();
+    fn new(data: Vec<T>, addr: u64, alloc_bytes: usize) -> Self {
         DeviceBuffer {
             data,
             addr,
@@ -80,7 +79,7 @@ impl<T: Copy + Default> DeviceBuffer<T> {
     /// gathers/scatters).
     #[inline]
     pub fn addr_of(&self, idx: usize) -> u64 {
-        debug_assert!(idx <= self.data.len());
+        debug_assert!(idx * std::mem::size_of::<T>() <= self.alloc_bytes);
         self.addr + (idx * std::mem::size_of::<T>()) as u64
     }
 
@@ -142,7 +141,7 @@ impl Memory {
     /// address — before any host memory backs them, so a request larger
     /// than the device is refused without first being materialized on the
     /// host (a 32 GiB `Vec` for a 32 GiB simulated device).
-    fn reserve<T>(&mut self, len: usize) -> Result<u64, OutOfDeviceMemory> {
+    fn reserve<T>(&mut self, len: usize) -> Result<(u64, usize), OutOfDeviceMemory> {
         let available = self.capacity - self.used;
         let bytes = len
             .checked_mul(std::mem::size_of::<T>())
@@ -155,7 +154,7 @@ impl Memory {
         self.next_addr += bytes.next_multiple_of(ALLOC_ALIGN as usize) as u64;
         self.used += bytes;
         self.high_water = self.high_water.max(self.used);
-        Ok(addr)
+        Ok((addr, bytes))
     }
 
     /// Allocates a buffer holding a copy of `data`; the copy is made only
@@ -164,8 +163,8 @@ impl Memory {
         &mut self,
         data: &[T],
     ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
-        let addr = self.reserve::<T>(data.len())?;
-        Ok(DeviceBuffer::new(data.to_vec(), addr))
+        let (addr, bytes) = self.reserve::<T>(data.len())?;
+        Ok(DeviceBuffer::new(data.to_vec(), addr, bytes))
     }
 
     /// Allocates a zero-initialized buffer of `len` elements.
@@ -173,8 +172,21 @@ impl Memory {
         &mut self,
         len: usize,
     ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
-        let addr = self.reserve::<T>(len)?;
-        Ok(DeviceBuffer::new(vec![T::default(); len], addr))
+        let (addr, bytes) = self.reserve::<T>(len)?;
+        Ok(DeviceBuffer::new(vec![T::default(); len], addr, bytes))
+    }
+
+    /// Reserves the budget and the addresses of `len` elements exactly as
+    /// [`Memory::alloc_zeroed`] does, with no host memory behind them — a
+    /// buffer already [truncated](DeviceBuffer::truncate) to nothing. For a
+    /// table a kernel only takes the addresses of (its values live in the
+    /// functional half's own structures).
+    pub fn alloc_unbacked<T: Copy + Default>(
+        &mut self,
+        len: usize,
+    ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
+        let (addr, bytes) = self.reserve::<T>(len)?;
+        Ok(DeviceBuffer::new(Vec::new(), addr, bytes))
     }
 
     /// Releases a buffer's bytes back to the budget (addresses are not
@@ -244,6 +256,27 @@ mod tests {
         assert_eq!((m.used(), m.high_water()), (0, 0));
         assert!(m.alloc_from(&[0u8; 1024]).is_ok());
         assert!(m.alloc_from(&[0u8; 1]).is_err());
+    }
+
+    /// An unbacked buffer charges, addresses and frees like a zeroed one.
+    #[test]
+    fn unbacked_buffers_reserve_like_zeroed_ones() {
+        let (mut a, mut b) = (Memory::new(4096), Memory::new(4096));
+        for len in [100usize, 7, 300] {
+            let zeroed = a.alloc_zeroed::<i64>(len).unwrap();
+            let unbacked = b.alloc_unbacked::<i64>(len).unwrap();
+            assert!(unbacked.is_empty());
+            assert_eq!(unbacked.addr_of(len - 1), zeroed.addr_of(len - 1));
+            assert_eq!((b.used(), b.high_water()), (a.used(), a.high_water()));
+            if len == 7 {
+                a.free(zeroed);
+                b.free(unbacked);
+            }
+        }
+        assert_eq!(
+            b.alloc_unbacked::<i64>(200).unwrap_err(),
+            a.alloc_zeroed::<i64>(200).unwrap_err()
+        );
     }
 
     #[test]

@@ -103,21 +103,72 @@ const GEOMETRIES: [(usize, usize, usize); 6] = [
     (5, 3, 16),
 ];
 
-/// Drives `ops` operations drawn from `seed` through the cache and the
-/// oracle, comparing every return value and, at the end, the counters.
-fn assert_matches_list_lru(geometry: (usize, usize, usize), seed: u64, ops: usize) {
-    let (sets, assoc, line) = geometry;
-    let level = level(sets, assoc, line);
-    let (mut cache, mut oracle) = (Cache::new(&level), ListLru::new(&level));
-    let (sets, assoc, line) = (sets as u64, assoc as u64, line as u64);
+/// The cache and the oracle side by side: every operation goes to both and
+/// every return value is compared.
+struct Checked {
+    cache: Cache,
+    oracle: ListLru,
+    /// Geometry and seed, for the failure message.
+    what: String,
+}
+
+impl Checked {
+    fn new(geometry: (usize, usize, usize), seed: u64) -> Self {
+        let (sets, assoc, line) = geometry;
+        let level = level(sets, assoc, line);
+        Checked {
+            cache: Cache::new(&level),
+            oracle: ListLru::new(&level),
+            what: format!("{geometry:?} seed {seed}"),
+        }
+    }
+
+    fn access(&mut self, addr: u64) {
+        let (got, want) = (self.cache.access(addr), self.oracle.access(addr));
+        assert_eq!(got, want, "{}: access({addr})", self.what);
+    }
+
+    fn access_range(&mut self, addr: u64, bytes: u64) {
+        let got = self.cache.access_range(addr, bytes);
+        let want = self.oracle.access_range(addr, bytes);
+        assert_eq!(got, want, "{}: access_range({addr}, {bytes})", self.what);
+    }
+
+    fn reset(&mut self) {
+        self.cache.reset();
+        self.oracle.reset();
+    }
+
+    fn reset_counters(&mut self) {
+        self.cache.reset_counters();
+        self.oracle.reset_counters();
+    }
+
+    fn assert_counters_match(&self) {
+        assert_eq!(self.cache.hits(), self.oracle.hits, "{}", self.what);
+        assert_eq!(self.cache.misses(), self.oracle.misses, "{}", self.what);
+        assert_eq!(self.cache.hit_ratio(), self.oracle.hit_ratio());
+    }
+}
+
+/// Xorshift draws below a bound.
+fn draws(seed: u64) -> impl FnMut(u64) -> u64 {
     let mut x = seed | 1;
-    let mut draw = move |below: u64| {
+    move |below: u64| {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
         (x >> 11) % below
-    };
-    for op in 0..ops {
+    }
+}
+
+/// Drives `ops` operations drawn from `seed` through the cache and the
+/// oracle, comparing every return value and, at the end, the counters.
+fn assert_matches_list_lru(geometry: (usize, usize, usize), seed: u64, ops: usize) {
+    let mut both = Checked::new(geometry, seed);
+    let (sets, assoc, line) = (geometry.0 as u64, geometry.1 as u64, geometry.2 as u64);
+    let mut draw = draws(seed);
+    for _ in 0..ops {
         // Three times as many lines as ways over four sets (so that sets
         // evict), a hot region of half the cache, a cold one of eight
         // times the cache.
@@ -128,33 +179,51 @@ fn assert_matches_list_lru(geometry: (usize, usize, usize), seed: u64, ops: usiz
         };
         let addr = line_number * line + draw(line);
         match draw(64) {
-            0 if draw(16) == 0 => {
-                cache.reset();
-                oracle.reset();
-            }
-            1 => {
-                cache.reset_counters();
-                oracle.reset_counters();
-            }
-            2..=21 => {
-                // Up to three lines; some spans are empty.
-                let bytes = draw(2 * line + 2);
-                assert_eq!(
-                    cache.access_range(addr, bytes),
-                    oracle.access_range(addr, bytes),
-                    "{geometry:?} seed {seed}: op {op}, access_range({addr}, {bytes})"
-                );
-            }
-            _ => assert_eq!(
-                cache.access(addr),
-                oracle.access(addr),
-                "{geometry:?} seed {seed}: op {op}, access({addr})"
-            ),
+            0 if draw(16) == 0 => both.reset(),
+            1 => both.reset_counters(),
+            // Up to three lines; some spans are empty.
+            2..=21 => both.access_range(addr, draw(2 * line + 2)),
+            _ => both.access(addr),
         }
     }
-    assert_eq!(cache.hits(), oracle.hits, "{geometry:?} seed {seed}");
-    assert_eq!(cache.misses(), oracle.misses, "{geometry:?} seed {seed}");
-    assert_eq!(cache.hit_ratio(), oracle.hit_ratio());
+    both.assert_counters_match();
+}
+
+/// The streams a repeat of the line touched last is part of — the case
+/// `Cache` answers without looking at the set: runs of one line, two lines
+/// of one set taking turns, a repeat on either side of `reset_counters`
+/// (still a hit) and of `reset` (a miss again), and a two-line span whose
+/// lines are then touched again in either order. Counters are compared
+/// after every stream.
+fn assert_repeats_match_list_lru(geometry: (usize, usize, usize), seed: u64, rounds: usize) {
+    let mut both = Checked::new(geometry, seed);
+    let (sets, assoc, line) = (geometry.0 as u64, geometry.1 as u64, geometry.2 as u64);
+    let mut draw = draws(seed);
+    for round in 0..rounds {
+        let base = draw(8 * sets * assoc) * line;
+        // Another line of `base`'s set, near enough to share it for a while.
+        let rival = base + sets * line * (1 + draw(2 * assoc));
+        match round % 5 {
+            0 => (0..1 + draw(50)).for_each(|_| both.access(base + draw(line))),
+            1 => (0..2 + draw(40)).for_each(|i| both.access([base, rival][i as usize % 2])),
+            2 => {
+                both.access(base);
+                both.reset_counters();
+                both.access(base + draw(line));
+            }
+            3 => {
+                both.access(base);
+                both.reset();
+                both.access(base + draw(line));
+            }
+            _ => {
+                both.access_range(base + line - 1 - draw(line.min(8)), line);
+                let order = [[base, base + line], [base + line, base]][draw(2) as usize];
+                order.iter().for_each(|&addr| both.access(addr));
+            }
+        }
+        both.assert_counters_match();
+    }
 }
 
 proptest! {
@@ -268,6 +337,15 @@ proptest! {
 #[test]
 fn cache_matches_the_list_lru_over_a_long_run() {
     assert_matches_list_lru(GEOMETRIES[0], 0x9e3779b97f4a7c15, 1_000_000);
+}
+
+#[test]
+fn cache_matches_the_list_lru_on_repeats() {
+    for geometry in GEOMETRIES {
+        for seed in 0..8u64 {
+            assert_repeats_match_list_lru(geometry, 0x9e3779b97f4a7c15 ^ (seed << 32), 500);
+        }
+    }
 }
 
 #[test]

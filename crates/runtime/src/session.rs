@@ -48,7 +48,7 @@ use crystal_core::kernels::packed::DevicePackedColumn;
 use crystal_core::primitives::{block_load, block_load_sel};
 use crystal_core::tile::Tile;
 use crystal_gpu_sim::exec::BlockCtx;
-use crystal_gpu_sim::mem::DeviceBuffer;
+use crystal_gpu_sim::mem::{DeviceBuffer, OutOfDeviceMemory};
 use crystal_gpu_sim::stats::KernelReport;
 use crystal_gpu_sim::stream::CopyEvents;
 use crystal_gpu_sim::Gpu;
@@ -843,15 +843,35 @@ impl<'g> DeviceSession<'g> {
         &mut self,
         len: usize,
     ) -> Result<DeviceBuffer<T>, SessionOom> {
-        let bytes = len * std::mem::size_of::<T>();
+        self.scratch(len * std::mem::size_of::<T>(), |gpu| {
+            gpu.try_alloc_zeroed(len)
+        })
+    }
+
+    /// [`DeviceSession::try_alloc_scratch_zeroed`] for a table a kernel only
+    /// takes the addresses of: the same budget and addresses, no host memory
+    /// ([`Gpu::try_alloc_unbacked`]).
+    pub fn try_alloc_scratch_unbacked<T: Copy + Default>(
+        &mut self,
+        len: usize,
+    ) -> Result<DeviceBuffer<T>, SessionOom> {
+        self.scratch(len * std::mem::size_of::<T>(), |gpu| {
+            gpu.try_alloc_unbacked(len)
+        })
+    }
+
+    /// Retries `alloc` (a request of `bytes`), evicting one entry after each
+    /// refusal, until it succeeds or nothing evictable is left.
+    fn scratch<T>(
+        &mut self,
+        bytes: usize,
+        mut alloc: impl FnMut(&mut Gpu) -> Result<DeviceBuffer<T>, OutOfDeviceMemory>,
+    ) -> Result<DeviceBuffer<T>, SessionOom> {
         loop {
-            match self.gpu.try_alloc_zeroed::<T>(len) {
+            match alloc(self.gpu) {
                 Ok(b) => return Ok(b),
-                Err(_) => {
-                    if !self.evict_one() {
-                        return Err(self.oom(bytes));
-                    }
-                }
+                Err(_) if self.evict_one() => {}
+                Err(_) => return Err(self.oom(bytes)),
             }
         }
     }
@@ -869,16 +889,7 @@ impl<'g> DeviceSession<'g> {
         &mut self,
         data: &[T],
     ) -> Result<DeviceBuffer<T>, SessionOom> {
-        loop {
-            match self.gpu.try_alloc_from(data) {
-                Ok(b) => return Ok(b),
-                Err(_) => {
-                    if !self.evict_one() {
-                        return Err(self.oom(std::mem::size_of_val(data)));
-                    }
-                }
-            }
-        }
+        self.scratch(std::mem::size_of_val(data), |gpu| gpu.try_alloc_from(data))
     }
 
     /// Frees a scratch buffer.

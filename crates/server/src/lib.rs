@@ -45,8 +45,8 @@
 //!   tenant at once.
 //! * **Admission control** — device placement pins the query's working
 //!   set through the session's pin ledger
-//!   ([`DeviceQueryJob::admit`], or [`DeviceShardedJob::admit`] for the
-//!   first live shard); a typed [`SessionOom`] simply falls the query
+//!   ([`DeviceQueryJob::admit`], or [`DeviceQueryJob::admit_partitioned`]
+//!   for the first live shard); a typed [`SessionOom`] simply falls the query
 //!   back to the host instead of panicking or evicting another tenant's
 //!   pinned set. A sharded device job admits its later shards as it
 //!   advances; if one no longer fits mid-query, the device half is
@@ -72,7 +72,7 @@ use crystal_models::calibration::{BoundsSource, CalibrationStore};
 use crystal_runtime::{DeviceSession, SessionOom, SessionStats};
 use crystal_ssb::encoding::FactEncodings;
 use crystal_ssb::engines::copro::{self, Measured, Placement, PlacementDecision};
-use crystal_ssb::engines::gpu::{DeviceQueryJob, DeviceShardedJob};
+use crystal_ssb::engines::gpu::DeviceQueryJob;
 use crystal_ssb::exec::{HostQueryJob, PipelineMode};
 use crystal_ssb::plan::StarQuery;
 use crystal_ssb::{PartitionedFact, QueryResult, SsbData};
@@ -235,21 +235,18 @@ impl ServeReport {
     }
 }
 
-/// An in-flight query's executor. The whole-table and the sharded device
-/// jobs differ in what can happen *between* grants — only the sharded one
-/// admits further shards, so only it can upload after admission or fail
-/// a step — and the loop is written for the superset.
+/// An in-flight query's executor: the host job or the device job, each
+/// over the segments of the table being served (the whole table is one).
 enum Job<'a> {
     Host(Box<HostQueryJob<'a>>),
     Device(Box<DeviceQueryJob<'a>>),
-    DeviceSharded(Box<DeviceShardedJob<'a>>),
 }
 
 impl Job<'_> {
     fn backend(&self) -> Backend {
         match self {
             Job::Host(_) => Backend::Host,
-            Job::Device(_) | Job::DeviceSharded(_) => Backend::Device,
+            Job::Device(_) => Backend::Device,
         }
     }
 
@@ -257,18 +254,16 @@ impl Job<'_> {
         match self {
             Job::Host(h) => h.remaining_rows(),
             Job::Device(g) => g.remaining_rows(),
-            Job::DeviceSharded(g) => g.remaining_rows(),
         }
     }
 
     /// Advances by up to `grant` rows; `Ok(true)` once the query is done.
-    /// Only a sharded device job can fail: crossing a shard boundary
-    /// admits the next shard, which may no longer fit.
+    /// Only a device job over several segments can fail: crossing into
+    /// the next shard admits it, and it may no longer fit.
     fn step(&mut self, sess: &mut DeviceSession<'_>, grant: usize) -> Result<bool, SessionOom> {
         match self {
             Job::Host(h) => Ok(h.step(grant)),
-            Job::Device(g) => Ok(g.step(sess, grant)),
-            Job::DeviceSharded(g) => g.step(sess, grant),
+            Job::Device(g) => g.step(sess, grant),
         }
     }
 
@@ -277,15 +272,13 @@ impl Job<'_> {
         match self {
             Job::Host(_) => (0.0, 0),
             Job::Device(g) => (g.sim_secs_so_far(), g.uploaded_bytes()),
-            Job::DeviceSharded(g) => (g.sim_secs_so_far(), g.uploaded_bytes()),
         }
     }
 
-    fn finish(self, sess: &mut DeviceSession<'_>) -> QueryResult {
+    fn finish(self) -> QueryResult {
         match self {
             Job::Host(h) => h.finish().0,
-            Job::Device(g) => g.finish(sess).result,
-            Job::DeviceSharded(g) => g.finish(sess).result,
+            Job::Device(g) => g.finish().result,
         }
     }
 
@@ -294,7 +287,6 @@ impl Job<'_> {
         match self {
             Job::Host(_) => {}
             Job::Device(g) => g.abandon(sess),
-            Job::DeviceSharded(g) => g.abandon(sess),
         }
     }
 }
@@ -427,10 +419,11 @@ impl<'a> Table<'a> {
         sess: &mut DeviceSession<'_>,
         q: &'a StarQuery,
     ) -> Result<Job<'a>, SessionOom> {
-        Ok(match self.pf {
-            None => Job::Device(Box::new(DeviceQueryJob::admit(sess, self.d, None, q)?)),
-            Some(pf) => Job::DeviceSharded(Box::new(DeviceShardedJob::admit(sess, self.d, pf, q)?)),
-        })
+        let job = match self.pf {
+            None => DeviceQueryJob::admit(sess, self.d, None, q)?,
+            Some(pf) => DeviceQueryJob::admit_partitioned(sess, self.d, pf, q)?,
+        };
+        Ok(Job::Device(Box::new(job)))
     }
 
     fn host_job(&self, q: &'a StarQuery) -> Job<'a> {
@@ -717,7 +710,7 @@ pub fn serve_with<'a>(
                 admitted_at: j.admitted_at,
                 completed_at,
                 decision: j.decision,
-                result: j.job.finish(&mut sess),
+                result: j.job.finish(),
             });
         }
     }
@@ -768,9 +761,9 @@ pub fn serve_serial(
                 let before = sess.stats().clone();
                 if let Ok(mut job) = DeviceQueryJob::admit(&mut sess, d, None, q) {
                     let done = job.step(&mut sess, usize::MAX);
-                    debug_assert!(done);
+                    debug_assert_eq!(done, Ok(true), "one segment, one unbounded step");
                     let uploaded = sess.stats().uploaded_since(&before);
-                    let run = job.finish(&mut sess);
+                    let run = job.finish();
                     let secs = pcie.transfer_secs(uploaded) + run.sim_secs();
                     dev_busy += secs;
                     clock += secs;

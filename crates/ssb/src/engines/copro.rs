@@ -49,7 +49,7 @@ use crystal_runtime::{ColumnKey, DeviceSession, SessionOom};
 use crate::data::SsbData;
 use crate::encoding::{EncodedFact, FactEncodings};
 use crate::engines::gpu::{self, DeviceQueryJob, GpuRun};
-use crate::engines::groups_to_result;
+use crate::engines::GroupAcc;
 use crate::exec::{self, HostQueryJob, PipelineMode};
 use crate::partition::{FactShard, PartitionedFact};
 use crate::plan::{FactCol, StarQuery};
@@ -533,16 +533,14 @@ pub fn execute_placed_sharded(
 ) -> ShardedPlacedRun {
     let choice = choose_placement_sharded(None, sess, d, pf, q, cpu, sess.spec(), pcie);
     let before = sess.stats().clone();
-    let mut agg = vec![0i64; q.group_domain()];
+    let mut groups = GroupAcc::new(q.group_domain());
     let mut scanned_rows = 0usize;
     let mut device_shards_run = 0usize;
     let mut host_ids = choice.host_shards.clone();
     for &s in &choice.device_shards {
         match run_device_shard(sess, d, pf, s, q) {
-            Ok((shard_agg, rows)) => {
-                for (a, b) in agg.iter_mut().zip(shard_agg) {
-                    *a += b;
-                }
+            Ok((shard_groups, rows)) => {
+                groups.merge(&shard_groups);
                 scanned_rows += rows;
                 device_shards_run += 1;
             }
@@ -556,34 +554,33 @@ pub fn execute_placed_sharded(
         let mut job = HostQueryJob::with_shards(d, pf, q, &host_ids, PipelineMode::Vectorized);
         while !job.step(usize::MAX) {}
         scanned_rows += job.rows_scanned();
-        for (a, b) in agg.iter_mut().zip(job.into_agg()) {
-            *a += b;
-        }
+        groups.merge(&job.into_groups());
     }
     ShardedPlacedRun {
         choice,
-        result: groups_to_result(q, &agg),
+        result: groups.to_result(q),
         shipped_bytes: sess.stats().uploaded_since(&before),
         device_shards_run,
         scanned_rows,
     }
 }
 
-/// Runs one shard to completion on the device, returning its partial
-/// aggregate and scanned row count. A [`SessionOom`] at admission leaves
-/// the session clean; once admitted a shard always completes.
+/// Runs one shard to completion on the device — the one-segment device
+/// job — returning its groups and scanned row count. A [`SessionOom`] at
+/// admission leaves the session clean; once admitted a shard always
+/// completes.
 fn run_device_shard(
     sess: &mut DeviceSession<'_>,
     d: &SsbData,
     pf: &PartitionedFact,
     shard: usize,
     q: &StarQuery,
-) -> Result<(Vec<i64>, usize), SessionOom> {
-    let rows = pf.shard(shard).rows();
-    let mut job = DeviceQueryJob::admit_shard(sess, d, pf, shard, q)?;
-    while !job.step(sess, usize::MAX) {}
-    let partial = job.into_partial(sess);
-    Ok((partial.agg, rows))
+) -> Result<(GroupAcc, usize), SessionOom> {
+    let mut job = DeviceQueryJob::admit_shards(sess, d, pf, &[shard], q)?;
+    while !job.step(sess, usize::MAX)? {}
+    let rows = job.rows_scanned();
+    let groups = job.into_groups().expect("its one segment was admitted");
+    Ok((groups, rows))
 }
 
 /// What one executed query measured, for the calibration loop: the bytes

@@ -23,13 +23,16 @@
 //! the `*_session` variants are the residency-aware paths a query stream
 //! drives.
 //!
-//! [`execute_encoded`] runs the same kernel over a bit-packed fact table:
-//! packed columns upload as raw `u64` word streams and each tile load
-//! becomes `BlockLoadPacked` / `BlockLoadSelPacked` — the words of the
-//! tile are fetched (a `bits/32` fraction of the plain bytes) and
-//! unpacked in registers. On the bandwidth-bound device the saved traffic
-//! converts directly into simulated time, which is the compression
-//! asymmetry the compression ablation and scorecard quantify.
+//! Every entry point is one job type driven to completion:
+//! [`DeviceQueryJob`], a resumable scan over a list of segments — the
+//! whole table is one, a partitioned table one per live shard — with one
+//! group accumulator (`engines::GroupAcc`) for the whole job. What a job
+//! costs on the host follows the events it simulates (rows scanned, keys
+//! inserted, groups touched), not the capacity of its structures: the
+//! group table on the device is a reservation of addresses with no host
+//! memory behind it, the values accumulate in one host table per job
+//! however many shards feed it, and that table is read out through the set
+//! of blocks it touched.
 
 use std::rc::Rc;
 
@@ -46,8 +49,8 @@ use crystal_storage::encoding::EncodedColumn;
 use crate::data::SsbData;
 use crate::encoding::EncodedFact;
 use crate::engines::{
-    build_dim_table, dim_join_fingerprint, dim_table_bytes, groups_to_result, groups_to_result_at,
-    set_bits, DimBuild, DimLookup, QueryTrace, StageTrace,
+    build_dim_table, dim_join_fingerprint, dim_table_bytes, DimBuild, DimLookup, GroupAcc,
+    QueryTrace, StageTrace,
 };
 use crate::partition::PartitionedFact;
 use crate::plan::{FactCol, StarQuery};
@@ -164,75 +167,205 @@ pub fn execute_encoded_session(
     execute_on(sess, d, Some(fact), q)
 }
 
-/// The shared kernel body: session-resolved columns and memoized build
-/// phase, probe kernel, scratch cleanup. Implemented as a
-/// [`DeviceQueryJob`] admitted and driven to completion in one step, so
-/// the run-to-completion engines and the resumable concurrent frontend
-/// execute byte-for-byte the same pipeline. Admission failure propagates
-/// as the session's typed [`SessionOom`].
+/// The shared kernel body: a [`DeviceQueryJob`] over the one segment of the
+/// whole table, admitted and driven to completion, so the run-to-completion
+/// engines and the resumable concurrent frontend execute byte-for-byte the
+/// same pipeline. Admission failure propagates as the session's typed
+/// [`SessionOom`].
 fn execute_on(
     sess: &mut DeviceSession<'_>,
     d: &SsbData,
     fact: Option<&EncodedFact>,
     q: &StarQuery,
 ) -> Result<GpuRun, SessionOom> {
-    let mut job = DeviceQueryJob::admit(sess, d, fact, q)?;
-    let done = job.step(sess, usize::MAX);
-    debug_assert!(done, "an unbounded step finishes the fact table");
-    Ok(job.finish(sess))
+    let job = DeviceQueryJob::admit(sess, d, fact, q)?;
+    run_to_completion(sess, job)
 }
 
-/// A resumable device-side query execution.
+/// Runs a sharded query through a (possibly warm) session to completion:
+/// the sharded sibling of [`execute_session`]. A mid-query shard
+/// admission OOM abandons the device work and surfaces the typed error
+/// (the copro path then restarts the query on the host).
+pub fn execute_partitioned_session(
+    sess: &mut DeviceSession<'_>,
+    d: &SsbData,
+    pf: &PartitionedFact,
+    q: &StarQuery,
+) -> Result<GpuRun, SessionOom> {
+    let job = DeviceQueryJob::admit_partitioned(sess, d, pf, q)?;
+    run_to_completion(sess, job)
+}
+
+fn run_to_completion(
+    sess: &mut DeviceSession<'_>,
+    mut job: DeviceQueryJob<'_>,
+) -> Result<GpuRun, SessionOom> {
+    loop {
+        match job.step(sess, usize::MAX) {
+            Ok(true) => return Ok(job.finish()),
+            Ok(false) => {}
+            Err(e) => {
+                job.abandon(sess);
+                return Err(e);
+            }
+        }
+    }
+}
+
+/// One contiguous run of fact rows a device job scans: the whole table —
+/// plain, or under one encoding — whose columns are cached under the
+/// dataset's [`column_key`]s, or one shard of a partitioned table, cached
+/// under its own [`shard_column_key`]s.
+#[derive(Clone, Copy)]
+enum Segment<'a> {
+    Table(Option<&'a EncodedFact>),
+    Shard(usize, &'a EncodedFact),
+}
+
+impl<'a> Segment<'a> {
+    fn rows(&self, d: &SsbData) -> usize {
+        match self {
+            Segment::Table(_) => d.lineorder.rows(),
+            Segment::Shard(_, fact) => fact.rows(),
+        }
+    }
+
+    fn key(&self, d: &SsbData, col: FactCol) -> ColumnKey {
+        match *self {
+            Segment::Table(fact) => column_key(d, col, fact),
+            Segment::Shard(shard, fact) => shard_column_key(d, shard, col, fact),
+        }
+    }
+
+    /// The host copy of one column. An encoded segment resolves every
+    /// column from its encoded table (not from `d`), so the two cannot
+    /// silently disagree about plain columns' data.
+    fn host_col(&self, d: &'a SsbData, col: FactCol) -> HostCol<'a> {
+        let fact = match *self {
+            Segment::Table(fact) => fact,
+            Segment::Shard(_, fact) => Some(fact),
+        };
+        match fact.map(|f| f.encoded(col)) {
+            None => HostCol::Plain(col.data(d)),
+            Some(EncodedColumn::Plain(v)) => HostCol::Plain(v),
+            Some(EncodedColumn::Packed(p)) => HostCol::Packed(p),
+        }
+    }
+}
+
+/// A resumable device-side query execution over a list of segments: the
+/// whole table is one ([`DeviceQueryJob::admit`]), a partitioned table is
+/// one per shard zone-map pruning leaves live
+/// ([`DeviceQueryJob::admit_partitioned`]) or per shard of an explicit set
+/// ([`DeviceQueryJob::admit_shards`]) — the shape
+/// [`HostQueryJob`](crate::exec::HostQueryJob) has on the host.
 ///
-/// [`DeviceQueryJob::admit`] runs the whole *setup* phase — resolving and
-/// **pinning** the fact columns and memoized dimension tables under a
-/// session pin ledger, and allocating the group-table scratch — and is
-/// fallible: under multi-tenant pressure it returns the session's typed
-/// [`SessionOom`] instead of panicking, which is the admission
-/// controller's signal to defer the query. Each [`DeviceQueryJob::step`]
-/// then launches the fused probe kernel over a bounded range of fact rows
-/// and yields, so a scheduler can interleave morsel grants across many
-/// in-flight queries; [`DeviceQueryJob::finish`] frees the scratch,
-/// closes the pin ledger and assembles the [`GpuRun`].
+/// Segments run one at a time. *Admitting* one opens a session pin ledger,
+/// resolves and **pins** its fact columns and the memoized dimension
+/// tables under it, and reserves the device-side group table; it is
+/// fallible — under multi-tenant pressure it returns the session's typed
+/// [`SessionOom`] instead of panicking, every pin taken so far released,
+/// which is the admission controller's signal to defer the query. Each
+/// [`DeviceQueryJob::step`] launches the fused probe kernel over a bounded
+/// range of fact rows and yields, so a scheduler can interleave morsel
+/// grants across many in-flight queries; a step that finishes a segment
+/// frees its group table, closes its ledger (cached columns and tables stay
+/// resident; the cache trims back within budget) and admits the next one.
+/// Only the *current* segment's columns are pinned at any moment, so under
+/// a budget smaller than a sharded working set the session's
+/// GreedyDual-Size cache arbitrates which retired shards stay resident, and
+/// a warm replay re-uploads only the shards that were evicted. Dimension
+/// tables are memoized by build-side fingerprint, so only the first segment
+/// pays the build kernels.
 ///
-/// Splitting the probe into `k` launches instead of one changes neither
-/// the per-block tile schedule nor the order of the (commutative integer)
-/// aggregate updates, so results are byte-identical for every grant
-/// pattern — the property the concurrent differential suite asserts.
+/// Crossing a segment boundary is therefore the one place a step can fail:
+/// the typed error is the caller's signal to [`DeviceQueryJob::abandon`]
+/// the device half and restart the query on the host
+/// ([`crate::exec::HostQueryJob::new_partitioned`]) — partial device work
+/// is discarded, so the restart stays byte-identical. A one-segment job
+/// never fails a step.
+///
+/// Everything the segments share lives once per job: one `GroupAcc`, the
+/// fused kernel's roles and staging tiles, the trace counters. Splitting
+/// the scan into `k` launches, or the table into shards, changes neither
+/// the per-block tile schedule nor the (commutative integer) aggregate
+/// updates, so the finished [`GpuRun`] is byte-identical for every shard
+/// count and grant pattern — the property the concurrent differential
+/// suite asserts.
 pub struct DeviceQueryJob<'a> {
     d: &'a SsbData,
     q: &'a StarQuery,
-    qid: crystal_runtime::QueryId,
-    device_cols: Vec<Rc<DeviceCol>>,
-    tables: Vec<Rc<crystal_core::hash::DeviceHashTable>>,
-    agg_table: Option<DeviceBuffer<i64>>,
-    agg_host: Vec<i64>,
-    /// One bit per slot of `agg_host`, set once a row has been added to
-    /// it: what `finish` walks instead of the whole group domain.
-    touched: Vec<u64>,
-    roles: TileRoles,
-    tiles: TileScratch,
-    /// Next unprocessed fact row.
-    cursor: usize,
-    n: usize,
+    segments: Vec<Segment<'a>>,
+    /// Next index into `segments` to admit.
+    next: usize,
+    cur: Option<Admitted>,
+    /// `None` until a segment has admitted: a job that never gets that far
+    /// (refused, or every shard pruned) allocates none of it.
+    scan: Option<Scan>,
     pred_survivors: usize,
     probes: Vec<usize>,
     hits: Vec<usize>,
     result_rows: usize,
+    /// Every kernel launched so far: per segment its build kernels (misses
+    /// only — a warm session builds nothing), then its probe launches.
     reports: Vec<KernelReport>,
-    /// Bytes this job's admission actually shipped host→device (zero on
-    /// a fully warm working set) — the transfer half of the calibration
-    /// observation the job reports when it completes.
-    uploaded_bytes: usize,
-    /// Copy-stream events of this job's admission uploads (`None` on a
-    /// warm working set): the first fused launch gates its start on the
-    /// first chunk landing and floors its retirement at the transfer
-    /// drain, so the stream clocks realize the chunk-pipelined overlap.
+    /// Where the current segment's reports start.
+    cur_reports: usize,
+    scanned: usize,
+    /// PCIe bytes accumulated across every segment admission (prefetched
+    /// staging uploads included — they are the same bytes, just shipped
+    /// earlier).
+    uploaded: usize,
+    /// The double buffer: the next segment's columns, prefetched on the
+    /// copy stream under their own pin ledger while the current one's
+    /// kernel runs. At most one segment is ever staged (a 2-shard budget:
+    /// current + next), and staging never evicts — under pressure the
+    /// pipeline stalls back to upload-at-admission instead.
+    staged: Option<StagedSegment>,
+}
+
+/// The segment being scanned: what it holds on the device, and how far the
+/// scan has got.
+struct Admitted {
+    qid: crystal_runtime::QueryId,
+    device_cols: Vec<Rc<DeviceCol>>,
+    tables: Vec<Rc<crystal_core::hash::DeviceHashTable>>,
+    /// The device-side group table: addresses for the aggregate's atomics
+    /// and a charge against device memory. The values are in
+    /// [`Scan::acc`], so no host memory backs it.
+    agg_table: DeviceBuffer<i64>,
+    /// Next unprocessed row, of `n`.
+    cursor: usize,
+    n: usize,
+    /// Copy-stream events of the uploads this segment waited for at
+    /// admission or staged ahead of it (`None` when everything was
+    /// resident): its first fused launch gates its start on the first chunk
+    /// landing and floors its retirement at the transfer drain, so the
+    /// stream clocks realize the chunk-pipelined overlap.
     copy_events: Option<CopyEvents>,
 }
 
+/// The host side of the fused kernel, shared by every segment of a job.
+struct Scan {
+    acc: GroupAcc,
+    roles: TileRoles,
+    tiles: TileScratch,
+    /// Per join, the footprint and the entries of its table (the same
+    /// memoized build whichever segment pins it).
+    tables: Vec<(usize, usize)>,
+}
+
+/// One prefetched segment: its staging pin ledger and the copy-stream
+/// events its uploads produced (consumed by the segment's first launch).
+struct StagedSegment {
+    /// Index into `segments` this staging covers (always the next to admit).
+    idx: usize,
+    qid: crystal_runtime::QueryId,
+    events: Option<CopyEvents>,
+}
+
 /// What every tile of one query's fused kernel does the same way, resolved
-/// once at admission: which pinned column plays which part.
+/// once per job: which pinned column plays which part.
 struct TileRoles {
     kernel_name: String,
     /// Per fact predicate: its column (an index into `device_cols`) and,
@@ -303,165 +436,280 @@ impl TileScratch {
 }
 
 impl<'a> DeviceQueryJob<'a> {
-    /// Admits one query: pins its working set (columns + dimension
-    /// tables) under a fresh pin ledger and allocates its scratch.
-    /// On [`SessionOom`] every pin taken so far is released before
-    /// returning, leaving the session exactly as found.
+    /// Admits one query over the whole fact table — plain columns, or
+    /// `fact`'s encodings: pins its working set (columns + dimension
+    /// tables) under a fresh pin ledger. On [`SessionOom`] every pin taken
+    /// so far is released before returning, leaving the session exactly as
+    /// found.
     pub fn admit(
         sess: &mut DeviceSession<'_>,
         d: &'a SsbData,
         fact: Option<&'a EncodedFact>,
         q: &'a StarQuery,
-    ) -> Result<Self, crystal_runtime::SessionOom> {
-        let n = d.lineorder.rows();
-        Self::admit_with(sess, d, fact, q, n, &|c| column_key(d, c, fact))
+    ) -> Result<Self, SessionOom> {
+        Self::over(sess, d, q, vec![Segment::Table(fact)])
     }
 
-    /// Admits one **shard** of a partitioned fact table as a query job:
-    /// the shard's encoded columns are pinned under shard-granular
-    /// [`shard_column_key`]s (each shard is its own residency unit) and
-    /// the scan covers the shard's rows. Dimension tables are memoized
-    /// by build-side fingerprint exactly as in the unsharded path, so
-    /// every shard of one query shares them.
-    pub fn admit_shard(
+    /// Prunes, then admits the first live shard. A query whose every
+    /// shard is pruned admits nothing and is immediately complete.
+    pub fn admit_partitioned(
         sess: &mut DeviceSession<'_>,
         d: &'a SsbData,
         pf: &'a PartitionedFact,
-        shard: usize,
         q: &'a StarQuery,
-    ) -> Result<Self, crystal_runtime::SessionOom> {
-        let fact = pf.shard(shard).encoded();
-        Self::admit_with(sess, d, Some(fact), q, fact.rows(), &|c| {
-            shard_column_key(d, shard, c, fact)
-        })
+    ) -> Result<Self, SessionOom> {
+        Self::admit_shards(sess, d, pf, &pf.live_shards(q), q)
     }
 
-    fn admit_with(
+    /// A job over an explicit shard subset (already pruned by the caller,
+    /// e.g. the device half of a hybrid placement), admitting the first.
+    pub fn admit_shards(
         sess: &mut DeviceSession<'_>,
         d: &'a SsbData,
-        fact: Option<&'a EncodedFact>,
+        pf: &'a PartitionedFact,
+        shards: &[usize],
         q: &'a StarQuery,
-        n: usize,
-        key_of: &dyn Fn(FactCol) -> ColumnKey,
-    ) -> Result<Self, crystal_runtime::SessionOom> {
-        let before = sess.stats().clone();
-        let qid = sess.begin_query();
-        match Self::admit_inner(sess, qid, d, fact, q, n, key_of) {
-            Ok(mut job) => {
-                job.uploaded_bytes = sess.stats().uploaded_since(&before);
-                job.copy_events = sess.take_pending_copy();
-                Ok(job)
-            }
-            Err(e) => {
-                sess.end_query(qid);
-                Err(e)
-            }
-        }
+    ) -> Result<Self, SessionOom> {
+        let segment = |&s: &usize| Segment::Shard(s, pf.shard(s).encoded());
+        Self::over(sess, d, q, shards.iter().map(segment).collect())
     }
 
-    fn admit_inner(
+    fn over(
+        sess: &mut DeviceSession<'_>,
+        d: &'a SsbData,
+        q: &'a StarQuery,
+        segments: Vec<Segment<'a>>,
+    ) -> Result<Self, SessionOom> {
+        let joins = q.joins.len();
+        let mut job = DeviceQueryJob {
+            d,
+            q,
+            segments,
+            next: 0,
+            cur: None,
+            scan: None,
+            pred_survivors: 0,
+            probes: vec![0usize; joins],
+            hits: vec![0usize; joins],
+            result_rows: 0,
+            reports: Vec::new(),
+            cur_reports: 0,
+            scanned: 0,
+            uploaded: 0,
+            staged: None,
+        };
+        job.admit_next(sess)?;
+        Ok(job)
+    }
+
+    /// Admits the next segment, if there is one, and stages the one after.
+    fn admit_next(&mut self, sess: &mut DeviceSession<'_>) -> Result<(), SessionOom> {
+        let Some(&segment) = self.segments.get(self.next) else {
+            return Ok(());
+        };
+        self.next += 1;
+        // Release the staging ledger *immediately before* re-admission:
+        // the prefetched columns stay cached, so the admission re-pins
+        // them as hits without allocating — there is no window in which
+        // anything could evict them.
+        let staged_events = self.staged.take().and_then(|s| {
+            debug_assert_eq!(s.idx, self.next - 1, "staged segment out of order");
+            sess.end_query(s.qid);
+            s.events
+        });
+
+        let before = sess.stats().clone();
+        let qid = sess.begin_query();
+        let (mut cur, builds) = match Self::pin(sess, qid, self.d, self.q, segment) {
+            Ok(pinned) => pinned,
+            Err(e) => {
+                sess.end_query(qid);
+                return Err(e);
+            }
+        };
+        self.uploaded += sess.stats().uploaded_since(&before);
+        cur.copy_events = sess.take_pending_copy();
+        if let Some(ev) = staged_events {
+            match &mut cur.copy_events {
+                Some(own) => own.merge(ev),
+                None => cur.copy_events = Some(ev),
+            }
+        }
+        if self.scan.is_none() {
+            // The tile geometry depends on the device and the join count,
+            // not on how many rows a segment or a step covers.
+            let joins = self.q.joins.len();
+            let tile = FusedStarKernel::new("", 0, joins).plan(sess.spec()).tile();
+            let sizes = cur.tables.iter().map(|ht| (ht.size_bytes(), ht.entries()));
+            self.scan = Some(Scan {
+                acc: GroupAcc::new(self.q.group_domain()),
+                roles: TileRoles::resolve(self.q),
+                tiles: TileScratch::new(tile, joins),
+                tables: sizes.collect(),
+            });
+        }
+        self.cur_reports = self.reports.len();
+        self.reports.extend(builds);
+        self.cur = Some(cur);
+        self.prefetch_next(sess);
+        Ok(())
+    }
+
+    /// The fallible part of an admission, under the ledger `qid`: the
+    /// segment's columns and the dimension tables pinned, the group table
+    /// reserved — and the reports of the build kernels that ran.
+    fn pin(
         sess: &mut DeviceSession<'_>,
         qid: crystal_runtime::QueryId,
         d: &'a SsbData,
-        fact: Option<&'a EncodedFact>,
-        q: &'a StarQuery,
-        n: usize,
-        key_of: &dyn Fn(FactCol) -> ColumnKey,
-    ) -> Result<Self, crystal_runtime::SessionOom> {
-        let mut reports = Vec::new();
-
+        q: &StarQuery,
+        segment: Segment<'a>,
+    ) -> Result<(Admitted, Vec<KernelReport>), SessionOom> {
         let cols = q.fact_columns();
         let mut device_cols = Vec::with_capacity(cols.len());
         for &c in &cols {
-            let key = key_of(c);
-            let rc = match fact {
-                None => sess.pin_column(qid, key, HostCol::Plain(c.data(d)))?,
-                // Every column resolves from the encoded table (not from
-                // `d`), so the two arguments cannot silently disagree
-                // about plain columns' data.
-                Some(f) => match f.encoded(c) {
-                    EncodedColumn::Packed(p) => sess.pin_column(qid, key, HostCol::Packed(p))?,
-                    EncodedColumn::Plain(v) => sess.pin_column(qid, key, HostCol::Plain(v))?,
-                },
-            };
-            device_cols.push(rc);
+            device_cols.push(sess.pin_column(qid, segment.key(d, c), segment.host_col(d, c))?);
         }
 
         // Build phase: perfect-hash tables for each join's dimension,
         // memoized by build-side fingerprint. The filter scan is deferred
         // into the miss closure, so a warm session skips the host-side
         // dimension scan and the build kernel alike.
-        let mut tables = Vec::new();
+        let (mut tables, mut builds) = (Vec::new(), Vec::new());
         for join in &q.joins {
             let fp = dim_join_fingerprint(d, join);
             let (ht, report) = sess.pin_hash_table(qid, fp, dim_table_bytes(d, join), |gpu| {
                 build_dim_table(gpu, &DimBuild::scan(d, join))
             })?;
-            if let Some(r) = report {
-                reports.push(r);
-            }
+            builds.extend(report);
             tables.push(ht);
         }
-
-        let domain = q.group_domain();
-        let agg_table: DeviceBuffer<i64> = sess.try_alloc_scratch_zeroed(domain)?;
-        // The tile geometry depends on the device and the join count, not
-        // on how many rows a step covers.
-        let tile = FusedStarKernel::new("", n, q.joins.len())
-            .plan(sess.spec())
-            .tile();
-
-        Ok(DeviceQueryJob {
-            d,
-            q,
+        let admitted = Admitted {
             qid,
             device_cols,
             tables,
-            agg_table: Some(agg_table),
-            agg_host: vec![0i64; domain],
-            touched: vec![0u64; domain.div_ceil(64)],
-            roles: TileRoles::resolve(q),
-            tiles: TileScratch::new(tile, q.joins.len()),
+            agg_table: sess.try_alloc_scratch_unbacked(q.group_domain())?,
             cursor: 0,
-            n,
-            pred_survivors: 0,
-            probes: vec![0usize; q.joins.len()],
-            hits: vec![0usize; q.joins.len()],
-            result_rows: 0,
-            reports,
-            uploaded_bytes: 0,
+            n: segment.rows(d),
             copy_events: None,
-        })
+        };
+        Ok((admitted, builds))
     }
 
-    /// Fact rows not yet processed.
+    /// Stages the next segment's columns on the copy stream while the
+    /// current one's kernel runs. Staging is strictly best-effort: it
+    /// only proceeds when the uncached bytes fit the session budget *and*
+    /// free device memory without evicting anything — a prefetch must
+    /// never steal residency from the running shard or a co-tenant, so
+    /// under pressure the double buffer stalls (the shard uploads at its
+    /// own admission, exactly the pre-pipelining behavior).
+    fn prefetch_next(&mut self, sess: &mut DeviceSession<'_>) {
+        let Some(&segment) = self.segments.get(self.next) else {
+            return;
+        };
+        debug_assert!(self.staged.is_none(), "admission consumed the staging");
+        let d = self.d;
+        let cols = self.q.fact_columns();
+        let uncached: usize = cols
+            .iter()
+            .filter(|&&c| !sess.is_resident(segment.key(d, c)))
+            .map(|&c| segment.host_col(d, c).size_bytes())
+            .sum();
+        if sess.stats().cached_bytes + uncached > sess.budget()
+            || uncached > sess.device_free_bytes()
+        {
+            return;
+        }
+        let before = sess.stats().clone();
+        let qid = sess.begin_query();
+        for &c in &cols {
+            let host = segment.host_col(d, c);
+            if sess.prefetch_column(qid, segment.key(d, c), host).is_err() {
+                // Lost a race against concurrent allocation: stall rather
+                // than evict. Entries uploaded so far stay cached and the
+                // admission will reuse them.
+                sess.end_query(qid);
+                self.uploaded += sess.stats().uploaded_since(&before);
+                return;
+            }
+        }
+        self.uploaded += sess.stats().uploaded_since(&before);
+        self.staged = Some(StagedSegment {
+            idx: self.next,
+            qid,
+            events: sess.take_pending_copy(),
+        });
+    }
+
+    /// Fact rows not yet processed (current segment plus unadmitted ones).
     pub fn remaining_rows(&self) -> usize {
-        self.n - self.cursor
+        let unadmitted = self.segments[self.next..].iter();
+        self.cur.as_ref().map_or(0, |cur| cur.n - cur.cursor)
+            + unadmitted.map(|s| s.rows(self.d)).sum::<usize>()
     }
 
-    /// Bytes this job's admission shipped over PCIe (zero when its whole
-    /// working set was already resident).
+    /// Rows scanned so far (live shards only — the pruning saving).
+    pub fn rows_scanned(&self) -> usize {
+        self.scanned
+    }
+
+    /// Bytes shipped over PCIe by every segment admission so far (zero
+    /// when the whole working set was already resident).
     pub fn uploaded_bytes(&self) -> usize {
-        self.uploaded_bytes
+        self.uploaded
     }
 
     /// Simulated seconds of every kernel this job has launched so far
     /// (admission-time builds included). A scheduler charges each grant
-    /// by the delta of this value across the [`DeviceQueryJob::step`].
+    /// by the delta of this value — by its bits, so the retired segments'
+    /// kernels and the current one's are summed apart, as when every
+    /// segment was a job of its own.
     pub fn sim_secs_so_far(&self) -> f64 {
-        self.reports.iter().map(|r| r.time.total_secs()).sum()
+        let secs =
+            |reports: &[KernelReport]| -> f64 { reports.iter().map(|r| r.time.total_secs()).sum() };
+        let (retired, current) = self.reports.split_at(self.cur_reports);
+        secs(retired) + self.cur.as_ref().map_or(0.0, |_| secs(current))
     }
 
-    /// Runs the fused probe kernel over the next `max_rows` fact rows
-    /// (saturating at the end of the table) and yields. Returns `true`
-    /// when the whole fact table has been processed.
-    pub fn step(&mut self, sess: &mut DeviceSession<'_>, max_rows: usize) -> bool {
-        let base = self.cursor;
-        let batch = max_rows.min(self.n - base);
-        if batch == 0 {
-            return true;
+    /// Processes up to `max_rows` rows — one fused launch per segment
+    /// touched — retiring finished segments and admitting the next as the
+    /// cursor crosses their boundaries. Returns `Ok(true)` once every
+    /// segment is done; a mid-query admission can fail with the session's
+    /// typed [`SessionOom`], in which case the caller abandons the job
+    /// (nothing is half-pinned — the failed admission cleaned up after
+    /// itself).
+    pub fn step(
+        &mut self,
+        sess: &mut DeviceSession<'_>,
+        max_rows: usize,
+    ) -> Result<bool, SessionOom> {
+        let mut budget = max_rows;
+        loop {
+            let Some(cur) = self.cur.as_ref() else {
+                return Ok(true);
+            };
+            let grant = budget.min(cur.n - cur.cursor);
+            if grant > 0 {
+                self.launch(sess, grant);
+                self.scanned += grant;
+                budget -= grant;
+            }
+            if self.cur.as_ref().is_some_and(|cur| cur.cursor == cur.n) {
+                self.release(sess);
+                self.admit_next(sess)?;
+            } else if budget == 0 {
+                return Ok(false);
+            }
         }
-        self.cursor += batch;
+    }
+
+    /// One fused launch over the next `batch` rows of the current segment.
+    fn launch(&mut self, sess: &mut DeviceSession<'_>, batch: usize) {
+        let q = self.q;
+        let cur = self.cur.as_mut().expect("a segment is admitted");
+        let scan = self.scan.as_mut().expect("set at the first admission");
+        let base = cur.cursor;
+        cur.cursor += batch;
 
         // The whole select→probe×N→aggregate pipeline is ONE fused launch:
         // the kernel descriptor owns the tile geometry and charges the
@@ -469,22 +717,20 @@ impl<'a> DeviceQueryJob<'a> {
         // i32 group-code tile per join, the 1-byte survivor bitmap) so the
         // occupancy model sees the real per-block footprint — and degrades
         // the tile when a device's budget cannot hold it.
-        let q = self.q;
-        let roles = &self.roles;
+        let roles = &scan.roles;
         let fused = FusedStarKernel::new(roles.kernel_name.clone(), batch, roles.fks.len());
         let TileScratch {
             col: tile_col,
             bitmap,
             codes: code_tiles,
             agg_in,
-        } = &mut self.tiles;
+        } = &mut scan.tiles;
 
         let grouped = !roles.group_digits.is_empty();
-        let device_cols = &self.device_cols;
-        let tables = &self.tables;
-        let agg_table = self.agg_table.as_ref().expect("stepped a finished job");
-        let agg_host = &mut self.agg_host;
-        let touched = &mut self.touched;
+        let device_cols = &cur.device_cols;
+        let tables = &cur.tables;
+        let agg_table = &cur.agg_table;
+        let acc = &mut scan.acc;
         let pred_survivors = &mut self.pred_survivors;
         let probes = &mut self.probes;
         let hits = &mut self.hits;
@@ -495,7 +741,7 @@ impl<'a> DeviceQueryJob<'a> {
         // floor its retirement at the transfer drain (the kernel cannot
         // consume bytes faster than the link delivers them). One-shot —
         // later grants run against resident data.
-        if let Some(ev) = self.copy_events.take() {
+        if let Some(ev) = cur.copy_events.take() {
             let gpu = sess.gpu();
             gpu.stream_wait(ev.first_chunk);
             gpu.stream_floor(ev.done);
@@ -582,429 +828,87 @@ impl<'a> DeviceQueryJob<'a> {
                 // group table.
                 ctx.atomic_scattered_tile(survivors.clone().map(|i| agg_table.addr_of(group(i))));
                 for i in survivors {
-                    let idx = group(i);
-                    agg_host[idx] += value(i);
-                    touched[idx / 64] |= 1 << (idx % 64);
+                    acc.add(group(i), value(i));
                 }
             } else {
                 // BlockAggregate + one contended atomic per tile.
                 ctx.shared(ctx.block_dim * 8);
                 ctx.sync();
                 ctx.atomic_same_addr(1);
-                agg_host[0] += survivors.map(value).sum::<i64>();
+                acc.add(0, survivors.map(value).sum());
             }
         });
         self.reports.push(report.tag_fact_linear());
-        self.cursor == self.n
     }
 
-    /// Frees the per-query scratch, closes the pin ledger (unpinning the
-    /// working set and trimming the cache back within budget) and
-    /// assembles the run. Cached columns and memoized tables stay
-    /// resident in the session.
-    pub fn finish(mut self, sess: &mut DeviceSession<'_>) -> GpuRun {
-        assert_eq!(self.cursor, self.n, "finished a job with rows remaining");
-        let (q, n) = (self.q, self.n);
-        let touched = std::mem::take(&mut self.touched);
-        let p = self.into_partial(sess);
-        // Only the groups a row was added to can be non-zero: q4.3 touches
-        // a few hundred of its 1.75 M.
-        let result = groups_to_result_at(q, &p.agg, set_bits(&touched));
-        let trace = QueryTrace {
-            fact_rows: n,
-            pred_survivors: p.pred_survivors,
-            stages: p.stages,
-            result_rows: p.result_rows,
-            groups: result.rows(),
-        };
-        GpuRun {
-            result,
-            trace,
-            reports: p.reports,
+    /// Releases what the current segment holds on the device: frees the
+    /// group table and closes the pin ledger (unpinning the working set and
+    /// trimming the cache back within budget). Cached columns and memoized
+    /// tables stay resident in the session.
+    fn release(&mut self, sess: &mut DeviceSession<'_>) {
+        if let Some(cur) = self.cur.take() {
+            sess.free_scratch(cur.agg_table);
+            drop((cur.tables, cur.device_cols));
+            sess.end_query(cur.qid);
         }
+        self.cur_reports = self.reports.len();
     }
 
     /// Releases every device resource of an in-flight job without
-    /// producing a run — the recovery path when a *sharded* execution
-    /// hits a mid-query admission OOM and the whole query restarts on
-    /// the host. Leaves the session exactly as a finished job would
-    /// (cached columns stay resident).
-    pub fn abandon(mut self, sess: &mut DeviceSession<'_>) {
-        if let Some(agg_table) = self.agg_table.take() {
-            sess.free_scratch(agg_table);
-        }
-        self.tables.clear();
-        self.device_cols.clear();
-        sess.end_query(self.qid);
-    }
-
-    /// Retires the job into raw per-shard state (merged by
-    /// [`DeviceShardedJob`]): the dense aggregate table, trace counters,
-    /// stage traces and kernel reports, with all device resources
-    /// released.
-    pub(crate) fn into_partial(mut self, sess: &mut DeviceSession<'_>) -> ShardPartial {
-        if let Some(agg_table) = self.agg_table.take() {
-            sess.free_scratch(agg_table);
-        }
-        let stages = self
-            .tables
-            .iter()
-            .enumerate()
-            .map(|(j, ht)| StageTrace {
-                table: self.q.joins[j].table,
-                probes: self.probes[j],
-                hits: self.hits[j],
-                ht_bytes: ht.size_bytes(),
-                dim_insert_frac: ht.entries() as f64
-                    / self.q.joins[j].keys(self.d).len().max(1) as f64,
-            })
-            .collect();
-        self.tables.clear();
-        self.device_cols.clear();
-        sess.end_query(self.qid);
-        ShardPartial {
-            agg: self.agg_host,
-            pred_survivors: self.pred_survivors,
-            probes: self.probes,
-            hits: self.hits,
-            result_rows: self.result_rows,
-            stages,
-            reports: self.reports,
-        }
-    }
-}
-
-/// Raw retired state of one device query (or one shard of one): what the
-/// sharded merge-aggregation folds together.
-pub(crate) struct ShardPartial {
-    pub(crate) agg: Vec<i64>,
-    pub(crate) pred_survivors: usize,
-    pub(crate) probes: Vec<usize>,
-    pub(crate) hits: Vec<usize>,
-    pub(crate) result_rows: usize,
-    pub(crate) stages: Vec<StageTrace>,
-    pub(crate) reports: Vec<KernelReport>,
-}
-
-/// A resumable device-side execution over a **sharded** fact table.
-///
-/// Zone-map pruning picks the live shards at admission; shards then run
-/// one at a time as [`DeviceQueryJob`]s whose columns are pinned under
-/// shard-granular keys ([`shard_column_key`]), so only the *current*
-/// shard's columns are pinned at any moment — the session's
-/// GreedyDual-Size cache arbitrates which retired shards stay resident
-/// under a budget smaller than the full sharded working set, and a warm
-/// replay re-uploads only the shards that were evicted. Dimension hash
-/// tables are memoized across shards (same build-side fingerprint), so
-/// only the first shard pays the build kernels.
-///
-/// [`DeviceShardedJob::step`] is fallible: advancing past a shard
-/// boundary admits the next shard, which can OOM mid-query under
-/// multi-tenant pressure. The typed error is the caller's signal to
-/// [`DeviceShardedJob::abandon`] the device half and restart the query
-/// on the host ([`crate::exec::HostQueryJob::new_partitioned`]) — partial device
-/// work is discarded, so the restart stays byte-identical.
-///
-/// Merging is commutative `i64` addition of per-shard dense group
-/// tables, so the finished [`GpuRun`] is byte-identical to the unsharded
-/// engine for every shard count and grant pattern.
-pub struct DeviceShardedJob<'a> {
-    d: &'a SsbData,
-    pf: &'a PartitionedFact,
-    q: &'a StarQuery,
-    /// Live (unpruned) shard ids, in scan order.
-    live: Vec<usize>,
-    /// Next index into `live` to admit.
-    next: usize,
-    cur: Option<DeviceQueryJob<'a>>,
-    agg: Vec<i64>,
-    pred_survivors: usize,
-    probes: Vec<usize>,
-    hits: Vec<usize>,
-    result_rows: usize,
-    reports: Vec<KernelReport>,
-    /// Stage traces of the first retired shard — the source of the
-    /// ht_bytes / insert-fraction fields all shards share.
-    stage_meta: Option<Vec<StageTrace>>,
-    scanned: usize,
-    /// PCIe bytes accumulated across every shard admission (prefetched
-    /// staging uploads included — they are the same bytes, just shipped
-    /// earlier).
-    uploaded: usize,
-    /// The double buffer: the next shard's columns, prefetched on the
-    /// copy stream under their own pin ledger while the current shard's
-    /// kernel runs. At most one shard is ever staged (a 2-shard budget:
-    /// current + next), and staging never evicts — under pressure the
-    /// pipeline stalls back to upload-at-admission instead.
-    staged: Option<StagedShard>,
-}
-
-/// One prefetched shard: its staging pin ledger and the copy-stream
-/// events its uploads produced (consumed by the shard's first launch).
-struct StagedShard {
-    /// Index into `live` this staging covers (always the next to admit).
-    idx: usize,
-    qid: crystal_runtime::QueryId,
-    events: Option<CopyEvents>,
-}
-
-impl<'a> DeviceShardedJob<'a> {
-    /// Prunes, then admits the first live shard. A query whose every
-    /// shard is pruned admits nothing and is immediately complete.
-    pub fn admit(
-        sess: &mut DeviceSession<'_>,
-        d: &'a SsbData,
-        pf: &'a PartitionedFact,
-        q: &'a StarQuery,
-    ) -> Result<Self, SessionOom> {
-        let joins = q.joins.len();
-        let mut job = DeviceShardedJob {
-            d,
-            pf,
-            q,
-            live: pf.live_shards(q),
-            next: 0,
-            cur: None,
-            agg: vec![0i64; q.group_domain()],
-            pred_survivors: 0,
-            probes: vec![0usize; joins],
-            hits: vec![0usize; joins],
-            result_rows: 0,
-            reports: Vec::new(),
-            stage_meta: None,
-            scanned: 0,
-            uploaded: 0,
-            staged: None,
-        };
-        job.admit_next(sess)?;
-        Ok(job)
-    }
-
-    fn admit_next(&mut self, sess: &mut DeviceSession<'_>) -> Result<(), SessionOom> {
-        if self.next < self.live.len() {
-            let shard = self.live[self.next];
-            self.next += 1;
-            // Release the staging ledger *immediately before* re-admission:
-            // the prefetched columns stay cached, so the admission re-pins
-            // them as hits without allocating — there is no window in which
-            // anything could evict them.
-            let staged_events = match self.staged.take() {
-                Some(s) => {
-                    debug_assert_eq!(s.idx, self.next - 1, "staged shard out of order");
-                    sess.end_query(s.qid);
-                    s.events
-                }
-                None => None,
-            };
-            let mut cur = DeviceQueryJob::admit_shard(sess, self.d, self.pf, shard, self.q)?;
-            self.uploaded += cur.uploaded_bytes();
-            if let Some(ev) = staged_events {
-                match &mut cur.copy_events {
-                    Some(own) => own.merge(ev),
-                    None => cur.copy_events = Some(ev),
-                }
-            }
-            self.cur = Some(cur);
-            self.prefetch_next(sess);
-        }
-        Ok(())
-    }
-
-    /// Stages the next live shard's columns on the copy stream while the
-    /// current shard's kernel runs. Staging is strictly best-effort: it
-    /// only proceeds when the uncached bytes fit the session budget *and*
-    /// free device memory without evicting anything — a prefetch must
-    /// never steal residency from the running shard or a co-tenant, so
-    /// under pressure the double buffer stalls (the shard uploads at its
-    /// own admission, exactly the pre-pipelining behavior).
-    fn prefetch_next(&mut self, sess: &mut DeviceSession<'_>) {
-        if self.staged.is_some() || self.next >= self.live.len() {
-            return;
-        }
-        let shard = self.live[self.next];
-        let fact = self.pf.shard(shard).encoded();
-        let cols = self.q.fact_columns();
-        let host_of = |c: FactCol| match fact.encoded(c) {
-            EncodedColumn::Packed(p) => HostCol::Packed(p),
-            EncodedColumn::Plain(v) => HostCol::Plain(v),
-        };
-        let uncached: usize = cols
-            .iter()
-            .map(|&c| {
-                if sess.is_resident(shard_column_key(self.d, shard, c, fact)) {
-                    0
-                } else {
-                    host_of(c).size_bytes()
-                }
-            })
-            .sum();
-        if sess.stats().cached_bytes + uncached > sess.budget()
-            || uncached > sess.device_free_bytes()
-        {
-            return;
-        }
-        let before = sess.stats().clone();
-        let qid = sess.begin_query();
-        for &c in &cols {
-            let key = shard_column_key(self.d, shard, c, fact);
-            if sess.prefetch_column(qid, key, host_of(c)).is_err() {
-                // Lost a race against concurrent allocation: stall rather
-                // than evict. Entries uploaded so far stay cached and the
-                // admission will reuse them.
-                sess.end_query(qid);
-                self.uploaded += sess.stats().uploaded_since(&before);
-                return;
-            }
-        }
-        self.uploaded += sess.stats().uploaded_since(&before);
-        self.staged = Some(StagedShard {
-            idx: self.next,
-            qid,
-            events: sess.take_pending_copy(),
-        });
-    }
-
-    fn retire(&mut self, sess: &mut DeviceSession<'_>, job: DeviceQueryJob<'a>) {
-        let p = job.into_partial(sess);
-        for (a, v) in self.agg.iter_mut().zip(&p.agg) {
-            *a += v;
-        }
-        self.pred_survivors += p.pred_survivors;
-        for j in 0..self.probes.len() {
-            self.probes[j] += p.probes[j];
-            self.hits[j] += p.hits[j];
-        }
-        self.result_rows += p.result_rows;
-        self.reports.extend(p.reports);
-        if self.stage_meta.is_none() {
-            self.stage_meta = Some(p.stages);
-        }
-    }
-
-    /// Fact rows not yet processed (current shard plus unadmitted ones).
-    pub fn remaining_rows(&self) -> usize {
-        self.cur.as_ref().map_or(0, DeviceQueryJob::remaining_rows)
-            + self.live[self.next..]
-                .iter()
-                .map(|&s| self.pf.shard(s).rows())
-                .sum::<usize>()
-    }
-
-    /// Rows scanned so far (live shards only — the pruning saving).
-    pub fn rows_scanned(&self) -> usize {
-        self.scanned
-    }
-
-    /// Bytes shipped over PCIe by every shard admission so far (zero
-    /// once the live working set is warm).
-    pub fn uploaded_bytes(&self) -> usize {
-        self.uploaded
-    }
-
-    /// Simulated kernel seconds launched so far, across retired shards
-    /// and the in-flight one.
-    pub fn sim_secs_so_far(&self) -> f64 {
-        self.reports
-            .iter()
-            .map(|r| r.time.total_secs())
-            .sum::<f64>()
-            + self
-                .cur
-                .as_ref()
-                .map_or(0.0, DeviceQueryJob::sim_secs_so_far)
-    }
-
-    /// Processes up to `max_rows` rows, retiring finished shards and
-    /// admitting the next as the cursor crosses shard boundaries.
-    /// Returns `Ok(true)` once every live shard is done; a mid-query
-    /// shard admission can fail with the session's typed [`SessionOom`],
-    /// in which case the caller abandons the job (nothing is half-pinned
-    /// — the failed admission cleaned up after itself).
-    pub fn step(
-        &mut self,
-        sess: &mut DeviceSession<'_>,
-        max_rows: usize,
-    ) -> Result<bool, SessionOom> {
-        let mut budget = max_rows;
-        loop {
-            let Some(cur) = self.cur.as_mut() else {
-                return Ok(true);
-            };
-            let grant = budget.min(cur.remaining_rows());
-            if grant == 0 {
-                return Ok(false);
-            }
-            let done = cur.step(sess, grant);
-            self.scanned += grant;
-            budget -= grant;
-            if done {
-                let job = self.cur.take().expect("a job was just stepped");
-                self.retire(sess, job);
-                self.admit_next(sess)?;
-                if self.cur.is_none() {
-                    return Ok(true);
-                }
-            }
-            if budget == 0 {
-                return Ok(false);
-            }
-        }
-    }
-
-    /// Releases the in-flight shard's device resources without a result
-    /// — the mid-query OOM recovery path. Retired shards' partial work
-    /// is discarded with the job.
+    /// producing a run — the recovery path when a sharded execution hits a
+    /// mid-query admission OOM and the whole query restarts on the host.
+    /// Retired segments' partial work is discarded with the job; the
+    /// session is left exactly as a finished job would leave it.
     pub fn abandon(mut self, sess: &mut DeviceSession<'_>) {
         if let Some(s) = self.staged.take() {
             sess.end_query(s.qid);
         }
-        if let Some(job) = self.cur.take() {
-            job.abandon(sess);
-        }
+        self.release(sess);
     }
 
-    /// Assembles the merged run. `fact_rows` reports the full table size
-    /// so the trace compares against unsharded runs directly; in the
-    /// all-shards-pruned case the stage sizes come from a host-side
-    /// dimension build (no device table was ever constructed).
-    pub fn finish(self, sess: &mut DeviceSession<'_>) -> GpuRun {
-        assert!(
-            self.cur.is_none() && self.next >= self.live.len(),
-            "finished a sharded job with shards remaining"
+    /// The finished job's group accumulator (`None` if no segment was ever
+    /// admitted): what the hybrid placement path merges across its parts.
+    pub(crate) fn into_groups(self) -> Option<GroupAcc> {
+        assert!(self.is_done(), "finished a job with rows remaining");
+        self.scan.map(|scan| scan.acc)
+    }
+
+    fn is_done(&self) -> bool {
+        let done = self.cur.is_none() && self.next == self.segments.len();
+        // Staging only ever covers a segment that is still to be admitted.
+        debug_assert!(
+            !done || self.staged.is_none(),
+            "a staged ledger outlived its job"
         );
-        // Staging only ever covers a shard that is still to be admitted,
-        // so a complete job cannot hold a staged ledger.
-        debug_assert!(self.staged.is_none());
-        let _ = sess;
-        let result = groups_to_result(self.q, &self.agg);
-        let stages = match self.stage_meta {
-            Some(meta) => meta
-                .into_iter()
-                .enumerate()
-                .map(|(j, m)| StageTrace {
-                    probes: self.probes[j],
-                    hits: self.hits[j],
-                    ..m
-                })
-                .collect(),
-            None => self
-                .q
-                .joins
-                .iter()
-                .map(|join| {
-                    let lk = DimLookup::build(self.d, join);
-                    StageTrace {
-                        table: join.table,
-                        probes: 0,
-                        hits: 0,
-                        ht_bytes: lk.size_bytes(),
-                        dim_insert_frac: lk.inserted as f64 / join.keys(self.d).len().max(1) as f64,
-                    }
-                })
-                .collect(),
+        done
+    }
+
+    /// Assembles the run. `fact_rows` reports the full table size so the
+    /// trace compares across table shapes; when every shard was pruned the
+    /// result is the empty input's and the stage sizes come from a
+    /// host-side dimension build (no device table was ever pinned).
+    pub fn finish(self) -> GpuRun {
+        assert!(self.is_done(), "finished a job with rows remaining");
+        let (d, q) = (self.d, self.q);
+        let (result, tables) = match self.scan {
+            Some(scan) => (scan.acc.to_result(q), scan.tables),
+            None => {
+                let lookups = q.joins.iter().map(|join| DimLookup::build(d, join));
+                let sizes = lookups.map(|lk| (lk.size_bytes(), lk.inserted));
+                (GroupAcc::new(0).to_result(q), sizes.collect())
+            }
         };
+        let stages = (q.joins.iter().zip(tables).enumerate())
+            .map(|(j, (join, (ht_bytes, entries)))| StageTrace {
+                table: join.table,
+                probes: self.probes[j],
+                hits: self.hits[j],
+                ht_bytes,
+                dim_insert_frac: entries as f64 / join.keys(d).len().max(1) as f64,
+            })
+            .collect();
         let trace = QueryTrace {
-            fact_rows: self.pf.total_rows(),
+            fact_rows: d.lineorder.rows(),
             pred_survivors: self.pred_survivors,
             stages,
             result_rows: self.result_rows,
@@ -1014,29 +918,6 @@ impl<'a> DeviceShardedJob<'a> {
             result,
             trace,
             reports: self.reports,
-        }
-    }
-}
-
-/// Runs a sharded query through a (possibly warm) session to completion:
-/// the sharded sibling of [`execute_session`]. A mid-query shard
-/// admission OOM abandons the device work and surfaces the typed error
-/// (the copro path then restarts the query on the host).
-pub fn execute_partitioned_session(
-    sess: &mut DeviceSession<'_>,
-    d: &SsbData,
-    pf: &PartitionedFact,
-    q: &StarQuery,
-) -> Result<GpuRun, SessionOom> {
-    let mut job = DeviceShardedJob::admit(sess, d, pf, q)?;
-    loop {
-        match job.step(sess, usize::MAX) {
-            Ok(true) => return Ok(job.finish(sess)),
-            Ok(false) => continue,
-            Err(e) => {
-                job.abandon(sess);
-                return Err(e);
-            }
         }
     }
 }
@@ -1277,11 +1158,11 @@ mod tests {
         for grant in [997usize, 4096, usize::MAX] {
             let mut g = Gpu::new(nvidia_v100());
             let mut s = DeviceSession::new(&mut g);
-            let mut job = DeviceShardedJob::admit(&mut s, &d, &pf, &q).unwrap();
+            let mut job = DeviceQueryJob::admit_partitioned(&mut s, &d, &pf, &q).unwrap();
             assert_eq!(job.remaining_rows(), pf.live_rows(&q));
             while !job.step(&mut s, grant).unwrap() {}
             assert_eq!(job.rows_scanned(), pf.live_rows(&q));
-            let run = job.finish(&mut s);
+            let run = job.finish();
             assert_eq!(run.result, whole.result, "grant {grant} diverged");
             assert_eq!(run.trace, whole.trace, "grant {grant} trace diverged");
         }
@@ -1350,7 +1231,8 @@ mod tests {
         let mut gpu = Gpu::new(nvidia_v100());
         let mut sess = DeviceSession::new(&mut gpu);
         let mut job = DeviceQueryJob::admit(&mut sess, &d, None, &q).unwrap();
-        assert!(!job.step(&mut sess, 2048), "2048 rows leave work behind");
+        let done = job.step(&mut sess, 2048).unwrap();
+        assert!(!done, "2048 rows leave work behind");
         job.abandon(&mut sess);
         let run = execute_session(&mut sess, &d, &q).unwrap();
         assert_eq!(run.result, expected, "post-abandon rerun diverged");
@@ -1379,7 +1261,7 @@ mod tests {
         spec.mem_capacity = 2 * dims + 4 * shard0.columns_bytes(&cols);
         let mut gpu = Gpu::new(spec);
         let mut sess = DeviceSession::with_budget(&mut gpu, usize::MAX);
-        let mut job = DeviceShardedJob::admit(&mut sess, &d, &pf, &q).unwrap();
+        let mut job = DeviceQueryJob::admit_partitioned(&mut sess, &d, &pf, &q).unwrap();
 
         // A second tenant pins shard 0's columns (pure cache hits) and
         // fills every remaining physical byte with scratch, so retiring

@@ -94,7 +94,7 @@ use crystal_storage::encoding::{ColumnRead, ColumnSlice};
 
 use crate::data::SsbData;
 use crate::encoding::EncodedFact;
-use crate::engines::{groups_to_result_at, set_bits, DimLookup, QueryTrace, StageTrace};
+use crate::engines::{DimLookup, GroupAcc, QueryTrace, StageTrace};
 use crate::partition::PartitionedFact;
 use crate::plan::{AggExpr, StarQuery};
 use crate::QueryResult;
@@ -117,18 +117,11 @@ enum Schedule {
     Scoped,
 }
 
-/// Slots per block of the aggregate table's touched-block set: q4.3's
-/// 1.75 M-slot table is 3 418 blocks, a 54-word set.
-const AGG_BLOCK: usize = 512;
-
-/// Per-worker accumulation state: a private dense aggregate table, the set
-/// of its [`AGG_BLOCK`]-slot blocks a row was added to (a large group
-/// domain is merged and read out through it, not scanned: q4.3 fills a few
-/// hundred of its 1.75 M slots), plus the trace counters. Workers never
-/// share mutable state — merging happens once, after the queue drains.
+/// Per-worker accumulation state: a private group accumulator plus the
+/// trace counters. Workers never share mutable state — merging happens
+/// once, after the queue drains.
 struct WorkerAcc {
-    agg: Vec<i64>,
-    touched: Vec<u64>,
+    groups: GroupAcc,
     pred_survivors: usize,
     probes: Vec<usize>,
     hits: Vec<usize>,
@@ -138,27 +131,12 @@ struct WorkerAcc {
 impl WorkerAcc {
     fn new(domain: usize, joins: usize) -> Self {
         WorkerAcc {
-            agg: vec![0i64; domain],
-            touched: vec![0u64; domain.div_ceil(AGG_BLOCK).div_ceil(64)],
+            groups: GroupAcc::new(domain),
             pred_survivors: 0,
             probes: vec![0usize; joins],
             hits: vec![0usize; joins],
             result_rows: 0,
         }
-    }
-
-    /// Adds one row's value to group `idx`.
-    #[inline]
-    fn add(&mut self, idx: usize, value: i64) {
-        self.agg[idx] += value;
-        let block = idx / AGG_BLOCK;
-        self.touched[block / 64] |= 1 << (block % 64);
-    }
-
-    /// The slots of every touched block, ascending.
-    fn touched_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        set_bits(&self.touched)
-            .flat_map(|block| block * AGG_BLOCK..((block + 1) * AGG_BLOCK).min(self.agg.len()))
     }
 }
 
@@ -484,12 +462,7 @@ impl<'a> Plan<'a> {
             .next()
             .unwrap_or_else(|| WorkerAcc::new(q.group_domain(), q.joins.len()));
         for w in workers {
-            for slot in w.touched_slots() {
-                total.agg[slot] += w.agg[slot];
-            }
-            for (a, v) in total.touched.iter_mut().zip(&w.touched) {
-                *a |= v;
-            }
+            total.groups.merge(&w.groups);
             total.pred_survivors += w.pred_survivors;
             for (a, v) in total.probes.iter_mut().zip(&w.probes) {
                 *a += v;
@@ -500,7 +473,7 @@ impl<'a> Plan<'a> {
             total.result_rows += w.result_rows;
         }
 
-        let result = groups_to_result_at(q, &total.agg, total.touched_slots());
+        let result = total.groups.to_result(q);
         let trace = QueryTrace {
             fact_rows: d.lineorder.rows(),
             pred_survivors: total.pred_survivors,
@@ -669,12 +642,11 @@ impl<'a> HostQueryJob<'a> {
         self.plan.assemble(vec![self.acc])
     }
 
-    /// The raw merged group table (dense domain order) — the hybrid
-    /// placement path folds this into the device shards' table before
-    /// building one result.
-    pub fn into_agg(self) -> Vec<i64> {
+    /// The finished job's group accumulator — the hybrid placement path
+    /// merges it with the device shards' before building one result.
+    pub(crate) fn into_groups(self) -> GroupAcc {
         assert_eq!(self.remaining, 0, "finished a job with rows remaining");
-        self.acc.agg
+        self.acc.groups
     }
 }
 
@@ -840,7 +812,7 @@ fn join_aggregate(
         ));
     }
     for (&row, &idx) in sel.iter().zip(gidx.iter()) {
-        acc.add(idx as usize, ctx.agg_value(row as usize));
+        acc.groups.add(idx as usize, ctx.agg_value(row as usize));
     }
 }
 
@@ -872,7 +844,7 @@ fn tuple_range(
             acc.hits[j] += 1;
         }
         acc.result_rows += 1;
-        acc.add(ctx.group_idx(codes), ctx.agg_value(row));
+        acc.groups.add(ctx.group_idx(codes), ctx.agg_value(row));
     }
 }
 

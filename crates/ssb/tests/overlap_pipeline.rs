@@ -17,7 +17,7 @@ use crystal_hardware::nvidia_v100;
 use crystal_runtime::DeviceSession;
 use crystal_ssb::arbitrary::random_star_query;
 use crystal_ssb::encoding::{EncodedFact, FactEncodings};
-use crystal_ssb::engines::gpu::{DeviceQueryJob, DeviceShardedJob};
+use crystal_ssb::engines::gpu::DeviceQueryJob;
 use crystal_ssb::engines::reference;
 use crystal_ssb::plan::{AggExpr, FactCol, FactPred, StarQuery};
 use crystal_ssb::{PartitionedFact, SsbData};
@@ -42,7 +42,10 @@ fn empty_result_query() -> StarQuery {
 
 /// Drives an unsharded job to completion in ragged grants.
 fn drive(job: &mut DeviceQueryJob<'_>, sess: &mut DeviceSession<'_>, mut grant: usize) {
-    while !job.step(sess, grant) {
+    while !job
+        .step(sess, grant)
+        .expect("a one-segment job admits nothing mid-query")
+    {
         grant = grant * 2 + 1;
     }
 }
@@ -64,10 +67,10 @@ fn pipelined_grants_match_the_reference_for_random_queries() {
         let expected = reference::execute(&d, q);
         let mut job = DeviceQueryJob::admit(&mut sess, &d, None, q).expect("plain admit");
         drive(&mut job, &mut sess, 777 + i * 131);
-        assert_eq!(job.finish(&mut sess).result, expected, "plain query {i}");
+        assert_eq!(job.finish().result, expected, "plain query {i}");
         let mut job = DeviceQueryJob::admit(&mut sess, &d, Some(&packed), q).expect("packed admit");
         drive(&mut job, &mut sess, 1009);
-        assert_eq!(job.finish(&mut sess).result, expected, "packed query {i}");
+        assert_eq!(job.finish().result, expected, "packed query {i}");
     }
     let exec = sess.gpu().exec_stats();
     let makespan = sess.gpu().streams().makespan();
@@ -92,7 +95,8 @@ fn sharded_prefetch_pipeline_matches_the_reference() {
     queries.push(empty_result_query());
     for (i, q) in queries.iter().enumerate() {
         let expected = reference::execute(&d, q);
-        let mut job = DeviceShardedJob::admit(&mut sess, &d, &pf, q).expect("sharded admit");
+        let mut job =
+            DeviceQueryJob::admit_partitioned(&mut sess, &d, &pf, q).expect("sharded admit");
         let mut grant = 513 + i * 97;
         loop {
             match job.step(&mut sess, grant) {
@@ -101,7 +105,7 @@ fn sharded_prefetch_pipeline_matches_the_reference() {
                 Err(e) => panic!("unexpected OOM on an unbudgeted device: {e:?}"),
             }
         }
-        assert_eq!(job.finish(&mut sess).result, expected, "sharded query {i}");
+        assert_eq!(job.finish().result, expected, "sharded query {i}");
     }
 }
 
@@ -124,7 +128,7 @@ fn tight_staging_budget_stalls_prefetch_without_corruption() {
         };
         let mut results = Vec::new();
         for q in &queries {
-            let mut job = DeviceShardedJob::admit(&mut sess, &d, &pf, q).expect("admit");
+            let mut job = DeviceQueryJob::admit_partitioned(&mut sess, &d, &pf, q).expect("admit");
             loop {
                 match job.step(&mut sess, 2048) {
                     Ok(true) => break,
@@ -132,7 +136,7 @@ fn tight_staging_budget_stalls_prefetch_without_corruption() {
                     Err(e) => panic!("budget should evict retired shards, not OOM: {e:?}"),
                 }
             }
-            results.push(job.finish(&mut sess).result);
+            results.push(job.finish().result);
         }
         (results, sess.stats().clone())
     };
