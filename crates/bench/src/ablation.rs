@@ -18,13 +18,16 @@ use crystal_cpu::join::{probe_scalar, CpuHashTable};
 use crystal_cpu::radix_join::{bits_for_cache, radix_join_sum};
 use crystal_gpu_sim::Gpu;
 use crystal_hardware::{bytes::fmt_bytes, intel_i7_6900, nvidia_v100, KIB, MIB};
+use crystal_runtime::DeviceSession;
 use crystal_ssb::engines::{cpu as cpu_engine, gpu as gpu_engine};
 use crystal_ssb::plan::StarQuery;
 use crystal_ssb::queries::{query, QueryId};
-use crystal_ssb::SsbData;
+use crystal_ssb::{FactTable, SsbData};
 use crystal_storage::gen;
 
-use crate::util::{ms, ratio, scale_kernel, scale_kernels, time_median, Config, Report};
+use crate::util::{
+    ms, ratio, scale_kernel, scale_kernels, time_median, transfer_vs_host_scan, Config, Report,
+};
 
 /// No-partitioning vs radix join, across build-side sizes.
 pub fn radix_join(cfg: &Config) {
@@ -138,7 +141,8 @@ pub fn join_order(cfg: &Config) {
             agg: base.agg,
         };
         gpu.reset_l2();
-        let run = gpu_engine::execute(&mut gpu, &d, &q).unwrap();
+        let mut cold = DeviceSession::new(&mut gpu);
+        let run = gpu_engine::execute(&mut cold, &FactTable::plain(&d), &q).unwrap();
         let t = run.sim_secs_scaled(cfg.fact_scale);
         best = best.min(t);
         worst = worst.max(t);
@@ -168,7 +172,8 @@ pub fn multi_gpu(cfg: &Config) {
         // copy (the standard replicated-dimension design); devices run in
         // parallel and the final partial-aggregate merge is negligible.
         let mut device = Gpu::new(nvidia_v100());
-        let run = gpu_engine::execute(&mut device, &d, &q).unwrap();
+        let mut cold = DeviceSession::new(&mut device);
+        let run = gpu_engine::execute(&mut cold, &FactTable::plain(&d), &q).unwrap();
         // Each device scans 1/gpus of the fact table, so the per-device
         // sample-to-paper scale shrinks accordingly.
         let t = run.sim_secs_scaled(cfg.fact_scale * gpus as f64);
@@ -315,12 +320,11 @@ pub fn compression(cfg: &Config) {
     // --- End-to-end compressed SSB execution: every fact column packed at
     // --- its minimum width, queries running directly on the packed words.
     use crystal_ssb::encoding::{EncodedFact, FactEncodings};
-    use crystal_ssb::engines::copro;
     use crystal_ssb::queries::{query, QueryId};
 
     let d = crystal_ssb::SsbData::generate_scaled(1, cfg.fact_scale, 20_2020);
-    let (plain, enc) = (FactEncodings::plain(), FactEncodings::packed_min(&d));
-    let fact = EncodedFact::encode(&d, &enc);
+    let fact = EncodedFact::encode(&d, &FactEncodings::packed_min(&d));
+    let (plain, packed) = (FactTable::plain(&d), FactTable::encoded(&d, &fact));
     let cpu_spec = intel_i7_6900();
     let pcie = crystal_hardware::pcie_gen3();
     let mut report = Report::new(
@@ -338,11 +342,10 @@ pub fn compression(cfg: &Config) {
     );
     for id in [QueryId::new(1, 1), QueryId::new(2, 1), QueryId::new(4, 3)] {
         let q = query(&d, id);
-        gpu.reset_l2();
-        let plain_run = crystal_ssb::engines::gpu::execute(&mut gpu, &d, &q).unwrap();
-        gpu.reset_l2();
-        let packed_run =
-            crystal_ssb::engines::gpu::execute_encoded(&mut gpu, &d, &fact, &q).unwrap();
+        let [plain_run, packed_run] = [&plain, &packed].map(|table| {
+            gpu.reset_l2();
+            gpu_engine::execute(&mut DeviceSession::new(&mut gpu), table, &q).unwrap()
+        });
         assert_eq!(plain_run.result, packed_run.result, "{id} diverged");
         let shrink = plain_run.reports.last().unwrap().stats.global_read_bytes as f64
             / packed_run.reports.last().unwrap().stats.global_read_bytes as f64;
@@ -352,9 +355,13 @@ pub fn compression(cfg: &Config) {
         let host_packed = time_median(cfg.reps, || {
             let _ = crystal_ssb::engines::cpu::execute_encoded(&d, &fact, &q, t);
         });
-        let place = |p: copro::Placement| match p {
-            copro::Placement::Host => "host",
-            copro::Placement::Coprocessor => "GPU",
+        let place = |table: &FactTable<'_>| {
+            let (transfer, host) = transfer_vs_host_scan(table, &q, &cpu_spec, &pcie);
+            if transfer < host {
+                "GPU"
+            } else {
+                "host"
+            }
         };
         report.row(vec![
             format!("{id}"),
@@ -363,8 +370,8 @@ pub fn compression(cfg: &Config) {
             ratio(shrink),
             ms(host_plain),
             ms(host_packed),
-            place(copro::choose_placement(&d, &q, &plain, &cpu_spec, &pcie).placement).into(),
-            place(copro::choose_placement(&d, &q, &enc, &cpu_spec, &pcie).placement).into(),
+            place(&plain).into(),
+            place(&packed).into(),
         ]);
     }
     report.finish();
@@ -388,7 +395,8 @@ pub fn hybrid(cfg: &Config) {
     let (_, trace) = cpu_engine::execute(&d, &q, cfg.threads);
     let t_cpu_full = crystal_ssb::model::cpu_empirical_secs(&q, &trace, &cpu_spec);
     let mut gpu = Gpu::new(gspec);
-    let run = gpu_engine::execute(&mut gpu, &d, &q).unwrap();
+    let mut cold = DeviceSession::new(&mut gpu);
+    let run = gpu_engine::execute(&mut cold, &FactTable::plain(&d), &q).unwrap();
     let t_gpu_full = run.sim_secs_scaled(cfg.fact_scale);
 
     let mut report = Report::new(

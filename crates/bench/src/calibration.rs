@@ -11,9 +11,9 @@
 //! the device competitive, so routing errors are live — under three
 //! policies:
 //!
-//! * **static** — `choose_placement_resident` on the Table-2 spec-sheet
+//! * **static** — `copro::choose_placement` (cold session) on the Table-2 spec-sheet
 //!   profile, exactly what the stack does today;
-//! * **calibrated** — the same `choose_placement_resident` consulting a
+//! * **calibrated** — the same `choose_placement` consulting a
 //!   [`CalibrationStore`] that starts cold (bit-identical to static) and
 //!   absorbs each executed query's measured transfer/kernel/host-scan
 //!   seconds via [`copro::record_observation`];
@@ -54,17 +54,16 @@ use std::hint::black_box;
 use crystal_gpu_sim::Gpu;
 use crystal_hardware::{table2_profile, HardwareProfile};
 use crystal_models::calibration::{BoundsSource, CalKey, CalibrationStore, EncodingClass, OpKind};
-use crystal_models::ssb::compressed_coprocessor_bounds;
 use crystal_runtime::DeviceSession;
 use crystal_ssb::encoding::{EncodedFact, FactEncodings};
 use crystal_ssb::engines::copro::{self, Measured};
 use crystal_ssb::engines::reference;
 use crystal_ssb::exec::{self, PipelineMode};
 use crystal_ssb::plan::StarQuery;
-use crystal_ssb::SsbData;
+use crystal_ssb::{FactTable, SsbData};
 
 use crate::stream::{shape_catalogue, STREAM_SEED};
-use crate::util::{paired, Config, Report};
+use crate::util::{paired, transfer_vs_host_scan, Config, Report};
 
 /// Fraction of the static-vs-oracle gap calibrated routing must recover
 /// on the skewed profile. The transfer key warms after three device
@@ -101,20 +100,18 @@ pub struct ShapeCosts {
 /// and prices the host side analytically on the actual CPU. Every device
 /// result is asserted against the reference oracle.
 pub fn measure_shapes(
-    d: &SsbData,
-    fact: &EncodedFact,
+    table: &FactTable<'_>,
     shapes: &[StarQuery],
     actual: &HardwareProfile,
 ) -> Vec<ShapeCosts> {
-    let enc = fact.encodings();
-    let rows = d.lineorder.rows();
+    let d = table.data();
     let mut gpu = Gpu::new(actual.gpu.clone());
     shapes
         .iter()
         .map(|q| {
             gpu.reset_l2();
             let mut cold = DeviceSession::new(&mut gpu);
-            let run = copro::execute_session(&mut cold, &actual.pcie, d, Some(fact), q)
+            let run = copro::execute(&mut cold, &actual.pcie, table, q)
                 .expect("an unbudgeted session never OOMs");
             assert_eq!(
                 run.gpu_run.result,
@@ -122,13 +119,7 @@ pub fn measure_shapes(
                 "device execution diverged from the oracle on {}",
                 q.name
             );
-            let cols = q.fact_columns();
-            let (_, host_secs) = compressed_coprocessor_bounds(
-                enc.columns_bytes(rows, &cols),
-                enc.packed_values(rows, &cols),
-                &actual.cpu,
-                &actual.pcie,
-            );
+            let (_, host_secs) = transfer_vs_host_scan(table, q, &actual.cpu, &actual.pcie);
             ShapeCosts {
                 device_secs: run.time.overlapped,
                 transfer_secs: run.time.transfer,
@@ -168,8 +159,7 @@ pub struct ReplayOutcome {
 /// query — routing always consults the spec-sheet `model` profile, never
 /// the actual one; only the measurements know the machine.
 pub fn replay(
-    d: &SsbData,
-    enc: &FactEncodings,
+    table: &FactTable<'_>,
     shapes: &[StarQuery],
     costs: &[ShapeCosts],
     passes: usize,
@@ -177,6 +167,9 @@ pub fn replay(
     model: &HardwareProfile,
 ) -> ReplayOutcome {
     let mut store = CalibrationStore::default();
+    // Every query is placed as if nothing were resident.
+    let mut device = Gpu::new(model.gpu.clone());
+    let cold = DeviceSession::new(&mut device);
     let mut out = ReplayOutcome {
         total_secs: 0.0,
         device_queries: 0,
@@ -187,16 +180,16 @@ pub fn replay(
             let on_device = match routing {
                 Routing::Oracle => c.device_secs < c.host_secs,
                 Routing::Static | Routing::Calibrated => {
-                    let dec = copro::choose_placement_resident(
+                    let dec = copro::choose_placement(
                         (routing == Routing::Calibrated).then_some(&store),
-                        d,
+                        &cold,
+                        table,
                         q,
-                        enc,
                         &model.cpu,
                         &model.gpu,
                         &model.pcie,
-                        0,
-                    );
+                    )
+                    .decision;
                     out.blended_decisions += usize::from(dec.source == BoundsSource::Blended);
                     dec.placement == copro::Placement::Coprocessor
                 }
@@ -219,7 +212,7 @@ pub fn replay(
             };
             out.total_secs += charge;
             if routing == Routing::Calibrated {
-                copro::record_observation(&mut store, model, d, None, q, enc, &measured);
+                copro::record_observation(&mut store, model, table, q, &measured);
             }
         }
     }
@@ -238,17 +231,15 @@ pub struct ProfileComparison {
 
 /// Runs all three policies over one actual profile.
 pub fn compare_profile(
-    d: &SsbData,
-    fact: &EncodedFact,
+    table: &FactTable<'_>,
     shapes: &[StarQuery],
     passes: usize,
     actual: &HardwareProfile,
     model: &HardwareProfile,
 ) -> ProfileComparison {
-    let enc = fact.encodings();
-    let costs = measure_shapes(d, fact, shapes, actual);
+    let costs = measure_shapes(table, shapes, actual);
     let outcomes = [Routing::Static, Routing::Calibrated, Routing::Oracle]
-        .map(|r| replay(d, &enc, shapes, &costs, passes, r, model));
+        .map(|r| replay(table, shapes, &costs, passes, r, model));
     let gap = outcomes[0].total_secs - outcomes[2].total_secs;
     let recovery = if gap > 1e-15 {
         (outcomes[0].total_secs - outcomes[1].total_secs) / gap
@@ -278,8 +269,8 @@ pub fn calibration(cfg: &Config, smoke: bool) -> bool {
     };
     let passes = if smoke { 4 } else { 6 };
     let d = SsbData::generate_scaled(1, scale, STREAM_SEED);
-    let enc = FactEncodings::packed_min(&d);
-    let fact = EncodedFact::encode(&d, &enc);
+    let fact = EncodedFact::encode(&d, &FactEncodings::packed_min(&d));
+    let (plain, table) = (FactTable::plain(&d), FactTable::encoded(&d, &fact));
     let shapes = shape_catalogue(&d, 16);
     println!(
         "calibration: {} fact rows, {} shapes x {} passes, packed_min encodings ({:.2}x compression)",
@@ -293,8 +284,7 @@ pub fn calibration(cfg: &Config, smoke: bool) -> bool {
     // byte-identically to the reference oracle (the device side is
     // asserted per profile inside `measure_shapes`).
     for q in &shapes {
-        let (result, _) =
-            exec::execute_encoded(&d, &fact, q, cfg.threads, PipelineMode::Vectorized);
+        let (result, _) = exec::execute(&table, q, cfg.threads, PipelineMode::Vectorized);
         assert_eq!(
             result,
             reference::execute(&d, q),
@@ -319,7 +309,7 @@ pub fn calibration(cfg: &Config, smoke: bool) -> bool {
     let mut never_lose = None;
     let mut recovery = None;
     for (name, actual) in &profiles {
-        let cmp = compare_profile(&d, &fact, &shapes, passes, actual, &model);
+        let cmp = compare_profile(&table, &shapes, passes, actual, &model);
         for (routing, o) in ["static", "calibrated", "oracle"].iter().zip(&cmp.outcomes) {
             report.row(vec![
                 name.to_string(),
@@ -365,17 +355,13 @@ pub fn calibration(cfg: &Config, smoke: bool) -> bool {
     // store as a `HostScan` sample against the Table-2 prior.
     let q = &shapes[0];
     let (plain_secs, packed_secs, pair_ratio) = paired(cfg.reps.max(3), |packed| {
-        if packed {
-            black_box(exec::execute_encoded(
-                &d,
-                &fact,
-                q,
-                cfg.threads,
-                PipelineMode::Vectorized,
-            ));
-        } else {
-            black_box(exec::execute(&d, q, cfg.threads, PipelineMode::Vectorized));
-        }
+        let table = if packed { &table } else { &plain };
+        black_box(exec::execute(
+            table,
+            q,
+            cfg.threads,
+            PipelineMode::Vectorized,
+        ));
     });
     let mut wall = CalibrationStore::default();
     for _ in 0..3 {
@@ -383,7 +369,7 @@ pub fn calibration(cfg: &Config, smoke: bool) -> bool {
             host_secs: Some(packed_secs),
             ..Measured::default()
         };
-        copro::record_observation(&mut wall, &model, &d, None, q, &enc, &measured);
+        copro::record_observation(&mut wall, &model, &table, q, &measured);
     }
     let key = CalKey::new(
         OpKind::HostScan,
@@ -416,12 +402,12 @@ mod tests {
     #[test]
     fn calibration_bands_hold() {
         let d = SsbData::generate_scaled(1, 0.004, STREAM_SEED);
-        let enc = FactEncodings::packed_min(&d);
-        let fact = EncodedFact::encode(&d, &enc);
+        let fact = EncodedFact::encode(&d, &FactEncodings::packed_min(&d));
+        let table = FactTable::encoded(&d, &fact);
         let shapes = shape_catalogue(&d, 8);
         let model = table2_profile();
 
-        let truth = compare_profile(&d, &fact, &shapes, 4, &table2_profile(), &model);
+        let truth = compare_profile(&table, &shapes, 4, &table2_profile(), &model);
         assert!(
             truth.outcomes[1].total_secs <= truth.outcomes[0].total_secs + 1e-12,
             "calibrated {} lost to static {} on the true profile",
@@ -429,7 +415,7 @@ mod tests {
             truth.outcomes[0].total_secs
         );
 
-        let skew = compare_profile(&d, &fact, &shapes, 4, &skewed_profile(), &model);
+        let skew = compare_profile(&table, &shapes, 4, &skewed_profile(), &model);
         assert!(
             skew.outcomes[2].total_secs < skew.outcomes[0].total_secs,
             "the skewed profile must open a static-vs-oracle gap for the band to bite"

@@ -33,10 +33,9 @@ use crystal_gpu_sim::Gpu;
 use crystal_hardware::{nvidia_v100, pcie_gen3, upload_chunks, PcieSpec};
 use crystal_runtime::DeviceSession;
 use crystal_ssb::encoding::FactEncodings;
-use crystal_ssb::engines::gpu::DeviceQueryJob;
-use crystal_ssb::engines::reference;
+use crystal_ssb::engines::{gpu, reference};
 use crystal_ssb::plan::StarQuery;
-use crystal_ssb::{all_queries, query, PartitionedFact, QueryId, SsbData};
+use crystal_ssb::{all_queries, query, FactTable, PartitionedFact, QueryId, SsbData};
 
 use crate::stream::STREAM_SEED;
 use crate::util::{Config, Report};
@@ -77,19 +76,18 @@ impl OverlapRun {
     }
 }
 
-/// Runs one query cold through the unsharded chunk-pipelined path on a
-/// fresh device, asserting its result against the reference oracle, and
-/// returns both charges. A fresh [`Gpu`] starts both stream clocks at
-/// zero, so the cumulative makespan is this query's alone.
-pub fn cold_unsharded(d: &SsbData, q: &StarQuery) -> OverlapRun {
+/// Runs one query cold over `table` on a fresh device — the
+/// chunk-pipelined path, double-buffered across the shards of a sharded
+/// table — asserting its result against the reference oracle, and returns
+/// both charges. A fresh [`Gpu`] starts both stream clocks at zero, so the
+/// cumulative makespan is this query's alone.
+pub fn cold(table: &FactTable<'_>, q: &StarQuery) -> OverlapRun {
     let mut gpu = Gpu::new(nvidia_v100());
     let mut sess = DeviceSession::new(&mut gpu);
-    let mut job = DeviceQueryJob::admit(&mut sess, d, None, q).expect("cold admit on a full V100");
-    while !job.step(&mut sess, usize::MAX).expect("one segment") {}
-    let result = job.finish().result;
+    let run = gpu::execute(&mut sess, table, q).expect("no OOM on an unbudgeted V100");
     assert_eq!(
-        result,
-        reference::execute(d, q),
+        run.result,
+        reference::execute(table.data(), q),
         "{}: pipelined result diverged from the oracle",
         q.name
     );
@@ -116,43 +114,18 @@ pub struct ShardedOverlap {
     pub hidden_frac: f64,
 }
 
-/// Runs one query cold through the double-buffered sharded path on a
-/// fresh device, asserting byte-identity with the oracle, and measures
-/// how much of the non-first-shard transfer the prefetch hid. The first
+/// [`cold`] over a sharded table, measuring how much of the
+/// non-first-shard transfer the prefetch hid. The first
 /// shard's upload can never be hidden (nothing runs yet), so the band
 /// is on everything after it.
-pub fn cold_sharded(d: &SsbData, pf: &PartitionedFact, q: &StarQuery) -> ShardedOverlap {
+pub fn cold_sharded(table: &FactTable<'_>, q: &StarQuery) -> ShardedOverlap {
     let pcie = pcie_gen3();
-    let mut gpu = Gpu::new(nvidia_v100());
-    let mut sess = DeviceSession::new(&mut gpu);
-    let mut job =
-        DeviceQueryJob::admit_partitioned(&mut sess, d, pf, q).expect("cold admit on a full V100");
-    loop {
-        match job.step(&mut sess, usize::MAX) {
-            Ok(true) => break,
-            Ok(false) => {}
-            Err(e) => panic!("{}: OOM on an unbudgeted device: {e:?}", q.name),
-        }
-    }
-    let live = pf.live_shards(q);
-    let result = job.finish().result;
-    assert_eq!(
-        result,
-        reference::execute(d, q),
-        "{}: sharded pipelined result diverged from the oracle",
-        q.name
-    );
-    let exec = sess.gpu().exec_stats();
-    let run = OverlapRun {
-        dma_secs: exec.dma_secs,
-        kernel_secs: exec.kernel_secs,
-        makespan_secs: sess.gpu().streams().makespan(),
-        transfers: exec.dma_transfers,
-    };
+    let run = cold(table, q);
+    let live = table.live(q);
     // The first live shard ships one transfer per referenced fact column
     // (plain encoding: rows * 4 bytes each); everything else — later
     // shards and the dimension uploads — is prefetchable.
-    let first_rows = live.first().map_or(0, |&s| pf.shard(s).rows());
+    let first_rows = live.first().map_or(0, |&s| table.segments()[s].rows());
     let first_dma: f64 = q
         .fact_columns()
         .iter()
@@ -207,9 +180,10 @@ pub fn overlap(cfg: &Config, smoke: bool) -> bool {
     } else {
         all_queries(&d)
     };
+    let plain = FactTable::plain(&d);
     let mut q11_speedup = None;
     for q in &catalogue {
-        let r = cold_unsharded(&d, q);
+        let r = cold(&plain, q);
         if q.name == "q1.1" {
             q11_speedup = Some(r.speedup());
         }
@@ -228,6 +202,7 @@ pub fn overlap(cfg: &Config, smoke: bool) -> bool {
     // predicate, so all shards stay live and the prefetcher has seven
     // uploads to hide.
     let pf = PartitionedFact::partition(&d, SHARDS, &FactEncodings::plain());
+    let sharded = FactTable::sharded(&d, &pf);
     let sharded_queries: Vec<QueryId> = if smoke {
         vec![QueryId::new(2, 1)]
     } else {
@@ -236,7 +211,7 @@ pub fn overlap(cfg: &Config, smoke: bool) -> bool {
     let mut q21_hidden = None;
     for id in sharded_queries {
         let q = query(&d, id);
-        let s = cold_sharded(&d, &pf, &q);
+        let s = cold_sharded(&sharded, &q);
         if id == QueryId::new(2, 1) {
             q21_hidden = Some(s);
         }
@@ -253,7 +228,7 @@ pub fn overlap(cfg: &Config, smoke: bool) -> bool {
 
     // Cross-check: the analytic chunk-pipelined estimate for q1.1's
     // fact upload racing its kernels, beside the measured makespan.
-    let q11_run = cold_unsharded(&d, &q11);
+    let q11_run = cold(&plain, &q11);
     let fact_bytes: usize = q11.fact_columns().len() * d.lineorder.rows() * 4;
     report.row(vec![
         "q1.1 model estimate".into(),
@@ -297,11 +272,11 @@ mod tests {
 
     /// The cold-upload band is part of the test suite: chunk pipelining
     /// must beat serial charging on q1.1 by the pinned factor (and, via
-    /// the assert inside [`cold_unsharded`], stay byte-identical).
+    /// the assert inside [`cold`], stay byte-identical).
     #[test]
     fn cold_q11_speedup_band_holds() {
         let d = data();
-        let r = cold_unsharded(&d, &query(&d, QueryId::new(1, 1)));
+        let r = cold(&FactTable::plain(&d), &query(&d, QueryId::new(1, 1)));
         assert!(
             r.speedup() >= MIN_COLD_SPEEDUP,
             "cold q1.1 speedup {:.2} below the {MIN_COLD_SPEEDUP} band: {r:?}",
@@ -320,7 +295,7 @@ mod tests {
     fn sharded_prefetch_hides_the_band_fraction() {
         let d = data();
         let pf = PartitionedFact::partition(&d, SHARDS, &FactEncodings::plain());
-        let s = cold_sharded(&d, &pf, &query(&d, QueryId::new(2, 1)));
+        let s = cold_sharded(&FactTable::sharded(&d, &pf), &query(&d, QueryId::new(2, 1)));
         assert_eq!(s.live_shards, SHARDS, "q2.1 must keep every shard live");
         assert!(
             s.hidden_frac >= MIN_HIDDEN_FRAC,
@@ -335,7 +310,7 @@ mod tests {
     #[test]
     fn measured_makespan_respects_the_model_bounds() {
         let d = data();
-        let r = cold_unsharded(&d, &query(&d, QueryId::new(1, 1)));
+        let r = cold(&FactTable::plain(&d), &query(&d, QueryId::new(1, 1)));
         assert!(r.makespan_secs <= r.serial_secs() + 1e-15);
         assert!(r.makespan_secs >= r.kernel_secs.max(0.0));
         assert!(r.transfers > 0, "a cold query must issue DMA");

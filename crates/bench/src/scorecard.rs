@@ -10,8 +10,9 @@ use crystal_hardware::{bandwidth_ratio, intel_i7_6900, nvidia_v100, pcie_gen3, M
 use crystal_models as models;
 use crystal_ssb::encoding::{random_encodings, EncodedFact, FactEncodings};
 use crystal_ssb::engines::{copro, cpu as cpu_engine, gpu as gpu_engine};
+use crystal_ssb::exec::{self, PipelineMode, Schedule};
 use crystal_ssb::queries::all_queries;
-use crystal_ssb::{model as qmodel, SsbData};
+use crystal_ssb::{model as qmodel, FactTable, SsbData};
 
 use crate::util::{Config, Report};
 
@@ -153,11 +154,13 @@ pub fn scorecard(cfg: &Config) -> bool {
     // generous band — this is a same-machine ratio, not a paper number).
     {
         let q21 = crystal_ssb::queries::query(&d, crystal_ssb::QueryId::new(2, 1));
+        let table = FactTable::plain(&d);
+        let mode = PipelineMode::Vectorized;
         let t_morsel = crate::util::time_median(cfg.reps, || {
-            let _ = cpu_engine::execute(&d, &q21, cfg.threads);
+            let _ = exec::execute(&table, &q21, cfg.threads, mode);
         });
         let t_scoped = crate::util::time_median(cfg.reps, || {
-            let _ = cpu_engine::execute_scoped(&d, &q21, cfg.threads);
+            let _ = exec::execute_with(&table, &q21, cfg.threads, mode, Schedule::Scoped);
         });
         checks.push(Check {
             name: "morsel/scoped CPU speed (>= par)",
@@ -208,11 +211,13 @@ pub fn scorecard(cfg: &Config) -> bool {
     {
         let dd = SsbData::generate_scaled(1, 0.002, 20_260_730);
         let q11 = crystal_ssb::queries::query(&dd, crystal_ssb::QueryId::new(1, 1));
-        let enc = FactEncodings::packed_min(&dd);
-        let plain = copro::choose_placement(&dd, &q11, &FactEncodings::plain(), &cpu, &pcie);
-        let packed = copro::choose_placement(&dd, &q11, &enc, &cpu, &pcie);
-        let flipped = plain.placement == copro::Placement::Host
-            && packed.placement == copro::Placement::Coprocessor;
+        let fact = EncodedFact::encode(&dd, &FactEncodings::packed_min(&dd));
+        let (plain, packed) = (FactTable::plain(&dd), FactTable::encoded(&dd, &fact));
+        let to_device = |table: &FactTable<'_>| {
+            let (transfer, host) = crate::util::transfer_vs_host_scan(table, &q11, &cpu, &pcie);
+            transfer < host
+        };
+        let flipped = !to_device(&plain) && to_device(&packed);
         checks.push(Check {
             name: "q1.1 placement flips under packing",
             paper: 1.0,
@@ -224,11 +229,12 @@ pub fn scorecard(cfg: &Config) -> bool {
         // Compressed execution holds throughput on the scan-dominated
         // q1.1: the simulated GPU runs the packed table no slower than
         // the plain one (it reads a fraction of the bytes).
-        let fact = EncodedFact::encode(&dd, &enc);
         let mut g = Gpu::new(nvidia_v100());
-        let plain_run = gpu_engine::execute(&mut g, &dd, &q11).unwrap();
-        g.reset_l2();
-        let packed_run = gpu_engine::execute_encoded(&mut g, &dd, &fact, &q11).unwrap();
+        let [plain_run, packed_run] = [&plain, &packed].map(|table| {
+            g.reset_l2();
+            let mut cold = crystal_runtime::DeviceSession::new(&mut g);
+            gpu_engine::execute(&mut cold, table, &q11).unwrap()
+        });
         assert_eq!(plain_run.result, packed_run.result);
         // At this sample size kernel-launch overhead flattens the time
         // ratio toward 1; the claim is "no slower" plus the byte shrink.
@@ -257,13 +263,8 @@ pub fn scorecard(cfg: &Config) -> bool {
                 let q = crystal_ssb::arbitrary::random_star_query(&dd, 20_260_730 + i);
                 let fact = EncodedFact::encode(&dd, &random_encodings(&dd, 20_260_730 ^ i));
                 let expected = crystal_ssb::engines::reference::execute(&dd, &q);
-                let (got, _) = crystal_ssb::exec::execute_encoded(
-                    &dd,
-                    &fact,
-                    &q,
-                    cfg.threads,
-                    crystal_ssb::exec::PipelineMode::Vectorized,
-                );
+                let table = FactTable::encoded(&dd, &fact);
+                let (got, _) = exec::execute(&table, &q, cfg.threads, PipelineMode::Vectorized);
                 got == expected
             })
             .count();
@@ -312,14 +313,16 @@ pub fn scorecard(cfg: &Config) -> bool {
         // data: cold routing is the paper's Host conclusion, the warm
         // working set routes to the coprocessor.
         let q11 = crystal_ssb::queries::query(&dd, crystal_ssb::QueryId::new(1, 1));
-        let plain_enc = FactEncodings::plain();
+        let table = FactTable::plain(&dd);
         let mut g = Gpu::new(nvidia_v100());
         let mut sess = crystal_runtime::DeviceSession::new(&mut g);
-        let cold_choice =
-            copro::choose_placement_session(&sess, &dd, &q11, &plain_enc, &cpu, &pcie);
-        let _ = gpu_engine::execute_session(&mut sess, &dd, &q11).unwrap();
-        let warm_choice =
-            copro::choose_placement_session(&sess, &dd, &q11, &plain_enc, &cpu, &pcie);
+        let place = |sess: &crystal_runtime::DeviceSession<'_>| {
+            let spec = sess.spec();
+            copro::choose_placement(None, sess, &table, &q11, &cpu, spec, &pcie).decision
+        };
+        let cold_choice = place(&sess);
+        let _ = gpu_engine::execute(&mut sess, &table, &q11).unwrap();
+        let warm_choice = place(&sess);
         let flipped = cold_choice.placement == copro::Placement::Host
             && warm_choice.placement == copro::Placement::Coprocessor;
         checks.push(Check {
@@ -397,7 +400,7 @@ pub fn scorecard(cfg: &Config) -> bool {
     {
         let dd = SsbData::generate_scaled(1, 0.002, crate::stream::STREAM_SEED);
         let q11 = crystal_ssb::queries::query(&dd, crystal_ssb::QueryId::new(1, 1));
-        let r = crate::overlap::cold_unsharded(&dd, &q11);
+        let r = crate::overlap::cold(&FactTable::plain(&dd), &q11);
         checks.push(Check {
             name: "cold q1.1 overlap speedup (>= 1.4x)",
             paper: 2.0,
@@ -411,7 +414,7 @@ pub fn scorecard(cfg: &Config) -> bool {
             &FactEncodings::plain(),
         );
         let q21 = crystal_ssb::queries::query(&dd, crystal_ssb::QueryId::new(2, 1));
-        let s = crate::overlap::cold_sharded(&dd, &pf, &q21);
+        let s = crate::overlap::cold_sharded(&FactTable::sharded(&dd, &pf), &q21);
         checks.push(Check {
             name: "sharded prefetch hides transfer (>= 70%)",
             paper: 1.0,

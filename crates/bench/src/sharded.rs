@@ -26,7 +26,7 @@ use crystal_runtime::DeviceSession;
 use crystal_ssb::encoding::FactEncodings;
 use crystal_ssb::engines::gpu as gpu_engine;
 use crystal_ssb::exec::{self, PipelineMode};
-use crystal_ssb::{all_queries, PartitionedFact, SsbData};
+use crystal_ssb::{all_queries, FactTable, PartitionedFact, SsbData};
 
 use crate::stream::{pinned_stream, STREAM_SEED};
 use crate::util::{Config, Report};
@@ -75,21 +75,19 @@ pub fn replay_sharded(
     stream: &[crystal_ssb::StarQuery],
     budget: usize,
 ) -> ShardedReplay {
+    let (plain, sharded) = (FactTable::plain(d), FactTable::sharded(d, pf));
     let mut gpu = Gpu::new(nvidia_v100());
     let mut sess = DeviceSession::with_budget(&mut gpu, budget);
     let mut shipped = 0usize;
     let mut host_fallbacks = 0usize;
     for q in stream {
         let before = sess.stats().clone();
-        let (expected, _) = exec::execute(d, q, 1, PipelineMode::Vectorized);
-        let got = match gpu_engine::execute_partitioned_session(&mut sess, d, pf, q) {
+        let (expected, _) = exec::execute(&plain, q, 1, PipelineMode::Vectorized);
+        let got = match gpu_engine::execute(&mut sess, &sharded, q) {
             Ok(run) => run.result,
             Err(_) => {
                 host_fallbacks += 1;
-                let mut job =
-                    exec::HostQueryJob::new_partitioned(d, pf, q, PipelineMode::Vectorized);
-                while !job.step(usize::MAX) {}
-                job.finish().0
+                exec::execute(&sharded, q, 1, PipelineMode::Vectorized).0
             }
         };
         assert_eq!(
@@ -118,9 +116,10 @@ pub fn pruned_fraction(
     q: &crystal_ssb::StarQuery,
     threads: usize,
 ) -> f64 {
-    let (expected, expected_trace) = exec::execute(d, q, threads, PipelineMode::Vectorized);
-    let (got, trace, scanned) =
-        exec::execute_partitioned(d, pf, q, threads, PipelineMode::Vectorized);
+    let (plain, sharded) = (FactTable::plain(d), FactTable::sharded(d, pf));
+    let (expected, expected_trace) = exec::execute(&plain, q, threads, PipelineMode::Vectorized);
+    let (got, trace) = exec::execute(&sharded, q, threads, PipelineMode::Vectorized);
+    let scanned = sharded.live_rows(q);
     assert_eq!(got, expected, "{}: sharded result diverged", q.name);
     assert_eq!(trace, expected_trace, "{}: sharded trace diverged", q.name);
     scanned as f64 / pf.total_rows().max(1) as f64
@@ -150,6 +149,7 @@ pub fn sharded(cfg: &Config, smoke: bool) -> bool {
         ],
     );
     let mut q11_frac = None;
+    let table = FactTable::sharded(&d, &pf);
     for q in all_queries(&d) {
         let frac = pruned_fraction(&d, &pf, &q, cfg.threads);
         if q.name == "q1.1" {
@@ -157,8 +157,8 @@ pub fn sharded(cfg: &Config, smoke: bool) -> bool {
         }
         report.row(vec![
             q.name.to_string(),
-            format!("{}/{}", pf.live_shards(&q).len(), pf.shard_count()),
-            pf.live_rows(&q).to_string(),
+            format!("{}/{}", table.live(&q).len(), pf.shard_count()),
+            table.live_rows(&q).to_string(),
             pf.total_rows().to_string(),
             format!("{frac:.3}"),
         ]);

@@ -4,10 +4,11 @@
 use crystal_gpu_sim::Gpu;
 use crystal_hardware::{intel_i7_6900, nvidia_v100, pcie_gen3};
 use crystal_models::ssb::{q21_cpu_empirical_secs, q21_cpu_model, q21_gpu_model, Q21Params};
+use crystal_runtime::DeviceSession;
 use crystal_ssb::engines::{copro, cpu as cpu_engine, gpu as gpu_engine, hyper, monet, omnisci};
 use crystal_ssb::model as qmodel;
 use crystal_ssb::queries::all_queries;
-use crystal_ssb::SsbData;
+use crystal_ssb::{FactTable, SsbData};
 
 use crate::util::{ms, ratio, time_median, Config, Report};
 
@@ -87,13 +88,15 @@ pub fn fig16(cfg: &Config) {
     let mut speedups = Vec::new();
     let mut cpu_times = Vec::new();
     let mut gpu_times = Vec::new();
+    let table = FactTable::plain(&d);
     for q in all_queries(&d) {
         let (_, trace) = cpu_engine::execute(&d, &q, cfg.threads);
         let t_cpu = qmodel::cpu_empirical_secs(&q, &trace, &cpu_spec);
         let t_hyper = qmodel::hyper_secs(&q, &trace, &cpu_spec);
 
         gpu.reset_l2();
-        let crystal_run = gpu_engine::execute(&mut gpu, &d, &q).unwrap();
+        let crystal_run =
+            gpu_engine::execute(&mut DeviceSession::new(&mut gpu), &table, &q).unwrap();
         let t_gpu = crystal_run.sim_secs_scaled(cfg.fact_scale);
         gpu.reset_l2();
         let omni_run = omnisci::execute_unfused(&mut gpu, &d, &q);
@@ -157,7 +160,8 @@ pub fn case_study(cfg: &Config) {
 
     let q = crystal_ssb::queries::query(&d, crystal_ssb::QueryId::new(2, 1));
     let mut gpu = Gpu::new(gspec.clone());
-    let run = gpu_engine::execute(&mut gpu, &d, &q).unwrap();
+    let mut cold = DeviceSession::new(&mut gpu);
+    let run = gpu_engine::execute(&mut cold, &FactTable::plain(&d), &q).unwrap();
     let sim = run.sim_secs_scaled(cfg.fact_scale);
 
     let g = q21_gpu_model(&p, &gspec);

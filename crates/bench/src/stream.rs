@@ -21,10 +21,9 @@ use crystal_gpu_sim::Gpu;
 use crystal_hardware::{intel_i7_6900, nvidia_v100, pcie_gen3};
 use crystal_runtime::DeviceSession;
 use crystal_ssb::arbitrary::random_star_query;
-use crystal_ssb::encoding::FactEncodings;
 use crystal_ssb::engines::{copro, reference};
 use crystal_ssb::plan::StarQuery;
-use crystal_ssb::SsbData;
+use crystal_ssb::{FactTable, SsbData};
 
 use crate::util::{Config, Report};
 
@@ -137,7 +136,7 @@ pub fn replay(
 ) -> StreamOutcome {
     let cpu = intel_i7_6900();
     let pcie = pcie_gen3();
-    let enc = FactEncodings::plain();
+    let table = FactTable::plain(d);
     let mut gpu = Gpu::new(nvidia_v100());
     let mut out = StreamOutcome {
         queries: stream.len(),
@@ -149,9 +148,10 @@ pub fn replay(
         device_placements: 0,
     };
     let run_one = |sess: &mut DeviceSession<'_>, q: &StarQuery, out: &mut StreamOutcome| {
-        let choice = copro::choose_placement_session(sess, d, q, &enc, &cpu, &pcie);
+        let choice =
+            copro::choose_placement(None, sess, &table, q, &cpu, sess.spec(), &pcie).decision;
         out.device_placements += usize::from(choice.placement == copro::Placement::Coprocessor);
-        let run = copro::execute_session(sess, &pcie, d, None, q).unwrap();
+        let run = copro::execute(sess, &pcie, &table, q).unwrap();
         assert_eq!(
             run.gpu_run.result,
             reference::execute(d, q),

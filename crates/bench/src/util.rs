@@ -169,6 +169,19 @@ pub fn ms(secs: f64) -> String {
     format!("{:.2}", secs * 1e3)
 }
 
+/// Section 3.1's cold comparison for `q` over a one-segment table: the PCIe
+/// transfer of its columns as stored against the host's scan of them,
+/// `(coprocessor_secs, host_secs)`.
+pub fn transfer_vs_host_scan(
+    table: &crystal_ssb::FactTable<'_>,
+    q: &crystal_ssb::StarQuery,
+    cpu: &crystal_hardware::CpuSpec,
+    pcie: &crystal_hardware::PcieSpec,
+) -> (f64, f64) {
+    let c = table.segments()[0].cost(&q.fact_columns());
+    crystal_models::ssb::compressed_coprocessor_bounds(c.packed_bytes, c.packed_values, cpu, pcie)
+}
+
 /// Scales a simulated kernel time from host-run size to paper size: the
 /// resource-bound part grows linearly with the data, the fixed launch
 /// overhead does not.

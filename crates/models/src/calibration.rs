@@ -107,8 +107,8 @@ pub struct CalKey {
     /// banding transfers by rows would average their corrections into
     /// one smeared estimate.
     pub band: u8,
-    /// Whether the execution was shard-granular (`serve_sharded` /
-    /// `choose_placement_sharded`) — shard scans see per-shard
+    /// Whether the execution was shard-granular (over a sharded
+    /// `FactTable`) — shard scans see per-shard
     /// cardinalities and per-shard residency, so they never share
     /// estimates with whole-table runs of the same band.
     pub sharded: bool,

@@ -163,13 +163,6 @@ pub fn q21_cpu_empirical_secs(p: &Q21Params, cpu: &CpuSpec) -> f64 {
     (m.fact_columns + m.result).max(m.probes * CPU_DEPENDENT_PROBE_STALL)
 }
 
-/// Section 3.1: coprocessor lower bound for a query that ships `bytes` over
-/// PCIe — `RG >= bytes / Bp` — versus the CPU upper bound
-/// `RC <= bytes / Bc`. Returns `(gpu_coprocessor_secs, cpu_secs)`.
-pub fn coprocessor_bounds(bytes: usize, cpu: &CpuSpec, pcie: &PcieSpec) -> (f64, f64) {
-    (bytes as f64 / pcie.bandwidth, bytes as f64 / cpu.read_bw)
-}
-
 /// Cycles one scalar fused-unpack step costs per packed value on the CPU:
 /// shift, mask, the occasional cross-word fix-up, and the comparison it
 /// feeds. Bit-granular unpacking does not auto-vectorize (values straddle
@@ -211,7 +204,8 @@ pub fn compressed_scan_secs(packed_bytes: usize, bw: f64) -> f64 {
 /// exceeds [`placement_flip_ratio`], the shrunken transfer undercuts the
 /// host's unpack-limited scan and GPU placement wins — the flip the
 /// follow-up literature observes (transfer volume is the deciding term).
-/// Returns `(gpu_coprocessor_secs, cpu_secs)`.
+/// With `packed_values = 0` (unpack term `0.0`) these are Section 3.1's
+/// plain bounds bit for bit. Returns `(gpu_coprocessor_secs, cpu_secs)`.
 pub fn compressed_coprocessor_bounds(
     packed_bytes: usize,
     packed_values: usize,
@@ -515,7 +509,8 @@ mod tests {
     /// coprocessor bound always exceeds the CPU bound.
     #[test]
     fn coprocessor_never_beats_cpu() {
-        let (gpu, cpu) = coprocessor_bounds(16 * 120_000_000, &intel_i7_6900(), &pcie_gen3());
+        let (cpu_spec, pcie) = (intel_i7_6900(), pcie_gen3());
+        let (gpu, cpu) = compressed_coprocessor_bounds(16 * 120_000_000, 0, &cpu_spec, &pcie);
         assert!(gpu > cpu);
         // SF-20 q1.1 ships 4 columns x 480MB: ~150 ms over PCIe.
         assert!((gpu * 1e3 - 150.0).abs() < 10.0, "{} ms", gpu * 1e3);
@@ -532,10 +527,20 @@ mod tests {
         let cols = 4usize;
         let plain_bytes = 4 * cols * rows;
 
-        // Plain (ratio 1, no unpack): host wins, matching the old bounds.
+        // Plain (ratio 1, no unpack): exactly Section 3.1's two streaming
+        // bounds, over every byte count these tests use; the host wins.
+        for bytes in [
+            plain_bytes,
+            16 * 120_000_000,
+            120_000_000,
+            4 * 120_000_000 / 8,
+            0,
+        ] {
+            let (g, c) = compressed_coprocessor_bounds(bytes, 0, &cpu, &pcie);
+            assert_eq!(g.to_bits(), (bytes as f64 / pcie.bandwidth).to_bits());
+            assert_eq!(c.to_bits(), (bytes as f64 / cpu.read_bw).to_bits());
+        }
         let (g0, c0) = compressed_coprocessor_bounds(plain_bytes, 0, &cpu, &pcie);
-        let (g1, c1) = coprocessor_bounds(plain_bytes, &cpu, &pcie);
-        assert!((g0 - g1).abs() < 1e-12 && (c0 - c1).abs() < 1e-12);
         assert!(g0 > c0, "plain data must stay host-side");
 
         let flip = placement_flip_ratio(&cpu, &pcie);

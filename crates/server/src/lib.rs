@@ -34,21 +34,19 @@
 //! * **Closed loop per tenant** — at most one in-flight query per
 //!   tenant, plus a global [`ServerConfig::max_inflight`] cap.
 //! * **Placement at admission** — each query is routed by the
-//!   residency-aware cost model (`copro::choose_placement_resident`
-//!   over the table, `copro::choose_placement_sharded` over a
-//!   [`PartitionedFact`]'s live shards; under a [`Calibration`], on the
-//!   model profile's blended bounds); additionally, an otherwise
+//!   residency-aware cost model (`copro::choose_placement` over the
+//!   live segments of the served [`FactTable`]; under a [`Calibration`],
+//!   on the model profile's blended bounds); additionally, an otherwise
 //!   *idle* device is offered cost-model-Host queries
 //!   ([`ServerConfig::offload_idle_device`]): the device's cycles are
 //!   free while the host is the contended resource, and the uploads it
 //!   pays warm the shared cache, flipping later placements for every
 //!   tenant at once.
 //! * **Admission control** — device placement pins the query's working
-//!   set through the session's pin ledger
-//!   ([`DeviceQueryJob::admit`], or [`DeviceQueryJob::admit_partitioned`]
-//!   for the first live shard); a typed [`SessionOom`] simply falls the query
-//!   back to the host instead of panicking or evicting another tenant's
-//!   pinned set. A sharded device job admits its later shards as it
+//!   set (its first live segment's) through the session's pin ledger
+//!   ([`DeviceQueryJob::admit`]); a typed [`SessionOom`] simply falls the
+//!   query back to the host instead of panicking or evicting another
+//!   tenant's pinned set. A sharded device job admits its later shards as it
 //!   advances; if one no longer fits mid-query, the device half is
 //!   abandoned and the query restarts on the host.
 //! * **Deficit round robin** — each grant opportunity adds a morsel
@@ -56,8 +54,9 @@
 //!   rows, so long queries cannot starve short ones and the p99/p50
 //!   latency ratio stays bounded under contention.
 //!
-//! There is one scheduler loop, [`serve_with`]; [`serve`] and
-//! [`serve_sharded`] call it for the two table shapes.
+//! There is one scheduler loop, [`serve_with`], over one [`FactTable`];
+//! [`serve`] and [`serve_sharded`] are the names the benchmark harness
+//! pins for the plain and the sharded table.
 //!
 //! Splitting a query into grants changes neither the per-block tile
 //! schedule nor the order of the commutative integer aggregate updates,
@@ -67,15 +66,14 @@
 
 use crystal_cpu::exec::MORSEL_SIZE;
 use crystal_gpu_sim::{ExecStats, Gpu};
-use crystal_hardware::{CpuSpec, GpuSpec, HardwareProfile, PcieSpec};
+use crystal_hardware::{CpuSpec, HardwareProfile, PcieSpec};
 use crystal_models::calibration::{BoundsSource, CalibrationStore};
 use crystal_runtime::{DeviceSession, SessionOom, SessionStats};
-use crystal_ssb::encoding::FactEncodings;
 use crystal_ssb::engines::copro::{self, Measured, Placement, PlacementDecision};
 use crystal_ssb::engines::gpu::DeviceQueryJob;
 use crystal_ssb::exec::{HostQueryJob, PipelineMode};
 use crystal_ssb::plan::StarQuery;
-use crystal_ssb::{PartitionedFact, QueryResult, SsbData};
+use crystal_ssb::{FactTable, PartitionedFact, QueryResult, SsbData};
 
 /// Knobs of the multi-tenant frontend.
 #[derive(Debug, Clone)]
@@ -346,99 +344,42 @@ pub struct Calibration<'c> {
     pub model: HardwareProfile,
 }
 
-/// The shape of the fact table being served — everything the scheduler
-/// loop needs to know about it. Unsharded serving reads plain columns.
-#[derive(Clone, Copy)]
-struct Table<'a> {
-    d: &'a SsbData,
-    pf: Option<&'a PartitionedFact>,
-}
-
-impl<'a> Table<'a> {
-    /// Rows a host run of `q` scans: the table, or its live shards.
-    fn host_rows(&self, q: &StarQuery) -> usize {
-        self.pf
-            .map_or(self.d.lineorder.rows(), |pf| pf.live_rows(q))
-            .max(1)
-    }
-
-    /// The whole-query placement on the given specs: the residency-aware
-    /// bound over the table, or the summed per-shard bounds (both
-    /// pruning-aware) of a sharded one.
-    fn decide(
-        &self,
-        store: Option<&CalibrationStore>,
-        sess: &DeviceSession<'_>,
-        q: &StarQuery,
-        cpu: &CpuSpec,
-        gpu: &GpuSpec,
-        pcie: &PcieSpec,
-    ) -> PlacementDecision {
-        let d = self.d;
-        match self.pf {
-            None => {
-                let enc = FactEncodings::plain();
-                let resident = sess.resident_bytes(&copro::working_set_keys(d, q, &enc));
-                copro::choose_placement_resident(store, d, q, &enc, cpu, gpu, pcie, resident)
-            }
-            Some(pf) => {
-                copro::choose_placement_sharded(store, sess, d, pf, q, cpu, gpu, pcie).decision()
-            }
+/// Admission-time routing: the decision to route by — the static bound on
+/// the serve specs, or under calibration the blended bound on the *model*
+/// profile — and the host seconds per granted row. The host clock is
+/// always charged on the serve specs (the actual machine), so a skewed
+/// model profile can misroute but never mischarge.
+fn place(
+    cal: Option<&Calibration<'_>>,
+    sess: &DeviceSession<'_>,
+    table: &FactTable<'_>,
+    q: &StarQuery,
+    cpu: &CpuSpec,
+    pcie: &PcieSpec,
+) -> (PlacementDecision, f64) {
+    let actual = copro::choose_placement(None, sess, table, q, cpu, sess.spec(), pcie).decision;
+    let decision = match cal {
+        None => actual,
+        Some(c) => {
+            let (store, m) = (Some(&*c.store), &c.model);
+            copro::choose_placement(store, sess, table, q, &m.cpu, &m.gpu, &m.pcie).decision
         }
-    }
-
-    /// Admission-time routing: the decision to route by — the static
-    /// bound on the serve specs, or under calibration the blended bound
-    /// on the *model* profile — and the host seconds per granted row.
-    /// The host clock is always charged on the serve specs (the actual
-    /// machine), so a skewed model profile can misroute but never
-    /// mischarge.
-    fn place(
-        &self,
-        cal: Option<&Calibration<'_>>,
-        sess: &DeviceSession<'_>,
-        q: &StarQuery,
-        cpu: &CpuSpec,
-        pcie: &PcieSpec,
-    ) -> (PlacementDecision, f64) {
-        let actual = self.decide(None, sess, q, cpu, sess.spec(), pcie);
-        let decision = match cal {
-            None => actual,
-            Some(c) => {
-                let m = &c.model;
-                self.decide(Some(&*c.store), sess, q, &m.cpu, &m.gpu, &m.pcie)
-            }
-        };
-        (decision, actual.host_secs / self.host_rows(q) as f64)
-    }
-
-    /// Admission control: pins the query's (first shard's) working set
-    /// under the session's ledger and runs its builds.
-    fn admit_device(
-        &self,
-        sess: &mut DeviceSession<'_>,
-        q: &'a StarQuery,
-    ) -> Result<Job<'a>, SessionOom> {
-        let job = match self.pf {
-            None => DeviceQueryJob::admit(sess, self.d, None, q)?,
-            Some(pf) => DeviceQueryJob::admit_partitioned(sess, self.d, pf, q)?,
-        };
-        Ok(Job::Device(Box::new(job)))
-    }
-
-    fn host_job(&self, q: &'a StarQuery) -> Job<'a> {
-        let mode = PipelineMode::Vectorized;
-        Job::Host(Box::new(match self.pf {
-            None => HostQueryJob::new(self.d, q, mode),
-            Some(pf) => HostQueryJob::new_partitioned(self.d, pf, q, mode),
-        }))
-    }
+    };
+    (decision, actual.host_secs / host_rows(table, q))
 }
 
-/// Serves `tenants` (one query stream per tenant) through one shared
-/// host executor and one shared [`DeviceSession`], interleaved as
-/// deficit-round-robin morsel grants. Deterministic: same streams, same
-/// results, same simulated timings.
+/// Rows a host run of `q` scans: the table's live segments.
+fn host_rows(table: &FactTable<'_>, q: &StarQuery) -> f64 {
+    table.live_rows(q).max(1) as f64
+}
+
+fn host_job<'a>(table: &FactTable<'a>, q: &'a StarQuery) -> Job<'a> {
+    let job = HostQueryJob::over(table, q, PipelineMode::Vectorized);
+    Job::Host(Box::new(job))
+}
+
+/// Pinned by the benchmark harness (`e2e/src/sut.rs`), to go with its
+/// Step 0: [`serve_with`] over the plain table, uncalibrated.
 pub fn serve<'a>(
     gpu: &mut Gpu,
     cpu: &CpuSpec,
@@ -447,17 +388,11 @@ pub fn serve<'a>(
     tenants: &'a [Vec<StarQuery>],
     cfg: &ServerConfig,
 ) -> ServeReport {
-    serve_with(gpu, cpu, pcie, d, None, tenants, cfg, None)
+    serve_with(gpu, cpu, pcie, &FactTable::plain(d), tenants, cfg, None)
 }
 
-/// [`serve`] over a [`PartitionedFact`]: zone-map pruning drops dead
-/// shards before any grant, device jobs advance shard-by-shard under
-/// shard-granular residency keys (each grant covers one *(query, shard)*
-/// pair's rows), and a **mid-query** shard-admission
-/// [`SessionOom`] abandons the device half
-/// and restarts the query on the host — partial device work is
-/// discarded, so every served result stays byte-identical to the
-/// unsharded pipeline's. Deterministic, like [`serve`].
+/// Pinned like [`serve`]: [`serve_with`] over the sharded table,
+/// uncalibrated.
 pub fn serve_sharded<'a>(
     gpu: &mut Gpu,
     cpu: &CpuSpec,
@@ -467,26 +402,37 @@ pub fn serve_sharded<'a>(
     tenants: &'a [Vec<StarQuery>],
     cfg: &ServerConfig,
 ) -> ServeReport {
-    serve_with(gpu, cpu, pcie, d, Some(pf), tenants, cfg, None)
+    let table = FactTable::sharded(d, pf);
+    serve_with(gpu, cpu, pcie, &table, tenants, cfg, None)
 }
 
-/// The scheduler: [`serve`] (`pf = None`) and [`serve_sharded`] are this
-/// function without calibration. With a [`Calibration`], admission routes
-/// on the *model* profile's bounds blended with whatever the store has
-/// learned (per-shard bounds under shard-granular keys when sharded), and
-/// every completion records its observed transfer/kernel/host seconds
-/// back into the store. Execution and the resource clocks still run on
-/// the `gpu` / `cpu` / `pcie` the serve is called with — the actual
-/// machine — so the loop converges toward measured reality. With a cold
-/// store and `cal.model` equal to the serve specs, routing is
-/// bit-identical to the uncalibrated serve.
-#[allow(clippy::too_many_arguments)]
+/// Serves `tenants` (one query stream per tenant) over `table` through one
+/// shared host executor and one shared [`DeviceSession`], interleaved as
+/// deficit-round-robin morsel grants. Deterministic: same streams, same
+/// results, same simulated timings.
+///
+/// Over a sharded table zone-map pruning drops dead shards before any
+/// grant, device jobs advance shard-by-shard under shard-granular
+/// residency keys (each grant covers one *(query, shard)* pair's rows),
+/// and a **mid-query** shard-admission [`SessionOom`] abandons the device
+/// half and restarts the query on the host — partial device work is
+/// discarded, so every served result stays byte-identical to the
+/// unsharded pipeline's.
+///
+/// With a [`Calibration`], admission routes on the *model* profile's
+/// bounds blended with whatever the store has learned (per-shard bounds
+/// under shard-granular keys when sharded), and every completion records
+/// its observed transfer/kernel/host seconds back into the store.
+/// Execution and the resource clocks still run on the `gpu` / `cpu` /
+/// `pcie` the serve is called with — the actual machine — so the loop
+/// converges toward measured reality. With a cold store and `cal.model`
+/// equal to the serve specs, routing is bit-identical to the uncalibrated
+/// serve.
 pub fn serve_with<'a>(
     gpu: &mut Gpu,
     cpu: &CpuSpec,
     pcie: &PcieSpec,
-    d: &'a SsbData,
-    pf: Option<&'a PartitionedFact>,
+    table: &FactTable<'a>,
     tenants: &'a [Vec<StarQuery>],
     cfg: &ServerConfig,
     mut cal: Option<&mut Calibration<'_>>,
@@ -496,7 +442,6 @@ pub fn serve_with<'a>(
         Some(b) => DeviceSession::with_budget(gpu, b),
         None => DeviceSession::new(gpu),
     };
-    let table = Table { d, pf };
     let nt = tenants.len();
     let quantum = cfg.quantum_rows() as f64;
 
@@ -525,7 +470,7 @@ pub fn serve_with<'a>(
                 let idx = next_q[t];
                 let q = &tenants[t][idx];
                 let (decision, per_row_host_secs) =
-                    table.place(cal.as_deref(), &sess, q, cpu, pcie);
+                    place(cal.as_deref(), &sess, table, q, cpu, pcie);
                 let busy = |b: Backend| inflight.iter().any(|j| j.job.backend() == b);
                 // Idle-resource steering keeps both executors busy:
                 // an idle device is offered the query even when the
@@ -544,10 +489,11 @@ pub fn serve_with<'a>(
                 let before = sess.stats().clone();
                 // Admission control: the device job pins its working set
                 // under the session's ledger; an OOM falls back to the host.
-                let admitted_job = match want_device.then(|| table.admit_device(&mut sess, q)) {
-                    Some(Ok(device_job)) => device_job,
-                    _ => table.host_job(q),
-                };
+                let admitted_job =
+                    match want_device.then(|| DeviceQueryJob::admit(&mut sess, table, q)) {
+                        Some(Ok(device_job)) => Job::Device(Box::new(device_job)),
+                        _ => host_job(table, q),
+                    };
                 let mut job = InFlight {
                     tenant: t,
                     index: idx,
@@ -667,7 +613,7 @@ pub fn serve_with<'a>(
             // byte-identical).
             Err(_) => {
                 let q = &tenants[j.tenant][j.index];
-                std::mem::replace(&mut j.job, table.host_job(q)).abandon(&mut sess);
+                std::mem::replace(&mut j.job, host_job(table, q)).abandon(&mut sess);
                 host_clock = host_clock.max(now);
                 oom_restarts += 1;
                 false
@@ -696,12 +642,10 @@ pub fn serve_with<'a>(
                 match backend {
                     Backend::Device => measured.kernel_secs = Some(j.charged_dev_secs),
                     Backend::Host => {
-                        let rows = table.host_rows(q) as f64;
-                        measured.host_secs = Some(j.per_row_host_secs * rows);
+                        measured.host_secs = Some(j.per_row_host_secs * host_rows(table, q));
                     }
                 }
-                let enc = FactEncodings::plain();
-                copro::record_observation(c.store, &c.model, d, pf, q, &enc, &measured);
+                copro::record_observation(c.store, &c.model, table, q, &measured);
             }
             completed.push(CompletedQuery {
                 tenant: j.tenant,
@@ -742,7 +686,7 @@ pub fn serve_serial(
     cfg: &ServerConfig,
 ) -> ServeReport {
     let exec_before = gpu.exec_stats();
-    let enc = FactEncodings::plain();
+    let table = FactTable::plain(d);
     let mut clock = 0.0f64;
     let (mut host_busy, mut dev_busy) = (0.0f64, 0.0f64);
     let mut completed = Vec::new();
@@ -755,11 +699,12 @@ pub fn serve_serial(
         };
         for (idx, q) in stream.iter().enumerate() {
             let admitted_at = clock;
-            let choice = copro::choose_placement_session(&sess, d, q, &enc, cpu, pcie);
+            let choice =
+                copro::choose_placement(None, &sess, &table, q, cpu, sess.spec(), pcie).decision;
             let mut served = None;
             if choice.placement == Placement::Coprocessor {
                 let before = sess.stats().clone();
-                if let Ok(mut job) = DeviceQueryJob::admit(&mut sess, d, None, q) {
+                if let Ok(mut job) = DeviceQueryJob::admit(&mut sess, &table, q) {
                     let done = job.step(&mut sess, usize::MAX);
                     debug_assert_eq!(done, Ok(true), "one segment, one unbounded step");
                     let uploaded = sess.stats().uploaded_since(&before);
@@ -771,7 +716,7 @@ pub fn serve_serial(
                 }
             }
             let (backend, result) = served.unwrap_or_else(|| {
-                let mut job = HostQueryJob::new(d, q, PipelineMode::Vectorized);
+                let mut job = HostQueryJob::over(&table, q, PipelineMode::Vectorized);
                 let done = job.step(usize::MAX);
                 debug_assert!(done);
                 host_busy += choice.host_secs;
@@ -784,7 +729,7 @@ pub fn serve_serial(
                 backend,
                 admitted_at,
                 completed_at: clock,
-                decision: choice.into(),
+                decision: choice,
                 result,
             });
         }
@@ -821,6 +766,7 @@ mod tests {
     use crystal_hardware::{intel_i7_6900, nvidia_v100, pcie_gen3, table2_profile};
     use crystal_ssb::arbitrary::random_star_query;
     use crystal_ssb::engines::reference;
+    use crystal_ssb::FactEncodings;
 
     fn data() -> SsbData {
         SsbData::generate_scaled(1, 0.002, 20_260_730)
@@ -1039,16 +985,8 @@ mod tests {
             model: table2_profile(),
         };
         let mut g2 = Gpu::new(nvidia_v100());
-        let cald = serve_with(
-            &mut g2,
-            &cpu,
-            &pcie,
-            &d,
-            None,
-            &tenants,
-            &cfg,
-            Some(&mut cal),
-        );
+        let table = FactTable::plain(&d);
+        let cald = serve_with(&mut g2, &cpu, &pcie, &table, &tenants, &cfg, Some(&mut cal));
         assert_eq!(plain.makespan_secs.to_bits(), cald.makespan_secs.to_bits());
         assert_eq!(plain.completed.len(), cald.completed.len());
         for (x, y) in plain.completed.iter().zip(&cald.completed) {
@@ -1085,8 +1023,9 @@ mod tests {
                 model: table2_profile(),
             };
             let cal = Some(&mut cal);
+            let table = FactTable::plain(&d);
             last = Some(serve_with(
-                &mut gpu, &cpu, &pcie, &d, None, &tenants, &cfg, cal,
+                &mut gpu, &cpu, &pcie, &table, &tenants, &cfg, cal,
             ));
         }
         let report = last.unwrap();
@@ -1123,8 +1062,8 @@ mod tests {
                 store: &mut store,
                 model: table2_profile(),
             };
-            let (pf, cal) = (Some(&pf), Some(&mut cal));
-            let r = serve_with(&mut g2, &cpu, &pcie, &d, pf, &tenants, &cfg, cal);
+            let table = FactTable::sharded(&d, &pf);
+            let r = serve_with(&mut g2, &cpu, &pcie, &table, &tenants, &cfg, Some(&mut cal));
             if pass == 0 {
                 assert_eq!(plain.makespan_secs.to_bits(), r.makespan_secs.to_bits());
                 for (x, y) in plain.completed.iter().zip(&r.completed) {

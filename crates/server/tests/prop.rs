@@ -12,7 +12,7 @@ use crystal_ssb::arbitrary::random_star_query;
 use crystal_ssb::engines::reference;
 use crystal_ssb::plan::StarQuery;
 use crystal_ssb::queries::{query, QueryId};
-use crystal_ssb::{FactEncodings, PartitionedFact, QueryResult, SsbData};
+use crystal_ssb::{FactEncodings, FactTable, PartitionedFact, QueryResult, SsbData};
 
 const SEED: u64 = 20_260_927;
 const TENANTS: usize = 3;
@@ -35,11 +35,10 @@ static FIXTURE: LazyLock<Fixture> = LazyLock::new(|| {
     let mut scan = query(&d, QueryId::new(1, 1));
     scan.joins.clear();
     let cols = scan.fact_columns();
-    let bytes: Vec<usize> = pf
-        .live_shards(&scan)
-        .iter()
-        .map(|&s| pf.shard(s).columns_bytes(&cols))
-        .collect();
+    let table = FactTable::sharded(&d, &pf);
+    let live = table.live(&scan);
+    let shard_bytes = |&s: &usize| table.segments()[s].cost(&cols).packed_bytes;
+    let bytes: Vec<usize> = live.iter().map(shard_bytes).collect();
     let larger = *bytes[1..].iter().max().unwrap();
     assert!(larger > bytes[0], "no later shard outgrows the first");
     // First shard plus the scalar aggregate's 8-byte scratch, and half the
@@ -96,8 +95,12 @@ proptest! {
         let budget = cfg.device_budget.unwrap_or(spec.mem_capacity);
         let (cpu, pcie) = (intel_i7_6900(), pcie_gen3());
         let mut gpu = Gpu::new(spec);
-        let pf = sharded.then_some(&f.pf);
-        let r = serve_with(&mut gpu, &cpu, &pcie, &f.d, pf, &tenants, &cfg, None);
+        let table = if sharded {
+            FactTable::sharded(&f.d, &f.pf)
+        } else {
+            FactTable::plain(&f.d)
+        };
+        let r = serve_with(&mut gpu, &cpu, &pcie, &table, &tenants, &cfg, None);
 
         // Exactly-once completion, with the oracle's answers whatever the
         // schedule, the pressure and the table shape.

@@ -147,18 +147,6 @@ impl EncodedFact {
         self.rows
     }
 
-    /// Asserts this table was encoded at `d`'s fact scale — the one
-    /// invariant every encoded execution entry point relies on (a
-    /// mismatched table would otherwise read zero padding in release
-    /// builds instead of panicking).
-    pub fn check_scale(&self, d: &SsbData) {
-        assert_eq!(
-            self.rows,
-            d.lineorder.rows(),
-            "encoded table scale mismatch"
-        );
-    }
-
     /// The encodings this table was materialized under.
     pub fn encodings(&self) -> FactEncodings {
         let mut e = FactEncodings::plain();

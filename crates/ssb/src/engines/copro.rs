@@ -19,20 +19,14 @@
 //! *data-resident* regime where the GPU's bandwidth advantage finally
 //! materializes.
 //!
-//! **One placement path.** Every residency-aware decision — whole table
-//! ([`choose_placement_resident`], and [`choose_placement_session`] which
-//! reads the residency live) or per shard ([`choose_placement_sharded`])
-//! — prices its [`ScanCost`] through the one bounds formula,
-//! [`crystal_models::ssb::resident_coprocessor_bounds`], under the
-//! factors an optional [`CalibrationStore`] has learned. No store and a
-//! cold store both evaluate under the identity, so the static and the
-//! calibrated decision cannot drift apart. [`choose_placement`] is the
-//! paper's original transfer-only bound, kept for the Section 3.1 / 6
-//! conclusions it reproduces.
-//!
-//! **One execution path.** [`execute_session`] and [`execute_placed`]
-//! take the session to run through and an optional [`EncodedFact`]; a
-//! transient session is the cold device, `None` is plain storage.
+//! **One placement path, one execution path.** [`choose_placement`] prices
+//! every live segment of a [`FactTable`] through the one bounds formula
+//! ([`crystal_models::ssb::resident_coprocessor_bounds`], under the factors
+//! an optional [`CalibrationStore`] has learned) and routes each to the
+//! cheaper side; the whole table is the one-segment case, whose split *is*
+//! the whole-query decision. [`execute`] runs a table through a session in
+//! the coprocessor model; [`execute_placed`] runs each segment where the
+//! model routes it and merges the partial aggregates.
 
 use crystal_gpu_sim::pcie::{coprocessor_time, CoprocessorTime};
 use crystal_gpu_sim::Gpu;
@@ -41,71 +35,17 @@ use crystal_models::calibration::{
     Blend, BoundsSource, CalibrationStore, EncodingClass, Observation,
 };
 use crystal_models::ssb::{
-    compressed_coprocessor_bounds, hybrid_shard_split, launch_overhead_secs,
-    resident_coprocessor_bounds, star_query_launches, ScanCost,
+    hybrid_shard_split, launch_overhead_secs, star_query_launches, HybridSplit, ScanCost,
 };
 use crystal_runtime::{ColumnKey, DeviceSession, SessionOom};
 
 use crate::data::SsbData;
-use crate::encoding::{EncodedFact, FactEncodings};
-use crate::engines::gpu::{self, DeviceQueryJob, GpuRun};
-use crate::engines::GroupAcc;
-use crate::exec::{self, HostQueryJob, PipelineMode};
-use crate::partition::{FactShard, PartitionedFact};
-use crate::plan::{FactCol, StarQuery};
+use crate::encoding::FactEncodings;
+use crate::engines::gpu::{self, GpuRun};
+use crate::exec::{self, PipelineMode};
+use crate::plan::StarQuery;
+use crate::table::{scan_cost, FactTable};
 use crate::QueryResult;
-
-/// Session cache keys of a query's referenced fact columns under `enc` —
-/// the working set whose resident fraction discounts the transfer term.
-pub fn working_set_keys(d: &SsbData, q: &StarQuery, enc: &FactEncodings) -> Vec<ColumnKey> {
-    q.fact_columns()
-        .iter()
-        .map(|c| ColumnKey {
-            dataset: d.fingerprint(),
-            col: c.index() as u32,
-            encoding: enc.get(*c),
-        })
-        .collect()
-}
-
-/// The device cache keys for one shard of `q`'s working set — the
-/// shard-granular analogue of [`working_set_keys`], so the session's
-/// eviction policy arbitrates residency shard by shard.
-fn shard_working_set_keys(
-    d: &SsbData,
-    pf: &PartitionedFact,
-    shard: usize,
-    q: &StarQuery,
-) -> Vec<ColumnKey> {
-    let fact = pf.shard(shard).encoded();
-    q.fact_columns()
-        .iter()
-        .map(|c| gpu::shard_column_key(d, shard, *c, fact))
-        .collect()
-}
-
-/// Rows and (cold, uncalibrated) cost inputs of `q`'s referenced columns
-/// over the whole table under `enc`.
-fn table_cost(d: &SsbData, q: &StarQuery, enc: &FactEncodings) -> (usize, ScanCost) {
-    let rows = d.lineorder.rows();
-    let cols = q.fact_columns();
-    let cost = ScanCost {
-        packed_bytes: enc.columns_bytes(rows, &cols),
-        packed_values: enc.packed_values(rows, &cols),
-        ..ScanCost::default()
-    };
-    (rows, cost)
-}
-
-/// [`table_cost`] of one shard, under the shard's own encodings.
-fn shard_cost(shard: &FactShard, cols: &[FactCol]) -> (usize, ScanCost) {
-    let cost = ScanCost {
-        packed_bytes: shard.columns_bytes(cols),
-        packed_values: shard.packed_values(cols),
-        ..ScanCost::default()
-    };
-    (shard.rows(), cost)
-}
 
 /// The calibration class of a cost's columns: `Packed` as soon as any
 /// referenced column is bit-packed (that is when the host's unpack term
@@ -116,20 +56,6 @@ fn encoding_class(cost: &ScanCost) -> EncodingClass {
     } else {
         EncodingClass::Plain
     }
-}
-
-/// What `store` has learned about one evaluation of the bound; the
-/// identity without a store.
-fn blend_for(
-    store: Option<&CalibrationStore>,
-    cost: &ScanCost,
-    rows: usize,
-    sharded: bool,
-) -> Blend {
-    store.map_or_else(Blend::default, |s| {
-        let uncached = cost.packed_bytes.saturating_sub(cost.resident_bytes);
-        s.blend(encoding_class(cost), rows, uncached, sharded)
-    })
 }
 
 /// Outcome of a coprocessor-model execution.
@@ -145,23 +71,18 @@ pub struct CoproRun {
 /// referenced fact columns the session does not already hold, overlap
 /// with the Crystal kernel execution. The PCIe transfer covers exactly
 /// the bytes the session had to upload — the full working set on a fresh
-/// (cold-device) session, zero for a fully resident one. Over an encoded
-/// `fact`, packed columns ship as packed words (the transfer drops by the
-/// compression ratio) and the GPU kernel unpacks tiles in registers.
-/// Surfaces the typed [`SessionOom`] when the working set cannot fit the
-/// device.
-pub fn execute_session(
+/// (cold-device) session, zero for a fully resident one. Packed columns
+/// ship as packed words (the transfer drops by the compression ratio) and
+/// the GPU kernel unpacks tiles in registers. Surfaces the typed
+/// [`SessionOom`] when the working set cannot fit the device.
+pub fn execute(
     sess: &mut DeviceSession<'_>,
     pcie: &PcieSpec,
-    d: &SsbData,
-    fact: Option<&EncodedFact>,
+    table: &FactTable<'_>,
     q: &StarQuery,
 ) -> Result<CoproRun, SessionOom> {
     let before = sess.stats().clone();
-    let gpu_run = match fact {
-        None => gpu::execute_session(sess, d, q)?,
-        Some(fact) => gpu::execute_encoded_session(sess, d, fact, q)?,
-    };
+    let gpu_run = gpu::execute(sess, table, q)?;
     let shipped_bytes = sess.stats().uploaded_since(&before);
     let time = coprocessor_time(pcie, shipped_bytes, gpu_run.sim_secs());
     Ok(CoproRun {
@@ -180,15 +101,12 @@ pub fn execute_scaled(
     q: &StarQuery,
     fact_scale: f64,
 ) -> Result<CoproRun, SessionOom> {
-    let gpu_run = gpu::execute(gpu, d, q)?;
+    let mut run = execute(&mut DeviceSession::new(gpu), pcie, &FactTable::plain(d), q)?;
     let full_rows = (d.lineorder.rows() as f64 / fact_scale).round() as usize;
-    let shipped_bytes = q.fact_columns().len() * 4 * full_rows;
-    let time = coprocessor_time(pcie, shipped_bytes, gpu_run.sim_secs_scaled(fact_scale));
-    Ok(CoproRun {
-        gpu_run,
-        shipped_bytes,
-        time,
-    })
+    run.shipped_bytes = q.fact_columns().len() * 4 * full_rows;
+    let exec_secs = run.gpu_run.sim_secs_scaled(fact_scale);
+    run.time = coprocessor_time(pcie, run.shipped_bytes, exec_secs);
+    Ok(run)
 }
 
 /// Where a query runs under cost-based placement.
@@ -200,37 +118,18 @@ pub enum Placement {
     Host,
 }
 
-impl Placement {
-    /// The cheaper side of two bounds (ties stay on the host).
-    fn cheaper(device_secs: f64, host_secs: f64) -> Self {
-        if device_secs < host_secs {
-            Placement::Coprocessor
-        } else {
-            Placement::Host
-        }
-    }
-}
-
-/// A placement decision with the Section 3.1 cost estimates behind it
-/// (seconds; lower bound for the coprocessor, scan bound for the host).
-#[derive(Debug, Clone, Copy)]
-pub struct PlacementChoice {
-    pub placement: Placement,
-    pub coprocessor_secs: f64,
-    pub host_secs: f64,
-}
-
 /// A placement decision with its full provenance, so misroutes are
 /// debuggable instead of silent: the side chosen, the (possibly blended)
-/// seconds predicted for each side, whether measured history contributed,
-/// and how many observations backed it. Uncalibrated decisions carry
+/// seconds predicted for each side (lower bound for the coprocessor, scan
+/// bound for the host), whether measured history contributed, and how many
+/// observations backed it. Uncalibrated decisions carry
 /// `source = Static, samples = 0`.
 #[derive(Debug, Clone, Copy)]
 pub struct PlacementDecision {
-    /// The side the query was routed to.
+    /// The side the query was routed to (ties stay on the host).
     pub placement: Placement,
     /// Predicted device-side (coprocessor) seconds.
-    pub device_secs: f64,
+    pub coprocessor_secs: f64,
     /// Predicted host-side seconds.
     pub host_secs: f64,
     /// Whether the numbers are the analytic prior or a measured blend.
@@ -239,116 +138,139 @@ pub struct PlacementDecision {
     pub samples: u64,
 }
 
-impl From<PlacementChoice> for PlacementDecision {
-    fn from(c: PlacementChoice) -> Self {
-        PlacementDecision {
-            placement: c.placement,
-            device_secs: c.coprocessor_secs,
-            host_secs: c.host_secs,
-            source: BoundsSource::Static,
-            samples: 0,
-        }
-    }
+/// The placement of one query over a table: the whole-query decision, and
+/// the per-segment routing behind it. Hot (device-cached) segments route
+/// to the device while cold ones stay on the host — the two sides proceed
+/// concurrently, which is what makes the split worthwhile.
+#[derive(Debug, Clone)]
+pub struct TablePlacement {
+    /// The two all-on-one-side totals over the live segments, compared the
+    /// way a scheduler that places whole queries compares them. Of a
+    /// one-segment table, the decision about that segment.
+    pub decision: PlacementDecision,
+    /// Which live segments run where, and the modeled seconds of each side.
+    /// Its indices name segments of the table ([`FactTable::subset`] takes
+    /// them); a pruned segment is on neither side.
+    pub split: HybridSplit,
 }
 
-impl PlacementDecision {
-    /// The equivalent static-shaped choice (for call sites that only care
-    /// about the routed side and the two bounds).
-    pub fn choice(&self) -> PlacementChoice {
-        PlacementChoice {
-            placement: self.placement,
-            coprocessor_secs: self.device_secs,
-            host_secs: self.host_secs,
-        }
-    }
+/// Launch overhead of one query over a whole (unsharded) table of `rows`
+/// rows. The whole star query is one fused megakernel, so the device side
+/// carries exactly one launch. On a sampled proxy table the fixed term
+/// scales with the proxy fraction, mirroring `sim_secs_scaled` so the
+/// routing stays faithful to the full-scale comparison. The term stays
+/// analytic under calibration — it is a fixed per-dispatch constant far
+/// below the noise floor of per-query timing, and folding it into the
+/// kernel key would let a few launch-dominated small queries corrupt the
+/// bandwidth estimate. A shard carries none: the launch is paid once per
+/// query, whichever shards it covers.
+fn whole_table_launch_secs(d: &SsbData, rows: usize, q: &StarQuery, gpu: &GpuSpec) -> f64 {
+    let fact_scale = rows as f64 / (6_000_000 * d.sf) as f64;
+    fact_scale.min(1.0) * launch_overhead_secs(gpu, star_query_launches(q.joins.len(), true))
 }
 
-/// Routes a query through the `crystal-models` Section 3.1 / 6 bounds on
-/// a cold device: the coprocessor can never finish before its PCIe
-/// transfer (`bytes / B_pcie`), while the host CPU is bounded below by
-/// streaming the same columns from DRAM (`bytes / B_cpu`). Since PCIe
-/// bandwidth is far below DRAM bandwidth, the model routes every star
-/// query over *plain* data to the host — which is exactly the paper's
-/// conclusion ("a GPU-based system fully utilizing the CPU will always be
-/// superior to a coprocessor design"); the decision is computed, not
-/// hard-coded, so a future interconnect spec (e.g. NVLink-class
-/// `PcieSpec`) can flip it. So can compression: the transfer ships each
-/// referenced column at its *encoded* size under `enc`, so the
-/// coprocessor bound drops by the compression ratio while the host's scan
-/// bound gains a scalar-unpack compute term
-/// (`crystal_models::ssb::compressed_coprocessor_bounds`) — past the
-/// modeled flip ratio (~1.6 on the Table-2 pairing) GPU placement wins on
-/// packed data over the very PCIe link that loses on plain data. Device
-/// residency is the third lever ([`choose_placement_resident`]).
-pub fn choose_placement(
-    d: &SsbData,
-    q: &StarQuery,
-    enc: &FactEncodings,
-    cpu: &CpuSpec,
-    pcie: &PcieSpec,
-) -> PlacementChoice {
-    let (_, cost) = table_cost(d, q, enc);
-    let (coprocessor_secs, host_secs) =
-        compressed_coprocessor_bounds(cost.packed_bytes, cost.packed_values, cpu, pcie);
-    PlacementChoice {
-        placement: Placement::cheaper(coprocessor_secs, host_secs),
-        coprocessor_secs,
-        host_secs,
-    }
-}
-
-/// The residency-aware routing: `resident_bytes` of the query's working
-/// set are already device-cached, so the Section 3.1 transfer term drops
-/// to the uncached fraction (floored by the device's own memory scan).
-/// Once the working set is warm this flips Host → Coprocessor even on
-/// PCIe Gen3 and *plain* data — the paper's data-resident regime, derived
-/// from the same cost model that rejects the cold coprocessor.
-///
-/// With a `store`, each cost component is scaled by its key's blended
-/// observed/predicted factor and the decision reports the history behind
-/// it; `None` and a cold store both evaluate the static bound.
-#[allow(clippy::too_many_arguments)]
-pub fn choose_placement_resident(
+/// Routes segments, given as `(rows, cost)` with residency and launch term
+/// filled in, each to the side the residency-aware bound prices cheaper.
+/// With a `store`, every cost component is scaled by its key's blended
+/// observed/predicted factor — a shard under its own shard-granular key
+/// (cardinality band of the *shard's* rows, `sharded = true`, so
+/// whole-table history never aliases in) — and the decision reports the
+/// history behind it.
+fn place(
     store: Option<&CalibrationStore>,
-    d: &SsbData,
-    q: &StarQuery,
-    enc: &FactEncodings,
+    segments: Vec<(usize, ScanCost)>,
+    sharded: bool,
     cpu: &CpuSpec,
     gpu: &GpuSpec,
     pcie: &PcieSpec,
-    resident_bytes: usize,
-) -> PlacementDecision {
-    let (rows, mut cost) = table_cost(d, q, enc);
-    cost.resident_bytes = resident_bytes;
-    // The whole star query is one fused megakernel, so the device side
-    // carries exactly one launch of overhead. On a sampled proxy table
-    // the fixed launch term scales with the proxy fraction, mirroring
-    // `sim_secs_scaled` so the routing stays faithful to the full-scale
-    // comparison. The launch term stays analytic under calibration — it
-    // is a fixed per-dispatch constant far below the noise floor of
-    // per-query timing, and folding it into the kernel key would let a
-    // few launch-dominated small queries corrupt the bandwidth estimate.
-    let fact_scale = rows as f64 / (6_000_000 * d.sf) as f64;
-    cost.launch_secs =
-        fact_scale.min(1.0) * launch_overhead_secs(gpu, star_query_launches(q.joins.len(), true));
-    let blend = blend_for(store, &cost, rows, false);
-    cost.factors = blend.factors;
-    let (device_secs, host_secs) = resident_coprocessor_bounds(&cost, cpu, gpu, pcie);
-    PlacementDecision {
-        placement: Placement::cheaper(device_secs, host_secs),
-        device_secs,
-        host_secs,
-        source: blend.source,
-        samples: blend.samples,
-    }
+) -> (PlacementDecision, HybridSplit) {
+    let (mut source, mut samples) = (BoundsSource::Static, 0);
+    let price = |(rows, mut cost): (usize, ScanCost)| {
+        // What the store has learned about this evaluation of the bound;
+        // the identity without one.
+        let blend = store.map_or_else(Blend::default, |s| {
+            let uncached = cost.packed_bytes.saturating_sub(cost.resident_bytes);
+            s.blend(encoding_class(&cost), rows, uncached, sharded)
+        });
+        if blend.source == BoundsSource::Blended {
+            source = BoundsSource::Blended;
+        }
+        samples += blend.samples;
+        cost.factors = blend.factors;
+        cost
+    };
+    let costs: Vec<ScanCost> = segments.into_iter().map(price).collect();
+    let split = hybrid_shard_split(&costs, cpu, gpu, pcie);
+    let placement = if split.device_only_secs < split.host_only_secs {
+        Placement::Coprocessor
+    } else {
+        Placement::Host
+    };
+    let decision = PlacementDecision {
+        placement,
+        coprocessor_secs: split.device_only_secs,
+        host_secs: split.host_only_secs,
+        source,
+        samples,
+    };
+    (decision, split)
 }
 
-/// The static [`choose_placement_resident`] with the residency read live
-/// from a session's cache and the device spec taken from the session.
-/// (A calibrated caller passes its *model* profile's spec explicitly
-/// instead: the whole point of calibration is that the hardware the
-/// session actually simulates may deviate from the spec sheet the prior
-/// believes.)
+/// Routes `q` over `table` through the `crystal-models` Section 3.1 / 6
+/// bounds, residency-aware: each live segment ships only the bytes `sess`
+/// does not already cache, so the transfer term drops to the uncached
+/// fraction (floored by the device's own memory scan).
+///
+/// Cold, the coprocessor can never finish before its PCIe transfer while
+/// the host is bounded below by streaming the same columns from DRAM;
+/// since PCIe bandwidth is far below DRAM bandwidth, the model routes
+/// every star query over *plain* data to the host — the paper's conclusion
+/// ("a GPU-based system fully utilizing the CPU will always be superior to
+/// a coprocessor design"), computed, not hard-coded, so a future
+/// interconnect spec can flip it. So can compression: packed columns ship
+/// at their encoded size while the host's scan bound gains a scalar-unpack
+/// term — past the modeled flip ratio (~1.6 on the Table-2 pairing) GPU
+/// placement wins over the very link that loses on plain data. Residency
+/// is the third lever: once a segment's working set is warm it flips
+/// Host → Coprocessor even on PCIe Gen3 and plain data — the paper's
+/// data-resident regime, derived from the same cost model that rejects the
+/// cold coprocessor.
+///
+/// A calibrated caller passes its *model* profile's specs, not the
+/// session's: the whole point of calibration is that the hardware the
+/// session simulates may deviate from the spec sheet the prior believes.
+pub fn choose_placement(
+    store: Option<&CalibrationStore>,
+    sess: &DeviceSession<'_>,
+    table: &FactTable<'_>,
+    q: &StarQuery,
+    cpu: &CpuSpec,
+    gpu: &GpuSpec,
+    pcie: &PcieSpec,
+) -> TablePlacement {
+    let live = table.live(q);
+    let cols = q.fact_columns();
+    let priced = |&i: &usize| {
+        let seg = table.segments()[i];
+        let keys: Vec<ColumnKey> = cols.iter().map(|&c| seg.key(c)).collect();
+        let mut cost = seg.cost(&cols);
+        cost.resident_bytes = sess.resident_bytes(&keys);
+        if !table.is_sharded() {
+            cost.launch_secs = whole_table_launch_secs(table.data(), seg.rows(), q, gpu);
+        }
+        (seg.rows(), cost)
+    };
+    let segments = live.iter().map(priced).collect();
+    let (decision, mut split) = place(store, segments, table.is_sharded(), cpu, gpu, pcie);
+    let routed = split.device_shards.iter_mut().chain(&mut split.host_shards);
+    routed.for_each(|id| *id = live[*id]);
+    TablePlacement { decision, split }
+}
+
+/// Pinned by the benchmark harness (`e2e/src/sut.rs`), to go with its
+/// Step 0: the static [`choose_placement`] decision on the session's own
+/// device spec for a whole table described only by `d`'s row count and
+/// `enc`.
 pub fn choose_placement_session(
     sess: &DeviceSession<'_>,
     d: &SsbData,
@@ -356,231 +278,80 @@ pub fn choose_placement_session(
     enc: &FactEncodings,
     cpu: &CpuSpec,
     pcie: &PcieSpec,
-) -> PlacementChoice {
-    let resident = sess.resident_bytes(&working_set_keys(d, q, enc));
-    choose_placement_resident(None, d, q, enc, cpu, sess.spec(), pcie, resident).choice()
+) -> PlacementDecision {
+    let (rows, cols) = (d.lineorder.rows(), q.fact_columns());
+    let whole = FactTable::plain(d).segments()[0];
+    let stored = |&c| ColumnKey {
+        encoding: enc.get(c),
+        ..whole.key(c)
+    };
+    let keys: Vec<ColumnKey> = cols.iter().map(stored).collect();
+    let cost = ScanCost {
+        resident_bytes: sess.resident_bytes(&keys),
+        launch_secs: whole_table_launch_secs(d, rows, q, sess.spec()),
+        ..scan_cost(rows, enc, &cols)
+    };
+    place(None, vec![(rows, cost)], false, cpu, sess.spec(), pcie).0
 }
 
 /// Outcome of a placement-routed execution.
 pub struct PlacedRun {
-    pub choice: PlacementChoice,
+    pub placement: TablePlacement,
     pub result: QueryResult,
-    /// Present when the query actually ran in the coprocessor model.
-    pub copro: Option<CoproRun>,
+    /// Bytes the device side actually shipped over PCIe.
+    pub shipped_bytes: usize,
+    /// Segments that completed on the device (an OOM segment falls back to
+    /// the host).
+    pub device_segments_run: usize,
 }
 
-/// Executes a query wherever [`choose_placement_session`] routes it: the
-/// morsel-driven CPU executor on the host, or the PCIe-shipped GPU path
-/// through `sess` — over plain storage, or over `fact`'s encodings (the
-/// host's fused-unpack executor vs the packed-transfer GPU path).
-/// Residency accrued by earlier queries in the session steers later
-/// ones: cold, the routing is the paper's transfer-bound comparison;
-/// once a query's columns are warm it flips to the coprocessor and the
-/// execution ships only the uncached bytes. A device that cannot hold
-/// the working set falls back to the host pipeline instead of aborting
-/// the query.
+/// Executes `q` with per-segment placement on the session's own device
+/// spec: each device-routed segment runs through `sess` (and falls back to
+/// the host individually when its working set does not fit alongside what
+/// the session already holds, instead of aborting the query), the
+/// host-routed ones run through the morsel-driven executor, and the
+/// partial aggregates merge — aggregation is commutative addition, so the
+/// result is byte-identical to the whole table's on either side. The
+/// parts are the two public runs' own results ([`QueryResult::merge`]):
+/// neither job opens its accumulator to this module. Residency accrued by
+/// earlier queries in the session steers later ones: cold, the routing is
+/// the paper's transfer-bound comparison; once a segment's columns are
+/// warm it flips to the device and ships nothing.
 pub fn execute_placed(
     sess: &mut DeviceSession<'_>,
     pcie: &PcieSpec,
     cpu: &CpuSpec,
-    d: &SsbData,
-    fact: Option<&EncodedFact>,
+    table: &FactTable<'_>,
     q: &StarQuery,
     threads: usize,
 ) -> PlacedRun {
-    let enc = fact.map_or_else(FactEncodings::plain, EncodedFact::encodings);
-    let choice = choose_placement_session(sess, d, q, &enc, cpu, pcie);
-    let copro = match choice.placement {
-        Placement::Coprocessor => execute_session(sess, pcie, d, fact, q).ok(),
-        Placement::Host => None,
-    };
-    let result = match (&copro, fact) {
-        (Some(run), _) => run.gpu_run.result.clone(),
-        (None, None) => exec::execute(d, q, threads, PipelineMode::Vectorized).0,
-        (None, Some(fact)) => {
-            exec::execute_encoded(d, fact, q, threads, PipelineMode::Vectorized).0
-        }
-    };
-    PlacedRun {
-        choice,
-        result,
-        copro,
-    }
-}
-
-/// Per-shard placement over a partitioned fact table: each live (unpruned)
-/// shard is routed independently through the residency-aware bound, so hot
-/// shards run on the device while cold ones stay on the host — the two
-/// sides proceed concurrently, which is what makes the split worthwhile.
-pub struct ShardedChoice {
-    /// Shards that survive zone-map pruning, ascending.
-    pub live: Vec<usize>,
-    /// Live shards the bound routes to the device.
-    pub device_shards: Vec<usize>,
-    /// Live shards the bound keeps on the host.
-    pub host_shards: Vec<usize>,
-    /// Modeled device-side seconds across `device_shards`.
-    pub device_secs: f64,
-    /// Modeled host-side seconds across `host_shards`.
-    pub host_secs: f64,
-    /// Total device bound had every live shard run on the device — the
-    /// whole-query coprocessor alternative a scheduler compares against.
-    pub device_only_secs: f64,
-    /// Total host bound had every live shard run on the host.
-    pub host_only_secs: f64,
-    /// Whether any shard's bounds drew on measured history.
-    pub source: BoundsSource,
-    /// Total observations backing the consulted shard keys.
-    pub samples: u64,
-}
-
-impl ShardedChoice {
-    /// The hybrid completion time: both sides run concurrently, so the
-    /// query finishes when the slower side does.
-    pub fn hybrid_secs(&self) -> f64 {
-        self.device_secs.max(self.host_secs)
-    }
-
-    /// The whole-query summary of the split: the two all-on-one-side
-    /// totals, compared the way a scheduler that places whole queries
-    /// compares them.
-    pub fn decision(&self) -> PlacementDecision {
-        PlacementDecision {
-            placement: Placement::cheaper(self.device_only_secs, self.host_only_secs),
-            device_secs: self.device_only_secs,
-            host_secs: self.host_only_secs,
-            source: self.source,
-            samples: self.samples,
-        }
-    }
-}
-
-/// Routes each live shard of `pf` to device or host by the same
-/// residency-aware bound [`choose_placement_resident`] applies to the
-/// whole table — evaluated per shard, with residency read live from the
-/// session's cache under the shard-granular keys, and no launch term
-/// (the launch is paid once per query, whichever shards it covers). With
-/// a `store`, each shard is priced under its own shard-granular
-/// calibration key (cardinality band of the *shard's* rows, `sharded =
-/// true`, so whole-table history never aliases in).
-#[allow(clippy::too_many_arguments)]
-pub fn choose_placement_sharded(
-    store: Option<&CalibrationStore>,
-    sess: &DeviceSession<'_>,
-    d: &SsbData,
-    pf: &PartitionedFact,
-    q: &StarQuery,
-    cpu: &CpuSpec,
-    gpu: &GpuSpec,
-    pcie: &PcieSpec,
-) -> ShardedChoice {
-    let live = pf.live_shards(q);
-    let cols = q.fact_columns();
-    let (mut source, mut samples) = (BoundsSource::Static, 0);
-    let costs: Vec<ScanCost> = live
-        .iter()
-        .map(|&s| {
-            let (rows, mut cost) = shard_cost(pf.shard(s), &cols);
-            cost.resident_bytes = sess.resident_bytes(&shard_working_set_keys(d, pf, s, q));
-            let blend = blend_for(store, &cost, rows, true);
-            if blend.source == BoundsSource::Blended {
-                source = BoundsSource::Blended;
-            }
-            samples += blend.samples;
-            cost.factors = blend.factors;
-            cost
-        })
-        .collect();
-    let split = hybrid_shard_split(&costs, cpu, gpu, pcie);
-    ShardedChoice {
-        device_shards: split.device_shards.iter().map(|&i| live[i]).collect(),
-        host_shards: split.host_shards.iter().map(|&i| live[i]).collect(),
-        device_secs: split.device_secs,
-        host_secs: split.host_secs,
-        device_only_secs: split.device_only_secs,
-        host_only_secs: split.host_only_secs,
-        source,
-        samples,
-        live,
-    }
-}
-
-/// Outcome of a hybrid sharded execution.
-pub struct ShardedPlacedRun {
-    pub choice: ShardedChoice,
-    pub result: QueryResult,
-    /// Bytes the device side actually shipped over PCIe.
-    pub shipped_bytes: usize,
-    /// Shards that completed on the device (OOM shards fall back to host).
-    pub device_shards_run: usize,
-    /// Fact rows scanned after pruning, across both sides.
-    pub scanned_rows: usize,
-}
-
-/// Executes `q` over the partitioned fact table with per-shard placement:
-/// device-routed shards run through the session (and fall back to the
-/// host individually on OOM), host-routed shards run through the morsel
-/// executor, and the two partial aggregates merge — aggregation is
-/// commutative addition, so the merged result is byte-identical to the
-/// unsharded pipeline's.
-pub fn execute_placed_sharded(
-    sess: &mut DeviceSession<'_>,
-    pcie: &PcieSpec,
-    cpu: &CpuSpec,
-    d: &SsbData,
-    pf: &PartitionedFact,
-    q: &StarQuery,
-) -> ShardedPlacedRun {
-    let choice = choose_placement_sharded(None, sess, d, pf, q, cpu, sess.spec(), pcie);
+    let placement = choose_placement(None, sess, table, q, cpu, sess.spec(), pcie);
     let before = sess.stats().clone();
-    let mut groups = GroupAcc::new(q.group_domain());
-    let mut scanned_rows = 0usize;
-    let mut device_shards_run = 0usize;
-    let mut host_ids = choice.host_shards.clone();
-    for &s in &choice.device_shards {
-        match run_device_shard(sess, d, pf, s, q) {
-            Ok((shard_groups, rows)) => {
-                groups.merge(&shard_groups);
-                scanned_rows += rows;
-                device_shards_run += 1;
-            }
-            // This shard's working set does not fit alongside what the
-            // session already holds: run it on the host instead.
+    let mut host_ids = placement.split.host_shards.clone();
+    let mut parts = Vec::new();
+    for &s in &placement.split.device_shards {
+        match gpu::execute(sess, &table.subset(&[s]), q) {
+            Ok(run) => parts.push(run.result),
             Err(_) => host_ids.push(s),
         }
     }
+    let device_segments_run = parts.len();
     host_ids.sort_unstable();
-    if !host_ids.is_empty() {
-        let mut job = HostQueryJob::with_shards(d, pf, q, &host_ids, PipelineMode::Vectorized);
-        while !job.step(usize::MAX) {}
-        scanned_rows += job.rows_scanned();
-        groups.merge(&job.into_groups());
+    // With every segment pruned, the host run over none is the empty input.
+    if !host_ids.is_empty() || parts.is_empty() {
+        let host = table.subset(&host_ids);
+        parts.push(exec::execute(&host, q, threads, PipelineMode::Vectorized).0);
     }
-    ShardedPlacedRun {
-        choice,
-        result: groups.to_result(q),
+    let merged = parts.into_iter().reduce(|mut result, part| {
+        result.merge(part);
+        result
+    });
+    PlacedRun {
+        placement,
+        result: merged.expect("at least the host part ran"),
         shipped_bytes: sess.stats().uploaded_since(&before),
-        device_shards_run,
-        scanned_rows,
+        device_segments_run,
     }
-}
-
-/// Runs one shard to completion on the device — the one-segment device
-/// job — returning its groups and scanned row count. A [`SessionOom`] at
-/// admission leaves the session clean; once admitted a shard always
-/// completes.
-fn run_device_shard(
-    sess: &mut DeviceSession<'_>,
-    d: &SsbData,
-    pf: &PartitionedFact,
-    shard: usize,
-    q: &StarQuery,
-) -> Result<(GroupAcc, usize), SessionOom> {
-    let mut job = DeviceQueryJob::admit_shards(sess, d, pf, &[shard], q)?;
-    while !job.step(sess, usize::MAX)? {}
-    let rows = job.rows_scanned();
-    let groups = job.into_groups().expect("its one segment was admitted");
-    Ok((groups, rows))
 }
 
 /// What one executed query measured, for the calibration loop: the bytes
@@ -599,46 +370,37 @@ pub struct Measured {
 
 /// Records one executed query's measured component seconds into the
 /// store, against what the static model on the `model` (spec-sheet)
-/// profile predicted. A whole-table run (`pf = None`) is keyed under the
-/// table's rows and `enc`. A sharded run is one observation aggregated
-/// over `q`'s live shards under their own encodings (`enc` is not
-/// consulted), keyed under the mean live shard's cardinality band with
-/// `sharded = true` — shards are equal-range slices of the fact table,
-/// so the mean band is the band the split consults at decision time; a
-/// fully pruned query records nothing.
+/// profile predicted: one observation aggregated over `q`'s live segments
+/// under their own encodings, keyed under the mean live segment's
+/// cardinality band and the table's `sharded` bit — shards are
+/// equal-range slices of the fact table, so the mean band is the band the
+/// split consults at decision time; a fully pruned query records nothing.
 pub fn record_observation(
     store: &mut CalibrationStore,
     model: &HardwareProfile,
-    d: &SsbData,
-    pf: Option<&PartitionedFact>,
+    table: &FactTable<'_>,
     q: &StarQuery,
-    enc: &FactEncodings,
     m: &Measured,
 ) {
-    let (rows, cost) = match pf {
-        None => table_cost(d, q, enc),
-        Some(pf) => {
-            let live = pf.live_shards(q);
-            if live.is_empty() {
-                return;
-            }
-            let cols = q.fact_columns();
-            let (mut rows, mut total) = (0usize, ScanCost::default());
-            for &s in &live {
-                let (shard_rows, cost) = shard_cost(pf.shard(s), &cols);
-                rows += shard_rows;
-                total.packed_bytes += cost.packed_bytes;
-                total.packed_values += cost.packed_values;
-            }
-            (rows / live.len(), total)
-        }
-    };
+    let live = table.live(q);
+    if live.is_empty() {
+        return;
+    }
+    let cols = q.fact_columns();
+    let (mut rows, mut total) = (0usize, ScanCost::default());
+    for &i in &live {
+        let seg = table.segments()[i];
+        let cost = seg.cost(&cols);
+        rows += seg.rows();
+        total.packed_bytes += cost.packed_bytes;
+        total.packed_values += cost.packed_values;
+    }
     let obs = Observation {
-        rows,
-        enc: encoding_class(&cost),
-        sharded: pf.is_some(),
-        packed_bytes: cost.packed_bytes,
-        packed_values: cost.packed_values,
+        rows: rows / live.len(),
+        enc: encoding_class(&total),
+        sharded: table.is_sharded(),
+        packed_bytes: total.packed_bytes,
+        packed_values: total.packed_values,
         shipped_bytes: m.shipped_bytes,
         transfer_secs: m.transfer_secs,
         kernel_secs: m.kernel_secs,
@@ -650,8 +412,24 @@ pub fn record_observation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::EncodedFact;
+    use crate::engines::reference;
+    use crate::partition::PartitionedFact;
     use crate::queries::{all_queries, query, QueryId};
     use crystal_hardware::{intel_i7_6900, nvidia_v100, pcie_gen3};
+
+    /// The static decision on the session's own device.
+    fn placed(sess: &DeviceSession<'_>, table: &FactTable<'_>, q: &StarQuery) -> TablePlacement {
+        choose_placement(
+            None,
+            sess,
+            table,
+            q,
+            &intel_i7_6900(),
+            sess.spec(),
+            &pcie_gen3(),
+        )
+    }
 
     #[test]
     fn coprocessor_queries_are_transfer_bound() {
@@ -668,15 +446,15 @@ mod tests {
     }
 
     /// With PCIe Gen3 below DRAM bandwidth, the cost model routes every
-    /// query to the host — Section 3.1's conclusion, derived not assumed.
+    /// query on a cold device to the host — Section 3.1's conclusion,
+    /// derived not assumed.
     #[test]
     fn placement_routes_to_host_over_pcie_gen3() {
         let d = SsbData::generate_scaled(1, 0.002, 7);
-        let cpu = intel_i7_6900();
-        let pcie = pcie_gen3();
-        let plain = FactEncodings::plain();
+        let mut gpu = Gpu::new(nvidia_v100());
+        let cold = DeviceSession::new(&mut gpu);
         for q in all_queries(&d) {
-            let c = choose_placement(&d, &q, &plain, &cpu, &pcie);
+            let c = placed(&cold, &FactTable::plain(&d), &q).decision;
             assert_eq!(c.placement, Placement::Host, "{}", q.name);
             assert!(c.coprocessor_secs > c.host_secs, "{}", q.name);
         }
@@ -688,31 +466,31 @@ mod tests {
     /// and the routed result stays byte-identical to the oracle.
     #[test]
     fn compression_flips_placement_to_the_coprocessor() {
-        use crate::engines::reference;
         let d = SsbData::generate_scaled(1, 0.002, 7);
         let cpu = intel_i7_6900();
         let pcie = pcie_gen3();
         let enc = FactEncodings::packed_min(&d);
+        let fact = EncodedFact::encode(&d, &enc);
+        let table = FactTable::encoded(&d, &fact);
         let q = query(&d, QueryId::new(1, 1));
+        let mut gpu = Gpu::new(nvidia_v100());
+        let mut sess = DeviceSession::new(&mut gpu);
 
-        let plain = choose_placement(&d, &q, &FactEncodings::plain(), &cpu, &pcie);
+        let plain = placed(&sess, &FactTable::plain(&d), &q).decision;
         assert_eq!(plain.placement, Placement::Host);
-        let packed = choose_placement(&d, &q, &enc, &cpu, &pcie);
+        let packed = placed(&sess, &table, &q).decision;
         assert_eq!(packed.placement, Placement::Coprocessor);
         // The packed transfer bound is below the plain one by the ratio.
         assert!(packed.coprocessor_secs < plain.coprocessor_secs / 1.5);
 
-        let fact = EncodedFact::encode(&d, &enc);
-        let mut gpu = Gpu::new(nvidia_v100());
-        let mut sess = DeviceSession::new(&mut gpu);
-        let run = execute_placed(&mut sess, &pcie, &cpu, &d, Some(&fact), &q, 4);
-        assert_eq!(run.choice.placement, Placement::Coprocessor);
-        let copro = run.copro.expect("coprocessor run");
+        let run = execute_placed(&mut sess, &pcie, &cpu, &table, &q, 4);
+        assert_eq!(run.placement.decision.placement, Placement::Coprocessor);
+        assert_eq!(run.device_segments_run, 1);
         assert_eq!(
-            copro.shipped_bytes,
+            run.shipped_bytes,
             enc.columns_bytes(d.lineorder.rows(), &q.fact_columns())
         );
-        assert!(copro.shipped_bytes < q.fact_columns().len() * 4 * d.lineorder.rows());
+        assert!(run.shipped_bytes < q.fact_columns().len() * 4 * d.lineorder.rows());
         assert_eq!(run.result, reference::execute(&d, &q));
     }
 
@@ -723,19 +501,20 @@ mod tests {
     #[test]
     fn admit_oom_falls_back_to_the_host_byte_identically() {
         let d = SsbData::generate_scaled(1, 0.002, 7);
+        let table = FactTable::plain(&d);
         let cpu = intel_i7_6900();
         let mut link = pcie_gen3();
         link.bandwidth = cpu.read_bw * 4.0;
         let q = query(&d, QueryId::new(2, 1));
-        let expected = exec::execute(&d, &q, 4, PipelineMode::Vectorized).0;
+        let expected = exec::execute(&table, &q, 4, PipelineMode::Vectorized).0;
 
         let mut spec = nvidia_v100();
         spec.mem_capacity = 8 * 1024; // not even one fact column fits
         let mut gpu = Gpu::new(spec);
         let mut sess = DeviceSession::new(&mut gpu);
-        let run = execute_placed(&mut sess, &link, &cpu, &d, None, &q, 4);
-        assert_eq!(run.choice.placement, Placement::Coprocessor);
-        assert!(run.copro.is_none(), "device admission must have failed");
+        let run = execute_placed(&mut sess, &link, &cpu, &table, &q, 4);
+        assert_eq!(run.placement.decision.placement, Placement::Coprocessor);
+        assert_eq!(run.device_segments_run, 0, "device admission must fail");
         assert_eq!(run.result, expected, "host fallback diverged");
     }
 
@@ -745,8 +524,8 @@ mod tests {
     /// The routed warm execution ships zero bytes and matches the oracle.
     #[test]
     fn residency_flips_placement_to_the_coprocessor() {
-        use crate::engines::reference;
         let d = SsbData::generate_scaled(1, 0.002, 7);
+        let table = FactTable::plain(&d);
         let cpu = intel_i7_6900();
         let pcie = pcie_gen3();
         let q = query(&d, QueryId::new(1, 1));
@@ -758,28 +537,31 @@ mod tests {
         // Cold: the session holds nothing, so the routing is the paper's
         // Host conclusion and the query runs on the CPU (no residency is
         // accrued by a host run).
-        let cold = execute_placed(&mut sess, &pcie, &cpu, &d, None, &q, 4);
-        assert_eq!(cold.choice.placement, Placement::Host);
+        let cold = execute_placed(&mut sess, &pcie, &cpu, &table, &q, 4);
+        assert_eq!(cold.placement.decision.placement, Placement::Host);
+        assert_eq!((cold.device_segments_run, cold.shipped_bytes), (0, 0));
         assert_eq!(cold.result, expected);
 
         // Warm the working set (e.g. an operator pinned the stream's hot
         // columns, or a forced device run shipped them once).
-        let warm_run = execute_session(&mut sess, &pcie, &d, None, &q).unwrap();
+        let warm_run = execute(&mut sess, &pcie, &table, &q).unwrap();
         assert_eq!(warm_run.gpu_run.result, expected);
         assert!(warm_run.shipped_bytes > 0);
 
         // Warm: the same cost model now routes to the coprocessor, the
         // execution ships nothing, and the result is still the oracle's.
-        let warm = execute_placed(&mut sess, &pcie, &cpu, &d, None, &q, 4);
-        assert_eq!(warm.choice.placement, Placement::Coprocessor);
-        assert!(warm.choice.coprocessor_secs < warm.choice.host_secs);
-        let copro = warm.copro.expect("coprocessor run");
-        assert_eq!(copro.shipped_bytes, 0, "warm run ships nothing");
+        let warm = execute_placed(&mut sess, &pcie, &cpu, &table, &q, 4);
+        let decision = warm.placement.decision;
+        assert_eq!(decision.placement, Placement::Coprocessor);
+        assert!(decision.coprocessor_secs < decision.host_secs);
+        assert_eq!(warm.device_segments_run, 1);
+        assert_eq!(warm.shipped_bytes, 0, "warm run ships nothing");
+        assert_eq!(warm.result, expected);
+        let rerun = execute(&mut sess, &pcie, &table, &q).unwrap();
         assert!(
-            (copro.time.transfer - 0.0).abs() < 1e-18,
+            (rerun.time.transfer - 0.0).abs() < 1e-18,
             "zero simulated transfer time on fact columns"
         );
-        assert_eq!(warm.result, expected);
     }
 
     /// A hypothetical interconnect faster than DRAM flips the decision —
@@ -791,8 +573,66 @@ mod tests {
         let mut fast = pcie_gen3();
         fast.bandwidth = cpu.read_bw * 4.0;
         let q = query(&d, QueryId::new(1, 1));
-        let c = choose_placement(&d, &q, &FactEncodings::plain(), &cpu, &fast);
-        assert_eq!(c.placement, Placement::Coprocessor);
+        let mut gpu = Gpu::new(nvidia_v100());
+        let cold = DeviceSession::new(&mut gpu);
+        let table = FactTable::plain(&d);
+        let c = choose_placement(None, &cold, &table, &q, &cpu, cold.spec(), &fast);
+        assert_eq!(c.decision.placement, Placement::Coprocessor);
+    }
+
+    /// The decisions the unified [`choose_placement`] has to meet, bit for
+    /// bit: both seconds of the whole-table bound (cold and warm session,
+    /// plain and packed) and of the summed per-shard bounds (8 shards, cold
+    /// and with every other live shard warm), captured at commit 765544f
+    /// from `choose_placement_resident` and
+    /// `choose_placement_sharded(..).decision()`.
+    #[test]
+    fn placement_matches_the_bounds_pinned_before_the_fold() {
+        #[rustfmt::skip]
+        const PINNED: [(&str, [(u64, u64); 6]); 3] = [
+            ("q1.1", [
+                (0x3eff7a6eb10da98c, 0x3ede63903b3fde96), (0x3e9ea0447fab0dcd, 0x3ede63903b3fde96),
+                (0x3eeb1356c9e63d8c, 0x3ef3a92a30553261), (0x3e8bd9a54d56f5db, 0x3ef3a92a30553261),
+                (0x3ed251914232299e, 0x3eb1b24c91184ed8), (0x3e710d8f99c84bfa, 0x3eb1b24c91184ed8),
+            ]),
+            ("q2.1", [
+                (0x3eff7a6eb10da98c, 0x3ede63903b3fde96), (0x3e9ea0447fab0dcd, 0x3ede63903b3fde96),
+                (0x3ef2350bd06dc124, 0x3ef3a92a30553261), (0x3e92459c1e45abad, 0x3ef3a92a30553261),
+                (0x3eff75104d551d69, 0x3ede63903b3fde95), (0x3eefbbe7ff2897be, 0x3ede63903b3fde95),
+            ]),
+            ("q4.3", [
+                (0x3f079a7b6bdc1c21, 0x3ee6caac2c6fe6f0), (0x3ea6a24d24378829, 0x3ee6caac2c6fe6f0),
+                (0x3efacf0e4593072e, 0x3efd7dbf487fcb92), (0x3e9a477b0810dd0e, 0x3efd7dbf487fcb92),
+                (0x3f0797cc39ffd60e, 0x3ee6caac2c6fe6f0), (0x3ef7ccedff5e71ce, 0x3ee6caac2c6fe6f0),
+            ]),
+        ];
+        let d = SsbData::generate_scaled(1, 0.004, 20_260_927);
+        let fact = EncodedFact::encode(&d, &FactEncodings::packed_min(&d));
+        let pf = PartitionedFact::partition(&d, 8, &FactEncodings::plain());
+        let tables = [
+            FactTable::plain(&d),
+            FactTable::encoded(&d, &fact),
+            FactTable::sharded(&d, &pf),
+        ];
+        let queries = all_queries(&d);
+        for (name, pinned) in PINNED {
+            let q = queries.iter().find(|q| q.name == name).unwrap();
+            let mut got = Vec::new();
+            for table in &tables {
+                let mut gpu = Gpu::new(nvidia_v100());
+                let mut sess = DeviceSession::new(&mut gpu);
+                let cold = placed(&sess, table, q);
+                // The whole table, or every other live shard.
+                for s in table.live(q).into_iter().step_by(2) {
+                    gpu::execute(&mut sess, &table.subset(&[s]), q).unwrap();
+                }
+                for decision in [cold.decision, placed(&sess, table, q).decision] {
+                    let bits = |secs: f64| secs.to_bits();
+                    got.push((bits(decision.coprocessor_secs), bits(decision.host_secs)));
+                }
+            }
+            assert_eq!(got, pinned, "{name}: (coprocessor, host) seconds moved");
+        }
     }
 
     /// Per-shard residency splits one query across both processors: warm
@@ -804,63 +644,66 @@ mod tests {
         let cpu = intel_i7_6900();
         let pcie = pcie_gen3();
         let pf = PartitionedFact::partition(&d, 4, &FactEncodings::plain());
+        let table = FactTable::sharded(&d, &pf);
         // q2.1 filters only through dimensions: every shard stays live.
         let q = query(&d, QueryId::new(2, 1));
-        let expected = exec::execute(&d, &q, 4, PipelineMode::Vectorized).0;
+        let expected = reference::execute(&d, &q);
 
         let mut gpu = Gpu::new(nvidia_v100());
         let mut sess = DeviceSession::new(&mut gpu);
 
         // Cold: nothing resident, so every live shard routes to the host
         // — the whole-table Gen3 conclusion, reproduced shard-wise.
-        let cold = choose_placement_sharded(None, &sess, &d, &pf, &q, &cpu, sess.spec(), &pcie);
-        assert_eq!(cold.live.len(), pf.shard_count());
-        assert!(cold.device_shards.is_empty());
-        assert_eq!(cold.host_shards, cold.live);
+        let cold = placed(&sess, &table, &q);
+        assert!(cold.split.device_shards.is_empty());
+        assert_eq!(cold.split.host_shards, table.live(&q));
+        assert_eq!(table.live(&q).len(), pf.shard_count());
 
         // Warm shards 0 and 2 on the device.
         for s in [0usize, 2] {
-            run_device_shard(&mut sess, &d, &pf, s, &q).unwrap();
+            gpu::execute(&mut sess, &table.subset(&[s]), &q).unwrap();
         }
 
         // Warm: exactly the warmed shards flip to the device, and the
         // hybrid (concurrent max) beats running everything on the host.
-        let warm = choose_placement_sharded(None, &sess, &d, &pf, &q, &cpu, sess.spec(), &pcie);
-        assert_eq!(warm.device_shards, vec![0, 2]);
-        assert_eq!(warm.host_shards, vec![1, 3]);
-        assert!(warm.hybrid_secs() < cold.host_secs);
+        let warm = placed(&sess, &table, &q);
+        assert_eq!(warm.split.device_shards, vec![0, 2]);
+        assert_eq!(warm.split.host_shards, vec![1, 3]);
+        assert!(warm.split.hybrid_secs() < cold.split.host_secs);
 
-        let run = execute_placed_sharded(&mut sess, &pcie, &cpu, &d, &pf, &q);
-        assert_eq!(run.device_shards_run, 2);
+        let run = execute_placed(&mut sess, &pcie, &cpu, &table, &q, 4);
+        assert_eq!(run.device_segments_run, 2);
         assert_eq!(run.shipped_bytes, 0, "warm shards ship nothing");
-        assert_eq!(run.scanned_rows, d.lineorder.rows());
         assert_eq!(run.result, expected);
     }
 
     /// Zone-map pruning composes with hybrid placement: a date-filtered
-    /// query scans only the live shards' rows and still merges to the
-    /// unsharded answer.
+    /// query places only the live shards and still merges to the unsharded
+    /// answer — as does one whose every shard is pruned.
     #[test]
     fn sharded_placement_prunes_before_placing() {
+        use crate::plan::{FactCol, FactPred};
         let d = SsbData::generate_scaled(1, 0.004, 11);
         let cpu = intel_i7_6900();
         let pcie = pcie_gen3();
         let pf = PartitionedFact::partition(&d, 8, &FactEncodings::plain());
-        let q = query(&d, QueryId::new(1, 1)); // one-year date predicate
-        let expected = exec::execute(&d, &q, 4, PipelineMode::Vectorized).0;
-
+        let table = FactTable::sharded(&d, &pf);
+        let mut q = query(&d, QueryId::new(1, 1)); // one-year date predicate
         let mut gpu = Gpu::new(nvidia_v100());
         let mut sess = DeviceSession::new(&mut gpu);
-        let choice = choose_placement_sharded(None, &sess, &d, &pf, &q, &cpu, sess.spec(), &pcie);
-        assert!(
-            choice.live.len() < pf.shard_count(),
-            "a one-year predicate must prune some of 8 shards over 7 years"
-        );
-
-        let run = execute_placed_sharded(&mut sess, &pcie, &cpu, &d, &pf, &q);
-        assert_eq!(run.scanned_rows, pf.live_rows(&q));
-        assert!(run.scanned_rows < d.lineorder.rows());
-        assert_eq!(run.result, expected);
+        for live_after in ["some shards", "none"] {
+            let expected = reference::execute(&d, &q);
+            let run = execute_placed(&mut sess, &pcie, &cpu, &table, &q, 4);
+            let mut routed = run.placement.split.device_shards.clone();
+            routed.extend(&run.placement.split.host_shards);
+            routed.sort_unstable();
+            assert_eq!(routed, table.live(&q), "every live shard runs once");
+            assert!(routed.len() < pf.shard_count(), "{live_after}");
+            assert_eq!(run.result, expected, "{live_after}");
+            q.fact_preds
+                .push(FactPred::between(FactCol::OrderDate, 30000101, 30001231));
+        }
+        assert!(table.live(&q).is_empty());
     }
 
     /// A shard the cost model routes to the device but that no longer
@@ -870,44 +713,38 @@ mod tests {
     /// answer instead of erroring.
     #[test]
     fn device_shard_oom_falls_back_to_the_host() {
-        use crystal_runtime::HostCol;
-        use crystal_storage::encoding::EncodedColumn;
-
         let d = SsbData::generate_scaled(1, 0.004, 11);
         let cpu = intel_i7_6900();
         let pcie = pcie_gen3();
         let pf = PartitionedFact::partition(&d, 4, &FactEncodings::plain());
+        let table = FactTable::sharded(&d, &pf);
         let q = query(&d, QueryId::new(2, 1));
-        let expected = exec::execute(&d, &q, 4, PipelineMode::Vectorized).0;
+        let expected = reference::execute(&d, &q);
         let cols = q.fact_columns();
+        let shard0 = table.segments()[0];
 
         // Device capacity = shard 0's fact columns + 1 KiB: warming the
         // columns fits exactly, but admission (columns pinned + hash
         // tables) cannot — the typed OOM comes from physical capacity,
         // not the soft cache budget.
         let mut spec = nvidia_v100();
-        spec.mem_capacity = pf.shard(0).columns_bytes(&cols) + 1024;
+        spec.mem_capacity = shard0.cost(&cols).packed_bytes + 1024;
         let mut gpu = Gpu::new(spec);
         let mut sess = DeviceSession::with_budget(&mut gpu, usize::MAX);
         let qid = sess.begin_query();
         for &c in &cols {
-            let key = gpu::shard_column_key(&d, 0, c, pf.shard(0).encoded());
-            match pf.shard(0).encoded().encoded(c) {
-                EncodedColumn::Plain(v) => sess.pin_column(qid, key, HostCol::Plain(v)).unwrap(),
-                EncodedColumn::Packed(p) => sess.pin_column(qid, key, HostCol::Packed(p)).unwrap(),
-            };
+            sess.pin_column(qid, shard0.key(c), shard0.host_col(c))
+                .unwrap();
         }
         sess.end_query(qid);
 
         // The model sees shard 0 fully resident and routes it to the
         // device; execution discovers the working set no longer fits.
-        let choice = choose_placement_sharded(None, &sess, &d, &pf, &q, &cpu, sess.spec(), &pcie);
-        assert_eq!(choice.device_shards, vec![0]);
+        assert_eq!(placed(&sess, &table, &q).split.device_shards, vec![0]);
 
         let evictions_before = sess.stats().evictions;
-        let run = execute_placed_sharded(&mut sess, &pcie, &cpu, &d, &pf, &q);
-        assert_eq!(run.device_shards_run, 0, "the OOM shard ran on the host");
-        assert_eq!(run.scanned_rows, d.lineorder.rows());
+        let run = execute_placed(&mut sess, &pcie, &cpu, &table, &q, 4);
+        assert_eq!(run.device_segments_run, 0, "the OOM shard ran on the host");
         assert_eq!(run.result, expected);
         // The failed admission released its pins without evicting the
         // warm columns (they were the only residents and stayed pinned
@@ -922,46 +759,53 @@ mod tests {
     fn cold_store_reproduces_static_placement_bit_for_bit() {
         let d = SsbData::generate_scaled(1, 0.004, 11);
         let cpu = intel_i7_6900();
-        let gpu = nvidia_v100();
+        let spec = nvidia_v100();
         let pcie = pcie_gen3();
         let store = CalibrationStore::new();
-        for enc in [FactEncodings::plain(), FactEncodings::packed_min(&d)] {
+        let fact = EncodedFact::encode(&d, &FactEncodings::packed_min(&d));
+        let pf = PartitionedFact::partition(&d, 4, &FactEncodings::plain());
+        let tables = [
+            FactTable::plain(&d),
+            FactTable::encoded(&d, &fact),
+            FactTable::sharded(&d, &pf),
+        ];
+        for table in &tables {
             for q in all_queries(&d) {
-                let ws = enc.columns_bytes(d.lineorder.rows(), &q.fact_columns());
-                for resident in [0, ws / 2, ws] {
-                    let place = |store| {
-                        choose_placement_resident(store, &d, &q, &enc, &cpu, &gpu, &pcie, resident)
-                    };
+                let mut device = Gpu::new(nvidia_v100());
+                let mut sess = DeviceSession::new(&mut device);
+                // Nothing resident, then every other column of every
+                // other live segment, then all of them.
+                for stride in [None, Some(2), Some(1)] {
+                    let qid = sess.begin_query();
+                    for &s in table.live(&q).iter().step_by(stride.unwrap_or(usize::MAX)) {
+                        let seg = table.segments()[s];
+                        for &c in q.fact_columns().iter().step_by(stride.unwrap_or(1)) {
+                            sess.pin_column(qid, seg.key(c), seg.host_col(c)).unwrap();
+                        }
+                    }
+                    sess.end_query(qid);
+                    let place =
+                        |store| choose_placement(store, &sess, table, &q, &cpu, &spec, &pcie);
                     let (stat, cal) = (place(None), place(Some(&store)));
-                    assert_eq!(cal.placement, stat.placement, "{}", q.name);
-                    assert_eq!(cal.device_secs.to_bits(), stat.device_secs.to_bits());
-                    assert_eq!(cal.host_secs.to_bits(), stat.host_secs.to_bits());
-                    assert_eq!((cal.source, cal.samples), (BoundsSource::Static, 0));
+                    assert_eq!(cal.decision.placement, stat.decision.placement);
+                    assert_eq!(cal.split.device_shards, stat.split.device_shards);
+                    assert_eq!(cal.split.host_shards, stat.split.host_shards);
+                    for (c, s) in [
+                        (cal.split.device_secs, stat.split.device_secs),
+                        (cal.split.host_secs, stat.split.host_secs),
+                        (
+                            cal.decision.coprocessor_secs,
+                            stat.decision.coprocessor_secs,
+                        ),
+                        (cal.decision.host_secs, stat.decision.host_secs),
+                    ] {
+                        assert_eq!(c.to_bits(), s.to_bits(), "{}", q.name);
+                    }
+                    let provenance = (cal.decision.source, cal.decision.samples);
+                    assert_eq!(provenance, (BoundsSource::Static, 0));
                 }
             }
         }
-
-        let pf = PartitionedFact::partition(&d, 4, &FactEncodings::plain());
-        let q = query(&d, QueryId::new(2, 1));
-        let mut device = Gpu::new(nvidia_v100());
-        let mut sess = DeviceSession::new(&mut device);
-        for s in [0usize, 2] {
-            run_device_shard(&mut sess, &d, &pf, s, &q).unwrap();
-        }
-        let split =
-            |store| choose_placement_sharded(store, &sess, &d, &pf, &q, &cpu, sess.spec(), &pcie);
-        let (stat, cal) = (split(None), split(Some(&store)));
-        assert_eq!(cal.device_shards, stat.device_shards);
-        assert_eq!(cal.host_shards, stat.host_shards);
-        for (c, s) in [
-            (cal.device_secs, stat.device_secs),
-            (cal.host_secs, stat.host_secs),
-            (cal.device_only_secs, stat.device_only_secs),
-            (cal.host_only_secs, stat.host_only_secs),
-        ] {
-            assert_eq!(c.to_bits(), s.to_bits());
-        }
-        assert_eq!((cal.source, cal.samples), (BoundsSource::Static, 0));
     }
 
     /// Observed executions on a machine whose PCIe link runs at half
@@ -972,12 +816,17 @@ mod tests {
         let d = SsbData::generate_scaled(1, 0.002, 7);
         let model = crystal_hardware::table2_profile();
         let enc = FactEncodings::packed_min(&d);
+        let fact = EncodedFact::encode(&d, &enc);
+        let table = FactTable::encoded(&d, &fact);
         let q = query(&d, QueryId::new(1, 1));
+        let mut gpu = Gpu::new(model.gpu.clone());
+        let cold = DeviceSession::new(&mut gpu);
 
         // Premise: the static compression-aware model routes this query
         // to the device (the compression flip).
         let place = |store| {
-            choose_placement_resident(store, &d, &q, &enc, &model.cpu, &model.gpu, &model.pcie, 0)
+            let (cpu, spec, pcie) = (&model.cpu, &model.gpu, &model.pcie);
+            choose_placement(store, &cold, &table, &q, cpu, spec, pcie).decision
         };
         let stat = place(None);
         assert_eq!(stat.placement, Placement::Coprocessor);
@@ -994,12 +843,12 @@ mod tests {
                 kernel_secs: Some(1e-6),
                 host_secs: None,
             };
-            record_observation(&mut store, &model, &d, None, &q, &enc, &measured);
+            record_observation(&mut store, &model, &table, &q, &measured);
         }
         let cal = place(Some(&store));
         assert_eq!(cal.source, BoundsSource::Blended);
         assert!(cal.samples >= 20);
-        assert!(cal.device_secs > stat.device_secs * 1.5);
+        assert!(cal.coprocessor_secs > stat.coprocessor_secs * 1.5);
         assert_eq!(
             cal.placement,
             Placement::Host,
@@ -1007,27 +856,29 @@ mod tests {
         );
     }
 
-    /// Both placement targets compute the same answer as the oracle.
+    /// The pinned shim prices a table it is only told the encodings of
+    /// exactly as [`choose_placement`] prices the table itself.
     #[test]
-    fn placed_execution_matches_reference_either_way() {
-        use crate::engines::reference;
-        let d = SsbData::generate_scaled(1, 0.004, 11);
-        let mut gpu = Gpu::new(nvidia_v100());
-        let cpu = intel_i7_6900();
-        let pcie = pcie_gen3();
-        let mut fast = pcie_gen3();
-        fast.bandwidth = cpu.read_bw * 4.0;
-        for q in all_queries(&d).into_iter().take(4) {
-            let expected = reference::execute(&d, &q);
-            let mut cold = DeviceSession::new(&mut gpu);
-            let host = execute_placed(&mut cold, &pcie, &cpu, &d, None, &q, 4);
-            assert_eq!(host.choice.placement, Placement::Host);
-            assert!(host.copro.is_none());
-            assert_eq!(host.result, expected, "{} host placement", q.name);
-            let dev = execute_placed(&mut cold, &fast, &cpu, &d, None, &q, 4);
-            assert_eq!(dev.choice.placement, Placement::Coprocessor);
-            assert!(dev.copro.is_some());
-            assert_eq!(dev.result, expected, "{} coprocessor placement", q.name);
+    fn session_shim_prices_encodings_like_the_table() {
+        let d = SsbData::generate_scaled(1, 0.002, 7);
+        let (cpu, pcie) = (intel_i7_6900(), pcie_gen3());
+        let fact = EncodedFact::encode(&d, &FactEncodings::packed_min(&d));
+        let q = query(&d, QueryId::new(3, 1));
+        for table in [FactTable::plain(&d), FactTable::encoded(&d, &fact)] {
+            let enc = table.segments()[0].encodings();
+            let mut gpu = Gpu::new(nvidia_v100());
+            let mut sess = DeviceSession::new(&mut gpu);
+            for _ in 0..2 {
+                let shim = choose_placement_session(&sess, &d, &q, &enc, &cpu, &pcie);
+                let whole = placed(&sess, &table, &q).decision;
+                assert_eq!(shim.placement, whole.placement);
+                assert_eq!(
+                    shim.coprocessor_secs.to_bits(),
+                    whole.coprocessor_secs.to_bits()
+                );
+                assert_eq!(shim.host_secs.to_bits(), whole.host_secs.to_bits());
+                gpu::execute(&mut sess, &table, &q).unwrap();
+            }
         }
     }
 }

@@ -12,45 +12,32 @@
 //! fused-pipeline advantage over the operator-at-a-time engine
 //! ([`super::monet`]).
 //!
-//! [`execute`] lowers onto the shared morsel-driven executor
-//! ([`crate::exec`]) in [`PipelineMode::Vectorized`]; [`execute_encoded`]
-//! runs the same pipeline directly on a bit-packed fact table (fused
-//! unpack-and-compare kernels, no decompression). The pre-executor
-//! static-partition schedule survives as [`execute_scoped`] — since the
-//! executor rework it is a thin delegation to the *same* pipeline under
-//! `Schedule::Scoped`, kept so the scorecard's morsel-vs-scoped band can
-//! compare the two schedules on identical code.
+//! This module is two names the benchmark harness pins
+//! (`e2e/src/sut.rs`), to go with its Step 0: the engine itself is
+//! [`exec::execute`] in [`PipelineMode::Vectorized`] over a [`FactTable`].
 
 use crate::data::SsbData;
 use crate::encoding::EncodedFact;
 use crate::engines::QueryTrace;
 use crate::exec::{self, PipelineMode};
 use crate::plan::StarQuery;
+use crate::table::FactTable;
 use crate::QueryResult;
 
-/// Executes a query; returns its result and trace.
+/// Pinned shim: the vectorized executor over the plain table.
 pub fn execute(d: &SsbData, q: &StarQuery, threads: usize) -> (QueryResult, QueryTrace) {
-    exec::execute(d, q, threads, PipelineMode::Vectorized)
+    exec::execute(&FactTable::plain(d), q, threads, PipelineMode::Vectorized)
 }
 
-/// Executes a query directly on an encoded fact table (packed columns run
-/// the fused unpack kernels; results are byte-identical to [`execute`]).
+/// Pinned shim: the vectorized executor over an encoded table.
 pub fn execute_encoded(
     d: &SsbData,
     fact: &EncodedFact,
     q: &StarQuery,
     threads: usize,
 ) -> (QueryResult, QueryTrace) {
-    exec::execute_encoded(d, fact, q, threads, PipelineMode::Vectorized)
-}
-
-/// The pre-morsel scheduling: fact table range-partitioned across scoped
-/// threads, one static partition per core. The pipeline itself is the
-/// executor's — this entry point only changes the schedule — so results
-/// and traces are identical to [`execute`] and only the work distribution
-/// differs.
-pub fn execute_scoped(d: &SsbData, q: &StarQuery, threads: usize) -> (QueryResult, QueryTrace) {
-    exec::execute_scoped(d, q, threads)
+    let table = FactTable::encoded(d, fact);
+    exec::execute(&table, q, threads, PipelineMode::Vectorized)
 }
 
 #[cfg(test)]
@@ -111,7 +98,13 @@ mod tests {
         let d = SsbData::generate_scaled(1, 0.003, 19);
         for q in all_queries(&d) {
             let (morsel_r, morsel_t) = execute(&d, &q, 4);
-            let (scoped_r, scoped_t) = execute_scoped(&d, &q, 4);
+            let (scoped_r, scoped_t) = exec::execute_with(
+                &FactTable::plain(&d),
+                &q,
+                4,
+                PipelineMode::Vectorized,
+                exec::Schedule::Scoped,
+            );
             assert_eq!(morsel_r, scoped_r, "{} result diverged", q.name);
             assert_eq!(
                 morsel_t.pred_survivors, scoped_t.pred_survivors,

@@ -18,15 +18,14 @@
 //! requested from the session's cache (uploaded once, reused while
 //! resident) and dimension hash tables are memoized by build-side
 //! fingerprint — a warm session spends zero transfer time and runs no
-//! build kernels. The [`execute`]/[`execute_encoded`] entry points wrap a
-//! transient session, reproducing the old upload/execute/free lifecycle;
-//! the `*_session` variants are the residency-aware paths a query stream
+//! build kernels. A fresh session is the old upload/execute/free
+//! lifecycle; a kept one is the residency-aware path a query stream
 //! drives.
 //!
-//! Every entry point is one job type driven to completion:
-//! [`DeviceQueryJob`], a resumable scan over a list of segments — the
-//! whole table is one, a partitioned table one per live shard — with one
-//! group accumulator (`engines::GroupAcc`) for the whole job. What a job
+//! [`execute`] is one job type driven to completion: [`DeviceQueryJob`], a
+//! resumable scan over the live segments of a [`FactTable`] — the whole
+//! table is one, a partitioned table one per live shard — with one group
+//! accumulator (`engines::GroupAcc`) for the whole job. What a job
 //! costs on the host follows the events it simulates (rows scanned, keys
 //! inserted, groups touched), not the capacity of its structures: the
 //! group table on the device is a reservation of addresses with no host
@@ -42,9 +41,7 @@ use crystal_gpu_sim::fused::FusedStarKernel;
 use crystal_gpu_sim::mem::DeviceBuffer;
 use crystal_gpu_sim::stats::KernelReport;
 use crystal_gpu_sim::stream::CopyEvents;
-use crystal_gpu_sim::Gpu;
-use crystal_runtime::{ColumnKey, DeviceCol, DeviceSession, HostCol, SessionOom};
-use crystal_storage::encoding::EncodedColumn;
+use crystal_runtime::{DeviceCol, DeviceSession, SessionOom};
 
 use crate::data::SsbData;
 use crate::encoding::EncodedFact;
@@ -54,38 +51,8 @@ use crate::engines::{
 };
 use crate::partition::PartitionedFact;
 use crate::plan::{FactCol, StarQuery};
+use crate::table::{FactSegment, FactTable};
 use crate::QueryResult;
-
-/// The session cache key of one fact column under one encoding. The key
-/// carries the dataset's content fingerprint, so a session shared by
-/// tenants replaying different datasets cannot alias their columns.
-pub fn column_key(d: &SsbData, col: FactCol, fact: Option<&EncodedFact>) -> ColumnKey {
-    let encoding = match fact {
-        None => crystal_storage::encoding::Encoding::Plain,
-        Some(f) => f.encoded(col).encoding(),
-    };
-    ColumnKey {
-        dataset: d.fingerprint(),
-        col: col.index() as u32,
-        encoding,
-    }
-}
-
-/// The session cache key of one **shard's** column: the shard index is
-/// packed into the key's `col` field above the 4 bits the nine plain
-/// column indices occupy, so every shard is an independent residency
-/// unit — GreedyDual-Size arbitrates *which shards* stay device-resident
-/// under a budget smaller than the sharded working set, instead of
-/// treating the fact table as one indivisible column set. Shard keys
-/// start at `col = 16`, so they can never alias the unsharded keys of
-/// the same dataset.
-pub fn shard_column_key(d: &SsbData, shard: usize, col: FactCol, fact: &EncodedFact) -> ColumnKey {
-    ColumnKey {
-        dataset: d.fingerprint(),
-        col: ((shard as u32 + 1) << 4) | col.index() as u32,
-        encoding: fact.encoded(col).encoding(),
-    }
-}
 
 /// Outcome of a GPU query execution.
 pub struct GpuRun {
@@ -122,84 +89,21 @@ impl GpuRun {
     }
 }
 
-/// Executes one query on the simulated GPU over plain 4-byte columns,
-/// with the old upload/execute/free lifecycle (a transient session).
-/// Returns the typed [`SessionOom`] when the query's working set cannot
-/// fit the device — small device configs surface the error instead of
-/// aborting the process.
-pub fn execute(gpu: &mut Gpu, d: &SsbData, q: &StarQuery) -> Result<GpuRun, SessionOom> {
-    let mut sess = DeviceSession::new(gpu);
-    execute_session(&mut sess, d, q)
-}
-
-/// Executes one query through a (possibly warm) session over plain
-/// columns. Fallible under memory pressure, like [`execute`].
-pub fn execute_session(
-    sess: &mut DeviceSession<'_>,
-    d: &SsbData,
-    q: &StarQuery,
-) -> Result<GpuRun, SessionOom> {
-    execute_on(sess, d, None, q)
-}
-
-/// Executes one query on the simulated GPU directly over an encoded fact
-/// table (transient session): packed columns ship and stay as packed
-/// words, and the kernel unpacks tiles in registers. Fallible under
-/// memory pressure, like [`execute`].
-pub fn execute_encoded(
-    gpu: &mut Gpu,
-    d: &SsbData,
-    fact: &EncodedFact,
-    q: &StarQuery,
-) -> Result<GpuRun, SessionOom> {
-    let mut sess = DeviceSession::new(gpu);
-    execute_encoded_session(&mut sess, d, fact, q)
-}
-
-/// [`execute_encoded`] through a (possibly warm) session.
-pub fn execute_encoded_session(
-    sess: &mut DeviceSession<'_>,
-    d: &SsbData,
-    fact: &EncodedFact,
-    q: &StarQuery,
-) -> Result<GpuRun, SessionOom> {
-    fact.check_scale(d);
-    execute_on(sess, d, Some(fact), q)
-}
-
-/// The shared kernel body: a [`DeviceQueryJob`] over the one segment of the
-/// whole table, admitted and driven to completion, so the run-to-completion
-/// engines and the resumable concurrent frontend execute byte-for-byte the
-/// same pipeline. Admission failure propagates as the session's typed
-/// [`SessionOom`].
-fn execute_on(
-    sess: &mut DeviceSession<'_>,
-    d: &SsbData,
-    fact: Option<&EncodedFact>,
-    q: &StarQuery,
-) -> Result<GpuRun, SessionOom> {
-    let job = DeviceQueryJob::admit(sess, d, fact, q)?;
-    run_to_completion(sess, job)
-}
-
-/// Runs a sharded query through a (possibly warm) session to completion:
-/// the sharded sibling of [`execute_session`]. A mid-query shard
-/// admission OOM abandons the device work and surfaces the typed error
+/// Executes one query on the simulated GPU through a (fresh or warm)
+/// session over the live segments of `table`: a [`DeviceQueryJob`] admitted
+/// and driven to completion, so the run-to-completion engine and the
+/// resumable concurrent frontend execute byte-for-byte the same pipeline.
+/// Packed columns ship and stay as packed words, and the kernel unpacks
+/// tiles in registers. Returns the typed [`SessionOom`] when a segment's
+/// working set cannot fit the device — small device configs surface the
+/// error instead of aborting the process — with the device work abandoned
 /// (the copro path then restarts the query on the host).
-pub fn execute_partitioned_session(
+pub fn execute(
     sess: &mut DeviceSession<'_>,
-    d: &SsbData,
-    pf: &PartitionedFact,
+    table: &FactTable<'_>,
     q: &StarQuery,
 ) -> Result<GpuRun, SessionOom> {
-    let job = DeviceQueryJob::admit_partitioned(sess, d, pf, q)?;
-    run_to_completion(sess, job)
-}
-
-fn run_to_completion(
-    sess: &mut DeviceSession<'_>,
-    mut job: DeviceQueryJob<'_>,
-) -> Result<GpuRun, SessionOom> {
+    let mut job = DeviceQueryJob::admit(sess, table, q)?;
     loop {
         match job.step(sess, usize::MAX) {
             Ok(true) => return Ok(job.finish()),
@@ -212,52 +116,40 @@ fn run_to_completion(
     }
 }
 
-/// One contiguous run of fact rows a device job scans: the whole table —
-/// plain, or under one encoding — whose columns are cached under the
-/// dataset's [`column_key`]s, or one shard of a partitioned table, cached
-/// under its own [`shard_column_key`]s.
-#[derive(Clone, Copy)]
-enum Segment<'a> {
-    Table(Option<&'a EncodedFact>),
-    Shard(usize, &'a EncodedFact),
+/// Pinned by the benchmark harness (`e2e/src/sut.rs`), to go with its
+/// Step 0: [`execute`] over the plain table.
+pub fn execute_session(
+    sess: &mut DeviceSession<'_>,
+    d: &SsbData,
+    q: &StarQuery,
+) -> Result<GpuRun, SessionOom> {
+    execute(sess, &FactTable::plain(d), q)
 }
 
-impl<'a> Segment<'a> {
-    fn rows(&self, d: &SsbData) -> usize {
-        match self {
-            Segment::Table(_) => d.lineorder.rows(),
-            Segment::Shard(_, fact) => fact.rows(),
-        }
-    }
-
-    fn key(&self, d: &SsbData, col: FactCol) -> ColumnKey {
-        match *self {
-            Segment::Table(fact) => column_key(d, col, fact),
-            Segment::Shard(shard, fact) => shard_column_key(d, shard, col, fact),
-        }
-    }
-
-    /// The host copy of one column. An encoded segment resolves every
-    /// column from its encoded table (not from `d`), so the two cannot
-    /// silently disagree about plain columns' data.
-    fn host_col(&self, d: &'a SsbData, col: FactCol) -> HostCol<'a> {
-        let fact = match *self {
-            Segment::Table(fact) => fact,
-            Segment::Shard(_, fact) => Some(fact),
-        };
-        match fact.map(|f| f.encoded(col)) {
-            None => HostCol::Plain(col.data(d)),
-            Some(EncodedColumn::Plain(v)) => HostCol::Plain(v),
-            Some(EncodedColumn::Packed(p)) => HostCol::Packed(p),
-        }
-    }
+/// Pinned like [`execute_session`]: [`execute`] over an encoded table.
+pub fn execute_encoded_session(
+    sess: &mut DeviceSession<'_>,
+    d: &SsbData,
+    fact: &EncodedFact,
+    q: &StarQuery,
+) -> Result<GpuRun, SessionOom> {
+    execute(sess, &FactTable::encoded(d, fact), q)
 }
 
-/// A resumable device-side query execution over a list of segments: the
-/// whole table is one ([`DeviceQueryJob::admit`]), a partitioned table is
-/// one per shard zone-map pruning leaves live
-/// ([`DeviceQueryJob::admit_partitioned`]) or per shard of an explicit set
-/// ([`DeviceQueryJob::admit_shards`]) — the shape
+/// Pinned like [`execute_session`]: [`execute`] over a sharded table.
+pub fn execute_partitioned_session(
+    sess: &mut DeviceSession<'_>,
+    d: &SsbData,
+    pf: &PartitionedFact,
+    q: &StarQuery,
+) -> Result<GpuRun, SessionOom> {
+    execute(sess, &FactTable::sharded(d, pf), q)
+}
+
+/// A resumable device-side query execution over the segments of a
+/// [`FactTable`] zone-map pruning leaves live — the whole table is one, a
+/// partitioned table one per live shard, the device half of a hybrid
+/// placement a [`FactTable::subset`] — the shape
 /// [`HostQueryJob`](crate::exec::HostQueryJob) has on the host.
 ///
 /// Segments run one at a time. *Admitting* one opens a session pin ledger,
@@ -281,9 +173,9 @@ impl<'a> Segment<'a> {
 /// Crossing a segment boundary is therefore the one place a step can fail:
 /// the typed error is the caller's signal to [`DeviceQueryJob::abandon`]
 /// the device half and restart the query on the host
-/// ([`crate::exec::HostQueryJob::new_partitioned`]) — partial device work
-/// is discarded, so the restart stays byte-identical. A one-segment job
-/// never fails a step.
+/// ([`crate::exec::HostQueryJob::over`] the same table) — partial device
+/// work is discarded, so the restart stays byte-identical. A one-segment
+/// job never fails a step.
 ///
 /// Everything the segments share lives once per job: one `GroupAcc`, the
 /// fused kernel's roles and staging tiles, the trace counters. Splitting
@@ -295,7 +187,7 @@ impl<'a> Segment<'a> {
 pub struct DeviceQueryJob<'a> {
     d: &'a SsbData,
     q: &'a StarQuery,
-    segments: Vec<Segment<'a>>,
+    segments: Vec<FactSegment<'a>>,
     /// Next index into `segments` to admit.
     next: usize,
     cur: Option<Admitted>,
@@ -436,55 +328,23 @@ impl TileScratch {
 }
 
 impl<'a> DeviceQueryJob<'a> {
-    /// Admits one query over the whole fact table — plain columns, or
-    /// `fact`'s encodings: pins its working set (columns + dimension
-    /// tables) under a fresh pin ledger. On [`SessionOom`] every pin taken
-    /// so far is released before returning, leaving the session exactly as
-    /// found.
+    /// Admits one query over the segments of `table` live for it: pins the
+    /// first one's working set (columns + dimension tables) under a fresh
+    /// pin ledger. On [`SessionOom`] every pin taken so far is released
+    /// before returning, leaving the session exactly as found. A query
+    /// whose every segment is pruned admits nothing and is immediately
+    /// complete.
     pub fn admit(
         sess: &mut DeviceSession<'_>,
-        d: &'a SsbData,
-        fact: Option<&'a EncodedFact>,
+        table: &FactTable<'a>,
         q: &'a StarQuery,
-    ) -> Result<Self, SessionOom> {
-        Self::over(sess, d, q, vec![Segment::Table(fact)])
-    }
-
-    /// Prunes, then admits the first live shard. A query whose every
-    /// shard is pruned admits nothing and is immediately complete.
-    pub fn admit_partitioned(
-        sess: &mut DeviceSession<'_>,
-        d: &'a SsbData,
-        pf: &'a PartitionedFact,
-        q: &'a StarQuery,
-    ) -> Result<Self, SessionOom> {
-        Self::admit_shards(sess, d, pf, &pf.live_shards(q), q)
-    }
-
-    /// A job over an explicit shard subset (already pruned by the caller,
-    /// e.g. the device half of a hybrid placement), admitting the first.
-    pub fn admit_shards(
-        sess: &mut DeviceSession<'_>,
-        d: &'a SsbData,
-        pf: &'a PartitionedFact,
-        shards: &[usize],
-        q: &'a StarQuery,
-    ) -> Result<Self, SessionOom> {
-        let segment = |&s: &usize| Segment::Shard(s, pf.shard(s).encoded());
-        Self::over(sess, d, q, shards.iter().map(segment).collect())
-    }
-
-    fn over(
-        sess: &mut DeviceSession<'_>,
-        d: &'a SsbData,
-        q: &'a StarQuery,
-        segments: Vec<Segment<'a>>,
     ) -> Result<Self, SessionOom> {
         let joins = q.joins.len();
+        let live = table.live(q).into_iter().map(|i| table.segments()[i]);
         let mut job = DeviceQueryJob {
-            d,
+            d: table.data(),
             q,
-            segments,
+            segments: live.collect(),
             next: 0,
             cur: None,
             scan: None,
@@ -563,12 +423,12 @@ impl<'a> DeviceQueryJob<'a> {
         qid: crystal_runtime::QueryId,
         d: &'a SsbData,
         q: &StarQuery,
-        segment: Segment<'a>,
+        segment: FactSegment<'a>,
     ) -> Result<(Admitted, Vec<KernelReport>), SessionOom> {
         let cols = q.fact_columns();
         let mut device_cols = Vec::with_capacity(cols.len());
         for &c in &cols {
-            device_cols.push(sess.pin_column(qid, segment.key(d, c), segment.host_col(d, c))?);
+            device_cols.push(sess.pin_column(qid, segment.key(c), segment.host_col(c))?);
         }
 
         // Build phase: perfect-hash tables for each join's dimension,
@@ -590,7 +450,7 @@ impl<'a> DeviceQueryJob<'a> {
             tables,
             agg_table: sess.try_alloc_scratch_unbacked(q.group_domain())?,
             cursor: 0,
-            n: segment.rows(d),
+            n: segment.rows(),
             copy_events: None,
         };
         Ok((admitted, builds))
@@ -608,12 +468,11 @@ impl<'a> DeviceQueryJob<'a> {
             return;
         };
         debug_assert!(self.staged.is_none(), "admission consumed the staging");
-        let d = self.d;
         let cols = self.q.fact_columns();
         let uncached: usize = cols
             .iter()
-            .filter(|&&c| !sess.is_resident(segment.key(d, c)))
-            .map(|&c| segment.host_col(d, c).size_bytes())
+            .filter(|&&c| !sess.is_resident(segment.key(c)))
+            .map(|&c| segment.host_col(c).size_bytes())
             .sum();
         if sess.stats().cached_bytes + uncached > sess.budget()
             || uncached > sess.device_free_bytes()
@@ -623,8 +482,8 @@ impl<'a> DeviceQueryJob<'a> {
         let before = sess.stats().clone();
         let qid = sess.begin_query();
         for &c in &cols {
-            let host = segment.host_col(d, c);
-            if sess.prefetch_column(qid, segment.key(d, c), host).is_err() {
+            let host = segment.host_col(c);
+            if sess.prefetch_column(qid, segment.key(c), host).is_err() {
                 // Lost a race against concurrent allocation: stall rather
                 // than evict. Entries uploaded so far stay cached and the
                 // admission will reuse them.
@@ -645,7 +504,7 @@ impl<'a> DeviceQueryJob<'a> {
     pub fn remaining_rows(&self) -> usize {
         let unadmitted = self.segments[self.next..].iter();
         self.cur.as_ref().map_or(0, |cur| cur.n - cur.cursor)
-            + unadmitted.map(|s| s.rows(self.d)).sum::<usize>()
+            + unadmitted.map(FactSegment::rows).sum::<usize>()
     }
 
     /// Rows scanned so far (live shards only — the pruning saving).
@@ -866,13 +725,6 @@ impl<'a> DeviceQueryJob<'a> {
         self.release(sess);
     }
 
-    /// The finished job's group accumulator (`None` if no segment was ever
-    /// admitted): what the hybrid placement path merges across its parts.
-    pub(crate) fn into_groups(self) -> Option<GroupAcc> {
-        assert!(self.is_done(), "finished a job with rows remaining");
-        self.scan.map(|scan| scan.acc)
-    }
-
     fn is_done(&self) -> bool {
         let done = self.cur.is_none() && self.next == self.segments.len();
         // Staging only ever covers a segment that is still to be admitted.
@@ -925,23 +777,20 @@ impl<'a> DeviceQueryJob<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::encoding::FactEncodings;
     use crate::engines::reference;
     use crate::queries::{all_queries, query, QueryId};
+    use crystal_gpu_sim::Gpu;
     use crystal_hardware::nvidia_v100;
+    // Every shape against the oracle, cold then warm, is `tests/shape_matrix.rs`.
+
+    /// One query over the plain table through a fresh session.
+    fn run_plain(gpu: &mut Gpu, d: &SsbData, q: &StarQuery) -> GpuRun {
+        execute(&mut DeviceSession::new(gpu), &FactTable::plain(d), q).unwrap()
+    }
 
     fn data() -> SsbData {
         SsbData::generate_scaled(1, 0.003, 19) // 18k fact rows
-    }
-
-    #[test]
-    fn matches_reference_on_all_queries() {
-        let d = data();
-        let mut gpu = Gpu::new(nvidia_v100());
-        for q in all_queries(&d) {
-            let expected = reference::execute(&d, &q);
-            let run = execute(&mut gpu, &d, &q).unwrap();
-            assert_eq!(run.result, expected, "{} diverged", q.name);
-        }
     }
 
     #[test]
@@ -949,7 +798,7 @@ mod tests {
         let d = data();
         let mut gpu = Gpu::new(nvidia_v100());
         let q = query(&d, QueryId::new(2, 1));
-        let run = execute(&mut gpu, &d, &q).unwrap();
+        let run = run_plain(&mut gpu, &d, &q);
         let probe = run.reports.last().unwrap();
         let n = d.lineorder.rows();
         // Reads must stay well below "all four columns fully" thanks to
@@ -969,7 +818,7 @@ mod tests {
         let d = data();
         let mut gpu = Gpu::new(nvidia_v100());
         let q = query(&d, QueryId::new(1, 1));
-        let run = execute(&mut gpu, &d, &q).unwrap();
+        let run = run_plain(&mut gpu, &d, &q);
         let probe = run.reports.last().unwrap();
         let tiles = d.lineorder.rows().div_ceil(512) as u64;
         assert_eq!(probe.stats.same_addr_atomics, tiles);
@@ -981,7 +830,7 @@ mod tests {
         let d = data();
         let mut gpu = Gpu::new(nvidia_v100());
         let q = query(&d, QueryId::new(2, 1));
-        let run = execute(&mut gpu, &d, &q).unwrap();
+        let run = run_plain(&mut gpu, &d, &q);
         let probe = run.reports.last().unwrap();
         assert_eq!(
             probe.stats.scattered_atomics as usize,
@@ -996,7 +845,7 @@ mod tests {
         let d = data();
         let mut gpu = Gpu::new(nvidia_v100());
         let q = query(&d, QueryId::new(2, 1));
-        let _ = execute(&mut gpu, &d, &q).unwrap();
+        let _ = run_plain(&mut gpu, &d, &q);
         assert_eq!(gpu.mem_used(), 0);
     }
 
@@ -1008,10 +857,11 @@ mod tests {
         let d = data();
         let q = query(&d, QueryId::new(1, 1));
         let expected = reference::execute(&d, &q);
+        let table = FactTable::plain(&d);
         let mut gpu = Gpu::new(nvidia_v100());
         let mut sess = DeviceSession::new(&mut gpu);
 
-        let cold = execute_session(&mut sess, &d, &q).unwrap();
+        let cold = execute(&mut sess, &table, &q).unwrap();
         assert_eq!(cold.result, expected);
         let cold_uploaded = sess.stats().uploaded_bytes;
         assert_eq!(
@@ -1020,7 +870,7 @@ mod tests {
         );
 
         let before = sess.stats().clone();
-        let warm = execute_session(&mut sess, &d, &q).unwrap();
+        let warm = execute(&mut sess, &table, &q).unwrap();
         assert_eq!(warm.result, expected, "warm run diverged");
         assert_eq!(
             sess.stats().uploaded_since(&before),
@@ -1035,36 +885,29 @@ mod tests {
 
         // A joined query memoizes its dimension tables the same way.
         let q21 = query(&d, QueryId::new(2, 1));
-        let cold21 = execute_session(&mut sess, &d, &q21).unwrap();
+        let cold21 = execute(&mut sess, &table, &q21).unwrap();
         let builds_after_cold = sess.stats().ht_misses;
         assert!(builds_after_cold >= 3, "q2.1 builds its three dim tables");
-        let warm21 = execute_session(&mut sess, &d, &q21).unwrap();
+        let warm21 = execute(&mut sess, &table, &q21).unwrap();
         assert_eq!(warm21.result, cold21.result);
         assert_eq!(sess.stats().ht_misses, builds_after_cold, "no rebuilds");
         assert_eq!(sess.stats().ht_hits, 3, "all three joins memoized");
         assert_eq!(warm21.reports.len(), 1);
     }
 
-    /// Packed execution is bit-identical and, on the bandwidth-bound
-    /// simulated device, the scan-dominated q1.1 reads fewer bytes and
-    /// finishes faster than its plain run.
+    /// On the bandwidth-bound simulated device, the scan-dominated q1.1
+    /// reads fewer bytes packed and finishes no later than its plain run.
     #[test]
     fn encoded_execution_matches_and_reads_fewer_bytes() {
-        use crate::encoding::{EncodedFact, FactEncodings};
         let d = data();
         let fact = EncodedFact::encode(&d, &FactEncodings::packed_min(&d));
+        let table = FactTable::encoded(&d, &fact);
         let mut gpu = Gpu::new(nvidia_v100());
-        for q in all_queries(&d).into_iter().take(5) {
-            let expected = reference::execute(&d, &q);
-            gpu.reset_l2();
-            let run = execute_encoded(&mut gpu, &d, &fact, &q).unwrap();
-            assert_eq!(run.result, expected, "{} packed diverged", q.name);
-        }
         let q11 = query(&d, QueryId::new(1, 1));
+        let plain = run_plain(&mut gpu, &d, &q11);
         gpu.reset_l2();
-        let plain = execute(&mut gpu, &d, &q11).unwrap();
-        gpu.reset_l2();
-        let packed = execute_encoded(&mut gpu, &d, &fact, &q11).unwrap();
+        let packed = execute(&mut DeviceSession::new(&mut gpu), &table, &q11).unwrap();
+        assert_eq!(packed.result, plain.result);
         let pr = plain.reports.last().unwrap();
         let kr = packed.reports.last().unwrap();
         assert!(
@@ -1081,7 +924,7 @@ mod tests {
         let d = data();
         let mut gpu = Gpu::new(nvidia_v100());
         let q = query(&d, QueryId::new(2, 1));
-        let run = execute(&mut gpu, &d, &q).unwrap();
+        let run = run_plain(&mut gpu, &d, &q);
         let unscaled = run.sim_secs();
         let scaled = run.sim_secs_scaled(0.5);
         assert!(scaled > unscaled);
@@ -1101,7 +944,7 @@ mod tests {
         let d = data();
         let mut gpu = Gpu::new(nvidia_v100());
         let q = query(&d, QueryId::new(2, 1));
-        let mut run = execute(&mut gpu, &d, &q).unwrap();
+        let mut run = run_plain(&mut gpu, &d, &q);
         let scaled = run.sim_secs_scaled(0.5);
         for (i, r) in run.reports.iter_mut().enumerate() {
             r.name = format!("opaque_kernel_{i}");
@@ -1117,51 +960,24 @@ mod tests {
         );
     }
 
-    /// The sharded device path is byte-identical to the unsharded engine
-    /// — result *and* trace — for every query and several shard counts,
-    /// and pruning scans fewer rows on the date-filtered q1.1.
-    #[test]
-    fn sharded_device_execution_matches_unsharded() {
-        use crate::encoding::FactEncodings;
-        let d = data();
-        for shards in [1usize, 3, 8] {
-            let pf = PartitionedFact::partition(&d, shards, &FactEncodings::plain());
-            let mut gpu = Gpu::new(nvidia_v100());
-            for q in all_queries(&d) {
-                let mut g2 = Gpu::new(nvidia_v100());
-                let expected = execute(&mut g2, &d, &q).unwrap();
-                let mut sess = DeviceSession::new(&mut gpu);
-                let run = execute_partitioned_session(&mut sess, &d, &pf, &q).unwrap();
-                assert_eq!(run.result, expected.result, "{} x{shards} result", q.name);
-                assert_eq!(run.trace, expected.trace, "{} x{shards} trace", q.name);
-            }
-        }
-        let pf = PartitionedFact::partition(&d, 8, &FactEncodings::plain());
-        let q11 = query(&d, QueryId::new(1, 1));
-        assert!(
-            pf.live_rows(&q11) < d.lineorder.rows(),
-            "a one-year predicate must prune 8 shards over 7 years"
-        );
-    }
-
     /// Splitting a sharded device job into arbitrary grants changes
     /// nothing: every grant pattern yields the byte-identical run.
     #[test]
     fn sharded_job_is_grant_invariant() {
-        use crate::encoding::FactEncodings;
         let d = data();
         let pf = PartitionedFact::partition(&d, 5, &FactEncodings::plain());
+        let table = FactTable::sharded(&d, &pf);
         let q = query(&d, QueryId::new(3, 2));
         let mut gpu = Gpu::new(nvidia_v100());
         let mut sess = DeviceSession::new(&mut gpu);
-        let whole = execute_partitioned_session(&mut sess, &d, &pf, &q).unwrap();
+        let whole = execute(&mut sess, &table, &q).unwrap();
         for grant in [997usize, 4096, usize::MAX] {
             let mut g = Gpu::new(nvidia_v100());
             let mut s = DeviceSession::new(&mut g);
-            let mut job = DeviceQueryJob::admit_partitioned(&mut s, &d, &pf, &q).unwrap();
-            assert_eq!(job.remaining_rows(), pf.live_rows(&q));
+            let mut job = DeviceQueryJob::admit(&mut s, &table, &q).unwrap();
+            assert_eq!(job.remaining_rows(), table.live_rows(&q));
             while !job.step(&mut s, grant).unwrap() {}
-            assert_eq!(job.rows_scanned(), pf.live_rows(&q));
+            assert_eq!(job.rows_scanned(), table.live_rows(&q));
             let run = job.finish();
             assert_eq!(run.result, whole.result, "grant {grant} diverged");
             assert_eq!(run.trace, whole.trace, "grant {grant} trace diverged");
@@ -1173,18 +989,17 @@ mod tests {
     /// replay of every query stays byte-identical to the unsharded run.
     #[test]
     fn starved_sharded_replay_evicts_and_matches() {
-        use crate::encoding::FactEncodings;
         let d = data();
         let pf = PartitionedFact::partition(&d, 8, &FactEncodings::plain());
+        let table = FactTable::sharded(&d, &pf);
         let mut gpu = Gpu::new(nvidia_v100());
         let budget = pf.size_bytes() / 2;
         let mut sess = DeviceSession::with_budget(&mut gpu, budget);
         for pass in 0..2 {
             for q in all_queries(&d) {
-                let mut g2 = Gpu::new(nvidia_v100());
-                let expected = execute(&mut g2, &d, &q).unwrap();
-                let run = execute_partitioned_session(&mut sess, &d, &pf, &q).unwrap();
-                assert_eq!(run.result, expected.result, "{} pass {pass}", q.name);
+                let expected = reference::execute(&d, &q);
+                let run = execute(&mut sess, &table, &q).unwrap();
+                assert_eq!(run.result, expected, "{} pass {pass}", q.name);
             }
         }
         assert!(
@@ -1209,7 +1024,7 @@ mod tests {
         let mut gpu = Gpu::new(spec.clone());
         for q in all_queries(&d) {
             let expected = reference::execute(&d, &q);
-            let run = execute(&mut gpu, &d, &q).unwrap();
+            let run = run_plain(&mut gpu, &d, &q);
             assert_eq!(run.result, expected, "{} degraded-tile run", q.name);
             let probe = run.reports.last().unwrap();
             let tile = probe.block_dim * probe.items_per_thread;
@@ -1230,11 +1045,12 @@ mod tests {
         let expected = reference::execute(&d, &q);
         let mut gpu = Gpu::new(nvidia_v100());
         let mut sess = DeviceSession::new(&mut gpu);
-        let mut job = DeviceQueryJob::admit(&mut sess, &d, None, &q).unwrap();
+        let table = FactTable::plain(&d);
+        let mut job = DeviceQueryJob::admit(&mut sess, &table, &q).unwrap();
         let done = job.step(&mut sess, 2048).unwrap();
         assert!(!done, "2048 rows leave work behind");
         job.abandon(&mut sess);
-        let run = execute_session(&mut sess, &d, &q).unwrap();
+        let run = execute(&mut sess, &table, &q).unwrap();
         assert_eq!(run.result, expected, "post-abandon rerun diverged");
     }
 
@@ -1245,12 +1061,12 @@ mod tests {
     /// lets go the same query completes cleanly in the same session.
     #[test]
     fn mid_query_oom_abandons_cleanly() {
-        use crate::encoding::FactEncodings;
         let d = data();
         let pf = PartitionedFact::partition(&d, 4, &FactEncodings::plain());
+        let table = FactTable::sharded(&d, &pf);
         let q = query(&d, QueryId::new(2, 1));
         let cols = q.fact_columns();
-        let shard0 = pf.shard(0);
+        let shard0 = table.segments()[0];
 
         // A device a few shards wide: room for one admitted shard plus
         // the memoized dimension tables (with the build's 2x staging
@@ -1258,22 +1074,18 @@ mod tests {
         use crate::engines::dim_table_bytes;
         let dims: usize = q.joins.iter().map(|j| dim_table_bytes(&d, j)).sum();
         let mut spec = nvidia_v100();
-        spec.mem_capacity = 2 * dims + 4 * shard0.columns_bytes(&cols);
+        spec.mem_capacity = 2 * dims + 4 * shard0.cost(&cols).packed_bytes;
         let mut gpu = Gpu::new(spec);
         let mut sess = DeviceSession::with_budget(&mut gpu, usize::MAX);
-        let mut job = DeviceQueryJob::admit_partitioned(&mut sess, &d, &pf, &q).unwrap();
+        let mut job = DeviceQueryJob::admit(&mut sess, &table, &q).unwrap();
 
         // A second tenant pins shard 0's columns (pure cache hits) and
         // fills every remaining physical byte with scratch, so retiring
         // shard 0 frees nothing shard 1 could use.
         let ext = sess.begin_query();
         for &c in &cols {
-            let key = shard_column_key(&d, 0, c, shard0.encoded());
-            let rc = match shard0.encoded().encoded(c) {
-                EncodedColumn::Plain(v) => sess.pin_column(ext, key, HostCol::Plain(v)),
-                EncodedColumn::Packed(p) => sess.pin_column(ext, key, HostCol::Packed(p)),
-            };
-            rc.expect("hitting a resident column allocates nothing");
+            sess.pin_column(ext, shard0.key(c), shard0.host_col(c))
+                .expect("hitting a resident column allocates nothing");
         }
         let free = {
             let g = sess.gpu();
@@ -1298,9 +1110,11 @@ mod tests {
         // Everything the abandoned job and the tenant held was released:
         // the same query now runs shard-at-a-time to completion in the
         // same session on the same small device.
-        let run = execute_partitioned_session(&mut sess, &d, &pf, &q).unwrap();
-        let mut g2 = Gpu::new(nvidia_v100());
-        let expected = execute(&mut g2, &d, &q).unwrap();
-        assert_eq!(run.result, expected.result, "post-abandon run diverged");
+        let run = execute(&mut sess, &table, &q).unwrap();
+        assert_eq!(
+            run.result,
+            reference::execute(&d, &q),
+            "post-abandon run diverged"
+        );
     }
 }

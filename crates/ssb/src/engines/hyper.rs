@@ -15,34 +15,23 @@
 //! the faithful reproduction of that system's execution model.
 
 use crate::data::SsbData;
-use crate::encoding::EncodedFact;
 use crate::exec::{self, PipelineMode};
 use crate::plan::StarQuery;
+use crate::table::FactTable;
 use crate::QueryResult;
 
 /// Executes a query with tuple-at-a-time pipelines.
 pub fn execute(d: &SsbData, q: &StarQuery, threads: usize) -> QueryResult {
-    exec::execute(d, q, threads, PipelineMode::TupleAtATime).0
-}
-
-/// Tuple-at-a-time execution directly on an encoded fact table: each row's
-/// packed values unpack in registers as the push loop touches them.
-pub fn execute_encoded(
-    d: &SsbData,
-    fact: &EncodedFact,
-    q: &StarQuery,
-    threads: usize,
-) -> QueryResult {
-    exec::execute_encoded(d, fact, q, threads, PipelineMode::TupleAtATime).0
+    exec::execute(&FactTable::plain(d), q, threads, PipelineMode::TupleAtATime).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoding::FactEncodings;
     use crate::engines::reference;
     use crate::queries::all_queries;
 
+    // Packed push loops are `tests/shape_matrix.rs`, over every shape.
     #[test]
     fn matches_reference_on_all_queries() {
         let d = SsbData::generate_scaled(1, 0.003, 23);
@@ -50,21 +39,6 @@ mod tests {
             let expected = reference::execute(&d, &q);
             let got = execute(&d, &q, 4);
             assert_eq!(got, expected, "{} diverged", q.name);
-        }
-    }
-
-    #[test]
-    fn packed_push_loops_match_reference() {
-        let d = SsbData::generate_scaled(1, 0.002, 43);
-        let fact = EncodedFact::encode(&d, &FactEncodings::packed_min(&d));
-        for q in all_queries(&d).into_iter().take(6) {
-            let expected = reference::execute(&d, &q);
-            assert_eq!(
-                execute_encoded(&d, &fact, &q, 4),
-                expected,
-                "{} diverged",
-                q.name
-            );
         }
     }
 }

@@ -38,14 +38,14 @@ use crystal_gpu_sim::exec::LaunchConfig;
 use crystal_gpu_sim::mem::DeviceBuffer;
 use crystal_gpu_sim::stats::KernelReport;
 use crystal_gpu_sim::Gpu;
-use crystal_runtime::{DeviceCol, DeviceSession, HostCol};
+use crystal_runtime::{DeviceCol, DeviceSession};
 
 use crate::data::SsbData;
-use crate::engines::gpu::column_key;
 use crate::engines::{
     build_dim_table, dim_join_fingerprint, dim_table_bytes, groups_to_result, DimBuild,
 };
 use crate::plan::{FactCol, StarQuery};
+use crate::table::FactTable;
 use crate::QueryResult;
 
 /// Outcome of an Omnisci-style execution.
@@ -96,10 +96,10 @@ pub fn execute(gpu: &mut Gpu, d: &SsbData, q: &StarQuery) -> OmnisciRun {
 }
 
 /// [`execute`] through a (possibly warm) session: delegates to the fused
-/// [`crate::engines::gpu::execute_session`] megakernel, so results and
+/// [`crate::engines::gpu::execute`] megakernel, so results and
 /// kernel reports are those of the single fused launch.
 pub fn execute_session(sess: &mut DeviceSession<'_>, d: &SsbData, q: &StarQuery) -> OmnisciRun {
-    let run = crate::engines::gpu::execute_session(sess, d, q)
+    let run = crate::engines::gpu::execute(sess, &FactTable::plain(d), q)
         .expect("the fused working set admits on a dedicated device");
     OmnisciRun {
         result: run.result,
@@ -126,8 +126,9 @@ pub fn execute_unfused_session(
     let n = d.lineorder.rows();
     let mut reports = Vec::new();
 
+    let whole = FactTable::plain(d).segments()[0];
     let column = |sess: &mut DeviceSession<'_>, c: FactCol| -> Rc<DeviceCol> {
-        sess.column(column_key(d, c, None), HostCol::Plain(c.data(d)))
+        sess.column(whole.key(c), whole.host_col(c))
     };
 
     // Device-wide survivor flags, materialized between operators.
@@ -314,7 +315,7 @@ mod tests {
         let d = data();
         let mut gpu = Gpu::new(nvidia_v100());
         let q = query(&d, QueryId::new(2, 1));
-        let crystal = crystal_gpu::execute(&mut gpu, &d, &q).unwrap();
+        let crystal = execute(&mut gpu, &d, &q);
         gpu.reset_l2();
         let omnisci = execute_unfused(&mut gpu, &d, &q);
         let crystal_probe: f64 = crystal.reports.last().unwrap().time.total_secs();

@@ -47,10 +47,17 @@
 //! [`ColumnSlice`] — plain or bit-packed — and each kernel call
 //! dispatches on the variant, so the pipeline runs the fused
 //! unpack-and-compare monomorphization for packed columns and the plain
-//! one otherwise, per column, in both modes ([`execute_encoded`]). No
-//! column is ever decompressed to a temporary; packed values are unpacked
-//! in registers inside the kernels. [`execute`] is the all-plain special
-//! case reading straight from [`SsbData`].
+//! one otherwise, per column, in both modes. No column is ever
+//! decompressed to a temporary; packed values are unpacked in registers
+//! inside the kernels.
+//!
+//! **One table shape.** [`execute`] takes a [`FactTable`] — plain columns,
+//! one encoded table or the shards of a partitioned one — and scans the
+//! segments zone-map pruning leaves live, one after the other, into one
+//! merge-aggregation. Pruned segments hold no row passing the fact
+//! predicates and the aggregate is commutative `i64` addition into one
+//! dense group domain, so result *and* trace are byte-identical for every
+//! shape; `fact_rows` stays the whole table's row count.
 //!
 //! **Chunked kernels, full vectors.** The scan stage hands the two-phase
 //! selection kernels ([`crystal_core::selvec`]) exactly one decode chunk
@@ -63,8 +70,8 @@
 //! time), so morsel boundaries never split a decode chunk mid-stream.
 //!
 //! The same per-vector pipeline also serves the legacy static-partition
-//! schedule ([`execute_scoped`], kept for the scorecard's morsel-vs-scoped band)
-//! — one pipeline implementation, two schedules, two interpretation
+//! schedule ([`Schedule::Scoped`], kept for the scorecard's morsel-vs-scoped
+//! band) — one pipeline implementation, two schedules, two interpretation
 //! styles, two physical formats.
 //!
 //! All variants produce identical [`QueryResult`]s and [`QueryTrace`]s;
@@ -93,10 +100,10 @@ const _: () = assert!(
 use crystal_storage::encoding::{ColumnRead, ColumnSlice};
 
 use crate::data::SsbData;
-use crate::encoding::EncodedFact;
 use crate::engines::{DimLookup, GroupAcc, QueryTrace, StageTrace};
 use crate::partition::PartitionedFact;
 use crate::plan::{AggExpr, StarQuery};
+use crate::table::{FactSegment, FactTable};
 use crate::QueryResult;
 
 /// How a worker interprets the plan within each morsel.
@@ -108,12 +115,15 @@ pub enum PipelineMode {
     TupleAtATime,
 }
 
-/// How rows are handed to workers.
+/// How rows are handed to workers. Results and traces are identical under
+/// every schedule; only the work distribution differs.
 #[derive(Debug, Clone, Copy)]
-enum Schedule {
-    /// Work-stealing morsels of the given size.
+pub enum Schedule {
+    /// Work-stealing morsels of the given size ([`MORSEL_SIZE`] by default;
+    /// tests shrink it until scheduling effects would surface).
     Morsel(usize),
-    /// Static near-equal range partitions (the pre-executor baseline).
+    /// Static near-equal range partitions, one per thread: the pre-morsel
+    /// baseline the morsel-driven path is benchmarked against.
     Scoped,
 }
 
@@ -246,52 +256,26 @@ macro_rules! on_encoding {
     };
 }
 
-/// Executes a query with the default morsel size; returns its result and
-/// trace.
+/// Executes a query over the live segments of `table` with the default
+/// morsel size; returns its result and trace.
 pub fn execute(
-    d: &SsbData,
+    table: &FactTable<'_>,
     q: &StarQuery,
     threads: usize,
     mode: PipelineMode,
 ) -> (QueryResult, QueryTrace) {
-    execute_with_morsel(d, q, threads, MORSEL_SIZE, mode)
+    execute_with(table, q, threads, mode, Schedule::Morsel(MORSEL_SIZE))
 }
 
-/// Executes a query with an explicit morsel size (exposed so tests can
-/// shrink morsels until scheduling effects would surface).
-pub fn execute_with_morsel(
-    d: &SsbData,
-    q: &StarQuery,
-    threads: usize,
-    morsel: usize,
-    mode: PipelineMode,
-) -> (QueryResult, QueryTrace) {
-    let table = [(plain_columns(d, q), d.lineorder.rows())];
-    Plan::new(d, q).run(&table, threads, mode, Schedule::Morsel(morsel))
-}
-
-/// Executes a query directly on an encoded fact table: packed columns run
-/// the fused unpack kernels, plain columns the original loops, per column.
-pub fn execute_encoded(
-    d: &SsbData,
-    fact: &EncodedFact,
+/// [`execute`] under an explicit [`Schedule`].
+pub fn execute_with(
+    table: &FactTable<'_>,
     q: &StarQuery,
     threads: usize,
     mode: PipelineMode,
+    schedule: Schedule,
 ) -> (QueryResult, QueryTrace) {
-    fact.check_scale(d);
-    let table = [(encoded_columns(fact, q), d.lineorder.rows())];
-    Plan::new(d, q).run(&table, threads, mode, Schedule::Morsel(MORSEL_SIZE))
-}
-
-/// The pre-morsel scheduling: fact table range-partitioned across scoped
-/// threads, one static partition per core, running the *same* vectorized
-/// pipeline. Kept as the baseline the morsel-driven path is benchmarked
-/// against; results and traces are identical, only the work distribution
-/// differs.
-pub fn execute_scoped(d: &SsbData, q: &StarQuery, threads: usize) -> (QueryResult, QueryTrace) {
-    let table = [(plain_columns(d, q), d.lineorder.rows())];
-    Plan::new(d, q).run(&table, threads, PipelineMode::Vectorized, Schedule::Scoped)
+    Plan::new(table.data(), q).run(&live_segments(table, q), threads, mode, schedule)
 }
 
 /// The plan's predicate, foreign-key and aggregate-input columns,
@@ -303,9 +287,8 @@ type Columns<'a> = (
 );
 
 /// One contiguous run of fact rows a scan covers: its resolved columns
-/// and its row count. A whole table is one segment; a partitioned table
-/// is one per live shard. Row ids are `u32` from the selection vector on,
-/// so a segment holds at most `u32::MAX` rows ([`check_segment_rows`]).
+/// and its row count. Row ids are `u32` from the selection vector on, so a
+/// segment holds at most `u32::MAX` rows ([`check_segment_rows`]).
 type Segment<'a> = (Columns<'a>, usize);
 
 /// Refuses, where a segment enters the executor, one whose row ids — or
@@ -332,46 +315,21 @@ fn check_group_domain(domain: usize) {
     );
 }
 
-fn plain_columns<'a>(d: &'a SsbData, q: &StarQuery) -> Columns<'a> {
-    (
-        q.fact_preds
-            .iter()
-            .map(|p| ColumnSlice::Plain(p.col.data(d)))
-            .collect(),
-        q.joins
-            .iter()
-            .map(|j| ColumnSlice::Plain(j.fact_fk.data(d)))
-            .collect(),
-        q.agg
-            .columns()
-            .iter()
-            .map(|c| ColumnSlice::Plain(c.data(d)))
-            .collect(),
-    )
-}
-
-fn encoded_columns<'a>(fact: &'a EncodedFact, q: &StarQuery) -> Columns<'a> {
-    (
-        q.fact_preds.iter().map(|p| fact.col(p.col)).collect(),
-        q.joins.iter().map(|j| fact.col(j.fact_fk)).collect(),
-        q.agg.columns().iter().map(|c| fact.col(*c)).collect(),
-    )
-}
-
-fn shard_segments<'a>(
-    pf: &'a PartitionedFact,
-    q: &StarQuery,
-    shards: &[usize],
-) -> Vec<Segment<'a>> {
-    shards
-        .iter()
-        .map(|&s| {
-            (
-                encoded_columns(pf.shard(s).encoded(), q),
-                pf.shard(s).rows(),
-            )
-        })
-        .collect()
+/// The segments of `table` pruning leaves live for `q`, their plan columns
+/// resolved. Empty segments are dropped: one would stall a one-row grant
+/// on its boundary.
+fn live_segments<'a>(table: &FactTable<'a>, q: &StarQuery) -> Vec<Segment<'a>> {
+    let resolve = |seg: FactSegment<'a>| {
+        check_segment_rows(seg.rows());
+        let cols = (
+            q.fact_preds.iter().map(|p| seg.col(p.col)).collect(),
+            q.joins.iter().map(|j| seg.col(j.fact_fk)).collect(),
+            q.agg.columns().iter().map(|c| seg.col(*c)).collect(),
+        );
+        (cols, seg.rows())
+    };
+    let live = table.live(q).into_iter().map(|i| table.segments()[i]);
+    live.filter(|seg| seg.rows() > 0).map(resolve).collect()
 }
 
 /// What every schedule of one query shares, built once before the scan:
@@ -426,7 +384,6 @@ impl<'a> Plan<'a> {
     ) -> (QueryResult, QueryTrace) {
         let mut workers: Vec<WorkerAcc> = Vec::new();
         for (cols, rows) in segments {
-            check_segment_rows(*rows);
             let ctx = self.ctx(cols);
             workers.extend(match schedule {
                 Schedule::Morsel(morsel) => {
@@ -502,20 +459,17 @@ impl<'a> Plan<'a> {
 /// completion, so a concurrent scheduler can interleave many in-flight
 /// queries on the host with per-tenant fairness.
 ///
-/// A job scans a list of *segments*: [`HostQueryJob::new`] and
-/// [`HostQueryJob::new_encoded`] build the one segment of a whole table,
-/// [`HostQueryJob::new_partitioned`] one per shard zone-map pruning
-/// leaves live (none at all when everything is pruned), and
-/// [`HostQueryJob::with_shards`] one per shard of an explicit set — how
-/// the hybrid placement path runs only its host-routed shards.
-/// Construction resolves the plan once (dimension lookups, column
-/// slices); each [`HostQueryJob::step`] advances the `(segment, offset)`
-/// cursor by a bounded number of rows, crossing segment boundaries
-/// mid-grant, and yields. A single accumulator is carried across steps
-/// and segments (merge-aggregation by construction), so any grant
-/// pattern produces the worker state of a one-thread run — results are
-/// byte-identical to [`execute`] / [`execute_partitioned`] for every
-/// interleaving, which the concurrent differential suite asserts.
+/// A job scans the segments of a [`FactTable`] that pruning leaves live
+/// (none at all when everything is pruned; the host half of a hybrid
+/// placement hands it a [`FactTable::subset`]). Construction resolves the
+/// plan once (dimension lookups, column slices); each
+/// [`HostQueryJob::step`] advances the `(segment, offset)` cursor by a
+/// bounded number of rows, crossing segment boundaries mid-grant, and
+/// yields. A single accumulator is carried across steps and segments
+/// (merge-aggregation by construction), so any grant pattern produces the
+/// worker state of a one-thread run — results are byte-identical to
+/// [`execute`] for every interleaving, which the concurrent differential
+/// suite asserts.
 pub struct HostQueryJob<'a> {
     plan: Plan<'a>,
     segments: Vec<Segment<'a>>,
@@ -530,58 +484,10 @@ pub struct HostQueryJob<'a> {
 }
 
 impl<'a> HostQueryJob<'a> {
-    /// A job over plain [`SsbData`] storage.
-    pub fn new(d: &'a SsbData, q: &'a StarQuery, mode: PipelineMode) -> Self {
-        let table = (plain_columns(d, q), d.lineorder.rows());
-        Self::over(d, q, vec![table], mode)
-    }
-
-    /// A job reading directly from an encoded fact table.
-    pub fn new_encoded(
-        d: &'a SsbData,
-        fact: &'a EncodedFact,
-        q: &'a StarQuery,
-        mode: PipelineMode,
-    ) -> Self {
-        fact.check_scale(d);
-        let table = (encoded_columns(fact, q), d.lineorder.rows());
-        Self::over(d, q, vec![table], mode)
-    }
-
-    /// A job over the shards pruning leaves live for `q`.
-    pub fn new_partitioned(
-        d: &'a SsbData,
-        pf: &'a PartitionedFact,
-        q: &'a StarQuery,
-        mode: PipelineMode,
-    ) -> Self {
-        Self::with_shards(d, pf, q, &pf.live_shards(q), mode)
-    }
-
-    /// A job over an explicit shard subset (already pruned by the
-    /// caller, e.g. the host half of a hybrid placement).
-    pub fn with_shards(
-        d: &'a SsbData,
-        pf: &'a PartitionedFact,
-        q: &'a StarQuery,
-        shard_ids: &[usize],
-        mode: PipelineMode,
-    ) -> Self {
-        Self::over(d, q, shard_segments(pf, q, shard_ids), mode)
-    }
-
-    fn over(
-        d: &'a SsbData,
-        q: &'a StarQuery,
-        mut segments: Vec<Segment<'a>>,
-        mode: PipelineMode,
-    ) -> Self {
-        // An empty segment would stall a one-row grant on its boundary.
-        segments.retain(|(_, rows)| *rows > 0);
-        segments
-            .iter()
-            .for_each(|(_, rows)| check_segment_rows(*rows));
-        let plan = Plan::new(d, q);
+    /// A job over the segments of `table` live for `q`.
+    pub fn over(table: &FactTable<'a>, q: &'a StarQuery, mode: PipelineMode) -> Self {
+        let segments = live_segments(table, q);
+        let plan = Plan::new(table.data(), q);
         let (acc, scratch) = plan.worker();
         HostQueryJob {
             remaining: segments.iter().map(|(_, rows)| rows).sum(),
@@ -594,6 +500,12 @@ impl<'a> HostQueryJob<'a> {
             cursor: 0,
             scanned: 0,
         }
+    }
+
+    /// Pinned by the benchmark harness (`e2e/src/sut.rs`), to go with its
+    /// Step 0: [`HostQueryJob::over`] the plain table.
+    pub fn new(d: &'a SsbData, q: &'a StarQuery, mode: PipelineMode) -> Self {
+        Self::over(&FactTable::plain(d), q, mode)
     }
 
     /// Rows not yet processed, across the remaining segments.
@@ -641,25 +553,10 @@ impl<'a> HostQueryJob<'a> {
         assert_eq!(self.remaining, 0, "finished a job with rows remaining");
         self.plan.assemble(vec![self.acc])
     }
-
-    /// The finished job's group accumulator — the hybrid placement path
-    /// merges it with the device shards' before building one result.
-    pub(crate) fn into_groups(self) -> GroupAcc {
-        assert_eq!(self.remaining, 0, "finished a job with rows remaining");
-        self.acc.groups
-    }
 }
 
-/// Executes a query over a sharded fact table: zone-map pruning first,
-/// then each live shard runs the existing morsel-driven pipeline over its
-/// own (independently encoded) columns, and one merge-aggregation folds
-/// the per-shard worker tables — commutative `i64` addition into the
-/// shared dense group domain, so the merged result is byte-identical to
-/// the unsharded reference for every shard count. Pruned shards would
-/// have contributed zero predicate survivors (that is what pruning
-/// proves), so the trace matches the unsharded run too; `fact_rows`
-/// stays the *total* row count. Returns the rows actually scanned as the
-/// third element — the quantity the pruning band pins.
+/// Pinned by the benchmark harness (`e2e/src/sut.rs`), to go with its
+/// Step 0: [`execute`] over the sharded table, plus the rows it scanned.
 pub fn execute_partitioned(
     d: &SsbData,
     pf: &PartitionedFact,
@@ -667,11 +564,9 @@ pub fn execute_partitioned(
     threads: usize,
     mode: PipelineMode,
 ) -> (QueryResult, QueryTrace, usize) {
-    let segments = shard_segments(pf, q, &pf.live_shards(q));
-    let scanned = segments.iter().map(|(_, rows)| rows).sum();
-    let (result, trace) =
-        Plan::new(d, q).run(&segments, threads, mode, Schedule::Morsel(MORSEL_SIZE));
-    (result, trace, scanned)
+    let table = FactTable::sharded(d, pf);
+    let (result, trace) = execute(&table, q, threads, mode);
+    (result, trace, table.live_rows(q))
 }
 
 /// One contiguous row range through the pipeline `mode` selects.
@@ -854,36 +749,10 @@ mod tests {
     use crate::encoding::{random_encodings, EncodedFact, FactEncodings};
     use crate::engines::reference;
     use crate::queries::all_queries;
+    // Every shape against the oracle, in both modes, is `tests/shape_matrix.rs`.
 
     fn data() -> SsbData {
         SsbData::generate_scaled(1, 0.004, 13)
-    }
-
-    #[test]
-    fn both_modes_match_reference_on_all_queries() {
-        let d = data();
-        for q in all_queries(&d) {
-            let expected = reference::execute(&d, &q);
-            let (vec_r, _) = execute(&d, &q, 4, PipelineMode::Vectorized);
-            assert_eq!(vec_r, expected, "{} vectorized diverged", q.name);
-            let (tup_r, _) = execute(&d, &q, 4, PipelineMode::TupleAtATime);
-            assert_eq!(tup_r, expected, "{} tuple-at-a-time diverged", q.name);
-        }
-    }
-
-    #[test]
-    fn modes_produce_identical_traces() {
-        let d = data();
-        for q in all_queries(&d) {
-            let (_, a) = execute(&d, &q, 4, PipelineMode::Vectorized);
-            let (_, b) = execute(&d, &q, 1, PipelineMode::TupleAtATime);
-            assert_eq!(a.pred_survivors, b.pred_survivors, "{}", q.name);
-            assert_eq!(a.result_rows, b.result_rows, "{}", q.name);
-            for (x, y) in a.stages.iter().zip(&b.stages) {
-                assert_eq!(x.probes, y.probes, "{}", q.name);
-                assert_eq!(x.hits, y.hits, "{}", q.name);
-            }
-        }
     }
 
     /// Results and traces are invariant under morsel size and thread
@@ -892,10 +761,14 @@ mod tests {
     fn schedule_invariance() {
         let d = data();
         let q = crate::queries::query(&d, crate::QueryId::new(4, 2));
-        let (baseline, base_trace) =
-            execute_with_morsel(&d, &q, 1, 1 << 20, PipelineMode::Vectorized);
+        let table = FactTable::plain(&d);
+        let run = |threads, morsel| {
+            let schedule = Schedule::Morsel(morsel);
+            execute_with(&table, &q, threads, PipelineMode::Vectorized, schedule)
+        };
+        let (baseline, base_trace) = run(1, 1 << 20);
         for (threads, morsel) in [(2, 777), (4, VECTOR_SIZE), (8, 3 * VECTOR_SIZE + 5), (3, 1)] {
-            let (r, t) = execute_with_morsel(&d, &q, threads, morsel, PipelineMode::Vectorized);
+            let (r, t) = run(threads, morsel);
             assert_eq!(r, baseline, "threads={threads} morsel={morsel}");
             assert_eq!(t.pred_survivors, base_trace.pred_survivors);
             assert_eq!(t.result_rows, base_trace.result_rows);
@@ -909,29 +782,11 @@ mod tests {
         let d = SsbData::generate_scaled(1, 0.001, 29);
         let q = crate::queries::query(&d, crate::QueryId::new(2, 2));
         let expected = reference::execute(&d, &q);
-        let (got, trace) = execute_with_morsel(&d, &q, 5, 1000, PipelineMode::Vectorized);
+        let (table, schedule) = (FactTable::plain(&d), Schedule::Morsel(1000));
+        let (got, trace) = execute_with(&table, &q, 5, PipelineMode::Vectorized, schedule);
         assert_eq!(got, expected);
         assert_eq!(trace.fact_rows, d.lineorder.rows());
         assert_eq!(trace.stages[0].probes, trace.pred_survivors);
-    }
-
-    /// Fully packed execution is byte-identical to plain execution on all
-    /// 13 queries, in both modes, with identical traces — compression is
-    /// unobservable except in the bytes moved.
-    #[test]
-    fn packed_min_execution_matches_plain_on_all_queries() {
-        let d = data();
-        let fact = EncodedFact::encode(&d, &FactEncodings::packed_min(&d));
-        for q in all_queries(&d) {
-            let expected = reference::execute(&d, &q);
-            let (vec_r, vec_t) = execute_encoded(&d, &fact, &q, 4, PipelineMode::Vectorized);
-            assert_eq!(vec_r, expected, "{} packed vectorized diverged", q.name);
-            let (tup_r, _) = execute_encoded(&d, &fact, &q, 2, PipelineMode::TupleAtATime);
-            assert_eq!(tup_r, expected, "{} packed tuple diverged", q.name);
-            let (_, plain_t) = execute(&d, &q, 4, PipelineMode::Vectorized);
-            assert_eq!(vec_t.pred_survivors, plain_t.pred_survivors, "{}", q.name);
-            assert_eq!(vec_t.result_rows, plain_t.result_rows, "{}", q.name);
-        }
     }
 
     /// Randomly mixed per-column encodings (plain / min-width / wider
@@ -942,63 +797,16 @@ mod tests {
         let d = SsbData::generate_scaled(1, 0.002, 31);
         for seed in 0..6u64 {
             let fact = EncodedFact::encode(&d, &random_encodings(&d, seed));
+            let table = FactTable::encoded(&d, &fact);
             for q in all_queries(&d).into_iter().take(5) {
                 let expected = reference::execute(&d, &q);
-                let (r, _) = execute_encoded(&d, &fact, &q, 3, PipelineMode::Vectorized);
+                let (r, _) = execute(&table, &q, 3, PipelineMode::Vectorized);
                 assert_eq!(r, expected, "seed {seed} {}", q.name);
                 // Ragged grants put unaligned range starts on packed words.
-                let mut job = HostQueryJob::new_encoded(&d, &fact, &q, PipelineMode::Vectorized);
+                let mut job = HostQueryJob::over(&table, &q, PipelineMode::Vectorized);
                 while !job.step(999) {}
                 assert_eq!(job.finish().0, expected, "seed {seed} {} job", q.name);
             }
-        }
-    }
-
-    /// Sharded execution is byte-identical to the unsharded reference —
-    /// results *and* traces — across shard counts, encodings and modes,
-    /// and pruning scans strictly fewer rows on date-filtered queries.
-    #[test]
-    fn partitioned_execution_matches_unsharded() {
-        use crate::partition::PartitionedFact;
-        let d = data();
-        for shards in [1, 3, 8] {
-            let pf = PartitionedFact::partition(&d, shards, &FactEncodings::plain());
-            for q in all_queries(&d) {
-                let (expected, base_trace) = execute(&d, &q, 4, PipelineMode::Vectorized);
-                let (r, t, scanned) = execute_partitioned(&d, &pf, &q, 4, PipelineMode::Vectorized);
-                assert_eq!(r, expected, "{} sharded x{shards} diverged", q.name);
-                assert_eq!(t.fact_rows, base_trace.fact_rows, "{}", q.name);
-                assert_eq!(t.pred_survivors, base_trace.pred_survivors, "{}", q.name);
-                assert_eq!(t.result_rows, base_trace.result_rows, "{}", q.name);
-                for (a, b) in t.stages.iter().zip(&base_trace.stages) {
-                    assert_eq!(a.probes, b.probes, "{}", q.name);
-                    assert_eq!(a.hits, b.hits, "{}", q.name);
-                }
-                assert!(scanned <= d.lineorder.rows());
-            }
-            // The one-year q1.1 date filter must scan strictly fewer
-            // rows once there is more than one shard to prune.
-            let q11 = crate::queries::query(&d, crate::QueryId::new(1, 1));
-            let (_, _, scanned) = execute_partitioned(&d, &pf, &q11, 4, PipelineMode::Vectorized);
-            if pf.shard_count() > 1 {
-                assert!(scanned < d.lineorder.rows(), "x{shards}: no pruning");
-            }
-        }
-    }
-
-    /// Packed shards and the tuple-at-a-time mode reuse the same kernels.
-    #[test]
-    fn partitioned_execution_matches_packed_and_tuple() {
-        use crate::partition::PartitionedFact;
-        let d = data();
-        let enc = FactEncodings::packed_min(&d);
-        let pf = PartitionedFact::partition(&d, 5, &enc);
-        for q in all_queries(&d).into_iter().take(6) {
-            let expected = reference::execute(&d, &q);
-            let (r, _, _) = execute_partitioned(&d, &pf, &q, 3, PipelineMode::Vectorized);
-            assert_eq!(r, expected, "{} packed sharded diverged", q.name);
-            let (r, _, _) = execute_partitioned(&d, &pf, &q, 2, PipelineMode::TupleAtATime);
-            assert_eq!(r, expected, "{} tuple sharded diverged", q.name);
         }
     }
 
@@ -1019,28 +827,26 @@ mod tests {
         // straddle shard boundaries at non-vector-aligned offsets.
         let pf = PartitionedFact::partition(&d, 7, &FactEncodings::plain());
         let mode = PipelineMode::Vectorized;
-        let make = |shape: &str, q| match shape {
-            "plain" => HostQueryJob::new(&d, q, mode),
-            "encoded" => HostQueryJob::new_encoded(&d, &fact, q, mode),
-            _ => HostQueryJob::new_partitioned(&d, &pf, q, mode),
-        };
+        let plain = FactTable::plain(&d);
+        let tables = [
+            ("plain", plain.clone()),
+            ("encoded", FactTable::encoded(&d, &fact)),
+            ("sharded", FactTable::sharded(&d, &pf)),
+        ];
         let queries = all_queries(&d);
         let names = ["q1.1", "q1.3", "q2.1", "q3.1", "q4.1", "q4.3"];
         for q in queries.iter().filter(|q| names.contains(&q.name)) {
-            let (expected, base_trace) = execute(&d, q, 1, mode);
-            let tuple_trace = execute(&d, q, 1, PipelineMode::TupleAtATime).1;
+            let (expected, base_trace) = execute(&plain, q, 1, mode);
+            let tuple_trace = execute(&plain, q, 1, PipelineMode::TupleAtATime).1;
             assert_eq!(base_trace, tuple_trace, "{}", q.name);
+            // The pinned shim reports the rows pruning left.
             let (_, part_trace, part_scanned) = execute_partitioned(&d, &pf, q, 1, mode);
             assert_eq!(part_trace, base_trace, "{}", q.name);
-            for shape in ["plain", "encoded", "sharded"] {
-                let live_rows = if shape == "sharded" {
-                    assert_eq!(part_scanned, pf.live_rows(q));
-                    part_scanned
-                } else {
-                    d.lineorder.rows()
-                };
+            assert_eq!(part_scanned, tables[2].1.live_rows(q));
+            for (shape, table) in &tables {
+                let live_rows = table.live_rows(q);
                 for grant in [usize::MAX, 1009, 3 * VECTOR_SIZE + 7, 1] {
-                    let mut job = make(shape, q);
+                    let mut job = HostQueryJob::over(table, q, mode);
                     assert_eq!(job.remaining_rows(), live_rows, "{} {shape}", q.name);
                     let mut steps = 0usize;
                     while !job.step(grant) {
@@ -1108,8 +914,7 @@ mod tests {
     fn accumulating_front_end_matches_per_row_semantics() {
         use crate::partition::PartitionedFact;
         let d = SsbData::generate_scaled(1, 0.002, 41);
-        let rows = d.lineorder.rows();
-        assert!(rows > 3 * VECTOR_SIZE + 5);
+        assert!(d.lineorder.rows() > 3 * VECTOR_SIZE + 5);
         let mode = PipelineMode::Vectorized;
         let encodings = [
             FactEncodings::plain(),
@@ -1127,18 +932,18 @@ mod tests {
             let shape = format!("{} preds, {} joins", q.fact_preds.len(), q.joins.len());
             let expected = (
                 reference::execute(&d, &q),
-                execute(&d, &q, 1, PipelineMode::TupleAtATime).1,
+                execute(&FactTable::plain(&d), &q, 1, PipelineMode::TupleAtATime).1,
             );
             for (e, (fact, pf)) in tables.iter().enumerate() {
-                let plan = Plan::new(&d, &q);
-                let table = [(encoded_columns(fact, &q), rows)];
+                let table = FactTable::encoded(&d, fact);
                 for morsel in [1, 999, VECTOR_SIZE, 3 * VECTOR_SIZE + 5] {
-                    let got = plan.run(&table, 3, mode, Schedule::Morsel(morsel));
+                    let got = execute_with(&table, &q, 3, mode, Schedule::Morsel(morsel));
                     assert_eq!(got, expected, "{shape}, encoding {e}, morsel {morsel}");
                 }
                 assert!(pf.shard_count() > 1);
+                let sharded = FactTable::sharded(&d, pf);
                 for grant in [1, 1009, usize::MAX] {
-                    let mut job = HostQueryJob::new_partitioned(&d, pf, &q, mode);
+                    let mut job = HostQueryJob::over(&sharded, &q, mode);
                     while !job.step(grant) {}
                     assert_eq!(
                         job.finish(),
@@ -1165,7 +970,7 @@ mod tests {
                 qualifying.push(qualifying[row] + usize::from(hit));
             }
             for grant in [VECTOR_SIZE - 1, VECTOR_SIZE + 1, 2 * VECTOR_SIZE + 999] {
-                let mut job = HostQueryJob::new(&d, q, mode);
+                let mut job = HostQueryJob::over(&FactTable::plain(&d), q, mode);
                 let mut done = false;
                 while !done {
                     done = job.step(grant);
@@ -1214,18 +1019,19 @@ mod tests {
         use crate::plan::{FactCol, FactPred};
         let d = data();
         let pf = PartitionedFact::partition(&d, 4, &FactEncodings::plain());
+        let (plain, sharded) = (FactTable::plain(&d), FactTable::sharded(&d, &pf));
         for qid in [crate::QueryId::new(1, 1), crate::QueryId::new(2, 1)] {
             let mut q = crate::queries::query(&d, qid);
             q.fact_preds
                 .push(FactPred::between(FactCol::OrderDate, 30000101, 30001231));
-            assert!(pf.live_shards(&q).is_empty());
-            let (expected, expected_trace) = execute(&d, &q, 2, PipelineMode::Vectorized);
-            let (r, t, scanned) = execute_partitioned(&d, &pf, &q, 2, PipelineMode::Vectorized);
+            assert!(sharded.live(&q).is_empty());
+            let (expected, expected_trace) = execute(&plain, &q, 2, PipelineMode::Vectorized);
+            let (r, t) = execute(&sharded, &q, 2, PipelineMode::Vectorized);
             assert_eq!(r, expected, "{qid:?} all-pruned diverged");
-            assert_eq!(scanned, 0, "pruned everything yet scanned rows");
+            assert_eq!(sharded.live_rows(&q), 0, "pruned everything yet scans rows");
             assert_eq!(t, expected_trace);
             assert_eq!(t.fact_rows, pf.total_rows());
-            let mut job = HostQueryJob::new_partitioned(&d, &pf, &q, PipelineMode::Vectorized);
+            let mut job = HostQueryJob::over(&sharded, &q, PipelineMode::Vectorized);
             assert_eq!(job.remaining_rows(), 0);
             assert!(job.step(1));
             assert_eq!(job.finish(), (expected, expected_trace));
@@ -1236,10 +1042,13 @@ mod tests {
     #[test]
     fn scoped_schedule_matches_morsel_schedule() {
         let d = SsbData::generate_scaled(1, 0.002, 37);
+        let table = FactTable::plain(&d);
+        let mode = PipelineMode::Vectorized;
         for q in all_queries(&d).into_iter().take(6) {
-            let (expected, trace) = execute(&d, &q, 4, PipelineMode::Vectorized);
+            let (expected, trace) = execute(&table, &q, 4, mode);
             assert_eq!(expected, reference::execute(&d, &q));
-            assert_eq!(execute_scoped(&d, &q, 4), (expected, trace), "{}", q.name);
+            let scoped = execute_with(&table, &q, 4, mode, Schedule::Scoped);
+            assert_eq!(scoped, (expected, trace), "{}", q.name);
         }
     }
 }

@@ -40,8 +40,12 @@
 //! [`partition`] makes the fact table a first-class sharded object:
 //! equal-width `lo_orderdate` range shards, each independently encoded
 //! with a min/max zone map, plus predicate pruning — the storage layer
-//! of the beyond-memory regime, executed by
-//! [`exec::execute_partitioned`] and the per-shard device residency path.
+//! of the beyond-memory regime.
+//!
+//! [`table`] is what the engines execute on: a [`FactTable`] of segments —
+//! the plain columns, one encoded table, or the shards of a partition —
+//! behind which the host executor, the device job, the placement model
+//! and the server no longer know which of the three they were given.
 
 pub mod arbitrary;
 pub mod data;
@@ -54,6 +58,7 @@ pub mod partition;
 pub mod plan;
 pub mod queries;
 pub mod result;
+pub mod table;
 
 pub use data::SsbData;
 pub use encoding::{EncodedFact, FactEncodings};
@@ -61,3 +66,4 @@ pub use partition::PartitionedFact;
 pub use plan::StarQuery;
 pub use queries::{all_queries, query, QueryId};
 pub use result::QueryResult;
+pub use table::{FactSegment, FactTable};

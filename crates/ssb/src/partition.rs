@@ -26,9 +26,9 @@
 //! Pruning is invisible in everything but the rows scanned: a pruned
 //! shard has zero predicate survivors by construction, so per-shard
 //! execution merged by commutative aggregate addition reproduces the
-//! unsharded result *and* trace byte-for-byte
-//! ([`crate::exec::execute_partitioned`]), while
-//! [`PartitionedFact::live_rows`] exposes the scan saving the sharded
+//! unsharded result *and* trace byte-for-byte ([`crate::exec::execute`]
+//! over [`crate::FactTable::sharded`]), while
+//! [`crate::FactTable::live_rows`] exposes the scan saving the sharded
 //! experiment pins.
 
 use std::ops::Range;
@@ -62,6 +62,14 @@ impl ZoneMap {
     /// lands exactly on a shard-boundary value keeps the shard live.
     pub fn overlaps(&self, col: FactCol, lo: i32, hi: i32) -> bool {
         hi >= self.min[col.index()] && lo <= self.max[col.index()]
+    }
+
+    /// Whether pruning eliminates the shard for `q`: some fact predicate's
+    /// range misses the stored-value interval, so no row can qualify.
+    pub fn prunes(&self, q: &StarQuery) -> bool {
+        q.fact_preds
+            .iter()
+            .any(|p| !self.overlaps(p.col, p.lo, p.hi))
     }
 }
 
@@ -196,21 +204,6 @@ impl FactShard {
     pub fn date_bounds(&self) -> (i32, i32) {
         (self.date_lo, self.date_hi)
     }
-
-    /// Physical bytes of `cols` in this shard — the shard's per-query
-    /// transfer volume for placement.
-    pub fn columns_bytes(&self, cols: &[FactCol]) -> usize {
-        cols.iter()
-            .map(|c| self.encoded.encoded(*c).size_bytes())
-            .sum()
-    }
-
-    /// Packed values of `cols` in this shard (the host's fused-unpack
-    /// work for the Section-6 bound, pro-rated to the shard).
-    pub fn packed_values(&self, cols: &[FactCol]) -> usize {
-        let enc = self.encoded.encodings();
-        enc.packed_values(self.rows(), cols)
-    }
 }
 
 /// The fact table as a first-class sharded object: equal-width range
@@ -294,32 +287,6 @@ impl PartitionedFact {
         &self.shards
     }
 
-    /// Whether zone-map pruning eliminates shard `i` for `q`: some fact
-    /// predicate's range misses the shard's stored-value interval, so no
-    /// row can qualify.
-    pub fn pruned(&self, i: usize, q: &StarQuery) -> bool {
-        q.fact_preds
-            .iter()
-            .any(|p| !self.shards[i].zone.overlaps(p.col, p.lo, p.hi))
-    }
-
-    /// The shards `q` must scan, in order — everything pruning cannot
-    /// eliminate.
-    pub fn live_shards(&self, q: &StarQuery) -> Vec<usize> {
-        (0..self.shards.len())
-            .filter(|&i| !self.pruned(i, q))
-            .collect()
-    }
-
-    /// Fact rows `q` scans after pruning (the numerator of the pinned
-    /// scan-fraction band).
-    pub fn live_rows(&self, q: &StarQuery) -> usize {
-        self.live_shards(q)
-            .into_iter()
-            .map(|i| self.shards[i].rows())
-            .sum()
-    }
-
     /// Physical bytes across all shards and columns.
     pub fn size_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.encoded.size_bytes()).sum()
@@ -333,6 +300,7 @@ mod tests {
     use crate::encoding::random_encodings;
     use crate::plan::FactPred;
     use crate::queries::{all_queries, query, QueryId};
+    use crate::table::FactTable;
 
     fn data() -> SsbData {
         SsbData::generate_scaled(1, 0.004, 13)
@@ -514,15 +482,16 @@ mod tests {
     fn date_filter_prunes_shards() {
         let d = data();
         let pf = PartitionedFact::partition(&d, 8, &FactEncodings::plain());
+        let table = FactTable::sharded(&d, &pf);
         let q = query(&d, QueryId::new(1, 1));
-        let live = pf.live_shards(&q);
+        let live = table.live(&q);
         assert!(!live.is_empty());
         assert!(
             live.len() < pf.shard_count(),
             "a 1-of-7-years filter must prune something from {} shards",
             pf.shard_count()
         );
-        assert!(pf.live_rows(&q) < pf.total_rows());
+        assert!(table.live_rows(&q) < pf.total_rows());
         let date_pred = q
             .fact_preds
             .iter()
@@ -542,21 +511,22 @@ mod tests {
     fn pruning_edges() {
         let d = data();
         let pf = PartitionedFact::partition(&d, 6, &FactEncodings::plain());
+        let table = FactTable::sharded(&d, &pf);
         let mut q = query(&d, QueryId::new(2, 1)); // no fact predicates
-        assert_eq!(pf.live_shards(&q).len(), pf.shard_count());
-        assert_eq!(pf.live_rows(&q), pf.total_rows());
+        assert_eq!(table.live(&q).len(), pf.shard_count());
+        assert_eq!(table.live_rows(&q), pf.total_rows());
 
         // Predicate exactly on a shard boundary: lo == hi == zone max of
         // shard 0 must keep shard 0 (inclusive ranges).
         let edge = pf.shard(0).zone().max(FactCol::OrderDate);
         q.fact_preds = vec![FactPred::between(FactCol::OrderDate, edge, edge)];
-        let live = pf.live_shards(&q);
+        let live = table.live(&q);
         assert!(live.contains(&0), "inclusive boundary must keep shard 0");
 
         // A range no shard can satisfy prunes everything.
         q.fact_preds = vec![FactPred::between(FactCol::OrderDate, 30000101, 30001231)];
-        assert!(pf.live_shards(&q).is_empty());
-        assert_eq!(pf.live_rows(&q), 0);
+        assert!(table.live(&q).is_empty());
+        assert_eq!(table.live_rows(&q), 0);
     }
 
     /// One shard degenerates to the unsharded table: nothing prunes.
@@ -567,7 +537,7 @@ mod tests {
         assert_eq!(pf.shard_count(), 1);
         assert_eq!(pf.shard(0).rows(), d.lineorder.rows());
         for q in all_queries(&d) {
-            assert_eq!(pf.live_shards(&q), vec![0], "{}", q.name);
+            assert_eq!(FactTable::sharded(&d, &pf).live(&q), vec![0], "{}", q.name);
         }
     }
 }

@@ -18,6 +18,23 @@ impl QueryResult {
         QueryResult::Groups(rows)
     }
 
+    /// Adds `other`, a partial result of the same query over other rows:
+    /// sums add group by group, and a group whose sum cancels to zero is
+    /// dropped like any empty one.
+    pub fn merge(&mut self, other: QueryResult) {
+        match (&mut *self, other) {
+            (QueryResult::Scalar(sum), QueryResult::Scalar(part)) => *sum += part,
+            (QueryResult::Groups(groups), QueryResult::Groups(part)) => {
+                let mut sums = std::collections::BTreeMap::new();
+                for (key, sum) in groups.drain(..).chain(part) {
+                    *sums.entry(key).or_insert(0) += sum;
+                }
+                *self = QueryResult::from_groups(sums);
+            }
+            _ => panic!("a scalar and a grouped result are not parts of one query"),
+        }
+    }
+
     /// Number of output rows (1 for scalars).
     pub fn rows(&self) -> usize {
         match self {
@@ -60,6 +77,20 @@ mod tests {
         }
         assert_eq!(r.checksum(), 17);
         assert_eq!(r.rows(), 2);
+    }
+
+    #[test]
+    fn parts_merge_group_by_group_and_drop_cancelled_groups() {
+        let mut r = QueryResult::from_groups(vec![(vec![1], 5), (vec![3], -4)]);
+        r.merge(QueryResult::from_groups(vec![
+            (vec![3], 4),
+            (vec![2], 7),
+            (vec![1], 1),
+        ]));
+        assert_eq!(r, QueryResult::Groups(vec![(vec![1], 6), (vec![2], 7)]));
+        let mut s = QueryResult::Scalar(40);
+        s.merge(QueryResult::Scalar(2));
+        assert_eq!(s, QueryResult::Scalar(42));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crystal_ssb::encoding::{EncodedFact, FactEncodings};
 use crystal_ssb::engines::gpu::DeviceQueryJob;
 use crystal_ssb::engines::reference;
 use crystal_ssb::plan::{AggExpr, FactCol, FactPred, StarQuery};
-use crystal_ssb::{PartitionedFact, SsbData};
+use crystal_ssb::{FactTable, PartitionedFact, SsbData};
 
 const SEED: u64 = 20_260_730;
 
@@ -57,18 +57,18 @@ fn drive(job: &mut DeviceQueryJob<'_>, sess: &mut DeviceSession<'_>, mut grant: 
 #[test]
 fn pipelined_grants_match_the_reference_for_random_queries() {
     let d = data();
-    let enc = FactEncodings::packed_min(&d);
-    let packed = EncodedFact::encode(&d, &enc);
+    let packed = EncodedFact::encode(&d, &FactEncodings::packed_min(&d));
+    let (plain, packed) = (FactTable::plain(&d), FactTable::encoded(&d, &packed));
     let mut gpu = Gpu::new(nvidia_v100());
     let mut sess = DeviceSession::new(&mut gpu);
     let mut queries: Vec<StarQuery> = (0..8).map(|i| random_star_query(&d, SEED + i)).collect();
     queries.push(empty_result_query());
     for (i, q) in queries.iter().enumerate() {
         let expected = reference::execute(&d, q);
-        let mut job = DeviceQueryJob::admit(&mut sess, &d, None, q).expect("plain admit");
+        let mut job = DeviceQueryJob::admit(&mut sess, &plain, q).expect("plain admit");
         drive(&mut job, &mut sess, 777 + i * 131);
         assert_eq!(job.finish().result, expected, "plain query {i}");
-        let mut job = DeviceQueryJob::admit(&mut sess, &d, Some(&packed), q).expect("packed admit");
+        let mut job = DeviceQueryJob::admit(&mut sess, &packed, q).expect("packed admit");
         drive(&mut job, &mut sess, 1009);
         assert_eq!(job.finish().result, expected, "packed query {i}");
     }
@@ -89,14 +89,14 @@ fn pipelined_grants_match_the_reference_for_random_queries() {
 fn sharded_prefetch_pipeline_matches_the_reference() {
     let d = data();
     let pf = PartitionedFact::partition(&d, 8, &FactEncodings::plain());
+    let sharded = FactTable::sharded(&d, &pf);
     let mut gpu = Gpu::new(nvidia_v100());
     let mut sess = DeviceSession::new(&mut gpu);
     let mut queries: Vec<StarQuery> = (0..8).map(|i| random_star_query(&d, SEED + i)).collect();
     queries.push(empty_result_query());
     for (i, q) in queries.iter().enumerate() {
         let expected = reference::execute(&d, q);
-        let mut job =
-            DeviceQueryJob::admit_partitioned(&mut sess, &d, &pf, q).expect("sharded admit");
+        let mut job = DeviceQueryJob::admit(&mut sess, &sharded, q).expect("sharded admit");
         let mut grant = 513 + i * 97;
         loop {
             match job.step(&mut sess, grant) {
@@ -118,6 +118,7 @@ fn sharded_prefetch_pipeline_matches_the_reference() {
 fn tight_staging_budget_stalls_prefetch_without_corruption() {
     let d = data();
     let pf = PartitionedFact::partition(&d, 8, &FactEncodings::plain());
+    let sharded = FactTable::sharded(&d, &pf);
     let queries: Vec<StarQuery> = (0..4).map(|i| random_star_query(&d, SEED + i)).collect();
 
     let run = |budget: Option<usize>| {
@@ -128,7 +129,7 @@ fn tight_staging_budget_stalls_prefetch_without_corruption() {
         };
         let mut results = Vec::new();
         for q in &queries {
-            let mut job = DeviceQueryJob::admit_partitioned(&mut sess, &d, &pf, q).expect("admit");
+            let mut job = DeviceQueryJob::admit(&mut sess, &sharded, q).expect("admit");
             loop {
                 match job.step(&mut sess, 2048) {
                     Ok(true) => break,

@@ -5,11 +5,11 @@ use proptest::prelude::*;
 use crystal_ssb::arbitrary::random_star_query;
 use crystal_ssb::encoding::random_encodings;
 use crystal_ssb::engines::{cpu, dim_table_bytes, hyper, reference, DimBuild, DimLookup};
-use crystal_ssb::exec::{execute, execute_encoded, HostQueryJob, PipelineMode};
+use crystal_ssb::exec::{execute, HostQueryJob, PipelineMode};
 use crystal_ssb::optimizer::{join_selectivity, optimize_join_order};
 use crystal_ssb::plan::{DimAttr, DimJoin, DimPred, DimTable, FactCol};
 use crystal_ssb::queries::{all_queries, query, QueryId};
-use crystal_ssb::{EncodedFact, PartitionedFact, SsbData};
+use crystal_ssb::{EncodedFact, FactTable, PartitionedFact, SsbData};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -136,14 +136,16 @@ proptest! {
         let enc = random_encodings(&d, seed);
         let fact = EncodedFact::encode(&d, &enc);
         let pf = PartitionedFact::partition(&d, shards, &enc);
+        let plain = FactTable::plain(&d);
+        let (encoded, sharded) = (FactTable::encoded(&d, &fact), FactTable::sharded(&d, &pf));
         for i in 0..6u64 {
             let qseed = seed.wrapping_add(i);
             let q = random_star_query(&d, qseed);
-            let per_row = execute(&d, &q, 1, PipelineMode::TupleAtATime);
+            let per_row = execute(&plain, &q, 1, PipelineMode::TupleAtATime);
             prop_assert_eq!(&per_row.0, &reference::execute(&d, &q), "seed {}", qseed);
-            let got = execute_encoded(&d, &fact, &q, 2, PipelineMode::Vectorized);
+            let got = execute(&encoded, &q, 2, PipelineMode::Vectorized);
             prop_assert_eq!(&got, &per_row, "seed {}: to completion", qseed);
-            let mut job = HostQueryJob::new_partitioned(&d, &pf, &q, PipelineMode::Vectorized);
+            let mut job = HostQueryJob::over(&sharded, &q, PipelineMode::Vectorized);
             while !job.step(grant) {}
             prop_assert_eq!(&job.finish(), &per_row, "seed {}: grants of {}", qseed, grant);
         }

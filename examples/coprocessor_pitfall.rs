@@ -12,11 +12,12 @@
 
 use crystal::gpu_sim::Gpu;
 use crystal::hardware::{intel_i7_6900, nvidia_v100, pcie_gen3};
-use crystal::models::ssb::coprocessor_bounds;
+use crystal::models::ssb::compressed_coprocessor_bounds;
+use crystal::runtime::DeviceSession;
 use crystal::ssb::engines::{copro, cpu as cpu_engine, gpu as gpu_engine};
 use crystal::ssb::model as qmodel;
 use crystal::ssb::queries::{query, QueryId};
-use crystal::ssb::SsbData;
+use crystal::ssb::{FactTable, SsbData};
 
 fn main() {
     let fact_scale = 0.01;
@@ -37,7 +38,8 @@ fn main() {
 
     // GPU-resident: the same kernels, data already in device memory.
     gpu.reset_l2();
-    let resident = gpu_engine::execute(&mut gpu, &data, &q).unwrap();
+    let mut fresh = DeviceSession::new(&mut gpu);
+    let resident = gpu_engine::execute(&mut fresh, &FactTable::plain(&data), &q).unwrap();
     let t_resident = resident.sim_secs_scaled(fact_scale);
 
     println!("SSB q1.1 at scale factor 20 (120M rows), modeled on Table-2 hardware:\n");
@@ -57,7 +59,8 @@ fn main() {
         t_resident * 1e3
     );
 
-    let (gpu_bound, cpu_bound) = coprocessor_bounds(run.shipped_bytes, &cpu_spec, &pcie);
+    let (gpu_bound, cpu_bound) =
+        compressed_coprocessor_bounds(run.shipped_bytes, 0, &cpu_spec, &pcie);
     println!(
         "\nSection 3.1's argument: the coprocessor is lower-bounded by transfer \
          ({:.1} ms),\nwhile the CPU is upper-bounded by one scan of the same bytes \

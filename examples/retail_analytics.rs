@@ -13,14 +13,16 @@
 
 use crystal::gpu_sim::Gpu;
 use crystal::hardware::nvidia_v100;
+use crystal::runtime::DeviceSession;
 use crystal::ssb::engines::{cpu as cpu_engine, gpu as gpu_engine};
 use crystal::ssb::queries::{query, QueryId};
-use crystal::ssb::{QueryResult, SsbData};
+use crystal::ssb::{FactTable, QueryResult, SsbData};
 
 fn main() {
     // SF-1 dimensions with a 600k-row sales sample (fast to demo; crank
     // `fact_scale` up for bigger runs).
     let data = SsbData::generate_scaled(1, 0.1, 2024);
+    let table = FactTable::plain(&data);
     println!(
         "sales database: {} sales, {} products, {} suppliers, {} customers ({:.1} MB)",
         data.lineorder.rows(),
@@ -57,7 +59,8 @@ fn main() {
 
         let (cpu_result, trace) = cpu_engine::execute(&data, &q, threads);
         gpu.reset_l2();
-        let gpu_run = gpu_engine::execute(&mut gpu, &data, &q).unwrap();
+        let mut fresh = DeviceSession::new(&mut gpu);
+        let gpu_run = gpu_engine::execute(&mut fresh, &table, &q).unwrap();
         assert_eq!(cpu_result, gpu_run.result, "engines must agree");
 
         match &cpu_result {

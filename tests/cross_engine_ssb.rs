@@ -6,9 +6,10 @@
 
 use crystal::gpu_sim::Gpu;
 use crystal::hardware::nvidia_v100;
+use crystal::runtime::DeviceSession;
 use crystal::ssb::engines::{cpu, gpu, hyper, monet, omnisci, reference};
 use crystal::ssb::queries::all_queries;
-use crystal::ssb::SsbData;
+use crystal::ssb::{FactTable, SsbData};
 
 fn dataset() -> SsbData {
     SsbData::generate_scaled(1, 0.004, 777) // 24k fact rows
@@ -17,6 +18,7 @@ fn dataset() -> SsbData {
 #[test]
 fn all_engines_agree_on_all_13_queries() {
     let d = dataset();
+    let table = FactTable::plain(&d);
     let mut device = Gpu::new(nvidia_v100());
     let threads = 4;
     for q in all_queries(&d) {
@@ -43,7 +45,7 @@ fn all_engines_agree_on_all_13_queries() {
         );
 
         device.reset_l2();
-        let run = gpu::execute(&mut device, &d, &q).unwrap();
+        let run = gpu::execute(&mut DeviceSession::new(&mut device), &table, &q).unwrap();
         assert_eq!(
             run.result, expected,
             "{}: Crystal GPU engine diverged",
@@ -63,10 +65,11 @@ fn all_engines_agree_on_all_13_queries() {
 #[test]
 fn gpu_and_cpu_traces_agree_on_selectivities() {
     let d = dataset();
+    let table = FactTable::plain(&d);
     let mut device = Gpu::new(nvidia_v100());
     for q in all_queries(&d) {
         let (_, cpu_trace) = cpu::execute(&d, &q, 4);
-        let run = gpu::execute(&mut device, &d, &q).unwrap();
+        let run = gpu::execute(&mut DeviceSession::new(&mut device), &table, &q).unwrap();
         assert_eq!(
             cpu_trace.pred_survivors, run.trace.pred_survivors,
             "{}",
@@ -84,12 +87,13 @@ fn gpu_and_cpu_traces_agree_on_selectivities() {
 fn engines_agree_across_scale_factors() {
     for sf in [1usize, 2] {
         let d = SsbData::generate_scaled(sf, 0.002, 31);
+        let table = FactTable::plain(&d);
         let mut device = Gpu::new(nvidia_v100());
         for q in all_queries(&d).into_iter().take(4) {
             let expected = reference::execute(&d, &q);
             let (got, _) = cpu::execute(&d, &q, 2);
             assert_eq!(got, expected, "{} sf{sf}", q.name);
-            let run = gpu::execute(&mut device, &d, &q).unwrap();
+            let run = gpu::execute(&mut DeviceSession::new(&mut device), &table, &q).unwrap();
             assert_eq!(run.result, expected, "{} sf{sf} gpu", q.name);
         }
     }

@@ -8,7 +8,7 @@ use crystal::hardware::nvidia_v100;
 use crystal::runtime::DeviceSession;
 use crystal::ssb::engines::{gpu as gpu_engine, reference};
 use crystal::ssb::queries::all_queries;
-use crystal::ssb::SsbData;
+use crystal::ssb::{FactTable, SsbData};
 
 /// A V100 shrunk to `capacity` bytes of device memory.
 fn small_v100(capacity: usize) -> Gpu {
@@ -21,13 +21,15 @@ fn small_v100(capacity: usize) -> Gpu {
 fn starved_session_evicts_but_stays_byte_identical() {
     let d = SsbData::generate_scaled(1, 0.002, 77); // 12k fact rows
     let queries = all_queries(&d);
+    let table = FactTable::plain(&d);
 
     // The uncached oracle: the row-wise reference engine, plus one
     // transient-session device run per query (the pre-session lifecycle).
     let expected: Vec<_> = queries.iter().map(|q| reference::execute(&d, q)).collect();
     let mut uncached_gpu = Gpu::new(nvidia_v100());
     for (q, e) in queries.iter().zip(&expected) {
-        let run = gpu_engine::execute(&mut uncached_gpu, &d, q).unwrap();
+        let mut transient = DeviceSession::new(&mut uncached_gpu);
+        let run = gpu_engine::execute(&mut transient, &table, q).unwrap();
         assert_eq!(&run.result, e, "{} uncached diverged", q.name);
     }
 
@@ -42,7 +44,7 @@ fn starved_session_evicts_but_stays_byte_identical() {
 
     for pass in 0..2 {
         for (q, e) in queries.iter().zip(&expected) {
-            let run = gpu_engine::execute_session(&mut sess, &d, q).unwrap();
+            let run = gpu_engine::execute(&mut sess, &table, q).unwrap();
             assert_eq!(
                 &run.result, e,
                 "{} pass {pass} diverged under memory pressure",
@@ -80,10 +82,11 @@ fn starved_session_evicts_but_stays_byte_identical() {
 fn roomy_session_never_evicts() {
     let d = SsbData::generate_scaled(1, 0.002, 77);
     let queries = all_queries(&d);
+    let table = FactTable::plain(&d);
     let mut gpu = Gpu::new(nvidia_v100());
     let mut sess = DeviceSession::new(&mut gpu);
     for q in &queries {
-        let run = gpu_engine::execute_session(&mut sess, &d, q).unwrap();
+        let run = gpu_engine::execute(&mut sess, &table, q).unwrap();
         assert_eq!(run.result, reference::execute(&d, q), "{}", q.name);
     }
     assert_eq!(sess.stats().evictions, 0);

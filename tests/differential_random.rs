@@ -27,9 +27,9 @@ use crystal::runtime::DeviceSession;
 use crystal::ssb::arbitrary::random_star_query;
 use crystal::ssb::encoding::{random_encodings, EncodedFact};
 use crystal::ssb::engines::{copro, cpu, hyper, reference};
-use crystal::ssb::exec::{self, PipelineMode};
+use crystal::ssb::exec::{self, PipelineMode, Schedule};
 use crystal::ssb::plan::StarQuery;
-use crystal::ssb::SsbData;
+use crystal::ssb::{FactTable, SsbData};
 use crystal_bench::util::env_var;
 
 /// Salt separating the encoding stream from the plan stream, so a query's
@@ -57,18 +57,18 @@ fn base_seed() -> u64 {
 fn placed_cold(
     gpu: &mut Gpu,
     link: &PcieSpec,
-    d: &SsbData,
-    fact: Option<&EncodedFact>,
+    table: &FactTable<'_>,
     q: &StarQuery,
 ) -> copro::PlacedRun {
     let cold = &mut DeviceSession::new(gpu);
-    copro::execute_placed(cold, link, &intel_i7_6900(), d, fact, q, 4)
+    copro::execute_placed(cold, link, &intel_i7_6900(), table, q, 4)
 }
 
 #[test]
 fn random_queries_agree_across_all_engines() {
     let seed = base_seed();
     let d = SsbData::generate_scaled(1, 0.002, seed); // 12k fact rows
+    let plain = FactTable::plain(&d);
     let mut gpu = Gpu::new(nvidia_v100());
     let cpu_spec = intel_i7_6900();
     let pcie = pcie_gen3();
@@ -100,8 +100,8 @@ fn random_queries_agree_across_all_engines() {
         let enc = random_encodings(&d, qseed ^ ENCODING_SALT);
         packed_runs += usize::from(enc.any_packed());
         let fact = EncodedFact::encode(&d, &enc);
-        let (got_enc, enc_trace) =
-            exec::execute_encoded(&d, &fact, &q, 4, PipelineMode::Vectorized);
+        let encoded = FactTable::encoded(&d, &fact);
+        let (got_enc, enc_trace) = exec::execute(&encoded, &q, 4, PipelineMode::Vectorized);
         assert_eq!(
             got_enc, expected,
             "seed {qseed}: encoded vectorized diverged"
@@ -110,12 +110,12 @@ fn random_queries_agree_across_all_engines() {
             enc_trace.result_rows, trace.result_rows,
             "seed {qseed}: encoded trace diverged"
         );
-        let (got_enc_t, _) = exec::execute_encoded(&d, &fact, &q, 2, PipelineMode::TupleAtATime);
+        let (got_enc_t, _) = exec::execute(&encoded, &q, 2, PipelineMode::TupleAtATime);
         assert_eq!(got_enc_t, expected, "seed {qseed}: encoded tuple diverged");
 
-        let placed = placed_cold(&mut gpu, &pcie, &d, None, &q);
+        let placed = placed_cold(&mut gpu, &pcie, &plain, &q);
         assert_eq!(
-            placed.choice.placement,
+            placed.placement.decision.placement,
             copro::Placement::Host,
             "seed {qseed}: PCIe routing must stay host-side"
         );
@@ -126,9 +126,9 @@ fn random_queries_agree_across_all_engines() {
 
         if i % GPU_SIM_STRIDE == 0 {
             gpu.reset_l2();
-            let dev = placed_cold(&mut gpu, &fast_link, &d, None, &q);
+            let dev = placed_cold(&mut gpu, &fast_link, &plain, &q);
             assert_eq!(
-                dev.choice.placement,
+                dev.placement.decision.placement,
                 copro::Placement::Coprocessor,
                 "seed {qseed}"
             );
@@ -140,9 +140,9 @@ fn random_queries_agree_across_all_engines() {
             // The packed GPU path: ship packed words over the (forced)
             // coprocessor route, unpack in registers on the device.
             gpu.reset_l2();
-            let dev_enc = placed_cold(&mut gpu, &fast_link, &d, Some(&fact), &q);
+            let dev_enc = placed_cold(&mut gpu, &fast_link, &encoded, &q);
             assert_eq!(
-                dev_enc.choice.placement,
+                dev_enc.placement.decision.placement,
                 copro::Placement::Coprocessor,
                 "seed {qseed}"
             );
@@ -187,7 +187,8 @@ fn extreme_packing_widths_match_the_oracle() {
         let q = random_star_query(&d, qseed);
         let expected = reference::execute(&d, &q);
         for (label, fact) in [("min-width", &tight), ("32-bit no-op", &noop)] {
-            let (r, _) = exec::execute_encoded(&d, fact, &q, 3, PipelineMode::Vectorized);
+            let table = FactTable::encoded(&d, fact);
+            let (r, _) = exec::execute(&table, &q, 3, PipelineMode::Vectorized);
             assert_eq!(r, expected, "seed {qseed} {label}");
         }
     }
@@ -209,6 +210,7 @@ fn pinned_stream_replays_identically_through_a_warm_session() {
         .map(|i| random_star_query(&d, seed.wrapping_add(i)))
         .collect();
 
+    let table = FactTable::plain(&d);
     let mut gpu = Gpu::new(nvidia_v100());
     let mut sess = DeviceSession::new(&mut gpu);
     let mut first_pass = Vec::new();
@@ -221,7 +223,7 @@ fn pinned_stream_replays_identically_through_a_warm_session() {
             let got_hyper = hyper::execute(&d, q, 4);
             assert_eq!(got_hyper, expected, "query {i}: hyper diverged");
 
-            let run = gpu_engine::execute_session(&mut sess, &d, q).unwrap();
+            let run = gpu_engine::execute(&mut sess, &table, q).unwrap();
             assert_eq!(
                 run.result, expected,
                 "query {i} pass {pass}: warm session diverged from cold oracle"
@@ -266,6 +268,7 @@ fn pinned_sharded_replay_matches_the_oracle_under_eviction() {
     let seed = base_seed();
     let d = SsbData::generate_scaled(1, 0.001, seed); // 6k fact rows
     let pf = PartitionedFact::partition(&d, 6, &FactEncodings::plain());
+    let table = FactTable::sharded(&d, &pf);
     let stream: Vec<_> = (0..12u64)
         .map(|i| random_star_query(&d, seed.wrapping_add(i)))
         .collect();
@@ -274,9 +277,15 @@ fn pinned_sharded_replay_matches_the_oracle_under_eviction() {
     let mut pruned_any = false;
     for (i, q) in stream.iter().enumerate() {
         let expected = reference::execute(&d, q);
-        let (got, _, scanned) = exec::execute_partitioned(&d, &pf, q, 3, PipelineMode::Vectorized);
+        // Morsel-parallel: three workers per live shard, merged.
+        let (got, _) = exec::execute(&table, q, 3, PipelineMode::Vectorized);
         assert_eq!(got, expected, "query {i}: sharded host diverged");
-        assert_eq!(scanned, pf.live_rows(q), "query {i}: scan count");
+        // The stepped job counts the rows it actually scanned.
+        let mut job = exec::HostQueryJob::over(&table, q, PipelineMode::Vectorized);
+        while !job.step(usize::MAX) {}
+        let scanned = job.rows_scanned();
+        assert_eq!(job.finish().0, expected, "query {i}: sharded job diverged");
+        assert_eq!(scanned, table.live_rows(q), "query {i}: scan count");
         pruned_any |= scanned < d.lineorder.rows();
     }
     assert!(pruned_any, "the pinned stream never exercised pruning");
@@ -289,7 +298,7 @@ fn pinned_sharded_replay_matches_the_oracle_under_eviction() {
     for pass in 0..2 {
         for (i, q) in stream.iter().enumerate() {
             let expected = reference::execute(&d, q);
-            let run = gpu_engine::execute_partitioned_session(&mut sess, &d, &pf, q)
+            let run = gpu_engine::execute(&mut sess, &table, q)
                 .expect("every single-shard working set fits half the table");
             assert_eq!(
                 run.result, expected,
@@ -323,6 +332,7 @@ fn fused_and_unfused_gpu_paths_agree_on_every_random_query() {
     let seed = base_seed();
     let d = SsbData::generate_scaled(1, 0.001, seed); // 6k fact rows
     let pf = PartitionedFact::partition(&d, 4, &FactEncodings::plain());
+    let (plain, shards) = (FactTable::plain(&d), FactTable::sharded(&d, &pf));
     let mut gpu = Gpu::new(nvidia_v100());
     let mut sess = DeviceSession::new(&mut gpu);
 
@@ -336,7 +346,7 @@ fn fused_and_unfused_gpu_paths_agree_on_every_random_query() {
         empty += usize::from(expected.checksum() == 0);
 
         // Fused megakernel: the whole pipeline in one launch per step.
-        let fused = gpu_engine::execute_session(&mut sess, &d, &q).unwrap();
+        let fused = gpu_engine::execute(&mut sess, &plain, &q).unwrap();
         assert_eq!(fused.result, expected, "seed {qseed}: fused GPU diverged");
         let probe = fused.reports.last().unwrap();
         assert_eq!(probe.launches, 1, "seed {qseed}: probe must be one launch");
@@ -358,7 +368,8 @@ fn fused_and_unfused_gpu_paths_agree_on_every_random_query() {
             let enc = random_encodings(&d, qseed ^ ENCODING_SALT);
             packed_runs += usize::from(enc.any_packed());
             let fact = EncodedFact::encode(&d, &enc);
-            let packed = gpu_engine::execute_encoded_session(&mut sess, &d, &fact, &q).unwrap();
+            let packed =
+                gpu_engine::execute(&mut sess, &FactTable::encoded(&d, &fact), &q).unwrap();
             assert_eq!(
                 packed.result, expected,
                 "seed {qseed}: packed fused GPU diverged"
@@ -366,7 +377,7 @@ fn fused_and_unfused_gpu_paths_agree_on_every_random_query() {
 
             // Shard-at-a-time fused execution with zone-map pruning.
             sharded_runs += 1;
-            let sharded = gpu_engine::execute_partitioned_session(&mut sess, &d, &pf, &q)
+            let sharded = gpu_engine::execute(&mut sess, &shards, &q)
                 .expect("single-shard working sets fit a V100 budget");
             assert_eq!(
                 sharded.result, expected,
@@ -385,7 +396,7 @@ fn fused_and_unfused_gpu_paths_agree_on_every_random_query() {
         joins: vec![],
         agg: AggExpr::SumDiscountedPrice,
     };
-    let fused = gpu_engine::execute_session(&mut sess, &d, &q).unwrap();
+    let fused = gpu_engine::execute(&mut sess, &plain, &q).unwrap();
     let unfused = omnisci::execute_unfused_session(&mut sess, &d, &q);
     assert_eq!(fused.result, QueryResult::Scalar(0));
     assert_eq!(unfused.result, QueryResult::Scalar(0));
@@ -402,19 +413,20 @@ fn fused_and_unfused_gpu_paths_agree_on_every_random_query() {
 fn random_queries_are_schedule_invariant() {
     let seed = base_seed() ^ 0x5eed_5eed;
     let d = SsbData::generate_scaled(1, 0.001, seed);
+    let table = FactTable::plain(&d);
     for i in 0..24u64 {
         let qseed = seed.wrapping_add(i);
         let q = random_star_query(&d, qseed);
         let expected = reference::execute(&d, &q);
         for (threads, morsel) in [(1usize, 1usize << 20), (3, 1000), (8, 1)] {
-            let (r, _) =
-                exec::execute_with_morsel(&d, &q, threads, morsel, PipelineMode::Vectorized);
+            let run =
+                |mode| exec::execute_with(&table, &q, threads, mode, Schedule::Morsel(morsel));
+            let (r, _) = run(PipelineMode::Vectorized);
             assert_eq!(
                 r, expected,
                 "seed {qseed} threads {threads} morsel {morsel}"
             );
-            let (r, _) =
-                exec::execute_with_morsel(&d, &q, threads, morsel, PipelineMode::TupleAtATime);
+            let (r, _) = run(PipelineMode::TupleAtATime);
             assert_eq!(r, expected, "seed {qseed} tuple threads {threads}");
         }
     }

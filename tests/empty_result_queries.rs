@@ -12,7 +12,7 @@ use crystal::ssb::engines::{copro, cpu, gpu, hyper, monet, omnisci, reference};
 use crystal::ssb::plan::DimAttr;
 use crystal::ssb::plan::{AggExpr, DimJoin, DimPred, DimTable, FactCol, FactPred, StarQuery};
 use crystal::ssb::queries::{query, QueryId};
-use crystal::ssb::{QueryResult, SsbData};
+use crystal::ssb::{FactTable, QueryResult, SsbData};
 
 fn tiny_dataset(seed: u64) -> SsbData {
     SsbData::generate_scaled(1, 0.0005, seed) // 3k fact rows
@@ -44,8 +44,9 @@ fn assert_all_engines(d: &SsbData, q: &StarQuery, expected: &QueryResult) {
         q.name
     );
 
+    let table = FactTable::plain(d);
     let mut device = Gpu::new(nvidia_v100());
-    let run = gpu::execute(&mut device, d, q).unwrap();
+    let run = gpu::execute(&mut DeviceSession::new(&mut device), &table, q).unwrap();
     assert_eq!(&run.result, expected, "{}: Crystal GPU engine", q.name);
 
     device.reset_l2();
@@ -58,7 +59,7 @@ fn assert_all_engines(d: &SsbData, q: &StarQuery, expected: &QueryResult) {
 
     device.reset_l2();
     let mut cold = DeviceSession::new(&mut device);
-    let co = copro::execute_session(&mut cold, &pcie_gen3(), d, None, q).unwrap();
+    let co = copro::execute(&mut cold, &pcie_gen3(), &table, q).unwrap();
     assert_eq!(
         &co.gpu_run.result, expected,
         "{}: coprocessor engine",
