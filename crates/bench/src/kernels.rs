@@ -50,7 +50,10 @@
 //! straight into its slots, so the lookup build is its byte model: both in
 //! ns per dimension row over SF-20's `part` and `customer` at pass rates
 //! 1/25, 1/5 and 2/5, and `--smoke` gates, relatively only, the scan within
-//! `DIM_SCAN_MAX_MULTIPLE` of the lookup build at every one. The simulated
+//! `DIM_SCAN_MAX_MULTIPLE` of the lookup build at every one. The
+//! `dim_pairs_cached` rows time the same pairs read off the join's cached
+//! halves ([`DimBuild::cached`], what a device miss runs) against that scan
+//! — gated at no slower. The simulated
 //! `hash_build` kernel is timed in host ns per insert into a perfect table
 //! of `part`'s size, one key in five present, with the keys ascending (as
 //! dimension keys arrive: most inserts repeat the line of slots the last one
@@ -584,6 +587,7 @@ pub fn microbench(cfg: &Config, smoke: bool) -> bool {
 
     // --- The device build side: dimension scan and simulated build kernel. ---
     let mut scan_over_lookup = 0.0f64;
+    let mut cached_over_scan = 0.0f64;
     {
         // SF-20 dimensions (1.06 M parts, 600 k customers); the fact table
         // is not read.
@@ -635,7 +639,17 @@ pub fn microbench(cfg: &Config, smoke: bool) -> bool {
                 headline.push((format!("dim_lookup_ns_per_row.{name}.{rate}"), ns(secs.0)));
                 scan_over_lookup = scan_over_lookup.max(1.0 / secs.2);
                 let encoding = format!("{name}.{rate}");
-                rows.push(Row::timed("dim_build_scan", encoding, pass, dim_rows, secs));
+                let row = |kernel, secs| Row::timed(kernel, &encoding, pass, dim_rows, secs);
+                rows.push(row("dim_build_scan", secs));
+
+                // The same pairs off the join's halves, both held.
+                black_box(DimBuild::cached(&d, &join));
+                let secs = paired(reps, |cached| match cached {
+                    true => drop(black_box(DimBuild::cached(&d, &join))),
+                    false => drop(black_box(DimBuild::scan(&d, &join))),
+                });
+                cached_over_scan = cached_over_scan.max(1.0 / secs.2);
+                rows.push(row("dim_pairs_cached", secs));
             }
         }
 
@@ -813,6 +827,13 @@ pub fn microbench(cfg: &Config, smoke: bool) -> bool {
         );
         return false;
     }
+    if smoke && cached_over_scan > 1.0 {
+        eprintln!(
+            "SMOKE GATE MISS: reading a join's pairs off its cached halves costs \
+             {cached_over_scan:.2} DimBuild::scans at some pass rate (must be <= 1 at every one)"
+        );
+        return false;
+    }
     if smoke && sim_multiple_in_l2 > SIM_GATHER_MAX_MULTIPLE {
         eprintln!(
             "SMOKE GATE MISS: a simulated in-L2 gather costs {sim_multiple_in_l2:.1} plain reads \
@@ -846,6 +867,7 @@ fn write_json(
          PackedColumn::pack; scatter3 / fingerprint rows: scalar = plain copy / read of as many \
          bytes, chunked = Buckets::scatter3 / SsbData::content_fingerprint; dim_build_scan rows: scalar = \
          DimLookup::build, chunked = DimBuild::scan, per dimension row, selectivity = pass rate; \
+         dim_pairs_cached rows: scalar = DimBuild::scan, chunked = DimBuild::cached with both halves held; \
          hash_build rows: scalar = shuffled keys, chunked = ascending keys, per insert; sel_between_init_cold rows: scalar = column streamed from memory, chunked = \
          as many rows over a cache-resident window\",\n",
     );

@@ -197,11 +197,22 @@ pub fn query_stream(cfg: &Config) {
         d.lineorder.rows()
     );
 
-    let cold = replay(&d, &stream, false, None);
-    let warm = replay(&d, &stream, true, None);
+    // The first replay scans the dimensions; the later ones, device
+    // rebuilds included, find every join half in the dataset's cache.
+    let mut seen = d.dim_cache_stats();
+    let mut replay = |name: &str, warm, budget| {
+        let out = replay(&d, &stream, warm, budget);
+        let now = d.dim_cache_stats();
+        let (hits, scans) = (now.hits - seen.hits, now.misses - seen.misses);
+        println!("{name}: dimension halves {hits} cached, {scans} scanned, {now:?}");
+        seen = now;
+        out
+    };
+    let cold = replay("cold", false, None);
+    let warm = replay("warm", true, None);
     // Starve the cache: barely two plain fact columns fit.
     let tight_budget = 9 * d.lineorder.rows();
-    let tight = replay(&d, &stream, true, Some(tight_budget));
+    let tight = replay("warm tight", true, Some(tight_budget));
 
     let mut report = Report::new(
         "query_stream",

@@ -44,14 +44,14 @@ pub const CHUNK: usize = 1024;
 const LANES: usize = 64;
 
 /// A monomorphized perfect-hash probe target over the key range starting
-/// at `min_key`: the payload array, slot `i` holding the dense code of key
-/// `min_key + i` or a negative value (key absent, or its dimension row
-/// filtered out), and its membership bitmap ([`slot_bitmap`]). A probe's
-/// speed is set by the cache level its table fits in (Section 4.3), so a
-/// join tests one bit per key — a subtract, one bounds-checked word load
-/// and a shift, no closure and no `Option` branch; the 2-byte payloads
-/// (at most 999 in SSB) are read only where the bit is set, and widen back
-/// to `i32` on the way out.
+/// at `min_key`: the membership bitmap, bit `i` set when key `min_key + i`
+/// is a member, and the payload array, slot `i` holding that key's dense
+/// code. A probe's speed is set by the cache level its table fits in
+/// (Section 4.3), so a join tests one bit per key — a subtract, one
+/// bounds-checked word load and a shift, no closure and no `Option`
+/// branch; the 2-byte payloads (at most 999 in SSB) are read only where
+/// the bit is set — what a slot outside the bitmap holds is never seen —
+/// and widen back to `i32` on the way out.
 #[derive(Debug, Clone, Copy)]
 pub struct PerfectHashProbe<'a> {
     min_key: i32,
@@ -60,9 +60,10 @@ pub struct PerfectHashProbe<'a> {
 }
 
 impl<'a> PerfectHashProbe<'a> {
-    /// A probe spec over `codes` and its membership bitmap `bits`, which
-    /// must be [`slot_bitmap`]`(codes)`. (A caller that only semi-joins
-    /// may hand over no codes at all: nothing reads them.)
+    /// A probe spec over the membership bitmap `bits` and the payloads
+    /// `codes`, which hold a non-negative code wherever a bit is set. A
+    /// caller whose members carry no payload hands over no codes at all:
+    /// the semi-joins never read them, and [`Self::probe`] answers 0.
     #[inline]
     pub fn new(min_key: i32, bits: &'a [u64], codes: &'a [i16]) -> Self {
         PerfectHashProbe {
@@ -85,7 +86,7 @@ impl<'a> PerfectHashProbe<'a> {
         let slot = self.slot(key);
         match member(self.bits, slot) {
             0 => -1,
-            _ => i32::from(self.codes[slot as usize]),
+            _ => self.codes.get(slot as usize).map_or(0, |&c| i32::from(c)),
         }
     }
 }

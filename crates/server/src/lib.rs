@@ -837,8 +837,11 @@ mod tests {
         );
     }
 
-    /// The scheduler is deterministic: two runs over the same streams
-    /// produce identical completions and identical clocks.
+    /// The scheduler is deterministic: runs over the same streams produce
+    /// identical completions and identical clocks — whether the dataset's
+    /// dimension-part cache is empty (the first serve, and the one over a
+    /// clone) or holds every half the streams join (the second, which
+    /// scans no dimension, on the host or for a device build).
     #[test]
     fn serving_is_deterministic() {
         let d = data();
@@ -848,14 +851,24 @@ mod tests {
         let cfg = ServerConfig::default();
         let mut g1 = Gpu::new(nvidia_v100());
         let a = serve(&mut g1, &cpu, &pcie, &d, &tenants, &cfg);
+        let cold = d.dim_cache_stats();
         let mut g2 = Gpu::new(nvidia_v100());
         let b = serve(&mut g2, &cpu, &pcie, &d, &tenants, &cfg);
-        assert_eq!(a.makespan_secs, b.makespan_secs);
-        assert_eq!(a.completed.len(), b.completed.len());
-        for (x, y) in a.completed.iter().zip(&b.completed) {
-            assert_eq!((x.tenant, x.index), (y.tenant, y.index));
-            assert_eq!(x.result, y.result);
-            assert_eq!(x.completed_at, y.completed_at);
+        let warm = d.dim_cache_stats();
+        assert!(cold.misses > 0 && warm.misses == cold.misses && warm.hits > cold.hits);
+        let dim_bytes = d.size_bytes() - d.lineorder.size_bytes();
+        assert!(warm.bytes <= dim_bytes / 3, "{warm:?}");
+        let (fresh, mut g3) = (d.clone(), Gpu::new(nvidia_v100()));
+        let c = serve(&mut g3, &cpu, &pcie, &fresh, &tenants, &cfg);
+        assert_eq!(fresh.dim_cache_stats().misses, cold.misses);
+        for b in [&b, &c] {
+            assert_eq!(a.makespan_secs, b.makespan_secs);
+            assert_eq!(a.completed.len(), b.completed.len());
+            for (x, y) in a.completed.iter().zip(&b.completed) {
+                assert_eq!((x.tenant, x.index), (y.tenant, y.index));
+                assert_eq!(x.result, y.result);
+                assert_eq!(x.completed_at, y.completed_at);
+            }
         }
     }
 

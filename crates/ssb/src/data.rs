@@ -15,11 +15,13 @@
 //! Hierarchies: 5 regions x 5 nations each x 10 cities each;
 //! 5 manufacturers x 5 categories each x 40 brands each.
 
+use std::sync::{Arc, Mutex, MutexGuard};
+
 use crystal_storage::dict::Dictionary;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::plan::{DimTable, FactCol};
+use crate::plan::{DimAttr, DimPred, DimTable, FactCol};
 
 /// TPC-H's 25 nations, grouped by region (5 per region) as SSB does.
 const NATIONS: [(&str, &str); 25] = [
@@ -140,6 +142,13 @@ pub struct SsbDicts {
 }
 
 /// A generated SSB database.
+///
+/// The tables are public, and the private summaries — the fingerprint, the
+/// key ranges and the built join halves behind
+/// [`SsbData::dim_cache_stats`] — answer for them as generated. To query
+/// other contents, edit a fresh [`Clone`] before its first query: a clone
+/// holds no built half, while a dataset edited after it answered a query
+/// keeps answering host joins from the halves it built before.
 #[derive(Debug, Clone)]
 pub struct SsbData {
     pub sf: usize,
@@ -156,6 +165,79 @@ pub struct SsbData {
     /// `(min, max)` primary key per dimension, indexed by `DimTable as
     /// usize` (see [`SsbData::key_range`]); private for the same reason.
     key_ranges: [(i32, i32); 4],
+    /// The built halves of this dataset's dimension joins
+    /// ([`SsbData::dim_cache_stats`]): like the summaries above they answer
+    /// for the tables as generated; a clone starts with none.
+    dim_cache: DimCacheCell,
+    /// The bytes `dim_cache` may hold: a third of the dimension tables' own.
+    dim_cache_bound: usize,
+}
+
+/// One built half of a dimension join, indexed by `key - min_key` over the
+/// dimension's key range. A membership half fills `bits` (bit set exactly
+/// when the row with that key passes the filter), a group half `codes` (the
+/// row's dense attribute code, `-1` where the range has no row).
+#[derive(Debug)]
+pub(crate) struct DimPart {
+    pub(crate) bits: Vec<u64>,
+    pub(crate) codes: Vec<i16>,
+}
+
+/// The exact key of a cached half: the bitmap depends on the filter alone
+/// and the code column on the attribute alone, so joins that differ in the
+/// other half share it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum DimPartKey {
+    Filter(DimTable, Option<DimPred>),
+    Codes(DimTable, DimAttr),
+}
+
+/// What a dataset's dimension-part cache has done and holds — a snapshot,
+/// like [`crystal_runtime::SessionStats`]. A miss is one pass over a
+/// dimension's columns.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DimCacheStats {
+    pub hits: u64,
+    pub misses: u64,
+    pub evictions: u64,
+    /// Bytes held now, never above the bound: a third of the dimension
+    /// tables' own bytes, which holds every half of the 13 canned plans (18
+    /// bitmaps, 7 code columns: 7.66 of 26.3 MB at SF 20).
+    pub bytes: usize,
+}
+
+/// A byte-bounded LRU of join halves, least recently used first. Plain LRU:
+/// a half's size and the cost of rebuilding it are both linear in its
+/// table's rows, where the device session's GreedyDual-Size degenerates to
+/// LRU too. A few dozen entries at most, so a list.
+#[derive(Debug, Default)]
+struct DimCache {
+    parts: Vec<(DimPartKey, Arc<DimPart>)>,
+    stats: DimCacheStats,
+}
+
+impl DimCache {
+    fn held_bytes(&self) -> usize {
+        let bytes = |part: &DimPart| 8 * part.bits.len() + 2 * part.codes.len();
+        self.parts.iter().map(|(_, part)| bytes(part)).sum()
+    }
+}
+
+#[derive(Debug, Default)]
+struct DimCacheCell(Mutex<DimCache>);
+
+impl DimCacheCell {
+    fn lock(&self) -> MutexGuard<'_, DimCache> {
+        self.0.lock().expect("halves are built outside the lock")
+    }
+}
+
+impl Clone for DimCacheCell {
+    /// Empty: a clone's tables are public, and whoever edits them must find
+    /// nothing built from the original's.
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 /// One multiply-xor step of the dataset fingerprint.
@@ -251,6 +333,8 @@ impl SsbData {
             dicts,
             fingerprint: 0,
             key_ranges: [(0, 0); 4],
+            dim_cache: DimCacheCell::default(),
+            dim_cache_bound: 0,
         };
         d.fingerprint = d.content_fingerprint();
         for (table, keys) in [
@@ -264,6 +348,7 @@ impl SsbData {
                 .iter()
                 .fold((first, first), |(lo, hi), &k| (lo.min(k), hi.max(k)));
         }
+        d.dim_cache_bound = (d.size_bytes() - d.lineorder.size_bytes()) / 3;
         d
     }
 
@@ -273,6 +358,47 @@ impl SsbData {
     /// estimate would otherwise rescan the key column for.
     pub fn key_range(&self, table: DimTable) -> (i32, i32) {
         self.key_ranges[table as usize]
+    }
+
+    /// The half under `key`, read through this dataset's cache: built on a
+    /// miss — outside the lock, so racing threads may each build it — and
+    /// kept, least recently used first out, while the bound allows.
+    pub(crate) fn dim_part(
+        &self,
+        key: DimPartKey,
+        build: impl FnOnce() -> DimPart,
+    ) -> Arc<DimPart> {
+        let mut cache = self.dim_cache.lock();
+        let part = match cache.parts.iter().position(|(held, _)| *held == key) {
+            Some(at) => {
+                cache.stats.hits += 1;
+                cache.parts.remove(at).1
+            }
+            None => {
+                cache.stats.misses += 1;
+                drop(cache);
+                let part = Arc::new(build());
+                cache = self.dim_cache.lock();
+                cache.parts.retain(|(held, _)| *held != key);
+                part
+            }
+        };
+        cache.parts.push((key, part.clone()));
+        while cache.held_bytes() > self.dim_cache_bound {
+            cache.parts.remove(0);
+            cache.stats.evictions += 1;
+        }
+        cache.stats.bytes = cache.held_bytes();
+        part
+    }
+
+    /// Counters of the cache every host plan and device build of this
+    /// dataset reads its dimension joins through: a membership bitmap per
+    /// `(table, filter)` and a group-code column per `(table, attribute)`,
+    /// each built once, from the tables as they were then, and shared —
+    /// only a fresh clone may be edited (see [`SsbData`]).
+    pub fn dim_cache_stats(&self) -> DimCacheStats {
+        self.dim_cache.lock().stats
     }
 
     /// A 64-bit content fingerprint of the generated database. It
@@ -467,6 +593,30 @@ fn gen_lineorder(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Every engine shares one dataset across its workers.
+    const _: fn() = || {
+        fn shared<T: Send + Sync>() {}
+        shared::<SsbData>();
+    };
+
+    /// What the crate's tests need and no caller may have: a cache bound
+    /// other than the constant share.
+    impl SsbData {
+        pub(crate) fn dim_cache_bound(&self) -> usize {
+            self.dim_cache_bound
+        }
+
+        /// The dataset with its dimension-part cache emptied and bounded
+        /// at `bytes`.
+        pub(crate) fn with_dim_cache_bound(self, bytes: usize) -> Self {
+            SsbData {
+                dim_cache: DimCacheCell::default(),
+                dim_cache_bound: bytes,
+                ..self
+            }
+        }
+    }
 
     #[test]
     fn cardinalities_match_spec() {

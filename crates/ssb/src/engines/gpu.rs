@@ -46,7 +46,7 @@ use crystal_runtime::{DeviceCol, DeviceSession, SessionOom};
 use crate::data::SsbData;
 use crate::encoding::EncodedFact;
 use crate::engines::{
-    build_dim_table, dim_join_fingerprint, dim_table_bytes, DimBuild, DimLookup, GroupAcc,
+    build_dim_table, dim_join_fingerprint, dim_members, dim_table_bytes, DimBuild, GroupAcc,
     QueryTrace, StageTrace,
 };
 use crate::partition::PartitionedFact;
@@ -432,14 +432,15 @@ impl<'a> DeviceQueryJob<'a> {
         }
 
         // Build phase: perfect-hash tables for each join's dimension,
-        // memoized by build-side fingerprint. The filter scan is deferred
-        // into the miss closure, so a warm session skips the host-side
-        // dimension scan and the build kernel alike.
+        // memoized by build-side fingerprint. The build side is deferred
+        // into the miss closure, so a warm session skips the build kernel
+        // and the host-side walk of the join's cached halves alike; a miss
+        // scans the dimension only for a half the dataset does not hold.
         let (mut tables, mut builds) = (Vec::new(), Vec::new());
         for join in &q.joins {
             let fp = dim_join_fingerprint(d, join);
             let (ht, report) = sess.pin_hash_table(qid, fp, dim_table_bytes(d, join), |gpu| {
-                build_dim_table(gpu, &DimBuild::scan(d, join))
+                build_dim_table(gpu, &DimBuild::cached(d, join))
             })?;
             builds.extend(report);
             tables.push(ht);
@@ -737,17 +738,20 @@ impl<'a> DeviceQueryJob<'a> {
 
     /// Assembles the run. `fact_rows` reports the full table size so the
     /// trace compares across table shapes; when every shard was pruned the
-    /// result is the empty input's and the stage sizes come from a
-    /// host-side dimension build (no device table was ever pinned).
+    /// result is the empty input's and the stage sizes come from the key
+    /// ranges and the cached membership bitmaps (no device table was ever
+    /// pinned).
     pub fn finish(self) -> GpuRun {
         assert!(self.is_done(), "finished a job with rows remaining");
         let (d, q) = (self.d, self.q);
         let (result, tables) = match self.scan {
             Some(scan) => (scan.acc.to_result(q), scan.tables),
             None => {
-                let lookups = q.joins.iter().map(|join| DimLookup::build(d, join));
-                let sizes = lookups.map(|lk| (lk.size_bytes(), lk.inserted));
-                (GroupAcc::new(0).to_result(q), sizes.collect())
+                let size = |join| (dim_table_bytes(d, join), dim_members(d, join));
+                (
+                    GroupAcc::new(0).to_result(q),
+                    q.joins.iter().map(size).collect(),
+                )
             }
         };
         let stages = (q.joins.iter().zip(tables).enumerate())

@@ -10,14 +10,15 @@ pub mod omnisci;
 pub mod reference;
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use crystal_core::selvec::{slot_bitmap, PerfectHashProbe};
 
-use crate::data::SsbData;
+use crate::data::{DimPart, DimPartKey, SsbData};
 use crate::plan::{DimAttr, DimJoin, DimPred, DimTable, StarQuery};
 
-// A lookup slot is an `i16`: a dense attribute code, or `-1` for a miss.
-// Every attribute's code domain has to fit.
+// A group-code slot is an `i16`: a dense attribute code, or `-1` where the
+// key range has no row. Every attribute's code domain has to fit.
 const _: () = {
     let attrs = [
         DimAttr::Year,
@@ -78,10 +79,10 @@ impl<'a> AttrMap<'a> {
 /// and branches on nothing — the slot of a row is `accept | code`, which is
 /// the code when the row passes and `-1` when it does not.
 ///
-/// This is the one place the build-phase loop lives: [`DimLookup::build`]
-/// writes the slots straight into its table, and [`DimBuild::scan`] (the
-/// device engines' cold path) compacts the same stream into the `(key,
-/// code)` pairs the build kernel inserts.
+/// This is the one place the build-phase loop lives: a [`DimLookup`]'s two
+/// halves are the slots of the join without its group attribute and without
+/// its filter, and [`DimBuild::scan`] compacts the whole join's stream into
+/// the `(key, code)` pairs the build kernel inserts.
 struct ResolvedJoin<'a> {
     keys: &'a [i32],
     min_key: i32,
@@ -111,6 +112,16 @@ impl<'a> ResolvedJoin<'a> {
                 .group_attr
                 .map(|a| AttrMap::new(a, column(a), |dense, _| dense as i16)),
         }
+    }
+
+    /// The slot of every key of the key range: [`Self::for_each_slot`]
+    /// scattered by key, `-1` where the range has no row.
+    fn slots(&self) -> Vec<i16> {
+        let mut slots = vec![-1i16; (self.max_key - self.min_key + 1) as usize];
+        self.for_each_slot(0..self.keys.len(), |key, slot| {
+            slots[(key - self.min_key) as usize] = slot;
+        });
+        slots
     }
 
     /// Calls `emit(key, slot)` for each of the dimension rows `rows` in row
@@ -163,6 +174,8 @@ impl DimBuild {
     /// to outputs whose capacity is the filter's expected yield, so they do
     /// not grow by doubling. (Two growing `Vec`s behind a mispredicted
     /// branch cost 2 to 4 [`DimLookup::build`]s of the same join per row.)
+    /// The engines build from [`DimBuild::cached`]; this is the reference its
+    /// tests and the microbench compare it with.
     pub fn scan(d: &SsbData, join: &DimJoin) -> Self {
         const CHUNK: usize = 1024;
         let r = ResolvedJoin::new(d, join);
@@ -191,6 +204,24 @@ impl DimBuild {
             codes,
             min_key: r.min_key,
             max_key: r.max_key,
+        }
+    }
+
+    /// [`DimBuild::scan`] without the scan — what a device miss builds
+    /// from: the pairs read off the set bits of the join's cached halves
+    /// ([`DimLookup::cached`]), in key order, which is the scan's row order
+    /// for every generated table (their keys ascend).
+    pub fn cached(d: &SsbData, join: &DimJoin) -> Self {
+        let lk = DimLookup::cached(d, join);
+        let (min_key, max_key) = d.key_range(join.table);
+        let mut keys = Vec::with_capacity(lk.inserted);
+        keys.extend(set_bits(&lk.filter.bits).map(|slot| min_key + slot as i32));
+        let codes = keys.iter().map(|&k| lk.spec().probe(k)).collect();
+        DimBuild {
+            keys,
+            codes,
+            min_key,
+            max_key,
         }
     }
 
@@ -242,7 +273,9 @@ pub fn build_dim_table(
 }
 
 /// A stable fingerprint of one dimension join's build side — the
-/// memoization key of the session's hash-table cache. Two joins share a
+/// memoization key of the `DeviceSession`'s hash-table cache, and of nothing
+/// else: the host-side parts a dataset caches are keyed by the descriptor's
+/// own values, where a colliding hash would be a wrong answer. Two joins share a
 /// table exactly when they agree on *dataset*, dimension, FK column,
 /// filter and group attribute (the payload is the group code, so the
 /// group attribute is part of the key). FNV-1a over the dataset's content
@@ -300,50 +333,93 @@ pub fn dim_join_fingerprint(d: &SsbData, join: &DimJoin) -> u64 {
 }
 
 /// A perfect-hash dimension lookup over the key range recorded at
-/// generation: a payload array indexed by `key - min_key` — `-1` where the
-/// dimension row was filtered out (or the key does not exist), otherwise
-/// the row's dense group code (0 when the join carries no group
-/// attribute) — and a membership bitmap over the same range, bit `i` set
-/// exactly when slot `i` holds a code.
+/// generation, in two halves indexed by `key - min_key`: the membership
+/// bitmap of the join's `(table, filter)` — bit set exactly when the row
+/// with that key passes the filter — and, when the join carries a group
+/// attribute, the dense group-code column of its `(table, attribute)`,
+/// filter or no filter. Every kernel tests the bit before it reads a code,
+/// so joins that differ only in the filter share one code column (q2.1,
+/// q2.2, q2.3 and q4.3 the 2 MB `Part x Brand1`) and an ungrouped join has
+/// none. The halves are shared: [`DimLookup::cached`] reads them through
+/// the dataset's byte-bounded cache ([`SsbData::dim_cache_stats`]).
 ///
 /// This is the CPU-side analog of the paper's perfect-hashed dimension
 /// tables (Section 5.3); the GPU engine uses
-/// [`crystal_core::hash::DeviceHashTable`] with the `Perfect` scheme so the
-/// footprint matches the paper's `2 x 4 x |dim|` accounting. A host join
-/// is a semi-join against the bitmap (75 KB for SF-20 customer, 125 KB for
-/// part: cache-resident under any fact stream); the 2-byte slots (every
-/// [`DimAttr::domain`] fits, and the key is implied by the position; 1.2
-/// and 2 MB) are read only for the rows that survive every join.
-/// [`DimLookup::size_bytes`] keeps reporting the paper's accounting.
+/// [`crystal_core::hash::DeviceHashTable`] with the `Perfect` scheme, whose
+/// footprint is the paper's `2 x 4 x |dim|` accounting
+/// ([`dim_table_bytes`]). A host join is a semi-join against the bitmap
+/// (75 KB for SF-20 customer, 125 KB for part: cache-resident under any
+/// fact stream); the 2-byte codes (every [`DimAttr::domain`] fits, and the
+/// key is implied by the position; 1.2 and 2 MB) are read only for the
+/// rows that survive every join.
 #[derive(Debug, Clone)]
 pub struct DimLookup {
     min_key: i32,
-    table: Vec<i16>,
-    /// `slot_bitmap(&table)`.
-    bits: Vec<u64>,
+    filter: Arc<DimPart>,
+    codes: Option<Arc<DimPart>>,
     /// Dimension rows passing the join filter.
     pub inserted: usize,
 }
 
+/// The half of `join` under `key`, read through the dataset's cache or
+/// (`!cached`) built for the caller alone: one pass over the key column and
+/// one attribute column — the slots of the join without its group attribute,
+/// turned into a bitmap 64 per word, or of the join without its filter.
+fn half(d: &SsbData, join: &DimJoin, key: DimPartKey, cached: bool) -> Arc<DimPart> {
+    let membership = matches!(key, DimPartKey::Filter(..));
+    let build = || {
+        let mut r = ResolvedJoin::new(d, join);
+        let (bits, codes) = if membership {
+            r.group = None;
+            (slot_bitmap(&r.slots()), Vec::new())
+        } else {
+            r.filter = None;
+            (Vec::new(), r.slots())
+        };
+        DimPart { bits, codes }
+    };
+    match cached {
+        true => d.dim_part(key, build),
+        false => Arc::new(build()),
+    }
+}
+
+fn filter_key(join: &DimJoin) -> DimPartKey {
+    DimPartKey::Filter(join.table, join.filter.clone())
+}
+
+fn members(filter: &DimPart) -> usize {
+    filter.bits.iter().map(|w| w.count_ones() as usize).sum()
+}
+
+/// Dimension rows passing one join's filter, counted off its cached
+/// membership half: a [`DimLookup::cached`]'s `inserted` without the lookup.
+pub(crate) fn dim_members(d: &SsbData, join: &DimJoin) -> usize {
+    members(&half(d, join, filter_key(join), true))
+}
+
 impl DimLookup {
-    /// Builds the lookup for one join of the plan in one pass over the
-    /// dimension's columns, writing each row's slot directly (nothing is
-    /// materialized in between), then derives the bitmap from the finished
-    /// slots, 64 per word.
+    /// Builds both halves of one join from the dimension's columns, shared
+    /// with nothing: [`DimLookup::cached`] without the cache.
     pub fn build(d: &SsbData, join: &DimJoin) -> Self {
-        let r = ResolvedJoin::new(d, join);
-        let min_key = r.min_key;
-        let mut table = vec![-1i16; (r.max_key - min_key + 1) as usize];
-        let mut inserted = 0usize;
-        r.for_each_slot(0..r.keys.len(), |key, slot| {
-            table[(key - min_key) as usize] = slot;
-            inserted += usize::from(slot >= 0);
-        });
+        Self::from_halves(d, join, false)
+    }
+
+    /// The lookup of one join from the halves `d` caches, building (and,
+    /// within the bound, keeping) the ones it does not hold — from `d`'s
+    /// tables as they are then: edit only a fresh clone (see [`SsbData`]).
+    pub fn cached(d: &SsbData, join: &DimJoin) -> Self {
+        Self::from_halves(d, join, true)
+    }
+
+    fn from_halves(d: &SsbData, join: &DimJoin, cached: bool) -> Self {
+        let filter = half(d, join, filter_key(join), cached);
+        let codes = |attr| half(d, join, DimPartKey::Codes(join.table, attr), cached);
         DimLookup {
-            min_key,
-            bits: slot_bitmap(&table),
-            table,
-            inserted,
+            min_key: d.key_range(join.table).0,
+            inserted: members(&filter),
+            filter,
+            codes: join.group_attr.map(codes),
         }
     }
 
@@ -352,21 +428,17 @@ impl DimLookup {
     /// [`crystal_core::selvec`] read through.
     #[inline]
     pub fn spec(&self) -> PerfectHashProbe<'_> {
-        PerfectHashProbe::new(self.min_key, &self.bits, &self.table)
+        let codes = self.codes.as_ref().map_or(&[][..], |half| &half.codes);
+        PerfectHashProbe::new(self.min_key, &self.filter.bits, codes)
     }
 
-    /// Probes one key (the bit, then the slot):
-    /// `Some(dense_group_code)` if present and unfiltered.
+    /// Probes one key (the bit, then the code):
+    /// `Some(dense_group_code)` if present and unfiltered, 0 for an
+    /// ungrouped join.
     #[inline]
     pub fn get(&self, key: i32) -> Option<i32> {
         let v = self.spec().probe(key);
         (v >= 0).then_some(v)
-    }
-
-    /// Footprint with the paper's 8-bytes-per-slot accounting (key +
-    /// payload).
-    pub fn size_bytes(&self) -> usize {
-        self.table.len() * 8
     }
 }
 
@@ -644,45 +716,310 @@ mod tests {
         assert_eq!(lk.get(i32::MAX), None);
     }
 
-    /// Bit `i` of a lookup's bitmap is set exactly when slot `i` holds a
-    /// code — for every join of the 13 canned plans and of random ones,
-    /// the date dimension's key range (`yyyymmdd`: mostly holes, and a
-    /// ragged last word) included — and `get` answers from the two alike.
+    /// The 13 canned plans and 60 random ones.
+    fn plans(d: &SsbData) -> Vec<StarQuery> {
+        let mut queries = crate::queries::all_queries(d);
+        queries.extend(crate::arbitrary::random_star_queries(d, 17, 60));
+        queries
+    }
+
+    /// The two halves of every join of the canned and random plans, built
+    /// and read through the cache alike: bit `i` is set exactly when the row
+    /// with key `min_key + i` passes the filter — the date dimension's key
+    /// range (`yyyymmdd`: mostly holes, and a ragged last word) included —
+    /// a code is read only under a set bit and is then the row's dense group
+    /// code, an ungrouped join holds no code column and answers 0, and
+    /// `get` agrees with all of it.
     #[test]
-    fn bitmap_mirrors_the_slots_of_every_join() {
+    fn bitmap_marks_the_passing_rows_and_codes_are_read_under_it() {
         let d = SsbData::generate_scaled(1, 0.0005, 3);
-        let mut queries = crate::queries::all_queries(&d);
-        queries.extend(crate::arbitrary::random_star_queries(&d, 17, 60));
         let mut dates = 0;
-        for join in queries.iter().flat_map(|q| &q.joins) {
-            let lk = DimLookup::build(&d, join);
-            assert_eq!(lk.bits.len(), lk.table.len().div_ceil(64), "{join:?}");
-            for i in 0..lk.bits.len() * 64 {
-                let slot = lk.table.get(i).copied().unwrap_or(-1);
-                assert_eq!(
-                    lk.bits[i / 64] >> (i % 64) & 1 == 1,
-                    slot >= 0,
-                    "{join:?} slot {i}"
-                );
-                let key = lk.min_key + i as i32;
-                assert_eq!(
-                    lk.get(key),
-                    (slot >= 0).then_some(i32::from(slot)),
-                    "{join:?} {key}"
-                );
+        for join in plans(&d).iter().flat_map(|q| &q.joins) {
+            let (min_key, max_key) = d.key_range(join.table);
+            let slots = (max_key - min_key + 1) as usize;
+            let mut want = vec![None; slots];
+            for (row, &key) in join.keys(&d).iter().enumerate() {
+                let code = join.group_attr.map_or(0, |a| {
+                    let dense = a.dense(join.row_group_value(&d, row));
+                    dense as i32
+                });
+                want[(key - min_key) as usize] = join.row_matches(&d, row).then_some(code);
             }
-            let members: u32 = lk.bits.iter().map(|w| w.count_ones()).sum();
-            assert_eq!(members as usize, lk.inserted, "{join:?}");
+            for lk in [DimLookup::build(&d, join), DimLookup::cached(&d, join)] {
+                assert_eq!(lk.filter.bits.len(), slots.div_ceil(64), "{join:?}");
+                assert_eq!(lk.codes.is_some(), join.group_attr.is_some(), "{join:?}");
+                assert!(lk.codes.iter().all(|c| c.codes.len() == slots), "{join:?}");
+                for i in 0..lk.filter.bits.len() * 64 {
+                    let bit = lk.filter.bits[i / 64] >> (i % 64) & 1 == 1;
+                    let expect = want.get(i).copied().flatten();
+                    assert_eq!(bit, expect.is_some(), "{join:?} slot {i}");
+                    assert_eq!(lk.get(min_key + i as i32), expect, "{join:?} slot {i}");
+                }
+                let members = want.iter().flatten().count();
+                assert_eq!(lk.inserted, members, "{join:?}");
+            }
             if join.table == DimTable::Date {
                 dates += 1;
-                assert!(
-                    lk.table.len() > 8 * join.keys(&d).len(),
-                    "date keys leave holes"
-                );
-                assert!(!lk.table.len().is_multiple_of(64), "a ragged last word");
+                assert!(slots > 8 * join.keys(&d).len(), "date keys leave holes");
+                assert!(!slots.is_multiple_of(64), "a ragged last word");
             }
         }
         assert!(dates > 13, "random plans join the date dimension too");
+    }
+
+    fn pairs(b: &DimBuild) -> (&[i32], &[i32], i32, i32) {
+        (&b.keys, &b.codes, b.min_key, b.max_key)
+    }
+
+    /// The device's build side read off the cached halves is the scan's,
+    /// field for field, for every canned and random join. Over a table whose
+    /// keys do not ascend (a clone's part, its rows reversed) it is the
+    /// scan's pairs in key order, and every engine still answers right.
+    #[test]
+    fn cached_device_pairs_are_the_scans() {
+        use crate::engines::{gpu, reference};
+        use crate::table::FactTable;
+        let d = SsbData::generate_scaled(1, 0.0005, 3);
+        let mut reversed = d.clone();
+        let part = &mut reversed.part;
+        for col in [
+            &mut part.partkey,
+            &mut part.mfgr,
+            &mut part.category,
+            &mut part.brand1,
+        ] {
+            col.reverse();
+        }
+        for q in plans(&d) {
+            for join in &q.joins {
+                let scan = DimBuild::scan(&d, join);
+                assert_eq!(pairs(&DimBuild::cached(&d, join)), pairs(&scan), "{join:?}");
+                let scan = DimBuild::scan(&reversed, join);
+                let mut by_key: Vec<_> = scan.keys.iter().zip(&scan.codes).collect();
+                by_key.sort();
+                let cached = DimBuild::cached(&reversed, join);
+                let got: Vec<_> = cached.keys.iter().zip(&cached.codes).collect();
+                assert_eq!(got, by_key, "{join:?}");
+                assert_eq!(
+                    (cached.min_key, cached.max_key),
+                    (scan.min_key, scan.max_key)
+                );
+            }
+        }
+        let mut gpu = crystal_gpu_sim::Gpu::new(crystal_hardware::nvidia_v100());
+        let mut sess = crystal_runtime::DeviceSession::new(&mut gpu);
+        let table = FactTable::plain(&reversed);
+        for q in crate::queries::all_queries(&reversed) {
+            // Reversing the rows of a dimension changes no answer.
+            let expected = reference::execute(&d, &q);
+            assert_eq!(reference::execute(&reversed, &q), expected, "{}", q.name);
+            let host = crate::exec::execute(&table, &q, 2, crate::exec::PipelineMode::Vectorized);
+            let device = gpu::execute(&mut sess, &table, &q).unwrap();
+            assert_eq!(host.0, expected, "{}", q.name);
+            assert_eq!(
+                (device.result, device.trace),
+                (expected, host.1),
+                "{}",
+                q.name
+            );
+        }
+    }
+
+    /// A repeated query scans no dimension: the second run of each canned
+    /// query is all hits, on the host and — through a fresh session, whose
+    /// memoizer is cold — on the device; joins that differ only in the
+    /// filter share their code column, and an ungrouped join asks for none.
+    #[test]
+    fn a_repeated_query_scans_no_dimension() {
+        use crate::engines::gpu;
+        use crate::table::FactTable;
+        let d = SsbData::generate_scaled(1, 0.0005, 3);
+        let table = FactTable::plain(&d);
+        let mode = crate::exec::PipelineMode::Vectorized;
+        assert_eq!(d.dim_cache_stats(), Default::default());
+        for q in crate::queries::all_queries(&d) {
+            let first = crate::exec::execute(&table, &q, 1, mode);
+            let cold = d.dim_cache_stats();
+            assert_eq!(
+                crate::exec::execute(&table, &q, 1, mode),
+                first,
+                "{}",
+                q.name
+            );
+            let mut gpu = crystal_gpu_sim::Gpu::new(crystal_hardware::nvidia_v100());
+            let mut sess = crystal_runtime::DeviceSession::new(&mut gpu);
+            let device = gpu::execute(&mut sess, &table, &q).unwrap();
+            assert_eq!((device.result, device.trace), first, "{}", q.name);
+            let warm = d.dim_cache_stats();
+            assert_eq!(warm.misses, cold.misses, "{} scanned again", q.name);
+            let halves = q.joins.len() + q.group_attrs().len();
+            assert_eq!(warm.hits - cold.hits, 2 * halves as u64, "{}", q.name);
+            assert!(warm.bytes <= d.dim_cache_bound(), "{}", q.name);
+        }
+        // q2.1 and q2.2 filter part differently and group alike.
+        let fresh = d.clone();
+        assert_eq!(fresh.dim_cache_stats(), Default::default());
+        let by_name = |name| {
+            crate::queries::all_queries(&fresh)
+                .into_iter()
+                .find(|q| q.name == name)
+        };
+        let (q21, q22, q41) = (by_name("q2.1"), by_name("q2.2"), by_name("q4.1"));
+        let (q21, q22, q41) = (q21.unwrap(), q22.unwrap(), q41.unwrap());
+        let lookups = |q: &StarQuery| -> Vec<DimLookup> {
+            q.joins
+                .iter()
+                .map(|j| DimLookup::cached(&fresh, j))
+                .collect()
+        };
+        let (a, b) = (lookups(&q21), lookups(&q22));
+        for (x, y) in a.iter().zip(&b) {
+            match (&x.codes, &y.codes) {
+                (Some(x), Some(y)) => assert!(Arc::ptr_eq(x, y), "one code column per attribute"),
+                (None, None) => {}
+                _ => panic!("q2.1 and q2.2 group alike"),
+            }
+        }
+        let ungrouped: Vec<_> = q41
+            .joins
+            .iter()
+            .filter(|j| j.group_attr.is_none())
+            .collect();
+        assert_eq!(
+            ungrouped.len(),
+            2,
+            "q4.1's supplier and part joins filter only"
+        );
+        let before = fresh.dim_cache_stats();
+        for join in ungrouped {
+            assert!(DimLookup::cached(&fresh, join).codes.is_none());
+        }
+        let after = fresh.dim_cache_stats();
+        assert_eq!(
+            (after.hits + after.misses) - (before.hits + before.misses),
+            2,
+            "an ungrouped join reads one half"
+        );
+    }
+
+    /// The bound is unobservable in every answer: with no room at all, with
+    /// room for one code column (so that every query evicts) and with the
+    /// default, the canned and random plans give the reference's result and
+    /// one trace through the morsel executor, a stepped host job and the
+    /// device — and the cache never holds more than its bound.
+    #[test]
+    fn any_cache_bound_gives_the_same_answers() {
+        use crate::engines::{gpu, reference};
+        use crate::exec::{execute, HostQueryJob, PipelineMode};
+        use crate::table::FactTable;
+        let base = SsbData::generate_scaled(1, 0.0005, 3);
+        let one_column = 2 * part_slots(&base);
+        let default = base.dim_cache_bound();
+        assert!(one_column < default);
+        let mut traces: Vec<Vec<QueryTrace>> = Vec::new();
+        for bound in [0, one_column, default] {
+            let d = base.clone().with_dim_cache_bound(bound);
+            let table = FactTable::plain(&d);
+            let mut gpu = crystal_gpu_sim::Gpu::new(crystal_hardware::nvidia_v100());
+            let mut sess = crystal_runtime::DeviceSession::new(&mut gpu);
+            let within = |what: &str| {
+                let held = d.dim_cache_stats().bytes;
+                assert!(
+                    held <= bound,
+                    "{what}: {held} B held under a bound of {bound}"
+                );
+            };
+            let queries = plans(&d);
+            let mut per_query = Vec::new();
+            for q in &queries {
+                let expected = reference::execute(&d, q);
+                let (result, trace) = execute(&table, q, 2, PipelineMode::Vectorized);
+                within(q.name);
+                assert_eq!(result, expected, "{} bound {bound}", q.name);
+                let mut job = HostQueryJob::over(&table, q, PipelineMode::TupleAtATime);
+                within(q.name);
+                while !job.step(1009) {}
+                assert_eq!(
+                    job.finish(),
+                    (expected.clone(), trace.clone()),
+                    "{}",
+                    q.name
+                );
+                let run = gpu::execute(&mut sess, &table, q).unwrap();
+                within(q.name);
+                assert_eq!((run.result, &run.trace), (expected, &trace), "{}", q.name);
+                per_query.push(trace);
+            }
+            let stats = d.dim_cache_stats();
+            match bound {
+                0 => assert_eq!((stats.hits, stats.bytes), (0, 0), "nothing is ever held"),
+                b if b == one_column => assert!(stats.evictions as usize >= queries.len() / 2),
+                _ => assert!(stats.hits > stats.misses, "{stats:?}"),
+            }
+            traces.push(per_query);
+        }
+        assert!(traces.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    fn part_slots(d: &SsbData) -> usize {
+        let (min, max) = d.key_range(DimTable::Part);
+        (max - min + 1) as usize
+    }
+
+    /// A clone starts with nothing built, and what it builds comes from its
+    /// own tables: edited (every supplier moved to region 0), it answers as
+    /// the reference over the edited tables does, while the original keeps
+    /// answering from its own.
+    #[test]
+    fn a_clone_starts_empty_and_answers_from_its_own_tables() {
+        use crate::engines::reference;
+        use crate::exec::{execute, PipelineMode};
+        use crate::table::FactTable;
+        let d = SsbData::generate_scaled(1, 0.0005, 3);
+        let q = crate::queries::query(&d, crate::QueryId::new(2, 1));
+        let run = |d: &SsbData| execute(&FactTable::plain(d), &q, 1, PipelineMode::Vectorized).0;
+        let original = run(&d);
+        assert!(d.dim_cache_stats().misses > 0);
+
+        let mut edited = d.clone();
+        assert_eq!(edited.dim_cache_stats(), Default::default());
+        edited.supplier.region.fill(0);
+        let moved = run(&edited);
+        assert_eq!(moved, reference::execute(&edited, &q));
+        assert_ne!(moved, original);
+        assert_eq!(run(&d), original);
+        assert_eq!(original, reference::execute(&d, &q));
+    }
+
+    /// Eight threads start the canned queries on one dataset at once, under
+    /// a bound that makes them evict each other's parts: every answer is
+    /// the reference's.
+    #[test]
+    fn racing_threads_share_one_dataset() {
+        use crate::engines::reference;
+        use crate::exec::{execute, PipelineMode};
+        use crate::table::FactTable;
+        let base = SsbData::generate_scaled(1, 0.0005, 3);
+        let d = &base.clone().with_dim_cache_bound(2 * part_slots(&base));
+        let queries = &crate::queries::all_queries(d);
+        let expected: &Vec<_> = &queries.iter().map(|q| reference::execute(d, q)).collect();
+        let start = &std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for t in 0..8 {
+                scope.spawn(move || {
+                    let table = FactTable::plain(d);
+                    start.wait();
+                    for i in 0..queries.len() {
+                        let at = (i + 3 * t) % queries.len();
+                        let got = execute(&table, &queries[at], 1, PipelineMode::Vectorized).0;
+                        assert_eq!(got, expected[at], "thread {t} {}", queries[at].name);
+                    }
+                });
+            }
+        });
+        let stats = d.dim_cache_stats();
+        assert!(stats.hits > 0 && stats.evictions > 0, "{stats:?}");
+        assert!(stats.bytes <= d.dim_cache_bound());
     }
 
     #[test]

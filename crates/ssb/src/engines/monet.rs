@@ -59,7 +59,7 @@ pub fn execute(d: &SsbData, q: &StarQuery, threads: usize) -> QueryResult {
     };
 
     // Join operators: gather-probe-materialize per join.
-    let lookups: Vec<DimLookup> = q.joins.iter().map(|j| DimLookup::build(d, j)).collect();
+    let lookups: Vec<DimLookup> = q.joins.iter().map(|j| DimLookup::cached(d, j)).collect();
     let mut code_cols: Vec<Vec<i32>> = Vec::new();
     for (j, lk) in lookups.iter().enumerate() {
         let fk = q.joins[j].fact_fk.data(d);

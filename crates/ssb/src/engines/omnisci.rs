@@ -160,10 +160,11 @@ pub fn execute_unfused_session(
     let mut code_bufs: Vec<DeviceBuffer<i32>> = Vec::new();
     for join in &q.joins {
         let fp = dim_join_fingerprint(d, join);
-        // The filter scan is deferred into the closure: a warm hit pays
-        // neither the build kernel nor the host-side dimension scan.
+        // The build side is deferred into the closure: a warm hit pays
+        // neither the build kernel nor the host-side walk of the join's
+        // cached halves.
         let (ht, built) = sess.hash_table(fp, dim_table_bytes(d, join), |gpu| {
-            build_dim_table(gpu, &DimBuild::scan(d, join))
+            build_dim_table(gpu, &DimBuild::cached(d, join))
         });
         if let Some(r) = built {
             reports.push(r);

@@ -19,13 +19,16 @@
 //!   one branching row loop, no selection vectors.
 //!   [`crate::engines::hyper`] lowers onto this.
 //!
-//! **Build phase.** Every call builds one [`DimLookup`] per join before
-//! the scan starts: a single columnar pass over the dimension (key, filter
-//! and group columns, resolved once from the descriptor) that writes each
-//! row's 2-byte slot straight into the perfect-hash array — no
-//! intermediate `(key, code)` vectors, no per-row match on the plan — and
-//! then derives a membership bitmap from the slots, one bit per key of the
-//! key range recorded at generation.
+//! **Build phase.** A join is two halves over the key range recorded at
+//! generation: the membership bitmap of its `(table, filter)`, one bit per
+//! key, and — when it carries a group attribute — the 2-byte dense-code
+//! column of its `(table, attribute)`. Each half is one columnar pass over
+//! the dimension (columns resolved once from the descriptor, no per-row
+//! match on the plan), made once per dataset: every plan assembles its
+//! [`DimLookup`]s from the dataset's byte-bounded cache
+//! ([`SsbData::dim_cache_stats`]), so a repeated query builds nothing, joins
+//! that differ only in the filter share the code column, and an ungrouped
+//! join has none.
 //!
 //! **Joins are bitmap semi-joins; codes are gathered late.** The SF-20
 //! customer and part slot arrays (1.2 MB, 2 MB) fit a 2 MB L2 on paper and
@@ -100,7 +103,7 @@ const _: () = assert!(
 use crystal_storage::encoding::{ColumnRead, ColumnSlice};
 
 use crate::data::SsbData;
-use crate::engines::{DimLookup, GroupAcc, QueryTrace, StageTrace};
+use crate::engines::{dim_table_bytes, DimLookup, GroupAcc, QueryTrace, StageTrace};
 use crate::partition::PartitionedFact;
 use crate::plan::{AggExpr, StarQuery};
 use crate::table::{FactSegment, FactTable};
@@ -332,8 +335,9 @@ fn live_segments<'a>(table: &FactTable<'a>, q: &StarQuery) -> Vec<Segment<'a>> {
     live.filter(|seg| seg.rows() > 0).map(resolve).collect()
 }
 
-/// What every schedule of one query shares, built once before the scan:
-/// the dimension lookups and the layout of the group key.
+/// What every schedule of one query shares, assembled once before the
+/// scan: the dimension lookups (from the dataset's cached halves) and the
+/// layout of the group key.
 struct Plan<'a> {
     d: &'a SsbData,
     q: &'a StarQuery,
@@ -347,7 +351,7 @@ impl<'a> Plan<'a> {
         Plan {
             d,
             q,
-            lookups: q.joins.iter().map(|j| DimLookup::build(d, j)).collect(),
+            lookups: q.joins.iter().map(|j| DimLookup::cached(d, j)).collect(),
             carried: carried_of(q),
         }
     }
@@ -442,7 +446,7 @@ impl<'a> Plan<'a> {
                     table: join.table,
                     probes: total.probes[j],
                     hits: total.hits[j],
-                    ht_bytes: self.lookups[j].size_bytes(),
+                    ht_bytes: dim_table_bytes(d, join),
                     dim_insert_frac: self.lookups[j].inserted as f64
                         / join.keys(d).len().max(1) as f64,
                 })

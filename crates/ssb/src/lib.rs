@@ -60,7 +60,7 @@ pub mod queries;
 pub mod result;
 pub mod table;
 
-pub use data::SsbData;
+pub use data::{DimCacheStats, SsbData};
 pub use encoding::{EncodedFact, FactEncodings};
 pub use partition::PartitionedFact;
 pub use plan::StarQuery;

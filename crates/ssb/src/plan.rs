@@ -92,7 +92,7 @@ impl FactPred {
 }
 
 /// Dimension tables of the star schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DimTable {
     Date,
     Part,
@@ -102,7 +102,7 @@ pub enum DimTable {
 
 /// Filterable / groupable dimension attributes (all dictionary codes or
 /// small integers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DimAttr {
     Year,
     YearMonthNum,
@@ -176,8 +176,9 @@ impl DimAttr {
     }
 }
 
-/// A predicate over one dimension attribute.
-#[derive(Debug, Clone)]
+/// A predicate over one dimension attribute (compared and hashed by value:
+/// with its table, the exact key of a cached membership bitmap).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum DimPred {
     Eq(DimAttr, i32),
     Between(DimAttr, i32, i32),
