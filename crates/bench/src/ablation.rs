@@ -17,20 +17,21 @@ use crystal_core::kernels::{gpu_radix_join_sum, hash_join_sum};
 use crystal_cpu::join::{probe_scalar, CpuHashTable};
 use crystal_cpu::radix_join::{bits_for_cache, radix_join_sum};
 use crystal_gpu_sim::Gpu;
-use crystal_hardware::{bytes::fmt_bytes, intel_i7_6900, nvidia_v100, KIB, MIB};
-use crystal_runtime::DeviceSession;
-use crystal_ssb::engines::{cpu as cpu_engine, gpu as gpu_engine};
+use crystal_hardware::{bytes::fmt_bytes, intel_i7_6900, nvidia_v100, table2_profile, KIB, MIB};
+use crystal_ssb::exec::{self, PipelineMode};
 use crystal_ssb::plan::StarQuery;
 use crystal_ssb::queries::{query, QueryId};
 use crystal_ssb::{FactTable, SsbData};
 use crystal_storage::gen;
 
+use crate::check::Check;
+use crate::stream::{cold, replay, QueryRun, Sessions};
 use crate::util::{
     ms, ratio, scale_kernel, scale_kernels, time_median, transfer_vs_host_scan, Config, Report,
 };
 
 /// No-partitioning vs radix join, across build-side sizes.
-pub fn radix_join(cfg: &Config) {
+pub fn radix_join(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let probe_n = cfg.micro_n();
     let scale = cfg.scale_to_paper();
     let t = cfg.threads;
@@ -113,13 +114,13 @@ pub fn radix_join(cfg: &Config) {
     println!("the radix join trades two extra partitioning passes for cache-local");
     println!("probes; it wins once the table is far out of cache, but cannot be");
     println!("pipelined into multi-join queries (Section 4.3).");
+    Vec::new()
 }
 
 /// All six q2.1 join orders on the simulated GPU.
-pub fn join_order(cfg: &Config) {
+pub fn join_order(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let d = SsbData::generate_scaled(20, cfg.fact_scale, 20_2020);
     let base = query(&d, QueryId::new(2, 1));
-    let mut gpu = Gpu::new(nvidia_v100());
 
     let mut report = Report::new("ablation_join_order", &["order", "gpu_sim_ms"]);
     let names = ["supplier", "part", "date"];
@@ -133,17 +134,21 @@ pub fn join_order(cfg: &Config) {
         [2, 0, 1],
         [2, 1, 0],
     ];
-    for perm in perms {
-        let q = StarQuery {
-            name: base.name,
-            fact_preds: base.fact_preds.clone(),
-            joins: perm.iter().map(|&i| base.joins[i].clone()).collect(),
-            agg: base.agg,
-        };
-        gpu.reset_l2();
-        let mut cold = DeviceSession::new(&mut gpu);
-        let run = gpu_engine::execute(&mut cold, &FactTable::plain(&d), &q).unwrap();
-        let t = run.sim_secs_scaled(cfg.fact_scale);
+    let orders = perms.map(|perm| StarQuery {
+        name: base.name,
+        fact_preds: base.fact_preds.clone(),
+        joins: perm.iter().map(|&i| base.joins[i].clone()).collect(),
+        agg: base.agg,
+    });
+    let runs = replay(
+        &FactTable::plain(&d),
+        &orders,
+        Sessions::FreshPerQuery,
+        &table2_profile(),
+    )
+    .runs;
+    for (perm, run) in perms.iter().zip(&runs) {
+        let t = run.kernel_secs_scaled(cfg.fact_scale);
         best = best.min(t);
         worst = worst.max(t);
         let label: Vec<&str> = perm.iter().map(|&i| names[i]).collect();
@@ -155,10 +160,11 @@ pub fn join_order(cfg: &Config) {
          prunes later column loads and probes (Section 5.3).",
         ratio(worst / best)
     );
+    Vec::new()
 }
 
 /// SSB q2.1 across 1-8 simulated GPUs, fact table partitioned evenly.
-pub fn multi_gpu(cfg: &Config) {
+pub fn multi_gpu(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let d = SsbData::generate_scaled(20, cfg.fact_scale, 20_2020);
     let q = query(&d, QueryId::new(2, 1));
 
@@ -167,16 +173,14 @@ pub fn multi_gpu(cfg: &Config) {
         &["gpus", "gpu_sim_ms", "scaling", "aggregate_hbm_gbps"],
     );
     let mut single = 0.0;
+    // Each device holds 1/gpus of the fact table and a full dimension
+    // copy (the standard replicated-dimension design); devices run in
+    // parallel and the final partial-aggregate merge is negligible.
+    let run = cold(&FactTable::plain(&d), &q);
     for gpus in [1usize, 2, 4, 8] {
-        // Each device holds 1/gpus of the fact table and a full dimension
-        // copy (the standard replicated-dimension design); devices run in
-        // parallel and the final partial-aggregate merge is negligible.
-        let mut device = Gpu::new(nvidia_v100());
-        let mut cold = DeviceSession::new(&mut device);
-        let run = gpu_engine::execute(&mut cold, &FactTable::plain(&d), &q).unwrap();
         // Each device scans 1/gpus of the fact table, so the per-device
         // sample-to-paper scale shrinks accordingly.
-        let t = run.sim_secs_scaled(cfg.fact_scale * gpus as f64);
+        let t = run.kernel_secs_scaled(cfg.fact_scale * gpus as f64);
         if gpus == 1 {
             single = t;
         }
@@ -190,10 +194,11 @@ pub fn multi_gpu(cfg: &Config) {
     report.finish();
     println!("near-linear scaling: SSB probe pipelines shard cleanly over the fact");
     println!("table once dimensions are replicated (Section 5.5's future work).");
+    Vec::new()
 }
 
 /// Group-by fan-out sweep: scattered-atomic aggregation cost by group count.
-pub fn agg_groups(cfg: &Config) {
+pub fn agg_groups(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let n = cfg.micro_n();
     let scale = cfg.scale_to_paper();
     let mut report = Report::new(
@@ -235,11 +240,12 @@ pub fn agg_groups(cfg: &Config) {
     report.finish();
     println!("small group tables stay L2-resident (atomics bound by throughput);");
     println!("huge ones spill and the kernel becomes HBM random-access bound.");
+    Vec::new()
 }
 
 /// Bit-packed compression sweep: selection over packed columns at several
 /// widths, on both devices (Section 5.5's "non-byte addressable packing").
-pub fn compression(cfg: &Config) {
+pub fn compression(cfg: &Config, _smoke: bool) -> Vec<Check> {
     use crystal_core::kernels::packed::{select_gt_packed, DevicePackedColumn};
     use crystal_storage::bitpack::PackedColumn;
 
@@ -342,18 +348,13 @@ pub fn compression(cfg: &Config) {
     );
     for id in [QueryId::new(1, 1), QueryId::new(2, 1), QueryId::new(4, 3)] {
         let q = query(&d, id);
-        let [plain_run, packed_run] = [&plain, &packed].map(|table| {
-            gpu.reset_l2();
-            gpu_engine::execute(&mut DeviceSession::new(&mut gpu), table, &q).unwrap()
-        });
-        assert_eq!(plain_run.result, packed_run.result, "{id} diverged");
-        let shrink = plain_run.reports.last().unwrap().stats.global_read_bytes as f64
-            / packed_run.reports.last().unwrap().stats.global_read_bytes as f64;
-        let host_plain = time_median(cfg.reps, || {
-            let _ = crystal_ssb::engines::cpu::execute(&d, &q, t);
-        });
-        let host_packed = time_median(cfg.reps, || {
-            let _ = crystal_ssb::engines::cpu::execute_encoded(&d, &fact, &q, t);
+        let [plain_run, packed_run] = [&plain, &packed].map(|table| cold(table, &q));
+        let read = |run: &QueryRun| run.kernels.last().unwrap().stats.global_read_bytes as f64;
+        let shrink = read(&plain_run) / read(&packed_run);
+        let [host_plain, host_packed] = [&plain, &packed].map(|table| {
+            time_median(cfg.reps, || {
+                let _ = exec::execute(table, &q, t, PipelineMode::Vectorized);
+            })
         });
         let place = |table: &FactTable<'_>| {
             let (transfer, host) = transfer_vs_host_scan(table, &q, &cpu_spec, &pcie);
@@ -365,8 +366,8 @@ pub fn compression(cfg: &Config) {
         };
         report.row(vec![
             format!("{id}"),
-            ms(plain_run.sim_secs_scaled(cfg.fact_scale)),
-            ms(packed_run.sim_secs_scaled(cfg.fact_scale)),
+            ms(plain_run.kernel_secs_scaled(cfg.fact_scale)),
+            ms(packed_run.kernel_secs_scaled(cfg.fact_scale)),
             ratio(shrink),
             ms(host_plain),
             ms(host_packed),
@@ -382,22 +383,20 @@ pub fn compression(cfg: &Config) {
     println!("by the same factor, which is what flips the placement column: the");
     println!("Section-6 bounds route packed scans to the GPU over the very link");
     println!("that loses on plain data.");
+    Vec::new()
 }
 
 /// Hybrid CPU+GPU execution (Section 5.5's "Distributed+Hybrid"): split
 /// the fact table between the devices in proportion to their effective
 /// throughput and overlap their execution.
-pub fn hybrid(cfg: &Config) {
+pub fn hybrid(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let d = SsbData::generate_scaled(20, cfg.fact_scale, 20_2020);
     let cpu_spec = intel_i7_6900();
-    let gspec = nvidia_v100();
     let q = query(&d, QueryId::new(2, 1));
-    let (_, trace) = cpu_engine::execute(&d, &q, cfg.threads);
+    let table = FactTable::plain(&d);
+    let (_, trace) = exec::execute(&table, &q, cfg.threads, PipelineMode::Vectorized);
     let t_cpu_full = crystal_ssb::model::cpu_empirical_secs(&q, &trace, &cpu_spec);
-    let mut gpu = Gpu::new(gspec);
-    let mut cold = DeviceSession::new(&mut gpu);
-    let run = gpu_engine::execute(&mut cold, &FactTable::plain(&d), &q).unwrap();
-    let t_gpu_full = run.sim_secs_scaled(cfg.fact_scale);
+    let t_gpu_full = cold(&table, &q).kernel_secs_scaled(cfg.fact_scale);
 
     let mut report = Report::new(
         "ablation_hybrid",
@@ -428,13 +427,14 @@ pub fn hybrid(cfg: &Config) {
     );
     println!("CPU contributes only its bandwidth share, which is why the paper argues");
     println!("for GPU-resident execution rather than hybrid scheduling complexity.");
+    Vec::new()
 }
 
 /// Key-skew sweep: the Figure 13 join with Zipf-distributed probe keys.
 /// The paper's microbenchmark is uniform; under skew the popular build
 /// keys stay cache-resident, so even out-of-cache tables probe mostly from
 /// L2 — a robustness property of the no-partitioning join.
-pub fn skew(cfg: &Config) {
+pub fn skew(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let probe_n = cfg.micro_n();
     let scale = cfg.scale_to_paper();
     let ht_bytes = 256 * MIB; // far beyond both caches when uniform
@@ -490,4 +490,5 @@ pub fn skew(cfg: &Config) {
     report.finish();
     println!("skew concentrates probes on L2-resident lines: the 256MB table that");
     println!("misses ~100% under uniform keys becomes largely cache-served.");
+    Vec::new()
 }

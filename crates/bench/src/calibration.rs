@@ -30,15 +30,13 @@
 //! clock over spec — the machine the model believes in no longer
 //! exists).
 //!
-//! Three pinned bands gate the run (exit is non-zero on a miss, like
-//! `reproduce scorecard`):
+//! Two bands and an assertion gate the run:
 //!
-//! * **never-lose** — on the true profile, calibrated total simulated
-//!   time is never above static (a cold store *is* the static model, so
-//!   early queries route identically; learned corrections only flip
-//!   queries the measurements prove misrouted);
-//! * **recovery** — on the skewed profile, calibrated recovers at least
-//!   [`RECOVERY_FRACTION`] of the static-vs-oracle gap;
+//! * **never-lose** ([`NEVER_LOSE`]) — on the true profile (a cold store
+//!   *is* the static model, so early queries route identically; learned
+//!   corrections only flip queries the measurements prove misrouted);
+//! * **recovery** ([`RECOVERY`]) — on the skewed profile, of the
+//!   static-vs-oracle gap;
 //! * **byte-identity** — every device and host execution is asserted
 //!   against the reference oracle inline; routing changes costs, never
 //!   answers.
@@ -62,15 +60,27 @@ use crystal_ssb::exec::{self, PipelineMode};
 use crystal_ssb::plan::StarQuery;
 use crystal_ssb::{FactTable, SsbData};
 
-use crate::stream::{shape_catalogue, STREAM_SEED};
+use crate::check::{Band, Check};
+use crate::stream::{self, shape_catalogue, QueryRun, Sessions, STREAM_SEED};
 use crate::util::{paired, transfer_vs_host_scan, Config, Report};
 
-/// Fraction of the static-vs-oracle gap calibrated routing must recover
-/// on the skewed profile. The transfer key warms after three device
-/// observations (the whole stream shares one cardinality band), so all
-/// but the first few queries of a 96-query replay route post-correction;
-/// the pinned band leaves headroom for the warm-up misroutes.
-pub const RECOVERY_FRACTION: f64 = 0.5;
+/// Calibrated over static total simulated seconds on the true profile:
+/// never above (the slack is rounding).
+pub const NEVER_LOSE: Band = Band::new(
+    "calibrated/static total, true profile (never lose)",
+    1.0,
+    0.0..=1.0 + 1e-9,
+);
+/// Fraction of the static-vs-oracle gap calibrated routing recovers on the
+/// skewed profile. The transfer key warms after three device observations
+/// (the whole stream shares one cardinality band), so all but the first
+/// few queries of a 96-query replay route post-correction; the band leaves
+/// headroom for the warm-up misroutes.
+pub const RECOVERY: Band = Band::new(
+    "static-vs-oracle gap recovered, skewed profile",
+    0.9,
+    0.5..=f64::INFINITY,
+);
 
 /// The skewed profile's PCIe bandwidth, as a fraction of spec.
 pub const SKEW_PCIE_FACTOR: f64 = 0.5;
@@ -83,52 +93,28 @@ pub const SKEW_CPU_CLOCK_FACTOR: f64 = 1.25;
 /// query costs on each side, and the component observations the
 /// calibration store ingests when that side runs.
 pub struct ShapeCosts {
-    /// Device charge: `coprocessor_time` overlap of transfer and kernels.
-    pub device_secs: f64,
-    /// The PCIe transfer component (actual link, latency included).
-    pub transfer_secs: f64,
-    /// The simulated kernel component.
-    pub kernel_secs: f64,
-    /// Bytes the fresh session shipped (the full packed working set).
-    pub shipped_bytes: usize,
+    /// Device side: the shape through a fresh session (the full packed
+    /// working set shipped over the actual link, latency included, against
+    /// the simulated kernels).
+    pub device: QueryRun,
     /// Host charge: the compressed scan bound on the actual CPU.
     pub host_secs: f64,
 }
 
 /// Executes every shape once on the actual profile's device (fresh
 /// session per query — the transfer-included regime the replay charges)
-/// and prices the host side analytically on the actual CPU. Every device
-/// result is asserted against the reference oracle.
+/// and prices the host side analytically on the actual CPU.
 pub fn measure_shapes(
     table: &FactTable<'_>,
     shapes: &[StarQuery],
     actual: &HardwareProfile,
 ) -> Vec<ShapeCosts> {
-    let d = table.data();
-    let mut gpu = Gpu::new(actual.gpu.clone());
-    shapes
-        .iter()
-        .map(|q| {
-            gpu.reset_l2();
-            let mut cold = DeviceSession::new(&mut gpu);
-            let run = copro::execute(&mut cold, &actual.pcie, table, q)
-                .expect("an unbudgeted session never OOMs");
-            assert_eq!(
-                run.gpu_run.result,
-                reference::execute(d, q),
-                "device execution diverged from the oracle on {}",
-                q.name
-            );
-            let (_, host_secs) = transfer_vs_host_scan(table, q, &actual.cpu, &actual.pcie);
-            ShapeCosts {
-                device_secs: run.time.overlapped,
-                transfer_secs: run.time.transfer,
-                kernel_secs: run.gpu_run.sim_secs(),
-                shipped_bytes: run.shipped_bytes,
-                host_secs,
-            }
-        })
-        .collect()
+    let cold = stream::replay(table, shapes, Sessions::FreshPerQuery, actual);
+    let priced = shapes.iter().zip(cold.runs).map(|(q, device)| ShapeCosts {
+        device,
+        host_secs: transfer_vs_host_scan(table, q, &actual.cpu, &actual.pcie).1,
+    });
+    priced.collect()
 }
 
 /// How the replay routes each query.
@@ -178,7 +164,7 @@ pub fn replay(
     for _ in 0..passes {
         for (q, c) in shapes.iter().zip(costs) {
             let on_device = match routing {
-                Routing::Oracle => c.device_secs < c.host_secs,
+                Routing::Oracle => c.device.time.overlapped < c.host_secs,
                 Routing::Static | Routing::Calibrated => {
                     let dec = copro::choose_placement(
                         (routing == Routing::Calibrated).then_some(&store),
@@ -197,12 +183,12 @@ pub fn replay(
             let (charge, measured) = if on_device {
                 out.device_queries += 1;
                 let measured = Measured {
-                    shipped_bytes: c.shipped_bytes,
-                    transfer_secs: c.transfer_secs,
-                    kernel_secs: Some(c.kernel_secs),
+                    shipped_bytes: c.device.shipped_bytes,
+                    transfer_secs: c.device.time.transfer,
+                    kernel_secs: Some(c.device.time.exec),
                     host_secs: None,
                 };
-                (c.device_secs, measured)
+                (c.device.time.overlapped, measured)
             } else {
                 let measured = Measured {
                     host_secs: Some(c.host_secs),
@@ -258,10 +244,19 @@ pub fn skewed_profile() -> HardwareProfile {
     p
 }
 
-/// The `reproduce calibration` experiment; returns false if a pinned
-/// band is missed. `--smoke` shrinks the fact sample and passes (the CI
-/// gate).
-pub fn calibration(cfg: &Config, smoke: bool) -> bool {
+/// The two bands: calibrated against static on the true profile, and the
+/// gap recovered on the skewed one.
+pub fn checks(truth: &ProfileComparison, skewed: &ProfileComparison) -> Vec<Check> {
+    let [stat, cal, _] = &truth.outcomes;
+    vec![
+        NEVER_LOSE.check(cal.total_secs / stat.total_secs),
+        RECOVERY.check(skewed.recovery),
+    ]
+}
+
+/// The `reproduce calibration` experiment. `--smoke` shrinks the fact
+/// sample and passes (the CI gate).
+pub fn calibration(cfg: &Config, smoke: bool) -> Vec<Check> {
     let scale = if smoke {
         0.005
     } else {
@@ -294,7 +289,6 @@ pub fn calibration(cfg: &Config, smoke: bool) -> bool {
     }
 
     let model = table2_profile();
-    let profiles = [("true", table2_profile()), ("skewed", skewed_profile())];
     let mut report = Report::new(
         "calibration",
         &[
@@ -306,10 +300,9 @@ pub fn calibration(cfg: &Config, smoke: bool) -> bool {
             "vs oracle",
         ],
     );
-    let mut never_lose = None;
-    let mut recovery = None;
-    for (name, actual) in &profiles {
-        let cmp = compare_profile(&table, &shapes, passes, actual, &model);
+    let profiles = [("true", table2_profile()), ("skewed", skewed_profile())];
+    let [truth, skewed] = profiles.map(|(name, actual)| {
+        let cmp = compare_profile(&table, &shapes, passes, &actual, &model);
         for (routing, o) in ["static", "calibrated", "oracle"].iter().zip(&cmp.outcomes) {
             report.row(vec![
                 name.to_string(),
@@ -323,29 +316,9 @@ pub fn calibration(cfg: &Config, smoke: bool) -> bool {
                 ),
             ]);
         }
-        match *name {
-            "true" => never_lose = Some((cmp.outcomes[0].total_secs, cmp.outcomes[1].total_secs)),
-            _ => recovery = Some(cmp.recovery),
-        }
-    }
+        cmp
+    });
     report.finish();
-
-    let (stat, cal) = never_lose.expect("the true profile always runs");
-    let never_lose_ok = cal <= stat + 1e-12;
-    println!(
-        "true profile: calibrated {:.4} ms vs static {:.4} ms (band: never lose): {}",
-        cal * 1e3,
-        stat * 1e3,
-        if never_lose_ok { "ok" } else { "MISS" }
-    );
-    let recovery = recovery.expect("the skewed profile always runs");
-    let recovery_ok = recovery >= RECOVERY_FRACTION;
-    println!(
-        "skewed profile: calibrated recovers {:.0}% of the static-vs-oracle gap (band >= {:.0}%): {}",
-        recovery * 100.0,
-        RECOVERY_FRACTION * 100.0,
-        if recovery_ok { "ok" } else { "MISS" }
-    );
     println!("all device and host results byte-identical to the reference (asserted)");
 
     // Non-gating: the same closed loop on real wall-clock seconds. Paired
@@ -387,18 +360,18 @@ pub fn calibration(cfg: &Config, smoke: bool) -> bool {
         wall.factor(key)
     );
 
-    never_lose_ok && recovery_ok
+    checks(&truth, &skewed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::verdict;
 
     /// The calibration bands are part of the test suite, at a reduced
-    /// scale: on the skewed profile calibrated routing recovers the
-    /// pinned fraction of the static-vs-oracle gap, and on the true
-    /// profile it never loses to static (byte-identity is asserted
-    /// inside [`measure_shapes`]).
+    /// scale (byte-identity is asserted inside [`measure_shapes`]) — and
+    /// they bite: the skewed profile opens a static-vs-oracle gap, and the
+    /// calibrated replay consults measured history.
     #[test]
     fn calibration_bands_hold() {
         let d = SsbData::generate_scaled(1, 0.004, STREAM_SEED);
@@ -408,23 +381,11 @@ mod tests {
         let model = table2_profile();
 
         let truth = compare_profile(&table, &shapes, 4, &table2_profile(), &model);
-        assert!(
-            truth.outcomes[1].total_secs <= truth.outcomes[0].total_secs + 1e-12,
-            "calibrated {} lost to static {} on the true profile",
-            truth.outcomes[1].total_secs,
-            truth.outcomes[0].total_secs
-        );
-
         let skew = compare_profile(&table, &shapes, 4, &skewed_profile(), &model);
+        assert!(verdict("calibration", &checks(&truth, &skew)));
         assert!(
             skew.outcomes[2].total_secs < skew.outcomes[0].total_secs,
             "the skewed profile must open a static-vs-oracle gap for the band to bite"
-        );
-        assert!(
-            skew.recovery >= RECOVERY_FRACTION,
-            "recovered only {:.0}% of the gap (band >= {:.0}%)",
-            skew.recovery * 100.0,
-            RECOVERY_FRACTION * 100.0
         );
         assert!(
             skew.outcomes[1].blended_decisions > 0,

@@ -12,14 +12,10 @@
 //! fraction of queries the scheduler landed on the device, and the
 //! session counters.
 //!
-//! Two pinned bands gate the 4-tenant tier (the experiment exits
-//! non-zero when either is missed, like `reproduce scorecard`):
-//!
-//! * **throughput** — concurrent serving must reach >= 1.5x the serial
-//!   replay (cross-tenant cache sharing plus host/device overlap);
-//! * **fairness** — the p99/p50 latency ratio must stay within
-//!   [1, 8]: deficit round robin keeps long queries from starving
-//!   short ones.
+//! Two bands gate the 4-tenant tier: [`SPEEDUP_4T`] (cross-tenant cache
+//! sharing plus host/device overlap must beat the serial replay) and
+//! [`TAIL_4T`] (deficit round robin keeps long queries from starving short
+//! ones).
 //!
 //! Byte-identity between the concurrent and serial results of every
 //! tenant is asserted inline — interleaving morsel grants must not
@@ -27,15 +23,22 @@
 
 use crystal_gpu_sim::Gpu;
 use crystal_hardware::{intel_i7_6900, nvidia_v100, pcie_gen3};
-use crystal_server::{serve, serve_serial, ServeReport, ServerConfig};
-use crystal_ssb::SsbData;
+use crystal_server::{serve_serial, serve_with, ServeReport, ServerConfig};
+use crystal_ssb::{FactTable, SsbData};
 
+use crate::check::{Band, Check};
 use crate::stream::{tenant_streams, STREAM_SEED};
 use crate::util::{Config, Report};
 
-/// Pinned bands for the 4-tenant tier.
-pub const MIN_SPEEDUP_4T: f64 = 1.5;
-pub const MAX_P99_OVER_P50: f64 = 8.0;
+/// Simulated makespan of the serial per-tenant replay over the concurrent
+/// one, four tenants.
+pub const SPEEDUP_4T: Band = Band::new(
+    "4-tenant concurrent/serial throughput",
+    1.5,
+    1.5..=f64::INFINITY,
+);
+/// p99 over p50 latency of the four concurrent tenants.
+pub const TAIL_4T: Band = Band::new("4-tenant p99/p50 latency", 1.0, 1.0..=8.0);
 
 /// One contention tier: serve `tenants` streams concurrently and
 /// serially, assert per-tenant byte-identity, return both reports.
@@ -49,7 +52,8 @@ pub fn run_tier(d: &SsbData, tenants: usize, per_tenant: usize) -> (ServeReport,
     };
 
     let mut gpu = Gpu::new(nvidia_v100());
-    let concurrent = serve(&mut gpu, &cpu, &pcie, d, &streams, &cfg);
+    let table = FactTable::plain(d);
+    let concurrent = serve_with(&mut gpu, &cpu, &pcie, &table, &streams, &cfg, None);
     let mut gpu_serial = Gpu::new(nvidia_v100());
     let serial = serve_serial(&mut gpu_serial, &cpu, &pcie, d, &streams, &cfg);
 
@@ -67,10 +71,19 @@ pub fn run_tier(d: &SsbData, tenants: usize, per_tenant: usize) -> (ServeReport,
     (concurrent, serial)
 }
 
-/// The `reproduce contention` experiment; returns false if a pinned
-/// band is missed. `--smoke` runs the 4-tenant tier only, with short
-/// streams (the CI gate).
-pub fn contention(cfg: &Config, smoke: bool) -> bool {
+/// The two bands of a [`run_tier`] (gated for four tenants): serial over
+/// concurrent makespan, and p99 over p50 latency.
+pub fn checks((conc, serial): &(ServeReport, ServeReport)) -> Vec<Check> {
+    let p50 = conc.latency_percentile(50.0);
+    vec![
+        SPEEDUP_4T.check(serial.makespan_secs / conc.makespan_secs.max(1e-30)),
+        TAIL_4T.check(conc.latency_percentile(99.0) / p50.max(1e-30)),
+    ]
+}
+
+/// The `reproduce contention` experiment. `--smoke` runs the 4-tenant
+/// tier only, with short streams (the CI gate).
+pub fn contention(cfg: &Config, smoke: bool) -> Vec<Check> {
     // The contention tiers need the scheduler's cost asymmetry to be
     // visible over the 5us kernel-launch floor, so they run at the
     // harness's full fact sample (120k rows at the default 0.02).
@@ -100,17 +113,14 @@ pub fn contention(cfg: &Config, smoke: bool) -> bool {
         ],
     );
 
-    let mut speedup_4t = None;
-    let mut tail_4t = None;
+    let mut four = Vec::new();
     for &tenants in tiers {
-        let (conc, serial) = run_tier(&d, tenants, per_tenant);
-        let speedup = serial.makespan_secs / conc.makespan_secs.max(1e-30);
-        let p50 = conc.latency_percentile(50.0);
-        let p99 = conc.latency_percentile(99.0);
-        let tail = p99 / p50.max(1e-30);
+        let tier = run_tier(&d, tenants, per_tenant);
+        let bands = checks(&tier);
+        let (speedup, tail) = (bands[0].reproduced, bands[1].reproduced);
+        let (conc, serial) = tier;
         if tenants == 4 {
-            speedup_4t = Some(speedup);
-            tail_4t = Some(tail);
+            four = bands;
         }
         report.row(vec![
             tenants.to_string(),
@@ -118,34 +128,22 @@ pub fn contention(cfg: &Config, smoke: bool) -> bool {
             format!("{:.0}", serial.queries_per_sec()),
             format!("{:.0}", conc.queries_per_sec()),
             format!("{speedup:.2}x"),
-            format!("{:.4}", p50 * 1e3),
-            format!("{:.4}", p99 * 1e3),
+            format!("{:.4}", conc.latency_percentile(50.0) * 1e3),
+            format!("{:.4}", conc.latency_percentile(99.0) * 1e3),
             format!("{tail:.2}"),
             conc.device_queries().to_string(),
             conc.stats.evictions.to_string(),
         ]);
     }
     report.finish();
-
-    let speedup = speedup_4t.expect("the 4-tenant tier always runs");
-    let tail = tail_4t.expect("the 4-tenant tier always runs");
-    let speedup_ok = speedup >= MIN_SPEEDUP_4T;
-    let tail_ok = (1.0..=MAX_P99_OVER_P50).contains(&tail);
-    println!(
-        "4-tenant concurrent throughput {speedup:.2}x serial (band >= {MIN_SPEEDUP_4T}x): {}",
-        if speedup_ok { "ok" } else { "MISS" }
-    );
-    println!(
-        "4-tenant p99/p50 latency {tail:.2} (band [1, {MAX_P99_OVER_P50}]): {}",
-        if tail_ok { "ok" } else { "MISS" }
-    );
     println!("per-tenant results byte-identical to the serial replay (asserted)");
-    speedup_ok && tail_ok
+    four
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::verdict;
 
     /// The contention bands are part of the test suite, at a reduced
     /// stream length: 4-tenant serving beats the serial replay by the
@@ -156,17 +154,8 @@ mod tests {
         // Simulated clocks are deterministic — this band does not
         // depend on the build profile, only on the sampled scale.
         let d = SsbData::generate_scaled(1, 0.02, STREAM_SEED);
-        let (conc, serial) = run_tier(&d, 4, 12);
-        let speedup = serial.makespan_secs / conc.makespan_secs;
-        assert!(
-            speedup >= MIN_SPEEDUP_4T,
-            "4-tenant speedup {speedup:.2} below the {MIN_SPEEDUP_4T} band"
-        );
-        let tail = conc.latency_percentile(99.0) / conc.latency_percentile(50.0);
-        assert!(
-            (1.0..=MAX_P99_OVER_P50).contains(&tail),
-            "p99/p50 {tail:.2} outside [1, {MAX_P99_OVER_P50}]"
-        );
-        assert!(conc.device_queries() > 0, "the device never engaged");
+        let tier = run_tier(&d, 4, 12);
+        assert!(verdict("contention", &checks(&tier)));
+        assert!(tier.0.device_queries() > 0, "the device never engaged");
     }
 }

@@ -11,38 +11,35 @@
 //! difference is pure execution style, not residency. Three claims are
 //! gated:
 //!
-//! * **HBM read shrink** — q1.1's fused HBM reads must shrink by at
-//!   least [`Q11_HBM_READ_SHRINK_MIN`] versus unfused: the per-operator
-//!   path re-reads its flag array and every full column per stage, while
-//!   the fused tile loads later columns selectively and never writes a
+//! * **HBM read shrink** ([`Q11_HBM_READ_SHRINK`]) — the per-operator path
+//!   re-reads its flag array and every full column per stage, while the
+//!   fused tile loads later columns selectively and never writes a
 //!   selection vector to HBM.
-//! * **One launch per query** — the warm fused pass of every one of the
-//!   13 canned plans must execute as exactly [`FUSED_LAUNCHES`] kernel
-//!   launch, counted by the device's cumulative
+//! * **One launch per query** ([`FUSED_LAUNCHES`]) — the warm fused pass of
+//!   every one of the 13 canned plans, counted by the device's cumulative
 //!   [`crystal_gpu_sim::ExecStats`].
 //! * **Byte-identity** — fused and unfused results are asserted equal to
 //!   the reference oracle on every query (the broader pinned-seed random
 //!   suite lives in `tests/differential_random.rs`).
-//!
-//! Like `reproduce sharded`, the experiment exits non-zero when a band
-//! is missed; `--smoke` shrinks the proxy table for the CI gate.
 
-use crystal_gpu_sim::{ExecStats, Gpu};
-use crystal_hardware::nvidia_v100;
-use crystal_runtime::DeviceSession;
-use crystal_ssb::engines::{gpu as gpu_engine, omnisci, reference};
-use crystal_ssb::{all_queries, SsbData};
+use crystal_gpu_sim::ExecStats;
+use crystal_hardware::table2_profile;
+use crystal_ssb::{all_queries, FactTable, SsbData};
 
-use crate::stream::STREAM_SEED;
+use crate::check::{Band, Check};
+use crate::stream::{replay_engines, Engine, Sessions, STREAM_SEED};
 use crate::util::{Config, Report};
 
-/// Pinned band: q1.1's fused HBM reads must shrink at least this much
-/// versus the per-operator path (the PR 3 ~2.3x packed-read shrink set
-/// the pattern; fusion typically lands well above 2x here).
-pub const Q11_HBM_READ_SHRINK_MIN: f64 = 1.8;
-
-/// Kernel launches a warm fused star query is allowed: exactly one.
-pub const FUSED_LAUNCHES: u64 = 1;
+/// q1.1's unfused over fused HBM reads (the PR 3 ~2.3x packed-read shrink
+/// set the pattern; fusion typically lands well above 2x here).
+pub const Q11_HBM_READ_SHRINK: Band = Band::new(
+    "fused q1.1 HBM read shrink (>= 1.8x)",
+    2.0,
+    1.8..=f64::INFINITY,
+);
+/// The most kernel launches any canned plan's warm fused pass took.
+pub const FUSED_LAUNCHES: Band =
+    Band::new("fused launches per plan (13 plans, == 1)", 1.0, 1.0..=1.0);
 
 /// One query's fused-vs-unfused differential measurement.
 #[derive(Debug, Clone)]
@@ -61,44 +58,46 @@ impl FusionMeasurement {
     }
 }
 
-/// Runs every canned query on both GPU paths through one warm session,
-/// asserting byte-identity against the reference oracle, and returns the
-/// per-query before/after device counters.
+/// Runs every canned query on both GPU paths through one warm session
+/// (the oracle is asserted inside [`replay_engines`]) and returns the
+/// per-query device counters of the two measured passes.
 pub fn measure_fusion(d: &SsbData) -> Vec<FusionMeasurement> {
-    let mut gpu = Gpu::new(nvidia_v100());
-    let mut sess = DeviceSession::new(&mut gpu);
-    let mut out = Vec::new();
-    for q in all_queries(d) {
-        let expected = reference::execute(d, &q);
-        // Cold pass: uploads the columns and memoizes the dimension
-        // tables both paths share, so the measured passes are pure
-        // execution.
-        let cold = gpu_engine::execute_session(&mut sess, d, &q)
-            .expect("a dedicated V100 admits every canned query");
-        assert_eq!(cold.result, expected, "{} cold fused diverged", q.name);
-
-        let before = sess.gpu().exec_stats();
-        let fused_run = gpu_engine::execute_session(&mut sess, d, &q).unwrap();
-        let fused = sess.gpu().exec_stats().since(&before);
-        assert_eq!(fused_run.result, expected, "{} fused diverged", q.name);
-
-        let before = sess.gpu().exec_stats();
-        let unfused_run = omnisci::execute_unfused_session(&mut sess, d, &q);
-        let unfused = sess.gpu().exec_stats().since(&before);
-        assert_eq!(unfused_run.result, expected, "{} unfused diverged", q.name);
-
-        out.push(FusionMeasurement {
-            query: q.name.to_string(),
-            fused,
-            unfused,
-        });
-    }
-    out
+    let queries = all_queries(d);
+    // Per query: a cold fused pass uploads the columns and memoizes the
+    // dimension tables both paths share, so the two measured passes after
+    // it are pure execution.
+    let passes = [Engine::Fused, Engine::Fused, Engine::PerOperator];
+    let steps = queries
+        .iter()
+        .flat_map(|q| passes.map(|engine| (engine, q)));
+    let table = FactTable::plain(d);
+    let replay = replay_engines(&table, steps, Sessions::Shared(None), &table2_profile());
+    let measured = queries.iter().zip(replay.runs.chunks_exact(passes.len()));
+    measured
+        .map(|(q, runs)| {
+            assert!(!runs[0].host_fallback, "a dedicated V100 admits {}", q.name);
+            FusionMeasurement {
+                query: q.name.to_string(),
+                fused: runs[1].exec,
+                unfused: runs[2].exec,
+            }
+        })
+        .collect()
 }
 
-/// The `reproduce fusion` experiment; returns false if a pinned band is
-/// missed. `--smoke` uses a smaller proxy table (the CI gate).
-pub fn fusion(cfg: &Config, smoke: bool) -> bool {
+/// The two bands of a [`measure_fusion`].
+pub fn checks(measurements: &[FusionMeasurement]) -> Vec<Check> {
+    let q11 = measurements.iter().find(|m| m.query == "q1.1");
+    let launches = measurements.iter().map(|m| m.fused.launches).max();
+    vec![
+        Q11_HBM_READ_SHRINK.check(q11.expect("q1.1 is in the catalogue").read_shrink()),
+        FUSED_LAUNCHES.check(launches.expect("the catalogue is not empty") as f64),
+    ]
+}
+
+/// The `reproduce fusion` experiment. `--smoke` uses a smaller proxy table
+/// (the CI gate).
+pub fn fusion(cfg: &Config, smoke: bool) -> Vec<Check> {
     let scale = if smoke {
         cfg.fact_scale.min(0.002)
     } else {
@@ -137,75 +136,27 @@ pub fn fusion(cfg: &Config, smoke: bool) -> bool {
         ]);
     }
     report.finish();
-
-    let q11 = measurements
-        .iter()
-        .find(|m| m.query == "q1.1")
-        .expect("q1.1 is in the catalogue");
-    let shrink = q11.read_shrink();
-    let shrink_ok = shrink >= Q11_HBM_READ_SHRINK_MIN;
-    println!(
-        "q1.1 fused HBM read shrink {shrink:.2}x (band >= {Q11_HBM_READ_SHRINK_MIN}x): {}",
-        if shrink_ok { "ok" } else { "MISS" }
-    );
-
-    let launches_ok = measurements
-        .iter()
-        .all(|m| m.fused.launches == FUSED_LAUNCHES);
-    let max_launches = measurements.iter().map(|m| m.fused.launches).max().unwrap();
-    println!(
-        "fused launches per query: max {max_launches} over {} canned plans (band == {FUSED_LAUNCHES}): {}",
-        measurements.len(),
-        if launches_ok { "ok" } else { "MISS" }
-    );
     println!("every fused and unfused result byte-identical to the oracle (asserted)");
-    shrink_ok && launches_ok
+    checks(&measurements)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::verdict;
 
-    fn data() -> SsbData {
-        SsbData::generate_scaled(1, 0.002, STREAM_SEED)
-    }
-
-    /// The HBM-shrink band is part of the test suite: the fused q1.1
-    /// reads at least [`Q11_HBM_READ_SHRINK_MIN`] times fewer HBM bytes
-    /// than the per-operator path (and, inside [`measure_fusion`], every
-    /// result is asserted byte-identical to the oracle).
+    /// Both bands at the scorecard's scale, and what they do not say:
+    /// fusion never writes a selection vector through HBM (the unfused
+    /// path's materialized flags dominate its write traffic), and the
+    /// per-operator path pays a launch per pipeline stage.
     #[test]
-    fn q11_hbm_shrink_band_holds() {
-        let d = data();
-        let ms = measure_fusion(&d);
-        let q11 = ms.iter().find(|m| m.query == "q1.1").unwrap();
-        assert!(
-            q11.read_shrink() >= Q11_HBM_READ_SHRINK_MIN,
-            "q1.1 shrink {:.2} below the pinned band",
-            q11.read_shrink()
-        );
-        // Fusion never writes a selection vector through HBM: the
-        // unfused path's materialized flags dominate its write traffic.
-        assert!(q11.fused.hbm_write_bytes < q11.unfused.hbm_write_bytes);
-    }
-
-    /// The launch-count band is part of the test suite: every canned
-    /// plan's warm fused pass is exactly one kernel launch, while the
-    /// per-operator path pays one per pipeline stage.
-    #[test]
-    fn every_canned_plan_is_one_fused_launch() {
-        let d = data();
-        for m in measure_fusion(&d) {
-            assert_eq!(
-                m.fused.launches, FUSED_LAUNCHES,
-                "{} fused pass is not a single launch",
-                m.query
-            );
-            assert!(
-                m.unfused.launches > m.fused.launches,
-                "{} unfused path must pay per-operator launches",
-                m.query
-            );
+    fn fusion_bands_hold_and_the_unfused_path_pays_per_operator() {
+        let ms = measure_fusion(&SsbData::generate_scaled(1, 0.002, STREAM_SEED));
+        assert!(verdict("fusion", &checks(&ms)));
+        for m in &ms {
+            assert!(m.unfused.launches > m.fused.launches, "{}", m.query);
         }
+        let q11 = ms.iter().find(|m| m.query == "q1.1").unwrap();
+        assert!(q11.fused.hbm_write_bytes < q11.unfused.hbm_write_bytes);
     }
 }

@@ -14,7 +14,7 @@
 //! `results/microbench_kernels.csv`) so future PRs can be gated on real
 //! throughput. `--smoke` asserts a relative bound, never an absolute wall
 //! clock: the packed selection scan at every width ≤ 25 within
-//! `PACKED_SCAN_MAX_MULTIPLE` of the plain scan of as many rows (the
+//! [`PACKED_SCAN_MULTIPLE`] of the plain scan of as many rows (the
 //! paper's premise — a well-written CPU scan is bandwidth-bound, so fewer
 //! bytes must not be slower). The release acceptance targets are ≥ 1.5x
 //! chunked/scalar on the packed selection scan (width ≤ 16).
@@ -50,7 +50,7 @@
 //! straight into its slots, so the lookup build is its byte model: both in
 //! ns per dimension row over SF-20's `part` and `customer` at pass rates
 //! 1/25, 1/5 and 2/5, and `--smoke` gates, relatively only, the scan within
-//! `DIM_SCAN_MAX_MULTIPLE` of the lookup build at every one. The
+//! [`DIM_SCAN_MULTIPLE`] of the lookup build at every one. The
 //! `dim_pairs_cached` rows time the same pairs read off the join's cached
 //! halves ([`DimBuild::cached`], what a device miss runs) against that scan
 //! — gated at no slower. The simulated
@@ -67,7 +67,7 @@
 //! one [`BlockCtx::gather`](crystal_gpu_sim::exec::BlockCtx::gather) per
 //! slot over the same addresses (the "chunked" column), once with the
 //! table inside the modelled 6 MB L2 and once far outside it. `--smoke`
-//! gates the in-L2 multiple at `SIM_GATHER_MAX_MULTIPLE`.
+//! gates the in-L2 multiple ([`SIM_GATHER_MULTIPLE`]).
 
 use std::hint::black_box;
 
@@ -87,32 +87,52 @@ use crystal_storage::bitpack::unpack_batch;
 use crystal_storage::encoding::ColumnRead;
 use crystal_storage::{gen, Isa, PackedColumn};
 
+use crate::check::{verdict, Band, Check};
 use crate::util::{paired, ratio, time_median, Config, Report};
 
-/// How many plain random reads one L2-modelled gather may cost while the
-/// table fits the modelled L2 (`--smoke` gate). A read there is one of many
-/// independent loads in flight from the host's own L2, about 1 ns; the
-/// model adds a reciprocal multiply, a 16-way tag compare and a rank update:
-/// measured 10–14x on a 2-core 2.1 GHz Xeon. The list-based model this
-/// replaced measured 46–48x there, so the limit sits between the two.
-const SIM_GATHER_MAX_MULTIPLE: f64 = 25.0;
+/// Plain random reads one L2-modelled gather costs while the table fits the
+/// modelled L2. A read there is one of many independent loads in flight from
+/// the host's own L2, about 1 ns; the model adds a reciprocal multiply, a
+/// 16-way tag compare and a rank update: measured 10–14x on a 2-core 2.1 GHz
+/// Xeon. The list-based model this replaced measured 46–48x there, so the
+/// limit sits between the two.
+pub const SIM_GATHER_MULTIPLE: Band =
+    Band::new("simulated in-L2 gather, in plain reads", 12.0, 0.0..=25.0);
 
-/// How many plain scans of as many rows at the same selectivity one packed
-/// scan may cost at widths ≤ 25 (`--smoke` gate; the two chunked medians
-/// of the table, worst width). The packed side pays its decode on top of
-/// fewer bytes: measured 0.9–1.3x with the AVX-512 and AVX2 decode engines
-/// on a 2-core 2.1 GHz Xeon, 3–4x with the value-at-a-time window loop
-/// they replaced.
-const PACKED_SCAN_MAX_MULTIPLE: f64 = 1.5;
+/// Plain scans of as many rows at the same selectivity one packed scan costs
+/// at widths ≤ 25 (the two chunked medians of the table, worst width). The
+/// packed side pays its decode on top of fewer bytes: measured 0.9–1.3x with
+/// the AVX-512 and AVX2 decode engines on a 2-core 2.1 GHz Xeon, 3–4x with
+/// the value-at-a-time window loop they replaced.
+pub const PACKED_SCAN_MULTIPLE: Band =
+    Band::new("packed scan (width <= 25), in plain scans", 1.1, 0.0..=1.5);
 
-/// How many [`DimLookup::build`]s of the same join one [`DimBuild::scan`] may
-/// cost per dimension row (`--smoke` gate, worst listed pass rate). The scan
-/// reads the same columns and writes 8 bytes per surviving row where the
-/// lookup writes 2 per row: measured 0.9–1.1x with the chunked, branch-free
-/// compaction on a 2-core 2.1 GHz Xeon, 1.3x (1 row in 25 passing) to 4.5x (2
-/// in 5) with the two growing `Vec`s behind a data-dependent branch it
-/// replaced.
-const DIM_SCAN_MAX_MULTIPLE: f64 = 1.5;
+/// Over a cache-resident (128 KB) bitmap, the lower of contiguous-fed over
+/// gather-fed and gather-fed over the closure probe it replaced.
+pub const SEMIJOIN_ORDER: Band = Band::new(
+    "semi-join: contiguous >= gather-fed >= closure",
+    1.0,
+    1.0..=f64::INFINITY,
+);
+
+/// Block-wise `pack` over the read-modify-write loop it replaced, at the
+/// slowest listed width.
+pub const PACK_OVER_LOOP: Band =
+    Band::new("block-wise pack over the loop", 1.0, 1.0..=f64::INFINITY);
+
+/// [`DimLookup::build`]s of the same join one [`DimBuild::scan`] costs per
+/// dimension row, worst listed pass rate. The scan reads the same columns and
+/// writes 8 bytes per surviving row where the lookup writes 2 per row:
+/// measured 0.9–1.1x with the chunked, branch-free compaction on a 2-core
+/// 2.1 GHz Xeon, 1.3x (1 row in 25 passing) to 4.5x (2 in 5) with the two
+/// growing `Vec`s behind a data-dependent branch it replaced.
+pub const DIM_SCAN_MULTIPLE: Band =
+    Band::new("DimBuild::scan, in DimLookup::builds", 1.0, 0.0..=1.5);
+
+/// [`DimBuild::scan`]s one [`DimBuild::cached`] read of the same pairs costs,
+/// both halves held, worst listed pass rate.
+pub const CACHED_PAIRS_MULTIPLE: Band =
+    Band::new("DimBuild::cached, in DimBuild::scans", 0.5, 0.0..=1.0);
 
 /// One scalar-vs-chunked measurement.
 struct Row {
@@ -344,15 +364,10 @@ fn geomean(ratios: impl Iterator<Item = f64>) -> Option<f64> {
     (!logs.is_empty()).then(|| (logs.iter().sum::<f64>() / logs.len() as f64).exp())
 }
 
-/// Runs the kernel microbench; returns `false` (for a non-zero exit) when
-/// `smoke` is set and a packed selection scan cost more than
-/// `PACKED_SCAN_MAX_MULTIPLE` plain scans, the semi-joins over a
-/// cache-resident bitmap are out of order (contiguous ≥ gather-fed ≥
-/// closure probe), block-wise `pack` is slower at some width than the loop
-/// it replaced, a dimension scan cost more than `DIM_SCAN_MAX_MULTIPLE`
-/// lookup builds of the same join, or a simulated gather cost more than
-/// `SIM_GATHER_MAX_MULTIPLE` plain reads.
-pub fn microbench(cfg: &Config, smoke: bool) -> bool {
+/// Runs the kernel microbench and judges its six relative bands, every
+/// miss shown. Only a `smoke` run returns them (for the exit code): a full
+/// run's absolute sizes are not what the limits were measured at.
+pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
     // Smoke keeps CI fast; the full run uses the configured micro size
     // and more repetitions (the medians feed the committed
     // BENCH_kernels.json, so they are worth stabilizing against machine
@@ -799,49 +814,19 @@ pub fn microbench(cfg: &Config, smoke: bool) -> bool {
         eprintln!("warning: could not write BENCH_kernels.json: {e}");
     }
 
-    if smoke && packed_over_plain > PACKED_SCAN_MAX_MULTIPLE {
-        eprintln!(
-            "SMOKE GATE MISS: a packed selection scan costs {packed_over_plain:.2} plain scans of \
-             as many rows (limit {PACKED_SCAN_MAX_MULTIPLE})"
-        );
-        return false;
+    let checks = vec![
+        PACKED_SCAN_MULTIPLE.check(packed_over_plain),
+        SEMIJOIN_ORDER.check(contiguous.min(semijoin)),
+        PACK_OVER_LOOP.check(pack_floor),
+        DIM_SCAN_MULTIPLE.check(scan_over_lookup),
+        CACHED_PAIRS_MULTIPLE.check(cached_over_scan),
+        SIM_GATHER_MULTIPLE.check(sim_multiple_in_l2),
+    ];
+    if smoke {
+        return checks;
     }
-    if smoke && !(contiguous >= 1.0 && semijoin >= 1.0) {
-        eprintln!(
-            "SMOKE GATE MISS: over a 128 KB bitmap the contiguous semi-join runs at {contiguous:.2} of \
-             the gather-fed one and that at {semijoin:.2} of the closure probe (both must be >= 1)"
-        );
-        return false;
-    }
-    if smoke && pack_floor < 1.0 {
-        eprintln!(
-            "SMOKE GATE MISS: block-wise pack runs at {pack_floor:.2} of the read-modify-write loop \
-             it replaced at some width (must be >= 1 at every one)"
-        );
-        return false;
-    }
-    if smoke && scan_over_lookup > DIM_SCAN_MAX_MULTIPLE {
-        eprintln!(
-            "SMOKE GATE MISS: a DimBuild::scan costs {scan_over_lookup:.2} DimLookup::builds of the \
-             same join at some pass rate (limit {DIM_SCAN_MAX_MULTIPLE})"
-        );
-        return false;
-    }
-    if smoke && cached_over_scan > 1.0 {
-        eprintln!(
-            "SMOKE GATE MISS: reading a join's pairs off its cached halves costs \
-             {cached_over_scan:.2} DimBuild::scans at some pass rate (must be <= 1 at every one)"
-        );
-        return false;
-    }
-    if smoke && sim_multiple_in_l2 > SIM_GATHER_MAX_MULTIPLE {
-        eprintln!(
-            "SMOKE GATE MISS: a simulated in-L2 gather costs {sim_multiple_in_l2:.1} plain reads \
-             (limit {SIM_GATHER_MAX_MULTIPLE})"
-        );
-        return false;
-    }
-    true
+    verdict("microbench", &checks);
+    Vec::new()
 }
 
 /// Emits `BENCH_kernels.json` at the current directory (the repo root when

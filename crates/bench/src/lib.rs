@@ -1,9 +1,20 @@
 //! # crystal-bench — the experiment harness
 //!
-//! One module per evaluation artifact of the paper. The `reproduce` binary
-//! regenerates every table and figure; its `microbench` experiment is the
-//! wall-clock kernel benchmark (`BENCH_kernels.json`), and the end-to-end
-//! benchmark is the `e2e` package under `src/bin/e2e/`.
+//! The harness is one table (`EXPERIMENTS` in the `reproduce` binary) of
+//! `fn(&Config, smoke) -> Vec<Check>`: an experiment measures, prints and
+//! saves its own table, and returns a [`check::Check`] for every claim it
+//! pins — a [`check::Band`] declared once, beside the measurement that
+//! feeds it. [`check::verdict`] is where a reproduced number meets its
+//! band, for the six `--smoke` gates, the scorecard (the paper-model claims
+//! plus the sharded, fusion and overlap experiments' own checks at its
+//! pinned scale), their unit tests and CI alike. Underneath, every SSB
+//! query stream runs through one [`stream::replay`]: an experiment is a
+//! dataset scale, a query set, a session policy, the columns it derives
+//! and the bands on them.
+//!
+//! `reproduce microbench` is the wall-clock kernel benchmark
+//! (`BENCH_kernels.json`); the end-to-end benchmark is the `e2e` package
+//! under `src/bin/e2e/`.
 //!
 //! Two kinds of numbers are reported side by side (see EXPERIMENTS.md):
 //!
@@ -17,6 +28,7 @@
 
 pub mod ablation;
 pub mod calibration;
+pub mod check;
 pub mod contention;
 pub mod fusion;
 pub mod kernels;

@@ -14,17 +14,18 @@ use crystal_cpu::project as cpu_project;
 use crystal_cpu::radix as cpu_radix;
 use crystal_cpu::select::{select_branching, select_predication, select_simd_pred};
 use crystal_gpu_sim::exec::LaunchConfig;
-use crystal_gpu_sim::Gpu;
+use crystal_gpu_sim::{Gpu, KernelReport};
 use crystal_hardware::{bytes::fmt_bytes, intel_i7_6900, nvidia_v100, KIB, MIB};
 use crystal_models as models;
 use crystal_storage::gen;
 
+use crate::check::Check;
 use crate::util::{ms, ratio, scale_kernel, scale_kernels, time_median, Config, Report};
 
 /// Figure 9: selection-kernel runtime across thread-block sizes and
 /// items-per-thread, N = 2^28, selectivity 0.5 (simulated, scaled to paper
 /// N).
-pub fn fig9(cfg: &Config) {
+pub fn fig9(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let n = cfg.micro_n();
     let scale = cfg.scale_to_paper();
     let domain = 1_000_000;
@@ -50,28 +51,31 @@ pub fn fig9(cfg: &Config) {
     report.finish();
     println!("paper shape: best at block size 128-256 with 4 items/thread;");
     println!("collapse at tiny blocks (atomics+occupancy), rise at 1024 (sync).");
+    Vec::new()
+}
+
+/// `SELECT y WHERE y > v` over `data` on a fresh device: Crystal's single
+/// tile-based kernel, and the three kernels of the independent-threads
+/// approach.
+pub fn tile_kernels(data: &[i32], v: i32) -> (KernelReport, Vec<KernelReport>) {
+    let mut gpu = Gpu::new(nvidia_v100());
+    let col = gpu.alloc_from(data);
+    let cfg = LaunchConfig::default_for_items(data.len());
+    let (out, crystal) = select_where(&mut gpu, &col, cfg, move |y| y > v);
+    gpu.free(out);
+    let (out, indep) = independent_select_gt(&mut gpu, &col, v);
+    gpu.free(out);
+    (crystal, indep)
 }
 
 /// Section 3.3: Crystal's single tile-based kernel vs the three-kernel
 /// independent-threads approach (paper: 2.1 ms vs 19 ms).
-pub fn tile_model(cfg: &Config) {
-    let n = cfg.micro_n();
+pub fn tile_model(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let scale = cfg.scale_to_paper();
     let domain = 1_000_000;
-    let data = gen::uniform_i32_domain(n, domain, 42);
+    let data = gen::uniform_i32_domain(cfg.micro_n(), domain, 42);
     let v = gen::threshold_for_selectivity(domain, 0.5);
-
-    let mut gpu = Gpu::new(nvidia_v100());
-    let col = gpu.alloc_from(&data);
-    let (out, crystal) = select_where(
-        &mut gpu,
-        &col,
-        LaunchConfig::default_for_items(n),
-        move |y| y > v,
-    );
-    gpu.free(out);
-    let (out, indep) = independent_select_gt(&mut gpu, &col, v);
-    gpu.free(out);
+    let (crystal, indep) = tile_kernels(&data, v);
 
     let t_crystal = scale_kernel(&crystal, scale);
     let t_indep = scale_kernels(&indep, scale);
@@ -84,10 +88,11 @@ pub fn tile_model(cfg: &Config) {
     ]);
     report.finish();
     println!("speedup {} (paper: 9.0x)", ratio(t_indep / t_crystal));
+    Vec::new()
 }
 
 /// Figure 10: projection microbenchmark (Q1 linear, Q2 sigmoid).
-pub fn fig10(cfg: &Config) {
+pub fn fig10(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let n = cfg.micro_n();
     let scale = cfg.scale_to_paper();
     let paper_n = cfg.paper_n();
@@ -182,10 +187,11 @@ pub fn fig10(cfg: &Config) {
         "CPU-Opt/GPU ratio (modeled): {} (paper: 16.56 for Q1, 17.95 for Q2)",
         ratio(model_cpu / scale_kernel(&r_q1, scale))
     );
+    Vec::new()
 }
 
 /// Figure 12: selection scan across selectivities.
-pub fn fig12(cfg: &Config) {
+pub fn fig12(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let n = cfg.micro_n();
     let scale = cfg.scale_to_paper();
     let paper_n = cfg.paper_n();
@@ -255,10 +261,11 @@ pub fn fig12(cfg: &Config) {
     report.finish();
     println!("paper shape: branching hump at mid selectivity; predication flat;");
     println!("GPU tracks its model; mean CPU/GPU ratio ~15.8 (bandwidth ratio 16.2).");
+    Vec::new()
 }
 
 /// Figure 13: hash-join probe across hash-table sizes.
-pub fn fig13(cfg: &Config) {
+pub fn fig13(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let probe_n = cfg.micro_n();
     let scale = cfg.scale_to_paper();
     let paper_p = cfg.paper_n();
@@ -349,10 +356,11 @@ pub fn fig13(cfg: &Config) {
     report.finish();
     println!("paper shape: steps at L2/L3 (CPU) and L2 (GPU) capacity;");
     println!("~5.5x gain for 32-128KB tables, ~14.5x for 1-4MB, ~10.5x out-of-cache.");
+    Vec::new()
 }
 
 /// Figure 14: radix histogram and shuffle passes across radix bits.
-pub fn fig14(cfg: &Config) {
+pub fn fig14(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let n = cfg.micro_n();
     let scale = cfg.scale_to_paper();
     let paper_r = cfg.paper_n();
@@ -442,11 +450,12 @@ pub fn fig14(cfg: &Config) {
     report.finish();
     println!("paper shape: both phases bandwidth-bound; GPU stable caps at 7 bits,");
     println!("unstable at 8; CPU deteriorates past 8 bits (L1 spill).");
+    Vec::new()
 }
 
 /// Section 4.4: full 2^28-pair sorts — CPU LSB (464 ms) vs GPU MSB
 /// (27.08 ms), a 17.1x gain.
-pub fn sort_exp(cfg: &Config) {
+pub fn sort_exp(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let n = cfg.micro_n();
     let scale = cfg.scale_to_paper();
     let paper_r = cfg.paper_n();
@@ -494,4 +503,5 @@ pub fn sort_exp(cfg: &Config) {
         "modeled CPU/simulated GPU gain: {} (paper: 17.13x, bandwidth ratio 16.2x)",
         ratio(cpu_model / t_msb)
     );
+    Vec::new()
 }

@@ -9,102 +9,57 @@
 //! run actually produced, with uploads streaming on the DMA queue while
 //! kernels run on the compute queue. Two effects are measured and gated:
 //!
-//! * **Cold chunked upload** — a cold unsharded q1.1 must finish at least
-//!   [`MIN_COLD_SPEEDUP`]x faster on the stream clocks than under serial
-//!   charging: the consumer kernel starts once the first 16 KiB chunk
-//!   lands and queued copies stream back-to-back at line rate instead of
-//!   paying per-copy latency on the makespan.
-//! * **Shard double-buffering** — an 8-shard cold replay of a
-//!   no-date-filter query (every shard live) prefetches shard *k+1*
-//!   while shard *k*'s kernels run; at least [`MIN_HIDDEN_FRAC`] of the
-//!   non-first-shard transfer time must disappear from the makespan.
+//! * **Cold chunked upload** ([`COLD_SPEEDUP`]) — a cold unsharded q1.1 on
+//!   the stream clocks against serial charging: the consumer kernel starts
+//!   once the first 16 KiB chunk lands and queued copies stream
+//!   back-to-back at line rate instead of paying per-copy latency on the
+//!   makespan.
+//! * **Shard double-buffering** ([`HIDDEN_FRAC`]) — an 8-shard cold replay
+//!   of a no-date-filter query (every shard live) prefetches shard *k+1*
+//!   while shard *k*'s kernels run; most of the non-first-shard transfer
+//!   time must disappear from the makespan.
 //!
 //! Both paths assert byte-identity against the reference oracle inline —
-//! the streams reorder time, never bytes. Like the other gated
-//! experiments, `overlap` exits non-zero on a missed band; `--smoke`
-//! runs the two band queries only.
+//! the streams reorder time, never bytes. `--smoke` runs the two band
+//! queries only.
 //!
 //! [`PcieSpec::transfer_secs`]: crystal_hardware::PcieSpec::transfer_secs
 //! [`ExecStats::dma_secs`]: crystal_gpu_sim::ExecStats
 //! [`ExecStats::kernel_secs`]: crystal_gpu_sim::ExecStats
 //! [`StreamEngine`]: crystal_gpu_sim::StreamEngine
 
-use crystal_gpu_sim::Gpu;
-use crystal_hardware::{nvidia_v100, pcie_gen3, upload_chunks, PcieSpec};
-use crystal_runtime::DeviceSession;
+use crystal_hardware::{pcie_gen3, upload_chunks};
 use crystal_ssb::encoding::FactEncodings;
-use crystal_ssb::engines::{gpu, reference};
 use crystal_ssb::plan::StarQuery;
 use crystal_ssb::{all_queries, query, FactTable, PartitionedFact, QueryId, SsbData};
 
-use crate::stream::STREAM_SEED;
+use crate::check::{Band, Check};
+use crate::sharded::SHARDS;
+use crate::stream::{cold, QueryRun, STREAM_SEED};
 use crate::util::{Config, Report};
 
-/// Shards of the double-buffered replay (matches `reproduce sharded`).
-pub const SHARDS: usize = 8;
+/// Cold q1.1's serial (latency-inclusive, no-overlap) charge over its
+/// stream-clock makespan.
+pub const COLD_SPEEDUP: Band = Band::new(
+    "cold q1.1 overlap speedup (>= 1.4x)",
+    2.0,
+    1.4..=f64::INFINITY,
+);
+/// Fraction of q2.1's non-first-shard transfer time the double-buffered
+/// sharded replay hides behind kernels.
+pub const HIDDEN_FRAC: Band = Band::new("sharded prefetch hides transfer (>= 70%)", 1.0, 0.7..=1.0);
 
-/// Cold q1.1 must run at least this much faster on the stream clocks
-/// than under serial (latency-inclusive, no-overlap) charging.
-pub const MIN_COLD_SPEEDUP: f64 = 1.4;
-
-/// Fraction of the non-first-shard transfer time the double-buffered
-/// sharded replay must hide behind kernels.
-pub const MIN_HIDDEN_FRAC: f64 = 0.7;
-
-/// One cold query under both charging rules.
-#[derive(Debug, Clone, Copy)]
-pub struct OverlapRun {
-    /// Serialized copy-engine busy time (per-transfer latency included).
-    pub dma_secs: f64,
-    /// Kernel seconds (builds + probes).
-    pub kernel_secs: f64,
-    /// Stream makespan of the same run: `max(dma clock, compute clock)`.
-    pub makespan_secs: f64,
-    /// DMA transfers issued.
-    pub transfers: u64,
-}
-
-impl OverlapRun {
-    /// The pre-stream serial charge.
-    pub fn serial_secs(&self) -> f64 {
-        self.dma_secs + self.kernel_secs
-    }
-
-    /// Serial over overlapped — what pipelining bought.
-    pub fn speedup(&self) -> f64 {
-        self.serial_secs() / self.makespan_secs.max(1e-30)
-    }
-}
-
-/// Runs one query cold over `table` on a fresh device — the
-/// chunk-pipelined path, double-buffered across the shards of a sharded
-/// table — asserting its result against the reference oracle, and returns
-/// both charges. A fresh [`Gpu`] starts both stream clocks at zero, so the
-/// cumulative makespan is this query's alone.
-pub fn cold(table: &FactTable<'_>, q: &StarQuery) -> OverlapRun {
-    let mut gpu = Gpu::new(nvidia_v100());
-    let mut sess = DeviceSession::new(&mut gpu);
-    let run = gpu::execute(&mut sess, table, q).expect("no OOM on an unbudgeted V100");
-    assert_eq!(
-        run.result,
-        reference::execute(table.data(), q),
-        "{}: pipelined result diverged from the oracle",
-        q.name
-    );
-    let exec = sess.gpu().exec_stats();
-    OverlapRun {
-        dma_secs: exec.dma_secs,
-        kernel_secs: exec.kernel_secs,
-        makespan_secs: sess.gpu().streams().makespan(),
-        transfers: exec.dma_transfers,
-    }
+/// Serial over overlapped charge of one cold query — what pipelining
+/// bought.
+fn speedup(run: &QueryRun) -> f64 {
+    run.serial_secs() / run.makespan_secs.max(1e-30)
 }
 
 /// Outcome of one cold double-buffered sharded replay.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct ShardedOverlap {
-    /// The two charges, as in [`OverlapRun`].
-    pub run: OverlapRun,
+    /// The query, [`cold`].
+    pub run: QueryRun,
     /// Live shards after pruning.
     pub live_shards: usize,
     /// Serialized transfer seconds of every shard after the first (the
@@ -131,7 +86,7 @@ pub fn cold_sharded(table: &FactTable<'_>, q: &StarQuery) -> ShardedOverlap {
         .iter()
         .map(|_| pcie.transfer_secs(first_rows * 4))
         .sum();
-    let non_first = (run.dma_secs - first_dma).max(0.0);
+    let non_first = (run.exec.dma_secs - first_dma).max(0.0);
     let hidden = (run.serial_secs() - run.makespan_secs).clamp(0.0, non_first);
     ShardedOverlap {
         run,
@@ -141,16 +96,28 @@ pub fn cold_sharded(table: &FactTable<'_>, q: &StarQuery) -> ShardedOverlap {
     }
 }
 
-/// The chunk-pipelined analytic estimate for a cold upload of `bytes`
-/// racing `kernel_secs` of execution — printed beside the measured
-/// makespan as a cross-check of the model the placement bounds use.
-pub fn pipelined_estimate(pcie: &PcieSpec, bytes: usize, kernel_secs: f64) -> f64 {
-    pcie.pipelined_secs(bytes, upload_chunks(bytes), kernel_secs)
+/// What the two bands read: q1.1 cold over `d`'s plain table, and q2.1 cold
+/// over its shards `pf` (it carries no date predicate, so every shard stays
+/// live and the prefetcher has all but the first to hide).
+pub fn measure(d: &SsbData, pf: &PartitionedFact) -> (QueryRun, ShardedOverlap) {
+    let q11 = cold(&FactTable::plain(d), &query(d, QueryId::new(1, 1)));
+    let q21 = cold_sharded(&FactTable::sharded(d, pf), &query(d, QueryId::new(2, 1)));
+    let shards = pf.shard_count();
+    assert_eq!(q21.live_shards, shards, "q2.1 must keep every shard live");
+    (q11, q21)
 }
 
-/// The `reproduce overlap` experiment; returns false if a pinned band is
-/// missed. `--smoke` runs only the two band queries (the CI gate).
-pub fn overlap(cfg: &Config, smoke: bool) -> bool {
+/// The two bands of a [`measure`].
+pub fn checks((q11, q21): &(QueryRun, ShardedOverlap)) -> Vec<Check> {
+    vec![
+        COLD_SPEEDUP.check(speedup(q11)),
+        HIDDEN_FRAC.check(q21.hidden_frac),
+    ]
+}
+
+/// The `reproduce overlap` experiment. `--smoke` runs only the two band
+/// queries (the CI gate).
+pub fn overlap(cfg: &Config, smoke: bool) -> Vec<Check> {
     let scale = cfg.fact_scale.min(0.004);
     let d = SsbData::generate_scaled(1, scale, STREAM_SEED);
     let pcie = pcie_gen3();
@@ -181,26 +148,19 @@ pub fn overlap(cfg: &Config, smoke: bool) -> bool {
         all_queries(&d)
     };
     let plain = FactTable::plain(&d);
-    let mut q11_speedup = None;
     for q in &catalogue {
         let r = cold(&plain, q);
-        if q.name == "q1.1" {
-            q11_speedup = Some(r.speedup());
-        }
         report.row(vec![
             format!("cold {}", q.name),
             us(r.serial_secs()),
             us(r.makespan_secs),
-            format!("{:.2}x", r.speedup()),
-            us(r.dma_secs),
-            us(r.kernel_secs),
-            r.transfers.to_string(),
+            format!("{:.2}x", speedup(&r)),
+            us(r.exec.dma_secs),
+            us(r.exec.kernel_secs),
+            r.exec.dma_transfers.to_string(),
         ]);
     }
 
-    // The double-buffered sharded replay: q2.1 carries no date
-    // predicate, so all shards stay live and the prefetcher has seven
-    // uploads to hide.
     let pf = PartitionedFact::partition(&d, SHARDS, &FactEncodings::plain());
     let sharded = FactTable::sharded(&d, &pf);
     let sharded_queries: Vec<QueryId> = if smoke {
@@ -208,111 +168,68 @@ pub fn overlap(cfg: &Config, smoke: bool) -> bool {
     } else {
         vec![QueryId::new(2, 1), QueryId::new(3, 1), QueryId::new(4, 1)]
     };
-    let mut q21_hidden = None;
     for id in sharded_queries {
         let q = query(&d, id);
         let s = cold_sharded(&sharded, &q);
-        if id == QueryId::new(2, 1) {
-            q21_hidden = Some(s);
-        }
         report.row(vec![
             format!("sharded {} ({}/{} shards)", q.name, s.live_shards, SHARDS),
             us(s.run.serial_secs()),
             us(s.run.makespan_secs),
             format!("hid {:.0}%", s.hidden_frac * 100.0),
-            us(s.run.dma_secs),
-            us(s.run.kernel_secs),
-            s.run.transfers.to_string(),
+            us(s.run.exec.dma_secs),
+            us(s.run.exec.kernel_secs),
+            s.run.exec.dma_transfers.to_string(),
         ]);
     }
 
-    // Cross-check: the analytic chunk-pipelined estimate for q1.1's
-    // fact upload racing its kernels, beside the measured makespan.
-    let q11_run = cold(&plain, &q11);
+    // Cross-check: the analytic chunk-pipelined estimate (the model the
+    // placement bounds use) for q1.1's fact upload racing its kernels,
+    // beside the measured makespan.
+    let bands = measure(&d, &pf);
+    let (q11_run, q21) = &bands;
     let fact_bytes: usize = q11.fact_columns().len() * d.lineorder.rows() * 4;
     report.row(vec![
         "q1.1 model estimate".into(),
         us(q11_run.serial_secs()),
-        us(pipelined_estimate(&pcie, fact_bytes, q11_run.kernel_secs)),
+        us(pcie.pipelined_secs(
+            fact_bytes,
+            upload_chunks(fact_bytes),
+            q11_run.exec.kernel_secs,
+        )),
         "-".into(),
-        us(q11_run.dma_secs),
-        us(q11_run.kernel_secs),
-        q11_run.transfers.to_string(),
+        us(q11_run.exec.dma_secs),
+        us(q11_run.exec.kernel_secs),
+        q11_run.exec.dma_transfers.to_string(),
     ]);
     report.finish();
 
-    let q11_speedup = q11_speedup.expect("q1.1 ran");
-    let cold_ok = q11_speedup >= MIN_COLD_SPEEDUP;
     println!(
-        "cold q1.1 overlap speedup {q11_speedup:.2}x (band >= {MIN_COLD_SPEEDUP}x): {}",
-        if cold_ok { "ok" } else { "MISS" }
-    );
-    let s = q21_hidden.expect("q2.1 ran");
-    let hide_ok = s.hidden_frac >= MIN_HIDDEN_FRAC && s.live_shards == SHARDS;
-    println!(
-        "sharded q2.1 prefetch hid {:.0}% of {:.2} us non-first-shard transfer across {} shards \
-         (band >= {:.0}%): {}",
-        s.hidden_frac * 100.0,
-        s.non_first_transfer_secs * 1e6,
-        s.live_shards,
-        MIN_HIDDEN_FRAC * 100.0,
-        if hide_ok { "ok" } else { "MISS" }
+        "sharded q2.1: {:.2} us of non-first-shard transfer across {} shards",
+        q21.non_first_transfer_secs * 1e6,
+        q21.live_shards
     );
     println!("every pipelined result byte-identical to the reference oracle (asserted)");
-    cold_ok && hide_ok
+    checks(&bands)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::verdict;
 
-    fn data() -> SsbData {
-        SsbData::generate_scaled(1, 0.002, STREAM_SEED)
-    }
-
-    /// The cold-upload band is part of the test suite: chunk pipelining
-    /// must beat serial charging on q1.1 by the pinned factor (and, via
-    /// the assert inside [`cold`], stay byte-identical).
+    /// Both bands at the scorecard's scale, and what they do not say: the
+    /// measured makespan of a cold q1.1 lies between the perfect-overlap
+    /// lower bound and the serial upper bound of the same transfer/kernel
+    /// split.
     #[test]
-    fn cold_q11_speedup_band_holds() {
-        let d = data();
-        let r = cold(&FactTable::plain(&d), &query(&d, QueryId::new(1, 1)));
-        assert!(
-            r.speedup() >= MIN_COLD_SPEEDUP,
-            "cold q1.1 speedup {:.2} below the {MIN_COLD_SPEEDUP} band: {r:?}",
-            r.speedup()
-        );
-        assert!(
-            r.makespan_secs >= r.kernel_secs,
-            "the makespan cannot undercut the kernels it contains"
-        );
-    }
-
-    /// The double-buffering band is part of the test suite: an 8-shard
-    /// cold replay of the no-date-filter q2.1 hides the pinned fraction
-    /// of every transfer after the first shard's.
-    #[test]
-    fn sharded_prefetch_hides_the_band_fraction() {
-        let d = data();
+    fn overlap_bands_hold_and_the_makespan_respects_the_model_bounds() {
+        let d = SsbData::generate_scaled(1, 0.002, STREAM_SEED);
         let pf = PartitionedFact::partition(&d, SHARDS, &FactEncodings::plain());
-        let s = cold_sharded(&FactTable::sharded(&d, &pf), &query(&d, QueryId::new(2, 1)));
-        assert_eq!(s.live_shards, SHARDS, "q2.1 must keep every shard live");
-        assert!(
-            s.hidden_frac >= MIN_HIDDEN_FRAC,
-            "prefetch hid only {:.0}% of the non-first transfer: {s:?}",
-            s.hidden_frac * 100.0
-        );
-    }
-
-    /// The analytic estimate brackets reality: the measured makespan of
-    /// a cold q1.1 lies between the perfect-overlap lower bound and the
-    /// serial upper bound of the same transfer/kernel split.
-    #[test]
-    fn measured_makespan_respects_the_model_bounds() {
-        let d = data();
-        let r = cold(&FactTable::plain(&d), &query(&d, QueryId::new(1, 1)));
+        let bands = measure(&d, &pf);
+        assert!(verdict("overlap", &checks(&bands)));
+        let r = &bands.0;
         assert!(r.makespan_secs <= r.serial_secs() + 1e-15);
-        assert!(r.makespan_secs >= r.kernel_secs.max(0.0));
-        assert!(r.transfers > 0, "a cold query must issue DMA");
+        assert!(r.makespan_secs >= r.exec.kernel_secs.max(0.0));
+        assert!(r.exec.dma_transfers > 0, "a cold query must issue DMA");
     }
 }

@@ -2,14 +2,16 @@
 //! study.
 
 use crystal_gpu_sim::Gpu;
-use crystal_hardware::{intel_i7_6900, nvidia_v100, pcie_gen3};
+use crystal_hardware::{intel_i7_6900, nvidia_v100, pcie_gen3, table2_profile};
 use crystal_models::ssb::{q21_cpu_empirical_secs, q21_cpu_model, q21_gpu_model, Q21Params};
-use crystal_runtime::DeviceSession;
-use crystal_ssb::engines::{copro, cpu as cpu_engine, gpu as gpu_engine, hyper, monet, omnisci};
+use crystal_ssb::engines::{copro, hyper, monet};
+use crystal_ssb::exec::{self, PipelineMode};
 use crystal_ssb::model as qmodel;
 use crystal_ssb::queries::all_queries;
 use crystal_ssb::{FactTable, SsbData};
 
+use crate::check::Check;
+use crate::stream::{cold, replay_engines, Engine, Sessions};
 use crate::util::{ms, ratio, time_median, Config, Report};
 
 fn geo_mean(xs: &[f64]) -> f64 {
@@ -24,7 +26,7 @@ fn dataset(cfg: &Config) -> SsbData {
 
 /// Figure 3: the coprocessor model vs MonetDB and Hyper on the CPU
 /// (paper scale, SF 20).
-pub fn fig3(cfg: &Config) {
+pub fn fig3(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let d = dataset(cfg);
     let cpu_spec = intel_i7_6900();
     let pcie = pcie_gen3();
@@ -37,8 +39,9 @@ pub fn fig3(cfg: &Config) {
     let mut monet_t = Vec::new();
     let mut copro_t = Vec::new();
     let mut hyper_t = Vec::new();
+    let table = FactTable::plain(&d);
     for q in all_queries(&d) {
-        let (_, trace) = cpu_engine::execute(&d, &q, cfg.threads);
+        let (_, trace) = exec::execute(&table, &q, cfg.threads, PipelineMode::Vectorized);
         let t_monet = qmodel::monetdb_secs(&q, &trace, &cpu_spec);
         let t_hyper = qmodel::hyper_secs(&q, &trace, &cpu_spec);
         gpu.reset_l2();
@@ -62,14 +65,14 @@ pub fn fig3(cfg: &Config) {
         ratio(geo_mean(&hyper_t) / geo_mean(&copro_t)),
     );
     println!("every coprocessor query is PCIe-transfer bound (Section 3.1).");
+    Vec::new()
 }
 
 /// Figure 16: the four-engine SSB comparison at paper scale, plus
 /// host-measured engine times at the reduced scale.
-pub fn fig16(cfg: &Config) {
+pub fn fig16(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let d = dataset(cfg);
     let cpu_spec = intel_i7_6900();
-    let mut gpu = Gpu::new(nvidia_v100());
 
     let mut report = Report::new(
         "fig16_ssb",
@@ -89,32 +92,30 @@ pub fn fig16(cfg: &Config) {
     let mut cpu_times = Vec::new();
     let mut gpu_times = Vec::new();
     let table = FactTable::plain(&d);
-    for q in all_queries(&d) {
-        let (_, trace) = cpu_engine::execute(&d, &q, cfg.threads);
-        let t_cpu = qmodel::cpu_empirical_secs(&q, &trace, &cpu_spec);
-        let t_hyper = qmodel::hyper_secs(&q, &trace, &cpu_spec);
-
-        gpu.reset_l2();
-        let crystal_run =
-            gpu_engine::execute(&mut DeviceSession::new(&mut gpu), &table, &q).unwrap();
-        let t_gpu = crystal_run.sim_secs_scaled(cfg.fact_scale);
-        gpu.reset_l2();
-        let omni_run = omnisci::execute_unfused(&mut gpu, &d, &q);
-        let t_omni = omni_run.sim_secs_scaled(cfg.fact_scale);
-        assert_eq!(
-            crystal_run.result, omni_run.result,
-            "engines disagree on {}",
-            q.name
-        );
+    let queries = all_queries(&d);
+    // Each query cold on the tile-based engine, then cold on the
+    // per-operator one (both asserted against the oracle as they run).
+    let engines = [Engine::Fused, Engine::PerOperator];
+    let steps = queries
+        .iter()
+        .flat_map(|q| engines.map(|engine| (engine, q)));
+    let device = replay_engines(&table, steps, Sessions::FreshPerQuery, &table2_profile());
+    for (q, runs) in queries.iter().zip(device.runs.chunks_exact(2)) {
+        let host = || exec::execute(&table, q, cfg.threads, PipelineMode::Vectorized);
+        let (_, trace) = host();
+        let t_cpu = qmodel::cpu_empirical_secs(q, &trace, &cpu_spec);
+        let t_hyper = qmodel::hyper_secs(q, &trace, &cpu_spec);
+        let t_gpu = runs[0].kernel_secs_scaled(cfg.fact_scale);
+        let t_omni = runs[1].kernel_secs_scaled(cfg.fact_scale);
 
         let host_cpu = time_median(cfg.reps, || {
-            std::hint::black_box(cpu_engine::execute(&d, &q, cfg.threads));
+            std::hint::black_box(host());
         });
         let host_hyper = time_median(cfg.reps, || {
-            std::hint::black_box(hyper::execute(&d, &q, cfg.threads));
+            std::hint::black_box(hyper::execute(&d, q, cfg.threads));
         });
         let host_monet = time_median(cfg.reps, || {
-            std::hint::black_box(monet::execute(&d, &q, cfg.threads));
+            std::hint::black_box(monet::execute(&d, q, cfg.threads));
         });
 
         let speedup = t_cpu / t_gpu;
@@ -149,20 +150,18 @@ pub fn fig16(cfg: &Config) {
         "mean standalone GPU speedup over standalone CPU: {} (paper: ~25x; bandwidth ratio 16.2x)",
         ratio(geo_mean(&speedups))
     );
+    Vec::new()
 }
 
 /// Section 5.3 case study: the q2.1 three-component model vs execution.
-pub fn case_study(cfg: &Config) {
+pub fn case_study(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let d = dataset(cfg);
     let cpu_spec = intel_i7_6900();
     let gspec = nvidia_v100();
     let p = Q21Params::sf20();
 
     let q = crystal_ssb::queries::query(&d, crystal_ssb::QueryId::new(2, 1));
-    let mut gpu = Gpu::new(gspec.clone());
-    let mut cold = DeviceSession::new(&mut gpu);
-    let run = gpu_engine::execute(&mut cold, &FactTable::plain(&d), &q).unwrap();
-    let sim = run.sim_secs_scaled(cfg.fact_scale);
+    let sim = cold(&FactTable::plain(&d), &q).kernel_secs_scaled(cfg.fact_scale);
 
     let g = q21_gpu_model(&p, &gspec);
     let c = q21_cpu_model(&p, &cpu_spec);
@@ -205,4 +204,5 @@ pub fn case_study(cfg: &Config) {
     summary.finish();
     println!("the paper's point: the GPU model is accurate (latency hiding), the CPU");
     println!("model is not — CPUs stall on irregular accesses (Section 5.3).");
+    Vec::new()
 }

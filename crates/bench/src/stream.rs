@@ -1,59 +1,120 @@
-//! The query-stream workload driver: cold vs. warm device residency.
+//! Query streams and the one replay every experiment runs them through.
 //!
-//! Replays a randomized [`StarQuery`] stream (seeded
-//! `crystal_ssb::arbitrary` shapes over one dataset) through the
-//! coprocessor engine twice:
+//! [`replay`] drives a list of [`StarQuery`]s over one [`FactTable`] through
+//! the coprocessor engine under a session policy — [`Sessions::FreshPerQuery`]
+//! (every query re-ships its fact columns and rebuilds its dimension tables:
+//! the paper's transfer-included coprocessor model) or [`Sessions::Shared`]
+//! (columns upload once, hash tables build once, repeats hit the cache: the
+//! paper's *data-resident* regime, optionally under a byte budget) — checks
+//! every result against the reference oracle as it streams, and returns what
+//! each query cost. An experiment is a dataset scale, a query set, a session
+//! policy, the columns it derives from those [`QueryRun`]s and the
+//! [`Band`](crate::check::Band)s it pins on them.
 //!
-//! * **cold** — a fresh [`DeviceSession`] per query: every query re-ships
-//!   its fact columns over PCIe and rebuilds its dimension hash tables,
-//!   the paper's per-query coprocessor model (transfer-included).
-//! * **warm** — one shared session across the whole stream: columns
-//!   upload once, hash tables build once, repeats hit the cache — the
-//!   paper's *data-resident* regime.
-//!
-//! The report shows total and amortized per-query simulated time, shipped
-//! bytes, the cache hit ratio, eviction counts, and how many warm queries
-//! the residency-aware placement routes to the coprocessor (over the very
-//! PCIe Gen3 link that routes every cold query to the host). Every result
-//! is checked against the reference oracle as it streams.
+//! `reproduce query-stream` is the plainest such experiment: the pinned
+//! randomized stream (seeded `crystal_ssb::arbitrary` shapes) cold, warm and
+//! warm under a starved budget.
 
-use crystal_gpu_sim::Gpu;
-use crystal_hardware::{intel_i7_6900, nvidia_v100, pcie_gen3};
-use crystal_runtime::DeviceSession;
+use crystal_gpu_sim::pcie::{coprocessor_time, CoprocessorTime};
+use crystal_gpu_sim::{ExecStats, Gpu, KernelReport};
+use crystal_hardware::{table2_profile, HardwareProfile};
+use crystal_runtime::{DeviceSession, SessionStats};
 use crystal_ssb::arbitrary::random_star_query;
-use crystal_ssb::engines::{copro, reference};
+use crystal_ssb::engines::{copro, gpu, omnisci, reference};
+use crystal_ssb::exec::{self, PipelineMode};
 use crystal_ssb::plan::StarQuery;
 use crystal_ssb::{FactTable, SsbData};
 
+use crate::check::Check;
 use crate::util::{Config, Report};
 
 /// Pinned base seed of the stream (matches the differential suite's
 /// default, so the scorecard's expectations are stable).
 pub const STREAM_SEED: u64 = 20_260_730;
 
-/// Aggregate outcome of one stream replay (see [`replay`]).
-#[derive(Debug, Clone)]
-pub struct StreamOutcome {
-    /// Queries executed.
-    pub queries: usize,
-    /// Total simulated seconds, transfer overlapped with execution.
-    pub total_secs: f64,
-    /// Simulated seconds spent on PCIe transfers alone.
-    pub transfer_secs: f64,
-    /// Host-to-device bytes shipped across the stream.
-    pub shipped_bytes: usize,
-    /// Session cache hit ratio over the stream (0 for the cold replay).
-    pub hit_ratio: f64,
-    /// Cache evictions across the stream.
-    pub evictions: u64,
-    /// Queries the residency-aware placement routed to the coprocessor.
-    pub device_placements: usize,
+/// Which device sessions a replay's queries run through.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sessions {
+    /// A fresh session on an L2-cold device for every query.
+    FreshPerQuery,
+    /// One session across the replay, its cache capped at the given bytes
+    /// if any.
+    Shared(Option<usize>),
 }
 
-impl StreamOutcome {
-    /// Amortized simulated seconds per query.
-    pub fn amortized_secs(&self) -> f64 {
-        self.total_secs / self.queries.max(1) as f64
+/// Which device engine runs a replayed query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// [`gpu::execute`]: the fused tile-at-a-time megakernel.
+    Fused,
+    /// [`omnisci::execute`]: a kernel per operator (plain tables only).
+    PerOperator,
+}
+
+/// What one replayed query cost.
+#[derive(Debug, Clone)]
+pub struct QueryRun {
+    /// Device counters this query added: launches, HBM bytes, serialized
+    /// copy-engine and kernel seconds.
+    pub exec: ExecStats,
+    /// Its kernels in launch order: the builds its session missed, then
+    /// the query's own.
+    pub kernels: Vec<KernelReport>,
+    /// Host-to-device bytes its session shipped for it.
+    pub shipped_bytes: usize,
+    /// The coprocessor-model charge of those bytes against its kernels'
+    /// simulated seconds (`exec` is their sum, `overlapped` the charge).
+    pub time: CoprocessorTime,
+    /// The device's copy/compute stream makespan once it finished — its
+    /// own alone when it is the replay's first query.
+    pub makespan_secs: f64,
+    /// Whether the residency-aware placement, asked just before it ran,
+    /// routed it to the coprocessor.
+    pub placed_on_device: bool,
+    /// Whether its working set stopped fitting the budget and the host
+    /// pipeline answered instead.
+    pub host_fallback: bool,
+}
+
+impl QueryRun {
+    /// Kernel seconds at paper scale: the kernels tagged
+    /// [`KernelReport::fact_linear`] grow by `1 / fact_scale` with the fact
+    /// table sampled down to that fraction (see
+    /// [`SsbData::generate_scaled`]), the dimension-sized builds do not.
+    pub fn kernel_secs_scaled(&self, fact_scale: f64) -> f64 {
+        let scaled = |r: &KernelReport| match r.fact_linear {
+            true => r.time.total_secs() / fact_scale,
+            false => r.time.total_secs(),
+        };
+        self.kernels.iter().map(scaled).sum()
+    }
+
+    /// The pre-stream serial charge: every upload at its full
+    /// latency-inclusive cost plus every kernel, back to back.
+    pub fn serial_secs(&self) -> f64 {
+        self.exec.dma_secs + self.exec.kernel_secs
+    }
+}
+
+/// Outcome of one [`replay`].
+#[derive(Debug, Clone)]
+pub struct Replay {
+    /// One entry per query, in stream order.
+    pub runs: Vec<QueryRun>,
+    /// The shared session's counters at the end (all zero when every query
+    /// had a session of its own).
+    pub session: SessionStats,
+}
+
+impl Replay {
+    /// Total coprocessor-model seconds charged across the stream.
+    pub fn charged_secs(&self) -> f64 {
+        self.runs.iter().map(|r| r.time.overlapped).sum()
+    }
+
+    /// Host-to-device bytes shipped across the stream.
+    pub fn shipped_bytes(&self) -> usize {
+        self.runs.iter().map(|r| r.shipped_bytes).sum()
     }
 }
 
@@ -122,71 +183,104 @@ pub fn tenant_streams(
         .collect()
 }
 
-/// Replays `stream` through the coprocessor engine and checks every
-/// result against the reference oracle.
-///
-/// `warm` selects one shared session for the whole stream (vs. a fresh
-/// session per query); `budget` optionally caps the shared session's
-/// cache (bytes) to exercise eviction under pressure.
+/// [`replay_engines`] with every query on the fused engine.
 pub fn replay(
-    d: &SsbData,
-    stream: &[StarQuery],
-    warm: bool,
-    budget: Option<usize>,
-) -> StreamOutcome {
-    let cpu = intel_i7_6900();
-    let pcie = pcie_gen3();
-    let table = FactTable::plain(d);
-    let mut gpu = Gpu::new(nvidia_v100());
-    let mut out = StreamOutcome {
-        queries: stream.len(),
-        total_secs: 0.0,
-        transfer_secs: 0.0,
-        shipped_bytes: 0,
-        hit_ratio: 0.0,
-        evictions: 0,
-        device_placements: 0,
-    };
-    let run_one = |sess: &mut DeviceSession<'_>, q: &StarQuery, out: &mut StreamOutcome| {
-        let choice =
-            copro::choose_placement(None, sess, &table, q, &cpu, sess.spec(), &pcie).decision;
-        out.device_placements += usize::from(choice.placement == copro::Placement::Coprocessor);
-        let run = copro::execute(sess, &pcie, &table, q).unwrap();
+    table: &FactTable<'_>,
+    queries: &[StarQuery],
+    sessions: Sessions,
+    hw: &HardwareProfile,
+) -> Replay {
+    let steps = queries.iter().map(|q| (Engine::Fused, q));
+    replay_engines(table, steps, sessions, hw)
+}
+
+/// `q` alone and cold: on a fresh device — both stream clocks at zero, so
+/// the makespan is its own — that is not short of memory.
+pub fn cold(table: &FactTable<'_>, q: &StarQuery) -> QueryRun {
+    let one = std::slice::from_ref(q);
+    let mut runs = replay(table, one, Sessions::FreshPerQuery, &table2_profile()).runs;
+    let run = runs.pop().expect("one query, one run");
+    assert!(!run.host_fallback, "no OOM on an unbudgeted V100");
+    run
+}
+
+/// Runs `steps` in order over `table` on `hw`'s device and link, asserting
+/// every result against the reference oracle. A query whose working set no
+/// longer fits a budgeted session falls back to the host pipeline —
+/// correctness never depends on the budget. The only place the harness
+/// opens a [`DeviceSession`] for a query stream.
+pub fn replay_engines<'q>(
+    table: &FactTable<'_>,
+    steps: impl IntoIterator<Item = (Engine, &'q StarQuery)>,
+    sessions: Sessions,
+    hw: &HardwareProfile,
+) -> Replay {
+    let d = table.data();
+    let one = |sess: &mut DeviceSession<'_>, engine: Engine, q: &StarQuery| {
+        let placed = copro::choose_placement(None, sess, table, q, &hw.cpu, &hw.gpu, &hw.pcie);
+        let (exec_before, before) = (sess.gpu().exec_stats(), sess.stats().clone());
+        let ran = match engine {
+            Engine::Fused => gpu::execute(sess, table, q).map(|run| (run.reports, run.result)),
+            Engine::PerOperator => {
+                let run = omnisci::execute(sess, d, q);
+                Ok((run.reports, run.result))
+            }
+        };
+        let host_fallback = ran.is_err();
+        let (kernels, result) = ran.unwrap_or_else(|_| {
+            let host = exec::execute(table, q, 1, PipelineMode::Vectorized);
+            (Vec::new(), host.0)
+        });
+        let kernel_secs = kernels.iter().map(|r| r.time.total_secs()).sum();
         assert_eq!(
-            run.gpu_run.result,
+            result,
             reference::execute(d, q),
-            "stream diverged from the oracle on {}",
+            "replay diverged from the oracle on {}",
             q.name
         );
-        out.total_secs += run.time.overlapped;
-        out.transfer_secs += run.time.transfer;
-        out.shipped_bytes += run.shipped_bytes;
-    };
-
-    if warm {
-        let mut sess = match budget {
-            Some(b) => DeviceSession::with_budget(&mut gpu, b),
-            None => DeviceSession::new(&mut gpu),
-        };
-        for q in stream {
-            run_one(&mut sess, q, &mut out);
+        let shipped_bytes = sess.stats().uploaded_since(&before);
+        QueryRun {
+            exec: sess.gpu().exec_stats().since(&exec_before),
+            kernels,
+            shipped_bytes,
+            time: coprocessor_time(&hw.pcie, shipped_bytes, kernel_secs),
+            makespan_secs: sess.gpu().streams().makespan(),
+            placed_on_device: placed.decision.placement == copro::Placement::Coprocessor,
+            host_fallback,
         }
-        out.hit_ratio = sess.stats().hit_ratio();
-        out.evictions = sess.stats().evictions;
-    } else {
-        for q in stream {
-            gpu.reset_l2();
-            let mut sess = DeviceSession::new(&mut gpu);
-            run_one(&mut sess, q, &mut out);
+    };
+    let mut device = Gpu::new(hw.gpu.clone());
+    match sessions {
+        Sessions::FreshPerQuery => {
+            let fresh = |(engine, q)| {
+                device.reset_l2();
+                one(&mut DeviceSession::new(&mut device), engine, q)
+            };
+            Replay {
+                runs: steps.into_iter().map(fresh).collect(),
+                session: SessionStats::default(),
+            }
+        }
+        Sessions::Shared(budget) => {
+            let mut sess = match budget {
+                Some(bytes) => DeviceSession::with_budget(&mut device, bytes),
+                None => DeviceSession::new(&mut device),
+            };
+            let runs = steps
+                .into_iter()
+                .map(|(engine, q)| one(&mut sess, engine, q));
+            Replay {
+                runs: runs.collect(),
+                session: sess.stats().clone(),
+            }
         }
     }
-    out
 }
 
 /// The `reproduce query-stream` experiment: cold vs. warm replay of the
 /// pinned stream, plus a deliberately memory-starved warm replay that
 /// demonstrates eviction under pressure.
-pub fn query_stream(cfg: &Config) {
+pub fn query_stream(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let scale = cfg.fact_scale.min(0.004);
     let d = SsbData::generate_scaled(1, scale, STREAM_SEED);
     let stream = pinned_stream(&d, 16, 2);
@@ -199,20 +293,20 @@ pub fn query_stream(cfg: &Config) {
 
     // The first replay scans the dimensions; the later ones, device
     // rebuilds included, find every join half in the dataset's cache.
+    let (table, hw) = (FactTable::plain(&d), table2_profile());
     let mut seen = d.dim_cache_stats();
-    let mut replay = |name: &str, warm, budget| {
-        let out = replay(&d, &stream, warm, budget);
+    let mut replay = |name: &str, sessions| {
+        let out = replay(&table, &stream, sessions, &hw);
         let now = d.dim_cache_stats();
         let (hits, scans) = (now.hits - seen.hits, now.misses - seen.misses);
         println!("{name}: dimension halves {hits} cached, {scans} scanned, {now:?}");
         seen = now;
         out
     };
-    let cold = replay("cold", false, None);
-    let warm = replay("warm", true, None);
+    let cold = replay("cold", Sessions::FreshPerQuery);
+    let warm = replay("warm", Sessions::Shared(None));
     // Starve the cache: barely two plain fact columns fit.
-    let tight_budget = 9 * d.lineorder.rows();
-    let tight = replay("warm tight", true, Some(tight_budget));
+    let tight = replay("warm tight", Sessions::Shared(Some(9 * d.lineorder.rows())));
 
     let mut report = Report::new(
         "query_stream",
@@ -228,28 +322,31 @@ pub fn query_stream(cfg: &Config) {
             "gpu placements",
         ],
     );
+    let placed = |o: &Replay| o.runs.iter().filter(|r| r.placed_on_device).count();
     for (name, o) in [("cold", &cold), ("warm", &warm), ("warm tight", &tight)] {
+        let transfer: f64 = o.runs.iter().map(|r| r.time.transfer).sum();
         report.row(vec![
             name.to_string(),
-            o.queries.to_string(),
-            format!("{:.3}", o.total_secs * 1e3),
-            format!("{:.4}", o.amortized_secs() * 1e3),
-            format!("{:.3}", o.transfer_secs * 1e3),
-            format!("{:.2}", o.shipped_bytes as f64 / 1e6),
-            format!("{:.3}", o.hit_ratio),
-            o.evictions.to_string(),
-            o.device_placements.to_string(),
+            o.runs.len().to_string(),
+            format!("{:.3}", o.charged_secs() * 1e3),
+            format!("{:.4}", o.charged_secs() / o.runs.len().max(1) as f64 * 1e3),
+            format!("{:.3}", transfer * 1e3),
+            format!("{:.2}", o.shipped_bytes() as f64 / 1e6),
+            format!("{:.3}", o.session.hit_ratio()),
+            o.session.evictions.to_string(),
+            placed(o).to_string(),
         ]);
     }
     report.finish();
     println!(
         "residency saves {:.1}% of amortized simulated time ({}x less data shipped; \
          {} of {} warm queries routed to the device)",
-        (1.0 - warm.total_secs / cold.total_secs) * 100.0,
-        cold.shipped_bytes / warm.shipped_bytes.max(1),
-        warm.device_placements,
-        warm.queries
+        (1.0 - warm.charged_secs() / cold.charged_secs()) * 100.0,
+        cold.shipped_bytes() / warm.shipped_bytes().max(1),
+        placed(&warm),
+        warm.runs.len()
     );
+    Vec::new()
 }
 
 #[cfg(test)]
@@ -266,23 +363,26 @@ mod tests {
     #[test]
     fn warm_replay_beats_cold_and_stays_correct() {
         let d = data();
+        let (table, hw) = (FactTable::plain(&d), table2_profile());
         let stream = pinned_stream(&d, 6, 2);
-        let cold = replay(&d, &stream, false, None);
-        let warm = replay(&d, &stream, true, None);
-        assert_eq!(cold.queries, warm.queries);
+        let cold = replay(&table, &stream, Sessions::FreshPerQuery, &hw);
+        let warm = replay(&table, &stream, Sessions::Shared(None), &hw);
+        assert_eq!(cold.runs.len(), warm.runs.len());
         assert!(
-            warm.shipped_bytes * 2 <= cold.shipped_bytes,
+            warm.shipped_bytes() * 2 <= cold.shipped_bytes(),
             "warm {} vs cold {}",
-            warm.shipped_bytes,
-            cold.shipped_bytes
+            warm.shipped_bytes(),
+            cold.shipped_bytes()
         );
-        assert!(warm.total_secs < cold.total_secs);
-        assert!(warm.hit_ratio > 0.4, "hit ratio {}", warm.hit_ratio);
-        assert_eq!(cold.hit_ratio, 0.0);
+        assert!(warm.charged_secs() < cold.charged_secs());
+        let hit_ratio = warm.session.hit_ratio();
+        assert!(hit_ratio > 0.4, "hit ratio {hit_ratio}");
+        assert_eq!(cold.session, SessionStats::default());
         // Cold placement over PCIe Gen3 is always Host (Section 3.1);
         // residency flips warm repeats to the device.
-        assert_eq!(cold.device_placements, 0);
-        assert!(warm.device_placements > 0);
+        assert!(cold.runs.iter().all(|r| !r.placed_on_device));
+        assert!(warm.runs.iter().any(|r| r.placed_on_device));
+        assert!(cold.runs.iter().chain(&warm.runs).all(|r| !r.host_fallback));
     }
 
     /// The multi-tenant generator is deterministic, Zipf-skewed, and

@@ -4,10 +4,11 @@ use crystal_hardware::bytes::{fmt_bw, fmt_bytes};
 use crystal_hardware::{bandwidth_ratio, intel_i7_6900, nvidia_a100, nvidia_v100, server_cpu_2023};
 use crystal_models::cost::{cost_effectiveness, table3_purchase, table3_renting};
 
-use crate::util::{ms, ratio, Report};
+use crate::check::Check;
+use crate::util::{ms, ratio, Config, Report};
 
 /// Table 2: the modeled hardware.
-pub fn table2() {
+pub fn table2(_cfg: &Config, _smoke: bool) -> Vec<Check> {
     let c = intel_i7_6900();
     let g = nvidia_v100();
     let mut report = Report::new("table2_hardware", &["spec", "cpu", "gpu"]);
@@ -48,12 +49,13 @@ pub fn table2() {
     report.row(vec!["l1/smem_bw".into(), "-".into(), fmt_bw(g.l1_smem_bw)]);
     report.finish();
     println!("bandwidth ratio: {}", ratio(bandwidth_ratio(&c, &g)));
+    Vec::new()
 }
 
-/// Table 3 + Section 5.4: purchase/renting costs and cost effectiveness.
-///
-/// `mean_speedup` is the measured/modeled Figure 16 mean (the paper's 25x).
-pub fn table3(mean_speedup: f64) {
+/// Table 3 + Section 5.4: purchase/renting costs and cost effectiveness
+/// at the paper's 25x headline mean speedup (Figure 16 reproduces its own).
+pub fn table3(_cfg: &Config, _smoke: bool) -> Vec<Check> {
+    let mean_speedup = 25.0;
     let rent = table3_renting();
     let buy = table3_purchase();
     let mut report = Report::new("table3_cost", &["metric", "cpu", "gpu"]);
@@ -78,12 +80,13 @@ pub fn table3(mean_speedup: f64) {
         ratio(mean_speedup),
         ratio(cost_effectiveness(mean_speedup, rent.cost_ratio()))
     );
+    Vec::new()
 }
 
 /// What-if: the Section 5.4 generalization claim, evaluated — rerun the
 /// operator models on a newer CPU/GPU pairing (DDR5 server vs A100) and
 /// compare the predicted gains with the paper pairing's.
-pub fn whatif() {
+pub fn whatif(_cfg: &Config, _smoke: bool) -> Vec<Check> {
     let pairs = [
         (intel_i7_6900(), nvidia_v100()),
         (server_cpu_2023(), nvidia_a100()),
@@ -122,4 +125,5 @@ pub fn whatif() {
     println!("the structure survives a hardware generation: streaming operators gain");
     println!("the bandwidth ratio, joins less (line granularity), exactly as in the");
     println!("paper pairing -- Section 5.4\'s \"the ratio ... will not change as much\".");
+    Vec::new()
 }

@@ -9,8 +9,6 @@ pub struct Config {
     /// (`CRYSTAL_MICRO_LOG2N`, default 22). Simulated/modeled results are
     /// reported at the paper's 2^28 regardless.
     pub micro_log2n: u32,
-    /// SSB scale factor for host execution (`CRYSTAL_SF`, default 1).
-    pub sf: usize,
     /// Fact-table sampling for the paper-scale simulation runs
     /// (`CRYSTAL_FACT_SCALE`, default 0.02 of SF-20's 120M rows).
     pub fact_scale: f64,
@@ -21,9 +19,10 @@ pub struct Config {
 }
 
 /// A `CRYSTAL_*` environment variable that is set to something its knob
-/// cannot parse. Unset is not an error (the default applies); set but
-/// invalid is — `CRYSTAL_THREADS=two` silently running on every core
-/// measures a different experiment than the one asked for.
+/// cannot parse, or to a value no experiment can run with. Unset is not an
+/// error (the default applies); set but invalid is — `CRYSTAL_THREADS=two`
+/// silently running on every core measures a different experiment than the
+/// one asked for, and `CRYSTAL_FACT_SCALE=0` is a division by zero.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvError {
     /// The variable's name.
@@ -34,7 +33,7 @@ pub struct EnvError {
 
 impl std::fmt::Display for EnvError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}={:?} does not parse", self.name, self.value)
+        write!(f, "{}={:?} is not a valid value", self.name, self.value)
     }
 }
 
@@ -62,12 +61,33 @@ pub fn env_var<T: std::str::FromStr>(name: &str, default: T) -> Result<T, EnvErr
 
 impl Config {
     pub fn from_env() -> Result<Self, EnvError> {
+        Self::from_vars(|name| std::env::var(name).ok())
+    }
+
+    /// The configuration `var` (a variable's text, if set) describes; a
+    /// value that parses but that no experiment can run with is an error
+    /// like one that does not.
+    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, EnvError> {
+        fn knob<T: std::str::FromStr>(
+            var: &impl Fn(&str) -> Option<String>,
+            name: &str,
+            default: T,
+            runs: impl Fn(&T) -> bool,
+        ) -> Result<T, EnvError> {
+            let raw = var(name);
+            let value = parse_var(name, raw.as_deref(), default)?;
+            runs(&value).then_some(value).ok_or_else(|| EnvError {
+                name: name.into(),
+                value: raw.unwrap_or_default(),
+            })
+        }
+        let cores = crystal_cpu::exec::default_threads();
         Ok(Config {
-            micro_log2n: env_var("CRYSTAL_MICRO_LOG2N", 22)?,
-            sf: env_var("CRYSTAL_SF", 1)?,
-            fact_scale: env_var("CRYSTAL_FACT_SCALE", 0.02)?,
-            threads: env_var("CRYSTAL_THREADS", crystal_cpu::exec::default_threads())?,
-            reps: env_var("CRYSTAL_REPS", 3)?,
+            micro_log2n: knob(&var, "CRYSTAL_MICRO_LOG2N", 22, |n| (10..=30).contains(n))?,
+            // The divisor of every paper-scale extrapolation.
+            fact_scale: knob(&var, "CRYSTAL_FACT_SCALE", 0.02, |s| *s > 0.0 && *s <= 1.0)?,
+            threads: knob(&var, "CRYSTAL_THREADS", cores, |&t| t >= 1)?,
+            reps: knob(&var, "CRYSTAL_REPS", 3, |&r| r >= 1)?,
         })
     }
 
@@ -124,8 +144,14 @@ impl Report {
         self.rows.push(cells);
     }
 
-    /// Prints an aligned table to stdout and writes the CSV.
+    /// Prints the aligned table and writes the CSV.
     pub fn finish(self) {
+        self.print();
+        self.save();
+    }
+
+    /// Prints the aligned table to stdout.
+    pub fn print(&self) {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -144,23 +170,34 @@ impl Report {
         for row in &self.rows {
             line(row);
         }
+    }
 
-        if let Err(e) = self.write_csv() {
+    /// Writes `results/<name>.csv` under the current directory.
+    pub fn save(&self) {
+        let path = format!("results/{}.csv", self.name);
+        let written =
+            std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, self.csv()));
+        if let Err(e) = written {
             eprintln!("warning: could not write results CSV: {e}");
         }
     }
 
-    fn write_csv(&self) -> std::io::Result<()> {
-        std::fs::create_dir_all("results")?;
-        let path = format!("results/{}.csv", self.name);
+    /// The table as RFC 4180 CSV: a cell holding a comma, a quote or a line
+    /// break is quoted, its quotes doubled.
+    fn csv(&self) -> String {
         let mut out = String::new();
-        out.push_str(&self.headers.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
+        for row in std::iter::once(&self.headers).chain(&self.rows) {
+            let cells = row.iter().map(|cell| {
+                if cell.contains([',', '"', '\n', '\r']) {
+                    format!("\"{}\"", cell.replace('"', "\"\""))
+                } else {
+                    cell.clone()
+                }
+            });
+            out.push_str(&cells.collect::<Vec<_>>().join(","));
             out.push('\n');
         }
-        std::fs::write(path, out)
+        out
     }
 }
 
@@ -263,6 +300,46 @@ mod tests {
                 "{shown}"
             );
         }
+    }
+
+    /// A value that parses but that nothing can run with is the same
+    /// error; the edges of each range still load.
+    #[test]
+    fn knobs_reject_values_that_cannot_run() {
+        let with = |name: &'static str, value: &'static str| {
+            Config::from_vars(|var| (var == name).then(|| value.to_string()))
+        };
+        for (name, value) in [
+            ("CRYSTAL_THREADS", "0"),
+            ("CRYSTAL_REPS", "0"),
+            ("CRYSTAL_FACT_SCALE", "0"),
+            ("CRYSTAL_FACT_SCALE", "-0.5"),
+            ("CRYSTAL_FACT_SCALE", "1.5"),
+            ("CRYSTAL_FACT_SCALE", "NaN"),
+            ("CRYSTAL_FACT_SCALE", "inf"),
+            ("CRYSTAL_MICRO_LOG2N", "9"),
+            ("CRYSTAL_MICRO_LOG2N", "31"),
+            ("CRYSTAL_MICRO_LOG2N", "two"),
+        ] {
+            let err = with(name, value).unwrap_err();
+            assert_eq!((err.name.as_str(), err.value.as_str()), (name, value));
+        }
+        assert_eq!(with("CRYSTAL_FACT_SCALE", "1").unwrap().fact_scale, 1.0);
+        assert_eq!(with("CRYSTAL_MICRO_LOG2N", "10").unwrap().micro_log2n, 10);
+        assert_eq!(with("CRYSTAL_MICRO_LOG2N", "30").unwrap().micro_log2n, 30);
+        assert_eq!(with("CRYSTAL_THREADS", "1").unwrap().threads, 1);
+    }
+
+    /// Cells with a comma, a quote or a line break are quoted (RFC 4180).
+    #[test]
+    fn csv_quotes_the_cells_that_need_it() {
+        let mut report = Report::new("t", &["claim", "band"]);
+        report.row(vec!["evicts, byte-identical".into(), "[0.05, 0.6]".into()]);
+        report.row(vec!["a \"quoted\" word".into(), "plain".into()]);
+        assert_eq!(
+            report.csv(),
+            "claim,band\n\"evicts, byte-identical\",\"[0.05, 0.6]\"\n\"a \"\"quoted\"\" word\",plain\n"
+        );
     }
 
     #[test]

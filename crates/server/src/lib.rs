@@ -37,9 +37,8 @@
 //!   residency-aware cost model (`copro::choose_placement` over the
 //!   live segments of the served [`FactTable`]; under a [`Calibration`],
 //!   on the model profile's blended bounds); additionally, an otherwise
-//!   *idle* device is offered cost-model-Host queries
-//!   ([`ServerConfig::offload_idle_device`]): the device's cycles are
-//!   free while the host is the contended resource, and the uploads it
+//!   *idle* device is offered cost-model-Host queries: the device's cycles
+//!   are free while the host is the contended resource, and the uploads it
 //!   pays warm the shared cache, flipping later placements for every
 //!   tenant at once.
 //! * **Admission control** — device placement pins the query's working
@@ -89,10 +88,6 @@ pub struct ServerConfig {
     /// Optional device cache budget in bytes (see
     /// [`DeviceSession::with_budget`]); `None` uses the full device.
     pub device_budget: Option<usize>,
-    /// Route a cost-model-Host query to the device when no device query
-    /// is in flight: the idle device's time is free while the host is
-    /// contended, and its uploads warm the shared cache for everyone.
-    pub offload_idle_device: bool,
 }
 
 impl Default for ServerConfig {
@@ -102,7 +97,6 @@ impl Default for ServerConfig {
             quantum_morsels: 4,
             morsel_rows: MORSEL_SIZE,
             device_budget: None,
-            offload_idle_device: true,
         }
     }
 }
@@ -479,9 +473,9 @@ pub fn serve_with<'a>(
                 // idle host keeps a query even when the warm model
                 // says Coprocessor. With both busy, the residency-
                 // aware cost model decides.
-                let want_device = if cfg.offload_idle_device && !busy(Backend::Device) {
+                let want_device = if !busy(Backend::Device) {
                     true
-                } else if cfg.offload_idle_device && !busy(Backend::Host) {
+                } else if !busy(Backend::Host) {
                     false
                 } else {
                     decision.placement == Placement::Coprocessor

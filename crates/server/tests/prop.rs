@@ -90,7 +90,6 @@ proptest! {
             // Several grants per shard, so queries genuinely interleave.
             morsel_rows: 512,
             device_budget: (pressure == 1).then_some(f.pf.size_bytes() / 3),
-            ..ServerConfig::default()
         };
         let budget = cfg.device_budget.unwrap_or(spec.mem_capacity);
         let (cpu, pcie) = (intel_i7_6900(), pcie_gen3());

@@ -1,18 +1,10 @@
-//! Omnisci-style GPU engine, rewired onto the fused tile-at-a-time path.
-//!
-//! Since the fusion PR the *default* entry points ([`execute`] /
-//! [`execute_session`]) delegate to the fused
-//! [`crate::engines::gpu`] megakernel — one launch per query, no
-//! materialized selection vector — because that is what any engine would
-//! run once it adopts the tile-based model. The historical thread-per-row
-//! operator-at-a-time simulation survives verbatim as
-//! [`execute_unfused`] / [`execute_unfused_session`]: it is the
-//! differential reference the fusion harness and Figure 16 measure the
-//! fused path against.
+//! Omnisci-style GPU engine: the thread-per-row, operator-at-a-time
+//! simulation — the differential reference the fusion harness and Figure
+//! 16 measure the fused [`crate::engines::gpu`] megakernel against.
 //!
 //! "Omnisci treats each GPU thread as an independent unit. As a result, it
 //! does not realize benefits of blocked loading and better GPU utilization
-//! got from using the tile-based model" (Section 5.2). The unfused path
+//! got from using the tile-based model" (Section 5.2). [`execute`]
 //! reproduces that style on the simulator:
 //!
 //! * one kernel **per operator** (predicate scans, one per join, a final
@@ -37,7 +29,6 @@ use std::rc::Rc;
 use crystal_gpu_sim::exec::LaunchConfig;
 use crystal_gpu_sim::mem::DeviceBuffer;
 use crystal_gpu_sim::stats::KernelReport;
-use crystal_gpu_sim::Gpu;
 use crystal_runtime::{DeviceCol, DeviceSession};
 
 use crate::data::SsbData;
@@ -58,24 +49,6 @@ impl OmnisciRun {
     pub fn sim_secs(&self) -> f64 {
         self.reports.iter().map(|r| r.time.total_secs()).sum()
     }
-
-    /// Scaled total (see [`crate::engines::gpu::GpuRun::sim_secs_scaled`]);
-    /// this engine's per-operator kernels are fact-linear and carry the
-    /// explicit [`KernelReport::fact_linear`] tag, while the build kernels
-    /// (when the session runs them cold) are dimension-sized and excluded —
-    /// no kernel-name matching involved.
-    pub fn sim_secs_scaled(&self, fact_scale: f64) -> f64 {
-        self.reports
-            .iter()
-            .map(|r| {
-                if r.fact_linear {
-                    r.time.total_secs() / fact_scale
-                } else {
-                    r.time.total_secs()
-                }
-            })
-            .sum()
-    }
 }
 
 fn thread_per_row_cfg(n: usize) -> LaunchConfig {
@@ -87,42 +60,9 @@ fn thread_per_row_cfg(n: usize) -> LaunchConfig {
     }
 }
 
-/// Executes one query on the **fused** tile-at-a-time path (transient
-/// session). The per-operator simulation this engine is named for lives
-/// on as [`execute_unfused`].
-pub fn execute(gpu: &mut Gpu, d: &SsbData, q: &StarQuery) -> OmnisciRun {
-    let mut sess = DeviceSession::new(gpu);
-    execute_session(&mut sess, d, q)
-}
-
-/// [`execute`] through a (possibly warm) session: delegates to the fused
-/// [`crate::engines::gpu::execute`] megakernel, so results and
-/// kernel reports are those of the single fused launch.
-pub fn execute_session(sess: &mut DeviceSession<'_>, d: &SsbData, q: &StarQuery) -> OmnisciRun {
-    let run = crate::engines::gpu::execute(sess, &FactTable::plain(d), q)
-        .expect("the fused working set admits on a dedicated device");
-    OmnisciRun {
-        result: run.result,
-        reports: run.reports,
-    }
-}
-
-/// Executes one query operator-at-a-time on the simulated GPU (transient
-/// session — the old upload/execute/free lifecycle). This is the
-/// per-operator differential reference the fused path is measured
-/// against.
-pub fn execute_unfused(gpu: &mut Gpu, d: &SsbData, q: &StarQuery) -> OmnisciRun {
-    let mut sess = DeviceSession::new(gpu);
-    execute_unfused_session(&mut sess, d, q)
-}
-
-/// Executes one query operator-at-a-time through a (possibly warm)
+/// Executes one query operator-at-a-time through a (fresh or warm)
 /// session.
-pub fn execute_unfused_session(
-    sess: &mut DeviceSession<'_>,
-    d: &SsbData,
-    q: &StarQuery,
-) -> OmnisciRun {
+pub fn execute(sess: &mut DeviceSession<'_>, d: &SsbData, q: &StarQuery) -> OmnisciRun {
     let n = d.lineorder.rows();
     let mut reports = Vec::new();
 
@@ -273,6 +213,7 @@ mod tests {
     use super::*;
     use crate::engines::{gpu as crystal_gpu, reference};
     use crate::queries::{all_queries, query, QueryId};
+    use crystal_gpu_sim::Gpu;
     use crystal_hardware::nvidia_v100;
 
     fn data() -> SsbData {
@@ -284,29 +225,10 @@ mod tests {
         let d = data();
         let mut gpu = Gpu::new(nvidia_v100());
         for q in all_queries(&d) {
-            let expected = reference::execute(&d, &q);
-            let run = execute_unfused(&mut gpu, &d, &q);
-            assert_eq!(run.result, expected, "{} unfused diverged", q.name);
-            let fused = execute(&mut gpu, &d, &q);
-            assert_eq!(fused.result, expected, "{} fused diverged", q.name);
+            let run = execute(&mut DeviceSession::new(&mut gpu), &d, &q);
+            assert_eq!(run.result, reference::execute(&d, &q), "{}", q.name);
         }
         assert_eq!(gpu.mem_used(), 0, "transient sessions must free");
-    }
-
-    /// The default entry point now rides the fused megakernel: one launch
-    /// per query on a warm session, byte-identical to the Crystal engine.
-    #[test]
-    fn default_path_is_the_fused_megakernel() {
-        let d = data();
-        let q = query(&d, QueryId::new(2, 1));
-        let mut gpu = Gpu::new(nvidia_v100());
-        let mut sess = DeviceSession::new(&mut gpu);
-        let crystal = crystal_gpu::execute_session(&mut sess, &d, &q).unwrap();
-        let warm = execute_session(&mut sess, &d, &q);
-        assert_eq!(warm.result, crystal.result);
-        assert_eq!(warm.reports.len(), 1, "warm fused run is one launch");
-        assert_eq!(warm.reports[0].launches, 1);
-        assert!(warm.reports[0].name.starts_with("ssb_probe_"));
     }
 
     /// Figure 16's mechanism: the thread-per-row operator-at-a-time style
@@ -316,9 +238,10 @@ mod tests {
         let d = data();
         let mut gpu = Gpu::new(nvidia_v100());
         let q = query(&d, QueryId::new(2, 1));
-        let crystal = execute(&mut gpu, &d, &q);
+        let table = FactTable::plain(&d);
+        let crystal = crystal_gpu::execute(&mut DeviceSession::new(&mut gpu), &table, &q).unwrap();
         gpu.reset_l2();
-        let omnisci = execute_unfused(&mut gpu, &d, &q);
+        let omnisci = execute(&mut DeviceSession::new(&mut gpu), &d, &q);
         let crystal_probe: f64 = crystal.reports.last().unwrap().time.total_secs();
         let omnisci_total = omnisci.sim_secs();
         assert!(
@@ -336,10 +259,10 @@ mod tests {
         let expected = reference::execute(&d, &q);
         let mut gpu = Gpu::new(nvidia_v100());
         let mut sess = DeviceSession::new(&mut gpu);
-        let crystal = crystal_gpu::execute_session(&mut sess, &d, &q).unwrap();
+        let crystal = crystal_gpu::execute(&mut sess, &FactTable::plain(&d), &q).unwrap();
         assert_eq!(crystal.result, expected);
         let before = sess.stats().clone();
-        let omnisci = execute_unfused_session(&mut sess, &d, &q);
+        let omnisci = execute(&mut sess, &d, &q);
         assert_eq!(omnisci.result, expected);
         assert_eq!(
             sess.stats().uploaded_since(&before),

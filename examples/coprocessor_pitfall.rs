@@ -14,7 +14,8 @@ use crystal::gpu_sim::Gpu;
 use crystal::hardware::{intel_i7_6900, nvidia_v100, pcie_gen3};
 use crystal::models::ssb::compressed_coprocessor_bounds;
 use crystal::runtime::DeviceSession;
-use crystal::ssb::engines::{copro, cpu as cpu_engine, gpu as gpu_engine};
+use crystal::ssb::engines::{copro, gpu as gpu_engine};
+use crystal::ssb::exec::{self, PipelineMode};
 use crystal::ssb::model as qmodel;
 use crystal::ssb::queries::{query, QueryId};
 use crystal::ssb::{FactTable, SsbData};
@@ -28,7 +29,8 @@ fn main() {
     let threads = crystal::cpu::exec::default_threads();
 
     // CPU-only execution (fused, vectorized) + its paper-scale model.
-    let (cpu_result, trace) = cpu_engine::execute(&data, &q, threads);
+    let table = FactTable::plain(&data);
+    let (cpu_result, trace) = exec::execute(&table, &q, threads, PipelineMode::Vectorized);
     let t_cpu = qmodel::cpu_empirical_secs(&q, &trace, &cpu_spec);
 
     // Coprocessor: 4 fact columns cross PCIe, overlapped with execution.
@@ -39,7 +41,7 @@ fn main() {
     // GPU-resident: the same kernels, data already in device memory.
     gpu.reset_l2();
     let mut fresh = DeviceSession::new(&mut gpu);
-    let resident = gpu_engine::execute(&mut fresh, &FactTable::plain(&data), &q).unwrap();
+    let resident = gpu_engine::execute(&mut fresh, &table, &q).unwrap();
     let t_resident = resident.sim_secs_scaled(fact_scale);
 
     println!("SSB q1.1 at scale factor 20 (120M rows), modeled on Table-2 hardware:\n");

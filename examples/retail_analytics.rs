@@ -14,7 +14,8 @@
 use crystal::gpu_sim::Gpu;
 use crystal::hardware::nvidia_v100;
 use crystal::runtime::DeviceSession;
-use crystal::ssb::engines::{cpu as cpu_engine, gpu as gpu_engine};
+use crystal::ssb::engines::gpu as gpu_engine;
+use crystal::ssb::exec::{self, PipelineMode};
 use crystal::ssb::queries::{query, QueryId};
 use crystal::ssb::{FactTable, QueryResult, SsbData};
 
@@ -57,7 +58,7 @@ fn main() {
             println!("    | {line}");
         }
 
-        let (cpu_result, trace) = cpu_engine::execute(&data, &q, threads);
+        let (cpu_result, trace) = exec::execute(&table, &q, threads, PipelineMode::Vectorized);
         gpu.reset_l2();
         let mut fresh = DeviceSession::new(&mut gpu);
         let gpu_run = gpu_engine::execute(&mut fresh, &table, &q).unwrap();

@@ -53,7 +53,7 @@ fn all_engines_agree_on_all_13_queries() {
         );
 
         device.reset_l2();
-        let omni = omnisci::execute_unfused(&mut device, &d, &q);
+        let omni = omnisci::execute(&mut DeviceSession::new(&mut device), &d, &q);
         assert_eq!(
             omni.result, expected,
             "{}: thread-per-row GPU engine diverged",

@@ -316,7 +316,7 @@ fn pinned_sharded_replay_matches_the_oracle_under_eviction() {
 /// Fusion differential under the pinned seed: every random star query
 /// runs BOTH simulated-GPU paths — the fused tile-at-a-time megakernel
 /// and the per-operator thread-per-row reference
-/// (`omnisci::execute_unfused_session`) — through one warm session, and
+/// (`omnisci::execute`) — through one warm session, and
 /// the results must be byte-identical to each other and to the row-wise
 /// oracle. Packed encodings and sharded execution ride the fused path on
 /// a stride, and a guaranteed-empty query closes the edge case where
@@ -352,7 +352,7 @@ fn fused_and_unfused_gpu_paths_agree_on_every_random_query() {
         assert_eq!(probe.launches, 1, "seed {qseed}: probe must be one launch");
 
         // Per-operator reference path, same session residency.
-        let unfused = omnisci::execute_unfused_session(&mut sess, &d, &q);
+        let unfused = omnisci::execute(&mut sess, &d, &q);
         assert_eq!(
             unfused.result, expected,
             "seed {qseed}: unfused GPU diverged"
@@ -397,7 +397,7 @@ fn fused_and_unfused_gpu_paths_agree_on_every_random_query() {
         agg: AggExpr::SumDiscountedPrice,
     };
     let fused = gpu_engine::execute(&mut sess, &plain, &q).unwrap();
-    let unfused = omnisci::execute_unfused_session(&mut sess, &d, &q);
+    let unfused = omnisci::execute(&mut sess, &d, &q);
     assert_eq!(fused.result, QueryResult::Scalar(0));
     assert_eq!(unfused.result, QueryResult::Scalar(0));
     let _ = empty; // random empties are welcome but not required
