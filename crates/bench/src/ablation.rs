@@ -18,6 +18,7 @@ use crystal_cpu::join::{probe_scalar, CpuHashTable};
 use crystal_cpu::radix_join::{bits_for_cache, radix_join_sum};
 use crystal_gpu_sim::Gpu;
 use crystal_hardware::{bytes::fmt_bytes, intel_i7_6900, nvidia_v100, table2_profile, KIB, MIB};
+use crystal_ssb::engines::profile::QueryProfile;
 use crystal_ssb::exec::{self, PipelineMode};
 use crystal_ssb::plan::StarQuery;
 use crystal_ssb::queries::{query, QueryId};
@@ -25,7 +26,7 @@ use crystal_ssb::{FactTable, SsbData};
 use crystal_storage::gen;
 
 use crate::check::Check;
-use crate::stream::{cold, replay, QueryRun, Sessions};
+use crate::stream::{cold, replay, Sessions};
 use crate::util::{
     ms, ratio, scale_kernel, scale_kernels, time_median, transfer_vs_host_scan, Config, Report,
 };
@@ -148,7 +149,7 @@ pub fn join_order(cfg: &Config, _smoke: bool) -> Vec<Check> {
     )
     .runs;
     for (perm, run) in perms.iter().zip(&runs) {
-        let t = run.kernel_secs_scaled(cfg.fact_scale);
+        let t = run.sim_secs_scaled(cfg.fact_scale);
         best = best.min(t);
         worst = worst.max(t);
         let label: Vec<&str> = perm.iter().map(|&i| names[i]).collect();
@@ -180,7 +181,7 @@ pub fn multi_gpu(cfg: &Config, _smoke: bool) -> Vec<Check> {
     for gpus in [1usize, 2, 4, 8] {
         // Each device scans 1/gpus of the fact table, so the per-device
         // sample-to-paper scale shrinks accordingly.
-        let t = run.kernel_secs_scaled(cfg.fact_scale * gpus as f64);
+        let t = run.sim_secs_scaled(cfg.fact_scale * gpus as f64);
         if gpus == 1 {
             single = t;
         }
@@ -349,7 +350,7 @@ pub fn compression(cfg: &Config, _smoke: bool) -> Vec<Check> {
     for id in [QueryId::new(1, 1), QueryId::new(2, 1), QueryId::new(4, 3)] {
         let q = query(&d, id);
         let [plain_run, packed_run] = [&plain, &packed].map(|table| cold(table, &q));
-        let read = |run: &QueryRun| run.kernels.last().unwrap().stats.global_read_bytes as f64;
+        let read = |run: &QueryProfile| run.reports.last().unwrap().stats.global_read_bytes as f64;
         let shrink = read(&plain_run) / read(&packed_run);
         let [host_plain, host_packed] = [&plain, &packed].map(|table| {
             time_median(cfg.reps, || {
@@ -366,8 +367,8 @@ pub fn compression(cfg: &Config, _smoke: bool) -> Vec<Check> {
         };
         report.row(vec![
             format!("{id}"),
-            ms(plain_run.kernel_secs_scaled(cfg.fact_scale)),
-            ms(packed_run.kernel_secs_scaled(cfg.fact_scale)),
+            ms(plain_run.sim_secs_scaled(cfg.fact_scale)),
+            ms(packed_run.sim_secs_scaled(cfg.fact_scale)),
             ratio(shrink),
             ms(host_plain),
             ms(host_packed),
@@ -396,7 +397,7 @@ pub fn hybrid(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let table = FactTable::plain(&d);
     let (_, trace) = exec::execute(&table, &q, cfg.threads, PipelineMode::Vectorized);
     let t_cpu_full = crystal_ssb::model::cpu_empirical_secs(&q, &trace, &cpu_spec);
-    let t_gpu_full = cold(&table, &q).kernel_secs_scaled(cfg.fact_scale);
+    let t_gpu_full = cold(&table, &q).sim_secs_scaled(cfg.fact_scale);
 
     let mut report = Report::new(
         "ablation_hybrid",

@@ -54,14 +54,15 @@ use crystal_hardware::{table2_profile, HardwareProfile};
 use crystal_models::calibration::{BoundsSource, CalKey, CalibrationStore, EncodingClass, OpKind};
 use crystal_runtime::DeviceSession;
 use crystal_ssb::encoding::{EncodedFact, FactEncodings};
-use crystal_ssb::engines::copro::{self, Measured};
+use crystal_ssb::engines::copro;
+use crystal_ssb::engines::profile::QueryProfile;
 use crystal_ssb::engines::reference;
 use crystal_ssb::exec::{self, PipelineMode};
 use crystal_ssb::plan::StarQuery;
 use crystal_ssb::{FactTable, SsbData};
 
 use crate::check::{Band, Check};
-use crate::stream::{self, shape_catalogue, QueryRun, Sessions, STREAM_SEED};
+use crate::stream::{self, shape_catalogue, Sessions, STREAM_SEED};
 use crate::util::{paired, transfer_vs_host_scan, Config, Report};
 
 /// Calibrated over static total simulated seconds on the true profile:
@@ -90,13 +91,13 @@ pub const SKEW_PCIE_FACTOR: f64 = 0.5;
 pub const SKEW_CPU_CLOCK_FACTOR: f64 = 1.25;
 
 /// Measured per-shape charges on one actual hardware profile: what a
-/// query costs on each side, and the component observations the
-/// calibration store ingests when that side runs.
+/// query costs on each side — the profile the calibration store ingests
+/// when that side runs.
 pub struct ShapeCosts {
     /// Device side: the shape through a fresh session (the full packed
     /// working set shipped over the actual link, latency included, against
     /// the simulated kernels).
-    pub device: QueryRun,
+    pub device: QueryProfile,
     /// Host charge: the compressed scan bound on the actual CPU.
     pub host_secs: f64,
 }
@@ -115,6 +116,14 @@ pub fn measure_shapes(
         host_secs: transfer_vs_host_scan(table, q, &actual.cpu, &actual.pcie).1,
     });
     priced.collect()
+}
+
+/// The account of a host run of `q` charged `secs`.
+fn on_host(q: &StarQuery, secs: f64) -> QueryProfile {
+    QueryProfile {
+        host_secs: Some(secs),
+        ..QueryProfile::empty(q)
+    }
 }
 
 /// How the replay routes each query.
@@ -180,25 +189,17 @@ pub fn replay(
                     dec.placement == copro::Placement::Coprocessor
                 }
             };
-            let (charge, measured) = if on_device {
+            let host;
+            let (charge, ran) = if on_device {
                 out.device_queries += 1;
-                let measured = Measured {
-                    shipped_bytes: c.device.shipped_bytes,
-                    transfer_secs: c.device.time.transfer,
-                    kernel_secs: Some(c.device.time.exec),
-                    host_secs: None,
-                };
-                (c.device.time.overlapped, measured)
+                (c.device.time.overlapped, &c.device)
             } else {
-                let measured = Measured {
-                    host_secs: Some(c.host_secs),
-                    ..Measured::default()
-                };
-                (c.host_secs, measured)
+                host = on_host(q, c.host_secs);
+                (c.host_secs, &host)
             };
             out.total_secs += charge;
             if routing == Routing::Calibrated {
-                copro::record_observation(&mut store, model, table, q, &measured);
+                copro::record_observation(&mut store, model, table, q, ran);
             }
         }
     }
@@ -338,11 +339,7 @@ pub fn calibration(cfg: &Config, smoke: bool) -> Vec<Check> {
     });
     let mut wall = CalibrationStore::default();
     for _ in 0..3 {
-        let measured = Measured {
-            host_secs: Some(packed_secs),
-            ..Measured::default()
-        };
-        copro::record_observation(&mut wall, &model, &table, q, &measured);
+        copro::record_observation(&mut wall, &model, &table, q, &on_host(q, packed_secs));
     }
     let key = CalKey::new(
         OpKind::HostScan,

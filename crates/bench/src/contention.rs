@@ -157,5 +157,9 @@ mod tests {
         let tier = run_tier(&d, 4, 12);
         assert!(verdict("contention", &checks(&tier)));
         assert!(tier.0.device_queries() > 0, "the device never engaged");
+        // The band's two inputs, pinned at commit 0228902 (the tiers of the
+        // experiment itself are in CHANGES.md, PR 23).
+        let bits = [&tier.0, &tier.1].map(|r| r.makespan_secs.to_bits());
+        assert_eq!(bits, [0x3f4b4d73953b61f9, 0x3f60ea6bc8fb0d66]);
     }
 }

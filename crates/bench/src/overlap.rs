@@ -28,14 +28,16 @@
 //! [`ExecStats::kernel_secs`]: crystal_gpu_sim::ExecStats
 //! [`StreamEngine`]: crystal_gpu_sim::StreamEngine
 
-use crystal_hardware::{pcie_gen3, upload_chunks};
+use crystal_gpu_sim::pcie::coprocessor_time;
+use crystal_hardware::pcie_gen3;
 use crystal_ssb::encoding::FactEncodings;
+use crystal_ssb::engines::profile::QueryProfile;
 use crystal_ssb::plan::StarQuery;
 use crystal_ssb::{all_queries, query, FactTable, PartitionedFact, QueryId, SsbData};
 
 use crate::check::{Band, Check};
 use crate::sharded::SHARDS;
-use crate::stream::{cold, QueryRun, STREAM_SEED};
+use crate::stream::{cold, STREAM_SEED};
 use crate::util::{Config, Report};
 
 /// Cold q1.1's serial (latency-inclusive, no-overlap) charge over its
@@ -49,17 +51,23 @@ pub const COLD_SPEEDUP: Band = Band::new(
 /// sharded replay hides behind kernels.
 pub const HIDDEN_FRAC: Band = Band::new("sharded prefetch hides transfer (>= 70%)", 1.0, 0.7..=1.0);
 
+/// The pre-stream serial charge: every upload at its full
+/// latency-inclusive cost plus every kernel, back to back.
+fn serial_secs(run: &QueryProfile) -> f64 {
+    run.exec.dma_secs + run.exec.kernel_secs
+}
+
 /// Serial over overlapped charge of one cold query — what pipelining
 /// bought.
-fn speedup(run: &QueryRun) -> f64 {
-    run.serial_secs() / run.makespan_secs.max(1e-30)
+fn speedup(run: &QueryProfile) -> f64 {
+    serial_secs(run) / run.makespan_secs.max(1e-30)
 }
 
 /// Outcome of one cold double-buffered sharded replay.
 #[derive(Debug, Clone)]
 pub struct ShardedOverlap {
     /// The query, [`cold`].
-    pub run: QueryRun,
+    pub run: QueryProfile,
     /// Live shards after pruning.
     pub live_shards: usize,
     /// Serialized transfer seconds of every shard after the first (the
@@ -87,7 +95,7 @@ pub fn cold_sharded(table: &FactTable<'_>, q: &StarQuery) -> ShardedOverlap {
         .map(|_| pcie.transfer_secs(first_rows * 4))
         .sum();
     let non_first = (run.exec.dma_secs - first_dma).max(0.0);
-    let hidden = (run.serial_secs() - run.makespan_secs).clamp(0.0, non_first);
+    let hidden = (serial_secs(&run) - run.makespan_secs).clamp(0.0, non_first);
     ShardedOverlap {
         run,
         live_shards: live.len(),
@@ -99,7 +107,7 @@ pub fn cold_sharded(table: &FactTable<'_>, q: &StarQuery) -> ShardedOverlap {
 /// What the two bands read: q1.1 cold over `d`'s plain table, and q2.1 cold
 /// over its shards `pf` (it carries no date predicate, so every shard stays
 /// live and the prefetcher has all but the first to hide).
-pub fn measure(d: &SsbData, pf: &PartitionedFact) -> (QueryRun, ShardedOverlap) {
+pub fn measure(d: &SsbData, pf: &PartitionedFact) -> (QueryProfile, ShardedOverlap) {
     let q11 = cold(&FactTable::plain(d), &query(d, QueryId::new(1, 1)));
     let q21 = cold_sharded(&FactTable::sharded(d, pf), &query(d, QueryId::new(2, 1)));
     let shards = pf.shard_count();
@@ -108,7 +116,7 @@ pub fn measure(d: &SsbData, pf: &PartitionedFact) -> (QueryRun, ShardedOverlap) 
 }
 
 /// The two bands of a [`measure`].
-pub fn checks((q11, q21): &(QueryRun, ShardedOverlap)) -> Vec<Check> {
+pub fn checks((q11, q21): &(QueryProfile, ShardedOverlap)) -> Vec<Check> {
     vec![
         COLD_SPEEDUP.check(speedup(q11)),
         HIDDEN_FRAC.check(q21.hidden_frac),
@@ -152,7 +160,7 @@ pub fn overlap(cfg: &Config, smoke: bool) -> Vec<Check> {
         let r = cold(&plain, q);
         report.row(vec![
             format!("cold {}", q.name),
-            us(r.serial_secs()),
+            us(serial_secs(&r)),
             us(r.makespan_secs),
             format!("{:.2}x", speedup(&r)),
             us(r.exec.dma_secs),
@@ -173,7 +181,7 @@ pub fn overlap(cfg: &Config, smoke: bool) -> Vec<Check> {
         let s = cold_sharded(&sharded, &q);
         report.row(vec![
             format!("sharded {} ({}/{} shards)", q.name, s.live_shards, SHARDS),
-            us(s.run.serial_secs()),
+            us(serial_secs(&s.run)),
             us(s.run.makespan_secs),
             format!("hid {:.0}%", s.hidden_frac * 100.0),
             us(s.run.exec.dma_secs),
@@ -190,12 +198,8 @@ pub fn overlap(cfg: &Config, smoke: bool) -> Vec<Check> {
     let fact_bytes: usize = q11.fact_columns().len() * d.lineorder.rows() * 4;
     report.row(vec![
         "q1.1 model estimate".into(),
-        us(q11_run.serial_secs()),
-        us(pcie.pipelined_secs(
-            fact_bytes,
-            upload_chunks(fact_bytes),
-            q11_run.exec.kernel_secs,
-        )),
+        us(serial_secs(q11_run)),
+        us(coprocessor_time(&pcie, fact_bytes, q11_run.exec.kernel_secs).pipelined),
         "-".into(),
         us(q11_run.exec.dma_secs),
         us(q11_run.exec.kernel_secs),
@@ -228,7 +232,7 @@ mod tests {
         let bands = measure(&d, &pf);
         assert!(verdict("overlap", &checks(&bands)));
         let r = &bands.0;
-        assert!(r.makespan_secs <= r.serial_secs() + 1e-15);
+        assert!(r.makespan_secs <= serial_secs(r) + 1e-15);
         assert!(r.makespan_secs >= r.exec.kernel_secs.max(0.0));
         assert!(r.exec.dma_transfers > 0, "a cold query must issue DMA");
     }

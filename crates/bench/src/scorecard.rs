@@ -12,6 +12,7 @@ use crystal_hardware::{bandwidth_ratio, table2_profile, MIB};
 use crystal_models as models;
 use crystal_ssb::arbitrary::random_star_query;
 use crystal_ssb::encoding::{random_encodings, EncodedFact, FactEncodings};
+use crystal_ssb::engines::profile::QueryProfile;
 use crystal_ssb::engines::reference;
 use crystal_ssb::exec::{self, PipelineMode, Schedule};
 use crystal_ssb::queries::{all_queries, query};
@@ -19,7 +20,7 @@ use crystal_ssb::{model as qmodel, FactTable, PartitionedFact, QueryId, SsbData}
 
 use crate::check::{self, Band, Check};
 use crate::sharded::SHARDS;
-use crate::stream::{cold, pinned_stream, replay, QueryRun, Sessions, STREAM_SEED};
+use crate::stream::{cold, pinned_stream, placed_on_device, replay, Sessions, STREAM_SEED};
 use crate::util::{paired, time_median, transfer_vs_host_scan, Config};
 use crate::{fusion, overlap, sharded};
 
@@ -148,7 +149,7 @@ pub fn scorecard(cfg: &Config, _smoke: bool) -> Vec<Check> {
         Band::new("compressed q1.1 GPU speedup (>= par)", 1.0, 1.0..=5.0)
             .check(plain_run.time.exec / packed_run.time.exec),
     );
-    let read = |run: &QueryRun| run.kernels.last().unwrap().stats.global_read_bytes as f64;
+    let read = |run: &QueryProfile| run.reports.last().unwrap().stats.global_read_bytes as f64;
     checks.push(
         Band::new("compressed q1.1 HBM read shrink (~2.3x)", 2.3, 1.5..=3.5)
             .check(read(&plain_run) / read(&packed_run)),
@@ -190,7 +191,7 @@ pub fn scorecard(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let twice = replay(&plain, &[q11.clone(), q11], Sessions::Shared(None), &hw);
     checks.push(
         Band::new("q1.1 placement flips when resident (Gen3)", 1.0, 1.0..=1.0)
-            .check_flag(!twice.runs[0].placed_on_device && twice.runs[1].placed_on_device),
+            .check_flag(!placed_on_device(&twice.runs[0]) && placed_on_device(&twice.runs[1])),
     );
 
     // The sharded, fusion and overlap experiments' own bands.

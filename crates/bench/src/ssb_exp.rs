@@ -105,8 +105,8 @@ pub fn fig16(cfg: &Config, _smoke: bool) -> Vec<Check> {
         let (_, trace) = host();
         let t_cpu = qmodel::cpu_empirical_secs(q, &trace, &cpu_spec);
         let t_hyper = qmodel::hyper_secs(q, &trace, &cpu_spec);
-        let t_gpu = runs[0].kernel_secs_scaled(cfg.fact_scale);
-        let t_omni = runs[1].kernel_secs_scaled(cfg.fact_scale);
+        let t_gpu = runs[0].sim_secs_scaled(cfg.fact_scale);
+        let t_omni = runs[1].sim_secs_scaled(cfg.fact_scale);
 
         let host_cpu = time_median(cfg.reps, || {
             std::hint::black_box(host());
@@ -161,7 +161,9 @@ pub fn case_study(cfg: &Config, _smoke: bool) -> Vec<Check> {
     let p = Q21Params::sf20();
 
     let q = crystal_ssb::queries::query(&d, crystal_ssb::QueryId::new(2, 1));
-    let sim = cold(&FactTable::plain(&d), &q).kernel_secs_scaled(cfg.fact_scale);
+    let run = cold(&FactTable::plain(&d), &q);
+    let sim = run.sim_secs_scaled(cfg.fact_scale);
+    println!("{}, cold, at the sampled scale:\n{run}", q.name);
 
     let g = q21_gpu_model(&p, &gspec);
     let c = q21_cpu_model(&p, &cpu_spec);

@@ -8,19 +8,20 @@
 //! paper's *data-resident* regime, optionally under a byte budget) — checks
 //! every result against the reference oracle as it streams, and returns what
 //! each query cost. An experiment is a dataset scale, a query set, a session
-//! policy, the columns it derives from those [`QueryRun`]s and the
+//! policy, the columns it derives from those [`QueryProfile`]s and the
 //! [`Band`](crate::check::Band)s it pins on them.
 //!
 //! `reproduce query-stream` is the plainest such experiment: the pinned
 //! randomized stream (seeded `crystal_ssb::arbitrary` shapes) cold, warm and
 //! warm under a starved budget.
 
-use crystal_gpu_sim::pcie::{coprocessor_time, CoprocessorTime};
-use crystal_gpu_sim::{ExecStats, Gpu, KernelReport};
+use crystal_gpu_sim::Gpu;
 use crystal_hardware::{table2_profile, HardwareProfile};
 use crystal_runtime::{DeviceSession, SessionStats};
 use crystal_ssb::arbitrary::random_star_query;
-use crystal_ssb::engines::{copro, gpu, omnisci, reference};
+use crystal_ssb::engines::copro::{self, Placement};
+use crystal_ssb::engines::profile::QueryProfile;
+use crystal_ssb::engines::{gpu, omnisci, reference};
 use crystal_ssb::exec::{self, PipelineMode};
 use crystal_ssb::plan::StarQuery;
 use crystal_ssb::{FactTable, SsbData};
@@ -51,56 +52,14 @@ pub enum Engine {
     PerOperator,
 }
 
-/// What one replayed query cost.
-#[derive(Debug, Clone)]
-pub struct QueryRun {
-    /// Device counters this query added: launches, HBM bytes, serialized
-    /// copy-engine and kernel seconds.
-    pub exec: ExecStats,
-    /// Its kernels in launch order: the builds its session missed, then
-    /// the query's own.
-    pub kernels: Vec<KernelReport>,
-    /// Host-to-device bytes its session shipped for it.
-    pub shipped_bytes: usize,
-    /// The coprocessor-model charge of those bytes against its kernels'
-    /// simulated seconds (`exec` is their sum, `overlapped` the charge).
-    pub time: CoprocessorTime,
-    /// The device's copy/compute stream makespan once it finished — its
-    /// own alone when it is the replay's first query.
-    pub makespan_secs: f64,
-    /// Whether the residency-aware placement, asked just before it ran,
-    /// routed it to the coprocessor.
-    pub placed_on_device: bool,
-    /// Whether its working set stopped fitting the budget and the host
-    /// pipeline answered instead.
-    pub host_fallback: bool,
-}
-
-impl QueryRun {
-    /// Kernel seconds at paper scale: the kernels tagged
-    /// [`KernelReport::fact_linear`] grow by `1 / fact_scale` with the fact
-    /// table sampled down to that fraction (see
-    /// [`SsbData::generate_scaled`]), the dimension-sized builds do not.
-    pub fn kernel_secs_scaled(&self, fact_scale: f64) -> f64 {
-        let scaled = |r: &KernelReport| match r.fact_linear {
-            true => r.time.total_secs() / fact_scale,
-            false => r.time.total_secs(),
-        };
-        self.kernels.iter().map(scaled).sum()
-    }
-
-    /// The pre-stream serial charge: every upload at its full
-    /// latency-inclusive cost plus every kernel, back to back.
-    pub fn serial_secs(&self) -> f64 {
-        self.exec.dma_secs + self.exec.kernel_secs
-    }
-}
-
 /// Outcome of one [`replay`].
 #[derive(Debug, Clone)]
 pub struct Replay {
-    /// One entry per query, in stream order.
-    pub runs: Vec<QueryRun>,
+    /// What each query cost, in stream order: the device run's profile
+    /// (`host_fallback` when its working set stopped fitting the budget and
+    /// the host pipeline answered instead), with the residency-aware
+    /// placement asked just before it ran.
+    pub runs: Vec<QueryProfile>,
     /// The shared session's counters at the end (all zero when every query
     /// had a session of its own).
     pub session: SessionStats,
@@ -196,12 +155,17 @@ pub fn replay(
 
 /// `q` alone and cold: on a fresh device — both stream clocks at zero, so
 /// the makespan is its own — that is not short of memory.
-pub fn cold(table: &FactTable<'_>, q: &StarQuery) -> QueryRun {
+pub fn cold(table: &FactTable<'_>, q: &StarQuery) -> QueryProfile {
     let one = std::slice::from_ref(q);
     let mut runs = replay(table, one, Sessions::FreshPerQuery, &table2_profile()).runs;
     let run = runs.pop().expect("one query, one run");
     assert!(!run.host_fallback, "no OOM on an unbudgeted V100");
     run
+}
+
+/// Whether the placement asked for `run` routed it to the coprocessor.
+pub fn placed_on_device(run: &QueryProfile) -> bool {
+    run.decision().map(|d| d.placement) == Some(Placement::Coprocessor)
 }
 
 /// Runs `steps` in order over `table` on `hw`'s device and link, asserting
@@ -218,35 +182,28 @@ pub fn replay_engines<'q>(
     let d = table.data();
     let one = |sess: &mut DeviceSession<'_>, engine: Engine, q: &StarQuery| {
         let placed = copro::choose_placement(None, sess, table, q, &hw.cpu, &hw.gpu, &hw.pcie);
-        let (exec_before, before) = (sess.gpu().exec_stats(), sess.stats().clone());
         let ran = match engine {
-            Engine::Fused => gpu::execute(sess, table, q).map(|run| (run.reports, run.result)),
-            Engine::PerOperator => {
-                let run = omnisci::execute(sess, d, q);
-                Ok((run.reports, run.result))
-            }
+            Engine::Fused => gpu::execute(sess, table, q),
+            Engine::PerOperator => Ok(omnisci::execute(sess, d, q)),
         };
-        let host_fallback = ran.is_err();
-        let (kernels, result) = ran.unwrap_or_else(|_| {
-            let host = exec::execute(table, q, 1, PipelineMode::Vectorized);
-            (Vec::new(), host.0)
+        let run = ran.unwrap_or_else(|_| {
+            let (result, trace) = exec::execute(table, q, 1, PipelineMode::Vectorized);
+            QueryProfile {
+                result,
+                trace: Some(trace),
+                host_fallback: true,
+                ..QueryProfile::empty(q)
+            }
         });
-        let kernel_secs = kernels.iter().map(|r| r.time.total_secs()).sum();
         assert_eq!(
-            result,
+            run.result,
             reference::execute(d, q),
             "replay diverged from the oracle on {}",
             q.name
         );
-        let shipped_bytes = sess.stats().uploaded_since(&before);
-        QueryRun {
-            exec: sess.gpu().exec_stats().since(&exec_before),
-            kernels,
-            shipped_bytes,
-            time: coprocessor_time(&hw.pcie, shipped_bytes, kernel_secs),
-            makespan_secs: sess.gpu().streams().makespan(),
-            placed_on_device: placed.decision.placement == copro::Placement::Coprocessor,
-            host_fallback,
+        QueryProfile {
+            placement: Some(placed),
+            ..run
         }
     };
     let mut device = Gpu::new(hw.gpu.clone());
@@ -254,7 +211,11 @@ pub fn replay_engines<'q>(
         Sessions::FreshPerQuery => {
             let fresh = |(engine, q)| {
                 device.reset_l2();
-                one(&mut DeviceSession::new(&mut device), engine, q)
+                one(
+                    &mut DeviceSession::open(&mut device, None, &hw.pcie),
+                    engine,
+                    q,
+                )
             };
             Replay {
                 runs: steps.into_iter().map(fresh).collect(),
@@ -262,10 +223,7 @@ pub fn replay_engines<'q>(
             }
         }
         Sessions::Shared(budget) => {
-            let mut sess = match budget {
-                Some(bytes) => DeviceSession::with_budget(&mut device, bytes),
-                None => DeviceSession::new(&mut device),
-            };
+            let mut sess = DeviceSession::open(&mut device, budget, &hw.pcie);
             let runs = steps
                 .into_iter()
                 .map(|(engine, q)| one(&mut sess, engine, q));
@@ -322,7 +280,7 @@ pub fn query_stream(cfg: &Config, _smoke: bool) -> Vec<Check> {
             "gpu placements",
         ],
     );
-    let placed = |o: &Replay| o.runs.iter().filter(|r| r.placed_on_device).count();
+    let placed = |o: &Replay| o.runs.iter().filter(|r| placed_on_device(r)).count();
     for (name, o) in [("cold", &cold), ("warm", &warm), ("warm tight", &tight)] {
         let transfer: f64 = o.runs.iter().map(|r| r.time.transfer).sum();
         report.row(vec![
@@ -380,8 +338,8 @@ mod tests {
         assert_eq!(cold.session, SessionStats::default());
         // Cold placement over PCIe Gen3 is always Host (Section 3.1);
         // residency flips warm repeats to the device.
-        assert!(cold.runs.iter().all(|r| !r.placed_on_device));
-        assert!(warm.runs.iter().any(|r| r.placed_on_device));
+        assert!(!cold.runs.iter().any(placed_on_device));
+        assert!(warm.runs.iter().any(placed_on_device));
         assert!(cold.runs.iter().chain(&warm.runs).all(|r| !r.host_fallback));
     }
 

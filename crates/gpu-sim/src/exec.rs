@@ -441,11 +441,6 @@ impl Gpu {
         std::mem::take(&mut self.reports)
     }
 
-    /// Total simulated seconds across all recorded reports.
-    pub fn total_sim_secs(&self) -> f64 {
-        self.reports.iter().map(|r| r.time.total_secs()).sum()
-    }
-
     /// Clears the L2 (e.g. between unrelated experiments).
     pub fn reset_l2(&mut self) {
         self.l2.reset();

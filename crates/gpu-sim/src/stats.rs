@@ -131,6 +131,18 @@ impl ExecStats {
     }
 }
 
+/// Deltas of one query's stretches of work add up to what it cost.
+impl std::ops::AddAssign for ExecStats {
+    fn add_assign(&mut self, more: Self) {
+        self.launches += more.launches;
+        self.dma_transfers += more.dma_transfers;
+        self.hbm_read_bytes += more.hbm_read_bytes;
+        self.hbm_write_bytes += more.hbm_write_bytes;
+        self.dma_secs += more.dma_secs;
+        self.kernel_secs += more.kernel_secs;
+    }
+}
+
 /// A completed kernel launch: its name, launch geometry, raw counters and
 /// simulated time.
 #[derive(Debug, Clone)]

@@ -21,7 +21,7 @@ pub use bytes::{GIB, KIB, MIB};
 pub use cache::CacheLevel;
 pub use cpu::CpuSpec;
 pub use gpu::GpuSpec;
-pub use pcie::{upload_chunks, PcieSpec, UPLOAD_CHUNK_BYTES};
+pub use pcie::{PcieSpec, UPLOAD_CHUNK_BYTES};
 
 /// The Skylake-class Intel i7-6900 from Table 2 of the paper.
 ///

@@ -8,12 +8,6 @@
 /// real DMA rings see.
 pub const UPLOAD_CHUNK_BYTES: usize = 16 * 1024;
 
-/// Number of chunks a pipelined upload of `bytes` is split into (at least
-/// one, so zero-byte transfers stay well-defined).
-pub fn upload_chunks(bytes: usize) -> usize {
-    bytes.div_ceil(UPLOAD_CHUNK_BYTES).max(1)
-}
-
 /// The host-device interconnect. The paper measures 12.8 GBps bidirectional
 /// on PCIe 3.0 x16 and shows (Section 3.1) that since this is below the CPU's
 /// own memory bandwidth, the coprocessor execution model cannot beat a good
@@ -43,32 +37,6 @@ impl PcieSpec {
         }
         self.latency_us * 1e-6 + bytes.min(UPLOAD_CHUNK_BYTES) as f64 / self.bandwidth
     }
-
-    /// Makespan of a `bytes`-sized upload split into `chunks` chunks and
-    /// overlapped with `exec_secs` of dependent kernel work: the consumer
-    /// starts after the first chunk (the ramp) and then races the
-    /// remaining transfer, so
-    ///
-    /// ```text
-    /// pipelined = ramp + max(transfer - first_chunk, exec)
-    /// ```
-    ///
-    /// Boundary behavior (pinned by the unit tests below): with one chunk
-    /// this is exactly `transfer_secs(bytes) + exec_secs` (the serial
-    /// upper bound — the kernel waits for everything); as `chunks` grows
-    /// the ramp shrinks toward the bare latency and the total approaches
-    /// the Section-3.1 overlapped bound `latency + max(bw_time, exec)`.
-    /// When the transfer dominates (`exec` fits under the post-ramp tail)
-    /// the total equals `transfer_secs(bytes)` up to rounding — pipelining
-    /// never beats the link, it only hides compute behind it.
-    pub fn pipelined_secs(&self, bytes: usize, chunks: usize, exec_secs: f64) -> f64 {
-        if bytes == 0 {
-            return exec_secs;
-        }
-        let chunk = bytes as f64 / chunks.max(1) as f64 / self.bandwidth;
-        let ramp = self.latency_us * 1e-6 + chunk;
-        ramp + (bytes as f64 / self.bandwidth - chunk).max(exec_secs)
-    }
 }
 
 #[cfg(test)]
@@ -92,71 +60,11 @@ mod tests {
     }
 
     #[test]
-    fn one_chunk_pipelining_is_exactly_serial() {
+    fn the_ramp_is_one_chunk_and_nothing_for_nothing() {
         let p = pcie_gen3();
-        for bytes in [64usize, 192_000, 4 * 480_000_000] {
-            for exec in [0.0, 5e-6, 1.0] {
-                let serial = p.transfer_secs(bytes) + exec;
-                let pipe = p.pipelined_secs(bytes, 1, exec);
-                assert_eq!(pipe.to_bits(), serial.to_bits(), "{bytes} B, {exec} s");
-            }
-        }
-    }
-
-    #[test]
-    fn many_chunks_approach_the_overlapped_bound() {
-        let p = pcie_gen3();
-        let bytes = 4 * 480_000_000usize;
-        let bw = bytes as f64 / p.bandwidth;
-        for exec in [0.0, bw / 2.0, bw, 2.0 * bw] {
-            let overlapped = p.latency_us * 1e-6 + bw.max(exec);
-            let pipe = p.pipelined_secs(bytes, 1 << 20, exec);
-            assert!(
-                (pipe - overlapped).abs() < 2.0 * bw / (1 << 20) as f64,
-                "pipe {pipe} vs overlapped {overlapped}"
-            );
-            assert!(pipe >= overlapped, "pipelining can only add the ramp");
-        }
-    }
-
-    #[test]
-    fn transfer_bound_pipelining_costs_exactly_the_transfer() {
-        let p = pcie_gen3();
-        // An exact multiple of the chunk size, so equal-split chunks and
-        // the fixed-size ramp agree bit-for-bit.
-        let bytes = 12 * super::UPLOAD_CHUNK_BYTES;
-        let chunks = super::upload_chunks(bytes);
-        // Kernel far below the post-ramp tail: total == transfer time.
-        let pipe = p.pipelined_secs(bytes, chunks, 1e-9);
-        assert!((pipe - p.transfer_secs(bytes)).abs() < 1e-15);
-        // Kernel far above: total == ramp + kernel.
-        let pipe = p.pipelined_secs(bytes, chunks, 1.0);
-        assert!((pipe - (p.chunk_ramp_secs(bytes) + 1.0)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn pipelined_is_monotone_and_bounded_by_serial() {
-        let p = pcie_gen3();
-        let bytes = 288_000usize;
-        let chunks = super::upload_chunks(bytes);
-        let mut last = 0.0;
-        for i in 0..20 {
-            let exec = i as f64 * 2e-6;
-            let pipe = p.pipelined_secs(bytes, chunks, exec);
-            assert!(pipe >= last, "monotone in kernel seconds");
-            assert!(pipe <= p.transfer_secs(bytes) + exec + 1e-15);
-            assert!(pipe >= p.transfer_secs(bytes) - 1e-15);
-            last = pipe;
-        }
-    }
-
-    #[test]
-    fn zero_bytes_cost_only_the_kernel() {
-        let p = pcie_gen3();
-        assert_eq!(p.pipelined_secs(0, 4, 0.25), 0.25);
+        let chunk = super::UPLOAD_CHUNK_BYTES;
         assert_eq!(p.chunk_ramp_secs(0), 0.0);
-        assert_eq!(super::upload_chunks(0), 1);
-        assert_eq!(super::upload_chunks(1), 1);
-        assert_eq!(super::upload_chunks(super::UPLOAD_CHUNK_BYTES + 1), 2);
+        assert_eq!(p.chunk_ramp_secs(64), p.transfer_secs(64));
+        assert_eq!(p.chunk_ramp_secs(12 * chunk), p.transfer_secs(chunk));
     }
 }

@@ -254,10 +254,41 @@ impl SessionStats {
         }
     }
 
+    /// What the session counted since an `earlier` snapshot of its stats:
+    /// every counter as a delta, `cached_bytes` (a level, not a count) as
+    /// it stands now — like `ExecStats::since` for the device's counters.
+    pub fn since(&self, earlier: &SessionStats) -> SessionStats {
+        SessionStats {
+            col_hits: self.col_hits - earlier.col_hits,
+            col_misses: self.col_misses - earlier.col_misses,
+            ht_hits: self.ht_hits - earlier.ht_hits,
+            ht_misses: self.ht_misses - earlier.ht_misses,
+            evictions: self.evictions - earlier.evictions,
+            uploaded_bytes: self.uploaded_bytes - earlier.uploaded_bytes,
+            build_secs: self.build_secs - earlier.build_secs,
+            cached_bytes: self.cached_bytes,
+        }
+    }
+
     /// Column bytes uploaded since an earlier snapshot of the same
     /// session's stats — a query's uncached transfer volume.
     pub fn uploaded_since(&self, earlier: &SessionStats) -> usize {
-        (self.uploaded_bytes - earlier.uploaded_bytes) as usize
+        self.since(earlier).uploaded_bytes as usize
+    }
+}
+
+/// Counters add (the deltas of one query, or the sessions of one replay);
+/// `cached_bytes` is the later operand's level.
+impl std::ops::AddAssign<&SessionStats> for SessionStats {
+    fn add_assign(&mut self, later: &SessionStats) {
+        self.col_hits += later.col_hits;
+        self.col_misses += later.col_misses;
+        self.ht_hits += later.ht_hits;
+        self.ht_misses += later.ht_misses;
+        self.evictions += later.evictions;
+        self.uploaded_bytes += later.uploaded_bytes;
+        self.build_secs += later.build_secs;
+        self.cached_bytes = later.cached_bytes;
     }
 }
 
@@ -324,8 +355,8 @@ impl<'g> DeviceSession<'g> {
     pub const DEFAULT_BUDGET_FRACTION: f64 = 0.75;
 
     /// A session over `gpu` with the default cache budget
-    /// ([`Self::DEFAULT_BUDGET_FRACTION`] of the device's capacity) and a
-    /// PCIe Gen3 interconnect for recreate-cost accounting.
+    /// ([`Self::DEFAULT_BUDGET_FRACTION`] of the device's capacity) on a
+    /// PCIe Gen3 interconnect ([`Self::open`] for another).
     pub fn new(gpu: &'g mut Gpu) -> Self {
         let budget = (gpu.spec().mem_capacity as f64 * Self::DEFAULT_BUDGET_FRACTION) as usize;
         Self::with_budget(gpu, budget)
@@ -350,11 +381,25 @@ impl<'g> DeviceSession<'g> {
         }
     }
 
-    /// Replaces the interconnect used to price column re-uploads for the
-    /// eviction policy (the default is PCIe Gen3).
-    pub fn with_interconnect(mut self, pcie: PcieSpec) -> Self {
-        self.pcie = pcie;
-        self
+    /// A session for a machine described by parts: its cache capped at
+    /// `budget` bytes if any (the default budget otherwise), on `pcie` —
+    /// the one link every upload is priced on: its DMA seconds and
+    /// copy-stream events, the re-upload cost the eviction policy ranks by,
+    /// and the transfer seconds of the queries that run through the session.
+    /// [`Self::new`] and [`Self::with_budget`] are on PCIe Gen3; whoever
+    /// opens a session for another machine says so here.
+    pub fn open(gpu: &'g mut Gpu, budget: Option<usize>, pcie: &PcieSpec) -> Self {
+        let mut sess = match budget {
+            Some(bytes) => Self::with_budget(gpu, bytes),
+            None => Self::new(gpu),
+        };
+        sess.pcie = pcie.clone();
+        sess
+    }
+
+    /// The link the session's uploads cross.
+    pub fn interconnect(&self) -> &PcieSpec {
+        &self.pcie
     }
 
     /// The underlying device, e.g. to launch kernels.

@@ -20,9 +20,14 @@
 //! `transfer + kernels` (the ramp is the first
 //! [`UPLOAD_CHUNK_BYTES`](crystal_hardware::UPLOAD_CHUNK_BYTES) chunk
 //! the first kernel must wait for; a warm query that ships nothing is
-//! charged kernels alone). The charge is applied incrementally: each
-//! grant re-evaluates the makespan with the kernel seconds launched so
-//! far and charges the (always non-negative) delta. Two resource clocks
+//! charged kernels alone). The formula is written once,
+//! `CoprocessorTime::settle` in `crystal_gpu_sim::pcie`; the job evaluates
+//! it on its own counters and the session's link
+//! ([`DeviceQueryJob::settle`]), and the loop charges what that returns:
+//! each grant re-evaluates the makespan with the kernel seconds launched so
+//! far and charges the (always non-negative) delta. What a query was
+//! charged, on either clock, is in its [`QueryProfile`] (a
+//! [`CompletedQuery`] dereferences to it). Two resource clocks
 //! — host and device — advance independently, which is what models the
 //! host/coprocessor overlap; the makespan is the later of the two when
 //! the last query completes. Because all charges derive from the same
@@ -43,7 +48,7 @@
 //!   tenant at once.
 //! * **Admission control** — device placement pins the query's working
 //!   set (its first live segment's) through the session's pin ledger
-//!   ([`DeviceQueryJob::admit`]); a typed [`SessionOom`] simply falls the
+//!   ([`DeviceQueryJob::admit`]); a typed `SessionOom` simply falls the
 //!   query back to the host instead of panicking or evicting another
 //!   tenant's pinned set. A sharded device job admits its later shards as it
 //!   advances; if one no longer fits mid-query, the device half is
@@ -68,8 +73,9 @@ use crystal_gpu_sim::{ExecStats, Gpu};
 use crystal_hardware::{CpuSpec, HardwareProfile, PcieSpec};
 use crystal_models::calibration::{BoundsSource, CalibrationStore};
 use crystal_runtime::{DeviceSession, SessionOom, SessionStats};
-use crystal_ssb::engines::copro::{self, Measured, Placement, PlacementDecision};
+use crystal_ssb::engines::copro::{self, Placement, TablePlacement};
 use crystal_ssb::engines::gpu::DeviceQueryJob;
+use crystal_ssb::engines::profile::QueryProfile;
 use crystal_ssb::exec::{HostQueryJob, PipelineMode};
 use crystal_ssb::plan::StarQuery;
 use crystal_ssb::{FactTable, PartitionedFact, QueryResult, SsbData};
@@ -128,14 +134,25 @@ pub struct CompletedQuery {
     pub admitted_at: f64,
     /// Simulated time at completion (on the backend's clock).
     pub completed_at: f64,
-    /// The admission-time placement decision with its provenance (the
-    /// predicted seconds of each side, and whether measured history
-    /// contributed) — a misroute is debuggable from the report alone.
-    /// Note the decision records the *cost model's* side; idle-resource
-    /// steering or an OOM fallback can still run the query elsewhere
-    /// (compare against [`CompletedQuery::backend`]).
-    pub decision: PlacementDecision,
-    pub result: QueryResult,
+    /// What it cost: its result, the seconds charged to the device clock
+    /// (`time.pipelined` — of an OOM-restarted query, what its abandoned
+    /// device half had been charged) and to the host clock (`host_secs`),
+    /// the bytes it shipped, and the admission-time placement with its
+    /// provenance (the predicted seconds of each side, and whether measured
+    /// history contributed) — a misroute is debuggable from the report
+    /// alone. Note the placement records the *cost model's* side;
+    /// idle-resource steering or an OOM fallback can still run the query
+    /// elsewhere (compare against [`CompletedQuery::backend`]).
+    pub profile: QueryProfile,
+}
+
+/// A completed query reads as its profile: `c.result`, `c.host_secs`, ….
+impl std::ops::Deref for CompletedQuery {
+    type Target = QueryProfile;
+
+    fn deref(&self) -> &QueryProfile {
+        &self.profile
+    }
 }
 
 impl CompletedQuery {
@@ -153,10 +170,12 @@ pub struct ServeReport {
     /// Simulated wall time until the last completion: the later of the
     /// two resource clocks (host and device run in parallel).
     pub makespan_secs: f64,
-    /// Simulated seconds the host executor spent on grants.
+    /// Simulated seconds the host executor spent on grants: the
+    /// `host_secs` of every completed profile, summed grant by grant.
     pub host_busy_secs: f64,
     /// Simulated seconds the device spent on transfers, builds and
-    /// kernel grants.
+    /// kernel grants: the `time.pipelined` of every completed profile,
+    /// summed grant by grant.
     pub device_busy_secs: f64,
     /// Device session counters at the end of the run (summed across the
     /// per-tenant sessions for [`serve_serial`]).
@@ -168,7 +187,8 @@ pub struct ServeReport {
     /// probe launch per morsel grant plus its cold build kernels.
     pub exec: ExecStats,
     /// Device jobs abandoned at a mid-query shard-admission OOM and
-    /// restarted on the host (only a sharded serve can have any).
+    /// restarted on the host (only a sharded serve can have any): the
+    /// `oom_restarts` of the completed profiles, summed.
     pub oom_restarts: usize,
 }
 
@@ -210,7 +230,10 @@ impl ServeReport {
     pub fn blended_decisions(&self) -> usize {
         self.completed
             .iter()
-            .filter(|c| c.decision.source == BoundsSource::Blended)
+            .filter(|c| {
+                c.decision()
+                    .is_some_and(|d| d.source == BoundsSource::Blended)
+            })
             .count()
     }
 
@@ -259,40 +282,24 @@ impl Job<'_> {
         }
     }
 
-    /// `(kernel seconds launched, bytes uploaded)` so far; zeros on the host.
-    fn device_progress(&self) -> (f64, usize) {
+    /// The finished query's profile: the job's result, and of a device job
+    /// its own account; of a host job `account`, what the server knows the
+    /// query cost.
+    fn finish(self, account: QueryProfile) -> QueryProfile {
         match self {
-            Job::Host(_) => (0.0, 0),
-            Job::Device(g) => (g.sim_secs_so_far(), g.uploaded_bytes()),
+            Job::Host(h) => {
+                let (result, trace) = h.finish();
+                QueryProfile {
+                    result,
+                    trace: Some(trace),
+                    ..account
+                }
+            }
+            Job::Device(g) => QueryProfile {
+                placement: account.placement,
+                ..g.finish()
+            },
         }
-    }
-
-    fn finish(self) -> QueryResult {
-        match self {
-            Job::Host(h) => h.finish().0,
-            Job::Device(g) => g.finish().result,
-        }
-    }
-
-    /// Releases whatever the job holds on the device, discarding its work.
-    fn abandon(self, sess: &mut DeviceSession<'_>) {
-        match self {
-            Job::Host(_) => {}
-            Job::Device(g) => g.abandon(sess),
-        }
-    }
-}
-
-/// Overlapped device makespan of one query: its uploads stream on the
-/// copy engine while its kernels run on the compute stream, so only the
-/// first-chunk ramp serializes and the steady states race. A warm query
-/// (`dma <= 0`) issues no DMA and is charged its kernels alone — it pays
-/// no transfer latency either.
-fn overlapped_makespan(ramp: f64, dma: f64, kern: f64) -> f64 {
-    if dma <= 0.0 {
-        kern
-    } else {
-        ramp + (dma - ramp).max(kern)
     }
 }
 
@@ -302,22 +309,10 @@ struct InFlight<'a> {
     admitted_at: f64,
     /// Host scan-bound seconds per granted row, on the serve specs.
     per_row_host_secs: f64,
-    /// Device kernel seconds launched so far (builds + probe grants).
-    charged_dev_secs: f64,
-    /// Serialized PCIe seconds of every upload so far — the admission's,
-    /// plus each later shard's (pre)fetch as a sharded job advances.
-    /// Feeds the calibration observation; the clock charges the
-    /// overlapped makespan instead.
-    charged_transfer_secs: f64,
-    /// First-chunk ramp of the earliest non-empty upload — the
-    /// serialized prefix of [`overlapped_makespan`].
-    ramp_secs: f64,
-    /// Overlapped makespan already charged to the device clock; each
-    /// grant re-evaluates and charges the delta.
-    charged_makespan_secs: f64,
-    /// Bytes uploaded so far.
-    uploaded_bytes: usize,
-    decision: PlacementDecision,
+    /// What the server itself knows of the query's cost: the placement it
+    /// was admitted under, the host seconds granted so far, and the account
+    /// of a device half that was refused or given up ([`Job::finish`]).
+    profile: QueryProfile,
     job: Job<'a>,
 }
 
@@ -350,21 +345,17 @@ fn place(
     q: &StarQuery,
     cpu: &CpuSpec,
     pcie: &PcieSpec,
-) -> (PlacementDecision, f64) {
-    let actual = copro::choose_placement(None, sess, table, q, cpu, sess.spec(), pcie).decision;
-    let decision = match cal {
+) -> (TablePlacement, f64) {
+    let actual = copro::choose_placement(None, sess, table, q, cpu, sess.spec(), pcie);
+    let per_row_host_secs = actual.decision.host_secs / table.live_rows(q).max(1) as f64;
+    let routed = match cal {
         None => actual,
         Some(c) => {
             let (store, m) = (Some(&*c.store), &c.model);
-            copro::choose_placement(store, sess, table, q, &m.cpu, &m.gpu, &m.pcie).decision
+            copro::choose_placement(store, sess, table, q, &m.cpu, &m.gpu, &m.pcie)
         }
     };
-    (decision, actual.host_secs / host_rows(table, q))
-}
-
-/// Rows a host run of `q` scans: the table's live segments.
-fn host_rows(table: &FactTable<'_>, q: &StarQuery) -> f64 {
-    table.live_rows(q).max(1) as f64
+    (routed, per_row_host_secs)
 }
 
 fn host_job<'a>(table: &FactTable<'a>, q: &'a StarQuery) -> Job<'a> {
@@ -432,10 +423,7 @@ pub fn serve_with<'a>(
     mut cal: Option<&mut Calibration<'_>>,
 ) -> ServeReport {
     let exec_before = gpu.exec_stats();
-    let mut sess = match cfg.device_budget {
-        Some(b) => DeviceSession::with_budget(gpu, b),
-        None => DeviceSession::new(gpu),
-    };
+    let mut sess = DeviceSession::open(gpu, cfg.device_budget, pcie);
     let nt = tenants.len();
     let quantum = cfg.quantum_rows() as f64;
 
@@ -449,7 +437,6 @@ pub fn serve_with<'a>(
     // "now" for admission decisions.
     let mut now = 0.0f64;
     let (mut admit_ptr, mut host_ptr, mut dev_ptr) = (0usize, 0usize, 0usize);
-    let mut oom_restarts = 0usize;
 
     loop {
         // Admission: fill free slots round-robin across tenants with
@@ -463,7 +450,7 @@ pub fn serve_with<'a>(
                 }
                 let idx = next_q[t];
                 let q = &tenants[t][idx];
-                let (decision, per_row_host_secs) =
+                let (placement, per_row_host_secs) =
                     place(cal.as_deref(), &sess, table, q, cpu, pcie);
                 let busy = |b: Backend| inflight.iter().any(|j| j.job.backend() == b);
                 // Idle-resource steering keeps both executors busy:
@@ -478,49 +465,45 @@ pub fn serve_with<'a>(
                 } else if !busy(Backend::Host) {
                     false
                 } else {
-                    decision.placement == Placement::Coprocessor
+                    placement.decision.placement == Placement::Coprocessor
                 };
-                let before = sess.stats().clone();
+                let mut profile = QueryProfile {
+                    placement: Some(placement),
+                    ..QueryProfile::empty(q)
+                };
                 // Admission control: the device job pins its working set
                 // under the session's ledger; an OOM falls back to the host.
-                let admitted_job =
-                    match want_device.then(|| DeviceQueryJob::admit(&mut sess, table, q)) {
-                        Some(Ok(device_job)) => Job::Device(Box::new(device_job)),
-                        _ => host_job(table, q),
-                    };
-                let mut job = InFlight {
+                let mut admitted_device = None;
+                if want_device {
+                    let mut device = DeviceQueryJob::over(table, q);
+                    match device.admit(&mut sess) {
+                        Ok(()) => {
+                            let charge = device.settle();
+                            dev_clock = dev_clock.max(now) + charge;
+                            dev_busy += charge;
+                            admitted_device = Some(Job::Device(Box::new(device)));
+                        }
+                        Err(_) => {
+                            profile = QueryProfile {
+                                placement: profile.placement,
+                                ..device.abandon(&mut sess)
+                            }
+                        }
+                    }
+                }
+                let job = admitted_device.unwrap_or_else(|| {
+                    host_clock = host_clock.max(now);
+                    host_job(table, q)
+                });
+                next_q[t] += 1;
+                inflight.push(InFlight {
                     tenant: t,
                     index: idx,
                     admitted_at: now,
                     per_row_host_secs,
-                    charged_dev_secs: 0.0,
-                    charged_transfer_secs: 0.0,
-                    ramp_secs: 0.0,
-                    charged_makespan_secs: 0.0,
-                    uploaded_bytes: 0,
-                    decision,
-                    job: admitted_job,
-                };
-                if job.job.backend() == Backend::Device {
-                    let uploaded = sess.stats().uploaded_since(&before);
-                    job.uploaded_bytes = uploaded;
-                    job.ramp_secs = pcie.chunk_ramp_secs(uploaded);
-                    if uploaded > 0 {
-                        job.charged_transfer_secs = pcie.transfer_secs(uploaded);
-                    }
-                    job.charged_dev_secs = job.job.device_progress().0;
-                    job.charged_makespan_secs = overlapped_makespan(
-                        job.ramp_secs,
-                        job.charged_transfer_secs,
-                        job.charged_dev_secs,
-                    );
-                    dev_clock = dev_clock.max(now) + job.charged_makespan_secs;
-                    dev_busy += job.charged_makespan_secs;
-                } else {
-                    host_clock = host_clock.max(now);
-                }
-                next_q[t] += 1;
-                inflight.push(job);
+                    profile,
+                    job,
+                });
                 admit_ptr = (t + 1) % nt;
                 admitted = true;
                 break;
@@ -569,47 +552,39 @@ pub fn serve_with<'a>(
         let grant = remaining.min(deficit[t] as usize).max(1);
         deficit[t] -= grant as f64;
 
-        let done = match j.job.step(&mut sess, grant) {
-            Ok(done) if res == Backend::Host => {
+        let stepped = j.job.step(&mut sess, grant);
+        let done = match (&mut j.job, stepped) {
+            (Job::Host(_), Ok(done)) => {
                 let secs = grant.min(remaining) as f64 * j.per_row_host_secs;
                 host_clock += secs;
                 host_busy += secs;
+                *j.profile.host_secs.get_or_insert(0.0) += secs;
                 done
             }
-            Ok(done) => {
-                let (kernels, uploaded) = j.job.device_progress();
-                j.charged_dev_secs = kernels;
-                // Later shards upload (or prefetch) as a sharded job
-                // advances; fold each new batch into the serialized
-                // transfer total before re-evaluating the makespan.
-                if uploaded > j.uploaded_bytes {
-                    let batch = uploaded - j.uploaded_bytes;
-                    j.charged_transfer_secs += pcie.transfer_secs(batch);
-                    if j.uploaded_bytes == 0 {
-                        j.ramp_secs = pcie.chunk_ramp_secs(batch);
-                    }
-                    j.uploaded_bytes = uploaded;
-                }
-                // Re-evaluate the overlapped makespan with the kernels
-                // launched so far and charge the delta: once the kernel
-                // sum outgrows the in-flight transfer, every further
-                // grant is pure compute time.
-                let target = overlapped_makespan(j.ramp_secs, j.charged_transfer_secs, kernels);
-                let delta = target - j.charged_makespan_secs;
-                j.charged_makespan_secs = target;
-                dev_clock += delta;
-                dev_busy += delta;
+            // Later shards upload (or prefetch) as a sharded job advances:
+            // the job re-evaluates its overlapped makespan with what it has
+            // shipped and launched so far, and the clock is charged the
+            // delta.
+            (Job::Device(device), Ok(done)) => {
+                let charge = device.settle();
+                dev_clock += charge;
+                dev_busy += charge;
                 done
             }
             // The next shard no longer fits beside the other tenants'
             // pinned sets: discard the device half and restart the whole
             // query on the host (the restart is what keeps the result
-            // byte-identical).
-            Err(_) => {
+            // byte-identical). The profile keeps what the half had cost.
+            (_, Err(_)) => {
                 let q = &tenants[j.tenant][j.index];
-                std::mem::replace(&mut j.job, host_job(table, q)).abandon(&mut sess);
+                if let Job::Device(half) = std::mem::replace(&mut j.job, host_job(table, q)) {
+                    j.profile = QueryProfile {
+                        placement: j.profile.placement.take(),
+                        oom_restarts: 1,
+                        ..half.abandon(&mut sess)
+                    };
+                }
                 host_clock = host_clock.max(now);
-                oom_restarts += 1;
                 false
             }
         };
@@ -623,23 +598,13 @@ pub fn serve_with<'a>(
                 Backend::Device => dev_clock,
             };
             now = now.max(completed_at);
+            let profile = j.job.finish(j.profile);
             // Close the loop: feed the completed query's charged times
             // back into the store as an observation against the model
             // profile's predictions.
             if let Some(c) = cal.as_mut() {
                 let q = &tenants[j.tenant][j.index];
-                let mut measured = Measured {
-                    shipped_bytes: j.uploaded_bytes,
-                    transfer_secs: j.charged_transfer_secs,
-                    ..Measured::default()
-                };
-                match backend {
-                    Backend::Device => measured.kernel_secs = Some(j.charged_dev_secs),
-                    Backend::Host => {
-                        measured.host_secs = Some(j.per_row_host_secs * host_rows(table, q));
-                    }
-                }
-                copro::record_observation(c.store, &c.model, table, q, &measured);
+                copro::record_observation(c.store, &c.model, table, q, &profile);
             }
             completed.push(CompletedQuery {
                 tenant: j.tenant,
@@ -647,8 +612,7 @@ pub fn serve_with<'a>(
                 backend,
                 admitted_at: j.admitted_at,
                 completed_at,
-                decision: j.decision,
-                result: j.job.finish(),
+                profile,
             });
         }
     }
@@ -656,21 +620,23 @@ pub fn serve_with<'a>(
     let exec = sess.gpu().exec_stats().since(&exec_before);
     let stats = sess.stats().clone();
     ServeReport {
+        oom_restarts: completed.iter().map(|c| c.oom_restarts).sum(),
         completed,
         makespan_secs: host_clock.max(dev_clock),
         host_busy_secs: host_busy,
         device_busy_secs: dev_busy,
         stats,
         exec,
-        oom_restarts,
     }
 }
 
 /// The serial baseline: each tenant replayed to completion in turn
 /// through a **fresh** device session (today's one-tenant-per-session
 /// lifecycle), every query run whole where the residency-aware cost
-/// model places it. Same per-grant cost model as [`serve`], one clock,
-/// no overlap — the denominator of the contention speedup.
+/// model places it ([`copro::execute_placed`]) and charged its profile's
+/// seconds — the modelled host scan, or transfer plus kernels back to
+/// back — on one clock, no overlap: the denominator of the contention
+/// speedup.
 pub fn serve_serial(
     gpu: &mut Gpu,
     cpu: &CpuSpec,
@@ -681,77 +647,37 @@ pub fn serve_serial(
 ) -> ServeReport {
     let exec_before = gpu.exec_stats();
     let table = FactTable::plain(d);
-    let mut clock = 0.0f64;
-    let (mut host_busy, mut dev_busy) = (0.0f64, 0.0f64);
-    let mut completed = Vec::new();
-    let mut stats = SessionStats::default();
-
-    for (t, stream) in tenants.iter().enumerate() {
-        let mut sess = match cfg.device_budget {
-            Some(b) => DeviceSession::with_budget(gpu, b),
-            None => DeviceSession::new(gpu),
-        };
-        for (idx, q) in stream.iter().enumerate() {
+    let (mut clock, mut stats, mut completed) = (0.0f64, SessionStats::default(), Vec::new());
+    for (tenant, stream) in tenants.iter().enumerate() {
+        let mut sess = DeviceSession::open(gpu, cfg.device_budget, pcie);
+        for (index, q) in stream.iter().enumerate() {
+            let profile = copro::execute_placed(&mut sess, cpu, &table, q, 1);
             let admitted_at = clock;
-            let choice =
-                copro::choose_placement(None, &sess, &table, q, cpu, sess.spec(), pcie).decision;
-            let mut served = None;
-            if choice.placement == Placement::Coprocessor {
-                let before = sess.stats().clone();
-                if let Ok(mut job) = DeviceQueryJob::admit(&mut sess, &table, q) {
-                    let done = job.step(&mut sess, usize::MAX);
-                    debug_assert_eq!(done, Ok(true), "one segment, one unbounded step");
-                    let uploaded = sess.stats().uploaded_since(&before);
-                    let run = job.finish();
-                    let secs = pcie.transfer_secs(uploaded) + run.sim_secs();
-                    dev_busy += secs;
-                    clock += secs;
-                    served = Some((Backend::Device, run.result));
-                }
-            }
-            let (backend, result) = served.unwrap_or_else(|| {
-                let mut job = HostQueryJob::over(&table, q, PipelineMode::Vectorized);
-                let done = job.step(usize::MAX);
-                debug_assert!(done);
-                host_busy += choice.host_secs;
-                clock += choice.host_secs;
-                (Backend::Host, job.finish().0)
-            });
+            clock += profile.host_secs.unwrap_or(0.0) + profile.time.serial;
             completed.push(CompletedQuery {
-                tenant: t,
-                index: idx,
-                backend,
+                tenant,
+                index,
+                backend: match profile.device_segments_run {
+                    0 => Backend::Host,
+                    _ => Backend::Device,
+                },
                 admitted_at,
                 completed_at: clock,
-                decision: choice,
-                result,
+                profile,
             });
         }
-        accumulate(&mut stats, sess.stats());
+        stats += sess.stats();
     }
-
-    let exec = gpu.exec_stats().since(&exec_before);
+    let busy = |secs: fn(&CompletedQuery) -> f64| completed.iter().map(secs).sum();
     ServeReport {
-        completed,
         makespan_secs: clock,
-        host_busy_secs: host_busy,
-        device_busy_secs: dev_busy,
+        host_busy_secs: busy(|c| c.host_secs.unwrap_or(0.0)),
+        device_busy_secs: busy(|c| c.time.serial),
         stats,
-        exec,
+        exec: gpu.exec_stats().since(&exec_before),
         oom_restarts: 0,
+        completed,
     }
-}
-
-/// Sums session counters across the per-tenant serial sessions.
-fn accumulate(acc: &mut SessionStats, s: &SessionStats) {
-    acc.col_hits += s.col_hits;
-    acc.col_misses += s.col_misses;
-    acc.ht_hits += s.ht_hits;
-    acc.ht_misses += s.ht_misses;
-    acc.evictions += s.evictions;
-    acc.uploaded_bytes += s.uploaded_bytes;
-    acc.build_secs += s.build_secs;
-    acc.cached_bytes = s.cached_bytes;
 }
 
 #[cfg(test)]
@@ -1005,8 +931,9 @@ mod tests {
             assert_eq!(x.result, y.result);
             // The first admissions see an empty store; only later ones may
             // have warmed past the threshold, so just check the cold ones.
-            if y.decision.samples == 0 {
-                assert_eq!(y.decision.source, BoundsSource::Static);
+            let decision = y.decision().expect("every served query is placed");
+            if decision.samples == 0 {
+                assert_eq!(decision.source, BoundsSource::Static);
             }
         }
     }

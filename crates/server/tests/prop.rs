@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use crystal_gpu_sim::Gpu;
 use crystal_hardware::{intel_i7_6900, nvidia_v100, pcie_gen3};
-use crystal_server::{serve_with, Backend, ServerConfig};
+use crystal_server::{serve_with, Backend, CompletedQuery, ServerConfig};
 use crystal_ssb::arbitrary::random_star_query;
 use crystal_ssb::engines::reference;
 use crystal_ssb::plan::StarQuery;
@@ -125,8 +125,36 @@ proptest! {
             *clock = c.completed_at;
         }
         prop_assert_eq!(r.makespan_secs, host_clock.max(dev_clock));
-        // Every second on a clock is a charge or a wait for the other one.
-        prop_assert!(r.makespan_secs <= r.host_busy_secs + r.device_busy_secs);
+
+        // The profiles are the books: what each query was charged on either
+        // clock adds up to the clock's busy seconds (the loop sums grant by
+        // grant across queries, this sums query by query, so the two agree
+        // to the rounding of a regrouped float sum and no closer), every
+        // uploaded byte is some query's, and so is every restart.
+        let charged = |secs: fn(&CompletedQuery) -> f64| -> f64 {
+            r.completed.iter().map(secs).sum()
+        };
+        let agree = |books: f64, clock: f64| (books - clock).abs() <= 1e-12 * clock;
+        prop_assert!(agree(charged(|c| c.host_secs.unwrap_or(0.0)), r.host_busy_secs));
+        prop_assert!(agree(charged(|c| c.time.pipelined), r.device_busy_secs));
+        let shipped: usize = r.completed.iter().map(|c| c.shipped_bytes).sum();
+        prop_assert_eq!(shipped as u64, r.stats.uploaded_bytes);
+        let restarts: usize = r.completed.iter().map(|c| c.oom_restarts).sum();
+        prop_assert_eq!(restarts, r.oom_restarts);
+        for c in &r.completed {
+            prop_assert_eq!(c.shipped_bytes as u64, c.session.uploaded_bytes);
+            prop_assert_eq!(c.host_secs.is_some(), c.backend == Backend::Host);
+            // A restarted query shows the device half it abandoned — the
+            // admission's uploads and what the device clock was charged for
+            // them — beside the host seconds it then cost.
+            if c.oom_restarts > 0 {
+                prop_assert!(c.host_fallback && c.backend == Backend::Host);
+                prop_assert!(c.shipped_bytes > 0 && c.time.pipelined > 0.0);
+                prop_assert!(c.device_segments_run == 0 && !c.reports.is_empty());
+            } else if c.backend == Backend::Host {
+                prop_assert_eq!(c.time.pipelined, 0.0);
+            }
+        }
 
         // No pin outlives the serve: the cache trimmed back under budget.
         prop_assert!(r.stats.cached_bytes <= budget, "{:?} over {}", r.stats, budget);

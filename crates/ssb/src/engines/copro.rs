@@ -24,11 +24,12 @@
 //! ([`crystal_models::ssb::resident_coprocessor_bounds`], under the factors
 //! an optional [`CalibrationStore`] has learned) and routes each to the
 //! cheaper side; the whole table is the one-segment case, whose split *is*
-//! the whole-query decision. [`execute`] runs a table through a session in
-//! the coprocessor model; [`execute_placed`] runs each segment where the
-//! model routes it and merges the partial aggregates.
+//! the whole-query decision. [`gpu::execute`] runs a table through a session
+//! in the coprocessor model — its [`QueryProfile`] charges what the session
+//! shipped on the session's link; [`execute_placed`] runs each segment
+//! where the model routes it and merges the parts' profiles.
 
-use crystal_gpu_sim::pcie::{coprocessor_time, CoprocessorTime};
+use crystal_gpu_sim::pcie::coprocessor_time;
 use crystal_gpu_sim::Gpu;
 use crystal_hardware::{CpuSpec, GpuSpec, HardwareProfile, PcieSpec};
 use crystal_models::calibration::{
@@ -41,11 +42,11 @@ use crystal_runtime::{ColumnKey, DeviceSession, SessionOom};
 
 use crate::data::SsbData;
 use crate::encoding::FactEncodings;
-use crate::engines::gpu::{self, GpuRun};
+use crate::engines::gpu;
+use crate::engines::profile::QueryProfile;
 use crate::exec::{self, PipelineMode};
 use crate::plan::StarQuery;
 use crate::table::{scan_cost, FactTable};
-use crate::QueryResult;
 
 /// The calibration class of a cost's columns: `Packed` as soon as any
 /// referenced column is bit-packed (that is when the host's unpack term
@@ -58,54 +59,21 @@ fn encoding_class(cost: &ScanCost) -> EncodingClass {
     }
 }
 
-/// Outcome of a coprocessor-model execution.
-pub struct CoproRun {
-    pub gpu_run: GpuRun,
-    /// Bytes actually shipped host -> device (the uncached fraction of the
-    /// referenced fact columns; the full working set on a cold session).
-    pub shipped_bytes: usize,
-    pub time: CoprocessorTime,
-}
-
-/// Executes a query in the coprocessor model through `sess`: ship the
-/// referenced fact columns the session does not already hold, overlap
-/// with the Crystal kernel execution. The PCIe transfer covers exactly
-/// the bytes the session had to upload — the full working set on a fresh
-/// (cold-device) session, zero for a fully resident one. Packed columns
-/// ship as packed words (the transfer drops by the compression ratio) and
-/// the GPU kernel unpacks tiles in registers. Surfaces the typed
-/// [`SessionOom`] when the working set cannot fit the device.
-pub fn execute(
-    sess: &mut DeviceSession<'_>,
-    pcie: &PcieSpec,
-    table: &FactTable<'_>,
-    q: &StarQuery,
-) -> Result<CoproRun, SessionOom> {
-    let before = sess.stats().clone();
-    let gpu_run = gpu::execute(sess, table, q)?;
-    let shipped_bytes = sess.stats().uploaded_since(&before);
-    let time = coprocessor_time(pcie, shipped_bytes, gpu_run.sim_secs());
-    Ok(CoproRun {
-        gpu_run,
-        shipped_bytes,
-        time,
-    })
-}
-
-/// Paper-scale variant: transfer sized by the full SF fact table while the
-/// execution time is scaled from the sampled run.
+/// Paper-scale variant of [`gpu::execute`] over the plain table on a fresh
+/// session on `pcie`: the transfer sized by the full SF fact table while
+/// the execution time is scaled from the sampled run.
 pub fn execute_scaled(
     gpu: &mut Gpu,
     pcie: &PcieSpec,
     d: &SsbData,
     q: &StarQuery,
     fact_scale: f64,
-) -> Result<CoproRun, SessionOom> {
-    let mut run = execute(&mut DeviceSession::new(gpu), pcie, &FactTable::plain(d), q)?;
+) -> Result<QueryProfile, SessionOom> {
+    let mut sess = DeviceSession::open(gpu, None, pcie);
+    let mut run = gpu::execute(&mut sess, &FactTable::plain(d), q)?;
     let full_rows = (d.lineorder.rows() as f64 / fact_scale).round() as usize;
     run.shipped_bytes = q.fact_columns().len() * 4 * full_rows;
-    let exec_secs = run.gpu_run.sim_secs_scaled(fact_scale);
-    run.time = coprocessor_time(pcie, run.shipped_bytes, exec_secs);
+    run.time = coprocessor_time(pcie, run.shipped_bytes, run.sim_secs_scaled(fact_scale));
     Ok(run)
 }
 
@@ -294,93 +262,77 @@ pub fn choose_placement_session(
     place(None, vec![(rows, cost)], false, cpu, sess.spec(), pcie).0
 }
 
-/// Outcome of a placement-routed execution.
-pub struct PlacedRun {
-    pub placement: TablePlacement,
-    pub result: QueryResult,
-    /// Bytes the device side actually shipped over PCIe.
-    pub shipped_bytes: usize,
-    /// Segments that completed on the device (an OOM segment falls back to
-    /// the host).
-    pub device_segments_run: usize,
-}
-
 /// Executes `q` with per-segment placement on the session's own device
-/// spec: each device-routed segment runs through `sess` (and falls back to
-/// the host individually when its working set does not fit alongside what
-/// the session already holds, instead of aborting the query), the
-/// host-routed ones run through the morsel-driven executor, and the
-/// partial aggregates merge — aggregation is commutative addition, so the
-/// result is byte-identical to the whole table's on either side. The
-/// parts are the two public runs' own results ([`QueryResult::merge`]):
-/// neither job opens its accumulator to this module. Residency accrued by
-/// earlier queries in the session steers later ones: cold, the routing is
-/// the paper's transfer-bound comparison; once a segment's columns are
-/// warm it flips to the device and ships nothing.
+/// spec and link: the device-routed segments run as one job through `sess`
+/// (all of them falling back to the host when one's working set does not
+/// fit alongside what the session already holds, instead of aborting the
+/// query — what the server does mid-query), the host-routed ones run
+/// through the morsel-driven executor, and the two parts merge into one
+/// profile — aggregation is commutative addition, so the result is
+/// byte-identical to the whole table's on either side, and neither job
+/// opens its accumulator to this module. The host part is charged the
+/// placement's host bound, pro-rated to the rows it scanned. Residency
+/// accrued by earlier queries in the session steers later ones: cold, the
+/// routing is the paper's transfer-bound comparison; once a segment's
+/// columns are warm it flips to the device and ships nothing.
 pub fn execute_placed(
     sess: &mut DeviceSession<'_>,
-    pcie: &PcieSpec,
     cpu: &CpuSpec,
     table: &FactTable<'_>,
     q: &StarQuery,
     threads: usize,
-) -> PlacedRun {
-    let placement = choose_placement(None, sess, table, q, cpu, sess.spec(), pcie);
-    let before = sess.stats().clone();
+) -> QueryProfile {
+    let link = sess.interconnect().clone();
+    let placement = choose_placement(None, sess, table, q, cpu, sess.spec(), &link);
+    let on_device = &placement.split.device_shards;
     let mut host_ids = placement.split.host_shards.clone();
-    let mut parts = Vec::new();
-    for &s in &placement.split.device_shards {
-        match gpu::execute(sess, &table.subset(&[s]), q) {
-            Ok(run) => parts.push(run.result),
-            Err(_) => host_ids.push(s),
+    let mut profile = QueryProfile::empty(q);
+    if !on_device.is_empty() {
+        match gpu::execute(sess, &table.subset(on_device), q) {
+            Ok(device) => profile = device,
+            Err(_) => {
+                profile.host_fallback = true;
+                host_ids.extend(on_device);
+                host_ids.sort_unstable();
+            }
         }
     }
-    let device_segments_run = parts.len();
-    host_ids.sort_unstable();
     // With every segment pruned, the host run over none is the empty input.
-    if !host_ids.is_empty() || parts.is_empty() {
+    if !host_ids.is_empty() || profile.device_segments_run == 0 {
         let host = table.subset(&host_ids);
-        parts.push(exec::execute(&host, q, threads, PipelineMode::Vectorized).0);
+        let (result, trace) = exec::execute(&host, q, threads, PipelineMode::Vectorized);
+        profile.result.merge(result);
+        profile.trace = Some(match profile.trace.take() {
+            Some(mut device) => {
+                device.merge(&trace, profile.result.rows());
+                device
+            }
+            None => trace,
+        });
+        let share = host.live_rows(q) as f64 / table.live_rows(q).max(1) as f64;
+        profile.host_secs = Some(placement.decision.host_secs * share);
     }
-    let merged = parts.into_iter().reduce(|mut result, part| {
-        result.merge(part);
-        result
-    });
-    PlacedRun {
-        placement,
-        result: merged.expect("at least the host part ran"),
-        shipped_bytes: sess.stats().uploaded_since(&before),
-        device_segments_run,
-    }
+    profile.placement = Some(placement);
+    profile
 }
 
-/// What one executed query measured, for the calibration loop: the bytes
-/// its session really uploaded (zero for a warm hit, which then carries
-/// no transfer information), the serialized PCIe seconds they took, and
-/// the seconds of the side it actually ran on.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Measured {
-    pub shipped_bytes: usize,
-    pub transfer_secs: f64,
-    /// Device kernel seconds (`None` for a host run).
-    pub kernel_secs: Option<f64>,
-    /// Host seconds (`None` for a device run).
-    pub host_secs: Option<f64>,
-}
-
-/// Records one executed query's measured component seconds into the
-/// store, against what the static model on the `model` (spec-sheet)
-/// profile predicted: one observation aggregated over `q`'s live segments
-/// under their own encodings, keyed under the mean live segment's
-/// cardinality band and the table's `sharded` bit — shards are
-/// equal-range slices of the fact table, so the mean band is the band the
-/// split consults at decision time; a fully pruned query records nothing.
+/// Records what one executed query's profile measured — the bytes its
+/// session really uploaded (zero for a warm hit, which then carries no
+/// transfer information) and their serialized PCIe seconds, and the seconds
+/// of the side it ran on: the modelled-host seconds when a host part ran,
+/// its kernels' otherwise — into the store, against what the static model
+/// on the `model` (spec-sheet) profile predicted: one observation
+/// aggregated over `q`'s live segments under their own encodings, keyed
+/// under the mean live segment's cardinality band and the table's `sharded`
+/// bit — shards are equal-range slices of the fact table, so the mean band
+/// is the band the split consults at decision time; a fully pruned query
+/// records nothing.
 pub fn record_observation(
     store: &mut CalibrationStore,
     model: &HardwareProfile,
     table: &FactTable<'_>,
     q: &StarQuery,
-    m: &Measured,
+    ran: &QueryProfile,
 ) {
     let live = table.live(q);
     if live.is_empty() {
@@ -401,10 +353,10 @@ pub fn record_observation(
         sharded: table.is_sharded(),
         packed_bytes: total.packed_bytes,
         packed_values: total.packed_values,
-        shipped_bytes: m.shipped_bytes,
-        transfer_secs: m.transfer_secs,
-        kernel_secs: m.kernel_secs,
-        host_secs: m.host_secs,
+        shipped_bytes: ran.shipped_bytes,
+        transfer_secs: ran.time.transfer,
+        kernel_secs: ran.host_secs.is_none().then_some(ran.time.exec),
+        host_secs: ran.host_secs,
     };
     store.record(&obs, &model.cpu, &model.gpu, &model.pcie);
 }
@@ -468,7 +420,6 @@ mod tests {
     fn compression_flips_placement_to_the_coprocessor() {
         let d = SsbData::generate_scaled(1, 0.002, 7);
         let cpu = intel_i7_6900();
-        let pcie = pcie_gen3();
         let enc = FactEncodings::packed_min(&d);
         let fact = EncodedFact::encode(&d, &enc);
         let table = FactTable::encoded(&d, &fact);
@@ -483,8 +434,8 @@ mod tests {
         // The packed transfer bound is below the plain one by the ratio.
         assert!(packed.coprocessor_secs < plain.coprocessor_secs / 1.5);
 
-        let run = execute_placed(&mut sess, &pcie, &cpu, &table, &q, 4);
-        assert_eq!(run.placement.decision.placement, Placement::Coprocessor);
+        let run = execute_placed(&mut sess, &cpu, &table, &q, 4);
+        assert_eq!(run.decision().unwrap().placement, Placement::Coprocessor);
         assert_eq!(run.device_segments_run, 1);
         assert_eq!(
             run.shipped_bytes,
@@ -511,10 +462,11 @@ mod tests {
         let mut spec = nvidia_v100();
         spec.mem_capacity = 8 * 1024; // not even one fact column fits
         let mut gpu = Gpu::new(spec);
-        let mut sess = DeviceSession::new(&mut gpu);
-        let run = execute_placed(&mut sess, &link, &cpu, &table, &q, 4);
-        assert_eq!(run.placement.decision.placement, Placement::Coprocessor);
+        let mut sess = DeviceSession::open(&mut gpu, None, &link);
+        let run = execute_placed(&mut sess, &cpu, &table, &q, 4);
+        assert_eq!(run.decision().unwrap().placement, Placement::Coprocessor);
         assert_eq!(run.device_segments_run, 0, "device admission must fail");
+        assert!(run.host_fallback && run.host_secs.is_some());
         assert_eq!(run.result, expected, "host fallback diverged");
     }
 
@@ -527,7 +479,6 @@ mod tests {
         let d = SsbData::generate_scaled(1, 0.002, 7);
         let table = FactTable::plain(&d);
         let cpu = intel_i7_6900();
-        let pcie = pcie_gen3();
         let q = query(&d, QueryId::new(1, 1));
         let expected = reference::execute(&d, &q);
 
@@ -537,27 +488,27 @@ mod tests {
         // Cold: the session holds nothing, so the routing is the paper's
         // Host conclusion and the query runs on the CPU (no residency is
         // accrued by a host run).
-        let cold = execute_placed(&mut sess, &pcie, &cpu, &table, &q, 4);
-        assert_eq!(cold.placement.decision.placement, Placement::Host);
+        let cold = execute_placed(&mut sess, &cpu, &table, &q, 4);
+        assert_eq!(cold.decision().unwrap().placement, Placement::Host);
         assert_eq!((cold.device_segments_run, cold.shipped_bytes), (0, 0));
         assert_eq!(cold.result, expected);
 
         // Warm the working set (e.g. an operator pinned the stream's hot
         // columns, or a forced device run shipped them once).
-        let warm_run = execute(&mut sess, &pcie, &table, &q).unwrap();
-        assert_eq!(warm_run.gpu_run.result, expected);
+        let warm_run = gpu::execute(&mut sess, &table, &q).unwrap();
+        assert_eq!(warm_run.result, expected);
         assert!(warm_run.shipped_bytes > 0);
 
         // Warm: the same cost model now routes to the coprocessor, the
         // execution ships nothing, and the result is still the oracle's.
-        let warm = execute_placed(&mut sess, &pcie, &cpu, &table, &q, 4);
-        let decision = warm.placement.decision;
+        let warm = execute_placed(&mut sess, &cpu, &table, &q, 4);
+        let decision = *warm.decision().unwrap();
         assert_eq!(decision.placement, Placement::Coprocessor);
         assert!(decision.coprocessor_secs < decision.host_secs);
         assert_eq!(warm.device_segments_run, 1);
         assert_eq!(warm.shipped_bytes, 0, "warm run ships nothing");
         assert_eq!(warm.result, expected);
-        let rerun = execute(&mut sess, &pcie, &table, &q).unwrap();
+        let rerun = gpu::execute(&mut sess, &table, &q).unwrap();
         assert!(
             (rerun.time.transfer - 0.0).abs() < 1e-18,
             "zero simulated transfer time on fact columns"
@@ -642,7 +593,6 @@ mod tests {
     fn sharded_placement_routes_hot_shards_to_the_device() {
         let d = SsbData::generate_scaled(1, 0.004, 11);
         let cpu = intel_i7_6900();
-        let pcie = pcie_gen3();
         let pf = PartitionedFact::partition(&d, 4, &FactEncodings::plain());
         let table = FactTable::sharded(&d, &pf);
         // q2.1 filters only through dimensions: every shard stays live.
@@ -671,7 +621,7 @@ mod tests {
         assert_eq!(warm.split.host_shards, vec![1, 3]);
         assert!(warm.split.hybrid_secs() < cold.split.host_secs);
 
-        let run = execute_placed(&mut sess, &pcie, &cpu, &table, &q, 4);
+        let run = execute_placed(&mut sess, &cpu, &table, &q, 4);
         assert_eq!(run.device_segments_run, 2);
         assert_eq!(run.shipped_bytes, 0, "warm shards ship nothing");
         assert_eq!(run.result, expected);
@@ -685,7 +635,6 @@ mod tests {
         use crate::plan::{FactCol, FactPred};
         let d = SsbData::generate_scaled(1, 0.004, 11);
         let cpu = intel_i7_6900();
-        let pcie = pcie_gen3();
         let pf = PartitionedFact::partition(&d, 8, &FactEncodings::plain());
         let table = FactTable::sharded(&d, &pf);
         let mut q = query(&d, QueryId::new(1, 1)); // one-year date predicate
@@ -693,9 +642,10 @@ mod tests {
         let mut sess = DeviceSession::new(&mut gpu);
         for live_after in ["some shards", "none"] {
             let expected = reference::execute(&d, &q);
-            let run = execute_placed(&mut sess, &pcie, &cpu, &table, &q, 4);
-            let mut routed = run.placement.split.device_shards.clone();
-            routed.extend(&run.placement.split.host_shards);
+            let run = execute_placed(&mut sess, &cpu, &table, &q, 4);
+            let split = &run.placement.as_ref().unwrap().split;
+            let mut routed = split.device_shards.clone();
+            routed.extend(&split.host_shards);
             routed.sort_unstable();
             assert_eq!(routed, table.live(&q), "every live shard runs once");
             assert!(routed.len() < pf.shard_count(), "{live_after}");
@@ -715,7 +665,6 @@ mod tests {
     fn device_shard_oom_falls_back_to_the_host() {
         let d = SsbData::generate_scaled(1, 0.004, 11);
         let cpu = intel_i7_6900();
-        let pcie = pcie_gen3();
         let pf = PartitionedFact::partition(&d, 4, &FactEncodings::plain());
         let table = FactTable::sharded(&d, &pf);
         let q = query(&d, QueryId::new(2, 1));
@@ -743,7 +692,7 @@ mod tests {
         assert_eq!(placed(&sess, &table, &q).split.device_shards, vec![0]);
 
         let evictions_before = sess.stats().evictions;
-        let run = execute_placed(&mut sess, &pcie, &cpu, &table, &q, 4);
+        let run = execute_placed(&mut sess, &cpu, &table, &q, 4);
         assert_eq!(run.device_segments_run, 0, "the OOM shard ran on the host");
         assert_eq!(run.result, expected);
         // The failed admission released its pins without evicting the
@@ -832,18 +781,19 @@ mod tests {
         assert_eq!(stat.placement, Placement::Coprocessor);
 
         // The machine's real link delivers half the modeled bandwidth:
-        // every observed transfer takes twice the predicted seconds.
+        // every cold run through a session on it observes transfers of
+        // twice the predicted seconds (and the link's latency on top).
         let mut store = CalibrationStore::new();
         let shipped = enc.columns_bytes(d.lineorder.rows(), &q.fact_columns());
-        let predicted = shipped as f64 / model.pcie.bandwidth;
+        let mut link = model.pcie.clone();
+        link.bandwidth /= 2.0;
+        let mut actual = Gpu::new(model.gpu.clone());
         for _ in 0..20 {
-            let measured = Measured {
-                shipped_bytes: shipped,
-                transfer_secs: predicted * 2.0,
-                kernel_secs: Some(1e-6),
-                host_secs: None,
-            };
-            record_observation(&mut store, &model, &table, &q, &measured);
+            let mut sess = DeviceSession::open(&mut actual, None, &link);
+            let ran = gpu::execute(&mut sess, &table, &q).unwrap();
+            assert_eq!(ran.shipped_bytes, shipped);
+            assert!(ran.time.transfer > 2.0 * shipped as f64 / model.pcie.bandwidth);
+            record_observation(&mut store, &model, &table, &q, &ran);
         }
         let cal = place(Some(&store));
         assert_eq!(cal.source, BoundsSource::Blended);

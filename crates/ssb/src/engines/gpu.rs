@@ -39,12 +39,13 @@ use crystal_core::primitives::{block_pred, block_pred_and};
 use crystal_core::tile::Tile;
 use crystal_gpu_sim::fused::FusedStarKernel;
 use crystal_gpu_sim::mem::DeviceBuffer;
-use crystal_gpu_sim::stats::KernelReport;
+use crystal_gpu_sim::stats::{total_time, KernelReport};
 use crystal_gpu_sim::stream::CopyEvents;
 use crystal_runtime::{DeviceCol, DeviceSession, SessionOom};
 
 use crate::data::SsbData;
 use crate::encoding::EncodedFact;
+use crate::engines::profile::QueryProfile;
 use crate::engines::{
     build_dim_table, dim_join_fingerprint, dim_members, dim_table_bytes, DimBuild, GroupAcc,
     QueryTrace, StageTrace,
@@ -52,66 +53,40 @@ use crate::engines::{
 use crate::partition::PartitionedFact;
 use crate::plan::{FactCol, StarQuery};
 use crate::table::{FactSegment, FactTable};
-use crate::QueryResult;
 
-/// Outcome of a GPU query execution.
-pub struct GpuRun {
-    pub result: QueryResult,
-    pub trace: QueryTrace,
-    /// Build kernels (misses only — a warm session builds nothing) then
-    /// the probe kernel, in order.
-    pub reports: Vec<KernelReport>,
-}
-
-impl GpuRun {
-    /// Total simulated seconds.
-    pub fn sim_secs(&self) -> f64 {
-        self.reports.iter().map(|r| r.time.total_secs()).sum()
-    }
-
-    /// Simulated seconds with the fact-linear kernels scaled by
-    /// `1/fact_scale` (see [`SsbData::generate_scaled`]): build kernels are
-    /// dimension-sized and excluded from scaling. Which kernels scale is
-    /// decided by the explicit [`KernelReport::fact_linear`] tag the engine
-    /// sets at launch, not by kernel-name matching — renaming a kernel
-    /// cannot silently break extrapolation.
-    pub fn sim_secs_scaled(&self, fact_scale: f64) -> f64 {
-        self.reports
-            .iter()
-            .map(|r| {
-                if r.fact_linear {
-                    r.time.total_secs() / fact_scale
-                } else {
-                    r.time.total_secs()
-                }
-            })
-            .sum()
-    }
-}
+/// The name the benchmark harness pins for what [`execute`] returns: the
+/// query's [`QueryProfile`], whose `result`, `reports` and `sim_secs()` it
+/// reads.
+pub type GpuRun = QueryProfile;
 
 /// Executes one query on the simulated GPU through a (fresh or warm)
 /// session over the live segments of `table`: a [`DeviceQueryJob`] admitted
 /// and driven to completion, so the run-to-completion engine and the
 /// resumable concurrent frontend execute byte-for-byte the same pipeline.
 /// Packed columns ship and stay as packed words, and the kernel unpacks
-/// tiles in registers. Returns the typed [`SessionOom`] when a segment's
-/// working set cannot fit the device — small device configs surface the
-/// error instead of aborting the process — with the device work abandoned
-/// (the copro path then restarts the query on the host).
+/// tiles in registers. The returned profile charges what the session
+/// shipped, on the session's link, against the kernels — the coprocessor
+/// model of Section 3.1 on a cold session, the data-resident regime on a
+/// warm one. Returns the typed [`SessionOom`] when a segment's working set
+/// cannot fit the device — small device configs surface the error instead
+/// of aborting the process — with the device work abandoned (the placed
+/// path then restarts the query on the host).
 pub fn execute(
     sess: &mut DeviceSession<'_>,
     table: &FactTable<'_>,
     q: &StarQuery,
 ) -> Result<GpuRun, SessionOom> {
-    let mut job = DeviceQueryJob::admit(sess, table, q)?;
-    loop {
-        match job.step(sess, usize::MAX) {
-            Ok(true) => return Ok(job.finish()),
-            Ok(false) => {}
-            Err(e) => {
-                job.abandon(sess);
-                return Err(e);
-            }
+    let mut job = DeviceQueryJob::over(table, q);
+    let driven = (|| {
+        job.admit(sess)?;
+        while !job.step(sess, usize::MAX)? {}
+        Ok(())
+    })();
+    match driven {
+        Ok(()) => Ok(job.finish()),
+        Err(e) => {
+            job.abandon(sess);
+            Err(e)
         }
     }
 }
@@ -198,16 +173,15 @@ pub struct DeviceQueryJob<'a> {
     probes: Vec<usize>,
     hits: Vec<usize>,
     result_rows: usize,
-    /// Every kernel launched so far: per segment its build kernels (misses
-    /// only — a warm session builds nothing), then its probe launches.
-    reports: Vec<KernelReport>,
+    /// What the job has cost so far, booked around its own session calls
+    /// ([`QueryProfile::book`]): every kernel launched, the device and
+    /// session counters it added, the bytes it shipped (prefetched staging
+    /// uploads included — the same bytes, just shipped earlier) and their
+    /// seconds on the session's link. [`Self::finish`] adds the result.
+    profile: QueryProfile,
     /// Where the current segment's reports start.
     cur_reports: usize,
     scanned: usize,
-    /// PCIe bytes accumulated across every segment admission (prefetched
-    /// staging uploads included — they are the same bytes, just shipped
-    /// earlier).
-    uploaded: usize,
     /// The double buffer: the next segment's columns, prefetched on the
     /// copy stream under their own pin ledger while the current one's
     /// kernel runs. At most one segment is ever staged (a 2-shard budget:
@@ -328,20 +302,12 @@ impl TileScratch {
 }
 
 impl<'a> DeviceQueryJob<'a> {
-    /// Admits one query over the segments of `table` live for it: pins the
-    /// first one's working set (columns + dimension tables) under a fresh
-    /// pin ledger. On [`SessionOom`] every pin taken so far is released
-    /// before returning, leaving the session exactly as found. A query
-    /// whose every segment is pruned admits nothing and is immediately
-    /// complete.
-    pub fn admit(
-        sess: &mut DeviceSession<'_>,
-        table: &FactTable<'a>,
-        q: &'a StarQuery,
-    ) -> Result<Self, SessionOom> {
+    /// A job over the segments of `table` live for `q`, nothing admitted
+    /// yet: [`Self::admit`] comes next.
+    pub fn over(table: &FactTable<'a>, q: &'a StarQuery) -> Self {
         let joins = q.joins.len();
         let live = table.live(q).into_iter().map(|i| table.segments()[i]);
-        let mut job = DeviceQueryJob {
+        DeviceQueryJob {
             d: table.data(),
             q,
             segments: live.collect(),
@@ -352,14 +318,24 @@ impl<'a> DeviceQueryJob<'a> {
             probes: vec![0usize; joins],
             hits: vec![0usize; joins],
             result_rows: 0,
-            reports: Vec::new(),
+            profile: QueryProfile::empty(q),
             cur_reports: 0,
             scanned: 0,
-            uploaded: 0,
             staged: None,
-        };
-        job.admit_next(sess)?;
-        Ok(job)
+        }
+    }
+
+    /// Admits the query: pins its first live segment's working set (columns
+    /// and dimension tables) under a fresh pin ledger. On [`SessionOom`] every
+    /// pin taken so far is released before returning — the caller
+    /// [`Self::abandon`]s the job, whose account keeps what the refused
+    /// admission had already shipped. A query whose every segment is pruned
+    /// admits nothing and is immediately complete.
+    pub fn admit(&mut self, sess: &mut DeviceSession<'_>) -> Result<(), SessionOom> {
+        let mark = QueryProfile::mark(sess);
+        let admitted = self.admit_next(sess);
+        self.profile.book(sess, mark);
+        admitted
     }
 
     /// Admits the next segment, if there is one, and stages the one after.
@@ -378,7 +354,6 @@ impl<'a> DeviceQueryJob<'a> {
             s.events
         });
 
-        let before = sess.stats().clone();
         let qid = sess.begin_query();
         let (mut cur, builds) = match Self::pin(sess, qid, self.d, self.q, segment) {
             Ok(pinned) => pinned,
@@ -387,7 +362,6 @@ impl<'a> DeviceQueryJob<'a> {
                 return Err(e);
             }
         };
-        self.uploaded += sess.stats().uploaded_since(&before);
         cur.copy_events = sess.take_pending_copy();
         if let Some(ev) = staged_events {
             match &mut cur.copy_events {
@@ -408,8 +382,8 @@ impl<'a> DeviceQueryJob<'a> {
                 tables: sizes.collect(),
             });
         }
-        self.cur_reports = self.reports.len();
-        self.reports.extend(builds);
+        self.cur_reports = self.profile.reports.len();
+        self.profile.reports.extend(builds);
         self.cur = Some(cur);
         self.prefetch_next(sess);
         Ok(())
@@ -480,7 +454,6 @@ impl<'a> DeviceQueryJob<'a> {
         {
             return;
         }
-        let before = sess.stats().clone();
         let qid = sess.begin_query();
         for &c in &cols {
             let host = segment.host_col(c);
@@ -489,11 +462,9 @@ impl<'a> DeviceQueryJob<'a> {
                 // than evict. Entries uploaded so far stay cached and the
                 // admission will reuse them.
                 sess.end_query(qid);
-                self.uploaded += sess.stats().uploaded_since(&before);
                 return;
             }
         }
-        self.uploaded += sess.stats().uploaded_since(&before);
         self.staged = Some(StagedSegment {
             idx: self.next,
             qid,
@@ -513,22 +484,26 @@ impl<'a> DeviceQueryJob<'a> {
         self.scanned
     }
 
-    /// Bytes shipped over PCIe by every segment admission so far (zero
-    /// when the whole working set was already resident).
-    pub fn uploaded_bytes(&self) -> usize {
-        self.uploaded
+    /// Simulated seconds of every kernel this job has launched so far
+    /// (admission-time builds included) — summed by their bits as when every
+    /// segment was a job of its own: the retired segments' kernels and the
+    /// current one's apart.
+    fn sim_secs_so_far(&self) -> f64 {
+        let (retired, current) = self.profile.reports.split_at(self.cur_reports);
+        total_time(retired) + self.cur.as_ref().map_or(0.0, |_| total_time(current))
     }
 
-    /// Simulated seconds of every kernel this job has launched so far
-    /// (admission-time builds included). A scheduler charges each grant
-    /// by the delta of this value — by its bits, so the retired segments'
-    /// kernels and the current one's are summed apart, as when every
-    /// segment was a job of its own.
-    pub fn sim_secs_so_far(&self) -> f64 {
-        let secs =
-            |reports: &[KernelReport]| -> f64 { reports.iter().map(|r| r.time.total_secs()).sum() };
-        let (retired, current) = self.reports.split_at(self.cur_reports);
-        secs(retired) + self.cur.as_ref().map_or(0.0, |_| secs(current))
+    /// Re-evaluates the job's charge — its uploads so far overlapped with
+    /// the kernels launched so far ([`CoprocessorTime::settle`]) — and
+    /// returns the seconds it grew by since the last call. A scheduler
+    /// charges its device clock that delta after the admission and after
+    /// every grant: once the kernel sum outgrows the in-flight transfer,
+    /// every further grant is pure compute time.
+    ///
+    /// [`CoprocessorTime::settle`]: crystal_gpu_sim::pcie::CoprocessorTime::settle
+    pub fn settle(&mut self) -> f64 {
+        let kernels = self.sim_secs_so_far();
+        self.profile.time.settle(kernels)
     }
 
     /// Processes up to `max_rows` rows — one fused launch per segment
@@ -539,6 +514,18 @@ impl<'a> DeviceQueryJob<'a> {
     /// (nothing is half-pinned — the failed admission cleaned up after
     /// itself).
     pub fn step(
+        &mut self,
+        sess: &mut DeviceSession<'_>,
+        max_rows: usize,
+    ) -> Result<bool, SessionOom> {
+        let mark = QueryProfile::mark(sess);
+        let stepped = self.advance(sess, max_rows);
+        self.profile.book(sess, mark);
+        stepped
+    }
+
+    /// [`Self::step`] itself, before its counters are booked.
+    fn advance(
         &mut self,
         sess: &mut DeviceSession<'_>,
         max_rows: usize,
@@ -698,7 +685,7 @@ impl<'a> DeviceQueryJob<'a> {
                 acc.add(0, survivors.map(value).sum());
             }
         });
-        self.reports.push(report.tag_fact_linear());
+        self.profile.reports.push(report.tag_fact_linear());
     }
 
     /// Releases what the current segment holds on the device: frees the
@@ -711,19 +698,27 @@ impl<'a> DeviceQueryJob<'a> {
             drop((cur.tables, cur.device_cols));
             sess.end_query(cur.qid);
         }
-        self.cur_reports = self.reports.len();
+        self.cur_reports = self.profile.reports.len();
     }
 
-    /// Releases every device resource of an in-flight job without
-    /// producing a run — the recovery path when a sharded execution hits a
-    /// mid-query admission OOM and the whole query restarts on the host.
-    /// Retired segments' partial work is discarded with the job; the
-    /// session is left exactly as a finished job would leave it.
-    pub fn abandon(mut self, sess: &mut DeviceSession<'_>) {
+    /// Releases every device resource of a refused or in-flight job without
+    /// producing a result — the recovery path when an admission hits an
+    /// OOM, at the start or mid-query, and the whole query restarts on the
+    /// host. Retired segments' partial work is discarded with the job; the
+    /// session is left exactly as a finished job would leave it. What the
+    /// device half had cost is returned, for the restarted query's account
+    /// to start from: the empty input's result, the kernels launched and
+    /// bytes shipped, and `time` as last [`Self::settle`]d — what was
+    /// charged for it.
+    pub fn abandon(mut self, sess: &mut DeviceSession<'_>) -> QueryProfile {
+        let mark = QueryProfile::mark(sess);
         if let Some(s) = self.staged.take() {
             sess.end_query(s.qid);
         }
         self.release(sess);
+        self.profile.book(sess, mark);
+        self.profile.host_fallback = true;
+        self.profile
     }
 
     fn is_done(&self) -> bool {
@@ -741,8 +736,9 @@ impl<'a> DeviceQueryJob<'a> {
     /// result is the empty input's and the stage sizes come from the key
     /// ranges and the cached membership bitmaps (no device table was ever
     /// pinned).
-    pub fn finish(self) -> GpuRun {
+    pub fn finish(mut self) -> GpuRun {
         assert!(self.is_done(), "finished a job with rows remaining");
+        self.settle();
         let (d, q) = (self.d, self.q);
         let (result, tables) = match self.scan {
             Some(scan) => (scan.acc.to_result(q), scan.tables),
@@ -770,10 +766,11 @@ impl<'a> DeviceQueryJob<'a> {
             result_rows: self.result_rows,
             groups: result.rows(),
         };
-        GpuRun {
+        QueryProfile {
             result,
-            trace,
-            reports: self.reports,
+            trace: Some(trace),
+            device_segments_run: self.segments.len(),
+            ..self.profile
         }
     }
 }
@@ -838,7 +835,7 @@ mod tests {
         let probe = run.reports.last().unwrap();
         assert_eq!(
             probe.stats.scattered_atomics as usize,
-            run.trace.result_rows
+            run.trace.unwrap().result_rows
         );
     }
 
@@ -978,13 +975,15 @@ mod tests {
         for grant in [997usize, 4096, usize::MAX] {
             let mut g = Gpu::new(nvidia_v100());
             let mut s = DeviceSession::new(&mut g);
-            let mut job = DeviceQueryJob::admit(&mut s, &table, &q).unwrap();
+            let mut job = DeviceQueryJob::over(&table, &q);
+            job.admit(&mut s).unwrap();
             assert_eq!(job.remaining_rows(), table.live_rows(&q));
             while !job.step(&mut s, grant).unwrap() {}
             assert_eq!(job.rows_scanned(), table.live_rows(&q));
             let run = job.finish();
             assert_eq!(run.result, whole.result, "grant {grant} diverged");
             assert_eq!(run.trace, whole.trace, "grant {grant} trace diverged");
+            assert_eq!(run.shipped_bytes, whole.shipped_bytes, "grant {grant}");
         }
     }
 
@@ -1050,7 +1049,8 @@ mod tests {
         let mut gpu = Gpu::new(nvidia_v100());
         let mut sess = DeviceSession::new(&mut gpu);
         let table = FactTable::plain(&d);
-        let mut job = DeviceQueryJob::admit(&mut sess, &table, &q).unwrap();
+        let mut job = DeviceQueryJob::over(&table, &q);
+        job.admit(&mut sess).unwrap();
         let done = job.step(&mut sess, 2048).unwrap();
         assert!(!done, "2048 rows leave work behind");
         job.abandon(&mut sess);
@@ -1081,7 +1081,8 @@ mod tests {
         spec.mem_capacity = 2 * dims + 4 * shard0.cost(&cols).packed_bytes;
         let mut gpu = Gpu::new(spec);
         let mut sess = DeviceSession::with_budget(&mut gpu, usize::MAX);
-        let mut job = DeviceQueryJob::admit(&mut sess, &table, &q).unwrap();
+        let mut job = DeviceQueryJob::over(&table, &q);
+        job.admit(&mut sess).unwrap();
 
         // A second tenant pins shard 0's columns (pure cache hits) and
         // fills every remaining physical byte with scratch, so retiring

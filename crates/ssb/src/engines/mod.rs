@@ -7,6 +7,7 @@ pub mod gpu;
 pub mod hyper;
 pub mod monet;
 pub mod omnisci;
+pub mod profile;
 pub mod reference;
 
 use std::ops::Range;
@@ -470,6 +471,18 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
+    /// Adds the counts of `part`, the same query traced over other rows of
+    /// the same table; `groups` are those of the two results merged.
+    pub fn merge(&mut self, part: &QueryTrace, groups: usize) {
+        self.pred_survivors += part.pred_survivors;
+        for (mine, theirs) in self.stages.iter_mut().zip(&part.stages) {
+            mine.probes += theirs.probes;
+            mine.hits += theirs.hits;
+        }
+        self.result_rows += part.result_rows;
+        self.groups = groups;
+    }
+
     /// Cumulative selectivity before stage `i` (1.0 before the first).
     pub fn selectivity_before_stage(&self, i: usize) -> f64 {
         if self.fact_rows == 0 {
@@ -818,7 +831,7 @@ mod tests {
             assert_eq!(host.0, expected, "{}", q.name);
             assert_eq!(
                 (device.result, device.trace),
-                (expected, host.1),
+                (expected, Some(host.1)),
                 "{}",
                 q.name
             );
@@ -849,7 +862,7 @@ mod tests {
             let mut gpu = crystal_gpu_sim::Gpu::new(crystal_hardware::nvidia_v100());
             let mut sess = crystal_runtime::DeviceSession::new(&mut gpu);
             let device = gpu::execute(&mut sess, &table, &q).unwrap();
-            assert_eq!((device.result, device.trace), first, "{}", q.name);
+            assert_eq!((device.result, device.trace.unwrap()), first, "{}", q.name);
             let warm = d.dim_cache_stats();
             assert_eq!(warm.misses, cold.misses, "{} scanned again", q.name);
             let halves = q.joins.len() + q.group_attrs().len();
@@ -947,7 +960,12 @@ mod tests {
                 );
                 let run = gpu::execute(&mut sess, &table, q).unwrap();
                 within(q.name);
-                assert_eq!((run.result, &run.trace), (expected, &trace), "{}", q.name);
+                assert_eq!(
+                    (run.result, run.trace.as_ref()),
+                    (expected, Some(&trace)),
+                    "{}",
+                    q.name
+                );
                 per_query.push(trace);
             }
             let stats = d.dim_cache_stats();

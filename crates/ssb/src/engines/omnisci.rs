@@ -28,28 +28,15 @@ use std::rc::Rc;
 
 use crystal_gpu_sim::exec::LaunchConfig;
 use crystal_gpu_sim::mem::DeviceBuffer;
-use crystal_gpu_sim::stats::KernelReport;
 use crystal_runtime::{DeviceCol, DeviceSession};
 
 use crate::data::SsbData;
+use crate::engines::profile::QueryProfile;
 use crate::engines::{
     build_dim_table, dim_join_fingerprint, dim_table_bytes, groups_to_result, DimBuild,
 };
 use crate::plan::{FactCol, StarQuery};
 use crate::table::FactTable;
-use crate::QueryResult;
-
-/// Outcome of an Omnisci-style execution.
-pub struct OmnisciRun {
-    pub result: QueryResult,
-    pub reports: Vec<KernelReport>,
-}
-
-impl OmnisciRun {
-    pub fn sim_secs(&self) -> f64 {
-        self.reports.iter().map(|r| r.time.total_secs()).sum()
-    }
-}
 
 fn thread_per_row_cfg(n: usize) -> LaunchConfig {
     LaunchConfig {
@@ -61,8 +48,10 @@ fn thread_per_row_cfg(n: usize) -> LaunchConfig {
 }
 
 /// Executes one query operator-at-a-time through a (fresh or warm)
-/// session.
-pub fn execute(sess: &mut DeviceSession<'_>, d: &SsbData, q: &StarQuery) -> OmnisciRun {
+/// session. The profile charges what the session shipped, like the fused
+/// engine's; it carries no trace (the operators count no rows).
+pub fn execute(sess: &mut DeviceSession<'_>, d: &SsbData, q: &StarQuery) -> QueryProfile {
+    let mark = QueryProfile::mark(sess);
     let n = d.lineorder.rows();
     let mut reports = Vec::new();
 
@@ -202,10 +191,15 @@ pub fn execute(sess: &mut DeviceSession<'_>, d: &SsbData, q: &StarQuery) -> Omni
     drop(agg_cols);
     sess.trim();
 
-    OmnisciRun {
-        result: groups_to_result(q, &agg_host),
-        reports,
-    }
+    let mut profile = QueryProfile::empty(q);
+    profile.book(sess, mark);
+    profile
+        .time
+        .settle(reports.iter().map(|r| r.time.total_secs()).sum());
+    profile.result = groups_to_result(q, &agg_host);
+    profile.reports = reports;
+    profile.device_segments_run = 1;
+    profile
 }
 
 #[cfg(test)]

@@ -65,10 +65,12 @@ fn pipelined_grants_match_the_reference_for_random_queries() {
     queries.push(empty_result_query());
     for (i, q) in queries.iter().enumerate() {
         let expected = reference::execute(&d, q);
-        let mut job = DeviceQueryJob::admit(&mut sess, &plain, q).expect("plain admit");
+        let mut job = DeviceQueryJob::over(&plain, q);
+        job.admit(&mut sess).expect("plain admit");
         drive(&mut job, &mut sess, 777 + i * 131);
         assert_eq!(job.finish().result, expected, "plain query {i}");
-        let mut job = DeviceQueryJob::admit(&mut sess, &packed, q).expect("packed admit");
+        let mut job = DeviceQueryJob::over(&packed, q);
+        job.admit(&mut sess).expect("packed admit");
         drive(&mut job, &mut sess, 1009);
         assert_eq!(job.finish().result, expected, "packed query {i}");
     }
@@ -96,7 +98,8 @@ fn sharded_prefetch_pipeline_matches_the_reference() {
     queries.push(empty_result_query());
     for (i, q) in queries.iter().enumerate() {
         let expected = reference::execute(&d, q);
-        let mut job = DeviceQueryJob::admit(&mut sess, &sharded, q).expect("sharded admit");
+        let mut job = DeviceQueryJob::over(&sharded, q);
+        job.admit(&mut sess).expect("sharded admit");
         let mut grant = 513 + i * 97;
         loop {
             match job.step(&mut sess, grant) {
@@ -129,7 +132,8 @@ fn tight_staging_budget_stalls_prefetch_without_corruption() {
         };
         let mut results = Vec::new();
         for q in &queries {
-            let mut job = DeviceQueryJob::admit(&mut sess, &sharded, q).expect("admit");
+            let mut job = DeviceQueryJob::over(&sharded, q);
+            job.admit(&mut sess).expect("admit");
             loop {
                 match job.step(&mut sess, 2048) {
                     Ok(true) => break,
@@ -161,5 +165,93 @@ fn tight_staging_budget_stalls_prefetch_without_corruption() {
         "staging pressure lost PCIe traffic: {} < {}",
         tight.uploaded_bytes,
         generous.uploaded_bytes
+    );
+}
+
+/// What a cold query is charged against what the stream clocks realize.
+/// The charge `C` (`time.pipelined`, `CoprocessorTime::settle`: what a served
+/// query's device clock pays) prices the query's uploads as
+/// one batch per admission or grant, one latency each and a fixed-size first
+/// chunk; the copy stream queues every column as its own copy and gates the
+/// fused launch on the *last* one's first chunk. So the two are neither
+/// equal nor ordered — a multi-column upload the kernels cannot hide reads
+/// `S < C`, sub-chunk columns (the launch waits for all of them) `S > C` —
+/// and what holds exactly, for every query alone on a fresh device, is that
+/// both sit between the same bounds: at least the bandwidth term and the
+/// kernels, at most `time.serial`; hence `S - C <= min(rest of transfer,
+/// kernels)`.
+#[test]
+fn the_charge_and_the_stream_clocks_share_their_bounds_and_nothing_more() {
+    let d = data();
+    let packed = EncodedFact::encode(&d, &FactEncodings::packed_min(&d));
+    let pf = PartitionedFact::partition(&d, 8, &FactEncodings::plain());
+    let tables = [
+        FactTable::plain(&d),
+        FactTable::encoded(&d, &packed),
+        FactTable::sharded(&d, &pf),
+    ];
+    let (mut above, mut below) = (0, 0);
+    for table in &tables {
+        for q in crystal_ssb::all_queries(&d) {
+            let mut gpu = Gpu::new(nvidia_v100());
+            let mut sess = DeviceSession::new(&mut gpu);
+            let latency = sess.interconnect().latency_us * 1e-6;
+            let run = crystal_ssb::engines::gpu::execute(&mut sess, table, &q).unwrap();
+            let (t, stream, slack) = (run.time, run.makespan_secs, 1e-15);
+            let bandwidth_term = run.exec.dma_secs - run.exec.dma_transfers as f64 * latency;
+            let floor = bandwidth_term.max(t.exec);
+            assert_eq!(t.exec.to_bits(), run.sim_secs().to_bits(), "{}", q.name);
+            assert!(
+                floor <= stream + slack && stream <= t.serial + slack,
+                "{}",
+                q.name
+            );
+            assert!(
+                t.overlapped <= t.pipelined && t.pipelined <= t.serial,
+                "{}",
+                q.name
+            );
+            let rest = (t.transfer - t.ramp).min(t.exec);
+            assert!(stream - t.pipelined <= rest + slack, "{}", q.name);
+            above += usize::from(t.pipelined > stream);
+            below += usize::from(t.pipelined < stream);
+        }
+    }
+    assert!(
+        above > 0 && below > 0,
+        "charge above {above}, below {below}"
+    );
+}
+
+/// The session prices its uploads on the link it was opened on: through
+/// half the bandwidth a cold query's serialized DMA seconds keep their
+/// latencies and double their bandwidth term, and so does what it is
+/// charged for the transfer.
+#[test]
+fn halving_the_link_doubles_a_cold_querys_bandwidth_term() {
+    let d = data();
+    let table = FactTable::plain(&d);
+    let q = crystal_ssb::query(&d, crystal_ssb::QueryId::new(2, 1));
+    let gen3 = crystal_hardware::pcie_gen3();
+    let mut half = gen3.clone();
+    half.bandwidth /= 2.0;
+    let [fast, slow] = [&gen3, &half].map(|link| {
+        let mut gpu = Gpu::new(nvidia_v100());
+        let mut sess = DeviceSession::open(&mut gpu, None, link);
+        let run = crystal_ssb::engines::gpu::execute(&mut sess, &table, &q).unwrap();
+        let latency = link.latency_us * 1e-6;
+        (
+            run.exec.dma_secs - run.exec.dma_transfers as f64 * latency,
+            run.time.transfer - latency,
+            run.sim_secs(),
+        )
+    });
+    let doubled = |slow: f64, fast: f64| (slow / fast - 2.0).abs() < 1e-9;
+    assert!(doubled(slow.0, fast.0), "dma {} vs {}", slow.0, fast.0);
+    assert!(doubled(slow.1, fast.1), "charge {} vs {}", slow.1, fast.1);
+    assert_eq!(
+        slow.2.to_bits(),
+        fast.2.to_bits(),
+        "kernels do not see the link"
     );
 }

@@ -5,7 +5,7 @@
 
 use crystal_cpu::exec::MORSEL_SIZE;
 use crystal_gpu_sim::Gpu;
-use crystal_hardware::{intel_i7_6900, nvidia_v100, pcie_gen3};
+use crystal_hardware::{intel_i7_6900, nvidia_v100};
 use crystal_runtime::DeviceSession;
 use crystal_ssb::engines::{copro, gpu, reference};
 use crystal_ssb::exec::{self, HostQueryJob, PipelineMode};
@@ -52,7 +52,7 @@ impl Storage {
 #[test]
 fn every_query_over_every_shape_through_every_entry_point() {
     let s = Storage::new(SsbData::generate_scaled(1, 0.002, 13));
-    let (cpu, pcie) = (intel_i7_6900(), pcie_gen3());
+    let cpu = intel_i7_6900();
     // What the server grants a tenant per turn (`ServerConfig::default()`).
     let quantum = 4 * MORSEL_SIZE;
     let tables = s.tables();
@@ -81,32 +81,40 @@ fn every_query_over_every_shape_through_every_entry_point() {
             // ships packed ones; either way the parts merge to the whole.
             let mut device = Gpu::new(nvidia_v100());
             let mut sess = DeviceSession::new(&mut device);
-            let placed = copro::execute_placed(&mut sess, &pcie, &cpu, table, &q, 2);
-            let routed = placed.placement.split.device_shards.len();
+            let placed = copro::execute_placed(&mut sess, &cpu, table, &q, 2);
+            let routed = placed.placement.as_ref().unwrap().split.device_shards.len();
             assert_eq!(
                 placed.device_segments_run,
                 routed,
                 "{}",
                 at("a roomy device")
             );
-            assert_eq!(placed.result, expected.0, "{}", at("execute_placed, cold"));
+            assert!(!placed.host_fallback, "{}", at("a roomy device"));
+            // The parts' profiles merge to the whole table's rows and trace.
+            let got = (placed.result, placed.trace.unwrap());
+            assert_eq!(got, expected, "{}", at("execute_placed, cold"));
             drop(sess);
 
             let mut sess = DeviceSession::new(&mut device);
             for pass in ["cold", "warm"] {
                 let before = sess.stats().clone();
                 let run = gpu::execute(&mut sess, table, &q).unwrap();
-                let got = (run.result, run.trace);
-                assert_eq!(got, expected, "{}", at(&format!("gpu::execute, {pass}")));
-                let shipped = sess.stats().uploaded_since(&before);
+                // The profile's own account is the session's delta.
+                assert_eq!(run.session, sess.stats().since(&before), "{}", at(pass));
+                assert_eq!(run.shipped_bytes as u64, run.session.uploaded_bytes);
+                let shipped = run.shipped_bytes;
                 assert_eq!(shipped == 0, pass == "warm" || table.live(&q).is_empty());
+                let got = (run.result, run.trace.unwrap());
+                assert_eq!(got, expected, "{}", at(&format!("gpu::execute, {pass}")));
             }
 
             // Warm, it routes every live segment to the device.
-            let placed = copro::execute_placed(&mut sess, &pcie, &cpu, table, &q, 2);
+            let placed = copro::execute_placed(&mut sess, &cpu, table, &q, 2);
             assert_eq!(placed.device_segments_run, table.live(&q).len());
             assert_eq!(placed.shipped_bytes, 0, "{}", at("a warm session"));
-            assert_eq!(placed.result, expected.0, "{}", at("execute_placed, warm"));
+            assert_eq!(placed.host_secs.is_some(), table.live(&q).is_empty());
+            let got = (placed.result, placed.trace.unwrap());
+            assert_eq!(got, expected, "{}", at("execute_placed, warm"));
         }
     }
     // Pruning is what the sharded shapes add: a one-year predicate scans
@@ -133,17 +141,19 @@ fn the_plain_table_is_the_one_shard_table() {
         let runs = [&plain, &one_shard].map(|table| {
             let mut device = Gpu::new(nvidia_v100());
             let mut sess = DeviceSession::new(&mut device);
-            let mut job = gpu::DeviceQueryJob::admit(&mut sess, table, &q).unwrap();
+            let mut job = gpu::DeviceQueryJob::over(table, &q);
+            job.admit(&mut sess).unwrap();
             while !job.step(&mut sess, 4096).unwrap() {}
-            let (scanned, uploaded) = (job.rows_scanned(), job.uploaded_bytes());
+            let scanned = job.rows_scanned();
             let run = job.finish();
             let host = exec::execute(table, &q, 2, PipelineMode::Vectorized);
-            assert_eq!((&run.result, &run.trace), (&host.0, &host.1), "{}", q.name);
+            let traced = run.trace.unwrap();
+            assert_eq!((&run.result, &traced), (&host.0, &host.1), "{}", q.name);
             (
                 run.result,
-                run.trace,
+                traced,
                 scanned,
-                uploaded,
+                run.shipped_bytes,
                 table.live_rows(&q),
             )
         });

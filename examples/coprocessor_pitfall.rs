@@ -36,7 +36,7 @@ fn main() {
     // Coprocessor: 4 fact columns cross PCIe, overlapped with execution.
     let mut gpu = Gpu::new(nvidia_v100());
     let run = copro::execute_scaled(&mut gpu, &pcie, &data, &q, fact_scale).unwrap();
-    assert_eq!(run.gpu_run.result, cpu_result);
+    assert_eq!(run.result, cpu_result);
 
     // GPU-resident: the same kernels, data already in device memory.
     gpu.reset_l2();

@@ -1,6 +1,6 @@
 //! Quickstart: run a selection, a projection and a join on the simulated
-//! GPU with Crystal's tile-based kernels, and inspect the simulated
-//! timing reports.
+//! GPU with Crystal's tile-based kernels, inspect the simulated timing
+//! reports, then run a star-schema query and print what it cost.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
@@ -63,14 +63,22 @@ fn main() {
         sum.checksum, sum.matches, report
     );
 
-    // --- The simulated timeline -------------------------------------------
-    println!("\nsimulated kernel timeline:");
-    for r in gpu.reports() {
-        println!("  {r}");
-    }
-    println!(
-        "\ntotal simulated GPU time: {:.3} ms (host wall-clock is unrelated: \
-         the simulator executes functionally and models V100 timing)",
-        gpu.total_sim_secs() * 1e3
+    // --- A star-schema query, and what it cost ----------------------------
+    // SSB q2.1 over a 60k-row fact table through one session: cold it ships
+    // its four fact columns and builds three dimension tables; then the
+    // placement model, seeing them resident, routes it to the device, where
+    // it ships nothing. Every second is simulated (host wall-clock is
+    // unrelated: the simulator executes functionally and models V100
+    // timing).
+    let d = ssb::SsbData::generate_scaled(1, 0.01, 42);
+    let (table, q) = (
+        ssb::FactTable::plain(&d),
+        ssb::query(&d, ssb::QueryId::new(2, 1)),
     );
+    let mut sess = DeviceSession::new(&mut gpu);
+    let cold = ssb::engines::gpu::execute(&mut sess, &table, &q).expect("60k rows fit a V100");
+    println!("\n{}, cold: {}\n{cold}", q.name, cold.result);
+    let warm = ssb::engines::copro::execute_placed(&mut sess, &intel_i7_6900(), &table, &q, 2);
+    assert_eq!(warm.result, cold.result);
+    println!("{}, placed over the warm session:\n{warm}", q.name);
 }

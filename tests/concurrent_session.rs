@@ -49,6 +49,10 @@ fn interleaved_tenants_match_serial_replay_byte_identically() {
             assert_eq!(*got[i], *ser[i], "tenant {t} query {i} vs serial");
         }
     }
+    // The serial replay is the contention band's denominator: its clock
+    // as pinned at commit 0228902, before it became a fold over
+    // `copro::execute_placed` profiles.
+    assert_eq!(serial.makespan_secs.to_bits(), 0x3f1d33ac98ef5fe3);
     // The whole point of sharing the session: tenants draw from one
     // catalogue, so the concurrent run re-uses residency across them.
     assert!(conc.stats.col_hits > 0, "no cross-tenant cache sharing");
@@ -135,4 +139,7 @@ fn serial_replay_matches_the_oracle_on_the_full_suite() {
     for (i, q) in stream.iter().enumerate() {
         assert_eq!(*got[i], reference::execute(&d, q), "{}", q.name);
     }
+    // Pinned at commit 0228902 like the interleaved replay's above.
+    assert_eq!(report.makespan_secs.to_bits(), 0x3f0b8a3ab5b1e1b8);
+    assert_eq!(report.host_busy_secs.to_bits(), 0x3f0b8a3ab5b1e1b8);
 }

@@ -70,13 +70,14 @@ fn gpu_and_cpu_traces_agree_on_selectivities() {
     for q in all_queries(&d) {
         let (_, cpu_trace) = cpu::execute(&d, &q, 4);
         let run = gpu::execute(&mut DeviceSession::new(&mut device), &table, &q).unwrap();
+        let gpu_trace = run.trace.expect("the fused engine counts its rows");
         assert_eq!(
-            cpu_trace.pred_survivors, run.trace.pred_survivors,
+            cpu_trace.pred_survivors, gpu_trace.pred_survivors,
             "{}",
             q.name
         );
-        assert_eq!(cpu_trace.result_rows, run.trace.result_rows, "{}", q.name);
-        for (a, b) in cpu_trace.stages.iter().zip(&run.trace.stages) {
+        assert_eq!(cpu_trace.result_rows, gpu_trace.result_rows, "{}", q.name);
+        for (a, b) in cpu_trace.stages.iter().zip(&gpu_trace.stages) {
             assert_eq!(a.probes, b.probes, "{}: stage probes", q.name);
             assert_eq!(a.hits, b.hits, "{}: stage hits", q.name);
         }

@@ -26,6 +26,7 @@ use crystal::hardware::{intel_i7_6900, nvidia_v100, pcie_gen3, PcieSpec};
 use crystal::runtime::DeviceSession;
 use crystal::ssb::arbitrary::random_star_query;
 use crystal::ssb::encoding::{random_encodings, EncodedFact};
+use crystal::ssb::engines::profile::QueryProfile;
 use crystal::ssb::engines::{copro, cpu, hyper, reference};
 use crystal::ssb::exec::{self, PipelineMode, Schedule};
 use crystal::ssb::plan::StarQuery;
@@ -59,9 +60,9 @@ fn placed_cold(
     link: &PcieSpec,
     table: &FactTable<'_>,
     q: &StarQuery,
-) -> copro::PlacedRun {
-    let cold = &mut DeviceSession::new(gpu);
-    copro::execute_placed(cold, link, &intel_i7_6900(), table, q, 4)
+) -> QueryProfile {
+    let cold = &mut DeviceSession::open(gpu, None, link);
+    copro::execute_placed(cold, &intel_i7_6900(), table, q, 4)
 }
 
 #[test]
@@ -115,7 +116,7 @@ fn random_queries_agree_across_all_engines() {
 
         let placed = placed_cold(&mut gpu, &pcie, &plain, &q);
         assert_eq!(
-            placed.placement.decision.placement,
+            placed.decision().unwrap().placement,
             copro::Placement::Host,
             "seed {qseed}: PCIe routing must stay host-side"
         );
@@ -128,7 +129,7 @@ fn random_queries_agree_across_all_engines() {
             gpu.reset_l2();
             let dev = placed_cold(&mut gpu, &fast_link, &plain, &q);
             assert_eq!(
-                dev.placement.decision.placement,
+                dev.decision().unwrap().placement,
                 copro::Placement::Coprocessor,
                 "seed {qseed}"
             );
@@ -142,7 +143,7 @@ fn random_queries_agree_across_all_engines() {
             gpu.reset_l2();
             let dev_enc = placed_cold(&mut gpu, &fast_link, &encoded, &q);
             assert_eq!(
-                dev_enc.placement.decision.placement,
+                dev_enc.decision().unwrap().placement,
                 copro::Placement::Coprocessor,
                 "seed {qseed}"
             );

@@ -6,7 +6,7 @@
 //! `Groups([])`, or emitting zero-sum groups).
 
 use crystal::gpu_sim::Gpu;
-use crystal::hardware::{nvidia_v100, pcie_gen3};
+use crystal::hardware::{intel_i7_6900, nvidia_v100};
 use crystal::runtime::DeviceSession;
 use crystal::ssb::engines::{copro, cpu, gpu, hyper, monet, omnisci, reference};
 use crystal::ssb::plan::DimAttr;
@@ -59,12 +59,8 @@ fn assert_all_engines(d: &SsbData, q: &StarQuery, expected: &QueryResult) {
 
     device.reset_l2();
     let mut cold = DeviceSession::new(&mut device);
-    let co = copro::execute(&mut cold, &pcie_gen3(), &table, q).unwrap();
-    assert_eq!(
-        &co.gpu_run.result, expected,
-        "{}: coprocessor engine",
-        q.name
-    );
+    let co = copro::execute_placed(&mut cold, &intel_i7_6900(), &table, q, 4);
+    assert_eq!(&co.result, expected, "{}: placed execution", q.name);
 }
 
 #[test]
