@@ -477,11 +477,9 @@ pub fn skew(cfg: &Config, _smoke: bool) -> Vec<Check> {
         let dpv = gpu.alloc_from(&pv);
         let (_, _) = hash_join_sum(&mut gpu, &dpk, &dpv, &ght); // warmup
         gpu.take_reports();
-        let before_hits = gpu.l2_hit_ratio();
-        let _ = before_hits;
         let (_, r) = hash_join_sum(&mut gpu, &dpk, &dpv, &ght);
-        let hit = 1.0
-            - r.stats.gather_miss_bytes as f64 / (r.stats.random_requests as f64 * 128.0).max(1.0);
+        let requested = r.stats.random_requests as f64 * gpu.spec().cache_line as f64;
+        let hit = 1.0 - r.stats.gather_miss_bytes as f64 / requested.max(1.0);
         report.row(vec![
             label.into(),
             ms(scale_kernel(&r, scale)),

@@ -49,10 +49,8 @@
 
 use std::hint::black_box;
 
-use crystal_gpu_sim::Gpu;
 use crystal_hardware::{table2_profile, HardwareProfile};
 use crystal_models::calibration::{BoundsSource, CalKey, CalibrationStore, EncodingClass, OpKind};
-use crystal_runtime::DeviceSession;
 use crystal_ssb::encoding::{EncodedFact, FactEncodings};
 use crystal_ssb::engines::copro;
 use crystal_ssb::engines::profile::QueryProfile;
@@ -162,9 +160,6 @@ pub fn replay(
     model: &HardwareProfile,
 ) -> ReplayOutcome {
     let mut store = CalibrationStore::default();
-    // Every query is placed as if nothing were resident.
-    let mut device = Gpu::new(model.gpu.clone());
-    let cold = DeviceSession::new(&mut device);
     let mut out = ReplayOutcome {
         total_secs: 0.0,
         device_queries: 0,
@@ -175,9 +170,10 @@ pub fn replay(
             let on_device = match routing {
                 Routing::Oracle => c.device.time.overlapped < c.host_secs,
                 Routing::Static | Routing::Calibrated => {
+                    // Every query is placed as if nothing were resident.
                     let dec = copro::choose_placement(
                         (routing == Routing::Calibrated).then_some(&store),
-                        &cold,
+                        &|_| 0,
                         table,
                         q,
                         &model.cpu,

@@ -181,10 +181,11 @@ pub fn replay_engines<'q>(
 ) -> Replay {
     let d = table.data();
     let one = |sess: &mut DeviceSession<'_>, engine: Engine, q: &StarQuery| {
-        let placed = copro::choose_placement(None, sess, table, q, &hw.cpu, &hw.gpu, &hw.pcie);
+        let resident = &|keys: &[_]| sess.resident_bytes(keys);
+        let placed = copro::choose_placement(None, resident, table, q, &hw.cpu, &hw.gpu, &hw.pcie);
         let ran = match engine {
             Engine::Fused => gpu::execute(sess, table, q),
-            Engine::PerOperator => Ok(omnisci::execute(sess, d, q)),
+            Engine::PerOperator => omnisci::execute(sess, d, q),
         };
         let run = ran.unwrap_or_else(|_| {
             let (result, trace) = exec::execute(table, q, 1, PipelineMode::Vectorized);

@@ -8,11 +8,12 @@
 //! — structurally unable to exercise that claim. This crate provides the
 //! shared residency layer that fixes it:
 //!
-//! * [`session::DeviceSession`] — a device buffer manager that caches
-//!   uploaded fact columns (plain *and* bit-packed, keyed by column id +
-//!   [`crystal_storage::encoding::Encoding`]) and memoizes built
-//!   [`crystal_core::hash::DeviceHashTable`]s, with cost-aware LRU
-//!   eviction (GreedyDual-Size) under the device's memory budget.
+//! * [`session::DeviceSession`] — one device cache of uploaded fact columns
+//!   (plain *and* bit-packed, keyed by dataset, column id and
+//!   [`crystal_storage::encoding::Encoding`]) and built
+//!   [`crystal_core::hash::DeviceHashTable`]s: one entry list, one
+//!   cost-aware victim order (GreedyDual-Size) under the device's memory
+//!   budget.
 //! * [`session::DeviceCol`] — the either-plain-or-packed device column the
 //!   engines' tile loads dispatch over.
 //!

@@ -1,40 +1,57 @@
-//! The [`DeviceSession`]: a device buffer manager with column caching and
-//! hash-table memoization.
+//! The [`DeviceSession`]: one device cache for uploaded fact columns and
+//! built hash tables.
 //!
 //! A session wraps a [`Gpu`] for the duration of a query stream. Engines
-//! request fact columns through [`DeviceSession::column`] and dimension
-//! hash tables through [`DeviceSession::hash_table`]; the first request
+//! request fact columns through [`DeviceSession::try_column`] and dimension
+//! hash tables through [`DeviceSession::try_hash_table`]; the first request
 //! uploads (or builds) and caches, later requests hit the cache and cost
-//! nothing — no PCIe transfer, no build kernel. Cached entries are evicted
-//! under memory pressure with a cost-aware LRU policy (GreedyDual-Size):
-//! each entry carries the simulated seconds it would take to recreate
-//! (PCIe transfer time for columns, build-kernel time for hash tables),
-//! and the victim is the entry with the lowest
-//! `last-use-priority + recreate-cost / bytes` — so a cheap, stale column
-//! is dropped before an expensive, equally stale hash table.
+//! nothing — no PCIe transfer, no build kernel.
+//!
+//! ## One entry list, one victim order
+//!
+//! Columns and tables live in **one** list of entries, keyed by which of
+//! the two they are, and share every step of the cache's life: one hit
+//! path (`touch`), one `insert`, one `pin`, one victim selection, one
+//! release. Each entry carries the simulated seconds it would take to
+//! recreate (PCIe transfer time for a column, build-kernel time for a
+//! table) and its GreedyDual-Size priority `h = L + cost / bytes`, where
+//! `L` is the inflation value at its last use; the victim under memory
+//! pressure is the evictable entry lowest in the one order `(h, last_use)`
+//! — so a cheap, stale column is dropped before an expensive, equally stale
+//! hash table, and `last_use` (unique per touch) makes the order strict.
+//!
+//! Only what genuinely differs stays per kind, in the two miss paths: a
+//! column miss allocates and uploads (retrying after each eviction), prices
+//! itself on the session's link and records the DMA and its copy events; a
+//! table miss frees `2 x estimated_bytes` of device headroom *before* it
+//! runs the caller's build closure, because the closure allocates
+//! infallibly, and prices itself at the build kernel's simulated seconds.
 //!
 //! ## Pinning
 //!
 //! Two mechanisms keep an in-use entry out of the evictor's reach:
 //!
-//! * **Rc pinning** — entries are handed out as [`Rc`] clones; an entry
-//!   whose `Rc` is still held is never evicted. This covers the classic
+//! * **`Rc` holds** — entries are handed out as [`Rc`] clones; an entry
+//!   whose `Rc` is still held is never evicted. This covers the
 //!   run-to-completion engines, which hold their clones for the duration
-//!   of one `execute_*` call.
-//! * **Per-query pin ledgers** — a concurrent frontend interleaving many
-//!   queries registers each query with [`DeviceSession::begin_query`] and
-//!   acquires its working set through [`DeviceSession::pin_column`] /
+//!   of one `execute` call.
+//! * **Ledger pins** — a concurrent frontend interleaving many queries
+//!   registers each query with [`DeviceSession::begin_query`] and acquires
+//!   its working set through [`DeviceSession::pin_column`] /
 //!   [`DeviceSession::pin_hash_table`]. The entry stays pinned until the
 //!   matching [`DeviceSession::end_query`], *independent of any `Rc`
 //!   clones*, so a yielded query that holds no live borrow still cannot
-//!   lose its working set to a competing tenant. Eviction then arbitrates
-//!   only between unpinned (cold) entries; when every cached byte is
-//!   pinned, the fallible `try_*` APIs return a typed [`SessionOom`]
-//!   instead of panicking — the signal an admission controller uses to
-//!   defer a query instead of crashing the server.
+//!   lose its working set to a competing tenant.
 //!
-//! Dropping the session frees every unpinned cached buffer, so a
-//! transient one-query-per-session use is exactly the old
+//! Eviction arbitrates only between entries neither mechanism protects;
+//! when every cached byte is protected, a request returns a typed
+//! [`SessionOom`] instead of panicking — the signal an admission controller
+//! uses to defer a query instead of crashing the server. Every request is
+//! fallible that way; [`DeviceSession::column`] alone keeps a panicking
+//! form, because the benchmark harness pins it.
+//!
+//! Dropping the session frees every unprotected cached buffer, so a
+//! transient one-query-per-session use is exactly the
 //! upload/execute/free lifecycle. A clone that escapes the session's
 //! lifetime keeps its entry's device bytes charged against the [`Gpu`]
 //! forever (there is no safe point to free them); engines therefore drop
@@ -99,8 +116,8 @@ impl ColumnKey {
 /// Typed out-of-memory error: the session could not satisfy a request
 /// because everything evictable is already gone — every remaining cached
 /// byte is pinned by an in-flight query (or the request simply exceeds
-/// the device). Returned by the fallible `try_*` APIs; an admission
-/// controller treats it as "defer this query until a tenant finishes".
+/// the device). Returned by every request; an admission controller treats
+/// it as "defer this query until a tenant finishes".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionOom {
     /// Bytes the failed request needed.
@@ -131,13 +148,6 @@ impl std::error::Error for SessionOom {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct QueryId(u64);
 
-/// What a ledger entry pins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PinRef {
-    Col(ColumnKey),
-    Table(u64),
-}
-
 /// A fact column resident on the device in either physical format.
 #[derive(Debug)]
 pub enum DeviceCol {
@@ -148,14 +158,6 @@ pub enum DeviceCol {
 }
 
 impl DeviceCol {
-    /// Device bytes the column occupies.
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            DeviceCol::Plain(b) => b.size_bytes(),
-            DeviceCol::Packed(p) => p.size_bytes(),
-        }
-    }
-
     /// The plain buffer; panics on a packed column (for engines that only
     /// request plain uploads).
     pub fn plain(&self) -> &DeviceBuffer<i32> {
@@ -292,9 +294,23 @@ impl std::ops::AddAssign<&SessionStats> for SessionStats {
     }
 }
 
+/// What a cache entry — and a ledger pin on it — is keyed by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CacheKey {
+    Col(ColumnKey),
+    Table(u64),
+}
+
+/// The cached resource of either kind, as the `Rc` handed out on a hit.
+#[derive(Clone)]
+enum Resource {
+    Col(Rc<DeviceCol>),
+    Table(Rc<DeviceHashTable>),
+}
+
 /// One cached resource plus its GreedyDual-Size bookkeeping.
-struct Entry<T> {
-    res: Rc<T>,
+struct Entry {
+    res: Resource,
     bytes: usize,
     /// Simulated seconds to recreate the entry on a future miss.
     cost: f64,
@@ -309,16 +325,21 @@ struct Entry<T> {
     pins: u32,
 }
 
-impl<T> Entry<T> {
-    /// An entry may be evicted only when no query ledger pins it *and* no
-    /// handed-out `Rc` clone is alive — the `Rc::try_unwrap` in the
-    /// evictor then cannot fail, so there is no panic path.
-    fn evictable(&self) -> bool {
-        self.pins == 0 && Rc::strong_count(&self.res) == 1
+impl Entry {
+    /// GreedyDual-Size priority of an entry used at inflation `clock`.
+    fn priority(clock: f64, cost: f64, bytes: usize) -> f64 {
+        clock + cost / bytes.max(1) as f64
     }
 
-    fn pinned(&self) -> bool {
-        !self.evictable()
+    /// An entry may be evicted only when no query ledger pins it *and* no
+    /// handed-out `Rc` clone is alive — the cache's own `Rc` is then the
+    /// last, which is what lets `release` take the resource back.
+    fn evictable(&self) -> bool {
+        let holders = match &self.res {
+            Resource::Col(rc) => Rc::strong_count(rc),
+            Resource::Table(rc) => Rc::strong_count(rc),
+        };
+        self.pins == 0 && holders == 1
     }
 }
 
@@ -332,14 +353,12 @@ pub struct DeviceSession<'g> {
     clock: f64,
     /// Monotonic request counter feeding `Entry::last_use`.
     seq: u64,
-    // Vecs, not HashMaps: entry counts are tens at most, linear lookup is
-    // cheap, and eviction order stays deterministic (ties break by
-    // insertion order).
-    cols: Vec<(ColumnKey, Entry<DeviceCol>)>,
-    tables: Vec<(u64, Entry<DeviceHashTable>)>,
+    // A Vec, not a HashMap: entry counts are tens at most, linear lookup is
+    // cheap, and iteration order stays deterministic.
+    entries: Vec<(CacheKey, Entry)>,
     /// Per-query pin ledgers: what each in-flight query holds, unwound as
     /// one unit by `end_query`.
-    ledger: Vec<(u64, Vec<PinRef>)>,
+    ledger: Vec<(u64, Vec<CacheKey>)>,
     next_query: u64,
     stats: SessionStats,
     /// Copy-stream events of uploads recorded since the last
@@ -358,27 +377,14 @@ impl<'g> DeviceSession<'g> {
     /// ([`Self::DEFAULT_BUDGET_FRACTION`] of the device's capacity) on a
     /// PCIe Gen3 interconnect ([`Self::open`] for another).
     pub fn new(gpu: &'g mut Gpu) -> Self {
-        let budget = (gpu.spec().mem_capacity as f64 * Self::DEFAULT_BUDGET_FRACTION) as usize;
-        Self::with_budget(gpu, budget)
+        Self::open(gpu, None, &pcie_gen3())
     }
 
-    /// A session whose cache may hold at most `budget` bytes (scratch
-    /// allocations live outside the budget but inside the device's
-    /// capacity).
+    /// A session on PCIe Gen3 whose cache may hold at most `budget` bytes
+    /// (scratch allocations live outside the budget but inside the
+    /// device's capacity).
     pub fn with_budget(gpu: &'g mut Gpu, budget: usize) -> Self {
-        DeviceSession {
-            gpu,
-            pcie: pcie_gen3(),
-            budget,
-            clock: 0.0,
-            seq: 0,
-            cols: Vec::new(),
-            tables: Vec::new(),
-            ledger: Vec::new(),
-            next_query: 0,
-            stats: SessionStats::default(),
-            pending_copy: None,
-        }
+        Self::open(gpu, Some(budget), &pcie_gen3())
     }
 
     /// A session for a machine described by parts: its cache capped at
@@ -389,12 +395,19 @@ impl<'g> DeviceSession<'g> {
     /// [`Self::new`] and [`Self::with_budget`] are on PCIe Gen3; whoever
     /// opens a session for another machine says so here.
     pub fn open(gpu: &'g mut Gpu, budget: Option<usize>, pcie: &PcieSpec) -> Self {
-        let mut sess = match budget {
-            Some(bytes) => Self::with_budget(gpu, bytes),
-            None => Self::new(gpu),
-        };
-        sess.pcie = pcie.clone();
-        sess
+        let default = gpu.spec().mem_capacity as f64 * Self::DEFAULT_BUDGET_FRACTION;
+        DeviceSession {
+            gpu,
+            pcie: pcie.clone(),
+            budget: budget.unwrap_or(default as usize),
+            clock: 0.0,
+            seq: 0,
+            entries: Vec::new(),
+            ledger: Vec::new(),
+            next_query: 0,
+            stats: SessionStats::default(),
+            pending_copy: None,
+        }
     }
 
     /// The link the session's uploads cross.
@@ -428,45 +441,34 @@ impl<'g> DeviceSession<'g> {
         &self.stats
     }
 
+    fn entry(&self, key: CacheKey) -> Option<&Entry> {
+        self.entries.iter().find(|(k, _)| *k == key).map(|(_, e)| e)
+    }
+
+    fn entry_mut(&mut self, key: CacheKey) -> Option<&mut Entry> {
+        let found = self.entries.iter_mut().find(|(k, _)| *k == key);
+        found.map(|(_, e)| e)
+    }
+
     /// Bytes of `keys` already resident in the cache — the term the
     /// residency-aware placement model subtracts from a query's transfer
     /// volume.
     pub fn resident_bytes(&self, keys: &[ColumnKey]) -> usize {
-        keys.iter()
-            .map(|k| {
-                self.cols
-                    .iter()
-                    .find(|(key, _)| key == k)
-                    .map_or(0, |(_, e)| e.bytes)
-            })
-            .sum()
+        let bytes = |k: &ColumnKey| self.entry(CacheKey::Col(*k)).map_or(0, |e| e.bytes);
+        keys.iter().map(bytes).sum()
     }
 
     /// Whether a column is currently resident.
     pub fn is_resident(&self, key: ColumnKey) -> bool {
-        self.cols.iter().any(|(k, _)| *k == key)
+        self.entry(CacheKey::Col(key)).is_some()
     }
 
     /// Cached bytes currently pinned — by a query ledger or by a live
     /// `Rc` clone. An admission controller compares
     /// `budget - pinned_bytes` against a query's estimated working set.
     pub fn pinned_bytes(&self) -> usize {
-        self.cols
-            .iter()
-            .filter(|(_, e)| e.pinned())
-            .map(|(_, e)| e.bytes)
-            .sum::<usize>()
-            + self
-                .tables
-                .iter()
-                .filter(|(_, e)| e.pinned())
-                .map(|(_, e)| e.bytes)
-                .sum::<usize>()
-    }
-
-    /// Number of queries with open pin ledgers.
-    pub fn queries_in_flight(&self) -> usize {
-        self.ledger.len()
+        let pinned = self.entries.iter().filter(|(_, e)| !e.evictable());
+        pinned.map(|(_, e)| e.bytes).sum()
     }
 
     // ---- per-query pin ledger ----
@@ -485,32 +487,25 @@ impl<'g> DeviceSession<'g> {
     /// the cache back within budget. Idempotent on unknown ids.
     pub fn end_query(&mut self, q: QueryId) {
         if let Some(i) = self.ledger.iter().position(|(id, _)| *id == q.0) {
-            let (_, pins) = self.ledger.remove(i);
-            for p in pins {
-                match p {
-                    PinRef::Col(key) => {
-                        if let Some((_, e)) = self.cols.iter_mut().find(|(k, _)| *k == key) {
-                            e.pins -= 1;
-                        }
-                    }
-                    PinRef::Table(key) => {
-                        if let Some((_, e)) = self.tables.iter_mut().find(|(k, _)| *k == key) {
-                            e.pins -= 1;
-                        }
-                    }
+            for key in self.ledger.remove(i).1 {
+                if let Some(e) = self.entry_mut(key) {
+                    e.pins -= 1;
                 }
             }
         }
         self.trim();
     }
 
-    fn record_pin(&mut self, q: QueryId, r: PinRef) {
-        let entry = self
-            .ledger
-            .iter_mut()
-            .find(|(id, _)| *id == q.0)
-            .expect("pin under a query id that was never begun (or already ended)");
-        entry.1.push(r);
+    /// The one pin: `key`'s entry under query `q`'s ledger until
+    /// `end_query`, whatever its kind.
+    fn pin(&mut self, q: QueryId, key: CacheKey) {
+        if let Some(e) = self.entry_mut(key) {
+            e.pins += 1;
+        }
+        let ledger = self.ledger.iter_mut().find(|(id, _)| *id == q.0);
+        let (_, held) =
+            ledger.expect("pin under a query id that was never begun (or already ended)");
+        held.push(key);
     }
 
     /// Like [`DeviceSession::try_column`], but additionally pins the entry
@@ -522,10 +517,7 @@ impl<'g> DeviceSession<'g> {
         host: HostCol<'_>,
     ) -> Result<Rc<DeviceCol>, SessionOom> {
         let rc = self.try_column(key, host)?;
-        if let Some((_, e)) = self.cols.iter_mut().find(|(k, _)| *k == key) {
-            e.pins += 1;
-        }
-        self.record_pin(q, PinRef::Col(key));
+        self.pin(q, CacheKey::Col(key));
         Ok(rc)
     }
 
@@ -542,26 +534,8 @@ impl<'g> DeviceSession<'g> {
         F: FnOnce(&mut Gpu) -> (DeviceHashTable, KernelReport),
     {
         let out = self.try_hash_table(key, estimated_bytes, build)?;
-        if let Some((_, e)) = self.tables.iter_mut().find(|(k, _)| *k == key) {
-            e.pins += 1;
-        }
-        self.record_pin(q, PinRef::Table(key));
+        self.pin(q, CacheKey::Table(key));
         Ok(out)
-    }
-
-    /// Stages a column for a *future* query without handing out a borrow:
-    /// uploads (on a miss) and pins the entry under `q`'s ledger, dropping
-    /// the `Rc` immediately. The double-buffering sharded job uses this to
-    /// ship shard *k+1*'s columns on the copy stream while shard *k*'s
-    /// kernel runs; the later real `pin_column` under the consuming query
-    /// then hits the warm entry without touching the link.
-    pub fn prefetch_column(
-        &mut self,
-        q: QueryId,
-        key: ColumnKey,
-        host: HostCol<'_>,
-    ) -> Result<(), SessionOom> {
-        self.pin_column(q, key, host).map(drop)
     }
 
     /// Drains the copy-stream events accumulated by uploads since the last
@@ -573,34 +547,52 @@ impl<'g> DeviceSession<'g> {
 
     // ---- cache access ----
 
-    /// Returns the device-resident column for `key`, uploading from `host`
-    /// on a miss (evicting colder entries first if the budget requires).
-    /// The returned [`Rc`] pins the entry against eviction while held.
-    ///
-    /// Panics if the device cannot fit the upload even after evicting
-    /// everything unpinned; concurrent frontends use
-    /// [`DeviceSession::try_column`] / [`DeviceSession::pin_column`] and
-    /// handle the typed error instead.
+    /// The one hit path: `key`'s resource, its entry's priority and last
+    /// use refreshed; `None` on a miss.
+    fn touch(&mut self, key: CacheKey) -> Option<Resource> {
+        let (clock, now) = (self.clock, self.seq + 1);
+        let e = self.entry_mut(key)?;
+        (e.h, e.last_use) = (Entry::priority(clock, e.cost, e.bytes), now);
+        let res = e.res.clone();
+        self.seq = now;
+        Some(res)
+    }
+
+    /// The one insert: a fresh, unpinned entry, used now.
+    fn insert(&mut self, key: CacheKey, res: Resource, bytes: usize, cost: f64) {
+        self.stats.cached_bytes += bytes;
+        self.seq += 1;
+        let entry = Entry {
+            res,
+            bytes,
+            cost,
+            h: Entry::priority(self.clock, cost, bytes),
+            last_use: self.seq,
+            pins: 0,
+        };
+        self.entries.push((key, entry));
+    }
+
+    /// The panicking form of [`DeviceSession::try_column`], kept because
+    /// the benchmark harness pins it: panics if the device cannot fit the
+    /// upload even after evicting everything unpinned.
     pub fn column(&mut self, key: ColumnKey, host: HostCol<'_>) -> Rc<DeviceCol> {
         self.try_column(key, host).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible twin of [`DeviceSession::column`]: returns a typed
-    /// [`SessionOom`] when the upload cannot fit because everything left
-    /// on the device is pinned.
+    /// Returns the device-resident column for `key`, uploading from `host`
+    /// on a miss (evicting colder entries first if the budget requires).
+    /// The returned [`Rc`] protects the entry from eviction while held.
+    /// A typed [`SessionOom`] when the upload cannot fit because
+    /// everything left on the device is pinned.
     pub fn try_column(
         &mut self,
         key: ColumnKey,
         host: HostCol<'_>,
     ) -> Result<Rc<DeviceCol>, SessionOom> {
-        if let Some(i) = self.cols.iter().position(|(k, _)| *k == key) {
+        if let Some(Resource::Col(col)) = self.touch(CacheKey::Col(key)) {
             self.stats.col_hits += 1;
-            self.seq += 1;
-            let (clock, seq) = (self.clock, self.seq);
-            let e = &mut self.cols[i].1;
-            e.h = clock + e.cost / e.bytes.max(1) as f64;
-            e.last_use = seq;
-            return Ok(Rc::clone(&e.res));
+            return Ok(col);
         }
         let bytes = host.size_bytes();
         self.make_room(bytes);
@@ -612,17 +604,13 @@ impl<'g> DeviceSession<'g> {
                 }
             };
             match attempt {
-                Ok(c) => break c,
-                Err(_) => {
-                    if !self.evict_one() {
-                        return Err(self.oom(bytes));
-                    }
-                }
+                Ok(c) => break Rc::new(c),
+                Err(_) if self.evict_one() => {}
+                Err(_) => return Err(self.oom(bytes)),
             }
         };
         self.stats.col_misses += 1;
         self.stats.uploaded_bytes += bytes as u64;
-        self.stats.cached_bytes += bytes;
         let cost = self.pcie.transfer_secs(bytes);
         let ev = self.gpu.record_dma(
             self.pcie.chunk_ramp_secs(bytes),
@@ -633,41 +621,19 @@ impl<'g> DeviceSession<'g> {
             Some(p) => p.merge(ev),
             None => self.pending_copy = Some(ev),
         }
-        self.seq += 1;
-        let entry = Entry {
-            res: Rc::new(col),
+        self.insert(
+            CacheKey::Col(key),
+            Resource::Col(Rc::clone(&col)),
             bytes,
             cost,
-            h: self.clock + cost / bytes.max(1) as f64,
-            last_use: self.seq,
-            pins: 0,
-        };
-        self.cols.push((key, entry));
-        Ok(Rc::clone(&self.cols.last().unwrap().1.res))
+        );
+        Ok(col)
     }
 
     /// Returns the memoized hash table for `key`, running `build` on a
     /// miss. `estimated_bytes` sizes the pre-build eviction pass (for a
     /// perfect-hash dimension table this is `8 * key_range`); the report of
-    /// the build kernel is returned only when it actually ran.
-    ///
-    /// Panics when the build-side headroom cannot be freed; concurrent
-    /// frontends use [`DeviceSession::try_hash_table`] /
-    /// [`DeviceSession::pin_hash_table`] instead.
-    pub fn hash_table<F>(
-        &mut self,
-        key: u64,
-        estimated_bytes: usize,
-        build: F,
-    ) -> (Rc<DeviceHashTable>, Option<KernelReport>)
-    where
-        F: FnOnce(&mut Gpu) -> (DeviceHashTable, KernelReport),
-    {
-        self.try_hash_table(key, estimated_bytes, build)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`DeviceSession::hash_table`]: returns a typed
+    /// the build kernel is returned only when it actually ran. A typed
     /// [`SessionOom`] when the build's headroom (slot array plus staging,
     /// `2 * estimated_bytes`) cannot be freed by evicting everything
     /// unpinned.
@@ -680,14 +646,9 @@ impl<'g> DeviceSession<'g> {
     where
         F: FnOnce(&mut Gpu) -> (DeviceHashTable, KernelReport),
     {
-        if let Some(i) = self.tables.iter().position(|(k, _)| *k == key) {
+        if let Some(Resource::Table(ht)) = self.touch(CacheKey::Table(key)) {
             self.stats.ht_hits += 1;
-            self.seq += 1;
-            let (clock, seq) = (self.clock, self.seq);
-            let e = &mut self.tables[i].1;
-            e.h = clock + e.cost / e.bytes.max(1) as f64;
-            e.last_use = seq;
-            return Ok((Rc::clone(&e.res), None));
+            return Ok((ht, None));
         }
         self.make_room(estimated_bytes);
         // The build needs device headroom beyond the cache budget: the
@@ -697,32 +658,26 @@ impl<'g> DeviceSession<'g> {
         // cannot OOM: the closure allocates infallibly, so a build that
         // cannot be given its full headroom is refused with the typed
         // error here rather than started and left to panic halfway.
-        while self.gpu.spec().mem_capacity - self.gpu.mem_used() < 2 * estimated_bytes {
+        while self.device_free_bytes() < 2 * estimated_bytes {
             if !self.evict_one() {
                 return Err(self.oom(2 * estimated_bytes));
             }
         }
         let (ht, report) = build(self.gpu);
-        let bytes = ht.size_bytes();
+        let (bytes, cost) = (ht.size_bytes(), report.time.total_secs());
+        let ht = Rc::new(ht);
         self.stats.ht_misses += 1;
-        self.stats.build_secs += report.time.total_secs();
-        self.stats.cached_bytes += bytes;
-        let cost = report.time.total_secs();
-        self.seq += 1;
-        let entry = Entry {
-            res: Rc::new(ht),
+        self.stats.build_secs += cost;
+        self.insert(
+            CacheKey::Table(key),
+            Resource::Table(Rc::clone(&ht)),
             bytes,
             cost,
-            h: self.clock + cost / bytes.max(1) as f64,
-            last_use: self.seq,
-            pins: 0,
-        };
-        self.tables.push((key, entry));
+        );
         // The build may have pushed the cache past its budget; trim (the
-        // fresh entry is pinned by the Rc we are about to return).
-        let res = Rc::clone(&self.tables.last().unwrap().1.res);
-        self.make_room(0);
-        Ok((res, report.into()))
+        // fresh entry is protected by the Rc about to be returned).
+        self.trim();
+        Ok((ht, Some(report)))
     }
 
     /// Re-establishes the budget after a query: a running query may pin a
@@ -740,102 +695,53 @@ impl<'g> DeviceSession<'g> {
             requested,
             pinned_bytes: self.pinned_bytes(),
             cached_bytes: self.stats.cached_bytes,
-            device_free: self.gpu.spec().mem_capacity - self.gpu.mem_used(),
+            device_free: self.device_free_bytes(),
         }
     }
 
     /// Evicts until `incoming` more bytes would fit in the budget. Stops
     /// early when everything left is pinned.
     fn make_room(&mut self, incoming: usize) {
-        while self.stats.cached_bytes + incoming > self.budget {
-            if !self.evict_one() {
-                break;
-            }
-        }
+        while self.stats.cached_bytes + incoming > self.budget && self.evict_one() {}
     }
 
-    /// Evicts the evictable entry with the lowest GreedyDual-Size
-    /// priority. Returns false when nothing is evictable — pinned entries
-    /// are excluded from candidacy *before* any buffer is touched, so
-    /// there is no panic path (the old `unreachable!` arms are gone; a
-    /// pinned entry simply never becomes a victim).
+    /// The one victim order: the evictable entry lowest in GreedyDual-Size
+    /// priority, the least recently used of equals. Pinned entries are
+    /// excluded from candidacy before any buffer is touched.
+    fn victim(&self) -> Option<usize> {
+        let evictable = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, e))| e.evictable());
+        evictable
+            .min_by(|(_, (_, a)), (_, (_, b))| {
+                a.h.total_cmp(&b.h).then(a.last_use.cmp(&b.last_use))
+            })
+            .map(|(i, _)| i)
+    }
+
+    /// Evicts the [`Self::victim`], raising the inflation value to its
+    /// priority. Returns false when nothing is evictable.
     fn evict_one(&mut self) -> bool {
-        // The one victim-selection ordering: lowest priority first,
-        // LRU tiebreak.
-        fn candidate<K, T>(entries: &[(K, Entry<T>)]) -> Option<(usize, f64, u64)> {
-            entries
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, e))| e.evictable())
-                .map(|(i, (_, e))| (i, e.h, e.last_use))
-                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.2.cmp(&b.2)))
-        }
-        let col_victim = candidate(&self.cols);
-        let ht_victim = candidate(&self.tables);
-        let take_col = match (col_victim, ht_victim) {
-            (None, None) => return false,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some((_, ch, cs)), Some((_, hh, hs))) => ch.total_cmp(&hh).then(cs.cmp(&hs)).is_le(),
+        let Some(i) = self.victim() else {
+            return false;
         };
-        if take_col {
-            let (i, h, _) = col_victim.unwrap();
-            let (key, e) = self.cols.remove(i);
-            match Self::unwrap_entry(e) {
-                Ok((col, bytes)) => {
-                    self.clock = self.clock.max(h);
-                    self.stats.cached_bytes -= bytes;
-                    self.stats.evictions += 1;
-                    col.free(self.gpu);
-                }
-                // A clone appeared between candidacy and unwrap (cannot
-                // happen single-threaded, but handled structurally): put
-                // the entry back and report nothing evictable.
-                Err(e) => {
-                    self.cols.insert(i, (key, e));
-                    return false;
-                }
-            }
-        } else {
-            let (i, h, _) = ht_victim.unwrap();
-            let (key, e) = self.tables.remove(i);
-            match Self::unwrap_entry(e) {
-                Ok((ht, bytes)) => {
-                    self.clock = self.clock.max(h);
-                    self.stats.cached_bytes -= bytes;
-                    self.stats.evictions += 1;
-                    ht.free(self.gpu);
-                }
-                Err(e) => {
-                    self.tables.insert(i, (key, e));
-                    return false;
-                }
-            }
-        }
+        let (_, e) = self.entries.remove(i);
+        self.clock = self.clock.max(e.h);
+        self.stats.evictions += 1;
+        self.release(e);
         true
     }
 
-    /// Takes sole ownership of an entry's resource, or rebuilds the entry
-    /// intact if an `Rc` clone is still alive.
-    fn unwrap_entry<T>(e: Entry<T>) -> Result<(T, usize), Entry<T>> {
-        let Entry {
-            res,
-            bytes,
-            cost,
-            h,
-            last_use,
-            pins,
-        } = e;
-        match Rc::try_unwrap(res) {
-            Ok(r) => Ok((r, bytes)),
-            Err(res) => Err(Entry {
-                res,
-                bytes,
-                cost,
-                h,
-                last_use,
-                pins,
-            }),
+    /// Frees an evictable entry's device memory and its share of the
+    /// cached bytes.
+    fn release(&mut self, e: Entry) {
+        const SOLE: &str = "an evictable entry has no other holder";
+        self.stats.cached_bytes -= e.bytes;
+        match e.res {
+            Resource::Col(rc) => Rc::into_inner(rc).expect(SOLE).free(self.gpu),
+            Resource::Table(rc) => Rc::into_inner(rc).expect(SOLE).free(self.gpu),
         }
     }
 
@@ -845,45 +751,20 @@ impl<'g> DeviceSession<'g> {
     /// arithmetic stays truthful; they become evictable again once their
     /// pins drop.
     pub fn clear(&mut self) {
-        fn drain<K, T>(
-            entries: &mut Vec<(K, Entry<T>)>,
-            cached_bytes: &mut usize,
-            mut free: impl FnMut(T),
-        ) {
-            for (key, e) in std::mem::take(entries) {
-                if e.pins > 0 {
-                    entries.push((key, e));
-                    continue;
-                }
-                match DeviceSession::unwrap_entry(e) {
-                    Ok((r, bytes)) => {
-                        *cached_bytes -= bytes;
-                        free(r);
-                    }
-                    Err(e) => entries.push((key, e)),
-                }
+        for (key, e) in std::mem::take(&mut self.entries) {
+            if e.evictable() {
+                self.release(e);
+            } else {
+                self.entries.push((key, e));
             }
         }
-        drain(&mut self.cols, &mut self.stats.cached_bytes, |col| {
-            col.free(self.gpu)
-        });
-        drain(&mut self.tables, &mut self.stats.cached_bytes, |ht| {
-            ht.free(self.gpu)
-        });
     }
 
     // ---- per-query scratch (outside the cache budget) ----
 
     /// Allocates zero-initialized per-query scratch (aggregate tables,
-    /// survivor flags); pair with [`DeviceSession::free_scratch`]. Panics
-    /// when nothing evictable remains; see
-    /// [`DeviceSession::try_alloc_scratch_zeroed`].
-    pub fn alloc_scratch_zeroed<T: Copy + Default>(&mut self, len: usize) -> DeviceBuffer<T> {
-        self.try_alloc_scratch_zeroed(len)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`DeviceSession::alloc_scratch_zeroed`].
+    /// survivor flags); pair with [`DeviceSession::free_scratch`]. A typed
+    /// [`SessionOom`] when it does not fit and nothing evictable remains.
     pub fn try_alloc_scratch_zeroed<T: Copy + Default>(
         &mut self,
         len: usize,
@@ -919,22 +800,6 @@ impl<'g> DeviceSession<'g> {
                 Err(_) => return Err(self.oom(bytes)),
             }
         }
-    }
-
-    /// Allocates per-query scratch initialized from `data`. Panics when
-    /// nothing evictable remains; see
-    /// [`DeviceSession::try_alloc_scratch_from`].
-    pub fn alloc_scratch_from<T: Copy + Default>(&mut self, data: &[T]) -> DeviceBuffer<T> {
-        self.try_alloc_scratch_from(data)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible twin of [`DeviceSession::alloc_scratch_from`].
-    pub fn try_alloc_scratch_from<T: Copy + Default>(
-        &mut self,
-        data: &[T],
-    ) -> Result<DeviceBuffer<T>, SessionOom> {
-        self.scratch(std::mem::size_of_val(data), |gpu| gpu.try_alloc_from(data))
     }
 
     /// Frees a scratch buffer.
@@ -1069,7 +934,6 @@ mod tests {
         assert!(!s.is_resident(ColumnKey::plain(1)));
         s.end_query(q);
         assert_eq!(s.pinned_bytes(), 0);
-        assert_eq!(s.queries_in_flight(), 0);
         // Unpinned now: fresh pressure may evict col 0.
         drop(s.column(ColumnKey::plain(3), HostCol::Plain(&data)));
         drop(s.column(ColumnKey::plain(4), HostCol::Plain(&data)));
@@ -1121,7 +985,7 @@ mod tests {
             let g = s.gpu();
             let dk = g.alloc_from(&keys);
             let dv = g.alloc_from(&keys);
-            let out = s.hash_table(7, 8 * 1000, |g| {
+            let out = s.try_hash_table(7, 8 * 1000, |g| {
                 crystal_core::hash::DeviceHashTable::build(
                     g,
                     &dk,
@@ -1131,7 +995,7 @@ mod tests {
                 )
             });
             // Free the staging buffers through the session's device.
-            out
+            out.unwrap()
         };
         drop(ht);
         drop(s.column(ColumnKey::plain(0), HostCol::Plain(&data)));
@@ -1139,7 +1003,7 @@ mod tests {
         drop(s.column(ColumnKey::plain(2), HostCol::Plain(&data)));
         // Pressure evicted at least one column, never the older table.
         assert!(s.stats().evictions >= 1);
-        assert!(s.tables.iter().any(|(k, _)| *k == 7));
+        assert!(s.entry(CacheKey::Table(7)).is_some());
     }
 
     #[test]
@@ -1161,10 +1025,10 @@ mod tests {
             g.free(dv);
             out
         };
-        let (t1, r1) = s.hash_table(42, 800, build);
+        let (t1, r1) = s.try_hash_table(42, 800, build).unwrap();
         assert!(r1.is_some(), "cold build runs the kernel");
         drop(t1);
-        let (t2, r2) = s.hash_table(42, 800, build);
+        let (t2, r2) = s.try_hash_table(42, 800, build).unwrap();
         assert!(r2.is_none(), "warm lookup runs nothing");
         assert_eq!(s.stats().ht_hits, 1);
         assert_eq!(s.stats().ht_misses, 1);
@@ -1179,7 +1043,7 @@ mod tests {
         let data: Vec<i32> = (0..200_000).collect(); // 800 KB cached
         drop(s.column(ColumnKey::plain(0), HostCol::Plain(&data)));
         // 400 KB of scratch cannot fit beside it: the column is evicted.
-        let buf = s.alloc_scratch_zeroed::<i32>(100_000);
+        let buf = s.try_alloc_scratch_zeroed::<i32>(100_000).unwrap();
         assert_eq!(s.stats().evictions, 1);
         assert!(!s.is_resident(ColumnKey::plain(0)));
         s.free_scratch(buf);
@@ -1223,6 +1087,210 @@ mod tests {
         s.clear();
         assert_eq!(s.stats().cached_bytes, 0);
     }
+
+    /// The victim order, pinned: a mixed column / hash-table workload of
+    /// unequal sizes and costs driven through budget pressure, scratch
+    /// pressure and `clear()` with one entry ledger-pinned and one
+    /// `Rc`-held, logging what left the cache and the counters after every
+    /// step. A 16 000-byte column and a 16 000-byte table are given the
+    /// same recreate cost, so their priorities are equal bit for bit and
+    /// only `last_use` orders them: the scenario runs once with the table
+    /// touched first and once with the column, and the two must leave in
+    /// that order. Written against the two-list cache and unchanged since:
+    /// it reads only what both forms expose (columns by `is_resident`,
+    /// tables by the cached bytes the columns leave unexplained — the
+    /// tables' sizes are 8 000 x 1, 2, 4).
+    #[test]
+    fn victim_order_is_pinned_across_kinds_pins_and_pressures() {
+        use crystal_core::hash::HashScheme;
+        use crystal_gpu_sim::SimTime;
+
+        const COLS: [(u32, usize); 7] = [
+            (0, 160_000),
+            (1, 100_000),
+            (2, 200_000),
+            (3, 16_000),
+            (4, 80_000),
+            (5, 60_000),
+            (6, 24_000),
+        ];
+        const TABLES: [(u64, usize); 3] = [(101, 8_000), (102, 16_000), (103, 32_000)];
+
+        fn resident(s: &DeviceSession<'_>) -> Vec<String> {
+            let mut keys = Vec::new();
+            let mut unexplained = s.stats().cached_bytes;
+            for (c, bytes) in COLS {
+                if s.is_resident(ColumnKey::plain(c)) {
+                    keys.push(format!("c{c}"));
+                    unexplained -= bytes;
+                }
+            }
+            assert_eq!(unexplained % 8_000, 0, "cached bytes fit no table set");
+            assert!(unexplained / 8_000 < 8, "cached bytes fit no table set");
+            for (i, (t, _)) in TABLES.iter().enumerate() {
+                if (unexplained / 8_000) >> i & 1 == 1 {
+                    keys.push(format!("t{t}"));
+                }
+            }
+            keys
+        }
+
+        fn host(c: u32) -> Vec<i32> {
+            vec![7; COLS.iter().find(|(k, _)| *k == c).unwrap().1 / 4]
+        }
+
+        fn col(s: &mut DeviceSession<'_>, c: u32) -> Rc<DeviceCol> {
+            s.try_column(ColumnKey::plain(c), HostCol::Plain(&host(c)))
+                .expect("the column fits")
+        }
+
+        /// Table `t` of its `TABLES` size; `cost` overrides the build
+        /// kernel's simulated seconds.
+        fn table(s: &mut DeviceSession<'_>, t: u64, cost: Option<f64>) -> Rc<DeviceHashTable> {
+            let slots = TABLES.iter().find(|(k, _)| *k == t).unwrap().1 / 8;
+            let out = s.try_hash_table(t, 8 * slots, |g| {
+                let keys: Vec<i32> = (0..slots as i32).collect();
+                let (dk, dv) = (g.alloc_from(&keys), g.alloc_from(&keys));
+                let scheme = HashScheme::Perfect { min: 0 };
+                let (ht, mut report) = DeviceHashTable::build(g, &dk, &dv, slots, scheme);
+                g.free(dk);
+                g.free(dv);
+                if let Some(secs) = cost {
+                    report.time = SimTime {
+                        hbm: secs,
+                        ..SimTime::default()
+                    };
+                }
+                (ht, report)
+            });
+            out.expect("the table's headroom fits").0
+        }
+
+        fn scenario(table_touched_first: bool) -> Vec<String> {
+            let mut gpu = small_gpu(1 << 20);
+            let mut log = Vec::new();
+            {
+                let mut s = DeviceSession::with_budget(&mut gpu, 600_000);
+                let mut before = resident(&s);
+                let mut step = |s: &mut DeviceSession<'_>, label: &str| {
+                    let now = resident(s);
+                    let gone: Vec<&String> = before.iter().filter(|k| !now.contains(k)).collect();
+                    log.push(format!(
+                        "{label}: gone {gone:?} | {:?} | pinned {} free {}",
+                        s.stats(),
+                        s.pinned_bytes(),
+                        s.device_free_bytes()
+                    ));
+                    before = now;
+                };
+                let tie_cost = pcie_gen3().transfer_secs(16_000);
+
+                // Fill to 532 000 of the 600 000 budget; nothing leaves.
+                drop(col(&mut s, 0));
+                drop(table(&mut s, 101, None));
+                drop(col(&mut s, 1));
+                drop(col(&mut s, 3));
+                drop(table(&mut s, 102, Some(tie_cost)));
+                drop(table(&mut s, 103, Some(1e-9)));
+                drop(col(&mut s, 2));
+                step(&mut s, "fill");
+
+                // One ledger pin (no Rc kept), one Rc hold (no ledger).
+                let q = s.begin_query();
+                let pinned = s.pin_column(q, ColumnKey::plain(0), HostCol::Plain(&host(0)));
+                drop(pinned.expect("a hit"));
+                let held = table(&mut s, 101, None);
+                step(&mut s, "pin c0, hold t101");
+
+                // Budget pressure, one victim per insert.
+                drop(col(&mut s, 4));
+                step(&mut s, "insert c4");
+                drop(col(&mut s, 5));
+                step(&mut s, "insert c5");
+
+                // Re-touch the equal-density pair on the risen clock.
+                if table_touched_first {
+                    drop(table(&mut s, 102, None));
+                    drop(col(&mut s, 3));
+                } else {
+                    drop(col(&mut s, 3));
+                    drop(table(&mut s, 102, None));
+                }
+                step(&mut s, "touch the pair");
+
+                // Scratch pressure, one victim per allocation, down to the
+                // two pinned entries and the typed refusal.
+                let mut scratch = Vec::new();
+                for bytes in [620_000, 100_000, 100_000, 40_000, 16_000] {
+                    scratch.push(s.try_alloc_scratch_zeroed::<u8>(bytes).expect("fits"));
+                    step(&mut s, &format!("scratch {bytes}"));
+                }
+                let oom = s.try_alloc_scratch_zeroed::<u8>(30_000).unwrap_err();
+                step(&mut s, &format!("scratch 30000 refused {oom:?}"));
+                for buf in scratch {
+                    s.free_scratch(buf);
+                }
+
+                // `clear` drains the unpinned and keeps the two pinned.
+                drop(col(&mut s, 6));
+                drop(table(&mut s, 103, Some(1e-9)));
+                step(&mut s, "reinsert c6, t103");
+                s.clear();
+                step(&mut s, "clear");
+                s.end_query(q);
+                drop(held);
+                step(&mut s, "unpin");
+                s.clear();
+                step(&mut s, "clear again");
+            }
+            assert_eq!(gpu.mem_used(), 0, "session drop frees everything");
+            log
+        }
+
+        let table_first = scenario(true);
+        let column_first = scenario(false);
+        let pair_left = |log: &[String]| -> Vec<String> {
+            let gone = |l: &&String| l.contains("gone [\"c3\"]") || l.contains("gone [\"t102\"]");
+            log.iter()
+                .filter(gone)
+                .map(|l| l[..l.find(" |").unwrap()].to_string())
+                .collect()
+        };
+        assert_eq!(
+            pair_left(&table_first),
+            [
+                "scratch 40000: gone [\"t102\"]",
+                "scratch 16000: gone [\"c3\"]"
+            ]
+        );
+        assert_eq!(
+            pair_left(&column_first),
+            [
+                "scratch 40000: gone [\"c3\"]",
+                "scratch 16000: gone [\"t102\"]"
+            ]
+        );
+        assert_eq!(table_first, PINNED_VICTIM_LOG, "\n{table_first:#?}");
+    }
+
+    #[rustfmt::skip]
+    const PINNED_VICTIM_LOG: [&str; 15] = [
+    "fill: gone [] | SessionStats { col_hits: 0, col_misses: 4, ht_hits: 0, ht_misses: 3, evictions: 0, uploaded_bytes: 476000, build_secs: 1.626925454545454e-5, cached_bytes: 532000 } | pinned 0 free 516576",
+    "pin c0, hold t101: gone [] | SessionStats { col_hits: 1, col_misses: 4, ht_hits: 1, ht_misses: 3, evictions: 0, uploaded_bytes: 476000, build_secs: 1.626925454545454e-5, cached_bytes: 532000 } | pinned 168000 free 516576",
+    "insert c4: gone [\"t103\"] | SessionStats { col_hits: 1, col_misses: 5, ht_hits: 1, ht_misses: 3, evictions: 1, uploaded_bytes: 556000, build_secs: 1.626925454545454e-5, cached_bytes: 580000 } | pinned 168000 free 468576",
+    "insert c5: gone [\"c2\"] | SessionStats { col_hits: 1, col_misses: 6, ht_hits: 1, ht_misses: 3, evictions: 2, uploaded_bytes: 616000, build_secs: 1.626925454545454e-5, cached_bytes: 440000 } | pinned 168000 free 608576",
+    "touch the pair: gone [] | SessionStats { col_hits: 2, col_misses: 6, ht_hits: 2, ht_misses: 3, evictions: 2, uploaded_bytes: 616000, build_secs: 1.626925454545454e-5, cached_bytes: 440000 } | pinned 168000 free 608576",
+    "scratch 620000: gone [\"c1\"] | SessionStats { col_hits: 2, col_misses: 6, ht_hits: 2, ht_misses: 3, evictions: 3, uploaded_bytes: 616000, build_secs: 1.626925454545454e-5, cached_bytes: 340000 } | pinned 168000 free 88576",
+    "scratch 100000: gone [\"c4\"] | SessionStats { col_hits: 2, col_misses: 6, ht_hits: 2, ht_misses: 3, evictions: 4, uploaded_bytes: 616000, build_secs: 1.626925454545454e-5, cached_bytes: 260000 } | pinned 168000 free 68576",
+    "scratch 100000: gone [\"c5\"] | SessionStats { col_hits: 2, col_misses: 6, ht_hits: 2, ht_misses: 3, evictions: 5, uploaded_bytes: 616000, build_secs: 1.626925454545454e-5, cached_bytes: 200000 } | pinned 168000 free 28576",
+    "scratch 40000: gone [\"t102\"] | SessionStats { col_hits: 2, col_misses: 6, ht_hits: 2, ht_misses: 3, evictions: 6, uploaded_bytes: 616000, build_secs: 1.626925454545454e-5, cached_bytes: 184000 } | pinned 168000 free 4576",
+    "scratch 16000: gone [\"c3\"] | SessionStats { col_hits: 2, col_misses: 6, ht_hits: 2, ht_misses: 3, evictions: 7, uploaded_bytes: 616000, build_secs: 1.626925454545454e-5, cached_bytes: 168000 } | pinned 168000 free 4576",
+    "scratch 30000 refused SessionOom { requested: 30000, pinned_bytes: 168000, cached_bytes: 168000, device_free: 4576 }: gone [] | SessionStats { col_hits: 2, col_misses: 6, ht_hits: 2, ht_misses: 3, evictions: 7, uploaded_bytes: 616000, build_secs: 1.626925454545454e-5, cached_bytes: 168000 } | pinned 168000 free 4576",
+    "reinsert c6, t103: gone [] | SessionStats { col_hits: 2, col_misses: 7, ht_hits: 2, ht_misses: 4, evictions: 7, uploaded_bytes: 640000, build_secs: 1.627025454545454e-5, cached_bytes: 224000 } | pinned 168000 free 824576",
+    "clear: gone [\"c6\", \"t103\"] | SessionStats { col_hits: 2, col_misses: 7, ht_hits: 2, ht_misses: 4, evictions: 7, uploaded_bytes: 640000, build_secs: 1.627025454545454e-5, cached_bytes: 168000 } | pinned 168000 free 880576",
+    "unpin: gone [] | SessionStats { col_hits: 2, col_misses: 7, ht_hits: 2, ht_misses: 4, evictions: 7, uploaded_bytes: 640000, build_secs: 1.627025454545454e-5, cached_bytes: 168000 } | pinned 0 free 880576",
+    "clear again: gone [\"c0\", \"t101\"] | SessionStats { col_hits: 2, col_misses: 7, ht_hits: 2, ht_misses: 4, evictions: 7, uploaded_bytes: 640000, build_secs: 1.627025454545454e-5, cached_bytes: 0 } | pinned 0 free 1048576",
+    ];
 
     #[test]
     fn resident_bytes_reports_cached_keys_only() {

@@ -346,13 +346,14 @@ fn place(
     cpu: &CpuSpec,
     pcie: &PcieSpec,
 ) -> (TablePlacement, f64) {
-    let actual = copro::choose_placement(None, sess, table, q, cpu, sess.spec(), pcie);
+    let resident = &|keys: &[_]| sess.resident_bytes(keys);
+    let actual = copro::choose_placement(None, resident, table, q, cpu, sess.spec(), pcie);
     let per_row_host_secs = actual.decision.host_secs / table.live_rows(q).max(1) as f64;
     let routed = match cal {
         None => actual,
         Some(c) => {
             let (store, m) = (Some(&*c.store), &c.model);
-            copro::choose_placement(store, sess, table, q, &m.cpu, &m.gpu, &m.pcie)
+            copro::choose_placement(store, resident, table, q, &m.cpu, &m.gpu, &m.pcie)
         }
     };
     (routed, per_row_host_secs)

@@ -185,9 +185,11 @@ fn place(
 }
 
 /// Routes `q` over `table` through the `crystal-models` Section 3.1 / 6
-/// bounds, residency-aware: each live segment ships only the bytes `sess`
-/// does not already cache, so the transfer term drops to the uncached
-/// fraction (floored by the device's own memory scan).
+/// bounds, residency-aware: each live segment ships only the bytes of its
+/// column keys that `resident` does not report cached — a session's
+/// [`DeviceSession::resident_bytes`], or `&|_| 0` for a cold device nobody
+/// has to construct — so the transfer term drops to the uncached fraction
+/// (floored by the device's own memory scan).
 ///
 /// Cold, the coprocessor can never finish before its PCIe transfer while
 /// the host is bounded below by streaming the same columns from DRAM;
@@ -209,7 +211,7 @@ fn place(
 /// session simulates may deviate from the spec sheet the prior believes.
 pub fn choose_placement(
     store: Option<&CalibrationStore>,
-    sess: &DeviceSession<'_>,
+    resident: &dyn Fn(&[ColumnKey]) -> usize,
     table: &FactTable<'_>,
     q: &StarQuery,
     cpu: &CpuSpec,
@@ -222,7 +224,7 @@ pub fn choose_placement(
         let seg = table.segments()[i];
         let keys: Vec<ColumnKey> = cols.iter().map(|&c| seg.key(c)).collect();
         let mut cost = seg.cost(&cols);
-        cost.resident_bytes = sess.resident_bytes(&keys);
+        cost.resident_bytes = resident(&keys);
         if !table.is_sharded() {
             cost.launch_secs = whole_table_launch_secs(table.data(), seg.rows(), q, gpu);
         }
@@ -283,7 +285,8 @@ pub fn execute_placed(
     threads: usize,
 ) -> QueryProfile {
     let link = sess.interconnect().clone();
-    let placement = choose_placement(None, sess, table, q, cpu, sess.spec(), &link);
+    let resident = &|keys: &[_]| sess.resident_bytes(keys);
+    let placement = choose_placement(None, resident, table, q, cpu, sess.spec(), &link);
     let on_device = &placement.split.device_shards;
     let mut host_ids = placement.split.host_shards.clone();
     let mut profile = QueryProfile::empty(q);
@@ -372,15 +375,15 @@ mod tests {
 
     /// The static decision on the session's own device.
     fn placed(sess: &DeviceSession<'_>, table: &FactTable<'_>, q: &StarQuery) -> TablePlacement {
-        choose_placement(
-            None,
-            sess,
-            table,
-            q,
-            &intel_i7_6900(),
-            sess.spec(),
-            &pcie_gen3(),
-        )
+        let resident = &|keys: &[_]| sess.resident_bytes(keys);
+        let cpu = intel_i7_6900();
+        choose_placement(None, resident, table, q, &cpu, sess.spec(), &pcie_gen3())
+    }
+
+    /// The static decision with nothing resident: no device, no session.
+    fn placed_cold(table: &FactTable<'_>, q: &StarQuery, link: &PcieSpec) -> TablePlacement {
+        let (cpu, spec) = (intel_i7_6900(), nvidia_v100());
+        choose_placement(None, &|_| 0, table, q, &cpu, &spec, link)
     }
 
     #[test]
@@ -403,10 +406,8 @@ mod tests {
     #[test]
     fn placement_routes_to_host_over_pcie_gen3() {
         let d = SsbData::generate_scaled(1, 0.002, 7);
-        let mut gpu = Gpu::new(nvidia_v100());
-        let cold = DeviceSession::new(&mut gpu);
         for q in all_queries(&d) {
-            let c = placed(&cold, &FactTable::plain(&d), &q).decision;
+            let c = placed_cold(&FactTable::plain(&d), &q, &pcie_gen3()).decision;
             assert_eq!(c.placement, Placement::Host, "{}", q.name);
             assert!(c.coprocessor_secs > c.host_secs, "{}", q.name);
         }
@@ -524,10 +525,7 @@ mod tests {
         let mut fast = pcie_gen3();
         fast.bandwidth = cpu.read_bw * 4.0;
         let q = query(&d, QueryId::new(1, 1));
-        let mut gpu = Gpu::new(nvidia_v100());
-        let cold = DeviceSession::new(&mut gpu);
-        let table = FactTable::plain(&d);
-        let c = choose_placement(None, &cold, &table, &q, &cpu, cold.spec(), &fast);
+        let c = placed_cold(&FactTable::plain(&d), &q, &fast);
         assert_eq!(c.decision.placement, Placement::Coprocessor);
     }
 
@@ -733,8 +731,9 @@ mod tests {
                         }
                     }
                     sess.end_query(qid);
+                    let resident = &|keys: &[_]| sess.resident_bytes(keys);
                     let place =
-                        |store| choose_placement(store, &sess, table, &q, &cpu, &spec, &pcie);
+                        |store| choose_placement(store, resident, table, &q, &cpu, &spec, &pcie);
                     let (stat, cal) = (place(None), place(Some(&store)));
                     assert_eq!(cal.decision.placement, stat.decision.placement);
                     assert_eq!(cal.split.device_shards, stat.split.device_shards);
@@ -768,14 +767,12 @@ mod tests {
         let fact = EncodedFact::encode(&d, &enc);
         let table = FactTable::encoded(&d, &fact);
         let q = query(&d, QueryId::new(1, 1));
-        let mut gpu = Gpu::new(model.gpu.clone());
-        let cold = DeviceSession::new(&mut gpu);
 
         // Premise: the static compression-aware model routes this query
         // to the device (the compression flip).
         let place = |store| {
             let (cpu, spec, pcie) = (&model.cpu, &model.gpu, &model.pcie);
-            choose_placement(store, &cold, &table, &q, cpu, spec, pcie).decision
+            choose_placement(store, &|_| 0, &table, &q, cpu, spec, pcie).decision
         };
         let stat = place(None);
         assert_eq!(stat.placement, Placement::Coprocessor);

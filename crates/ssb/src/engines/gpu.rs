@@ -457,7 +457,9 @@ impl<'a> DeviceQueryJob<'a> {
         let qid = sess.begin_query();
         for &c in &cols {
             let host = segment.host_col(c);
-            if sess.prefetch_column(qid, segment.key(c), host).is_err() {
+            // Pinned under the staging query with no `Rc` kept: the admission's
+            // own `pin_column` then hits the warm entry off the link.
+            if sess.pin_column(qid, segment.key(c), host).is_err() {
                 // Lost a race against concurrent allocation: stall rather
                 // than evict. Entries uploaded so far stay cached and the
                 // admission will reuse them.

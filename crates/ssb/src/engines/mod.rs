@@ -250,7 +250,7 @@ pub fn dim_table_bytes(d: &SsbData, join: &DimJoin) -> usize {
 /// its scanned build side (one build kernel; staging buffers are freed
 /// before returning). This is the closure body every session-memoized
 /// engine passes to
-/// [`crystal_runtime::DeviceSession::hash_table`](crystal_runtime::session::DeviceSession::hash_table).
+/// [`crystal_runtime::DeviceSession::try_hash_table`](crystal_runtime::session::DeviceSession::try_hash_table).
 pub fn build_dim_table(
     gpu: &mut crystal_gpu_sim::Gpu,
     build: &DimBuild,

@@ -28,7 +28,8 @@ use std::rc::Rc;
 
 use crystal_gpu_sim::exec::LaunchConfig;
 use crystal_gpu_sim::mem::DeviceBuffer;
-use crystal_runtime::{DeviceCol, DeviceSession};
+use crystal_gpu_sim::stats::KernelReport;
+use crystal_runtime::{DeviceCol, DeviceSession, SessionOom};
 
 use crate::data::SsbData;
 use crate::engines::profile::QueryProfile;
@@ -49,23 +50,66 @@ fn thread_per_row_cfg(n: usize) -> LaunchConfig {
 
 /// Executes one query operator-at-a-time through a (fresh or warm)
 /// session. The profile charges what the session shipped, like the fused
-/// engine's; it carries no trace (the operators count no rows).
-pub fn execute(sess: &mut DeviceSession<'_>, d: &SsbData, q: &StarQuery) -> QueryProfile {
+/// engine's; it carries no trace (the operators count no rows). A device
+/// too small for a column, a table's build or the query's scratch is the
+/// session's typed refusal, with the scratch taken so far freed.
+pub fn execute(
+    sess: &mut DeviceSession<'_>,
+    d: &SsbData,
+    q: &StarQuery,
+) -> Result<QueryProfile, SessionOom> {
     let mark = QueryProfile::mark(sess);
+    // Device-wide survivor flags, materialized between operators.
+    let mut flags = sess.try_alloc_scratch_zeroed::<u8>(d.lineorder.rows())?;
+    flags.as_mut_slice().fill(1);
+    let (mut code_bufs, mut agg_table) = (Vec::new(), None);
+    let ran = operators(sess, d, q, &mut flags, &mut code_bufs, &mut agg_table);
+
+    // Scratch cleanup, on either path; session-cached columns and tables
+    // stay resident (the trim re-establishes the cache budget now that the
+    // operators' holds have dropped).
+    for c in code_bufs {
+        sess.free_scratch(c);
+    }
+    if let Some(table) = agg_table {
+        sess.free_scratch(table);
+    }
+    sess.free_scratch(flags);
+    sess.trim();
+    let (reports, agg_host) = ran?;
+
+    let mut profile = QueryProfile::empty(q);
+    profile.book(sess, mark);
+    profile
+        .time
+        .settle(reports.iter().map(|r| r.time.total_secs()).sum());
+    profile.result = groups_to_result(q, &agg_host);
+    profile.reports = reports;
+    profile.device_segments_run = 1;
+    Ok(profile)
+}
+
+/// The operators of [`execute`] over scratch its caller owns (and frees,
+/// whether or not this returns early): the kernels' reports and the
+/// aggregate's values.
+fn operators(
+    sess: &mut DeviceSession<'_>,
+    d: &SsbData,
+    q: &StarQuery,
+    flags: &mut DeviceBuffer<u8>,
+    code_bufs: &mut Vec<DeviceBuffer<i32>>,
+    agg_table: &mut Option<DeviceBuffer<i64>>,
+) -> Result<(Vec<KernelReport>, Vec<i64>), SessionOom> {
     let n = d.lineorder.rows();
     let mut reports = Vec::new();
 
     let whole = FactTable::plain(d).segments()[0];
-    let column = |sess: &mut DeviceSession<'_>, c: FactCol| -> Rc<DeviceCol> {
-        sess.column(whole.key(c), whole.host_col(c))
-    };
-
-    // Device-wide survivor flags, materialized between operators.
-    let mut flags: DeviceBuffer<u8> = sess.alloc_scratch_from(&vec![1u8; n]);
+    let column =
+        |sess: &mut DeviceSession<'_>, c: FactCol| sess.try_column(whole.key(c), whole.host_col(c));
 
     // Predicate kernels: read column + flags, write flags.
     for p in &q.fact_preds {
-        let col = column(sess, p.col);
+        let col = column(sess, p.col)?;
         let r = sess.gpu().launch(
             &format!("omnisci_filter_{:?}", p.col),
             thread_per_row_cfg(n),
@@ -86,20 +130,17 @@ pub fn execute(sess: &mut DeviceSession<'_>, d: &SsbData, q: &StarQuery) -> Quer
     // Join kernels: read FK column + flags, probe the memoized
     // perfect-hash dimension table (uncoalesced gathers), write flags and
     // a materialized code column.
-    let mut code_bufs: Vec<DeviceBuffer<i32>> = Vec::new();
     for join in &q.joins {
         let fp = dim_join_fingerprint(d, join);
         // The build side is deferred into the closure: a warm hit pays
         // neither the build kernel nor the host-side walk of the join's
         // cached halves.
-        let (ht, built) = sess.hash_table(fp, dim_table_bytes(d, join), |gpu| {
+        let (ht, built) = sess.try_hash_table(fp, dim_table_bytes(d, join), |gpu| {
             build_dim_table(gpu, &DimBuild::cached(d, join))
-        });
-        if let Some(r) = built {
-            reports.push(r);
-        }
-        let fk_col = column(sess, join.fact_fk);
-        let mut codes: DeviceBuffer<i32> = sess.alloc_scratch_zeroed(n);
+        })?;
+        reports.extend(built);
+        let fk_col = column(sess, join.fact_fk)?;
+        let mut codes: DeviceBuffer<i32> = sess.try_alloc_scratch_zeroed(n)?;
         let r = sess.gpu().launch(
             &format!("omnisci_join_{:?}", join.table),
             thread_per_row_cfg(n),
@@ -133,9 +174,10 @@ pub fn execute(sess: &mut DeviceSession<'_>, d: &SsbData, q: &StarQuery) -> Quer
     let domain = q.group_domain();
     let grouped = !domains.is_empty();
     let carries: Vec<bool> = q.joins.iter().map(|j| j.group_attr.is_some()).collect();
-    let agg_table: DeviceBuffer<i64> = sess.alloc_scratch_zeroed(domain);
+    let agg_table = agg_table.insert(sess.try_alloc_scratch_zeroed(domain)?);
     let mut agg_host = vec![0i64; domain];
-    let agg_cols: Vec<Rc<DeviceCol>> = q.agg.columns().iter().map(|&c| column(sess, c)).collect();
+    let agg_cols = q.agg.columns().iter().map(|&c| column(sess, c));
+    let agg_cols: Vec<Rc<DeviceCol>> = agg_cols.collect::<Result<_, _>>()?;
 
     let r = sess
         .gpu()
@@ -179,27 +221,7 @@ pub fn execute(sess: &mut DeviceSession<'_>, d: &SsbData, q: &StarQuery) -> Quer
             }
         });
     reports.push(r.tag_fact_linear());
-
-    // Scratch cleanup; session-cached columns and tables stay resident
-    // (the trim re-establishes the cache budget once the query's pins
-    // drop).
-    for c in code_bufs {
-        sess.free_scratch(c);
-    }
-    sess.free_scratch(agg_table);
-    sess.free_scratch(flags);
-    drop(agg_cols);
-    sess.trim();
-
-    let mut profile = QueryProfile::empty(q);
-    profile.book(sess, mark);
-    profile
-        .time
-        .settle(reports.iter().map(|r| r.time.total_secs()).sum());
-    profile.result = groups_to_result(q, &agg_host);
-    profile.reports = reports;
-    profile.device_segments_run = 1;
-    profile
+    Ok((reports, agg_host))
 }
 
 #[cfg(test)]
@@ -219,7 +241,7 @@ mod tests {
         let d = data();
         let mut gpu = Gpu::new(nvidia_v100());
         for q in all_queries(&d) {
-            let run = execute(&mut DeviceSession::new(&mut gpu), &d, &q);
+            let run = execute(&mut DeviceSession::new(&mut gpu), &d, &q).unwrap();
             assert_eq!(run.result, reference::execute(&d, &q), "{}", q.name);
         }
         assert_eq!(gpu.mem_used(), 0, "transient sessions must free");
@@ -235,7 +257,7 @@ mod tests {
         let table = FactTable::plain(&d);
         let crystal = crystal_gpu::execute(&mut DeviceSession::new(&mut gpu), &table, &q).unwrap();
         gpu.reset_l2();
-        let omnisci = execute(&mut DeviceSession::new(&mut gpu), &d, &q);
+        let omnisci = execute(&mut DeviceSession::new(&mut gpu), &d, &q).unwrap();
         let crystal_probe: f64 = crystal.reports.last().unwrap().time.total_secs();
         let omnisci_total = omnisci.sim_secs();
         assert!(
@@ -256,7 +278,7 @@ mod tests {
         let crystal = crystal_gpu::execute(&mut sess, &FactTable::plain(&d), &q).unwrap();
         assert_eq!(crystal.result, expected);
         let before = sess.stats().clone();
-        let omnisci = execute(&mut sess, &d, &q);
+        let omnisci = execute(&mut sess, &d, &q).unwrap();
         assert_eq!(omnisci.result, expected);
         assert_eq!(
             sess.stats().uploaded_since(&before),

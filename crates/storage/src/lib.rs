@@ -2,12 +2,13 @@
 
 //! # crystal-storage — columnar storage substrate
 //!
-//! The thin storage layer the engines share: typed columns, tables with
-//! schemas, dictionary encoding for strings (the paper dictionary-encodes
-//! all SSB string columns to 4-byte integers before loading, Section 5.2),
-//! bit-packing (the Section 5.5 compression direction), and deterministic
-//! workload generators for the microbenchmarks (uniform columns with
-//! calibrated selectivities, unique key domains, Zipf-skewed values).
+//! The thin storage layer the engines share: dictionary encoding for
+//! strings (the paper dictionary-encodes all SSB string columns to 4-byte
+//! integers before loading, Section 5.2), bit-packing (the Section 5.5
+//! compression direction), and deterministic workload generators for the
+//! microbenchmarks (uniform columns with calibrated selectivities, unique
+//! key domains, Zipf-skewed values). The tables themselves are
+//! `crystal-ssb`'s `SsbData`: plain `Vec<i32>` columns.
 //!
 //! [`encoding`] is the compressed-execution seam: a per-column
 //! [`Encoding`] descriptor, the [`EncodedColumn`] it materializes, and
@@ -19,17 +20,12 @@
 //! (the decode engines here, the compare engines of `crystal-core`) share.
 
 pub mod bitpack;
-pub mod column;
 pub mod dict;
 pub mod encoding;
 pub mod gen;
-pub mod io;
 pub mod isa;
-pub mod table;
 
 pub use bitpack::{PackedColumn, PackedView};
-pub use column::Column;
 pub use dict::Dictionary;
 pub use encoding::{ColumnRead, ColumnSlice, EncodedColumn, Encoding};
 pub use isa::Isa;
-pub use table::{Schema, Table};

@@ -55,6 +55,5 @@ pub mod prelude {
     pub use crate::ssb;
     pub use crate::ssb::encoding::{EncodedFact, FactEncodings};
     pub use crate::storage::bitpack::PackedColumn;
-    pub use crate::storage::column::Column;
     pub use crate::storage::encoding::{ColumnRead, ColumnSlice, EncodedColumn, Encoding};
 }

@@ -5,11 +5,11 @@
 //! checked against the row-wise reference oracle on one shared dataset.
 
 use crystal::gpu_sim::Gpu;
-use crystal::hardware::nvidia_v100;
+use crystal::hardware::{nvidia_v100, GpuSpec};
 use crystal::runtime::DeviceSession;
-use crystal::ssb::engines::{cpu, gpu, hyper, monet, omnisci, reference};
-use crystal::ssb::queries::all_queries;
-use crystal::ssb::{FactTable, SsbData};
+use crystal::ssb::engines::{cpu, dim_table_bytes, gpu, hyper, monet, omnisci, reference};
+use crystal::ssb::queries::{all_queries, query};
+use crystal::ssb::{FactTable, QueryId, SsbData};
 
 fn dataset() -> SsbData {
     SsbData::generate_scaled(1, 0.004, 777) // 24k fact rows
@@ -53,12 +53,75 @@ fn all_engines_agree_on_all_13_queries() {
         );
 
         device.reset_l2();
-        let omni = omnisci::execute(&mut DeviceSession::new(&mut device), &d, &q);
+        let omni = omnisci::execute(&mut DeviceSession::new(&mut device), &d, &q)
+            .expect("a V100 holds the whole query");
         assert_eq!(
             omni.result, expected,
             "{}: thread-per-row GPU engine diverged",
             q.name
         );
+    }
+}
+
+/// The per-operator engine's three kinds of device request, each refused
+/// once: devices one byte too small for (a) its survivor flags, (b) the
+/// first join's code column and (c) the aggregate table return the typed
+/// [`SessionOom`](crystal::runtime::SessionOom) of exactly that request,
+/// leave nothing on the device but what the session still caches, and
+/// leave the session serving the fused engine (a 600-row dataset, which
+/// fits the smallest of the three devices) the oracle's answer.
+#[test]
+fn per_operator_engine_refuses_a_small_device_at_every_request() {
+    let d = dataset();
+    let n = d.lineorder.rows();
+    let small = SsbData::generate_scaled(1, 0.0001, 778);
+    let q11 = query(&small, QueryId::new(1, 1));
+    let expected = reference::execute(&small, &q11);
+
+    // q2.1 joins the small supplier table first; q3.2 groups by two cities
+    // and the year, an aggregate table larger than everything before it.
+    let (q21, q32) = (query(&d, QueryId::new(2, 1)), query(&d, QueryId::new(3, 2)));
+    let supplier = dim_table_bytes(&d, &q21.joins[0]);
+    let agg_table = 8 * q32.group_domain();
+    // (what is refused, query, bytes held when it is asked for, its bytes,
+    // joins — a build and an upload each — before it)
+    let rows = [
+        ("survivor flags", &q21, 0, n, 0),
+        // Flags, the held table and foreign-key column, then the codes.
+        ("code column", &q21, n + supplier + 4 * n, 4 * n, 1),
+        // Flags and a code column per join; everything cached is evictable.
+        ("aggregate table", &q32, n + 3 * 4 * n, agg_table, 3),
+    ];
+    for (what, q, held, requested, joins) in rows {
+        let device_of = |mem_capacity| {
+            Gpu::new(GpuSpec {
+                mem_capacity,
+                ..nvidia_v100()
+            })
+        };
+        let mut device = device_of(held + requested - 1);
+        let mut sess = DeviceSession::new(&mut device);
+        let oom = omnisci::execute(&mut sess, &d, q).expect_err(what);
+        assert_eq!(oom.requested, requested, "{what}");
+        let stats = sess.stats().clone();
+        assert_eq!(
+            (stats.ht_misses, stats.col_misses),
+            (joins, joins),
+            "{what}"
+        );
+        let on_device = sess.gpu().mem_used();
+        assert_eq!(on_device, stats.cached_bytes, "{what}: scratch leaked");
+
+        let run = gpu::execute(&mut sess, &FactTable::plain(&small), &q11).expect(what);
+        assert_eq!(run.result, expected, "{what}: the session serves on");
+        drop(sess);
+        assert_eq!(device.mem_used(), 0, "{what}");
+
+        // One byte more and that request is granted.
+        let mut device = device_of(held + requested);
+        let next = omnisci::execute(&mut DeviceSession::new(&mut device), &d, q);
+        let refused = next.err().map(|oom| oom.requested);
+        assert_ne!(refused, Some(requested), "{what}");
     }
 }
 

@@ -50,7 +50,8 @@ fn assert_all_engines(d: &SsbData, q: &StarQuery, expected: &QueryResult) {
     assert_eq!(&run.result, expected, "{}: Crystal GPU engine", q.name);
 
     device.reset_l2();
-    let omni = omnisci::execute(&mut DeviceSession::new(&mut device), d, q);
+    let omni = omnisci::execute(&mut DeviceSession::new(&mut device), d, q)
+        .expect("a V100 holds the whole query");
     assert_eq!(
         &omni.result, expected,
         "{}: thread-per-row GPU engine",
