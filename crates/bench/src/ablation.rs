@@ -248,6 +248,7 @@ pub fn agg_groups(cfg: &Config, _smoke: bool) -> Vec<Check> {
 /// widths, on both devices (Section 5.5's "non-byte addressable packing").
 pub fn compression(cfg: &Config, _smoke: bool) -> Vec<Check> {
     use crystal_core::kernels::packed::{select_gt_packed, DevicePackedColumn};
+    use crystal_cpu::select::{select, SelectVariant};
     use crystal_storage::bitpack::PackedColumn;
 
     let n = cfg.micro_n();
@@ -280,12 +281,7 @@ pub fn compression(cfg: &Config, _smoke: bool) -> Vec<Check> {
     gpu.free(out);
     let plain_gpu = scale_kernel(&plain_r, scale);
     let plain_host = time_median(cfg.reps, || {
-        std::hint::black_box(crystal_cpu::select::select(
-            &values,
-            v,
-            t,
-            crystal_cpu::select::SelectVariant::Predication,
-        ));
+        std::hint::black_box(select(&values[..], v, t, SelectVariant::Predication));
     });
     report.row(vec![
         "32 (plain)".into(),
@@ -308,7 +304,7 @@ pub fn compression(cfg: &Config, _smoke: bool) -> Vec<Check> {
         dev.free(&mut gpu);
         let gpu_t = scale_kernel(&r, scale);
         let host_t = time_median(cfg.reps, || {
-            std::hint::black_box(crystal_cpu::packed::select_gt_packed(&packed, thr, t));
+            std::hint::black_box(select(&packed.view(), thr, t, SelectVariant::Predication));
         });
         report.row(vec![
             bits.to_string(),

@@ -1,33 +1,32 @@
 //! `reproduce microbench` — the wall-clock kernel benchmark gate.
 //!
-//! Times the retained value-at-a-time *scalar* reference kernels against
-//! the two-phase *chunked* kernels (batch decode → branch-free bitmap →
-//! `trailing_zeros` compaction) of `crystal_core::selvec` and
-//! `crystal_cpu::packed`, on plain and bit-packed columns across widths
-//! and selectivities, single-threaded so the numbers are kernel
-//! throughputs rather than scheduler artifacts.
+//! Times each shipped CPU kernel against the plain operation it stands
+//! for — never against a retired form of itself — single-threaded so the
+//! numbers are kernel throughputs rather than scheduler artifacts. In
+//! every row the "scalar" column is the reference side and the "chunked"
+//! column the kernel, most of them timed back to back per repetition.
 //!
 //! Unlike the paper-scale experiments in [`crate::micro`] (simulated
 //! GPU and modeled CPU), everything here is **host-measured wall
 //! clock**: the repo's performance trajectory for the CPU hot path,
 //! recorded in `BENCH_kernels.json` at the repo root (plus
 //! `results/microbench_kernels.csv`) so future PRs can be gated on real
-//! throughput. `--smoke` asserts a relative bound, never an absolute wall
-//! clock: the packed selection scan at every width ≤ 25 within
-//! [`PACKED_SCAN_MULTIPLE`] of the plain scan of as many rows (the
-//! paper's premise — a well-written CPU scan is bandwidth-bound, so fewer
-//! bytes must not be slower). The release acceptance targets are ≥ 1.5x
-//! chunked/scalar on the packed selection scan (width ≤ 16).
+//! throughput. `--smoke` asserts relative bounds, never an absolute wall
+//! clock. The `sel_between_init` rows time the selection scan (batch
+//! decode → branch-free bitmap → `trailing_zeros` compaction) over a
+//! packed column against the same scan over the same values stored
+//! plain, at each width and selectivity; every width ≤ 25 must stay within
+//! [`PACKED_SCAN_MULTIPLE`] of the plain scan (the paper's premise — a
+//! well-written CPU scan is bandwidth-bound, so fewer bytes must not be
+//! slower).
 //!
-//! The `sel_semijoin*` rows are this host's probe table, the measured
+//! The `sel_semijoin_init` rows are this host's probe table, the measured
 //! counterpart of the paper's Table 2 cache levels: the bitmap semi-join
 //! over membership bitmaps of 8 KB, 128 KB, 2 MB and 32 MB, plain and
 //! packed foreign keys, fed contiguously (`sel_semijoin_init`, the
 //! "chunked" column) and from a selection vector (`sel_semijoin_refine`,
-//! the "scalar" one); at 128 KB — the size of SF-20's largest dimension —
-//! also the gather-fed kernel against the closure-per-row probe it
-//! replaced. `--smoke` gates the order there, relative only: contiguous ≥
-//! gather-fed ≥ closure.
+//! the "scalar" one). `--smoke` gates the order at 128 KB — the size of
+//! SF-20's largest dimension — relative only: contiguous ≥ gather-fed.
 //!
 //! The `unpack_batch` rows time the one decode entry point on the engine
 //! this CPU gets (`Isa::best`) against value-at-a-time `PackedView::get`,
@@ -37,13 +36,11 @@
 //! with the same scan over a cache-resident window as the other side.
 //!
 //! The `pack`, `scatter3` and `fingerprint` rows are the write side's
-//! table: block-wise [`PackedColumn::pack`] against the read-modify-write
-//! loop it replaced (kept here as the baseline; `--smoke` gates, relatively
-//! only, that the block form is no slower at any listed width), in Mvals/s,
-//! cycles per value and as a fraction of `unpack_batch` at the same width;
-//! the partition's three-column scatter at 8 and 64 buckets and the table
-//! fingerprint, each against a plain copy / read of as many bytes — their
-//! bandwidth bound, measured in the same run.
+//! table: [`PackedColumn::pack`] in Mvals/s, cycles per value and against
+//! `unpack_batch` at the same width; the partition's three-column scatter
+//! at 8 and 64 buckets and the table fingerprint, each against a plain
+//! copy / read of as many bytes — their bandwidth bound, measured in the
+//! same run.
 //!
 //! The `dim_build_scan` and `hash_build` rows are the device build side's
 //! table. [`DimBuild::scan`] compacts the stream [`DimLookup::build`] writes
@@ -73,10 +70,8 @@ use std::hint::black_box;
 
 use crystal_core::hash::{DeviceHashTable, HashScheme};
 use crystal_core::selvec::{
-    sel_between_init, sel_between_init_scalar, sel_init, sel_semijoin_init, sel_semijoin_refine,
-    PerfectHashProbe, CHUNK,
+    sel_between_init, sel_init, sel_semijoin_init, sel_semijoin_refine, PerfectHashProbe, CHUNK,
 };
-use crystal_cpu::packed::{select_gt_fused, sum_fused};
 use crystal_gpu_sim::{Gpu, LaunchConfig};
 use crystal_hardware::nvidia_v100;
 use crystal_ssb::engines::{DimBuild, DimLookup};
@@ -99,26 +94,20 @@ use crate::util::{paired, ratio, time_median, Config, Report};
 pub const SIM_GATHER_MULTIPLE: Band =
     Band::new("simulated in-L2 gather, in plain reads", 12.0, 0.0..=25.0);
 
-/// Plain scans of as many rows at the same selectivity one packed scan costs
-/// at widths ≤ 25 (the two chunked medians of the table, worst width). The
-/// packed side pays its decode on top of fewer bytes: measured 0.9–1.3x with
-/// the AVX-512 and AVX2 decode engines on a 2-core 2.1 GHz Xeon, 3–4x with
-/// the value-at-a-time window loop they replaced.
+/// Plain scans of the same values one packed scan costs at widths ≤ 25
+/// (the `sel_between_init` rows' paired ratio, geomean over selectivities,
+/// worst width). The packed side pays its decode on top of fewer bytes:
+/// measured 0.9–1.3x with the AVX-512 and AVX2 decode engines on a 2-core
+/// 2.1 GHz Xeon, 3–4x with the value-at-a-time window loop they replaced.
 pub const PACKED_SCAN_MULTIPLE: Band =
     Band::new("packed scan (width <= 25), in plain scans", 1.1, 0.0..=1.5);
 
-/// Over a cache-resident (128 KB) bitmap, the lower of contiguous-fed over
-/// gather-fed and gather-fed over the closure probe it replaced.
+/// Over a cache-resident (128 KB) bitmap, contiguous-fed over gather-fed.
 pub const SEMIJOIN_ORDER: Band = Band::new(
-    "semi-join: contiguous >= gather-fed >= closure",
+    "semi-join: contiguous >= gather-fed",
     1.0,
     1.0..=f64::INFINITY,
 );
-
-/// Block-wise `pack` over the read-modify-write loop it replaced, at the
-/// slowest listed width.
-pub const PACK_OVER_LOOP: Band =
-    Band::new("block-wise pack over the loop", 1.0, 1.0..=f64::INFINITY);
 
 /// [`DimLookup::build`]s of the same join one [`DimBuild::scan`] costs per
 /// dimension row, worst listed pass rate. The scan reads the same columns and
@@ -174,23 +163,6 @@ impl Row {
     }
 }
 
-/// Legacy value-at-a-time `SELECT v WHERE v > x` (the pre-chunking fused
-/// loop shape), kept here as the wall-clock baseline for the fused ops.
-fn select_gt_scalar<C: ColumnRead + ?Sized>(col: &C, v: i32, out: &mut Vec<i32>) {
-    out.clear();
-    for i in 0..col.row_count() {
-        let y = col.value(i);
-        if y > v {
-            out.push(y);
-        }
-    }
-}
-
-/// Legacy value-at-a-time sum.
-fn sum_scalar<C: ColumnRead + ?Sized>(col: &C) -> i64 {
-    (0..col.row_count()).map(|i| col.value(i) as i64).sum()
-}
-
 /// The selection scan as the executor runs it: one decode chunk per call.
 fn scan_chunks<C: ColumnRead + ?Sized>(col: &C, hi: i32, rows: std::ops::Range<usize>) -> usize {
     let mut sel = [0u32; CHUNK];
@@ -199,46 +171,6 @@ fn scan_chunks<C: ColumnRead + ?Sized>(col: &C, hi: i32, rows: std::ops::Range<u
         hits += sel_between_init(col, 0, hi, start, (start + CHUNK).min(rows.end), &mut sel);
     }
     hits
-}
-
-/// The closure-per-row semi-join the bitmap kernels replaced (an opaque
-/// bounds-and-sentinel-checking lookup, a branch on its answer), kept here
-/// as their wall-clock baseline.
-fn semijoin_by_closure<C: ColumnRead + ?Sized>(
-    col: &C,
-    member: impl Fn(i32) -> bool,
-    sel: &mut [u32],
-    count: usize,
-) -> usize {
-    let mut hits = 0;
-    for k in 0..count {
-        let row = sel[k];
-        if member(col.value(row as usize)) {
-            sel[hits] = row;
-            hits += 1;
-        }
-    }
-    hits
-}
-
-/// The read-modify-write loop `PackedColumn::pack` replaced (a check, two
-/// shifts and up to two `|=` into the zeroed stream per value), kept here
-/// as its wall-clock baseline. `None` where `pack` returns an error.
-fn pack_by_loop(values: &[i32], bits: u32) -> Option<Vec<u64>> {
-    let mask = (1u64 << bits) - 1;
-    let mut words = vec![0u64; (values.len() * bits as usize).div_ceil(64)];
-    for (i, &v) in values.iter().enumerate() {
-        if v < 0 || (v as u64) & !mask != 0 {
-            return None;
-        }
-        let bit = i * bits as usize;
-        let (word, off) = (bit / 64, (bit % 64) as u32);
-        words[word] |= (v as u64) << off;
-        if off + bits > 64 {
-            words[word + 1] |= (v as u64) >> (64 - off);
-        }
-    }
-    Some(words)
 }
 
 /// One join stage over `0..n` as the executor runs it, a vector per call:
@@ -251,16 +183,14 @@ fn per_vector(n: usize, mut join: impl FnMut(usize, usize, &mut [u32]) -> usize)
         .sum()
 }
 
-/// The semi-join rows of one foreign-key column against one bitmap:
-/// contiguous-fed against gather-fed, and, given the slot array the bitmap
-/// mirrors, gather-fed against the closure probe over those slots.
-fn semijoin_rows<C: ColumnRead + ?Sized>(
+/// The semi-join row of one foreign-key column against one bitmap:
+/// contiguous-fed against gather-fed.
+fn semijoin_row<C: ColumnRead + ?Sized>(
     encoding: String,
     col: &C,
-    (bits, slots): (&[u64], Option<&[i16]>),
+    bits: &[u64],
     reps: usize,
-    rows: &mut Vec<Row>,
-) {
+) -> Row {
     let n = col.row_count();
     let spec = PerfectHashProbe::new(0, bits, &[]);
     let contiguous = |start, end, sel: &mut [u32]| sel_semijoin_init(col, &spec, start, end, sel);
@@ -268,35 +198,14 @@ fn semijoin_rows<C: ColumnRead + ?Sized>(
         let count = sel_init(start, end, sel);
         sel_semijoin_refine(col, &spec, sel, count)
     };
-    let slots = slots.unwrap_or(&[]);
-    let member = |key: i32| (0..slots.len() as i32).contains(&key) && slots[key as usize] >= 0;
-    let closure = |start, end, sel: &mut [u32]| {
-        let count = sel_init(start, end, sel);
-        semijoin_by_closure(col, member, sel, count)
-    };
-    let mut row = |kernel, secs| rows.push(Row::timed(kernel, &encoding, 0.5, n, secs));
-    row(
-        "sel_semijoin_init",
-        paired(reps, |fast| {
-            black_box(if fast {
-                per_vector(n, contiguous)
-            } else {
-                per_vector(n, gather)
-            });
-        }),
-    );
-    if !slots.is_empty() {
-        row(
-            "sel_semijoin_refine",
-            paired(reps, |fast| {
-                black_box(if fast {
-                    per_vector(n, gather)
-                } else {
-                    per_vector(n, closure)
-                });
-            }),
-        );
-    }
+    let secs = paired(reps, |fast| {
+        black_box(if fast {
+            per_vector(n, contiguous)
+        } else {
+            per_vector(n, gather)
+        });
+    });
+    Row::timed("sel_semijoin_init", encoding, 0.5, n, secs)
 }
 
 /// The scan against its bound: `col` scanned right after a read of `evict`
@@ -364,7 +273,7 @@ fn geomean(ratios: impl Iterator<Item = f64>) -> Option<f64> {
     (!logs.is_empty()).then(|| (logs.iter().sum::<f64>() / logs.len() as f64).exp())
 }
 
-/// Runs the kernel microbench and judges its six relative bands, every
+/// Runs the kernel microbench and judges its five relative bands, every
 /// miss shown. Only a `smoke` run returns them (for the exit code): a full
 /// run's absolute sizes are not what the limits were measured at.
 pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
@@ -378,44 +287,32 @@ pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
 
     println!("kernel microbench: n = {n}, reps = {reps}, single-threaded");
 
-    // --- Selection scans: scalar vs chunked, plain + packed widths. ---
+    // --- Selection scans: packed against plain over the same values. ---
     let selectivities = [0.02f64, 0.2, 0.5, 0.9];
     let mut sel = vec![0u32; n];
-    for bits in [None, Some(8u32), Some(12), Some(16), Some(22), Some(32)] {
-        let domain: i32 = match bits {
-            Some(b) if b < 31 => 1i32 << b,
-            _ => 1i32 << 30,
-        };
+    for bits in [8u32, 12, 16, 22, 32] {
+        let domain = 1i32 << bits.min(30);
         let data = gen::uniform_i32_domain(n, domain, 42);
-        let packed = bits.map(|b| PackedColumn::pack(&data, b).unwrap());
-        let encoding = match bits {
-            None => "plain".to_string(),
-            Some(b) => format!("packed{b}"),
-        };
+        let packed = PackedColumn::pack(&data, bits).unwrap();
+        let view = packed.view();
         for s in selectivities {
             // `x < v` over a uniform `[0, domain)` column has selectivity
             // `v / domain`; the kernels take inclusive `lo..=hi`.
             let hi = gen::threshold_for_selectivity(domain, s) - 1;
-            let secs = match &packed {
-                None => paired(reps, |chunked| {
-                    if chunked {
-                        black_box(sel_between_init(&data[..], 0, hi, 0, n, &mut sel));
-                    } else {
-                        black_box(sel_between_init_scalar(&data[..], 0, hi, 0, n, &mut sel));
-                    }
-                }),
-                Some(p) => {
-                    let view = p.view();
-                    paired(reps, |chunked| {
-                        if chunked {
-                            black_box(sel_between_init(&view, 0, hi, 0, n, &mut sel));
-                        } else {
-                            black_box(sel_between_init_scalar(&view, 0, hi, 0, n, &mut sel));
-                        }
-                    })
-                }
-            };
-            rows.push(Row::timed("sel_between_init", &encoding, s, n, secs));
+            let secs = paired(reps, |packed| {
+                black_box(if packed {
+                    sel_between_init(&view, 0, hi, 0, n, &mut sel)
+                } else {
+                    sel_between_init(&data[..], 0, hi, 0, n, &mut sel)
+                });
+            });
+            rows.push(Row::timed(
+                "sel_between_init",
+                format!("packed{bits}"),
+                s,
+                n,
+                secs,
+            ));
         }
     }
 
@@ -432,51 +329,18 @@ pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
         let bits: Vec<u64> = (0..kib as u64 * 128)
             .map(|w| mix(w) ^ mix(w) >> 29)
             .collect();
-        let keys = bits.len() * 64;
-        // Payloads are dense dimension codes (at most 999 in SSB).
-        let member = |k: usize| bits[k / 64] >> (k % 64) & 1 == 1;
-        let slot = |k: usize| if member(k) { (k % 1000) as i16 } else { -1 };
-        let slots: Option<Vec<i16>> = (kib == 128).then(|| (0..keys).map(slot).collect());
-        let table = (&bits[..], slots.as_deref());
-        let fk = gen::foreign_keys(n, keys, 7);
+        let fk = gen::foreign_keys(n, bits.len() * 64, 7);
         let packed_fk = PackedColumn::pack(&fk, PackedColumn::min_bits(&fk)).unwrap();
         let encoding = |enc: &str| format!("bitmap{footprint}.{enc}");
-        semijoin_rows(encoding("plain"), &fk[..], table, reps, &mut rows);
+        rows.push(semijoin_row(encoding("plain"), &fk[..], &bits, reps));
         let packed = encoding(&format!("packed{}", packed_fk.bits()));
-        semijoin_rows(packed, &packed_fk.view(), table, reps, &mut rows);
-    }
-
-    // --- Fused CPU ops: batch decode vs value-at-a-time, packed width 16.
-    {
-        let data = gen::uniform_i32_domain(n, 1 << 16, 11);
-        let packed = PackedColumn::pack(&data, 16).unwrap();
-        let view = packed.view();
-        let v = gen::threshold_for_selectivity(1 << 16, 0.5);
-        let mut out = Vec::with_capacity(n);
-        let secs = paired(reps, |chunked| {
-            if chunked {
-                black_box(select_gt_fused(&view, v, 1).len());
-            } else {
-                select_gt_scalar(&view, v, &mut out);
-                black_box(out.len());
-            }
-        });
-        rows.push(Row::timed("select_gt_fused", "packed16", 0.5, n, secs));
-        let secs = paired(reps, |chunked| {
-            if chunked {
-                black_box(sum_fused(&view, 1));
-            } else {
-                black_box(sum_scalar(&view));
-            }
-        });
-        rows.push(Row::timed("sum_fused", "packed16", 1.0, n, secs));
+        rows.push(semijoin_row(packed, &packed_fk.view(), &bits, reps));
     }
 
     // --- Decode: value-at-a-time vs `unpack_batch` on this CPU's engine. ---
     let isa = Isa::best();
     let hz = cpu_hz();
     let mut headline: Vec<(String, f64)> = Vec::new();
-    let mut pack_floor = f64::INFINITY;
     for bits in [4u32, 6, 12, 16, 17, 20, 25, 32] {
         let data = gen::uniform_i32_domain(n, 1 << bits.min(30), 11);
         let packed = PackedColumn::pack(&data, bits).unwrap();
@@ -504,24 +368,19 @@ pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
         let encoding = format!("packed{bits}");
         rows.push(Row::timed("unpack_batch", &encoding, 1.0, n, unpack));
         if [4, 16, 20, 25, 32].contains(&bits) {
-            let pack = paired(reps, |blocks| {
-                if blocks {
-                    black_box(PackedColumn::pack(black_box(&data), bits).unwrap());
-                } else {
-                    black_box(pack_by_loop(black_box(&data), bits).unwrap());
-                }
+            let pack = time_median(reps, || {
+                black_box(PackedColumn::pack(black_box(&data), bits).unwrap());
             });
-            let (cycles, of_unpack) = (pack.1 * hz / n as f64, unpack.1 / pack.1);
+            let (cycles, of_unpack) = (pack * hz / n as f64, unpack.1 / pack);
             println!(
                 "pack packed{bits}: {:.0} Mvals/s, {cycles:.2} cycles/value, {of_unpack:.2} of \
-                 unpack_batch, {:.2}x the loop it replaced",
-                n as f64 / pack.1 / 1e6,
-                pack.2
+                 unpack_batch",
+                n as f64 / pack / 1e6
             );
             headline.push((format!("pack_cycles_per_value.{encoding}"), cycles));
             headline.push((format!("pack_over_unpack.{encoding}"), of_unpack));
-            pack_floor = pack_floor.min(pack.2);
-            rows.push(Row::timed("pack", encoding, 1.0, n, pack));
+            let secs = (unpack.1, pack, of_unpack);
+            rows.push(Row::timed("pack", encoding, 1.0, n, secs));
         }
     }
 
@@ -766,44 +625,28 @@ pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
     }
     report.finish();
 
-    let packed_width = |r: &Row| {
-        let packed = r.kernel == "sel_between_init" && r.encoding.starts_with("packed");
-        packed.then(|| r.encoding[6..].parse::<u32>().unwrap())
-    };
-    let speedups = |pred: &dyn Fn(&Row) -> bool| {
-        geomean(rows.iter().filter(|r| pred(r)).map(|r| r.speedup)).unwrap_or(1.0)
-    };
-    let packed_select = speedups(&|r| packed_width(r).is_some_and(|b| b <= 16));
-    let resident = |r: &Row| r.encoding.starts_with("bitmap128KB");
-    let semijoin = speedups(&|r| r.kernel == "sel_semijoin_refine");
-    let contiguous = speedups(&|r| r.kernel == "sel_semijoin_init" && resident(r));
+    let resident =
+        |r: &&Row| r.kernel == "sel_semijoin_init" && r.encoding.starts_with("bitmap128KB");
+    let contiguous = geomean(rows.iter().filter(resident).map(|r| r.speedup)).unwrap_or(1.0);
     // The worst width's packed/plain multiple (geomean over selectivities
-    // of the two chunked scans' medians).
-    let plain_secs = |s: f64| {
-        let plain = |r: &&Row| r.kernel == "sel_between_init" && r.encoding == "plain";
-        rows.iter()
-            .filter(plain)
-            .find(|r| r.selectivity == s)
-            .map(|r| r.chunked_secs)
+    // of the paired ratios).
+    let packed_width = |r: &Row| {
+        let scan = r.kernel == "sel_between_init";
+        scan.then(|| r.encoding["packed".len()..].parse::<u32>().unwrap())
     };
     let packed_over_plain = (1..=25u32)
         .filter_map(|b| {
             let width = rows.iter().filter(|r| packed_width(r) == Some(b));
-            geomean(width.filter_map(|r| Some(r.chunked_secs / plain_secs(r.selectivity)?)))
+            geomean(width.map(|r| 1.0 / r.speedup))
         })
         .fold(0.0, f64::max);
     println!(
-        "headline: packed selection (width <= 16) chunked/scalar {}, bitmap semi-join over the \
-         closure probe {}, contiguous over gather-fed {} (128 KB bitmap), packed scan (width <= 25) \
-         at most {} the plain scan of as many rows",
-        ratio(packed_select),
-        ratio(semijoin),
+        "headline: contiguous over gather-fed {} (128 KB bitmap), packed scan (width <= 25) at \
+         most {} the plain scan of the same values",
         ratio(contiguous),
         ratio(packed_over_plain)
     );
 
-    headline.push(("packed_select_speedup_le16".into(), packed_select));
-    headline.push(("semijoin_over_closure".into(), semijoin));
     headline.push(("contiguous_over_gather_fed".into(), contiguous));
     for r in rows.iter().filter(|r| r.kernel == "sel_semijoin_init") {
         let name = format!("semijoin_contiguous_mrows_s.{}", &r.encoding[6..]);
@@ -816,8 +659,7 @@ pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
 
     let checks = vec![
         PACKED_SCAN_MULTIPLE.check(packed_over_plain),
-        SEMIJOIN_ORDER.check(contiguous.min(semijoin)),
-        PACK_OVER_LOOP.check(pack_floor),
+        SEMIJOIN_ORDER.check(contiguous),
         DIM_SCAN_MULTIPLE.check(scan_over_lookup),
         CACHED_PAIRS_MULTIPLE.check(cached_over_scan),
         SIM_GATHER_MULTIPLE.check(sim_multiple_in_l2),
@@ -844,12 +686,14 @@ fn write_json(
     s.push_str("  \"bench\": \"kernels\",\n");
     s.push_str(
         "  \"unit\": \"speedup = median per-repetition scalar/chunked ratio (wall clock, 1 thread); \
-         sim_gather rows: scalar = plain random read, chunked = L2-modelled gather, selectivity = \
-         L2 hit ratio; sel_semijoin_init rows: scalar = gather-fed from an identity selection, \
-         chunked = contiguous-fed, encoding = bitmap footprint and key storage; sel_semijoin_refine \
-         rows: scalar = closure probe, chunked = gather-fed bitmap semi-join; unpack_batch rows: scalar = value-at-a-time get, chunked = unpack_batch on \
-         config.isa; pack rows: scalar = the read-modify-write loop, chunked = block-wise \
-         PackedColumn::pack; scatter3 / fingerprint rows: scalar = plain copy / read of as many \
+         sel_between_init rows: scalar = the scan over plain storage, chunked = the scan over the \
+         same values packed; sim_gather rows: scalar = plain random read, chunked = L2-modelled \
+         gather, selectivity = L2 hit ratio; sel_semijoin_init rows: scalar = gather-fed from an \
+         identity selection, chunked = contiguous-fed, encoding = bitmap footprint and key \
+         storage; unpack_batch rows: scalar = value-at-a-time get, chunked = unpack_batch on \
+         config.isa; pack rows: scalar = unpack_batch at the same width (median of the paired \
+         run), chunked = PackedColumn::pack (median of its own run), speedup = their ratio; \
+         scatter3 / fingerprint rows: scalar = plain copy / read of as many \
          bytes, chunked = Buckets::scatter3 / SsbData::content_fingerprint; dim_build_scan rows: scalar = \
          DimLookup::build, chunked = DimBuild::scan, per dimension row, selectivity = pass rate; \
          dim_pairs_cached rows: scalar = DimBuild::scan, chunked = DimBuild::cached with both halves held; \
@@ -890,40 +734,4 @@ fn write_json(
     }
     s.push_str("  ]\n}\n");
     std::fs::write("BENCH_kernels.json", s)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The scalar baselines used for timing agree with the shipped
-    /// kernels on results (otherwise the benchmark compares different
-    /// work).
-    #[test]
-    fn bench_baselines_match_kernels() {
-        let data = gen::uniform_i32_domain(10_000, 1 << 12, 3);
-        let packed = PackedColumn::pack(&data, 12).unwrap();
-        let view = packed.view();
-        let v = 1 << 11;
-        let mut out = Vec::new();
-        select_gt_scalar(&view, v, &mut out);
-        assert_eq!(out, select_gt_fused(&view, v, 1));
-        assert_eq!(sum_scalar(&view), sum_fused(&view, 1));
-        assert_eq!(pack_by_loop(&data, 12).as_deref(), Some(packed.words()));
-        assert_eq!(pack_by_loop(&data, 11), None);
-
-        // The three semi-join forms keep the same rows.
-        let slots: Vec<i16> = (0..5000).map(|k| (k % 3 == 0) as i16 - 1).collect();
-        let bits = crystal_core::selvec::slot_bitmap(&slots);
-        let spec = PerfectHashProbe::new(0, &bits, &slots);
-        let member = |key: i32| slots.get(key as usize).is_some_and(|&s| s >= 0);
-        let (mut a, mut b, mut c) = ([0u32; CHUNK], [0u32; CHUNK], [0u32; CHUNK]);
-        let na = sel_semijoin_init(&view, &spec, 100, 1100, &mut a);
-        let count = sel_init(100, 1100, &mut b);
-        let nb = sel_semijoin_refine(&view, &spec, &mut b, count);
-        sel_init(100, 1100, &mut c);
-        let nc = semijoin_by_closure(&view, member, &mut c, count);
-        assert!(na > 100 && na < 900);
-        assert_eq!((&a[..na], &b[..nb]), (&c[..nc], &c[..nc]));
-    }
 }

@@ -26,10 +26,8 @@
 //!    input row. The contiguous semi-join stages the same way and tests
 //!    one bit per staged key in a predicated-store pass.
 //!
-//! `sel_between_init_scalar` is the retained value-at-a-time form of the
-//! scan: the property-test oracle and the legacy side of the `reproduce
-//! microbench` wall-clock gate. None of the kernels allocates, and all are
-//! usable from any engine (and testable without a device).
+//! None of the kernels allocates, and all are usable from any engine (and
+//! testable without a device).
 
 use crystal_storage::encoding::ColumnRead;
 use crystal_storage::Isa;
@@ -323,6 +321,7 @@ unsafe fn between_init_on<C: ColumnRead + ?Sized>(
                     // survivors <= rows scanned so far).
                     count += unsafe {
                         let bm = lanes::range_bitmap_avx512(group, lo, hi);
+                        debug_assert!(count + bm.count_ones() as usize <= sel.len());
                         lanes::emit_rows_avx512(bm, base, sel.as_mut_ptr().add(count))
                     };
                 }
@@ -333,28 +332,8 @@ unsafe fn between_init_on<C: ColumnRead + ?Sized>(
                     count = emit_rows(bm, base, sel, count);
                 }
                 Isa::Portable => {
-                    if cfg!(debug_assertions) {
-                        // Unoptimized builds: the bitmap staging is all
-                        // outlined calls, so compact straight off the
-                        // decoded window with a predicated store (still
-                        // branch-free on the data).
-                        // The manual counter beats clippy's preferred
-                        // `zip`/`enumerate` forms here: this loop exists
-                        // for unoptimized builds, where every iterator
-                        // adapter layer is an outlined call per element.
-                        #[allow(clippy::explicit_counter_loop)]
-                        {
-                            let mut row = base;
-                            for &v in group.iter() {
-                                sel[count] = row;
-                                count += usize::from((lo <= v) & (v <= hi));
-                                row += 1;
-                            }
-                        }
-                    } else {
-                        let bm = lanes::range_bitmap_portable(group, lo, hi);
-                        count = emit_rows(bm, base, sel, count);
-                    }
+                    let bm = lanes::range_bitmap_portable(group, lo, hi);
+                    count = emit_rows(bm, base, sel, count);
                 }
             }
             base += LANES as u32;
@@ -365,29 +344,6 @@ unsafe fn between_init_on<C: ColumnRead + ?Sized>(
             count += usize::from(lo <= v && v <= hi);
         }
         cs = ce;
-    }
-    count
-}
-
-/// Value-at-a-time reference form of [`sel_between_init`] (the Section 3.2
-/// predicated store: always write, advance the cursor only on a match).
-/// Retained as the property-test oracle and the legacy side of the
-/// `reproduce microbench` gate.
-#[inline]
-pub fn sel_between_init_scalar<C: ColumnRead + ?Sized>(
-    col: &C,
-    lo: i32,
-    hi: i32,
-    start: usize,
-    end: usize,
-    sel: &mut [u32],
-) -> usize {
-    debug_assert!(end - start <= sel.len());
-    let mut count = 0usize;
-    for row in start..end {
-        sel[count] = row as u32;
-        let v = col.value(row);
-        count += usize::from(lo <= v && v <= hi);
     }
     count
 }
@@ -899,11 +855,17 @@ mod tests {
         assert_eq!(&sel[..n], &expected[..]);
     }
 
-    /// Chunked kernels agree with the retained scalar references on
-    /// windows that straddle chunk and bitmap-word boundaries from both
-    /// ends.
+    /// The rows of `start..end` whose value lies in `lo..=hi`: the filter
+    /// oracle of the scan, independent of every kernel.
+    fn between_oracle(col: &[i32], lo: i32, hi: i32, start: usize, end: usize) -> Vec<u32> {
+        let hit = |&r: &u32| (lo..=hi).contains(&col[r as usize]);
+        (start as u32..end as u32).filter(hit).collect()
+    }
+
+    /// Chunked kernels agree with the filter oracle on windows that
+    /// straddle chunk and bitmap-word boundaries from both ends.
     #[test]
-    fn chunked_matches_scalar_on_straddling_windows() {
+    fn chunked_matches_the_oracle_on_straddling_windows() {
         let n = 3 * CHUNK + 321;
         let col: Vec<i32> = (0..n).map(|i| ((i as i64 * 48271) % 997) as i32).collect();
         let (lo, hi) = (100, 600);
@@ -919,11 +881,9 @@ mod tests {
             (n, n),
         ] {
             let mut a = vec![0u32; n];
-            let mut b = vec![0u32; n];
             let na = sel_between_init(&col[..], lo, hi, start, end, &mut a);
-            let nb = sel_between_init_scalar(&col[..], lo, hi, start, end, &mut b);
-            assert_eq!(na, nb, "start={start} end={end}");
-            assert_eq!(&a[..na], &b[..nb], "start={start} end={end}");
+            let want = between_oracle(&col, lo, hi, start, end);
+            assert_eq!(&a[..na], &want[..], "start={start} end={end}");
 
             // Refine from the same surviving selection, against an
             // independently computed filter oracle.
@@ -942,8 +902,7 @@ mod tests {
 
     /// Every available vector engine produces the exact bitmap of the
     /// portable engine, including at the `i32` extremes — run directly
-    /// (not via `Isa::best`) so debug-profile test runs still cover the
-    /// intrinsic code paths.
+    /// (detection reaches only the best one).
     #[test]
     fn vector_engines_match_portable_bitmaps() {
         let mut group = [0i32; LANES];
@@ -993,11 +952,11 @@ mod tests {
     /// The forced-engine matrix, one layer up from `bitpack`'s: every
     /// compare/compact engine the CPU has scans a packed view of every
     /// width — whose last value ends in the last byte of the last word —
-    /// to the same selection as the scalar reference, from starts on both
-    /// sides of the group and chunk boundaries to ends mid-group, at the
-    /// chunk edge and at the end of the stream.
+    /// to the filter oracle's selection, from starts on both sides of the
+    /// group and chunk boundaries to ends mid-group, at the chunk edge and
+    /// at the end of the stream.
     #[test]
-    fn every_engine_selects_every_packed_width_like_the_scalar_scan() {
+    fn every_engine_selects_every_packed_width_like_the_oracle() {
         use crystal_storage::PackedColumn;
         const LEN: usize = 2 * CHUNK + LANES; // `LEN * bits` is whole words.
         for &isa in Isa::ALL.iter().filter(|isa| isa.supported()) {
@@ -1012,12 +971,12 @@ mod tests {
                 for start in [0, 1, 15, 16, 63, 64, 1023, 1024, LEN - 17, LEN - 1] {
                     for end in [start, start + 1, start + 17, start + CHUNK, LEN] {
                         let end = end.min(LEN);
-                        let (mut got, mut want) = (vec![0u32; LEN], vec![0u32; LEN]);
+                        let mut got = vec![0u32; LEN];
                         // SAFETY: `isa` passed the `supported` filter.
                         let n =
                             unsafe { between_init_on(isa, &view, lo, hi, start, end, &mut got) };
-                        let m = sel_between_init_scalar(&col[..], lo, hi, start, end, &mut want);
-                        assert_eq!(&got[..n], &want[..m], "{isa:?} bits={bits} {start}..{end}");
+                        let want = between_oracle(&col, lo, hi, start, end);
+                        assert_eq!(&got[..n], &want[..], "{isa:?} bits={bits} {start}..{end}");
                     }
                 }
             }

@@ -21,8 +21,7 @@
 //! harness; the *paper-scale* CPU timings in the figures come from
 //! `crystal-models`, which models this hardware class analytically.
 //!
-//! [`packed`] holds the compressed-execution operators: fused
-//! unpack-and-compare scans generic over
+//! The selection scan ([`select::select`]) is generic over
 //! `crystal_storage::encoding::ColumnRead`, so plain and bit-packed
 //! columns share one implementation (Section 5.5's compression
 //! direction; the CPU side pays its unpack shifts on the scalar pipes,
@@ -30,7 +29,6 @@
 
 pub mod exec;
 pub mod join;
-pub mod packed;
 pub mod project;
 pub mod radix;
 pub mod radix_join;

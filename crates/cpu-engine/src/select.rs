@@ -17,8 +17,15 @@
 //! Output order is nondeterministic across threads (vectors are committed
 //! in cursor order); SQL set semantics permit this, and tests compare
 //! multisets.
+//!
+//! [`select`] reads any `ColumnRead`: each vector is staged through
+//! `ColumnRead::stage` — zero-copy over a plain slice, one batch decode
+//! over bit-packed storage — so a packed column runs the same loops over
+//! the same dense window.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+use crystal_storage::encoding::ColumnRead;
 
 use crate::exec::{scoped_map, SendPtr, VECTOR_SIZE};
 
@@ -45,19 +52,24 @@ pub fn select_simd_pred(data: &[i32], v: i32, threads: usize) -> Vec<i32> {
     select(data, v, threads, SelectVariant::SimdPred)
 }
 
-/// Shared driver: vector-at-a-time with a global atomic output cursor.
-pub fn select(data: &[i32], v: i32, threads: usize, variant: SelectVariant) -> Vec<i32> {
-    let n = data.len();
+/// Shared driver: vector-at-a-time with a global atomic output cursor,
+/// over a plain or a packed column.
+pub fn select<C>(col: &C, v: i32, threads: usize, variant: SelectVariant) -> Vec<i32>
+where
+    C: ColumnRead + Sync + ?Sized,
+{
+    let n = col.row_count();
     let mut out: Vec<i32> = Vec::with_capacity(n);
     let cursor = AtomicUsize::new(0);
     let out_ptr = SendPtr(out.as_mut_ptr());
 
     scoped_map(n, threads, |range| {
+        let mut decode = [0i32; VECTOR_SIZE];
         let mut buf = [0i32; VECTOR_SIZE];
         let mut start = range.start;
         while start < range.end {
             let end = (start + VECTOR_SIZE).min(range.end);
-            let vec = &data[start..end];
+            let vec = col.stage(start, end, &mut decode);
             let count = match variant {
                 SelectVariant::Branching => {
                     let mut c = 0usize;
@@ -138,12 +150,19 @@ mod tests {
         r
     }
 
+    /// Every threshold over the plain column and over the same values
+    /// packed at 20 bits.
     fn check(variant: SelectVariant) {
         let d = data(100_000);
+        let packed = crystal_storage::PackedColumn::pack(&d, 20).unwrap();
         for v in [0, 100_000, 500_000, 1_000_000] {
-            let mut got = select(&d, v, 4, variant);
-            got.sort_unstable();
-            assert_eq!(got, reference(&d, v), "variant {variant:?} v={v}");
+            for mut got in [
+                select(&d[..], v, 4, variant),
+                select(&packed.view(), v, 4, variant),
+            ] {
+                got.sort_unstable();
+                assert_eq!(got, reference(&d, v), "variant {variant:?} v={v}");
+            }
         }
     }
 
@@ -179,7 +198,7 @@ mod tests {
             SelectVariant::Predication,
             SelectVariant::SimdPred,
         ] {
-            let mut got = select(&d, v, 3, variant);
+            let mut got = select(&d[..], v, 3, variant);
             got.sort_unstable();
             assert_eq!(got, expected);
         }

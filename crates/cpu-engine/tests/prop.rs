@@ -27,7 +27,7 @@ proptest! {
         ]
         .iter()
         .map(|&variant| {
-            let mut r = select(&data, v, threads, variant);
+            let mut r = select(&data[..], v, threads, variant);
             r.sort_unstable();
             r
         })
@@ -104,15 +104,20 @@ proptest! {
         );
     }
 
-    /// Packed selection equals plain selection for any width.
+    /// Selection over a packed column equals the filter for every width
+    /// 1..=32 and every variant.
     #[test]
-    fn packed_select_equals_plain(values in vec(0i32..(1 << 20), 0..3000), bits in 21u32..32) {
+    fn packed_select_is_a_filter(values in vec(any::<i32>(), 0..3000), bits in 1u32..33) {
+        let domain = (1i64 << bits.min(31)) - 1;
+        let values: Vec<i32> = values.into_iter().map(|y| y & domain as i32).collect();
         let packed = PackedColumn::pack(&values, bits).unwrap();
-        let v = 1 << 19;
-        let mut got = crystal_cpu::packed::select_gt_packed(&packed, v, 3);
-        got.sort_unstable();
-        let mut expected: Vec<i32> = values.into_iter().filter(|&y| y > v).collect();
+        let v = (domain / 2) as i32;
+        let mut expected: Vec<i32> = values.iter().copied().filter(|&y| y < v).collect();
         expected.sort_unstable();
-        prop_assert_eq!(got, expected);
+        for variant in [SelectVariant::Branching, SelectVariant::Predication, SelectVariant::SimdPred] {
+            let mut got = select(&packed.view(), v, 3, variant);
+            got.sort_unstable();
+            prop_assert_eq!(&got, &expected);
+        }
     }
 }

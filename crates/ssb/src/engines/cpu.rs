@@ -91,35 +91,6 @@ mod tests {
         }
     }
 
-    /// The morsel-driven path and the legacy static-partition path are
-    /// observationally identical: same results, same trace counts.
-    #[test]
-    fn morsel_path_equals_scoped_path() {
-        let d = SsbData::generate_scaled(1, 0.003, 19);
-        for q in all_queries(&d) {
-            let (morsel_r, morsel_t) = execute(&d, &q, 4);
-            let (scoped_r, scoped_t) = exec::execute_with(
-                &FactTable::plain(&d),
-                &q,
-                4,
-                PipelineMode::Vectorized,
-                exec::Schedule::Scoped,
-            );
-            assert_eq!(morsel_r, scoped_r, "{} result diverged", q.name);
-            assert_eq!(
-                morsel_t.pred_survivors, scoped_t.pred_survivors,
-                "{}",
-                q.name
-            );
-            assert_eq!(morsel_t.result_rows, scoped_t.result_rows, "{}", q.name);
-            for (a, b) in morsel_t.stages.iter().zip(&scoped_t.stages) {
-                assert_eq!(a.probes, b.probes, "{}", q.name);
-                assert_eq!(a.hits, b.hits, "{}", q.name);
-                assert_eq!(a.ht_bytes, b.ht_bytes, "{}", q.name);
-            }
-        }
-    }
-
     /// The engine's encoded entry point is byte-identical to its plain
     /// one on every query at the tightest packing.
     #[test]

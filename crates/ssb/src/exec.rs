@@ -72,14 +72,10 @@
 //! [`CHUNK`] and [`MORSEL_SIZE`] is a multiple of it (checked at compile
 //! time), so morsel boundaries never split a decode chunk mid-stream.
 //!
-//! The same per-vector pipeline also serves the legacy static-partition
-//! schedule ([`Schedule::Scoped`], kept for the scorecard's morsel-vs-scoped
-//! band) — one pipeline implementation, two schedules, two interpretation
-//! styles, two physical formats.
-//!
 //! All variants produce identical [`QueryResult`]s and [`QueryTrace`]s;
-//! the trace counts are data-determined and independent of the schedule
-//! and the encodings, which the randomized differential suite
+//! the trace counts are data-determined and independent of the morsel
+//! size, the thread count and the encodings, which the randomized
+//! differential suite
 //! (`tests/differential_random.rs`) checks against the row-wise oracle on
 //! hundreds of generated queries.
 
@@ -87,7 +83,7 @@ use crystal_core::selvec::{
     sel_between_init, sel_between_refine, sel_group_digit, sel_init, sel_semijoin_init,
     sel_semijoin_refine, CHUNK,
 };
-use crystal_cpu::exec::{morsel_map, scoped_map, MorselQueue, MORSEL_SIZE, VECTOR_SIZE};
+use crystal_cpu::exec::{morsel_map, MorselQueue, MORSEL_SIZE, VECTOR_SIZE};
 
 // The pipeline hands the chunked kernels one vector at a time, and morsels
 // are handed out in whole vectors — both must nest cleanly inside the
@@ -116,18 +112,6 @@ pub enum PipelineMode {
     Vectorized,
     /// Tuple-at-a-time push pipeline (branching, Hyper-style).
     TupleAtATime,
-}
-
-/// How rows are handed to workers. Results and traces are identical under
-/// every schedule; only the work distribution differs.
-#[derive(Debug, Clone, Copy)]
-pub enum Schedule {
-    /// Work-stealing morsels of the given size ([`MORSEL_SIZE`] by default;
-    /// tests shrink it until scheduling effects would surface).
-    Morsel(usize),
-    /// Static near-equal range partitions, one per thread: the pre-morsel
-    /// baseline the morsel-driven path is benchmarked against.
-    Scoped,
 }
 
 /// Per-worker accumulation state: a private group accumulator plus the
@@ -267,18 +251,20 @@ pub fn execute(
     threads: usize,
     mode: PipelineMode,
 ) -> (QueryResult, QueryTrace) {
-    execute_with(table, q, threads, mode, Schedule::Morsel(MORSEL_SIZE))
+    execute_with(table, q, threads, mode, MORSEL_SIZE)
 }
 
-/// [`execute`] under an explicit [`Schedule`].
+/// [`execute`] with work-stealing morsels of `morsel` rows (tests shrink
+/// it until scheduling effects would surface; results and traces are the
+/// same at every size).
 pub fn execute_with(
     table: &FactTable<'_>,
     q: &StarQuery,
     threads: usize,
     mode: PipelineMode,
-    schedule: Schedule,
+    morsel: usize,
 ) -> (QueryResult, QueryTrace) {
-    Plan::new(table.data(), q).run(&live_segments(table, q), threads, mode, schedule)
+    Plan::new(table.data(), q).run(&live_segments(table, q), threads, mode, morsel)
 }
 
 /// The plan's predicate, foreign-key and aggregate-input columns,
@@ -335,7 +321,7 @@ fn live_segments<'a>(table: &FactTable<'a>, q: &StarQuery) -> Vec<Segment<'a>> {
     live.filter(|seg| seg.rows() > 0).map(resolve).collect()
 }
 
-/// What every schedule of one query shares, assembled once before the
+/// What every run of one query shares, assembled once before the
 /// scan: the dimension lookups (from the dataset's cached halves) and the
 /// layout of the group key.
 struct Plan<'a> {
@@ -377,40 +363,31 @@ impl<'a> Plan<'a> {
         )
     }
 
-    /// Runs every segment to completion under `schedule`, one after the
-    /// other, and merges all workers' tables.
+    /// Runs every segment to completion in morsels of `morsel` rows, one
+    /// segment after the other, and merges all workers' tables.
     fn run(
         &self,
         segments: &[Segment<'_>],
         threads: usize,
         mode: PipelineMode,
-        schedule: Schedule,
+        morsel: usize,
     ) -> (QueryResult, QueryTrace) {
         let mut workers: Vec<WorkerAcc> = Vec::new();
         for (cols, rows) in segments {
             let ctx = self.ctx(cols);
-            workers.extend(match schedule {
-                Schedule::Morsel(morsel) => {
-                    morsel_map(*rows, threads, morsel, |queue: &MorselQueue| {
-                        let (mut acc, mut scratch) = self.worker();
-                        while let Some(m) = queue.claim() {
-                            scan_range(&ctx, mode, m.start, m.end, &mut acc, &mut scratch);
-                        }
-                        acc
-                    })
+            workers.extend(morsel_map(*rows, threads, morsel, |queue: &MorselQueue| {
+                let (mut acc, mut scratch) = self.worker();
+                while let Some(m) = queue.claim() {
+                    scan_range(&ctx, mode, m.start, m.end, &mut acc, &mut scratch);
                 }
-                Schedule::Scoped => scoped_map(*rows, threads, |range| {
-                    let (mut acc, mut scratch) = self.worker();
-                    scan_range(&ctx, mode, range.start, range.end, &mut acc, &mut scratch);
-                    acc
-                }),
-            });
+                acc
+            }));
         }
         self.assemble(workers)
     }
 
     /// Merges per-worker accumulators into the final result and trace —
-    /// the one exit path shared by the run-to-completion schedules and
+    /// the one exit path shared by the run to completion and
     /// the resumable [`HostQueryJob`]. `fact_rows` is always the *whole*
     /// table, pruned or not, so traces compare across table shapes.
     fn assemble(&self, workers: Vec<WorkerAcc>) -> (QueryResult, QueryTrace) {
@@ -766,10 +743,8 @@ mod tests {
         let d = data();
         let q = crate::queries::query(&d, crate::QueryId::new(4, 2));
         let table = FactTable::plain(&d);
-        let run = |threads, morsel| {
-            let schedule = Schedule::Morsel(morsel);
-            execute_with(&table, &q, threads, PipelineMode::Vectorized, schedule)
-        };
+        let run =
+            |threads, morsel| execute_with(&table, &q, threads, PipelineMode::Vectorized, morsel);
         let (baseline, base_trace) = run(1, 1 << 20);
         for (threads, morsel) in [(2, 777), (4, VECTOR_SIZE), (8, 3 * VECTOR_SIZE + 5), (3, 1)] {
             let (r, t) = run(threads, morsel);
@@ -786,8 +761,8 @@ mod tests {
         let d = SsbData::generate_scaled(1, 0.001, 29);
         let q = crate::queries::query(&d, crate::QueryId::new(2, 2));
         let expected = reference::execute(&d, &q);
-        let (table, schedule) = (FactTable::plain(&d), Schedule::Morsel(1000));
-        let (got, trace) = execute_with(&table, &q, 5, PipelineMode::Vectorized, schedule);
+        let table = FactTable::plain(&d);
+        let (got, trace) = execute_with(&table, &q, 5, PipelineMode::Vectorized, 1000);
         assert_eq!(got, expected);
         assert_eq!(trace.fact_rows, d.lineorder.rows());
         assert_eq!(trace.stages[0].probes, trace.pred_survivors);
@@ -941,7 +916,7 @@ mod tests {
             for (e, (fact, pf)) in tables.iter().enumerate() {
                 let table = FactTable::encoded(&d, fact);
                 for morsel in [1, 999, VECTOR_SIZE, 3 * VECTOR_SIZE + 5] {
-                    let got = execute_with(&table, &q, 3, mode, Schedule::Morsel(morsel));
+                    let got = execute_with(&table, &q, 3, mode, morsel);
                     assert_eq!(got, expected, "{shape}, encoding {e}, morsel {morsel}");
                 }
                 assert!(pf.shard_count() > 1);
@@ -1039,20 +1014,6 @@ mod tests {
             assert_eq!(job.remaining_rows(), 0);
             assert!(job.step(1));
             assert_eq!(job.finish(), (expected, expected_trace));
-        }
-    }
-
-    /// The scoped schedule runs the same pipeline.
-    #[test]
-    fn scoped_schedule_matches_morsel_schedule() {
-        let d = SsbData::generate_scaled(1, 0.002, 37);
-        let table = FactTable::plain(&d);
-        let mode = PipelineMode::Vectorized;
-        for q in all_queries(&d).into_iter().take(6) {
-            let (expected, trace) = execute(&table, &q, 4, mode);
-            assert_eq!(expected, reference::execute(&d, &q));
-            let scoped = execute_with(&table, &q, 4, mode, Schedule::Scoped);
-            assert_eq!(scoped, (expected, trace), "{}", q.name);
         }
     }
 }

@@ -279,17 +279,10 @@ impl<'a> PackedView<'a> {
 /// end past `words`, and widths 26..=32, take the scalar window loop; the
 /// last values, whose scalar window would, take the word/straddle loop —
 /// as does the whole batch on big-endian targets (windows read the words'
-/// in-memory byte order) and in debug builds: [`Isa::best`] is portable
-/// there, but unoptimized `read_unaligned` is a nest of outlined calls
-/// that makes even the window loop slower than value-at-a-time access
-/// (the scorecard's chunked-vs-scalar band runs under `cargo test`).
+/// in-memory byte order).
 pub fn unpack_batch(words: &[u64], bits: u32, start: usize, out: &mut [i32]) {
-    if cfg!(debug_assertions) {
-        unpack_straddle(words, bits, start, out);
-    } else {
-        // SAFETY: `Isa::best` only returns a level the CPU supports.
-        unsafe { unpack_on(Isa::best(), words, bits, start, out) }
-    }
+    // SAFETY: `Isa::best` only returns a level the CPU supports.
+    unsafe { unpack_on(Isa::best(), words, bits, start, out) }
 }
 
 /// [`unpack_batch`] on a given level's engine (tests force each one).
@@ -444,6 +437,7 @@ fn unpack_windows(words: &[u64], bits: u32, start: usize, out: &mut [i32]) -> us
     // In bits: a window that ends inside the stream starts inside it.
     let n = loads_in_bounds(words.len() * 64, bit, b, 64, out.len());
     for slot in &mut out[..n] {
+        debug_assert!(bit + 64 <= words.len() * 64);
         // SAFETY: `loads_in_bounds` counted only values with
         // `bit + 64 <= words.len() * 64`, so the 8 bytes from `bit / 8`
         // are inside `words`; `read_unaligned` takes any alignment.
@@ -454,8 +448,8 @@ fn unpack_windows(words: &[u64], bits: u32, start: usize, out: &mut [i32]) -> us
     n
 }
 
-/// The word/straddle loop: bounds-checked, any target, any build — the
-/// whole batch in debug builds, the last few values otherwise.
+/// The word/straddle loop: bounds-checked, any target — the last few
+/// values of a batch, the whole batch on big-endian targets.
 fn unpack_straddle(words: &[u64], bits: u32, start: usize, out: &mut [i32]) {
     let b = bits as usize;
     let mask = low_mask(bits);
@@ -648,8 +642,7 @@ mod tests {
     }
 
     /// The forced-engine matrix: every decode engine the CPU has, called
-    /// directly (not through detection, so debug runs execute the
-    /// intrinsics and their per-load `debug_assert`s), agrees with
+    /// directly (detection reaches only the best one), agrees with
     /// `unpack_at` for every width, from starts at every bit phase and on
     /// both sides of the 16-, 64- and 1024-value boundaries, for lengths
     /// around one SIMD group and up to the end of a stream whose last

@@ -28,7 +28,7 @@ use crystal::ssb::arbitrary::random_star_query;
 use crystal::ssb::encoding::{random_encodings, EncodedFact};
 use crystal::ssb::engines::profile::QueryProfile;
 use crystal::ssb::engines::{copro, cpu, hyper, reference};
-use crystal::ssb::exec::{self, PipelineMode, Schedule};
+use crystal::ssb::exec::{self, PipelineMode};
 use crystal::ssb::plan::StarQuery;
 use crystal::ssb::{FactTable, SsbData};
 use crystal_bench::util::env_var;
@@ -420,8 +420,7 @@ fn random_queries_are_schedule_invariant() {
         let q = random_star_query(&d, qseed);
         let expected = reference::execute(&d, &q);
         for (threads, morsel) in [(1usize, 1usize << 20), (3, 1000), (8, 1)] {
-            let run =
-                |mode| exec::execute_with(&table, &q, threads, mode, Schedule::Morsel(morsel));
+            let run = |mode| exec::execute_with(&table, &q, threads, mode, morsel);
             let (r, _) = run(PipelineMode::Vectorized);
             assert_eq!(
                 r, expected,
