@@ -23,8 +23,11 @@
 //!    no data-dependent store cursor), then surviving rows are emitted by
 //!    iterating set bits with `trailing_zeros`. At low selectivity the
 //!    emit loop touches only the survivors instead of storing once per
-//!    input row. The contiguous semi-join stages the same way and tests
-//!    one bit per staged key in a predicated-store pass.
+//!    input row. The contiguous semi-join stages the same way, through the
+//!    same driver; under AVX-512 it builds the same match bitmaps with
+//!    masked gathers of the membership bitmap's words, 16 keys per
+//!    `vpgatherdd`, and elsewhere tests one bit per key in a
+//!    predicated-store pass.
 //!
 //! None of the kernels allocates, and all are usable from any engine (and
 //! testable without a device).
@@ -140,15 +143,27 @@ fn emit_rows(mut bm: u64, base: u32, sel: &mut [u32], mut count: usize) -> usize
     count
 }
 
-/// The compare/compact engine behind the chunked scan: full 64-row groups
-/// of a decoded chunk are turned into a `u64` match bitmap and the set
-/// bits compacted into the selection vector. One portable implementation
-/// (byte flags + a multiply bit-gather, both autovectorizable) plus
-/// x86-64 AVX2/AVX-512 specializations picked once per process by
-/// [`Isa::best`] — the runtime detection shared with the decode engines
-/// of `crystal_storage::bitpack` — so the kernels stay safe,
+/// The compare/compact engines behind the chunked scan and the contiguous
+/// semi-join: full 64-row groups of a decoded chunk are turned into a
+/// `u64` match bitmap and the set bits compacted into the selection
+/// vector. The scan's portable form (byte flags + a multiply bit-gather,
+/// both autovectorizable) plus x86-64 AVX2/AVX-512 specializations, and
+/// the semi-join's AVX-512 gather, picked once per process by
+/// [`Isa::best`] — the runtime detection shared with the decode engines of
+/// `crystal_storage::bitpack` — so the kernels stay safe,
 /// scalar-identical, and compiled for the baseline target.
 mod lanes {
+    /// The bitmap's length in 32-bit words, the unit the semi-join's
+    /// gather loads: on little-endian x86-64 bit `s` of the `u64` bitmap
+    /// is bit `s & 31` of `u32` word `s >> 5`. Capped at 2^27, the word
+    /// count of the whole `u32` slot range, so it fits an `i32` lane (a
+    /// larger bitmap holds every slot's word).
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    fn words32(bits: &[u64]) -> i32 {
+        (bits.len() * 2).min(1 << 27) as i32
+    }
+
     /// Match bitmap of `lo <= v <= hi` over one full 64-value group:
     /// compare into 0/1 bytes (an autovectorizable loop with no carried
     /// state), then gather the flags into bits.
@@ -173,8 +188,8 @@ mod lanes {
         let vhi = _mm256_set1_epi32(hi);
         let mut bm = 0u64;
         for g in 0..8 {
-            // SAFETY (caller: AVX2 present): the load reads lanes
-            // `8g..8g+8` of the 64-element array, in bounds for g < 8.
+            // SAFETY: the load reads lanes `8g..8g+8` of the 64-element
+            // array, in bounds for g < 8 (the caller vouches for AVX2).
             let v = unsafe { _mm256_loadu_si256(group.as_ptr().add(g * 8) as *const __m256i) };
             let below = _mm256_cmpgt_epi32(vlo, v);
             let above = _mm256_cmpgt_epi32(v, vhi);
@@ -195,12 +210,58 @@ mod lanes {
         let vhi = _mm512_set1_epi32(hi);
         let mut bm = 0u64;
         for g in 0..4 {
-            // SAFETY (caller: AVX-512F present): lanes `16g..16g+16` of
-            // the 64-element array, in bounds for g < 4.
+            // SAFETY: lanes `16g..16g+16` of the 64-element array, in
+            // bounds for g < 4 (the caller vouches for AVX-512F).
             let v = unsafe { _mm512_loadu_si512(group.as_ptr().add(g * 16) as *const __m512i) };
             let ge = _mm512_cmp_epi32_mask::<_MM_CMPINT_NLT>(v, vlo);
             let le = _mm512_cmp_epi32_mask::<_MM_CMPINT_LE>(v, vhi);
             bm |= ((ge & le) as u64) << (g * 16);
+        }
+        bm
+    }
+
+    /// AVX-512 membership bitmap of one full 64-key group against the
+    /// bitmap `bits` over slots from `min_key`: per 16 keys, the slot
+    /// `key - min_key` (wrapping, as [`super::PerfectHashProbe`]'s), an
+    /// unsigned mask compare of its 32-bit word index against the bitmap's
+    /// that masks a `vpgatherdd` of the in-range words (masked lanes load
+    /// nothing and read as 0, so a key outside the range misses without a
+    /// branch), and the key's bit tested in place after a `vpsrlvd` by
+    /// `slot & 31`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn member_bitmap_avx512(
+        group: &[i32; 64],
+        min_key: i32,
+        bits: &[u64],
+    ) -> u64 {
+        use std::arch::x86_64::*;
+        let words = words32(bits);
+        debug_assert!(words as usize <= 2 * bits.len(), "the gathers' bound");
+        let vmin = _mm512_set1_epi32(min_key);
+        let vwords = _mm512_set1_epi32(words);
+        let low5 = _mm512_set1_epi32(31);
+        let one = _mm512_set1_epi32(1);
+        let mut bm = 0u64;
+        for g in 0..4 {
+            // SAFETY: lanes `16g..16g+16` of the 64-element array, in
+            // bounds for g < 4 (the caller vouches for AVX-512F).
+            let keys = unsafe { _mm512_loadu_si512(group.as_ptr().add(g * 16) as *const __m512i) };
+            let slot = _mm512_sub_epi32(keys, vmin);
+            let word = _mm512_srli_epi32::<5>(slot);
+            let live = _mm512_cmplt_epu32_mask(word, vwords);
+            // SAFETY: only the `live` lanes load, each the `u32` at a word
+            // index below `words` <= 2 * `bits.len()`: inside `bits`.
+            let got = unsafe {
+                _mm512_mask_i32gather_epi32::<4>(
+                    _mm512_setzero_si512(),
+                    live,
+                    word,
+                    bits.as_ptr().cast(),
+                )
+            };
+            let bit = _mm512_srlv_epi32(got, _mm512_and_si512(slot, low5));
+            bm |= (_mm512_test_epi32_mask(bit, one) as u64) << (g * 16);
         }
         bm
     }
@@ -218,9 +279,10 @@ mod lanes {
         for g in 0..4u32 {
             let mask = ((bm >> (g * 16)) & 0xFFFF) as u16;
             let rows = _mm512_add_epi32(iota, _mm512_set1_epi32((base + g * 16) as i32));
-            // SAFETY (caller: AVX-512F present, and `sel_at` has capacity
-            // for every set bit of `bm`): the masked compress store
-            // writes exactly `mask.count_ones()` contiguous lanes.
+            // SAFETY: the masked compress store writes exactly
+            // `mask.count_ones()` contiguous lanes, and the caller vouches
+            // for AVX-512F and for room at `sel_at` for every set bit of
+            // `bm`.
             unsafe {
                 _mm512_mask_compressstoreu_epi32(sel_at.add(out) as *mut i32, mask, rows);
             }
@@ -258,6 +320,76 @@ fn prefetch_chunk_from<C: ColumnRead + ?Sized>(col: &C, row: usize) {
     }
 }
 
+/// A per-row test the contiguous-fed kernels run over staged values: the
+/// scan's `lo..=hi` ([`Between`]) and the semi-join's membership
+/// ([`PerfectHashProbe`]).
+trait RowTest: Copy {
+    /// Whether one value passes.
+    fn hit(&self, v: i32) -> bool;
+
+    /// The match bitmap of one full group on engine `isa`, bit `j` for
+    /// value `j`; `None` where that engine runs [`Self::hit`] row by row.
+    ///
+    /// # Safety
+    /// The running CPU must support `isa` ([`Isa::supported`]).
+    unsafe fn group(&self, isa: Isa, group: &[i32; LANES]) -> Option<u64>;
+}
+
+/// The scan's predicate, `lo <= v <= hi`.
+#[derive(Clone, Copy)]
+struct Between {
+    lo: i32,
+    hi: i32,
+}
+
+impl RowTest for Between {
+    #[inline(always)]
+    fn hit(&self, v: i32) -> bool {
+        (self.lo <= v) & (v <= self.hi)
+    }
+
+    #[inline(always)]
+    unsafe fn group(&self, isa: Isa, group: &[i32; LANES]) -> Option<u64> {
+        let Between { lo, hi } = *self;
+        Some(match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512Vbmi | Isa::Avx512 => {
+                // SAFETY: the caller vouches for AVX-512.
+                unsafe { lanes::range_bitmap_avx512(group, lo, hi) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => {
+                // SAFETY: the caller vouches for AVX2.
+                unsafe { lanes::range_bitmap_avx2(group, lo, hi) }
+            }
+            Isa::Portable => lanes::range_bitmap_portable(group, lo, hi),
+        })
+    }
+}
+
+impl RowTest for PerfectHashProbe<'_> {
+    #[inline(always)]
+    fn hit(&self, key: i32) -> bool {
+        member(self.bits, self.slot(key)) == 1
+    }
+
+    /// Only AVX-512 gathers: an 8-lane AVX2 gather loses to the
+    /// predicated store at L2-sized bitmaps (DESIGN.md §14), and a
+    /// portable byte-flag bitmap plus `trailing_zeros` walk loses to it at
+    /// every size.
+    #[inline(always)]
+    unsafe fn group(&self, isa: Isa, group: &[i32; LANES]) -> Option<u64> {
+        match isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512Vbmi | Isa::Avx512 => {
+                // SAFETY: the caller vouches for AVX-512.
+                Some(unsafe { lanes::member_bitmap_avx512(group, self.min_key, self.bits) })
+            }
+            _ => None,
+        }
+    }
+}
+
 /// Initializes `sel` with the rows of `start..end` whose `col` value lies
 /// in `lo..=hi`, chunked two-phase: decode [`CHUNK`] rows batch-wise
 /// (SIMD byte-window decode over packed storage, zero-copy over plain),
@@ -278,20 +410,25 @@ pub fn sel_between_init<C: ColumnRead + ?Sized>(
     sel: &mut [u32],
 ) -> usize {
     // SAFETY: `Isa::best` only returns an engine the CPU supports.
-    unsafe { between_init_on(Isa::best(), col, lo, hi, start, end, sel) }
+    unsafe { init_on(Isa::best(), col, &Between { lo, hi }, start, end, sel) }
 }
 
-/// [`sel_between_init`] on a given compare/compact engine (tests force
-/// each one).
+/// The chunked two-phase driver behind [`sel_between_init`] and
+/// [`sel_semijoin_init`] on a given engine (tests force each one): stage
+/// each [`CHUNK`] of `start..end` with the next chunk prefetched, turn
+/// every full 64-row group into a match bitmap with [`RowTest::group`] and
+/// compact its set bits (`vpcompressd` under AVX-512, `trailing_zeros`
+/// otherwise), and run a predicated store of [`RowTest::hit`] over a
+/// chunk's last partial group and over every group the engine has no
+/// bitmap for. Returns the match count.
 ///
 /// # Safety
 /// The running CPU must support `isa` ([`Isa::supported`]).
-#[inline]
-unsafe fn between_init_on<C: ColumnRead + ?Sized>(
+#[inline(always)]
+unsafe fn init_on<C: ColumnRead + ?Sized>(
     isa: Isa,
     col: &C,
-    lo: i32,
-    hi: i32,
+    test: &impl RowTest,
     start: usize,
     end: usize,
     sel: &mut [u32],
@@ -301,6 +438,9 @@ unsafe fn between_init_on<C: ColumnRead + ?Sized>(
     // buffer smaller than the scanned range.
     assert!(end - start <= sel.len());
     debug_assert!(end <= u32::MAX as usize, "row ids are u32 (see `sel_init`)");
+    // A local copy: the loop reads registers, not memory the stores below
+    // could conservatively alias.
+    let test = *test;
     let mut buf = [0i32; CHUNK];
     let mut count = 0usize;
     let mut cs = start;
@@ -312,38 +452,44 @@ unsafe fn between_init_on<C: ColumnRead + ?Sized>(
         let mut groups = window.chunks_exact(LANES);
         for group in &mut groups {
             let group: &[i32; LANES] = group.try_into().unwrap();
-            match isa {
+            // SAFETY: the caller vouches for `isa`.
+            count = match unsafe { test.group(isa, group) } {
                 #[cfg(target_arch = "x86_64")]
-                Isa::Avx512Vbmi | Isa::Avx512 => {
+                Some(bm) if matches!(isa, Isa::Avx512Vbmi | Isa::Avx512) => {
+                    debug_assert!(count + bm.count_ones() as usize <= sel.len());
                     // SAFETY: the caller vouches for AVX-512; `sel` has
                     // room for every match (the `assert!` above gives it
                     // `end - start` slots, and `count` + this group's
-                    // survivors <= rows scanned so far).
-                    count += unsafe {
-                        let bm = lanes::range_bitmap_avx512(group, lo, hi);
-                        debug_assert!(count + bm.count_ones() as usize <= sel.len());
-                        lanes::emit_rows_avx512(bm, base, sel.as_mut_ptr().add(count))
-                    };
+                    // matches <= rows tested so far).
+                    count
+                        + unsafe { lanes::emit_rows_avx512(bm, base, sel.as_mut_ptr().add(count)) }
                 }
-                #[cfg(target_arch = "x86_64")]
-                Isa::Avx2 => {
-                    // SAFETY: the caller vouches for AVX2.
-                    let bm = unsafe { lanes::range_bitmap_avx2(group, lo, hi) };
-                    count = emit_rows(bm, base, sel, count);
-                }
-                Isa::Portable => {
-                    let bm = lanes::range_bitmap_portable(group, lo, hi);
-                    count = emit_rows(bm, base, sel, count);
-                }
-            }
+                Some(bm) => emit_rows(bm, base, sel, count),
+                None => store_hits(&test, group, base, sel, count),
+            };
             base += LANES as u32;
         }
         // Partial trailing group of this chunk (only ever at `end`).
-        for (j, &v) in groups.remainder().iter().enumerate() {
-            sel[count] = base + j as u32;
-            count += usize::from(lo <= v && v <= hi);
-        }
+        count = store_hits(&test, groups.remainder(), base, sel, count);
         cs = ce;
+    }
+    count
+}
+
+/// The predicated store of `test` over `values`, whose first is row
+/// `base`: store the row, advance the cursor `count` on a hit. Returns the
+/// updated cursor.
+#[inline(always)]
+fn store_hits(
+    test: &impl RowTest,
+    values: &[i32],
+    base: u32,
+    sel: &mut [u32],
+    mut count: usize,
+) -> usize {
+    for (row, &v) in (base..).zip(values) {
+        sel[count] = row;
+        count += usize::from(test.hit(v));
     }
     count
 }
@@ -379,9 +525,12 @@ pub fn sel_between_refine<C: ColumnRead + ?Sized>(
 /// predicate: initializes `sel` with the rows of `start..end` whose `col`
 /// value is a member of `spec`. Each [`CHUNK`] of foreign keys is staged
 /// like a scan's (zero-copy over plain storage, one SIMD batch decode over
-/// packed, the next chunk prefetched), then one predicated-store pass
-/// tests a bit per key: no identity selection is written and read back,
-/// no value is unpacked on its own. Returns the hit count.
+/// packed, the next chunk prefetched); then, under AVX-512, each 16 keys
+/// are one masked `vpgatherdd` of their bitmap words, a shift and a mask
+/// test, and the hits are compacted with `vpcompressd`; on other engines
+/// and for a chunk's last partial group each key is one predicated store.
+/// No identity selection is written and read back, no value is unpacked
+/// on its own. Returns the hit count.
 #[inline]
 pub fn sel_semijoin_init<C: ColumnRead + ?Sized>(
     col: &C,
@@ -390,24 +539,8 @@ pub fn sel_semijoin_init<C: ColumnRead + ?Sized>(
     end: usize,
     sel: &mut [u32],
 ) -> usize {
-    debug_assert!(end - start <= sel.len());
-    debug_assert!(end <= u32::MAX as usize, "row ids are u32 (see `sel_init`)");
-    // A local copy: the loop reads registers, not memory the stores below
-    // could conservatively alias.
-    let spec = *spec;
-    let mut buf = [0i32; CHUNK];
-    let mut hits = 0usize;
-    let mut cs = start;
-    while cs < end {
-        let ce = (cs + CHUNK).min(end);
-        prefetch_chunk_from(col, ce);
-        for (row, &key) in (cs as u32..).zip(col.stage(cs, ce, &mut buf)) {
-            sel[hits] = row;
-            hits += member(spec.bits, spec.slot(key));
-        }
-        cs = ce;
-    }
-    hits
+    // SAFETY: `Isa::best` only returns an engine the CPU supports.
+    unsafe { init_on(Isa::best(), col, spec, start, end, sel) }
 }
 
 /// The one gather-fed semi-join loop behind [`sel_semijoin_refine`] and
@@ -545,9 +678,9 @@ mod tests {
     }
 
     /// Both semi-join kernels over `col` (whose plain values are
-    /// `values`): the contiguous one over `start..end`, the gather-fed one
-    /// over every row of the range and over every third, against the
-    /// oracle.
+    /// `values`) against the oracle: the contiguous one over `start..end`
+    /// on every engine the CPU has (detection reaches only the best one),
+    /// the gather-fed one over every row of the range and over every third.
     fn check_semijoins<C: ColumnRead + ?Sized>(
         col: &C,
         values: &[i32],
@@ -557,10 +690,17 @@ mod tests {
     ) {
         let spec = t.spec();
         let range = start as u32..end as u32;
-        let mut sel = vec![0u32; end - start];
-        let n = sel_semijoin_init(col, &spec, start, end, &mut sel);
         let want = t.survivors(values, range.clone());
-        assert_eq!(&sel[..n], &want[..], "contiguous {what} {start}..{end}");
+        for &isa in Isa::ALL.iter().filter(|isa| isa.supported()) {
+            let mut sel = vec![0u32; end - start];
+            // SAFETY: `isa` passed the `supported` filter.
+            let n = unsafe { init_on(isa, col, &spec, start, end, &mut sel) };
+            assert_eq!(
+                &sel[..n],
+                &want[..],
+                "contiguous {isa:?} {what} {start}..{end}"
+            );
+        }
         for step in [1, 3] {
             let mut sel: Vec<u32> = range.clone().step_by(step).collect();
             let want = t.survivors(values, sel.iter().copied());
@@ -671,7 +811,8 @@ mod tests {
     /// and last key hit, their outside neighbours miss, and so do the
     /// keys that fall in the padding of the tail word, a word past it, and
     /// at the `i32` extremes (which wrap around `min_key`) — through
-    /// `probe`, both semi-joins and the tracked probe.
+    /// `probe`, both semi-joins and the tracked probe. Against an empty
+    /// bitmap every key misses.
     #[test]
     fn semijoins_at_the_edges_of_the_key_range() {
         for len in [1usize, 63, 64, 65, 100, 128, 129, 1000] {
@@ -703,25 +844,28 @@ mod tests {
                     .filter_map(|&k| i32::try_from(k).ok())
                     .chain((0..len as i64).map(|i| (i64::from(min_key) + i) as i32))
                     .collect();
-                for t in [&all, &some] {
-                    let what = format!("len {len} min_key {min_key}");
+                let none = Table::new(min_key, Vec::new());
+                for t in [&all, &some, &none] {
+                    let what = format!("len {len} min_key {min_key} words {}", t.bits.len());
                     check_semijoins(&keys[..], &keys, t, (0, keys.len()), &what);
                     let spec = t.spec();
                     for &key in &keys {
                         assert_eq!(spec.probe(key), t.code(key).unwrap_or(-1), "{what} {key}");
                     }
-                    assert!(t.code(min_key).is_some() && t.code(max_key as i32).is_some());
                 }
+                assert!(some.code(min_key).is_some() && some.code(max_key as i32).is_some());
+                assert!(keys.iter().all(|&key| none.code(key).is_none()));
             }
         }
     }
 
     /// Every packed width: both semi-joins over a packed view whose last
     /// value ends in the last byte of the last word agree with the oracle
-    /// over the plain values — contiguous windows of 0, 1, `CHUNK - 1`,
-    /// `CHUNK` and more rows, starting on a word boundary, mid-word, and
-    /// so as to end on the column's last value; keys below, inside and
-    /// above the key range.
+    /// over the plain values — contiguous windows of 0, 1, around a
+    /// 16-key vector and a 64-row group, around `CHUNK` and longer,
+    /// starting on a word boundary, mid-word, mid-chunk, and so as to end
+    /// on the column's last value; keys below, inside and above the key
+    /// range.
     #[test]
     fn semijoins_match_the_oracle_over_every_packed_width() {
         use crystal_storage::PackedColumn;
@@ -738,8 +882,22 @@ mod tests {
             let slots = (domain / 2).clamp(1, 5000 + i64::from(bits)) as usize;
             let code = |i: usize| if i % 3 == 1 { -1 } else { (i % 1000) as i16 };
             let t = Table::new(min_key, (0..slots).map(code).collect());
-            for len in [0, 1, CHUNK - 1, CHUNK, CHUNK + 5, LEN] {
-                for start in [0, 1, 37, LEN - len.min(LEN)] {
+            let lens = [
+                0,
+                1,
+                15,
+                16,
+                17,
+                63,
+                64,
+                65,
+                CHUNK - 1,
+                CHUNK,
+                CHUNK + 1,
+                LEN,
+            ];
+            for len in lens {
+                for start in [0, 1, 37, CHUNK + 500, LEN - len] {
                     let window = (start, (start + len).min(LEN));
                     let what = format!("bits {bits}");
                     check_semijoins(&packed.view(), &values, &t, window, &what);
@@ -972,9 +1130,9 @@ mod tests {
                     for end in [start, start + 1, start + 17, start + CHUNK, LEN] {
                         let end = end.min(LEN);
                         let mut got = vec![0u32; LEN];
+                        let test = Between { lo, hi };
                         // SAFETY: `isa` passed the `supported` filter.
-                        let n =
-                            unsafe { between_init_on(isa, &view, lo, hi, start, end, &mut got) };
+                        let n = unsafe { init_on(isa, &view, &test, start, end, &mut got) };
                         let want = between_oracle(&col, lo, hi, start, end);
                         assert_eq!(&got[..n], &want[..], "{isa:?} bits={bits} {start}..{end}");
                     }

@@ -129,10 +129,14 @@ where
 #[derive(Clone, Copy)]
 pub struct SendPtr<T>(pub *mut T);
 
-// SAFETY: the pointer itself is plain data; dereferencing is the user's
-// responsibility and every use in this crate writes disjoint index ranges.
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
+// SAFETY: the one field is an address; sending it sends no `T`. Writing
+// through it moves `T`s to the writing thread, hence `T: Send`; the
+// `unsafe` `write` makes callers keep the written indexes disjoint, and
+// every use in this crate writes disjoint index ranges.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: a shared `SendPtr` hands out only its address and the `unsafe`
+// `write`, so sharing it is sending it (above).
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
     /// Writes `v` at `idx`.
@@ -142,6 +146,8 @@ impl<T> SendPtr<T> {
     /// concurrently access the same index.
     #[inline]
     pub unsafe fn write(&self, idx: usize, v: T) {
+        // SAFETY: the caller vouches that `idx` is in bounds and that no
+        // other thread touches it.
         unsafe { self.0.add(idx).write(v) }
     }
 }

@@ -219,15 +219,7 @@ pub const PREFETCH_GROUP: usize = 16;
 
 #[inline]
 fn prefetch_slot(ht: &CpuHashTable, slot: usize) {
-    #[cfg(target_arch = "x86_64")]
-    unsafe {
-        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        _mm_prefetch(ht.slots.as_ptr().add(slot) as *const i8, _MM_HINT_T0);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (ht, slot);
-    }
+    crystal_storage::isa::prefetch(ht.slots.as_ptr().wrapping_add(slot));
 }
 
 /// Q4 probe with group prefetching: per 16-key group, prefetch all home

@@ -293,11 +293,13 @@ unsafe fn unpack_on(isa: Isa, words: &[u64], bits: u32, start: usize, out: &mut 
     debug_assert!((1..=32).contains(&bits));
     debug_assert!(words.len() * 64 >= (start + out.len()) * bits as usize);
     let done = match isa {
-        // SAFETY (both arms): the caller vouches for the CPU features,
-        // each engine's only requirement.
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: the caller vouches for AVX-512 VBMI, the engine's only
+        // requirement.
         Isa::Avx512Vbmi if bits <= 25 => unsafe { unpack_avx512(words, bits, start, out) },
         #[cfg(target_arch = "x86_64")]
+        // SAFETY: the caller vouches for AVX2, the engine's only
+        // requirement.
         Isa::Avx512 | Isa::Avx2 if bits <= 25 => unsafe { unpack_avx2(words, bits, start, out) },
         _ => 0,
     };
