@@ -88,11 +88,12 @@ use crate::util::{paired, ratio, time_median, Config, Report};
 /// Plain random reads one L2-modelled gather costs while the table fits the
 /// modelled L2. A read there is one of many independent loads in flight from
 /// the host's own L2, about 1 ns; the model adds a reciprocal multiply, a
-/// 16-way tag compare and a rank update: measured 10–14x on a 2-core 2.1 GHz
-/// Xeon. The list-based model this replaced measured 46–48x there, so the
-/// limit sits between the two.
+/// 16-way SSE2 tag compare and a rank update: measured 6–7x on a 2-core
+/// 2.1 GHz Xeon (10–14x with the scalar compare loops it replaced). The
+/// list-based model before those measured 46–48x there, so the limit sits
+/// between the two.
 pub const SIM_GATHER_MULTIPLE: Band =
-    Band::new("simulated in-L2 gather, in plain reads", 12.0, 0.0..=25.0);
+    Band::new("simulated in-L2 gather, in plain reads", 7.0, 0.0..=25.0);
 
 /// Plain scans of the same values one packed scan costs at widths ≤ 25
 /// (the `sel_between_init` rows' paired ratio, geomean over selectivities,

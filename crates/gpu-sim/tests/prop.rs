@@ -92,15 +92,18 @@ impl ListLru {
 }
 
 /// `(sets, assoc, line)`: the V100 L2 (3 072 sets is not a power of two),
-/// a two-way cache of as many sets, direct-mapped, fully associative, and
-/// odd everything.
-const GEOMETRIES: [(usize, usize, usize); 6] = [
+/// a two-way cache of as many sets, direct-mapped, fully associative, odd
+/// everything, one full 16-way set, and exactly one pad way per set (`Cache`
+/// stores every set as 16 ways).
+const GEOMETRIES: [(usize, usize, usize); 8] = [
     (3072, 16, 128),
     (3072, 2, 64),
     (64, 1, 64),
     (1, 8, 32),
     (1, 1, 64),
     (5, 3, 16),
+    (1, 16, 64),
+    (7, 15, 64),
 ];
 
 /// The cache and the oracle side by side: every operation goes to both and
@@ -189,6 +192,35 @@ fn assert_matches_list_lru(geometry: (usize, usize, usize), seed: u64, ops: usiz
     both.assert_counters_match();
 }
 
+/// Drives `ops` accesses drawn from `seed` past line `u32::MAX` of the V100
+/// geometry, where `Cache` splits a line by division instead of its
+/// reciprocal, up to the last line its tags cover: just past the reciprocal,
+/// at the top, and set conflicts in the last four sets.
+fn assert_far_matches_list_lru(seed: u64, ops: usize) {
+    let geometry = GEOMETRIES[0];
+    let mut both = Checked::new(geometry, seed);
+    let (sets, assoc, line) = (geometry.0 as u64, geometry.1 as u64, geometry.2 as u64);
+    let top = (both.cache.addressable_bytes() / line as u128) as u64 - 1;
+    let (first, span) = (u32::MAX as u64 + 1, 8 * sets * assoc);
+    let mut draw = draws(seed);
+    both.access((top + 1) * line - 1);
+    for _ in 0..ops {
+        let line_number = match draw(3) {
+            0 => first + draw(span),
+            1 => top - draw(span),
+            _ => top - draw(4) - sets * draw(3 * assoc),
+        };
+        let addr = line_number * line + draw(line);
+        // A span of up to two lines, never past the top one.
+        if line_number < top && draw(8) == 0 {
+            both.access_range(addr, draw(line + 1));
+        } else {
+            both.access(addr);
+        }
+    }
+    both.assert_counters_match();
+}
+
 /// The streams a repeat of the line touched last is part of — the case
 /// `Cache` answers without looking at the set: runs of one line, two lines
 /// of one set taking turns, a repeat on either side of `reset_counters`
@@ -235,6 +267,13 @@ proptest! {
     #[test]
     fn cache_matches_the_list_lru(seed in any::<u64>(), geometry in 0usize..GEOMETRIES.len()) {
         assert_matches_list_lru(GEOMETRIES[geometry], seed, 20_000);
+    }
+
+    /// They agree past line `u32::MAX` too, up to the last line the tags
+    /// cover.
+    #[test]
+    fn cache_matches_the_list_lru_past_the_reciprocal(seed in any::<u64>()) {
+        assert_far_matches_list_lru(seed, 20_000);
     }
 
     /// Hits + misses always equals accesses, and a cold cache's first
@@ -355,7 +394,7 @@ fn cache_rejects_a_line_that_is_not_a_power_of_two() {
 }
 
 #[test]
-#[should_panic(expected = "`assoc` must be between 1 and 255, got 0")]
+#[should_panic(expected = "`assoc` must be between 1 and 16, got 0")]
 fn cache_rejects_zero_associativity() {
     Cache::new(&CacheLevel {
         name: "t",
@@ -364,6 +403,12 @@ fn cache_rejects_zero_associativity() {
         line: 64,
         assoc: 0,
     });
+}
+
+#[test]
+#[should_panic(expected = "`assoc` must be between 1 and 16, got 17")]
+fn cache_rejects_more_ways_than_one_lookup_compares() {
+    Cache::new(&level(4, 17, 64));
 }
 
 #[test]
