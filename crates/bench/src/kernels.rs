@@ -195,15 +195,16 @@ fn semijoin_row<C: ColumnRead + ?Sized>(
     let n = col.row_count();
     let spec = PerfectHashProbe::new(0, bits, &[]);
     let contiguous = |start, end, sel: &mut [u32]| sel_semijoin_init(col, &spec, start, end, sel);
-    let gather = |start, end, sel: &mut [u32]| {
+    let mut buf = [0; CHUNK];
+    let mut gather = |start, end, sel: &mut [u32]| {
         let count = sel_init(start, end, sel);
-        sel_semijoin_refine(col, &spec, sel, count)
+        sel_semijoin_refine(col, &spec, sel, count, &mut buf)
     };
     let secs = paired(reps, |fast| {
         black_box(if fast {
             per_vector(n, contiguous)
         } else {
-            per_vector(n, gather)
+            per_vector(n, &mut gather)
         });
     });
     Row::timed("sel_semijoin_init", encoding, 0.5, n, secs)

@@ -10,24 +10,33 @@
 //! them into full star queries the same way the GPU engine composes the
 //! block-wide primitives.
 //!
-//! **Chunked two-phase form.** The contiguous-fed kernels run in
-//! [`CHUNK`]-row chunks:
+//! **Chunked two-phase form.** The kernels run in [`CHUNK`]-row chunks,
+//! fed either by a contiguous row range (the first stage of a pipeline:
+//! `init_on`) or by the rows a selection vector holds (every later stage:
+//! `refine_on`):
 //!
-//! 1. *decode* — the chunk's values are staged into a stack buffer through
-//!    `ColumnRead::stage`. Plain slices lend their window zero-copy;
-//!    a [`crystal_storage::PackedView`] decodes sixteen values per vector
-//!    load (`crystal_storage::bitpack::unpack_batch`). The scan kernel
-//!    prefetches the next chunk's stored bytes while it works on this one.
-//! 2. *compare + compact* — predicates evaluate branch-free into `u64`
-//!    match bitmaps (64 rows per word, a plain autovectorizable loop with
-//!    no data-dependent store cursor), then surviving rows are emitted by
-//!    iterating set bits with `trailing_zeros`. At low selectivity the
-//!    emit loop touches only the survivors instead of storing once per
-//!    input row. The contiguous semi-join stages the same way, through the
-//!    same driver; under AVX-512 it builds the same match bitmaps with
-//!    masked gathers of the membership bitmap's words, 16 keys per
-//!    `vpgatherdd`, and elsewhere tests one bit per key in a
-//!    predicated-store pass.
+//! 1. *decode* — the chunk's values are staged into a buffer. A contiguous
+//!    window goes through `ColumnRead::stage`: plain slices lend it
+//!    zero-copy, a [`crystal_storage::PackedView`] decodes sixteen values
+//!    per vector load (`crystal_storage::bitpack::unpack_batch`), and the
+//!    next chunk's stored bytes are prefetched meanwhile. A selection's rows
+//!    go through `ColumnRead::gather` into the caller's buffer: indexed
+//!    loads from a plain column, sixteen rows per pair of `vpgatherqq` from
+//!    a packed one under AVX-512. The one exception is a predicate or
+//!    semi-join over a plain column's selected rows, which is not staged:
+//!    one fused predicated-store pass over the lines the previous stage
+//!    prefetched measured faster.
+//! 2. *compare + compact* — one `RowTest` per kernel (the predicate's
+//!    `lo..=hi`, the semi-join's membership) turns each full 64-row group
+//!    into a `u64` match bitmap, branch-free: compares into flag bytes or
+//!    vector masks, and for the semi-join under AVX-512 masked gathers of
+//!    the membership bitmap's words, 16 keys per `vpgatherdd`. The set bits
+//!    are compacted with `vpcompressd` under AVX-512 and a `trailing_zeros`
+//!    walk elsewhere, so at low selectivity the emit touches only the
+//!    survivors; a gather-fed stage compacts the selection in place, its
+//!    write cursor never past the group it reads. A chunk's last partial
+//!    group, and an engine without a bitmap for the test, take a
+//!    predicated store instead.
 //!
 //! None of the kernels allocates, and all are usable from any engine (and
 //! testable without a device).
@@ -143,8 +152,8 @@ fn emit_rows(mut bm: u64, base: u32, sel: &mut [u32], mut count: usize) -> usize
     count
 }
 
-/// The compare/compact engines behind the chunked scan and the contiguous
-/// semi-join: full 64-row groups of a decoded chunk are turned into a
+/// The compare/compact engines behind the chunked kernels, contiguous- and
+/// gather-fed: full 64-row groups of a staged chunk are turned into a
 /// `u64` match bitmap and the set bits compacted into the selection
 /// vector. The scan's portable form (byte flags + a multiply bit-gather,
 /// both autovectorizable) plus x86-64 AVX2/AVX-512 specializations, and
@@ -290,6 +299,43 @@ mod lanes {
         }
         out
     }
+
+    /// AVX-512 in-place compaction: the row ids of `sel[base .. base + 64]`
+    /// whose bit is set in `bm`, written from the cursor `kept` on with four
+    /// masked `vpcompressd` stores. Each 16-row vector is loaded before its
+    /// own store, and that store ends at or before the next vector's first
+    /// row (`kept <= base`, and a vector adds at most 16 to the cursor).
+    /// Returns the updated cursor.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F; `base + 64 <= sel.len()` and
+    /// `kept <= base`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn compact_rows_avx512(
+        bm: u64,
+        sel: &mut [u32],
+        base: usize,
+        kept: usize,
+    ) -> usize {
+        use std::arch::x86_64::*;
+        debug_assert!(kept <= base && base + 64 <= sel.len());
+        let at = sel.as_mut_ptr();
+        let mut out = kept;
+        for g in 0..4 {
+            let mask = ((bm >> (g * 16)) & 0xFFFF) as u16;
+            debug_assert!(out <= base + 16 * g);
+            // SAFETY: row ids `base + 16g ..+ 16`, inside `sel` (the caller
+            // vouches for `base + 64 <= sel.len()`).
+            let rows = unsafe { _mm512_loadu_si512(at.add(base + 16 * g).cast()) };
+            // SAFETY: the masked compress store writes exactly
+            // `mask.count_ones()` lanes from `out <= base + 16g`, so inside
+            // `sel[..base + 16g + 16]`, whose row ids are all loaded.
+            unsafe { _mm512_mask_compressstoreu_epi32(at.add(out).cast(), mask, rows) };
+            out += mask.count_ones() as usize;
+        }
+        out
+    }
 }
 
 /// Fills `sel` with the identity selection `start..end` via one
@@ -320,8 +366,8 @@ fn prefetch_chunk_from<C: ColumnRead + ?Sized>(col: &C, row: usize) {
     }
 }
 
-/// A per-row test the contiguous-fed kernels run over staged values: the
-/// scan's `lo..=hi` ([`Between`]) and the semi-join's membership
+/// A per-row test the chunked kernels run over staged values: the
+/// predicate's `lo..=hi` ([`Between`]) and the semi-join's membership
 /// ([`PerfectHashProbe`]).
 trait RowTest: Copy {
     /// Whether one value passes.
@@ -494,14 +540,12 @@ fn store_hits(
     count
 }
 
-/// Refines an existing selection in place, keeping rows whose `col` value
-/// lies in `lo..=hi`. Unlike the scan stage there is no contiguous range
-/// to batch-decode — the surviving rows are scattered — so this stays a
-/// single predicated-store pass (store always, advance on a match): no
-/// branch on the data, and the gathers of consecutive iterations stay
-/// independent. Returns the new count. This *is* the retained scalar
-/// form — there is deliberately no `_scalar` twin; tests oracle it
-/// against an independently computed filter instead.
+/// Refines an existing selection in place, keeping the rows of
+/// `sel[..count]` whose `col` value lies in `lo..=hi` — a later fact
+/// predicate. A plain column is one fused predicated-store pass; a packed
+/// column's values are gathered a [`CHUNK`] at a time into `buf` and tested
+/// 64 rows per match bitmap (the module doc's two-phase form). Returns the
+/// new count.
 #[inline]
 pub fn sel_between_refine<C: ColumnRead + ?Sized>(
     col: &C,
@@ -509,14 +553,112 @@ pub fn sel_between_refine<C: ColumnRead + ?Sized>(
     hi: i32,
     sel: &mut [u32],
     count: usize,
+    buf: &mut [i32; CHUNK],
 ) -> usize {
-    debug_assert!(count <= sel.len());
+    // SAFETY: `Isa::best` only returns an engine the CPU supports.
+    unsafe { refine_on(Isa::best(), col, &Between { lo, hi }, sel, count, buf) }
+}
+
+/// The gather-fed loop behind [`sel_between_refine`] and
+/// [`sel_semijoin_refine`] on a given engine (tests force each one):
+/// compacts `sel[..count]` in place to the rows whose value passes `test`.
+///
+/// A plain column runs one fused predicated-store pass — load the row's
+/// value, store the row, advance on a hit — bound by the lines the previous
+/// stage prefetched. Staging it like a packed column measured slower on a
+/// 2-core AVX-512 host (`host_join` +14.5 %, `host_scan` +3.2 %; DESIGN.md
+/// §14). A packed column is gathered a [`CHUNK`] of rows at a time into
+/// `buf` through [`ColumnRead::gather`]; each full 64-row group becomes a
+/// match bitmap with [`RowTest::group`] and its survivors are compacted in
+/// place (`vpcompressd` of the selection's own row ids under AVX-512, a
+/// `trailing_zeros` walk otherwise), while a chunk's last partial group and
+/// every group the engine has no bitmap for take the predicated store. The
+/// write cursor never passes the group being read, so no store reaches a
+/// row id not yet loaded. Returns the new count.
+///
+/// # Safety
+/// The running CPU must support `isa` ([`Isa::supported`]).
+#[inline(always)]
+unsafe fn refine_on<C: ColumnRead + ?Sized>(
+    isa: Isa,
+    col: &C,
+    test: &impl RowTest,
+    sel: &mut [u32],
+    count: usize,
+    buf: &mut [i32; CHUNK],
+) -> usize {
+    // A real assert, not a debug one: the AVX-512 compaction loads and
+    // stores through raw pointers and relies on `sel[..count]` existing.
+    assert!(count <= sel.len());
+    // A local copy: the loop reads registers, not memory the stores below
+    // could conservatively alias.
+    let test = *test;
+    if let Some(values) = col.plain() {
+        let mut kept = 0usize;
+        for k in 0..count {
+            let row = sel[k];
+            sel[kept] = row;
+            kept += usize::from(test.hit(values[row as usize]));
+        }
+        return kept;
+    }
     let mut kept = 0usize;
-    for k in 0..count {
-        let row = sel[k];
-        sel[kept] = row;
-        let v = col.value(row as usize);
-        kept += usize::from((lo <= v) & (v <= hi));
+    for cs in (0..count).step_by(CHUNK) {
+        let ce = (cs + CHUNK).min(count);
+        let values = &mut buf[..ce - cs];
+        col.gather(&sel[cs..ce], values);
+        let mut base = cs;
+        let mut groups = values.chunks_exact(LANES);
+        for group in &mut groups {
+            let group: &[i32; LANES] = group.try_into().unwrap();
+            // SAFETY: the caller vouches for `isa`.
+            kept = match unsafe { test.group(isa, group) } {
+                #[cfg(target_arch = "x86_64")]
+                Some(bm) if matches!(isa, Isa::Avx512Vbmi | Isa::Avx512) => {
+                    debug_assert!(kept <= base && base + LANES <= count);
+                    // SAFETY: the caller vouches for AVX-512; the group's
+                    // rows `base .. base + 64` lie inside `sel[..count]`
+                    // (asserted above), and the cursor `kept <= base`: it
+                    // gains at most one per row read.
+                    unsafe { lanes::compact_rows_avx512(bm, sel, base, kept) }
+                }
+                Some(bm) => compact_rows(bm, sel, base, kept),
+                None => keep_hits(&test, group, sel, base, kept),
+            };
+            base += LANES;
+        }
+        kept = keep_hits(&test, groups.remainder(), sel, base, kept);
+    }
+    kept
+}
+
+/// Compacts the rows of one match bitmap in place: bit `j` of `bm` keeps
+/// `sel[base + j]`, written at the cursor `kept <= base` with one
+/// `trailing_zeros` per survivor. Returns the updated cursor.
+#[inline]
+fn compact_rows(mut bm: u64, sel: &mut [u32], base: usize, mut kept: usize) -> usize {
+    while bm != 0 {
+        sel[kept] = sel[base + bm.trailing_zeros() as usize];
+        kept += 1;
+        bm &= bm - 1;
+    }
+    kept
+}
+
+/// The in-place predicated store of `test` over `values`, the values of
+/// `sel[base..]`: store the row at the cursor `kept <= base`, advance it on
+/// a hit. Returns the updated cursor.
+#[inline(always)]
+fn keep_hits(
+    test: &impl RowTest,
+    values: &[i32],
+    sel: &mut [u32],
+    base: usize,
+    mut kept: usize,
+) -> usize {
+    for (k, &v) in (base..).zip(values) {
+        sel[kept] = sel[k];
+        kept += usize::from(test.hit(v));
     }
     kept
 }
@@ -543,54 +685,30 @@ pub fn sel_semijoin_init<C: ColumnRead + ?Sized>(
     unsafe { init_on(Isa::best(), col, spec, start, end, sel) }
 }
 
-/// The one gather-fed semi-join loop behind [`sel_semijoin_refine`] and
-/// [`sel_probe_tracked`]: a single predicated-store pass like
-/// [`sel_between_refine`] — gather the key, test its bit, store the row
-/// unconditionally, advance the cursor on a hit. `note(at, k, slot)` runs
-/// before the advance with the output position, the input position and the
-/// key's slot masked to 0 on a miss; the plain semi-join passes a no-op,
-/// which folds away.
-#[inline(always)]
-fn semijoin_refine_noting<C: ColumnRead + ?Sized>(
-    col: &C,
-    spec: &PerfectHashProbe<'_>,
-    sel: &mut [u32],
-    count: usize,
-    mut note: impl FnMut(usize, usize, usize),
-) -> usize {
-    debug_assert!(count <= sel.len());
-    // A local copy: the loop reads registers, not memory the stores below
-    // could conservatively alias.
-    let spec = *spec;
-    let mut hits = 0usize;
-    for k in 0..count {
-        let row = sel[k];
-        let slot = spec.slot(col.value(row as usize));
-        let hit = member(spec.bits, slot);
-        sel[hits] = row;
-        note(hits, k, slot as usize & hit.wrapping_neg());
-        hits += hit;
-    }
-    hits
-}
-
 /// The gather-fed semi-join — every later join, and the first when fact
 /// predicates ran: compacts `sel[..count]` in place to the rows whose
-/// `col` value is a member of `spec`. Returns the hit count.
+/// `col` value is a member of `spec`, staged like
+/// [`sel_between_refine`]'s: a packed column's keys go through `buf`, and
+/// under AVX-512 each 16 of them are one masked gather of their bitmap
+/// words, as in [`sel_semijoin_init`]. Returns the hit count.
 #[inline]
 pub fn sel_semijoin_refine<C: ColumnRead + ?Sized>(
     col: &C,
     spec: &PerfectHashProbe<'_>,
     sel: &mut [u32],
     count: usize,
+    buf: &mut [i32; CHUNK],
 ) -> usize {
-    semijoin_refine_noting(col, spec, sel, count, |_, _, _| {})
+    // SAFETY: `Isa::best` only returns an engine the CPU supports.
+    unsafe { refine_on(Isa::best(), col, spec, sel, count, buf) }
 }
 
 /// Late payload materialization: appends one mixed-radix digit to the
 /// group index of each selected row, `gidx[k] = gidx[k] * radix +
 /// code(col[sel[k]])` — independent gathers, no store chain between them.
-/// Every row of `sel` must have survived the semi-join against `spec`.
+/// The keys are gathered a [`CHUNK`] at a time into `buf`
+/// ([`ColumnRead::gather`]). Every row of `sel` must have survived the
+/// semi-join against `spec`.
 #[inline]
 pub fn sel_group_digit<C: ColumnRead + ?Sized>(
     col: &C,
@@ -598,12 +716,17 @@ pub fn sel_group_digit<C: ColumnRead + ?Sized>(
     sel: &[u32],
     radix: u32,
     gidx: &mut [u32],
+    buf: &mut [i32; CHUNK],
 ) {
     debug_assert_eq!(sel.len(), gidx.len());
-    for (g, &row) in gidx.iter_mut().zip(sel) {
-        let code = spec.codes[spec.slot(col.value(row as usize)) as usize];
-        debug_assert!(code >= 0, "row {row} is not a member");
-        *g = *g * radix + code as u32;
+    for (rows, gidx) in sel.chunks(CHUNK).zip(gidx.chunks_mut(CHUNK)) {
+        let keys = &mut buf[..rows.len()];
+        col.gather(rows, keys);
+        for (g, &key) in gidx.iter_mut().zip(keys.iter()) {
+            let code = spec.codes[spec.slot(key) as usize];
+            debug_assert!(code >= 0, "key {key} is not a member");
+            *g = *g * radix + code as u32;
+        }
     }
 }
 
@@ -623,13 +746,24 @@ pub fn sel_probe_tracked<C: ColumnRead + ?Sized>(
     codes: &mut [i32],
     kept: &mut [u32],
 ) -> usize {
-    debug_assert!(count <= codes.len() && count <= kept.len());
-    // A miss reads slot 0 (one hot line) instead of its own: the payload
-    // array is left to the hits, with no branch on the bit.
-    semijoin_refine_noting(col, spec, sel, count, |at, k, slot| {
-        codes[at] = i32::from(spec.codes.get(slot).copied().unwrap_or(-1));
-        kept[at] = k as u32;
-    })
+    debug_assert!(count <= sel.len() && count <= codes.len() && count <= kept.len());
+    // A local copy: the loop reads registers, not memory the stores below
+    // could conservatively alias.
+    let spec = *spec;
+    let mut hits = 0usize;
+    for k in 0..count {
+        let row = sel[k];
+        let slot = spec.slot(col.value(row as usize));
+        let hit = member(spec.bits, slot);
+        sel[hits] = row;
+        // A miss reads slot 0 (one hot line) instead of its own: the
+        // payload array is left to the hits, with no branch on the bit.
+        let at = slot as usize & hit.wrapping_neg();
+        codes[hits] = i32::from(spec.codes.get(at).copied().unwrap_or(-1));
+        kept[hits] = k as u32;
+        hits += hit;
+    }
+    hits
 }
 
 #[cfg(test)]
@@ -678,9 +812,9 @@ mod tests {
     }
 
     /// Both semi-join kernels over `col` (whose plain values are
-    /// `values`) against the oracle: the contiguous one over `start..end`
-    /// on every engine the CPU has (detection reaches only the best one),
-    /// the gather-fed one over every row of the range and over every third.
+    /// `values`) against the oracle, on every engine the CPU has (detection
+    /// reaches only the best one): the contiguous one over `start..end`, the
+    /// gather-fed one over every row of the range and over every third.
     fn check_semijoins<C: ColumnRead + ?Sized>(
         col: &C,
         values: &[i32],
@@ -700,13 +834,15 @@ mod tests {
                 &want[..],
                 "contiguous {isa:?} {what} {start}..{end}"
             );
-        }
-        for step in [1, 3] {
-            let mut sel: Vec<u32> = range.clone().step_by(step).collect();
-            let want = t.survivors(values, sel.iter().copied());
-            let count = sel.len();
-            let n = sel_semijoin_refine(col, &spec, &mut sel, count);
-            assert_eq!(&sel[..n], &want[..], "gather-fed {what} {start}..{end}");
+            for step in [1, 3] {
+                let mut sel: Vec<u32> = range.clone().step_by(step).collect();
+                let want = t.survivors(values, sel.iter().copied());
+                let count = sel.len();
+                // SAFETY: `isa` passed the `supported` filter.
+                let n = unsafe { refine_on(isa, col, &spec, &mut sel, count, &mut [0; CHUNK]) };
+                let case = format!("gather-fed {isa:?} {what} {start}..{end} step {step}");
+                assert_eq!(&sel[..n], &want[..], "{case}");
+            }
         }
     }
 
@@ -738,7 +874,7 @@ mod tests {
         let mut sel = [0u32; 100];
         let n = sel_between_init(&a[..], 20, 59, 0, 100, &mut sel);
         assert_eq!(n, 40);
-        let n = sel_between_refine(&b[..], 3, 4, &mut sel, n);
+        let n = sel_between_refine(&b[..], 3, 4, &mut sel, n, &mut [0; CHUNK]);
         let expected: Vec<u32> = (20u32..60)
             .filter(|i| (3..=4).contains(&(i % 10)))
             .collect();
@@ -959,13 +1095,14 @@ mod tests {
         let fk_b: Vec<i32> = (0..300).map(|i| (i * 11) % 61).collect();
         let packed_b = PackedColumn::pack(&fk_b, 6).unwrap();
         let mut sel: Vec<u32> = (0..300).collect();
+        let buf = &mut [0; CHUNK];
         let n = sel_semijoin_init(&fk_a[..], &a.spec(), 0, 300, &mut sel);
-        let n = sel_semijoin_refine(&packed_b.view(), &b.spec(), &mut sel, n);
+        let n = sel_semijoin_refine(&packed_b.view(), &b.spec(), &mut sel, n, buf);
         assert!(n > 20);
         let sel = &sel[..n];
         let mut gidx = vec![0u32; n];
-        sel_group_digit(&fk_a[..], &a.spec(), sel, 40, &mut gidx);
-        sel_group_digit(&packed_b.view(), &b.spec(), sel, 31, &mut gidx);
+        sel_group_digit(&fk_a[..], &a.spec(), sel, 40, &mut gidx, buf);
+        sel_group_digit(&packed_b.view(), &b.spec(), sel, 31, &mut gidx, buf);
         for (&g, &row) in gidx.iter().zip(sel) {
             let (ca, cb) = (a.code(fk_a[row as usize]), b.code(fk_b[row as usize]));
             assert_eq!(g, (ca.unwrap() * 31 + cb.unwrap()) as u32, "row {row}");
@@ -994,8 +1131,9 @@ mod tests {
             assert_eq!(&sel_plain[..np], &sel_packed[..nk], "bits={bits}");
             // The semi-join of the survivors agrees too.
             let table = Table::new(0, (0..1024).map(|k| (k % 3 == 0) as i16 - 1).collect());
-            let ha = sel_semijoin_refine(&col[..], &table.spec(), &mut sel_plain, np);
-            let hb = sel_semijoin_refine(&view, &table.spec(), &mut sel_packed, nk);
+            let buf = &mut [0; CHUNK];
+            let ha = sel_semijoin_refine(&col[..], &table.spec(), &mut sel_plain, np, buf);
+            let hb = sel_semijoin_refine(&view, &table.spec(), &mut sel_packed, nk, buf);
             assert_eq!(&sel_plain[..ha], &sel_packed[..hb], "bits={bits}");
         }
     }
@@ -1052,7 +1190,7 @@ mod tests {
                 .copied()
                 .filter(|&r| (10..=30).contains(&refine_col[r as usize]))
                 .collect();
-            let ra = sel_between_refine(&refine_col[..], 10, 30, &mut a2, na);
+            let ra = sel_between_refine(&refine_col[..], 10, 30, &mut a2, na, &mut [0; CHUNK]);
             assert_eq!(ra, expected.len());
             assert_eq!(&a2[..ra], &expected[..]);
         }
@@ -1141,6 +1279,76 @@ mod tests {
         }
     }
 
+    /// The gather-fed forced-engine matrix: on every engine the CPU has,
+    /// `refine_on` with the predicate (`Between`) and with the semi-join
+    /// (`PerfectHashProbe`) keeps exactly the oracle's rows, in order, over
+    /// the plain column and over packed views of every width — whose last
+    /// value ends in the last byte of the last word — for a selection that
+    /// starts with the column's last row (whose window the gather recomputes)
+    /// and holds every row id twice, at counts around a 16-lane vector, a
+    /// 64-row group, a `CHUNK` and two of them (the executor hands up to two
+    /// vectors).
+    #[test]
+    fn every_engine_refines_like_the_oracle() {
+        use crystal_storage::encoding::ColumnSlice;
+        use crystal_storage::PackedColumn;
+        const LEN: usize = 2 * CHUNK + LANES; // `LEN * bits` is whole words.
+        let counts = [
+            0,
+            1,
+            15,
+            16,
+            17,
+            63,
+            64,
+            65,
+            CHUNK - 1,
+            CHUNK,
+            CHUNK + 1,
+            2 * CHUNK,
+        ];
+        let rows: Vec<u32> = (0..2 * CHUNK)
+            .map(|i| (LEN - 1 - i / 2 * 7 % LEN) as u32)
+            .collect();
+        for bits in 1..=32u32 {
+            let domain = 1i64 << bits.min(31);
+            let values: Vec<i32> = (0..LEN as i64)
+                .map(|i| (i * 2654435761 % domain) as i32)
+                .collect();
+            let packed = PackedColumn::pack(&values, bits).unwrap();
+            let between = Between {
+                lo: (domain / 4) as i32,
+                hi: (domain / 2) as i32,
+            };
+            let slots = (domain / 2).clamp(1, 5000 + i64::from(bits)) as usize;
+            let code = |i: usize| if i % 3 == 1 { -1 } else { (i % 1000) as i16 };
+            let t = Table::new((domain / 4) as i32, (0..slots).map(code).collect());
+            for &isa in Isa::ALL.iter().filter(|isa| isa.supported()) {
+                for count in counts {
+                    let rows = &rows[..count];
+                    let hit = |&row: &u32| between.hit(values[row as usize]);
+                    let want_between: Vec<u32> = rows.iter().copied().filter(hit).collect();
+                    let want_member = t.survivors(&values, rows.iter().copied());
+                    let case = format!("{isa:?} bits={bits} count={count}");
+                    for (enc, col) in [
+                        ("plain", ColumnSlice::Plain(&values)),
+                        ("packed", ColumnSlice::Packed(packed.view())),
+                    ] {
+                        let buf = &mut [0; CHUNK];
+                        let mut sel = rows.to_vec();
+                        // SAFETY: `isa` passed the `supported` filter.
+                        let n = unsafe { refine_on(isa, &col, &between, &mut sel, count, buf) };
+                        assert_eq!(&sel[..n], &want_between[..], "between {enc} {case}");
+                        let mut sel = rows.to_vec();
+                        // SAFETY: as above.
+                        let n = unsafe { refine_on(isa, &col, &t.spec(), &mut sel, count, buf) };
+                        assert_eq!(&sel[..n], &want_member[..], "semi-join {enc} {case}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn full_pipeline_mini_query() {
         // SELECT SUM(val) over rows where a in 2..=8, fk present in a
@@ -1151,7 +1359,7 @@ mod tests {
         let table = Table::even_keys(8);
         let mut sel = [0u32; 8];
         let mut n = sel_between_init(&a[..], 2, 8, 0, 8, &mut sel);
-        n = sel_semijoin_refine(&fk[..], &table.spec(), &mut sel, n);
+        n = sel_semijoin_refine(&fk[..], &table.spec(), &mut sel, n, &mut [0; CHUNK]);
         let got: i64 = sel[..n].iter().map(|&r| val[r as usize] as i64).sum();
         let expected: i64 = (0..8)
             .filter(|&i| (2..=8).contains(&a[i]) && fk[i] % 2 == 0)

@@ -8,7 +8,7 @@ use crystal_core::kernels::radix_join::pass_plan;
 use crystal_core::primitives::*;
 use crystal_core::selvec::{
     sel_between_init, sel_between_refine, sel_group_digit, sel_probe_tracked, sel_semijoin_init,
-    sel_semijoin_refine, slot_bitmap, PerfectHashProbe,
+    sel_semijoin_refine, slot_bitmap, PerfectHashProbe, CHUNK,
 };
 use crystal_core::tile::Tile;
 use crystal_gpu_sim::exec::{Gpu, LaunchConfig};
@@ -182,15 +182,14 @@ proptest! {
         prop_assert_eq!(&sel_p[..np], &want[..]);
 
         // Refine the surviving selection by a second predicate, against
-        // an independently computed filter oracle (refine has no scalar
-        // twin: the shipped predicated pass *is* the scalar form).
+        // an independently computed filter oracle.
         let third = (domain / 3) as i32;
         let expected: Vec<u32> = sel_c[..nc]
             .iter()
             .copied()
             .filter(|&r| (third..=hi).contains(&values[r as usize]))
             .collect();
-        let rc = sel_between_refine(&view, third, hi, &mut sel_c, nc);
+        let rc = sel_between_refine(&view, third, hi, &mut sel_c, nc, &mut [0; CHUNK]);
         prop_assert_eq!(rc, expected.len());
         prop_assert_eq!(&sel_c[..rc], &expected[..]);
     }
@@ -243,11 +242,12 @@ proptest! {
         let hc = sel_semijoin_init(&fk[..], &spec, start, n, &mut sel_c);
         prop_assert_eq!(&sel_c[..hc], want);
         let mut sel_g = master.clone();
-        let hg = sel_semijoin_refine(&fk[..], &spec, &mut sel_g, count);
+        let buf = &mut [0; CHUNK];
+        let hg = sel_semijoin_refine(&fk[..], &spec, &mut sel_g, count, buf);
         prop_assert_eq!(&sel_g[..hg], want);
         // One digit over a zeroed index is the code itself.
         let mut gidx = vec![0u32; hg];
-        sel_group_digit(&fk[..], &spec, &sel_g[..hg], 3000, &mut gidx);
+        sel_group_digit(&fk[..], &spec, &sel_g[..hg], 3000, &mut gidx, buf);
         prop_assert!(gidx.iter().zip(want_codes).all(|(&g, &c)| g == c as u32));
 
         let mut sel_t = master.clone();

@@ -11,8 +11,8 @@
 //! The generator only emits queries every engine can execute: dimension
 //! filters and group attributes are drawn from the attributes that exist
 //! on their table, join FKs are the canonical star-schema edges, and the
-//! mixed-radix group domain is capped at [`MAX_GROUP_DOMAIN`] so the dense
-//! per-worker aggregate tables of the CPU/GPU engines stay allocatable.
+//! mixed-radix group domain is capped at [`MAX_GROUP_DOMAIN`] so the
+//! device engines' group tables stay small beside the columns they cache.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -22,8 +22,14 @@ use crate::plan::{AggExpr, DimAttr, DimJoin, DimPred, DimTable, FactCol, FactPre
 
 /// Upper bound on the product of group-attribute domains. The largest
 /// canned query (q4.3: city x brand x year) lands at 1.75M; generated
-/// queries stay in the same ballpark so a dense `Vec<i64>` aggregate table
-/// per worker remains a few MB at most.
+/// queries stay in the same ballpark. The host engines need no cap — their
+/// accumulator allocates only the 512-slot blocks a group lands in, plus a
+/// 4-byte directory entry per block of the domain — but the device engines
+/// do: the fused kernel's group table and the per-operator engine's each
+/// reserve 8 bytes of simulated device memory per slot (addresses only, no
+/// host memory), and that scratch competes with the columns a session
+/// caches, so a large table forces evictions or is refused on a small
+/// device.
 pub const MAX_GROUP_DOMAIN: usize = 2_000_000;
 
 /// Attributes that exist on each dimension table (the schema edges the
@@ -148,7 +154,7 @@ pub fn random_star_query(_d: &SsbData, seed: u64) -> StarQuery {
             };
             let group_attr = if rng.gen_range(0..100) < 45 {
                 let attr = attrs[rng.gen_range(0..attrs.len())];
-                // Keep the dense aggregate table allocatable.
+                // Keep the device engines' group tables small.
                 if group_domain.saturating_mul(attr.domain()) <= MAX_GROUP_DOMAIN {
                     group_domain *= attr.domain();
                     Some(attr)

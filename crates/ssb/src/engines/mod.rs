@@ -539,91 +539,112 @@ fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// Slots per block of [`GroupAcc`]'s touched-block set: q4.3's 1.75 M-slot
-/// table is 3 418 blocks, a 54-word set.
+/// Slots per block of a [`GroupAcc`]: q4.3's 1.75 M-slot domain is 3 418
+/// blocks, a 13.7 KB directory.
 const AGG_BLOCK: usize = 512;
 
-/// The group accumulator of every executor: a dense aggregate table over the
-/// query's group domain plus the set of its 512-slot blocks a value
-/// was added to. A large domain is merged and read out through the set, not
-/// scanned — q4.3 fills a few hundred of its 1.75 M slots — so what a partial
-/// result costs to fold in follows the groups it touched, not the domain.
-/// [`GroupAcc::add`] is the only writer: a slot outside the set is zero.
+/// The directory entry of a block no value was added to.
+const ABSENT: u32 = u32::MAX;
+
+/// The group accumulator of every engine: `i64` sums over the query's dense
+/// group domain, kept in 512-slot blocks that are allocated on their first
+/// add. A `u32` directory over the domain's blocks holds each block's place
+/// in `sums` (`ABSENT` until then); `blocks` names, in order of first
+/// touch, the domain block each place holds. Making, merging and reading
+/// out an accumulator costs what the groups it touched cost, plus 4 bytes
+/// per block of the domain — q4.3 fills a few hundred of its 1.75 M slots,
+/// and a 437.5 M-slot domain is a 3.4 MB directory, not 3.5 GB of sums.
+/// [`GroupAcc::add`] is the only writer: a slot of an absent block is zero.
 #[derive(Debug, Clone)]
 pub(crate) struct GroupAcc {
-    agg: Vec<i64>,
-    touched: Vec<u64>,
+    dir: Vec<u32>,
+    blocks: Vec<u32>,
+    sums: Vec<i64>,
 }
 
 impl GroupAcc {
-    /// An accumulator of `domain` zero slots, none of them touched.
+    /// An accumulator over `domain` zero slots, no block allocated.
     pub(crate) fn new(domain: usize) -> Self {
+        let blocks = domain.div_ceil(AGG_BLOCK);
+        assert!(blocks < ABSENT as usize, "a group domain of {domain} slots");
         GroupAcc {
-            agg: vec![0i64; domain],
-            touched: vec![0u64; domain.div_ceil(AGG_BLOCK).div_ceil(64)],
+            dir: vec![ABSENT; blocks],
+            blocks: Vec::new(),
+            sums: Vec::new(),
         }
     }
 
     /// Adds `value` to group `idx` (slot 0 of a scalar query).
     #[inline]
     pub(crate) fn add(&mut self, idx: usize, value: i64) {
-        self.agg[idx] += value;
         let block = idx / AGG_BLOCK;
-        self.touched[block / 64] |= 1 << (block % 64);
+        let at = match self.dir[block] {
+            ABSENT => self.allocate(block),
+            at => at as usize,
+        };
+        self.sums[at * AGG_BLOCK + idx % AGG_BLOCK] += value;
     }
 
-    /// The slots of every touched block, ascending.
-    fn touched_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        set_bits(&self.touched)
-            .flat_map(|block| block * AGG_BLOCK..((block + 1) * AGG_BLOCK).min(self.agg.len()))
+    /// Gives domain block `block` the next place, zeroed; returns it.
+    #[cold]
+    fn allocate(&mut self, block: usize) -> usize {
+        let at = self.blocks.len();
+        self.dir[block] = at as u32;
+        self.blocks.push(block as u32);
+        self.sums.resize(self.sums.len() + AGG_BLOCK, 0);
+        at
+    }
+
+    /// Blocks allocated so far.
+    #[cfg(test)]
+    pub(crate) fn blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Each allocated block's first domain slot and its sums, in order of
+    /// first touch.
+    fn allocated(&self) -> impl Iterator<Item = (usize, &[i64])> {
+        let firsts = self.blocks.iter().map(|&b| b as usize * AGG_BLOCK);
+        firsts.zip(self.sums.chunks_exact(AGG_BLOCK))
     }
 
     /// Adds every group of `other`, an accumulator over the same domain.
     pub(crate) fn merge(&mut self, other: &GroupAcc) {
-        assert_eq!(self.agg.len(), other.agg.len(), "group domains differ");
-        for slot in other.touched_slots() {
-            self.agg[slot] += other.agg[slot];
-        }
-        for (mine, theirs) in self.touched.iter_mut().zip(&other.touched) {
-            *mine |= theirs;
+        assert_eq!(self.dir.len(), other.dir.len(), "group domains differ");
+        for (first, theirs) in other.allocated() {
+            let block = first / AGG_BLOCK;
+            let at = match self.dir[block] {
+                ABSENT => self.allocate(block),
+                at => at as usize,
+            };
+            let mine = &mut self.sums[at * AGG_BLOCK..][..AGG_BLOCK];
+            mine.iter_mut().zip(theirs).for_each(|(m, t)| *m += t);
         }
     }
 
-    /// The result of `q`, whose group domain this accumulator covers.
+    /// The result of `q`, whose group domain this accumulator covers, with
+    /// group keys mapped back from dense codes to attribute values; a group
+    /// whose sum is zero is dropped like an empty one.
     pub(crate) fn to_result(&self, q: &StarQuery) -> crate::QueryResult {
-        groups_to_result_at(q, &self.agg, self.touched_slots())
+        let attrs = q.group_attrs();
+        if attrs.is_empty() {
+            // A scalar query's one slot is the first of its one block.
+            return crate::QueryResult::Scalar(self.sums.first().copied().unwrap_or(0));
+        }
+        let domains: Vec<usize> = attrs.iter().map(|a| a.domain()).collect();
+        let slots = self
+            .allocated()
+            .flat_map(|(first, sums)| (first..).zip(sums));
+        crate::QueryResult::from_groups(slots.filter(|&(_, &sum)| sum != 0).map(|(idx, &sum)| {
+            let codes = group_decode(&domains, idx);
+            let key: Vec<i32> = codes
+                .iter()
+                .zip(&attrs)
+                .map(|(&c, a)| a.from_dense(c as usize))
+                .collect();
+            (key, sum)
+        }))
     }
-}
-
-/// Converts a dense aggregate array into a [`crate::QueryResult`], mapping
-/// dense codes back to attribute values.
-pub fn groups_to_result(q: &StarQuery, agg: &[i64]) -> crate::QueryResult {
-    groups_to_result_at(q, agg, 0..agg.len())
-}
-
-/// [`groups_to_result`] reading only the slots `at` names — for a caller
-/// that knows which slots of a large group domain it wrote. A slot it leaves
-/// out is taken to be zero; a named slot holding zero is dropped like any
-/// empty group.
-pub fn groups_to_result_at(
-    q: &StarQuery,
-    agg: &[i64],
-    at: impl Iterator<Item = usize>,
-) -> crate::QueryResult {
-    let attrs = q.group_attrs();
-    if attrs.is_empty() {
-        return crate::QueryResult::Scalar(agg.first().copied().unwrap_or(0));
-    }
-    let domains: Vec<usize> = attrs.iter().map(|a| a.domain()).collect();
-    crate::QueryResult::from_groups(at.filter(|&idx| agg[idx] != 0).map(|idx| {
-        let codes = group_decode(&domains, idx);
-        let key: Vec<i32> = codes
-            .iter()
-            .zip(&attrs)
-            .map(|(&c, a)| a.from_dense(c as usize))
-            .collect();
-        (key, agg[idx])
-    }))
 }
 
 #[cfg(test)]
@@ -639,19 +660,33 @@ mod tests {
         }
     }
 
-    /// Sparse merge and read-out against dense addition: a random `(slot,
+    /// Paged merge and read-out against a dense oracle: a random `(slot,
     /// value)` stream split over 1, 2 and 8 partial accumulators, merged
     /// into one that touched nothing, holds slot for slot what element-wise
-    /// addition of dense tables holds, and reads out as `groups_to_result`
-    /// reads those — over domains around the set's block and word sizes,
-    /// the scalar domain (whose slot 0 has to be in the set like any other)
-    /// and q3.2's 437 500 slots, with values that cancel to zero (a group
-    /// dropped, as a dense read-out drops it).
+    /// addition of dense tables holds — one block per block the stream
+    /// touched, zero past the domain in the last one — and reads out as the
+    /// dense table does, over domains around the block size, the scalar
+    /// domain, q3.2's 437 500 slots and q4.3's 1 750 000, with values that
+    /// cancel to zero (a group dropped, as a dense read-out drops it).
     #[test]
     fn group_acc_merges_and_reads_out_like_dense_addition() {
+        use crate::QueryResult;
         let d = SsbData::generate_scaled(1, 0.0005, 3);
         let queries = crate::queries::all_queries(&d);
         let query_of = |domain| queries.iter().find(|q| q.group_domain() == domain);
+        // The dense table's read-out: every nonzero slot, its key decoded.
+        let dense_result = |q: &StarQuery, dense: &[i64]| {
+            let attrs = q.group_attrs();
+            if attrs.is_empty() {
+                return QueryResult::Scalar(dense[0]);
+            }
+            let domains: Vec<usize> = attrs.iter().map(|a| a.domain()).collect();
+            let nonzero = dense.iter().enumerate().filter(|&(_, &sum)| sum != 0);
+            QueryResult::from_groups(nonzero.map(|(idx, &sum)| {
+                let codes = group_decode(&domains, idx).into_iter().zip(&attrs);
+                (codes.map(|(c, a)| a.from_dense(c as usize)).collect(), sum)
+            }))
+        };
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let mut draw = move |below: usize| {
             x ^= x << 13;
@@ -660,7 +695,7 @@ mod tests {
             (x >> 11) as usize % below
         };
         let mut read_out = 0;
-        for domain in [1usize, 63, 64, 65, 512, 513, 437_500] {
+        for domain in [1usize, 63, 64, 65, 512, 513, 437_500, 1_750_000] {
             for parts in [1usize, 2, 8] {
                 let mut stream: Vec<(usize, i64)> = (0..200)
                     .map(|_| (draw(domain), draw(2_000_001) as i64 - 1_000_000))
@@ -679,29 +714,26 @@ mod tests {
                 let mut merged = GroupAcc::new(domain);
                 partials.iter().for_each(|p| merged.merge(p));
 
-                assert_eq!(merged.agg, dense, "domain {domain} x{parts}");
-                let nonzero = |agg: &[i64], at: &mut dyn Iterator<Item = usize>| -> Vec<usize> {
-                    at.filter(|&slot| agg[slot] != 0).collect()
-                };
-                assert_eq!(
-                    nonzero(&merged.agg, &mut merged.touched_slots()),
-                    nonzero(&dense, &mut (0..domain)),
-                    "domain {domain} x{parts}: the set misses a written slot"
-                );
+                let case = format!("domain {domain} x{parts}");
+                let mut paged = vec![0i64; domain.next_multiple_of(AGG_BLOCK)];
+                for (first, sums) in merged.allocated() {
+                    paged[first..first + AGG_BLOCK].copy_from_slice(sums);
+                }
+                assert!(paged[domain..].iter().all(|&s| s == 0), "{case}");
+                assert_eq!(paged[..domain], dense[..], "{case}");
+                let mut touched: Vec<usize> = stream.iter().map(|&(s, _)| s / AGG_BLOCK).collect();
+                touched.sort_unstable();
+                touched.dedup();
+                assert_eq!(merged.blocks(), touched.len(), "{case}");
                 if let Some(q) = query_of(domain) {
-                    assert_eq!(
-                        merged.to_result(q),
-                        groups_to_result(q, &dense),
-                        "{}",
-                        q.name
-                    );
+                    assert_eq!(merged.to_result(q), dense_result(q, &dense), "{}", q.name);
                     read_out += 1;
                 }
             }
         }
         assert_eq!(
-            read_out, 6,
-            "the scalar and the 437 500-slot domain have queries"
+            read_out, 9,
+            "the scalar, the 437 500- and the 1 750 000-slot domain have queries"
         );
     }
 

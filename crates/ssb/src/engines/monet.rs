@@ -20,7 +20,7 @@
 use crystal_cpu::exec::scoped_map;
 
 use crate::data::SsbData;
-use crate::engines::{groups_to_result, DimLookup};
+use crate::engines::{DimLookup, GroupAcc};
 use crate::plan::StarQuery;
 use crate::QueryResult;
 
@@ -88,9 +88,8 @@ pub fn execute(d: &SsbData, q: &StarQuery, threads: usize) -> QueryResult {
 
     // Aggregation operator.
     let domains: Vec<usize> = q.group_attrs().iter().map(|a| a.domain()).collect();
-    let domain = q.group_domain();
     let carries: Vec<bool> = q.joins.iter().map(|j| j.group_attr.is_some()).collect();
-    let mut agg = vec![0i64; domain];
+    let mut agg = GroupAcc::new(q.group_domain());
     for (k, &row) in ids.iter().enumerate() {
         let mut idx = 0usize;
         let mut di = 0usize;
@@ -100,9 +99,9 @@ pub fn execute(d: &SsbData, q: &StarQuery, threads: usize) -> QueryResult {
                 di += 1;
             }
         }
-        agg[idx] += q.agg.eval(d, row as usize);
+        agg.add(idx, q.agg.eval(d, row as usize));
     }
-    groups_to_result(q, &agg)
+    agg.to_result(q)
 }
 
 #[cfg(test)]

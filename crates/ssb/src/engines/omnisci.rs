@@ -33,9 +33,7 @@ use crystal_runtime::{DeviceCol, DeviceSession, SessionOom};
 
 use crate::data::SsbData;
 use crate::engines::profile::QueryProfile;
-use crate::engines::{
-    build_dim_table, dim_join_fingerprint, dim_table_bytes, groups_to_result, DimBuild,
-};
+use crate::engines::{build_dim_table, dim_join_fingerprint, dim_table_bytes, DimBuild, GroupAcc};
 use crate::plan::{FactCol, StarQuery};
 use crate::table::FactTable;
 
@@ -83,7 +81,7 @@ pub fn execute(
     profile
         .time
         .settle(reports.iter().map(|r| r.time.total_secs()).sum());
-    profile.result = groups_to_result(q, &agg_host);
+    profile.result = agg_host.to_result(q);
     profile.reports = reports;
     profile.device_segments_run = 1;
     Ok(profile)
@@ -99,7 +97,7 @@ fn operators(
     flags: &mut DeviceBuffer<u8>,
     code_bufs: &mut Vec<DeviceBuffer<i32>>,
     agg_table: &mut Option<DeviceBuffer<i64>>,
-) -> Result<(Vec<KernelReport>, Vec<i64>), SessionOom> {
+) -> Result<(Vec<KernelReport>, GroupAcc), SessionOom> {
     let n = d.lineorder.rows();
     let mut reports = Vec::new();
 
@@ -174,8 +172,10 @@ fn operators(
     let domain = q.group_domain();
     let grouped = !domains.is_empty();
     let carries: Vec<bool> = q.joins.iter().map(|j| j.group_attr.is_some()).collect();
-    let agg_table = agg_table.insert(sess.try_alloc_scratch_zeroed(domain)?);
-    let mut agg_host = vec![0i64; domain];
+    // The kernel takes only the table's addresses; the sums live in the
+    // host's accumulator.
+    let agg_table = agg_table.insert(sess.try_alloc_scratch_unbacked(domain)?);
+    let mut agg_host = GroupAcc::new(domain);
     let agg_cols = q.agg.columns().iter().map(|&c| column(sess, c));
     let agg_cols: Vec<Rc<DeviceCol>> = agg_cols.collect::<Result<_, _>>()?;
 
@@ -211,11 +211,11 @@ fn operators(
                         }
                     }
                     ctx.atomic_scattered(agg_table.addr_of(idx));
-                    agg_host[idx] += v;
+                    agg_host.add(idx, v);
                 } else {
                     // Per-row contended atomic on the single aggregate.
                     ctx.atomic_same_addr(1);
-                    agg_host[0] += v;
+                    agg_host.add(0, v);
                 }
                 ctx.compute(2);
             }

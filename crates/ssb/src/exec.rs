@@ -43,22 +43,27 @@
 //! last join, the rows that survived all of them — a few percent at most —
 //! get their mixed-radix group index built column-at-a-time, one
 //! [`sel_group_digit`] gather per group-carrying join, and one pass adds
-//! their values into the dense aggregate table. Each stage prefetches, for
-//! its survivors, the column the next one gathers.
+//! their values into the worker's group accumulator, whose 512-slot blocks
+//! exist only where a value was added. Each stage prefetches, for its
+//! survivors, the column the next one gathers. The group digits and the
+//! aggregate inputs stage the survivors' values a vector at a time through
+//! `ColumnRead::gather` into per-worker scratch; so do the later predicates
+//! and joins over a packed column, which then test them with the same
+//! match-bitmap engines as the contiguous stages (over a plain column they
+//! stay one fused predicated-store pass).
 //!
 //! **Compressed execution.** Every plan column is resolved once to a
 //! [`ColumnSlice`] — plain or bit-packed — and each kernel call
 //! dispatches on the variant, so the pipeline runs the fused
 //! unpack-and-compare monomorphization for packed columns and the plain
 //! one otherwise, per column, in both modes. No column is ever
-//! decompressed to a temporary; packed values are unpacked in registers
-//! inside the kernels.
+//! decompressed beyond the one vector of values a kernel stages.
 //!
 //! **One table shape.** [`execute`] takes a [`FactTable`] — plain columns,
 //! one encoded table or the shards of a partitioned one — and scans the
 //! segments zone-map pruning leaves live, one after the other, into one
 //! merge-aggregation. Pruned segments hold no row passing the fact
-//! predicates and the aggregate is commutative `i64` addition into one
+//! predicates and the aggregate is commutative `i64` addition over one
 //! dense group domain, so result *and* trace are byte-identical for every
 //! shape; `fact_rows` stays the whole table's row count.
 //!
@@ -138,8 +143,9 @@ impl WorkerAcc {
 }
 
 /// Per-worker scratch buffers, allocated once per worker (never per
-/// morsel): the vectorized pipeline's selection vector and group-index
-/// column, and the tuple pipeline's per-row code buffer.
+/// morsel, let alone per vector): the vectorized pipeline's selection
+/// vector, group-index column and staging buffers, and the tuple pipeline's
+/// per-row code buffer.
 struct Scratch {
     /// Two vectors long: up to `VECTOR_SIZE - 1` rows pending from earlier
     /// chunks plus one chunk's survivors (`vectorized_range`).
@@ -147,6 +153,12 @@ struct Scratch {
     /// Mixed-radix group index of each row that survived every join
     /// (`u32`: [`check_group_domain`]).
     gidx: [u32; VECTOR_SIZE],
+    /// A column's values at a vector's rows, staged for a gather-fed
+    /// predicate, join or group digit.
+    keys: [i32; CHUNK],
+    /// The aggregate inputs of a vector's surviving rows, in
+    /// [`AggExpr::columns`] order.
+    inputs: [[i32; CHUNK]; 2],
     tuple_codes: Vec<i32>,
 }
 
@@ -155,6 +167,8 @@ impl Scratch {
         Scratch {
             sel: [0u32; 2 * VECTOR_SIZE],
             gidx: [0u32; VECTOR_SIZE],
+            keys: [0i32; CHUNK],
+            inputs: [[0i32; CHUNK]; 2],
             tuple_codes: vec![0i32; joins],
         }
     }
@@ -219,15 +233,15 @@ impl QueryCtx<'_> {
         }
     }
 
-    /// The aggregate expression's value for fact row `row`, read through
-    /// the resolved (possibly packed) input columns.
-    #[inline]
-    fn agg_value(&self, row: usize) -> i64 {
-        let a = &self.agg_cols;
+    /// The aggregate expression's value for one row whose `i`-th input
+    /// (in [`AggExpr::columns`] order) is `input(i)`.
+    #[inline(always)]
+    fn agg_value(&self, input: impl Fn(usize) -> i32) -> i64 {
+        let a = |i| i64::from(input(i));
         match self.q.agg {
-            AggExpr::SumDiscountedPrice => a[0].value(row) as i64 * a[1].value(row) as i64,
-            AggExpr::SumRevenue => a[0].value(row) as i64,
-            AggExpr::SumProfit => a[0].value(row) as i64 - a[1].value(row) as i64,
+            AggExpr::SumDiscountedPrice => a(0) * a(1),
+            AggExpr::SumRevenue => a(0),
+            AggExpr::SumProfit => a(0) - a(1),
         }
     }
 }
@@ -641,10 +655,12 @@ fn refine_join_aggregate(
     acc: &mut WorkerAcc,
     scratch: &mut Scratch,
 ) {
-    let sel = &mut scratch.sel;
+    let (sel, keys) = (&mut scratch.sel, &mut scratch.keys);
     let preds = ctx.q.fact_preds.iter().zip(ctx.pred_cols).enumerate();
     for (k, (p, col)) in preds.skip(1) {
-        count = on_encoding!(*col, |c| sel_between_refine(c, p.lo, p.hi, sel, count));
+        count = on_encoding!(*col, |c| sel_between_refine(
+            c, p.lo, p.hi, sel, count, keys
+        ));
         ctx.prefetch_after(k, &sel[..count]);
     }
     acc.pred_survivors += count;
@@ -652,10 +668,10 @@ fn refine_join_aggregate(
 }
 
 /// The back end every vector shares: the ordered semi-joins from join
-/// `first_join` on over the first `count` selected rows, compacting per
-/// stage; then, for the rows that survived them all, the group index —
-/// one digit gathered per group-carrying join — and the aggregate into the
-/// private dense table.
+/// `first_join` on over the first `count` (at most one vector of) selected
+/// rows, compacting per stage; then, for the rows that survived them all,
+/// the group index — one digit gathered per group-carrying join — and the
+/// aggregate into the worker's accumulator.
 #[inline(always)]
 fn join_aggregate(
     ctx: &QueryCtx<'_>,
@@ -664,7 +680,14 @@ fn join_aggregate(
     acc: &mut WorkerAcc,
     scratch: &mut Scratch,
 ) {
-    let sel = &mut scratch.sel;
+    debug_assert!(count <= VECTOR_SIZE);
+    let Scratch {
+        sel,
+        gidx,
+        keys,
+        inputs,
+        ..
+    } = scratch;
     for j in first_join..ctx.fk_cols.len() {
         if count == 0 {
             break;
@@ -672,23 +695,27 @@ fn join_aggregate(
         acc.probes[j] += count;
         let spec = ctx.lookups[j].spec();
         count = on_encoding!(ctx.fk_cols[j], |c| sel_semijoin_refine(
-            c, &spec, sel, count
+            c, &spec, sel, count, keys
         ));
         acc.hits[j] += count;
         ctx.prefetch_after(ctx.pred_cols.len() + j, &sel[..count]);
     }
     acc.result_rows += count;
 
-    let (sel, gidx) = (&sel[..count], &mut scratch.gidx[..count]);
+    let (sel, gidx) = (&sel[..count], &mut gidx[..count]);
     gidx.fill(0);
     for &(j, dom) in ctx.carried {
         let spec = ctx.lookups[j].spec();
         on_encoding!(ctx.fk_cols[j], |c| sel_group_digit(
-            c, &spec, sel, dom as u32, gidx
+            c, &spec, sel, dom as u32, gidx, keys
         ));
     }
-    for (&row, &idx) in sel.iter().zip(gidx.iter()) {
-        acc.groups.add(idx as usize, ctx.agg_value(row as usize));
+    for (col, input) in ctx.agg_cols.iter().zip(inputs.iter_mut()) {
+        col.gather(sel, input);
+    }
+    for (k, &idx) in gidx.iter().enumerate() {
+        acc.groups
+            .add(idx as usize, ctx.agg_value(|i| inputs[i][k]));
     }
 }
 
@@ -720,7 +747,8 @@ fn tuple_range(
             acc.hits[j] += 1;
         }
         acc.result_rows += 1;
-        acc.groups.add(ctx.group_idx(codes), ctx.agg_value(row));
+        let input = |i: usize| ctx.agg_cols[i].value(row);
+        acc.groups.add(ctx.group_idx(codes), ctx.agg_value(input));
     }
 }
 
@@ -956,6 +984,56 @@ mod tests {
                     assert_eq!(job.acc.pred_survivors, qualifying[job.rows_scanned()]);
                     assert_eq!(job.acc.result_rows, job.acc.pred_survivors);
                 }
+            }
+        }
+    }
+
+    /// The accumulator half of a warm q4.3 is held by a counter: a repeated
+    /// `HostQueryJob::over` starts with no block of its 1.75 M-slot domain
+    /// and ends holding at most one per result group — not a 14 MB table.
+    #[test]
+    fn a_repeated_q43_job_holds_at_most_one_block_per_group() {
+        let d = SsbData::generate_scaled(1, 0.02, 13);
+        let q = crate::queries::query(&d, crate::QueryId::new(4, 3));
+        let table = FactTable::plain(&d);
+        for run in 0..2 {
+            let mut job = HostQueryJob::over(&table, &q, PipelineMode::Vectorized);
+            assert_eq!(job.acc.groups.blocks(), 0, "run {run}");
+            while !job.step(usize::MAX) {}
+            let blocks = job.acc.groups.blocks();
+            let (result, _) = job.finish();
+            assert!(result.rows() > 0, "run {run}: q4.3 found no group");
+            assert!(blocks <= result.rows(), "run {run}: {blocks} blocks");
+        }
+    }
+
+    /// A group domain far past any canned query's allocates nothing in its
+    /// proportion: q4.3's joins with customer city as a fourth group
+    /// attribute — 250 x 250 x 1000 x 7 = 437.5 M slots, a 3.5 GB dense
+    /// `i64` table per worker — run through `execute` and a stepped
+    /// `HostQueryJob`, plain and packed, in both pipeline modes, to the
+    /// reference's answer.
+    #[test]
+    fn a_437_million_slot_group_domain_runs_in_a_few_blocks() {
+        use crate::plan::DimAttr;
+        let d = SsbData::generate_scaled(1, 0.02, 13);
+        let mut q = crate::queries::query(&d, crate::QueryId::new(4, 3));
+        q.joins[0].group_attr = Some(DimAttr::City);
+        assert_eq!(q.group_domain(), 437_500_000);
+        let expected = reference::execute(&d, &q);
+        assert!(expected.rows() > 0, "the plan finds no group");
+        let fact = EncodedFact::encode(&d, &FactEncodings::packed_min(&d));
+        for (shape, table) in [
+            ("plain", FactTable::plain(&d)),
+            ("packed", FactTable::encoded(&d, &fact)),
+        ] {
+            for mode in [PipelineMode::Vectorized, PipelineMode::TupleAtATime] {
+                let case = format!("{shape} {mode:?}");
+                assert_eq!(execute(&table, &q, 2, mode).0, expected, "{case}");
+                let mut job = HostQueryJob::over(&table, &q, mode);
+                while !job.step(1009) {}
+                assert!(job.acc.groups.blocks() <= expected.rows(), "{case}");
+                assert_eq!(job.finish().0, expected, "{case} job");
             }
         }
     }

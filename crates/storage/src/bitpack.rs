@@ -252,6 +252,17 @@ impl<'a> PackedView<'a> {
         unpack_batch(self.words, self.bits, start, out);
     }
 
+    /// Decodes the values at `rows` into `out[..rows.len()]` (`out` may be
+    /// longer, not shorter): the stage of a gather-fed kernel, sixteen rows
+    /// per pair of vector gathers under AVX-512 ([`Isa::best`]) and
+    /// [`unpack_at`] per row elsewhere.
+    #[inline]
+    pub fn get_rows(&self, rows: &[u32], out: &mut [i32]) {
+        debug_assert!(rows.iter().all(|&row| (row as usize) < self.len));
+        // SAFETY: `Isa::best` only returns a level the CPU supports.
+        unsafe { gather_on(Isa::best(), self.words, self.bits, rows, out) }
+    }
+
     /// Hints the line value `i` starts in into cache (`i` may lie past the
     /// view: the address is computed, never dereferenced).
     #[inline]
@@ -468,6 +479,103 @@ fn unpack_straddle(words: &[u64], bits: u32, start: usize, out: &mut [i32]) {
     }
 }
 
+/// [`PackedView::get_rows`] on a given level's engine (tests force each
+/// one): the AVX-512 engine decodes every whole sixteen rows, [`unpack_at`]
+/// the rest — and every row on the other levels.
+///
+/// # Safety
+/// The running CPU must support `isa` ([`Isa::supported`]).
+unsafe fn gather_on(isa: Isa, words: &[u64], bits: u32, rows: &[u32], out: &mut [i32]) {
+    debug_assert!((1..=32).contains(&bits));
+    let out = &mut out[..rows.len()];
+    let done = match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the caller vouches for AVX-512 F, the engine's only
+        // requirement; `out` is exactly as long as `rows`.
+        Isa::Avx512Vbmi | Isa::Avx512 => unsafe { gather_avx512(words, bits, rows, out) },
+        _ => 0,
+    };
+    for (slot, &row) in out[done..].iter_mut().zip(&rows[done..]) {
+        *slot = unpack_at(words, bits, row as usize);
+    }
+}
+
+/// The AVX-512 gather engine, per sixteen rows: the row ids widened to
+/// `u64` and multiplied by `bits` (`vpmuludq`: a `u32` row id times a
+/// width of at most 32 cannot overflow) give each value's bit offset; two
+/// masked `vpgatherqq` load the 8-byte window at byte `bit >> 3`, which
+/// holds the whole value because `(bit & 7) + bits <= 7 + 32 <= 64`;
+/// `vpsrlvq` by `bit & 7`, a mask and `vpmovqd` narrow the values to
+/// `i32`. A lane whose window would end past `words` is masked out of the
+/// gather and recomputed by [`unpack_at`]. Returns how many leading rows it
+/// decoded: every whole sixteen.
+///
+/// # Safety
+/// The CPU must support AVX-512 F, and `out` must be as long as `rows`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn gather_avx512(words: &[u64], bits: u32, rows: &[u32], out: &mut [i32]) -> usize {
+    use std::arch::x86_64::*;
+    debug_assert_eq!(rows.len(), out.len());
+    let nbytes = words.len() * 8;
+    // The window from byte `b` ends inside the stream when `b + 8 <=
+    // nbytes`, that is when `b < nbytes - 7` (no lane, for no words).
+    let vend = _mm512_set1_epi64(nbytes.saturating_sub(7) as i64);
+    let vbits = _mm512_set1_epi64(i64::from(bits));
+    let phase = _mm512_set1_epi64(7);
+    let mask = _mm512_set1_epi64(low_mask(bits) as i64);
+    let groups = rows.len() / 16;
+    for g in 0..groups {
+        let at = 16 * g;
+        debug_assert!(at + 16 <= rows.len());
+        // SAFETY: rows `at .. at + 16`, inside `rows` as `g < rows.len() / 16`.
+        let ids = unsafe { _mm512_loadu_si512(rows.as_ptr().add(at).cast()) };
+        let mut live = 0u16;
+        let mut narrow = [_mm256_setzero_si256(); 2];
+        for (h, lanes) in narrow.iter_mut().enumerate() {
+            let half = match h {
+                0 => _mm512_castsi512_si256(ids),
+                _ => _mm512_extracti64x4_epi64::<1>(ids),
+            };
+            let bit = _mm512_mul_epu32(_mm512_cvtepu32_epi64(half), vbits);
+            let byte = _mm512_srli_epi64::<3>(bit);
+            let ok = _mm512_cmplt_epi64_mask(byte, vend);
+            debug_assert!(
+                (0..8).all(|l| ok >> l & 1 == 0
+                    || ((rows[at + 8 * h + l] as usize * bits as usize) >> 3) + 8 <= nbytes),
+                "a gathered window ends past the stream"
+            );
+            // SAFETY: only the `ok` lanes load, each the 8 bytes from byte
+            // `byte < nbytes - 7` of `words`: inside it.
+            let window = unsafe {
+                _mm512_mask_i64gather_epi64::<1>(
+                    _mm512_setzero_si512(),
+                    ok,
+                    byte,
+                    words.as_ptr().cast(),
+                )
+            };
+            let shifted = _mm512_srlv_epi64(window, _mm512_and_si512(bit, phase));
+            *lanes = _mm512_cvtepi64_epi32(_mm512_and_si512(shifted, mask));
+            live |= u16::from(ok) << (8 * h);
+        }
+        debug_assert!(at + 16 <= out.len());
+        // SAFETY: values `at .. at + 16` of `out`, which is as long as
+        // `rows` (the caller vouches), so inside it.
+        unsafe {
+            _mm256_storeu_si256(out.as_mut_ptr().add(at).cast(), narrow[0]);
+            _mm256_storeu_si256(out.as_mut_ptr().add(at + 8).cast(), narrow[1]);
+        }
+        let mut dead = !live;
+        while dead != 0 {
+            let l = at + dead.trailing_zeros() as usize;
+            out[l] = unpack_at(words, bits, rows[l] as usize);
+            dead &= dead - 1;
+        }
+    }
+    16 * groups
+}
+
 /// Extracts value `i` from a packed word stream (shared by the device
 /// kernels, which operate on raw words).
 #[inline]
@@ -673,6 +781,63 @@ mod tests {
                         assert!(
                             out[len..].iter().all(|&v| v == CANARY),
                             "{isa:?} bits={bits} start={start} len={len} wrote past the batch"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The gather's forced-engine matrix: every engine the CPU has, called
+    /// directly, decodes the values at a set of rows as `unpack_at` does,
+    /// for every width over a stream whose last value ends in the last byte
+    /// of the last word — so the windows of the last rows pass the end and
+    /// take the fix-up path — for ascending dense, every third, descending
+    /// and duplicated rows, row 0 alone and the last rows alone, at counts
+    /// around one sixteen-row group and whole sets. Slots past the rows
+    /// stay untouched. It prints the engines it forced: whether the
+    /// AVX-512 engine ran is in the log of a `--nocapture` run.
+    #[test]
+    fn every_engine_gathers_like_unpack_at_for_every_width_and_edge() {
+        const LEN: u32 = 2112; // `LEN * bits` is whole words.
+        const CANARY: i32 = -7;
+        let engines: Vec<Isa> = Isa::ALL
+            .iter()
+            .copied()
+            .filter(|isa| isa.supported())
+            .collect();
+        println!(
+            "Isa::best() = {:?}; gather engines forced: {engines:?}",
+            Isa::best()
+        );
+        let last = LEN - 1;
+        let sets: [(&str, Vec<u32>); 6] = [
+            ("ascending", (0..LEN).collect()),
+            ("every third", (0..LEN).step_by(3).collect()),
+            ("descending", (0..LEN).rev().collect()),
+            ("duplicates", (0..LEN).map(|i| i / 3 * 7 % LEN).collect()),
+            ("row 0", vec![0; 17]),
+            ("last rows", (0..40).map(|i| last - i % 20).collect()),
+        ];
+        for &isa in &engines {
+            for bits in 1..=32u32 {
+                let values = values_of_width(bits, LEN as usize);
+                let p = PackedColumn::pack(&values, bits).unwrap();
+                assert_eq!(p.words().len() * 64, LEN as usize * bits as usize);
+                for (what, rows) in &sets {
+                    for count in [0, 1, 15, 16, 17, rows.len()] {
+                        let rows = &rows[..count.min(rows.len())];
+                        let mut out = vec![CANARY; rows.len() + 16];
+                        // SAFETY: `isa` passed the `supported` filter.
+                        unsafe { gather_on(isa, p.words(), bits, rows, &mut out) };
+                        for (k, (&v, &row)) in out.iter().zip(rows).enumerate() {
+                            let want = unpack_at(p.words(), bits, row as usize);
+                            assert_eq!(v, want, "{isa:?} bits={bits} {what} {} +{k}", rows.len());
+                        }
+                        assert!(
+                            out[rows.len()..].iter().all(|&v| v == CANARY),
+                            "{isa:?} bits={bits} {what} {} wrote past the rows",
+                            rows.len()
                         );
                     }
                 }

@@ -78,11 +78,25 @@ impl Encoding {
 /// This is the seam the fused kernels share: `crystal_core::selvec`'s
 /// selection/probe kernels, the CPU operators and the executors are all
 /// generic over `ColumnRead`, so one implementation serves plain and
-/// packed columns and the packed instantiation unpacks value-at-a-time in
-/// registers (never a full-column decompress).
+/// packed columns and the packed instantiation unpacks in registers, a
+/// contiguous window or a selection's rows at a time (never a full-column
+/// decompress).
 pub trait ColumnRead {
     /// The value at `row`.
     fn value(&self, row: usize) -> i32;
+
+    /// Reads the values at `rows` into `out[..rows.len()]` (`out` may be
+    /// longer, not shorter) — the stage of a gather-fed kernel, one call
+    /// per selection-vector chunk. The default reads
+    /// [`ColumnRead::value`] per row (a plain column's scalar indexed
+    /// loads); [`PackedView`] gathers sixteen rows' bit windows per pair of
+    /// vector gathers where the CPU has AVX-512.
+    #[inline]
+    fn gather(&self, rows: &[u32], out: &mut [i32]) {
+        for (slot, &row) in out[..rows.len()].iter_mut().zip(rows) {
+            *slot = self.value(row as usize);
+        }
+    }
 
     /// Number of rows.
     fn row_count(&self) -> usize;
@@ -174,6 +188,11 @@ impl ColumnRead for PackedView<'_> {
     }
 
     #[inline]
+    fn gather(&self, rows: &[u32], out: &mut [i32]) {
+        self.get_rows(rows, out);
+    }
+
+    #[inline]
     fn read_batch(&self, start: usize, out: &mut [i32]) {
         self.get_batch(start, out);
     }
@@ -221,6 +240,14 @@ impl ColumnRead for ColumnSlice<'_> {
         match self {
             ColumnSlice::Plain(s) => s.len(),
             ColumnSlice::Packed(v) => v.len(),
+        }
+    }
+
+    #[inline]
+    fn gather(&self, rows: &[u32], out: &mut [i32]) {
+        match self {
+            ColumnSlice::Plain(s) => s.gather(rows, out),
+            ColumnSlice::Packed(v) => v.gather(rows, out),
         }
     }
 
