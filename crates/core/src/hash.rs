@@ -23,6 +23,8 @@ use crystal_gpu_sim::mem::DeviceBuffer;
 use crystal_gpu_sim::stats::KernelReport;
 use crystal_gpu_sim::Gpu;
 
+use crate::tile::retain_lanes;
+
 /// Slot encoding: high 32 bits = key + 1 (so zero means empty), low 32 bits
 /// = payload.
 const EMPTY: u64 = 0;
@@ -222,66 +224,47 @@ impl DeviceHashTable {
         }
     }
 
-    /// Probes `keys[i]` for every lane with `live[i]` set: a match stores
-    /// its payload in `payloads[i]`, a miss clears `live[i]`. Returns the
-    /// number of matches. Accounts exactly what one [`DeviceHashTable::probe`]
-    /// per live lane, in lane order, accounts.
+    /// Probes `keys[lane]` for every listed lane (ascending, see
+    /// [`crate::tile`]) and keeps the lanes that match, in order, with the
+    /// match's payload in `payloads[lane]` (what a listed lane that misses
+    /// leaves there is unspecified). Returns the number of matches. Accounts
+    /// exactly what one [`DeviceHashTable::probe`] per listed lane, in lane
+    /// order, accounts.
     ///
     /// A perfect table reads one slot per key whatever the others hold, so
-    /// its tile is accounted in one pass over the slot addresses and looked
-    /// up in a second, instead of interleaving the two lane by lane.
+    /// its lanes are accounted in one pass over the slot addresses and
+    /// looked up in a second, instead of interleaving the two lane by lane.
     pub fn probe_tile(
         &self,
         ctx: &mut BlockCtx<'_>,
         keys: &[i32],
-        live: &mut [bool],
+        lanes: &mut Vec<u16>,
         payloads: &mut [i32],
     ) -> usize {
-        let mut hits = 0;
         if self.scheme == HashScheme::Mult {
-            for ((&key, live), payload) in keys.iter().zip(live).zip(payloads) {
-                if *live {
-                    match self.probe(ctx, key) {
-                        Some(p) => {
-                            *payload = p;
-                            hits += 1;
-                        }
-                        None => *live = false,
-                    }
-                }
-            }
-            return hits;
+            retain_lanes(lanes, |lane| {
+                let hit = self.probe(ctx, keys[lane]);
+                hit.map(|payload| payloads[lane] = payload).is_some()
+            });
+            return lanes.len();
         }
         let slots = self.slots.as_slice();
         let home = |key: i32| Some(self.home_slot(key)).filter(|&slot| slot < slots.len());
-        ctx.gather_tile(
-            keys.iter()
-                .zip(live.iter())
-                .filter_map(|(&key, &live)| home(key).filter(|_| live))
-                .map(|slot| self.slots.addr_of(slot)),
-            8,
-        );
-        let (mut read, mut rejected) = (0, 0);
-        for ((&key, live), payload) in keys.iter().zip(live).zip(payloads) {
-            if !*live {
-                continue;
-            }
-            let Some(slot) = home(key) else {
-                rejected += 1;
-                *live = false;
-                continue;
+        let homes = lanes.iter().filter_map(|&lane| home(keys[lane as usize]));
+        ctx.gather_tile(homes.map(|slot| self.slots.addr_of(slot)), 8);
+        let (listed, mut read) = (lanes.len(), 0);
+        retain_lanes(lanes, |lane| {
+            let Some(slot) = home(keys[lane]) else {
+                return false;
             };
             read += 1;
             let s = slots[slot];
-            if slot_key(s) == Some(key) {
-                *payload = slot_val(s);
-                hits += 1;
-            } else {
-                *live = false;
-            }
-        }
-        ctx.compute(2 * read + rejected);
-        hits
+            payloads[lane] = slot_val(s);
+            slot_key(s) == Some(keys[lane])
+        });
+        // Two ops per slot read, one per key rejected in registers.
+        ctx.compute(2 * read + (listed - read));
+        lanes.len()
     }
 
     /// Frees the table's device memory.
@@ -453,6 +436,63 @@ mod tests {
         });
         assert_eq!(found, 64);
         assert_eq!(r.stats.random_requests, 64);
+    }
+
+    /// `probe_tile` against one `probe` per listed lane, on a chained table
+    /// and on a perfect one, with keys that hit, miss, and fall below and
+    /// above the perfect table's range, over every tile of a probe side
+    /// with a short tail: the same lanes survive, in ascending order, with
+    /// the same payloads, and the kernels' counters (L2 ones included) are
+    /// equal.
+    #[test]
+    fn probe_tile_matches_a_probe_per_listed_lane() {
+        let build: Vec<i32> = (0..3000).map(|i| 100 + 3 * i).collect();
+        let n = 3 * 512 + 77;
+        // From below 100 to above the last key, 9 097.
+        let keys: Vec<i32> = (0..n as i32).map(|i| (i * 7919) % 9400 - 50).collect();
+        let span = (build[2999] - 100 + 1) as usize;
+        for (scheme, slots) in [
+            (HashScheme::Mult, 8192),
+            (HashScheme::Perfect { min: 100 }, span),
+        ] {
+            for shape in 0..5 {
+                let run = |tiled: bool| {
+                    let mut g = gpu();
+                    let dk = g.alloc_from(&build);
+                    let dv = g.alloc_from(&build.iter().map(|&k| k / 3).collect::<Vec<_>>());
+                    let (ht, _) = DeviceHashTable::build(&mut g, &dk, &dv, slots, scheme);
+                    let mut found = Vec::new();
+                    let cfg = LaunchConfig::default_for_items(n);
+                    let r = g.launch("probe", cfg, |ctx| {
+                        let (start, len) = ctx.tile_bounds(n);
+                        let mut lanes = crate::tile::tests::lane_lists(len).swap_remove(shape);
+                        let keys = &keys[start..start + len];
+                        if tiled {
+                            let mut payloads = vec![0; len];
+                            ht.probe_tile(ctx, keys, &mut lanes, &mut payloads);
+                            let hits = lanes.iter().map(|&lane| lane as usize);
+                            found.extend(hits.map(|lane| (start + lane, payloads[lane])));
+                        } else {
+                            for lane in lanes {
+                                let hit = ht.probe(ctx, keys[lane as usize]);
+                                found.extend(hit.map(|p| (start + lane as usize, p)));
+                            }
+                        }
+                    });
+                    (r.stats, found)
+                };
+                let ((stats, found), (want_stats, want)) = (run(true), run(false));
+                assert_eq!(found, want, "{scheme:?}, shape {shape}: payloads");
+                assert_eq!(stats, want_stats, "{scheme:?}, shape {shape}: kernel stats");
+                assert!(
+                    found.windows(2).all(|w| w[0].0 < w[1].0),
+                    "{scheme:?}: order"
+                );
+                if shape == 2 {
+                    assert!((400..n - 400).contains(&found.len()), "{scheme:?}: hits");
+                }
+            }
+        }
     }
 
     #[test]

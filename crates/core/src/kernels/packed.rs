@@ -13,7 +13,7 @@ use crystal_gpu_sim::exec::{BlockCtx, LaunchConfig};
 use crystal_gpu_sim::mem::DeviceBuffer;
 use crystal_gpu_sim::stats::KernelReport;
 use crystal_gpu_sim::Gpu;
-use crystal_storage::bitpack::{PackedColumn, PackedView};
+use crystal_storage::bitpack::{unpack_batch, PackedColumn, PackedView};
 
 use crate::primitives::{block_pred, block_scan, block_shuffle, block_store};
 use crate::tile::Tile;
@@ -76,8 +76,8 @@ impl DevicePackedColumn {
 }
 
 /// BlockLoadPacked: loads and unpacks the tile `[offset, offset+len)` of a
-/// packed column. Traffic is the packed bytes; unpacking costs two ALU ops
-/// per value.
+/// packed column with one [`unpack_batch`]. Traffic is the packed bytes;
+/// unpacking costs two ALU ops per value.
 #[inline]
 pub fn block_load_packed(
     ctx: &mut BlockCtx<'_>,
@@ -87,10 +87,8 @@ pub fn block_load_packed(
     out: &mut Tile<i32>,
 ) {
     debug_assert!(offset + len <= src.len);
-    let view = src.view();
-    for i in 0..len {
-        out.storage_mut()[i] = view.get(offset + i);
-    }
+    let words = src.words.as_slice();
+    unpack_batch(words, src.bits, offset, &mut out.storage_mut()[..len]);
     out.set_len(len);
     // The tile's packed footprint, rounded out to whole words.
     let first_bit = offset * src.bits as usize;
@@ -101,44 +99,38 @@ pub fn block_load_packed(
 }
 
 /// BlockLoadSelPacked: the packed counterpart of `BlockLoadSel` — loads
-/// and unpacks only the values of the tile `[offset, offset+len)` whose
-/// bitmap entry is set, touching only the cache lines that hold their
+/// and unpacks only the listed `lanes` (ascending) of the tile
+/// `[offset, offset+len)`, touching only the cache lines that hold their
 /// packed words. Because a line holds `line*8/bits` packed values (vs
 /// `line/4` plain ones), selective loads over packed columns touch
 /// proportionally fewer lines at the same selectivity.
 ///
-/// Unmatched positions of `out` hold 0; the tile length is the full tile
-/// so positions correspond to the bitmap.
+/// The tile length is `len`, so positions are lanes; lanes not listed are
+/// neither read nor written.
 #[inline]
 pub fn block_load_sel_packed(
     ctx: &mut BlockCtx<'_>,
     src: &DevicePackedColumn,
     offset: usize,
-    bitmap: &Tile<bool>,
+    len: usize,
+    lanes: &[u16],
     out: &mut Tile<i32>,
 ) {
-    let len = bitmap.len();
     debug_assert!(offset + len <= src.len);
     debug_assert!(len <= out.capacity());
     let view = src.view();
     let line = ctx.line_size();
     let bits = src.bits as usize;
+    let storage = out.storage_mut();
     let mut lines = 0usize;
     let mut last_line = u64::MAX;
-    let mut matched = 0usize;
-    for (i, &m) in bitmap.as_slice().iter().enumerate() {
-        if !m {
-            out.storage_mut()[i] = 0;
-            continue;
-        }
-        out.storage_mut()[i] = view.get(offset + i);
-        matched += 1;
+    for &lane in lanes {
+        let i = offset + lane as usize;
+        storage[lane as usize] = view.get(i);
         // The value occupies one word, or two when it straddles a
         // boundary; count the distinct cache lines those words live on
-        // (indices increase, so tracking the last line suffices).
-        let first_word = (offset + i) * bits / 64;
-        let last_word = ((offset + i + 1) * bits - 1) / 64;
-        for w in first_word..=last_word {
+        // (lanes ascend, so tracking the last line suffices).
+        for w in i * bits / 64..=((i + 1) * bits - 1) / 64 {
             let l = ctx.line_of(src.words.addr_of(w));
             if l != last_line {
                 lines += 1;
@@ -148,7 +140,7 @@ pub fn block_load_sel_packed(
     }
     out.set_len(len);
     ctx.global_read_coalesced(lines * line);
-    ctx.compute(2 * matched);
+    ctx.compute(2 * lanes.len());
 }
 
 /// Selection over a packed column: `SELECT v FROM r WHERE v > x`, output
@@ -302,32 +294,97 @@ mod tests {
         let dev = DevicePackedColumn::upload(&mut gpu, &packed);
         let plain = gpu.alloc_from(&values);
 
-        // Matches at stride 16: every plain line is touched, only every
+        // Lanes at stride 16: every plain line is touched, only every
         // fourth packed line is.
-        let mut bitmap: Tile<bool> = Tile::new(n);
-        for i in 0..n {
-            bitmap.push(i % 16 == 0);
-        }
+        let lanes: Vec<u16> = (0..n as u16).step_by(16).collect();
         let mut out_packed: Tile<i32> = Tile::new(n);
         let mut out_plain: Tile<i32> = Tile::new(n);
         let cfg = LaunchConfig::for_items(n, n, 1);
         let rp = gpu.launch("sel_packed", cfg, |ctx| {
-            if ctx.block_idx == 0 {
-                block_load_sel_packed(ctx, &dev, 0, &bitmap, &mut out_packed);
-            }
+            block_load_sel_packed(ctx, &dev, 0, n, &lanes, &mut out_packed);
         });
         let rq = gpu.launch("sel_plain", cfg, |ctx| {
-            if ctx.block_idx == 0 {
-                block_load_sel(ctx, &plain, 0, &bitmap, &mut out_plain);
-            }
+            block_load_sel(ctx, &plain, 0, n, &lanes, &mut out_plain);
         });
-        for (i, &v) in values.iter().enumerate() {
-            let expect = if i % 16 == 0 { v } else { 0 };
-            assert_eq!(out_packed.as_slice()[i], expect, "row {i}");
-            assert_eq!(out_packed.as_slice()[i], out_plain.as_slice()[i]);
+        for &lane in &lanes {
+            let i = lane as usize;
+            assert_eq!(out_packed.as_slice()[i], values[i], "row {i}");
+            assert_eq!(out_plain.as_slice()[i], values[i], "row {i}");
         }
         let ratio = rq.stats.global_read_bytes as f64 / rp.stats.global_read_bytes as f64;
         assert!((3.0..5.0).contains(&ratio), "line ratio {ratio}");
+    }
+
+    /// `block_load_sel_packed` and `block_load_packed` against a per-lane
+    /// reference at every width, over every tile of a column with a short
+    /// tail (so the column's last value, values that straddle a word and,
+    /// alone, values that straddle a line are listed): the listed values
+    /// land in their lanes,
+    /// the other lanes keep what they held, and the kernel reads one line
+    /// per distinct line of a listed value's words, unpacks two ops per
+    /// value, and touches nothing else.
+    #[test]
+    fn packed_loads_over_lanes_match_a_per_lane_reference_at_every_width() {
+        let spec = nvidia_v100();
+        let line = spec.cache_line as u64;
+        let n = 3 * 512 + 77;
+        let cfg = LaunchConfig::for_items(n, 128, 4);
+        for bits in 1..=32u32 {
+            let mask = (1u64 << bits.min(31)) - 1;
+            let values: Vec<i32> = (0..n as u64)
+                .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17 & mask) as i32)
+                .collect();
+            let packed = PackedColumn::pack(&values, bits).unwrap();
+            let mut gpu = Gpu::new(spec.clone());
+            let dev = DevicePackedColumn::upload(&mut gpu, &packed);
+            let mut out = Tile::new(512);
+            let full = gpu.launch("full", cfg, |ctx| {
+                let (start, len) = ctx.tile_bounds(n);
+                block_load_packed(ctx, &dev, start, len, &mut out);
+                assert_eq!(out.as_slice(), &values[start..start + len], "{bits} bits");
+            });
+            assert_eq!(full.stats.compute_ops, 2 * n as u64);
+            for shape in 0..6 {
+                let (mut lines, mut listed) = (Vec::new(), 0);
+                let r = gpu.launch("sel", cfg, |ctx| {
+                    let (start, len) = ctx.tile_bounds(n);
+                    let mut lists = crate::tile::tests::lane_lists(len);
+                    // Only the values whose words straddle a cache line.
+                    let line_bits = line as usize * 8;
+                    let straddles = |lane: &u16| {
+                        let bit = (start + *lane as usize) * bits as usize;
+                        bit / line_bits != (bit + bits as usize - 1) / line_bits
+                    };
+                    lists.push((0..len as u16).filter(straddles).collect());
+                    let lanes = &lists[shape];
+                    out.storage_mut().fill(-1);
+                    block_load_sel_packed(ctx, &dev, start, len, lanes, &mut out);
+                    assert_eq!(out.len(), len);
+                    for (lane, &v) in out.as_slice().iter().enumerate() {
+                        let listed = lanes.contains(&(lane as u16));
+                        let want = if listed { values[start + lane] } else { -1 };
+                        assert_eq!(v, want, "{bits} bits, shape {shape}, row {}", start + lane);
+                    }
+                    listed += lanes.len();
+                    let mut tile_lines = Vec::new();
+                    for &lane in lanes {
+                        let bit = (start + lane as usize) * bits as usize;
+                        for word in bit / 64..=(bit + bits as usize - 1) / 64 {
+                            tile_lines.push(dev.words.addr_of(word) / line);
+                        }
+                    }
+                    tile_lines.dedup();
+                    lines.extend(tile_lines);
+                });
+                let want = crystal_gpu_sim::stats::KernelStats {
+                    blocks: 4,
+                    global_read_bytes: lines.len() as u64 * line,
+                    compute_ops: 2 * listed as u64,
+                    ..Default::default()
+                };
+                assert_eq!(r.stats, want, "{bits} bits, shape {shape}");
+            }
+        }
     }
 
     #[test]

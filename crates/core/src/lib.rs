@@ -14,12 +14,12 @@
 //! | Primitive | Here |
 //! |---|---|
 //! | `BlockLoad` | [`primitives::block_load`] |
-//! | `BlockLoadSel` | [`primitives::block_load_sel`] |
+//! | `BlockLoadSel` | [`primitives::block_load_sel`], over a lane list ([`tile`]) |
 //! | `BlockStore` | [`primitives::block_store`] |
-//! | `BlockPred` | [`primitives::block_pred`] (+ `block_pred_and` / `block_pred_or`) |
+//! | `BlockPred` | [`primitives::block_pred`] (+ `block_pred_and` over a lane list) |
 //! | `BlockScan` | [`primitives::block_scan`] |
 //! | `BlockShuffle` | [`primitives::block_shuffle`] |
-//! | `BlockLookup` | [`primitives::block_lookup`] |
+//! | `BlockLookup` | [`primitives::block_lookup`], the bitmap adapter of the lane-list [`hash::DeviceHashTable::probe_tile`] |
 //! | `BlockAggregate` | [`primitives::block_agg_sum`] and friends |
 //!
 //! [`kernels`] composes them into the operators the paper evaluates in

@@ -12,9 +12,11 @@
 //! * `block_load`/`block_store` of full tiles are perfectly coalesced —
 //!   consecutive threads touch consecutive addresses, so traffic equals the
 //!   payload bytes (Section 2.1's coalescing rule).
-//! * `block_load_sel` touches only the cache lines containing matched
-//!   entries: `min(column_lines, matched)` lines — exactly the paper's
-//!   `min(4|L|/C, |L|*sigma)` term from the Section 5.3 query model.
+//! * `block_load_sel` loads the lanes of a lane list ([`crate::tile`]) and
+//!   touches only the cache lines containing them: `min(column_lines,
+//!   matched)` lines — exactly the paper's `min(4|L|/C, |L|*sigma)` term
+//!   from the Section 5.3 query model. `block_pred_and` narrows the same
+//!   list; `block_lookup` is the bitmap adapter of the lane-list probe.
 //! * `block_scan` and `block_shuffle` stage data in shared memory (the
 //!   bitmap must be visible across threads; Section 3.3 notes the library
 //!   reuses the column staging buffer for this).
@@ -23,7 +25,7 @@
 use crystal_gpu_sim::exec::BlockCtx;
 use crystal_gpu_sim::mem::DeviceBuffer;
 
-use crate::tile::Tile;
+use crate::tile::{bitmap_lanes, retain_lanes, Tile};
 
 /// BlockLoad: copies `len` items starting at `offset` from a global column
 /// into a tile. Uses vector instructions for full tiles (the items-per-
@@ -43,37 +45,35 @@ pub fn block_load<T: Copy + Default>(
     ctx.global_read_coalesced(len * std::mem::size_of::<T>());
 }
 
-/// BlockLoadSel: selectively loads the items of a tile whose bitmap entry is
-/// set. Space for the whole tile is reserved, but only cache lines holding
-/// matched entries are read from global memory.
+/// BlockLoadSel: selectively loads the listed `lanes` (ascending, see
+/// [`crate::tile`]) of the tile `[offset, offset+len)`. Space for the whole
+/// tile is reserved, but only cache lines holding listed items are read
+/// from global memory.
 ///
-/// Unmatched positions of `out` hold `T::default()`; the tile length is the
-/// full tile so positions correspond to the bitmap.
+/// The tile length is `len`, so positions are lanes; lanes not listed are
+/// neither read nor written.
 #[inline]
 pub fn block_load_sel<T: Copy + Default>(
     ctx: &mut BlockCtx<'_>,
     src: &DeviceBuffer<T>,
     offset: usize,
-    bitmap: &Tile<bool>,
+    len: usize,
+    lanes: &[u16],
     out: &mut Tile<T>,
 ) {
-    let len = bitmap.len();
     debug_assert!(offset + len <= src.len());
     debug_assert!(len <= out.capacity());
     let line = ctx.line_size();
     let storage = out.storage_mut();
     let mut lines = 0usize;
     let mut last_line = u64::MAX;
-    for (i, &m) in bitmap.as_slice().iter().enumerate() {
-        if m {
-            storage[i] = src.as_slice()[offset + i];
-            let l = ctx.line_of(src.addr_of(offset + i));
-            if l != last_line {
-                lines += 1;
-                last_line = l;
-            }
-        } else {
-            storage[i] = T::default();
+    for &lane in lanes {
+        let i = offset + lane as usize;
+        storage[lane as usize] = src.as_slice()[i];
+        let l = ctx.line_of(src.addr_of(i));
+        if l != last_line {
+            lines += 1;
+            last_line = l;
         }
     }
     out.set_len(len);
@@ -110,36 +110,18 @@ pub fn block_pred<T: Copy + Default, F: Fn(T) -> bool>(
     ctx.compute(tile.len());
 }
 
-/// AndPred: refines an existing bitmap with another predicate
-/// (`bitmap[i] &= pred(tile[i])`) — Figure 7(b)'s chained selection.
+/// AndPred: refines a lane list with another predicate, keeping the listed
+/// lanes whose item passes, in order — Figure 7(b)'s chained selection.
+/// Charged per tile lane, as the block evaluates it.
 #[inline]
 pub fn block_pred_and<T: Copy + Default, F: Fn(T) -> bool>(
     ctx: &mut BlockCtx<'_>,
     tile: &Tile<T>,
     pred: F,
-    bitmap: &mut Tile<bool>,
+    lanes: &mut Vec<u16>,
 ) {
-    debug_assert_eq!(tile.len(), bitmap.len());
-    for (i, &v) in tile.as_slice().iter().enumerate() {
-        let b = bitmap.as_slice()[i];
-        bitmap.storage_mut()[i] = b && pred(v);
-    }
-    ctx.compute(tile.len());
-}
-
-/// OrPred: widens an existing bitmap (`bitmap[i] |= pred(tile[i])`).
-#[inline]
-pub fn block_pred_or<T: Copy + Default, F: Fn(T) -> bool>(
-    ctx: &mut BlockCtx<'_>,
-    tile: &Tile<T>,
-    pred: F,
-    bitmap: &mut Tile<bool>,
-) {
-    debug_assert_eq!(tile.len(), bitmap.len());
-    for (i, &v) in tile.as_slice().iter().enumerate() {
-        let b = bitmap.as_slice()[i];
-        bitmap.storage_mut()[i] = b || pred(v);
-    }
+    let items = tile.as_slice();
+    retain_lanes(lanes, |lane| pred(items[lane]));
     ctx.compute(tile.len());
 }
 
@@ -196,6 +178,13 @@ pub fn block_shuffle<T: Copy + Default>(
 /// Table 1). For each position with a set bitmap entry, the payload tile
 /// receives the match's payload; positions that miss are cleared in the
 /// bitmap — which is exactly the semi-join step the SSB pipelines chain.
+///
+/// The bitmap adapter of
+/// [`probe_tile`](crate::hash::DeviceHashTable::probe_tile), which walks a
+/// lane list: the bitmap is listed, probed and written back.
+///
+/// # Panics
+/// If the tile has more lanes than a `u16` lane list can name.
 #[inline]
 pub fn block_lookup(
     ctx: &mut BlockCtx<'_>,
@@ -207,12 +196,12 @@ pub fn block_lookup(
     debug_assert_eq!(keys.len(), bitmap.len());
     debug_assert!(keys.len() <= payloads.capacity());
     let n = keys.len();
-    let hits = ht.probe_tile(
-        ctx,
-        keys.as_slice(),
-        bitmap.as_mut_slice(),
-        &mut payloads.storage_mut()[..n],
-    );
+    let mut lanes = Vec::with_capacity(n);
+    bitmap_lanes(bitmap, &mut lanes);
+    let hits = ht.probe_tile(ctx, keys.as_slice(), &mut lanes, payloads.storage_mut());
+    let live = bitmap.as_mut_slice();
+    live.fill(false);
+    lanes.iter().for_each(|&lane| live[lane as usize] = true);
     payloads.set_len(n);
     hits
 }
@@ -246,13 +235,6 @@ pub fn block_agg_min(ctx: &mut BlockCtx<'_>, tile: &Tile<i64>) -> Option<i64> {
 pub fn block_agg_max(ctx: &mut BlockCtx<'_>, tile: &Tile<i64>) -> Option<i64> {
     account_reduction(ctx, tile.len(), 8);
     tile.as_slice().iter().copied().max()
-}
-
-/// BlockAggregate (COUNT of set bitmap entries).
-#[inline]
-pub fn block_agg_count(ctx: &mut BlockCtx<'_>, bitmap: &Tile<bool>) -> usize {
-    account_reduction(ctx, bitmap.len(), 1);
-    bitmap.as_slice().iter().filter(|&&b| b).count()
 }
 
 #[inline]
@@ -313,7 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn pred_and_or_combine() {
+    fn pred_and_narrows_the_lane_list() {
         let (_r, _) = with_ctx(|ctx| {
             let mut tile: Tile<i32> = Tile::new(8);
             for v in 0..8 {
@@ -322,13 +304,10 @@ mod tests {
             let mut bm = Tile::new(8);
             block_pred(ctx, &tile, |v| v >= 2, &mut bm);
             assert_eq!(bm.as_slice().iter().filter(|&&b| b).count(), 6);
-            block_pred_and(ctx, &tile, |v| v < 5, &mut bm);
-            assert_eq!(
-                bm.as_slice(),
-                &[false, false, true, true, true, false, false, false]
-            );
-            block_pred_or(ctx, &tile, |v| v == 7, &mut bm);
-            assert!(bm.as_slice()[7]);
+            let mut lanes = Vec::new();
+            bitmap_lanes(&bm, &mut lanes);
+            block_pred_and(ctx, &tile, |v| v < 5, &mut lanes);
+            assert_eq!(lanes, [2, 3, 4]);
         });
     }
 
@@ -370,36 +349,115 @@ mod tests {
         let mut gpu = Gpu::new(nvidia_v100());
         let data: Vec<i32> = (0..512).collect();
         let buf = gpu.alloc_from(&data);
-        // One matched entry: exactly one 128-byte line read.
-        let mut bm: Tile<bool> = Tile::new(512);
-        for i in 0..512 {
-            bm.push(i == 77);
-        }
+        // One listed lane: exactly one 128-byte line read.
         let mut out = Tile::new(512);
         let r = gpu.launch("t", LaunchConfig::for_items(512, 128, 4), |ctx| {
-            block_load_sel(ctx, &buf, 0, &bm, &mut out);
+            block_load_sel(ctx, &buf, 0, 512, &[77], &mut out);
         });
         assert_eq!(out.as_slice()[77], 77);
-        assert_eq!(out.as_slice()[78], 0);
         assert_eq!(r.stats.global_read_bytes, 128);
     }
 
     #[test]
-    fn load_sel_full_bitmap_caps_at_column_lines() {
+    fn load_sel_full_list_caps_at_column_lines() {
         let mut gpu = Gpu::new(nvidia_v100());
         let data: Vec<i32> = (0..512).collect();
         let buf = gpu.alloc_from(&data);
-        let mut bm: Tile<bool> = Tile::new(512);
-        for _ in 0..512 {
-            bm.push(true);
-        }
+        let lanes: Vec<u16> = (0..512).collect();
         let mut out = Tile::new(512);
         let r = gpu.launch("t", LaunchConfig::for_items(512, 128, 4), |ctx| {
-            block_load_sel(ctx, &buf, 0, &bm, &mut out);
+            block_load_sel(ctx, &buf, 0, 512, &lanes, &mut out);
         });
         // 512 i32 = 2048 bytes = 16 lines (buffer is 256-byte aligned).
         assert_eq!(r.stats.global_read_bytes, 16 * 128);
         assert_eq!(out.as_slice(), &data[..]);
+    }
+
+    /// `block_load_sel` against a per-lane reference over every tile of a
+    /// column with a short tail: the listed values land in their lanes,
+    /// the other lanes keep what they held, and the kernel reads one line
+    /// per distinct line of a listed value — and touches nothing else.
+    #[test]
+    fn load_sel_over_lanes_matches_a_per_lane_reference() {
+        let spec = nvidia_v100();
+        let line = spec.cache_line as u64;
+        let n = 3 * 512 + 77;
+        let data: Vec<i32> = (0..n as i32).map(|i| i.wrapping_mul(40503)).collect();
+        let mut gpu = Gpu::new(spec);
+        let buf = gpu.alloc_from(&data);
+        let cfg = LaunchConfig::for_items(n, 128, 4);
+        for shape in 0..5 {
+            let mut lines = Vec::new();
+            let mut out = Tile::new(512);
+            let r = gpu.launch("t", cfg, |ctx| {
+                let (start, len) = ctx.tile_bounds(n);
+                let lanes = &crate::tile::tests::lane_lists(len)[shape];
+                out.storage_mut().fill(-1);
+                block_load_sel(ctx, &buf, start, len, lanes, &mut out);
+                assert_eq!(out.len(), len);
+                for (lane, &v) in out.as_slice().iter().enumerate() {
+                    let listed = lanes.contains(&(lane as u16));
+                    let want = if listed { data[start + lane] } else { -1 };
+                    assert_eq!(v, want, "shape {shape}, row {}", start + lane);
+                }
+                let mut tile_lines: Vec<u64> = (lanes.iter())
+                    .map(|&lane| buf.addr_of(start + lane as usize) / line)
+                    .collect();
+                tile_lines.dedup();
+                lines.extend(tile_lines);
+            });
+            let want = crystal_gpu_sim::stats::KernelStats {
+                blocks: 4,
+                global_read_bytes: lines.len() as u64 * line,
+                ..Default::default()
+            };
+            assert_eq!(r.stats, want, "shape {shape}");
+        }
+    }
+
+    /// The bitmap adapter names lanes with `u16`s: a 65 536-lane tile is
+    /// the largest it takes, its last lane included.
+    #[test]
+    fn lookup_takes_a_65536_lane_tile() {
+        let (hits, bitmap, payloads) = lookup_every_third_lane_dead(1 << 16);
+        assert_eq!(hits, (1 << 16) - (1 << 16) / 3);
+        for lane in [0, 1, 65534, 65535] {
+            assert_eq!(bitmap[lane], lane % 3 != 1, "lane {lane}");
+        }
+        assert_eq!(payloads[65535], 2 * 65535);
+    }
+
+    #[test]
+    #[should_panic(expected = "a 65537-lane tile does not fit a u16 lane list")]
+    fn lookup_refuses_a_65537_lane_tile() {
+        lookup_every_third_lane_dead((1 << 16) + 1);
+    }
+
+    /// `block_lookup` over a `lanes`-lane tile whose lane `i` holds key `i`,
+    /// every lane live but one in three, against a perfect table of every
+    /// such key with payload `2 * key`.
+    fn lookup_every_third_lane_dead(lanes: usize) -> (usize, Vec<bool>, Vec<i32>) {
+        let mut gpu = Gpu::new(nvidia_v100());
+        let build: Vec<i32> = (0..lanes as i32).collect();
+        let vals: Vec<i32> = build.iter().map(|&k| 2 * k).collect();
+        let (dk, dv) = (gpu.alloc_from(&build), gpu.alloc_from(&vals));
+        let scheme = crate::hash::HashScheme::Perfect { min: 0 };
+        let (ht, _) = crate::hash::DeviceHashTable::build(&mut gpu, &dk, &dv, lanes, scheme);
+        let (mut keys, mut bitmap, mut payloads) =
+            (Tile::new(lanes), Tile::new(lanes), Tile::new(lanes));
+        for (lane, &key) in build.iter().enumerate() {
+            keys.push(key);
+            bitmap.push(lane % 3 != 1);
+        }
+        let mut hits = 0;
+        gpu.launch("t", LaunchConfig::for_items(1, 1, 1), |ctx| {
+            hits = block_lookup(ctx, &keys, &ht, &mut bitmap, &mut payloads);
+        });
+        (
+            hits,
+            bitmap.as_slice().to_vec(),
+            payloads.as_slice().to_vec(),
+        )
     }
 
     #[test]
@@ -412,11 +470,6 @@ mod tests {
             assert_eq!(block_agg_sum(ctx, &tile), 11);
             assert_eq!(block_agg_min(ctx, &tile), Some(-1));
             assert_eq!(block_agg_max(ctx, &tile), Some(7));
-            let mut bm: Tile<bool> = Tile::new(3);
-            for b in [true, false, true] {
-                bm.push(b);
-            }
-            assert_eq!(block_agg_count(ctx, &bm), 2);
         });
     }
 

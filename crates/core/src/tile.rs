@@ -9,6 +9,40 @@
 //! Tiles are allocated once per kernel (outside the per-block loop) and
 //! reused across blocks, mirroring static shared-memory declarations in the
 //! CUDA original.
+//!
+//! A *lane list* names the live lanes of a tile in ascending order, one
+//! `u16` each, so a fused pipeline's later stages walk only the rows still
+//! alive ([`bitmap_lanes`] makes one, [`retain_lanes`] narrows it).
+
+/// Lists the set lanes of `bitmap` in `lanes`, in ascending order.
+///
+/// # Panics
+/// If the tile has more lanes than a `u16` can name.
+#[inline]
+pub fn bitmap_lanes(bitmap: &Tile<bool>, lanes: &mut Vec<u16>) {
+    let n = bitmap.len();
+    assert!(n <= 1 << 16, "a {n}-lane tile does not fit a u16 lane list");
+    lanes.resize(n, 0);
+    let mut kept = 0;
+    for (lane, &set) in bitmap.as_slice().iter().enumerate() {
+        lanes[kept] = lane as u16;
+        kept += set as usize;
+    }
+    lanes.truncate(kept);
+}
+
+/// Keeps the lanes `keep` accepts, in order, compacting the list in place
+/// without a branch on the outcome (each lane is written, then judged).
+#[inline]
+pub fn retain_lanes(lanes: &mut Vec<u16>, mut keep: impl FnMut(usize) -> bool) {
+    let mut kept = 0;
+    for read in 0..lanes.len() {
+        let lane = lanes[read];
+        lanes[kept] = lane;
+        kept += keep(lane as usize) as usize;
+    }
+    lanes.truncate(kept);
+}
 
 /// A fixed-capacity buffer of tile items with a current length.
 #[derive(Debug, Clone)]
@@ -92,8 +126,21 @@ impl<T: Copy + Default> Tile<T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The lane lists the lane-form oracles walk over a tile of `len`
+    /// lanes: none, one, every lane, only the last, and a scattered 40 %.
+    pub(crate) fn lane_lists(len: usize) -> Vec<Vec<u16>> {
+        let all = 0..len as u16;
+        vec![
+            Vec::new(),
+            vec![(len / 2) as u16],
+            all.clone().collect(),
+            vec![(len - 1) as u16],
+            all.filter(|&lane| lane * 7 % 5 < 2).collect(),
+        ]
+    }
 
     #[test]
     fn new_tile_is_empty_with_capacity() {
@@ -121,6 +168,24 @@ mod tests {
         assert_eq!(t.as_slice(), &[1, 2]);
         t.clear();
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn lane_lists_keep_ascending_order() {
+        let mut bm: Tile<bool> = Tile::new(8);
+        for b in [true, false, true, true, false, false, true, true] {
+            bm.push(b);
+        }
+        let mut lanes = vec![9; 3];
+        bitmap_lanes(&bm, &mut lanes);
+        assert_eq!(lanes, [0, 2, 3, 6, 7]);
+        retain_lanes(&mut lanes, |lane| lane % 3 != 0);
+        assert_eq!(lanes, [2, 7]);
+        retain_lanes(&mut lanes, |_| false);
+        assert!(lanes.is_empty());
+        bm.clear();
+        bitmap_lanes(&bm, &mut lanes);
+        assert!(lanes.is_empty());
     }
 
     #[test]

@@ -177,19 +177,20 @@ impl DeviceCol {
         }
     }
 
-    /// Selective tile load with per-format dispatch (`BlockLoadSel` /
-    /// `BlockLoadSelPacked`).
+    /// Selective load of the listed `lanes` of a tile, with per-format
+    /// dispatch (`BlockLoadSel` / `BlockLoadSelPacked`).
     #[inline]
     pub fn load_sel(
         &self,
         ctx: &mut BlockCtx<'_>,
         start: usize,
-        bitmap: &Tile<bool>,
+        len: usize,
+        lanes: &[u16],
         out: &mut Tile<i32>,
     ) {
         match self {
-            DeviceCol::Plain(b) => block_load_sel(ctx, b, start, bitmap, out),
-            DeviceCol::Packed(p) => block_load_sel_packed(ctx, p, start, bitmap, out),
+            DeviceCol::Plain(b) => block_load_sel(ctx, b, start, len, lanes, out),
+            DeviceCol::Packed(p) => block_load_sel_packed(ctx, p, start, len, lanes, out),
         }
     }
 

@@ -3,8 +3,9 @@
 //! per dimension).
 //!
 //! Per tile: `BlockLoad` the first referenced column, evaluate fact
-//! predicates into a bitmap, then for each join `BlockLoadSel` the FK
-//! column (only cache lines of surviving rows are touched — the
+//! predicates into a list of the live lanes, then for each join
+//! `BlockLoadSel` the FK column (only cache lines of surviving rows are
+//! touched, and only surviving lanes are walked — the
 //! `min(4|L|/C, |L|*sigma)` term of the Section 5.3 model) and probe the
 //! dimension's perfect-hash table (cache-simulated gathers; the part table
 //! of q2.1 genuinely spills the simulated L2, reproducing the paper's
@@ -36,7 +37,7 @@
 use std::rc::Rc;
 
 use crystal_core::primitives::{block_pred, block_pred_and};
-use crystal_core::tile::Tile;
+use crystal_core::tile::{bitmap_lanes, Tile};
 use crystal_gpu_sim::fused::FusedStarKernel;
 use crystal_gpu_sim::mem::DeviceBuffer;
 use crystal_gpu_sim::stats::{total_time, KernelReport};
@@ -237,8 +238,8 @@ struct TileRoles {
     /// Per fact predicate: its column (an index into `device_cols`) and,
     /// when the column is also an aggregate input, the aggregate tile it is
     /// staged into. Fusion keeps such a column in shared memory, so the
-    /// aggregate stage never touches HBM for it again (the survivor bitmap
-    /// only shrinks, so the staged lanes stay valid).
+    /// aggregate stage never touches HBM for it again (the lane list only
+    /// shrinks, so the staged lanes stay valid).
     preds: Vec<(usize, Option<usize>)>,
     /// Per join: its foreign-key column.
     fks: Vec<usize>,
@@ -284,7 +285,10 @@ impl TileRoles {
 /// once per job and reused by every tile of every step.
 struct TileScratch {
     col: Tile<i32>,
+    /// The first predicate's bitmap.
     bitmap: Tile<bool>,
+    /// The lanes still alive, ascending (see [`crystal_core::tile`]).
+    lanes: Vec<u16>,
     /// One dense group-code tile per join.
     codes: Vec<Tile<i32>>,
     agg_in: [Tile<i32>; 2],
@@ -295,6 +299,7 @@ impl TileScratch {
         TileScratch {
             col: Tile::new(tile),
             bitmap: Tile::new(tile),
+            lanes: Vec::with_capacity(tile),
             codes: (0..joins).map(|_| Tile::new(tile)).collect(),
             agg_in: [Tile::new(tile), Tile::new(tile)],
         }
@@ -571,6 +576,7 @@ impl<'a> DeviceQueryJob<'a> {
         let TileScratch {
             col: tile_col,
             bitmap,
+            lanes,
             codes: code_tiles,
             agg_in,
         } = &mut scan.tiles;
@@ -603,8 +609,13 @@ impl<'a> DeviceQueryJob<'a> {
             }
             let start = base + tile_start;
 
-            // Fact predicates: first column with BlockLoad + BlockPred,
-            // the rest selectively with AndPred (Figure 7(b)).
+            // Fact predicates: first column with BlockLoad + BlockPred, its
+            // bitmap listed once; the rest load and test only the listed
+            // lanes with AndPred (Figure 7(b)).
+            if roles.preds.is_empty() {
+                lanes.clear();
+                lanes.extend((0..len).map(|lane| lane as u16));
+            }
             for (i, (pred, &(col, staged))) in q.fact_preds.iter().zip(&roles.preds).enumerate() {
                 let dest = match staged {
                     Some(t) => &mut agg_in[t],
@@ -614,50 +625,38 @@ impl<'a> DeviceQueryJob<'a> {
                 if i == 0 {
                     device_cols[col].load_full(ctx, start, len, dest);
                     block_pred(ctx, dest, move |v| p.matches(v), bitmap);
+                    bitmap_lanes(bitmap, lanes);
                 } else {
-                    device_cols[col].load_sel(ctx, start, bitmap, dest);
-                    block_pred_and(ctx, dest, move |v| p.matches(v), bitmap);
+                    device_cols[col].load_sel(ctx, start, len, lanes, dest);
+                    block_pred_and(ctx, dest, move |v| p.matches(v), lanes);
                 }
             }
-            // Rows still alive; every later stage only narrows it.
-            let mut alive = if roles.preds.is_empty() {
-                bitmap.set_len(len);
-                bitmap.as_mut_slice().fill(true);
-                len
-            } else {
-                bitmap.as_slice().iter().filter(|&&b| b).count()
-            };
-            *pred_survivors += alive;
+            // The rows still alive; every later stage walks and narrows it.
+            *pred_survivors += lanes.len();
 
-            // Joins: selectively load the FK column, probe, refine the
-            // bitmap, and stash the dense group code per surviving row.
+            // Joins: selectively load the FK column, probe, narrow the
+            // list, and stash the dense group code per surviving row.
             for ct in code_tiles.iter_mut() {
                 ct.set_len(len);
             }
             for (j, ht) in tables.iter().enumerate() {
-                if alive == 0 {
+                if lanes.is_empty() {
                     break;
                 }
-                probes[j] += alive;
-                device_cols[roles.fks[j]].load_sel(ctx, start, bitmap, tile_col);
-                ctx.compute(alive);
-                alive = crystal_core::primitives::block_lookup(
-                    ctx,
-                    tile_col,
-                    ht.as_ref(),
-                    bitmap,
-                    &mut code_tiles[j],
-                );
-                hits[j] += alive;
+                probes[j] += lanes.len();
+                device_cols[roles.fks[j]].load_sel(ctx, start, len, lanes, tile_col);
+                ctx.compute(lanes.len());
+                let codes = code_tiles[j].as_mut_slice();
+                hits[j] += ht.probe_tile(ctx, tile_col.as_slice(), lanes, codes);
             }
 
             // Aggregate inputs, selectively loaded — unless the predicate
             // stage already staged the column into its aggregate tile.
             for &(t, col) in &roles.agg_loads {
-                device_cols[col].load_sel(ctx, start, bitmap, &mut agg_in[t]);
+                device_cols[col].load_sel(ctx, start, len, lanes, &mut agg_in[t]);
             }
-            *result_rows += alive;
-            ctx.compute(2 * alive);
+            *result_rows += lanes.len();
+            ctx.compute(2 * lanes.len());
 
             let (in1, in2) = (agg_in[0].as_slice(), agg_in[1].as_slice());
             let value = |i: usize| match q.agg {
@@ -665,8 +664,7 @@ impl<'a> DeviceQueryJob<'a> {
                 crate::plan::AggExpr::SumRevenue => in1[i] as i64,
                 crate::plan::AggExpr::SumProfit => in1[i] as i64 - in2[i] as i64,
             };
-            let live = bitmap.as_slice();
-            let survivors = (0..len).filter(|&i| live[i]);
+            let survivors = lanes.iter().map(|&lane| lane as usize);
             if grouped {
                 let group = |i: usize| {
                     roles.group_digits.iter().fold(0, |idx, &(j, domain)| {
