@@ -35,6 +35,9 @@
 //! bandwidth measured in the same run — on a column streamed from memory,
 //! with the same scan over a cache-resident window as the other side.
 //!
+//! The `packed_gather_over_span_decode` headline keys (no band) time a packed
+//! stage's row gather over its span decode, 1 row in 7 kept, widths 4 to 24.
+//!
 //! The `pack`, `scatter3` and `fingerprint` rows are the write side's
 //! table: [`PackedColumn::pack`] in Mvals/s, cycles per value and against
 //! `unpack_batch` at the same width; the partition's three-column scatter
@@ -403,6 +406,30 @@ pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
             let secs = (unpack.1, pack, of_unpack);
             rows.push(Row::timed("pack", encoding, 1.0, n, secs));
         }
+    }
+
+    // --- A packed stage, 1 row in 7 kept: gather the rows or decode their span. ---
+    let survivors: Vec<u32> = (0..n as u32).step_by(7).collect();
+    for bits in [4u32, 12, 20, 24] {
+        let packed = PackedColumn::pack(&gen::uniform_i32_domain(n, 1 << bits, 19), bits).unwrap();
+        let view = packed.view();
+        let (mut span, mut out) = ([0i32; CHUNK], [0i32; CHUNK]);
+        let secs = paired(reps, |gather| {
+            for rows in survivors.chunk_by(|a, b| a / CHUNK as u32 == b / CHUNK as u32) {
+                if gather {
+                    view.get_rows(rows, &mut out);
+                } else {
+                    let first = rows[0] as usize;
+                    view.get_batch(first, &mut span[..=rows[rows.len() - 1] as usize - first]);
+                    for (o, &row) in out.iter_mut().zip(rows) {
+                        *o = span[row as usize - first];
+                    }
+                }
+                black_box(&out);
+            }
+        });
+        println!("packed_gather packed{bits}: {:.2}x span decode", secs.2);
+        headline.push((format!("packed_gather_over_span_decode.{bits}"), secs.2));
     }
 
     // --- The scan against its bound, plain and 25-bit packed. ---

@@ -17,6 +17,11 @@
 //! which is what produces the Figure 13 cache-capacity step functions. A
 //! perfect table inspects exactly one slot per key: [`DeviceHashTable::build`]
 //! refuses build sides that would need a second one.
+//!
+//! The *simulated* table is the paper's array of 8-byte slots at its
+//! addresses under either scheme. Only `Mult` keeps the slots on the host
+//! (its probes walk them); a perfect table's are an unbacked reservation, and
+//! the host keeps its occupancy bitmap, a rank per word and the payloads.
 
 use crystal_gpu_sim::exec::{BlockCtx, LaunchConfig};
 use crystal_gpu_sim::mem::DeviceBuffer;
@@ -25,8 +30,8 @@ use crystal_gpu_sim::Gpu;
 
 use crate::tile::retain_lanes;
 
-/// Slot encoding: high 32 bits = key + 1 (so zero means empty), low 32 bits
-/// = payload.
+/// `Mult` slot encoding: high 32 bits = key + 1 (so zero means empty), low
+/// 32 bits = payload. A perfect table's slots hold no values.
 const EMPTY: u64 = 0;
 
 #[inline]
@@ -62,16 +67,21 @@ pub enum HashScheme {
 /// An open-addressing hash table in device global memory.
 #[derive(Debug)]
 pub struct DeviceHashTable {
+    /// The simulated slots: backed under `Mult`, an unbacked reservation under `Perfect`.
     slots: DeviceBuffer<u64>,
     scheme: HashScheme,
     mask: u64,
     entries: usize,
+    /// `Perfect` only: occupancy bitmap, its set bits before each word, payloads.
+    occupied: Vec<u64>,
+    rank: Vec<u32>,
+    payloads: Vec<i32>,
 }
 
 impl DeviceHashTable {
     /// Number of 8-byte slots.
     pub fn num_slots(&self) -> usize {
-        self.slots.len()
+        self.slots.reserved_bytes() / 8
     }
 
     /// Number of key/payload pairs inserted at build time.
@@ -81,12 +91,15 @@ impl DeviceHashTable {
 
     /// Table footprint in bytes — the x-axis of Figure 13.
     pub fn size_bytes(&self) -> usize {
-        self.slots.size_bytes()
+        self.slots.reserved_bytes()
     }
 
-    /// The underlying slot buffer (diagnostics, tests).
-    pub fn slots(&self) -> &DeviceBuffer<u64> {
-        &self.slots
+    /// Where a perfect table keeps `slot`'s payload, if the slot holds one.
+    #[inline]
+    fn payload_index(&self, slot: usize) -> Option<usize> {
+        let (word, bit) = (self.occupied[slot / 64], slot % 64);
+        let below = (word & ((1 << bit) - 1)).count_ones();
+        (word >> bit & 1 == 1).then_some((self.rank[slot / 64] + below) as usize)
     }
 
     #[inline]
@@ -107,11 +120,11 @@ impl DeviceHashTable {
     /// inserts with one CAS per claimed slot (scattered atomics), mirroring
     /// the parallel no-partitioning build of Section 4.3. A perfect table's
     /// insertions never walk — the check below has seen to it — so a tile's
-    /// home slots are accounted in one pass, in lane order, and stored in a
-    /// second.
+    /// home slots are accounted in one pass, in lane order, and their
+    /// payloads stored at their ranks in a second.
     ///
     /// # Panics
-    /// Before anything is allocated or launched, if a [`HashScheme::Perfect`]
+    /// Before anything is reserved or launched, if a [`HashScheme::Perfect`]
     /// build side holds a key outside `min..min + num_slots` or the same
     /// key twice: either would make an insertion walk into another key's
     /// home slot, and a perfect probe reads only the home slot.
@@ -127,9 +140,10 @@ impl DeviceHashTable {
             assert!(num_slots.is_power_of_two(), "Mult scheme needs 2^k slots");
             assert!(num_slots >= keys.len(), "table must fit the build side");
         }
+        let (mut occupied, mut payloads) = (Vec::new(), Vec::new());
         if let HashScheme::Perfect { min } = scheme {
             // One bit per slot.
-            let mut taken = vec![0u64; num_slots.div_ceil(64)];
+            occupied = vec![0u64; num_slots.div_ceil(64)];
             for &key in keys.as_slice() {
                 let slot = (key as i64 - min as i64) as usize;
                 assert!(
@@ -137,20 +151,30 @@ impl DeviceHashTable {
                     "perfect hash table over {min}..{}: key {key} is out of range",
                     min as i64 + num_slots as i64
                 );
-                let (word, bit) = (&mut taken[slot / 64], 1 << (slot % 64));
+                let (word, bit) = (&mut occupied[slot / 64], 1 << (slot % 64));
                 assert!(
                     *word & bit == 0,
                     "perfect hash table: key {key} appears twice in the build side"
                 );
                 *word |= bit;
             }
+            payloads = vec![0; keys.len()];
         }
-        let slots = gpu.alloc_zeroed::<u64>(num_slots);
+        let slots = match scheme {
+            HashScheme::Mult => gpu.try_alloc_zeroed(num_slots),
+            HashScheme::Perfect { .. } => gpu.try_alloc_unbacked(num_slots),
+        };
+        let rank = occupied
+            .iter()
+            .scan(0, |n, w| Some(std::mem::replace(n, *n + w.count_ones())));
         let mut ht = DeviceHashTable {
-            slots,
+            slots: slots.expect("device allocation failed"),
             scheme,
             mask: num_slots as u64 - 1,
             entries: keys.len(),
+            rank: rank.collect(),
+            payloads,
+            occupied,
         };
         let n = keys.len();
         let cfg = LaunchConfig::default_for_items(n);
@@ -160,8 +184,8 @@ impl DeviceHashTable {
             ctx.global_read_coalesced(len * 8);
             let keys = &keys.as_slice()[start..start + len];
             let vals = &vals.as_slice()[start..start + len];
-            // `key + 1` tags occupied slots; negative keys would alias the
-            // empty sentinel. All paper workloads use keys >= 0.
+            // `key + 1` tags a `Mult` table's occupied slots, so negative keys
+            // would alias its empty sentinel; both schemes take keys >= 0.
             assert!(
                 keys.iter().all(|&key| key >= 0),
                 "hash table keys must be non-negative"
@@ -173,8 +197,8 @@ impl DeviceHashTable {
                     ctx.atomic_scattered_tile(homes);
                     ctx.compute(2 * len);
                     for (&key, &val) in keys.iter().zip(vals) {
-                        let slot = ht.home_slot(key);
-                        ht.slots.as_mut_slice()[slot] = pack(key, val);
+                        let at = ht.payload_index(ht.home_slot(key));
+                        ht.payloads[at.expect("the check set every home bit")] = val;
                     }
                 }
                 // or CASes slots from there on until one is claimed.
@@ -213,13 +237,14 @@ impl DeviceHashTable {
         loop {
             ctx.gather(self.slots.addr_of(slot), 8);
             ctx.compute(2);
+            if self.scheme != HashScheme::Mult {
+                return self.payload_index(slot).map(|i| self.payloads[i]);
+            }
             let s = self.slots.as_slice()[slot];
             match slot_key(s) {
                 Some(k) if k == key => return Some(slot_val(s)),
-                Some(_) if self.scheme == HashScheme::Mult => {
-                    slot = (slot + 1) & self.mask as usize
-                }
-                _ => return None,
+                Some(_) => slot = (slot + 1) & self.mask as usize,
+                None => return None,
             }
         }
     }
@@ -248,8 +273,8 @@ impl DeviceHashTable {
             });
             return lanes.len();
         }
-        let slots = self.slots.as_slice();
-        let home = |key: i32| Some(self.home_slot(key)).filter(|&slot| slot < slots.len());
+        let slots = self.num_slots();
+        let home = |key: i32| Some(self.home_slot(key)).filter(|&slot| slot < slots);
         let homes = lanes.iter().filter_map(|&lane| home(keys[lane as usize]));
         ctx.gather_tile(homes.map(|slot| self.slots.addr_of(slot)), 8);
         let (listed, mut read) = (lanes.len(), 0);
@@ -258,9 +283,8 @@ impl DeviceHashTable {
                 return false;
             };
             read += 1;
-            let s = slots[slot];
-            payloads[lane] = slot_val(s);
-            slot_key(s) == Some(keys[lane])
+            let hit = self.payload_index(slot);
+            hit.map(|i| payloads[lane] = self.payloads[i]).is_some()
         });
         // Two ops per slot read, one per key rejected in registers.
         ctx.compute(2 * read + (listed - read));
@@ -284,6 +308,7 @@ pub fn slots_for_fill_rate(build_rows: usize, fill: f64) -> usize {
 mod tests {
     use super::*;
     use crystal_hardware::nvidia_v100;
+    use std::collections::HashMap;
 
     fn gpu() -> Gpu {
         Gpu::new(nvidia_v100())
@@ -408,6 +433,19 @@ mod tests {
         build_perfect(&[10, 11, 11, 13], 4, 10);
     }
 
+    /// The build side is checked before the slot array is reserved: on a
+    /// device too small for the table, the duplicate is what is reported.
+    #[test]
+    #[should_panic(expected = "key 11 appears twice")]
+    fn perfect_build_checks_keys_before_reserving() {
+        let mut spec = nvidia_v100();
+        spec.mem_capacity = 1 << 16;
+        let mut g = Gpu::new(spec);
+        let dk = g.alloc_from(&[10, 11, 11]);
+        let dv = g.alloc_from(&[0, 1, 2]);
+        DeviceHashTable::build(&mut g, &dk, &dv, 1 << 14, HashScheme::Perfect { min: 10 });
+    }
+
     /// A key past either end of the slot range used to index out of bounds
     /// inside the build kernel.
     #[test]
@@ -436,6 +474,115 @@ mod tests {
         });
         assert_eq!(found, 64);
         assert_eq!(r.stats.random_requests, 64);
+    }
+
+    /// Payloads at the edges of `i32`, cycled over a build side.
+    const EDGE_PAYLOADS: [i32; 4] = [i32::MIN, -1, 0, i32::MAX];
+
+    /// A perfect table against a `HashMap` over the build side: every key
+    /// of the range and past both ends of it, on an empty build side, a
+    /// single key, a full range, the bitmap's word edges and a strided
+    /// build in descending order. Each kernel's counters equal those of the
+    /// same launch on a second device that accounts per lane what the
+    /// table stands for: a coalesced 8-byte read and one scattered atomic
+    /// at `slot * 8` per insert, two ops per insert; one 8-byte gather and
+    /// two ops per in-range probe, one op per key out of range.
+    #[test]
+    fn perfect_table_matches_a_map_oracle() {
+        const MIN: i32 = 1000;
+        let range = 200usize;
+        let below = [i32::MIN, -1, 0, MIN - 1];
+        let past = [MIN + range as i32, MIN + 1000, i32::MAX];
+        let probes: Vec<i32> = (below.into_iter().chain(MIN..MIN + range as i32))
+            .chain(past)
+            .collect();
+        let builds: [Vec<usize>; 5] = [
+            vec![],
+            vec![57],
+            (0..range).collect(),
+            vec![0, 63, 64, 127, range - 1],
+            (0..range).rev().step_by(3).collect(),
+        ];
+        for slots in builds {
+            let keys: Vec<i32> = slots.iter().map(|&s| MIN + s as i32).collect();
+            let vals: Vec<i32> = (0..keys.len()).map(|i| EDGE_PAYLOADS[i % 4]).collect();
+            let oracle: HashMap<i32, i32> = keys.iter().copied().zip(vals.clone()).collect();
+            let (mut g, mut reference) = (gpu(), gpu());
+            let (dk, dv) = (g.alloc_from(&keys), g.alloc_from(&vals));
+            let (ht, built) =
+                DeviceHashTable::build(&mut g, &dk, &dv, range, HashScheme::Perfect { min: MIN });
+            let (_, _) = (reference.alloc_from(&keys), reference.alloc_from(&vals));
+            let table = reference.alloc_zeroed::<u64>(range);
+            let home = |key: i32| {
+                let slot = key as i64 - MIN as i64;
+                (0..range as i64)
+                    .contains(&slot)
+                    .then(|| table.addr_of(slot as usize))
+            };
+            let cfg = LaunchConfig::default_for_items(keys.len());
+            let want = reference.launch("hash_build", cfg, |ctx| {
+                let (start, len) = ctx.tile_bounds(keys.len());
+                ctx.global_read_coalesced(len * 8);
+                for &key in &keys[start..start + len] {
+                    ctx.atomic_scattered(home(key).unwrap());
+                    ctx.compute(2);
+                }
+            });
+            assert_eq!(built.stats, want.stats, "{slots:?}: build");
+            assert_eq!(built.stats.scattered_atomics, keys.len() as u64);
+            assert_eq!((ht.entries(), ht.num_slots()), (keys.len(), range));
+
+            let one_tile = LaunchConfig::default_for_items(1);
+            for tiled in [true, false] {
+                let (mut hits, mut want_hits) = (Vec::new(), Vec::new());
+                let r = g.launch("probe", one_tile, |ctx| {
+                    if tiled {
+                        let mut lanes: Vec<u16> = (0..probes.len() as u16).collect();
+                        let mut payloads = vec![0; probes.len()];
+                        ht.probe_tile(ctx, &probes, &mut lanes, &mut payloads);
+                        hits.extend(lanes.iter().map(|&l| payloads[l as usize]));
+                    } else {
+                        hits.extend(probes.iter().filter_map(|&key| ht.probe(ctx, key)));
+                    }
+                });
+                let want = reference.launch("probe", one_tile, |ctx| {
+                    for &key in &probes {
+                        match home(key) {
+                            Some(addr) => {
+                                ctx.gather(addr, 8);
+                                ctx.compute(2);
+                                want_hits.extend(oracle.get(&key));
+                            }
+                            None => ctx.compute(1),
+                        }
+                    }
+                });
+                assert_eq!(hits, want_hits, "{slots:?}, tiled {tiled}: payloads");
+                assert_eq!(r.stats, want.stats, "{slots:?}, tiled {tiled}: probe");
+                assert_eq!(r.stats.random_requests, range as u64);
+                assert_eq!(r.stats.compute_ops, 2 * range as u64 + 7);
+            }
+        }
+    }
+
+    impl DeviceHashTable {
+        /// Host bytes behind the table's functional half.
+        pub(crate) fn host_bytes(&self) -> usize {
+            let ranked = 8 * self.occupied.len() + 4 * (self.rank.len() + self.payloads.len());
+            self.slots.size_bytes() + ranked
+        }
+    }
+
+    /// The host holds the build's bitmap, a rank per word and a payload per
+    /// entry, never the 8-byte slots: SF-20 `part`'s shape, filtered 1 in 25.
+    #[test]
+    fn perfect_table_keeps_no_host_slot_array() {
+        let (range, entries) = (1usize << 20, 40_000);
+        let keys: Vec<i32> = (0..entries as i32).map(|i| 26 * i).collect();
+        let (g, ht) = build_perfect(&keys, range, 0);
+        assert_eq!(ht.size_bytes(), 8 * range);
+        assert_eq!(g.mem_used(), 8 * range + 8 * entries);
+        assert!(ht.host_bytes() <= range / 8 + range / 16 + 4 * entries);
     }
 
     /// `probe_tile` against one `probe` per listed lane, on a chained table

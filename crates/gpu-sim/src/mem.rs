@@ -65,9 +65,15 @@ impl<T: Copy + Default> DeviceBuffer<T> {
         self.data.is_empty()
     }
 
-    /// Size in bytes.
+    /// Size in bytes of the host-backed elements (0 when unbacked, the kept
+    /// ones after a truncate); the device's is [`DeviceBuffer::reserved_bytes`].
     pub fn size_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<T>()
+    }
+
+    /// Bytes reserved on the device: charged at allocation, returned at free.
+    pub fn reserved_bytes(&self) -> usize {
+        self.alloc_bytes
     }
 
     /// Simulated device base address.
@@ -79,7 +85,7 @@ impl<T: Copy + Default> DeviceBuffer<T> {
     /// gathers/scatters).
     #[inline]
     pub fn addr_of(&self, idx: usize) -> u64 {
-        debug_assert!(idx * std::mem::size_of::<T>() <= self.alloc_bytes);
+        debug_assert!(idx * std::mem::size_of::<T>() <= self.reserved_bytes());
         self.addr + (idx * std::mem::size_of::<T>()) as u64
     }
 
@@ -180,7 +186,7 @@ impl Memory {
     /// [`Memory::alloc_zeroed`] does, with no host memory behind them — a
     /// buffer already [truncated](DeviceBuffer::truncate) to nothing. For a
     /// table a kernel only takes the addresses of (its values live in the
-    /// functional half's own structures).
+    /// functional half's own structures): a group table, a perfect table's slots.
     pub fn alloc_unbacked<T: Copy + Default>(
         &mut self,
         len: usize,
@@ -277,6 +283,24 @@ mod tests {
             b.alloc_unbacked::<i64>(200).unwrap_err(),
             a.alloc_zeroed::<i64>(200).unwrap_err()
         );
+    }
+
+    /// The reservation, not the host backing, is what a buffer charges and
+    /// gives back.
+    #[test]
+    fn reserved_bytes_report_the_reservation() {
+        let mut m = Memory::new(1 << 16);
+        let unbacked = m.alloc_unbacked::<u64>(1000).unwrap();
+        assert_eq!((unbacked.len(), unbacked.reserved_bytes()), (0, 8000));
+        let mut truncated = m.alloc_zeroed::<u64>(300).unwrap();
+        truncated.truncate(10);
+        assert_eq!(truncated.size_bytes(), 80);
+        assert_eq!(truncated.reserved_bytes(), 2400);
+        assert_eq!(m.used(), 10_400);
+        m.free(unbacked);
+        assert_eq!(m.used(), 2400);
+        m.free(truncated);
+        assert_eq!(m.used(), 0);
     }
 
     #[test]

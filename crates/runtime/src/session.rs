@@ -665,6 +665,7 @@ impl<'g> DeviceSession<'g> {
             }
         }
         let (ht, report) = build(self.gpu);
+        // Charged by its device reservation, not by what backs it on the host.
         let (bytes, cost) = (ht.size_bytes(), report.time.total_secs());
         let ht = Rc::new(ht);
         self.stats.ht_misses += 1;
@@ -1034,6 +1035,7 @@ mod tests {
         assert_eq!(s.stats().ht_hits, 1);
         assert_eq!(s.stats().ht_misses, 1);
         assert_eq!(t2.num_slots(), 100);
+        assert_eq!((t2.size_bytes(), s.stats().cached_bytes), (800, 800));
         assert_eq!(keys.len(), 100);
     }
 
