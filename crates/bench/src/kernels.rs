@@ -50,16 +50,17 @@
 //! straight into its slots, so the lookup build is its byte model: both in
 //! ns per dimension row over SF-20's `part` and `customer` at pass rates
 //! 1/25, 1/5 and 2/5, and `--smoke` gates, relatively only, the scan within
-//! [`DIM_SCAN_MULTIPLE`] of the lookup build at every one. The
-//! `dim_pairs_cached` rows time the same pairs read off the join's cached
-//! halves ([`DimBuild::cached`], what a device miss runs) against that scan
-//! — gated at no slower. The simulated
+//! [`DIM_SCAN_MULTIPLE`] of the lookup build at every one. The simulated
 //! `hash_build` kernel is timed in host ns per insert into a perfect table
 //! of `part`'s size, one key in five present, with the keys ascending (as
 //! dimension keys arrive: most inserts repeat the line of slots the last one
 //! touched, which the L2 model answers without looking at the set) and
 //! shuffled (none does) — beside `sim_gather_ns`, the cost of one modelled
-//! access.
+//! access. Beside it, with no band, the build a device miss runs: a table
+//! over SF-20 `part`'s cached halves, one row in five passing
+//! ([`engines::dim_device_table`]), in host ns per member, against the
+//! explicit-key build of the same pairs staged into device buffers
+//! ([`engines::build_dim_table`]).
 //!
 //! The `sim_gather` rows apply the same method to the simulator itself:
 //! the bound for one simulated gather is the host read it stands for, so
@@ -82,7 +83,7 @@ use crystal_core::selvec::{
 use crystal_gpu_sim::{Gpu, LaunchConfig};
 use crystal_hardware::nvidia_v100;
 use crystal_runtime::DeviceSession;
-use crystal_ssb::engines::{gpu, DimBuild, DimLookup};
+use crystal_ssb::engines::{self, gpu, DimBuild, DimLookup};
 use crystal_ssb::partition::Buckets;
 use crystal_ssb::plan::{DimAttr, DimJoin, DimPred, DimTable, FactCol};
 use crystal_ssb::{query, FactTable, QueryId, SsbData};
@@ -140,11 +141,6 @@ pub const SIM_FUSED_GATHERS: Band = Band::new(
     3.0,
     0.0..=5.0,
 );
-
-/// [`DimBuild::scan`]s one [`DimBuild::cached`] read of the same pairs costs,
-/// both halves held, worst listed pass rate.
-pub const CACHED_PAIRS_MULTIPLE: Band =
-    Band::new("DimBuild::cached, in DimBuild::scans", 0.5, 0.0..=1.0);
 
 /// One scalar-vs-chunked measurement.
 struct Row {
@@ -297,7 +293,7 @@ fn geomean(ratios: impl Iterator<Item = f64>) -> Option<f64> {
     (!logs.is_empty()).then(|| (logs.iter().sum::<f64>() / logs.len() as f64).exp())
 }
 
-/// Runs the kernel microbench and judges its six relative bands, every
+/// Runs the kernel microbench and judges its five relative bands, every
 /// miss shown. Only a `smoke` run returns them (for the exit code): a full
 /// run's absolute sizes are not what the limits were measured at.
 pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
@@ -509,7 +505,6 @@ pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
 
     // --- The device build side: dimension scan and simulated build kernel. ---
     let mut scan_over_lookup = 0.0f64;
-    let mut cached_over_scan = 0.0f64;
     {
         // SF-20 dimensions (1.06 M parts, 600 k customers); the fact table
         // is not read.
@@ -563,15 +558,6 @@ pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
                 let encoding = format!("{name}.{rate}");
                 let row = |kernel, secs| Row::timed(kernel, &encoding, pass, dim_rows, secs);
                 rows.push(row("dim_build_scan", secs));
-
-                // The same pairs off the join's halves, both held.
-                black_box(DimBuild::cached(&d, &join));
-                let secs = paired(reps, |cached| match cached {
-                    true => drop(black_box(DimBuild::cached(&d, &join))),
-                    false => drop(black_box(DimBuild::scan(&d, &join))),
-                });
-                cached_over_scan = cached_over_scan.max(1.0 / secs.2);
-                rows.push(row("dim_pairs_cached", secs));
             }
         }
 
@@ -607,6 +593,32 @@ pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
             ascending.len(),
             secs,
         ));
+
+        // What a device miss builds: part's halves, one row in five passing.
+        let join = DimJoin {
+            table: DimTable::Part,
+            fact_fk: FactCol::PartKey,
+            filter: Some(DimPred::Eq(DimAttr::Mfgr, 1)),
+            group_attr: Some(DimAttr::Brand1),
+        };
+        let (pairs, _held) = (DimBuild::scan(&d, &join), DimLookup::cached(&d, &join));
+        let members = pairs.inserted();
+        let secs = paired(reps, |halves| {
+            let (ht, _) = match halves {
+                true => engines::dim_device_table(&mut gpu, &d, &join),
+                false => engines::build_dim_table(&mut gpu, &pairs),
+            };
+            ht.free(&mut gpu);
+            gpu.take_reports();
+        });
+        let ns = secs.1 * 1e9 / members as f64;
+        println!(
+            "hash_build over part's halves, {members} members: {ns:.1} ns per member, {:.2} \
+             explicit-key builds of the same pairs",
+            1.0 / secs.2
+        );
+        headline.push(("hash_build_ns_per_member.halves".into(), ns));
+        rows.push(Row::timed("hash_build", "halves.1in5", 0.2, members, secs));
     }
 
     // --- The simulator's hot path against the read it stands for. ---
@@ -739,7 +751,6 @@ pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
         PACKED_SCAN_MULTIPLE.check(packed_over_plain),
         SEMIJOIN_ORDER.check(contiguous),
         DIM_SCAN_MULTIPLE.check(scan_over_lookup),
-        CACHED_PAIRS_MULTIPLE.check(cached_over_scan),
         SIM_GATHER_MULTIPLE.check(sim_multiple_in_l2),
         SIM_FUSED_GATHERS.check(fused_in_gathers),
     ];
@@ -775,8 +786,9 @@ fn write_json(
          scatter3 / fingerprint rows: scalar = plain copy / read of as many \
          bytes, chunked = Buckets::scatter3 / SsbData::content_fingerprint; dim_build_scan rows: scalar = \
          DimLookup::build, chunked = DimBuild::scan, per dimension row, selectivity = pass rate; \
-         dim_pairs_cached rows: scalar = DimBuild::scan, chunked = DimBuild::cached with both halves held; \
-         hash_build rows: scalar = shuffled keys, chunked = ascending keys, per insert; sel_between_init_cold rows: scalar = column streamed from memory, chunked = \
+         hash_build rows: perfect.1in5 scalar = shuffled keys, chunked = ascending keys, per insert; \
+         halves.1in5 scalar = explicit-key build of the pairs, chunked = the table over the cached halves, \
+         per member; sel_between_init_cold rows: scalar = column streamed from memory, chunked = \
          as many rows over a cache-resident window\",\n",
     );
     s.push_str(&format!(

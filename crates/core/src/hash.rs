@@ -20,14 +20,23 @@
 //!
 //! The *simulated* table is the paper's array of 8-byte slots at its
 //! addresses under either scheme. Only `Mult` keeps the slots on the host
-//! (its probes walk them); a perfect table's are an unbacked reservation, and
-//! the host keeps its occupancy bitmap, a rank per word and the payloads.
+//! (its probes walk them); a perfect table's are an unbacked reservation,
+//! and the host answers from a membership bitmap over the slots and one of
+//! two payload sources. An explicit-key [`DeviceHashTable::build`] keeps
+//! its own: a rank per bitmap word and one payload per entry. An SSB
+//! dimension table ([`DeviceHashTable::build_perfect`]) shares the join's
+//! two halves ([`DimPart`]) that the host engine probes: the member bitmap
+//! and the group-code column. A dimension join thus has one representation,
+//! read by the host engine and by the simulated device alike.
+
+use std::sync::Arc;
 
 use crystal_gpu_sim::exec::{BlockCtx, LaunchConfig};
 use crystal_gpu_sim::mem::DeviceBuffer;
 use crystal_gpu_sim::stats::KernelReport;
 use crystal_gpu_sim::Gpu;
 
+use crate::selvec::{set_bits, DimPart};
 use crate::tile::retain_lanes;
 
 /// `Mult` slot encoding: high 32 bits = key + 1 (so zero means empty), low
@@ -64,6 +73,17 @@ pub enum HashScheme {
     Perfect { min: i32 },
 }
 
+/// Where a perfect table reads the payload of a member slot.
+#[derive(Debug)]
+enum Payloads {
+    /// An explicit-key build's own: the members before each bitmap word,
+    /// and one payload per entry in slot order.
+    Ranked { rank: Vec<u32>, payloads: Vec<i32> },
+    /// A dimension join's shared group-code column over the slots; `None`
+    /// for an ungrouped join, whose entries carry 0.
+    Codes(Option<Arc<DimPart>>),
+}
+
 /// An open-addressing hash table in device global memory.
 #[derive(Debug)]
 pub struct DeviceHashTable {
@@ -72,10 +92,9 @@ pub struct DeviceHashTable {
     scheme: HashScheme,
     mask: u64,
     entries: usize,
-    /// `Perfect` only: occupancy bitmap, its set bits before each word, payloads.
-    occupied: Vec<u64>,
-    rank: Vec<u32>,
-    payloads: Vec<i32>,
+    /// `Perfect` only: the membership bitmap over the slots, in `bits`.
+    members: Arc<DimPart>,
+    payloads: Payloads,
 }
 
 impl DeviceHashTable {
@@ -94,12 +113,29 @@ impl DeviceHashTable {
         self.slots.reserved_bytes()
     }
 
-    /// Where a perfect table keeps `slot`'s payload, if the slot holds one.
+    /// The halves a [`DeviceHashTable::build_perfect`] table answers from,
+    /// shared with whoever handed them over: the member bitmap and the code
+    /// column, if any. `None` for a table that keeps its own payloads.
+    pub fn halves(&self) -> Option<(&Arc<DimPart>, Option<&Arc<DimPart>>)> {
+        match &self.payloads {
+            Payloads::Codes(codes) => Some((&self.members, codes.as_ref())),
+            Payloads::Ranked { .. } => None,
+        }
+    }
+
+    /// Whether a perfect table's `slot` holds an entry.
     #[inline]
-    fn payload_index(&self, slot: usize) -> Option<usize> {
-        let (word, bit) = (self.occupied[slot / 64], slot % 64);
-        let below = (word & ((1 << bit) - 1)).count_ones();
-        (word >> bit & 1 == 1).then_some((self.rank[slot / 64] + below) as usize)
+    fn is_member(&self, slot: usize) -> bool {
+        self.members.bits[slot / 64] >> (slot % 64) & 1 == 1
+    }
+
+    /// The payload of a perfect table's member `slot`.
+    #[inline]
+    fn payload(&self, slot: usize) -> i32 {
+        match &self.payloads {
+            Payloads::Ranked { rank, payloads } => payloads[ranked(rank, &self.members.bits, slot)],
+            Payloads::Codes(codes) => codes.as_ref().map_or(0, |c| i32::from(c.codes[slot])),
+        }
     }
 
     #[inline]
@@ -120,8 +156,8 @@ impl DeviceHashTable {
     /// inserts with one CAS per claimed slot (scattered atomics), mirroring
     /// the parallel no-partitioning build of Section 4.3. A perfect table's
     /// insertions never walk — the check below has seen to it — so a tile's
-    /// home slots are accounted in one pass, in lane order, and their
-    /// payloads stored at their ranks in a second.
+    /// home slots are accounted in one pass, in lane order; its payloads are
+    /// stored at their ranks on the host.
     ///
     /// # Panics
     /// Before anything is reserved or launched, if a [`HashScheme::Perfect`]
@@ -140,12 +176,13 @@ impl DeviceHashTable {
             assert!(num_slots.is_power_of_two(), "Mult scheme needs 2^k slots");
             assert!(num_slots >= keys.len(), "table must fit the build side");
         }
-        let (mut occupied, mut payloads) = (Vec::new(), Vec::new());
+        let (mut occupied, mut rank, mut payloads) = (Vec::new(), Vec::new(), Vec::new());
         if let HashScheme::Perfect { min } = scheme {
             // One bit per slot.
             occupied = vec![0u64; num_slots.div_ceil(64)];
+            let slot_of = |key: i32| (key as i64 - min as i64) as usize;
             for &key in keys.as_slice() {
-                let slot = (key as i64 - min as i64) as usize;
+                let slot = slot_of(key);
                 assert!(
                     slot < num_slots,
                     "perfect hash table over {min}..{}: key {key} is out of range",
@@ -158,30 +195,34 @@ impl DeviceHashTable {
                 );
                 *word |= bit;
             }
+            let ranks = occupied
+                .iter()
+                .scan(0, |n, w| Some(std::mem::replace(n, *n + w.count_ones())));
+            rank = ranks.collect();
             payloads = vec![0; keys.len()];
+            for (&key, &val) in keys.as_slice().iter().zip(vals.as_slice()) {
+                payloads[ranked(&rank, &occupied, slot_of(key))] = val;
+            }
         }
         let slots = match scheme {
             HashScheme::Mult => gpu.try_alloc_zeroed(num_slots),
             HashScheme::Perfect { .. } => gpu.try_alloc_unbacked(num_slots),
         };
-        let rank = occupied
-            .iter()
-            .scan(0, |n, w| Some(std::mem::replace(n, *n + w.count_ones())));
         let mut ht = DeviceHashTable {
             slots: slots.expect("device allocation failed"),
             scheme,
             mask: num_slots as u64 - 1,
             entries: keys.len(),
-            rank: rank.collect(),
-            payloads,
-            occupied,
+            members: Arc::new(DimPart {
+                bits: occupied,
+                codes: Vec::new(),
+            }),
+            payloads: Payloads::Ranked { rank, payloads },
         };
         let n = keys.len();
         let cfg = LaunchConfig::default_for_items(n);
         let report = gpu.launch("hash_build", cfg, |ctx| {
             let (start, len) = ctx.tile_bounds(n);
-            // Tile of build keys/values is loaded coalesced...
-            ctx.global_read_coalesced(len * 8);
             let keys = &keys.as_slice()[start..start + len];
             let vals = &vals.as_slice()[start..start + len];
             // `key + 1` tags a `Mult` table's occupied slots, so negative keys
@@ -191,18 +232,14 @@ impl DeviceHashTable {
                 "hash table keys must be non-negative"
             );
             match scheme {
-                // ...then each insertion claims its home slot with one CAS,
                 HashScheme::Perfect { .. } => {
-                    let homes = keys.iter().map(|&key| ht.slots.addr_of(ht.home_slot(key)));
-                    ctx.atomic_scattered_tile(homes);
-                    ctx.compute(2 * len);
-                    for (&key, &val) in keys.iter().zip(vals) {
-                        let at = ht.payload_index(ht.home_slot(key));
-                        ht.payloads[at.expect("the check set every home bit")] = val;
-                    }
+                    let homes = keys.iter().map(|&key| ht.home_slot(key));
+                    account_perfect_tile(ctx, &ht.slots, homes, len);
                 }
-                // or CASes slots from there on until one is claimed.
+                // The tile of build keys/values is loaded coalesced, then each
+                // insertion CASes slots from its home slot on until one is claimed.
                 HashScheme::Mult => {
+                    ctx.global_read_coalesced(len * 8);
                     for (&key, &val) in keys.iter().zip(vals) {
                         let mut slot = ht.home_slot(key);
                         loop {
@@ -218,6 +255,54 @@ impl DeviceHashTable {
                 }
             }
         });
+        (ht, report)
+    }
+
+    /// Builds a perfect table over one dimension join's halves, sharing
+    /// them: the set bits of `members.bits` are the entries (key = `min +
+    /// slot`), an entry's payload is its slot of `codes.codes`, or 0 with no
+    /// code column. Reserves and accounts exactly what [`DeviceHashTable::build`]
+    /// over the same pairs in ascending key order, staged into two device
+    /// buffers, does: the staging (unbacked now, freed after the launch),
+    /// the slot array, one `hash_build` kernel over the members.
+    ///
+    /// # Panics
+    /// Before anything is reserved, if `min` is negative or the halves are
+    /// not over `num_slots` slots: a bitmap word per 64, no bit past the
+    /// last slot, a code per slot.
+    pub fn build_perfect(
+        gpu: &mut Gpu,
+        min: i32,
+        num_slots: usize,
+        members: Arc<DimPart>,
+        codes: Option<Arc<DimPart>>,
+    ) -> (Self, KernelReport) {
+        assert!(min >= 0, "hash table keys must be non-negative");
+        let (bits, tail) = (&members.bits, num_slots % 64);
+        let over_slots = bits.len() == num_slots.div_ceil(64)
+            && (tail == 0 || bits.last().is_none_or(|&word| word >> tail == 0))
+            && codes.as_ref().is_none_or(|c| c.codes.len() == num_slots);
+        assert!(over_slots, "the halves of a table over {num_slots} slots");
+        let n: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
+        let stage = |gpu: &mut Gpu| gpu.try_alloc_unbacked::<i32>(n);
+        let staging = [(); 2].map(|()| stage(gpu).expect("device allocation failed"));
+        let slots = gpu.try_alloc_unbacked(num_slots);
+        let ht = DeviceHashTable {
+            slots: slots.expect("device allocation failed"),
+            scheme: HashScheme::Perfect { min },
+            mask: num_slots as u64 - 1,
+            entries: n,
+            members,
+            payloads: Payloads::Codes(codes),
+        };
+        // Blocks run in order, so each tile takes the next `len` members.
+        let mut homes = set_bits(&ht.members.bits);
+        let report = gpu.launch("hash_build", LaunchConfig::default_for_items(n), |ctx| {
+            let (_, len) = ctx.tile_bounds(n);
+            account_perfect_tile(ctx, &ht.slots, homes.by_ref().take(len), len);
+        });
+        drop(homes);
+        staging.into_iter().for_each(|buf| gpu.free(buf));
         (ht, report)
     }
 
@@ -238,7 +323,7 @@ impl DeviceHashTable {
             ctx.gather(self.slots.addr_of(slot), 8);
             ctx.compute(2);
             if self.scheme != HashScheme::Mult {
-                return self.payload_index(slot).map(|i| self.payloads[i]);
+                return self.is_member(slot).then(|| self.payload(slot));
             }
             let s = self.slots.as_slice()[slot];
             match slot_key(s) {
@@ -257,8 +342,10 @@ impl DeviceHashTable {
     /// order, accounts.
     ///
     /// A perfect table reads one slot per key whatever the others hold, so
-    /// its lanes are accounted in one pass over the slot addresses and
-    /// looked up in a second, instead of interleaving the two lane by lane.
+    /// its lanes are accounted in one pass over the slot addresses, tested
+    /// against the membership bitmap and compacted in a second, and only
+    /// the survivors' payloads are read, in a third: a code column is too
+    /// large for the host's cache, and most probes miss.
     pub fn probe_tile(
         &self,
         ctx: &mut BlockCtx<'_>,
@@ -283,9 +370,11 @@ impl DeviceHashTable {
                 return false;
             };
             read += 1;
-            let hit = self.payload_index(slot);
-            hit.map(|i| payloads[lane] = self.payloads[i]).is_some()
+            self.is_member(slot)
         });
+        for &lane in lanes.iter() {
+            payloads[lane as usize] = self.payload(self.home_slot(keys[lane as usize]));
+        }
         // Two ops per slot read, one per key rejected in registers.
         ctx.compute(2 * read + (listed - read));
         lanes.len()
@@ -295,6 +384,28 @@ impl DeviceHashTable {
     pub fn free(self, gpu: &mut Gpu) {
         gpu.free(self.slots);
     }
+}
+
+/// Where a ranked payload array keeps member `slot`'s payload: the members
+/// before its bitmap word plus those below it in the word.
+#[inline]
+fn ranked(rank: &[u32], bits: &[u64], slot: usize) -> usize {
+    let below = bits[slot / 64] & ((1 << (slot % 64)) - 1);
+    (rank[slot / 64] + below.count_ones()) as usize
+}
+
+/// One tile of a perfect build: the tile's build keys and values loaded
+/// coalesced, then one CAS per insertion on its home slot — a perfect
+/// insertion never walks — and two ops each.
+fn account_perfect_tile(
+    ctx: &mut BlockCtx<'_>,
+    slots: &DeviceBuffer<u64>,
+    homes: impl Iterator<Item = usize>,
+    len: usize,
+) {
+    ctx.global_read_coalesced(len * 8);
+    ctx.atomic_scattered_tile(homes.map(|slot| slots.addr_of(slot)));
+    ctx.compute(2 * len);
 }
 
 /// Chooses the paper's microbenchmark table geometry: a power-of-two slot
@@ -568,8 +679,11 @@ mod tests {
     impl DeviceHashTable {
         /// Host bytes behind the table's functional half.
         pub(crate) fn host_bytes(&self) -> usize {
-            let ranked = 8 * self.occupied.len() + 4 * (self.rank.len() + self.payloads.len());
-            self.slots.size_bytes() + ranked
+            let payloads = match &self.payloads {
+                Payloads::Ranked { rank, payloads } => 4 * (rank.len() + payloads.len()),
+                Payloads::Codes(codes) => codes.as_ref().map_or(0, |c| 2 * c.codes.len()),
+            };
+            self.slots.size_bytes() + 8 * self.members.bits.len() + payloads
         }
     }
 
@@ -583,6 +697,126 @@ mod tests {
         assert_eq!(ht.size_bytes(), 8 * range);
         assert_eq!(g.mem_used(), 8 * range + 8 * entries);
         assert!(ht.host_bytes() <= range / 8 + range / 16 + 4 * entries);
+    }
+
+    /// A table over a join's halves against a `HashMap` oracle and against
+    /// `build` over the same `(key, code)` pairs in ascending key order,
+    /// staged as a dimension's build side used to be: the same answers from
+    /// `probe` and `probe_tile`, equal counters from every kernel, the same
+    /// reservations, and the halves shared, not copied. No members, one,
+    /// every slot and the bitmap's word edges with the last slot, each
+    /// grouped and ungrouped (payload 0); codes outside the members are
+    /// garbage no probe may see.
+    #[test]
+    fn a_table_over_halves_matches_build_and_a_map_oracle() {
+        const MIN: i32 = 1000;
+        // Three build tiles when every slot is a member; a ragged last word.
+        let range = 1300usize;
+        let probes: Vec<i32> = [i32::MIN, -1, 0, MIN - 1]
+            .into_iter()
+            .chain(MIN..MIN + range as i32)
+            .chain([MIN + range as i32, i32::MAX])
+            .collect();
+        let memberships: [Vec<usize>; 4] = [
+            vec![],
+            vec![57],
+            (0..range).collect(),
+            vec![0, 63, 64, 127, range - 1],
+        ];
+        for slots in memberships {
+            for grouped in [true, false] {
+                let case = format!("{slots:?}, grouped {grouped}");
+                let mut bits = vec![0u64; range.div_ceil(64)];
+                slots.iter().for_each(|&s| bits[s / 64] |= 1 << (s % 64));
+                let mut codes: Vec<i16> = (0..range as i16).map(|s| -1 - s % 3).collect();
+                slots.iter().for_each(|&s| codes[s] = (s * 7 % 1000) as i16);
+                let payload = |s: usize| if grouped { i32::from(codes[s]) } else { 0 };
+                let keys: Vec<i32> = slots.iter().map(|&s| MIN + s as i32).collect();
+                let vals: Vec<i32> = slots.iter().map(|&s| payload(s)).collect();
+                let oracle: HashMap<i32, i32> = keys.iter().copied().zip(vals.clone()).collect();
+
+                let (mut g, mut reference) = (gpu(), gpu());
+                let members = Arc::new(DimPart {
+                    bits,
+                    codes: Vec::new(),
+                });
+                let column = grouped.then(|| {
+                    Arc::new(DimPart {
+                        bits: Vec::new(),
+                        codes,
+                    })
+                });
+                let halves = (Arc::clone(&members), column.clone());
+                let (ht, built) =
+                    DeviceHashTable::build_perfect(&mut g, MIN, range, members, column);
+                let (dk, dv) = (reference.alloc_from(&keys), reference.alloc_from(&vals));
+                let scheme = HashScheme::Perfect { min: MIN };
+                let (want, want_built) =
+                    DeviceHashTable::build(&mut reference, &dk, &dv, range, scheme);
+                reference.free(dk);
+                reference.free(dv);
+
+                let (shared, shared_codes) = ht.halves().expect("built over halves");
+                assert!(Arc::ptr_eq(shared, &halves.0), "{case}: members");
+                assert_eq!(shared_codes.is_some(), grouped, "{case}");
+                assert!(shared_codes.is_none_or(|c| Arc::ptr_eq(c, halves.1.as_ref().unwrap())));
+                assert!(
+                    want.halves().is_none(),
+                    "an explicit build keeps its payloads"
+                );
+                assert_eq!(built.stats, want_built.stats, "{case}: build");
+                let secs = |r: &KernelReport| r.time.total_secs().to_bits();
+                assert_eq!(secs(&built), secs(&want_built), "{case}: build time");
+                assert_eq!(ht.slots.addr_of(0), want.slots.addr_of(0), "{case}");
+                assert_eq!(
+                    (g.mem_used(), g.mem_high_water()),
+                    (reference.mem_used(), reference.mem_high_water()),
+                    "{case}: reservations"
+                );
+                assert_eq!((ht.entries(), ht.num_slots()), (keys.len(), range));
+                assert_eq!(want.entries(), keys.len());
+
+                let one_tile = LaunchConfig::default_for_items(1);
+                for tiled in [true, false] {
+                    let run = |g: &mut Gpu, ht: &DeviceHashTable| {
+                        let mut hits = Vec::new();
+                        let r = g.launch("probe", one_tile, |ctx| {
+                            if tiled {
+                                let mut lanes: Vec<u16> = (0..probes.len() as u16).collect();
+                                let mut payloads = vec![0; probes.len()];
+                                ht.probe_tile(ctx, &probes, &mut lanes, &mut payloads);
+                                let lanes = lanes.iter().map(|&l| l as usize);
+                                hits.extend(lanes.map(|l| (probes[l], payloads[l])));
+                            } else {
+                                let hit = |&key: &i32| ht.probe(ctx, key).map(|p| (key, p));
+                                hits.extend(probes.iter().filter_map(hit));
+                            }
+                        });
+                        (r.stats, hits)
+                    };
+                    let (stats, hits) = run(&mut g, &ht);
+                    let (want_stats, want_hits) = run(&mut reference, &want);
+                    let oracle_hits: Vec<(i32, i32)> = probes
+                        .iter()
+                        .filter_map(|&k| oracle.get(&k).map(|&p| (k, p)))
+                        .collect();
+                    assert_eq!(hits, oracle_hits, "{case}, tiled {tiled}: payloads");
+                    assert_eq!(want_hits, oracle_hits, "{case}, tiled {tiled}: build");
+                    assert_eq!(stats, want_stats, "{case}, tiled {tiled}: probe");
+                }
+            }
+        }
+    }
+
+    /// A bit past the last slot would be a key outside the table.
+    #[test]
+    #[should_panic(expected = "the halves of a table over 100 slots")]
+    fn a_table_over_halves_rejects_a_member_past_the_range() {
+        let members = Arc::new(DimPart {
+            bits: vec![0, 1 << 36],
+            codes: Vec::new(),
+        });
+        DeviceHashTable::build_perfect(&mut gpu(), 0, 100, members, None);
     }
 
     /// `probe_tile` against one `probe` per listed lane, on a chained table

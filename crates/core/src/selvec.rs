@@ -53,6 +53,28 @@ pub const CHUNK: usize = 1024;
 /// Match-bitmap granularity: 64 rows per `u64` word, [`CHUNK`] = 16 words.
 const LANES: usize = 64;
 
+/// One half of a dimension join, indexed by `key - min_key` over the
+/// dimension's key range. A membership half fills `bits` (bit set exactly
+/// when the row with that key passes the join's filter), a group half
+/// `codes` (the row's dense attribute code, `-1` where the range has no
+/// row). The host engine probes the pair through [`PerfectHashProbe`]; a
+/// device perfect table shares them
+/// ([`crate::hash::DeviceHashTable::build_perfect`]).
+#[derive(Debug, Default)]
+pub struct DimPart {
+    pub bits: Vec<u64>,
+    pub codes: Vec<i16>,
+}
+
+/// The indices of the set bits of a bitmap, ascending.
+pub fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let nonzero = |bits: u64| Some(bits).filter(|&b| b != 0);
+        std::iter::successors(nonzero(word), move |&bits| nonzero(bits & (bits - 1)))
+            .map(move |bits| w * 64 + bits.trailing_zeros() as usize)
+    })
+}
+
 /// A monomorphized perfect-hash probe target over the key range starting
 /// at `min_key`: the membership bitmap, bit `i` set when key `min_key + i`
 /// is a member, and the payload array, slot `i` holding that key's dense

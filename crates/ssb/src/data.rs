@@ -17,6 +17,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use crystal_core::selvec::DimPart;
 use crystal_storage::dict::Dictionary;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -171,16 +172,6 @@ pub struct SsbData {
     dim_cache: DimCacheCell,
     /// The bytes `dim_cache` may hold: a third of the dimension tables' own.
     dim_cache_bound: usize,
-}
-
-/// One built half of a dimension join, indexed by `key - min_key` over the
-/// dimension's key range. A membership half fills `bits` (bit set exactly
-/// when the row with that key passes the filter), a group half `codes` (the
-/// row's dense attribute code, `-1` where the range has no row).
-#[derive(Debug)]
-pub(crate) struct DimPart {
-    pub(crate) bits: Vec<u64>,
-    pub(crate) codes: Vec<i16>,
 }
 
 /// The exact key of a cached half: the bitmap depends on the filter alone

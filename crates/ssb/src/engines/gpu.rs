@@ -48,8 +48,8 @@ use crate::data::SsbData;
 use crate::encoding::EncodedFact;
 use crate::engines::profile::QueryProfile;
 use crate::engines::{
-    build_dim_table, dim_join_fingerprint, dim_members, dim_table_bytes, DimBuild, GroupAcc,
-    QueryTrace, StageTrace,
+    dim_device_table, dim_join_fingerprint, dim_members, dim_table_bytes, GroupAcc, QueryTrace,
+    StageTrace,
 };
 use crate::partition::PartitionedFact;
 use crate::plan::{FactCol, StarQuery};
@@ -411,15 +411,16 @@ impl<'a> DeviceQueryJob<'a> {
         }
 
         // Build phase: perfect-hash tables for each join's dimension,
-        // memoized by build-side fingerprint. The build side is deferred
-        // into the miss closure, so a warm session skips the build kernel
-        // and the host-side walk of the join's cached halves alike; a miss
-        // scans the dimension only for a half the dataset does not hold.
+        // memoized by build-side fingerprint, each answering from the
+        // join's cached halves. The build is deferred into the miss closure,
+        // so a warm session skips the build kernel and the dataset's cache
+        // alike; a miss scans the dimension only for a half the dataset
+        // does not hold.
         let (mut tables, mut builds) = (Vec::new(), Vec::new());
         for join in &q.joins {
             let fp = dim_join_fingerprint(d, join);
             let (ht, report) = sess.pin_hash_table(qid, fp, dim_table_bytes(d, join), |gpu| {
-                build_dim_table(gpu, &DimBuild::cached(d, join))
+                dim_device_table(gpu, d, join)
             })?;
             builds.extend(report);
             tables.push(ht);

@@ -13,9 +13,12 @@ pub mod reference;
 use std::ops::Range;
 use std::sync::Arc;
 
-use crystal_core::selvec::{slot_bitmap, PerfectHashProbe};
+use crystal_core::hash::{DeviceHashTable, HashScheme};
+use crystal_core::selvec::{slot_bitmap, DimPart, PerfectHashProbe};
+use crystal_gpu_sim::stats::KernelReport;
+use crystal_gpu_sim::Gpu;
 
-use crate::data::{DimPart, DimPartKey, SsbData};
+use crate::data::{DimPartKey, SsbData};
 use crate::plan::{DimAttr, DimJoin, DimPred, DimTable, StarQuery};
 
 // A group-code slot is an `i16`: a dense attribute code, or `-1` where the
@@ -83,7 +86,7 @@ impl<'a> AttrMap<'a> {
 /// This is the one place the build-phase loop lives: a [`DimLookup`]'s two
 /// halves are the slots of the join without its group attribute and without
 /// its filter, and [`DimBuild::scan`] compacts the whole join's stream into
-/// the `(key, code)` pairs the build kernel inserts.
+/// the `(key, code)` pairs an explicit-key build inserts.
 struct ResolvedJoin<'a> {
     keys: &'a [i32],
     min_key: i32,
@@ -152,9 +155,9 @@ impl<'a> ResolvedJoin<'a> {
     }
 }
 
-/// The build side of one dimension join as the device engines consume it:
-/// the filtered `(key, dense group code)` pairs a build kernel inserts,
-/// plus the key range they span.
+/// The build side of one dimension join as explicit pairs: the filtered
+/// `(key, dense group code)` pairs an explicit-key build kernel inserts
+/// ([`build_dim_table`]), plus the key range they span.
 #[derive(Debug, Clone)]
 pub struct DimBuild {
     /// Keys of dimension rows passing the join filter.
@@ -175,8 +178,9 @@ impl DimBuild {
     /// to outputs whose capacity is the filter's expected yield, so they do
     /// not grow by doubling. (Two growing `Vec`s behind a mispredicted
     /// branch cost 2 to 4 [`DimLookup::build`]s of the same join per row.)
-    /// The engines build from [`DimBuild::cached`]; this is the reference its
-    /// tests and the microbench compare it with.
+    /// The engines build from the join's cached halves instead
+    /// ([`dim_device_table`]); this is the reference their tests and the
+    /// microbench compare with.
     pub fn scan(d: &SsbData, join: &DimJoin) -> Self {
         const CHUNK: usize = 1024;
         let r = ResolvedJoin::new(d, join);
@@ -208,24 +212,6 @@ impl DimBuild {
         }
     }
 
-    /// [`DimBuild::scan`] without the scan — what a device miss builds
-    /// from: the pairs read off the set bits of the join's cached halves
-    /// ([`DimLookup::cached`]), in key order, which is the scan's row order
-    /// for every generated table (their keys ascend).
-    pub fn cached(d: &SsbData, join: &DimJoin) -> Self {
-        let lk = DimLookup::cached(d, join);
-        let (min_key, max_key) = d.key_range(join.table);
-        let mut keys = Vec::with_capacity(lk.inserted);
-        keys.extend(set_bits(&lk.filter.bits).map(|slot| min_key + slot as i32));
-        let codes = keys.iter().map(|&k| lk.spec().probe(k)).collect();
-        DimBuild {
-            keys,
-            codes,
-            min_key,
-            max_key,
-        }
-    }
-
     /// Rows surviving the dimension filter.
     pub fn inserted(&self) -> usize {
         self.keys.len()
@@ -247,18 +233,10 @@ pub fn dim_table_bytes(d: &SsbData, join: &DimJoin) -> usize {
 }
 
 /// Builds the device-side perfect-hash table of one dimension join from
-/// its scanned build side (one build kernel; staging buffers are freed
-/// before returning). This is the closure body every session-memoized
-/// engine passes to
-/// [`crystal_runtime::DeviceSession::try_hash_table`](crystal_runtime::session::DeviceSession::try_hash_table).
-pub fn build_dim_table(
-    gpu: &mut crystal_gpu_sim::Gpu,
-    build: &DimBuild,
-) -> (
-    crystal_core::hash::DeviceHashTable,
-    crystal_gpu_sim::stats::KernelReport,
-) {
-    use crystal_core::hash::{DeviceHashTable, HashScheme};
+/// its scanned build side, as explicit keys and payloads staged into device
+/// buffers (one build kernel; the staging is freed before returning): the
+/// reference that [`dim_device_table`]'s reservations and kernel are held to.
+pub fn build_dim_table(gpu: &mut Gpu, build: &DimBuild) -> (DeviceHashTable, KernelReport) {
     let dk = gpu.alloc_from(&build.keys);
     let dv = gpu.alloc_from(&build.codes);
     let out = DeviceHashTable::build(
@@ -271,6 +249,23 @@ pub fn build_dim_table(
     gpu.free(dk);
     gpu.free(dv);
     out
+}
+
+/// Builds the device-side perfect-hash table of one dimension join over the
+/// join's halves as [`DimLookup::cached`] reads them, shared, not copied
+/// ([`DeviceHashTable::build_perfect`]): it reserves and accounts what
+/// [`build_dim_table`] over the join's scan does, and a probe tests the
+/// bitmap the host engine tests. This is the closure body every
+/// session-memoized engine passes to
+/// [`crystal_runtime::DeviceSession::try_hash_table`](crystal_runtime::session::DeviceSession::try_hash_table).
+pub fn dim_device_table(
+    gpu: &mut Gpu,
+    d: &SsbData,
+    join: &DimJoin,
+) -> (DeviceHashTable, KernelReport) {
+    let lk = DimLookup::cached(d, join);
+    let slots = dim_table_bytes(d, join) / 8;
+    DeviceHashTable::build_perfect(gpu, lk.min_key, slots, lk.filter, lk.codes)
 }
 
 /// A stable fingerprint of one dimension join's build side — the
@@ -344,10 +339,11 @@ pub fn dim_join_fingerprint(d: &SsbData, join: &DimJoin) -> u64 {
 /// none. The halves are shared: [`DimLookup::cached`] reads them through
 /// the dataset's byte-bounded cache ([`SsbData::dim_cache_stats`]).
 ///
-/// This is the CPU-side analog of the paper's perfect-hashed dimension
-/// tables (Section 5.3); the GPU engine uses
-/// [`crystal_core::hash::DeviceHashTable`] with the `Perfect` scheme, whose
-/// footprint is the paper's `2 x 4 x |dim|` accounting
+/// This is the one representation of a dimension join, read by the host
+/// engine and by the simulated device: the paper's perfect-hashed dimension
+/// tables (Section 5.3) on the host, and the functional half of the
+/// device's [`DeviceHashTable`] ([`dim_device_table`] shares both halves),
+/// whose simulated footprint is the paper's `2 x 4 x |dim|` accounting
 /// ([`dim_table_bytes`]). A host join is a semi-join against the bitmap
 /// (75 KB for SF-20 customer, 125 KB for part: cache-resident under any
 /// fact stream); the 2-byte codes (every [`DimAttr::domain`] fits, and the
@@ -530,15 +526,6 @@ pub fn group_decode(domains: &[usize], mut idx: usize) -> Vec<i32> {
     codes
 }
 
-/// The indices of the set bits of a bitmap, ascending.
-fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(w, &word)| {
-        let nonzero = |bits: u64| Some(bits).filter(|&b| b != 0);
-        std::iter::successors(nonzero(word), move |&bits| nonzero(bits & (bits - 1)))
-            .map(move |bits| w * 64 + bits.trailing_zeros() as usize)
-    })
-}
-
 /// Slots per block of a [`GroupAcc`]: q4.3's 1.75 M-slot domain is 3 418
 /// blocks, a 13.7 KB directory.
 const AGG_BLOCK: usize = 512;
@@ -650,6 +637,7 @@ impl GroupAcc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crystal_core::selvec::set_bits;
 
     #[test]
     fn group_index_roundtrips() {
@@ -812,16 +800,22 @@ mod tests {
         assert!(dates > 13, "random plans join the date dimension too");
     }
 
-    fn pairs(b: &DimBuild) -> (&[i32], &[i32], i32, i32) {
-        (&b.keys, &b.codes, b.min_key, b.max_key)
+    /// A dimension table's entries, `(key, payload)` in slot order, read
+    /// off the halves it shares.
+    fn table_pairs(ht: &DeviceHashTable, min_key: i32) -> Vec<(i32, i32)> {
+        let (members, codes) = ht.halves().expect("a dimension table shares its halves");
+        let code = |slot: usize| codes.map_or(0, |c| i32::from(c.codes[slot]));
+        let pairs = set_bits(&members.bits).map(|slot| (min_key + slot as i32, code(slot)));
+        pairs.collect()
     }
 
-    /// The device's build side read off the cached halves is the scan's,
-    /// field for field, for every canned and random join. Over a table whose
-    /// keys do not ascend (a clone's part, its rows reversed) it is the
-    /// scan's pairs in key order, and every engine still answers right.
+    /// The device's table over a join's cached halves holds the scan's
+    /// members with the scan's codes over the scan's key range, for every
+    /// canned and random join. Over a table whose keys do not ascend (a
+    /// clone's part, its rows reversed) it holds the scan's pairs in key
+    /// order, and every engine still answers right.
     #[test]
-    fn cached_device_pairs_are_the_scans() {
+    fn device_table_members_and_codes_are_the_scans() {
         use crate::engines::{gpu, reference};
         use crate::table::FactTable;
         let d = SsbData::generate_scaled(1, 0.0005, 3);
@@ -835,20 +829,24 @@ mod tests {
         ] {
             col.reverse();
         }
+        let mut device = Gpu::new(crystal_hardware::nvidia_v100());
         for q in plans(&d) {
             for join in &q.joins {
-                let scan = DimBuild::scan(&d, join);
-                assert_eq!(pairs(&DimBuild::cached(&d, join)), pairs(&scan), "{join:?}");
-                let scan = DimBuild::scan(&reversed, join);
-                let mut by_key: Vec<_> = scan.keys.iter().zip(&scan.codes).collect();
-                by_key.sort();
-                let cached = DimBuild::cached(&reversed, join);
-                let got: Vec<_> = cached.keys.iter().zip(&cached.codes).collect();
-                assert_eq!(got, by_key, "{join:?}");
-                assert_eq!(
-                    (cached.min_key, cached.max_key),
-                    (scan.min_key, scan.max_key)
-                );
+                for data in [&d, &reversed] {
+                    let scan = DimBuild::scan(data, join);
+                    let mut want: Vec<_> =
+                        scan.keys.iter().copied().zip(scan.codes.clone()).collect();
+                    if std::ptr::eq(data, &d) {
+                        assert!(want.is_sorted(), "generated keys ascend");
+                    }
+                    want.sort_unstable();
+                    let (ht, _) = dim_device_table(&mut device, data, join);
+                    assert_eq!(table_pairs(&ht, scan.min_key), want, "{join:?}");
+                    let shape = (ht.num_slots(), ht.entries());
+                    assert_eq!(shape, (scan.key_range(), scan.inserted()), "{join:?}");
+                    ht.free(&mut device);
+                    device.take_reports();
+                }
             }
         }
         let mut gpu = crystal_gpu_sim::Gpu::new(crystal_hardware::nvidia_v100());
@@ -868,6 +866,71 @@ mod tests {
                 q.name
             );
         }
+    }
+
+    /// A session's table for a canned join holds the very halves the
+    /// dataset's cache hands the host engine, not copies, and the dataset's
+    /// byte count is blind to the session's references to them. Serving a
+    /// starved stream over eight shards twice through one session, which
+    /// evicts tables and rebuilds them from the halves, answers the same
+    /// bytes both times, the reference's.
+    #[test]
+    fn a_session_table_shares_the_datasets_halves() {
+        use crate::engines::{gpu, reference};
+        use crate::table::FactTable;
+        use crate::{FactEncodings, PartitionedFact};
+        use crystal_runtime::DeviceSession;
+        let d = SsbData::generate_scaled(1, 0.002, 3);
+        let queries = crate::queries::all_queries(&d);
+        let mode = crate::exec::PipelineMode::Vectorized;
+        for q in &queries {
+            crate::exec::execute(&FactTable::plain(&d), q, 1, mode);
+        }
+        let held = d.dim_cache_stats();
+        let mut device = Gpu::new(crystal_hardware::nvidia_v100());
+        let mut sess = DeviceSession::new(&mut device);
+        for join in queries.iter().flat_map(|q| &q.joins) {
+            let (fp, bytes) = (dim_join_fingerprint(&d, join), dim_table_bytes(&d, join));
+            let built = sess.try_hash_table(fp, bytes, |gpu| dim_device_table(gpu, &d, join));
+            let (ht, _) = built.expect("fits a V100");
+            let lk = DimLookup::cached(&d, join);
+            let (members, codes) = ht.halves().expect("shared halves");
+            assert!(Arc::ptr_eq(members, &lk.filter), "{join:?}: members");
+            match (codes, &lk.codes) {
+                (Some(a), Some(b)) => assert!(Arc::ptr_eq(a, b), "{join:?}: codes"),
+                (None, None) => {}
+                _ => panic!("{join:?}: a code column exactly when grouped"),
+            }
+        }
+        let now = d.dim_cache_stats();
+        assert_eq!(now.misses, held.misses, "nothing rebuilt");
+        assert_eq!((now.bytes, now.evictions), (held.bytes, held.evictions));
+        drop(sess);
+
+        let shards = PartitionedFact::partition(&d, 8, &FactEncodings::plain());
+        let table = FactTable::sharded(&d, &shards);
+        let mut small = crystal_hardware::nvidia_v100();
+        small.mem_capacity = 64 << 20;
+        let mut device = Gpu::new(small);
+        let mut sess = DeviceSession::with_budget(&mut device, 400_000);
+        let mut serve = || {
+            let runs = queries
+                .iter()
+                .map(|q| gpu::execute(&mut sess, &table, q).unwrap());
+            let answers = runs.map(|run| format!("{:?} {:?}", run.result, run.trace));
+            answers.collect::<Vec<_>>()
+        };
+        let (first, second) = (serve(), serve());
+        assert_eq!(first, second);
+        for (q, answer) in queries.iter().zip(&first) {
+            let want = format!("{:?}", reference::execute(&d, q));
+            assert!(answer.starts_with(&want), "{}", q.name);
+        }
+        assert!(sess.stats().evictions > 0, "{:?}", sess.stats());
+        assert!(sess.stats().ht_misses > 13, "tables evicted and rebuilt");
+        let now = d.dim_cache_stats();
+        assert_eq!(now.misses, held.misses, "nothing rebuilt");
+        assert_eq!((now.bytes, now.evictions), (held.bytes, held.evictions));
     }
 
     /// A repeated query scans no dimension: the second run of each canned

@@ -33,7 +33,7 @@ use crystal_runtime::{DeviceCol, DeviceSession, SessionOom};
 
 use crate::data::SsbData;
 use crate::engines::profile::QueryProfile;
-use crate::engines::{build_dim_table, dim_join_fingerprint, dim_table_bytes, DimBuild, GroupAcc};
+use crate::engines::{dim_device_table, dim_join_fingerprint, dim_table_bytes, GroupAcc};
 use crate::plan::{FactCol, StarQuery};
 use crate::table::FactTable;
 
@@ -130,11 +130,10 @@ fn operators(
     // a materialized code column.
     for join in &q.joins {
         let fp = dim_join_fingerprint(d, join);
-        // The build side is deferred into the closure: a warm hit pays
-        // neither the build kernel nor the host-side walk of the join's
-        // cached halves.
+        // The build is deferred into the closure: a warm hit pays neither
+        // the build kernel nor the lookup of the join's cached halves.
         let (ht, built) = sess.try_hash_table(fp, dim_table_bytes(d, join), |gpu| {
-            build_dim_table(gpu, &DimBuild::cached(d, join))
+            dim_device_table(gpu, d, join)
         })?;
         reports.extend(built);
         let fk_col = column(sess, join.fact_fk)?;
