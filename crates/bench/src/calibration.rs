@@ -32,10 +32,10 @@
 //!
 //! Two bands and an assertion gate the run:
 //!
-//! * **never-lose** ([`NEVER_LOSE`]) — on the true profile (a cold store
+//! * **never-lose** (`NEVER_LOSE`) — on the true profile (a cold store
 //!   *is* the static model, so early queries route identically; learned
 //!   corrections only flip queries the measurements prove misrouted);
-//! * **recovery** ([`RECOVERY`]) — on the skewed profile, of the
+//! * **recovery** (`RECOVERY`) — on the skewed profile, of the
 //!   static-vs-oracle gap;
 //! * **byte-identity** — every device and host execution is asserted
 //!   against the reference oracle inline; routing changes costs, never
@@ -43,7 +43,7 @@
 //!
 //! A final non-gating section times the real host executor with the
 //! paired-ratio convention from `reproduce microbench`
-//! ([`crate::util::paired`]) and feeds the wall-clock measurement into a
+//! (`crate::util::paired`) and feeds the wall-clock measurement into a
 //! store as a `HostScan` observation — the same closed loop on real
 //! seconds instead of simulated ones.
 
@@ -65,7 +65,7 @@ use crate::util::{paired, transfer_vs_host_scan, Config, Report};
 
 /// Calibrated over static total simulated seconds on the true profile:
 /// never above (the slack is rounding).
-pub const NEVER_LOSE: Band = Band::new(
+pub(crate) const NEVER_LOSE: Band = Band::new(
     "calibrated/static total, true profile (never lose)",
     1.0,
     0.0..=1.0 + 1e-9,
@@ -75,23 +75,23 @@ pub const NEVER_LOSE: Band = Band::new(
 /// (the whole stream shares one cardinality band), so all but the first
 /// few queries of a 96-query replay route post-correction; the band leaves
 /// headroom for the warm-up misroutes.
-pub const RECOVERY: Band = Band::new(
+pub(crate) const RECOVERY: Band = Band::new(
     "static-vs-oracle gap recovered, skewed profile",
     0.9,
     0.5..=f64::INFINITY,
 );
 
 /// The skewed profile's PCIe bandwidth, as a fraction of spec.
-pub const SKEW_PCIE_FACTOR: f64 = 0.5;
+pub(crate) const SKEW_PCIE_FACTOR: f64 = 0.5;
 
 /// The skewed profile's CPU clock, as a multiple of spec (over-spec:
 /// scalar unpack runs faster than the model believes).
-pub const SKEW_CPU_CLOCK_FACTOR: f64 = 1.25;
+pub(crate) const SKEW_CPU_CLOCK_FACTOR: f64 = 1.25;
 
 /// Measured per-shape charges on one actual hardware profile: what a
 /// query costs on each side — the profile the calibration store ingests
 /// when that side runs.
-pub struct ShapeCosts {
+pub(crate) struct ShapeCosts {
     /// Device side: the shape through a fresh session (the full packed
     /// working set shipped over the actual link, latency included, against
     /// the simulated kernels).
@@ -103,7 +103,7 @@ pub struct ShapeCosts {
 /// Executes every shape once on the actual profile's device (fresh
 /// session per query — the transfer-included regime the replay charges)
 /// and prices the host side analytically on the actual CPU.
-pub fn measure_shapes(
+pub(crate) fn measure_shapes(
     table: &FactTable<'_>,
     shapes: &[StarQuery],
     actual: &HardwareProfile,
@@ -126,7 +126,7 @@ fn on_host(q: &StarQuery, secs: f64) -> QueryProfile {
 
 /// How the replay routes each query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Routing {
+pub(crate) enum Routing {
     /// The spec-sheet model, as the stack ships today.
     Static,
     /// The spec-sheet prior blended with online measured history.
@@ -136,7 +136,7 @@ pub enum Routing {
 }
 
 /// Aggregate outcome of one routed replay.
-pub struct ReplayOutcome {
+pub(crate) struct ReplayOutcome {
     /// Total simulated seconds charged across the stream.
     pub total_secs: f64,
     /// Queries routed to the device.
@@ -151,7 +151,7 @@ pub struct ReplayOutcome {
 /// calibrated policy records the executed side's observation after every
 /// query — routing always consults the spec-sheet `model` profile, never
 /// the actual one; only the measurements know the machine.
-pub fn replay(
+pub(crate) fn replay(
     table: &FactTable<'_>,
     shapes: &[StarQuery],
     costs: &[ShapeCosts],
@@ -204,7 +204,7 @@ pub fn replay(
 
 /// One profile's three-way comparison: static / calibrated / oracle
 /// totals plus the recovery fraction of the static-vs-oracle gap.
-pub struct ProfileComparison {
+pub(crate) struct ProfileComparison {
     /// Outcomes in [`Routing`] order: static, calibrated, oracle.
     pub outcomes: [ReplayOutcome; 3],
     /// `(static - calibrated) / (static - oracle)`; 1.0 when static is
@@ -213,7 +213,7 @@ pub struct ProfileComparison {
 }
 
 /// Runs all three policies over one actual profile.
-pub fn compare_profile(
+pub(crate) fn compare_profile(
     table: &FactTable<'_>,
     shapes: &[StarQuery],
     passes: usize,
@@ -234,7 +234,7 @@ pub fn compare_profile(
 
 /// The Table-2 profile with the deliberate mis-specification: PCIe at
 /// [`SKEW_PCIE_FACTOR`] of spec, CPU clock at [`SKEW_CPU_CLOCK_FACTOR`].
-pub fn skewed_profile() -> HardwareProfile {
+pub(crate) fn skewed_profile() -> HardwareProfile {
     let mut p = table2_profile();
     p.pcie.bandwidth *= SKEW_PCIE_FACTOR;
     p.cpu.clock_ghz *= SKEW_CPU_CLOCK_FACTOR;
@@ -243,7 +243,7 @@ pub fn skewed_profile() -> HardwareProfile {
 
 /// The two bands: calibrated against static on the true profile, and the
 /// gap recovered on the skewed one.
-pub fn checks(truth: &ProfileComparison, skewed: &ProfileComparison) -> Vec<Check> {
+pub(crate) fn checks(truth: &ProfileComparison, skewed: &ProfileComparison) -> Vec<Check> {
     let [stat, cal, _] = &truth.outcomes;
     vec![
         NEVER_LOSE.check(cal.total_secs / stat.total_secs),

@@ -18,7 +18,7 @@ pub struct Band {
 }
 
 impl Band {
-    pub const fn new(claim: &'static str, paper: f64, range: RangeInclusive<f64>) -> Band {
+    pub(crate) const fn new(claim: &'static str, paper: f64, range: RangeInclusive<f64>) -> Band {
         let (lo, hi) = (*range.start(), *range.end());
         Band {
             claim,
@@ -29,7 +29,7 @@ impl Band {
     }
 
     /// The band together with what was measured for it.
-    pub fn check(self, reproduced: f64) -> Check {
+    pub(crate) fn check(self, reproduced: f64) -> Check {
         Check {
             band: self,
             reproduced,
@@ -37,7 +37,7 @@ impl Band {
     }
 
     /// [`Band::check`] of a yes/no claim, as 1 or 0.
-    pub fn check_flag(self, held: bool) -> Check {
+    pub(crate) fn check_flag(self, held: bool) -> Check {
         self.check(f64::from(u8::from(held)))
     }
 }
@@ -84,6 +84,6 @@ pub fn verdict(name: &str, checks: &[Check]) -> bool {
 /// Writes `checks` as `results/<name>.csv`: the scorecard's results file is
 /// its checks, while every other experiment's bands follow a table it saved
 /// under its own name.
-pub fn save(name: &str, checks: &[Check]) {
+pub(crate) fn save(name: &str, checks: &[Check]) {
     judge(name, checks).0.save();
 }

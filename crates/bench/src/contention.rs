@@ -12,9 +12,9 @@
 //! fraction of queries the scheduler landed on the device, and the
 //! session counters.
 //!
-//! Two bands gate the 4-tenant tier: [`SPEEDUP_4T`] (cross-tenant cache
+//! Two bands gate the 4-tenant tier: `SPEEDUP_4T` (cross-tenant cache
 //! sharing plus host/device overlap must beat the serial replay) and
-//! [`TAIL_4T`] (deficit round robin keeps long queries from starving short
+//! `TAIL_4T` (deficit round robin keeps long queries from starving short
 //! ones).
 //!
 //! Byte-identity between the concurrent and serial results of every
@@ -32,17 +32,21 @@ use crate::util::{Config, Report};
 
 /// Simulated makespan of the serial per-tenant replay over the concurrent
 /// one, four tenants.
-pub const SPEEDUP_4T: Band = Band::new(
+pub(crate) const SPEEDUP_4T: Band = Band::new(
     "4-tenant concurrent/serial throughput",
     1.5,
     1.5..=f64::INFINITY,
 );
 /// p99 over p50 latency of the four concurrent tenants.
-pub const TAIL_4T: Band = Band::new("4-tenant p99/p50 latency", 1.0, 1.0..=8.0);
+pub(crate) const TAIL_4T: Band = Band::new("4-tenant p99/p50 latency", 1.0, 1.0..=8.0);
 
 /// One contention tier: serve `tenants` streams concurrently and
 /// serially, assert per-tenant byte-identity, return both reports.
-pub fn run_tier(d: &SsbData, tenants: usize, per_tenant: usize) -> (ServeReport, ServeReport) {
+pub(crate) fn run_tier(
+    d: &SsbData,
+    tenants: usize,
+    per_tenant: usize,
+) -> (ServeReport, ServeReport) {
     let cpu = intel_i7_6900();
     let pcie = pcie_gen3();
     let streams = tenant_streams(d, tenants, per_tenant, STREAM_SEED);
@@ -73,7 +77,7 @@ pub fn run_tier(d: &SsbData, tenants: usize, per_tenant: usize) -> (ServeReport,
 
 /// The two bands of a [`run_tier`] (gated for four tenants): serial over
 /// concurrent makespan, and p99 over p50 latency.
-pub fn checks((conc, serial): &(ServeReport, ServeReport)) -> Vec<Check> {
+pub(crate) fn checks((conc, serial): &(ServeReport, ServeReport)) -> Vec<Check> {
     let p50 = conc.latency_percentile(50.0);
     vec![
         SPEEDUP_4T.check(serial.makespan_secs / conc.makespan_secs.max(1e-30)),

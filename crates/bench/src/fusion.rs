@@ -11,11 +11,11 @@
 //! difference is pure execution style, not residency. Three claims are
 //! gated:
 //!
-//! * **HBM read shrink** ([`Q11_HBM_READ_SHRINK`]) — the per-operator path
+//! * **HBM read shrink** (`Q11_HBM_READ_SHRINK`) — the per-operator path
 //!   re-reads its flag array and every full column per stage, while the
 //!   fused tile loads later columns selectively and never writes a
 //!   selection vector to HBM.
-//! * **One launch per query** ([`FUSED_LAUNCHES`]) — the warm fused pass of
+//! * **One launch per query** (`FUSED_LAUNCHES`) — the warm fused pass of
 //!   every one of the 13 canned plans, counted by the device's cumulative
 //!   [`crystal_gpu_sim::ExecStats`].
 //! * **Byte-identity** — fused and unfused results are asserted equal to
@@ -32,18 +32,18 @@ use crate::util::{Config, Report};
 
 /// q1.1's unfused over fused HBM reads (the PR 3 ~2.3x packed-read shrink
 /// set the pattern; fusion typically lands well above 2x here).
-pub const Q11_HBM_READ_SHRINK: Band = Band::new(
+pub(crate) const Q11_HBM_READ_SHRINK: Band = Band::new(
     "fused q1.1 HBM read shrink (>= 1.8x)",
     2.0,
     1.8..=f64::INFINITY,
 );
 /// The most kernel launches any canned plan's warm fused pass took.
-pub const FUSED_LAUNCHES: Band =
+pub(crate) const FUSED_LAUNCHES: Band =
     Band::new("fused launches per plan (13 plans, == 1)", 1.0, 1.0..=1.0);
 
 /// One query's fused-vs-unfused differential measurement.
 #[derive(Debug, Clone)]
-pub struct FusionMeasurement {
+pub(crate) struct FusionMeasurement {
     pub query: String,
     /// Device counters of the warm fused pass.
     pub fused: ExecStats,
@@ -53,7 +53,7 @@ pub struct FusionMeasurement {
 
 impl FusionMeasurement {
     /// Unfused over fused HBM reads.
-    pub fn read_shrink(&self) -> f64 {
+    pub(crate) fn read_shrink(&self) -> f64 {
         self.unfused.hbm_read_bytes as f64 / self.fused.hbm_read_bytes.max(1) as f64
     }
 }
@@ -61,7 +61,7 @@ impl FusionMeasurement {
 /// Runs every canned query on both GPU paths through one warm session
 /// (the oracle is asserted inside [`replay_engines`]) and returns the
 /// per-query device counters of the two measured passes.
-pub fn measure_fusion(d: &SsbData) -> Vec<FusionMeasurement> {
+pub(crate) fn measure_fusion(d: &SsbData) -> Vec<FusionMeasurement> {
     let queries = all_queries(d);
     // Per query: a cold fused pass uploads the columns and memoizes the
     // dimension tables both paths share, so the two measured passes after
@@ -86,7 +86,7 @@ pub fn measure_fusion(d: &SsbData) -> Vec<FusionMeasurement> {
 }
 
 /// The two bands of a [`measure_fusion`].
-pub fn checks(measurements: &[FusionMeasurement]) -> Vec<Check> {
+pub(crate) fn checks(measurements: &[FusionMeasurement]) -> Vec<Check> {
     let q11 = measurements.iter().find(|m| m.query == "q1.1");
     let launches = measurements.iter().map(|m| m.fused.launches).max();
     vec![

@@ -16,7 +16,7 @@
 //! decode → branch-free bitmap → `trailing_zeros` compaction) over a
 //! packed column against the same scan over the same values stored
 //! plain, at each width and selectivity; every width ≤ 25 must stay within
-//! [`PACKED_SCAN_MULTIPLE`] of the plain scan (the paper's premise — a
+//! `PACKED_SCAN_MULTIPLE` of the plain scan (the paper's premise — a
 //! well-written CPU scan is bandwidth-bound, so fewer bytes must not be
 //! slower).
 //!
@@ -50,7 +50,7 @@
 //! straight into its slots, so the lookup build is its byte model: both in
 //! ns per dimension row over SF-20's `part` and `customer` at pass rates
 //! 1/25, 1/5 and 2/5, and `--smoke` gates, relatively only, the scan within
-//! [`DIM_SCAN_MULTIPLE`] of the lookup build at every one. The simulated
+//! `DIM_SCAN_MULTIPLE` of the lookup build at every one. The simulated
 //! `hash_build` kernel is timed in host ns per insert into a perfect table
 //! of `part`'s size, one key in five present, with the keys ascending (as
 //! dimension keys arrive: most inserts repeat the line of slots the last one
@@ -68,11 +68,11 @@
 //! one [`BlockCtx::gather`](crystal_gpu_sim::exec::BlockCtx::gather) per
 //! slot over the same addresses (the "chunked" column), once with the
 //! table inside the modelled 6 MB L2 and once far outside it. `--smoke`
-//! gates the in-L2 multiple ([`SIM_GATHER_MULTIPLE`]). The whole warm
+//! gates the in-L2 multiple (`SIM_GATHER_MULTIPLE`). The whole warm
 //! fused star kernel (q2.1 and q4.1, plain, SF-20 dimensions) is timed
 //! against as many in-L2 gathers as it has fact rows: host ns per fact row
 //! as `sim_fused_ns_per_row` in the headline, and `--smoke` gates the
-//! multiple ([`SIM_FUSED_GATHERS`]).
+//! multiple (`SIM_FUSED_GATHERS`).
 
 use std::hint::black_box;
 
@@ -101,7 +101,7 @@ use crate::util::{paired, ratio, time_median, Config, Report};
 /// 2.1 GHz Xeon (10–14x with the scalar compare loops it replaced). The
 /// list-based model before those measured 46–48x there, so the limit sits
 /// between the two.
-pub const SIM_GATHER_MULTIPLE: Band =
+pub(crate) const SIM_GATHER_MULTIPLE: Band =
     Band::new("simulated in-L2 gather, in plain reads", 7.0, 0.0..=25.0);
 
 /// Plain scans of the same values one packed scan costs at widths ≤ 25
@@ -109,11 +109,11 @@ pub const SIM_GATHER_MULTIPLE: Band =
 /// worst width). The packed side pays its decode on top of fewer bytes:
 /// measured 0.9–1.3x with the AVX-512 and AVX2 decode engines on a 2-core
 /// 2.1 GHz Xeon, 3–4x with the value-at-a-time window loop they replaced.
-pub const PACKED_SCAN_MULTIPLE: Band =
+pub(crate) const PACKED_SCAN_MULTIPLE: Band =
     Band::new("packed scan (width <= 25), in plain scans", 1.1, 0.0..=1.5);
 
 /// Over a cache-resident (128 KB) bitmap, contiguous-fed over gather-fed.
-pub const SEMIJOIN_ORDER: Band = Band::new(
+pub(crate) const SEMIJOIN_ORDER: Band = Band::new(
     "semi-join: contiguous >= gather-fed",
     1.0,
     1.0..=f64::INFINITY,
@@ -125,7 +125,7 @@ pub const SEMIJOIN_ORDER: Band = Band::new(
 /// measured 0.9–1.1x with the chunked, branch-free compaction on a 2-core
 /// 2.1 GHz Xeon, 1.3x (1 row in 25 passing) to 4.5x (2 in 5) with the two
 /// growing `Vec`s behind a data-dependent branch it replaced.
-pub const DIM_SCAN_MULTIPLE: Band =
+pub(crate) const DIM_SCAN_MULTIPLE: Band =
     Band::new("DimBuild::scan, in DimLookup::builds", 1.0, 0.0..=1.5);
 
 /// Simulated in-L2 gathers one fact row of the warm fused star kernel costs
@@ -136,7 +136,7 @@ pub const DIM_SCAN_MULTIPLE: Band =
 /// on a loaded 2-core 2.1 GHz Xeon, where the walk over every lane of every
 /// stage it replaced measured 4.8–5.7 in the same hours. The limit leaves
 /// the first the room of a loaded host and sits below the second's median.
-pub const SIM_FUSED_GATHERS: Band = Band::new(
+pub(crate) const SIM_FUSED_GATHERS: Band = Band::new(
     "fused star kernel per fact row, in simulated gathers",
     3.0,
     0.0..=5.0,

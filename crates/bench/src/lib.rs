@@ -8,7 +8,7 @@
 //! band, for the six `--smoke` gates, the scorecard (the paper-model claims
 //! plus the sharded, fusion and overlap experiments' own checks at its
 //! pinned scale), their unit tests and CI alike. Underneath, every SSB
-//! query stream runs through one [`stream::replay`]: an experiment is a
+//! query stream runs through one `stream::replay`: an experiment is a
 //! dataset scale, a query set, a session policy, the columns it derives
 //! and the bands on them.
 //!

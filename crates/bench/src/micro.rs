@@ -57,7 +57,7 @@ pub fn fig9(cfg: &Config, _smoke: bool) -> Vec<Check> {
 /// `SELECT y WHERE y > v` over `data` on a fresh device: Crystal's single
 /// tile-based kernel, and the three kernels of the independent-threads
 /// approach.
-pub fn tile_kernels(data: &[i32], v: i32) -> (KernelReport, Vec<KernelReport>) {
+pub(crate) fn tile_kernels(data: &[i32], v: i32) -> (KernelReport, Vec<KernelReport>) {
     let mut gpu = Gpu::new(nvidia_v100());
     let col = gpu.alloc_from(data);
     let cfg = LaunchConfig::default_for_items(data.len());

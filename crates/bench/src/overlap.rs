@@ -9,12 +9,12 @@
 //! run actually produced, with uploads streaming on the DMA queue while
 //! kernels run on the compute queue. Two effects are measured and gated:
 //!
-//! * **Cold chunked upload** ([`COLD_SPEEDUP`]) — a cold unsharded q1.1 on
+//! * **Cold chunked upload** (`COLD_SPEEDUP`) — a cold unsharded q1.1 on
 //!   the stream clocks against serial charging: the consumer kernel starts
 //!   once the first 16 KiB chunk lands and queued copies stream
 //!   back-to-back at line rate instead of paying per-copy latency on the
 //!   makespan.
-//! * **Shard double-buffering** ([`HIDDEN_FRAC`]) — an 8-shard cold replay
+//! * **Shard double-buffering** (`HIDDEN_FRAC`) — an 8-shard cold replay
 //!   of a no-date-filter query (every shard live) prefetches shard *k+1*
 //!   while shard *k*'s kernels run; most of the non-first-shard transfer
 //!   time must disappear from the makespan.
@@ -42,14 +42,15 @@ use crate::util::{Config, Report};
 
 /// Cold q1.1's serial (latency-inclusive, no-overlap) charge over its
 /// stream-clock makespan.
-pub const COLD_SPEEDUP: Band = Band::new(
+pub(crate) const COLD_SPEEDUP: Band = Band::new(
     "cold q1.1 overlap speedup (>= 1.4x)",
     2.0,
     1.4..=f64::INFINITY,
 );
 /// Fraction of q2.1's non-first-shard transfer time the double-buffered
 /// sharded replay hides behind kernels.
-pub const HIDDEN_FRAC: Band = Band::new("sharded prefetch hides transfer (>= 70%)", 1.0, 0.7..=1.0);
+pub(crate) const HIDDEN_FRAC: Band =
+    Band::new("sharded prefetch hides transfer (>= 70%)", 1.0, 0.7..=1.0);
 
 /// The pre-stream serial charge: every upload at its full
 /// latency-inclusive cost plus every kernel, back to back.
@@ -65,7 +66,7 @@ fn speedup(run: &QueryProfile) -> f64 {
 
 /// Outcome of one cold double-buffered sharded replay.
 #[derive(Debug, Clone)]
-pub struct ShardedOverlap {
+pub(crate) struct ShardedOverlap {
     /// The query, [`cold`].
     pub run: QueryProfile,
     /// Live shards after pruning.
@@ -81,7 +82,7 @@ pub struct ShardedOverlap {
 /// non-first-shard transfer the prefetch hid. The first
 /// shard's upload can never be hidden (nothing runs yet), so the band
 /// is on everything after it.
-pub fn cold_sharded(table: &FactTable<'_>, q: &StarQuery) -> ShardedOverlap {
+pub(crate) fn cold_sharded(table: &FactTable<'_>, q: &StarQuery) -> ShardedOverlap {
     let pcie = pcie_gen3();
     let run = cold(table, q);
     let live = table.live(q);
@@ -107,7 +108,7 @@ pub fn cold_sharded(table: &FactTable<'_>, q: &StarQuery) -> ShardedOverlap {
 /// What the two bands read: q1.1 cold over `d`'s plain table, and q2.1 cold
 /// over its shards `pf` (it carries no date predicate, so every shard stays
 /// live and the prefetcher has all but the first to hide).
-pub fn measure(d: &SsbData, pf: &PartitionedFact) -> (QueryProfile, ShardedOverlap) {
+pub(crate) fn measure(d: &SsbData, pf: &PartitionedFact) -> (QueryProfile, ShardedOverlap) {
     let q11 = cold(&FactTable::plain(d), &query(d, QueryId::new(1, 1)));
     let q21 = cold_sharded(&FactTable::sharded(d, pf), &query(d, QueryId::new(2, 1)));
     let shards = pf.shard_count();
@@ -116,7 +117,7 @@ pub fn measure(d: &SsbData, pf: &PartitionedFact) -> (QueryProfile, ShardedOverl
 }
 
 /// The two bands of a [`measure`].
-pub fn checks((q11, q21): &(QueryProfile, ShardedOverlap)) -> Vec<Check> {
+pub(crate) fn checks((q11, q21): &(QueryProfile, ShardedOverlap)) -> Vec<Check> {
     vec![
         COLD_SPEEDUP.check(speedup(q11)),
         HIDDEN_FRAC.check(q21.hidden_frac),

@@ -7,13 +7,13 @@
 //!
 //! * **Partition pruning** — every SSB query runs through the sharded
 //!   host executor; date-filtered queries must scan strictly fewer rows
-//!   than the table holds ([`Q11_SCAN_FRAC`]: a one-year predicate over
+//!   than the table holds (`Q11_SCAN_FRAC`: a one-year predicate over
 //!   seven years of data keeps roughly an eighth of 8 shards live, up to
 //!   two where shard boundaries straddle year edges).
 //! * **Eviction-heavy sharded replay** — the pinned query stream replays
 //!   on the device through one shared session whose budget is *half* the
 //!   sharded working set, so GreedyDual-Size must rotate shards in and
-//!   out ([`REPLAY_EVICTS`]). Every replayed result is asserted
+//!   out (`REPLAY_EVICTS`). Every replayed result is asserted
 //!   byte-identical to the reference oracle — eviction pressure and
 //!   shard-at-a-time merging must not change a single aggregate value.
 
@@ -27,20 +27,20 @@ use crate::stream::{pinned_stream, replay, Replay, Sessions, STREAM_SEED};
 use crate::util::{Config, Report};
 
 /// Shards the experiment partitions the fact table into.
-pub const SHARDS: usize = 8;
+pub(crate) const SHARDS: usize = 8;
 
 /// q1.1's scanned-row fraction under [`SHARDS`] shards.
-pub const Q11_SCAN_FRAC: Band =
+pub(crate) const Q11_SCAN_FRAC: Band =
     Band::new("sharded q1.1 scan fraction (8 shards)", 0.14, 0.05..=0.6);
 /// Whether the replay under half the sharded working set evicted at all.
-pub const REPLAY_EVICTS: Band = Band::new(
+pub(crate) const REPLAY_EVICTS: Band = Band::new(
     "starved sharded replay evicts, byte-identical",
     1.0,
     1.0..=1.0,
 );
 
 /// What the two bands read: q1.1's pruned scan and the starved replay.
-pub struct Measured {
+pub(crate) struct Measured {
     /// [`pruned_fraction`] of q1.1.
     pub q11_scan_frac: f64,
     /// Device cache budget of the replay: half the sharded table's bytes.
@@ -50,7 +50,7 @@ pub struct Measured {
 }
 
 /// Measures `pf` (a partition of `d`) for the two bands.
-pub fn measure(
+pub(crate) fn measure(
     d: &SsbData,
     pf: &PartitionedFact,
     stream: &[StarQuery],
@@ -72,7 +72,7 @@ pub fn measure(
 }
 
 impl Measured {
-    pub fn checks(&self) -> Vec<Check> {
+    pub(crate) fn checks(&self) -> Vec<Check> {
         vec![
             Q11_SCAN_FRAC.check(self.q11_scan_frac),
             REPLAY_EVICTS.check_flag(self.replay.session.evictions > 0),
@@ -82,7 +82,12 @@ impl Measured {
 
 /// Scanned-row fraction of one query under pruning (host sharded path),
 /// with the result asserted byte-identical to the unsharded executor.
-pub fn pruned_fraction(d: &SsbData, pf: &PartitionedFact, q: &StarQuery, threads: usize) -> f64 {
+pub(crate) fn pruned_fraction(
+    d: &SsbData,
+    pf: &PartitionedFact,
+    q: &StarQuery,
+    threads: usize,
+) -> f64 {
     let (plain, sharded) = (FactTable::plain(d), FactTable::sharded(d, pf));
     let (expected, expected_trace) = exec::execute(&plain, q, threads, PipelineMode::Vectorized);
     let (got, trace) = exec::execute(&sharded, q, threads, PipelineMode::Vectorized);

@@ -1,9 +1,9 @@
 //! Query streams and the one replay every experiment runs them through.
 //!
-//! [`replay`] drives a list of [`StarQuery`]s over one [`FactTable`] through
-//! the coprocessor engine under a session policy — [`Sessions::FreshPerQuery`]
+//! `replay` drives a list of [`StarQuery`]s over one [`FactTable`] through
+//! the coprocessor engine under a session policy — `Sessions::FreshPerQuery`
 //! (every query re-ships its fact columns and rebuilds its dimension tables:
-//! the paper's transfer-included coprocessor model) or [`Sessions::Shared`]
+//! the paper's transfer-included coprocessor model) or `Sessions::Shared`
 //! (columns upload once, hash tables build once, repeats hit the cache: the
 //! paper's *data-resident* regime, optionally under a byte budget) — checks
 //! every result against the reference oracle as it streams, and returns what
@@ -35,7 +35,7 @@ pub const STREAM_SEED: u64 = 20_260_730;
 
 /// Which device sessions a replay's queries run through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sessions {
+pub(crate) enum Sessions {
     /// A fresh session on an L2-cold device for every query.
     FreshPerQuery,
     /// One session across the replay, its cache capped at the given bytes
@@ -45,7 +45,7 @@ pub enum Sessions {
 
 /// Which device engine runs a replayed query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
+pub(crate) enum Engine {
     /// [`gpu::execute`]: the fused tile-at-a-time megakernel.
     Fused,
     /// [`omnisci::execute`]: a kernel per operator (plain tables only).
@@ -54,7 +54,7 @@ pub enum Engine {
 
 /// Outcome of one [`replay`].
 #[derive(Debug, Clone)]
-pub struct Replay {
+pub(crate) struct Replay {
     /// What each query cost, in stream order: the device run's profile
     /// (`host_fallback` when its working set stopped fitting the budget and
     /// the host pipeline answered instead), with the residency-aware
@@ -67,12 +67,12 @@ pub struct Replay {
 
 impl Replay {
     /// Total coprocessor-model seconds charged across the stream.
-    pub fn charged_secs(&self) -> f64 {
+    pub(crate) fn charged_secs(&self) -> f64 {
         self.runs.iter().map(|r| r.time.overlapped).sum()
     }
 
     /// Host-to-device bytes shipped across the stream.
-    pub fn shipped_bytes(&self) -> usize {
+    pub(crate) fn shipped_bytes(&self) -> usize {
         self.runs.iter().map(|r| r.shipped_bytes).sum()
     }
 }
@@ -80,7 +80,7 @@ impl Replay {
 /// A deterministic random query stream: `unique` distinct shapes repeated
 /// for `passes` passes (repeats are what a cache can win on; distinct
 /// shapes are what keeps the sweep honest).
-pub fn pinned_stream(d: &SsbData, unique: usize, passes: usize) -> Vec<StarQuery> {
+pub(crate) fn pinned_stream(d: &SsbData, unique: usize, passes: usize) -> Vec<StarQuery> {
     let shapes = shape_catalogue(d, unique);
     let mut stream = Vec::with_capacity(unique * passes);
     for _ in 0..passes {
@@ -93,7 +93,7 @@ pub fn pinned_stream(d: &SsbData, unique: usize, passes: usize) -> Vec<StarQuery
 /// first `unique` seeded shapes of the pinned stream (the same shapes
 /// [`pinned_stream`] replays, so single-stream and multi-tenant
 /// experiments exercise one catalogue).
-pub fn shape_catalogue(d: &SsbData, unique: usize) -> Vec<StarQuery> {
+pub(crate) fn shape_catalogue(d: &SsbData, unique: usize) -> Vec<StarQuery> {
     (0..unique as u64)
         .map(|i| random_star_query(d, STREAM_SEED.wrapping_add(i)))
         .collect()
@@ -143,7 +143,7 @@ pub fn tenant_streams(
 }
 
 /// [`replay_engines`] with every query on the fused engine.
-pub fn replay(
+pub(crate) fn replay(
     table: &FactTable<'_>,
     queries: &[StarQuery],
     sessions: Sessions,
@@ -155,7 +155,7 @@ pub fn replay(
 
 /// `q` alone and cold: on a fresh device — both stream clocks at zero, so
 /// the makespan is its own — that is not short of memory.
-pub fn cold(table: &FactTable<'_>, q: &StarQuery) -> QueryProfile {
+pub(crate) fn cold(table: &FactTable<'_>, q: &StarQuery) -> QueryProfile {
     let one = std::slice::from_ref(q);
     let mut runs = replay(table, one, Sessions::FreshPerQuery, &table2_profile()).runs;
     let run = runs.pop().expect("one query, one run");
@@ -164,7 +164,7 @@ pub fn cold(table: &FactTable<'_>, q: &StarQuery) -> QueryProfile {
 }
 
 /// Whether the placement asked for `run` routed it to the coprocessor.
-pub fn placed_on_device(run: &QueryProfile) -> bool {
+pub(crate) fn placed_on_device(run: &QueryProfile) -> bool {
     run.decision().map(|d| d.placement) == Some(Placement::Coprocessor)
 }
 
@@ -173,7 +173,7 @@ pub fn placed_on_device(run: &QueryProfile) -> bool {
 /// longer fits a budgeted session falls back to the host pipeline —
 /// correctness never depends on the budget. The only place the harness
 /// opens a [`DeviceSession`] for a query stream.
-pub fn replay_engines<'q>(
+pub(crate) fn replay_engines<'q>(
     table: &FactTable<'_>,
     steps: impl IntoIterator<Item = (Engine, &'q StarQuery)>,
     sessions: Sessions,

@@ -41,7 +41,7 @@ impl std::error::Error for EnvError {}
 
 /// The value of the knob called `name`: `default` when `raw` (the
 /// variable's text, if set) is `None`, its parse otherwise.
-pub fn parse_var<T: std::str::FromStr>(
+pub(crate) fn parse_var<T: std::str::FromStr>(
     name: &str,
     raw: Option<&str>,
     default: T,
@@ -54,7 +54,7 @@ pub fn parse_var<T: std::str::FromStr>(
     })
 }
 
-/// [`parse_var`] over the process environment.
+/// `parse_var` over the process environment.
 pub fn env_var<T: std::str::FromStr>(name: &str, default: T) -> Result<T, EnvError> {
     parse_var(name, std::env::var(name).ok().as_deref(), default)
 }
@@ -67,7 +67,7 @@ impl Config {
     /// The configuration `var` (a variable's text, if set) describes; a
     /// value that parses but that no experiment can run with is an error
     /// like one that does not.
-    pub fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, EnvError> {
+    pub(crate) fn from_vars(var: impl Fn(&str) -> Option<String>) -> Result<Self, EnvError> {
         fn knob<T: std::str::FromStr>(
             var: &impl Fn(&str) -> Option<String>,
             name: &str,
@@ -92,26 +92,26 @@ impl Config {
     }
 
     /// Host-executed microbenchmark size.
-    pub fn micro_n(&self) -> usize {
+    pub(crate) fn micro_n(&self) -> usize {
         1usize << self.micro_log2n
     }
 
     /// The paper's microbenchmark size (2^28 4-byte entries; see
     /// EXPERIMENTS.md on the 2^29-vs-2^28 discrepancy in the paper text).
-    pub const PAPER_LOG2N: u32 = 28;
+    pub(crate) const PAPER_LOG2N: u32 = 28;
 
-    pub fn paper_n(&self) -> usize {
+    pub(crate) fn paper_n(&self) -> usize {
         1usize << Self::PAPER_LOG2N
     }
 
     /// Multiplier from host-run sizes to paper sizes.
-    pub fn scale_to_paper(&self) -> f64 {
+    pub(crate) fn scale_to_paper(&self) -> f64 {
         self.paper_n() as f64 / self.micro_n() as f64
     }
 }
 
 /// Median wall-clock seconds of `reps` runs of `f`.
-pub fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
+pub(crate) fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     let mut times: Vec<f64> = (0..reps.max(1))
         .map(|_| {
             let t = Instant::now();
@@ -124,14 +124,14 @@ pub fn time_median<F: FnMut()>(reps: usize, mut f: F) -> f64 {
 }
 
 /// A printed table that also lands in `results/<name>.csv`.
-pub struct Report {
+pub(crate) struct Report {
     name: String,
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Report {
-    pub fn new(name: &str, headers: &[&str]) -> Self {
+    pub(crate) fn new(name: &str, headers: &[&str]) -> Self {
         Report {
             name: name.to_string(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -139,19 +139,19 @@ impl Report {
         }
     }
 
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "ragged report row");
         self.rows.push(cells);
     }
 
     /// Prints the aligned table and writes the CSV.
-    pub fn finish(self) {
+    pub(crate) fn finish(self) {
         self.print();
         self.save();
     }
 
     /// Prints the aligned table to stdout.
-    pub fn print(&self) {
+    pub(crate) fn print(&self) {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -173,7 +173,7 @@ impl Report {
     }
 
     /// Writes `results/<name>.csv` under the current directory.
-    pub fn save(&self) {
+    pub(crate) fn save(&self) {
         let path = format!("results/{}.csv", self.name);
         let written =
             std::fs::create_dir_all("results").and_then(|()| std::fs::write(path, self.csv()));
@@ -202,14 +202,14 @@ impl Report {
 }
 
 /// Milliseconds with 2 decimals.
-pub fn ms(secs: f64) -> String {
+pub(crate) fn ms(secs: f64) -> String {
     format!("{:.2}", secs * 1e3)
 }
 
 /// Section 3.1's cold comparison for `q` over a one-segment table: the PCIe
 /// transfer of its columns as stored against the host's scan of them,
 /// `(coprocessor_secs, host_secs)`.
-pub fn transfer_vs_host_scan(
+pub(crate) fn transfer_vs_host_scan(
     table: &crystal_ssb::FactTable<'_>,
     q: &crystal_ssb::StarQuery,
     cpu: &crystal_hardware::CpuSpec,
@@ -222,17 +222,17 @@ pub fn transfer_vs_host_scan(
 /// Scales a simulated kernel time from host-run size to paper size: the
 /// resource-bound part grows linearly with the data, the fixed launch
 /// overhead does not.
-pub fn scale_kernel(r: &crystal_gpu_sim::KernelReport, scale: f64) -> f64 {
+pub(crate) fn scale_kernel(r: &crystal_gpu_sim::KernelReport, scale: f64) -> f64 {
     r.time.bottleneck_secs() * scale + r.time.launch
 }
 
 /// Scales a multi-kernel operator.
-pub fn scale_kernels(rs: &[crystal_gpu_sim::KernelReport], scale: f64) -> f64 {
+pub(crate) fn scale_kernels(rs: &[crystal_gpu_sim::KernelReport], scale: f64) -> f64 {
     rs.iter().map(|r| scale_kernel(r, scale)).sum()
 }
 
 /// A ratio with 1 decimal.
-pub fn ratio(r: f64) -> String {
+pub(crate) fn ratio(r: f64) -> String {
     format!("{r:.1}x")
 }
 
@@ -246,7 +246,7 @@ pub fn ratio(r: f64) -> String {
 /// interference. Used by `reproduce microbench` for scalar-vs-chunked
 /// kernels and by `reproduce calibration` for the wall-clock
 /// observation section.
-pub fn paired(reps: usize, mut run: impl FnMut(bool)) -> (f64, f64, f64) {
+pub(crate) fn paired(reps: usize, mut run: impl FnMut(bool)) -> (f64, f64, f64) {
     let mut once = |candidate: bool| {
         let t = std::time::Instant::now();
         run(candidate);

@@ -38,38 +38,6 @@ pub fn column_sum_i64(gpu: &mut Gpu, col: &DeviceBuffer<i32>) -> (i64, KernelRep
     (total, report)
 }
 
-/// `SELECT MIN(col), MAX(col) FROM r`.
-pub fn column_min_max(
-    gpu: &mut Gpu,
-    col: &DeviceBuffer<i32>,
-) -> (Option<(i32, i32)>, KernelReport) {
-    let n = col.len();
-    let cfg = LaunchConfig::default_for_items(n);
-    let tile = cfg.tile();
-    let mut items: Tile<i32> = Tile::new(tile);
-    let mut acc: Option<(i32, i32)> = None;
-    let report = gpu.launch("column_min_max", cfg, |ctx| {
-        let (start, len) = ctx.tile_bounds(n);
-        if len == 0 {
-            return;
-        }
-        block_load(ctx, col, start, len, &mut items);
-        ctx.compute(2 * len);
-        ctx.shared(ctx.block_dim * 8);
-        ctx.sync();
-        let lo = items.as_slice().iter().copied().min();
-        let hi = items.as_slice().iter().copied().max();
-        if let (Some(lo), Some(hi)) = (lo, hi) {
-            ctx.atomic_same_addr(2);
-            acc = Some(match acc {
-                None => (lo, hi),
-                Some((a, b)) => (a.min(lo), b.max(hi)),
-            });
-        }
-    });
-    (acc, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,22 +63,5 @@ mod tests {
         assert_eq!(s, n as i64);
         assert_eq!(r.stats.global_read_bytes as usize, 4 * n);
         assert_eq!(r.stats.same_addr_atomics as usize, n / 512);
-    }
-
-    #[test]
-    fn min_max_matches_reference() {
-        let mut g = Gpu::new(nvidia_v100());
-        let data: Vec<i32> = vec![5, -3, 17, 9, -3, 0];
-        let col = g.alloc_from(&data);
-        let (mm, _) = column_min_max(&mut g, &col);
-        assert_eq!(mm, Some((-3, 17)));
-    }
-
-    #[test]
-    fn min_max_of_empty_column() {
-        let mut g = Gpu::new(nvidia_v100());
-        let col = g.alloc_from(&[] as &[i32]);
-        let (mm, _) = column_min_max(&mut g, &col);
-        assert_eq!(mm, None);
     }
 }

@@ -26,7 +26,7 @@ pub use agg::column_sum_i64;
 pub use join::hash_join_sum;
 pub use packed::{select_gt_packed, DevicePackedColumn};
 pub use project::{project_linear, project_sigmoid};
-pub use radix::{radix_histogram, radix_shuffle, RadixError, RadixOrder};
+pub use radix::{radix_histogram, RadixError, RadixOrder};
 pub use radix_join::radix_join_sum as gpu_radix_join_sum;
-pub use select::{independent_select_gt, select_gt, select_lt, select_where};
+pub use select::{independent_select_gt, select_gt, select_where};
 pub use sort::{lsb_radix_sort, msb_radix_sort};

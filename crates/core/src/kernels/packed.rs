@@ -52,21 +52,8 @@ impl DevicePackedColumn {
         PackedView::from_raw(self.words.as_slice(), self.bits, self.len)
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn bits(&self) -> u32 {
-        self.bits
-    }
-
-    /// Device bytes held by the packed words.
-    pub fn size_bytes(&self) -> usize {
-        self.words.size_bytes()
     }
 
     /// Frees the device memory.
@@ -177,29 +164,6 @@ pub fn select_gt_packed(
     (out, report)
 }
 
-/// Sum over a packed column (bandwidth-minimal aggregation).
-pub fn column_sum_packed(gpu: &mut Gpu, col: &DevicePackedColumn) -> (i64, KernelReport) {
-    let n = col.len();
-    let cfg = LaunchConfig::default_for_items(n);
-    let tile = cfg.tile();
-    let mut items: Tile<i32> = Tile::new(tile);
-    let mut total = 0i64;
-    let report = gpu.launch("sum_packed", cfg, |ctx| {
-        let (start, len) = ctx.tile_bounds(n);
-        if len == 0 {
-            return;
-        }
-        block_load_packed(ctx, col, start, len, &mut items);
-        let s: i64 = items.as_slice().iter().map(|&x| x as i64).sum();
-        ctx.compute(len);
-        ctx.shared(ctx.block_dim * 8);
-        ctx.sync();
-        ctx.atomic_same_addr(1);
-        total += s;
-    });
-    (total, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,15 +191,6 @@ mod tests {
         let (out, _) = select_gt_packed(&mut gpu, &dev, v);
         let expected: Vec<i32> = values.iter().copied().filter(|&y| y > v).collect();
         assert_eq!(out.as_slice(), &expected[..]);
-    }
-
-    #[test]
-    fn packed_sum_matches_plain_sum() {
-        let mut gpu = Gpu::new(nvidia_v100());
-        let (values, packed) = packed_column(10_000, 9);
-        let dev = DevicePackedColumn::upload(&mut gpu, &packed);
-        let (sum, _) = column_sum_packed(&mut gpu, &dev);
-        assert_eq!(sum, values.iter().map(|&v| v as i64).sum::<i64>());
     }
 
     #[test]
@@ -268,8 +223,6 @@ mod tests {
         let (out, _) = select_gt_packed(&mut gpu, &dev, 0);
         let expected: Vec<i32> = values.iter().copied().filter(|&y| y > 0).collect();
         assert_eq!(out.as_slice(), &expected[..]);
-        let (sum, _) = column_sum_packed(&mut gpu, &dev);
-        assert_eq!(sum, values.iter().map(|&v| v as i64).sum::<i64>());
 
         let constant = vec![9i32; n];
         let packed = PackedColumn::pack(&constant, 5).unwrap();
@@ -392,8 +345,8 @@ mod tests {
         let mut gpu = Gpu::new(nvidia_v100());
         let (_, packed) = packed_column(1 << 16, 8);
         let dev = DevicePackedColumn::upload(&mut gpu, &packed);
-        assert!(dev.size_bytes() <= (1 << 16) + 16);
-        assert_eq!(dev.bits(), 8);
+        assert!(gpu.mem_used() <= (1 << 16) + 16);
+        assert_eq!(dev.bits, 8);
         dev.free(&mut gpu);
         assert_eq!(gpu.mem_used(), 0);
     }

@@ -52,7 +52,7 @@ pub fn project_sigmoid(
 /// Generic two-column projection kernel: `out[i] = f(x1[i], x2[i])`.
 /// `sfu_per_item` accounts special-function-unit work (0 for arithmetic-only
 /// projections).
-pub fn project_map<F: Fn(f32, f32) -> f32>(
+pub(crate) fn project_map<F: Fn(f32, f32) -> f32>(
     gpu: &mut Gpu,
     x1: &DeviceBuffer<f32>,
     x2: &DeviceBuffer<f32>,

@@ -66,7 +66,7 @@ fn digit(key: u32, shift: u32, bits: u32) -> usize {
 /// The launch shape radix passes use: 4096-item tiles (256 threads x 16
 /// items), following Merrill & Grimshaw — large tiles amortize the
 /// per-block histogram/offset traffic that grows with `2^r`.
-pub fn radix_launch_config(n: usize) -> LaunchConfig {
+pub(crate) fn radix_launch_config(n: usize) -> LaunchConfig {
     let cfg = LaunchConfig::for_items(n, 256, 16);
     let tile = cfg.tile();
     cfg.with_shared_mem(tile * 4)
@@ -106,7 +106,7 @@ pub fn radix_histogram(
 /// per-digit write cursors such that partitioning is **stable** — digit `d`
 /// of block `b` starts at
 /// `sum(total of digits < d) + sum(hist[b'][d] for b' < b)`.
-pub fn histogram_prefix_offsets(
+pub(crate) fn histogram_prefix_offsets(
     gpu: &mut Gpu,
     hist: &DeviceBuffer<u32>,
     grid_dim: usize,
@@ -136,19 +136,19 @@ pub fn histogram_prefix_offsets(
 }
 
 /// A partitioned `(keys, values)` pair plus the kernels that produced it.
-pub type PartitionedPair = (DeviceBuffer<u32>, DeviceBuffer<u32>, KernelReport);
+pub(crate) type PartitionedPair = (DeviceBuffer<u32>, DeviceBuffer<u32>, KernelReport);
 
 /// A fully sorted or partitioned `(keys, values)` pair with all pass
 /// kernels.
-pub type SortedPair = (DeviceBuffer<u32>, DeviceBuffer<u32>, Vec<KernelReport>);
+pub(crate) type SortedPair = (DeviceBuffer<u32>, DeviceBuffer<u32>, Vec<KernelReport>);
 
 /// Data-shuffling phase: scatters `(key, value)` pairs to their partitions
-/// using the cursors from [`histogram_prefix_offsets`].
+/// using the cursors from `histogram_prefix_offsets`.
 ///
 /// Fails with [`RadixError`] if `bits` exceeds the per-pass budget of the
 /// requested [`RadixOrder`].
 #[allow(clippy::too_many_arguments)]
-pub fn radix_shuffle(
+pub(crate) fn radix_shuffle(
     gpu: &mut Gpu,
     keys: &DeviceBuffer<u32>,
     vals: &DeviceBuffer<u32>,

@@ -31,20 +31,6 @@ pub fn select_gt(
     )
 }
 
-/// `SELECT y FROM r WHERE y < v` with the paper's default tile shape.
-pub fn select_lt(
-    gpu: &mut Gpu,
-    col: &DeviceBuffer<i32>,
-    v: i32,
-) -> (DeviceBuffer<i32>, KernelReport) {
-    select_where(
-        gpu,
-        col,
-        LaunchConfig::default_for_items(col.len()),
-        move |y| y < v,
-    )
-}
-
 /// General selection scan: one Crystal kernel, arbitrary predicate and
 /// launch shape (the Figure 9 sweep varies `cfg`).
 ///
@@ -243,7 +229,8 @@ mod tests {
         let mut g = gpu();
         let data = pseudo_random(1000); // not a multiple of the 512 tile
         let col = g.alloc_from(&data);
-        let (out, _) = select_lt(&mut g, &col, 0);
+        let cfg = LaunchConfig::default_for_items(data.len());
+        let (out, _) = select_where(&mut g, &col, cfg, |y| y < 0);
         let expected: Vec<i32> = data.iter().copied().filter(|&y| y < 0).collect();
         assert_eq!(out.as_slice(), &expected[..]);
     }

@@ -19,10 +19,10 @@ use super::radix::{radix_partition_pass, RadixError, RadixOrder, SortedPair};
 
 /// LSB pass plan for 32-bit keys under the stable 7-bit cap: the paper's
 /// "5 radix partitioning passes processing 6,6,6,7,7 bits each".
-pub const LSB_PASS_BITS: [u32; 5] = [6, 6, 6, 7, 7];
+pub(crate) const LSB_PASS_BITS: [u32; 5] = [6, 6, 6, 7, 7];
 
 /// MSB pass plan: 4 passes of 8 bits, most significant first.
-pub const MSB_PASS_BITS: [u32; 4] = [8, 8, 8, 8];
+pub(crate) const MSB_PASS_BITS: [u32; 4] = [8, 8, 8, 8];
 
 /// Sorts `(keys, vals)` by key with stable LSB radix sort. Returns the
 /// sorted buffers and all kernel reports (3 per pass).
@@ -53,7 +53,7 @@ pub fn lsb_radix_sort(
 /// instead of further partitioning (as Stehle & Jacobsen's implementation
 /// hands small buckets to a shared-memory sorting network). Such segments
 /// are read and written once, coalesced, and never touched again.
-pub const MSB_LOCAL_SORT_THRESHOLD: usize = 32;
+pub(crate) const MSB_LOCAL_SORT_THRESHOLD: usize = 32;
 
 /// Sorts `(keys, vals)` by key with MSB radix sort: each level partitions
 /// every *active* segment by the next 8 most-significant bits (one pass over

@@ -20,7 +20,7 @@
 //! | `BlockScan` | [`primitives::block_scan`] |
 //! | `BlockShuffle` | [`primitives::block_shuffle`] |
 //! | `BlockLookup` | [`primitives::block_lookup`], the bitmap adapter of the lane-list [`hash::DeviceHashTable::probe_tile`] |
-//! | `BlockAggregate` | [`primitives::block_agg_sum`] and friends |
+//! | `BlockAggregate` | [`primitives::block_agg_sum`] |
 //!
 //! [`kernels`] composes them into the operators the paper evaluates in
 //! Section 4 (select, project, hash join, radix partitioning and sort) plus

@@ -81,7 +81,8 @@ pub fn block_load_sel<T: Copy + Default>(
 }
 
 /// BlockStore: copies a tile to global memory at `offset` (coalesced; the
-/// shuffle step guarantees the tile is contiguous).
+/// shuffle step guarantees the tile is contiguous). Table 1; the last step
+/// of the Figure 4(b) selection kernel.
 #[inline]
 pub fn block_store<T: Copy + Default>(
     ctx: &mut BlockCtx<'_>,
@@ -208,42 +209,17 @@ pub fn block_lookup(
 
 /// BlockAggregate (SUM): hierarchical block-wide reduction of a tile to one
 /// value (per-thread partials in registers, then a shared-memory tree).
+/// Table 1; the block partial of the column sum and of the Figure 13 join
+/// probe's `SUM`.
 #[inline]
 pub fn block_agg_sum(ctx: &mut BlockCtx<'_>, tile: &Tile<i64>) -> i64 {
     let s = tile.as_slice().iter().sum();
-    account_reduction(ctx, tile.len(), 8);
-    s
-}
-
-/// BlockAggregate (SUM) over f64 values.
-#[inline]
-pub fn block_agg_sum_f64(ctx: &mut BlockCtx<'_>, tile: &Tile<f64>) -> f64 {
-    let s = tile.as_slice().iter().sum();
-    account_reduction(ctx, tile.len(), 8);
-    s
-}
-
-/// BlockAggregate (MIN).
-#[inline]
-pub fn block_agg_min(ctx: &mut BlockCtx<'_>, tile: &Tile<i64>) -> Option<i64> {
-    account_reduction(ctx, tile.len(), 8);
-    tile.as_slice().iter().copied().min()
-}
-
-/// BlockAggregate (MAX).
-#[inline]
-pub fn block_agg_max(ctx: &mut BlockCtx<'_>, tile: &Tile<i64>) -> Option<i64> {
-    account_reduction(ctx, tile.len(), 8);
-    tile.as_slice().iter().copied().max()
-}
-
-#[inline]
-fn account_reduction(ctx: &mut BlockCtx<'_>, len: usize, elem: usize) {
-    ctx.compute(len);
+    ctx.compute(tile.len());
     // Tree reduction across the block: one shared-memory round of one value
     // per thread.
-    ctx.shared(ctx.block_dim * elem);
+    ctx.shared(ctx.block_dim * 8);
     ctx.sync();
+    s
 }
 
 #[cfg(test)]
@@ -468,8 +444,6 @@ mod tests {
                 tile.push(v);
             }
             assert_eq!(block_agg_sum(ctx, &tile), 11);
-            assert_eq!(block_agg_min(ctx, &tile), Some(-1));
-            assert_eq!(block_agg_max(ctx, &tile), Some(7));
         });
     }
 

@@ -12,7 +12,7 @@
 //!
 //! A *lane list* names the live lanes of a tile in ascending order, one
 //! `u16` each, so a fused pipeline's later stages walk only the rows still
-//! alive ([`bitmap_lanes`] makes one, [`retain_lanes`] narrows it).
+//! alive ([`bitmap_lanes`] makes one, `retain_lanes` narrows it).
 
 /// Lists the set lanes of `bitmap` in `lanes`, in ascending order.
 ///
@@ -34,7 +34,7 @@ pub fn bitmap_lanes(bitmap: &Tile<bool>, lanes: &mut Vec<u16>) {
 /// Keeps the lanes `keep` accepts, in order, compacting the list in place
 /// without a branch on the outcome (each lane is written, then judged).
 #[inline]
-pub fn retain_lanes(lanes: &mut Vec<u16>, mut keep: impl FnMut(usize) -> bool) {
+pub(crate) fn retain_lanes(lanes: &mut Vec<u16>, mut keep: impl FnMut(usize) -> bool) {
     let mut kept = 0;
     for read in 0..lanes.len() {
         let lane = lanes[read];
@@ -62,19 +62,14 @@ impl<T: Copy + Default> Tile<T> {
 
     /// Maximum items the tile can hold.
     #[inline]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.data.len()
     }
 
     /// Items currently valid.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Sets the number of valid items (items beyond the previous length keep
@@ -100,13 +95,13 @@ impl<T: Copy + Default> Tile<T> {
     /// Mutable access to the full backing storage (for primitives that write
     /// before setting the length).
     #[inline]
-    pub fn storage_mut(&mut self) -> &mut [T] {
+    pub(crate) fn storage_mut(&mut self) -> &mut [T] {
         &mut self.data
     }
 
     /// Size in bytes of the valid items.
     #[inline]
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.len * std::mem::size_of::<T>()
     }
 
@@ -147,7 +142,6 @@ pub(crate) mod tests {
         let t: Tile<i32> = Tile::new(512);
         assert_eq!(t.capacity(), 512);
         assert_eq!(t.len(), 0);
-        assert!(t.is_empty());
     }
 
     #[test]
@@ -167,7 +161,7 @@ pub(crate) mod tests {
         t.set_len(2);
         assert_eq!(t.as_slice(), &[1, 2]);
         t.clear();
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
     }
 
     #[test]

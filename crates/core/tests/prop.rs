@@ -58,6 +58,50 @@ proptest! {
         prop_assert_eq!(out.as_slice(), &expected[..]);
     }
 
+    /// Table 1 composed by hand the way Section 3.3 composes it: per tile,
+    /// `block_load` -> `block_pred` -> `block_scan` -> `block_shuffle` ->
+    /// `block_store` writes the matches contiguously at an offset reserved
+    /// with one atomic (Figure 4(b)), and `block_agg_sum` reduces them to
+    /// the block partial of a `SUM` (the q1.x aggregate).
+    #[test]
+    fn table1_primitives_compose_a_filtered_sum(
+        data in vec(-1000i32..1000, 0..3000),
+        v in -1000i32..1000,
+    ) {
+        let mut gpu = Gpu::new(nvidia_v100());
+        let col = gpu.alloc_from(&data);
+        let mut out = gpu.alloc_zeroed::<i32>(data.len());
+        let cfg = LaunchConfig::default_for_items(data.len());
+        let tile = cfg.tile();
+        let mut items: Tile<i32> = Tile::new(tile);
+        let mut bm: Tile<bool> = Tile::new(tile);
+        let mut idx: Tile<u32> = Tile::new(tile);
+        let mut matched: Tile<i32> = Tile::new(tile);
+        let mut wide: Tile<i64> = Tile::new(tile);
+        let (mut count, mut sum) = (0usize, 0i64);
+        gpu.launch("filtered_sum", cfg, |ctx| {
+            let (start, len) = ctx.tile_bounds(data.len());
+            if len == 0 {
+                return;
+            }
+            block_load(ctx, &col, start, len, &mut items);
+            block_pred(ctx, &items, |y| y > v, &mut bm);
+            let hits = block_scan(ctx, &bm, &mut idx);
+            block_shuffle(ctx, &items, &bm, &idx, &mut matched);
+            ctx.atomic_same_addr(1);
+            block_store(ctx, &matched, &mut out, count);
+            count += hits;
+            wide.clear();
+            for &y in matched.as_slice() {
+                wide.push(i64::from(y));
+            }
+            sum += block_agg_sum(ctx, &wide);
+        });
+        let expected: Vec<i32> = data.iter().copied().filter(|&y| y > v).collect();
+        prop_assert_eq!(&out.as_slice()[..count], &expected[..]);
+        prop_assert_eq!(sum, expected.iter().map(|&y| i64::from(y)).sum::<i64>());
+    }
+
     /// BlockScan's exclusive prefix sum + total is consistent with the
     /// bitmap for any bitmap contents.
     #[test]

@@ -16,7 +16,7 @@ pub fn default_threads() -> usize {
 }
 
 /// Splits `0..n` into at most `threads` near-equal contiguous ranges.
-pub fn partition_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
+pub(crate) fn partition_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
     let threads = threads.max(1).min(n.max(1));
     let base = n / threads;
     let rem = n % threads;
@@ -80,11 +80,6 @@ impl MorselQueue {
         }
     }
 
-    /// Total rows the queue covers.
-    pub fn rows(&self) -> usize {
-        self.n
-    }
-
     /// Claims the next unprocessed morsel, or `None` when the input is
     /// exhausted. Each row of `0..n` is handed out exactly once across all
     /// claimants.
@@ -127,7 +122,7 @@ where
 /// atomic-cursor selection, radix scatter). Each use site documents why the
 /// regions are disjoint.
 #[derive(Clone, Copy)]
-pub struct SendPtr<T>(pub *mut T);
+pub(crate) struct SendPtr<T>(pub *mut T);
 
 // SAFETY: the one field is an address; sending it sends no `T`. Writing
 // through it moves `T`s to the writing thread, hence `T: Send`; the
@@ -145,7 +140,7 @@ impl<T> SendPtr<T> {
     /// `idx` must be in bounds of the allocation and no other thread may
     /// concurrently access the same index.
     #[inline]
-    pub unsafe fn write(&self, idx: usize, v: T) {
+    pub(crate) unsafe fn write(&self, idx: usize, v: T) {
         // SAFETY: the caller vouches that `idx` is in bounds and that no
         // other thread touches it.
         unsafe { self.0.add(idx).write(v) }
@@ -261,7 +256,6 @@ mod tests {
         assert_eq!(q.claim(), Some(8..10));
         assert_eq!(q.claim(), None);
         assert_eq!(q.claim(), None, "drained queue stays drained");
-        assert_eq!(q.rows(), 10);
     }
 
     #[test]

@@ -92,18 +92,13 @@ impl CpuHashTable {
     }
 
     /// Number of slots.
-    pub fn num_slots(&self) -> usize {
+    pub(crate) fn num_slots(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Table bytes (8 per slot) — the Figure 13 x-axis.
-    pub fn size_bytes(&self) -> usize {
-        self.slots.len() * 8
     }
 
     /// Scalar probe for one key.
     #[inline]
-    pub fn get(&self, key: i32) -> Option<i32> {
+    pub(crate) fn get(&self, key: i32) -> Option<i32> {
         let want = (key as u32).wrapping_add(1);
         let mut slot = (hash(key) & self.mask) as usize;
         loop {
@@ -215,7 +210,7 @@ pub fn probe_simd(ht: &CpuHashTable, keys: &[i32], vals: &[i32], threads: usize)
 }
 
 /// Group size for software prefetching.
-pub const PREFETCH_GROUP: usize = 16;
+pub(crate) const PREFETCH_GROUP: usize = 16;
 
 #[inline]
 fn prefetch_slot(ht: &CpuHashTable, slot: usize) {

@@ -76,14 +76,14 @@ where
     out
 }
 
-/// Scalar reference used by tests and other crates.
-pub fn project_reference<F: Fn(f32, f32) -> f32>(x1: &[f32], x2: &[f32], f: F) -> Vec<f32> {
-    x1.iter().zip(x2).map(|(&a, &b)| f(a, b)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The scalar reference the variants are compared against.
+    fn project_reference<F: Fn(f32, f32) -> f32>(x1: &[f32], x2: &[f32], f: F) -> Vec<f32> {
+        x1.iter().zip(x2).map(|(&a, &b)| f(a, b)).collect()
+    }
 
     fn cols(n: usize) -> (Vec<f32>, Vec<f32>) {
         let x1: Vec<f32> = (0..n).map(|i| (i % 89) as f32 * 0.5 - 20.0).collect();

@@ -10,17 +10,17 @@
 //! "CPU Stable is able to partition up to 8-bits at a time while remaining
 //! bandwidth bound. Beyond 8-bits, the size of the partition buffers needed
 //! exceeds the size of L1 cache and the performance starts to deteriorate"
-//! — the buffers here are `2^r` x [`WC_BUFFER`] entries of 8 bytes, i.e.
+//! — the buffers here are `2^r` x `WC_BUFFER` entries of 8 bytes, i.e.
 //! 16 KB at r = 8, which is exactly the L1 boundary of the paper's CPU.
 
 use crate::exec::{partition_ranges, scoped_map, SendPtr};
 
 /// Entries per digit in the software write-combining buffer (8 pairs x 8
 /// bytes = one 64-byte cache line).
-pub const WC_BUFFER: usize = 8;
+pub(crate) const WC_BUFFER: usize = 8;
 
 /// CPU LSB radix sort passes for 32-bit keys: 4 passes of 8 bits.
-pub const CPU_LSB_PASS_BITS: [u32; 4] = [8, 8, 8, 8];
+pub(crate) const CPU_LSB_PASS_BITS: [u32; 4] = [8, 8, 8, 8];
 
 #[inline]
 fn digit(key: u32, shift: u32, bits: u32) -> usize {

@@ -77,12 +77,6 @@ pub enum Access {
     Miss,
 }
 
-impl Access {
-    pub fn is_hit(self) -> bool {
-        matches!(self, Access::Hit)
-    }
-}
-
 /// Tag of a way that holds no line. No access produces it (see
 /// [`Cache::locate`]).
 const EMPTY: u32 = u32::MAX;
@@ -165,16 +159,6 @@ impl Cache {
         cache
     }
 
-    /// Line size in bytes.
-    pub fn line_size(&self) -> u64 {
-        1 << self.line_shift
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        (self.num_sets << self.line_shift) as usize * self.assoc
-    }
-
     /// Bytes of address space, from address 0, whose lines have a tag the
     /// 32-bit tag store can hold; an access beyond it panics.
     pub fn addressable_bytes(&self) -> u128 {
@@ -183,13 +167,13 @@ impl Cache {
 
     /// Number of the line holding `addr`.
     #[inline]
-    pub fn line_of(&self, addr: u64) -> u64 {
+    pub(crate) fn line_of(&self, addr: u64) -> u64 {
         addr >> self.line_shift
     }
 
     /// Number of lines overlapped by `[addr, addr + bytes)`.
     #[inline]
-    pub fn lines_spanned(&self, addr: u64, bytes: u64) -> u64 {
+    pub(crate) fn lines_spanned(&self, addr: u64, bytes: u64) -> u64 {
         if bytes == 0 {
             return 0;
         }
@@ -412,8 +396,8 @@ mod tests {
     #[test]
     fn geometry() {
         let c = small();
-        assert_eq!(c.capacity(), 1024);
-        assert_eq!(c.line_size(), 64);
+        assert_eq!((c.num_sets << c.line_shift) as usize * c.assoc, 1024);
+        assert_eq!(1 << c.line_shift, 64);
         assert_eq!(c.lines_spanned(60, 100), 3);
         assert_eq!(c.lines_spanned(64, 64), 1);
         assert_eq!(c.lines_spanned(64, 0), 0);

@@ -87,7 +87,7 @@ pub struct BlockCtx<'a> {
 impl<'a> BlockCtx<'a> {
     /// Items per tile.
     #[inline]
-    pub fn tile_size(&self) -> usize {
+    pub(crate) fn tile_size(&self) -> usize {
         self.block_dim * self.items_per_thread
     }
 
@@ -308,7 +308,7 @@ impl Gpu {
     }
 
     /// Fallible reservation of `len` elements of budget and addresses with
-    /// no host memory behind them ([`Memory::alloc_unbacked`]).
+    /// no host memory behind them (`Memory::alloc_unbacked`).
     pub fn try_alloc_unbacked<T: Copy + Default>(
         &mut self,
         len: usize,
@@ -333,7 +333,7 @@ impl Gpu {
 
     /// Launches a kernel: `f` is invoked once per thread block, in block
     /// order, with an accounting context. Returns the kernel's report (also
-    /// appended to [`Gpu::reports`]).
+    /// kept for [`Gpu::take_reports`]).
     pub fn launch<F>(&mut self, name: &str, cfg: LaunchConfig, mut f: F) -> KernelReport
     where
         F: FnMut(&mut BlockCtx<'_>),
@@ -428,12 +428,6 @@ impl Gpu {
     /// to attribute launches and HBM traffic to that query.
     pub fn exec_stats(&self) -> ExecStats {
         self.exec
-    }
-
-    /// All kernel reports since construction or the last
-    /// [`Gpu::take_reports`].
-    pub fn reports(&self) -> &[KernelReport] {
-        &self.reports
     }
 
     /// Drains and returns the accumulated reports.
@@ -543,10 +537,10 @@ mod tests {
         let cfg = LaunchConfig::for_items(128, 128, 1);
         gpu.launch("a", cfg, |_| {});
         gpu.launch("b", cfg, |_| {});
-        assert_eq!(gpu.reports().len(), 2);
+        assert_eq!(gpu.reports.len(), 2);
         let taken = gpu.take_reports();
         assert_eq!(taken.len(), 2);
-        assert!(gpu.reports().is_empty());
+        assert!(gpu.reports.is_empty());
     }
 
     #[test]
@@ -565,7 +559,7 @@ mod tests {
         assert_eq!(d.hbm_read_bytes, 1536);
         assert_eq!(d.hbm_write_bytes, 256);
         // Each individual report covers exactly one launch.
-        assert!(gpu.reports().iter().all(|r| r.launches == 1));
+        assert!(gpu.reports.iter().all(|r| r.launches == 1));
     }
 
     #[test]

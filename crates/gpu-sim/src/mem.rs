@@ -7,14 +7,10 @@
 //! the device's memory capacity, so working sets that would not fit on a real
 //! V100 fail here too.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 /// Alignment of every allocation, matching the 256-byte alignment CUDA's
 /// allocator guarantees (and ensuring a buffer never shares a cache line
 /// with another buffer).
-pub const ALLOC_ALIGN: u64 = 256;
-
-static NEXT_BUFFER_ID: AtomicU64 = AtomicU64::new(1);
+pub(crate) const ALLOC_ALIGN: u64 = 256;
 
 /// Error returned when an allocation exceeds the device's remaining memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,7 +36,6 @@ impl std::error::Error for OutOfDeviceMemory {}
 pub struct DeviceBuffer<T> {
     data: Vec<T>,
     addr: u64,
-    id: u64,
     /// Bytes charged against the device budget at allocation time (stable
     /// across [`DeviceBuffer::truncate`]).
     alloc_bytes: usize,
@@ -51,7 +46,6 @@ impl<T: Copy + Default> DeviceBuffer<T> {
         DeviceBuffer {
             data,
             addr,
-            id: NEXT_BUFFER_ID.fetch_add(1, Ordering::Relaxed),
             alloc_bytes,
         }
     }
@@ -89,11 +83,6 @@ impl<T: Copy + Default> DeviceBuffer<T> {
         self.addr + (idx * std::mem::size_of::<T>()) as u64
     }
 
-    /// Unique buffer id (diagnostics).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Read-only view of the contents.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
@@ -124,7 +113,7 @@ impl<T: Copy + Default> DeviceBuffer<T> {
 
 /// Bump allocator over the simulated device address space.
 #[derive(Debug)]
-pub struct Memory {
+pub(crate) struct Memory {
     capacity: usize,
     used: usize,
     high_water: usize,
@@ -132,7 +121,7 @@ pub struct Memory {
 }
 
 impl Memory {
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Memory {
             capacity,
             used: 0,
@@ -165,7 +154,7 @@ impl Memory {
 
     /// Allocates a buffer holding a copy of `data`; the copy is made only
     /// once the budget has accepted it.
-    pub fn alloc_from<T: Copy + Default>(
+    pub(crate) fn alloc_from<T: Copy + Default>(
         &mut self,
         data: &[T],
     ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
@@ -174,7 +163,7 @@ impl Memory {
     }
 
     /// Allocates a zero-initialized buffer of `len` elements.
-    pub fn alloc_zeroed<T: Copy + Default>(
+    pub(crate) fn alloc_zeroed<T: Copy + Default>(
         &mut self,
         len: usize,
     ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
@@ -187,7 +176,7 @@ impl Memory {
     /// buffer already [truncated](DeviceBuffer::truncate) to nothing. For a
     /// table a kernel only takes the addresses of (its values live in the
     /// functional half's own structures): a group table, a perfect table's slots.
-    pub fn alloc_unbacked<T: Copy + Default>(
+    pub(crate) fn alloc_unbacked<T: Copy + Default>(
         &mut self,
         len: usize,
     ) -> Result<DeviceBuffer<T>, OutOfDeviceMemory> {
@@ -197,23 +186,18 @@ impl Memory {
 
     /// Releases a buffer's bytes back to the budget (addresses are not
     /// reused; the address space is 2^64, exhaustion is not a concern).
-    pub fn free<T: Copy + Default>(&mut self, buf: DeviceBuffer<T>) {
+    pub(crate) fn free<T: Copy + Default>(&mut self, buf: DeviceBuffer<T>) {
         self.used -= buf.alloc_bytes;
     }
 
     /// Bytes currently allocated.
-    pub fn used(&self) -> usize {
+    pub(crate) fn used(&self) -> usize {
         self.used
     }
 
     /// Peak bytes allocated over the lifetime of the device.
-    pub fn high_water(&self) -> usize {
+    pub(crate) fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Device capacity in bytes.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 

@@ -47,36 +47,18 @@ pub struct KernelStats {
 
 impl KernelStats {
     /// Total bytes that crossed the global-memory (HBM) interface.
-    pub fn hbm_read_bytes(&self) -> u64 {
+    pub(crate) fn hbm_read_bytes(&self) -> u64 {
         self.global_read_bytes + self.gather_miss_bytes
     }
 
     /// Total bytes written through the HBM interface.
-    pub fn hbm_write_bytes(&self) -> u64 {
+    pub(crate) fn hbm_write_bytes(&self) -> u64 {
         self.global_write_bytes + self.scatter_miss_bytes
     }
 
     /// Total HBM traffic.
     pub fn hbm_bytes(&self) -> u64 {
         self.hbm_read_bytes() + self.hbm_write_bytes()
-    }
-
-    /// Merges another kernel's counters into this one (used to aggregate
-    /// multi-kernel operators such as radix sort).
-    pub fn merge(&mut self, other: &KernelStats) {
-        self.global_read_bytes += other.global_read_bytes;
-        self.global_write_bytes += other.global_write_bytes;
-        self.gather_miss_bytes += other.gather_miss_bytes;
-        self.scatter_miss_bytes += other.scatter_miss_bytes;
-        self.l2_bytes += other.l2_bytes;
-        self.random_requests += other.random_requests;
-        self.shared_bytes += other.shared_bytes;
-        self.same_addr_atomics += other.same_addr_atomics;
-        self.scattered_atomics += other.scattered_atomics;
-        self.barriers += other.barriers;
-        self.compute_ops += other.compute_ops;
-        self.sfu_ops += other.sfu_ops;
-        self.blocks += other.blocks;
     }
 }
 
@@ -253,27 +235,5 @@ mod tests {
         assert_eq!(z.kernel_secs, 0.0);
         // A self-diff is the zero delta.
         assert_eq!(z.since(&z), ExecStats::default());
-    }
-
-    #[test]
-    fn merge_adds_all_counters() {
-        let mut a = KernelStats {
-            global_read_bytes: 1,
-            barriers: 2,
-            blocks: 3,
-            ..Default::default()
-        };
-        let b = KernelStats {
-            global_read_bytes: 10,
-            barriers: 20,
-            blocks: 30,
-            sfu_ops: 5,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.global_read_bytes, 11);
-        assert_eq!(a.barriers, 22);
-        assert_eq!(a.blocks, 33);
-        assert_eq!(a.sfu_ops, 5);
     }
 }

@@ -52,13 +52,6 @@ pub struct StreamSpan {
     pub end: f64,
 }
 
-impl StreamSpan {
-    /// Seconds the span covers.
-    pub fn secs(&self) -> f64 {
-        self.end - self.start
-    }
-}
-
 /// The two-stream engine: an in-order DMA queue and an in-order compute
 /// queue sharing one simulated timeline.
 #[derive(Debug, Clone, Default)]
@@ -69,7 +62,7 @@ pub struct StreamEngine {
 
 impl StreamEngine {
     /// A fresh engine with both streams idle at t = 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -81,7 +74,7 @@ impl StreamEngine {
     /// `bw_secs` — back-to-back copies stream at line rate — while the
     /// returned [`CopyEvents::first_chunk`] carries the ramp, so a lone
     /// transfer still makes its consumer wait the full setup latency.
-    pub fn enqueue_copy(&mut self, ramp_secs: f64, bw_secs: f64) -> CopyEvents {
+    pub(crate) fn enqueue_copy(&mut self, ramp_secs: f64, bw_secs: f64) -> CopyEvents {
         let start = self.dma_clock;
         self.dma_clock += bw_secs;
         CopyEvents {
@@ -96,7 +89,12 @@ impl StreamEngine {
     /// *finish* time — typically the copy's `done` event, modeling a
     /// kernel whose tile schedule ramps under the tail of the transfer
     /// but can never consume bytes faster than the link delivers them.
-    pub fn launch(&mut self, secs: f64, gate: Option<f64>, floor: Option<f64>) -> StreamSpan {
+    pub(crate) fn launch(
+        &mut self,
+        secs: f64,
+        gate: Option<f64>,
+        floor: Option<f64>,
+    ) -> StreamSpan {
         let mut start = self.compute_clock;
         if let Some(g) = gate {
             start = start.max(g);
@@ -107,16 +105,6 @@ impl StreamEngine {
         }
         self.compute_clock = end;
         StreamSpan { start, end }
-    }
-
-    /// Current DMA-stream clock (seconds of enqueued bandwidth time).
-    pub fn dma_clock(&self) -> f64 {
-        self.dma_clock
-    }
-
-    /// Current compute-stream clock.
-    pub fn compute_clock(&self) -> f64 {
-        self.compute_clock
     }
 
     /// Overall makespan: the later of the two stream clocks — the
@@ -140,7 +128,7 @@ mod tests {
         let a = s.enqueue_copy(11e-6, 100e-6);
         let b = s.enqueue_copy(11e-6, 50e-6);
         // Bandwidth terms stack; ramps do not.
-        close(s.dma_clock(), 150e-6);
+        close(s.dma_clock, 150e-6);
         close(a.first_chunk, 11e-6);
         close(a.done, 100e-6);
         // The second copy starts where the first ended.
@@ -222,6 +210,6 @@ mod tests {
         let mut s = StreamEngine::new();
         let ev = s.enqueue_copy(5e-6, 50e-6);
         let span = s.launch(10e-6, Some(ev.first_chunk), Some(ev.done));
-        assert!((span.secs() - 45e-6).abs() < 1e-18);
+        assert!((span.end - span.start - 45e-6).abs() < 1e-18);
     }
 }

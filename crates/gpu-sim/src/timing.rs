@@ -76,20 +76,6 @@ impl SimTime {
             "atomic"
         }
     }
-
-    /// Adds another kernel's time (sequential composition).
-    pub fn seq(&self, other: &SimTime) -> SimTime {
-        // Sequential kernels do not overlap; fold each component so the
-        // report stays meaningful, and accumulate launch overheads.
-        SimTime {
-            hbm: self.hbm + other.hbm,
-            l2: self.l2 + other.l2,
-            shared: self.shared + other.shared,
-            compute: self.compute + other.compute,
-            atomic: self.atomic + other.atomic,
-            launch: self.launch + other.launch,
-        }
-    }
 }
 
 /// Efficiency model inputs for one launch.
@@ -105,7 +91,7 @@ pub struct LaunchShape {
 /// Vector-load efficiency as a function of items per thread (Figure 9:
 /// 4 items load as one `int4`; 2 leave half the vector lanes empty; 1 gains
 /// nothing).
-pub fn load_efficiency(items_per_thread: usize) -> f64 {
+pub(crate) fn load_efficiency(items_per_thread: usize) -> f64 {
     match items_per_thread {
         0 | 1 => 0.55,
         2 => 0.80,
@@ -116,13 +102,13 @@ pub fn load_efficiency(items_per_thread: usize) -> f64 {
 
 /// Occupancy-driven bandwidth efficiency: below full occupancy there are not
 /// enough warps in flight to cover DRAM latency.
-pub fn occupancy_efficiency(occupancy: f64) -> f64 {
+pub(crate) fn occupancy_efficiency(occupancy: f64) -> f64 {
     0.6 + 0.4 * occupancy.clamp(0.0, 1.0)
 }
 
 /// Synchronization efficiency: barriers across `block_dim` threads stall
 /// longer for bigger blocks, and fewer independent blocks fit per SM.
-pub fn sync_efficiency(block_dim: usize, uses_barriers: bool) -> f64 {
+pub(crate) fn sync_efficiency(block_dim: usize, uses_barriers: bool) -> f64 {
     if !uses_barriers {
         return 1.0;
     }
@@ -263,22 +249,6 @@ mod tests {
         let t = kernel_time(&spec, &shape(256, 1), &stats);
         assert_eq!(t.bottleneck(), "atomic");
         assert!(t.total_secs() > 0.1);
-    }
-
-    #[test]
-    fn seq_accumulates() {
-        let a = SimTime {
-            hbm: 1.0,
-            launch: 0.1,
-            ..Default::default()
-        };
-        let b = SimTime {
-            hbm: 2.0,
-            launch: 0.1,
-            ..Default::default()
-        };
-        let c = a.seq(&b);
-        assert!((c.total_secs() - 3.2).abs() < 1e-12);
     }
 
     #[test]

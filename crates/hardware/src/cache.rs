@@ -29,11 +29,6 @@ impl CacheLevel {
         (self.size as f64 / working_set as f64).min(1.0)
     }
 
-    /// Number of lines in this cache.
-    pub fn num_lines(&self) -> usize {
-        self.size / self.line
-    }
-
     /// Number of sets when simulated with the configured associativity.
     pub fn num_sets(&self) -> usize {
         (self.size / self.line / self.assoc).max(1)
@@ -74,7 +69,6 @@ mod tests {
     #[test]
     fn geometry() {
         let c = l2();
-        assert_eq!(c.num_lines(), 49_152);
         assert_eq!(c.num_sets(), 3_072);
     }
 }

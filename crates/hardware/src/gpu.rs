@@ -63,11 +63,6 @@ impl GpuSpec {
         self.total_cores() as f64 * self.clock_ghz * 1e9
     }
 
-    /// Maximum resident warps per SM.
-    pub fn max_warps_per_sm(&self) -> usize {
-        self.max_threads_per_sm / self.warp_size
-    }
-
     /// The L2 as a [`CacheLevel`] for the shared cache simulator.
     pub fn l2_level(&self) -> CacheLevel {
         CacheLevel {
@@ -139,10 +134,5 @@ mod tests {
         let g = nvidia_v100();
         // 48KB smem per block: only 2 fit in 96KB.
         assert_eq!(g.resident_blocks_per_sm(128, 48 * 1024), 2);
-    }
-
-    #[test]
-    fn warps_per_sm() {
-        assert_eq!(nvidia_v100().max_warps_per_sm(), 64);
     }
 }

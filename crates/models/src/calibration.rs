@@ -2,7 +2,7 @@
 //!
 //! The Section-3.1/6 bounds in [`crate::ssb`] price every placement
 //! decision from *spec-sheet* constants: PCIe bandwidth from Table 2,
-//! [`crate::ssb::CPU_SCALAR_UNPACK_CYCLES`] from a one-off calibration,
+//! `crate::ssb::CPU_SCALAR_UNPACK_CYCLES` from a one-off calibration,
 //! HBM bandwidth from the vendor datasheet. Real machines deviate —
 //! PCIe links train down, clocks boost over spec, kernels leave
 //! bandwidth on the table — and a static model then misroutes every
@@ -18,11 +18,11 @@
 //!    cannot wreck an estimate and the correction composes
 //!    multiplicatively with the analytic formula.
 //! 3. [`CalibrationStore::blend`] hands the one bounds formula
-//!    ([`crate::ssb::resident_coprocessor_bounds`]) a
+//!    (`crate::ssb::resident_coprocessor_bounds`) a
 //!    [`CostFactors`] triple — each component's blended
 //!    observed/predicted factor. The blend weight grows with sample
 //!    count (`n / (n + PRIOR_STRENGTH)`), and keys below
-//!    [`WARMUP_SAMPLES`] contribute a factor of exactly `1.0` — the
+//!    `WARMUP_SAMPLES` contribute a factor of exactly `1.0` — the
 //!    identity the static model evaluates under — so a cold store *is*
 //!    the static bound, and calibrated routing can only diverge from the
 //!    prior once it has evidence.
@@ -43,18 +43,18 @@ use crate::ssb::{compressed_scan_secs, cpu_unpack_secs, CostFactors};
 /// the analytic prior is trusted verbatim until the fitter has seen a
 /// stable handful of samples. Below the threshold, blended bounds are
 /// bitwise identical to the static ones.
-pub const WARMUP_SAMPLES: u64 = 3;
+pub(crate) const WARMUP_SAMPLES: u64 = 3;
 
 /// Pseudo-count of the analytic prior in the blend weight
 /// `n / (n + PRIOR_STRENGTH)`: the spec-sheet model counts as this many
 /// virtual observations of ratio `1.0`, so early measurements shift the
 /// estimate gradually rather than replacing the prior outright.
-pub const PRIOR_STRENGTH: f64 = 4.0;
+pub(crate) const PRIOR_STRENGTH: f64 = 4.0;
 
 /// Per-observation clamp on `observed / predicted` (and its inverse):
 /// a single wildly mispredicted query — an eviction storm, a cold page
 /// fault — moves the running mean by at most `ln(MAX_OBS_RATIO)`.
-pub const MAX_OBS_RATIO: f64 = 16.0;
+pub(crate) const MAX_OBS_RATIO: f64 = 16.0;
 
 /// Which cost component of the placement bound an observation (or a
 /// blended term) refers to.
@@ -83,7 +83,7 @@ pub enum EncodingClass {
 /// count, so each band spans `[2^(b-1), 2^b)` and boundary counts are
 /// testable (`2^k − 1` and `2^k` land in adjacent bands). Zero rows map
 /// to band 0.
-pub fn cardinality_band(rows: usize) -> u8 {
+pub(crate) fn cardinality_band(rows: usize) -> u8 {
     (usize::BITS - rows.leading_zeros()) as u8
 }
 
@@ -98,7 +98,7 @@ pub struct CalKey {
     pub op: OpKind,
     /// Encoding class of the referenced fact columns.
     pub enc: EncodingClass,
-    /// Octave band ([`cardinality_band`]) of the component's scaling
+    /// Octave band (`cardinality_band`) of the component's scaling
     /// quantity: scanned rows for [`OpKind::DeviceKernel`] and
     /// [`OpKind::HostScan`], **bytes moved** for [`OpKind::Transfer`].
     /// Transfer mispredictions (link training below spec, DMA setup
@@ -211,7 +211,7 @@ impl CalibrationStore {
     /// ratio information), and the ratio is clamped into
     /// `[1/MAX_OBS_RATIO, MAX_OBS_RATIO]` before entering the running
     /// mean.
-    pub fn observe(&mut self, key: CalKey, predicted: f64, observed: f64) {
+    pub(crate) fn observe(&mut self, key: CalKey, predicted: f64, observed: f64) {
         if !(predicted > 0.0 && observed > 0.0) {
             return;
         }
@@ -222,17 +222,12 @@ impl CalibrationStore {
     }
 
     /// Observations recorded under `key` so far.
-    pub fn samples(&self, key: CalKey) -> u64 {
+    pub(crate) fn samples(&self, key: CalKey) -> u64 {
         self.keys.get(&key).map_or(0, |c| c.samples)
     }
 
-    /// Total observations across all keys.
-    pub fn total_samples(&self) -> u64 {
-        self.keys.values().map(|c| c.samples).sum()
-    }
-
     /// The multiplicative correction for `key`: exactly `1.0` while the
-    /// key is cold (absent or below [`WARMUP_SAMPLES`]), and
+    /// key is cold (absent or below `WARMUP_SAMPLES`), and
     /// `exp(w * mean_log_ratio)` with `w = n / (n + PRIOR_STRENGTH)`
     /// once warm. As `n` grows, `w → 1` and the factor converges
     /// monotonically to the observed ratio.
@@ -249,7 +244,7 @@ impl CalibrationStore {
 
     /// Whether `key` has passed warm-up and contributes a non-trivial
     /// factor.
-    pub fn is_warm(&self, key: CalKey) -> bool {
+    pub(crate) fn is_warm(&self, key: CalKey) -> bool {
         self.samples(key) >= WARMUP_SAMPLES
     }
 

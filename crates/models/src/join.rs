@@ -26,7 +26,7 @@ use crate::ENTRY_BYTES;
 /// `line` is the device-memory random-access granularity; each level's own
 /// `line` field is the per-probe transfer size when the table is resident
 /// there.
-pub fn join_probe_secs(
+pub(crate) fn join_probe_secs(
     probe_rows: usize,
     ht_bytes: usize,
     read_bw: f64,
@@ -109,15 +109,6 @@ pub fn join_probe_gpu_secs(probe_rows: usize, ht_bytes: usize, gpu: &GpuSpec) ->
     join_probe_secs(probe_rows, ht_bytes, gpu.read_bw, gpu.cache_line, &[l2])
 }
 
-/// Build-phase model: scanning the build relation and writing each slot
-/// (random writes that mostly go to memory — "the build phase runtimes are
-/// less affected by caches as writes to hash table end up going to
-/// memory").
-pub fn join_build_secs(build_rows: usize, read_bw: f64, write_bw: f64, line: usize) -> f64 {
-    let b = build_rows as f64;
-    2.0 * ENTRY_BYTES * b / read_bw + b * line as f64 / write_bw
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,13 +186,5 @@ mod tests {
         assert!(
             (join_probe_cpu_empirical_secs(P, h, &c) - join_probe_cpu_secs(P, h, &c)).abs() < 1e-12
         );
-    }
-
-    #[test]
-    fn build_scales_linearly() {
-        let g = nvidia_v100();
-        let t1 = join_build_secs(1 << 20, g.read_bw, g.write_bw, g.cache_line);
-        let t2 = join_build_secs(1 << 21, g.read_bw, g.write_bw, g.cache_line);
-        assert!((t2 / t1 - 2.0).abs() < 1e-9);
     }
 }

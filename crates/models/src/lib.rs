@@ -38,4 +38,4 @@ pub mod sort;
 pub mod ssb;
 
 /// Bytes per column entry throughout the paper's workloads.
-pub const ENTRY_BYTES: f64 = 4.0;
+pub(crate) const ENTRY_BYTES: f64 = 4.0;

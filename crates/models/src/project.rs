@@ -17,7 +17,11 @@ pub fn project_secs(n: usize, read_bw: f64, write_bw: f64) -> f64 {
 /// "CPU" bar for Q2, which "does not saturate memory bandwidth and is
 /// compute bound". `scalar_ops_per_item` is the scalar instruction count of
 /// the UDF (exp expansion + divide; ~20 on Skylake).
-pub fn project_compute_bound_secs(n: usize, scalar_ops_per_item: f64, scalar_flops: f64) -> f64 {
+pub(crate) fn project_compute_bound_secs(
+    n: usize,
+    scalar_ops_per_item: f64,
+    scalar_flops: f64,
+) -> f64 {
     n as f64 * scalar_ops_per_item / scalar_flops
 }
 

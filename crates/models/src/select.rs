@@ -25,7 +25,7 @@ pub fn select_secs(n: usize, sigma: f64, read_bw: f64, write_bw: f64) -> f64 {
 /// Expected branch misprediction rate of `if (y < v)` at selectivity
 /// `sigma`: mispredictions are maximal at `sigma = 0.5` and vanish at the
 /// extremes.
-pub fn mispredict_rate(sigma: f64) -> f64 {
+pub(crate) fn mispredict_rate(sigma: f64) -> f64 {
     2.0 * sigma * (1.0 - sigma)
 }
 

@@ -36,26 +36,14 @@ impl Q21Params {
         }
     }
 
-    /// Scaled cardinalities for other scale factors.
-    pub fn for_sf(sf: usize) -> Self {
-        Q21Params {
-            lineorder: 6_000_000 * sf,
-            supplier: 2_000 * sf,
-            part: 200_000 * (1 + (sf as f64).log2().floor() as usize),
-            date: 2_556,
-            sigma1: 1.0 / 5.0,
-            sigma2: 1.0 / 25.0,
-        }
-    }
-
     /// Bytes of the perfect-hash part table: `2 x 4 x |P|` ("the size of
     /// the part hash table (with perfect hashing) is 2x4x1M = 8MB").
-    pub fn part_ht_bytes(&self) -> usize {
+    pub(crate) fn part_ht_bytes(&self) -> usize {
         8 * self.part
     }
 
     /// Bytes of the supplier + date hash tables (both perfect-hash).
-    pub fn small_ht_bytes(&self) -> usize {
+    pub(crate) fn small_ht_bytes(&self) -> usize {
         8 * self.supplier + 8 * self.date
     }
 }
@@ -178,11 +166,11 @@ pub fn q21_cpu_empirical_secs(p: &Q21Params, cpu: &CpuSpec) -> f64 {
 /// its AVX2 engine 0.21-0.23 and its AVX-512 engine 0.10-0.37 by width
 /// (DESIGN.md §7, §9). Re-deriving the constant from
 /// those moves placement and every modelled packed bound with it.
-pub const CPU_SCALAR_UNPACK_CYCLES: f64 = 5.0;
+pub(crate) const CPU_SCALAR_UNPACK_CYCLES: f64 = 5.0;
 
 /// Seconds the host CPU spends unpacking `values` packed values with all
 /// cores' scalar pipes (the compute half of the compressed scan bound).
-pub fn cpu_unpack_secs(values: usize, cpu: &CpuSpec) -> f64 {
+pub(crate) fn cpu_unpack_secs(values: usize, cpu: &CpuSpec) -> f64 {
     values as f64 * CPU_SCALAR_UNPACK_CYCLES / (cpu.cores as f64 * cpu.clock_ghz * 1e9)
 }
 
@@ -190,7 +178,7 @@ pub fn cpu_unpack_secs(values: usize, cpu: &CpuSpec) -> f64 {
 /// streamed at `bw`. On the GPU the register unpack hides under this
 /// (compute-to-bandwidth ratio far above the ~2 ops/value the unpack
 /// costs); on the CPU compare against [`cpu_unpack_secs`].
-pub fn compressed_scan_secs(packed_bytes: usize, bw: f64) -> f64 {
+pub(crate) fn compressed_scan_secs(packed_bytes: usize, bw: f64) -> f64 {
     packed_bytes as f64 / bw
 }
 
@@ -295,7 +283,7 @@ pub struct ScanCost {
 /// degenerates exactly to the data-resident bound `packed_bytes / Bg`,
 /// where the GPU's bandwidth advantage finally shows. Returns
 /// `(gpu_coprocessor_secs, cpu_secs)`.
-pub fn resident_coprocessor_bounds(
+pub(crate) fn resident_coprocessor_bounds(
     c: &ScanCost,
     cpu: &CpuSpec,
     gpu: &GpuSpec,
@@ -368,7 +356,7 @@ impl HybridSplit {
 }
 
 /// The per-shard residency-aware placement: each shard is routed to
-/// whichever side [`resident_coprocessor_bounds`] prices cheaper *for
+/// whichever side `resident_coprocessor_bounds` prices cheaper *for
 /// that shard's own residency* (and, when calibrated, its own factors). A
 /// query over a partially resident working set thus runs hot
 /// (device-cached) shards on the device and cold shards on the host
@@ -693,14 +681,5 @@ mod tests {
         assert!(solo.device_shards.is_empty() && solo.host_shards == vec![0]);
         let (_, host) = resident_coprocessor_bounds(&cold, &cpu, &gpu, &pcie);
         assert!((solo.host_secs - host).abs() < 1e-15);
-    }
-
-    #[test]
-    fn sf_scaling_grows_lineorder() {
-        let p1 = Q21Params::for_sf(1);
-        let p20 = Q21Params::for_sf(20);
-        assert_eq!(p1.lineorder, 6_000_000);
-        assert_eq!(p20.lineorder, 120_000_000);
-        assert_eq!(p20.supplier, 40_000);
     }
 }

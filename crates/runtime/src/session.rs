@@ -96,12 +96,6 @@ pub struct ColumnKey {
 }
 
 impl ColumnKey {
-    /// Key of a plain 4-byte upload of column `col` in the anonymous
-    /// dataset 0 (single-dataset callers and tests).
-    pub fn plain(col: u32) -> Self {
-        Self::for_dataset(0, col)
-    }
-
     /// Key of a plain 4-byte upload of column `col` in the dataset with
     /// the given fingerprint.
     pub fn for_dataset(dataset: u64, col: u32) -> Self {
@@ -372,10 +366,10 @@ impl<'g> DeviceSession<'g> {
     /// Fraction of device memory the cache may occupy by default; the
     /// remainder is headroom for per-query scratch (aggregate tables,
     /// survivor flags, build-side staging).
-    pub const DEFAULT_BUDGET_FRACTION: f64 = 0.75;
+    pub(crate) const DEFAULT_BUDGET_FRACTION: f64 = 0.75;
 
     /// A session over `gpu` with the default cache budget
-    /// ([`Self::DEFAULT_BUDGET_FRACTION`] of the device's capacity) on a
+    /// (`Self::DEFAULT_BUDGET_FRACTION` of the device's capacity) on a
     /// PCIe Gen3 interconnect ([`Self::open`] for another).
     pub fn new(gpu: &'g mut Gpu) -> Self {
         Self::open(gpu, None, &pcie_gen3())
@@ -467,7 +461,7 @@ impl<'g> DeviceSession<'g> {
     /// Cached bytes currently pinned — by a query ledger or by a live
     /// `Rc` clone. An admission controller compares
     /// `budget - pinned_bytes` against a query's estimated working set.
-    pub fn pinned_bytes(&self) -> usize {
+    pub(crate) fn pinned_bytes(&self) -> usize {
         let pinned = self.entries.iter().filter(|(_, e)| !e.evictable());
         pinned.map(|(_, e)| e.bytes).sum()
     }
@@ -752,7 +746,7 @@ impl<'g> DeviceSession<'g> {
     /// are *retained* (still tracked, still accounted), so the budget
     /// arithmetic stays truthful; they become evictable again once their
     /// pins drop.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for (key, e) in std::mem::take(&mut self.entries) {
             if e.evictable() {
                 self.release(e);
@@ -832,11 +826,11 @@ mod tests {
         let mut gpu = Gpu::new(nvidia_v100());
         let mut s = DeviceSession::new(&mut gpu);
         let data: Vec<i32> = (0..10_000).collect();
-        let a = s.column(ColumnKey::plain(0), HostCol::Plain(&data));
+        let a = s.column(ColumnKey::for_dataset(0, 0), HostCol::Plain(&data));
         assert_eq!(s.stats().col_misses, 1);
         assert_eq!(s.stats().uploaded_bytes, 40_000);
         drop(a);
-        let b = s.column(ColumnKey::plain(0), HostCol::Plain(&data));
+        let b = s.column(ColumnKey::for_dataset(0, 0), HostCol::Plain(&data));
         assert_eq!(s.stats().col_hits, 1);
         assert_eq!(s.stats().uploaded_bytes, 40_000, "hit must not re-ship");
         assert_eq!(b.plain().as_slice(), &data[..]);
@@ -848,7 +842,7 @@ mod tests {
         let mut s = DeviceSession::new(&mut gpu);
         let data: Vec<i32> = (0..4096).collect();
         let packed = PackedColumn::pack(&data, 12).unwrap();
-        let _p = s.column(ColumnKey::plain(3), HostCol::Plain(&data));
+        let _p = s.column(ColumnKey::for_dataset(0, 3), HostCol::Plain(&data));
         let k = ColumnKey {
             dataset: 0,
             col: 3,
@@ -856,7 +850,7 @@ mod tests {
         };
         let _q = s.column(k, HostCol::Packed(&packed));
         assert_eq!(s.stats().col_misses, 2);
-        assert!(s.is_resident(ColumnKey::plain(3)) && s.is_resident(k));
+        assert!(s.is_resident(ColumnKey::for_dataset(0, 3)) && s.is_resident(k));
         assert_eq!(s.stats().cached_bytes, 4096 * 4 + packed.words().len() * 8);
     }
 
@@ -888,15 +882,18 @@ mod tests {
         // Budget fits two 256KB columns, not three.
         let mut s = DeviceSession::with_budget(&mut gpu, 600_000);
         let data: Vec<i32> = (0..65_536).collect();
-        drop(s.column(ColumnKey::plain(0), HostCol::Plain(&data)));
-        drop(s.column(ColumnKey::plain(1), HostCol::Plain(&data)));
+        drop(s.column(ColumnKey::for_dataset(0, 0), HostCol::Plain(&data)));
+        drop(s.column(ColumnKey::for_dataset(0, 1), HostCol::Plain(&data)));
         // Touch col 0 so col 1 is the LRU victim.
-        drop(s.column(ColumnKey::plain(0), HostCol::Plain(&data)));
-        drop(s.column(ColumnKey::plain(2), HostCol::Plain(&data)));
+        drop(s.column(ColumnKey::for_dataset(0, 0), HostCol::Plain(&data)));
+        drop(s.column(ColumnKey::for_dataset(0, 2), HostCol::Plain(&data)));
         assert_eq!(s.stats().evictions, 1);
-        assert!(s.is_resident(ColumnKey::plain(0)));
-        assert!(!s.is_resident(ColumnKey::plain(1)), "LRU entry evicted");
-        assert!(s.is_resident(ColumnKey::plain(2)));
+        assert!(s.is_resident(ColumnKey::for_dataset(0, 0)));
+        assert!(
+            !s.is_resident(ColumnKey::for_dataset(0, 1)),
+            "LRU entry evicted"
+        );
+        assert!(s.is_resident(ColumnKey::for_dataset(0, 2)));
         assert!(s.stats().cached_bytes <= s.budget());
         drop(s);
         assert_eq!(gpu.mem_used(), 0, "session drop frees everything");
@@ -907,12 +904,12 @@ mod tests {
         let mut gpu = small_gpu(1 << 20);
         let mut s = DeviceSession::with_budget(&mut gpu, 600_000);
         let data: Vec<i32> = (0..65_536).collect();
-        let pinned = s.column(ColumnKey::plain(0), HostCol::Plain(&data));
-        drop(s.column(ColumnKey::plain(1), HostCol::Plain(&data)));
-        drop(s.column(ColumnKey::plain(2), HostCol::Plain(&data)));
+        let pinned = s.column(ColumnKey::for_dataset(0, 0), HostCol::Plain(&data));
+        drop(s.column(ColumnKey::for_dataset(0, 1), HostCol::Plain(&data)));
+        drop(s.column(ColumnKey::for_dataset(0, 2), HostCol::Plain(&data)));
         // Col 0 is older than col 1 but pinned: col 1 must be the victim.
-        assert!(s.is_resident(ColumnKey::plain(0)));
-        assert!(!s.is_resident(ColumnKey::plain(1)));
+        assert!(s.is_resident(ColumnKey::for_dataset(0, 0)));
+        assert!(!s.is_resident(ColumnKey::for_dataset(0, 1)));
         drop(pinned);
     }
 
@@ -925,21 +922,27 @@ mod tests {
         let data: Vec<i32> = (0..65_536).collect();
         let q = s.begin_query();
         drop(
-            s.pin_column(q, ColumnKey::plain(0), HostCol::Plain(&data))
+            s.pin_column(q, ColumnKey::for_dataset(0, 0), HostCol::Plain(&data))
                 .unwrap(),
         );
         assert!(s.pinned_bytes() >= data.len() * 4);
-        drop(s.column(ColumnKey::plain(1), HostCol::Plain(&data)));
-        drop(s.column(ColumnKey::plain(2), HostCol::Plain(&data)));
+        drop(s.column(ColumnKey::for_dataset(0, 1), HostCol::Plain(&data)));
+        drop(s.column(ColumnKey::for_dataset(0, 2), HostCol::Plain(&data)));
         // Col 0 holds no Rc but is ledger-pinned: col 1 is the victim.
-        assert!(s.is_resident(ColumnKey::plain(0)), "ledger pin ignored");
-        assert!(!s.is_resident(ColumnKey::plain(1)));
+        assert!(
+            s.is_resident(ColumnKey::for_dataset(0, 0)),
+            "ledger pin ignored"
+        );
+        assert!(!s.is_resident(ColumnKey::for_dataset(0, 1)));
         s.end_query(q);
         assert_eq!(s.pinned_bytes(), 0);
         // Unpinned now: fresh pressure may evict col 0.
-        drop(s.column(ColumnKey::plain(3), HostCol::Plain(&data)));
-        drop(s.column(ColumnKey::plain(4), HostCol::Plain(&data)));
-        assert!(!s.is_resident(ColumnKey::plain(0)), "unpinned entry kept");
+        drop(s.column(ColumnKey::for_dataset(0, 3), HostCol::Plain(&data)));
+        drop(s.column(ColumnKey::for_dataset(0, 4), HostCol::Plain(&data)));
+        assert!(
+            !s.is_resident(ColumnKey::for_dataset(0, 0)),
+            "unpinned entry kept"
+        );
     }
 
     /// When every cached byte is pinned the fallible APIs return the
@@ -951,10 +954,10 @@ mod tests {
         let data: Vec<i32> = (0..200_000).collect(); // 800 KB
         let q = s.begin_query();
         let _rc = s
-            .pin_column(q, ColumnKey::plain(0), HostCol::Plain(&data))
+            .pin_column(q, ColumnKey::for_dataset(0, 0), HostCol::Plain(&data))
             .unwrap();
         // 800 KB more cannot fit beside the pinned 800 KB on a 1 MB card.
-        let err = s.try_column(ColumnKey::plain(1), HostCol::Plain(&data));
+        let err = s.try_column(ColumnKey::for_dataset(0, 1), HostCol::Plain(&data));
         let oom = err.expect_err("second column must not fit");
         assert_eq!(oom.requested, 800_000);
         assert_eq!(oom.pinned_bytes, 800_000);
@@ -971,7 +974,7 @@ mod tests {
         s.end_query(q);
         drop(_rc);
         assert!(s
-            .try_column(ColumnKey::plain(1), HostCol::Plain(&data))
+            .try_column(ColumnKey::for_dataset(0, 1), HostCol::Plain(&data))
             .is_ok());
     }
 
@@ -1000,9 +1003,9 @@ mod tests {
             out.unwrap()
         };
         drop(ht);
-        drop(s.column(ColumnKey::plain(0), HostCol::Plain(&data)));
-        drop(s.column(ColumnKey::plain(1), HostCol::Plain(&data)));
-        drop(s.column(ColumnKey::plain(2), HostCol::Plain(&data)));
+        drop(s.column(ColumnKey::for_dataset(0, 0), HostCol::Plain(&data)));
+        drop(s.column(ColumnKey::for_dataset(0, 1), HostCol::Plain(&data)));
+        drop(s.column(ColumnKey::for_dataset(0, 2), HostCol::Plain(&data)));
         // Pressure evicted at least one column, never the older table.
         assert!(s.stats().evictions >= 1);
         assert!(s.entry(CacheKey::Table(7)).is_some());
@@ -1044,11 +1047,11 @@ mod tests {
         let mut gpu = small_gpu(1 << 20); // 1 MB device
         let mut s = DeviceSession::with_budget(&mut gpu, 900_000);
         let data: Vec<i32> = (0..200_000).collect(); // 800 KB cached
-        drop(s.column(ColumnKey::plain(0), HostCol::Plain(&data)));
+        drop(s.column(ColumnKey::for_dataset(0, 0), HostCol::Plain(&data)));
         // 400 KB of scratch cannot fit beside it: the column is evicted.
         let buf = s.try_alloc_scratch_zeroed::<i32>(100_000).unwrap();
         assert_eq!(s.stats().evictions, 1);
-        assert!(!s.is_resident(ColumnKey::plain(0)));
+        assert!(!s.is_resident(ColumnKey::for_dataset(0, 0)));
         s.free_scratch(buf);
     }
 
@@ -1060,11 +1063,14 @@ mod tests {
         {
             let mut s = DeviceSession::new(&mut gpu);
             let data: Vec<i32> = (0..1000).collect();
-            let pinned = s.column(ColumnKey::plain(0), HostCol::Plain(&data));
-            drop(s.column(ColumnKey::plain(1), HostCol::Plain(&data)));
+            let pinned = s.column(ColumnKey::for_dataset(0, 0), HostCol::Plain(&data));
+            drop(s.column(ColumnKey::for_dataset(0, 1), HostCol::Plain(&data)));
             s.clear();
-            assert!(s.is_resident(ColumnKey::plain(0)), "pinned entry retained");
-            assert!(!s.is_resident(ColumnKey::plain(1)));
+            assert!(
+                s.is_resident(ColumnKey::for_dataset(0, 0)),
+                "pinned entry retained"
+            );
+            assert!(!s.is_resident(ColumnKey::for_dataset(0, 1)));
             assert_eq!(s.stats().cached_bytes, 4000);
             drop(pinned);
             s.clear();
@@ -1081,11 +1087,14 @@ mod tests {
         let data: Vec<i32> = (0..1000).collect();
         let q = s.begin_query();
         drop(
-            s.pin_column(q, ColumnKey::plain(0), HostCol::Plain(&data))
+            s.pin_column(q, ColumnKey::for_dataset(0, 0), HostCol::Plain(&data))
                 .unwrap(),
         );
         s.clear();
-        assert!(s.is_resident(ColumnKey::plain(0)), "ledger pin ignored");
+        assert!(
+            s.is_resident(ColumnKey::for_dataset(0, 0)),
+            "ledger pin ignored"
+        );
         s.end_query(q);
         s.clear();
         assert_eq!(s.stats().cached_bytes, 0);
@@ -1123,7 +1132,7 @@ mod tests {
             let mut keys = Vec::new();
             let mut unexplained = s.stats().cached_bytes;
             for (c, bytes) in COLS {
-                if s.is_resident(ColumnKey::plain(c)) {
+                if s.is_resident(ColumnKey::for_dataset(0, c)) {
                     keys.push(format!("c{c}"));
                     unexplained -= bytes;
                 }
@@ -1143,7 +1152,7 @@ mod tests {
         }
 
         fn col(s: &mut DeviceSession<'_>, c: u32) -> Rc<DeviceCol> {
-            s.try_column(ColumnKey::plain(c), HostCol::Plain(&host(c)))
+            s.try_column(ColumnKey::for_dataset(0, c), HostCol::Plain(&host(c)))
                 .expect("the column fits")
         }
 
@@ -1200,7 +1209,8 @@ mod tests {
 
                 // One ledger pin (no Rc kept), one Rc hold (no ledger).
                 let q = s.begin_query();
-                let pinned = s.pin_column(q, ColumnKey::plain(0), HostCol::Plain(&host(0)));
+                let pinned =
+                    s.pin_column(q, ColumnKey::for_dataset(0, 0), HostCol::Plain(&host(0)));
                 drop(pinned.expect("a hit"));
                 let held = table(&mut s, 101, None);
                 step(&mut s, "pin c0, hold t101");
@@ -1300,11 +1310,11 @@ mod tests {
         let mut gpu = Gpu::new(nvidia_v100());
         let mut s = DeviceSession::new(&mut gpu);
         let data: Vec<i32> = (0..1000).collect();
-        drop(s.column(ColumnKey::plain(4), HostCol::Plain(&data)));
-        let keys = [ColumnKey::plain(4), ColumnKey::plain(5)];
+        drop(s.column(ColumnKey::for_dataset(0, 4), HostCol::Plain(&data)));
+        let keys = [ColumnKey::for_dataset(0, 4), ColumnKey::for_dataset(0, 5)];
         assert_eq!(s.resident_bytes(&keys), 4000);
         assert_eq!(s.stats().hit_ratio(), 0.0);
-        drop(s.column(ColumnKey::plain(4), HostCol::Plain(&data)));
+        drop(s.column(ColumnKey::for_dataset(0, 4), HostCol::Plain(&data)));
         assert!((s.stats().hit_ratio() - 0.5).abs() < 1e-12);
     }
 }

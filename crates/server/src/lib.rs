@@ -71,7 +71,7 @@
 use crystal_cpu::exec::MORSEL_SIZE;
 use crystal_gpu_sim::{ExecStats, Gpu};
 use crystal_hardware::{CpuSpec, HardwareProfile, PcieSpec};
-use crystal_models::calibration::{BoundsSource, CalibrationStore};
+use crystal_models::calibration::CalibrationStore;
 use crystal_runtime::{DeviceSession, SessionOom, SessionStats};
 use crystal_ssb::engines::copro::{self, Placement, TablePlacement};
 use crystal_ssb::engines::gpu::DeviceQueryJob;
@@ -222,18 +222,6 @@ impl ServeReport {
         self.completed
             .iter()
             .filter(|c| c.backend == Backend::Device)
-            .count()
-    }
-
-    /// Queries whose admission decision drew on measured history (zero
-    /// for an uncalibrated serve and for a cold calibration store).
-    pub fn blended_decisions(&self) -> usize {
-        self.completed
-            .iter()
-            .filter(|c| {
-                c.decision()
-                    .is_some_and(|d| d.source == BoundsSource::Blended)
-            })
             .count()
     }
 
@@ -685,6 +673,7 @@ pub fn serve_serial(
 mod tests {
     use super::*;
     use crystal_hardware::{intel_i7_6900, nvidia_v100, pcie_gen3, table2_profile};
+    use crystal_models::calibration::BoundsSource;
     use crystal_ssb::arbitrary::random_star_query;
     use crystal_ssb::engines::reference;
     use crystal_ssb::FactEncodings;
@@ -965,7 +954,9 @@ mod tests {
         }
         let report = last.unwrap();
         assert!(
-            report.blended_decisions() > 0,
+            report.completed.iter().any(|c| c
+                .decision()
+                .is_some_and(|d| d.source == BoundsSource::Blended)),
             "four passes over a 12-query stream never warmed the store"
         );
         for (t, stream) in tenants.iter().enumerate() {

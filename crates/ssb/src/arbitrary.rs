@@ -11,7 +11,7 @@
 //! The generator only emits queries every engine can execute: dimension
 //! filters and group attributes are drawn from the attributes that exist
 //! on their table, join FKs are the canonical star-schema edges, and the
-//! mixed-radix group domain is capped at [`MAX_GROUP_DOMAIN`] so the
+//! mixed-radix group domain is capped at `MAX_GROUP_DOMAIN` so the
 //! device engines' group tables stay small beside the columns they cache.
 
 use rand::rngs::SmallRng;
@@ -30,7 +30,7 @@ use crate::plan::{AggExpr, DimAttr, DimJoin, DimPred, DimTable, FactCol, FactPre
 /// host memory), and that scratch competes with the columns a session
 /// caches, so a large table forces evictions or is refused on a small
 /// device.
-pub const MAX_GROUP_DOMAIN: usize = 2_000_000;
+pub(crate) const MAX_GROUP_DOMAIN: usize = 2_000_000;
 
 /// Attributes that exist on each dimension table (the schema edges the
 /// generator may draw filters and group-bys from).
@@ -93,23 +93,23 @@ fn random_fact_pred(rng: &mut SmallRng) -> FactPred {
 }
 
 /// A random predicate over one attribute: point, range (dense-code
-/// endpoints mapped back to attribute values — `from_dense` is monotone
+/// endpoints mapped back to attribute values — `value` is monotone
 /// for every attribute), or a small `IN` set.
 fn random_dim_pred(rng: &mut SmallRng, attr: DimAttr) -> DimPred {
     let domain = attr.domain();
     match rng.gen_range(0..3u32) {
-        0 => DimPred::Eq(attr, attr.from_dense(rng.gen_range(0..domain))),
+        0 => DimPred::Eq(attr, attr.value(rng.gen_range(0..domain))),
         1 => {
             let a = rng.gen_range(0..domain);
             let b = rng.gen_range(0..domain);
-            DimPred::Between(attr, attr.from_dense(a.min(b)), attr.from_dense(a.max(b)))
+            DimPred::Between(attr, attr.value(a.min(b)), attr.value(a.max(b)))
         }
         _ => {
             let k = rng.gen_range(1..=4usize);
             DimPred::In(
                 attr,
                 (0..k)
-                    .map(|_| attr.from_dense(rng.gen_range(0..domain)))
+                    .map(|_| attr.value(rng.gen_range(0..domain)))
                     .collect(),
             )
         }
@@ -187,13 +187,6 @@ pub fn random_star_query(_d: &SsbData, seed: u64) -> StarQuery {
     }
 }
 
-/// `n` random queries from consecutive seeds `seed..seed + n`.
-pub fn random_star_queries(d: &SsbData, seed: u64, n: usize) -> Vec<StarQuery> {
-    (0..n as u64)
-        .map(|i| random_star_query(d, seed.wrapping_add(i)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,7 +241,7 @@ mod tests {
     #[test]
     fn generator_covers_the_descriptor_space() {
         let d = data();
-        let queries = random_star_queries(&d, 0, 300);
+        let queries: Vec<StarQuery> = (0..300).map(|seed| random_star_query(&d, seed)).collect();
         assert!(queries.iter().any(|q| q.joins.is_empty()));
         assert!(queries.iter().any(|q| q.joins.len() == 4));
         assert!(queries.iter().any(|q| q.group_attrs().is_empty()));

@@ -259,7 +259,7 @@ fn fp_table<const N: usize>(h: u64, cols: [&[i32]; N]) -> u64 {
 }
 
 /// SSB part-table cardinality: `200,000 x (1 + floor(log2 SF))`.
-pub fn part_rows(sf: usize) -> usize {
+pub(crate) fn part_rows(sf: usize) -> usize {
     200_000 * (1 + (sf as f64).log2().floor() as usize)
 }
 

@@ -12,7 +12,7 @@
 //!   nothing ever materializes a decompressed column. Dimension tables
 //!   stay plain — they are thousands of rows against the fact table's
 //!   millions, so compressing them moves no interesting bytes.
-//! * [`rewrite_eq`] / [`rewrite_between`] / [`rewrite_in`] — the paper's
+//! * `rewrite_eq` / `rewrite_between` / `rewrite_in` — the paper's
 //!   Section 5.2 literal rewrite, formalized: a string filter such as
 //!   `s_region = 'ASIA'` becomes a range check over the dictionary's
 //!   packed code domain, which is exactly what the fused
@@ -57,7 +57,7 @@ impl FactEncodings {
     }
 
     /// The encoding of one column.
-    pub fn get(&self, col: FactCol) -> Encoding {
+    pub(crate) fn get(&self, col: FactCol) -> Encoding {
         self.enc[col.index()]
     }
 
@@ -79,7 +79,7 @@ impl FactEncodings {
 
     /// Total values in the *packed* columns of `cols` (`rows` per packed
     /// column) — the host's fused-unpack work for the Section-6 bound.
-    pub fn packed_values(&self, rows: usize, cols: &[FactCol]) -> usize {
+    pub(crate) fn packed_values(&self, rows: usize, cols: &[FactCol]) -> usize {
         cols.iter()
             .filter(|c| self.get(**c).is_packed())
             .map(|_| rows)
@@ -143,7 +143,7 @@ impl EncodedFact {
     }
 
     /// Fact rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
@@ -180,7 +180,7 @@ impl EncodedFact {
 
 /// The dictionary a string-valued dimension attribute is encoded through
 /// (`None` for numeric attributes such as `d_year`).
-pub fn dict_of(dicts: &SsbDicts, attr: DimAttr) -> Option<&Dictionary> {
+pub(crate) fn dict_of(dicts: &SsbDicts, attr: DimAttr) -> Option<&Dictionary> {
     match attr {
         DimAttr::Region => Some(&dicts.region),
         DimAttr::Nation => Some(&dicts.nation),
@@ -195,7 +195,7 @@ pub fn dict_of(dicts: &SsbDicts, attr: DimAttr) -> Option<&Dictionary> {
 /// Rewrites `attr = 'literal'` into an equality over the attribute's
 /// dictionary code. `None` when the attribute is numeric or the literal
 /// is absent from the dictionary.
-pub fn rewrite_eq(dicts: &SsbDicts, attr: DimAttr, literal: &str) -> Option<DimPred> {
+pub(crate) fn rewrite_eq(dicts: &SsbDicts, attr: DimAttr, literal: &str) -> Option<DimPred> {
     Some(DimPred::Eq(attr, dict_of(dicts, attr)?.code(literal)?))
 }
 
@@ -205,7 +205,12 @@ pub fn rewrite_eq(dicts: &SsbDicts, attr: DimAttr, literal: &str) -> Option<DimP
 /// (brands of one category are consecutive, cities of one nation are
 /// consecutive), so a contiguous literal range is a contiguous code
 /// range — the packed-domain range check the fused kernels execute.
-pub fn rewrite_between(dicts: &SsbDicts, attr: DimAttr, lo: &str, hi: &str) -> Option<DimPred> {
+pub(crate) fn rewrite_between(
+    dicts: &SsbDicts,
+    attr: DimAttr,
+    lo: &str,
+    hi: &str,
+) -> Option<DimPred> {
     let d = dict_of(dicts, attr)?;
     let (a, b) = (d.code(lo)?, d.code(hi)?);
     Some(DimPred::Between(attr, a.min(b), a.max(b)))
@@ -214,7 +219,7 @@ pub fn rewrite_between(dicts: &SsbDicts, attr: DimAttr, lo: &str, hi: &str) -> O
 /// Rewrites `attr IN ('a', 'b', ...)` into a code set. `None` if any
 /// literal is absent (a filter that can never match should be visible at
 /// plan time, not silently dropped).
-pub fn rewrite_in(dicts: &SsbDicts, attr: DimAttr, literals: &[&str]) -> Option<DimPred> {
+pub(crate) fn rewrite_in(dicts: &SsbDicts, attr: DimAttr, literals: &[&str]) -> Option<DimPred> {
     let d = dict_of(dicts, attr)?;
     let codes: Option<Vec<i32>> = literals.iter().map(|l| d.code(l)).collect();
     Some(DimPred::In(attr, codes?))

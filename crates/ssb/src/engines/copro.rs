@@ -21,7 +21,7 @@
 //!
 //! **One placement path, one execution path.** [`choose_placement`] prices
 //! every live segment of a [`FactTable`] through the one bounds formula
-//! ([`crystal_models::ssb::resident_coprocessor_bounds`], under the factors
+//! (`crystal_models::ssb::resident_coprocessor_bounds`, under the factors
 //! an optional [`CalibrationStore`] has learned) and routes each to the
 //! cheaper side; the whole table is the one-segment case, whose split *is*
 //! the whole-query decision. [`gpu::execute`] runs a table through a session
@@ -117,7 +117,7 @@ pub struct TablePlacement {
     /// one-segment table, the decision about that segment.
     pub decision: PlacementDecision,
     /// Which live segments run where, and the modeled seconds of each side.
-    /// Its indices name segments of the table ([`FactTable::subset`] takes
+    /// Its indices name segments of the table (`FactTable::subset` takes
     /// them); a pruned segment is on neither side.
     pub split: HybridSplit,
 }

@@ -125,7 +125,7 @@ pub fn execute_partitioned_session(
 /// A resumable device-side query execution over the segments of a
 /// [`FactTable`] zone-map pruning leaves live — the whole table is one, a
 /// partitioned table one per live shard, the device half of a hybrid
-/// placement a [`FactTable::subset`] — the shape
+/// placement a `FactTable::subset` — the shape
 /// [`HostQueryJob`](crate::exec::HostQueryJob) has on the host.
 ///
 /// Segments run one at a time. *Admitting* one opens a session pin ledger,

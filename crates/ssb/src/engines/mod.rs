@@ -49,7 +49,7 @@ const _: () = {
 /// values leave holes between the years).
 struct AttrMap<'a> {
     col: &'a [i32],
-    /// Smallest value of the attribute (`from_dense(0)`).
+    /// Smallest value of the attribute (`value(0)`).
     base: i32,
     map: Vec<i16>,
 }
@@ -58,11 +58,11 @@ impl<'a> AttrMap<'a> {
     /// Tabulates `f(dense code, value)` over every value of `attr`; holes
     /// in the value range read `-1`.
     fn new(attr: DimAttr, col: &'a [i32], f: impl Fn(usize, i32) -> i16) -> Self {
-        let base = attr.from_dense(0);
-        let top = attr.from_dense(attr.domain() - 1);
+        let base = attr.value(0);
+        let top = attr.value(attr.domain() - 1);
         let mut map = vec![-1i16; (top - base + 1) as usize];
         for dense in 0..attr.domain() {
-            let value = attr.from_dense(dense);
+            let value = attr.value(dense);
             map[(value - base) as usize] = f(dense, value);
         }
         AttrMap { col, base, map }
@@ -187,7 +187,7 @@ impl DimBuild {
         // The share of the filter attribute's values the filter accepts: SSB
         // draws every attribute uniformly, so about the share of the rows.
         let pass_share = join.filter.as_ref().map_or(1.0, |p| {
-            let values = (0..p.attr().domain()).map(|dense| p.attr().from_dense(dense));
+            let values = (0..p.attr().domain()).map(|dense| p.attr().value(dense));
             values.filter(|&v| p.matches(v)).count() as f64 / p.attr().domain() as f64
         });
         let expected = (r.keys.len() as f64 * pass_share * 1.02) as usize + CHUNK;
@@ -279,7 +279,7 @@ pub fn dim_device_table(
 /// as a scale guard. Folding the dataset in keeps a session shared by
 /// tenants replaying different databases from serving one tenant's build
 /// to another.
-pub fn dim_join_fingerprint(d: &SsbData, join: &DimJoin) -> u64 {
+pub(crate) fn dim_join_fingerprint(d: &SsbData, join: &DimJoin) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = FNV_OFFSET;
@@ -346,7 +346,7 @@ pub fn dim_join_fingerprint(d: &SsbData, join: &DimJoin) -> u64 {
 /// whose simulated footprint is the paper's `2 x 4 x |dim|` accounting
 /// ([`dim_table_bytes`]). A host join is a semi-join against the bitmap
 /// (75 KB for SF-20 customer, 125 KB for part: cache-resident under any
-/// fact stream); the 2-byte codes (every [`DimAttr::domain`] fits, and the
+/// fact stream); the 2-byte codes (every `DimAttr::domain` fits, and the
 /// key is implied by the position; 1.2 and 2 MB) are read only for the
 /// rows that survive every join.
 #[derive(Debug, Clone)]
@@ -469,7 +469,7 @@ pub struct QueryTrace {
 impl QueryTrace {
     /// Adds the counts of `part`, the same query traced over other rows of
     /// the same table; `groups` are those of the two results merged.
-    pub fn merge(&mut self, part: &QueryTrace, groups: usize) {
+    pub(crate) fn merge(&mut self, part: &QueryTrace, groups: usize) {
         self.pred_survivors += part.pred_survivors;
         for (mine, theirs) in self.stages.iter_mut().zip(&part.stages) {
             mine.probes += theirs.probes;
@@ -496,7 +496,7 @@ impl QueryTrace {
     }
 
     /// Final selectivity (rows reaching the aggregate per fact row).
-    pub fn result_frac(&self) -> f64 {
+    pub(crate) fn result_frac(&self) -> f64 {
         if self.fact_rows == 0 {
             0.0
         } else {
@@ -627,7 +627,7 @@ impl GroupAcc {
             let key: Vec<i32> = codes
                 .iter()
                 .zip(&attrs)
-                .map(|(&c, a)| a.from_dense(c as usize))
+                .map(|(&c, a)| a.value(c as usize))
                 .collect();
             (key, sum)
         }))
@@ -672,7 +672,7 @@ mod tests {
             let nonzero = dense.iter().enumerate().filter(|&(_, &sum)| sum != 0);
             QueryResult::from_groups(nonzero.map(|(idx, &sum)| {
                 let codes = group_decode(&domains, idx).into_iter().zip(&attrs);
-                (codes.map(|(c, a)| a.from_dense(c as usize)).collect(), sum)
+                (codes.map(|(c, a)| a.value(c as usize)).collect(), sum)
             }))
         };
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
@@ -752,7 +752,7 @@ mod tests {
     /// The 13 canned plans and 60 random ones.
     fn plans(d: &SsbData) -> Vec<StarQuery> {
         let mut queries = crate::queries::all_queries(d);
-        queries.extend(crate::arbitrary::random_star_queries(d, 17, 60));
+        queries.extend((17..77).map(|seed| crate::arbitrary::random_star_query(d, seed)));
         queries
     }
 

@@ -456,7 +456,7 @@ impl<'a> Plan<'a> {
 ///
 /// A job scans the segments of a [`FactTable`] that pruning leaves live
 /// (none at all when everything is pruned; the host half of a hybrid
-/// placement hands it a [`FactTable::subset`]). Construction resolves the
+/// placement hands it a `FactTable::subset`). Construction resolves the
 /// plan once (dimension lookups, column slices); each
 /// [`HostQueryJob::step`] advances the `(segment, offset)` cursor by a
 /// bounded number of rows, crossing segment boundaries mid-grant, and

@@ -8,6 +8,7 @@
 //! produced without a 13 GB dataset or an 8-core Skylake.
 
 use crystal_hardware::{CpuSpec, GpuSpec};
+use crystal_models::ssb::CPU_DEPENDENT_PROBE_STALL;
 
 use crate::engines::QueryTrace;
 use crate::plan::{DimTable, StarQuery};
@@ -15,18 +16,18 @@ use crate::plan::{DimTable, StarQuery};
 /// SF-20 cardinalities (Section 5.1 / 5.3).
 pub mod sf20 {
     /// Fact rows: 120M.
-    pub const LINEORDER: usize = 120_000_000;
-    pub const SUPPLIER: usize = 40_000;
-    pub const CUSTOMER: usize = 600_000;
-    pub const PART: usize = 1_000_000;
-    pub const DATE: usize = 2_557;
+    pub(crate) const LINEORDER: usize = 120_000_000;
+    pub(crate) const SUPPLIER: usize = 40_000;
+    pub(crate) const CUSTOMER: usize = 600_000;
+    pub(crate) const PART: usize = 1_000_000;
+    pub(crate) const DATE: usize = 2_557;
     /// `d_datekey` spans 19920101..=19981231; a perfect-hash table covers
     /// the whole key range.
-    pub const DATE_KEY_RANGE: usize = (19981231 - 19920101 + 1) as usize;
+    pub(crate) const DATE_KEY_RANGE: usize = (19981231 - 19920101 + 1) as usize;
 }
 
 /// SF-20 rows of a dimension.
-pub fn dim_rows(table: DimTable) -> usize {
+pub(crate) fn dim_rows(table: DimTable) -> usize {
     match table {
         DimTable::Date => sf20::DATE,
         DimTable::Part => sf20::PART,
@@ -37,7 +38,7 @@ pub fn dim_rows(table: DimTable) -> usize {
 
 /// SF-20 perfect-hash footprint of a dimension (8 bytes per key-range
 /// slot — the paper's `2 x 4 x |P|`).
-pub fn dim_ht_bytes(table: DimTable) -> usize {
+pub(crate) fn dim_ht_bytes(table: DimTable) -> usize {
     match table {
         DimTable::Date => 8 * sf20::DATE_KEY_RANGE,
         t => 8 * dim_rows(t),
@@ -79,9 +80,10 @@ fn r3_secs(trace: &QueryTrace, line: usize, read_bw: f64, write_bw: f64) -> f64 
     out * line as f64 / read_bw + out * line as f64 / write_bw
 }
 
-/// Ideal standalone-CPU query time at SF 20: DRAM streaming overlapped
-/// with L3-resident probe traffic (all SSB hash tables fit the 20MB L3).
-pub fn cpu_secs(q: &StarQuery, trace: &QueryTrace, cpu: &CpuSpec) -> f64 {
+/// Standalone-CPU query time at SF 20: DRAM streaming overlapped with
+/// L3-resident probe traffic (all SSB hash tables fit the 20MB L3), the
+/// probes slowed `stall`-fold. `stall = 1` is the ideal model.
+fn cpu_stalled_secs(q: &StarQuery, trace: &QueryTrace, cpu: &CpuSpec, stall: f64) -> f64 {
     let streams = r1_secs(q, trace, cpu.cache_line, cpu.read_bw)
         + r3_secs(trace, cpu.cache_line, cpu.read_bw, cpu.write_bw);
     let l = sf20::LINEORDER as f64;
@@ -89,34 +91,23 @@ pub fn cpu_secs(q: &StarQuery, trace: &QueryTrace, cpu: &CpuSpec) -> f64 {
         .map(|j| trace.selectivity_before_stage(j) * l)
         .sum();
     let probe_secs = probes * cpu.cache_line as f64 / cpu.l3_bw;
-    streams.max(probe_secs)
+    streams.max(probe_secs * stall)
 }
-
-/// Stall multiplier for dependent probe chains (Section 5.3's 47 ms
-/// model vs 125 ms measured).
-pub const CPU_PROBE_STALL: f64 = 2.5;
 
 /// Empirical standalone-CPU time: probes slowed by the dependent-access
 /// stall factor — the series comparable to the paper's measured
 /// "Standalone (CPU)" bars.
 pub fn cpu_empirical_secs(q: &StarQuery, trace: &QueryTrace, cpu: &CpuSpec) -> f64 {
-    let streams = r1_secs(q, trace, cpu.cache_line, cpu.read_bw)
-        + r3_secs(trace, cpu.cache_line, cpu.read_bw, cpu.write_bw);
-    let l = sf20::LINEORDER as f64;
-    let probes: f64 = (0..q.joins.len())
-        .map(|j| trace.selectivity_before_stage(j) * l)
-        .sum();
-    let probe_secs = probes * cpu.cache_line as f64 / cpu.l3_bw;
-    streams.max(probe_secs * CPU_PROBE_STALL)
+    cpu_stalled_secs(q, trace, cpu, CPU_DEPENDENT_PROBE_STALL)
 }
 
 /// "Standalone CPU ... does on an average 1.17x better than \[Hyper\]"
 /// (Section 5.2).
-pub const HYPER_VS_STANDALONE: f64 = 1.17;
+pub(crate) const HYPER_VS_STANDALONE: f64 = 1.17;
 
 /// "The Standalone CPU is on an average 2.5x faster than MonetDB"
 /// (Section 5.2).
-pub const MONETDB_VS_STANDALONE: f64 = 2.5;
+pub(crate) const MONETDB_VS_STANDALONE: f64 = 2.5;
 
 /// Hyper's modeled SF-20 time.
 pub fn hyper_secs(q: &StarQuery, trace: &QueryTrace, cpu: &CpuSpec) -> f64 {
@@ -183,7 +174,7 @@ mod tests {
         let (q, trace) = traced(&d, QueryId::new(2, 1));
         let cpu = intel_i7_6900();
         let gpu = nvidia_v100();
-        let c_ms = cpu_secs(&q, &trace, &cpu) * 1e3;
+        let c_ms = cpu_stalled_secs(&q, &trace, &cpu, 1.0) * 1e3;
         let ce_ms = cpu_empirical_secs(&q, &trace, &cpu) * 1e3;
         let g_ms = gpu_secs(&q, &trace, &gpu) * 1e3;
         // Paper: model 47 (CPU) / 3.7 (GPU); measured 125 / 3.86.
@@ -234,7 +225,7 @@ mod tests {
         let gpu = nvidia_v100();
         // No joins: the CPU model is pure streaming; GPU/CPU ratio equals
         // the bandwidth ratio.
-        let ratio = cpu_secs(&q, &trace, &cpu) / gpu_secs(&q, &trace, &gpu);
+        let ratio = cpu_stalled_secs(&q, &trace, &cpu, 1.0) / gpu_secs(&q, &trace, &gpu);
         assert!((13.0..18.0).contains(&ratio), "q1.1 ratio {ratio}");
     }
 }

@@ -2,10 +2,10 @@
 //! predicate pruning — the storage layer of the beyond-memory regime.
 //!
 //! [`PartitionedFact`] splits `lineorder` on `lo_orderdate` into
-//! equal-width value ranges. Each [`FactShard`] materializes its rows in
+//! equal-width value ranges. Each `FactShard` materializes its rows in
 //! original table order, encodes them independently as an
 //! [`EncodedFact`] (so packed execution and per-shard device upload need
-//! no new kernel paths), and records a [`ZoneMap`] — the min/max of every
+//! no new kernel paths), and records a `ZoneMap` — the min/max of every
 //! stored column over the shard's rows.
 //!
 //! The split is the radix partition of the paper's Section 4.4 with the
@@ -41,32 +41,22 @@ use crate::plan::{FactCol, StarQuery};
 
 /// Per-column min/max of one shard's stored values.
 #[derive(Debug, Clone, Copy)]
-pub struct ZoneMap {
+pub(crate) struct ZoneMap {
     min: [i32; 9],
     max: [i32; 9],
 }
 
 impl ZoneMap {
-    /// Smallest stored value of `col` in the shard.
-    pub fn min(&self, col: FactCol) -> i32 {
-        self.min[col.index()]
-    }
-
-    /// Largest stored value of `col` in the shard.
-    pub fn max(&self, col: FactCol) -> i32 {
-        self.max[col.index()]
-    }
-
     /// Whether the inclusive range `lo..=hi` on `col` can match any row
     /// of the shard. Inclusive on both ends, so a predicate bound that
     /// lands exactly on a shard-boundary value keeps the shard live.
-    pub fn overlaps(&self, col: FactCol, lo: i32, hi: i32) -> bool {
+    pub(crate) fn overlaps(&self, col: FactCol, lo: i32, hi: i32) -> bool {
         hi >= self.min[col.index()] && lo <= self.max[col.index()]
     }
 
     /// Whether pruning eliminates the shard for `q`: some fact predicate's
     /// range misses the stored-value interval, so no row can qualify.
-    pub fn prunes(&self, q: &StarQuery) -> bool {
+    pub(crate) fn prunes(&self, q: &StarQuery) -> bool {
         q.fact_preds
             .iter()
             .any(|p| !self.overlaps(p.col, p.lo, p.hi))
@@ -81,7 +71,7 @@ fn min_max(col: &[i32]) -> (i32, i32) {
 }
 
 /// The most buckets a table can be split into: a row's bucket is a `u16`.
-pub const MAX_BUCKETS: usize = 1 << 16;
+pub(crate) const MAX_BUCKETS: usize = 1 << 16;
 
 /// Refuses, before anything is allocated, a bucket count whose ids would
 /// not fit the `u16` per row.
@@ -100,14 +90,11 @@ pub struct Buckets {
     ids: Vec<u16>,
     /// Bucket `b`'s rows land in `starts[b]..starts[b + 1]`.
     starts: Vec<usize>,
-    /// The smallest key, and how many values `lo..=hi` spans.
-    lo: i32,
-    width: u64,
 }
 
 impl Buckets {
     /// Assigns every row of `keys` to one of `count` (at least one, at most
-    /// [`MAX_BUCKETS`]) equal-width buckets of the keys' value range.
+    /// `MAX_BUCKETS`) equal-width buckets of the keys' value range.
     pub fn of(keys: &[i32], count: usize) -> Self {
         check_buckets(count);
         let k = count.max(1) as u64;
@@ -123,31 +110,17 @@ impl Buckets {
         for b in 0..k as usize {
             starts[b + 1] += starts[b];
         }
-        Buckets {
-            ids,
-            starts,
-            lo,
-            width,
-        }
+        Buckets { ids, starts }
     }
 
     /// How many buckets there are (empty ones included).
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.starts.len() - 1
     }
 
     /// Where bucket `b`'s rows land in a scattered column.
-    pub fn rows(&self, b: usize) -> Range<usize> {
+    pub(crate) fn rows(&self, b: usize) -> Range<usize> {
         self.starts[b]..self.starts[b + 1]
-    }
-
-    /// The inclusive key range bucket `b` covers: exactly the values `v`
-    /// with `b <= (v - lo) * k / width < b + 1`, i.e.
-    /// `[ceil(b * width / k), ceil((b + 1) * width / k) - 1]` above `lo`.
-    fn bounds(&self, b: usize) -> (i32, i32) {
-        let (b, k) = (b as u64, self.count() as u64);
-        let above = |edge: u64| self.lo + (edge * self.width).div_ceil(k) as i32;
-        (above(b), above(b + 1) - 1)
     }
 
     /// Scatters three columns at once into bucket order, rows keeping
@@ -175,40 +148,26 @@ impl Buckets {
 /// One range partition of the fact table: its rows (original order),
 /// independently encoded, plus the zone map pruning consults.
 #[derive(Debug, Clone)]
-pub struct FactShard {
-    /// Inclusive `lo_orderdate` value range this shard covers.
-    date_lo: i32,
-    date_hi: i32,
+pub(crate) struct FactShard {
     encoded: EncodedFact,
     zone: ZoneMap,
 }
 
 impl FactShard {
-    /// Rows in the shard.
-    pub fn rows(&self) -> usize {
-        self.encoded.rows()
-    }
-
     /// The shard's independently encoded fact table.
-    pub fn encoded(&self) -> &EncodedFact {
+    pub(crate) fn encoded(&self) -> &EncodedFact {
         &self.encoded
     }
 
     /// The shard's per-column min/max over stored values.
-    pub fn zone(&self) -> &ZoneMap {
+    pub(crate) fn zone(&self) -> &ZoneMap {
         &self.zone
-    }
-
-    /// The inclusive `lo_orderdate` value range the shard covers (the
-    /// partitioning interval, not the observed min/max).
-    pub fn date_bounds(&self) -> (i32, i32) {
-        (self.date_lo, self.date_hi)
     }
 }
 
 /// The fact table as a first-class sharded object: equal-width range
 /// partitions on `lo_orderdate`, each independently encoded with a zone
-/// map ([`FactShard`]).
+/// map (`FactShard`).
 #[derive(Debug, Clone)]
 pub struct PartitionedFact {
     shards: Vec<FactShard>,
@@ -252,14 +211,9 @@ impl PartitionedFact {
                 }
             }
         }
-        let shards = shards.into_iter().map(|(b, cols, zone)| {
-            let (date_lo, date_hi) = buckets.bounds(b);
-            FactShard {
-                date_lo,
-                date_hi,
-                encoded: EncodedFact::from_columns(cols),
-                zone,
-            }
+        let shards = shards.into_iter().map(|(_, cols, zone)| FactShard {
+            encoded: EncodedFact::from_columns(cols),
+            zone,
         });
         PartitionedFact {
             shards: shards.collect(),
@@ -277,13 +231,8 @@ impl PartitionedFact {
         self.total_rows
     }
 
-    /// One shard.
-    pub fn shard(&self, i: usize) -> &FactShard {
-        &self.shards[i]
-    }
-
     /// All shards, in `lo_orderdate` range order.
-    pub fn shards(&self) -> &[FactShard] {
+    pub(crate) fn shards(&self) -> &[FactShard] {
         &self.shards
     }
 
@@ -319,10 +268,10 @@ mod tests {
         for (row, &v) in dates.iter().enumerate() {
             buckets[((v as i64 - lo as i64) as u64 * k as u64 / width) as usize].push(row);
         }
-        let shards = buckets.into_iter().enumerate();
-        let shards = shards
-            .filter(|(_, rows)| !rows.is_empty())
-            .map(|(b, rows)| {
+        let shards = buckets
+            .into_iter()
+            .filter(|rows| !rows.is_empty())
+            .map(|rows| {
                 let cols =
                     FactCol::ALL.map(|c| rows.iter().map(|&r| c.data(d)[r]).collect::<Vec<_>>());
                 let mut zone = ZoneMap {
@@ -337,8 +286,6 @@ mod tests {
                 }
                 let encode = |c: &FactCol| EncodedColumn::encode(&cols[c.index()], enc.get(*c));
                 FactShard {
-                    date_lo: lo + (b as u64 * width).div_ceil(k as u64) as i32,
-                    date_hi: lo + ((b as u64 + 1) * width).div_ceil(k as u64) as i32 - 1,
                     encoded: EncodedFact::from_columns(FactCol::ALL.iter().map(encode).collect()),
                     zone,
                 }
@@ -349,7 +296,7 @@ mod tests {
         }
     }
 
-    /// Shard count, rows, date bounds, all 9 x 2 zone values and every
+    /// Shard count, rows, all 9 x 2 zone values and every
     /// stored column equal the replaced algorithm's — for one bucket,
     /// few, many, and more buckets than there are distinct dates; plain,
     /// minimally packed and randomly mixed encodings; generated data and
@@ -394,8 +341,7 @@ mod tests {
                 assert_eq!(got.shard_count(), want.shard_count(), "{case}");
                 assert_eq!(got.total_rows(), want.total_rows(), "{case}");
                 for (g, w) in got.shards().iter().zip(want.shards()) {
-                    assert_eq!(g.rows(), w.rows(), "{case}");
-                    assert_eq!(g.date_bounds(), w.date_bounds(), "{case}");
+                    assert_eq!(g.encoded.rows(), w.encoded.rows(), "{case}");
                     assert_eq!((g.zone.min, g.zone.max), (w.zone.min, w.zone.max), "{case}");
                     for c in FactCol::ALL {
                         assert_eq!(g.encoded.encoded(c), w.encoded.encoded(c), "{case} {c:?}");
@@ -440,22 +386,14 @@ mod tests {
         let pf = PartitionedFact::partition(&d, 8, &FactEncodings::plain());
         assert_eq!(pf.total_rows(), d.lineorder.rows());
         assert_eq!(
-            pf.shards().iter().map(FactShard::rows).sum::<usize>(),
+            pf.shards().iter().map(|s| s.encoded.rows()).sum::<usize>(),
             d.lineorder.rows()
         );
         assert!(pf.shard_count() >= 2 && pf.shard_count() <= 8);
-        // Shards cover disjoint, ordered date ranges, and every stored
-        // orderdate falls inside its shard's zone interval.
+        // Shards cover disjoint, ordered date ranges.
+        let date = FactCol::OrderDate.index();
         for w in pf.shards().windows(2) {
-            assert!(w[0].zone().max(FactCol::OrderDate) < w[1].zone().min(FactCol::OrderDate));
-        }
-        // Within a shard, rows keep their original relative order: the
-        // custkey sequence of shard rows appears as a subsequence of the
-        // table (spot-check via monotone row reconstruction of dates).
-        for s in pf.shards() {
-            let (lo, hi) = s.date_bounds();
-            assert!(s.zone().min(FactCol::OrderDate) >= lo);
-            assert!(s.zone().max(FactCol::OrderDate) <= hi);
+            assert!(w[0].zone.max[date] < w[1].zone.min[date]);
         }
     }
 
@@ -467,9 +405,10 @@ mod tests {
             for c in FactCol::ALL {
                 let col = s.encoded().col(c);
                 use crystal_storage::encoding::ColumnRead;
-                for i in (0..s.rows()).step_by(53) {
+                for i in (0..s.encoded.rows()).step_by(53) {
                     let v = col.value(i);
-                    assert!(v >= s.zone().min(c) && v <= s.zone().max(c), "{c:?}");
+                    let (min, max) = (s.zone.min[c.index()], s.zone.max[c.index()]);
+                    assert!(v >= min && v <= max, "{c:?}");
                 }
             }
         }
@@ -498,8 +437,7 @@ mod tests {
             .find(|p| p.col == FactCol::OrderDate)
             .unwrap();
         for &i in &live {
-            assert!(pf
-                .shard(i)
+            assert!(pf.shards()[i]
                 .zone()
                 .overlaps(FactCol::OrderDate, date_pred.lo, date_pred.hi));
         }
@@ -518,7 +456,7 @@ mod tests {
 
         // Predicate exactly on a shard boundary: lo == hi == zone max of
         // shard 0 must keep shard 0 (inclusive ranges).
-        let edge = pf.shard(0).zone().max(FactCol::OrderDate);
+        let edge = pf.shards()[0].zone.max[FactCol::OrderDate.index()];
         q.fact_preds = vec![FactPred::between(FactCol::OrderDate, edge, edge)];
         let live = table.live(&q);
         assert!(live.contains(&0), "inclusive boundary must keep shard 0");
@@ -535,7 +473,7 @@ mod tests {
         let d = data();
         let pf = PartitionedFact::partition(&d, 1, &FactEncodings::plain());
         assert_eq!(pf.shard_count(), 1);
-        assert_eq!(pf.shard(0).rows(), d.lineorder.rows());
+        assert_eq!(pf.shards()[0].encoded.rows(), d.lineorder.rows());
         for q in all_queries(&d) {
             assert_eq!(FactTable::sharded(&d, &pf).live(&q), vec![0], "{}", q.name);
         }

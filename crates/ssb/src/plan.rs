@@ -41,7 +41,7 @@ impl FactCol {
 
     /// The column's position in [`FactCol::ALL`].
     #[inline]
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         match self {
             FactCol::OrderDate => 0,
             FactCol::CustKey => 1,
@@ -86,7 +86,7 @@ impl FactPred {
     }
 
     #[inline]
-    pub fn matches(&self, v: i32) -> bool {
+    pub(crate) fn matches(&self, v: i32) -> bool {
         (self.lo..=self.hi).contains(&v)
     }
 }
@@ -117,7 +117,7 @@ pub enum DimAttr {
 
 impl DimAttr {
     /// Number of distinct dense codes (for direct-indexed aggregates).
-    pub const fn domain(&self) -> usize {
+    pub(crate) const fn domain(&self) -> usize {
         match self {
             DimAttr::Year => 7,
             DimAttr::YearMonthNum => 7 * 12,
@@ -143,7 +143,7 @@ impl DimAttr {
     }
 
     /// Inverse of [`DimAttr::dense`].
-    pub fn from_dense(&self, dense: usize) -> i32 {
+    pub(crate) fn value(&self, dense: usize) -> i32 {
         match self {
             DimAttr::Year => dense as i32 + 1992,
             DimAttr::YearMonthNum => {
@@ -186,7 +186,7 @@ pub enum DimPred {
 }
 
 impl DimPred {
-    pub fn attr(&self) -> DimAttr {
+    pub(crate) fn attr(&self) -> DimAttr {
         match self {
             DimPred::Eq(a, _) | DimPred::Between(a, _, _) => *a,
             DimPred::In(a, _) => *a,
@@ -194,7 +194,7 @@ impl DimPred {
     }
 
     #[inline]
-    pub fn matches(&self, v: i32) -> bool {
+    pub(crate) fn matches(&self, v: i32) -> bool {
         match self {
             DimPred::Eq(_, x) => v == *x,
             DimPred::Between(_, lo, hi) => (*lo..=*hi).contains(&v),
@@ -257,7 +257,7 @@ pub enum AggExpr {
 
 impl AggExpr {
     /// Fact columns the expression reads.
-    pub fn columns(&self) -> &'static [FactCol] {
+    pub(crate) fn columns(&self) -> &'static [FactCol] {
         match self {
             AggExpr::SumDiscountedPrice => &[FactCol::ExtendedPrice, FactCol::Discount],
             AggExpr::SumRevenue => &[FactCol::Revenue],
@@ -267,7 +267,7 @@ impl AggExpr {
 
     /// Evaluates the expression for fact row `i`.
     #[inline]
-    pub fn eval(&self, d: &SsbData, i: usize) -> i64 {
+    pub(crate) fn eval(&self, d: &SsbData, i: usize) -> i64 {
         let lo = &d.lineorder;
         match self {
             AggExpr::SumDiscountedPrice => lo.extendedprice[i] as i64 * lo.discount[i] as i64,
@@ -441,7 +441,7 @@ mod tests {
             for v in values {
                 let d = attr.dense(v);
                 assert!(d < attr.domain(), "{attr:?} {v}");
-                assert_eq!(attr.from_dense(d), v);
+                assert_eq!(attr.value(d), v);
             }
         }
     }

@@ -21,7 +21,7 @@ impl QueryResult {
     /// Adds `other`, a partial result of the same query over other rows:
     /// sums add group by group, and a group whose sum cancels to zero is
     /// dropped like any empty one.
-    pub fn merge(&mut self, other: QueryResult) {
+    pub(crate) fn merge(&mut self, other: QueryResult) {
         match (&mut *self, other) {
             (QueryResult::Scalar(sum), QueryResult::Scalar(part)) => *sum += part,
             (QueryResult::Groups(groups), QueryResult::Groups(part)) => {

@@ -25,7 +25,7 @@ use crate::plan::{FactCol, StarQuery};
 
 /// Cold, uncalibrated cost inputs of scanning `cols` over `rows` rows stored
 /// under `enc`: what one segment costs.
-pub fn scan_cost(rows: usize, enc: &FactEncodings, cols: &[FactCol]) -> ScanCost {
+pub(crate) fn scan_cost(rows: usize, enc: &FactEncodings, cols: &[FactCol]) -> ScanCost {
     ScanCost {
         packed_bytes: enc.columns_bytes(rows, cols),
         packed_values: enc.packed_values(rows, cols),
@@ -53,7 +53,7 @@ impl<'a> FactSegment<'a> {
     /// A kernel-ready view of one column. An encoded segment resolves every
     /// column from its encoded table, never from the dataset, so the two
     /// cannot silently disagree about a plain column's data.
-    pub fn col(&self, col: FactCol) -> ColumnSlice<'a> {
+    pub(crate) fn col(&self, col: FactCol) -> ColumnSlice<'a> {
         match self.fact {
             None => ColumnSlice::Plain(col.data(self.d)),
             Some(fact) => fact.col(col),
@@ -61,7 +61,7 @@ impl<'a> FactSegment<'a> {
     }
 
     /// The host copy of one column as the device session uploads it.
-    pub fn host_col(&self, col: FactCol) -> HostCol<'a> {
+    pub(crate) fn host_col(&self, col: FactCol) -> HostCol<'a> {
         match self.fact.map(|f| f.encoded(col)) {
             None => HostCol::Plain(col.data(self.d)),
             Some(EncodedColumn::Plain(v)) => HostCol::Plain(v),
@@ -70,7 +70,7 @@ impl<'a> FactSegment<'a> {
     }
 
     /// The encodings the segment is stored under.
-    pub fn encodings(&self) -> FactEncodings {
+    pub(crate) fn encodings(&self) -> FactEncodings {
         self.fact
             .map_or_else(FactEncodings::plain, EncodedFact::encodings)
     }
@@ -93,11 +93,11 @@ impl<'a> FactSegment<'a> {
 
     /// The min/max of a shard's stored values (`None` for a whole table,
     /// which is never pruned).
-    pub fn zone(&self) -> Option<&'a ZoneMap> {
+    pub(crate) fn zone(&self) -> Option<&'a ZoneMap> {
         self.shard.map(|(_, zone)| zone)
     }
 
-    /// [`scan_cost`] of `cols` over this segment.
+    /// `scan_cost` of `cols` over this segment.
     pub fn cost(&self, cols: &[FactCol]) -> ScanCost {
         scan_cost(self.rows(), &self.encodings(), cols)
     }
@@ -194,7 +194,7 @@ impl<'a> FactTable<'a> {
 
     /// The table restricted to the segments `ids` index — how a hybrid
     /// placement hands each side its share. Shards keep their cache keys.
-    pub fn subset(&self, ids: &[usize]) -> Self {
+    pub(crate) fn subset(&self, ids: &[usize]) -> Self {
         FactTable {
             d: self.d,
             segments: ids.iter().map(|&i| self.segments[i]).collect(),

@@ -132,16 +132,6 @@ impl PackedColumn {
         })
     }
 
-    /// Reassembles a column from its stored parts (see `crate::io`).
-    pub fn from_raw(bits: u32, len: usize, words: Vec<u64>) -> Self {
-        assert!((1..=32).contains(&bits));
-        assert!(
-            words.len() * 64 >= len * bits as usize,
-            "word stream too short"
-        );
-        PackedColumn { bits, len, words }
-    }
-
     /// Number of values.
     pub fn len(&self) -> usize {
         self.len
@@ -165,18 +155,6 @@ impl PackedColumn {
     /// The underlying words (for device upload).
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Compression ratio versus 4-byte storage.
-    pub fn compression_ratio(&self) -> f64 {
-        (self.len * 4) as f64 / self.size_bytes().max(1) as f64
-    }
-
-    /// Random access to one value.
-    #[inline]
-    pub fn get(&self, i: usize) -> i32 {
-        debug_assert!(i < self.len);
-        unpack_at(&self.words, self.bits, i)
     }
 
     /// Unpacks the whole column.
@@ -221,17 +199,12 @@ impl<'a> PackedView<'a> {
     }
 
     /// Number of values.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether the view covers no values.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Width per value, bits.
-    pub fn bits(&self) -> u32 {
+    pub(crate) fn bits(&self) -> u32 {
         self.bits
     }
 
@@ -255,7 +228,7 @@ impl<'a> PackedView<'a> {
     /// Decodes the values at `rows` into `out[..rows.len()]` (`out` may be
     /// longer, not shorter): the stage of a gather-fed kernel, sixteen rows
     /// per pair of vector gathers under AVX-512 ([`Isa::best`]) and
-    /// [`unpack_at`] per row elsewhere.
+    /// `unpack_at` per row elsewhere.
     #[inline]
     pub fn get_rows(&self, rows: &[u32], out: &mut [i32]) {
         debug_assert!(rows.iter().all(|&row| (row as usize) < self.len));
@@ -266,7 +239,7 @@ impl<'a> PackedView<'a> {
     /// Hints the line value `i` starts in into cache (`i` may lie past the
     /// view: the address is computed, never dereferenced).
     #[inline]
-    pub fn prefetch_value(&self, i: usize) {
+    pub(crate) fn prefetch_value(&self, i: usize) {
         let word = i.wrapping_mul(self.bits as usize) / 64;
         prefetch(self.words.as_ptr().wrapping_add(word));
     }
@@ -579,7 +552,7 @@ unsafe fn gather_avx512(words: &[u64], bits: u32, rows: &[u32], out: &mut [i32])
 /// Extracts value `i` from a packed word stream (shared by the device
 /// kernels, which operate on raw words).
 #[inline]
-pub fn unpack_at(words: &[u64], bits: u32, i: usize) -> i32 {
+pub(crate) fn unpack_at(words: &[u64], bits: u32, i: usize) -> i32 {
     let mask = if bits == 32 {
         u32::MAX as u64
     } else {
@@ -617,7 +590,7 @@ mod tests {
         let values: Vec<i32> = (0..500).map(|i| i % 8192).collect();
         let p = PackedColumn::pack(&values, 13).unwrap();
         for (i, &v) in values.iter().enumerate() {
-            assert_eq!(p.get(i), v, "row {i}");
+            assert_eq!(p.view().get(i), v, "row {i}");
         }
     }
 
@@ -639,11 +612,10 @@ mod tests {
     }
 
     #[test]
-    fn footprint_and_ratio() {
+    fn footprint() {
         let values = vec![1i32; 1600];
         let p = PackedColumn::pack(&values, 8).unwrap();
         assert_eq!(p.size_bytes(), 1600);
-        assert!((p.compression_ratio() - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -744,7 +716,7 @@ mod tests {
             for len in [0, 1, 63, 64, 65, 2112] {
                 let values = values_of_width(bits, len);
                 let p = PackedColumn::pack(&values, bits).unwrap();
-                let by_get: Vec<i32> = (0..len).map(|i| p.get(i)).collect();
+                let by_get: Vec<i32> = (0..len).map(|i| p.view().get(i)).collect();
                 assert_eq!(p.unpack(), by_get, "bits={bits} len={len}");
                 assert_eq!(by_get, values);
             }
@@ -898,7 +870,7 @@ mod tests {
             ] {
                 let mut out = vec![0i32; len];
                 unpack_batch(p.words(), bits, start, &mut out);
-                let expected: Vec<i32> = (start..start + len).map(|i| p.get(i)).collect();
+                let expected: Vec<i32> = (start..start + len).map(|i| p.view().get(i)).collect();
                 assert_eq!(out, expected, "bits={bits} start={start} len={len}");
             }
         }

@@ -58,15 +58,6 @@ impl Encoding {
         }
     }
 
-    /// Compression ratio versus plain 4-byte storage (1.0 for
-    /// [`Encoding::Plain`]; asymptotic, ignoring the final partial word).
-    pub fn ratio(&self) -> f64 {
-        match self {
-            Encoding::Plain => 1.0,
-            Encoding::BitPacked { bits } => 32.0 / *bits as f64,
-        }
-    }
-
     /// Whether this encoding packs (anything but [`Encoding::Plain`]).
     pub fn is_packed(&self) -> bool {
         !matches!(self, Encoding::Plain)
@@ -346,29 +337,6 @@ impl EncodedColumn {
             EncodedColumn::Plain(_) => None,
         }
     }
-
-    /// The value at `row` (unpacking one value if packed).
-    #[inline]
-    pub fn get(&self, row: usize) -> i32 {
-        match self {
-            EncodedColumn::Plain(v) => v[row],
-            EncodedColumn::Packed(p) => p.get(row),
-        }
-    }
-}
-
-/// Extracts value `i` from a raw packed word stream — re-exported here so
-/// encoding-aware device kernels and the view share one bit-math
-/// implementation.
-pub use crate::bitpack::unpack_at as unpack_word_at;
-
-/// Convenience: decodes the whole column (tests and oracles only — hot
-/// paths must stay on [`ColumnRead`]).
-pub fn decode_all(col: &EncodedColumn) -> Vec<i32> {
-    match col {
-        EncodedColumn::Plain(v) => v.clone(),
-        EncodedColumn::Packed(p) => p.unpack(),
-    }
 }
 
 #[cfg(test)]
@@ -376,15 +344,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn encoding_bytes_and_ratio() {
+    fn encoding_bytes() {
         assert_eq!(Encoding::Plain.bytes_for(100), 400);
         let e = Encoding::BitPacked { bits: 8 };
         assert_eq!(e.bytes_for(1600), 1600);
-        assert!((e.ratio() - 4.0).abs() < 1e-12);
         assert!(e.is_packed() && !Encoding::Plain.is_packed());
-        // bits = 32 is a valid no-op pack: ~1.0 ratio, word-rounded bytes.
+        // bits = 32 is a valid no-op pack: word-rounded bytes.
         let noop = Encoding::BitPacked { bits: 32 };
-        assert!((noop.ratio() - 1.0).abs() < 1e-12);
         assert_eq!(noop.bytes_for(3), 16); // 96 bits -> two 8-byte words
     }
 
@@ -411,11 +377,9 @@ mod tests {
             let col = EncodedColumn::encode(&values, enc);
             assert_eq!(col.encoding(), enc);
             assert_eq!(col.len(), values.len());
-            assert_eq!(decode_all(&col), values, "{enc:?}");
             let s = col.slice();
             for (i, &v) in values.iter().enumerate() {
                 assert_eq!(s.value(i), v, "{enc:?} row {i}");
-                assert_eq!(col.get(i), v);
             }
             assert_eq!(s.row_count(), values.len());
             assert_eq!(s.encoding(), enc);
@@ -428,7 +392,8 @@ mod tests {
         let col = EncodedColumn::encode(&bits, Encoding::packed_min(&bits));
         assert_eq!(col.encoding(), Encoding::BitPacked { bits: 1 });
         assert_eq!(col.size_bytes(), 200usize.div_ceil(64) * 8);
-        assert_eq!(decode_all(&col), bits);
+        let s = col.slice();
+        assert!(bits.iter().enumerate().all(|(i, &v)| s.value(i) == v));
     }
 
     #[test]
