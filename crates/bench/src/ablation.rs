@@ -1,248 +1,20 @@
-//! Ablation experiments: the design choices the paper discusses but does
-//! not plot, each isolated and measured.
-//!
-//! * [`radix_join`] — no-partitioning vs radix join (Section 4.3's closing
-//!   discussion): the radix join wins a single large join but cannot
-//!   pipeline.
-//! * [`join_order`] — Section 5.3's remark that the chosen q2.1 plan
-//!   "delivers the highest performance among the several promising plans":
-//!   all six join orders, simulated.
-//! * [`multi_gpu`] — Section 5.5's distributed+hybrid future work: SSB
-//!   scaling across 1-8 simulated GPUs with a partitioned fact table.
-//! * [`agg_groups`] — group-by fan-out sweep: scattered-atomic aggregation
-//!   across group counts (the SSB queries span 1 to 437,500 groups).
+//! The `reproduce ablation-compression` experiment: a design choice the
+//! paper discusses (Section 5.5's "non-byte addressable packing") but does
+//! not plot, isolated and measured — selection over bit-packed columns at
+//! several widths on both devices, then compressed SSB end to end, with
+//! the placement each encoding earns. EXPERIMENTS.md states its scorecard
+//! rows.
 
-use crystal_core::hash::{slots_for_fill_rate, DeviceHashTable, HashScheme};
-use crystal_core::kernels::{gpu_radix_join_sum, hash_join_sum};
-use crystal_cpu::join::{probe_scalar, CpuHashTable};
-use crystal_cpu::radix_join::{bits_for_cache, radix_join_sum};
 use crystal_gpu_sim::Gpu;
-use crystal_hardware::{bytes::fmt_bytes, intel_i7_6900, nvidia_v100, table2_profile, KIB, MIB};
+use crystal_hardware::{bytes::fmt_bytes, intel_i7_6900, nvidia_v100};
 use crystal_ssb::engines::profile::QueryProfile;
 use crystal_ssb::exec::{self, PipelineMode};
-use crystal_ssb::plan::StarQuery;
-use crystal_ssb::queries::{query, QueryId};
-use crystal_ssb::{FactTable, SsbData};
+use crystal_ssb::FactTable;
 use crystal_storage::gen;
 
 use crate::check::Check;
-use crate::stream::{cold, replay, Sessions};
-use crate::util::{
-    ms, ratio, scale_kernel, scale_kernels, time_median, transfer_vs_host_scan, Config, Report,
-};
-
-/// No-partitioning vs radix join, across build-side sizes.
-pub fn radix_join(cfg: &Config, _smoke: bool) -> Vec<Check> {
-    let probe_n = cfg.micro_n();
-    let scale = cfg.scale_to_paper();
-    let t = cfg.threads;
-    let cpu_spec = intel_i7_6900();
-
-    let mut report = Report::new(
-        "ablation_radix_join",
-        &[
-            "ht_size",
-            "gpu_nopart_ms",
-            "gpu_radix_ms",
-            "host_nopart_ms",
-            "host_radix_ms",
-        ],
-    );
-    for ht_bytes in [2 * MIB, 32 * MIB, 256 * MIB] {
-        let build_n = ht_bytes / 16;
-        let bk = gen::shuffled_keys(build_n, 3);
-        let bv: Vec<i32> = (0..build_n as i32).collect();
-        let pk = gen::foreign_keys(probe_n, build_n, 5);
-        let pv = vec![1i32; probe_n];
-
-        // Host CPU, both algorithms.
-        let ht = CpuHashTable::build_parallel(&bk, &bv, ht_bytes / 8, t);
-        let host_nopart = time_median(cfg.reps, || {
-            std::hint::black_box(probe_scalar(&ht, &pk, &pv, t));
-        });
-        drop(ht);
-        let bits = bits_for_cache(build_n, cpu_spec.l2_size);
-        let host_radix = time_median(cfg.reps.min(2), || {
-            std::hint::black_box(radix_join_sum(&bk, &bv, &pk, &pv, bits, t));
-        });
-
-        // Simulated GPU, both algorithms.
-        let mut gpu = Gpu::new(nvidia_v100());
-        let dbk = gpu.alloc_from(&bk);
-        let dbv = gpu.alloc_from(&bv);
-        let dpk = gpu.alloc_from(&pk);
-        let dpv = gpu.alloc_from(&pv);
-        let (ght, _) = DeviceHashTable::build(
-            &mut gpu,
-            &dbk,
-            &dbv,
-            slots_for_fill_rate(build_n, 0.5),
-            HashScheme::Mult,
-        );
-        let (_, _) = hash_join_sum(&mut gpu, &dpk, &dpv, &ght); // L2 warmup
-        let (_, nopart_r) = hash_join_sum(&mut gpu, &dpk, &dpv, &ght);
-        let gbits = crystal_core::kernels::radix_join::bits_for_shared_mem(build_n, 48 * KIB);
-        let (_, radix_rs) = gpu_radix_join_sum(&mut gpu, &dbk, &dbv, &dpk, &dpv, gbits).unwrap();
-        // The first half of the partition kernels handle the (already
-        // full-size) build relation and are not scaled; the probe-side
-        // passes scale to the paper's 2^28. The final join kernel mixes
-        // both sides, so its HBM and shared terms are re-derived from the
-        // byte counters with only the probe share scaled.
-        let n_part = (radix_rs.len() - 1) / 2;
-        let join_k = radix_rs.last().unwrap();
-        let probe_hbm = (probe_n * 8) as f64;
-        let build_hbm = (join_k.stats.hbm_bytes() as f64 - probe_hbm).max(0.0);
-        // Build staging into the shared tables is build-sized; the rest of
-        // the shared traffic (probe lookups, reductions) is probe-sized.
-        let build_shared = (2 * build_n * 8) as f64;
-        let probe_shared = (join_k.stats.shared_bytes as f64 - build_shared).max(0.0);
-        let gspec = nvidia_v100();
-        let join_hbm = (build_hbm + probe_hbm * scale) / (gspec.read_bw * 0.75);
-        let join_shared = (build_shared + probe_shared * scale) / gspec.l1_smem_bw;
-        let gpu_radix_t = scale_kernels(&radix_rs[..n_part], 1.0)
-            + scale_kernels(&radix_rs[n_part..radix_rs.len() - 1], scale)
-            + join_hbm.max(join_shared);
-
-        report.row(vec![
-            fmt_bytes(ht_bytes),
-            ms(scale_kernel(&nopart_r, scale)),
-            ms(gpu_radix_t),
-            ms(host_nopart),
-            ms(host_radix),
-        ]);
-    }
-    report.finish();
-    println!("the radix join trades two extra partitioning passes for cache-local");
-    println!("probes; it wins once the table is far out of cache, but cannot be");
-    println!("pipelined into multi-join queries (Section 4.3).");
-    Vec::new()
-}
-
-/// All six q2.1 join orders on the simulated GPU.
-pub fn join_order(cfg: &Config, _smoke: bool) -> Vec<Check> {
-    let d = SsbData::generate_scaled(20, cfg.fact_scale, 20_2020);
-    let base = query(&d, QueryId::new(2, 1));
-
-    let mut report = Report::new("ablation_join_order", &["order", "gpu_sim_ms"]);
-    let names = ["supplier", "part", "date"];
-    let mut best = f64::MAX;
-    let mut worst: f64 = 0.0;
-    let perms: [[usize; 3]; 6] = [
-        [0, 1, 2],
-        [0, 2, 1],
-        [1, 0, 2],
-        [1, 2, 0],
-        [2, 0, 1],
-        [2, 1, 0],
-    ];
-    let orders = perms.map(|perm| StarQuery {
-        name: base.name,
-        fact_preds: base.fact_preds.clone(),
-        joins: perm.iter().map(|&i| base.joins[i].clone()).collect(),
-        agg: base.agg,
-    });
-    let runs = replay(
-        &FactTable::plain(&d),
-        &orders,
-        Sessions::FreshPerQuery,
-        &table2_profile(),
-    )
-    .runs;
-    for (perm, run) in perms.iter().zip(&runs) {
-        let t = run.sim_secs_scaled(cfg.fact_scale);
-        best = best.min(t);
-        worst = worst.max(t);
-        let label: Vec<&str> = perm.iter().map(|&i| names[i]).collect();
-        report.row(vec![label.join(">"), ms(t)]);
-    }
-    report.finish();
-    println!(
-        "order matters by {}: filtering joins first (supplier 1/5, part 1/25) \
-         prunes later column loads and probes (Section 5.3).",
-        ratio(worst / best)
-    );
-    Vec::new()
-}
-
-/// SSB q2.1 across 1-8 simulated GPUs, fact table partitioned evenly.
-pub fn multi_gpu(cfg: &Config, _smoke: bool) -> Vec<Check> {
-    let d = SsbData::generate_scaled(20, cfg.fact_scale, 20_2020);
-    let q = query(&d, QueryId::new(2, 1));
-
-    let mut report = Report::new(
-        "ablation_multi_gpu",
-        &["gpus", "gpu_sim_ms", "scaling", "aggregate_hbm_gbps"],
-    );
-    let mut single = 0.0;
-    // Each device holds 1/gpus of the fact table and a full dimension
-    // copy (the standard replicated-dimension design); devices run in
-    // parallel and the final partial-aggregate merge is negligible.
-    let run = cold(&FactTable::plain(&d), &q);
-    for gpus in [1usize, 2, 4, 8] {
-        // Each device scans 1/gpus of the fact table, so the per-device
-        // sample-to-paper scale shrinks accordingly.
-        let t = run.sim_secs_scaled(cfg.fact_scale * gpus as f64);
-        if gpus == 1 {
-            single = t;
-        }
-        report.row(vec![
-            gpus.to_string(),
-            ms(t),
-            ratio(single / t),
-            format!("{:.0}", 880.0 * gpus as f64),
-        ]);
-    }
-    report.finish();
-    println!("near-linear scaling: SSB probe pipelines shard cleanly over the fact");
-    println!("table once dimensions are replicated (Section 5.5's future work).");
-    Vec::new()
-}
-
-/// Group-by fan-out sweep: scattered-atomic aggregation cost by group count.
-pub fn agg_groups(cfg: &Config, _smoke: bool) -> Vec<Check> {
-    let n = cfg.micro_n();
-    let scale = cfg.scale_to_paper();
-    let mut report = Report::new(
-        "ablation_agg_groups",
-        &["groups", "gpu_sim_ms", "bottleneck"],
-    );
-    let mut gpu = Gpu::new(nvidia_v100());
-    for log_groups in [0u32, 8, 14, 20, 24] {
-        let groups = 1usize << log_groups;
-        let keys = gen::uniform_i32_domain(n, groups as i32, 77);
-        let vals = gen::uniform_i32_domain(n, 1000, 78);
-        let dk = gpu.alloc_from(&keys);
-        let dv = gpu.alloc_from(&vals);
-        let agg: crystal_gpu_sim::mem::DeviceBuffer<i64> = gpu.alloc_zeroed(groups);
-        let mut host_agg = vec![0i64; groups];
-        gpu.reset_l2();
-        let cfg_launch = crystal_gpu_sim::exec::LaunchConfig::default_for_items(n);
-        let r = gpu.launch("group_by_sum", cfg_launch, |ctx| {
-            let (start, len) = ctx.tile_bounds(n);
-            ctx.global_read_coalesced(len * 8);
-            for i in start..start + len {
-                let g = keys[i] as usize;
-                ctx.atomic_scattered(agg.addr_of(g));
-                host_agg[g] += vals[i] as i64;
-            }
-            ctx.compute(len);
-        });
-        let expected: i64 = vals.iter().map(|&v| v as i64).sum();
-        assert_eq!(host_agg.iter().sum::<i64>(), expected);
-        report.row(vec![
-            groups.to_string(),
-            ms(scale_kernel(&r, scale)),
-            r.time.bottleneck().to_string(),
-        ]);
-        gpu.free(dk);
-        gpu.free(dv);
-        gpu.free(agg);
-    }
-    report.finish();
-    println!("small group tables stay L2-resident (atomics bound by throughput);");
-    println!("huge ones spill and the kernel becomes HBM random-access bound.");
-    Vec::new()
-}
+use crate::stream::cold;
+use crate::util::{ms, ratio, scale_kernel, time_median, transfer_vs_host_scan, Config, Report};
 
 /// Bit-packed compression sweep: selection over packed columns at several
 /// widths, on both devices (Section 5.5's "non-byte addressable packing").
@@ -380,110 +152,5 @@ pub fn compression(cfg: &Config, _smoke: bool) -> Vec<Check> {
     println!("by the same factor, which is what flips the placement column: the");
     println!("Section-6 bounds route packed scans to the GPU over the very link");
     println!("that loses on plain data.");
-    Vec::new()
-}
-
-/// Hybrid CPU+GPU execution (Section 5.5's "Distributed+Hybrid"): split
-/// the fact table between the devices in proportion to their effective
-/// throughput and overlap their execution.
-pub fn hybrid(cfg: &Config, _smoke: bool) -> Vec<Check> {
-    let d = SsbData::generate_scaled(20, cfg.fact_scale, 20_2020);
-    let cpu_spec = intel_i7_6900();
-    let q = query(&d, QueryId::new(2, 1));
-    let table = FactTable::plain(&d);
-    let (_, trace) = exec::execute(&table, &q, cfg.threads, PipelineMode::Vectorized);
-    let t_cpu_full = crystal_ssb::model::cpu_empirical_secs(&q, &trace, &cpu_spec);
-    let t_gpu_full = cold(&table, &q).sim_secs_scaled(cfg.fact_scale);
-
-    let mut report = Report::new(
-        "ablation_hybrid",
-        &["split_to_gpu", "cpu_ms", "gpu_ms", "overlapped_ms"],
-    );
-    let mut best = (f64::MAX, 0.0f64);
-    for pct in [0.0, 0.5, 0.8, 0.9, 0.95, 1.0] {
-        // Fact-linear work splits; each side processes its share.
-        let t_c = t_cpu_full * (1.0 - pct);
-        let t_g = t_gpu_full * pct;
-        let total = t_c.max(t_g);
-        if total < best.0 {
-            best = (total, pct);
-        }
-        report.row(vec![
-            format!("{:.0}%", pct * 100.0),
-            ms(t_c),
-            ms(t_g),
-            ms(total),
-        ]);
-    }
-    report.finish();
-    let optimal = t_gpu_full / (t_gpu_full + t_cpu_full);
-    println!(
-        "best split sends ~{:.0}% of rows to the GPU (analytic optimum {:.0}%): the",
-        best.1 * 100.0,
-        (1.0 - optimal) * 100.0
-    );
-    println!("CPU contributes only its bandwidth share, which is why the paper argues");
-    println!("for GPU-resident execution rather than hybrid scheduling complexity.");
-    Vec::new()
-}
-
-/// Key-skew sweep: the Figure 13 join with Zipf-distributed probe keys.
-/// The paper's microbenchmark is uniform; under skew the popular build
-/// keys stay cache-resident, so even out-of-cache tables probe mostly from
-/// L2 — a robustness property of the no-partitioning join.
-pub fn skew(cfg: &Config, _smoke: bool) -> Vec<Check> {
-    let probe_n = cfg.micro_n();
-    let scale = cfg.scale_to_paper();
-    let ht_bytes = 256 * MIB; // far beyond both caches when uniform
-    let build_n = ht_bytes / 16;
-
-    let mut report = Report::new(
-        "ablation_skew",
-        &["distribution", "gpu_sim_ms", "l2_hit_ratio"],
-    );
-    for (label, theta) in [
-        ("uniform", None),
-        ("zipf 0.75", Some(0.75)),
-        ("zipf 1.0", Some(1.0)),
-        ("zipf 1.25", Some(1.25)),
-    ] {
-        let bk = gen::shuffled_keys(build_n, 3);
-        let bv: Vec<i32> = (0..build_n as i32).collect();
-        let pk: Vec<i32> = match theta {
-            None => gen::foreign_keys(probe_n, build_n, 5),
-            // Zipf ranks map onto shuffled build keys so hot keys scatter
-            // over the table.
-            Some(t) => gen::zipf(probe_n, build_n, t, 5)
-                .into_iter()
-                .map(|rank| bk[(rank - 1) as usize])
-                .collect(),
-        };
-        let pv = vec![1i32; probe_n];
-        let mut gpu = Gpu::new(nvidia_v100());
-        let dbk = gpu.alloc_from(&bk);
-        let dbv = gpu.alloc_from(&bv);
-        let (ght, _) = DeviceHashTable::build(
-            &mut gpu,
-            &dbk,
-            &dbv,
-            slots_for_fill_rate(build_n, 0.5),
-            HashScheme::Mult,
-        );
-        let dpk = gpu.alloc_from(&pk);
-        let dpv = gpu.alloc_from(&pv);
-        let (_, _) = hash_join_sum(&mut gpu, &dpk, &dpv, &ght); // warmup
-        gpu.take_reports();
-        let (_, r) = hash_join_sum(&mut gpu, &dpk, &dpv, &ght);
-        let requested = r.stats.random_requests as f64 * gpu.spec().cache_line as f64;
-        let hit = 1.0 - r.stats.gather_miss_bytes as f64 / requested.max(1.0);
-        report.row(vec![
-            label.into(),
-            ms(scale_kernel(&r, scale)),
-            format!("{:.2}", hit),
-        ]);
-    }
-    report.finish();
-    println!("skew concentrates probes on L2-resident lines: the 256MB table that");
-    println!("misses ~100% under uniform keys becomes largely cache-served.");
     Vec::new()
 }

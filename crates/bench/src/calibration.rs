@@ -40,17 +40,9 @@
 //! * **byte-identity** — every device and host execution is asserted
 //!   against the reference oracle inline; routing changes costs, never
 //!   answers.
-//!
-//! A final non-gating section times the real host executor with the
-//! paired-ratio convention from `reproduce microbench`
-//! (`crate::util::paired`) and feeds the wall-clock measurement into a
-//! store as a `HostScan` observation — the same closed loop on real
-//! seconds instead of simulated ones.
-
-use std::hint::black_box;
 
 use crystal_hardware::{table2_profile, HardwareProfile};
-use crystal_models::calibration::{BoundsSource, CalKey, CalibrationStore, EncodingClass, OpKind};
+use crystal_models::calibration::{BoundsSource, CalibrationStore};
 use crystal_ssb::encoding::{EncodedFact, FactEncodings};
 use crystal_ssb::engines::copro;
 use crystal_ssb::engines::profile::QueryProfile;
@@ -61,7 +53,7 @@ use crystal_ssb::{FactTable, SsbData};
 
 use crate::check::{Band, Check};
 use crate::stream::{self, shape_catalogue, Sessions, STREAM_SEED};
-use crate::util::{paired, transfer_vs_host_scan, Config, Report};
+use crate::util::{transfer_vs_host_scan, Config, Report};
 
 /// Calibrated over static total simulated seconds on the true profile:
 /// never above (the slack is rounding).
@@ -114,14 +106,6 @@ pub(crate) fn measure_shapes(
         host_secs: transfer_vs_host_scan(table, q, &actual.cpu, &actual.pcie).1,
     });
     priced.collect()
-}
-
-/// The account of a host run of `q` charged `secs`.
-fn on_host(q: &StarQuery, secs: f64) -> QueryProfile {
-    QueryProfile {
-        host_secs: Some(secs),
-        ..QueryProfile::empty(q)
-    }
 }
 
 /// How the replay routes each query.
@@ -190,7 +174,10 @@ pub(crate) fn replay(
                 out.device_queries += 1;
                 (c.device.time.overlapped, &c.device)
             } else {
-                host = on_host(q, c.host_secs);
+                host = QueryProfile {
+                    host_secs: Some(c.host_secs),
+                    ..QueryProfile::empty(q)
+                };
                 (c.host_secs, &host)
             };
             out.total_secs += charge;
@@ -262,7 +249,7 @@ pub fn calibration(cfg: &Config, smoke: bool) -> Vec<Check> {
     let passes = if smoke { 4 } else { 6 };
     let d = SsbData::generate_scaled(1, scale, STREAM_SEED);
     let fact = EncodedFact::encode(&d, &FactEncodings::packed_min(&d));
-    let (plain, table) = (FactTable::plain(&d), FactTable::encoded(&d, &fact));
+    let table = FactTable::encoded(&d, &fact);
     let shapes = shape_catalogue(&d, 16);
     println!(
         "calibration: {} fact rows, {} shapes x {} passes, packed_min encodings ({:.2}x compression)",
@@ -317,41 +304,6 @@ pub fn calibration(cfg: &Config, smoke: bool) -> Vec<Check> {
     });
     report.finish();
     println!("all device and host results byte-identical to the reference (asserted)");
-
-    // Non-gating: the same closed loop on real wall-clock seconds. Paired
-    // interleaved timing (plain run / packed run per repetition, median
-    // of per-pair ratios — the `reproduce microbench` convention) keeps
-    // bursty machine noise out of the observation, which then lands in a
-    // store as a `HostScan` sample against the Table-2 prior.
-    let q = &shapes[0];
-    let (plain_secs, packed_secs, pair_ratio) = paired(cfg.reps.max(3), |packed| {
-        let table = if packed { &table } else { &plain };
-        black_box(exec::execute(
-            table,
-            q,
-            cfg.threads,
-            PipelineMode::Vectorized,
-        ));
-    });
-    let mut wall = CalibrationStore::default();
-    for _ in 0..3 {
-        copro::record_observation(&mut wall, &model, &table, q, &on_host(q, packed_secs));
-    }
-    let key = CalKey::new(
-        OpKind::HostScan,
-        EncodingClass::Packed,
-        d.lineorder.rows(),
-        false,
-    );
-    println!(
-        "wall-clock (non-gating): host {} {:.3} ms plain / {:.3} ms packed (paired ratio {:.2}x); \
-         learned host-scan factor {:.2}x over the Table-2 prior on this machine",
-        q.name,
-        plain_secs * 1e3,
-        packed_secs * 1e3,
-        pair_ratio,
-        wall.factor(key)
-    );
 
     checks(&truth, &skewed)
 }

@@ -1,11 +1,11 @@
 //! Table 2 (hardware specifications) and Table 3 (cost comparison).
 
 use crystal_hardware::bytes::{fmt_bw, fmt_bytes};
-use crystal_hardware::{bandwidth_ratio, intel_i7_6900, nvidia_a100, nvidia_v100, server_cpu_2023};
+use crystal_hardware::{bandwidth_ratio, intel_i7_6900, nvidia_v100};
 use crystal_models::cost::{cost_effectiveness, table3_purchase, table3_renting};
 
 use crate::check::Check;
-use crate::util::{ms, ratio, Config, Report};
+use crate::util::{ratio, Config, Report};
 
 /// Table 2: the modeled hardware.
 pub fn table2(_cfg: &Config, _smoke: bool) -> Vec<Check> {
@@ -80,50 +80,5 @@ pub fn table3(_cfg: &Config, _smoke: bool) -> Vec<Check> {
         ratio(mean_speedup),
         ratio(cost_effectiveness(mean_speedup, rent.cost_ratio()))
     );
-    Vec::new()
-}
-
-/// What-if: the Section 5.4 generalization claim, evaluated — rerun the
-/// operator models on a newer CPU/GPU pairing (DDR5 server vs A100) and
-/// compare the predicted gains with the paper pairing's.
-pub fn whatif(_cfg: &Config, _smoke: bool) -> Vec<Check> {
-    let pairs = [
-        (intel_i7_6900(), nvidia_v100()),
-        (server_cpu_2023(), nvidia_a100()),
-    ];
-    let n = 1usize << 28;
-    let mut report = Report::new(
-        "whatif_hardware",
-        &[
-            "pairing",
-            "bw_ratio",
-            "select_gain",
-            "join_512mb_gain",
-            "sort_gain",
-            "select_gpu_ms",
-        ],
-    );
-    for (c, g) in pairs {
-        let select = crystal_models::select::select_secs(n, 0.5, c.read_bw, c.write_bw)
-            / crystal_models::select::select_secs(n, 0.5, g.read_bw, g.write_bw);
-        let join = crystal_models::join::join_probe_cpu_empirical_secs(n, 512 << 20, &c)
-            / crystal_models::join::join_probe_gpu_secs(n, 512 << 20, &g);
-        let sort = crystal_models::sort::radix_sort_secs(n, 4, c.read_bw, c.write_bw)
-            / crystal_models::sort::radix_sort_secs(n, 4, g.read_bw, g.write_bw);
-        report.row(vec![
-            format!("{} vs {}", c.name, g.name),
-            ratio(bandwidth_ratio(&c, &g)),
-            ratio(select),
-            ratio(join),
-            ratio(sort),
-            ms(crystal_models::select::select_secs(
-                n, 0.5, g.read_bw, g.write_bw,
-            )),
-        ]);
-    }
-    report.finish();
-    println!("the structure survives a hardware generation: streaming operators gain");
-    println!("the bandwidth ratio, joins less (line granularity), exactly as in the");
-    println!("paper pairing -- Section 5.4\'s \"the ratio ... will not change as much\".");
     Vec::new()
 }

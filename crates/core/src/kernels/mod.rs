@@ -7,7 +7,6 @@
 //!   the three-kernel "independent threads" variant of Figure 4(a).
 //! * [`project`] — the projection queries Q1/Q2 of Figure 10.
 //! * [`join`] — the hash-join probe microbenchmark (Q4) of Figure 13.
-//! * [`radix_join`] — the partitioned-join alternative of Section 4.3.
 //! * [`agg`] — column aggregation kernels.
 //! * [`packed`] — kernels over bit-packed columns (Section 5.5).
 //! * [`radix`] — radix histogram / shuffle passes of Figure 14.
@@ -18,7 +17,6 @@ pub mod join;
 pub mod packed;
 pub mod project;
 pub mod radix;
-pub mod radix_join;
 pub mod select;
 pub mod sort;
 
@@ -27,6 +25,5 @@ pub use join::hash_join_sum;
 pub use packed::{select_gt_packed, DevicePackedColumn};
 pub use project::{project_linear, project_sigmoid};
 pub use radix::{radix_histogram, RadixError, RadixOrder};
-pub use radix_join::radix_join_sum as gpu_radix_join_sum;
 pub use select::{independent_select_gt, select_gt, select_where};
 pub use sort::{lsb_radix_sort, msb_radix_sort};

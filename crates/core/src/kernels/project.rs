@@ -159,7 +159,7 @@ mod tests {
         let x2 = g.alloc_from(&h2);
         let (_, r1) = project_linear(&mut g, &x1, &x2, 2.0, 3.0);
         let (_, r2) = project_sigmoid(&mut g, &x1, &x2, 2.0, 3.0);
-        assert_eq!(r2.time.bottleneck(), "hbm");
+        assert_eq!(r2.time.bottleneck_secs(), r2.time.hbm);
         let ratio = r2.time.total_secs() / r1.time.total_secs();
         assert!(ratio < 1.05, "Q2/Q1 = {ratio}");
     }

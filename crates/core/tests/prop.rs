@@ -4,7 +4,6 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use crystal_core::kernels;
-use crystal_core::kernels::radix_join::pass_plan;
 use crystal_core::primitives::*;
 use crystal_core::selvec::{
     sel_between_init, sel_between_refine, sel_group_digit, sel_probe_tracked, sel_semijoin_init,
@@ -152,14 +151,6 @@ proptest! {
         });
         let expected: Vec<i32> = rows.iter().filter(|(_, b)| *b).map(|(v, _)| *v).collect();
         prop_assert_eq!(out_vals.unwrap(), expected);
-    }
-
-    /// Radix pass plans cover the requested bits with stable-sized chunks.
-    #[test]
-    fn pass_plans_cover_bits(total in 1u32..33) {
-        let plan = pass_plan(total);
-        prop_assert_eq!(plan.iter().sum::<u32>(), total);
-        prop_assert!(plan.iter().all(|&b| (1..=7).contains(&b)));
     }
 
     /// Packed columns round-trip through the device kernel for any width.
@@ -333,44 +324,5 @@ proptest! {
         let mut half = vec![0i32; out.len() - mid];
         view.read_batch(start + mid, &mut half);
         prop_assert_eq!(&half[..], &values[start + mid..]);
-    }
-
-    /// GPU radix join equals the no-partitioning join for arbitrary
-    /// build/probe shapes and fan-outs.
-    #[test]
-    fn radix_join_equals_hash_join(
-        build_pow in 6u32..11,
-        probe_n in 100usize..3000,
-        bits in 2u32..10,
-        seed in any::<u64>(),
-    ) {
-        let build_n = 1usize << build_pow;
-        let build_keys: Vec<i32> = (0..build_n as i32).collect();
-        let build_vals: Vec<i32> = build_keys.iter().map(|k| k ^ 0x3C).collect();
-        let mut x = seed | 1;
-        let probe_keys: Vec<i32> = (0..probe_n)
-            .map(|_| {
-                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((x >> 33) as usize % (build_n * 2)) as i32 // ~50% misses
-            })
-            .collect();
-        let probe_vals: Vec<i32> = (0..probe_n as i32).collect();
-
-        let mut gpu = Gpu::new(nvidia_v100());
-        let dbk = gpu.alloc_from(&build_keys);
-        let dbv = gpu.alloc_from(&build_vals);
-        let dpk = gpu.alloc_from(&probe_keys);
-        let dpv = gpu.alloc_from(&probe_vals);
-        let (ht, _) = crystal_core::hash::DeviceHashTable::build(
-            &mut gpu,
-            &dbk,
-            &dbv,
-            (build_n * 2).next_power_of_two(),
-            crystal_core::hash::HashScheme::Mult,
-        );
-        let (expected, _) = kernels::hash_join_sum(&mut gpu, &dpk, &dpv, &ht);
-        let (got, _) = kernels::gpu_radix_join_sum(&mut gpu, &dbk, &dbv, &dpk, &dpv, bits).unwrap();
-        prop_assert_eq!(got.checksum, expected.checksum);
-        prop_assert_eq!(got.matches, expected.matches);
     }
 }

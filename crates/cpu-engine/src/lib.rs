@@ -31,7 +31,6 @@ pub mod exec;
 pub mod join;
 pub mod project;
 pub mod radix;
-pub mod radix_join;
 pub mod select;
 
 pub use join::CpuHashTable;

@@ -57,7 +57,7 @@ impl KernelStats {
     }
 
     /// Total HBM traffic.
-    pub fn hbm_bytes(&self) -> u64 {
+    pub(crate) fn hbm_bytes(&self) -> u64 {
         self.hbm_read_bytes() + self.hbm_write_bytes()
     }
 }

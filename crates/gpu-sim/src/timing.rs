@@ -60,22 +60,6 @@ impl SimTime {
             .max(self.compute)
             .max(self.atomic)
     }
-
-    /// Name of the dominating component.
-    pub fn bottleneck(&self) -> &'static str {
-        let b = self.bottleneck_secs();
-        if b == self.hbm {
-            "hbm"
-        } else if b == self.l2 {
-            "l2"
-        } else if b == self.shared {
-            "shared"
-        } else if b == self.compute {
-            "compute"
-        } else {
-            "atomic"
-        }
-    }
 }
 
 /// Efficiency model inputs for one launch.
@@ -184,7 +168,7 @@ mod tests {
             t.total_secs(),
             ideal
         );
-        assert_eq!(t.bottleneck(), "hbm");
+        assert_eq!(t.bottleneck_secs(), t.hbm);
     }
 
     /// Figure 9: one item per thread is markedly slower than four.
@@ -247,7 +231,7 @@ mod tests {
             ..Default::default()
         };
         let t = kernel_time(&spec, &shape(256, 1), &stats);
-        assert_eq!(t.bottleneck(), "atomic");
+        assert_eq!(t.bottleneck_secs(), t.atomic);
         assert!(t.total_secs() > 0.1);
     }
 

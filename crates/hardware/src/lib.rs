@@ -92,57 +92,6 @@ pub fn nvidia_v100() -> GpuSpec {
     }
 }
 
-/// An Ampere-class successor GPU (A100 40GB SXM): the "other hardware"
-/// data point for Section 5.4's claim that the analysis generalizes —
-/// ~1.8x the V100's HBM bandwidth, 40 MB of L2.
-pub fn nvidia_a100() -> GpuSpec {
-    GpuSpec {
-        name: "Nvidia A100".to_string(),
-        num_sms: 108,
-        cores_per_sm: 64,
-        warp_size: 32,
-        max_threads_per_sm: 2048,
-        max_blocks_per_sm: 32,
-        shared_mem_per_sm: 164 * KIB,
-        registers_per_sm: 65_536,
-        clock_ghz: 1.41,
-        mem_capacity: 40 * GIB,
-        read_bw: 1555.0e9,
-        write_bw: 1555.0e9,
-        l2_size: 40 * MIB,
-        l2_bw: 4.5e12,
-        l1_smem_bw: 19.4e12,
-        cache_line: 128,
-        sector: 32,
-        l2_transfer_bytes: 64,
-        atomic_same_addr_ns: 0.6,
-        kernel_launch_us: 5.0,
-    }
-}
-
-/// A DDR5 dual-socket server-class CPU (for the same what-if): ~4x the
-/// paper CPU's bandwidth and cores.
-pub fn server_cpu_2023() -> CpuSpec {
-    CpuSpec {
-        name: "32-core DDR5 server".to_string(),
-        cores: 32,
-        smt: 2,
-        clock_ghz: 2.8,
-        simd_lanes_32: 16,
-        l1_size: 48 * KIB,
-        l2_size: 2 * MIB,
-        l3_size: 64 * MIB,
-        cache_line: 64,
-        mem_capacity: 512 * GIB,
-        read_bw: 220.0e9,
-        write_bw: 200.0e9,
-        l2_bw: 1.6e12,
-        l3_bw: 600.0e9,
-        branch_miss_penalty_cycles: 7.0,
-        random_access_efficiency: 0.8,
-    }
-}
-
 /// The PCIe 3.0 x16 link between host and device, as measured in the paper
 /// (Section 5: "We measured the bidirectional PCIe transfer bandwidth to be
 /// 12.8 GBps").
@@ -217,15 +166,5 @@ mod tests {
         let (c, g, p) = (intel_i7_6900(), nvidia_v100(), pcie_gen3());
         assert!(p.bandwidth < c.read_bw);
         assert!(p.bandwidth < g.read_bw);
-    }
-
-    #[test]
-    fn newer_hardware_pairing_keeps_the_bandwidth_gap() {
-        // Section 5.4's generalization claim: the GPU/CPU bandwidth ratio
-        // of a 2023-class pairing is still ~7x, so the qualitative
-        // conclusions carry over.
-        let r = bandwidth_ratio(&server_cpu_2023(), &nvidia_a100());
-        assert!((5.0..10.0).contains(&r), "ratio {r}");
-        assert!(nvidia_a100().read_bw > nvidia_v100().read_bw);
     }
 }

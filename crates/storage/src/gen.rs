@@ -52,27 +52,6 @@ pub fn foreign_keys(n: usize, domain: usize, seed: u64) -> Vec<i32> {
     (0..n).map(|_| rng.gen_range(0..domain as i32)).collect()
 }
 
-/// Zipf-distributed values over `1..=domain` with exponent `theta`
-/// (inverse-CDF sampling over a precomputed table).
-pub fn zipf(n: usize, domain: usize, theta: f64, seed: u64) -> Vec<i32> {
-    assert!(domain > 0);
-    let mut cdf = Vec::with_capacity(domain);
-    let mut acc = 0.0f64;
-    for k in 1..=domain {
-        acc += 1.0 / (k as f64).powf(theta);
-        cdf.push(acc);
-    }
-    let total = acc;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let u = rng.gen::<f64>() * total;
-            let idx = cdf.partition_point(|&c| c < u);
-            (idx.min(domain - 1) + 1) as i32
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,18 +92,6 @@ mod tests {
             seen[k as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn zipf_is_skewed_toward_small_values() {
-        let z = zipf(50_000, 1000, 1.0, 9);
-        let ones = z.iter().filter(|&&v| v == 1).count();
-        let nine_hundreds = z.iter().filter(|&&v| v >= 900).count();
-        assert!(
-            ones * 2 > nine_hundreds,
-            "zipf should favor rank 1: {ones} vs {nine_hundreds}"
-        );
-        assert!(z.iter().all(|&v| (1..=1000).contains(&v)));
     }
 
     #[test]
