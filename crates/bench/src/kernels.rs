@@ -45,12 +45,7 @@
 //! copy / read of as many bytes — their bandwidth bound, measured in the
 //! same run.
 //!
-//! The `dim_build_scan` and `hash_build` rows are the device build side's
-//! table. [`DimBuild::scan`] compacts the stream [`DimLookup::build`] writes
-//! straight into its slots, so the lookup build is its byte model: both in
-//! ns per dimension row over SF-20's `part` and `customer` at pass rates
-//! 1/25, 1/5 and 2/5, and `--smoke` gates, relatively only, the scan within
-//! `DIM_SCAN_MULTIPLE` of the lookup build at every one. The simulated
+//! The `hash_build` rows are the device build side's table. The simulated
 //! `hash_build` kernel is timed in host ns per insert into a perfect table
 //! of `part`'s size, one key in five present, with the keys ascending (as
 //! dimension keys arrive: most inserts repeat the line of slots the last one
@@ -118,15 +113,6 @@ pub(crate) const SEMIJOIN_ORDER: Band = Band::new(
     1.0,
     1.0..=f64::INFINITY,
 );
-
-/// [`DimLookup::build`]s of the same join one [`DimBuild::scan`] costs per
-/// dimension row, worst listed pass rate. The scan reads the same columns and
-/// writes 8 bytes per surviving row where the lookup writes 2 per row:
-/// measured 0.9–1.1x with the chunked, branch-free compaction on a 2-core
-/// 2.1 GHz Xeon, 1.3x (1 row in 25 passing) to 4.5x (2 in 5) with the two
-/// growing `Vec`s behind a data-dependent branch it replaced.
-pub(crate) const DIM_SCAN_MULTIPLE: Band =
-    Band::new("DimBuild::scan, in DimLookup::builds", 1.0, 0.0..=1.5);
 
 /// Simulated in-L2 gathers one fact row of the warm fused star kernel costs
 /// (plain, worst of q2.1 and q4.1, SF-20 dimensions; paired). Every stage
@@ -293,7 +279,7 @@ fn geomean(ratios: impl Iterator<Item = f64>) -> Option<f64> {
     (!logs.is_empty()).then(|| (logs.iter().sum::<f64>() / logs.len() as f64).exp())
 }
 
-/// Runs the kernel microbench and judges its five relative bands, every
+/// Runs the kernel microbench and judges its four relative bands, every
 /// miss shown. Only a `smoke` run returns them (for the exit code): a full
 /// run's absolute sizes are not what the limits were measured at.
 pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
@@ -503,64 +489,10 @@ pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
         ));
     }
 
-    // --- The device build side: dimension scan and simulated build kernel. ---
-    let mut scan_over_lookup = 0.0f64;
+    // --- The device build side: the simulated build kernel. ---
     {
-        // SF-20 dimensions (1.06 M parts, 600 k customers); the fact table
-        // is not read.
+        // SF-20 dimensions (1.06 M parts); the fact table is not read.
         let d = SsbData::generate_scaled(20, 0.0005, 7);
-        let tables = [
-            ("part", DimTable::Part, FactCol::PartKey, DimAttr::Brand1),
-            (
-                "customer",
-                DimTable::Customer,
-                FactCol::CustKey,
-                DimAttr::City,
-            ),
-        ];
-        for (name, table, fact_fk, group) in tables {
-            let (fine, coarse) = match table {
-                DimTable::Part => (DimAttr::Category, DimAttr::Mfgr),
-                _ => (DimAttr::Nation, DimAttr::Region),
-            };
-            let filters = [
-                ("1in25", DimPred::Eq(fine, 1)),
-                ("1in5", DimPred::Eq(coarse, 1)),
-                ("2in5", DimPred::In(coarse, vec![0, 1])),
-            ];
-            for (rate, filter) in filters {
-                let join = DimJoin {
-                    table,
-                    fact_fk,
-                    filter: Some(filter),
-                    group_attr: Some(group),
-                };
-                let dim_rows = join.keys(&d).len();
-                let pass = DimBuild::scan(&d, &join).inserted() as f64 / dim_rows as f64;
-                let secs = paired(reps, |scan| {
-                    if scan {
-                        black_box(DimBuild::scan(&d, &join));
-                    } else {
-                        black_box(DimLookup::build(&d, &join));
-                    }
-                });
-                let ns = |secs: f64| secs * 1e9 / dim_rows as f64;
-                println!(
-                    "dim_build_scan {name}.{rate}: DimBuild::scan {:.2} ns/row, DimLookup::build \
-                     {:.2} ns/row, {:.2} lookup builds per scan",
-                    ns(secs.1),
-                    ns(secs.0),
-                    1.0 / secs.2
-                );
-                headline.push((format!("dim_scan_ns_per_row.{name}.{rate}"), ns(secs.1)));
-                headline.push((format!("dim_lookup_ns_per_row.{name}.{rate}"), ns(secs.0)));
-                scan_over_lookup = scan_over_lookup.max(1.0 / secs.2);
-                let encoding = format!("{name}.{rate}");
-                let row = |kernel, secs| Row::timed(kernel, &encoding, pass, dim_rows, secs);
-                rows.push(row("dim_build_scan", secs));
-            }
-        }
-
         let slots = d.part.partkey.len();
         let ascending: Vec<i32> = (0..slots as i32).step_by(5).collect();
         let shuffled: Vec<i32> = gen::shuffled_keys(ascending.len(), 17)
@@ -750,7 +682,6 @@ pub fn microbench(cfg: &Config, smoke: bool) -> Vec<Check> {
     let checks = vec![
         PACKED_SCAN_MULTIPLE.check(packed_over_plain),
         SEMIJOIN_ORDER.check(contiguous),
-        DIM_SCAN_MULTIPLE.check(scan_over_lookup),
         SIM_GATHER_MULTIPLE.check(sim_multiple_in_l2),
         SIM_FUSED_GATHERS.check(fused_in_gathers),
     ];
@@ -784,9 +715,8 @@ fn write_json(
          config.isa; pack rows: scalar = unpack_batch at the same width (median of the paired \
          run), chunked = PackedColumn::pack (median of its own run), speedup = their ratio; \
          scatter3 / fingerprint rows: scalar = plain copy / read of as many \
-         bytes, chunked = Buckets::scatter3 / SsbData::content_fingerprint; dim_build_scan rows: scalar = \
-         DimLookup::build, chunked = DimBuild::scan, per dimension row, selectivity = pass rate; \
-         hash_build rows: perfect.1in5 scalar = shuffled keys, chunked = ascending keys, per insert; \
+         bytes, chunked = Buckets::scatter3 / SsbData::content_fingerprint; hash_build rows: \
+         perfect.1in5 scalar = shuffled keys, chunked = ascending keys, per insert; \
          halves.1in5 scalar = explicit-key build of the pairs, chunked = the table over the cached halves, \
          per member; sel_between_init_cold rows: scalar = column streamed from memory, chunked = \
          as many rows over a cache-resident window\",\n",

@@ -143,11 +143,12 @@ pub(crate) type PartitionedPair = (DeviceBuffer<u32>, DeviceBuffer<u32>, KernelR
 pub(crate) type SortedPair = (DeviceBuffer<u32>, DeviceBuffer<u32>, Vec<KernelReport>);
 
 /// Data-shuffling phase: scatters `(key, value)` pairs to their partitions
-/// using the cursors from `histogram_prefix_offsets`.
+/// using the cursors from `histogram_prefix_offsets`, in the tile shape of
+/// [`radix_launch_config`] (the one the histogram's offsets were laid out
+/// in).
 ///
 /// Fails with [`RadixError`] if `bits` exceeds the per-pass budget of the
 /// requested [`RadixOrder`].
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn radix_shuffle(
     gpu: &mut Gpu,
     keys: &DeviceBuffer<u32>,
@@ -156,7 +157,6 @@ pub(crate) fn radix_shuffle(
     bits: u32,
     shift: u32,
     order: RadixOrder,
-    cfg: LaunchConfig,
 ) -> Result<PartitionedPair, RadixError> {
     let max_bits = match order {
         RadixOrder::Stable => GPU_STABLE_MAX_BITS,
@@ -175,6 +175,7 @@ pub(crate) fn radix_shuffle(
     // Staging both columns plus the cursor array in shared memory; the
     // stable variant additionally burns registers/shared memory on
     // per-thread cursor state.
+    let cfg = radix_launch_config(n);
     let per_thread_state = if order == RadixOrder::Stable {
         cfg.block_dim * buckets
     } else {
@@ -229,7 +230,7 @@ pub fn radix_partition_pass(
     let cfg = radix_launch_config(keys.len());
     let (hist, r1) = radix_histogram(gpu, keys, bits, shift, cfg);
     let (offsets, r2) = histogram_prefix_offsets(gpu, &hist, cfg.grid_dim, bits);
-    let (ok, ov, r3) = radix_shuffle(gpu, keys, vals, &offsets, bits, shift, order, cfg)?;
+    let (ok, ov, r3) = radix_shuffle(gpu, keys, vals, &offsets, bits, shift, order)?;
     gpu.free(hist);
     gpu.free(offsets);
     Ok((ok, ov, vec![r1, r2, r3]))

@@ -15,6 +15,7 @@
 //! Hierarchies: 5 regions x 5 nations each x 10 cities each;
 //! 5 manufacturers x 5 categories each x 40 brands each.
 
+use std::ops::{Range, RangeInclusive};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crystal_core::selvec::DimPart;
@@ -23,6 +24,28 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::plan::{DimAttr, DimPred, DimTable, FactCol};
+
+/// `lineorder` rows per unit of scale factor.
+pub(crate) const FACT_ROWS_PER_SF: usize = 6_000_000;
+
+/// `lo_extendedprice`, drawn uniformly.
+pub(crate) const EXTENDED_PRICE: Range<i32> = 90_000..1_000_000;
+
+/// `lo_discount` in percent, drawn uniformly.
+pub(crate) const DISCOUNT: RangeInclusive<i32> = 0..=10;
+
+/// `lo_supplycost` as a percentage of the extended price, drawn uniformly.
+pub(crate) const SUPPLY_COST_PERCENT: Range<i32> = 40..60;
+
+/// `lo_revenue` of a row: its extended price less its discount.
+pub(crate) fn revenue(price: i32, discount: i32) -> i32 {
+    price / 100 * (100 - discount)
+}
+
+/// `lo_supplycost` of a row: `percent` of its extended price.
+pub(crate) fn supply_cost(price: i32, percent: i32) -> i32 {
+    price / 100 * percent
+}
 
 /// TPC-H's 25 nations, grouped by region (5 per region) as SSB does.
 const NATIONS: [(&str, &str); 25] = [
@@ -305,7 +328,7 @@ impl SsbData {
         let part = gen_part(part_rows(sf), &mut dicts, seed ^ 0x1);
         let supplier = gen_supplier(2_000 * sf, &mut dicts, seed ^ 0x2);
         let customer = gen_customer(30_000 * sf, &mut dicts, seed ^ 0x3);
-        let fact_rows = ((6_000_000 * sf) as f64 * fact_scale).round() as usize;
+        let fact_rows = ((FACT_ROWS_PER_SF * sf) as f64 * fact_scale).round() as usize;
         let lineorder = gen_lineorder(
             fact_rows,
             &date,
@@ -570,13 +593,14 @@ fn gen_lineorder(
         lo.partkey.push(rng.gen_range(0..parts as i32));
         lo.suppkey.push(rng.gen_range(0..suppliers as i32));
         let quantity = rng.gen_range(1..=50);
-        let discount = rng.gen_range(0..=10);
-        let price = rng.gen_range(90_000..1_000_000);
+        let discount = rng.gen_range(DISCOUNT);
+        let price = rng.gen_range(EXTENDED_PRICE);
         lo.quantity.push(quantity);
         lo.discount.push(discount);
         lo.extendedprice.push(price);
-        lo.revenue.push(price / 100 * (100 - discount));
-        lo.supplycost.push(price / 100 * rng.gen_range(40..60));
+        lo.revenue.push(revenue(price, discount));
+        lo.supplycost
+            .push(supply_cost(price, rng.gen_range(SUPPLY_COST_PERCENT)));
     }
     lo
 }

@@ -25,8 +25,8 @@
 //!
 //! [`execute`] is one job type driven to completion: [`DeviceQueryJob`], a
 //! resumable scan over the live segments of a [`FactTable`] — the whole
-//! table is one, a partitioned table one per live shard — with one group
-//! accumulator (`engines::GroupAcc`) for the whole job. What a job
+//! table is one, a partitioned table one per live shard — with one query
+//! accumulator (`engines::QueryAcc`) for the whole job. What a job
 //! costs on the host follows the events it simulates (rows scanned, keys
 //! inserted, groups touched), not the capacity of its structures: the
 //! group table on the device is a reservation of addresses with no host
@@ -48,8 +48,7 @@ use crate::data::SsbData;
 use crate::encoding::EncodedFact;
 use crate::engines::profile::QueryProfile;
 use crate::engines::{
-    dim_device_table, dim_join_fingerprint, dim_members, dim_table_bytes, GroupAcc, QueryTrace,
-    StageTrace,
+    dim_device_table, dim_join_fingerprint, dim_members, dim_table_bytes, group_key, QueryAcc,
 };
 use crate::partition::PartitionedFact;
 use crate::plan::{FactCol, StarQuery};
@@ -153,13 +152,13 @@ pub fn execute_partitioned_session(
 /// work is discarded, so the restart stays byte-identical. A one-segment
 /// job never fails a step.
 ///
-/// Everything the segments share lives once per job: one `GroupAcc`, the
-/// fused kernel's roles and staging tiles, the trace counters. Splitting
-/// the scan into `k` launches, or the table into shards, changes neither
-/// the per-block tile schedule nor the (commutative integer) aggregate
-/// updates, so the finished [`GpuRun`] is byte-identical for every shard
-/// count and grant pattern — the property the concurrent differential
-/// suite asserts.
+/// Everything the segments share lives once per job: one `QueryAcc` (the
+/// group sums and the trace counters), the fused kernel's roles and staging
+/// tiles. Splitting the scan into `k` launches, or the table into shards,
+/// changes neither the per-block tile schedule nor the (commutative
+/// integer) aggregate updates, so the finished [`GpuRun`] is byte-identical
+/// for every shard count and grant pattern — the property the concurrent
+/// differential suite asserts.
 pub struct DeviceQueryJob<'a> {
     d: &'a SsbData,
     q: &'a StarQuery,
@@ -170,10 +169,6 @@ pub struct DeviceQueryJob<'a> {
     /// `None` until a segment has admitted: a job that never gets that far
     /// (refused, or every shard pruned) allocates none of it.
     scan: Option<Scan>,
-    pred_survivors: usize,
-    probes: Vec<usize>,
-    hits: Vec<usize>,
-    result_rows: usize,
     /// What the job has cost so far, booked around its own session calls
     /// ([`QueryProfile::book`]): every kernel launched, the device and
     /// session counters it added, the bytes it shipped (prefetched staging
@@ -214,7 +209,7 @@ struct Admitted {
 
 /// The host side of the fused kernel, shared by every segment of a job.
 struct Scan {
-    acc: GroupAcc,
+    acc: QueryAcc,
     roles: TileRoles,
     tiles: TileScratch,
     /// Per join, the footprint and the entries of its table (the same
@@ -246,9 +241,6 @@ struct TileRoles {
     /// Per aggregate input the predicates did not stage: its aggregate
     /// tile and its column.
     agg_loads: Vec<(usize, usize)>,
-    /// Per join carrying a group attribute: the join and the attribute's
-    /// domain, in mixed-radix order.
-    group_digits: Vec<(usize, usize)>,
 }
 
 impl TileRoles {
@@ -274,9 +266,6 @@ impl TileRoles {
             preds,
             fks: q.joins.iter().map(|j| col_of(j.fact_fk)).collect(),
             agg_loads,
-            group_digits: (q.joins.iter().enumerate())
-                .filter_map(|(j, join)| join.group_attr.map(|a| (j, a.domain())))
-                .collect(),
         }
     }
 }
@@ -310,7 +299,6 @@ impl<'a> DeviceQueryJob<'a> {
     /// A job over the segments of `table` live for `q`, nothing admitted
     /// yet: [`Self::admit`] comes next.
     pub fn over(table: &FactTable<'a>, q: &'a StarQuery) -> Self {
-        let joins = q.joins.len();
         let live = table.live(q).into_iter().map(|i| table.segments()[i]);
         DeviceQueryJob {
             d: table.data(),
@@ -319,10 +307,6 @@ impl<'a> DeviceQueryJob<'a> {
             next: 0,
             cur: None,
             scan: None,
-            pred_survivors: 0,
-            probes: vec![0usize; joins],
-            hits: vec![0usize; joins],
-            result_rows: 0,
             profile: QueryProfile::empty(q),
             cur_reports: 0,
             scanned: 0,
@@ -381,7 +365,7 @@ impl<'a> DeviceQueryJob<'a> {
             let tile = FusedStarKernel::new("", 0, joins).plan(sess.spec()).tile();
             let sizes = cur.tables.iter().map(|ht| (ht.size_bytes(), ht.entries()));
             self.scan = Some(Scan {
-                acc: GroupAcc::new(self.q.group_domain()),
+                acc: QueryAcc::new(self.q),
                 roles: TileRoles::resolve(self.q),
                 tiles: TileScratch::new(tile, joins),
                 tables: sizes.collect(),
@@ -582,15 +566,10 @@ impl<'a> DeviceQueryJob<'a> {
             agg_in,
         } = &mut scan.tiles;
 
-        let grouped = !roles.group_digits.is_empty();
         let device_cols = &cur.device_cols;
         let tables = &cur.tables;
         let agg_table = &cur.agg_table;
         let acc = &mut scan.acc;
-        let pred_survivors = &mut self.pred_survivors;
-        let probes = &mut self.probes;
-        let hits = &mut self.hits;
-        let result_rows = &mut self.result_rows;
 
         // The first probe launch after a cold admission depends on the
         // uploaded columns: gate its start on the first chunk landing and
@@ -633,7 +612,7 @@ impl<'a> DeviceQueryJob<'a> {
                 }
             }
             // The rows still alive; every later stage walks and narrows it.
-            *pred_survivors += lanes.len();
+            acc.pred_survivors += lanes.len();
 
             // Joins: selectively load the FK column, probe, narrow the
             // list, and stash the dense group code per surviving row.
@@ -644,11 +623,11 @@ impl<'a> DeviceQueryJob<'a> {
                 if lanes.is_empty() {
                     break;
                 }
-                probes[j] += lanes.len();
+                acc.probes[j] += lanes.len();
                 device_cols[roles.fks[j]].load_sel(ctx, start, len, lanes, tile_col);
                 ctx.compute(lanes.len());
                 let codes = code_tiles[j].as_mut_slice();
-                hits[j] += ht.probe_tile(ctx, tile_col.as_slice(), lanes, codes);
+                acc.hits[j] += ht.probe_tile(ctx, tile_col.as_slice(), lanes, codes);
             }
 
             // Aggregate inputs, selectively loaded — unless the predicate
@@ -656,34 +635,26 @@ impl<'a> DeviceQueryJob<'a> {
             for &(t, col) in &roles.agg_loads {
                 device_cols[col].load_sel(ctx, start, len, lanes, &mut agg_in[t]);
             }
-            *result_rows += lanes.len();
+            acc.result_rows += lanes.len();
             ctx.compute(2 * lanes.len());
 
-            let (in1, in2) = (agg_in[0].as_slice(), agg_in[1].as_slice());
-            let value = |i: usize| match q.agg {
-                crate::plan::AggExpr::SumDiscountedPrice => in1[i] as i64 * in2[i] as i64,
-                crate::plan::AggExpr::SumRevenue => in1[i] as i64,
-                crate::plan::AggExpr::SumProfit => in1[i] as i64 - in2[i] as i64,
-            };
+            let inputs = [agg_in[0].as_slice(), agg_in[1].as_slice()];
+            let value = |i: usize| q.agg.value(|t| inputs[t][i]);
             let survivors = lanes.iter().map(|&lane| lane as usize);
-            if grouped {
-                let group = |i: usize| {
-                    roles.group_digits.iter().fold(0, |idx, &(j, domain)| {
-                        idx * domain + code_tiles[j].as_slice()[i] as usize
-                    })
-                };
+            if !acc.digits.is_empty() {
+                let group = |i: usize| group_key(&acc.digits, |j| code_tiles[j].as_slice()[i]);
                 // One scattered atomic per matching tuple into the dense
                 // group table.
                 ctx.atomic_scattered_tile(survivors.clone().map(|i| agg_table.addr_of(group(i))));
                 for i in survivors {
-                    acc.add(group(i), value(i));
+                    acc.groups.add(group(i), value(i));
                 }
             } else {
                 // BlockAggregate + one contended atomic per tile.
                 ctx.shared(ctx.block_dim * 8);
                 ctx.sync();
                 ctx.atomic_same_addr(1);
-                acc.add(0, survivors.map(value).sum());
+                acc.groups.add(0, survivors.map(value).sum());
             }
         });
         self.profile.reports.push(report.tag_fact_linear());
@@ -741,32 +712,14 @@ impl<'a> DeviceQueryJob<'a> {
         assert!(self.is_done(), "finished a job with rows remaining");
         self.settle();
         let (d, q) = (self.d, self.q);
-        let (result, tables) = match self.scan {
-            Some(scan) => (scan.acc.to_result(q), scan.tables),
+        let (acc, tables) = match self.scan {
+            Some(scan) => (scan.acc, scan.tables),
             None => {
                 let size = |join| (dim_table_bytes(d, join), dim_members(d, join));
-                (
-                    GroupAcc::new(0).to_result(q),
-                    q.joins.iter().map(size).collect(),
-                )
+                (QueryAcc::new(q), q.joins.iter().map(size).collect())
             }
         };
-        let stages = (q.joins.iter().zip(tables).enumerate())
-            .map(|(j, (join, (ht_bytes, entries)))| StageTrace {
-                table: join.table,
-                probes: self.probes[j],
-                hits: self.hits[j],
-                ht_bytes,
-                dim_insert_frac: entries as f64 / join.keys(d).len().max(1) as f64,
-            })
-            .collect();
-        let trace = QueryTrace {
-            fact_rows: d.lineorder.rows(),
-            pred_survivors: self.pred_survivors,
-            stages,
-            result_rows: self.result_rows,
-            groups: result.rows(),
-        };
+        let (result, trace) = acc.finish(d, q, tables);
         QueryProfile {
             result,
             trace: Some(trace),

@@ -10,7 +10,6 @@ pub mod omnisci;
 pub mod profile;
 pub mod reference;
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use crystal_core::hash::{DeviceHashTable, HashScheme};
@@ -68,11 +67,11 @@ impl<'a> AttrMap<'a> {
         AttrMap { col, base, map }
     }
 
-    /// The table entry of each of the dimension rows `rows`, in row order.
+    /// The table entry of each dimension row, in row order.
     #[inline]
-    fn per_row(&self, rows: Range<usize>) -> impl Iterator<Item = i16> + '_ {
+    fn per_row(&self) -> impl Iterator<Item = i16> + '_ {
         let entry = |&v: &i32| self.map[(v - self.base) as usize];
-        self.col[rows].iter().map(entry)
+        self.col.iter().map(entry)
     }
 }
 
@@ -85,8 +84,7 @@ impl<'a> AttrMap<'a> {
 ///
 /// This is the one place the build-phase loop lives: a [`DimLookup`]'s two
 /// halves are the slots of the join without its group attribute and without
-/// its filter, and [`DimBuild::scan`] compacts the whole join's stream into
-/// the `(key, code)` pairs an explicit-key build inserts.
+/// its filter.
 struct ResolvedJoin<'a> {
     keys: &'a [i32],
     min_key: i32,
@@ -118,39 +116,28 @@ impl<'a> ResolvedJoin<'a> {
         }
     }
 
-    /// The slot of every key of the key range: [`Self::for_each_slot`]
-    /// scattered by key, `-1` where the range has no row.
+    /// The slot of every key of the key range, `-1` where the range has no
+    /// row: a row's dense group code (0 when the join is ungrouped), or `-1`
+    /// when it fails the join filter.
     fn slots(&self) -> Vec<i16> {
-        let mut slots = vec![-1i16; (self.max_key - self.min_key + 1) as usize];
-        self.for_each_slot(0..self.keys.len(), |key, slot| {
-            slots[(key - self.min_key) as usize] = slot;
-        });
-        slots
-    }
-
-    /// Calls `emit(key, slot)` for each of the dimension rows `rows` in row
-    /// order, where `slot` is the row's dense group code (0 when the join is
-    /// ungrouped) or `-1` when the row fails the join filter.
-    #[inline]
-    fn for_each_slot(&self, rows: Range<usize>, emit: impl FnMut(i32, i16)) {
         #[inline(always)]
-        fn each(
-            keys: &[i32],
+        fn scatter(
+            r: &ResolvedJoin<'_>,
             accept: impl Iterator<Item = i16>,
             code: impl Iterator<Item = i16>,
-            mut emit: impl FnMut(i32, i16),
-        ) {
-            for ((&key, accept), code) in keys.iter().zip(accept).zip(code) {
-                emit(key, accept | code);
+        ) -> Vec<i16> {
+            let mut slots = vec![-1i16; (r.max_key - r.min_key + 1) as usize];
+            for ((&key, accept), code) in r.keys.iter().zip(accept).zip(code) {
+                slots[(key - r.min_key) as usize] = accept | code;
             }
+            slots
         }
         let all = std::iter::repeat(0i16);
-        let keys = &self.keys[rows.clone()];
         match (&self.filter, &self.group) {
-            (None, None) => each(keys, all.clone(), all, emit),
-            (Some(f), None) => each(keys, f.per_row(rows), all, emit),
-            (None, Some(g)) => each(keys, all, g.per_row(rows), emit),
-            (Some(f), Some(g)) => each(keys, f.per_row(rows.clone()), g.per_row(rows), emit),
+            (None, None) => scatter(self, all.clone(), all),
+            (Some(f), None) => scatter(self, f.per_row(), all),
+            (None, Some(g)) => scatter(self, all, g.per_row()),
+            (Some(f), Some(g)) => scatter(self, f.per_row(), g.per_row()),
         }
     }
 }
@@ -171,44 +158,25 @@ pub struct DimBuild {
 }
 
 impl DimBuild {
-    /// Scans one join's dimension, keeping filtered keys and their dense
-    /// group codes: the resolved build loop, compacting without a
-    /// data-dependent branch — every row is stored at the cursor of a small
-    /// chunk and only a surviving one advances it; full chunks are appended
-    /// to outputs whose capacity is the filter's expected yield, so they do
-    /// not grow by doubling. (Two growing `Vec`s behind a mispredicted
-    /// branch cost 2 to 4 [`DimLookup::build`]s of the same join per row.)
-    /// The engines build from the join's cached halves instead
-    /// ([`dim_device_table`]); this is the reference their tests and the
-    /// microbench compare with.
+    /// Scans one join's dimension row by row, keeping the keys of the rows
+    /// that pass the filter and their dense group codes, in row order: the
+    /// reference the device tables over a join's cached halves are held to
+    /// ([`dim_device_table`]).
     pub fn scan(d: &SsbData, join: &DimJoin) -> Self {
-        const CHUNK: usize = 1024;
-        let r = ResolvedJoin::new(d, join);
-        // The share of the filter attribute's values the filter accepts: SSB
-        // draws every attribute uniformly, so about the share of the rows.
-        let pass_share = join.filter.as_ref().map_or(1.0, |p| {
-            let values = (0..p.attr().domain()).map(|dense| p.attr().value(dense));
-            values.filter(|&v| p.matches(v)).count() as f64 / p.attr().domain() as f64
-        });
-        let expected = (r.keys.len() as f64 * pass_share * 1.02) as usize + CHUNK;
-        let mut keys = Vec::with_capacity(expected);
-        let mut codes = Vec::with_capacity(expected);
-        let (mut chunk_keys, mut chunk_codes) = ([0i32; CHUNK], [0i32; CHUNK]);
-        for start in (0..r.keys.len()).step_by(CHUNK) {
-            let mut kept = 0usize;
-            r.for_each_slot(start..(start + CHUNK).min(r.keys.len()), |key, slot| {
-                chunk_keys[kept] = key;
-                chunk_codes[kept] = i32::from(slot);
-                kept += usize::from(slot >= 0);
-            });
-            keys.extend_from_slice(&chunk_keys[..kept]);
-            codes.extend_from_slice(&chunk_codes[..kept]);
+        let (mut keys, mut codes) = (Vec::new(), Vec::new());
+        for (row, &key) in join.keys(d).iter().enumerate() {
+            if join.row_matches(d, row) {
+                let code = |a: DimAttr| a.dense(join.row_group_value(d, row)) as i32;
+                keys.push(key);
+                codes.push(join.group_attr.map_or(0, code));
+            }
         }
+        let (min_key, max_key) = d.key_range(join.table);
         DimBuild {
             keys,
             codes,
-            min_key: r.min_key,
-            max_key: r.max_key,
+            min_key,
+            max_key,
         }
     }
 
@@ -505,15 +473,23 @@ impl QueryTrace {
     }
 }
 
-/// Computes the dense mixed-radix group index from per-join dense codes.
-#[inline]
+/// The dense mixed-radix group index of one row: `digits` are the query's
+/// [`StarQuery::group_digits`] and `code(j)` is the row's dense group code
+/// in join `j`. The one fold of the group key every engine builds (the
+/// vectorized pipeline's `sel_group_digit` kernel builds the same index a
+/// digit at a time over a column of rows).
+#[inline(always)]
+pub(crate) fn group_key(digits: &[(usize, usize)], code: impl Fn(usize) -> i32) -> usize {
+    let digit = |idx, &(j, domain): &(usize, usize)| idx * domain + code(j) as usize;
+    digits.iter().fold(0, digit)
+}
+
+/// The dense mixed-radix group index of per-digit dense codes: `group_key`
+/// with every digit its own join.
 pub fn group_index(domains: &[usize], codes: &[i32]) -> usize {
     debug_assert_eq!(domains.len(), codes.len());
-    let mut idx = 0usize;
-    for (d, &c) in domains.iter().zip(codes) {
-        idx = idx * d + c as usize;
-    }
-    idx
+    let digits: Vec<(usize, usize)> = domains.iter().copied().enumerate().collect();
+    group_key(&digits, |j| codes[j])
 }
 
 /// Decodes a dense group index back into per-attribute dense codes.
@@ -631,6 +607,81 @@ impl GroupAcc {
                 .collect();
             (key, sum)
         }))
+    }
+}
+
+/// What every engine accumulates for one query: the group key's digits
+/// ([`StarQuery::group_digits`], folded by [`group_key`]), the group sums,
+/// and the counters of the query's [`QueryTrace`]. A run keeps one per
+/// worker or per job and merges them; [`QueryAcc::finish`] is the one place
+/// a result and its trace are assembled.
+#[derive(Debug, Clone)]
+pub(crate) struct QueryAcc {
+    pub(crate) digits: Vec<(usize, usize)>,
+    pub(crate) groups: GroupAcc,
+    /// Rows passing the fact predicates.
+    pub(crate) pred_survivors: usize,
+    /// Per join: rows probed, and rows found.
+    pub(crate) probes: Vec<usize>,
+    pub(crate) hits: Vec<usize>,
+    /// Rows reaching the aggregate.
+    pub(crate) result_rows: usize,
+}
+
+impl QueryAcc {
+    /// Nothing accumulated for `q`.
+    pub(crate) fn new(q: &StarQuery) -> Self {
+        QueryAcc {
+            digits: q.group_digits(),
+            groups: GroupAcc::new(q.group_domain()),
+            pred_survivors: 0,
+            probes: vec![0; q.joins.len()],
+            hits: vec![0; q.joins.len()],
+            result_rows: 0,
+        }
+    }
+
+    /// Adds the sums and counts of `other`, accumulated for the same query.
+    pub(crate) fn merge(&mut self, other: &QueryAcc) {
+        self.groups.merge(&other.groups);
+        self.pred_survivors += other.pred_survivors;
+        for (mine, theirs) in self.probes.iter_mut().zip(&other.probes) {
+            *mine += theirs;
+        }
+        for (mine, theirs) in self.hits.iter_mut().zip(&other.hits) {
+            *mine += theirs;
+        }
+        self.result_rows += other.result_rows;
+    }
+
+    /// The result of `q` over `d` and its trace. `tables` gives, per join,
+    /// the footprint and the entries of its dimension table; `fact_rows` is
+    /// the whole table, pruned or not, so traces compare across table
+    /// shapes.
+    pub(crate) fn finish(
+        self,
+        d: &SsbData,
+        q: &StarQuery,
+        tables: impl IntoIterator<Item = (usize, usize)>,
+    ) -> (crate::QueryResult, QueryTrace) {
+        let result = self.groups.to_result(q);
+        let stages = (q.joins.iter().zip(tables).enumerate())
+            .map(|(j, (join, (ht_bytes, entries)))| StageTrace {
+                table: join.table,
+                probes: self.probes[j],
+                hits: self.hits[j],
+                ht_bytes,
+                dim_insert_frac: entries as f64 / join.keys(d).len().max(1) as f64,
+            })
+            .collect();
+        let trace = QueryTrace {
+            fact_rows: d.lineorder.rows(),
+            pred_survivors: self.pred_survivors,
+            stages,
+            result_rows: self.result_rows,
+            groups: result.rows(),
+        };
+        (result, trace)
     }
 }
 

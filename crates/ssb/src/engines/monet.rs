@@ -20,7 +20,7 @@
 use crystal_cpu::exec::scoped_map;
 
 use crate::data::SsbData;
-use crate::engines::{DimLookup, GroupAcc};
+use crate::engines::{group_key, DimLookup, GroupAcc};
 use crate::plan::StarQuery;
 use crate::QueryResult;
 
@@ -87,18 +87,10 @@ pub fn execute(d: &SsbData, q: &StarQuery, threads: usize) -> QueryResult {
     }
 
     // Aggregation operator.
-    let domains: Vec<usize> = q.group_attrs().iter().map(|a| a.domain()).collect();
-    let carries: Vec<bool> = q.joins.iter().map(|j| j.group_attr.is_some()).collect();
+    let digits = q.group_digits();
     let mut agg = GroupAcc::new(q.group_domain());
     for (k, &row) in ids.iter().enumerate() {
-        let mut idx = 0usize;
-        let mut di = 0usize;
-        for (j, &carried) in carries.iter().enumerate() {
-            if carried {
-                idx = idx * domains[di] + code_cols[j][k] as usize;
-                di += 1;
-            }
-        }
+        let idx = group_key(&digits, |j| code_cols[j][k]);
         agg.add(idx, q.agg.eval(d, row as usize));
     }
     agg.to_result(q)

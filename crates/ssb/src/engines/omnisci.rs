@@ -33,7 +33,9 @@ use crystal_runtime::{DeviceCol, DeviceSession, SessionOom};
 
 use crate::data::SsbData;
 use crate::engines::profile::QueryProfile;
-use crate::engines::{dim_device_table, dim_join_fingerprint, dim_table_bytes, GroupAcc};
+use crate::engines::{
+    dim_device_table, dim_join_fingerprint, dim_table_bytes, group_key, GroupAcc,
+};
 use crate::plan::{FactCol, StarQuery};
 use crate::table::FactTable;
 
@@ -167,10 +169,7 @@ fn operators(
     // Aggregation kernel: gather aggregate inputs for flagged rows; every
     // thread updates the group table (or a global sum) atomically per row —
     // the per-row atomic pattern of Section 3.2.
-    let domains: Vec<usize> = q.group_attrs().iter().map(|a| a.domain()).collect();
-    let domain = q.group_domain();
-    let grouped = !domains.is_empty();
-    let carries: Vec<bool> = q.joins.iter().map(|j| j.group_attr.is_some()).collect();
+    let (digits, domain) = (q.group_digits(), q.group_domain());
     // The kernel takes only the table's addresses; the sums live in the
     // host's accumulator.
     let agg_table = agg_table.insert(sess.try_alloc_scratch_unbacked(domain)?);
@@ -189,33 +188,15 @@ fn operators(
                 if flags.as_slice()[i] == 0 {
                     continue;
                 }
-                let v = match q.agg {
-                    crate::plan::AggExpr::SumDiscountedPrice => {
-                        agg_cols[0].plain().as_slice()[i] as i64
-                            * agg_cols[1].plain().as_slice()[i] as i64
-                    }
-                    crate::plan::AggExpr::SumRevenue => agg_cols[0].plain().as_slice()[i] as i64,
-                    crate::plan::AggExpr::SumProfit => {
-                        agg_cols[0].plain().as_slice()[i] as i64
-                            - agg_cols[1].plain().as_slice()[i] as i64
-                    }
-                };
-                if grouped {
-                    let mut idx = 0usize;
-                    let mut di = 0usize;
-                    for (j, &carried) in carries.iter().enumerate() {
-                        if carried {
-                            idx = idx * domains[di] + code_bufs[j].as_slice()[i] as usize;
-                            di += 1;
-                        }
-                    }
-                    ctx.atomic_scattered(agg_table.addr_of(idx));
-                    agg_host.add(idx, v);
-                } else {
+                let v = q.agg.value(|t| agg_cols[t].plain().as_slice()[i]);
+                let idx = group_key(&digits, |j| code_bufs[j].as_slice()[i]);
+                if digits.is_empty() {
                     // Per-row contended atomic on the single aggregate.
                     ctx.atomic_same_addr(1);
-                    agg_host.add(0, v);
+                } else {
+                    ctx.atomic_scattered(agg_table.addr_of(idx));
                 }
+                agg_host.add(idx, v);
                 ctx.compute(2);
             }
         });

@@ -104,9 +104,9 @@ const _: () = assert!(
 use crystal_storage::encoding::{ColumnRead, ColumnSlice};
 
 use crate::data::SsbData;
-use crate::engines::{dim_table_bytes, DimLookup, GroupAcc, QueryTrace, StageTrace};
+use crate::engines::{dim_table_bytes, group_key, DimLookup, QueryAcc, QueryTrace};
 use crate::partition::PartitionedFact;
-use crate::plan::{AggExpr, StarQuery};
+use crate::plan::StarQuery;
 use crate::table::{FactSegment, FactTable};
 use crate::QueryResult;
 
@@ -117,29 +117,6 @@ pub enum PipelineMode {
     Vectorized,
     /// Tuple-at-a-time push pipeline (branching, Hyper-style).
     TupleAtATime,
-}
-
-/// Per-worker accumulation state: a private group accumulator plus the
-/// trace counters. Workers never share mutable state — merging happens
-/// once, after the queue drains.
-struct WorkerAcc {
-    groups: GroupAcc,
-    pred_survivors: usize,
-    probes: Vec<usize>,
-    hits: Vec<usize>,
-    result_rows: usize,
-}
-
-impl WorkerAcc {
-    fn new(domain: usize, joins: usize) -> Self {
-        WorkerAcc {
-            groups: GroupAcc::new(domain),
-            pred_survivors: 0,
-            probes: vec![0usize; joins],
-            hits: vec![0usize; joins],
-            result_rows: 0,
-        }
-    }
 }
 
 /// Per-worker scratch buffers, allocated once per worker (never per
@@ -157,7 +134,7 @@ struct Scratch {
     /// predicate, join or group digit.
     keys: [i32; CHUNK],
     /// The aggregate inputs of a vector's surviving rows, in
-    /// [`AggExpr::columns`] order.
+    /// [`crate::plan::AggExpr::columns`] order.
     inputs: [[i32; CHUNK]; 2],
     tuple_codes: Vec<i32>,
 }
@@ -180,35 +157,15 @@ impl Scratch {
 struct QueryCtx<'a> {
     q: &'a StarQuery,
     lookups: &'a [DimLookup],
-    /// `(join index, attribute domain)` of each join carrying a group
-    /// attribute, in join order — the mixed-radix digits of the group key.
-    carried: &'a [(usize, usize)],
     /// Fact FK column per join (resolved once).
     fk_cols: &'a [ColumnSlice<'a>],
     /// Fact predicate columns (resolved once).
     pred_cols: &'a [ColumnSlice<'a>],
-    /// Aggregate input columns, in [`AggExpr::columns`] order.
+    /// Aggregate input columns, in [`crate::plan::AggExpr::columns`] order.
     agg_cols: &'a [ColumnSlice<'a>],
 }
 
-/// The `(join index, domain)` mixed-radix digits of a query's group key.
-fn carried_of(q: &StarQuery) -> Vec<(usize, usize)> {
-    q.joins
-        .iter()
-        .enumerate()
-        .filter_map(|(j, join)| join.group_attr.map(|a| (j, a.domain())))
-        .collect()
-}
-
 impl QueryCtx<'_> {
-    /// Mixed-radix group index of one surviving row from its per-join
-    /// codes.
-    #[inline]
-    fn group_idx(&self, codes: &[i32]) -> usize {
-        let digit = |idx, &(j, dom): &(usize, usize)| idx * dom + codes[j] as usize;
-        self.carried.iter().fold(0, digit)
-    }
-
     /// Prefetches, for the ascending `rows` that stage `stage` just
     /// selected — the fact predicates, then the joins, numbered through —
     /// what the next stage gathers: the next predicate's column or join's
@@ -230,18 +187,6 @@ impl QueryCtx<'_> {
             for &row in rows {
                 col.prefetch_row(row as usize);
             }
-        }
-    }
-
-    /// The aggregate expression's value for one row whose `i`-th input
-    /// (in [`AggExpr::columns`] order) is `input(i)`.
-    #[inline(always)]
-    fn agg_value(&self, input: impl Fn(usize) -> i32) -> i64 {
-        let a = |i| i64::from(input(i));
-        match self.q.agg {
-            AggExpr::SumDiscountedPrice => a(0) * a(1),
-            AggExpr::SumRevenue => a(0),
-            AggExpr::SumProfit => a(0) - a(1),
         }
     }
 }
@@ -336,13 +281,11 @@ fn live_segments<'a>(table: &FactTable<'a>, q: &StarQuery) -> Vec<Segment<'a>> {
 }
 
 /// What every run of one query shares, assembled once before the
-/// scan: the dimension lookups (from the dataset's cached halves) and the
-/// layout of the group key.
+/// scan: the dimension lookups (from the dataset's cached halves).
 struct Plan<'a> {
     d: &'a SsbData,
     q: &'a StarQuery,
     lookups: Vec<DimLookup>,
-    carried: Vec<(usize, usize)>,
 }
 
 impl<'a> Plan<'a> {
@@ -352,7 +295,6 @@ impl<'a> Plan<'a> {
             d,
             q,
             lookups: q.joins.iter().map(|j| DimLookup::cached(d, j)).collect(),
-            carried: carried_of(q),
         }
     }
 
@@ -361,20 +303,16 @@ impl<'a> Plan<'a> {
         QueryCtx {
             q: self.q,
             lookups: &self.lookups,
-            carried: &self.carried,
             fk_cols,
             pred_cols,
             agg_cols,
         }
     }
 
-    /// One worker's private accumulator and scratch.
-    fn worker(&self) -> (WorkerAcc, Scratch) {
-        let joins = self.q.joins.len();
-        (
-            WorkerAcc::new(self.q.group_domain(), joins),
-            Scratch::new(joins),
-        )
+    /// One worker's private accumulator and scratch. Workers never share
+    /// mutable state — merging happens once, after the queue drains.
+    fn worker(&self) -> (QueryAcc, Scratch) {
+        (QueryAcc::new(self.q), Scratch::new(self.q.joins.len()))
     }
 
     /// Runs every segment to completion in morsels of `morsel` rows, one
@@ -386,7 +324,7 @@ impl<'a> Plan<'a> {
         mode: PipelineMode,
         morsel: usize,
     ) -> (QueryResult, QueryTrace) {
-        let mut workers: Vec<WorkerAcc> = Vec::new();
+        let mut workers: Vec<QueryAcc> = Vec::new();
         for (cols, rows) in segments {
             let ctx = self.ctx(cols);
             workers.extend(morsel_map(*rows, threads, morsel, |queue: &MorselQueue| {
@@ -397,55 +335,22 @@ impl<'a> Plan<'a> {
                 acc
             }));
         }
-        self.assemble(workers)
+        // The first worker's accumulator takes the others in; no worker at
+        // all (every shard pruned) is the empty input.
+        let merged = workers.into_iter().reduce(|mut total, w| {
+            total.merge(&w);
+            total
+        });
+        self.finish(merged.unwrap_or_else(|| QueryAcc::new(self.q)))
     }
 
-    /// Merges per-worker accumulators into the final result and trace —
-    /// the one exit path shared by the run to completion and
-    /// the resumable [`HostQueryJob`]. `fact_rows` is always the *whole*
-    /// table, pruned or not, so traces compare across table shapes.
-    fn assemble(&self, workers: Vec<WorkerAcc>) -> (QueryResult, QueryTrace) {
-        let (d, q) = (self.d, self.q);
-        // The first worker's table becomes the result table (no second
-        // zeroed allocation, no pass over it); only the others are added in.
-        // No worker at all (every shard pruned) is the empty input.
-        let mut workers = workers.into_iter();
-        let mut total = workers
-            .next()
-            .unwrap_or_else(|| WorkerAcc::new(q.group_domain(), q.joins.len()));
-        for w in workers {
-            total.groups.merge(&w.groups);
-            total.pred_survivors += w.pred_survivors;
-            for (a, v) in total.probes.iter_mut().zip(&w.probes) {
-                *a += v;
-            }
-            for (a, v) in total.hits.iter_mut().zip(&w.hits) {
-                *a += v;
-            }
-            total.result_rows += w.result_rows;
-        }
-
-        let result = total.groups.to_result(q);
-        let trace = QueryTrace {
-            fact_rows: d.lineorder.rows(),
-            pred_survivors: total.pred_survivors,
-            stages: q
-                .joins
-                .iter()
-                .enumerate()
-                .map(|(j, join)| StageTrace {
-                    table: join.table,
-                    probes: total.probes[j],
-                    hits: total.hits[j],
-                    ht_bytes: dim_table_bytes(d, join),
-                    dim_insert_frac: self.lookups[j].inserted as f64
-                        / join.keys(d).len().max(1) as f64,
-                })
-                .collect(),
-            result_rows: total.result_rows,
-            groups: result.rows(),
-        };
-        (result, trace)
+    /// The result and trace of everything `acc` holds — the one exit path
+    /// shared by the run to completion and the resumable [`HostQueryJob`].
+    fn finish(&self, acc: QueryAcc) -> (QueryResult, QueryTrace) {
+        let d = self.d;
+        let tables = (self.q.joins.iter().zip(&self.lookups))
+            .map(|(join, lk)| (dim_table_bytes(d, join), lk.inserted));
+        acc.finish(d, self.q, tables)
     }
 }
 
@@ -469,7 +374,7 @@ pub struct HostQueryJob<'a> {
     plan: Plan<'a>,
     segments: Vec<Segment<'a>>,
     mode: PipelineMode,
-    acc: WorkerAcc,
+    acc: QueryAcc,
     scratch: Scratch,
     /// Current segment and the next unprocessed row within it.
     segment: usize,
@@ -546,7 +451,7 @@ impl<'a> HostQueryJob<'a> {
     /// has been scanned.
     pub fn finish(self) -> (QueryResult, QueryTrace) {
         assert_eq!(self.remaining, 0, "finished a job with rows remaining");
-        self.plan.assemble(vec![self.acc])
+        self.plan.finish(self.acc)
     }
 }
 
@@ -571,7 +476,7 @@ fn scan_range(
     mode: PipelineMode,
     start: usize,
     end: usize,
-    acc: &mut WorkerAcc,
+    acc: &mut QueryAcc,
     scratch: &mut Scratch,
 ) {
     match mode {
@@ -598,7 +503,7 @@ fn vectorized_range(
     ctx: &QueryCtx<'_>,
     range_start: usize,
     range_end: usize,
-    acc: &mut WorkerAcc,
+    acc: &mut QueryAcc,
     scratch: &mut Scratch,
 ) {
     let Some(first) = ctx.q.fact_preds.first() else {
@@ -652,7 +557,7 @@ fn vectorized_range(
 fn refine_join_aggregate(
     ctx: &QueryCtx<'_>,
     mut count: usize,
-    acc: &mut WorkerAcc,
+    acc: &mut QueryAcc,
     scratch: &mut Scratch,
 ) {
     let (sel, keys) = (&mut scratch.sel, &mut scratch.keys);
@@ -677,7 +582,7 @@ fn join_aggregate(
     ctx: &QueryCtx<'_>,
     first_join: usize,
     mut count: usize,
-    acc: &mut WorkerAcc,
+    acc: &mut QueryAcc,
     scratch: &mut Scratch,
 ) {
     debug_assert!(count <= VECTOR_SIZE);
@@ -704,7 +609,7 @@ fn join_aggregate(
 
     let (sel, gidx) = (&sel[..count], &mut gidx[..count]);
     gidx.fill(0);
-    for &(j, dom) in ctx.carried {
+    for &(j, dom) in &acc.digits {
         let spec = ctx.lookups[j].spec();
         on_encoding!(ctx.fk_cols[j], |c| sel_group_digit(
             c, &spec, sel, dom as u32, gidx, keys
@@ -713,9 +618,9 @@ fn join_aggregate(
     for (col, input) in ctx.agg_cols.iter().zip(inputs.iter_mut()) {
         col.gather(sel, input);
     }
+    let agg = ctx.q.agg;
     for (k, &idx) in gidx.iter().enumerate() {
-        acc.groups
-            .add(idx as usize, ctx.agg_value(|i| inputs[i][k]));
+        acc.groups.add(idx as usize, agg.value(|i| inputs[i][k]));
     }
 }
 
@@ -727,7 +632,7 @@ fn tuple_range(
     ctx: &QueryCtx<'_>,
     range_start: usize,
     range_end: usize,
-    acc: &mut WorkerAcc,
+    acc: &mut QueryAcc,
     scratch: &mut Scratch,
 ) {
     let codes = &mut scratch.tuple_codes;
@@ -747,8 +652,8 @@ fn tuple_range(
             acc.hits[j] += 1;
         }
         acc.result_rows += 1;
-        let input = |i: usize| ctx.agg_cols[i].value(row);
-        acc.groups.add(ctx.group_idx(codes), ctx.agg_value(input));
+        let value = ctx.q.agg.value(|i| ctx.agg_cols[i].value(row));
+        acc.groups.add(group_key(&acc.digits, |j| codes[j]), value);
     }
 }
 

@@ -265,15 +265,32 @@ impl AggExpr {
         }
     }
 
-    /// Evaluates the expression for fact row `i`.
+    /// The expression's value for one row whose `k`-th input, in
+    /// [`Self::columns`] order, is `input(k)` — the one place every engine
+    /// computes it.
+    ///
+    /// The inputs are widened to `i64` first. Over generated rows a value
+    /// lies in `0..=9_999_990`: an extended price below 1 000 000 times a
+    /// discount of at most 10, and revenue and profit below the price —
+    /// never negative, as discount (at most 10 %) and supply cost (below
+    /// 60 %) take less than the whole price. So the sum over SF 1000's
+    /// 6 x 10^9 fact rows stays below 6 x 10^16, far inside `i64`. The
+    /// generator's ranges are `data`'s `EXTENDED_PRICE`, `DISCOUNT` and
+    /// `SUPPLY_COST_PERCENT`; a unit test holds the bound to them.
+    #[inline(always)]
+    pub(crate) fn value(&self, input: impl Fn(usize) -> i32) -> i64 {
+        let a = |k| i64::from(input(k));
+        match self {
+            AggExpr::SumDiscountedPrice => a(0) * a(1),
+            AggExpr::SumRevenue => a(0),
+            AggExpr::SumProfit => a(0) - a(1),
+        }
+    }
+
+    /// The expression's value for fact row `i`.
     #[inline]
     pub(crate) fn eval(&self, d: &SsbData, i: usize) -> i64 {
-        let lo = &d.lineorder;
-        match self {
-            AggExpr::SumDiscountedPrice => lo.extendedprice[i] as i64 * lo.discount[i] as i64,
-            AggExpr::SumRevenue => lo.revenue[i] as i64,
-            AggExpr::SumProfit => lo.revenue[i] as i64 - lo.supplycost[i] as i64,
-        }
+        self.value(|k| self.columns()[k].data(d)[i])
     }
 }
 
@@ -331,13 +348,20 @@ impl StarQuery {
         self.joins.iter().filter_map(|j| j.group_attr).collect()
     }
 
+    /// The digits of the dense group key: `(join index, attribute domain)`
+    /// of each join carrying a group attribute, in join order — the most
+    /// significant digit first.
+    pub(crate) fn group_digits(&self) -> Vec<(usize, usize)> {
+        let digit = |(j, join): (usize, &DimJoin)| join.group_attr.map(|a| (j, a.domain()));
+        self.joins.iter().enumerate().filter_map(digit).collect()
+    }
+
     /// Mixed-radix size of the dense group domain (1 = scalar aggregate).
     pub fn group_domain(&self) -> usize {
-        self.group_attrs()
+        self.group_digits()
             .iter()
-            .map(|a| a.domain())
-            .product::<usize>()
-            .max(1)
+            .map(|&(_, domain)| domain)
+            .product()
     }
 
     /// Renders the plan as the SQL it implements (Figure 2 / Figure 17
@@ -442,6 +466,42 @@ mod tests {
                 let d = attr.dense(v);
                 assert!(d < attr.domain(), "{attr:?} {v}");
                 assert_eq!(attr.value(d), v);
+            }
+        }
+    }
+
+    /// Every aggregate over the generator's extreme rows — each corner of
+    /// its price, discount and supply-cost ranges, revenue and supply cost
+    /// derived as it derives them — stays within the bound `value`'s doc
+    /// states, and so does a sum over SF 1000's rows of it.
+    #[test]
+    fn aggregate_sums_fit_i64_at_sf_1000() {
+        use crate::data::{self, DISCOUNT, EXTENDED_PRICE, FACT_ROWS_PER_SF, SUPPLY_COST_PERCENT};
+        let rows = (FACT_ROWS_PER_SF * 1000) as i64;
+        let prices = [EXTENDED_PRICE.start, EXTENDED_PRICE.end - 1];
+        let discounts = [*DISCOUNT.start(), *DISCOUNT.end()];
+        let percents = [SUPPLY_COST_PERCENT.start, SUPPLY_COST_PERCENT.end - 1];
+        for agg in [
+            AggExpr::SumDiscountedPrice,
+            AggExpr::SumRevenue,
+            AggExpr::SumProfit,
+        ] {
+            for (price, discount, percent) in prices
+                .iter()
+                .flat_map(|&p| discounts.map(|d| (p, d)))
+                .flat_map(|(p, d)| percents.map(|c| (p, d, c)))
+            {
+                let input = |col: FactCol| match col {
+                    FactCol::ExtendedPrice => price,
+                    FactCol::Discount => discount,
+                    FactCol::Revenue => data::revenue(price, discount),
+                    FactCol::SupplyCost => data::supply_cost(price, percent),
+                    other => unreachable!("{other:?} is no aggregate input"),
+                };
+                let v = agg.value(|k| input(agg.columns()[k]));
+                let case = format!("{agg:?} at {price} / {discount} / {percent}");
+                assert!((0..=9_999_990).contains(&v), "{case}: {v}");
+                assert!(rows.checked_mul(v).is_some(), "{case}: {v}");
             }
         }
     }
