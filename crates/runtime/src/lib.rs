@@ -26,6 +26,4 @@
 
 pub mod session;
 
-pub use session::{
-    ColumnKey, DeviceCol, DeviceSession, HostCol, QueryId, SessionOom, SessionStats,
-};
+pub use session::{ColumnKey, DeviceCol, DeviceSession, HostCol, SessionOom, SessionStats};

@@ -11,14 +11,14 @@
 //!
 //! Columns and tables live in **one** list of entries, keyed by which of
 //! the two they are, and share every step of the cache's life: one hit
-//! path (`touch`), one `insert`, one `pin`, one victim selection, one
-//! release. Each entry carries the simulated seconds it would take to
-//! recreate (PCIe transfer time for a column, build-kernel time for a
-//! table) and its GreedyDual-Size priority `h = L + cost / bytes`, where
-//! `L` is the inflation value at its last use; the victim under memory
-//! pressure is the evictable entry lowest in the one order `(h, last_use)`
-//! — so a cheap, stale column is dropped before an expensive, equally stale
-//! hash table, and `last_use` (unique per touch) makes the order strict.
+//! path (`touch`), one `insert`, one victim selection, one release. Each
+//! entry carries the simulated seconds it would take to recreate (PCIe
+//! transfer time for a column, build-kernel time for a table) and its
+//! GreedyDual-Size priority `h = L + cost / bytes`, where `L` is the
+//! inflation value at its last use; the victim under memory pressure is
+//! the evictable entry lowest in the one order `(h, last_use)` — so a
+//! cheap, stale column is dropped before an expensive, equally stale hash
+//! table, and `last_use` (unique per touch) makes the order strict.
 //!
 //! Only what genuinely differs stays per kind, in the two miss paths: a
 //! column miss allocates and uploads (retrying after each eviction), prices
@@ -29,28 +29,22 @@
 //!
 //! ## Pinning
 //!
-//! Two mechanisms keep an in-use entry out of the evictor's reach:
+//! Entries are handed out as [`Rc`] clones, and a live clone is the one
+//! pin: an entry whose `Rc` anyone but the cache holds is never evicted.
+//! A run-to-completion engine holds its clones for one `execute` call; a
+//! resumable job that yields between grants keeps them in its own state,
+//! so a competing tenant cannot take its working set while it waits.
+//! Dropping the clones unpins; [`DeviceSession::trim`] then evicts back
+//! within budget.
 //!
-//! * **`Rc` holds** — entries are handed out as [`Rc`] clones; an entry
-//!   whose `Rc` is still held is never evicted. This covers the
-//!   run-to-completion engines, which hold their clones for the duration
-//!   of one `execute` call.
-//! * **Ledger pins** — a concurrent frontend interleaving many queries
-//!   registers each query with [`DeviceSession::begin_query`] and acquires
-//!   its working set through [`DeviceSession::pin_column`] /
-//!   [`DeviceSession::pin_hash_table`]. The entry stays pinned until the
-//!   matching [`DeviceSession::end_query`], *independent of any `Rc`
-//!   clones*, so a yielded query that holds no live borrow still cannot
-//!   lose its working set to a competing tenant.
+//! Eviction arbitrates only between unpinned entries; when every cached
+//! byte is pinned, a request returns a typed [`SessionOom`] instead of
+//! panicking — the signal an admission controller uses to defer a query
+//! instead of crashing the server. Every request is fallible that way;
+//! [`DeviceSession::column`] alone keeps a panicking form, because the
+//! benchmark harness pins it.
 //!
-//! Eviction arbitrates only between entries neither mechanism protects;
-//! when every cached byte is protected, a request returns a typed
-//! [`SessionOom`] instead of panicking — the signal an admission controller
-//! uses to defer a query instead of crashing the server. Every request is
-//! fallible that way; [`DeviceSession::column`] alone keeps a panicking
-//! form, because the benchmark harness pins it.
-//!
-//! Dropping the session frees every unprotected cached buffer, so a
+//! Dropping the session frees every unpinned cached buffer, so a
 //! transient one-query-per-session use is exactly the
 //! upload/execute/free lifecycle. A clone that escapes the session's
 //! lifetime keeps its entry's device bytes charged against the [`Gpu`]
@@ -116,7 +110,7 @@ impl ColumnKey {
 pub struct SessionOom {
     /// Bytes the failed request needed.
     pub requested: usize,
-    /// Cached bytes currently pinned (by ledgers or live `Rc` clones).
+    /// Cached bytes currently pinned by live `Rc` clones.
     pub pinned_bytes: usize,
     /// Total cached bytes, pinned or not.
     pub cached_bytes: usize,
@@ -136,11 +130,6 @@ impl fmt::Display for SessionOom {
 }
 
 impl std::error::Error for SessionOom {}
-
-/// Token identifying one in-flight query's pin ledger (see
-/// [`DeviceSession::begin_query`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct QueryId(u64);
 
 /// A fact column resident on the device in either physical format.
 #[derive(Debug)]
@@ -289,7 +278,7 @@ impl std::ops::AddAssign<&SessionStats> for SessionStats {
     }
 }
 
-/// What a cache entry — and a ledger pin on it — is keyed by.
+/// What a cache entry is keyed by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CacheKey {
     Col(ColumnKey),
@@ -315,9 +304,6 @@ struct Entry {
     /// priorities are equal (the inflation value only rises on evictions,
     /// so equal-density entries would otherwise tie).
     last_use: u64,
-    /// Live pin-ledger references (one per `pin_*` call by an in-flight
-    /// query; balanced by `end_query`).
-    pins: u32,
 }
 
 impl Entry {
@@ -326,15 +312,15 @@ impl Entry {
         clock + cost / bytes.max(1) as f64
     }
 
-    /// An entry may be evicted only when no query ledger pins it *and* no
-    /// handed-out `Rc` clone is alive — the cache's own `Rc` is then the
-    /// last, which is what lets `release` take the resource back.
+    /// An entry may be evicted only when no handed-out `Rc` clone is alive
+    /// — the cache's own `Rc` is then the last, which is what lets
+    /// `release` take the resource back.
     fn evictable(&self) -> bool {
         let holders = match &self.res {
             Resource::Col(rc) => Rc::strong_count(rc),
             Resource::Table(rc) => Rc::strong_count(rc),
         };
-        self.pins == 0 && holders == 1
+        holders == 1
     }
 }
 
@@ -351,10 +337,6 @@ pub struct DeviceSession<'g> {
     // A Vec, not a HashMap: entry counts are tens at most, linear lookup is
     // cheap, and iteration order stays deterministic.
     entries: Vec<(CacheKey, Entry)>,
-    /// Per-query pin ledgers: what each in-flight query holds, unwound as
-    /// one unit by `end_query`.
-    ledger: Vec<(u64, Vec<CacheKey>)>,
-    next_query: u64,
     stats: SessionStats,
     /// Copy-stream events of uploads recorded since the last
     /// [`DeviceSession::take_pending_copy`]: the merged first-chunk /
@@ -398,8 +380,6 @@ impl<'g> DeviceSession<'g> {
             clock: 0.0,
             seq: 0,
             entries: Vec::new(),
-            ledger: Vec::new(),
-            next_query: 0,
             stats: SessionStats::default(),
             pending_copy: None,
         }
@@ -458,79 +438,12 @@ impl<'g> DeviceSession<'g> {
         self.entry(CacheKey::Col(key)).is_some()
     }
 
-    /// Cached bytes currently pinned — by a query ledger or by a live
-    /// `Rc` clone. An admission controller compares
-    /// `budget - pinned_bytes` against a query's estimated working set.
+    /// Cached bytes currently pinned by a live `Rc` clone. An admission
+    /// controller compares `budget - pinned_bytes` against a query's
+    /// estimated working set.
     pub(crate) fn pinned_bytes(&self) -> usize {
         let pinned = self.entries.iter().filter(|(_, e)| !e.evictable());
         pinned.map(|(_, e)| e.bytes).sum()
-    }
-
-    // ---- per-query pin ledger ----
-
-    /// Opens a pin ledger for one query. Every `pin_column` /
-    /// `pin_hash_table` under the returned id stays pinned — immune to
-    /// eviction — until the matching [`DeviceSession::end_query`], even
-    /// while the query is yielded and holds no live `Rc`.
-    pub fn begin_query(&mut self) -> QueryId {
-        self.next_query += 1;
-        self.ledger.push((self.next_query, Vec::new()));
-        QueryId(self.next_query)
-    }
-
-    /// Closes a query's pin ledger, unpinning its working set, and trims
-    /// the cache back within budget. Idempotent on unknown ids.
-    pub fn end_query(&mut self, q: QueryId) {
-        if let Some(i) = self.ledger.iter().position(|(id, _)| *id == q.0) {
-            for key in self.ledger.remove(i).1 {
-                if let Some(e) = self.entry_mut(key) {
-                    e.pins -= 1;
-                }
-            }
-        }
-        self.trim();
-    }
-
-    /// The one pin: `key`'s entry under query `q`'s ledger until
-    /// `end_query`, whatever its kind.
-    fn pin(&mut self, q: QueryId, key: CacheKey) {
-        if let Some(e) = self.entry_mut(key) {
-            e.pins += 1;
-        }
-        let ledger = self.ledger.iter_mut().find(|(id, _)| *id == q.0);
-        let (_, held) =
-            ledger.expect("pin under a query id that was never begun (or already ended)");
-        held.push(key);
-    }
-
-    /// Like [`DeviceSession::try_column`], but additionally pins the entry
-    /// under query `q`'s ledger until `end_query`.
-    pub fn pin_column(
-        &mut self,
-        q: QueryId,
-        key: ColumnKey,
-        host: HostCol<'_>,
-    ) -> Result<Rc<DeviceCol>, SessionOom> {
-        let rc = self.try_column(key, host)?;
-        self.pin(q, CacheKey::Col(key));
-        Ok(rc)
-    }
-
-    /// Like [`DeviceSession::try_hash_table`], but additionally pins the
-    /// entry under query `q`'s ledger until `end_query`.
-    pub fn pin_hash_table<F>(
-        &mut self,
-        q: QueryId,
-        key: u64,
-        estimated_bytes: usize,
-        build: F,
-    ) -> Result<(Rc<DeviceHashTable>, Option<KernelReport>), SessionOom>
-    where
-        F: FnOnce(&mut Gpu) -> (DeviceHashTable, KernelReport),
-    {
-        let out = self.try_hash_table(key, estimated_bytes, build)?;
-        self.pin(q, CacheKey::Table(key));
-        Ok(out)
     }
 
     /// Drains the copy-stream events accumulated by uploads since the last
@@ -563,7 +476,6 @@ impl<'g> DeviceSession<'g> {
             cost,
             h: Entry::priority(self.clock, cost, bytes),
             last_use: self.seq,
-            pins: 0,
         };
         self.entries.push((key, entry));
     }
@@ -678,7 +590,7 @@ impl<'g> DeviceSession<'g> {
 
     /// Re-establishes the budget after a query: a running query may pin a
     /// working set larger than the budget (it must, to execute at all);
-    /// once its pins drop, this evicts back down. Engines call it as
+    /// once it drops its `Rc`s, this evicts back down. Engines call it as
     /// their last session interaction.
     pub fn trim(&mut self) {
         self.make_room(0);
@@ -742,10 +654,9 @@ impl<'g> DeviceSession<'g> {
     }
 
     /// Drops every cached entry, freeing its device memory. Entries still
-    /// pinned — by outstanding [`Rc`] clones or an open query ledger —
-    /// are *retained* (still tracked, still accounted), so the budget
-    /// arithmetic stays truthful; they become evictable again once their
-    /// pins drop.
+    /// pinned by outstanding [`Rc`] clones are *retained* (still tracked,
+    /// still accounted), so the budget arithmetic stays truthful; they
+    /// become evictable again once their clones drop.
     pub(crate) fn clear(&mut self) {
         for (key, e) in std::mem::take(&mut self.entries) {
             if e.evictable() {
@@ -913,38 +824,6 @@ mod tests {
         drop(pinned);
     }
 
-    /// A ledger pin protects an entry even after every `Rc` clone is
-    /// dropped — the property a yielded concurrent query depends on.
-    #[test]
-    fn ledger_pins_survive_pressure_without_live_rcs() {
-        let mut gpu = small_gpu(1 << 20);
-        let mut s = DeviceSession::with_budget(&mut gpu, 600_000);
-        let data: Vec<i32> = (0..65_536).collect();
-        let q = s.begin_query();
-        drop(
-            s.pin_column(q, ColumnKey::for_dataset(0, 0), HostCol::Plain(&data))
-                .unwrap(),
-        );
-        assert!(s.pinned_bytes() >= data.len() * 4);
-        drop(s.column(ColumnKey::for_dataset(0, 1), HostCol::Plain(&data)));
-        drop(s.column(ColumnKey::for_dataset(0, 2), HostCol::Plain(&data)));
-        // Col 0 holds no Rc but is ledger-pinned: col 1 is the victim.
-        assert!(
-            s.is_resident(ColumnKey::for_dataset(0, 0)),
-            "ledger pin ignored"
-        );
-        assert!(!s.is_resident(ColumnKey::for_dataset(0, 1)));
-        s.end_query(q);
-        assert_eq!(s.pinned_bytes(), 0);
-        // Unpinned now: fresh pressure may evict col 0.
-        drop(s.column(ColumnKey::for_dataset(0, 3), HostCol::Plain(&data)));
-        drop(s.column(ColumnKey::for_dataset(0, 4), HostCol::Plain(&data)));
-        assert!(
-            !s.is_resident(ColumnKey::for_dataset(0, 0)),
-            "unpinned entry kept"
-        );
-    }
-
     /// When every cached byte is pinned the fallible APIs return the
     /// typed [`SessionOom`] — no panic, no `unreachable!`.
     #[test]
@@ -952,10 +831,7 @@ mod tests {
         let mut gpu = small_gpu(1 << 20); // 1 MB device
         let mut s = DeviceSession::with_budget(&mut gpu, 1 << 20);
         let data: Vec<i32> = (0..200_000).collect(); // 800 KB
-        let q = s.begin_query();
-        let _rc = s
-            .pin_column(q, ColumnKey::for_dataset(0, 0), HostCol::Plain(&data))
-            .unwrap();
+        let held = s.column(ColumnKey::for_dataset(0, 0), HostCol::Plain(&data));
         // 800 KB more cannot fit beside the pinned 800 KB on a 1 MB card.
         let err = s.try_column(ColumnKey::for_dataset(0, 1), HostCol::Plain(&data));
         let oom = err.expect_err("second column must not fit");
@@ -971,8 +847,7 @@ mod tests {
         let table = s.try_hash_table(9, 200_000, |_| unreachable!("build must not start"));
         assert_eq!(table.err().map(|oom| oom.requested), Some(400_000));
         // The session stays fully usable afterwards.
-        s.end_query(q);
-        drop(_rc);
+        drop(held);
         assert!(s
             .try_column(ColumnKey::for_dataset(0, 1), HostCol::Plain(&data))
             .is_ok());
@@ -1079,31 +954,10 @@ mod tests {
         assert_eq!(gpu.mem_used(), 0);
     }
 
-    /// `clear` also retains ledger-pinned entries (no live `Rc` needed).
-    #[test]
-    fn clear_retains_ledger_pinned_entries() {
-        let mut gpu = Gpu::new(nvidia_v100());
-        let mut s = DeviceSession::new(&mut gpu);
-        let data: Vec<i32> = (0..1000).collect();
-        let q = s.begin_query();
-        drop(
-            s.pin_column(q, ColumnKey::for_dataset(0, 0), HostCol::Plain(&data))
-                .unwrap(),
-        );
-        s.clear();
-        assert!(
-            s.is_resident(ColumnKey::for_dataset(0, 0)),
-            "ledger pin ignored"
-        );
-        s.end_query(q);
-        s.clear();
-        assert_eq!(s.stats().cached_bytes, 0);
-    }
-
     /// The victim order, pinned: a mixed column / hash-table workload of
     /// unequal sizes and costs driven through budget pressure, scratch
-    /// pressure and `clear()` with one entry ledger-pinned and one
-    /// `Rc`-held, logging what left the cache and the counters after every
+    /// pressure and `clear()` with two entries `Rc`-held, a column and a
+    /// table, logging what left the cache and the counters after every
     /// step. A 16 000-byte column and a 16 000-byte table are given the
     /// same recreate cost, so their priorities are equal bit for bit and
     /// only `last_use` orders them: the scenario runs once with the table
@@ -1207,11 +1061,8 @@ mod tests {
                 drop(col(&mut s, 2));
                 step(&mut s, "fill");
 
-                // One ledger pin (no Rc kept), one Rc hold (no ledger).
-                let q = s.begin_query();
-                let pinned =
-                    s.pin_column(q, ColumnKey::for_dataset(0, 0), HostCol::Plain(&host(0)));
-                drop(pinned.expect("a hit"));
+                // Two Rc holds, one per kind.
+                let pinned = col(&mut s, 0);
                 let held = table(&mut s, 101, None);
                 step(&mut s, "pin c0, hold t101");
 
@@ -1250,8 +1101,7 @@ mod tests {
                 step(&mut s, "reinsert c6, t103");
                 s.clear();
                 step(&mut s, "clear");
-                s.end_query(q);
-                drop(held);
+                drop((pinned, held));
                 step(&mut s, "unpin");
                 s.clear();
                 step(&mut s, "clear again");

@@ -47,8 +47,9 @@
 //!   pays warm the shared cache, flipping later placements for every
 //!   tenant at once.
 //! * **Admission control** — device placement pins the query's working
-//!   set (its first live segment's) through the session's pin ledger
-//!   ([`DeviceQueryJob::admit`]); a typed `SessionOom` simply falls the
+//!   set (its first live segment's): the job holds the session's `Rc`s
+//!   between grants ([`DeviceQueryJob::admit`]), so no other tenant can
+//!   evict it while the query waits its turn; a typed `SessionOom` falls the
 //!   query back to the host instead of panicking or evicting another
 //!   tenant's pinned set. A sharded device job admits its later shards as it
 //!   advances; if one no longer fits mid-query, the device half is
@@ -460,8 +461,8 @@ pub fn serve_with<'a>(
                     placement: Some(placement),
                     ..QueryProfile::empty(q)
                 };
-                // Admission control: the device job pins its working set
-                // under the session's ledger; an OOM falls back to the host.
+                // Admission control: the device job pins its working set by
+                // holding its `Rc`s; an OOM falls back to the host.
                 let mut admitted_device = None;
                 if want_device {
                     let mut device = DeviceQueryJob::over(table, q);
@@ -792,7 +793,7 @@ mod tests {
         let pcie = pcie_gen3();
         let cfg = ServerConfig::default();
         // A device too small for any working set (one fact column is
-        // ~48KB here): every device admission OOMs through the ledger.
+        // ~48KB here): every device admission OOMs.
         let mut spec = nvidia_v100();
         spec.mem_capacity = 16 * 1024;
         let mut gpu = Gpu::new(spec);

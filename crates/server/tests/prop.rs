@@ -156,8 +156,11 @@ proptest! {
             }
         }
 
-        // No pin outlives the serve: the cache trimmed back under budget.
+        // No pin outlives the serve: the cache trimmed back under budget,
+        // and the session's drop freed every byte — an `Rc` a job leaked
+        // would keep its entry charged to the device.
         prop_assert!(r.stats.cached_bytes <= budget, "{:?} over {}", r.stats, budget);
+        prop_assert_eq!(gpu.mem_used(), 0, "device bytes outlived the serve");
 
         // The tight device admits the sharded scan and then cannot fit its
         // next shard; unsharded, the scan never fits at all.

@@ -27,7 +27,8 @@
 //! the whole-query decision. [`gpu::execute`] runs a table through a session
 //! in the coprocessor model — its [`QueryProfile`] charges what the session
 //! shipped on the session's link; [`execute_placed`] runs each segment
-//! where the model routes it and merges the parts' profiles.
+//! where the model routes it and finishes the device part with the host
+//! part's accumulator.
 
 use crystal_gpu_sim::pcie::coprocessor_time;
 use crystal_gpu_sim::Gpu;
@@ -44,7 +45,7 @@ use crate::data::SsbData;
 use crate::encoding::FactEncodings;
 use crate::engines::gpu;
 use crate::engines::profile::QueryProfile;
-use crate::exec::{self, PipelineMode};
+use crate::exec;
 use crate::plan::StarQuery;
 use crate::table::{scan_cost, FactTable};
 
@@ -269,14 +270,15 @@ pub fn choose_placement_session(
 /// (all of them falling back to the host when one's working set does not
 /// fit alongside what the session already holds, instead of aborting the
 /// query — what the server does mid-query), the host-routed ones run
-/// through the morsel-driven executor, and the two parts merge into one
-/// profile — aggregation is commutative addition, so the result is
-/// byte-identical to the whole table's on either side, and neither job
-/// opens its accumulator to this module. The host part is charged the
-/// placement's host bound, pro-rated to the rows it scanned. Residency
-/// accrued by earlier queries in the session steers later ones: cold, the
-/// routing is the paper's transfer-bound comparison; once a segment's
-/// columns are warm it flips to the device and ships nothing.
+/// through the morsel-driven executor, and the device job finishes with
+/// the host part's accumulator merged into its own — one merge and one
+/// read-out of the result and trace; aggregation is commutative addition,
+/// so the result is byte-identical to the whole table's on either side.
+/// The host part is charged the placement's host bound, pro-rated to the
+/// rows it scanned. Residency accrued by earlier queries in the session
+/// steers later ones: cold, the routing is the paper's transfer-bound
+/// comparison; once a segment's columns are warm it flips to the device
+/// and ships nothing.
 pub fn execute_placed(
     sess: &mut DeviceSession<'_>,
     cpu: &CpuSpec,
@@ -289,29 +291,27 @@ pub fn execute_placed(
     let placement = choose_placement(None, resident, table, q, cpu, sess.spec(), &link);
     let on_device = &placement.split.device_shards;
     let mut host_ids = placement.split.host_shards.clone();
-    let mut profile = QueryProfile::empty(q);
-    if !on_device.is_empty() {
-        match gpu::execute(sess, &table.subset(on_device), q) {
-            Ok(device) => profile = device,
-            Err(_) => {
-                profile.host_fallback = true;
-                host_ids.extend(on_device);
-                host_ids.sort_unstable();
-            }
-        }
+    let device = (!on_device.is_empty()).then(|| gpu::drive(sess, &table.subset(on_device), q));
+    let host_fallback = matches!(device, Some(Err(_)));
+    if host_fallback {
+        host_ids.extend(on_device);
+        host_ids.sort_unstable();
     }
-    // With every segment pruned, the host run over none is the empty input.
+    // Everything on the host, routed or fallen back, finishes through a
+    // job over no segments: the empty input's result and trace.
+    let job = match device {
+        Some(Ok(job)) => job,
+        _ => gpu::DeviceQueryJob::over(&table.subset(&[]), q),
+    };
+    // The host part, if any, accumulates into the job's result and trace:
+    // one merge, one finish.
+    let host = table.subset(&host_ids);
+    let part = (!host_ids.is_empty()).then(|| exec::accumulate(&host, q, threads));
+    let mut profile = QueryProfile {
+        host_fallback,
+        ..job.finish_with(part.as_ref())
+    };
     if !host_ids.is_empty() || profile.device_segments_run == 0 {
-        let host = table.subset(&host_ids);
-        let (result, trace) = exec::execute(&host, q, threads, PipelineMode::Vectorized);
-        profile.result.merge(result);
-        profile.trace = Some(match profile.trace.take() {
-            Some(mut device) => {
-                device.merge(&trace, profile.result.rows());
-                device
-            }
-            None => trace,
-        });
         let share = host.live_rows(q) as f64 / table.live_rows(q).max(1) as f64;
         profile.host_secs = Some(placement.decision.host_secs * share);
     }
@@ -458,7 +458,7 @@ mod tests {
         let mut link = pcie_gen3();
         link.bandwidth = cpu.read_bw * 4.0;
         let q = query(&d, QueryId::new(2, 1));
-        let expected = exec::execute(&table, &q, 4, PipelineMode::Vectorized).0;
+        let expected = exec::execute(&table, &q, 4, exec::PipelineMode::Vectorized).0;
 
         let mut spec = nvidia_v100();
         spec.mem_capacity = 8 * 1024; // not even one fact column fits
@@ -678,12 +678,9 @@ mod tests {
         spec.mem_capacity = shard0.cost(&cols).packed_bytes + 1024;
         let mut gpu = Gpu::new(spec);
         let mut sess = DeviceSession::with_budget(&mut gpu, usize::MAX);
-        let qid = sess.begin_query();
         for &c in &cols {
-            sess.pin_column(qid, shard0.key(c), shard0.host_col(c))
-                .unwrap();
+            sess.try_column(shard0.key(c), shard0.host_col(c)).unwrap();
         }
-        sess.end_query(qid);
 
         // The model sees shard 0 fully resident and routes it to the
         // device; execution discovers the working set no longer fits.
@@ -723,14 +720,12 @@ mod tests {
                 // Nothing resident, then every other column of every
                 // other live segment, then all of them.
                 for stride in [None, Some(2), Some(1)] {
-                    let qid = sess.begin_query();
                     for &s in table.live(&q).iter().step_by(stride.unwrap_or(usize::MAX)) {
                         let seg = table.segments()[s];
                         for &c in q.fact_columns().iter().step_by(stride.unwrap_or(1)) {
-                            sess.pin_column(qid, seg.key(c), seg.host_col(c)).unwrap();
+                            sess.try_column(seg.key(c), seg.host_col(c)).unwrap();
                         }
                     }
-                    sess.end_query(qid);
                     let resident = &|keys: &[_]| sess.resident_bytes(keys);
                     let place =
                         |store| choose_placement(store, resident, table, &q, &cpu, &spec, &pcie);

@@ -76,6 +76,16 @@ pub fn execute(
     table: &FactTable<'_>,
     q: &StarQuery,
 ) -> Result<GpuRun, SessionOom> {
+    drive(sess, table, q).map(DeviceQueryJob::finish)
+}
+
+/// [`execute`] short of its finish: the job admitted and stepped through
+/// every segment, or abandoned with the error that stopped it.
+pub(crate) fn drive<'a>(
+    sess: &mut DeviceSession<'_>,
+    table: &FactTable<'a>,
+    q: &'a StarQuery,
+) -> Result<DeviceQueryJob<'a>, SessionOom> {
     let mut job = DeviceQueryJob::over(table, q);
     let driven = (|| {
         job.admit(sess)?;
@@ -83,7 +93,7 @@ pub fn execute(
         Ok(())
     })();
     match driven {
-        Ok(()) => Ok(job.finish()),
+        Ok(()) => Ok(job),
         Err(e) => {
             job.abandon(sess);
             Err(e)
@@ -127,16 +137,17 @@ pub fn execute_partitioned_session(
 /// placement a `FactTable::subset` — the shape
 /// [`HostQueryJob`](crate::exec::HostQueryJob) has on the host.
 ///
-/// Segments run one at a time. *Admitting* one opens a session pin ledger,
-/// resolves and **pins** its fact columns and the memoized dimension
-/// tables under it, and reserves the device-side group table; it is
-/// fallible — under multi-tenant pressure it returns the session's typed
-/// [`SessionOom`] instead of panicking, every pin taken so far released,
-/// which is the admission controller's signal to defer the query. Each
+/// Segments run one at a time. *Admitting* one resolves its fact columns
+/// and the memoized dimension tables and **pins** them — the job keeps
+/// their `Rc`s, the session's one pin, across the grants it yields — and
+/// reserves the device-side group table; it is fallible — under
+/// multi-tenant pressure it returns the session's typed [`SessionOom`]
+/// instead of panicking, every `Rc` taken so far dropped, which is the
+/// admission controller's signal to defer the query. Each
 /// [`DeviceQueryJob::step`] launches the fused probe kernel over a bounded
 /// range of fact rows and yields, so a scheduler can interleave morsel
 /// grants across many in-flight queries; a step that finishes a segment
-/// frees its group table, closes its ledger (cached columns and tables stay
+/// frees its group table, drops its `Rc`s (cached columns and tables stay
 /// resident; the cache trims back within budget) and admits the next one.
 /// Only the *current* segment's columns are pinned at any moment, so under
 /// a budget smaller than a sharded working set the session's
@@ -179,8 +190,8 @@ pub struct DeviceQueryJob<'a> {
     cur_reports: usize,
     scanned: usize,
     /// The double buffer: the next segment's columns, prefetched on the
-    /// copy stream under their own pin ledger while the current one's
-    /// kernel runs. At most one segment is ever staged (a 2-shard budget:
+    /// copy stream (their `Rc`s held) while the current one's kernel
+    /// runs. At most one segment is ever staged (a 2-shard budget:
     /// current + next), and staging never evicts — under pressure the
     /// pipeline stalls back to upload-at-admission instead.
     staged: Option<StagedSegment>,
@@ -189,7 +200,6 @@ pub struct DeviceQueryJob<'a> {
 /// The segment being scanned: what it holds on the device, and how far the
 /// scan has got.
 struct Admitted {
-    qid: crystal_runtime::QueryId,
     device_cols: Vec<Rc<DeviceCol>>,
     tables: Vec<Rc<crystal_core::hash::DeviceHashTable>>,
     /// The device-side group table: addresses for the aggregate's atomics
@@ -217,12 +227,12 @@ struct Scan {
     tables: Vec<(usize, usize)>,
 }
 
-/// One prefetched segment: its staging pin ledger and the copy-stream
+/// One prefetched segment: the columns it holds and the copy-stream
 /// events its uploads produced (consumed by the segment's first launch).
 struct StagedSegment {
     /// Index into `segments` this staging covers (always the next to admit).
     idx: usize,
-    qid: crystal_runtime::QueryId,
+    cols: Vec<Rc<DeviceCol>>,
     events: Option<CopyEvents>,
 }
 
@@ -315,8 +325,8 @@ impl<'a> DeviceQueryJob<'a> {
     }
 
     /// Admits the query: pins its first live segment's working set (columns
-    /// and dimension tables) under a fresh pin ledger. On [`SessionOom`] every
-    /// pin taken so far is released before returning — the caller
+    /// and dimension tables). On [`SessionOom`] every `Rc` taken so far is
+    /// dropped and the cache trimmed before returning — the caller
     /// [`Self::abandon`]s the job, whose account keeps what the refused
     /// admission had already shipped. A query whose every segment is pruned
     /// admits nothing and is immediately complete.
@@ -333,24 +343,20 @@ impl<'a> DeviceQueryJob<'a> {
             return Ok(());
         };
         self.next += 1;
-        // Release the staging ledger *immediately before* re-admission:
-        // the prefetched columns stay cached, so the admission re-pins
-        // them as hits without allocating — there is no window in which
-        // anything could evict them.
+        // Drop the staging holds *immediately before* re-admission and
+        // trim: the prefetched columns stay cached, and staging never took
+        // the cache past its budget, so the trim evicts nothing (none of the
+        // differential, served or benchmark streams ever saw it evict) and
+        // the admission re-pins them as hits without allocating.
         let staged_events = self.staged.take().and_then(|s| {
             debug_assert_eq!(s.idx, self.next - 1, "staged segment out of order");
-            sess.end_query(s.qid);
+            drop(s.cols);
+            sess.trim();
             s.events
         });
 
-        let qid = sess.begin_query();
-        let (mut cur, builds) = match Self::pin(sess, qid, self.d, self.q, segment) {
-            Ok(pinned) => pinned,
-            Err(e) => {
-                sess.end_query(qid);
-                return Err(e);
-            }
-        };
+        let (mut cur, builds) =
+            Self::pin(sess, self.d, self.q, segment).inspect_err(|_| sess.trim())?;
         cur.copy_events = sess.take_pending_copy();
         if let Some(ev) = staged_events {
             match &mut cur.copy_events {
@@ -378,12 +384,12 @@ impl<'a> DeviceQueryJob<'a> {
         Ok(())
     }
 
-    /// The fallible part of an admission, under the ledger `qid`: the
-    /// segment's columns and the dimension tables pinned, the group table
-    /// reserved — and the reports of the build kernels that ran.
+    /// The fallible part of an admission: the segment's columns and the
+    /// dimension tables pinned, the group table reserved — and the reports
+    /// of the build kernels that ran. On an error every `Rc` taken so far
+    /// has been dropped.
     fn pin(
         sess: &mut DeviceSession<'_>,
-        qid: crystal_runtime::QueryId,
         d: &'a SsbData,
         q: &StarQuery,
         segment: FactSegment<'a>,
@@ -391,7 +397,7 @@ impl<'a> DeviceQueryJob<'a> {
         let cols = q.fact_columns();
         let mut device_cols = Vec::with_capacity(cols.len());
         for &c in &cols {
-            device_cols.push(sess.pin_column(qid, segment.key(c), segment.host_col(c))?);
+            device_cols.push(sess.try_column(segment.key(c), segment.host_col(c))?);
         }
 
         // Build phase: perfect-hash tables for each join's dimension,
@@ -403,14 +409,13 @@ impl<'a> DeviceQueryJob<'a> {
         let (mut tables, mut builds) = (Vec::new(), Vec::new());
         for join in &q.joins {
             let fp = dim_join_fingerprint(d, join);
-            let (ht, report) = sess.pin_hash_table(qid, fp, dim_table_bytes(d, join), |gpu| {
+            let (ht, report) = sess.try_hash_table(fp, dim_table_bytes(d, join), |gpu| {
                 dim_device_table(gpu, d, join)
             })?;
             builds.extend(report);
             tables.push(ht);
         }
         let admitted = Admitted {
-            qid,
             device_cols,
             tables,
             agg_table: sess.try_alloc_scratch_unbacked(q.group_domain())?,
@@ -444,22 +449,21 @@ impl<'a> DeviceQueryJob<'a> {
         {
             return;
         }
-        let qid = sess.begin_query();
-        for &c in &cols {
-            let host = segment.host_col(c);
-            // Pinned under the staging query with no `Rc` kept: the admission's
-            // own `pin_column` then hits the warm entry off the link.
-            if sess.pin_column(qid, segment.key(c), host).is_err() {
-                // Lost a race against concurrent allocation: stall rather
-                // than evict. Entries uploaded so far stay cached and the
-                // admission will reuse them.
-                sess.end_query(qid);
-                return;
-            }
-        }
+        // Held until the segment's admission, whose own `try_column` then
+        // hits the warm entries off the link.
+        let held = cols
+            .iter()
+            .map(|&c| sess.try_column(segment.key(c), segment.host_col(c)));
+        let Ok(cols) = held.collect() else {
+            // Lost a race against concurrent allocation: stall rather than
+            // evict. Entries uploaded so far stay cached and the admission
+            // will reuse them.
+            sess.trim();
+            return;
+        };
         self.staged = Some(StagedSegment {
             idx: self.next,
-            qid,
+            cols,
             events: sess.take_pending_copy(),
         });
     }
@@ -661,14 +665,14 @@ impl<'a> DeviceQueryJob<'a> {
     }
 
     /// Releases what the current segment holds on the device: frees the
-    /// group table and closes the pin ledger (unpinning the working set and
-    /// trimming the cache back within budget). Cached columns and memoized
-    /// tables stay resident in the session.
+    /// group table, drops its `Rc`s (unpinning the working set) and trims
+    /// the cache back within budget. Cached columns and memoized tables
+    /// stay resident in the session.
     fn release(&mut self, sess: &mut DeviceSession<'_>) {
         if let Some(cur) = self.cur.take() {
             sess.free_scratch(cur.agg_table);
             drop((cur.tables, cur.device_cols));
-            sess.end_query(cur.qid);
+            sess.trim();
         }
         self.cur_reports = self.profile.reports.len();
     }
@@ -685,7 +689,8 @@ impl<'a> DeviceQueryJob<'a> {
     pub fn abandon(mut self, sess: &mut DeviceSession<'_>) -> QueryProfile {
         let mark = QueryProfile::mark(sess);
         if let Some(s) = self.staged.take() {
-            sess.end_query(s.qid);
+            drop(s.cols);
+            sess.trim();
         }
         self.release(sess);
         self.profile.book(sess, mark);
@@ -698,7 +703,7 @@ impl<'a> DeviceQueryJob<'a> {
         // Staging only ever covers a segment that is still to be admitted.
         debug_assert!(
             !done || self.staged.is_none(),
-            "a staged ledger outlived its job"
+            "a staged segment outlived its job"
         );
         done
     }
@@ -708,17 +713,25 @@ impl<'a> DeviceQueryJob<'a> {
     /// result is the empty input's and the stage sizes come from the key
     /// ranges and the cached membership bitmaps (no device table was ever
     /// pinned).
-    pub fn finish(mut self) -> GpuRun {
+    pub fn finish(self) -> GpuRun {
+        self.finish_with(None)
+    }
+
+    /// [`Self::finish`], with `host` — what the host accumulated over the
+    /// table's other segments, the host part of a hybrid placement —
+    /// added into the result and the trace.
+    pub(crate) fn finish_with(mut self, host: Option<&QueryAcc>) -> GpuRun {
         assert!(self.is_done(), "finished a job with rows remaining");
         self.settle();
         let (d, q) = (self.d, self.q);
-        let (acc, tables) = match self.scan {
+        let (mut acc, tables) = match self.scan {
             Some(scan) => (scan.acc, scan.tables),
             None => {
                 let size = |join| (dim_table_bytes(d, join), dim_members(d, join));
                 (QueryAcc::new(q), q.joins.iter().map(size).collect())
             }
         };
+        host.into_iter().for_each(|part| acc.merge(part));
         let (result, trace) = acc.finish(d, q, tables);
         QueryProfile {
             result,
@@ -1038,14 +1051,13 @@ mod tests {
         let mut job = DeviceQueryJob::over(&table, &q);
         job.admit(&mut sess).unwrap();
 
-        // A second tenant pins shard 0's columns (pure cache hits) and
+        // A second tenant holds shard 0's columns (pure cache hits) and
         // fills every remaining physical byte with scratch, so retiring
         // shard 0 frees nothing shard 1 could use.
-        let ext = sess.begin_query();
-        for &c in &cols {
-            sess.pin_column(ext, shard0.key(c), shard0.host_col(c))
-                .expect("hitting a resident column allocates nothing");
-        }
+        let held: Vec<_> = (cols.iter())
+            .map(|&c| sess.try_column(shard0.key(c), shard0.host_col(c)))
+            .collect::<Result<_, _>>()
+            .expect("hitting a resident column allocates nothing");
         let free = {
             let g = sess.gpu();
             g.spec().mem_capacity - g.mem_used()
@@ -1064,7 +1076,7 @@ mod tests {
         assert!(err.requested > 0, "the OOM reports what it asked for");
         job.abandon(&mut sess);
         sess.gpu().free(ballast);
-        sess.end_query(ext);
+        drop(held);
 
         // Everything the abandoned job and the tenant held was released:
         // the same query now runs shard-at-a-time to completion in the

@@ -435,18 +435,6 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// Adds the counts of `part`, the same query traced over other rows of
-    /// the same table; `groups` are those of the two results merged.
-    pub(crate) fn merge(&mut self, part: &QueryTrace, groups: usize) {
-        self.pred_survivors += part.pred_survivors;
-        for (mine, theirs) in self.stages.iter_mut().zip(&part.stages) {
-            mine.probes += theirs.probes;
-            mine.hits += theirs.hits;
-        }
-        self.result_rows += part.result_rows;
-        self.groups = groups;
-    }
-
     /// Cumulative selectivity before stage `i` (1.0 before the first).
     pub fn selectivity_before_stage(&self, i: usize) -> f64 {
         if self.fact_rows == 0 {

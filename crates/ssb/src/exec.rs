@@ -223,7 +223,15 @@ pub fn execute_with(
     mode: PipelineMode,
     morsel: usize,
 ) -> (QueryResult, QueryTrace) {
-    Plan::new(table.data(), q).run(&live_segments(table, q), threads, mode, morsel)
+    let plan = Plan::new(table.data(), q);
+    plan.finish(plan.run(&live_segments(table, q), threads, mode, morsel))
+}
+
+/// A vectorized [`execute`] short of its result and trace: the host part
+/// of a hybrid placement, which the device part finishes.
+pub(crate) fn accumulate(table: &FactTable<'_>, q: &StarQuery, threads: usize) -> QueryAcc {
+    let segments = live_segments(table, q);
+    Plan::new(table.data(), q).run(&segments, threads, PipelineMode::Vectorized, MORSEL_SIZE)
 }
 
 /// The plan's predicate, foreign-key and aggregate-input columns,
@@ -316,14 +324,14 @@ impl<'a> Plan<'a> {
     }
 
     /// Runs every segment to completion in morsels of `morsel` rows, one
-    /// segment after the other, and merges all workers' tables.
+    /// segment after the other, and merges all workers' accumulators.
     fn run(
         &self,
         segments: &[Segment<'_>],
         threads: usize,
         mode: PipelineMode,
         morsel: usize,
-    ) -> (QueryResult, QueryTrace) {
+    ) -> QueryAcc {
         let mut workers: Vec<QueryAcc> = Vec::new();
         for (cols, rows) in segments {
             let ctx = self.ctx(cols);
@@ -341,7 +349,7 @@ impl<'a> Plan<'a> {
             total.merge(&w);
             total
         });
-        self.finish(merged.unwrap_or_else(|| QueryAcc::new(self.q)))
+        merged.unwrap_or_else(|| QueryAcc::new(self.q))
     }
 
     /// The result and trace of everything `acc` holds — the one exit path
