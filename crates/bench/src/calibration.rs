@@ -163,8 +163,7 @@ pub(crate) fn replay(
                         &model.cpu,
                         &model.gpu,
                         &model.pcie,
-                    )
-                    .decision;
+                    );
                     out.blended_decisions += usize::from(dec.source == BoundsSource::Blended);
                     dec.placement == copro::Placement::Coprocessor
                 }

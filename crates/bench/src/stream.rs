@@ -165,7 +165,7 @@ pub(crate) fn cold(table: &FactTable<'_>, q: &StarQuery) -> QueryProfile {
 
 /// Whether the placement asked for `run` routed it to the coprocessor.
 pub(crate) fn placed_on_device(run: &QueryProfile) -> bool {
-    run.decision().map(|d| d.placement) == Some(Placement::Coprocessor)
+    run.placement.map(|d| d.placement) == Some(Placement::Coprocessor)
 }
 
 /// Runs `steps` in order over `table` on `hw`'s device and link, asserting

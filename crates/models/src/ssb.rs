@@ -246,10 +246,10 @@ pub struct ScanCost {
     pub packed_values: usize,
     /// Fixed device-side seconds added on top of the bandwidth terms: the
     /// query's kernel-launch overhead ([`launch_overhead_secs`]), already
-    /// scaled to a sampled proxy table where one is used. A *per-shard*
-    /// evaluation leaves it `0.0` — the launch is paid per query, not per
-    /// shard, and charging it to every shard would bias small shards
-    /// toward the host.
+    /// scaled to a sampled proxy table where one is used. A shard's
+    /// evaluation leaves it `0.0`: a sharded query is priced as the sum of
+    /// its live shards' bounds, and one launch per shard would charge the
+    /// query a launch it never pays. That sum carries no launch term.
     pub launch_secs: f64,
     /// Measured corrections; the identity for the static model.
     pub factors: CostFactors,
@@ -283,7 +283,7 @@ pub struct ScanCost {
 /// degenerates exactly to the data-resident bound `packed_bytes / Bg`,
 /// where the GPU's bandwidth advantage finally shows. Returns
 /// `(gpu_coprocessor_secs, cpu_secs)`.
-pub(crate) fn resident_coprocessor_bounds(
+pub fn resident_coprocessor_bounds(
     c: &ScanCost,
     cpu: &CpuSpec,
     gpu: &GpuSpec,
@@ -326,63 +326,6 @@ pub fn star_query_launches(joins: usize, fused: bool) -> u64 {
 /// `sim_secs_scaled`, which multiplies fact-linear terms back up.
 pub fn launch_overhead_secs(gpu: &GpuSpec, launches: u64) -> f64 {
     launches as f64 * gpu.kernel_launch_us * 1e-6
-}
-
-/// A per-shard placement split: which shards of one query run on the
-/// device and which on the host, with the modeled seconds of each side.
-#[derive(Debug, Clone, Default)]
-pub struct HybridSplit {
-    /// Indices (into the input slice) of device-routed shards.
-    pub device_shards: Vec<usize>,
-    /// Indices of host-routed shards.
-    pub host_shards: Vec<usize>,
-    /// Summed device bound of the device-routed shards.
-    pub device_secs: f64,
-    /// Summed host bound of the host-routed shards.
-    pub host_secs: f64,
-    /// Total device bound had *every* shard run on the device — the
-    /// whole-query coprocessor alternative a scheduler compares against.
-    pub device_only_secs: f64,
-    /// Total host bound had every shard run on the host.
-    pub host_only_secs: f64,
-}
-
-impl HybridSplit {
-    /// Modeled time of the hybrid execution: the two sides run
-    /// concurrently, so the slower one bounds the query.
-    pub fn hybrid_secs(&self) -> f64 {
-        self.device_secs.max(self.host_secs)
-    }
-}
-
-/// The per-shard residency-aware placement: each shard is routed to
-/// whichever side `resident_coprocessor_bounds` prices cheaper *for
-/// that shard's own residency* (and, when calibrated, its own factors). A
-/// query over a partially resident working set thus runs hot
-/// (device-cached) shards on the device and cold shards on the host
-/// concurrently — measured residency pressure, not a whole-table
-/// constant, drives the split. With one shard this degenerates to the
-/// whole-table decision.
-pub fn hybrid_shard_split(
-    shards: &[ScanCost],
-    cpu: &CpuSpec,
-    gpu: &GpuSpec,
-    pcie: &PcieSpec,
-) -> HybridSplit {
-    let mut split = HybridSplit::default();
-    for (i, s) in shards.iter().enumerate() {
-        let (device, host) = resident_coprocessor_bounds(s, cpu, gpu, pcie);
-        split.device_only_secs += device;
-        split.host_only_secs += host;
-        if device < host {
-            split.device_shards.push(i);
-            split.device_secs += device;
-        } else {
-            split.host_shards.push(i);
-            split.host_secs += host;
-        }
-    }
-    split
 }
 
 /// The compression ratio above which a fully packed scan routes to the
@@ -644,42 +587,5 @@ mod tests {
             },
         );
         assert!((slow_kernel - 2.0 * warm_dev).abs() < 1e-15);
-    }
-
-    /// Per-shard routing sends resident shards to the device and cold
-    /// shards to the host — one query, both sides — and the hybrid time
-    /// is the max of the two concurrent streams.
-    #[test]
-    fn hybrid_split_routes_by_per_shard_residency() {
-        let cpu = intel_i7_6900();
-        let gpu = nvidia_v100();
-        let pcie = pcie_gen3();
-        let bytes = 4 * 120_000_000usize / 8; // one of 8 shards
-        let cold = ScanCost {
-            packed_bytes: bytes,
-            ..ScanCost::default()
-        };
-        let hot = ScanCost {
-            resident_bytes: bytes,
-            ..cold
-        };
-        let split = hybrid_shard_split(&[hot, cold, hot, cold], &cpu, &gpu, &pcie);
-        assert_eq!(
-            split.device_shards,
-            vec![0, 2],
-            "resident shards go to the device"
-        );
-        assert_eq!(
-            split.host_shards,
-            vec![1, 3],
-            "cold shards stay on the host"
-        );
-        assert!(split.device_secs < split.host_secs);
-        assert!((split.hybrid_secs() - split.host_secs).abs() < 1e-15);
-        // Degenerate single-shard split agrees with the whole-table bound.
-        let solo = hybrid_shard_split(&[cold], &cpu, &gpu, &pcie);
-        assert!(solo.device_shards.is_empty() && solo.host_shards == vec![0]);
-        let (_, host) = resident_coprocessor_bounds(&cold, &cpu, &gpu, &pcie);
-        assert!((solo.host_secs - host).abs() < 1e-15);
     }
 }

@@ -74,7 +74,7 @@ use crystal_gpu_sim::{ExecStats, Gpu};
 use crystal_hardware::{CpuSpec, HardwareProfile, PcieSpec};
 use crystal_models::calibration::CalibrationStore;
 use crystal_runtime::{DeviceSession, SessionOom, SessionStats};
-use crystal_ssb::engines::copro::{self, Placement, TablePlacement};
+use crystal_ssb::engines::copro::{self, Placement, PlacementDecision};
 use crystal_ssb::engines::gpu::DeviceQueryJob;
 use crystal_ssb::engines::profile::QueryProfile;
 use crystal_ssb::exec::{HostQueryJob, PipelineMode};
@@ -334,10 +334,10 @@ fn place(
     q: &StarQuery,
     cpu: &CpuSpec,
     pcie: &PcieSpec,
-) -> (TablePlacement, f64) {
+) -> (PlacementDecision, f64) {
     let resident = &|keys: &[_]| sess.resident_bytes(keys);
     let actual = copro::choose_placement(None, resident, table, q, cpu, sess.spec(), pcie);
-    let per_row_host_secs = actual.decision.host_secs / table.live_rows(q).max(1) as f64;
+    let per_row_host_secs = actual.host_secs / table.live_rows(q).max(1) as f64;
     let routed = match cal {
         None => actual,
         Some(c) => {
@@ -440,7 +440,7 @@ pub fn serve_with<'a>(
                 }
                 let idx = next_q[t];
                 let q = &tenants[t][idx];
-                let (placement, per_row_host_secs) =
+                let (decision, per_row_host_secs) =
                     place(cal.as_deref(), &sess, table, q, cpu, pcie);
                 let busy = |b: Backend| inflight.iter().any(|j| j.job.backend() == b);
                 // Idle-resource steering keeps both executors busy:
@@ -455,10 +455,10 @@ pub fn serve_with<'a>(
                 } else if !busy(Backend::Host) {
                     false
                 } else {
-                    placement.decision.placement == Placement::Coprocessor
+                    decision.placement == Placement::Coprocessor
                 };
                 let mut profile = QueryProfile {
-                    placement: Some(placement),
+                    placement: Some(decision),
                     ..QueryProfile::empty(q)
                 };
                 // Admission control: the device job pins its working set by
@@ -922,7 +922,7 @@ mod tests {
             assert_eq!(x.result, y.result);
             // The first admissions see an empty store; only later ones may
             // have warmed past the threshold, so just check the cold ones.
-            let decision = y.decision().expect("every served query is placed");
+            let decision = y.placement.expect("every served query is placed");
             if decision.samples == 0 {
                 assert_eq!(decision.source, BoundsSource::Static);
             }
@@ -956,7 +956,7 @@ mod tests {
         let report = last.unwrap();
         assert!(
             report.completed.iter().any(|c| c
-                .decision()
+                .placement
                 .is_some_and(|d| d.source == BoundsSource::Blended)),
             "four passes over a 12-query stream never warmed the store"
         );

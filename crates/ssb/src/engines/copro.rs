@@ -21,14 +21,13 @@
 //!
 //! **One placement path, one execution path.** [`choose_placement`] prices
 //! every live segment of a [`FactTable`] through the one bounds formula
-//! (`crystal_models::ssb::resident_coprocessor_bounds`, under the factors
-//! an optional [`CalibrationStore`] has learned) and routes each to the
-//! cheaper side; the whole table is the one-segment case, whose split *is*
-//! the whole-query decision. [`gpu::execute`] runs a table through a session
-//! in the coprocessor model — its [`QueryProfile`] charges what the session
-//! shipped on the session's link; [`execute_placed`] runs each segment
-//! where the model routes it and finishes the device part with the host
-//! part's accumulator.
+//! ([`resident_coprocessor_bounds`], under the factors an optional
+//! [`CalibrationStore`] has learned), sums each side over the segments and
+//! routes the whole query to the cheaper one; the whole table is the
+//! one-segment case. [`gpu::execute`] runs a table through a session in the
+//! coprocessor model — its [`QueryProfile`] charges what the session shipped
+//! on the session's link; [`execute_placed`] runs the query whole where the
+//! model routes it, and on the host when the device refuses it.
 
 use crystal_gpu_sim::pcie::coprocessor_time;
 use crystal_gpu_sim::Gpu;
@@ -37,7 +36,7 @@ use crystal_models::calibration::{
     Blend, BoundsSource, CalibrationStore, EncodingClass, Observation,
 };
 use crystal_models::ssb::{
-    hybrid_shard_split, launch_overhead_secs, star_query_launches, HybridSplit, ScanCost,
+    launch_overhead_secs, resident_coprocessor_bounds, star_query_launches, ScanCost,
 };
 use crystal_runtime::{ColumnKey, DeviceSession, SessionOom};
 
@@ -45,7 +44,7 @@ use crate::data::SsbData;
 use crate::encoding::FactEncodings;
 use crate::engines::gpu;
 use crate::engines::profile::QueryProfile;
-use crate::exec;
+use crate::exec::{self, PipelineMode};
 use crate::plan::StarQuery;
 use crate::table::{scan_cost, FactTable};
 
@@ -107,22 +106,6 @@ pub struct PlacementDecision {
     pub samples: u64,
 }
 
-/// The placement of one query over a table: the whole-query decision, and
-/// the per-segment routing behind it. Hot (device-cached) segments route
-/// to the device while cold ones stay on the host — the two sides proceed
-/// concurrently, which is what makes the split worthwhile.
-#[derive(Debug, Clone)]
-pub struct TablePlacement {
-    /// The two all-on-one-side totals over the live segments, compared the
-    /// way a scheduler that places whole queries compares them. Of a
-    /// one-segment table, the decision about that segment.
-    pub decision: PlacementDecision,
-    /// Which live segments run where, and the modeled seconds of each side.
-    /// Its indices name segments of the table (`FactTable::subset` takes
-    /// them); a pruned segment is on neither side.
-    pub split: HybridSplit,
-}
-
 /// Launch overhead of one query over a whole (unsharded) table of `rows`
 /// rows. The whole star query is one fused megakernel, so the device side
 /// carries exactly one launch. On a sampled proxy table the fixed term
@@ -138,23 +121,24 @@ fn whole_table_launch_secs(d: &SsbData, rows: usize, q: &StarQuery, gpu: &GpuSpe
     fact_scale.min(1.0) * launch_overhead_secs(gpu, star_query_launches(q.joins.len(), true))
 }
 
-/// Routes segments, given as `(rows, cost)` with residency and launch term
-/// filled in, each to the side the residency-aware bound prices cheaper.
-/// With a `store`, every cost component is scaled by its key's blended
-/// observed/predicted factor — a shard under its own shard-granular key
-/// (cardinality band of the *shard's* rows, `sharded = true`, so
-/// whole-table history never aliases in) — and the decision reports the
-/// history behind it.
+/// Prices segments, given as `(rows, cost)` with residency and launch term
+/// filled in, through the residency-aware bound, sums each side over them
+/// and routes the whole query to the cheaper sum. With a `store`, every
+/// cost component is scaled by its key's blended observed/predicted factor
+/// — a shard under its own shard-granular key (cardinality band of the
+/// *shard's* rows, `sharded = true`, so whole-table history never aliases
+/// in) — and the decision reports the history behind it.
 fn place(
     store: Option<&CalibrationStore>,
-    segments: Vec<(usize, ScanCost)>,
+    segments: impl IntoIterator<Item = (usize, ScanCost)>,
     sharded: bool,
     cpu: &CpuSpec,
     gpu: &GpuSpec,
     pcie: &PcieSpec,
-) -> (PlacementDecision, HybridSplit) {
+) -> PlacementDecision {
     let (mut source, mut samples) = (BoundsSource::Static, 0);
-    let price = |(rows, mut cost): (usize, ScanCost)| {
+    let (mut coprocessor_secs, mut host_secs) = (0.0, 0.0);
+    for (rows, mut cost) in segments {
         // What the store has learned about this evaluation of the bound;
         // the identity without one.
         let blend = store.map_or_else(Blend::default, |s| {
@@ -166,31 +150,31 @@ fn place(
         }
         samples += blend.samples;
         cost.factors = blend.factors;
-        cost
-    };
-    let costs: Vec<ScanCost> = segments.into_iter().map(price).collect();
-    let split = hybrid_shard_split(&costs, cpu, gpu, pcie);
-    let placement = if split.device_only_secs < split.host_only_secs {
+        let (device, host) = resident_coprocessor_bounds(&cost, cpu, gpu, pcie);
+        coprocessor_secs += device;
+        host_secs += host;
+    }
+    let placement = if coprocessor_secs < host_secs {
         Placement::Coprocessor
     } else {
         Placement::Host
     };
-    let decision = PlacementDecision {
+    PlacementDecision {
         placement,
-        coprocessor_secs: split.device_only_secs,
-        host_secs: split.host_only_secs,
+        coprocessor_secs,
+        host_secs,
         source,
         samples,
-    };
-    (decision, split)
+    }
 }
 
-/// Routes `q` over `table` through the `crystal-models` Section 3.1 / 6
-/// bounds, residency-aware: each live segment ships only the bytes of its
-/// column keys that `resident` does not report cached — a session's
+/// Routes `q` over `table`, whole, through the `crystal-models` Section 3.1
+/// / 6 bounds, residency-aware: each live segment ships only the bytes of
+/// its column keys that `resident` does not report cached — a session's
 /// [`DeviceSession::resident_bytes`], or `&|_| 0` for a cold device nobody
 /// has to construct — so the transfer term drops to the uncached fraction
-/// (floored by the device's own memory scan).
+/// (floored by the device's own memory scan). Each side's bound is the sum
+/// of its per-segment bounds.
 ///
 /// Cold, the coprocessor can never finish before its PCIe transfer while
 /// the host is bounded below by streaming the same columns from DRAM;
@@ -205,7 +189,8 @@ fn place(
 /// is the third lever: once a segment's working set is warm it flips
 /// Host → Coprocessor even on PCIe Gen3 and plain data — the paper's
 /// data-resident regime, derived from the same cost model that rejects the
-/// cold coprocessor.
+/// cold coprocessor. A sharded table flips once enough of its live shards
+/// are warm for the summed device bound to undercut the summed host bound.
 ///
 /// A calibrated caller passes its *model* profile's specs, not the
 /// session's: the whole point of calibration is that the hardware the
@@ -218,10 +203,9 @@ pub fn choose_placement(
     cpu: &CpuSpec,
     gpu: &GpuSpec,
     pcie: &PcieSpec,
-) -> TablePlacement {
-    let live = table.live(q);
+) -> PlacementDecision {
     let cols = q.fact_columns();
-    let priced = |&i: &usize| {
+    let priced = |i: usize| {
         let seg = table.segments()[i];
         let keys: Vec<ColumnKey> = cols.iter().map(|&c| seg.key(c)).collect();
         let mut cost = seg.cost(&cols);
@@ -231,11 +215,8 @@ pub fn choose_placement(
         }
         (seg.rows(), cost)
     };
-    let segments = live.iter().map(priced).collect();
-    let (decision, mut split) = place(store, segments, table.is_sharded(), cpu, gpu, pcie);
-    let routed = split.device_shards.iter_mut().chain(&mut split.host_shards);
-    routed.for_each(|id| *id = live[*id]);
-    TablePlacement { decision, split }
+    let segments = table.live(q).into_iter().map(priced);
+    place(store, segments, table.is_sharded(), cpu, gpu, pcie)
 }
 
 /// Pinned by the benchmark harness (`e2e/src/sut.rs`), to go with its
@@ -262,23 +243,20 @@ pub fn choose_placement_session(
         launch_secs: whole_table_launch_secs(d, rows, q, sess.spec()),
         ..scan_cost(rows, enc, &cols)
     };
-    place(None, vec![(rows, cost)], false, cpu, sess.spec(), pcie).0
+    place(None, [(rows, cost)], false, cpu, sess.spec(), pcie)
 }
 
-/// Executes `q` with per-segment placement on the session's own device
-/// spec and link: the device-routed segments run as one job through `sess`
-/// (all of them falling back to the host when one's working set does not
-/// fit alongside what the session already holds, instead of aborting the
-/// query — what the server does mid-query), the host-routed ones run
-/// through the morsel-driven executor, and the device job finishes with
-/// the host part's accumulator merged into its own — one merge and one
-/// read-out of the result and trace; aggregation is commutative addition,
-/// so the result is byte-identical to the whole table's on either side.
-/// The host part is charged the placement's host bound, pro-rated to the
-/// rows it scanned. Residency accrued by earlier queries in the session
-/// steers later ones: cold, the routing is the paper's transfer-bound
-/// comparison; once a segment's columns are warm it flips to the device
-/// and ships nothing.
+/// Executes `q` whole where [`choose_placement`] routes it, on the
+/// session's own device spec and link: the run [`gpu::execute`] makes when
+/// routed to the device, the morsel-driven executor when routed to the
+/// host. A device that cannot hold the working set beside what the session
+/// already holds refuses the query, and the host answers instead of the
+/// query aborting — what the server does mid-query; the profile keeps what
+/// the refused device work had cost ([`gpu::DeviceQueryJob::abandon`]). A
+/// host run is charged the placement's host bound. Residency accrued by
+/// earlier queries in the session steers later ones: cold, the routing is
+/// the paper's transfer-bound comparison; once the working set is warm it
+/// flips to the device and ships nothing.
 pub fn execute_placed(
     sess: &mut DeviceSession<'_>,
     cpu: &CpuSpec,
@@ -288,48 +266,43 @@ pub fn execute_placed(
 ) -> QueryProfile {
     let link = sess.interconnect().clone();
     let resident = &|keys: &[_]| sess.resident_bytes(keys);
-    let placement = choose_placement(None, resident, table, q, cpu, sess.spec(), &link);
-    let on_device = &placement.split.device_shards;
-    let mut host_ids = placement.split.host_shards.clone();
-    let device = (!on_device.is_empty()).then(|| gpu::drive(sess, &table.subset(on_device), q));
-    let host_fallback = matches!(device, Some(Err(_)));
-    if host_fallback {
-        host_ids.extend(on_device);
-        host_ids.sort_unstable();
-    }
-    // Everything on the host, routed or fallen back, finishes through a
-    // job over no segments: the empty input's result and trace.
-    let job = match device {
-        Some(Ok(job)) => job,
-        _ => gpu::DeviceQueryJob::over(&table.subset(&[]), q),
+    let decision = choose_placement(None, resident, table, q, cpu, sess.spec(), &link);
+    let account = match decision.placement {
+        Placement::Coprocessor => {
+            let mut job = gpu::DeviceQueryJob::over(table, q);
+            match job.run(sess) {
+                Ok(()) => {
+                    return QueryProfile {
+                        placement: Some(decision),
+                        ..job.finish()
+                    }
+                }
+                Err(_) => job.abandon(sess),
+            }
+        }
+        Placement::Host => QueryProfile::empty(q),
     };
-    // The host part, if any, accumulates into the job's result and trace:
-    // one merge, one finish.
-    let host = table.subset(&host_ids);
-    let part = (!host_ids.is_empty()).then(|| exec::accumulate(&host, q, threads));
-    let mut profile = QueryProfile {
-        host_fallback,
-        ..job.finish_with(part.as_ref())
-    };
-    if !host_ids.is_empty() || profile.device_segments_run == 0 {
-        let share = host.live_rows(q) as f64 / table.live_rows(q).max(1) as f64;
-        profile.host_secs = Some(placement.decision.host_secs * share);
+    let (result, trace) = exec::execute(table, q, threads, PipelineMode::Vectorized);
+    QueryProfile {
+        result,
+        trace: Some(trace),
+        host_secs: Some(decision.host_secs),
+        placement: Some(decision),
+        ..account
     }
-    profile.placement = Some(placement);
-    profile
 }
 
 /// Records what one executed query's profile measured — the bytes its
 /// session really uploaded (zero for a warm hit, which then carries no
 /// transfer information) and their serialized PCIe seconds, and the seconds
-/// of the side it ran on: the modelled-host seconds when a host part ran,
+/// of the side it ran on: the modelled-host seconds when the host ran it,
 /// its kernels' otherwise — into the store, against what the static model
 /// on the `model` (spec-sheet) profile predicted: one observation
 /// aggregated over `q`'s live segments under their own encodings, keyed
 /// under the mean live segment's cardinality band and the table's `sharded`
 /// bit — shards are equal-range slices of the fact table, so the mean band
-/// is the band the split consults at decision time; a fully pruned query
-/// records nothing.
+/// is the band every shard's evaluation consults at decision time; a fully
+/// pruned query records nothing.
 pub fn record_observation(
     store: &mut CalibrationStore,
     model: &HardwareProfile,
@@ -374,14 +347,14 @@ mod tests {
     use crystal_hardware::{intel_i7_6900, nvidia_v100, pcie_gen3};
 
     /// The static decision on the session's own device.
-    fn placed(sess: &DeviceSession<'_>, table: &FactTable<'_>, q: &StarQuery) -> TablePlacement {
+    fn placed(sess: &DeviceSession<'_>, table: &FactTable<'_>, q: &StarQuery) -> PlacementDecision {
         let resident = &|keys: &[_]| sess.resident_bytes(keys);
         let cpu = intel_i7_6900();
         choose_placement(None, resident, table, q, &cpu, sess.spec(), &pcie_gen3())
     }
 
     /// The static decision with nothing resident: no device, no session.
-    fn placed_cold(table: &FactTable<'_>, q: &StarQuery, link: &PcieSpec) -> TablePlacement {
+    fn placed_cold(table: &FactTable<'_>, q: &StarQuery, link: &PcieSpec) -> PlacementDecision {
         let (cpu, spec) = (intel_i7_6900(), nvidia_v100());
         choose_placement(None, &|_| 0, table, q, &cpu, &spec, link)
     }
@@ -407,7 +380,7 @@ mod tests {
     fn placement_routes_to_host_over_pcie_gen3() {
         let d = SsbData::generate_scaled(1, 0.002, 7);
         for q in all_queries(&d) {
-            let c = placed_cold(&FactTable::plain(&d), &q, &pcie_gen3()).decision;
+            let c = placed_cold(&FactTable::plain(&d), &q, &pcie_gen3());
             assert_eq!(c.placement, Placement::Host, "{}", q.name);
             assert!(c.coprocessor_secs > c.host_secs, "{}", q.name);
         }
@@ -428,15 +401,15 @@ mod tests {
         let mut gpu = Gpu::new(nvidia_v100());
         let mut sess = DeviceSession::new(&mut gpu);
 
-        let plain = placed(&sess, &FactTable::plain(&d), &q).decision;
+        let plain = placed(&sess, &FactTable::plain(&d), &q);
         assert_eq!(plain.placement, Placement::Host);
-        let packed = placed(&sess, &table, &q).decision;
+        let packed = placed(&sess, &table, &q);
         assert_eq!(packed.placement, Placement::Coprocessor);
         // The packed transfer bound is below the plain one by the ratio.
         assert!(packed.coprocessor_secs < plain.coprocessor_secs / 1.5);
 
         let run = execute_placed(&mut sess, &cpu, &table, &q, 4);
-        assert_eq!(run.decision().unwrap().placement, Placement::Coprocessor);
+        assert_eq!(run.placement.unwrap().placement, Placement::Coprocessor);
         assert_eq!(run.device_segments_run, 1);
         assert_eq!(
             run.shipped_bytes,
@@ -465,10 +438,40 @@ mod tests {
         let mut gpu = Gpu::new(spec);
         let mut sess = DeviceSession::open(&mut gpu, None, &link);
         let run = execute_placed(&mut sess, &cpu, &table, &q, 4);
-        assert_eq!(run.decision().unwrap().placement, Placement::Coprocessor);
+        assert_eq!(run.placement.unwrap().placement, Placement::Coprocessor);
         assert_eq!(run.device_segments_run, 0, "device admission must fail");
         assert!(run.host_fallback && run.host_secs.is_some());
         assert_eq!(run.result, expected, "host fallback diverged");
+    }
+
+    /// A device run refused after its columns shipped keeps what it cost:
+    /// the host's answer is charged the bytes the session uploaded for the
+    /// refused work, and their seconds on the link.
+    #[test]
+    fn a_refused_device_run_keeps_its_account() {
+        let d = SsbData::generate_scaled(1, 0.002, 7);
+        let table = FactTable::plain(&d);
+        let cpu = intel_i7_6900();
+        let mut link = pcie_gen3();
+        link.bandwidth = cpu.read_bw * 4.0;
+        let q = query(&d, QueryId::new(2, 1));
+        let expected = reference::execute(&d, &q);
+
+        // The fact columns fit, the hash tables beside them do not.
+        let mut spec = nvidia_v100();
+        spec.mem_capacity = table.segments()[0].cost(&q.fact_columns()).packed_bytes + 1024;
+        let mut gpu = Gpu::new(spec);
+        let mut sess = DeviceSession::open(&mut gpu, None, &link);
+        let before = sess.stats().clone();
+        let run = execute_placed(&mut sess, &cpu, &table, &q, 4);
+        let uploaded = sess.stats().since(&before).uploaded_bytes;
+        assert_eq!(run.placement.unwrap().placement, Placement::Coprocessor);
+        assert!(run.host_fallback && run.device_segments_run == 0);
+        assert!(uploaded > 0, "the columns shipped before the refusal");
+        assert_eq!(run.shipped_bytes as u64, run.session.uploaded_bytes);
+        assert_eq!(run.session.uploaded_bytes, uploaded);
+        assert!(run.time.transfer > 0.0);
+        assert_eq!(run.result, expected);
     }
 
     /// Residency flips the routing over PCIe Gen3 on *plain* data: once a
@@ -490,7 +493,7 @@ mod tests {
         // Host conclusion and the query runs on the CPU (no residency is
         // accrued by a host run).
         let cold = execute_placed(&mut sess, &cpu, &table, &q, 4);
-        assert_eq!(cold.decision().unwrap().placement, Placement::Host);
+        assert_eq!(cold.placement.unwrap().placement, Placement::Host);
         assert_eq!((cold.device_segments_run, cold.shipped_bytes), (0, 0));
         assert_eq!(cold.result, expected);
 
@@ -503,7 +506,7 @@ mod tests {
         // Warm: the same cost model now routes to the coprocessor, the
         // execution ships nothing, and the result is still the oracle's.
         let warm = execute_placed(&mut sess, &cpu, &table, &q, 4);
-        let decision = *warm.decision().unwrap();
+        let decision = warm.placement.unwrap();
         assert_eq!(decision.placement, Placement::Coprocessor);
         assert!(decision.coprocessor_secs < decision.host_secs);
         assert_eq!(warm.device_segments_run, 1);
@@ -526,7 +529,7 @@ mod tests {
         fast.bandwidth = cpu.read_bw * 4.0;
         let q = query(&d, QueryId::new(1, 1));
         let c = placed_cold(&FactTable::plain(&d), &q, &fast);
-        assert_eq!(c.decision.placement, Placement::Coprocessor);
+        assert_eq!(c.placement, Placement::Coprocessor);
     }
 
     /// The decisions the unified [`choose_placement`] has to meet, bit for
@@ -575,7 +578,7 @@ mod tests {
                 for s in table.live(q).into_iter().step_by(2) {
                     gpu::execute(&mut sess, &table.subset(&[s]), q).unwrap();
                 }
-                for decision in [cold.decision, placed(&sess, table, q).decision] {
+                for decision in [cold, placed(&sess, table, q)] {
                     let bits = |secs: f64| secs.to_bits();
                     got.push((bits(decision.coprocessor_secs), bits(decision.host_secs)));
                 }
@@ -584,50 +587,58 @@ mod tests {
         }
     }
 
-    /// Per-shard residency splits one query across both processors: warm
-    /// shards route to the device, cold shards stay on the host, and the
-    /// merged hybrid result is byte-identical to the unsharded pipeline.
+    /// A half-warm sharded query still runs whole on one side: the decision
+    /// sums every live shard's own residency-aware bound, and the run uses
+    /// all of them on the device or none, answering what the oracle
+    /// answers.
     #[test]
-    fn sharded_placement_routes_hot_shards_to_the_device() {
+    fn half_warm_sharded_query_runs_whole_on_one_side() {
         let d = SsbData::generate_scaled(1, 0.004, 11);
-        let cpu = intel_i7_6900();
+        let (cpu, spec, pcie) = (intel_i7_6900(), nvidia_v100(), pcie_gen3());
         let pf = PartitionedFact::partition(&d, 4, &FactEncodings::plain());
         let table = FactTable::sharded(&d, &pf);
         // q2.1 filters only through dimensions: every shard stays live.
         let q = query(&d, QueryId::new(2, 1));
+        let (live, cols) = (table.live(&q), q.fact_columns());
+        assert_eq!(live.len(), pf.shard_count());
         let expected = reference::execute(&d, &q);
 
         let mut gpu = Gpu::new(nvidia_v100());
         let mut sess = DeviceSession::new(&mut gpu);
-
-        // Cold: nothing resident, so every live shard routes to the host
-        // — the whole-table Gen3 conclusion, reproduced shard-wise.
-        let cold = placed(&sess, &table, &q);
-        assert!(cold.split.device_shards.is_empty());
-        assert_eq!(cold.split.host_shards, table.live(&q));
-        assert_eq!(table.live(&q).len(), pf.shard_count());
-
         // Warm shards 0 and 2 on the device.
         for s in [0usize, 2] {
             gpu::execute(&mut sess, &table.subset(&[s]), &q).unwrap();
         }
 
-        // Warm: exactly the warmed shards flip to the device, and the
-        // hybrid (concurrent max) beats running everything on the host.
-        let warm = placed(&sess, &table, &q);
-        assert_eq!(warm.split.device_shards, vec![0, 2]);
-        assert_eq!(warm.split.host_shards, vec![1, 3]);
-        assert!(warm.split.hybrid_secs() < cold.split.host_secs);
+        let (mut device, mut host) = (0.0, 0.0);
+        for &i in &live {
+            let seg = table.segments()[i];
+            let keys: Vec<ColumnKey> = cols.iter().map(|&c| seg.key(c)).collect();
+            let cost = ScanCost {
+                resident_bytes: sess.resident_bytes(&keys),
+                ..seg.cost(&cols)
+            };
+            let (dev, hst) = resident_coprocessor_bounds(&cost, &cpu, &spec, &pcie);
+            device += dev;
+            host += hst;
+        }
+        let decision = placed(&sess, &table, &q);
+        assert_eq!(decision.coprocessor_secs.to_bits(), device.to_bits());
+        assert_eq!(decision.host_secs.to_bits(), host.to_bits());
 
         let run = execute_placed(&mut sess, &cpu, &table, &q, 4);
-        assert_eq!(run.device_segments_run, 2);
-        assert_eq!(run.shipped_bytes, 0, "warm shards ship nothing");
+        let on_device = match decision.placement {
+            Placement::Coprocessor => live.len(),
+            Placement::Host => 0,
+        };
+        assert_eq!(run.device_segments_run, on_device);
+        assert_eq!(run.host_secs.is_some(), on_device == 0);
         assert_eq!(run.result, expected);
     }
 
-    /// Zone-map pruning composes with hybrid placement: a date-filtered
-    /// query places only the live shards and still merges to the unsharded
-    /// answer — as does one whose every shard is pruned.
+    /// Zone-map pruning happens before placement: a date-filtered query is
+    /// placed and run over only the live shards and still answers what the
+    /// unsharded oracle does — as does one whose every shard is pruned.
     #[test]
     fn sharded_placement_prunes_before_placing() {
         use crate::plan::{FactCol, FactPred};
@@ -640,13 +651,14 @@ mod tests {
         let mut sess = DeviceSession::new(&mut gpu);
         for live_after in ["some shards", "none"] {
             let expected = reference::execute(&d, &q);
+            let live = table.live(&q);
+            assert!(live.len() < pf.shard_count(), "{live_after}");
             let run = execute_placed(&mut sess, &cpu, &table, &q, 4);
-            let split = &run.placement.as_ref().unwrap().split;
-            let mut routed = split.device_shards.clone();
-            routed.extend(&split.host_shards);
-            routed.sort_unstable();
-            assert_eq!(routed, table.live(&q), "every live shard runs once");
-            assert!(routed.len() < pf.shard_count(), "{live_after}");
+            let on_device = match run.placement.unwrap().placement {
+                Placement::Coprocessor => live.len(),
+                Placement::Host => 0,
+            };
+            assert_eq!(run.device_segments_run, on_device, "{live_after}");
             assert_eq!(run.result, expected, "{live_after}");
             q.fact_preds
                 .push(FactPred::between(FactCol::OrderDate, 30000101, 30001231));
@@ -654,11 +666,11 @@ mod tests {
         assert!(table.live(&q).is_empty());
     }
 
-    /// A shard the cost model routes to the device but that no longer
-    /// fits (its columns are resident, but the device has no physical
-    /// room left for the hash tables) falls back to the host
-    /// *individually* — the query completes with the exact unsharded
-    /// answer instead of erroring.
+    /// A sharded query the cost model routes to the device but whose first
+    /// shard no longer fits (its columns are resident, but the device has
+    /// no physical room left for the hash tables) falls back to the host
+    /// whole — the query completes with the exact unsharded answer instead
+    /// of erroring.
     #[test]
     fn device_shard_oom_falls_back_to_the_host() {
         let d = SsbData::generate_scaled(1, 0.004, 11);
@@ -669,6 +681,9 @@ mod tests {
         let expected = reference::execute(&d, &q);
         let cols = q.fact_columns();
         let shard0 = table.segments()[0];
+        // A link faster than host DRAM routes the query to the device.
+        let mut link = pcie_gen3();
+        link.bandwidth = cpu.read_bw * 4.0;
 
         // Device capacity = shard 0's fact columns + 1 KiB: warming the
         // columns fits exactly, but admission (columns pinned + hash
@@ -677,18 +692,16 @@ mod tests {
         let mut spec = nvidia_v100();
         spec.mem_capacity = shard0.cost(&cols).packed_bytes + 1024;
         let mut gpu = Gpu::new(spec);
-        let mut sess = DeviceSession::with_budget(&mut gpu, usize::MAX);
+        let mut sess = DeviceSession::open(&mut gpu, Some(usize::MAX), &link);
         for &c in &cols {
             sess.try_column(shard0.key(c), shard0.host_col(c)).unwrap();
         }
 
-        // The model sees shard 0 fully resident and routes it to the
-        // device; execution discovers the working set no longer fits.
-        assert_eq!(placed(&sess, &table, &q).split.device_shards, vec![0]);
-
         let evictions_before = sess.stats().evictions;
         let run = execute_placed(&mut sess, &cpu, &table, &q, 4);
-        assert_eq!(run.device_segments_run, 0, "the OOM shard ran on the host");
+        assert_eq!(run.placement.unwrap().placement, Placement::Coprocessor);
+        assert_eq!(run.device_segments_run, 0, "the query ran on the host");
+        assert!(run.host_fallback && run.host_secs.is_some());
         assert_eq!(run.result, expected);
         // The failed admission released its pins without evicting the
         // warm columns (they were the only residents and stayed pinned
@@ -698,7 +711,7 @@ mod tests {
 
     /// No store and a cold store are the same evaluation: every decision
     /// — and both bounds — agree bit for bit, across all queries,
-    /// encodings, and residency levels, whole-table and per shard.
+    /// encodings, and residency levels, whole-table and sharded.
     #[test]
     fn cold_store_reproduces_static_placement_bit_for_bit() {
         let d = SsbData::generate_scaled(1, 0.004, 11);
@@ -730,21 +743,14 @@ mod tests {
                     let place =
                         |store| choose_placement(store, resident, table, &q, &cpu, &spec, &pcie);
                     let (stat, cal) = (place(None), place(Some(&store)));
-                    assert_eq!(cal.decision.placement, stat.decision.placement);
-                    assert_eq!(cal.split.device_shards, stat.split.device_shards);
-                    assert_eq!(cal.split.host_shards, stat.split.host_shards);
+                    assert_eq!(cal.placement, stat.placement);
                     for (c, s) in [
-                        (cal.split.device_secs, stat.split.device_secs),
-                        (cal.split.host_secs, stat.split.host_secs),
-                        (
-                            cal.decision.coprocessor_secs,
-                            stat.decision.coprocessor_secs,
-                        ),
-                        (cal.decision.host_secs, stat.decision.host_secs),
+                        (cal.coprocessor_secs, stat.coprocessor_secs),
+                        (cal.host_secs, stat.host_secs),
                     ] {
                         assert_eq!(c.to_bits(), s.to_bits(), "{}", q.name);
                     }
-                    let provenance = (cal.decision.source, cal.decision.samples);
+                    let provenance = (cal.source, cal.samples);
                     assert_eq!(provenance, (BoundsSource::Static, 0));
                 }
             }
@@ -767,7 +773,7 @@ mod tests {
         // to the device (the compression flip).
         let place = |store| {
             let (cpu, spec, pcie) = (&model.cpu, &model.gpu, &model.pcie);
-            choose_placement(store, &|_| 0, &table, &q, cpu, spec, pcie).decision
+            choose_placement(store, &|_| 0, &table, &q, cpu, spec, pcie)
         };
         let stat = place(None);
         assert_eq!(stat.placement, Placement::Coprocessor);
@@ -812,7 +818,7 @@ mod tests {
             let mut sess = DeviceSession::new(&mut gpu);
             for _ in 0..2 {
                 let shim = choose_placement_session(&sess, &d, &q, &enc, &cpu, &pcie);
-                let whole = placed(&sess, &table, &q).decision;
+                let whole = placed(&sess, &table, &q);
                 assert_eq!(shim.placement, whole.placement);
                 assert_eq!(
                     shim.coprocessor_secs.to_bits(),

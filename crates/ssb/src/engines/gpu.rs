@@ -69,34 +69,18 @@ pub type GpuRun = QueryProfile;
 /// model of Section 3.1 on a cold session, the data-resident regime on a
 /// warm one. Returns the typed [`SessionOom`] when a segment's working set
 /// cannot fit the device — small device configs surface the error instead
-/// of aborting the process — with the device work abandoned (the placed
-/// path then restarts the query on the host).
+/// of aborting the process — with the device work abandoned.
 pub fn execute(
     sess: &mut DeviceSession<'_>,
     table: &FactTable<'_>,
     q: &StarQuery,
 ) -> Result<GpuRun, SessionOom> {
-    drive(sess, table, q).map(DeviceQueryJob::finish)
-}
-
-/// [`execute`] short of its finish: the job admitted and stepped through
-/// every segment, or abandoned with the error that stopped it.
-pub(crate) fn drive<'a>(
-    sess: &mut DeviceSession<'_>,
-    table: &FactTable<'a>,
-    q: &'a StarQuery,
-) -> Result<DeviceQueryJob<'a>, SessionOom> {
     let mut job = DeviceQueryJob::over(table, q);
-    let driven = (|| {
-        job.admit(sess)?;
-        while !job.step(sess, usize::MAX)? {}
-        Ok(())
-    })();
-    match driven {
-        Ok(()) => Ok(job),
-        Err(e) => {
+    match job.run(sess) {
+        Ok(()) => Ok(job.finish()),
+        Err(oom) => {
             job.abandon(sess);
-            Err(e)
+            Err(oom)
         }
     }
 }
@@ -133,8 +117,7 @@ pub fn execute_partitioned_session(
 
 /// A resumable device-side query execution over the segments of a
 /// [`FactTable`] zone-map pruning leaves live — the whole table is one, a
-/// partitioned table one per live shard, the device half of a hybrid
-/// placement a `FactTable::subset` — the shape
+/// partitioned table one per live shard — the shape
 /// [`HostQueryJob`](crate::exec::HostQueryJob) has on the host.
 ///
 /// Segments run one at a time. *Admitting* one resolves its fact columns
@@ -708,30 +691,31 @@ impl<'a> DeviceQueryJob<'a> {
         done
     }
 
+    /// Admits the job and steps it through every segment in one grant
+    /// each: the run to completion between [`Self::over`] and
+    /// [`Self::finish`], or, on a [`SessionOom`], [`Self::abandon`].
+    pub(crate) fn run(&mut self, sess: &mut DeviceSession<'_>) -> Result<(), SessionOom> {
+        self.admit(sess)?;
+        while !self.step(sess, usize::MAX)? {}
+        Ok(())
+    }
+
     /// Assembles the run. `fact_rows` reports the full table size so the
     /// trace compares across table shapes; when every shard was pruned the
     /// result is the empty input's and the stage sizes come from the key
     /// ranges and the cached membership bitmaps (no device table was ever
     /// pinned).
-    pub fn finish(self) -> GpuRun {
-        self.finish_with(None)
-    }
-
-    /// [`Self::finish`], with `host` — what the host accumulated over the
-    /// table's other segments, the host part of a hybrid placement —
-    /// added into the result and the trace.
-    pub(crate) fn finish_with(mut self, host: Option<&QueryAcc>) -> GpuRun {
+    pub fn finish(mut self) -> GpuRun {
         assert!(self.is_done(), "finished a job with rows remaining");
         self.settle();
         let (d, q) = (self.d, self.q);
-        let (mut acc, tables) = match self.scan {
+        let (acc, tables) = match self.scan {
             Some(scan) => (scan.acc, scan.tables),
             None => {
                 let size = |join| (dim_table_bytes(d, join), dim_members(d, join));
                 (QueryAcc::new(q), q.joins.iter().map(size).collect())
             }
         };
-        host.into_iter().for_each(|part| acc.merge(part));
         let (result, trace) = acc.finish(d, q, tables);
         QueryProfile {
             result,

@@ -28,7 +28,7 @@ use crystal_gpu_sim::stats::{total_time, KernelReport};
 use crystal_gpu_sim::ExecStats;
 use crystal_runtime::{DeviceSession, SessionStats};
 
-use crate::engines::copro::{PlacementDecision, TablePlacement};
+use crate::engines::copro::PlacementDecision;
 use crate::engines::{GroupAcc, QueryTrace};
 use crate::plan::StarQuery;
 use crate::QueryResult;
@@ -59,16 +59,16 @@ pub struct QueryProfile {
     /// The device's copy/compute stream makespan when it last touched the
     /// device — its own alone for one query on a fresh device.
     pub makespan_secs: f64,
-    /// Modelled host seconds, when a part of it ran on the host: the
-    /// placement's host bound, pro-rated to the rows the host scanned.
+    /// Modelled host seconds, when it ran on the host: the placement's host
+    /// bound, or what a scheduler granted of it.
     pub host_secs: Option<f64>,
-    /// The placement asked for it, when one was: both candidate bounds with
-    /// their source and samples, and the per-segment routing.
-    pub placement: Option<TablePlacement>,
-    /// Segments that completed on the device.
+    /// The placement asked for it, when one was: the side chosen and both
+    /// candidate bounds, with their source and samples.
+    pub placement: Option<PlacementDecision>,
+    /// Segments that completed on the device: every live one, or none.
     pub device_segments_run: usize,
-    /// Whether a part routed to the device was refused or given up there
-    /// and the host answered instead.
+    /// Whether the device refused it or gave it up, and the host answered
+    /// instead.
     pub host_fallback: bool,
     /// Device halves abandoned mid-query (the query restarted on the host).
     pub oom_restarts: usize,
@@ -112,11 +112,6 @@ impl QueryProfile {
             false => r.time.total_secs(),
         };
         self.reports.iter().map(scaled).sum()
-    }
-
-    /// The whole-query decision of the placement asked for it.
-    pub fn decision(&self) -> Option<&PlacementDecision> {
-        self.placement.as_ref().map(|p| &p.decision)
     }
 
     /// The counters a stretch of session calls will be booked against.
@@ -194,13 +189,13 @@ impl fmt::Display for QueryProfile {
                 usize::from(self.host_fallback).max(self.oom_restarts),
             )?;
         }
-        let Some(d) = self.decision() else {
+        let Some(d) = &self.placement else {
             return Ok(());
         };
         // The bound of the side it ran on, against what that side was charged.
         let (bound, charged) = match self.host_secs {
-            Some(host) if self.device_segments_run == 0 => (d.host_secs, host),
-            _ => (d.coprocessor_secs, t.pipelined),
+            Some(host) => (d.host_secs, host),
+            None => (d.coprocessor_secs, t.pipelined),
         };
         writeln!(
             f,

@@ -227,13 +227,6 @@ pub fn execute_with(
     plan.finish(plan.run(&live_segments(table, q), threads, mode, morsel))
 }
 
-/// A vectorized [`execute`] short of its result and trace: the host part
-/// of a hybrid placement, which the device part finishes.
-pub(crate) fn accumulate(table: &FactTable<'_>, q: &StarQuery, threads: usize) -> QueryAcc {
-    let segments = live_segments(table, q);
-    Plan::new(table.data(), q).run(&segments, threads, PipelineMode::Vectorized, MORSEL_SIZE)
-}
-
 /// The plan's predicate, foreign-key and aggregate-input columns,
 /// resolved once against one physical table.
 type Columns<'a> = (
@@ -368,8 +361,7 @@ impl<'a> Plan<'a> {
 /// queries on the host with per-tenant fairness.
 ///
 /// A job scans the segments of a [`FactTable`] that pruning leaves live
-/// (none at all when everything is pruned; the host half of a hybrid
-/// placement hands it a `FactTable::subset`). Construction resolves the
+/// (none at all when everything is pruned). Construction resolves the
 /// plan once (dimension lookups, column slices); each
 /// [`HostQueryJob::step`] advances the `(segment, offset)` cursor by a
 /// bounded number of rows, crossing segment boundaries mid-grant, and

@@ -191,9 +191,12 @@ impl<'a> FactTable<'a> {
     pub fn live_rows(&self, q: &StarQuery) -> usize {
         self.live(q).iter().map(|&i| self.segments[i].rows()).sum()
     }
+}
 
-    /// The table restricted to the segments `ids` index — how a hybrid
-    /// placement hands each side its share. Shards keep their cache keys.
+#[cfg(test)]
+impl FactTable<'_> {
+    /// The table restricted to the segments `ids` index — how a test warms
+    /// or runs some shards alone. Shards keep their cache keys.
     pub(crate) fn subset(&self, ids: &[usize]) -> Self {
         FactTable {
             d: self.d,

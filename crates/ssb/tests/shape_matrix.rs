@@ -77,12 +77,15 @@ fn every_query_over_every_shape_through_every_entry_point() {
             assert_eq!(job.rows_scanned(), table.live_rows(&q));
             assert_eq!(job.finish(), expected, "{}", at("HostQueryJob::over"));
 
-            // Cold, the Gen3 model keeps plain segments on the host and
-            // ships packed ones; either way the parts merge to the whole.
+            // Cold, the Gen3 model keeps plain data on the host and ships
+            // packed data; either way the query runs whole on one side.
             let mut device = Gpu::new(nvidia_v100());
             let mut sess = DeviceSession::new(&mut device);
             let placed = copro::execute_placed(&mut sess, &cpu, table, &q, 2);
-            let routed = placed.placement.as_ref().unwrap().split.device_shards.len();
+            let routed = match placed.placement.unwrap().placement {
+                copro::Placement::Coprocessor => table.live(&q).len(),
+                copro::Placement::Host => 0,
+            };
             assert_eq!(
                 placed.device_segments_run,
                 routed,
@@ -90,7 +93,7 @@ fn every_query_over_every_shape_through_every_entry_point() {
                 at("a roomy device")
             );
             assert!(!placed.host_fallback, "{}", at("a roomy device"));
-            // The parts' profiles merge to the whole table's rows and trace.
+            // Either side answers with the whole table's rows and trace.
             let got = (placed.result, placed.trace.unwrap());
             assert_eq!(got, expected, "{}", at("execute_placed, cold"));
             drop(sess);
@@ -108,7 +111,7 @@ fn every_query_over_every_shape_through_every_entry_point() {
                 assert_eq!(got, expected, "{}", at(&format!("gpu::execute, {pass}")));
             }
 
-            // Warm, it routes every live segment to the device.
+            // Warm, it runs the query on the device.
             let placed = copro::execute_placed(&mut sess, &cpu, table, &q, 2);
             assert_eq!(placed.device_segments_run, table.live(&q).len());
             assert_eq!(placed.shipped_bytes, 0, "{}", at("a warm session"));

@@ -116,7 +116,7 @@ fn random_queries_agree_across_all_engines() {
 
         let placed = placed_cold(&mut gpu, &pcie, &plain, &q);
         assert_eq!(
-            placed.decision().unwrap().placement,
+            placed.placement.unwrap().placement,
             copro::Placement::Host,
             "seed {qseed}: PCIe routing must stay host-side"
         );
@@ -129,7 +129,7 @@ fn random_queries_agree_across_all_engines() {
             gpu.reset_l2();
             let dev = placed_cold(&mut gpu, &fast_link, &plain, &q);
             assert_eq!(
-                dev.decision().unwrap().placement,
+                dev.placement.unwrap().placement,
                 copro::Placement::Coprocessor,
                 "seed {qseed}"
             );
@@ -143,7 +143,7 @@ fn random_queries_agree_across_all_engines() {
             gpu.reset_l2();
             let dev_enc = placed_cold(&mut gpu, &fast_link, &encoded, &q);
             assert_eq!(
-                dev_enc.decision().unwrap().placement,
+                dev_enc.placement.unwrap().placement,
                 copro::Placement::Coprocessor,
                 "seed {qseed}"
             );
