@@ -48,7 +48,7 @@ use crate::data::SsbData;
 use crate::encoding::EncodedFact;
 use crate::engines::profile::QueryProfile;
 use crate::engines::{
-    dim_device_table, dim_join_fingerprint, dim_members, dim_table_bytes, group_key, QueryAcc,
+    dim_device_table, dim_join_fingerprint, dim_table_bytes, group_key, QueryAcc,
 };
 use crate::partition::PartitionedFact;
 use crate::plan::{FactCol, StarQuery};
@@ -205,9 +205,6 @@ struct Scan {
     acc: QueryAcc,
     roles: TileRoles,
     tiles: TileScratch,
-    /// Per join, the footprint and the entries of its table (the same
-    /// memoized build whichever segment pins it).
-    tables: Vec<(usize, usize)>,
 }
 
 /// One prefetched segment: the columns it holds and the copy-stream
@@ -352,12 +349,10 @@ impl<'a> DeviceQueryJob<'a> {
             // not on how many rows a segment or a step covers.
             let joins = self.q.joins.len();
             let tile = FusedStarKernel::new("", 0, joins).plan(sess.spec()).tile();
-            let sizes = cur.tables.iter().map(|ht| (ht.size_bytes(), ht.entries()));
             self.scan = Some(Scan {
                 acc: QueryAcc::new(self.q),
                 roles: TileRoles::resolve(self.q),
                 tiles: TileScratch::new(tile, joins),
-                tables: sizes.collect(),
             });
         }
         self.cur_reports = self.profile.reports.len();
@@ -702,21 +697,15 @@ impl<'a> DeviceQueryJob<'a> {
 
     /// Assembles the run. `fact_rows` reports the full table size so the
     /// trace compares across table shapes; when every shard was pruned the
-    /// result is the empty input's and the stage sizes come from the key
-    /// ranges and the cached membership bitmaps (no device table was ever
-    /// pinned).
+    /// result and trace are the empty input's.
     pub fn finish(mut self) -> GpuRun {
         assert!(self.is_done(), "finished a job with rows remaining");
         self.settle();
-        let (d, q) = (self.d, self.q);
-        let (acc, tables) = match self.scan {
-            Some(scan) => (scan.acc, scan.tables),
-            None => {
-                let size = |join| (dim_table_bytes(d, join), dim_members(d, join));
-                (QueryAcc::new(q), q.joins.iter().map(size).collect())
-            }
+        let acc = match self.scan {
+            Some(scan) => scan.acc,
+            None => QueryAcc::new(self.q),
         };
-        let (result, trace) = acc.finish(d, q, tables);
+        let (result, trace) = acc.finish(self.d, self.q);
         QueryProfile {
             result,
             trace: Some(trace),

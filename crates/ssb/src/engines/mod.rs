@@ -349,20 +349,6 @@ fn half(d: &SsbData, join: &DimJoin, key: DimPartKey, cached: bool) -> Arc<DimPa
     }
 }
 
-fn filter_key(join: &DimJoin) -> DimPartKey {
-    DimPartKey::Filter(join.table, join.filter.clone())
-}
-
-fn members(filter: &DimPart) -> usize {
-    filter.bits.iter().map(|w| w.count_ones() as usize).sum()
-}
-
-/// Dimension rows passing one join's filter, counted off its cached
-/// membership half: a [`DimLookup::cached`]'s `inserted` without the lookup.
-pub(crate) fn dim_members(d: &SsbData, join: &DimJoin) -> usize {
-    members(&half(d, join, filter_key(join), true))
-}
-
 impl DimLookup {
     /// Builds both halves of one join from the dimension's columns, shared
     /// with nothing: [`DimLookup::cached`] without the cache.
@@ -378,11 +364,12 @@ impl DimLookup {
     }
 
     fn from_halves(d: &SsbData, join: &DimJoin, cached: bool) -> Self {
-        let filter = half(d, join, filter_key(join), cached);
+        let key = DimPartKey::Filter(join.table, join.filter.clone());
+        let filter = half(d, join, key, cached);
         let codes = |attr| half(d, join, DimPartKey::Codes(join.table, attr), cached);
         DimLookup {
             min_key: d.key_range(join.table).0,
-            inserted: members(&filter),
+            inserted: filter.bits.iter().map(|w| w.count_ones() as usize).sum(),
             filter,
             codes: join.group_attr.map(codes),
         }
@@ -407,7 +394,8 @@ impl DimLookup {
     }
 }
 
-/// Probe statistics of one join stage.
+/// Probe statistics of one join stage. The model reads `probes` and `hits`;
+/// a table's footprint is [`dim_table_bytes`] of its join.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageTrace {
     pub table: DimTable,
@@ -415,13 +403,13 @@ pub struct StageTrace {
     pub probes: usize,
     /// Probes that found a matching, unfiltered dimension row.
     pub hits: usize,
-    /// Hash-table footprint at the executed scale.
-    pub ht_bytes: usize,
-    /// Fraction of dimension rows inserted (surviving the dim filter).
-    pub dim_insert_frac: f64,
 }
 
-/// Execution trace of one query: the inputs of the Section 5.3 model.
+/// Execution trace of one query: the inputs of the Section 5.3 model, which
+/// reads the selectivities before each stage
+/// ([`QueryTrace::selectivity_before_stage`]: `pred_survivors`, then each
+/// stage's `hits / probes`) and the share of `fact_rows` reaching the
+/// aggregate (`result_rows`). `groups` is only printed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryTrace {
     pub fact_rows: usize,
@@ -642,24 +630,15 @@ impl QueryAcc {
         self.result_rows += other.result_rows;
     }
 
-    /// The result of `q` over `d` and its trace. `tables` gives, per join,
-    /// the footprint and the entries of its dimension table; `fact_rows` is
-    /// the whole table, pruned or not, so traces compare across table
-    /// shapes.
-    pub(crate) fn finish(
-        self,
-        d: &SsbData,
-        q: &StarQuery,
-        tables: impl IntoIterator<Item = (usize, usize)>,
-    ) -> (crate::QueryResult, QueryTrace) {
+    /// The result of `q` over `d` and its trace; `fact_rows` is the whole
+    /// table, pruned or not, so traces compare across table shapes.
+    pub(crate) fn finish(self, d: &SsbData, q: &StarQuery) -> (crate::QueryResult, QueryTrace) {
         let result = self.groups.to_result(q);
-        let stages = (q.joins.iter().zip(tables).enumerate())
-            .map(|(j, (join, (ht_bytes, entries)))| StageTrace {
+        let stages = (q.joins.iter().enumerate())
+            .map(|(j, join)| StageTrace {
                 table: join.table,
                 probes: self.probes[j],
                 hits: self.hits[j],
-                ht_bytes,
-                dim_insert_frac: entries as f64 / join.keys(d).len().max(1) as f64,
             })
             .collect();
         let trace = QueryTrace {
@@ -1184,15 +1163,11 @@ mod tests {
                     table: DimTable::Supplier,
                     probes: 1000,
                     hits: 200,
-                    ht_bytes: 0,
-                    dim_insert_frac: 0.2,
                 },
                 StageTrace {
                     table: DimTable::Part,
                     probes: 200,
                     hits: 8,
-                    ht_bytes: 0,
-                    dim_insert_frac: 0.04,
                 },
             ],
             result_rows: 8,

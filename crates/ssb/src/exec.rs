@@ -104,7 +104,7 @@ const _: () = assert!(
 use crystal_storage::encoding::{ColumnRead, ColumnSlice};
 
 use crate::data::SsbData;
-use crate::engines::{dim_table_bytes, group_key, DimLookup, QueryAcc, QueryTrace};
+use crate::engines::{group_key, DimLookup, QueryAcc, QueryTrace};
 use crate::partition::PartitionedFact;
 use crate::plan::StarQuery;
 use crate::table::{FactSegment, FactTable};
@@ -224,7 +224,8 @@ pub fn execute_with(
     morsel: usize,
 ) -> (QueryResult, QueryTrace) {
     let plan = Plan::new(table.data(), q);
-    plan.finish(plan.run(&live_segments(table, q), threads, mode, morsel))
+    let acc = plan.run(&live_segments(table, q), threads, mode, morsel);
+    acc.finish(table.data(), q)
 }
 
 /// The plan's predicate, foreign-key and aggregate-input columns,
@@ -344,15 +345,6 @@ impl<'a> Plan<'a> {
         });
         merged.unwrap_or_else(|| QueryAcc::new(self.q))
     }
-
-    /// The result and trace of everything `acc` holds — the one exit path
-    /// shared by the run to completion and the resumable [`HostQueryJob`].
-    fn finish(&self, acc: QueryAcc) -> (QueryResult, QueryTrace) {
-        let d = self.d;
-        let tables = (self.q.joins.iter().zip(&self.lookups))
-            .map(|(join, lk)| (dim_table_bytes(d, join), lk.inserted));
-        acc.finish(d, self.q, tables)
-    }
 }
 
 /// A resumable host-side query execution: the same per-vector pipeline as
@@ -451,7 +443,7 @@ impl<'a> HostQueryJob<'a> {
     /// has been scanned.
     pub fn finish(self) -> (QueryResult, QueryTrace) {
         assert_eq!(self.remaining, 0, "finished a job with rows remaining");
-        self.plan.finish(self.acc)
+        self.acc.finish(self.plan.d, self.plan.q)
     }
 }
 

@@ -20,8 +20,8 @@
 //! its own execution style, which is precisely the axis the paper studies.
 //!
 //! [`model`] converts execution traces into paper-scale (SF-20) runtime
-//! predictions using the Section 5.3 methodology, and [`optimizer`]
-//! derives the paper's hand-picked join orders from that cost model.
+//! predictions using the Section 5.3 methodology. Join orders are the
+//! paper's hand-picked ones, written into the canned plans of [`queries`].
 //!
 //! [`exec`] is the morsel-driven parallel executor the CPU-side engines
 //! lower onto: it evaluates *any* [`plan::StarQuery`] — including the
@@ -53,7 +53,6 @@ pub mod encoding;
 pub mod engines;
 pub mod exec;
 pub mod model;
-pub mod optimizer;
 pub mod partition;
 pub mod plan;
 pub mod queries;

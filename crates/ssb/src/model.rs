@@ -183,6 +183,28 @@ mod tests {
         assert!((1.5..5.0).contains(&g_ms), "gpu {g_ms}");
     }
 
+    /// The paper's hand-picked q2.1 plan ("supplier, then part, and finally
+    /// date", Section 5.3) is the cheaper one under the GPU model: probing
+    /// the out-of-L2 part table with every fact row costs more than its
+    /// better selectivity saves later.
+    #[test]
+    fn canned_q21_order_beats_part_first() {
+        let d = SsbData::generate_scaled(1, 0.003, 13);
+        let gpu = nvidia_v100();
+        let (canned, trace) = traced(&d, QueryId::new(2, 1));
+        let order: Vec<DimTable> = canned.joins.iter().map(|j| j.table).collect();
+        assert_eq!(order, [DimTable::Supplier, DimTable::Part, DimTable::Date]);
+        let mut part_first = canned.clone();
+        part_first.joins.swap(0, 1);
+        let (_, part_trace) = cpu_engine::execute(&d, &part_first, 2);
+        let canned_ms = gpu_secs(&canned, &trace, &gpu) * 1e3;
+        let part_ms = gpu_secs(&part_first, &part_trace, &gpu) * 1e3;
+        assert!(
+            canned_ms < part_ms,
+            "canned {canned_ms} ms, part first {part_ms} ms"
+        );
+    }
+
     #[test]
     fn mean_speedup_is_in_the_paper_band() {
         // Figure 16: Standalone GPU is on average ~25x faster than
